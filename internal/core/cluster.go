@@ -267,17 +267,11 @@ func NewCluster(opt Options) *Cluster {
 		h.EnableLoadAds(0)
 		registerHostMetrics(tb, h)
 		c.FSHosts = append(c.FSHosts, h)
-		var fs *fileserver.Server
-		var ns *nameserver.Server
 		if nfs > 1 {
 			c.fsStores = append(c.fsStores, rsm.NewStore())
 			c.nsStores = append(c.nsStores, rsm.NewStore())
-			fs = fileserver.StartReplica(h, j, nfs, c.fsStores[j])
-			ns = nameserver.StartReplica(h, j, nfs, c.nsStores[j])
-		} else {
-			fs = fileserver.Start(h)
-			ns = nameserver.Start(h)
 		}
+		fs, ns := c.startServers(j, nfs)
 		c.FSReps = append(c.FSReps, fs)
 		c.NSReps = append(c.NSReps, ns)
 		j := j
@@ -411,6 +405,17 @@ func (n *Node) Restart() {
 	nameserver.RegisterSelf(n.Host, "progmgr."+n.Name(), n.PM.PID())
 }
 
+// startServers starts server machine j's file and name servers: lone
+// servers when it is the only machine, else replicas over the machine's
+// durable stores.
+func (c *Cluster) startServers(j, n int) (*fileserver.Server, *nameserver.Server) {
+	h := c.FSHosts[j]
+	if n > 1 {
+		return fileserver.StartReplica(h, j, n, c.fsStores[j]), nameserver.StartReplica(h, j, n, c.nsStores[j])
+	}
+	return fileserver.Start(h), nameserver.Start(h)
+}
+
 // restartFSReplica reboots server machine j: its file-server and
 // name-server replicas come back over the durable stores that survived
 // the crash, restocked with every installed image (a real V file server
@@ -422,13 +427,7 @@ func (c *Cluster) restartFSReplica(j int) {
 		return
 	}
 	h.Restart()
-	if len(c.FSHosts) > 1 {
-		c.FSReps[j] = fileserver.StartReplica(h, j, len(c.FSHosts), c.fsStores[j])
-		c.NSReps[j] = nameserver.StartReplica(h, j, len(c.FSHosts), c.nsStores[j])
-	} else {
-		c.FSReps[j] = fileserver.Start(h)
-		c.NSReps[j] = nameserver.Start(h)
-	}
+	c.FSReps[j], c.NSReps[j] = c.startServers(j, len(c.FSHosts))
 	for _, img := range c.images {
 		c.FSReps[j].Put(img.name, img.data)
 	}

@@ -36,37 +36,6 @@ func (n *Node) SelectVia(ctx *kernel.ProcCtx, minMem uint32, exclude ...vid.LHID
 	return HostSel{PM: l.PM, SystemLH: l.SystemLH, MemFree: l.MemFree}, nil
 }
 
-// SelectHost picks an idle workstation by multicasting to the
-// program-manager group and taking the first response — the paper's
-// decentralized scheduler ("it simply selects the program manager that
-// responds first since that is generally the least loaded host", §2.1).
-// exclude suppresses up to four system logical hosts — typically the
-// caller's own plus destinations a retried migration already saw fail.
-func SelectHost(ctx *kernel.ProcCtx, minMem uint32, exclude ...vid.LHID) (HostSel, error) {
-	var w [6]uint32
-	w[0] = minMem
-	for i, lh := range exclude {
-		if i >= 4 {
-			break
-		}
-		w[i+1] = uint32(lh)
-	}
-	for attempt := 0; attempt < 2; attempt++ {
-		m, err := ctx.Send(vid.GroupProgramManagers, vid.Message{
-			Op: progmgr.PmSelectHost,
-			W:  w,
-		})
-		if err == nil && m.OK() {
-			return HostSel{
-				PM:       vid.PID(m.W[5]),
-				SystemLH: vid.LHID(m.W[0]),
-				MemFree:  m.W[1],
-			}, nil
-		}
-	}
-	return HostSel{}, ErrNoHost
-}
-
 // FindHost resolves a workstation by name through the program-manager
 // group (the `@ machine-name` form).
 func FindHost(ctx *kernel.ProcCtx, name string) (HostSel, error) {
@@ -168,11 +137,7 @@ func (a *Agent) ExecR(prog string, args []string, where string, maxRestarts int)
 		// it so the failed Exec does not leak an address space on the
 		// remote manager. If the manager is unreachable too, hand the job
 		// to the home manager's retrying reaper.
-		if _, e := ctx.Send(sel.PM, vid.Message{
-			Op: progmgr.PmDestroyProgram, W: [6]uint32{uint32(job.LHID)},
-		}); e != nil {
-			a.node.PM.ReapRemote(sel.PM, job.LHID)
-		}
+		a.node.PM.DestroyRemote(ctx, sel.PM, job.LHID)
 		if err != nil {
 			return nil, err
 		}
@@ -207,12 +172,11 @@ func (a *Agent) superviseSession(si *progmgr.SessionInfo) {
 			a.Sleep(300 * time.Millisecond)
 		}
 		if a.node.PM.HomeReplica() != nil {
-			// This workstation is itself a group member, so a direct local
-			// Supervise would mutate the replicated registry outside the log:
-			// the session would exist on one replica only, get baked into its
-			// snapshots, and never be lease-renewed (only the fenced leader
-			// acts). Park the record instead; the lease worker re-proposes it
-			// through the group once a leader is reachable.
+			// This workstation is itself a group member: a direct local
+			// Supervise would be a commit through the group log, refused
+			// unless this member happens to lead, and the record would be
+			// lost. Park it instead; the lease worker re-proposes it through
+			// the group once a leader is reachable.
 			a.node.PM.QueueHomeSupervise(*si)
 			return
 		}
@@ -220,7 +184,7 @@ func (a *Agent) superviseSession(si *progmgr.SessionInfo) {
 		// manager is not a member: plain local supervision is safe here and
 		// keeps the job watched by *someone*.
 	}
-	a.node.PM.Supervise(*si)
+	a.node.PM.Supervise(a.ctx, *si)
 }
 
 // homeWaitTarget is where a Wait retreats when the hosting manager cannot
@@ -243,9 +207,10 @@ func (a *Agent) noteExited(lhid vid.LHID, code uint32) {
 			return
 		}
 		// Group unreachable: harmless — the leader's next renewal sees the
-		// exit code from the hosting manager and commits it then.
+		// exit code from the hosting manager and commits it then. (On a
+		// member that does not lead, the call below is a refused commit.)
 	}
-	a.node.PM.NoteExited(lhid, code)
+	a.node.PM.NoteExited(a.ctx, lhid, code)
 }
 
 func whereName(a *Agent, sel HostSel) string {

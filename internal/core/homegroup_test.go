@@ -205,3 +205,68 @@ func TestUnreplicatedHomeDiesWithSupervisor(t *testing.T) {
 		t.Fatalf("EvExecRestart = %d, want 0 (no supervisor left to recover)", got)
 	}
 }
+
+// A home-group member's agent that cannot reach the group falls back to
+// its own manager's NoteExited. On a member that does not lead, that must
+// be a refused commit — not a write to the replicated registry outside the
+// log, which would mark the session done on this one replica only (with
+// whatever code the agent believed) and survive in its snapshots. The
+// leader's next renewal records the real exit for every replica.
+func TestMemberNoteExitedOutsideLeadershipIsRefused(t *testing.T) {
+	c := boot(t, Options{Workstations: 6, Seed: 1, ReplicateHome: 3})
+	c.Install(progs.Ticker(60))
+	c.Run(3 * time.Second)
+	lead := c.HomeLeaderIdx()
+	if lead < 0 {
+		t.Fatal("no home leader elected by 3s")
+	}
+	member := c.Node((lead + 1) % 3) // a follower
+	var others []ethernet.MAC
+	for i := 0; i < 3; i++ {
+		if n := c.Node(i); n != member {
+			others = append(others, n.Host.NIC.MAC())
+		}
+	}
+	mac := member.Host.NIC.MAC()
+	cutOff := func(src, dst ethernet.MAC) bool {
+		return (src == mac && (dst == others[0] || dst == others[1])) ||
+			(dst == mac && (src == others[0] || src == others[1]))
+	}
+
+	var stateAfterFallback string
+	var code uint32
+	var err error
+	done := false
+	member.Agent(func(a *Agent) {
+		var job *Job
+		if job, err = a.Exec("ticker60", nil, "ws4"); err != nil {
+			return
+		}
+		a.Sleep(time.Second)
+		// Partitioned from the other members, the agent believes — wrongly —
+		// that the job exited with code 7.
+		c.Bus.SetCut(cutOff)
+		a.noteExited(job.LHID, 7)
+		stateAfterFallback = member.PM.Sessions()[0].State
+		c.Bus.SetCut(nil)
+		code, err = a.Wait(job)
+		done = true
+	})
+	c.Run(2 * time.Minute)
+
+	if !done || err != nil {
+		t.Fatalf("agent: done=%v err=%v", done, err)
+	}
+	if code != 0 {
+		t.Fatalf("exit = %d", code)
+	}
+	if stateAfterFallback != "active" {
+		t.Fatalf("after the refused fallback the member's copy of the session is %q, want active", stateAfterFallback)
+	}
+	for i := 0; i < 3; i++ {
+		ss := c.Node(i).PM.Sessions()
+		if len(ss) != 1 || ss[0].State != "done" || ss[0].ExitCode != 0 {
+			t.Errorf("member %d registry = %+v, want one session done with code 0", i, ss)
+		}
+	}
+}

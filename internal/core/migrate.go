@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"time"
@@ -141,22 +139,10 @@ type MigrationReport struct {
 }
 
 // Encode serializes the report.
-func (r *MigrationReport) Encode() []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
+func (r *MigrationReport) Encode() []byte { return vid.GobEncode(r) }
 
 // DecodeReport parses a MigrationReport.
-func DecodeReport(b []byte) (*MigrationReport, error) {
-	var r MigrationReport
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
+func DecodeReport(b []byte) (*MigrationReport, error) { return vid.GobDecode[MigrationReport](b) }
 
 // ErrMigrationFailed wraps a failed migration attempt.
 var ErrMigrationFailed = errors.New("core: migration failed")
@@ -223,9 +209,8 @@ type Migrator struct {
 	Policy  Policy
 	Cluster *Cluster
 
-	// Selector, when set, chooses migration destinations through the
-	// node's scheduling policy and cached load view; nil falls back to
-	// the baseline first-response SelectHost.
+	// Selector chooses migration destinations through the node's
+	// scheduling policy and cached load view.
 	Selector *sched.Selector
 
 	// FaultHook, when set, is called at each phase boundary of an
@@ -252,12 +237,9 @@ type Migrator struct {
 
 var _ progmgr.Migrator = (*Migrator)(nil)
 
-// selectDest picks a migration destination through the configured
-// scheduling selector (or the baseline protocol when none is wired).
+// selectDest picks a migration destination through the scheduling
+// selector.
 func (mg *Migrator) selectDest(ctx *kernel.ProcCtx, minMem uint32, exclude ...vid.LHID) (HostSel, error) {
-	if mg.Selector == nil {
-		return SelectHost(ctx, minMem, exclude...)
-	}
 	l, err := mg.Selector.Select(ctx, minMem, exclude...)
 	if err != nil {
 		return HostSel{}, ErrNoHost

@@ -9,11 +9,10 @@
 package fileserver
 
 import (
-	"fmt"
+	"encoding/binary"
 	"sort"
 	"time"
 
-	"vsystem/internal/ipc"
 	"vsystem/internal/kernel"
 	"vsystem/internal/mem"
 	"vsystem/internal/params"
@@ -43,19 +42,27 @@ const (
 	OpPageOutRun
 )
 
-// Server is a network file server process with an in-memory store.
+// Server is a network file server process with an in-memory store. Every
+// mutation of the store goes through svc.Commit, whether the server runs
+// alone or as a replica (replica.go has the store's state machine).
 type Server struct {
-	proc  *kernel.Process
-	files map[string][]byte
-	pages map[string][]byte
-	rep   *rsm.Replica // nil when the server runs unreplicated
+	proc *kernel.Process
+	st   *store
+	svc  *rsm.Service[cmd]
+}
+
+// boot spawns the server process over an empty store.
+func boot(h *kernel.Host) *Server {
+	s := &Server{st: &store{files: make(map[string][]byte), pages: make(map[string][]byte)}}
+	s.proc = h.SpawnServer("fileserver", 128*1024, s.run)
+	s.svc = rsm.NewService[cmd](s.proc, s.st, FsUnicast)
+	return s
 }
 
 // Start spawns a file server on a host (typically a dedicated server
 // machine) and joins the file-server group.
 func Start(h *kernel.Host) *Server {
-	s := &Server{files: make(map[string][]byte), pages: make(map[string][]byte)}
-	s.proc = h.SpawnServer("fileserver", 128*1024, s.run)
+	s := boot(h)
 	h.JoinGroup(vid.GroupFileServers, s.proc.PID())
 	return s
 }
@@ -65,12 +72,12 @@ func (s *Server) PID() vid.PID { return s.proc.PID() }
 
 // Put stores a file directly (cluster setup; no simulated cost).
 func (s *Server) Put(name string, data []byte) {
-	s.files[name] = append([]byte(nil), data...)
+	s.st.files[name] = append([]byte(nil), data...)
 }
 
 // Get reads a file directly (tests; no simulated cost).
 func (s *Server) Get(name string) ([]byte, bool) {
-	b, ok := s.files[name]
+	b, ok := s.st.files[name]
 	return b, ok
 }
 
@@ -87,16 +94,12 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 	for {
 		req := ctx.Receive()
 		m := req.Msg
-		// Replicated servers answer only when their copy is authoritative:
-		// writes need the fenced leader, reads a leader or caught-up
-		// follower. Everyone else deflects (redirect or group silence).
-		if !s.canServe(ctx.Now(), m.Op) {
-			s.deflect(ctx, req)
+		if !s.svc.Admit(ctx, req) {
 			continue
 		}
 		switch m.Op {
 		case OpStat:
-			data, ok := s.files[m.SegString()]
+			data, ok := s.st.files[m.SegString()]
 			if !ok {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeNotFound))
 				continue
@@ -107,11 +110,11 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 			// afterwards; W4 carries the write leader as this replica knows
 			// it, so read-pinned clients learn where mutations go.
 			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{
-				uint32(len(data)), 0, 0, 0, uint32(s.LeaderSvc()), uint32(s.proc.PID()),
+				uint32(len(data)), 0, 0, 0, uint32(s.svc.LeaderSvc()), uint32(s.proc.PID()),
 			}})
 
 		case OpRead:
-			data, ok := s.files[m.SegString()]
+			data, ok := s.st.files[m.SegString()]
 			if !ok {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeNotFound))
 				continue
@@ -135,32 +138,22 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 				continue
 			}
-			var size int
-			if s.rep != nil {
-				res, err := s.commitWrite(ctx, OpWrite, m.W[0], m.Seg)
-				if err != nil {
-					s.replyCommitErr(ctx, req, err)
-					continue
-				}
-				if len(res) < 4 {
-					ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
-					continue
-				}
-				size = int(leUint32(res))
-			} else {
-				size = s.applyWrite(name, int(m.W[0]), payload)
+			res, err := s.svc.Commit(ctx, cmd{op: OpWrite, off: m.W[0], name: name, data: payload})
+			if err != nil {
+				s.svc.Refuse(ctx, req, err)
+				continue
+			}
+			if len(res) < 4 {
+				ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
+				continue
 			}
 			ctx.Compute(blockCost(len(payload)))
-			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{uint32(size)}})
+			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{binary.LittleEndian.Uint32(res)}})
 
 		case OpRemove:
-			if s.rep != nil {
-				if _, err := s.commitWrite(ctx, OpRemove, 0, m.Seg); err != nil {
-					s.replyCommitErr(ctx, req, err)
-					continue
-				}
-			} else {
-				delete(s.files, m.SegString())
+			if _, err := s.svc.Commit(ctx, cmd{op: OpRemove, name: m.SegString()}); err != nil {
+				s.svc.Refuse(ctx, req, err)
+				continue
 			}
 			ctx.Reply(req, vid.Message{Op: m.Op})
 
@@ -170,13 +163,9 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 				continue
 			}
-			if s.rep != nil {
-				if _, err := s.commitWrite(ctx, OpPageOut, 0, m.Seg); err != nil {
-					s.replyCommitErr(ctx, req, err)
-					continue
-				}
-			} else {
-				s.pages[key] = append([]byte(nil), payload...)
+			if _, err := s.svc.Commit(ctx, cmd{op: OpPageOut, name: key, data: payload}); err != nil {
+				s.svc.Refuse(ctx, req, err)
+				continue
 			}
 			ctx.Compute(blockCost(len(payload)))
 			ctx.Reply(req, vid.Message{Op: m.Op})
@@ -192,15 +181,18 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 				continue
 			}
-			if s.rep != nil {
-				// A full run exceeds the log's command budget: commit it as
-				// ordered sub-run commands (keyed stores keep this idempotent).
-				if err := s.submitRun(ctx, prefix, spaceID, pages, data); err != nil {
-					s.replyCommitErr(ctx, req, err)
-					continue
-				}
-			} else {
-				s.applyRun(prefix, spaceID, pages, data)
+			// A full 30-page run exceeds the log's command budget: commit it
+			// as ordered sub-runs that each fit one append entry. Page stores
+			// are keyed, so a replayed sub-run is idempotent.
+			perCmd := max(1, (params.RsmMaxCmd-len(prefix)-64)/(mem.PageSize+8))
+			for off := 0; off < len(pages) && err == nil; off += perCmd {
+				end := min(off+perCmd, len(pages))
+				_, err = s.svc.Commit(ctx, cmd{op: OpPageOutRun, name: prefix,
+					space: spaceID, pages: pages[off:end], run: data[off:end]})
+			}
+			if err != nil {
+				s.svc.Refuse(ctx, req, err)
+				continue
 			}
 			n := 0
 			for _, d := range data {
@@ -210,7 +202,7 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 			ctx.Reply(req, vid.Message{Op: m.Op})
 
 		case OpPageIn:
-			data, ok := s.pages[m.SegString()]
+			data, ok := s.st.pages[m.SegString()]
 			if !ok {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeNotFound))
 				continue
@@ -219,8 +211,8 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 			ctx.Reply(req, vid.Message{Op: m.Op, Seg: data})
 
 		case OpList:
-			names := make([]string, 0, len(s.files))
-			for name := range s.files {
+			names := make([]string, 0, len(s.st.files))
+			for name := range s.st.files {
 				names = append(names, name)
 			}
 			sort.Strings(names)
@@ -235,41 +227,6 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 			ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 		}
 	}
-}
-
-// applyWrite mutates the file store and returns the file's new size. It is
-// the one OpWrite mutation path, shared by the unreplicated server and the
-// replicated state machine's Apply.
-func (s *Server) applyWrite(name string, off int, payload []byte) int {
-	f := s.files[name]
-	if need := off + len(payload); need > len(f) {
-		f = append(f, make([]byte, need-len(f))...)
-	}
-	copy(f[off:], payload)
-	s.files[name] = f
-	return len(f)
-}
-
-// applyRun stores a decoded page run under "prefix/space/pageno" keys.
-func (s *Server) applyRun(prefix string, spaceID uint32, pages []mem.PageNo, data [][]byte) {
-	for i, pn := range pages {
-		key := fmt.Sprintf("%s/%d/%d", prefix, spaceID, pn)
-		s.pages[key] = append([]byte(nil), data[i]...)
-	}
-}
-
-// replyCommitErr maps a failed log commit to a wire reply: lost leadership
-// deflects (the client retries against the group), anything else times out.
-func (s *Server) replyCommitErr(ctx *kernel.ProcCtx, req *ipc.Req, err error) {
-	if err == rsm.ErrNotLeader {
-		s.deflect(ctx, req)
-		return
-	}
-	ctx.Reply(req, vid.ErrMsg(vid.CodeTimeout))
-}
-
-func leUint32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 // splitNameData separates "name\x00data" segments.

@@ -2,22 +2,19 @@ package fileserver
 
 import (
 	"encoding/binary"
-	"sort"
+	"fmt"
 
-	"vsystem/internal/ipc"
 	"vsystem/internal/kernel"
 	"vsystem/internal/mem"
-	"vsystem/internal/params"
 	"vsystem/internal/rsm"
-	"vsystem/internal/sim"
 	"vsystem/internal/vid"
 )
 
-// Replicated backend: StartReplica members carry the full file/page store
-// as a replicated state machine. Mutations (OpWrite, OpRemove, OpPageOut,
-// OpPageOutRun) are committed through the rsm log by the leader and applied
-// on every replica; reads are served by the leader or by any follower that
-// is provably caught up (rsm.Synced), so image loads — and the post-copy
+// The file/page store as a state machine (rsm.Machine): mutations (OpWrite,
+// OpRemove, OpPageOut, OpPageOutRun) are commands applied through
+// rsm.Service.Commit. StartReplica members commit them through the rsm log
+// and apply them on every replica; reads are served by the leader or by any
+// follower that is provably caught up, so image loads — and the post-copy
 // flush-image fallback — survive the death of any single server machine.
 //
 // Program images installed at boot are poked directly into every replica's
@@ -36,205 +33,117 @@ const FsUnicast uint32 = 1
 // the client-facing file-server group and the replication group. The
 // caller owns store — the replica's "disk" — and re-passes it on restart.
 func StartReplica(h *kernel.Host, id, n int, store *rsm.Store) *Server {
-	s := &Server{files: make(map[string][]byte), pages: make(map[string][]byte)}
-	s.proc = h.SpawnServer("fileserver", 128*1024, s.run)
-	h.JoinGroup(vid.GroupFileServers, s.proc.PID())
-	s.rep = rsm.New(h, rsm.Config{
-		Name: "fs", Group: vid.GroupFSRSM, ID: id, N: n, SvcPID: s.proc.PID(),
-	}, &fsSM{s}, store)
+	s := boot(h)
+	s.svc.Replicate(h, vid.GroupFileServers,
+		rsm.Config{Name: "fs", Group: vid.GroupFSRSM, ID: id, N: n}, store)
 	return s
 }
 
 // Replica returns the server's consensus replica (nil when unreplicated).
-func (s *Server) Replica() *rsm.Replica { return s.rep }
+func (s *Server) Replica() *rsm.Replica { return s.svc.Replica() }
 
 // LeaderSvc returns the service PID of the current file-server leader as
 // this replica knows it (vid.Nil when unknown or unreplicated).
-func (s *Server) LeaderSvc() vid.PID {
-	if s.rep == nil {
-		return vid.Nil
-	}
-	return s.rep.LeaderSvcPID()
+func (s *Server) LeaderSvc() vid.PID { return s.svc.LeaderSvc() }
+
+// cmd is one admitted store mutation, already parsed and validated by the
+// request loop.
+type cmd struct {
+	op   uint16
+	off  uint32 // OpWrite: file offset
+	name string // file name, page key, or page-run key prefix
+	data []byte // OpWrite, OpPageOut: payload
+	// OpPageOutRun: one sub-run, stored under "name/space/pageno".
+	space uint32
+	pages []mem.PageNo
+	run   [][]byte
 }
 
-// canServe reports whether this replica may answer the request: writes and
-// page-ins need the fenced leader (freshness); other reads are also served
-// by a caught-up follower.
-func (s *Server) canServe(now sim.Time, op uint16) bool {
-	if s.rep == nil {
-		return true
-	}
+type store struct {
+	files map[string][]byte
+	pages map[string][]byte
+}
+
+// LeaderOnly: writes and page-ins need the fenced leader (freshness); other
+// reads are also served by a caught-up follower.
+func (st *store) LeaderOnly(op uint16) bool {
 	switch op {
 	case OpWrite, OpRemove, OpPageOut, OpPageOutRun, OpPageIn:
-		return s.rep.IsLeader()
-	default:
-		return s.rep.IsLeader() || s.rep.Synced(now)
+		return true
 	}
+	return false
 }
 
-// deflect disposes of a request this replica may not answer.
-func (s *Server) deflect(ctx *kernel.ProcCtx, req *ipc.Req) {
-	if req.Msg.W[5]&FsUnicast != 0 {
-		ctx.Reply(req, vid.Message{Op: req.Msg.Op, Code: vid.CodeNotLeader,
-			W: [6]uint32{0, 0, 0, 0, uint32(s.LeaderSvc())}})
-		return
-	}
-	s.proc.Port().Drop(req)
-}
-
-// ----------------------------------------------------------- log commands
-
-// A logged mutation is [op uint16][w0 uint32][seg...] — the wire request's
-// essentials, so Apply replays exactly what the leader admitted.
-func encodeFsCmd(op uint16, w0 uint32, seg []byte) []byte {
-	b := make([]byte, 6+len(seg))
-	binary.LittleEndian.PutUint16(b[0:], op)
-	binary.LittleEndian.PutUint32(b[2:], w0)
-	copy(b[6:], seg)
-	return b
-}
-
-func decodeFsCmd(cmd []byte) (op uint16, w0 uint32, seg []byte, ok bool) {
-	if len(cmd) < 6 {
-		return 0, 0, nil, false
-	}
-	return binary.LittleEndian.Uint16(cmd[0:]),
-		binary.LittleEndian.Uint32(cmd[2:]), cmd[6:], true
-}
-
-// commitWrite routes one admitted mutation through the log and returns the
-// applied result (the leader's own apply produces it).
-func (s *Server) commitWrite(ctx *kernel.ProcCtx, op uint16, w0 uint32, seg []byte) ([]byte, error) {
-	return s.rep.Submit(ctx, encodeFsCmd(op, w0, seg))
-}
-
-// submitRun splits a page-out run into log commands small enough for one
-// append entry (the raw 30-page run exceeds RsmMaxCmd) and commits them in
-// order. Page stores are keyed, so replayed sub-runs are idempotent.
-func (s *Server) submitRun(ctx *kernel.ProcCtx, prefix string, spaceID uint32,
-	pages []mem.PageNo, data [][]byte) error {
-
-	perCmd := (params.RsmMaxCmd - len(prefix) - 64) / (mem.PageSize + 8)
-	if perCmd < 1 {
-		perCmd = 1
-	}
-	for off := 0; off < len(pages); off += perCmd {
-		end := off + perCmd
-		if end > len(pages) {
-			end = len(pages)
-		}
-		seg := append([]byte(prefix), 0)
-		seg = append(seg, kernel.EncodePageRun(spaceID, pages[off:end], data[off:end])...)
-		if _, err := s.rep.Submit(ctx, encodeFsCmd(OpPageOutRun, 0, seg)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------- state machine
-
-type fsSM struct{ s *Server }
-
-func (f *fsSM) Apply(t *sim.Task, cmd []byte) []byte {
-	op, w0, seg, ok := decodeFsCmd(cmd)
-	if !ok {
-		return nil
-	}
-	switch op {
+// Apply performs one mutation; OpWrite returns the file's new size.
+func (st *store) Apply(c cmd) []byte {
+	switch c.op {
 	case OpWrite:
-		name, payload, ok := splitNameData(seg)
-		if !ok {
-			return nil
+		f := st.files[c.name]
+		if need := int(c.off) + len(c.data); need > len(f) {
+			f = append(f, make([]byte, need-len(f))...)
 		}
-		size := f.s.applyWrite(name, int(w0), payload)
-		var res [4]byte
-		binary.LittleEndian.PutUint32(res[:], uint32(size))
-		return res[:]
+		copy(f[c.off:], c.data)
+		st.files[c.name] = f
+		return binary.LittleEndian.AppendUint32(nil, uint32(len(f)))
 	case OpRemove:
-		delete(f.s.files, string(seg))
+		delete(st.files, c.name)
 	case OpPageOut:
-		if key, payload, ok := splitNameData(seg); ok {
-			f.s.pages[key] = append([]byte(nil), payload...)
-		}
+		st.pages[c.name] = append([]byte(nil), c.data...)
 	case OpPageOutRun:
-		prefix, blob, ok := splitNameData(seg)
-		if !ok {
-			return nil
-		}
-		if spaceID, pages, data, err := kernel.DecodePageRun(blob); err == nil {
-			f.s.applyRun(prefix, spaceID, pages, data)
+		for i, pn := range c.pages {
+			key := fmt.Sprintf("%s/%d/%d", c.name, c.space, pn)
+			st.pages[key] = append([]byte(nil), c.run[i]...)
 		}
 	}
 	return nil
 }
 
-// Snapshot renders the whole store deterministically: sorted names,
-// length-prefixed — a map-order-dependent encoding would break the
-// byte-identical double-run gate.
-func (f *fsSM) Snapshot() []byte {
-	var b []byte
-	b = appendSortedMap(b, f.s.files)
-	b = appendSortedMap(b, f.s.pages)
-	return b
-}
-
-func (f *fsSM) Restore(snap []byte) {
-	files, rest, ok := decodeSnapMap(snap)
-	if !ok {
-		return
-	}
-	pages, _, ok := decodeSnapMap(rest)
-	if !ok {
-		return
-	}
-	f.s.files, f.s.pages = files, pages
-}
-
-func appendSortedMap(b []byte, m map[string][]byte) []byte {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
-	for _, k := range keys {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(k)))
-		b = append(b, k...)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(m[k])))
-		b = append(b, m[k]...)
+// Encode renders a command as [op uint16][off uint32][segment], the segment
+// in the wire request's own form (name, or name NUL payload), so a replica
+// replays exactly what the leader admitted.
+func (st *store) Encode(c cmd) []byte {
+	b := binary.LittleEndian.AppendUint16(nil, c.op)
+	b = binary.LittleEndian.AppendUint32(b, c.off)
+	b = append(b, c.name...)
+	switch c.op {
+	case OpWrite, OpPageOut:
+		b = append(append(b, 0), c.data...)
+	case OpPageOutRun:
+		b = append(append(b, 0), kernel.EncodePageRun(c.space, c.pages, c.run)...)
 	}
 	return b
 }
 
-func decodeSnapMap(b []byte) (map[string][]byte, []byte, bool) {
-	if len(b) < 4 {
-		return nil, nil, false
+func (st *store) Decode(b []byte) (c cmd, ok bool) {
+	if len(b) < 6 {
+		return c, false
 	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	m := make(map[string][]byte, n)
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 4 {
-			return nil, nil, false
-		}
-		kl := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < kl {
-			return nil, nil, false
-		}
-		k := string(b[:kl])
-		b = b[kl:]
-		if len(b) < 4 {
-			return nil, nil, false
-		}
-		vl := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < vl {
-			return nil, nil, false
-		}
-		m[k] = append([]byte(nil), b[:vl]...)
-		b = b[vl:]
+	c.op, c.off = binary.LittleEndian.Uint16(b), binary.LittleEndian.Uint32(b[2:])
+	if c.op == OpRemove {
+		c.name = string(b[6:])
+		return c, true
 	}
-	return m, b, true
+	if c.name, c.data, ok = splitNameData(b[6:]); ok && c.op == OpPageOutRun {
+		var err error
+		c.space, c.pages, c.run, err = kernel.DecodePageRun(c.data)
+		ok = err == nil
+	}
+	return c, ok
+}
+
+// Snapshot renders the whole store deterministically (sorted names).
+func (st *store) Snapshot() []byte {
+	return rsm.AppendSortedMap(rsm.AppendSortedMap(nil, st.files), st.pages)
+}
+
+func (st *store) Restore(snap []byte) {
+	files, rest, ok := rsm.DecodeSortedMap(snap)
+	if !ok {
+		return
+	}
+	pages, _, ok := rsm.DecodeSortedMap(rest)
+	if !ok {
+		return
+	}
+	st.files, st.pages = files, pages
 }

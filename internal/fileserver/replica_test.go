@@ -1,0 +1,101 @@
+package fileserver
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+	"time"
+
+	"vsystem/internal/ethernet"
+	"vsystem/internal/kernel"
+	"vsystem/internal/mem"
+	"vsystem/internal/rsm"
+	"vsystem/internal/sim"
+	"vsystem/internal/vid"
+)
+
+// The same requests must leave the same store whether a lone server
+// applied them in place or three replicas committed them through the log —
+// including a full 30-page run, which the log carries as several sub-run
+// commands, and every mutation's reply.
+func TestSoloAndReplicatedReachSameStore(t *testing.T) {
+	var pages []mem.PageNo
+	var data [][]byte
+	for i := 0; i < kernel.MaxRunPages; i++ {
+		pages = append(pages, mem.PageNo(2*i))
+		data = append(data, bytes.Repeat([]byte{byte(i)}, mem.PageSize)) // page 0 is all zero: elided
+	}
+	ops := []vid.Message{
+		{Op: OpWrite, Seg: []byte("notes\x00hello")},
+		{Op: OpWrite, W: [6]uint32{8}, Seg: []byte("notes\x00world")}, // extends past a hole
+		{Op: OpWrite, Seg: []byte("scratch\x00gone soon")},
+		{Op: OpRemove, Seg: []byte("scratch")},
+		{Op: OpRemove, Seg: []byte("never-written")},
+		{Op: OpPageOut, Seg: append([]byte("swap/1\x00"), bytes.Repeat([]byte{7}, 512)...)},
+		{Op: OpPageOutRun, Seg: append([]byte("mig\x00"), kernel.EncodePageRun(3, pages, data)...)},
+	}
+	drive := func(eng *sim.Engine, client *kernel.Host, settle time.Duration) (replies []vid.Message) {
+		client.SpawnServer("driver", 4096, func(ctx *kernel.ProcCtx) {
+			ctx.Sleep(settle)
+			// The group carries only single-frame requests (the page run is
+			// 30 KB): a stat of the boot image names the write leader (W4; W5
+			// is the answering server when there is no leader to name), and
+			// the mutations go there marked unicast.
+			st, err := ctx.Send(vid.GroupFileServers, vid.Message{Op: OpStat, Seg: []byte("boot")})
+			if err != nil || !st.OK() {
+				t.Errorf("stat: %v %v", st, err)
+				return
+			}
+			target := vid.PID(st.W[4])
+			if target == vid.Nil {
+				target = vid.PID(st.W[5])
+			}
+			for _, op := range ops {
+				op.W[5] = FsUnicast
+				m, err := ctx.Send(target, op)
+				if err != nil || !m.OK() {
+					t.Errorf("op %#x: %v %v", op.Op, m, err)
+				}
+				replies = append(replies, m)
+			}
+		})
+		eng.RunFor(settle + 20*time.Second)
+		return replies
+	}
+	solo := newRig(1)
+	solo.fs.Put("boot", []byte("image"))
+	soloReplies := drive(solo.eng, solo.client, 0)
+
+	eng := sim.NewEngine(1)
+	bus := ethernet.NewBus(eng)
+	client := kernel.NewHost(eng, bus, 0, "ws0")
+	var reps []*Server
+	for i := 0; i < 3; i++ {
+		h := kernel.NewHost(eng, bus, 1+i, fmt.Sprintf("fserv%d", i))
+		reps = append(reps, StartReplica(h, i, 3, rsm.NewStore()))
+		reps[i].Put("boot", []byte("image"))
+	}
+	repReplies := drive(eng, client, 3*time.Second)
+
+	if got, want := fmt.Sprint(repReplies), fmt.Sprint(soloReplies); got != want {
+		t.Errorf("replies differ:\nreplicated %s\n      lone %s", got, want)
+	}
+	want := solo.fs.st.Snapshot()
+	if f, _ := solo.fs.Get("notes"); string(f) != "hello\x00\x00\x00world" {
+		t.Fatalf("lone server's file = %q", f)
+	}
+	if len(solo.fs.st.pages) != 1+kernel.MaxRunPages {
+		t.Fatalf("lone server stores %d pages, want %d", len(solo.fs.st.pages), 1+kernel.MaxRunPages)
+	}
+	for i, s := range reps {
+		if !bytes.Equal(s.st.Snapshot(), want) {
+			t.Errorf("replica %d's store differs from the lone server's", i)
+		}
+	}
+	// A restored snapshot is the same store again.
+	back := &store{}
+	back.Restore(want)
+	if !bytes.Equal(back.Snapshot(), want) {
+		t.Error("snapshot does not survive restore")
+	}
+}

@@ -33,17 +33,28 @@ const (
 	NsList
 )
 
-// Server is a global name server.
+// Server is a global name server. Every change to the binding table goes
+// through svc.Commit, whether the server runs alone or as a replica
+// (replica.go has the table's state machine).
 type Server struct {
-	proc  *kernel.Process
-	names map[string]vid.PID
-	rep   *rsm.Replica // nil when the server runs unreplicated
+	proc *kernel.Process
+	tab  *table
+	svc  *rsm.Service[cmd]
+}
+
+// boot spawns the server process over an empty table. Name-service
+// requests are always group-addressed (no unicast mark), so a replica that
+// cannot serve simply stays silent.
+func boot(h *kernel.Host) *Server {
+	s := &Server{tab: &table{names: make(map[string]vid.PID)}}
+	s.proc = h.SpawnServer("nameserver", 64*1024, s.run)
+	s.svc = rsm.NewService[cmd](s.proc, s.tab, 0)
+	return s
 }
 
 // Start spawns a name server on a host and joins the name-server group.
 func Start(h *kernel.Host) *Server {
-	s := &Server{names: make(map[string]vid.PID)}
-	s.proc = h.SpawnServer("nameserver", 64*1024, s.run)
+	s := boot(h)
 	h.JoinGroup(vid.GroupNameServers, s.proc.PID())
 	return s
 }
@@ -53,8 +64,8 @@ func (s *Server) PID() vid.PID { return s.proc.PID() }
 
 // Bindings returns a copy of the current table (tools/tests).
 func (s *Server) Bindings() map[string]vid.PID {
-	out := make(map[string]vid.PID, len(s.names))
-	for k, v := range s.names {
+	out := make(map[string]vid.PID, len(s.tab.names))
+	for k, v := range s.tab.names {
 		out[k] = v
 	}
 	return out
@@ -64,11 +75,7 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 	for {
 		req := ctx.Receive()
 		m := req.Msg
-		// Replicated name servers answer only from an authoritative copy;
-		// name-service requests are always group-addressed, so a replica
-		// that cannot serve simply stays silent.
-		if !s.canServe(ctx.Now(), m.Op) {
-			s.proc.Port().Drop(req)
+		if !s.svc.Admit(ctx, req) {
 			continue
 		}
 		ctx.Compute(params.KernelOpCPU)
@@ -79,35 +86,27 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 				continue
 			}
-			if s.rep != nil {
-				if _, err := s.rep.Submit(ctx, encodeNsCmd(m.Op, vid.PID(m.W[0]), name)); err != nil {
-					ctx.Reply(req, vid.ErrMsg(vid.CodeTimeout))
-					continue
-				}
-			} else {
-				s.names[name] = vid.PID(m.W[0])
+			if _, err := s.svc.Commit(ctx, cmd{op: m.Op, pid: vid.PID(m.W[0]), name: name}); err != nil {
+				s.svc.Refuse(ctx, req, err)
+				continue
 			}
 			ctx.Reply(req, vid.Message{Op: m.Op})
 		case NsLookup:
-			pid, ok := s.names[m.SegString()]
+			pid, ok := s.tab.names[m.SegString()]
 			if !ok {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeNotFound))
 				continue
 			}
 			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{uint32(pid)}})
 		case NsUnregister:
-			if s.rep != nil {
-				if _, err := s.rep.Submit(ctx, encodeNsCmd(m.Op, vid.Nil, m.SegString())); err != nil {
-					ctx.Reply(req, vid.ErrMsg(vid.CodeTimeout))
-					continue
-				}
-			} else {
-				delete(s.names, m.SegString())
+			if _, err := s.svc.Commit(ctx, cmd{op: m.Op, name: m.SegString()}); err != nil {
+				s.svc.Refuse(ctx, req, err)
+				continue
 			}
 			ctx.Reply(req, vid.Message{Op: m.Op})
 		case NsList:
-			names := make([]string, 0, len(s.names))
-			for n := range s.names {
+			names := make([]string, 0, len(s.tab.names))
+			for n := range s.tab.names {
 				names = append(names, n)
 			}
 			sort.Strings(names)
@@ -115,7 +114,7 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 			for _, n := range names {
 				sb.WriteString(n)
 				sb.WriteByte('\t')
-				sb.WriteString(s.names[n].String())
+				sb.WriteString(s.tab.names[n].String())
 				sb.WriteByte('\n')
 			}
 			ctx.Reply(req, vid.Message{Op: m.Op, Seg: []byte(sb.String())})

@@ -2,114 +2,93 @@ package nameserver
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"vsystem/internal/kernel"
 	"vsystem/internal/rsm"
-	"vsystem/internal/sim"
 	"vsystem/internal/vid"
 )
 
-// Replicated name service: StartReplica members commit NsRegister and
-// NsUnregister through a consensus log and answer NsLookup/NsList from the
-// leader or any caught-up follower, so the cluster's boot bindings survive
-// the death of the server machine that happened to hold them. Clients keep
-// the group-send protocol unchanged — a replica that cannot answer stays
-// silent and the one that can replies first.
+// The binding table as a state machine (rsm.Machine): NsRegister and
+// NsUnregister are commands applied through rsm.Service.Commit.
+// StartReplica members commit them through a consensus log and answer
+// NsLookup/NsList from the leader or any caught-up follower, so the
+// cluster's boot bindings survive the death of the server machine that
+// happened to hold them. Clients keep the group-send protocol unchanged —
+// a replica that cannot answer stays silent and the one that can replies
+// first.
 
 // StartReplica spawns name-server replica id of n on a host. The caller
 // owns store and re-passes it on restart.
 func StartReplica(h *kernel.Host, id, n int, store *rsm.Store) *Server {
-	s := &Server{names: make(map[string]vid.PID)}
-	s.proc = h.SpawnServer("nameserver", 64*1024, s.run)
-	h.JoinGroup(vid.GroupNameServers, s.proc.PID())
-	s.rep = rsm.New(h, rsm.Config{
-		Name: "ns", Group: vid.GroupNSRSM, ID: id, N: n, SvcPID: s.proc.PID(),
-	}, &nsSM{s}, store)
+	s := boot(h)
+	s.svc.Replicate(h, vid.GroupNameServers,
+		rsm.Config{Name: "ns", Group: vid.GroupNSRSM, ID: id, N: n}, store)
 	return s
 }
 
 // Replica returns the server's consensus replica (nil when unreplicated).
-func (s *Server) Replica() *rsm.Replica { return s.rep }
+func (s *Server) Replica() *rsm.Replica { return s.svc.Replica() }
 
-// canServe reports whether this replica may answer: registrations need the
-// fenced leader, lookups a leader or caught-up follower.
-func (s *Server) canServe(now sim.Time, op uint16) bool {
-	if s.rep == nil {
-		return true
-	}
-	switch op {
-	case NsRegister, NsUnregister:
-		return s.rep.IsLeader()
-	default:
-		return s.rep.IsLeader() || s.rep.Synced(now)
-	}
+// cmd is one binding change: NsRegister binds name to pid, NsUnregister
+// removes name.
+type cmd struct {
+	op   uint16
+	pid  vid.PID
+	name string
 }
 
-// Name-service log command: [op uint16][pid uint32][name...].
-func encodeNsCmd(op uint16, pid vid.PID, name string) []byte {
-	b := make([]byte, 6+len(name))
-	binary.LittleEndian.PutUint16(b[0:], op)
-	binary.LittleEndian.PutUint32(b[2:], uint32(pid))
-	copy(b[6:], name)
-	return b
-}
+type table struct{ names map[string]vid.PID }
 
-type nsSM struct{ s *Server }
+// LeaderOnly: registrations need the fenced leader; lookups are also served
+// by a caught-up follower.
+func (t *table) LeaderOnly(op uint16) bool { return op == NsRegister || op == NsUnregister }
 
-func (f *nsSM) Apply(t *sim.Task, cmd []byte) []byte {
-	if len(cmd) < 6 {
-		return nil
-	}
-	op := binary.LittleEndian.Uint16(cmd[0:])
-	pid := vid.PID(binary.LittleEndian.Uint32(cmd[2:]))
-	name := string(cmd[6:])
-	switch op {
+func (t *table) Apply(c cmd) []byte {
+	switch c.op {
 	case NsRegister:
-		f.s.names[name] = pid
+		t.names[c.name] = c.pid
 	case NsUnregister:
-		delete(f.s.names, name)
+		delete(t.names, c.name)
 	}
 	return nil
 }
 
-// Snapshot renders the binding table deterministically (sorted names).
-func (f *nsSM) Snapshot() []byte {
-	names := make([]string, 0, len(f.s.names))
-	for n := range f.s.names {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b []byte
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(names)))
-	for _, n := range names {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(n)))
-		b = append(b, n...)
-		b = binary.LittleEndian.AppendUint32(b, uint32(f.s.names[n]))
-	}
-	return b
+// Encode renders a command as [op uint16][pid uint32][name...].
+func (t *table) Encode(c cmd) []byte {
+	b := binary.LittleEndian.AppendUint16(nil, c.op)
+	b = binary.LittleEndian.AppendUint32(b, uint32(c.pid))
+	return append(b, c.name...)
 }
 
-func (f *nsSM) Restore(snap []byte) {
-	if len(snap) < 4 {
+func (t *table) Decode(b []byte) (cmd, bool) {
+	if len(b) < 6 {
+		return cmd{}, false
+	}
+	return cmd{op: binary.LittleEndian.Uint16(b),
+		pid: vid.PID(binary.LittleEndian.Uint32(b[2:])), name: string(b[6:])}, true
+}
+
+// Snapshot renders the table in rsm's sorted-map form, each PID as a
+// 4-byte value.
+func (t *table) Snapshot() []byte {
+	m := make(map[string][]byte, len(t.names))
+	for name, pid := range t.names {
+		m[name] = binary.LittleEndian.AppendUint32(nil, uint32(pid))
+	}
+	return rsm.AppendSortedMap(nil, m)
+}
+
+func (t *table) Restore(snap []byte) {
+	m, _, ok := rsm.DecodeSortedMap(snap)
+	if !ok {
 		return
 	}
-	n := binary.LittleEndian.Uint32(snap)
-	b := snap[4:]
-	m := make(map[string]vid.PID, n)
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 4 {
+	names := make(map[string]vid.PID, len(m))
+	for name, v := range m {
+		if len(v) != 4 {
 			return
 		}
-		nl := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < nl+4 {
-			return
-		}
-		name := string(b[:nl])
-		b = b[nl:]
-		m[name] = vid.PID(binary.LittleEndian.Uint32(b))
-		b = b[4:]
+		names[name] = vid.PID(binary.LittleEndian.Uint32(v))
 	}
-	f.s.names = m
+	t.names = names
 }

@@ -1,0 +1,524 @@
+package progmgr
+
+import (
+	"fmt"
+	"strings"
+	"time"
+
+	"vsystem/internal/ipc"
+	"vsystem/internal/kernel"
+	"vsystem/internal/params"
+	"vsystem/internal/rsm"
+	"vsystem/internal/sched"
+	"vsystem/internal/sim"
+	"vsystem/internal/trace"
+	"vsystem/internal/vid"
+	"vsystem/internal/vvm"
+)
+
+// ---------------------------------------------------------------------------
+// Exec-session supervision: leases and automatic guest recovery.
+//
+// The paper's stance on residual dependencies (§2.3) is that a remotely
+// executed program should depend only on its home environment, so losing
+// the hosting workstation should be no worse for the *user* than losing a
+// local program. The supervisor closes that loop: the originating program
+// manager keeps a session record per remote job, heartbeats the hosting
+// manager with PmRenewLease, and on lease loss re-executes the program
+// from its file-server image on a freshly selected host, with bounded
+// attempts. Output is deduplicated by the display server (the session's
+// one home-bound dependency), so the user-visible stream is exactly-once.
+//
+// The supervisor's state is the session registry (registry.go), changed
+// only through commit. With a home program-manager group (EnableHomeGroup)
+// member managers replicate the registry through an rsm log; only the
+// fenced leader runs the lease worker's renew/recover actions, and a failed
+// leader's successor resumes them from the committed registry.
+// Re-execution is double-fenced: the PmLocateProgram group query (only the
+// running host answers) plus a committed restart-intent — a stale minority
+// leader cannot commit the intent, so it can never start a second
+// incarnation.
+//
+// The home display is deliberately NOT in the group: it is the session's
+// one irreducible home dependency (the user's screen), and its per-chain
+// delivered/lead counts already make re-executed output exactly-once.
+
+// Home-group operations (0x3D region, after the PmLocateProgram block).
+const (
+	// PmSupervise: Seg = gob SessionInfo — register a session with the
+	// home group. Only the group leader answers (commits, then OK);
+	// followers stay silent, so agents address the group.
+	PmSupervise uint16 = 0x3D
+	// PmNoteExited: W0 = original LHID, W1 = exit code — the agent's Wait
+	// saw the exit; stop lease traffic. Leader-only, like PmSupervise.
+	PmNoteExited uint16 = 0x3E
+)
+
+// PmWaitHome in PmWaitProgram's W5 marks a wait addressed to the home
+// group's registry: only the group leader answers (or holds the waiter);
+// every other member stays silent. Without the flag PmWaitProgram keeps
+// its hosting-manager semantics.
+const PmWaitHome uint32 = 1
+
+// EnableHomeGroup attaches this manager to the home replica group as
+// member id of n. The caller owns store — the member's durable log — and
+// re-passes it when the manager is restarted after a crash.
+func (pm *PM) EnableHomeGroup(id, n int, store *rsm.Store) {
+	pm.svc.Replicate(pm.host, vid.GroupHomePMs,
+		rsm.Config{Name: "home", Group: vid.GroupHomeRSM, ID: id, N: n}, store)
+}
+
+// HomeReplica returns the manager's home-group replica (nil when the
+// manager is not a group member).
+func (pm *PM) HomeReplica() *rsm.Replica { return pm.svc.Replica() }
+
+// commit is the one way the manager changes its session registry. A
+// non-nil error means the mutation did not happen under this manager's
+// leadership — a leader that cannot commit has lost its majority — and the
+// caller must not act on the mutation's assumption.
+func (pm *PM) commit(ctx *kernel.ProcCtx, c hgCmd) error {
+	_, err := pm.svc.Commit(ctx, c)
+	return err
+}
+
+// SupStats counts a manager's supervision activity. The trace-event
+// parity invariant holds cluster-wide: summed over all managers,
+// LeaseExpires == EvLeaseExpire and ExecRestarts == EvExecRestart.
+type SupStats struct {
+	// LeaseRenews counts successful PmRenewLease round trips.
+	LeaseRenews int64
+	// LeaseExpires counts sessions broken by a failed or refused renewal
+	// (detector-prompted breaks are not expiries and are not counted).
+	LeaseExpires int64
+	// ExecRestarts counts programs re-executed from their image — session
+	// recoveries plus eviction re-executions.
+	ExecRestarts int64
+}
+
+// SupStats snapshots the supervision counters.
+func (pm *PM) SupStats() SupStats { return pm.sup }
+
+// SessionInfo describes a remote job to Supervise.
+type SessionInfo struct {
+	LHID        vid.LHID
+	PID         vid.PID
+	Name        string
+	Args        []string
+	Stdout      vid.PID
+	MinMem      uint32
+	HostPM      vid.PID
+	HostLH      vid.LHID
+	MaxRestarts int
+}
+
+// EncodeSessionInfo serializes a SessionInfo for PmSupervise.
+func EncodeSessionInfo(si *SessionInfo) []byte { return vid.GobEncode(si) }
+
+// Supervise registers a remote job for lease supervision. Called by the
+// originating agent (same host) right after the program starts, so it
+// names a new job: LHIDs recycle, and a record already under this one is
+// an earlier job's and is dropped first. (A PmSupervise, by contrast, may
+// be a retry and never replaces a record.) With a home group the agent
+// sends PmSupervise instead so the record lands in the replicated
+// registry, and a group member that cannot reach the group parks the
+// record with QueueHomeSupervise.
+func (pm *PM) Supervise(ctx *kernel.ProcCtx, si SessionInfo) {
+	if pm.reg.sessions[si.LHID] != nil {
+		pm.commit(ctx, hgCmd{Kind: hgForget, Orig: si.LHID})
+	}
+	pm.commit(ctx, hgCmd{Kind: hgSupervise, Sess: &si, At: int64(ctx.Now())})
+}
+
+// QueueHomeSupervise parks a Supervise record for later resubmission
+// through the group log. A group member whose agent cannot reach the group
+// (mid-election, partitioned) must use this rather than Supervise: there
+// the commit is refused unless this member happens to lead, and the record
+// would be lost.
+func (pm *PM) QueueHomeSupervise(si SessionInfo) {
+	pm.homePend = append(pm.homePend, si)
+}
+
+// drainHomePend re-proposes parked Supervise records once the group is
+// reachable again. Sent group-addressed (not committed directly) so it
+// works from any member: whoever leads now commits the record, and Apply
+// ignores it if the agent's own retry got through first.
+func (pm *PM) drainHomePend(ctx *kernel.ProcCtx) {
+	for len(pm.homePend) > 0 {
+		m, err := ctx.Send(vid.GroupHomePMs, vid.Message{
+			Op: PmSupervise, Seg: EncodeSessionInfo(&pm.homePend[0]),
+		})
+		if err != nil || !m.OK() {
+			return // still no leader: keep the queue for the next tick
+		}
+		pm.homePend = pm.homePend[1:]
+	}
+}
+
+// supervise serves PmSupervise: the leader commits the record and answers;
+// followers stay silent.
+func (pm *PM) supervise(ctx *kernel.ProcCtx, req *ipc.Req) {
+	if !pm.svc.Admit(ctx, req) {
+		return
+	}
+	si, err := vid.GobDecode[SessionInfo](req.Msg.Seg)
+	if err != nil {
+		ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
+		return
+	}
+	if err := pm.commit(ctx, hgCmd{Kind: hgSupervise, Sess: si, At: int64(ctx.Now())}); err != nil {
+		pm.svc.Refuse(ctx, req, err)
+		return
+	}
+	ctx.Reply(req, vid.Message{Op: PmSupervise})
+}
+
+// NoteExited marks a supervised session finished (the agent's Wait saw
+// the exit), stopping further lease traffic. On a home-group member that
+// does not lead, the commit is refused and nothing is recorded: the
+// leader's next renewal learns the exit code from the hosting manager.
+func (pm *PM) NoteExited(ctx *kernel.ProcCtx, lhid vid.LHID, code uint32) error {
+	if s := pm.reg.lookup(lhid); s != nil && s.State != sessionDone && s.State != sessionFailed {
+		return pm.commit(ctx, hgCmd{Kind: hgDone, Orig: s.Orig, Code: code})
+	}
+	return nil
+}
+
+// noteExited serves PmNoteExited: commit the exit so no replica keeps
+// renewing the dead session after a fail-over.
+func (pm *PM) noteExited(ctx *kernel.ProcCtx, req *ipc.Req) {
+	if !pm.svc.Admit(ctx, req) {
+		return
+	}
+	if err := pm.NoteExited(ctx, vid.LHID(req.Msg.W[0]), req.Msg.W[1]); err != nil {
+		pm.svc.Refuse(ctx, req, err)
+		return
+	}
+	ctx.Reply(req, vid.Message{Op: PmNoteExited})
+}
+
+// NoteHostDown breaks every active session hosted on the crashed station;
+// the lease worker recovers them immediately instead of waiting out the
+// next renewal.
+func (pm *PM) NoteHostDown(mac uint16) { pm.reg.hostDown(mac, pm.host.Eng.Now()) }
+
+// NoteHostSuspect reacts to this host's failure detector suspecting a
+// station. Recovery starts with a locate query, so a false suspicion
+// costs a group round trip, never a double execution.
+func (pm *PM) NoteHostSuspect(mac uint16) { pm.NoteHostDown(mac) }
+
+// SessionView is one supervised session, for operator tooling.
+type SessionView struct {
+	LHID        vid.LHID // original LHID — the job handle
+	CurLH       vid.LHID
+	PID         vid.PID
+	Name        string
+	HostLH      vid.LHID
+	Incarnation int
+	Restarts    int
+	State       string
+	LeaseAge    time.Duration
+	ExitCode    uint32
+}
+
+// Sessions lists the manager's supervised sessions, ordered by original
+// LHID.
+func (pm *PM) Sessions() []SessionView {
+	ids := pm.reg.ids()
+	out := make([]SessionView, 0, len(ids))
+	for _, id := range ids {
+		s := pm.reg.sessions[id]
+		out = append(out, SessionView{
+			LHID: s.Orig, CurLH: s.Cur, PID: s.PID, Name: s.Name,
+			HostLH: s.HostLH, Incarnation: s.Incarnation, Restarts: s.Restarts,
+			State: s.State.String(), LeaseAge: pm.host.Eng.Now().Sub(s.LastRenew),
+			ExitCode: s.ExitCode,
+		})
+	}
+	return out
+}
+
+// reapJob is one remote program to destroy with retry — created but never
+// started (the start failed or was partitioned away), or left behind by a
+// failed recovery attempt.
+type reapJob struct {
+	pm       vid.PID
+	lhid     vid.LHID
+	attempts int
+	next     sim.Time
+}
+
+// ReapRemote queues a created-but-unstarted remote program for destruction
+// once its manager is reachable again, so a failed Exec cannot leak the
+// execution environment it created.
+func (pm *PM) ReapRemote(target vid.PID, lhid vid.LHID) {
+	pm.reapQ = append(pm.reapQ, &reapJob{pm: target, lhid: lhid, next: pm.host.Eng.Now()})
+}
+
+// reapRetry paces reap attempts against an unreachable manager.
+const reapRetry = 2 * time.Second
+
+// reapMaxAttempts bounds reaping of a manager that never comes back (its
+// programs died with it anyway).
+const reapMaxAttempts = 10
+
+// leaseLoop is the pm-lease worker: it renews session leases, recovers
+// broken sessions, and drains the remote-reap queue. Sessions are visited
+// in sorted LHID order — map iteration order must not reach the wire.
+func (pm *PM) leaseLoop(ctx *kernel.ProcCtx) {
+	for {
+		ctx.Sleep(pollInterval)
+		pm.drainReapQ(ctx)
+		pm.drainHomePend(ctx)
+		// With a home group only the fenced leader acts on live sessions; a
+		// follower (or deposed leader) instead points any waiters it holds
+		// back at the group, where the current leader will hold or answer
+		// them. Exit results are served by every replica.
+		leading := pm.svc.Leading()
+		for _, id := range pm.reg.ids() {
+			s := pm.reg.sessions[id]
+			switch s.State {
+			case sessionActive, sessionBroken:
+				if !leading {
+					pm.flushWaiters(ctx, s, movedReply(PmWaitProgram, s.Orig,
+						movedTo{pm: vid.GroupHomePMs, lh: s.Cur}))
+					continue
+				}
+			}
+			switch s.State {
+			case sessionActive:
+				if ctx.Now().Sub(s.LastRenew) >= params.LeaseInterval {
+					pm.renew(ctx, s)
+				}
+			case sessionBroken:
+				if ctx.Now() >= s.NextRetry {
+					pm.recover(ctx, s)
+				}
+			case sessionDone:
+				pm.flushWaiters(ctx, s, vid.Message{Op: PmWaitProgram, W: [6]uint32{s.ExitCode}})
+			case sessionFailed:
+				pm.flushWaiters(ctx, s, vid.Message{Op: PmWaitProgram, Code: vid.CodeAborted})
+			}
+		}
+	}
+}
+
+func (pm *PM) flushWaiters(ctx *kernel.ProcCtx, s *session, m vid.Message) {
+	ws := s.waiters
+	s.waiters = nil
+	for _, w := range ws {
+		pm.replyAsPM(ctx, w, m)
+	}
+}
+
+// renew is one lease heartbeat with the hosting manager.
+func (pm *PM) renew(ctx *kernel.ProcCtx, s *session) {
+	m, err := ctx.Send(s.HostPM, vid.Message{Op: PmRenewLease, W: [6]uint32{uint32(s.Cur)}})
+	if s.State != sessionActive {
+		return // broken or resolved while the send blocked
+	}
+	switch {
+	case err == nil && m.Code == CodeMoved:
+		// The hosting manager migrated or re-executed the program away:
+		// follow the forwarding record. A topology change must survive a
+		// home fail-over, so it is a registry mutation.
+		hostPM := vid.PID(m.W[1])
+		if pm.commit(ctx, hgCmd{
+			Kind: hgRenewed, Orig: s.Orig, At: int64(ctx.Now()),
+			HostPM: uint32(hostPM), HostLH: uint32(hostPM.LH()), NewLH: m.W[2],
+		}) != nil {
+			return // lost the majority; the next leader follows the move
+		}
+		pm.sup.LeaseRenews++
+	case err == nil && m.OK() && m.W[1] == 1:
+		// Plain renewal: leader-local only. A follower promoted later sees
+		// a stale lastRenew and simply renews immediately — cheaper than a
+		// log entry per heartbeat.
+		s.LastRenew = ctx.Now()
+		pm.sup.LeaseRenews++
+	case err == nil && m.OK() && m.W[1] == 2:
+		pm.commit(ctx, hgCmd{Kind: hgDone, Orig: s.Orig, Code: m.W[2]})
+	default:
+		// Transport failure (timeout or host-down) or not-found: the
+		// lease is lost and the session is broken.
+		pm.expireLease(ctx, s)
+	}
+}
+
+// expireLease breaks a session on lease loss, with the trace event and
+// counter (detector-prompted breaks go through NoteHostDown instead and
+// publish nothing — the detector already did).
+func (pm *PM) expireLease(ctx *kernel.ProcCtx, s *session) {
+	if pm.commit(ctx, hgCmd{Kind: hgBreak, Orig: s.Orig, At: int64(ctx.Now())}) != nil {
+		return // deposed; the next leader re-detects the loss itself
+	}
+	pm.sup.LeaseExpires++
+	pm.host.Trace().Publish(trace.Event{
+		At: ctx.Now(), Host: uint16(pm.host.NIC.MAC()), Kind: trace.EvLeaseExpire,
+		LH: s.Cur, Peer: s.HostLH.Station(),
+	})
+}
+
+// recover resolves a broken session: find the program if some host still
+// runs it, else re-execute it from its image, else fail the session.
+func (pm *PM) recover(ctx *kernel.ProcCtx, s *session) {
+	// 1. Double-execution guard: ask the manager group who runs it. Only
+	// the manager actually running the program answers (everyone else
+	// keeps silent), so one reply is authoritative; the group send is
+	// bounded by the short group abort, not the full unicast allowance.
+	m, err := ctx.Send(vid.GroupProgramManagers, vid.Message{
+		Op: PmLocateProgram, W: [6]uint32{uint32(s.Cur)},
+	})
+	if s.State != sessionBroken {
+		return
+	}
+	if err == nil && m.OK() {
+		// Still running — the host was falsely suspected, or the program
+		// moved and the forwarding record died with its manager.
+		if pm.commit(ctx, hgCmd{
+			Kind: hgRenewed, Orig: s.Orig, At: int64(ctx.Now()),
+			HostPM: m.W[5], HostLH: m.W[0],
+		}) != nil {
+			return
+		}
+		pm.flushWaiters(ctx, s, movedReply(PmWaitProgram, s.Orig, movedTo{pm: s.HostPM, lh: s.Cur}))
+		return
+	}
+	// 2. Nobody runs it: re-execute, with bounded attempts.
+	if s.Restarts >= s.MaxRestarts || pm.Selector == nil {
+		pm.failSession(ctx, s)
+		return
+	}
+	// Commit the restart intent BEFORE creating anything: this is the
+	// fence that makes a stale minority leader harmless. It cannot reach a
+	// majority, so its commit times out here and no second incarnation is
+	// ever started — the locate query above plus this committed intent
+	// together uphold the double-execution guard across views.
+	if pm.commit(ctx, hgCmd{Kind: hgIntent, Orig: s.Orig, Attempt: s.Restarts + 1}) != nil {
+		return
+	}
+	if !pm.reexecSession(ctx, s) {
+		if s.Restarts >= s.MaxRestarts {
+			pm.failSession(ctx, s)
+			return
+		}
+		// Exponential backoff before the next attempt.
+		backoff := ctx.Now().Add(params.ExecRestartBackoff << (s.Restarts - 1))
+		pm.commit(ctx, hgCmd{Kind: hgRetryAt, Orig: s.Orig, At: int64(backoff)})
+	}
+}
+
+// reexecSession runs one recovery attempt on a host that is neither the
+// lost one nor our own, and records the new incarnation.
+func (pm *PM) reexecSession(ctx *kernel.ProcCtx, s *session) bool {
+	l, newPID, newLH, ok := pm.startElsewhere(ctx, s.Name, s.Args, s.Stdout, s.Cur,
+		s.MinMem, s.HostLH, pm.host.SystemLH().ID())
+	if !ok {
+		return false
+	}
+	if pm.commit(ctx, hgCmd{
+		Kind: hgRebind, Orig: s.Orig, At: int64(ctx.Now()),
+		NewLH: uint32(newLH), NewPID: uint32(newPID),
+		HostPM: uint32(l.PM), HostLH: uint32(l.SystemLH),
+	}) != nil {
+		// Deposed between start and commit: this incarnation is not in
+		// the replicated registry, so destroy it best-effort. Should the
+		// destroy also fail, the orphan is bounded by maxRestarts and
+		// the display's adoption counts keep user output exactly-once.
+		pm.DestroyRemote(ctx, l.PM, newLH)
+		return false
+	}
+	pm.sup.ExecRestarts++
+	pm.host.Trace().Publish(trace.Event{
+		At: ctx.Now(), Host: uint16(pm.host.NIC.MAC()), Kind: trace.EvExecRestart,
+		LH: newLH, Peer: l.SystemLH.Station(), Prio: s.Incarnation,
+	})
+	pm.flushWaiters(ctx, s, movedReply(PmWaitProgram, s.Orig, movedTo{pm: s.HostPM, lh: s.Cur}))
+	return true
+}
+
+// startElsewhere re-executes a program from its file-server image: select
+// a host (none of exclude), create the program there as a guest,
+// pre-announce to the output sink that the new copy supersedes logical
+// host old, and start it. The new copy replays output from the start; the
+// display suppresses what the previous incarnation already delivered
+// (at-most-once per logical line), so the notice must land before the
+// start. A copy that was created but would not start is destroyed.
+func (pm *PM) startElsewhere(ctx *kernel.ProcCtx, name string, args []string, stdout vid.PID,
+	old vid.LHID, minMem uint32, exclude ...vid.LHID) (l sched.Load, newPID vid.PID, newLH vid.LHID, ok bool) {
+
+	l, err := pm.Selector.Select(ctx, minMem, exclude...)
+	if err != nil {
+		return l, 0, 0, false
+	}
+	seg := []byte(strings.Join(append([]string{name}, args...), "\x00"))
+	cm, err := ctx.Send(l.PM, vid.Message{
+		Op: PmCreateProgram, W: [6]uint32{uint32(stdout), 1}, Seg: seg,
+	})
+	if err != nil || !cm.OK() {
+		return l, 0, 0, false
+	}
+	newPID, newLH = vid.PID(cm.W[0]), vid.LHID(cm.W[1])
+	if stdout != vid.Nil {
+		ctx.Send(stdout, vid.Message{Op: supOpAdopt, W: [6]uint32{uint32(old), uint32(newLH)}})
+	}
+	sm, err := ctx.Send(kernel.KernelServerPID(newLH), vid.Message{
+		Op: kernel.KsStartProcess, W: [6]uint32{uint32(newPID)},
+	})
+	if err != nil || !sm.OK() {
+		pm.DestroyRemote(ctx, l.PM, newLH)
+		return l, 0, 0, false
+	}
+	return l, newPID, newLH, true
+}
+
+// DestroyRemote tears down a program created on another manager, leaving
+// it to the retrying reaper when that manager cannot be reached.
+func (pm *PM) DestroyRemote(ctx *kernel.ProcCtx, target vid.PID, lhid vid.LHID) {
+	if _, err := ctx.Send(target, vid.Message{
+		Op: PmDestroyProgram, W: [6]uint32{uint32(lhid)},
+	}); err != nil {
+		pm.ReapRemote(target, lhid)
+	}
+}
+
+// failSession gives up on a session: waiters see an abort and the user
+// gets a notification line.
+func (pm *PM) failSession(ctx *kernel.ProcCtx, s *session) {
+	if pm.commit(ctx, hgCmd{Kind: hgFailed, Orig: s.Orig}) != nil {
+		return // deposed; the next leader decides the session's fate
+	}
+	pm.flushWaiters(ctx, s, vid.Message{Op: PmWaitProgram, Code: vid.CodeAborted})
+	if s.Stdout != vid.Nil {
+		ctx.Send(s.Stdout, vid.Message{Op: vvm.OpWriteLine, Seg: []byte(
+			fmt.Sprintf("[progmgr %s] %s: host lost, restarts exhausted; giving up", pm.host.Name, s.Name)),
+		})
+	}
+}
+
+// drainReapQ retries at most one due remote destruction per tick.
+func (pm *PM) drainReapQ(ctx *kernel.ProcCtx) {
+	for i := 0; i < len(pm.reapQ); i++ {
+		j := pm.reapQ[i]
+		if ctx.Now() < j.next {
+			continue
+		}
+		pm.reapQ = append(pm.reapQ[:i], pm.reapQ[i+1:]...)
+		if _, err := ctx.Send(j.pm, vid.Message{
+			Op: PmDestroyProgram, W: [6]uint32{uint32(j.lhid)},
+		}); err != nil {
+			// Unreachable (or still down): try again later, boundedly. Any
+			// definitive reply — OK or not-found — settles the job.
+			j.attempts++
+			if j.attempts < reapMaxAttempts {
+				j.next = ctx.Now().Add(reapRetry)
+				pm.reapQ = append(pm.reapQ, j)
+			}
+		}
+		return
+	}
+}
+
+// supOpAdopt duplicates display.OpAdopt — the output-stream adoption
+// notice (W0 = superseded LHID, W1 = successor LHID) — to keep the wire
+// contract explicit without importing the display server.
+const supOpAdopt uint16 = 0x72

@@ -3,6 +3,8 @@ package rsm
 import (
 	"encoding/binary"
 	"errors"
+	"maps"
+	"slices"
 
 	"vsystem/internal/vid"
 )
@@ -251,4 +253,56 @@ func DecodeSnapChunk(b []byte) (SnapChunk, error) {
 		return SnapChunk{}, errBadWire
 	}
 	return c, nil
+}
+
+// AppendSortedMap appends m's snapshot form to b: a count, then each entry
+// as length-prefixed key and value, keys in sorted order — byte-identical
+// for equal maps, which a map-order-dependent encoding would not be.
+func AppendSortedMap(b []byte, m map[string][]byte) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, uint32(len(m)))
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		b = le.AppendUint32(b, uint32(len(k)))
+		b = append(b, k...)
+		b = le.AppendUint32(b, uint32(len(m[k])))
+		b = append(b, m[k]...)
+	}
+	return b
+}
+
+// DecodeSortedMap parses one AppendSortedMap form off the front of b and
+// returns the bytes after it. Snapshots arrive over the wire in install
+// chunks, so every length is checked against what is actually left before
+// it is used (widened, never summed: a huge length word cannot wrap);
+// on any malformation it returns ok=false and no map.
+func DecodeSortedMap(b []byte) (m map[string][]byte, rest []byte, ok bool) {
+	field := func() ([]byte, bool) {
+		if len(b) < 4 {
+			return nil, false
+		}
+		n := binary.LittleEndian.Uint32(b)
+		if b = b[4:]; uint64(n) > uint64(len(b)) {
+			return nil, false
+		}
+		f := b[:n]
+		b = b[n:]
+		return f, true
+	}
+	if len(b) < 4 {
+		return nil, nil, false
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if b = b[4:]; uint64(n) > uint64(len(b)/8) { // an entry is at least its two length words
+		return nil, nil, false
+	}
+	m = make(map[string][]byte, n)
+	for i := uint32(0); i < n; i++ {
+		k, ok1 := field()
+		v, ok2 := field()
+		if !ok1 || !ok2 {
+			return nil, nil, false
+		}
+		m[string(k)] = append([]byte(nil), v...)
+	}
+	return m, b, true
 }

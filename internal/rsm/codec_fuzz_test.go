@@ -114,3 +114,41 @@ func FuzzDecodeSnapChunk(f *testing.F) {
 		}
 	})
 }
+
+// Snapshots reach DecodeSortedMap over the wire in install chunks. A
+// length word near 2^32 must not wrap a bounds sum and slice out of range,
+// an absurd count must not size an allocation, and a reject must hand back
+// nothing.
+func FuzzDecodeSortedMap(f *testing.F) {
+	valid := AppendSortedMap(nil, map[string][]byte{"b": []byte("two"), "a": nil})
+	f.Add(valid)
+	f.Add(append(valid, AppendSortedMap(nil, nil)...)) // two maps back to back
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 0, 0xfc, 0xff, 0xff, 0xff, 'x', 0, 0, 0, 0})    // key length wraps +4
+	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, 'x', 0xff, 0xff, 0xff, 0xff, 0}) // value length wraps
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0})         // absurd count
+	f.Add(valid[:len(valid)-1])                                           // truncated
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, rest, ok := DecodeSortedMap(b)
+		if !ok {
+			if m != nil || rest != nil {
+				t.Fatalf("reject returned data: %v %x", m, rest)
+			}
+			return
+		}
+		if len(rest) > len(b) || string(b[len(b)-len(rest):]) != string(rest) {
+			t.Fatalf("rest %x is not a suffix of %x", rest, b)
+		}
+		// Re-encoding sorts and dedupes, so only the decoded content — not
+		// the input bytes — must survive a round trip.
+		m2, rest2, ok := DecodeSortedMap(AppendSortedMap(nil, m))
+		if !ok || len(rest2) != 0 || len(m2) != len(m) {
+			t.Fatalf("round trip: ok=%v rest=%x %d→%d entries", ok, rest2, len(m), len(m2))
+		}
+		for k, v := range m {
+			if string(m2[k]) != string(v) {
+				t.Fatalf("round trip changed %q: %x → %x", k, v, m2[k])
+			}
+		}
+	})
+}
