@@ -13,6 +13,7 @@ package repro_test
 
 import (
 	"testing"
+	"time"
 
 	"vsystem/internal/ethernet"
 	"vsystem/internal/experiments"
@@ -224,5 +225,26 @@ func BenchmarkAddressSpaceWrite(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		as.WriteWord(uint32(i*64)%(1024*1024-4), uint32(i))
+	}
+}
+
+// BenchmarkEngineTimer10k measures one timer armed and fired with 10 000
+// others pending — the engine's event heap at the depth a 100-host cluster
+// keeps it, and the shape of bench's sim.timer_ns.
+func BenchmarkEngineTimer10k(b *testing.B) {
+	eng := sim.NewEngine(1)
+	for i := 0; i < 10_000; i++ {
+		eng.After(time.Hour+time.Duration(i)*time.Millisecond, func() {})
+	}
+	fired := 0
+	fn := func() { fired++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.After(time.Microsecond, fn)
+		eng.Step()
+	}
+	if fired != b.N {
+		b.Fatalf("fired %d of %d", fired, b.N)
 	}
 }

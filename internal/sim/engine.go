@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -65,37 +64,102 @@ func (t Timer) Stop() bool {
 	if t.ev == nil || t.ev.gen != t.gen || t.ev.index < 0 {
 		return false
 	}
-	heap.Remove(&t.eng.events, t.ev.index)
-	t.eng.release(t.ev)
+	t.eng.release(t.eng.events.remove(t.ev.index))
 	return true
 }
 
+// eventHeap is a 4-ary min-heap of events ordered by (at, seq), written
+// directly over the slice: the comparison is inline, a sift moves the hole
+// rather than swapping, and every placement records event.index so Stop
+// can remove from the middle. (at, seq) is a total order, so the pop
+// sequence does not depend on the heap's shape.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the heap order: earlier instant first, scheduling order within
+// an instant.
+func before(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
+
+func (h *eventHeap) push(ev *event) {
 	*h = append(*h, ev)
+	h.up(len(*h)-1, ev)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+
+// popMin removes and returns the earliest event; the heap must not be
+// empty.
+func (h *eventHeap) popMin() *event {
+	return h.remove(0)
+}
+
+// remove takes out and returns the event at index i.
+func (h *eventHeap) remove(i int) *event {
+	s := *h
+	ev := s[i]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = nil
+	*h = s[:n]
+	if i < n {
+		// Refill the hole with the last event: it belongs at or below i
+		// unless it precedes i's parent.
+		if i > 0 && before(last, s[(i-1)/4]) {
+			h.up(i, last)
+		} else {
+			h.down(i, last)
+		}
+	}
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
+}
+
+// up places ev at index i or above, moving later ancestors down into the
+// hole.
+func (h eventHeap) up(i int, ev *event) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !before(ev, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = ev
+	ev.index = i
+}
+
+// down places ev at index i or below, moving each level's earliest child
+// up into the hole.
+func (h eventHeap) down(i int, ev *event) {
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		m := c
+		for j := c + 1; j < end; j++ {
+			if before(h[j], h[m]) {
+				m = j
+			}
+		}
+		if !before(h[m], ev) {
+			break
+		}
+		h[i] = h[m]
+		h[i].index = i
+		i = m
+	}
+	h[i] = ev
+	ev.index = i
 }
 
 // maxFree caps the event free list; beyond it, released events are left
@@ -155,7 +219,7 @@ func (e *Engine) schedule(t Time, ev *event) {
 	}
 	e.seq++
 	ev.at, ev.seq = t, e.seq
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 }
 
 // At schedules fn to run at instant t. Scheduling in the past is an error in
@@ -192,7 +256,7 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
+	ev := e.events.popMin()
 	e.now = ev.at
 	fn, task, reason := ev.fn, ev.task, ev.reason
 	// Release before running: tasks never reenter Step, and handing the
