@@ -501,6 +501,9 @@ func (r *repl) exec(line string) bool {
 		r.printf("  remote faults: %d (%.1f KB) stalled=%v pull=%.1fK push=%.1fK events=%d aborted=%v",
 			rf.Faults, rf.FaultKB, rf.StallTime, rf.PullKB, rf.PushKB,
 			tb.Count(trace.EvRemoteFault), rf.Aborted)
+		es := r.c.Sim.Stats()
+		r.printf("  engine: fired=%d task-dispatches=%d timers-stopped=%d pending=%d max-pending=%d",
+			es.Fired, es.Dispatches, es.Stopped, r.c.Sim.Pending(), es.MaxPending)
 
 	case "trace":
 		if len(f) < 2 || (f[1] != "on" && f[1] != "off") {

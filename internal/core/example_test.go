@@ -36,7 +36,11 @@ func Example() {
 
 // Example_migrateprog shows preemption: the owner of the execution host
 // evicts the guest with migrateprog; the program finishes elsewhere with
-// its output intact.
+// its output intact. ws0 and ws2 are equally idle, so under first-response
+// selection the guest goes to whichever answers the multicast first: ws0,
+// the lower station. (It was ws2 while each manager's four poll loops put
+// 800 kernel-priority CPU grants a second, at a phase of their own, in
+// front of the reply.)
 func Example_migrateprog() {
 	c := core.NewCluster(core.Options{Workstations: 3, Seed: 2})
 	c.Install(progs.Ticker(40))
@@ -56,6 +60,6 @@ func Example_migrateprog() {
 	lines := c.Node(0).Display.Lines()
 	fmt.Printf("%d lines, last %q\n", len(lines), lines[len(lines)-1])
 	// Output:
-	// moved to ws2 after 1 pre-copy round(s)
+	// moved to ws0 after 1 pre-copy round(s)
 	// 40 lines, last "t40"
 }

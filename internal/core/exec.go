@@ -132,6 +132,9 @@ func (a *Agent) ExecR(prog string, args []string, where string, maxRestarts int)
 		Op: kernel.KsStartProcess,
 		W:  [6]uint32{uint32(job.PID)},
 	})
+	if err != nil && a.ranToExit(ctx, job) {
+		err = nil // the go-ahead arrived; only its reply was lost
+	}
 	if err != nil || !sm.OK() {
 		// The environment was created but the program never started: reap
 		// it so the failed Exec does not leak an address space on the
@@ -151,6 +154,19 @@ func (a *Agent) ExecR(prog string, args []string, where string, maxRestarts int)
 		})
 	}
 	return job, nil
+}
+
+// ranToExit reports whether job's manager has it down as exited. A start
+// whose reply frame is lost is normally answered again from the kernel
+// server's reply cache, but a program shorter than one retransmission
+// interval has exited by then, its logical host — the address the
+// go-ahead was sent to — is gone, and the retransmissions meet silence
+// that reads as host-down. The manager remembers exits, so ask it (with
+// the lease heartbeat, which never blocks) before calling the start
+// failed.
+func (a *Agent) ranToExit(ctx *kernel.ProcCtx, job *Job) bool {
+	m, err := ctx.Send(job.PM, vid.Message{Op: progmgr.PmRenewLease, W: [6]uint32{uint32(job.LHID)}})
+	return err == nil && m.OK() && m.W[1] == 2
 }
 
 // superviseSession registers a remote job with the home supervisor: the

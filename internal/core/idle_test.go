@@ -1,0 +1,222 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"vsystem/internal/kernel"
+	"vsystem/internal/packet"
+	"vsystem/internal/params"
+	"vsystem/internal/progmgr"
+	"vsystem/internal/progs"
+	"vsystem/internal/sched"
+	"vsystem/internal/trace"
+	"vsystem/internal/vid"
+)
+
+// The program manager's workers are servers: they block until there is
+// something to do. These tests pin that there is no poll tick left — an
+// idle workstation costs the simulator (and the modeled CPU) nothing, and
+// work is picked up at the instant it is queued, not at the next multiple
+// of a quantum.
+
+func workerDispatches(c *Cluster) uint64 {
+	var n uint64
+	for _, node := range c.Nodes {
+		n += node.PM.WorkerDispatches()
+	}
+	return n
+}
+
+// TestIdleClusterWorkersStayParked boots four workstations, submits
+// nothing, and watches five virtual seconds: no program-manager worker is
+// resumed at all, and the whole cluster's CPU dispatch rate stays at the
+// beacon-and-heartbeat floor. (With the 10 ms poll it was 800 dispatches
+// per host-second from the workers alone.)
+func TestIdleClusterWorkersStayParked(t *testing.T) {
+	for _, sel := range []sched.Policy{sched.FirstResponse{}, sched.RandomK{K: 2}} {
+		c := boot(t, Options{Workstations: 4, Seed: 1, Select: sel})
+		c.Run(2 * time.Second) // registrations, first beacons
+		w0, d0, e0 := workerDispatches(c), c.Trace.Count(trace.EvDispatch), c.Sim.Stats()
+		const watch = 5 * time.Second
+		c.Run(watch)
+		if w := workerDispatches(c) - w0; w != 0 {
+			t.Errorf("select=%s: program-manager workers resumed %d times on an idle cluster, want 0", sel.Name(), w)
+		}
+		perHostSec := float64(c.Trace.Count(trace.EvDispatch)-d0) / float64(len(c.Nodes)) / watch.Seconds()
+		if perHostSec > 150 {
+			t.Errorf("select=%s: %.0f CPU dispatches per host-second idle, want ≤ 150", sel.Name(), perHostSec)
+		}
+		// The same floor seen from the engine: task switches per host-second.
+		e1 := c.Sim.Stats()
+		if sw := float64(e1.Dispatches-e0.Dispatches) / float64(len(c.Nodes)) / watch.Seconds(); sw > 150 {
+			t.Errorf("select=%s: %.0f task switches per host-second idle, want ≤ 150", sel.Name(), sw)
+		}
+	}
+}
+
+// TestExitAnsweredOffTheGrid runs a program whose exit falls at an instant
+// that is no multiple of 10 ms and checks that Wait's reply is on its way
+// within the teardown charge plus the cost of sending it: the reaper is
+// woken by the exit itself. (A 10 ms poll added 0–10 ms on top.)
+func TestExitAnsweredOffTheGrid(t *testing.T) {
+	c := boot(t, Options{Workstations: 2, Seed: 3})
+	var exitAt, replyAt time.Duration
+	pmPID := c.Node(1).PM.PID()
+	c.Trace.Subscribe(func(ev trace.Event) {
+		if p := ev.Pkt; ev.Kind == trace.EvPktTx && replyAt == 0 && p.Kind == packet.KReply &&
+			p.Src == pmPID && p.Msg.Op == progmgr.PmWaitProgram {
+			replyAt = ev.At.Duration()
+		}
+	})
+	queueExit := c.Node(1).Host.OnLHEmpty
+	c.Node(1).Host.OnLHEmpty = func(lh *kernel.LogicalHost) {
+		exitAt = c.Sim.Now().Duration()
+		queueExit(lh)
+	}
+
+	var err error
+	c.Node(0).Agent(func(a *Agent) {
+		var job *Job
+		if job, err = a.Exec("primes500", nil, "ws1"); err == nil {
+			_, err = a.Wait(job)
+		}
+	})
+	c.Run(time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exitAt == 0 || replyAt == 0 {
+		t.Fatalf("exit at %v, wait reply at %v: not observed", exitAt, replyAt)
+	}
+	if exitAt%(10*time.Millisecond) == 0 {
+		t.Fatalf("exit at %v landed on the 10 ms grid; the scenario no longer tests anything", exitAt)
+	}
+	// Woken by the exit: two frozen checks, the teardown, the reply's
+	// transmit charge.
+	if lag, max := replyAt-exitAt, params.EnvDestroyCPU+time.Millisecond; lag > max {
+		t.Fatalf("wait reply left %v after the exit, want ≤ %v (EnvDestroyCPU + 1 ms)", lag, max)
+	}
+}
+
+// TestMigrateRequestStartsAtOnce pins the same for the migration worker:
+// the select span of a requested migration opens within a millisecond of
+// the request reaching the manager, wherever in a 10 ms period that falls.
+func TestMigrateRequestStartsAtOnce(t *testing.T) {
+	c := boot(t, Options{Workstations: 3, Seed: 5})
+	c.Install(progs.Ticker(100))
+	var arrived, selectAt time.Duration
+	c.Trace.Subscribe(func(ev trace.Event) {
+		if p := ev.Pkt; ev.Kind == trace.EvPktRx && arrived == 0 && p.Kind == packet.KRequest &&
+			p.Msg.Op == progmgr.PmMigrateProgram {
+			arrived = ev.At.Duration()
+		}
+	})
+	c.Trace.SubscribeSpans(func(sp trace.Span) {
+		if sp.Phase == trace.PhaseSelect && selectAt == 0 {
+			selectAt = sp.Start.Duration()
+		}
+	})
+	var err error
+	c.Node(0).Agent(func(a *Agent) {
+		var job *Job
+		if job, err = a.Exec("ticker100", nil, "ws1"); err != nil {
+			return
+		}
+		a.Sleep(503700 * time.Microsecond) // off the grid on purpose
+		_, err = a.Migrate(job, false)
+	})
+	c.Run(time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arrived == 0 || selectAt == 0 {
+		t.Fatalf("request arrived at %v, select began at %v: not observed", arrived, selectAt)
+	}
+	if arrived%(10*time.Millisecond) == 0 {
+		t.Fatalf("request arrived at %v, on the 10 ms grid; the scenario no longer tests anything", arrived)
+	}
+	if lag := selectAt - arrived; lag < 0 || lag >= time.Millisecond {
+		t.Fatalf("request arrived at %v, select began at %v (%v later), want < 1 ms", arrived, selectAt, lag)
+	}
+}
+
+// TestPromotedHomeLeaderRenewsUnprompted is the test that hangs if the
+// consensus layer does not tell the program manager that it now leads. A
+// follower's lease worker holds no deadline — only the leader acts on
+// sessions — so it is parked for good. The home leader is killed while a
+// supervised program runs elsewhere and nothing else happens: no waiter
+// comes to the group (the agent waits at the hosting manager), the
+// crashed station hosted no session, nothing is committed. The successor
+// must renew the lease as soon as it is fenced — its copy of LastRenew is
+// stale, plain renewals being leader-local — and keep renewing; the
+// agent's wait then completes when the program does.
+func TestPromotedHomeLeaderRenewsUnprompted(t *testing.T) {
+	c := boot(t, Options{Workstations: 6, Seed: 4, ReplicateHome: 3})
+	c.Install(progs.Ticker(300))
+
+	var killedAt, electedAt, renewedAt time.Duration
+	var killed, successor uint16
+	c.Sim.At(c.Sim.Now().Add(5*time.Second), func() {
+		idx := c.HomeLeaderIdx()
+		if idx < 0 {
+			t.Error("no home leader by 5 s")
+			return
+		}
+		killed, killedAt = uint16(c.Nodes[idx].Host.NIC.MAC()), c.Sim.Now().Duration()
+		c.Nodes[idx].Host.Crash()
+	})
+	c.Trace.Subscribe(func(ev trace.Event) {
+		if killedAt == 0 {
+			return
+		}
+		switch {
+		case ev.Kind == trace.EvElect && electedAt == 0 && ev.LH == vid.GroupHomeRSM.LH():
+			successor, electedAt = ev.Host, ev.At.Duration()
+		case ev.Kind == trace.EvPktTx && renewedAt == 0 && ev.Pkt.Kind == packet.KRequest &&
+			ev.Pkt.Msg.Op == progmgr.PmRenewLease && ev.Host != killed:
+			renewedAt = ev.At.Duration()
+			if ev.Host != successor {
+				t.Errorf("lease renewed by station %d, but station %d was elected", ev.Host, successor)
+			}
+		}
+	})
+
+	var code uint32
+	var err error
+	done := false
+	c.Node(3).Agent(func(a *Agent) {
+		a.Sleep(2500 * time.Millisecond) // let the group elect its first leader
+		var job *Job
+		if job, err = a.Exec("ticker300", nil, "ws4"); err == nil {
+			code, err = a.Wait(job)
+		}
+		done = true
+	})
+	c.Run(2 * time.Minute)
+
+	if electedAt == 0 {
+		t.Fatal("no successor elected after the leader kill")
+	}
+	if renewedAt == 0 {
+		t.Fatalf("successor elected at %v never renewed the session's lease: its lease worker was not woken", electedAt)
+	}
+	// Fencing the new term is one round trip to a follower; the renewal
+	// follows it directly.
+	if lag := renewedAt - electedAt; lag > 50*time.Millisecond {
+		t.Errorf("successor elected at %v first renewed at %v (%v later), want at once", electedAt, renewedAt, lag)
+	}
+	var renews int64
+	for _, n := range c.Nodes {
+		if uint16(n.Host.NIC.MAC()) == successor {
+			renews = n.PM.SupStats().LeaseRenews
+		}
+	}
+	if renews < 3 {
+		t.Errorf("successor renewed %d times over the rest of the run, want one a second", renews)
+	}
+	if !done || err != nil || code != 0 {
+		t.Fatalf("agent done=%v code=%d err=%v", done, code, err)
+	}
+	assertGapless(t, c.Node(3).Display.Lines(), 300)
+}

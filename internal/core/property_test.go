@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -80,8 +81,17 @@ func TestQuickMigrationTransparency(t *testing.T) {
 // TestClusterSurvivesLossStress runs a busy cluster under 5% frame loss:
 // several programs execute remotely and migrate while the network drops
 // frames; every program must finish and no output may be duplicated.
+// Seeds 10, 18 and 26 are ones where the reply to a start go-ahead is
+// dropped and primes500 has exited before the retransmission (Exec used
+// to report host-down there: 5 seeds of the first 60).
 func TestClusterSurvivesLossStress(t *testing.T) {
-	c := NewCluster(Options{Workstations: 6, Seed: 77, LossRate: 0.05})
+	for _, seed := range []int64{77, 10, 18, 26} {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { lossStress(t, seed) })
+	}
+}
+
+func lossStress(t *testing.T, seed int64) {
+	c := NewCluster(Options{Workstations: 6, Seed: seed, LossRate: 0.05})
 	c.Install(progs.Ticker(60))
 	c.Install(progs.Primes(500))
 	for _, img := range workload.PaperImages() {

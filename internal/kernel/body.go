@@ -220,3 +220,28 @@ func (c *ProcCtx) Sleep(d time.Duration) {
 	c.task.Sleep(d)
 	c.gate()
 }
+
+// Forever, as WaitFor's d, means no deadline.
+const Forever time.Duration = -1
+
+// WaitFor blocks the process until ready reports true or d has elapsed
+// (Forever: no deadline), and reports ready's last answer. The process
+// parks on q and re-tests ready each time q is woken, so whoever makes
+// ready true must wake q. It is gated as Sleep is — a frozen check before
+// parking and another after waking — and ready is first tested after the
+// opening gate with nothing blocking between the test and the park, so a
+// wake that lands while the gate is being charged is not lost.
+func (c *ProcCtx) WaitFor(q *sim.WaitQ, d time.Duration, ready func() bool) bool {
+	c.gate()
+	deadline := c.Now().Add(d)
+	ok := ready()
+	for expired := false; !ok && !expired; ok = ready() {
+		if d == Forever {
+			q.Wait(c.task)
+		} else {
+			expired = q.WaitTimeout(c.task, deadline.Sub(c.Now())) == sim.WakeTimeout
+		}
+	}
+	c.gate()
+	return ok
+}

@@ -628,6 +628,10 @@ func (p *Process) LH() *LogicalHost { return p.lh }
 // Port returns the process's IPC port.
 func (p *Process) Port() *ipc.Port { return p.port }
 
+// Task returns the simulation task running the process (nil before it
+// starts).
+func (p *Process) Task() *sim.Task { return p.task }
+
 // Regs returns the process's register blob (mutable).
 func (p *Process) Regs() *Regs { return &p.regs }
 

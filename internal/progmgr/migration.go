@@ -73,17 +73,12 @@ type migrateJob struct {
 // callers on the same host (the owner-returns scenario): it queues the
 // migration and returns immediately.
 func (pm *PM) MigrateAway(lhid vid.LHID, kill bool) {
-	pm.migrateQ = append(pm.migrateQ, &migrateJob{lhid: lhid, kill: kill})
+	pm.migrateQ.put(&migrateJob{lhid: lhid, kill: kill})
 }
 
 func (pm *PM) migrateLoop(ctx *kernel.ProcCtx) {
 	for {
-		if len(pm.migrateQ) == 0 {
-			ctx.Sleep(pollInterval)
-			continue
-		}
-		job := pm.migrateQ[0]
-		pm.migrateQ = pm.migrateQ[1:]
+		job := pm.migrateQ.take(ctx)
 		reply := pm.doMigrate(ctx, job)
 		if job.req != nil {
 			pm.proc.Port().Reply(ctx.Task(), job.req, reply)
@@ -280,20 +275,14 @@ func (pm *PM) onLHIDChanged(lh *kernel.LogicalHost, old vid.LHID) {
 		return
 	}
 	job := &adoptJob{final: lh.ID(), lh: lh, srcLH: pi.srcLH}
-	pm.host.Eng.After(params.OrphanAdoptDelay, func() { pm.adoptQ = append(pm.adoptQ, job) })
+	pm.host.Eng.After(params.OrphanAdoptDelay, func() { pm.adoptQ.put(job) })
 }
 
 // adoptLoop is the pm-adopt worker: it serializes orphan-adoption checks,
 // each of which may block in a liveness probe of the migration source.
 func (pm *PM) adoptLoop(ctx *kernel.ProcCtx) {
 	for {
-		if len(pm.adoptQ) == 0 {
-			ctx.Sleep(pollInterval)
-			continue
-		}
-		job := pm.adoptQ[0]
-		pm.adoptQ = pm.adoptQ[1:]
-		pm.checkOrphan(ctx, job)
+		pm.checkOrphan(ctx, pm.adoptQ.take(ctx))
 	}
 }
 
@@ -343,9 +332,7 @@ func (pm *PM) checkOrphan(ctx *kernel.ProcCtx, job *adoptJob) {
 		case err == nil && m.OK() && m.W[3] != 0:
 			// Original still frozen at the source: migration in flight.
 			job.silentSince = 0
-			pm.host.Eng.After(params.OrphanAdoptDelay, func() {
-				pm.adoptQ = append(pm.adoptQ, job)
-			})
+			pm.host.Eng.After(params.OrphanAdoptDelay, func() { pm.adoptQ.put(job) })
 			return
 		case err == nil && m.OK():
 			// Original resident and running: the source aborted the
@@ -361,9 +348,7 @@ func (pm *PM) checkOrphan(ctx *kernel.ProcCtx, job *adoptJob) {
 				// Still inside the split-brain guard window: probe again
 				// after a delay (probes to a suspected station fail in a
 				// tick, so pace them rather than spinning).
-				pm.host.Eng.After(params.OrphanAdoptDelay, func() {
-					pm.adoptQ = append(pm.adoptQ, job)
-				})
+				pm.host.Eng.After(params.OrphanAdoptDelay, func() { pm.adoptQ.put(job) })
 				return
 			}
 			// Prolonged silence: presume the source dead and adopt.

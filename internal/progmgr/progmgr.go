@@ -128,19 +128,26 @@ type PM struct {
 	moved  map[vid.LHID]movedTo // migrated or re-executed away
 	lost   map[vid.LHID]bool    // aborted guests (post-copy residue loss)
 
+	// The manager's four workers are servers in the paper's sense: each
+	// blocks until it has something to do. The first three take jobs from
+	// an inbox; the lease worker (supervise.go) parks until its earliest
+	// deadline or a kick.
 	reaper   *kernel.Process
-	exits    []*kernel.LogicalHost
-	migrateQ []*migrateJob
+	exits    inbox[*kernel.LogicalHost]
 	worker   *kernel.Process
-	adoptQ   []*adoptJob
+	migrateQ inbox[*migrateJob]
 	adopter  *kernel.Process
+	adoptQ   inbox[*adoptJob]
 
-	reg      *registry           // supervised remote jobs (supervise.go)
-	svc      *rsm.Service[hgCmd] // reg's front end: alone, or a home-group member
-	reapQ    []*reapJob          // remote programs to destroy, with retry
-	sup      SupStats
-	lease    *kernel.Process
-	homePend []SessionInfo // Supervise records awaiting group resubmission
+	reg       *registry           // supervised remote jobs (supervise.go)
+	svc       *rsm.Service[hgCmd] // reg's front end: alone, or a home-group member
+	reapQ     []*reapJob          // remote programs to destroy, with retry
+	sup       SupStats
+	lease     *kernel.Process
+	leaseWake sim.WaitQ     // the lease worker parks here
+	leaseKick bool          // set by kickLease, cleared as a pass begins
+	homePend  []SessionInfo // Supervise records awaiting group resubmission
+	homeRetry sim.Time      // when a failed homePend drain is next tried
 
 	fsPID vid.PID // cached file-server pid
 }
@@ -155,6 +162,7 @@ func Start(h *kernel.Host) *PM {
 		lost:   make(map[vid.LHID]bool),
 		reg:    newRegistry(),
 	}
+	pm.reg.changed = pm.kickLease
 	pm.proc = h.SpawnServer("progmgr", 64*1024, pm.run)
 	pm.svc = rsm.NewService[hgCmd](pm.proc, pm.reg, 0)
 	h.RegisterWellKnown(vid.IdxProgramManager, pm.proc.PID())
@@ -166,6 +174,19 @@ func Start(h *kernel.Host) *PM {
 	pm.adopter = h.SpawnServer("pm-adopt", 8*1024, pm.adoptLoop)
 	pm.lease = h.SpawnServer("pm-lease", 16*1024, pm.leaseLoop)
 	return pm
+}
+
+// WorkerDispatches reports how many times the manager's four workers have
+// been resumed since boot. It stands still on a workstation with nothing
+// to reap, migrate, adopt or supervise.
+func (pm *PM) WorkerDispatches() uint64 {
+	var n uint64
+	for _, p := range []*kernel.Process{pm.reaper, pm.worker, pm.adopter, pm.lease} {
+		if t := p.Task(); t != nil {
+			n += t.Dispatches()
+		}
+	}
+	return n
 }
 
 // PID returns the program manager's process id.
@@ -199,7 +220,30 @@ func (pm *PM) Programs() []vid.LHID {
 // onLHEmpty runs in the exiting process's context; queue the teardown for
 // the reaper task.
 func (pm *PM) onLHEmpty(lh *kernel.LogicalHost) {
-	pm.exits = append(pm.exits, lh)
+	pm.exits.put(lh)
+}
+
+// inbox is a worker's job queue. put may be called from any context on the
+// engine; take blocks the one consuming worker while the inbox is empty.
+type inbox[T any] struct {
+	jobs []T
+	wake sim.WaitQ
+}
+
+func (q *inbox[T]) put(v T) {
+	q.jobs = append(q.jobs, v)
+	q.wake.WakeOne()
+}
+
+func (q *inbox[T]) take(ctx *kernel.ProcCtx) T {
+	if len(q.jobs) == 0 {
+		ctx.WaitFor(&q.wake, kernel.Forever, func() bool { return len(q.jobs) > 0 })
+	}
+	v := q.jobs[0]
+	var zero T
+	q.jobs[0] = zero
+	q.jobs = q.jobs[1:]
+	return v
 }
 
 // replyAsPM answers a request that arrived on the program manager's own
@@ -214,12 +258,7 @@ func (pm *PM) replyAsPM(ctx *kernel.ProcCtx, r *ipc.Req, msg vid.Message) {
 
 func (pm *PM) reap(ctx *kernel.ProcCtx) {
 	for {
-		if len(pm.exits) == 0 {
-			ctx.Sleep(pollInterval)
-			continue
-		}
-		lh := pm.exits[0]
-		pm.exits = pm.exits[1:]
+		lh := pm.exits.take(ctx)
 		pi := pm.progs[lh.ID()]
 		code := lh.ExitCode()
 		ctx.Compute(params.EnvDestroyCPU)
@@ -311,6 +350,7 @@ func (pm *PM) run(ctx *kernel.ProcCtx) {
 					ctx.Reply(req, vid.Message{Op: m.Op, Code: vid.CodeAborted})
 				default: // broken: deferred until recovery resolves
 					s.waiters = append(s.waiters, req)
+					pm.kickLease() // a follower hands the waiter to the group at once
 				}
 				continue
 			}
@@ -362,13 +402,13 @@ func (pm *PM) run(ctx *kernel.ProcCtx) {
 				// migrateprog with no program: remove all guest programs.
 				for id, pi := range pm.progs {
 					if pi.guest && !pi.incoming {
-						pm.migrateQ = append(pm.migrateQ, &migrateJob{lhid: id, kill: m.W[1] != 0})
+						pm.migrateQ.put(&migrateJob{lhid: id, kill: m.W[1] != 0})
 					}
 				}
 				ctx.Reply(req, vid.Message{Op: m.Op})
 				continue
 			}
-			pm.migrateQ = append(pm.migrateQ, &migrateJob{req: req, lhid: lhid, kill: m.W[1] != 0})
+			pm.migrateQ.put(&migrateJob{req: req, lhid: lhid, kill: m.W[1] != 0})
 
 		case PmInitMigration:
 			ctx.Reply(req, pm.initMigration(ctx, m))
@@ -604,7 +644,3 @@ func unicastFlag(pid vid.PID) uint32 {
 	}
 	return fsUnicast
 }
-
-// pollInterval is how often the reaper and migration worker check their
-// queues when idle.
-const pollInterval = 10 * time.Millisecond

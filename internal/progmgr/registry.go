@@ -103,6 +103,10 @@ type hgCmd struct {
 type registry struct {
 	sessions map[vid.LHID]*session // by original LHID
 	alias    map[vid.LHID]vid.LHID // later incarnations' LHIDs → original
+	// changed, when set, is called after every mutation — Apply, Restore, a
+	// hostDown that broke a session — so that whoever acts on session
+	// deadlines can look again.
+	changed func()
 }
 
 func newRegistry() *registry {
@@ -119,7 +123,7 @@ func (r *registry) lookup(lhid vid.LHID) *session {
 
 // ids lists the sessions' original LHIDs in sorted order — map iteration
 // order must reach neither the wire nor a snapshot.
-// The lease worker calls it every tick, so it sizes the slice up front.
+// The lease worker calls it every pass, so it sizes the slice up front.
 func (r *registry) ids() []vid.LHID {
 	ids := make([]vid.LHID, 0, len(r.sessions))
 	for id := range r.sessions {
@@ -133,11 +137,22 @@ func (r *registry) ids() []vid.LHID {
 // one mutation that bypasses commands: the cluster's crash notice reaches
 // every replica's registry directly and identically (DESIGN §10).
 func (r *registry) hostDown(mac uint16, now sim.Time) {
+	broke := false
 	for _, s := range r.sessions {
 		if s.State == sessionActive && s.HostLH.Station() == mac {
 			s.State = sessionBroken
 			s.NextRetry = now
+			broke = true
 		}
+	}
+	if broke {
+		r.notify()
+	}
+}
+
+func (r *registry) notify() {
+	if r.changed != nil {
+		r.changed()
 	}
 }
 
@@ -158,6 +173,7 @@ func (r *registry) Decode(b []byte) (hgCmd, bool) {
 // the session resolved or moved on while the command was in flight — are
 // ignored, never errors: the committer re-reads the session afterwards.
 func (r *registry) Apply(c hgCmd) []byte {
+	defer r.notify()
 	if c.Kind == hgSupervise {
 		// A registration is retried by its agent and re-proposed by a
 		// member that parked it: only the first copy registers.
@@ -259,6 +275,7 @@ func (r *registry) Restore(b []byte) {
 	if err != nil {
 		return
 	}
+	defer r.notify()
 	r.sessions = make(map[vid.LHID]*session, len(snap.Sessions))
 	r.alias = make(map[vid.LHID]vid.LHID, len(snap.Aliases))
 	for _, rec := range snap.Sessions {

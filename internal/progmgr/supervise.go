@@ -64,8 +64,12 @@ const PmWaitHome uint32 = 1
 // member id of n. The caller owns store — the member's durable log — and
 // re-passes it when the manager is restarted after a crash.
 func (pm *PM) EnableHomeGroup(id, n int, store *rsm.Store) {
-	pm.svc.Replicate(pm.host, vid.GroupHomePMs,
-		rsm.Config{Name: "home", Group: vid.GroupHomeRSM, ID: id, N: n}, store)
+	pm.svc.Replicate(pm.host, vid.GroupHomePMs, rsm.Config{
+		Name: "home", Group: vid.GroupHomeRSM, ID: id, N: n,
+		// Only the leader acts on sessions: a promoted member must renew at
+		// once, a deposed one hand its held waiters back to the group.
+		OnLeading: pm.kickLease,
+	}, store)
 }
 
 // HomeReplica returns the manager's home-group replica (nil when the
@@ -136,6 +140,7 @@ func (pm *PM) Supervise(ctx *kernel.ProcCtx, si SessionInfo) {
 // would be lost.
 func (pm *PM) QueueHomeSupervise(si SessionInfo) {
 	pm.homePend = append(pm.homePend, si)
+	pm.kickLease()
 }
 
 // drainHomePend re-proposes parked Supervise records once the group is
@@ -148,7 +153,10 @@ func (pm *PM) drainHomePend(ctx *kernel.ProcCtx) {
 			Op: PmSupervise, Seg: EncodeSessionInfo(&pm.homePend[0]),
 		})
 		if err != nil || !m.OK() {
-			return // still no leader: keep the queue for the next tick
+			// Still no leader: keep the queue and pace the next attempt. (An
+			// election this member wins kicks the worker sooner.)
+			pm.homeRetry = ctx.Now().Add(homePendRetry)
+			return
 		}
 		pm.homePend = pm.homePend[1:]
 	}
@@ -252,6 +260,7 @@ type reapJob struct {
 // execution environment it created.
 func (pm *PM) ReapRemote(target vid.PID, lhid vid.LHID) {
 	pm.reapQ = append(pm.reapQ, &reapJob{pm: target, lhid: lhid, next: pm.host.Eng.Now()})
+	pm.kickLease()
 }
 
 // reapRetry paces reap attempts against an unreachable manager.
@@ -261,43 +270,99 @@ const reapRetry = 2 * time.Second
 // programs died with it anyway).
 const reapMaxAttempts = 10
 
-// leaseLoop is the pm-lease worker: it renews session leases, recovers
-// broken sessions, and drains the remote-reap queue. Sessions are visited
-// in sorted LHID order — map iteration order must not reach the wire.
-func (pm *PM) leaseLoop(ctx *kernel.ProcCtx) {
-	for {
-		ctx.Sleep(pollInterval)
-		pm.drainReapQ(ctx)
-		pm.drainHomePend(ctx)
-		// With a home group only the fenced leader acts on live sessions; a
-		// follower (or deposed leader) instead points any waiters it holds
-		// back at the group, where the current leader will hold or answer
-		// them. Exit results are served by every replica.
-		leading := pm.svc.Leading()
-		for _, id := range pm.reg.ids() {
-			s := pm.reg.sessions[id]
-			switch s.State {
-			case sessionActive, sessionBroken:
-				if !leading {
-					pm.flushWaiters(ctx, s, movedReply(PmWaitProgram, s.Orig,
-						movedTo{pm: vid.GroupHomePMs, lh: s.Cur}))
-					continue
-				}
-			}
+// homePendRetry paces re-proposals of parked Supervise records while the
+// home group has no leader. Each failed attempt has itself ridden out a
+// group send, so this only keeps a refused one from spinning.
+const homePendRetry = 100 * time.Millisecond
+
+// kickLease tells the lease worker that something it acts on may have
+// changed: the registry, a session's waiters, the reap or homePend queue,
+// or whether this manager leads. Callable from any context.
+func (pm *PM) kickLease() {
+	pm.leaseKick = true
+	pm.leaseWake.WakeAll()
+}
+
+// leaseDeadline returns the earliest instant at which the lease worker has
+// work that no kick will announce; ok is false when there is none.
+func (pm *PM) leaseDeadline() (at sim.Time, ok bool) {
+	due := func(t sim.Time) {
+		if !ok || t < at {
+			at, ok = t, true
+		}
+	}
+	for _, j := range pm.reapQ {
+		due(j.next)
+	}
+	if len(pm.homePend) > 0 {
+		due(pm.homeRetry)
+	}
+	if pm.svc.Leading() {
+		for _, s := range pm.reg.sessions {
 			switch s.State {
 			case sessionActive:
-				if ctx.Now().Sub(s.LastRenew) >= params.LeaseInterval {
-					pm.renew(ctx, s)
-				}
+				due(s.LastRenew.Add(params.LeaseInterval))
 			case sessionBroken:
-				if ctx.Now() >= s.NextRetry {
-					pm.recover(ctx, s)
-				}
-			case sessionDone:
-				pm.flushWaiters(ctx, s, vid.Message{Op: PmWaitProgram, W: [6]uint32{s.ExitCode}})
-			case sessionFailed:
-				pm.flushWaiters(ctx, s, vid.Message{Op: PmWaitProgram, Code: vid.CodeAborted})
+				due(s.NextRetry)
 			}
+		}
+	}
+	return at, ok
+}
+
+// leaseLoop is the pm-lease worker: it renews session leases, recovers
+// broken sessions, and drains the remote-reap queue. Between passes it
+// parks until the earliest deadline it holds — for ever when it holds
+// none — or until kickLease; a kick that lands during a pass starts
+// another straight away.
+func (pm *PM) leaseLoop(ctx *kernel.ProcCtx) {
+	for {
+		pm.leaseKick = false
+		pm.leasePass(ctx)
+		d := kernel.Forever
+		if at, ok := pm.leaseDeadline(); ok {
+			d = max(0, at.Sub(ctx.Now()))
+		}
+		ctx.WaitFor(&pm.leaseWake, d, func() bool { return pm.leaseKick })
+	}
+}
+
+// leasePass does everything that is due now. Sessions are visited in
+// sorted LHID order — map iteration order must not reach the wire.
+func (pm *PM) leasePass(ctx *kernel.ProcCtx) {
+	pm.drainReapQ(ctx)
+	pm.drainHomePend(ctx)
+	// With a home group only the fenced leader acts on live sessions; a
+	// follower (or deposed leader) instead points any waiters it holds
+	// back at the group, where the current leader will hold or answer
+	// them. Exit results are served by every replica.
+	leading := pm.svc.Leading()
+	for _, id := range pm.reg.ids() {
+		s := pm.reg.sessions[id]
+		if s == nil {
+			continue // forgotten while an earlier session's send blocked
+		}
+		switch s.State {
+		case sessionActive, sessionBroken:
+			if !leading {
+				pm.flushWaiters(ctx, s, movedReply(PmWaitProgram, s.Orig,
+					movedTo{pm: vid.GroupHomePMs, lh: s.Cur}))
+				continue
+			}
+		}
+		switch s.State {
+		case sessionActive:
+			if ctx.Now().Sub(s.LastRenew) >= params.LeaseInterval {
+				pm.renew(ctx, s)
+			}
+		case sessionBroken:
+			if ctx.Now() >= s.NextRetry {
+				pm.recover(ctx, s)
+			}
+		case sessionDone:
+			pm.flushWaiters(ctx, s, vid.Message{Op: PmWaitProgram, W: [6]uint32{s.ExitCode}})
+		case sessionFailed:
+			pm.flushWaiters(ctx, s, vid.Message{Op: PmWaitProgram, Code: vid.CodeAborted})
 		}
 	}
 }
@@ -495,11 +560,13 @@ func (pm *PM) failSession(ctx *kernel.ProcCtx, s *session) {
 	}
 }
 
-// drainReapQ retries at most one due remote destruction per tick.
+// drainReapQ retries every remote destruction that is due. A job that
+// fails again goes to the back with a later time, so the loop ends.
 func (pm *PM) drainReapQ(ctx *kernel.ProcCtx) {
-	for i := 0; i < len(pm.reapQ); i++ {
+	for i := 0; i < len(pm.reapQ); {
 		j := pm.reapQ[i]
 		if ctx.Now() < j.next {
+			i++
 			continue
 		}
 		pm.reapQ = append(pm.reapQ[:i], pm.reapQ[i+1:]...)
@@ -514,7 +581,6 @@ func (pm *PM) drainReapQ(ctx *kernel.ProcCtx) {
 				pm.reapQ = append(pm.reapQ, j)
 			}
 		}
-		return
 	}
 }
 

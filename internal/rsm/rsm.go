@@ -73,6 +73,11 @@ type Config struct {
 	ID     int     // this replica's stable index, 0..N-1
 	N      int     // replica-set size
 	SvcPID vid.PID // co-located service process, advertised as redirect hint
+	// OnLeading, when set, is called each time IsLeader may have changed:
+	// when this replica's term-start barrier applies, and when it steps
+	// down from the leader role. It runs inside the consensus process and
+	// must not block.
+	OnLeading func()
 }
 
 // Store is a replica's durable state — the harness-owned stand-in for its
@@ -392,6 +397,13 @@ func (r *Replica) stepDown(term uint32, now sim.Time) {
 		// fail Submit waiters promptly and park the workers
 		r.applyWake.WakeAll()
 		r.repWake.WakeAll()
+		r.notifyLeading()
+	}
+}
+
+func (r *Replica) notifyLeading() {
+	if r.cfg.OnLeading != nil {
+		r.cfg.OnLeading()
 	}
 }
 
@@ -791,6 +803,9 @@ func (r *Replica) applyAll(t *sim.Task) {
 		}
 		r.applied = idx
 		r.stats.Applied++
+		if idx == r.barrier && r.role == leader {
+			r.notifyLeading() // fenced from here on
+		}
 		if _, want := r.pending[idx]; want {
 			r.results[idx] = res
 		}

@@ -346,3 +346,49 @@ func TestMinorityLeaderSubmitFencedByTimeout(t *testing.T) {
 		t.Error("majority side did not elect a replacement leader")
 	}
 }
+
+// TestOnLeadingFiresWhenFencedAndWhenDeposed pins the one notification a
+// replica gives the service beside it: IsLeader has just become true (the
+// term-start barrier applied — not merely the election won), or has just
+// become false (the leader stepped down). A service that acts on Leading
+// without being asked — the program manager's lease worker — parks between
+// the two and hangs if either call is missing.
+func TestOnLeadingFiresWhenFencedAndWhenDeposed(t *testing.T) {
+	eng := sim.NewEngine(1)
+	bus := ethernet.NewBus(eng)
+	type note struct {
+		id      int
+		leading bool
+	}
+	var notes []note
+	const n = 3
+	hosts := make([]*kernel.Host, n)
+	reps := make([]*rsm.Replica, n)
+	for i := 0; i < n; i++ {
+		i := i
+		hosts[i] = kernel.NewHost(eng, bus, i, fmt.Sprintf("r%d", i))
+		reps[i] = rsm.New(hosts[i], rsm.Config{
+			Name: "kv", Group: vid.GroupHomeRSM, ID: i, N: n,
+			OnLeading: func() { notes = append(notes, note{i, reps[i].IsLeader()}) },
+		}, newKV(), rsm.NewStore())
+	}
+	eng.RunFor(3 * time.Second)
+	if len(notes) != 1 || !notes[0].leading {
+		t.Fatalf("after the boot election: notes %v, want exactly one, from the fenced leader", notes)
+	}
+	first := notes[0].id
+
+	// Cut the leader off: the other two elect a successor, and when the
+	// partition heals the old leader hears the higher term and steps down.
+	mac := hosts[first].NIC.MAC()
+	bus.SetCut(func(src, dst ethernet.MAC) bool { return (src == mac) != (dst == mac) })
+	eng.RunFor(params.RsmFailoverBudget + time.Second)
+	if len(notes) != 2 || notes[1].id == first || !notes[1].leading {
+		t.Fatalf("after the partition: notes %v, want a second one from the successor, leading", notes)
+	}
+	bus.SetCut(nil)
+	eng.RunFor(2 * time.Second)
+	if len(notes) != 3 || notes[2] != (note{first, false}) {
+		t.Fatalf("after the heal: notes %v, want a third from replica %d, no longer leading", notes, first)
+	}
+}

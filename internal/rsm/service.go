@@ -50,7 +50,9 @@ func NewService[C any](proc *kernel.Process, m Machine[C], unicast uint32) *Serv
 // Replicate makes the server member cfg.ID of a cfg.N-replica set: it
 // joins client, the group the service's clients address, and attaches a
 // Replica over cfg.Group that carries m from the durable store. The caller
-// owns store — the member's disk — and re-passes it on every restart.
+// owns store — the member's disk — and re-passes it on every restart. A
+// server that acts on Leading without being asked sets cfg.OnLeading to
+// hear when it flips.
 func (s *Service[C]) Replicate(h *kernel.Host, client vid.PID, cfg Config, store *Store) {
 	h.JoinGroup(client, s.proc.PID())
 	cfg.SvcPID = s.proc.PID()

@@ -65,6 +65,7 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	t.eng.release(t.eng.events.remove(t.ev.index))
+	t.eng.stats.Stopped++
 	return true
 }
 
@@ -175,7 +176,19 @@ type Engine struct {
 	rng     *rand.Rand
 	running *Task // task currently executing, nil when in plain events
 	tasks   int   // live task count, for leak diagnostics
+	stats   Stats
 }
+
+// Stats are an engine's cumulative counters since creation.
+type Stats struct {
+	Fired      uint64 // events run by Step
+	Dispatches uint64 // task resumptions: switches into a task and back
+	Stopped    uint64 // timers cancelled while still pending
+	MaxPending int    // deepest the event heap has been
+}
+
+// Stats returns the engine's cumulative counters.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // NewEngine returns an engine with its virtual clock at zero and a
 // deterministic random source derived from seed.
@@ -220,6 +233,9 @@ func (e *Engine) schedule(t Time, ev *event) {
 	e.seq++
 	ev.at, ev.seq = t, e.seq
 	e.events.push(ev)
+	if n := len(e.events); n > e.stats.MaxPending {
+		e.stats.MaxPending = n
+	}
 }
 
 // At schedules fn to run at instant t. Scheduling in the past is an error in
@@ -262,6 +278,7 @@ func (e *Engine) Step() bool {
 	// Release before running: tasks never reenter Step, and handing the
 	// event back first makes Stop from inside the callback a clean no-op.
 	e.release(ev)
+	e.stats.Fired++
 	if task != nil {
 		task.dispatch(reason)
 	} else {

@@ -147,3 +147,19 @@ func TestTimeArithmetic(t *testing.T) {
 		t.Fatal("Sub wrong")
 	}
 }
+
+func TestEngineStats(t *testing.T) {
+	e := NewEngine(1)
+	for i := 0; i < 5; i++ {
+		e.After(time.Duration(i)*time.Millisecond, func() {})
+	}
+	e.After(time.Second, func() {}).Stop()
+	e.Spawn("sleeper", func(tk *Task) { tk.Sleep(time.Millisecond) })
+	e.Run()
+	// 5 callbacks, the task's first dispatch and its wake from Sleep; the heap
+	// was deepest with the five timers and the one later stopped.
+	want := Stats{Fired: 7, Dispatches: 2, Stopped: 1, MaxPending: 6}
+	if got := e.Stats(); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+}

@@ -27,8 +27,12 @@ func TestHeapDifferential(t *testing.T) {
 	// equal instants slice order is scheduling order, and a stable sort by
 	// instant alone keeps it: after refSort, ref is in (at, seq) order.
 	var ref []refEv
+	sorted := true // nothing appended since the last refSort
 	refSort := func() {
-		sort.SliceStable(ref, func(i, j int) bool { return ref[i].at < ref[j].at })
+		if !sorted {
+			sort.SliceStable(ref, func(i, j int) bool { return ref[i].at < ref[j].at })
+			sorted = true
+		}
 	}
 	refStop := func(id int) bool {
 		for i, r := range ref {
@@ -66,6 +70,7 @@ func TestHeapDifferential(t *testing.T) {
 			timers = append(timers, e.At(at, fn))
 		}
 		ref = append(ref, refEv{at, id})
+		sorted = false
 	}
 
 	for op := 0; op < ops; op++ {

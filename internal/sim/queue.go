@@ -6,51 +6,84 @@ import "time"
 // be called from anywhere on the engine; Pop blocks the calling task until
 // an item is available.
 type Queue[T any] struct {
-	items []T
+	items fifo[T]
 	wq    WaitQ
+}
+
+// fifo is a slice-backed first-in first-out list. pop clears the slot it
+// vacates, so the backing array never keeps a departed value reachable,
+// and an emptied fifo rewinds to the start of its array, so one that
+// drains regularly stops reallocating.
+type fifo[T any] struct {
+	buf  []T
+	head int // buf[head:] is live
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(v T) { f.buf = append(f.buf, v) }
+
+// pop removes and returns the oldest value; the fifo must not be empty.
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	f.removeAt(0)
+	return v
+}
+
+// removeAt deletes the i-th oldest value, keeping the order of the rest.
+func (f *fifo[T]) removeAt(i int) {
+	var zero T
+	if i == 0 {
+		f.buf[f.head] = zero
+		f.head++
+	} else {
+		n := len(f.buf) - 1
+		copy(f.buf[f.head+i:], f.buf[f.head+i+1:])
+		f.buf[n] = zero
+		f.buf = f.buf[:n]
+	}
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
 }
 
 // Push appends v and wakes one waiting consumer.
 func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.wq.WakeOne()
 }
 
 // Pop removes and returns the oldest item, blocking while the queue is
 // empty.
 func (q *Queue[T]) Pop(t *Task) T {
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		q.wq.Wait(t)
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v
+	return q.items.pop()
 }
 
 // PopTimeout is Pop with a deadline; ok is false if it expired first.
 func (q *Queue[T]) PopTimeout(t *Task, d time.Duration) (v T, ok bool) {
 	deadline := t.Now().Add(d)
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		remain := deadline.Sub(t.Now())
 		if remain <= 0 {
 			return v, false
 		}
 		if q.wq.WaitTimeout(t, remain) == WakeTimeout {
 			// Re-check: an item may have been pushed at the same instant.
-			if len(q.items) > 0 {
+			if q.items.len() > 0 {
 				break
 			}
 			return v, false
 		}
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Clear discards every queued item. Consumers blocked in Pop stay blocked;
 // consumers that were already woken re-check emptiness before popping.
-func (q *Queue[T]) Clear() { q.items = nil }
+func (q *Queue[T]) Clear() { q.items = fifo[T]{} }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -147,5 +148,55 @@ func TestQueueClearWithBlockedConsumers(t *testing.T) {
 	}
 	if e.LiveTasks() != 0 {
 		t.Fatalf("LiveTasks = %d", e.LiveTasks())
+	}
+}
+
+// TestQueuePopReleasesSlot pins that a popped item is no longer reachable
+// from the queue: every frame and closure that passes through a netd
+// queue would otherwise live until append happened to reallocate the
+// backing array. A second item stays queued so the array itself is live.
+func TestQueuePopReleasesSlot(t *testing.T) {
+	e := NewEngine(1)
+	var q Queue[*[64]byte]
+	collected := make(chan struct{})
+	item := new([64]byte)
+	runtime.SetFinalizer(item, func(*[64]byte) { close(collected) })
+	q.Push(item)
+	q.Push(new([64]byte))
+	item = nil
+	e.Spawn("consumer", func(tk *Task) { q.Pop(tk) })
+	e.Run()
+	if q.Len() != 1 {
+		t.Fatalf("Len = %d after one Pop of two, want 1", q.Len())
+	}
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(&q)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("popped item still reachable from the queue's backing array")
+}
+
+// TestQueueReusesArrayWhenDrained pins the other half of the slot fix: a
+// queue that empties rewinds to the start of its array instead of
+// creeping along it and reallocating.
+func TestQueueReusesArrayWhenDrained(t *testing.T) {
+	e := NewEngine(1)
+	var q Queue[int]
+	e.Spawn("pingpong", func(tk *Task) {
+		for i := 0; i < 1000; i++ {
+			q.Push(i)
+			if got := q.Pop(tk); got != i {
+				t.Errorf("Pop = %d, want %d", got, i)
+			}
+		}
+	})
+	e.Run()
+	if c := cap(q.items.buf); c > 4 {
+		t.Fatalf("backing array grew to %d slots for a queue never more than one deep", c)
 	}
 }

@@ -36,6 +36,7 @@ type Task struct {
 	parked chan struct{}
 	killed bool
 	done   bool
+	runs   uint64 // times dispatched
 	// waitq is the queue the task is currently blocked on, if any; used to
 	// remove the task from the queue on timeout or kill.
 	waitq *WaitQ
@@ -83,6 +84,9 @@ func (t *Task) Engine() *Engine { return t.eng }
 // Now returns the current virtual time.
 func (t *Task) Now() Time { return t.eng.Now() }
 
+// Dispatches reports how many times the engine has resumed the task.
+func (t *Task) Dispatches() uint64 { return t.runs }
+
 // Done reports whether the task has finished.
 func (t *Task) Done() bool { return t.done }
 
@@ -92,6 +96,8 @@ func (t *Task) dispatch(reason WakeReason) {
 	if t.done {
 		return
 	}
+	t.eng.stats.Dispatches++
+	t.runs++
 	prev := t.eng.running
 	t.eng.running = t
 	t.wake <- reason
@@ -146,12 +152,12 @@ func (t *Task) String() string { return fmt.Sprintf("task(%s)", t.name) }
 // WaitQ is a queue of tasks blocked on a condition. The zero value is ready
 // to use.
 type WaitQ struct {
-	waiters []*Task
+	waiters fifo[*Task]
 }
 
 // Wait blocks the calling task until WakeOne/WakeAll signals the queue.
 func (q *WaitQ) Wait(t *Task) WakeReason {
-	q.waiters = append(q.waiters, t)
+	q.waiters.push(t)
 	t.waitq = q
 	r := t.park()
 	t.waitq = nil
@@ -161,7 +167,7 @@ func (q *WaitQ) Wait(t *Task) WakeReason {
 // WaitTimeout blocks like Wait but gives up after d; the returned reason is
 // WakeTimeout in that case.
 func (q *WaitQ) WaitTimeout(t *Task, d time.Duration) WakeReason {
-	q.waiters = append(q.waiters, t)
+	q.waiters.push(t)
 	t.waitq = q
 	timer := t.eng.After(d, func() {
 		if q.remove(t) {
@@ -169,19 +175,19 @@ func (q *WaitQ) WaitTimeout(t *Task, d time.Duration) WakeReason {
 			t.dispatch(WakeTimeout)
 		}
 	})
+	// Deferred, because a killed task leaves park by panic and must not
+	// leave its timeout pending either. After a timeout this is a no-op.
+	defer timer.Stop()
 	r := t.park()
 	t.waitq = nil
-	if r != WakeTimeout {
-		timer.Stop()
-	}
 	return r
 }
 
 // remove unlinks t from the queue, reporting whether it was present.
 func (q *WaitQ) remove(t *Task) bool {
-	for i, w := range q.waiters {
+	for i, w := range q.waiters.buf[q.waiters.head:] {
 		if w == t {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+			q.waiters.removeAt(i)
 			return true
 		}
 	}
@@ -192,14 +198,13 @@ func (q *WaitQ) remove(t *Task) bool {
 // was woken. The wake is delivered as a scheduled event at the current
 // instant, preserving determinism.
 func (q *WaitQ) WakeOne() bool {
-	for len(q.waiters) > 0 {
-		t := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		t.waitq = nil
-		t.eng.resumeAfter(0, t, WakeSignal)
-		return true
+	if q.waiters.len() == 0 {
+		return false
 	}
-	return false
+	t := q.waiters.pop()
+	t.waitq = nil
+	t.eng.resumeAfter(0, t, WakeSignal)
+	return true
 }
 
 // WakeAll resumes every waiting task.
@@ -209,4 +214,4 @@ func (q *WaitQ) WakeAll() {
 }
 
 // Len reports the number of blocked tasks.
-func (q *WaitQ) Len() int { return len(q.waiters) }
+func (q *WaitQ) Len() int { return q.waiters.len() }

@@ -207,3 +207,39 @@ func TestYield(t *testing.T) {
 		}
 	}
 }
+
+// TestKillStopsWaitTimeoutTimer pins that a task killed while parked in
+// WaitTimeout takes its timeout event with it. A host crash kills every
+// task on the host; before the fix each left a timer pending for up to
+// the full allowance, to fire into a no-op. The clock does not move.
+func TestKillStopsWaitTimeoutTimer(t *testing.T) {
+	e := NewEngine(1)
+	keep := e.After(2*time.Hour, func() {}) // something unrelated stays pending
+	defer keep.Stop()
+	e.RunUntil(e.Now())
+	before := e.Pending()
+
+	const n = 50
+	var q WaitQ
+	tasks := make([]*Task, n)
+	for i := range tasks {
+		tasks[i] = e.Spawn("waiter", func(tk *Task) { q.WaitTimeout(tk, time.Hour) })
+	}
+	e.RunUntil(e.Now())
+	if got := e.Pending(); got != before+n {
+		t.Fatalf("Pending = %d with %d tasks in WaitTimeout, want %d", got, n, before+n)
+	}
+	for _, tk := range tasks {
+		tk.Kill()
+	}
+	e.RunUntil(e.Now()) // let the kills unwind, at this same instant
+	if e.Now() != 0 {
+		t.Fatalf("clock moved to %v", e.Now())
+	}
+	if got := e.Pending(); got != before {
+		t.Fatalf("Pending = %d after killing every waiter, want %d: timeout timers left in the heap", got, before)
+	}
+	if q.Len() != 0 || e.LiveTasks() != 0 {
+		t.Fatalf("waiters %d, live tasks %d after kill", q.Len(), e.LiveTasks())
+	}
+}
