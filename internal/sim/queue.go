@@ -21,11 +21,15 @@ type fifo[T any] struct {
 
 func (f *fifo[T]) len() int { return len(f.buf) - f.head }
 
+// live returns the queued values, oldest first; valid until the next
+// push or removal.
+func (f *fifo[T]) live() []T { return f.buf[f.head:] }
+
 func (f *fifo[T]) push(v T) { f.buf = append(f.buf, v) }
 
 // pop removes and returns the oldest value; the fifo must not be empty.
 func (f *fifo[T]) pop() T {
-	v := f.buf[f.head]
+	v := f.live()[0]
 	f.removeAt(0)
 	return v
 }

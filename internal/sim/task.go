@@ -185,7 +185,7 @@ func (q *WaitQ) WaitTimeout(t *Task, d time.Duration) WakeReason {
 
 // remove unlinks t from the queue, reporting whether it was present.
 func (q *WaitQ) remove(t *Task) bool {
-	for i, w := range q.waiters.buf[q.waiters.head:] {
+	for i, w := range q.waiters.live() {
 		if w == t {
 			q.waiters.removeAt(i)
 			return true
