@@ -15,8 +15,10 @@ import (
 	"testing"
 	"time"
 
+	"vsystem/internal/cpu"
 	"vsystem/internal/ethernet"
 	"vsystem/internal/experiments"
+	"vsystem/internal/ipc"
 	"vsystem/internal/kernel"
 	"vsystem/internal/mem"
 	"vsystem/internal/packet"
@@ -246,5 +248,61 @@ func BenchmarkEngineTimer10k(b *testing.B) {
 	}
 	if fired != b.N {
 		b.Fatalf("fired %d of %d", fired, b.N)
+	}
+}
+
+// BenchmarkTaskSwitch measures one task resumption and park: the engine
+// fires a Sleep(0) wake-up, switches into the task, and gets control back
+// when the task sleeps again — the shape of bench's sim.switch_ns.
+func BenchmarkTaskSwitch(b *testing.B) {
+	eng := sim.NewEngine(1)
+	eng.Spawn("switcher", func(t *sim.Task) {
+		for {
+			t.Sleep(0)
+		}
+	})
+	eng.Step() // first dispatch: the task reaches its loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+}
+
+// bareResolver is a kernel with nothing resident: enough for an ipc engine
+// that only hears beacons.
+type bareResolver struct{}
+
+func (bareResolver) LHResident(vid.LHID) bool                   { return false }
+func (bareResolver) Frozen(vid.LHID) bool                       { return false }
+func (bareResolver) WellKnown(vid.LHID, uint16) (vid.PID, bool) { return vid.Nil, false }
+func (bareResolver) GroupMembers(vid.PID) []vid.PID             { return nil }
+func (bareResolver) DeferWhenFrozen(vid.PID, uint16) bool       { return true }
+
+// BenchmarkBeaconRx100 measures one broadcast load beacon heard by 100
+// stations: the frame's delivery, each station's netd wake-up, its
+// interrupt-level CPU charge, decode and hand-off to the load sink — the
+// dominant per-second cost of an idle 100-host cluster.
+func BenchmarkBeaconRx100(b *testing.B) {
+	eng := sim.NewEngine(1)
+	bus := ethernet.NewBus(eng)
+	mk := func(mac ethernet.MAC) *ipc.Engine {
+		return ipc.New(eng, bus.Attach(mac), cpu.New(eng), bareResolver{})
+	}
+	sender := mk(1)
+	sender.SetLoadFunc(func() [6]uint32 { return [6]uint32{1, 2, 3, 4, 5, 6} })
+	heard := 0
+	for i := 0; i < 100; i++ {
+		mk(ethernet.MAC(i + 2)).SetLoadSink(func([6]uint32) { heard++ })
+	}
+	eng.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sender.BroadcastLoad()
+		eng.Run()
+	}
+	if heard != 100*b.N {
+		b.Fatalf("heard %d beacons, want %d", heard, 100*b.N)
 	}
 }

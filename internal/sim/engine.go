@@ -2,8 +2,8 @@
 //
 // The engine maintains a virtual clock and an event heap. All simulated
 // activity — network frames, CPU slices, protocol timers, server logic —
-// runs as events on a single OS goroutine, or as coroutine Tasks that the
-// engine resumes one at a time. Because at most one task is runnable at any
+// runs as events on one goroutine, or as coroutine Tasks that the engine
+// resumes one at a time. Because at most one task is runnable at any
 // instant and ties are broken by sequence number, a simulation with a fixed
 // seed is exactly reproducible.
 //
@@ -174,8 +174,8 @@ type Engine struct {
 	events  eventHeap
 	free    []*event // recycled events
 	rng     *rand.Rand
-	running *Task // task currently executing, nil when in plain events
-	tasks   int   // live task count, for leak diagnostics
+	running *Task   // task currently executing, nil when in plain events
+	live    []*Task // spawned and not finished, each at index Task.live
 	stats   Stats
 }
 
@@ -312,7 +312,29 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 func (e *Engine) Pending() int { return len(e.events) }
 
 // LiveTasks reports the number of spawned tasks that have not finished.
-func (e *Engine) LiveTasks() int { return e.tasks }
+func (e *Engine) LiveTasks() int { return len(e.live) }
+
+// retire takes a finished task out of the live set.
+func (e *Engine) retire(t *Task) {
+	n := len(e.live) - 1
+	last := e.live[n]
+	e.live[t.live], last.live = last, t.live
+	e.live[n] = nil
+	e.live = e.live[:n]
+}
+
+// Shutdown kills and unwinds every live task — each runs its deferred
+// functions and its coroutine exits — leaving LiveTasks() == 0. Call it
+// from outside Step, when done with the engine: a parked task's stack
+// otherwise stays reachable, and scanned by the collector, for the life
+// of the process. Events still pending are not run.
+func (e *Engine) Shutdown() {
+	for len(e.live) > 0 {
+		t := e.live[len(e.live)-1]
+		t.Kill()
+		t.stop()
+	}
+}
 
 // Current returns the task executing right now, or nil when the engine is
 // running a plain event. Used by subsystems that need the calling task's

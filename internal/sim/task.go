@@ -2,11 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
-// killSignal is panicked inside a task goroutine to unwind it when the task
-// is killed. The wrapper in Spawn recovers it.
+// killSignal is panicked inside a task's coroutine to unwind it when the
+// task is killed. The wrapper in Spawn recovers it.
 type killSignal struct{ name string }
 
 // WakeReason tells a task why it was resumed from a wait.
@@ -25,15 +26,23 @@ const (
 // Task is a simulated thread of control: sequential Go code that blocks on
 // virtual-time primitives (Sleep, WaitQ) instead of real synchronization.
 //
-// Exactly one task runs at a time; the engine resumes a task from an event
-// callback and regains control when the task parks or finishes, so task code
-// needs no locking. A Task must only be used from its own goroutine, except
+// A task is a runtime coroutine (iter.Pull): the engine resumes it from an
+// event callback with a direct switch onto the task's stack, bypassing the
+// Go scheduler, and regains control the same way when the task parks or
+// finishes. Exactly one task runs at a time, so task code
+// needs no locking. A Task must only be used from its own coroutine, except
 // for Kill and the engine-side wake path.
 type Task struct {
-	eng    *Engine
-	name   string
-	wake   chan WakeReason
-	parked chan struct{}
+	eng  *Engine
+	name string
+	// resume switches into the task until it next parks or finishes; yield
+	// is the task's side of the same switch. stop unwinds a parked task
+	// (Engine.Shutdown): its pending yield returns false.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
+	reason WakeReason // why the engine resumed the task, read by park
+	live   int        // index in eng.live while not done
 	killed bool
 	done   bool
 	runs   uint64 // times dispatched
@@ -43,34 +52,27 @@ type Task struct {
 }
 
 // Spawn starts fn as a new task. fn begins running at the current instant
-// (after already-scheduled events at this instant).
+// (after already-scheduled events at this instant). A panic in fn other
+// than the kill signal surfaces, with its original value, from the Step
+// that resumed the task.
 func (e *Engine) Spawn(name string, fn func(*Task)) *Task {
-	t := &Task{
-		eng:    e,
-		name:   name,
-		wake:   make(chan WakeReason),
-		parked: make(chan struct{}),
-	}
-	e.tasks++
-	go func() {
-		<-t.wake // wait for first dispatch
+	t := &Task{eng: e, name: name, live: len(e.live)}
+	e.live = append(e.live, t)
+	t.resume, t.stop = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSignal); !ok {
-					// Re-panic on the engine goroutine would be nicer, but
-					// surfacing the original stack is more useful.
-					panic(r)
-				}
-			}
 			t.done = true
-			e.tasks--
-			t.parked <- struct{}{}
+			e.retire(t)
+			if r := recover(); r != nil && !IsKill(r) {
+				panic(r)
+			}
 		}()
-		if t.killed {
-			panic(killSignal{t.name})
-		}
+		t.park() // until the first dispatch; a task killed before it unwinds here
 		fn(t)
-	}()
+	})
+	// Run the coroutine up to that park, so that every live task is parked
+	// in yield, where stop can unwind it.
+	t.resume()
 	e.resumeAfter(0, t, WakeSignal)
 	return t
 }
@@ -90,30 +92,32 @@ func (t *Task) Dispatches() uint64 { return t.runs }
 // Done reports whether the task has finished.
 func (t *Task) Done() bool { return t.done }
 
-// dispatch resumes the task from the engine goroutine (inside an event) and
-// blocks until the task parks again or finishes.
+// dispatch switches into the task from the engine (inside an event) and
+// returns when the task parks again or finishes.
 func (t *Task) dispatch(reason WakeReason) {
 	if t.done {
 		return
 	}
-	t.eng.stats.Dispatches++
+	e := t.eng
+	e.stats.Dispatches++
 	t.runs++
-	prev := t.eng.running
-	t.eng.running = t
-	t.wake <- reason
-	<-t.parked
-	t.eng.running = prev
+	prev := e.running
+	// Deferred, so that a task's panic leaves the engine consistent for
+	// whoever recovers it around Step.
+	defer func() { e.running = prev }()
+	e.running = t
+	t.reason = reason
+	t.resume()
 }
 
 // park suspends the task until some event calls dispatch. Returns the wake
-// reason. Panics with killSignal if the task was killed while parked.
+// reason. Panics with killSignal if the task was killed while parked, or
+// if the engine was shut down.
 func (t *Task) park() WakeReason {
-	t.parked <- struct{}{}
-	reason := <-t.wake
-	if t.killed {
+	if !t.yield(struct{}{}) || t.killed {
 		panic(killSignal{t.name})
 	}
-	return reason
+	return t.reason
 }
 
 // Sleep suspends the task for d of virtual time.

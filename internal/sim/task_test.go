@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -242,4 +243,115 @@ func TestKillStopsWaitTimeoutTimer(t *testing.T) {
 	if q.Len() != 0 || e.LiveTasks() != 0 {
 		t.Fatalf("waiters %d, live tasks %d after kill", q.Len(), e.LiveTasks())
 	}
+}
+
+// TestTaskPanicSurfacesFromStep pins that a task's own panic arrives, with
+// its original value, on the goroutine that called Step — where a test or
+// a harness can recover it — and leaves the engine usable.
+func TestTaskPanicSurfacesFromStep(t *testing.T) {
+	e := NewEngine(1)
+	type boom struct{ n int }
+	e.Spawn("bad", func(tk *Task) {
+		tk.Sleep(time.Millisecond)
+		panic(boom{42})
+	})
+	other := false
+	e.Spawn("good", func(tk *Task) {
+		tk.Sleep(2 * time.Millisecond)
+		other = true
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+	}()
+	if got != (boom{42}) {
+		t.Fatalf("recovered %#v around Run, want boom{42}", got)
+	}
+	if e.Current() != nil {
+		t.Fatalf("Current() = %v after the panic, want nil", e.Current())
+	}
+	if e.LiveTasks() != 1 {
+		t.Fatalf("LiveTasks = %d after the panic, want 1", e.LiveTasks())
+	}
+	e.Run()
+	if !other || e.LiveTasks() != 0 {
+		t.Fatalf("engine did not carry on: other=%v live=%d", other, e.LiveTasks())
+	}
+}
+
+// TestKillFromAnotherTask kills a parked task from inside a running one:
+// the victim unwinds at this instant, after the killer parks.
+func TestKillFromAnotherTask(t *testing.T) {
+	e := NewEngine(1)
+	var q WaitQ
+	unwound := false
+	victim := e.Spawn("victim", func(tk *Task) {
+		defer func() { unwound = true }()
+		q.Wait(tk)
+		t.Error("victim ran past its wait")
+	})
+	e.Spawn("killer", func(tk *Task) {
+		tk.Sleep(time.Millisecond)
+		victim.Kill()
+		if unwound {
+			t.Error("victim unwound inside Kill, before the killer parked")
+		}
+		if e.Current() != tk {
+			t.Errorf("Current() = %v inside the killer", e.Current())
+		}
+		tk.Sleep(time.Millisecond)
+		if !unwound || !victim.Done() {
+			t.Error("victim still alive a park later")
+		}
+	})
+	e.Run()
+	if q.Len() != 0 || e.LiveTasks() != 0 {
+		t.Fatalf("waiters %d, live tasks %d", q.Len(), e.LiveTasks())
+	}
+}
+
+// TestShutdownUnwindsEveryTask covers the three places a live task can be
+// — never dispatched, parked in a wait, parked in a timed wait — plus a
+// task whose deferred function parks again while unwinding.
+func TestShutdownUnwindsEveryTask(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine(1)
+	var q WaitQ
+	unwound := 0
+	for i := 0; i < 10; i++ {
+		e.Spawn("sleeper", func(tk *Task) {
+			defer func() { unwound++ }()
+			tk.Sleep(time.Hour)
+		})
+		e.Spawn("waiter", func(tk *Task) {
+			defer func() { unwound++ }()
+			q.WaitTimeout(tk, time.Hour)
+		})
+		e.Spawn("stubborn", func(tk *Task) {
+			defer func() { unwound++ }()
+			defer tk.Sleep(time.Second) // parks while unwinding
+			q.Wait(tk)
+		})
+	}
+	e.RunFor(time.Second)
+	ran := false
+	for i := 0; i < 10; i++ {
+		e.Spawn("unstarted", func(*Task) { ran = true })
+	}
+	if e.LiveTasks() != 40 {
+		t.Fatalf("LiveTasks = %d, want 40", e.LiveTasks())
+	}
+	if n := runtime.NumGoroutine(); n < before+40 {
+		t.Fatalf("%d goroutines with 40 live tasks, %d before: tasks are not goroutines?", n, before)
+	}
+	e.Shutdown()
+	if e.LiveTasks() != 0 || unwound != 30 || ran || q.Len() != 0 {
+		t.Fatalf("after Shutdown: live %d, unwound %d of 30, unstarted ran %v, waiters %d",
+			e.LiveTasks(), unwound, ran, q.Len())
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines after Shutdown, %d before the engine existed", n, before)
+	}
+	e.Shutdown() // idempotent
 }
