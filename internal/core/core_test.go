@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 func boot(t *testing.T, opt Options) *Cluster {
 	t.Helper()
 	c := NewCluster(opt)
+	t.Cleanup(c.Close)
 	c.Install(progs.Hello())
 	c.Install(progs.Primes(500))
 	c.Install(progs.Ticker(30))
@@ -26,6 +28,41 @@ func boot(t *testing.T, opt Options) *Cluster {
 		c.Install(img)
 	}
 	return c
+}
+
+// TestCloseLeavesNoGoroutines: a cluster that ran work — servers parked
+// on their ports, a guest mid-run, agents finished — gives every task's
+// goroutine back when closed.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c := NewCluster(Options{Workstations: 4, Seed: 1})
+	c.Install(progs.Hello())
+	c.Install(workload.PaperImages()[0])
+	var err error
+	c.Node(0).Agent(func(a *Agent) {
+		var job *Job
+		if job, err = a.Exec("hello", nil, "ws1"); err == nil {
+			_, err = a.Wait(job)
+		}
+		if err == nil {
+			_, err = a.Exec(workload.PaperImages()[0].Name, nil, "ws2") // left running
+		}
+	})
+	c.Run(5 * time.Second)
+	if err != nil {
+		t.Fatalf("exec: %v", err)
+	}
+	if live := c.Sim.LiveTasks(); live < 10 || runtime.NumGoroutine() < before+live {
+		t.Fatalf("%d live tasks, %d goroutines (%d before): expected one goroutine a task",
+			live, runtime.NumGoroutine(), before)
+	}
+	c.Close()
+	if c.Sim.LiveTasks() != 0 {
+		t.Fatalf("LiveTasks = %d after Close", c.Sim.LiveTasks())
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines after Close, %d before the cluster existed", n, before)
+	}
 }
 
 func TestLocalExecution(t *testing.T) {

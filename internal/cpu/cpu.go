@@ -43,17 +43,26 @@ type CPU struct {
 	eng      *sim.Engine
 	quantum  time.Duration
 	ready    [params.NumPrios][]*request
-	cur      *request
-	granting bool // a deferred grant event is pending
+	cur      *request      // the request running its slice, if any
+	slice    time.Duration // cur's slice length
+	granting bool          // a deferred grant event is pending
 	busy     [params.NumPrios]time.Duration
 	total    time.Duration
 	started  sim.Time
 	dispatch func(prio int, slice time.Duration)
+
+	// The two events a CPU schedules, bound once: there is one running
+	// request, so neither needs a closure of its own.
+	kicked, sliceEnded func()
+	// free holds requests whose Use returned, for the next Use.
+	free []*request
 }
 
 // New creates an idle CPU on the engine.
 func New(eng *sim.Engine) *CPU {
-	return &CPU{eng: eng, quantum: params.CPUQuantum, started: eng.Now()}
+	c := &CPU{eng: eng, quantum: params.CPUQuantum, started: eng.Now()}
+	c.kicked, c.sliceEnded = c.deferredGrant, c.endSlice
+	return c
 }
 
 // SetDispatchHook installs a scheduler-dispatch observer (nil to disable),
@@ -78,12 +87,23 @@ func (c *CPU) UseGated(t *sim.Task, d time.Duration, prio int, gate Gate) {
 	if prio < 0 || prio >= params.NumPrios {
 		panic("cpu: bad priority")
 	}
-	r := &request{task: t, prio: prio, remaining: d, gate: gate}
+	var r *request
+	if n := len(c.free); n > 0 {
+		r, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		r = new(request)
+	}
+	// Field by field: r.done keeps its (empty) waiter array.
+	r.task, r.prio, r.remaining, r.gate, r.finished = t, prio, d, gate, false
 	c.ready[prio] = append(c.ready[prio], r)
 	c.Kick()
 	for !r.finished {
 		r.done.Wait(t)
 	}
+	// Finished, so neither queued nor running: nothing else refers to r.
+	// A killed owner never gets here; pick discards its request.
+	r.task, r.gate = nil, nil
+	c.free = append(c.free, r)
 }
 
 // Kick re-evaluates scheduling; call after a gate may have opened.
@@ -99,12 +119,15 @@ func (c *CPU) Kick() {
 		return
 	}
 	c.granting = true
-	c.eng.After(0, func() {
-		c.granting = false
-		if c.cur == nil {
-			c.grant()
-		}
-	})
+	c.eng.After(0, c.kicked)
+}
+
+// deferredGrant is Kick's event: grant now, unless a slice started since.
+func (c *CPU) deferredGrant() {
+	c.granting = false
+	if c.cur == nil {
+		c.grant()
+	}
 }
 
 // grant picks the best runnable request and runs one slice of it.
@@ -121,25 +144,31 @@ func (c *CPU) grant() {
 	if c.dispatch != nil {
 		c.dispatch(r.prio, slice)
 	}
-	c.eng.After(slice, func() {
-		c.busy[r.prio] += slice
-		c.total += slice
-		r.remaining -= slice
-		c.cur = nil
-		if r.remaining <= 0 {
-			r.finished = true
-			r.done.WakeOne()
-		} else if r.runnable() {
-			c.ready[r.prio] = append(c.ready[r.prio], r)
-		} else if r.task != nil && (r.task.Killed() || r.task.Done()) {
-			// Dead owner: drop the request.
-		} else {
-			// Gated shut mid-use (froze): park it at the head of its
-			// priority so it resumes first when unfrozen.
-			c.ready[r.prio] = append([]*request{r}, c.ready[r.prio]...)
-		}
-		c.Kick()
-	})
+	c.slice = slice
+	c.eng.After(slice, c.sliceEnded)
+}
+
+// endSlice accounts the slice the running request just used and requeues,
+// completes or drops the request.
+func (c *CPU) endSlice() {
+	r, slice := c.cur, c.slice
+	c.busy[r.prio] += slice
+	c.total += slice
+	r.remaining -= slice
+	c.cur = nil
+	if r.remaining <= 0 {
+		r.finished = true
+		r.done.WakeOne()
+	} else if r.runnable() {
+		c.ready[r.prio] = append(c.ready[r.prio], r)
+	} else if r.task != nil && (r.task.Killed() || r.task.Done()) {
+		// Dead owner: drop the request.
+	} else {
+		// Gated shut mid-use (froze): park it at the head of its
+		// priority so it resumes first when unfrozen.
+		c.ready[r.prio] = append([]*request{r}, c.ready[r.prio]...)
+	}
+	c.Kick()
 }
 
 // pick removes and returns the first runnable request of the highest
@@ -150,18 +179,28 @@ func (c *CPU) pick() *request {
 		for i := 0; i < len(q); i++ {
 			r := q[i]
 			if r.task != nil && (r.task.Killed() || r.task.Done()) {
-				q = append(q[:i], q[i+1:]...)
+				q = cut(q, i)
 				i--
 				continue
 			}
 			if r.runnable() {
-				c.ready[prio] = append(q[:i], q[i+1:]...)
+				c.ready[prio] = cut(q, i)
 				return r
 			}
 		}
 		c.ready[prio] = q
 	}
 	return nil
+}
+
+// cut removes q[i], keeping the order of the rest, and clears the slot it
+// vacates at the tail so the array does not keep a departed request (and
+// its task) reachable.
+func cut(q []*request, i int) []*request {
+	n := len(q) - 1
+	copy(q[i:], q[i+1:])
+	q[n] = nil
+	return q[:n]
 }
 
 // QueueLen reports how many requests are pending at or below (numerically

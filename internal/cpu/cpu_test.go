@@ -246,3 +246,35 @@ func TestQueueLenAccounting(t *testing.T) {
 	})
 	e.Run()
 }
+
+// TestUseAllocatesNothing: once a CPU has served a request, serving another
+// allocates nothing — the request comes off the free list and the two
+// events are method values bound in New.
+func TestUseAllocatesNothing(t *testing.T) {
+	e := sim.NewEngine(1)
+	c := New(e)
+	e.Spawn("user", func(tk *sim.Task) {
+		for {
+			c.Use(tk, 2500*time.Microsecond, params.PrioKernel) // three slices
+		}
+	})
+	e.RunFor(time.Second)
+	if n := testing.AllocsPerRun(100, func() { e.RunFor(10 * time.Millisecond) }); n != 0 {
+		t.Fatalf("%v allocations per 10 ms of back-to-back Use, want 0", n)
+	}
+	e.Shutdown()
+}
+
+// TestPickReleasesRequests: removing a request from the middle of a ready
+// queue leaves no second reference to the departed tail in the array.
+func TestPickReleasesRequests(t *testing.T) {
+	a, b, c := new(request), new(request), new(request)
+	q := []*request{a, b, c}
+	q = cut(q, 1)
+	if len(q) != 2 || q[0] != a || q[1] != c {
+		t.Fatalf("cut(q, 1) = %v, want [a c]", q)
+	}
+	if tail := q[:3][2]; tail != nil {
+		t.Fatalf("vacated slot still holds %p", tail)
+	}
+}

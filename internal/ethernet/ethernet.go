@@ -85,16 +85,30 @@ type Bus struct {
 	stations  map[MAC]*NIC
 	order     []*NIC // attach order, for deterministic broadcast delivery
 	busyUntil sim.Time
-	loss      LossFunc
-	cut       CutFunc
-	corrupt   CorruptFunc
-	stats     Stats
-	trace     *trace.Bus // nil until wired; nil bus is a no-op target
+	// flight holds the frames on the wire, oldest first. busyUntil only
+	// moves forward, so frames leave the wire in the order they entered it
+	// and each one's delivery event (arrived, bound once) takes the head.
+	flight  sim.Queue[inflight]
+	arrived func()
+	loss    LossFunc
+	cut     CutFunc
+	corrupt CorruptFunc
+	stats   Stats
+	trace   *trace.Bus // nil until wired; nil bus is a no-op target
+}
+
+// inflight is a transmitted frame awaiting delivery at its transmission
+// end, with the fate decided for it at transmit time.
+type inflight struct {
+	f                  Frame
+	dropped, corrupted bool
 }
 
 // NewBus creates an empty segment on the engine.
 func NewBus(eng *sim.Engine) *Bus {
-	return &Bus{eng: eng, stations: make(map[MAC]*NIC)}
+	b := &Bus{eng: eng, stations: make(map[MAC]*NIC)}
+	b.arrived = b.arrive
+	return b
 }
 
 // SetLoss installs a loss model. RandomLoss(p, eng) is the common choice.
@@ -179,46 +193,56 @@ func (b *Bus) transmit(f Frame) sim.Time {
 		At: start, Host: uint16(f.Src), Kind: trace.EvFrameTx,
 		Size: len(f.Payload), Peer: uint16(f.Dst),
 	})
-	b.eng.At(end, func() {
-		if dropped {
-			b.trace.Publish(trace.Event{
-				At: end, Host: uint16(f.Src), Kind: trace.EvFrameDrop,
-				Size: len(f.Payload), Peer: uint16(f.Dst),
-			})
-			return
-		}
-		if corrupted {
-			b.trace.Publish(trace.Event{
-				At: end, Host: uint16(f.Src), Kind: trace.EvFrameCorrupt,
-				Size: len(f.Payload), Peer: uint16(f.Dst),
-			})
-		}
-		if f.Dst == Broadcast {
-			b.stats.Broadcasts++
-			for _, n := range b.order {
-				if n.mac != f.Src && n.recv != nil && !b.severed(f.Src, n.mac, len(f.Payload)) {
-					n.deliver(f)
-				}
-			}
-			return
-		}
-		if f.Dst.IsMulticast() {
-			// Hardware multicast filter: only subscribed stations take the
-			// receive interrupt. The frame still occupies the shared medium
-			// like any other.
-			b.stats.Broadcasts++
-			for _, n := range b.order {
-				if n.mac != f.Src && n.recv != nil && n.multi[f.Dst] && !b.severed(f.Src, n.mac, len(f.Payload)) {
-					n.deliver(f)
-				}
-			}
-			return
-		}
-		if n := b.stations[f.Dst]; n != nil && n.recv != nil && !b.severed(f.Src, f.Dst, len(f.Payload)) {
-			n.deliver(f)
-		}
-	})
+	b.flight.Push(inflight{f: f, dropped: dropped, corrupted: corrupted})
+	b.eng.At(end, b.arrived)
 	return end
+}
+
+// arrive runs at the transmission end of the oldest frame in flight and
+// delivers it to its receivers.
+func (b *Bus) arrive() {
+	fl, ok := b.flight.TryPop()
+	if !ok {
+		panic("ethernet: delivery event with no frame in flight")
+	}
+	f, end := fl.f, b.eng.Now()
+	if fl.dropped {
+		b.trace.Publish(trace.Event{
+			At: end, Host: uint16(f.Src), Kind: trace.EvFrameDrop,
+			Size: len(f.Payload), Peer: uint16(f.Dst),
+		})
+		return
+	}
+	if fl.corrupted {
+		b.trace.Publish(trace.Event{
+			At: end, Host: uint16(f.Src), Kind: trace.EvFrameCorrupt,
+			Size: len(f.Payload), Peer: uint16(f.Dst),
+		})
+	}
+	if f.Dst == Broadcast {
+		b.stats.Broadcasts++
+		for _, n := range b.order {
+			if n.mac != f.Src && n.recv != nil && !b.severed(f.Src, n.mac, len(f.Payload)) {
+				n.deliver(f)
+			}
+		}
+		return
+	}
+	if f.Dst.IsMulticast() {
+		// Hardware multicast filter: only subscribed stations take the
+		// receive interrupt. The frame still occupies the shared medium
+		// like any other.
+		b.stats.Broadcasts++
+		for _, n := range b.order {
+			if n.mac != f.Src && n.recv != nil && n.multi[f.Dst] && !b.severed(f.Src, n.mac, len(f.Payload)) {
+				n.deliver(f)
+			}
+		}
+		return
+	}
+	if n := b.stations[f.Dst]; n != nil && n.recv != nil && !b.severed(f.Src, f.Dst, len(f.Payload)) {
+		n.deliver(f)
+	}
 }
 
 // severed applies the partition model to one delivery, counting and

@@ -163,3 +163,60 @@ func TestCountersAndStats(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
+
+// TestTransmitAllocatesNothing: a frame crosses the bus to a unicast
+// receiver without an allocation beyond the payload the sender made.
+func TestTransmitAllocatesNothing(t *testing.T) {
+	e := sim.NewEngine(1)
+	bus := NewBus(e)
+	a, b := bus.Attach(1), bus.Attach(2)
+	got := 0
+	b.SetRecv(func(f Frame) { got += len(f.Payload) })
+	pay := make([]byte, 64)
+	send := func() {
+		a.StartSend(Frame{Dst: 2, Payload: pay}, nil)
+		a.StartSend(Frame{Dst: 2, Payload: pay}, nil) // queued behind the first
+		e.Run()
+	}
+	send()
+	if n := testing.AllocsPerRun(100, send); n != 0 {
+		t.Fatalf("%v allocations per two frames, want 0", n)
+	}
+	if got != 102*2*64 {
+		t.Fatalf("received %d bytes, want %d", got, 102*2*64)
+	}
+}
+
+// TestFramesDeliverInTransmitOrder pins what the in-flight queue relies on:
+// however transmissions from several stations interleave and back up, each
+// delivery event finds its own frame at the head.
+func TestFramesDeliverInTransmitOrder(t *testing.T) {
+	e := sim.NewEngine(1)
+	bus := NewBus(e)
+	nics := []*NIC{bus.Attach(1), bus.Attach(2), bus.Attach(3)}
+	var got []byte
+	sink := bus.Attach(9)
+	sink.SetRecv(func(f Frame) {
+		if want := sim.Time(0).Add(time.Duration(f.Payload[1]) * time.Microsecond); e.Now() < want {
+			t.Errorf("frame %d delivered at %v, before it was sent (%v)", f.Payload[0], e.Now(), want)
+		}
+		got = append(got, f.Payload[0])
+	})
+	rng := e.Rand()
+	var want []byte
+	for i := 0; i < 200; i++ {
+		i := i
+		at := time.Duration(rng.Intn(250)) * time.Microsecond
+		e.After(at, func() {
+			want = append(want, byte(i))
+			size := 2 + rng.Intn(900)
+			pay := make([]byte, size)
+			pay[0], pay[1] = byte(i), byte(at/time.Microsecond)
+			nics[rng.Intn(len(nics))].StartSend(Frame{Dst: 9, Payload: pay}, nil)
+		})
+	}
+	e.Run()
+	if string(got) != string(want) {
+		t.Fatalf("delivery order differs from transmit order:\n got %v\nwant %v", got, want)
+	}
+}

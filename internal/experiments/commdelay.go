@@ -23,6 +23,7 @@ import (
 func CommDuringMigration(seed int64) *Result {
 	r := newResult("E7", "operations on a migrating program: delayed, never aborted (§3.1.3)")
 	c := bootCluster(core.Options{Workstations: 4, Seed: seed})
+	defer c.Close()
 	c.Install(workload.ServiceImage("txmgr"))
 
 	const calls = 150

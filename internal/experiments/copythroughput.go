@@ -44,6 +44,7 @@ func cellPage(pn int, zeroFrac float64) (bool, []byte) {
 // loss rate, with the given fraction of all-zero pages.
 func runCopyCell(seed int64, window, pages int, loss, zeroFrac float64) copyCell {
 	c := bootCluster(core.Options{Workstations: 2, Seed: seed, LossRate: loss})
+	defer c.Close()
 	src, dst := c.Node(0).Host, c.Node(1).Host
 	dstKS := kernel.KernelServerPID(dst.SystemLH().ID())
 
@@ -141,6 +142,7 @@ func migrateCell(seed int64, window int) (*core.MigrationReport, error) {
 	defer func(w int) { params.CopyWindow = w }(params.CopyWindow)
 	params.CopyWindow = window
 	c := bootCluster(core.Options{Workstations: 3, Seed: seed})
+	defer c.Close()
 	var rep *core.MigrationReport
 	var err error
 	c.Node(0).Agent(func(a *core.Agent) {

@@ -65,6 +65,7 @@ func FaultSweep(seed int64) *Result {
 	const wantTicks = 400
 	for _, cell := range cells {
 		c := bootCluster(core.Options{Workstations: 4, Seed: seed, LossRate: cell.loss})
+		defer c.Close()
 		c.Install(progs.Ticker(wantTicks))
 		if cell.victim != fault.VictimNone {
 			c.Fault.MigrationFault(cell.phase, cell.round, cell.victim)

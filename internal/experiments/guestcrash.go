@@ -51,6 +51,7 @@ func GuestCrash(seed int64) *Result {
 
 	for _, cell := range cells {
 		c := bootCluster(core.Options{Workstations: 4, Seed: seed, LossRate: cell.loss})
+		defer c.Close()
 		c.Install(progs.Ticker(wantTicks))
 		victim := c.Node(1)
 		victimMAC := uint16(victim.Host.NIC.MAC())

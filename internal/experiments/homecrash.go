@@ -155,6 +155,7 @@ func HomeCrash(seed int64) *Result {
 			Workstations: 6, Seed: seed, LossRate: cell.loss,
 			ReplicateHome: cell.home, ReplicateFS: cell.fs,
 		})
+		defer c.Close()
 		c.Install(progs.Ticker(wantTicks))
 		if cell.arm != nil {
 			cell.arm(c)

@@ -33,6 +33,7 @@ func MigrationCopyCosts(seed int64) *Result {
 	var items, kms []float64
 	for k := 1; k <= 5; k++ {
 		c := bootCluster(core.Options{Workstations: 3, Seed: seed + int64(k)})
+		defer c.Close()
 		spec, _ := workload.PaperSpec("make")
 		c.Install(workload.Image(forever(spec), 0))
 		var rep *core.MigrationReport
@@ -73,6 +74,7 @@ func MigrationCopyCosts(seed int64) *Result {
 	// --- address-space copy rate from a frozen 1 MB transfer.
 	{
 		c := bootCluster(core.Options{Workstations: 3, Seed: seed, Policy: core.PolicyStopCopy})
+		defer c.Close()
 		big := workload.Spec{Name: "memhog", HotKB: 900, HotRateKBps: 50, StreamKBps: 0, StreamKB: 64, DurationMs: 0}
 		c.Install(workload.Image(big, 0))
 		var rep *core.MigrationReport
@@ -108,6 +110,7 @@ func DirtyPageRates(seed int64) *Result {
 	r := newResult("E3", "Table 4-1: dirty page generation rates (Kbytes)")
 	specs := workload.PaperSpecs()
 	c := bootCluster(core.Options{Workstations: len(specs) + 1, Seed: seed})
+	defer c.Close()
 	for _, s := range specs {
 		c.Install(workload.Image(forever(s), 0))
 	}
@@ -188,6 +191,7 @@ func PrecopyEffectiveness(seed int64) *Result {
 	roundsHist := map[int]int{}
 	for i, s := range specs {
 		c := bootCluster(core.Options{Workstations: 4, Seed: seed + int64(i)})
+		defer c.Close()
 		var rep *core.MigrationReport
 		var err error
 		c.Node(0).Agent(func(a *core.Agent) {
@@ -242,6 +246,7 @@ func VMPaging(seed int64) *Result {
 
 	run := func(policy core.Policy) (*core.MigrationReport, *core.PagerStats, error) {
 		c := bootCluster(core.Options{Workstations: 3, Seed: seed, Policy: policy})
+		defer c.Close()
 		var rep *core.MigrationReport
 		var err error
 		var job *core.Job
@@ -301,6 +306,7 @@ func AblationFreeze(seed int64) *Result {
 		var frz [2]time.Duration
 		for pi, policy := range []core.Policy{core.PolicyStopCopy, core.PolicyPrecopy} {
 			c := bootCluster(core.Options{Workstations: 3, Seed: seed, Policy: policy})
+			defer c.Close()
 			spec := workload.Spec{
 				Name:  fmt.Sprintf("hog%dk", kb),
 				HotKB: float64(kb), HotRateKBps: 40, StreamKBps: 0, StreamKB: 16,
@@ -345,6 +351,7 @@ func AblationResidual(seed int64) *Result {
 
 	run := func(policy core.Policy, noRebind bool) (forwarded int64, postCrashOK bool) {
 		c := bootCluster(core.Options{Workstations: 4, Seed: seed, Policy: policy})
+		defer c.Close()
 		if noRebind {
 			for _, n := range c.Nodes {
 				n.Host.IPC.NoRebind = true

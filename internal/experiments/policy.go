@@ -36,6 +36,7 @@ func MigrationPolicies(seed int64) *Result {
 				key := fmt.Sprintf("%s_%s_loss%d", pol, spec, int(loss*100))
 				label := fmt.Sprintf("%-8s %-6s loss %2.0f%%", pol, spec, loss*100)
 				c := bootCluster(core.Options{Workstations: 3, Seed: seed, LossRate: loss, Policy: pol})
+				defer c.Close()
 				var rep *core.MigrationReport
 				var err error
 				c.Node(0).Agent(func(a *core.Agent) {
@@ -88,6 +89,7 @@ func MigrationPolicies(seed int64) *Result {
 		for trial := 0; trial < 3; trial++ {
 			label := fmt.Sprintf("%-8s stress loss  5%% #%d", pol, trial+1)
 			c := bootCluster(core.Options{Workstations: 3, Seed: seed + int64(trial)*1009, LossRate: 0.05, Policy: pol})
+			defer c.Close()
 			c.Install(workload.Image(stress, 64*1024))
 			var rep *core.MigrationReport
 			var err error
@@ -152,6 +154,7 @@ func MigrationPolicies(seed int64) *Result {
 		for _, cell := range cells {
 			label := fmt.Sprintf("%s, %s", pol, cell.label)
 			c := bootCluster(core.Options{Workstations: 4, Seed: seed, Policy: pol})
+			defer c.Close()
 			c.Install(progs.Ticker(wantTicks))
 			if cell.victim != fault.VictimNone {
 				c.Fault.MigrationFault(cell.phase, 0, cell.victim)

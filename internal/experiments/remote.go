@@ -24,6 +24,7 @@ import (
 func RemoteExecCosts(seed int64) *Result {
 	r := newResult("E1", "remote execution costs (§4.1)")
 	c := bootCluster(core.Options{Workstations: 5, Seed: seed})
+	defer c.Close()
 
 	// Sized images for the load sweep.
 	sizes := []uint32{25, 50, 100, 200, 400} // KB of pad
@@ -109,6 +110,7 @@ func ExecutionOverheads(seed int64) *Result {
 	// well-known local-group id and returns the elapsed virtual time.
 	opBatch := func(groupIndirection, migrationOverhead bool) time.Duration {
 		c := bootCluster(core.Options{Workstations: 2, Seed: seed})
+		defer c.Close()
 		for _, n := range c.Nodes {
 			n.Host.IPC.GroupIndirection = groupIndirection
 			n.Host.MigrationOverhead = migrationOverhead
@@ -154,6 +156,7 @@ func ExecutionOverheads(seed int64) *Result {
 func CommPaths(seed int64) *Result {
 	r := newResult("F2-1", "communication paths for (remote) program execution (Fig. 2-1)")
 	c := bootCluster(core.Options{Workstations: 3, Seed: seed})
+	defer c.Close()
 
 	type leg struct{ from, to, what string }
 	var legs []leg
@@ -252,6 +255,7 @@ func Usage(seed int64) *Result {
 	r := newResult("A3", "usage: idle workstations as a processor pool (§4.3)")
 	const stations = 10
 	c := bootCluster(core.Options{Workstations: stations, Seed: seed})
+	defer c.Close()
 
 	// Three owners use their workstations (editing: a make-like light
 	// local job that still marks the CPU busy at probe time is too weak —

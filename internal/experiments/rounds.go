@@ -31,6 +31,7 @@ func PrecopyRounds(seed int64) *Result {
 	for _, cap := range []int{1, 2, 3, 4, 6} {
 		params.PrecopyMaxRounds = cap
 		c := bootCluster(core.Options{Workstations: 3, Seed: seed})
+		defer c.Close()
 		var rep *core.MigrationReport
 		var err error
 		c.Node(0).Agent(func(a *core.Agent) {

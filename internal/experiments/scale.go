@@ -22,6 +22,7 @@ func SelectionScaling(seed int64) *Result {
 	var firstMS []float64
 	for _, n := range sizes {
 		c := bootCluster(core.Options{Workstations: n, Seed: seed})
+		defer c.Close()
 		var sel float64
 		var rxExtra int64
 		var err error
@@ -72,6 +73,7 @@ func MigrationUnderLoss(seed int64) *Result {
 	var freezes []float64
 	for _, rate := range rates {
 		c := bootCluster(core.Options{Workstations: 3, Seed: seed, LossRate: rate})
+		defer c.Close()
 		tex, _ := workload.PaperSpec("tex")
 		c.Install(workload.Image(forever(tex), 0))
 		var rep *core.MigrationReport

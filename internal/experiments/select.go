@@ -80,6 +80,7 @@ type selectionArmResult struct {
 
 func runSelectionArm(policy sched.Policy, seed int64) selectionArmResult {
 	c := bootCluster(core.Options{Workstations: 5, Seed: seed, Select: policy})
+	defer c.Close()
 	c.Install(workload.Image(workload.Spec{
 		Name: "e9hog", HotKB: 16, HotRateKBps: 40,
 	}, 0))

@@ -107,6 +107,13 @@ type Engine struct {
 	cacheSeq uint64 // recency clock for LRU eviction
 	cacheCap int    // binding-cache capacity (params.BindingCacheCap default)
 	jobs     sim.Queue[job]
+	// Two scratch packets, so that the per-frame paths allocate no Packet.
+	// Each is filled and finished with — traced (subscribers do not keep
+	// Event.Pkt), marshalled or handed to the load sink — by one task at a
+	// time: rxAd by netd alone, txFrag between two points where the
+	// sending task can block.
+	rxAd     packet.Packet // the beacon netd is receiving
+	txFrag   packet.Packet // the fragment about to be transmitted
 	reasm    map[reasmKey]*reasmBuf
 	txBuf    map[reasmKey]*fragSource
 	forward  map[vid.LHID]ethernet.MAC
@@ -131,16 +138,13 @@ type Engine struct {
 }
 
 type job struct {
-	// Exactly one of these is set.
-	out   *outJob
-	frame *ethernet.Frame
+	// Exactly one of out, rx, local and fn is set.
+	out   *packet.Packet  // transmit to station dst
+	dst   ethernet.MAC    // with out
+	rx    bool            // frame arrived
+	frame ethernet.Frame  // with rx
 	local *packet.Packet  // intra-host delivery
 	fn    func(*sim.Task) // arbitrary deferred kernel work
-}
-
-type outJob struct {
-	pkt *packet.Packet
-	dst ethernet.MAC
 }
 
 // bindEntry is one logical-host→station binding with its LRU recency
@@ -156,9 +160,21 @@ type reasmKey struct {
 	kind     packet.Kind
 }
 
+// reasmBuf collects the fragments of one segment. A fragment is copied
+// once, into the slot its index names, so that when every fragment is a
+// full chunk (all but the last, from any sender in the tree) seg is the
+// segment, whatever order they came in. One that does not fit its slot is
+// kept past the slots, and completeSeg joins the pieces.
 type reasmBuf struct {
-	chunks [][]byte
-	got    int
+	seg   []byte     // len(frags) slots of FragChunk, then any misfits
+	frags []fragSpan // where each fragment's bytes are
+	got   int
+}
+
+// fragSpan locates one received fragment's bytes in reasmBuf.seg.
+type fragSpan struct {
+	at, n int
+	have  bool
 }
 
 type fragSource struct {
@@ -188,8 +204,7 @@ func New(se *sim.Engine, nic *ethernet.NIC, c *cpu.CPU, res Resolver) *Engine {
 		if e.down {
 			return // powered off: the NIC hears nothing
 		}
-		ff := f
-		e.jobs.Push(job{frame: &ff})
+		e.jobs.Push(job{rx: true, frame: f})
 	})
 	se.Spawn(fmt.Sprintf("netd@%v", nic.MAC()), e.netd)
 	return e
@@ -350,9 +365,9 @@ func (e *Engine) netd(t *sim.Task) {
 		}
 		switch {
 		case j.out != nil:
-			e.sendNow(t, j.out.pkt, j.out.dst)
-		case j.frame != nil:
-			e.recvFrame(t, *j.frame)
+			e.sendNow(t, j.out, j.dst)
+		case j.rx:
+			e.recvFrame(t, j.frame)
 		case j.local != nil:
 			cost := params.LocalDeliverCPU
 			if n := len(j.local.Msg.Seg); n > 0 {
@@ -370,7 +385,7 @@ func (e *Engine) netd(t *sim.Task) {
 
 // emit queues a packet for transmission by netd.
 func (e *Engine) emit(p *packet.Packet, dst ethernet.MAC) {
-	e.jobs.Push(job{out: &outJob{pkt: p, dst: dst}})
+	e.jobs.Push(job{out: p, dst: dst})
 }
 
 // emitLocal queues a packet for intra-host delivery.
@@ -420,16 +435,7 @@ func (e *Engine) sendFragged(t *sim.Task, p *packet.Packet, dst ethernet.MAC) {
 	e.txBuf[key] = &fragSource{seg: seg, dst: dst, summary: &summary}
 	for i := 0; i < n; i++ {
 		e.cpu.Use(t, params.BulkSendCPU, params.PrioKernel)
-		e.transmitFrame(t, &packet.Packet{
-			Kind:      packet.KFrag,
-			TxID:      p.TxID,
-			Src:       p.Src,
-			Dst:       p.Dst,
-			OfKind:    p.Kind,
-			FragIdx:   uint16(i),
-			FragCount: uint16(n),
-			Data:      packet.FragOf(seg, i),
-		}, dst, true)
+		e.sendFrag(t, key, seg, i, dst)
 	}
 	e.cpu.Use(t, params.SmallPktSendCPU, params.PrioKernel)
 	e.transmitFrame(t, &summary, dst, false)
@@ -439,6 +445,22 @@ func (e *Engine) sendFragged(t *sim.Task, p *packet.Packet, dst ethernet.MAC) {
 			delete(e.txBuf, key)
 		}
 	})
+}
+
+// sendFrag transmits fragment i of the segment of the logical packet key
+// names, waiting out its wire time.
+func (e *Engine) sendFrag(t *sim.Task, key reasmKey, seg []byte, i int, dst ethernet.MAC) {
+	e.txFrag = packet.Packet{
+		Kind:      packet.KFrag,
+		TxID:      key.txid,
+		Src:       key.src,
+		Dst:       key.dst,
+		OfKind:    key.kind,
+		FragIdx:   uint16(i),
+		FragCount: uint16(packet.NumFrags(len(seg))),
+		Data:      packet.FragOf(seg, i),
+	}
+	e.transmitFrame(t, &e.txFrag, dst, true)
 }
 
 // resendFrags services a FragNack: retransmit the missing fragments and the
@@ -456,16 +478,7 @@ func (e *Engine) resendFrags(t *sim.Task, key reasmKey, missing []uint16) {
 		e.cpu.Use(t, params.BulkSendCPU, params.PrioKernel)
 		e.stats.Retransmits++
 		e.publish(trace.EvPktRetx, src.summary)
-		e.transmitFrame(t, &packet.Packet{
-			Kind:      packet.KFrag,
-			TxID:      key.txid,
-			Src:       key.src,
-			Dst:       src.summary.Dst,
-			OfKind:    key.kind,
-			FragIdx:   idx,
-			FragCount: uint16(n),
-			Data:      packet.FragOf(src.seg, int(idx)),
-		}, src.dst, true)
+		e.sendFrag(t, key, src.seg, int(idx), src.dst)
 	}
 	e.cpu.Use(t, params.SmallPktSendCPU, params.PrioKernel)
 	e.transmitFrame(t, src.summary, src.dst, false)
@@ -473,7 +486,16 @@ func (e *Engine) resendFrags(t *sim.Task, key reasmKey, missing []uint16) {
 
 // recvFrame processes one arriving frame on netd.
 func (e *Engine) recvFrame(t *sim.Task, f ethernet.Frame) {
-	p, err := packet.Unmarshal(f.Payload)
+	var p *packet.Packet
+	var err error
+	if len(f.Payload) > 0 && packet.Kind(f.Payload[0]) == packet.KLoadAd {
+		// A beacon is consumed in place — nothing below keeps the packet —
+		// and a hundred stations hear each one.
+		p = &e.rxAd
+		err = packet.UnmarshalInto(p, f.Payload)
+	} else {
+		p, err = packet.Unmarshal(f.Payload)
+	}
 	switch {
 	case len(f.Payload) >= 512:
 		e.cpu.Use(t, params.BulkRecvCPU, params.PrioKernel)
@@ -564,12 +586,21 @@ func (e *Engine) retryWaiters(lh vid.LHID) {
 	}
 }
 
+// maxFrags is the most fragments a segment can have. A packet announcing
+// more is malformed: it gets neither a reassembly buffer nor a NACK (whose
+// list of that many gaps would not fit a frame).
+const maxFrags = (vid.SegMax + packet.FragChunk - 1) / packet.FragChunk
+
 // handleFrag stores a fragment for reassembly.
 func (e *Engine) handleFrag(p *packet.Packet) {
 	key := reasmKey{src: p.Src, dst: p.Dst, txid: p.TxID, kind: p.OfKind}
 	buf := e.reasm[key]
 	if buf == nil {
-		buf = &reasmBuf{chunks: make([][]byte, p.FragCount)}
+		if p.FragCount > maxFrags {
+			return
+		}
+		n := int(p.FragCount)
+		buf = &reasmBuf{seg: make([]byte, n*packet.FragChunk), frags: make([]fragSpan, n)}
 		e.reasm[key] = buf
 		e.sim.After(params.FragReassemblyTTL, func() {
 			if e.reasm[key] == buf {
@@ -577,10 +608,19 @@ func (e *Engine) handleFrag(p *packet.Packet) {
 			}
 		})
 	}
-	if int(p.FragIdx) < len(buf.chunks) && buf.chunks[p.FragIdx] == nil {
-		buf.chunks[p.FragIdx] = p.Data
-		buf.got++
+	i := int(p.FragIdx)
+	if i >= len(buf.frags) || buf.frags[i].have {
+		return
 	}
+	at := i * packet.FragChunk
+	if len(p.Data) <= packet.FragChunk {
+		copy(buf.seg[at:], p.Data)
+	} else {
+		at = len(buf.seg)
+		buf.seg = append(buf.seg, p.Data...)
+	}
+	buf.frags[i] = fragSpan{at: at, n: len(p.Data), have: true}
+	buf.got++
 }
 
 // completeSeg attempts to attach a fragmented segment to its summary
@@ -590,12 +630,15 @@ func (e *Engine) completeSeg(p *packet.Packet, from ethernet.MAC) bool {
 	if p.FragCount == 0 {
 		return true
 	}
+	if p.FragCount > maxFrags {
+		return false
+	}
 	key := reasmKey{src: p.Src, dst: p.Dst, txid: p.TxID, kind: p.Kind}
 	buf := e.reasm[key]
 	if buf == nil || buf.got < int(p.FragCount) {
 		var missing []uint16
 		for i := 0; i < int(p.FragCount); i++ {
-			if buf == nil || i >= len(buf.chunks) || buf.chunks[i] == nil {
+			if buf == nil || i >= len(buf.frags) || !buf.frags[i].have {
 				missing = append(missing, uint16(i))
 			}
 		}
@@ -609,10 +652,7 @@ func (e *Engine) completeSeg(p *packet.Packet, from ethernet.MAC) bool {
 		}, from)
 		return false
 	}
-	seg := make([]byte, 0, p.SegLen)
-	for _, c := range buf.chunks {
-		seg = append(seg, c...)
-	}
+	seg := buf.join()
 	if uint32(len(seg)) > p.SegLen {
 		seg = seg[:p.SegLen]
 	}
@@ -620,6 +660,23 @@ func (e *Engine) completeSeg(p *packet.Packet, from ethernet.MAC) bool {
 	p.FragCount = 0
 	delete(e.reasm, key)
 	return true
+}
+
+// join returns the received fragments' bytes in index order: seg itself
+// when they already lie end to end from its start, else a concatenation.
+func (b *reasmBuf) join() []byte {
+	end := 0
+	for _, f := range b.frags {
+		if f.have && f.at != end {
+			var out []byte
+			for _, f := range b.frags {
+				out = append(out, b.seg[f.at:f.at+f.n]...)
+			}
+			return out
+		}
+		end += f.n
+	}
+	return b.seg[:end:end]
 }
 
 // deliverRequest handles an arriving KRequest.

@@ -7,6 +7,13 @@
 // busy or frozen destinations (§3.1.3), logical-host locate broadcasts and
 // new-binding notices for reference rebinding (§3.1.4), and multi-frame
 // transfers for the 32 Kbyte units V routinely moved (§3.1).
+//
+// Buffer ownership: Marshal copies everything it is given into a fresh
+// buffer. Unmarshal copies an inline Msg.Seg out of its input, because a
+// message outlives the frame and its holders write into it; a KFrag's Data
+// is a slice of the input, because a fragment is only ever copied onward
+// into its reassembly buffer. A frame payload is therefore never written
+// once transmitted (a corrupted delivery mangles a copy).
 package packet
 
 import (
@@ -204,24 +211,34 @@ func (r *reader) u32() uint32 {
 	return v
 }
 
+// bytes returns the next n bytes of the input itself, not a copy.
 func (r *reader) bytes(n int) []byte {
 	if r.err != nil || r.off+n > len(r.b) {
 		r.err = ErrTruncated
 		return nil
 	}
-	v := make([]byte, n)
-	copy(v, r.b[r.off:r.off+n])
+	v := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return v
 }
 
-// Unmarshal decodes a packet.
+// Unmarshal decodes a packet. The result's Data, if any, aliases b.
 func Unmarshal(b []byte) (*Packet, error) {
-	r := &reader{b: b}
-	p := &Packet{}
+	p := new(Packet)
+	if err := UnmarshalInto(p, b); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// UnmarshalInto decodes a packet into *p, overwriting all of it; on error
+// *p holds nothing usable. p.Data, if any, aliases b.
+func UnmarshalInto(p *Packet, b []byte) error {
+	r := reader{b: b}
+	*p = Packet{}
 	p.Kind = Kind(r.u8())
 	if p.Kind == KInvalid || p.Kind >= kindMax {
-		return nil, ErrBadKind
+		return ErrBadKind
 	}
 	p.TxID = r.u32()
 	p.Src = vid.PID(r.u32())
@@ -238,7 +255,7 @@ func Unmarshal(b []byte) (*Packet, error) {
 		p.FragCount = r.u16()
 		n := int(r.u16())
 		if n > 0 {
-			p.Msg.Seg = r.bytes(n)
+			p.Msg.Seg = append([]byte(nil), r.bytes(n)...)
 		}
 		if p.Kind == KReply {
 			p.HasAd = r.u8() != 0
@@ -267,10 +284,7 @@ func Unmarshal(b []byte) (*Packet, error) {
 			p.Missing[i] = r.u16()
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return p, nil
+	return r.err
 }
 
 // NumFrags returns how many KFrag frames a segment of n bytes needs, or 0

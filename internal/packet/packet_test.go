@@ -166,3 +166,79 @@ func TestQuickFuzzNoPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnmarshalAliasing is the buffer-ownership contract of the package
+// comment: a fragment's Data is the input's bytes, an inline segment is a
+// copy of them.
+func TestUnmarshalAliasing(t *testing.T) {
+	frag := Marshal(&Packet{
+		Kind: KFrag, TxID: 3, Src: vid.NewPID(1, 16), Dst: vid.NewPID(2, 1),
+		OfKind: KRequest, FragIdx: 1, FragCount: 2, Data: bytes.Repeat([]byte{0xAB}, FragChunk),
+	})
+	p, err := Unmarshal(frag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range frag {
+		frag[i] = 0xCD
+	}
+	if !bytes.Equal(p.Data, bytes.Repeat([]byte{0xCD}, FragChunk)) {
+		t.Fatal("KFrag Data did not follow the input: it is a copy, not an alias")
+	}
+	if cap(p.Data) != len(p.Data) {
+		t.Fatalf("KFrag Data has cap %d beyond its len %d: an append would write into the frame", cap(p.Data), len(p.Data))
+	}
+
+	req := Marshal(&Packet{
+		Kind: KRequest, TxID: 4, Src: vid.NewPID(1, 16), Dst: vid.NewPID(2, 1),
+		Msg: vid.Message{Op: 9, Seg: bytes.Repeat([]byte{0x11}, 300)},
+	})
+	p, err = Unmarshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range req {
+		req[i] = 0xCD
+	}
+	if !bytes.Equal(p.Msg.Seg, bytes.Repeat([]byte{0x11}, 300)) {
+		t.Fatal("inline Msg.Seg changed with the input: it must be a copy")
+	}
+}
+
+// TestUnmarshalIntoOverwrites: decoding into a used Packet leaves nothing
+// of the previous one behind.
+func TestUnmarshalIntoOverwrites(t *testing.T) {
+	var p Packet
+	first := &Packet{Kind: KReply, TxID: 1, Src: vid.NewPID(1, 16), Dst: vid.NewPID(2, 1),
+		Msg: vid.Message{Op: 5, W: [6]uint32{1, 2, 3, 4, 5, 6}, Seg: []byte("seg")}, HasAd: true, Ad: [6]uint32{9, 9, 9, 9, 9, 9}}
+	if err := UnmarshalInto(&p, Marshal(first)); err != nil {
+		t.Fatal(err)
+	}
+	second := &Packet{Kind: KLocateReq, LH: 7}
+	if err := UnmarshalInto(&p, Marshal(second)); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&p, second) {
+		t.Fatalf("got %+v, want %+v", p, *second)
+	}
+}
+
+// TestUnmarshalFragAllocation: decoding a full fragment allocates the
+// Packet and nothing else.
+func TestUnmarshalFragAllocation(t *testing.T) {
+	frag := Marshal(&Packet{
+		Kind: KFrag, TxID: 3, Src: vid.NewPID(1, 16), Dst: vid.NewPID(2, 1),
+		OfKind: KRequest, FragIdx: 1, FragCount: 2, Data: make([]byte, FragChunk),
+	})
+	var p *Packet
+	if n := testing.AllocsPerRun(100, func() { p, _ = Unmarshal(frag) }); n != 1 {
+		t.Fatalf("Unmarshal of a 1 KB KFrag: %v allocations, want 1", n)
+	}
+	var q Packet
+	if n := testing.AllocsPerRun(100, func() { _ = UnmarshalInto(&q, frag) }); n != 0 {
+		t.Fatalf("UnmarshalInto of a 1 KB KFrag: %v allocations, want 0", n)
+	}
+	if len(p.Data) != FragChunk || len(q.Data) != FragChunk {
+		t.Fatal("short decode")
+	}
+}

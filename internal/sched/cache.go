@@ -21,7 +21,7 @@ import (
 // no locking and its iteration results are made deterministic by sorting.
 type Cache struct {
 	now  func() sim.Time
-	ents map[vid.LHID]cacheEnt
+	ents map[vid.LHID]*cacheEnt
 	neg  map[vid.LHID]sim.Time   // expiry of the negative entry
 	bump map[vid.LHID][]sim.Time // expiries of active placement bumps
 
@@ -40,7 +40,7 @@ type cacheEnt struct {
 func NewCache(now func() sim.Time) *Cache {
 	return &Cache{
 		now:    now,
-		ents:   make(map[vid.LHID]cacheEnt),
+		ents:   make(map[vid.LHID]*cacheEnt),
 		neg:    make(map[vid.LHID]sim.Time),
 		bump:   make(map[vid.LHID][]sim.Time),
 		ttl:    params.SchedCacheTTL,
@@ -55,12 +55,17 @@ func NewCache(now func() sim.Time) *Cache {
 func (c *Cache) Observe(w [6]uint32) { c.ObserveLoad(LoadFromWords(w)) }
 
 // ObserveLoad ingests a decoded advertisement, replacing any older entry
-// for the same host.
+// for the same host. Every beacon from every host lands here, so a known
+// host's entry is overwritten where it is rather than reinserted.
 func (c *Cache) ObserveLoad(l Load) {
 	if l.SystemLH == 0 || l.PM == 0 {
 		return
 	}
-	c.ents[l.SystemLH] = cacheEnt{load: l, at: c.now()}
+	if e := c.ents[l.SystemLH]; e != nil {
+		e.load, e.at = l, c.now()
+		return
+	}
+	c.ents[l.SystemLH] = &cacheEnt{load: l, at: c.now()}
 }
 
 // Negative records that the host refused (or failed to answer) a probe;
@@ -155,7 +160,7 @@ func (c *Cache) DropHost(mac uint16) {
 // view may be stale on either side of the cut).
 func (c *Cache) Flush() {
 	n := len(c.ents)
-	c.ents = make(map[vid.LHID]cacheEnt)
+	c.ents = make(map[vid.LHID]*cacheEnt)
 	c.bump = make(map[vid.LHID][]sim.Time)
 	c.invalidations += int64(n)
 }

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -222,5 +224,105 @@ func TestPolicyByName(t *testing.T) {
 	}
 	if PolicyByName("bogus") != nil {
 		t.Error("unknown policy name must return nil")
+	}
+}
+
+// refCache is the cache as it was when ObserveLoad stored entries by value
+// and so rewrote the map slot on every advertisement: the reference the
+// in-place cache is compared against. The negative cache, the placement
+// bumps, the clock and the TTLs are the embedded Cache's own.
+type refCache struct {
+	*Cache
+	ents map[vid.LHID]cacheEnt
+}
+
+func (c *refCache) ObserveLoad(l Load) {
+	if l.SystemLH == 0 || l.PM == 0 {
+		return
+	}
+	c.ents[l.SystemLH] = cacheEnt{load: l, at: c.now()}
+}
+
+func (c *refCache) Candidates(minMem uint32, exclude map[vid.LHID]bool) []Load {
+	now := c.now()
+	var out []Load
+	for lh, e := range c.ents {
+		if now.Sub(e.at) > c.ttl {
+			delete(c.ents, lh)
+			continue
+		}
+		if exclude[lh] || c.negative(lh) || e.load.MemFree < minMem {
+			continue
+		}
+		l := e.load
+		l.Ready += c.bumps(lh)
+		out = append(out, l)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Better(out[j]) })
+	return out
+}
+
+func (c *refCache) DropHost(mac uint16) {
+	for lh := range c.ents {
+		if lh.Station() == mac {
+			delete(c.ents, lh)
+			c.Negative(lh)
+		}
+	}
+}
+
+// TestCacheInPlaceMatchesReference interleaves 10 000 advertisements from
+// 40 hosts with selections, refusals, placements, crashes and flushes, the
+// clock moving throughout, and requires every Candidates answer — content
+// and order — to equal the reference's.
+func TestCacheInPlaceMatchesReference(t *testing.T) {
+	clk := &testClock{}
+	c := NewCache(clk.fn())
+	ref := &refCache{Cache: NewCache(clk.fn()), ents: make(map[vid.LHID]cacheEnt)}
+	rng := rand.New(rand.NewSource(7))
+	host := func() uint16 { return uint16(1 + rng.Intn(40)) }
+	asked := 0
+	for i := 0; i < 10_000; i++ {
+		clk.advance(time.Duration(rng.Intn(int(params.SchedCacheTTL / 200))))
+		l := ld(host(), rng.Intn(4), uint32(64+rng.Intn(4)*64))
+		l.Residents = rng.Intn(3)
+		c.ObserveLoad(l)
+		ref.ObserveLoad(l)
+		switch r := rng.Intn(100); {
+		case r < 10:
+			exclude := map[vid.LHID]bool{vid.NewHostLH(host(), 1): true}
+			minMem := uint32(rng.Intn(3)*96) * 1024
+			got, want := c.Candidates(minMem, exclude), ref.Candidates(minMem, exclude)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: Candidates differ:\n got %v\nwant %v", i, got, want)
+			}
+			asked++
+		case r < 13:
+			lh := vid.NewHostLH(host(), 1)
+			c.Negative(lh)
+			ref.Negative(lh)
+		case r < 16:
+			lh := vid.NewHostLH(host(), 1)
+			c.NotePlaced(lh)
+			ref.NotePlaced(lh)
+		case r < 17:
+			mac := host()
+			c.DropHost(mac)
+			ref.DropHost(mac)
+		case r == 17 && rng.Intn(10) == 0:
+			c.Flush()
+			ref.ents = make(map[vid.LHID]cacheEnt)
+			ref.Cache.Flush()
+		case r < 20:
+			clk.advance(params.SchedCacheTTL / 2) // let some entries age out
+		}
+		if c.Len() != len(ref.ents) {
+			// Len counts stale entries until a Candidates sweep removes
+			// them, and both sweep at the same calls.
+			t.Fatalf("step %d: %d entries, reference %d", i, c.Len(), len(ref.ents))
+		}
+	}
+	if asked < 500 {
+		t.Fatalf("only %d Candidates comparisons", asked)
 	}
 }

@@ -66,6 +66,15 @@ func (q *Queue[T]) Pop(t *Task) T {
 	return q.items.pop()
 }
 
+// TryPop removes and returns the oldest item without blocking; ok is false
+// if the queue is empty. For consumers that are event callbacks, not tasks.
+func (q *Queue[T]) TryPop() (v T, ok bool) {
+	if q.items.len() == 0 {
+		return v, false
+	}
+	return q.items.pop(), true
+}
+
 // PopTimeout is Pop with a deadline; ok is false if it expired first.
 func (q *Queue[T]) PopTimeout(t *Task, d time.Duration) (v T, ok bool) {
 	deadline := t.Now().Add(d)

@@ -355,3 +355,19 @@ func TestShutdownUnwindsEveryTask(t *testing.T) {
 	}
 	e.Shutdown() // idempotent
 }
+
+// TestTaskSwitchAllocatesNothing: resuming a task and getting control back
+// when it parks costs no allocation (the wake-up event is pooled).
+func TestTaskSwitchAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	e.Spawn("switcher", func(tk *Task) {
+		for {
+			tk.Sleep(0)
+		}
+	})
+	e.Step()
+	if n := testing.AllocsPerRun(1000, func() { e.Step() }); n != 0 {
+		t.Fatalf("%v allocations per Sleep(0) round trip, want 0", n)
+	}
+	e.Shutdown()
+}

@@ -175,6 +175,10 @@ func (k Kind) String() string {
 // Event is one instantaneous occurrence published by a layer. Packet
 // events carry the decoded packet; frame events only its size (ethernet
 // sits below the packet layer); kernel events carry the logical host.
+//
+// Pkt is valid for the duration of the subscriber call only: ipc reuses
+// the packet behind a beacon or a fragment for the next one. A subscriber
+// that wants anything of it later copies those fields out.
 type Event struct {
 	At   sim.Time
 	Host uint16 // station MAC of the publishing host (0: none)
