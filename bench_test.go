@@ -261,6 +261,7 @@ func BenchmarkTaskSwitch(b *testing.B) {
 			t.Sleep(0)
 		}
 	})
+	defer eng.Shutdown()
 	eng.Step() // first dispatch: the task reaches its loop
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -285,6 +286,7 @@ func (bareResolver) DeferWhenFrozen(vid.PID, uint16) bool       { return true }
 // dominant per-second cost of an idle 100-host cluster.
 func BenchmarkBeaconRx100(b *testing.B) {
 	eng := sim.NewEngine(1)
+	defer eng.Shutdown()
 	bus := ethernet.NewBus(eng)
 	mk := func(mac ethernet.MAC) *ipc.Engine {
 		return ipc.New(eng, bus.Attach(mac), cpu.New(eng), bareResolver{})

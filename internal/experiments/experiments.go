@@ -145,9 +145,8 @@ func Names() []string {
 }
 
 // bootCluster creates a cluster with the standard images installed. The
-// caller defers Close. In a loop of cells that keeps every cell's cluster
-// until the experiment returns, which is soon enough: what matters is that
-// no cluster's parked tasks outlive the experiment that made it.
+// caller defers Close, also inside a loop of cells: the clusters then live
+// until the experiment returns, and none outlives it.
 func bootCluster(opt core.Options) *core.Cluster {
 	c := core.NewCluster(opt)
 	c.Install(progs.Hello())

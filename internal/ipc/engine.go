@@ -663,11 +663,12 @@ func (e *Engine) completeSeg(p *packet.Packet, from ethernet.MAC) bool {
 }
 
 // join returns the received fragments' bytes in index order: seg itself
-// when they already lie end to end from its start, else a concatenation.
+// when they lie end to end from its start, else a concatenation (a missing
+// fragment's span is empty).
 func (b *reasmBuf) join() []byte {
 	end := 0
 	for _, f := range b.frags {
-		if f.have && f.at != end {
+		if f.at != end {
 			var out []byte
 			for _, f := range b.frags {
 				out = append(out, b.seg[f.at:f.at+f.n]...)

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"os"
+	"runtime/debug"
 	"time"
 )
 
@@ -29,9 +31,9 @@ const (
 // A task is a runtime coroutine (iter.Pull): the engine resumes it from an
 // event callback with a direct switch onto the task's stack, bypassing the
 // Go scheduler, and regains control the same way when the task parks or
-// finishes. Exactly one task runs at a time, so task code
-// needs no locking. A Task must only be used from its own coroutine, except
-// for Kill and the engine-side wake path.
+// finishes. Exactly one task runs at a time, so task code needs no locking.
+// A Task must only be used from its own coroutine, except for Kill and the
+// engine-side wake path.
 type Task struct {
 	eng  *Engine
 	name string
@@ -54,7 +56,8 @@ type Task struct {
 // Spawn starts fn as a new task. fn begins running at the current instant
 // (after already-scheduled events at this instant). A panic in fn other
 // than the kill signal surfaces, with its original value, from the Step
-// that resumed the task.
+// that resumed the task; the task's own stack is gone by then, so it is
+// written to standard error on the way.
 func (e *Engine) Spawn(name string, fn func(*Task)) *Task {
 	t := &Task{eng: e, name: name, live: len(e.live)}
 	e.live = append(e.live, t)
@@ -64,6 +67,7 @@ func (e *Engine) Spawn(name string, fn func(*Task)) *Task {
 			t.done = true
 			e.retire(t)
 			if r := recover(); r != nil && !IsKill(r) {
+				fmt.Fprintf(os.Stderr, "sim: task %s panicked: %v\n%s", t.name, r, debug.Stack())
 				panic(r)
 			}
 		}()
