@@ -471,6 +471,21 @@ func (c *Cluster) Run(d time.Duration) { c.Sim.RunFor(d) }
 // stores and the trace bus stay readable; the cluster cannot run again.
 func (c *Cluster) Close() { c.Sim.Shutdown() }
 
+// PoisonFreed makes every free list of the cluster — the segment's frame
+// payloads, each machine's segment buffers — overwrite what is handed back
+// to it, so that a test in which something still reads a recycled buffer
+// fails its digest instead of passing by luck. Behaviour is otherwise
+// unchanged; tests call it right after NewCluster.
+func (c *Cluster) PoisonFreed() {
+	c.Bus.PoisonFreed()
+	for _, n := range c.Nodes {
+		n.Host.IPC.PoisonFreed()
+	}
+	for _, h := range c.FSHosts {
+		h.IPC.PoisonFreed()
+	}
+}
+
 // Node returns the workstation with the given index.
 func (c *Cluster) Node(i int) *Node { return c.Nodes[i] }
 

@@ -634,7 +634,7 @@ func (mg *Migrator) copyRuns(ctx *kernel.ProcCtx, tempLH vid.LHID, targetKS vid.
 			for i, pn := range batch {
 				data[i] = s.as.PageView(pn)
 			}
-			seg := kernel.EncodePageRun(s.as.ID, batch, data)
+			seg := kernel.AppendPageRun(win.SegBuf(), s.as.ID, batch, data)
 			err := win.Send(ctx.Task(), targetKS, vid.Message{
 				Op:  kernel.KsWritePages,
 				W:   [6]uint32{uint32(tempLH)},

@@ -111,8 +111,8 @@ func (mg *Migrator) flushPages(ctx *kernel.ProcCtx, prefix string,
 			for i, pn := range batch {
 				data[i] = s.as.PageView(pn)
 			}
-			seg := append([]byte(prefix), 0)
-			seg = append(seg, kernel.EncodePageRun(s.as.ID, batch, data)...)
+			seg := append(append(win.SegBuf(), prefix...), 0)
+			seg = kernel.AppendPageRun(seg, s.as.ID, batch, data)
 			out := vid.Message{
 				Op: fileserver.OpPageOutRun, W: [6]uint32{0, 0, 0, 0, 0, fsW5(fs)}, Seg: seg,
 			}
@@ -264,19 +264,23 @@ func (rs *residueState) demandFetch(t *sim.Task, as *mem.AddressSpace, pn mem.Pa
 	})
 	if err == nil && m.OK() {
 		if spaceID, rp, rd, derr := kernel.DecodePageRun(m.Seg); derr == nil && spaceID == as.ID {
-			var out []byte
+			served := false
 			for i, p := range rp {
+				installed, _ := as.InstallPageIfAbsent(p, rd[i])
 				if p == pn {
-					out = rd[i] // the faulting getPage installs it
-					continue
-				}
-				if installed, _ := as.InstallPageIfAbsent(p, rd[i]); installed {
+					// Installed here, by copy, rather than handed to the
+					// faulting getPage: it finds the page present — or, the
+					// page being all zero, absent, and allocates it zeroed —
+					// just as it would have made it from the bytes.
+					served = true
+				} else if installed {
 					rs.stats.PullKB += float64(mem.PageSize) / 1024
 				}
 			}
-			if out != nil {
+			port.ReleaseReply() // every page is copied out of the run
+			if served {
 				rs.stats.PullKB += float64(mem.PageSize) / 1024
-				return out
+				return nil
 			}
 		}
 	}

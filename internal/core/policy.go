@@ -370,7 +370,7 @@ func (mg *Migrator) invalidateRuns(ctx *kernel.ProcCtx, tempLH vid.LHID, targetK
 			for i := range batch {
 				data[i] = mem.ZeroPage()
 			}
-			seg := kernel.EncodePageRun(s.as.ID, batch, data)
+			seg := kernel.AppendPageRun(win.SegBuf(), s.as.ID, batch, data)
 			err := win.Send(ctx.Task(), targetKS, vid.Message{
 				Op:  kernel.KsWritePages,
 				W:   [6]uint32{uint32(tempLH), kernel.WriteModeInvalidate},
@@ -415,7 +415,7 @@ func (mg *Migrator) pushResidue(ctx *kernel.ProcCtx, finalID vid.LHID, targetKS 
 			for i, pn := range batch {
 				data[i] = s.as.PageView(pn)
 			}
-			seg := kernel.EncodePageRun(s.as.ID, batch, data)
+			seg := kernel.AppendPageRun(win.SegBuf(), s.as.ID, batch, data)
 			err := win.Send(ctx.Task(), targetKS, vid.Message{
 				Op:  kernel.KsWritePages,
 				W:   [6]uint32{uint32(finalID), kernel.WriteModeIfAbsent},

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"time"
 
+	"vsystem/internal/freelist"
 	"vsystem/internal/params"
 	"vsystem/internal/sim"
 	"vsystem/internal/trace"
@@ -47,6 +48,13 @@ func (m MAC) String() string {
 type Frame struct {
 	Src, Dst MAC
 	Payload  []byte
+	// Lent marks a Payload that was built in a buffer from the segment's
+	// free list (NIC.FrameBuf) and has had one holder at a time since: the
+	// sender, the bus, the one station the frame is addressed to. Whoever
+	// holds such a frame last may hand the buffer back with NIC.Recycle.
+	// The bus clears the mark on a frame with several receivers, and on the
+	// copy it delivers in place of a corrupted frame.
+	Lent bool
 }
 
 // Size returns the payload size in bytes.
@@ -90,6 +98,9 @@ type Bus struct {
 	// and each one's delivery event (arrived, bound once) takes the head.
 	flight  sim.Queue[inflight]
 	arrived func()
+	// bufs recycles the payloads of unicast frames. The bus only lends and
+	// takes back: it never decides that a frame is finished with.
+	bufs    *freelist.Bytes
 	loss    LossFunc
 	cut     CutFunc
 	corrupt CorruptFunc
@@ -106,10 +117,24 @@ type inflight struct {
 
 // NewBus creates an empty segment on the engine.
 func NewBus(eng *sim.Engine) *Bus {
-	b := &Bus{eng: eng, stations: make(map[MAC]*NIC)}
+	b := &Bus{
+		eng:      eng,
+		stations: make(map[MAC]*NIC),
+		bufs:     freelist.New(params.FrameMTU, frameBufsKept),
+	}
 	b.arrived = b.arrive
 	return b
 }
+
+// frameBufsKept bounds the segment's free list of frame payloads: the
+// frames on the wire and in receivers' input queues during a bulk copy,
+// with room to spare (96 KB at most).
+const frameBufsKept = 64
+
+// PoisonFreed makes the segment overwrite every frame payload handed back
+// to it, so that a test reading one after Recycle fails instead of passing
+// by luck.
+func (b *Bus) PoisonFreed() { b.bufs.PoisonFreed() }
 
 // SetLoss installs a loss model. RandomLoss(p, eng) is the common choice.
 func (b *Bus) SetLoss(f LossFunc) { b.loss = f }
@@ -162,6 +187,9 @@ func (b *Bus) transmit(f Frame) sim.Time {
 	if len(f.Payload) > params.FrameMTU {
 		panic(fmt.Sprintf("ethernet: frame payload %d exceeds MTU", len(f.Payload)))
 	}
+	if f.Dst == Broadcast || f.Dst.IsMulticast() {
+		f.Lent = false // every receiver aliases the payload: nobody is last
+	}
 	now := b.eng.Now()
 	start := b.busyUntil
 	if start < now {
@@ -187,7 +215,7 @@ func (b *Bus) transmit(f Frame) sim.Time {
 		if len(mangled) > 0 {
 			mangled[0] = 0 // an invalid packet kind: rejected on receive
 		}
-		f.Payload = mangled
+		f.Payload, f.Lent = mangled, false
 	}
 	b.trace.Publish(trace.Event{
 		At: start, Host: uint16(f.Src), Kind: trace.EvFrameTx,
@@ -303,6 +331,21 @@ func (n *NIC) deliver(f Frame) {
 	n.rxFrames++
 	n.rxBytes += int64(len(f.Payload))
 	n.recv(f)
+}
+
+// FrameBuf returns an empty buffer of capacity params.FrameMTU from the
+// segment's free list, for building the payload of a frame addressed to
+// one station; send it with Lent set.
+func (n *NIC) FrameBuf() []byte { return n.bus.bufs.Get() }
+
+// Recycle hands a received frame's payload back to the segment's free list
+// if it came from there (Frame.Lent). The caller must be the frame's last
+// holder and must have let go of everything that aliases the payload.
+// Not calling it is always safe: the payload falls to the collector.
+func (n *NIC) Recycle(f Frame) {
+	if f.Lent {
+		n.bus.bufs.Put(f.Payload)
+	}
 }
 
 // StartSend queues the frame for transmission and returns immediately; done

@@ -220,3 +220,89 @@ func TestFramesDeliverInTransmitOrder(t *testing.T) {
 		t.Fatalf("delivery order differs from transmit order:\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestLentFrameRecyclesWithoutAllocating: a unicast frame built in a buffer
+// from the segment's free list crosses the bus, is handed back by its
+// receiver, and the next frame is built in the same buffer — no allocation
+// anywhere on the way.
+func TestLentFrameRecyclesWithoutAllocating(t *testing.T) {
+	e := sim.NewEngine(1)
+	bus := NewBus(e)
+	bus.PoisonFreed()
+	a, b := bus.Attach(1), bus.Attach(2)
+	var sum, bufs int
+	var last *byte
+	b.SetRecv(func(f Frame) {
+		for _, c := range f.Payload {
+			sum += int(c)
+		}
+		if p := &f.Payload[0]; p != last {
+			last, bufs = p, bufs+1
+		}
+		b.Recycle(f)
+	})
+	send := func() {
+		pay := a.FrameBuf()
+		for i := 0; i < 1000; i++ {
+			pay = append(pay, 3)
+		}
+		a.StartSend(Frame{Dst: 2, Payload: pay, Lent: true}, nil)
+		e.Run()
+	}
+	send()
+	if n := testing.AllocsPerRun(100, send); n != 0 {
+		t.Fatalf("%v allocations per frame sent, received and recycled, want 0", n)
+	}
+	if sum != 102*3000 || bufs != 1 {
+		t.Fatalf("received %d in %d buffers, want %d in 1", sum, bufs, 102*3000)
+	}
+}
+
+// TestOnlySingleReceiverFramesRecycle: the free list takes back nothing
+// that may have another holder. A broadcast or multicast frame arrives
+// unmarked; a corrupted frame arrives as an unmarked copy, and the buffer it
+// was built in is neither written nor handed out again; a frame whose
+// payload the sender made itself arrives unmarked and is not taken.
+func TestOnlySingleReceiverFramesRecycle(t *testing.T) {
+	e := sim.NewEngine(1)
+	bus := NewBus(e)
+	bus.PoisonFreed()
+	a, b := bus.Attach(1), bus.Attach(2)
+	b.JoinMulticast(Multicast(7))
+	var got []Frame
+	b.SetRecv(func(f Frame) {
+		got = append(got, f)
+		b.Recycle(f)
+	})
+	build := func() []byte { return append(a.FrameBuf(), 1, 2, 3, 4) }
+
+	for _, dst := range []MAC{Broadcast, Multicast(7)} {
+		a.StartSend(Frame{Dst: dst, Payload: build(), Lent: true}, nil)
+	}
+	own := []byte{1, 2, 3, 4}
+	a.StartSend(Frame{Dst: 2, Payload: own}, nil)
+	e.Run()
+	if len(got) != 3 || got[0].Lent || got[1].Lent || got[2].Lent {
+		t.Fatalf("frames arrived %+v, want three, none marked", got)
+	}
+	for i, f := range got {
+		if string(f.Payload) != "\x01\x02\x03\x04" {
+			t.Fatalf("frame %d was overwritten after delivery: % x", i, f.Payload)
+		}
+	}
+	if bus.bufs.Len() != 0 {
+		t.Fatalf("free list holds %d buffers after frames nobody may return", bus.bufs.Len())
+	}
+
+	got = nil
+	bus.SetCorrupt(func(Frame) bool { return true })
+	sent := build()
+	a.StartSend(Frame{Dst: 2, Payload: sent, Lent: true}, nil)
+	e.Run()
+	if len(got) != 1 || got[0].Lent || &got[0].Payload[0] == &sent[0] {
+		t.Fatalf("corrupted delivery %+v: want an unmarked copy", got)
+	}
+	if string(sent) != "\x01\x02\x03\x04" || string(got[0].Payload) != "\x00\x02\x03\x04" || bus.bufs.Len() != 0 {
+		t.Fatalf("sent % x, delivered % x, %d buffers back", sent, got[0].Payload, bus.bufs.Len())
+	}
+}

@@ -89,7 +89,7 @@ func runCopyCell(seed int64, window, pages int, loss, zeroFrac float64) copyCell
 				batch = append(batch, mem.PageNo(pn))
 				data = append(data, body)
 			}
-			seg := kernel.EncodePageRun(spaceID, batch, data)
+			seg := kernel.AppendPageRun(win.SegBuf(), spaceID, batch, data)
 			cell.wireKB += float64(len(seg)) / 1024
 			if err := win.Send(ctx.Task(), dstKS, vid.Message{
 				Op: kernel.KsWritePages, W: [6]uint32{lhid}, Seg: seg,

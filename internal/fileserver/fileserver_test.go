@@ -122,7 +122,7 @@ func TestPageOutRun(t *testing.T) {
 	r := newRig(6)
 	pages := []mem.PageNo{4, 9}
 	data := [][]byte{bytes.Repeat([]byte{1}, 1024), bytes.Repeat([]byte{2}, 1024)}
-	seg := append([]byte("pfx\x00"), kernel.EncodePageRun(3, pages, data)...)
+	seg := append([]byte("pfx\x00"), kernel.AppendPageRun(nil, 3, pages, data)...)
 	if rep := r.call(t, vid.Message{Op: OpPageOutRun, Seg: seg}); !rep.OK() {
 		t.Fatalf("pageout-run = %v", rep)
 	}

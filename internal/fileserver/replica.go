@@ -109,7 +109,7 @@ func (st *store) Encode(c cmd) []byte {
 	case OpWrite, OpPageOut:
 		b = append(append(b, 0), c.data...)
 	case OpPageOutRun:
-		b = append(append(b, 0), kernel.EncodePageRun(c.space, c.pages, c.run)...)
+		b = kernel.AppendPageRun(append(b, 0), c.space, c.pages, c.run)
 	}
 	return b
 }

@@ -32,7 +32,7 @@ func TestSoloAndReplicatedReachSameStore(t *testing.T) {
 		{Op: OpRemove, Seg: []byte("scratch")},
 		{Op: OpRemove, Seg: []byte("never-written")},
 		{Op: OpPageOut, Seg: append([]byte("swap/1\x00"), bytes.Repeat([]byte{7}, 512)...)},
-		{Op: OpPageOutRun, Seg: append([]byte("mig\x00"), kernel.EncodePageRun(3, pages, data)...)},
+		{Op: OpPageOutRun, Seg: append([]byte("mig\x00"), kernel.AppendPageRun(nil, 3, pages, data)...)},
 	}
 	drive := func(eng *sim.Engine, client *kernel.Host, settle time.Duration) (replies []vid.Message) {
 		client.SpawnServer("driver", 4096, func(ctx *kernel.ProcCtx) {

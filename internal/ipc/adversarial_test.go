@@ -248,7 +248,7 @@ func TestStormOfStaleRequestsIgnored(t *testing.T) {
 		t.Fatalf("setup: served=%d err=%v", served, err)
 	}
 	// Replay a stale request (txid 1) directly onto the wire.
-	stale := packet.Marshal(&packet.Packet{
+	stale := packet.AppendMarshal(nil, &packet.Packet{
 		Kind: packet.KRequest, TxID: 1, Src: client.PID(), Dst: server.PID(),
 		Msg: vid.Message{Op: testOp},
 	})

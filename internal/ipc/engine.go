@@ -29,6 +29,7 @@ import (
 
 	"vsystem/internal/cpu"
 	"vsystem/internal/ethernet"
+	"vsystem/internal/freelist"
 	"vsystem/internal/packet"
 	"vsystem/internal/params"
 	"vsystem/internal/sim"
@@ -112,10 +113,16 @@ type Engine struct {
 	// Event.Pkt), marshalled or handed to the load sink — by one task at a
 	// time: rxAd by netd alone, txFrag between two points where the
 	// sending task can block.
-	rxAd     packet.Packet // the beacon netd is receiving
-	txFrag   packet.Packet // the fragment about to be transmitted
-	reasm    map[reasmKey]*reasmBuf
-	txBuf    map[reasmKey]*fragSource
+	rxAd   packet.Packet // the beacon netd is receiving
+	txFrag packet.Packet // the fragment about to be transmitted
+	reasm  map[reasmKey]*reasmBuf
+	txBuf  map[reasmKey]*fragSource
+	// segs recycles segment-sized buffers: the reassembly buffers handleFrag
+	// fills, which come back from the consumers that copy a delivered
+	// segment out (Port.ReleaseSeg, Port.ReleaseReply), and the buffers a
+	// bulk-transfer window lends its sender to encode into (Window.SegBuf),
+	// which come back when their transaction is reaped.
+	segs     *freelist.Bytes
 	forward  map[vid.LHID]ethernet.MAC
 	suspects map[ethernet.MAC]sim.Time // station → when suspicion began
 	heard    map[ethernet.MAC]sim.Time // station → last packet received from it
@@ -166,9 +173,10 @@ type reasmKey struct {
 // segment, whatever order they came in. One that does not fit its slot is
 // kept past the slots, and completeSeg joins the pieces.
 type reasmBuf struct {
-	seg   []byte     // len(frags) slots of FragChunk, then any misfits
+	seg   []byte     // len(frags) slots of FragChunk, then any misfits; from Engine.segs
 	frags []fragSpan // where each fragment's bytes are
 	got   int
+	timer sim.Timer // gives up on the segment after FragReassemblyTTL
 }
 
 // fragSpan locates one received fragment's bytes in reasmBuf.seg.
@@ -177,11 +185,20 @@ type fragSpan struct {
 	have  bool
 }
 
+// fragSource is a fragmented segment kept for NACK repair: until its
+// transaction completes (a request) or for ReplyCacheTTL (a reply).
 type fragSource struct {
 	seg     []byte
 	dst     ethernet.MAC
 	summary *packet.Packet
+	txn     *sendTxn  // the send transaction seg belongs to; nil for a reply
+	timer   sim.Timer // drops the entry after ReplyCacheTTL
 }
+
+// segBufsKept bounds an engine's free list of segment buffers: a window's
+// worth in flight plus the one being encoded or consumed, for a host that
+// is source and destination of a copy at once, rounded (256 KB at most).
+const segBufsKept = 8
 
 // New creates the engine for one host and starts its network daemon.
 func New(se *sim.Engine, nic *ethernet.NIC, c *cpu.CPU, res Resolver) *Engine {
@@ -198,6 +215,7 @@ func New(se *sim.Engine, nic *ethernet.NIC, c *cpu.CPU, res Resolver) *Engine {
 		forward:          make(map[vid.LHID]ethernet.MAC),
 		suspects:         make(map[ethernet.MAC]sim.Time),
 		heard:            make(map[ethernet.MAC]sim.Time),
+		segs:             freelist.New(vid.SegMax, segBufsKept),
 		GroupIndirection: true,
 	}
 	nic.SetRecv(func(f ethernet.Frame) {
@@ -235,6 +253,11 @@ func (e *Engine) Reset() {
 	e.suspects = make(map[ethernet.MAC]sim.Time)
 	e.heard = make(map[ethernet.MAC]sim.Time)
 }
+
+// PoisonFreed makes the engine overwrite every segment buffer handed back
+// to its free list, so that a test reading one after its release fails
+// instead of passing by luck.
+func (e *Engine) PoisonFreed() { e.segs.PoisonFreed() }
 
 // Sim returns the simulation engine.
 func (e *Engine) Sim() *sim.Engine { return e.sim }
@@ -368,6 +391,10 @@ func (e *Engine) netd(t *sim.Task) {
 			e.sendNow(t, j.out, j.dst)
 		case j.rx:
 			e.recvFrame(t, j.frame)
+			// netd is a unicast frame's last holder, and recvFrame has
+			// copied out of the payload everything that outlives it: an
+			// inline segment in Unmarshal, a fragment into its slot.
+			e.nic.Recycle(j.frame)
 		case j.local != nil:
 			cost := params.LocalDeliverCPU
 			if n := len(j.local.Msg.Seg); n > 0 {
@@ -400,7 +427,10 @@ func (e *Engine) sendNow(t *sim.Task, p *packet.Packet, dst ethernet.MAC) {
 }
 
 // transmitFrame marshals p and puts it on the wire. If wait is true the
-// task blocks until the frame clears the medium (bulk pacing).
+// task blocks until the frame clears the medium (bulk pacing). A frame for
+// one station is built in a buffer from the segment's free list, which
+// that station's netd hands back; one for several is shared by them all and
+// left to the collector.
 func (e *Engine) transmitFrame(t *sim.Task, p *packet.Packet, dst ethernet.MAC, wait bool) {
 	if p.Kind == packet.KReply && e.loadFn != nil {
 		// Piggyback a fresh load advertisement on the reply (re-stamped on
@@ -411,7 +441,11 @@ func (e *Engine) transmitFrame(t *sim.Task, p *packet.Packet, dst ethernet.MAC, 
 	e.stats.TxPackets++
 	e.stats.TxByKind[p.Kind]++
 	e.publish(trace.EvPktTx, p)
-	f := ethernet.Frame{Dst: dst, Payload: packet.Marshal(p)}
+	f := ethernet.Frame{Dst: dst, Lent: dst != ethernet.Broadcast && !dst.IsMulticast()}
+	if f.Lent {
+		f.Payload = e.nic.FrameBuf()
+	}
+	f.Payload = packet.AppendMarshal(f.Payload, p)
 	if wait {
 		e.nic.Send(t, f)
 	} else {
@@ -423,8 +457,9 @@ func (e *Engine) transmitFrame(t *sim.Task, p *packet.Packet, dst ethernet.MAC, 
 // the caller's task pushes one full-size frame per fragment, charging
 // BulkSendCPU and waiting out each frame's wire time (this serialization is
 // what yields the paper's ≈3 s/Mbyte inter-host copy rate), then the
-// summary packet. The fragment source is retained for NACK repair.
-func (e *Engine) sendFragged(t *sim.Task, p *packet.Packet, dst ethernet.MAC) {
+// summary packet. The fragment source is retained for NACK repair; txn is
+// the send transaction the segment belongs to, nil for a reply.
+func (e *Engine) sendFragged(t *sim.Task, p *packet.Packet, dst ethernet.MAC, txn *sendTxn) {
 	seg := p.Msg.Seg
 	n := packet.NumFrags(len(seg))
 	key := reasmKey{src: p.Src, dst: p.Dst, txid: p.TxID, kind: p.Kind}
@@ -432,19 +467,32 @@ func (e *Engine) sendFragged(t *sim.Task, p *packet.Packet, dst ethernet.MAC) {
 	summary.Msg.Seg = nil
 	summary.SegLen = uint32(len(seg))
 	summary.FragCount = uint16(n)
-	e.txBuf[key] = &fragSource{seg: seg, dst: dst, summary: &summary}
+	e.dropFragSource(key)
+	fs := &fragSource{seg: seg, dst: dst, summary: &summary, txn: txn}
+	e.txBuf[key] = fs
 	for i := 0; i < n; i++ {
 		e.cpu.Use(t, params.BulkSendCPU, params.PrioKernel)
 		e.sendFrag(t, key, seg, i, dst)
 	}
 	e.cpu.Use(t, params.SmallPktSendCPU, params.PrioKernel)
 	e.transmitFrame(t, &summary, dst, false)
-	// Bound how long the repair buffer is retained.
-	e.sim.After(params.ReplyCacheTTL, func() {
-		if e.txBuf[key] != nil && e.txBuf[key].summary == &summary {
-			delete(e.txBuf, key)
-		}
-	})
+	if e.txBuf[key] == fs {
+		// Bound how long the repair buffer is retained.
+		fs.timer = e.sim.After(params.ReplyCacheTTL, func() {
+			if e.txBuf[key] == fs {
+				delete(e.txBuf, key)
+			}
+		})
+	}
+}
+
+// dropFragSource forgets the repair buffer kept under key, if any, and its
+// expiry timer with it.
+func (e *Engine) dropFragSource(key reasmKey) {
+	if fs := e.txBuf[key]; fs != nil {
+		fs.timer.Stop()
+		delete(e.txBuf, key)
+	}
 }
 
 // sendFrag transmits fragment i of the segment of the logical packet key
@@ -469,6 +517,12 @@ func (e *Engine) resendFrags(t *sim.Task, key reasmKey, missing []uint16) {
 	src := e.txBuf[key]
 	if src == nil {
 		return
+	}
+	if src.txn != nil {
+		// netd blocks between fragments, and the transaction can end under
+		// it: its segment buffer must not be reused before this returns.
+		src.txn.reading++
+		defer func() { src.txn.reading-- }()
 	}
 	n := packet.NumFrags(len(src.seg))
 	for _, idx := range missing {
@@ -591,6 +645,10 @@ func (e *Engine) retryWaiters(lh vid.LHID) {
 // list of that many gaps would not fit a frame).
 const maxFrags = (vid.SegMax + packet.FragChunk - 1) / packet.FragChunk
 
+// A buffer from Engine.segs (capacity vid.SegMax) has a slot for every
+// fragment of the longest segment.
+const _ = uint(vid.SegMax - maxFrags*packet.FragChunk)
+
 // handleFrag stores a fragment for reassembly.
 func (e *Engine) handleFrag(p *packet.Packet) {
 	key := reasmKey{src: p.Src, dst: p.Dst, txid: p.TxID, kind: p.OfKind}
@@ -600,11 +658,14 @@ func (e *Engine) handleFrag(p *packet.Packet) {
 			return
 		}
 		n := int(p.FragCount)
-		buf = &reasmBuf{seg: make([]byte, n*packet.FragChunk), frags: make([]fragSpan, n)}
+		// Whatever the buffer's last user left in it is never read: join
+		// exposes only bytes a fragment was copied over.
+		buf = &reasmBuf{seg: e.segs.Get()[:n*packet.FragChunk], frags: make([]fragSpan, n)}
 		e.reasm[key] = buf
-		e.sim.After(params.FragReassemblyTTL, func() {
+		buf.timer = e.sim.After(params.FragReassemblyTTL, func() {
 			if e.reasm[key] == buf {
 				delete(e.reasm, key)
+				e.segs.Put(buf.seg) // never delivered: nothing else refers to it
 			}
 		})
 	}
@@ -624,14 +685,16 @@ func (e *Engine) handleFrag(p *packet.Packet) {
 }
 
 // completeSeg attempts to attach a fragmented segment to its summary
-// packet. It returns false (after NACKing the gaps) if fragments are
-// missing.
-func (e *Engine) completeSeg(p *packet.Packet, from ethernet.MAC) bool {
+// packet. It reports false (after NACKing the gaps) if fragments are
+// missing. lent is the reassembly buffer when p.Msg.Seg is now a slice of
+// it: whoever the message is delivered to may hand it back to e.segs once
+// nothing refers to the segment any more.
+func (e *Engine) completeSeg(p *packet.Packet, from ethernet.MAC) (lent []byte, ok bool) {
 	if p.FragCount == 0 {
-		return true
+		return nil, true
 	}
 	if p.FragCount > maxFrags {
-		return false
+		return nil, false
 	}
 	key := reasmKey{src: p.Src, dst: p.Dst, txid: p.TxID, kind: p.Kind}
 	buf := e.reasm[key]
@@ -650,22 +713,27 @@ func (e *Engine) completeSeg(p *packet.Packet, from ethernet.MAC) bool {
 			OfKind:  p.Kind,
 			Missing: missing,
 		}, from)
-		return false
+		return nil, false
 	}
-	seg := buf.join()
+	seg, alias := buf.join()
 	if uint32(len(seg)) > p.SegLen {
 		seg = seg[:p.SegLen]
 	}
 	p.Msg.Seg = seg
 	p.FragCount = 0
 	delete(e.reasm, key)
-	return true
+	buf.timer.Stop()
+	if !alias {
+		e.segs.Put(buf.seg)
+		return nil, true
+	}
+	return buf.seg, true
 }
 
 // join returns the received fragments' bytes in index order: seg itself
-// when they lie end to end from its start, else a concatenation (a missing
-// fragment's span is empty).
-func (b *reasmBuf) join() []byte {
+// (alias true) when they lie end to end from its start, else a
+// concatenation (a missing fragment's span is empty).
+func (b *reasmBuf) join() (joined []byte, alias bool) {
 	end := 0
 	for _, f := range b.frags {
 		if f.at != end {
@@ -673,11 +741,11 @@ func (b *reasmBuf) join() []byte {
 			for _, f := range b.frags {
 				out = append(out, b.seg[f.at:f.at+f.n]...)
 			}
-			return out
+			return out, false
 		}
 		end += f.n
 	}
-	return b.seg[:end:end]
+	return b.seg[:end:end], true
 }
 
 // deliverRequest handles an arriving KRequest.
@@ -742,10 +810,11 @@ func (e *Engine) deliverRequest(t *sim.Task, p *packet.Packet, from ethernet.MAC
 	case reqStale:
 		e.stats.DroppedStale++
 	case reqNew:
-		if !e.completeSeg(p, from) {
+		lent, ok := e.completeSeg(p, from)
+		if !ok {
 			return
 		}
-		port.acceptRequest(p.Src, p.TxID, p.Msg, from)
+		port.acceptRequest(p.Src, p.TxID, p.Msg, from, lent)
 	}
 }
 
@@ -772,7 +841,8 @@ func (e *Engine) deliverReply(t *sim.Task, p *packet.Packet, from ethernet.MAC) 
 	if port == nil || port.send == nil || port.send.done || port.send.txid != p.TxID {
 		return // duplicate or stale reply
 	}
-	if !e.completeSeg(p, from) {
+	lent, ok := e.completeSeg(p, from)
+	if !ok {
 		return
 	}
 	if port.send.gather {
@@ -781,7 +851,7 @@ func (e *Engine) deliverReply(t *sim.Task, p *packet.Packet, from ethernet.MAC) 
 		port.addGatherReply(p.Src, p.Msg)
 		return
 	}
-	port.completeSend(p.Msg)
+	port.completeSend(p.Msg, lent)
 }
 
 // replyPending emits a reply-pending packet for the given request.

@@ -27,6 +27,7 @@ type Port struct {
 
 	txSeq     uint32
 	send      *sendTxn
+	replyBuf  []byte // reassembly buffer the last reply's segment is a slice of, if any
 	replyWait sim.WaitQ
 	winq      *sim.WaitQ // owning bulk-transfer window's harvest queue, if any
 
@@ -49,6 +50,15 @@ type sendTxn struct {
 	code   uint16 // failure code when done && code != OK
 	silent int    // retransmissions since last evidence of life
 	timer  sim.Timer
+
+	// buf is the buffer msg.Seg was built in when it is the engine's to
+	// reuse once the transaction is over (Window.SegBuf), else nil.
+	// reading counts the tasks that are part-way through transmitting
+	// msg.Seg — blocked between two frames, or before marshalling an inline
+	// request — and so must still find it intact when they resume, however
+	// the transaction has fared meanwhile.
+	buf     []byte
+	reading int
 
 	// Failure-detector evidence: the station the request was last
 	// transmitted to (0 until a unicast route resolved) and the last
@@ -78,6 +88,7 @@ type Req struct {
 	Msg  vid.Message
 	txid uint32
 	from ethernet.MAC
+	buf  []byte // the reassembly buffer Msg.Seg is a slice of, if any
 }
 
 // TxID exposes the request's transaction id — stable across the sender's
@@ -150,6 +161,13 @@ func (p *Port) PID() vid.PID { return p.pid }
 // reply. The calling task is charged for any bulk fragmentation. A port
 // has at most one outstanding send.
 func (p *Port) StartSend(t *sim.Task, dst vid.PID, msg vid.Message) {
+	p.startSend(t, dst, msg, nil)
+}
+
+// startSend is StartSend for a message whose segment was built in buf, a
+// buffer from the engine's free list that goes back there when the
+// transaction is over (nil: the segment is the caller's own).
+func (p *Port) startSend(t *sim.Task, dst vid.PID, msg vid.Message, buf []byte) {
 	if p.send != nil {
 		panic(fmt.Sprintf("ipc: %v StartSend with send outstanding", p.pid))
 	}
@@ -160,8 +178,8 @@ func (p *Port) StartSend(t *sim.Task, dst vid.PID, msg vid.Message) {
 		panic(fmt.Sprintf("ipc: segment %d exceeds SegMax", len(msg.Seg)))
 	}
 	p.txSeq++
-	s := &sendTxn{txid: p.txSeq, dst: dst, msg: msg, group: dst.IsGroup(), lastAlive: t.Now()}
-	p.send = s
+	s := &sendTxn{txid: p.txSeq, dst: dst, msg: msg, group: dst.IsGroup(), lastAlive: t.Now(), buf: buf}
+	p.send, p.replyBuf = s, nil
 	p.transmitOn(t, false)
 	p.armTimer()
 }
@@ -190,7 +208,7 @@ func (p *Port) StartGather(t *sim.Task, dst vid.PID, msg vid.Message, window tim
 		txid: p.txSeq, dst: dst, msg: msg, lastAlive: t.Now(),
 		group: dst.IsGroup(), gather: true, seen: make(map[vid.PID]bool),
 	}
-	p.send = s
+	p.send, p.replyBuf = s, nil
 	p.transmitOn(t, false)
 	p.armTimer()
 	s.wtimer = p.eng.sim.After(window, func() { p.endGather(s) })
@@ -300,6 +318,12 @@ func (p *Port) retransmit() {
 // (the receiver NACKs any missing fragments).
 func (p *Port) transmitOn(t *sim.Task, retrans bool) {
 	s := p.send
+	s.reading++
+	p.transmit(t, s, retrans)
+	s.reading--
+}
+
+func (p *Port) transmit(t *sim.Task, s *sendTxn, retrans bool) {
 	pkt := &packet.Packet{Kind: packet.KRequest, TxID: s.txid, Src: p.pid, Dst: s.dst, Msg: s.msg}
 	if s.group {
 		// Wire multicast (member stations' receive filters accept it)
@@ -307,6 +331,7 @@ func (p *Port) transmitOn(t *sim.Task, retrans bool) {
 		p.eng.cpu.Use(t, params.SmallPktSendCPU, params.PrioKernel)
 		p.eng.transmitFrame(t, pkt, ethernet.Multicast(uint16(s.dst.LH())), false)
 		local := *pkt
+		s.buf = nil // local members receive the segment itself, not a copy
 		p.eng.emitLocal(&local)
 		return
 	}
@@ -321,6 +346,7 @@ func (p *Port) transmitOn(t *sim.Task, retrans bool) {
 	}
 	if local {
 		cp := *pkt
+		s.buf = nil // the receiver gets the segment itself, not a copy
 		p.eng.emitLocal(&cp)
 		return
 	}
@@ -333,7 +359,7 @@ func (p *Port) transmitOn(t *sim.Task, retrans bool) {
 		return
 	}
 	if packet.NumFrags(len(s.msg.Seg)) > 0 {
-		p.eng.sendFragged(t, pkt, mac)
+		p.eng.sendFragged(t, pkt, mac, s)
 		return
 	}
 	p.eng.sendNow(t, pkt, mac)
@@ -357,6 +383,19 @@ func (p *Port) AwaitReply(t *sim.Task) (vid.Message, error) {
 	return s.reply, nil
 }
 
+// ReleaseReply tells the port that the caller is finished with the segment
+// of the reply its last AwaitReply (or Send) returned: it has copied out
+// what it wants and kept no slice of it. If the segment was reassembled
+// from fragments its buffer goes back to the engine for the next one.
+// Never calling it is always safe — the segment then stays the caller's,
+// and falls to the collector when dropped.
+func (p *Port) ReleaseReply() {
+	if p.replyBuf != nil {
+		p.eng.segs.Put(p.replyBuf)
+		p.replyBuf = nil
+	}
+}
+
 // Sending reports whether a send transaction is outstanding.
 func (p *Port) Sending() bool { return p.send != nil }
 
@@ -366,17 +405,19 @@ func (p *Port) Send(t *sim.Task, dst vid.PID, msg vid.Message) (vid.Message, err
 	return p.AwaitReply(t)
 }
 
-// completeSend records the reply and wakes the sender.
-func (p *Port) completeSend(msg vid.Message) {
+// completeSend records the reply — whose segment is a slice of the
+// reassembly buffer lent, if that is not nil — and wakes the sender.
+func (p *Port) completeSend(msg vid.Message, lent []byte) {
 	s := p.send
 	if s == nil || s.done {
 		return
 	}
 	s.done = true
-	s.reply = msg
+	s.reply, p.replyBuf = msg, lent
 	s.timer.Stop()
 	s.wtimer.Stop()
-	delete(p.eng.txBuf, reasmKey{src: p.pid, dst: s.dst, txid: s.txid, kind: packet.KRequest})
+	// The reply means the receiver had every fragment: no repair to come.
+	p.eng.dropFragSource(reasmKey{src: p.pid, dst: s.dst, txid: s.txid, kind: packet.KRequest})
 	p.replyWait.WakeAll()
 	if p.winq != nil {
 		p.winq.WakeAll()
@@ -393,7 +434,7 @@ func (p *Port) failSend(txid uint32, code uint16) {
 	s.code = code
 	s.timer.Stop()
 	s.wtimer.Stop()
-	delete(p.eng.txBuf, reasmKey{src: p.pid, dst: s.dst, txid: s.txid, kind: packet.KRequest})
+	p.eng.dropFragSource(reasmKey{src: p.pid, dst: s.dst, txid: s.txid, kind: packet.KRequest})
 	p.replyWait.WakeAll()
 	if p.winq != nil {
 		p.winq.WakeAll()
@@ -439,11 +480,26 @@ func (p *Port) classify(src vid.PID, txid uint32) reqClass {
 	return reqStale
 }
 
-// acceptRequest queues a new request and wakes a receiver.
-func (p *Port) acceptRequest(src vid.PID, txid uint32, msg vid.Message, from ethernet.MAC) {
+// acceptRequest queues a new request — whose segment is a slice of the
+// reassembly buffer lent, if that is not nil — and wakes a receiver.
+func (p *Port) acceptRequest(src vid.PID, txid uint32, msg vid.Message, from ethernet.MAC, lent []byte) {
 	p.lastFrom[src] = txid
-	p.rq = append(p.rq, &Req{Src: src, txid: txid, Msg: msg, from: from})
+	p.rq = append(p.rq, &Req{Src: src, txid: txid, Msg: msg, from: from, buf: lent})
 	p.reqWait.WakeOne()
+}
+
+// ReleaseSeg tells the port that the server is finished with the segment
+// of a request it received: it has copied out what it wants and kept no
+// slice of it. r.Msg.Seg is gone afterwards; if it was reassembled from
+// fragments its buffer goes back to the engine for the next one. Never
+// calling it is always safe — the segment then stays the server's, and
+// falls to the collector when dropped.
+func (p *Port) ReleaseSeg(r *Req) {
+	r.Msg.Seg = nil
+	if r.buf != nil {
+		p.eng.segs.Put(r.buf)
+		r.buf = nil
+	}
 }
 
 // resendCachedReply answers a duplicate request from the reply cache. The
@@ -547,7 +603,7 @@ func (p *Port) emitReply(t *sim.Task, dst vid.PID, txid uint32, msg vid.Message,
 		return
 	}
 	if packet.NumFrags(len(msg.Seg)) > 0 {
-		p.eng.sendFragged(t, pkt, mac)
+		p.eng.sendFragged(t, pkt, mac, nil)
 		return
 	}
 	p.eng.sendNow(t, pkt, mac)

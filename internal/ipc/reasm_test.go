@@ -89,7 +89,10 @@ func (rp *reasmPair) summary(count int, segLen uint32) bool {
 		}
 	}
 	p := mk()
-	ok := rp.eng.completeSeg(p, 2)
+	lent, ok := rp.eng.completeSeg(p, 2)
+	// The consumer hands the buffer back once it has read the segment: the
+	// next reassembly on this (poisoning) engine starts from garbage.
+	defer rp.eng.segs.Put(lent)
 	wantSeg, wantMissing, wantOK := rp.ref.completeSeg(mk())
 	if ok != wantOK {
 		rp.t.Fatalf("%s: completeSeg = %v, reference %v", rp.what, ok, wantOK)
@@ -311,7 +314,7 @@ func TestReassemblyRejectsImpossibleCounts(t *testing.T) {
 		}
 		sum := &packet.Packet{Kind: packet.KRequest, TxID: 5, Src: reasmSrc, Dst: reasmDst,
 			FragCount: uint16(count), SegLen: 1 << 30}
-		if rp.eng.completeSeg(sum, 2) {
+		if _, ok := rp.eng.completeSeg(sum, 2); ok {
 			t.Fatalf("a summary of %d fragments completed", count)
 		}
 		if rp.eng.jobs.Len() != 0 {
@@ -328,7 +331,7 @@ func TestBeaconReceiveAllocatesNothing(t *testing.T) {
 	t.Cleanup(r.sim.Shutdown)
 	heard := 0
 	r.hosts[1].eng.SetLoadSink(func(ad [6]uint32) { heard += int(ad[0]) })
-	beacon := packet.Marshal(&packet.Packet{Kind: packet.KLoadAd, HasAd: true, Ad: [6]uint32{1}})
+	beacon := packet.AppendMarshal(nil, &packet.Packet{Kind: packet.KLoadAd, HasAd: true, Ad: [6]uint32{1}})
 	hear := func() {
 		r.hosts[0].nic.StartSend(ethernet.Frame{Dst: ethernet.Broadcast, Payload: beacon}, nil)
 		r.sim.Run()

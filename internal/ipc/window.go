@@ -21,10 +21,16 @@ import (
 //
 // Window size 1 degenerates to the stop-and-wait copy loop the paper
 // describes, which is exactly how the E10 baseline is measured.
+//
+// The window also owns the bulk segments while they travel: SegBuf lends
+// the buffer to encode the next one into, the transaction carries it, and
+// reaping the transaction hands it back to the engine — as it does the
+// buffer a fragmented reply was reassembled in, once onReply has seen it.
 type Window struct {
 	eng   *Engine
 	ports []*Port
 	wait  sim.WaitQ
+	seg   []byte // lent by SegBuf, not yet sent
 
 	inflight int
 	err      error
@@ -41,7 +47,8 @@ type Window struct {
 // and its reply. The post-copy background puller uses it to install
 // fetched page runs as they arrive. The hook runs on whatever task is
 // driving the window and must not block (install pages, bump counters —
-// never send).
+// never send), and must not keep a slice of either segment: both buffers
+// are reused once it returns.
 func (w *Window) SetOnReply(fn func(req, reply vid.Message)) { w.onReply = fn }
 
 // WindowStats summarizes a window's activity.
@@ -82,14 +89,28 @@ func (e *Engine) NewWindow(lh vid.LHID, size int) *Window {
 // Size returns the window's slot count.
 func (w *Window) Size() int { return len(w.ports) }
 
+// SegBuf returns an empty buffer of capacity vid.SegMax to build the
+// segment of the next Send in. The window takes the buffer back with that
+// Send: the caller must not touch the segment afterwards, and a message
+// whose segment was built elsewhere is sent as before, the caller's own.
+// The segment is encoded before Send waits for a slot, so it is a snapshot
+// of the moment the caller made it, however long the wait.
+func (w *Window) SegBuf() []byte {
+	if w.seg == nil {
+		w.seg = w.eng.segs.Get()
+	}
+	return w.seg[:0]
+}
+
 // reap harvests every completed transaction, recording the first error
 // (transport failure or error reply) and freeing the slots.
 func (w *Window) reap(t *sim.Task) {
 	for _, p := range w.ports {
-		if p.send == nil || !p.send.done {
+		s := p.send
+		if s == nil || !s.done {
 			continue
 		}
-		req := p.send.msg
+		req := s.msg
 		reply, err := p.AwaitReply(t) // completed: returns without blocking
 		w.inflight--
 		if err == nil && !reply.OK() {
@@ -100,6 +121,13 @@ func (w *Window) reap(t *sim.Task) {
 		}
 		if err == nil && w.onReply != nil {
 			w.onReply(req, reply)
+		}
+		p.ReleaseReply()
+		if s.buf != nil && s.reading == 0 {
+			// Nothing transmits from the request's segment any more: no
+			// retransmission or repair starts once a transaction is done,
+			// and none is part-way through one.
+			w.eng.segs.Put(s.buf)
 		}
 	}
 }
@@ -130,7 +158,11 @@ func (w *Window) Send(t *sim.Task, dst vid.PID, msg vid.Message) error {
 		w.eng.stats.WindowStalls++
 		w.wait.Wait(t)
 	}
-	free.StartSend(t, dst, msg)
+	var buf []byte
+	if w.seg != nil && len(msg.Seg) > 0 && &msg.Seg[0] == &w.seg[:1][0] {
+		buf, w.seg = w.seg, nil
+	}
+	free.startSend(t, dst, msg, buf)
 	w.inflight++
 	w.sends++
 	w.occupSum += int64(w.inflight)
@@ -168,5 +200,9 @@ func (w *Window) Stats() WindowStats {
 func (w *Window) Close() {
 	for _, p := range w.ports {
 		p.Close()
+	}
+	if w.seg != nil {
+		w.eng.segs.Put(w.seg)
+		w.seg = nil
 	}
 }

@@ -172,6 +172,16 @@ func (c *ProcCtx) AwaitReply() (vid.Message, error) {
 	return m, err
 }
 
+// ReleaseReply gives the segment of the reply the last Send or AwaitReply
+// returned back to the kernel: the caller has copied out what it wants and
+// kept no slice of it (ipc.Port.ReleaseReply). Optional, always.
+func (c *ProcCtx) ReleaseReply() { c.proc.port.ReleaseReply() }
+
+// ReleaseSeg gives a received request's segment back to the kernel: the
+// caller has copied out what it wants and kept no slice of it
+// (ipc.Port.ReleaseSeg). Optional, always.
+func (c *ProcCtx) ReleaseSeg(r *ipc.Req) { c.proc.port.ReleaseSeg(r) }
+
 // Receive blocks for an incoming request.
 func (c *ProcCtx) Receive() *ipc.Req {
 	c.gate()

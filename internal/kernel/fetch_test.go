@@ -152,7 +152,7 @@ func TestFetchPageRejectsMalformedRequests(t *testing.T) {
 		{"oversized run", vid.Message{Op: KsFetchPage, W: [6]uint32{uint32(lh.ID())},
 			Seg: EncodeFetchReq(as.ID, oversize)}, vid.CodeBadRequest},
 		{"bad write mode", vid.Message{Op: KsWritePages, W: [6]uint32{uint32(lh.ID()), 99},
-			Seg: EncodePageRun(as.ID, []mem.PageNo{0}, [][]byte{mem.ZeroPage()})}, vid.CodeBadRequest},
+			Seg: AppendPageRun(nil, as.ID, []mem.PageNo{0}, [][]byte{mem.ZeroPage()})}, vid.CodeBadRequest},
 	}
 	replies := make([]vid.Message, len(cases))
 	errs := make([]error, len(cases))

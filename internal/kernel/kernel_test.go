@@ -172,7 +172,7 @@ func TestWritePagesAcrossHosts(t *testing.T) {
 		reply, sendErr = ctx.Send(KernelServerPID(b.SystemLH().ID()), vid.Message{
 			Op:  KsWritePages,
 			W:   [6]uint32{uint32(lh.ID())},
-			Seg: EncodePageRun(as.ID, pages, data),
+			Seg: AppendPageRun(nil, as.ID, pages, data),
 		})
 		elapsed = ctx.Now().Sub(start)
 	})
@@ -355,7 +355,7 @@ func TestPageRunEncodeDecode(t *testing.T) {
 		data[i] = make([]byte, mem.PageSize)
 		data[i][0] = byte(i + 1)
 	}
-	spaceID, gp, gd, err := DecodePageRun(EncodePageRun(9, pages, data))
+	spaceID, gp, gd, err := DecodePageRun(AppendPageRun(nil, 9, pages, data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestPageRunEncodeDecode(t *testing.T) {
 	if _, _, _, err := DecodePageRun([]byte{1, 2}); err == nil {
 		t.Fatal("short run decoded")
 	}
-	if _, _, _, err := DecodePageRun(EncodePageRun(1, pages, data)[:50]); err == nil {
+	if _, _, _, err := DecodePageRun(AppendPageRun(nil, 1, pages, data)[:50]); err == nil {
 		t.Fatal("truncated run decoded")
 	}
 }

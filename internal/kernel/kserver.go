@@ -101,7 +101,13 @@ func (h *Host) kernelServerLoop(ctx *ProcCtx) {
 	for {
 		req := ctx.Receive()
 		ctx.Compute(params.KernelOpCPU)
-		ctx.Reply(req, h.handleKs(ctx, req.Msg))
+		reply := h.handleKs(ctx, req.Msg)
+		if req.Msg.Op == KsWritePages {
+			// Every write mode copies the pages out of the run or drops
+			// them, and an error keeps nothing: the run's buffer is free.
+			ctx.ReleaseSeg(req)
+		}
+		ctx.Reply(req, reply)
 	}
 }
 
@@ -222,7 +228,7 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 			as.ClearDirtyPage(pn)
 		}
 		lh.lastWrite = h.Eng.Now()
-		return vid.Message{Op: m.Op, Seg: EncodePageRun(as.ID, pages, data)}
+		return vid.Message{Op: m.Op, Seg: AppendPageRun(nil, as.ID, pages, data)}
 
 	case KsReadPages:
 		lh, ok := h.lhs[vid.LHID(m.W[0])]
@@ -237,13 +243,13 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		if count > MaxRunPages {
 			return vid.ErrMsg(vid.CodeBadRequest)
 		}
-		var pages []mem.PageNo
-		var data [][]byte
-		for pn := first; pn < first+count; pn++ {
-			pages = append(pages, mem.PageNo(pn))
-			data = append(data, as.Page(mem.PageNo(pn)))
+		pages := make([]mem.PageNo, count)
+		data := make([][]byte, count)
+		for i := range pages {
+			pages[i] = mem.PageNo(first) + mem.PageNo(i)
+			data[i] = as.PageView(pages[i]) // the encoder copies it at once
 		}
-		return vid.Message{Op: m.Op, Seg: EncodePageRun(as.ID, pages, data)}
+		return vid.Message{Op: m.Op, Seg: AppendPageRun(nil, as.ID, pages, data)}
 
 	case KsFreezeLH:
 		lh, ok := h.lhs[vid.LHID(m.W[0])]

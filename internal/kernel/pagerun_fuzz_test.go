@@ -15,9 +15,9 @@ import (
 // misaligned page bodies past the bounds checks.
 func FuzzDecodePageRun(f *testing.F) {
 	pages, data := runPages(0, 5, func(i int) bool { return i%2 == 0 })
-	f.Add(EncodePageRun(3, pages, data))
+	f.Add(AppendPageRun(nil, 3, pages, data))
 	allZero, zdata := runPages(2, 3, func(int) bool { return true })
-	f.Add(EncodePageRun(9, allZero, zdata))
+	f.Add(AppendPageRun(nil, 9, allZero, zdata))
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0})
@@ -35,7 +35,7 @@ func FuzzDecodePageRun(f *testing.F) {
 				t.Fatalf("page %d decoded to %d bytes", pages[i], len(d))
 			}
 		}
-		reseg := EncodePageRun(space, pages, data)
+		reseg := AppendPageRun(nil, space, pages, data)
 		s2, p2, d2, err := DecodePageRun(reseg)
 		if err != nil {
 			t.Fatalf("re-encoded run rejected: %v", err)

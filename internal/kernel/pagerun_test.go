@@ -32,7 +32,7 @@ func runPages(first, n int, zero func(i int) bool) ([]mem.PageNo, [][]byte) {
 
 func TestPageRunZeroElision(t *testing.T) {
 	pages, data := runPages(4, 9, func(i int) bool { return i%3 == 0 })
-	seg := EncodePageRun(7, pages, data)
+	seg := AppendPageRun(nil, 7, pages, data)
 	// 3 of 9 pages are zero: their bodies must be elided from the wire.
 	want := 8 + 9*4 + 6*mem.PageSize
 	if len(seg) != want {
@@ -57,7 +57,7 @@ func TestPageRunZeroElision(t *testing.T) {
 
 func TestPageRunAllZeroCollapses(t *testing.T) {
 	pages, data := runPages(0, MaxRunPages, func(int) bool { return true })
-	seg := EncodePageRun(1, pages, data)
+	seg := AppendPageRun(nil, 1, pages, data)
 	if want := 8 + MaxRunPages*4; len(seg) != want {
 		t.Fatalf("all-zero run encoded %d bytes, want %d", len(seg), want)
 	}
@@ -74,7 +74,7 @@ func TestPageRunAllZeroCollapses(t *testing.T) {
 
 func TestDecodePageRunRejectsMalformed(t *testing.T) {
 	pages, data := runPages(0, 4, func(i int) bool { return i%2 == 0 })
-	good := EncodePageRun(3, pages, data)
+	good := AppendPageRun(nil, 3, pages, data)
 	cases := map[string][]byte{
 		"empty":            nil,
 		"short header":     good[:6],
@@ -125,7 +125,7 @@ func TestWritePagesOutOfOrderAndDuplicate(t *testing.T) {
 			pages, data := runPages(first, n, func(i int) bool { return (first+i)%2 == 0 })
 			m, err := ctx.Send(dstKS, vid.Message{
 				Op: KsWritePages, W: [6]uint32{lhid},
-				Seg: EncodePageRun(spaceID, pages, data),
+				Seg: AppendPageRun(nil, spaceID, pages, data),
 			})
 			if err != nil {
 				return err
@@ -175,7 +175,7 @@ func BenchmarkEncodePageRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EncodePageRun(1, pages, data)
+		AppendPageRun(nil, 1, pages, data)
 	}
 }
 
@@ -184,13 +184,13 @@ func BenchmarkEncodePageRunAllZero(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EncodePageRun(1, pages, data)
+		AppendPageRun(nil, 1, pages, data)
 	}
 }
 
 func BenchmarkDecodePageRun(b *testing.B) {
 	pages, data := benchRun(func(i int) bool { return i%4 == 0 })
-	seg := EncodePageRun(1, pages, data)
+	seg := AppendPageRun(nil, 1, pages, data)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -202,7 +202,7 @@ func BenchmarkDecodePageRun(b *testing.B) {
 
 func BenchmarkDecodePageRunAllZero(b *testing.B) {
 	pages, data := benchRun(func(int) bool { return true })
-	seg := EncodePageRun(1, pages, data)
+	seg := AppendPageRun(nil, 1, pages, data)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

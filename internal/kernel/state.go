@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"vsystem/internal/ipc"
 	"vsystem/internal/mem"
@@ -153,7 +154,7 @@ func (h *Host) InstallKernelState(lh *LogicalHost, st *LHState) error {
 // --------------------------------------------------------- page runs
 
 // MaxRunPages bounds pages per WritePages/ReadPages run so an encoded run
-// fits the 32 KB segment limit.
+// fits the 32 KB segment limit (with room for a page-out run's key prefix).
 const MaxRunPages = 30
 
 // ZeroPageFlag marks a page-number word whose page is all zero: the body
@@ -162,27 +163,43 @@ const MaxRunPages = 30
 // free in the wire format.
 const ZeroPageFlag = uint32(1) << 31
 
-// EncodePageRun packs pages of one address space for a bulk write.
-// All-zero pages travel as just their flagged 4-byte header word.
-func EncodePageRun(spaceID uint32, pages []mem.PageNo, data [][]byte) []byte {
+// AppendPageRun appends to dst the encoding of a run of at most MaxRunPages
+// pages of one address space, for a bulk write, and returns the extended
+// buffer. Bodies are copied out of data here and now, so data may be live
+// page views. All-zero pages travel as just their flagged 4-byte header
+// word, and dst grows — at most once — by what is written: no room is
+// reserved for an elided body.
+func AppendPageRun(dst []byte, spaceID uint32, pages []mem.PageNo, data [][]byte) []byte {
 	if len(pages) != len(data) {
 		panic("kernel: page/data mismatch")
 	}
-	buf := make([]byte, 0, 8+len(pages)*(4+mem.PageSize))
+	if len(pages) > MaxRunPages {
+		panic("kernel: page run longer than MaxRunPages")
+	}
+	var zero uint32 // bit i: page i is all zero
+	bodies := 0
+	for i, d := range data {
+		if len(d) != mem.PageSize {
+			panic("kernel: short page in run")
+		}
+		if mem.IsZeroPage(d) {
+			zero |= 1 << i
+		} else {
+			bodies++
+		}
+	}
+	buf := slices.Grow(dst, 8+4*len(pages)+bodies*mem.PageSize)
 	buf = binary.LittleEndian.AppendUint32(buf, spaceID)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pages)))
 	for i, pn := range pages {
-		if len(data[i]) != mem.PageSize {
-			panic("kernel: short page in run")
-		}
 		w := uint32(pn)
-		if mem.IsZeroPage(data[i]) {
+		if zero&(1<<i) != 0 {
 			w |= ZeroPageFlag
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, w)
 	}
 	for i, d := range data {
-		if binary.LittleEndian.Uint32(buf[8+4*i:])&ZeroPageFlag == 0 {
+		if zero&(1<<i) == 0 {
 			buf = append(buf, d...)
 		}
 	}

@@ -8,8 +8,8 @@
 // new-binding notices for reference rebinding (§3.1.4), and multi-frame
 // transfers for the 32 Kbyte units V routinely moved (§3.1).
 //
-// Buffer ownership: Marshal copies everything it is given into a fresh
-// buffer. Unmarshal copies an inline Msg.Seg out of its input, because a
+// Buffer ownership: AppendMarshal copies everything it is given into the
+// buffer it is handed. Unmarshal copies an inline Msg.Seg out of its input, because a
 // message outlives the frame and its holders write into it; a KFrag's Data
 // is a slice of the input, because a fragment is only ever copied onward
 // into its reassembly buffer. A frame payload is therefore never written
@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"vsystem/internal/vid"
 )
@@ -121,10 +122,14 @@ var ErrBadKind = errors.New("packet: bad kind")
 
 const headerLen = 1 + 4 + 4 + 4 + 2 // kind, txid, src, dst, lh
 
-// Marshal encodes the packet.
-func Marshal(p *Packet) []byte {
-	// Conservative capacity: header + fixed message + variable parts.
-	b := make([]byte, 0, headerLen+40+len(p.Msg.Seg)+len(p.Data)+2*len(p.Missing)+16)
+// Marshal encodes the packet into a new buffer.
+func Marshal(p *Packet) []byte { return AppendMarshal(nil, p) }
+
+// AppendMarshal appends the packet's encoding to dst and returns the
+// extended buffer, growing it at most once if the encoding does not fit.
+func AppendMarshal(dst []byte, p *Packet) []byte {
+	// Conservative size: header + fixed message + variable parts.
+	b := slices.Grow(dst, headerLen+40+len(p.Msg.Seg)+len(p.Data)+2*len(p.Missing)+16)
 	b = append(b, byte(p.Kind))
 	b = binary.LittleEndian.AppendUint32(b, p.TxID)
 	b = binary.LittleEndian.AppendUint32(b, uint32(p.Src))

@@ -23,7 +23,7 @@ func TestRoundTripRequest(t *testing.T) {
 			Seg:  []byte("payload"),
 		},
 	}
-	got, err := Unmarshal(Marshal(p))
+	got, err := Unmarshal(AppendMarshal(nil, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestRoundTripRequest(t *testing.T) {
 func TestRoundTripHeaderOnlyKinds(t *testing.T) {
 	for _, k := range []Kind{KReplyPending, KNoProc, KLocateReq, KLocateResp, KBinding} {
 		p := &Packet{Kind: k, TxID: 9, Src: vid.NewPID(1, 16), Dst: vid.NewPID(2, 16), LH: 5}
-		got, err := Unmarshal(Marshal(p))
+		got, err := Unmarshal(AppendMarshal(nil, p))
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
@@ -56,7 +56,7 @@ func TestRoundTripFrag(t *testing.T) {
 		FragCount: 9,
 		Data:      bytes.Repeat([]byte{0xAB}, FragChunk),
 	}
-	got, err := Unmarshal(Marshal(p))
+	got, err := Unmarshal(AppendMarshal(nil, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRoundTripFragNack(t *testing.T) {
 		OfKind:  KReply,
 		Missing: []uint16{0, 3, 31},
 	}
-	got, err := Unmarshal(Marshal(p))
+	got, err := Unmarshal(AppendMarshal(nil, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestUnmarshalErrors(t *testing.T) {
 	if _, err := Unmarshal([]byte{0xFF, 0, 0}); err != ErrBadKind {
 		t.Fatalf("bad kind: %v", err)
 	}
-	good := Marshal(&Packet{Kind: KRequest, Msg: vid.Message{Seg: []byte("abcdef")}})
+	good := AppendMarshal(nil, &Packet{Kind: KRequest, Msg: vid.Message{Seg: []byte("abcdef")}})
 	for n := 1; n < len(good); n++ {
 		if _, err := Unmarshal(good[:n]); err == nil {
 			t.Fatalf("truncated decode at %d succeeded", n)
@@ -142,7 +142,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			Src: vid.PID(src), Dst: vid.PID(dst),
 			Msg: vid.Message{Op: op, Code: code, W: w, Seg: seg},
 		}
-		got, err := Unmarshal(Marshal(p))
+		got, err := Unmarshal(AppendMarshal(nil, p))
 		return err == nil && reflect.DeepEqual(got, p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -171,7 +171,7 @@ func TestQuickFuzzNoPanic(t *testing.T) {
 // comment: a fragment's Data is the input's bytes, an inline segment is a
 // copy of them.
 func TestUnmarshalAliasing(t *testing.T) {
-	frag := Marshal(&Packet{
+	frag := AppendMarshal(nil, &Packet{
 		Kind: KFrag, TxID: 3, Src: vid.NewPID(1, 16), Dst: vid.NewPID(2, 1),
 		OfKind: KRequest, FragIdx: 1, FragCount: 2, Data: bytes.Repeat([]byte{0xAB}, FragChunk),
 	})
@@ -189,7 +189,7 @@ func TestUnmarshalAliasing(t *testing.T) {
 		t.Fatalf("KFrag Data has cap %d beyond its len %d: an append would write into the frame", cap(p.Data), len(p.Data))
 	}
 
-	req := Marshal(&Packet{
+	req := AppendMarshal(nil, &Packet{
 		Kind: KRequest, TxID: 4, Src: vid.NewPID(1, 16), Dst: vid.NewPID(2, 1),
 		Msg: vid.Message{Op: 9, Seg: bytes.Repeat([]byte{0x11}, 300)},
 	})
@@ -211,11 +211,11 @@ func TestUnmarshalIntoOverwrites(t *testing.T) {
 	var p Packet
 	first := &Packet{Kind: KReply, TxID: 1, Src: vid.NewPID(1, 16), Dst: vid.NewPID(2, 1),
 		Msg: vid.Message{Op: 5, W: [6]uint32{1, 2, 3, 4, 5, 6}, Seg: []byte("seg")}, HasAd: true, Ad: [6]uint32{9, 9, 9, 9, 9, 9}}
-	if err := UnmarshalInto(&p, Marshal(first)); err != nil {
+	if err := UnmarshalInto(&p, AppendMarshal(nil, first)); err != nil {
 		t.Fatal(err)
 	}
 	second := &Packet{Kind: KLocateReq, LH: 7}
-	if err := UnmarshalInto(&p, Marshal(second)); err != nil {
+	if err := UnmarshalInto(&p, AppendMarshal(nil, second)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(&p, second) {
@@ -226,7 +226,7 @@ func TestUnmarshalIntoOverwrites(t *testing.T) {
 // TestUnmarshalFragAllocation: decoding a full fragment allocates the
 // Packet and nothing else.
 func TestUnmarshalFragAllocation(t *testing.T) {
-	frag := Marshal(&Packet{
+	frag := AppendMarshal(nil, &Packet{
 		Kind: KFrag, TxID: 3, Src: vid.NewPID(1, 16), Dst: vid.NewPID(2, 1),
 		OfKind: KRequest, FragIdx: 1, FragCount: 2, Data: make([]byte, FragChunk),
 	})
@@ -240,5 +240,28 @@ func TestUnmarshalFragAllocation(t *testing.T) {
 	}
 	if len(p.Data) != FragChunk || len(q.Data) != FragChunk {
 		t.Fatal("short decode")
+	}
+}
+
+// TestAppendMarshalInPlace: the encoding lands behind whatever dst already
+// holds, in dst's own array when it has the room — a full fragment into a
+// frame buffer allocates nothing — and Marshal is the same bytes in a new
+// buffer.
+func TestAppendMarshalInPlace(t *testing.T) {
+	p := &Packet{
+		Kind: KFrag, TxID: 3, Src: vid.NewPID(1, 16), Dst: vid.NewPID(2, 1),
+		OfKind: KRequest, FragIdx: 1, FragCount: 2, Data: bytes.Repeat([]byte{7}, FragChunk),
+	}
+	want := Marshal(p)
+	buf := make([]byte, 0, 1500)
+	var out []byte
+	if n := testing.AllocsPerRun(100, func() { out = AppendMarshal(buf, p) }); n != 0 {
+		t.Fatalf("AppendMarshal into a frame-sized buffer: %v allocations, want 0", n)
+	}
+	if !bytes.Equal(out, want) || &out[0] != &buf[:1][0] {
+		t.Fatal("AppendMarshal into a buffer with room: other bytes, or another array")
+	}
+	if out = AppendMarshal([]byte("head"), p); string(out[:4]) != "head" || !bytes.Equal(out[4:], want) {
+		t.Fatal("AppendMarshal behind a prefix: prefix or encoding damaged")
 	}
 }

@@ -596,6 +596,7 @@ func (pm *PM) loadFile(ctx *kernel.ProcCtx, name string) ([]byte, vid.PID, error
 			}
 		}
 		out = append(out, r.Seg...)
+		ctx.ReleaseReply()
 	}
 	return out, pm.fsPID, nil
 }

@@ -315,7 +315,7 @@ func TestReceptacleReapIsInactivityBased(t *testing.T) {
 		// must be reaped at t≈90 s.
 		for i := 0; i < 3; i++ {
 			ctx.Sleep(20 * time.Second)
-			run := kernel.EncodePageRun(1, []mem.PageNo{mem.PageNo(i)}, [][]byte{page})
+			run := kernel.AppendPageRun(nil, 1, []mem.PageNo{mem.PageNo(i)}, [][]byte{page})
 			wm, err := ctx.Send(targetKS, vid.Message{
 				Op: kernel.KsWritePages, W: [6]uint32{uint32(tempLH)}, Seg: run,
 			})

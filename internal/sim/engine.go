@@ -1,6 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine maintains a virtual clock and an event heap. All simulated
+// The engine maintains a virtual clock, an event heap, and a FIFO of the
+// events scheduled for the current instant. All simulated
 // activity — network frames, CPU slices, protocol timers, server logic —
 // runs as events on one goroutine, or as coroutine Tasks that the engine
 // resumes one at a time. Because at most one task is runnable at any
@@ -44,8 +45,14 @@ type event struct {
 	task   *Task // when non-nil, resume this task instead of calling fn
 	reason WakeReason
 	gen    uint32
-	index  int // heap index, -1 when popped
+	index  int // heap index, or notPending / inNowQ
 }
+
+// Values of event.index for an event that is not in the heap.
+const (
+	notPending = -1 // fired, stopped or free
+	inNowQ     = -2 // queued in Engine.nowq
+)
 
 // Timer is a handle to a scheduled event; Stop cancels it. The zero Timer
 // is valid and Stop on it reports false.
@@ -55,17 +62,28 @@ type Timer struct {
 	gen uint32
 }
 
-// Stop cancels the timer, eagerly removing its event from the heap and
-// releasing the callback so cancelled timers cost nothing past this call.
+// Stop cancels the timer, releasing the callback and — unless the event is
+// due at the current instant — eagerly removing it from the heap, so
+// cancelled timers cost nothing past this call.
 // It reports whether the timer was still pending; after the event has
 // fired — including from inside the timer's own callback — it returns
 // false.
 func (t Timer) Stop() bool {
-	if t.ev == nil || t.ev.gen != t.gen || t.ev.index < 0 {
+	ev, e := t.ev, t.eng
+	if ev == nil || ev.gen != t.gen || ev.index == notPending {
 		return false
 	}
-	t.eng.release(t.eng.events.remove(t.ev.index))
-	t.eng.stats.Stopped++
+	if ev.index == inNowQ {
+		// Emptied in place rather than cut out of the middle of the FIFO;
+		// next discards it, and recycles it, on reaching it.
+		ev.fn, ev.task = nil, nil
+		ev.gen++
+		ev.index = notPending
+		e.nowStopped++
+	} else {
+		e.release(e.events.remove(ev.index))
+	}
+	e.stats.Stopped++
 	return true
 }
 
@@ -113,7 +131,7 @@ func (h *eventHeap) remove(i int) *event {
 			h.down(i, last)
 		}
 	}
-	ev.index = -1
+	ev.index = notPending
 	return ev
 }
 
@@ -169,14 +187,23 @@ const maxFree = 1 << 16
 
 // Engine is a discrete-event simulator instance.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  eventHeap
-	free    []*event // recycled events
-	rng     *rand.Rand
-	running *Task   // task currently executing, nil when in plain events
-	live    []*Task // spawned and not finished, each at index Task.live
-	stats   Stats
+	now    Time
+	seq    uint64
+	events eventHeap
+	// nowq holds, in scheduling order, the events that were scheduled for
+	// the instant at which they were scheduled — wake-ups, yields, spawns,
+	// CPU kicks: most of all events — which would otherwise sift to the top
+	// of the heap and straight back out. The clock cannot pass a queued
+	// event, so everything in nowq is due at now, and its seq order is its
+	// queue order: next merges it with the heap by (at, seq), and the pop
+	// sequence is the one a single heap would give.
+	nowq       fifo[*event]
+	nowStopped int      // stopped events still physically in nowq
+	free       []*event // recycled events
+	rng        *rand.Rand
+	running    *Task   // task currently executing, nil when in plain events
+	live       []*Task // spawned and not finished, each at index Task.live
+	stats      Stats
 }
 
 // Stats are an engine's cumulative counters since creation.
@@ -184,7 +211,7 @@ type Stats struct {
 	Fired      uint64 // events run by Step
 	Dispatches uint64 // task resumptions: switches into a task and back
 	Stopped    uint64 // timers cancelled while still pending
-	MaxPending int    // deepest the event heap has been
+	MaxPending int    // most events pending at once
 }
 
 // Stats returns the engine's cumulative counters.
@@ -211,7 +238,7 @@ func (e *Engine) alloc() *event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &event{index: -1}
+	return &event{index: notPending}
 }
 
 // release clears an event (dropping the closure immediately), invalidates
@@ -225,17 +252,47 @@ func (e *Engine) release(ev *event) {
 	}
 }
 
-// schedule pushes ev onto the heap at instant t.
+// schedule makes ev pending at instant t: on the heap, or in nowq when t is
+// the current instant.
 func (e *Engine) schedule(t Time, ev *event) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
 	e.seq++
 	ev.at, ev.seq = t, e.seq
-	e.events.push(ev)
-	if n := len(e.events); n > e.stats.MaxPending {
+	if t == e.now {
+		ev.index = inNowQ
+		e.nowq.push(ev)
+	} else {
+		e.events.push(ev)
+	}
+	if n := e.Pending(); n > e.stats.MaxPending {
 		e.stats.MaxPending = n
 	}
+}
+
+// next returns the earliest pending event by (at, seq) without removing it
+// — the head of nowq or the top of the heap — or nil if none is pending.
+// Stopped events at the head of nowq are dropped on the way.
+func (e *Engine) next() *event {
+	for e.nowq.len() > 0 {
+		head := e.nowq.live()[0]
+		if head.index == inNowQ {
+			if len(e.events) > 0 && before(e.events[0], head) {
+				return e.events[0]
+			}
+			return head
+		}
+		e.nowq.pop()
+		e.nowStopped--
+		if len(e.free) < maxFree {
+			e.free = append(e.free, head)
+		}
+	}
+	if len(e.events) > 0 {
+		return e.events[0]
+	}
+	return nil
 }
 
 // At schedules fn to run at instant t. Scheduling in the past is an error in
@@ -269,10 +326,22 @@ func (e *Engine) resumeAfter(d time.Duration, t *Task, reason WakeReason) Timer 
 
 // Step runs the next pending event. It reports false when no events remain.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	ev := e.next()
+	if ev == nil {
 		return false
 	}
-	ev := e.events.popMin()
+	e.fire(ev)
+	return true
+}
+
+// fire takes ev, which next returned, out of its queue and runs it.
+func (e *Engine) fire(ev *event) {
+	if ev.index == inNowQ {
+		e.nowq.pop()
+		ev.index = notPending
+	} else {
+		e.events.popMin()
+	}
 	e.now = ev.at
 	fn, task, reason := ev.fn, ev.task, ev.reason
 	// Release before running: tasks never reenter Step, and handing the
@@ -284,10 +353,9 @@ func (e *Engine) Step() bool {
 	} else {
 		fn()
 	}
-	return true
 }
 
-// Run processes events until the event heap is empty.
+// Run processes events until none is pending.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -296,8 +364,8 @@ func (e *Engine) Run() {
 // RunUntil processes events with timestamps <= t and then sets the clock to
 // t. Events scheduled later remain pending.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.events) > 0 && e.events[0].at <= t {
-		e.Step()
+	for ev := e.next(); ev != nil && ev.at <= t; ev = e.next() {
+		e.fire(ev)
 	}
 	if e.now < t {
 		e.now = t
@@ -307,9 +375,9 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor advances the simulation by d of virtual time.
 func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 
-// Pending reports the number of live scheduled events; stopped timers
-// leave the heap immediately and are never counted.
-func (e *Engine) Pending() int { return len(e.events) }
+// Pending reports the number of live scheduled events; stopped timers are
+// never counted.
+func (e *Engine) Pending() int { return len(e.events) + e.nowq.len() - e.nowStopped }
 
 // LiveTasks reports the number of spawned tasks that have not finished.
 func (e *Engine) LiveTasks() int { return len(e.live) }
