@@ -26,96 +26,31 @@ import (
 	"vsystem/internal/vid"
 )
 
-// reportAll runs a simulation experiment once per iteration and reports
-// its metrics.
-func reportAll(b *testing.B, f func(int64) *experiments.Result) {
-	b.Helper()
-	var r *experiments.Result
-	for i := 0; i < b.N; i++ {
-		r = f(int64(i + 1))
+// BenchmarkExperiments regenerates every table and figure: one
+// sub-benchmark per entry of experiments.Table (DESIGN.md's experiment
+// index says what each id reproduces — `-bench Experiments/precopy$` is E4,
+// §4.1's pre-copy freeze times), run once per iteration at seed = iteration
+// with its metrics reported. E11 runs the CI-sized 100-host grid so a bench
+// sweep stays fast; the default 500-host grid runs via vbench.
+func BenchmarkExperiments(b *testing.B) {
+	pool := experiments.NewPool()
+	for _, e := range experiments.Table(100) {
+		b.Run(e.ID, func(b *testing.B) {
+			var r *experiments.Result
+			for i := 0; i < b.N; i++ {
+				r = e.Run(pool, int64(i+1))
+			}
+			if r == nil {
+				return
+			}
+			if !r.Pass {
+				b.Fatalf("%s failed shape assertions:\n%s", r.ID, r.Format())
+			}
+			for k, v := range r.Metrics {
+				b.ReportMetric(v, k)
+			}
+		})
 	}
-	if r == nil {
-		return
-	}
-	if !r.Pass {
-		b.Fatalf("%s failed shape assertions:\n%s", r.ID, r.Format())
-	}
-	for k, v := range r.Metrics {
-		b.ReportMetric(v, k)
-	}
-}
-
-// BenchmarkRemoteExecCosts regenerates E1 (§4.1): host selection ≈23 ms,
-// environment setup+destroy ≈40 ms, program loading ≈330 ms / 100 KB.
-func BenchmarkRemoteExecCosts(b *testing.B) { reportAll(b, experiments.RemoteExecCosts) }
-
-// BenchmarkMigrationCopyCosts regenerates E2 (§4.1): kernel-state copy
-// 14 ms + 9 ms per process/space; address-space copy ≈3 s/MB.
-func BenchmarkMigrationCopyCosts(b *testing.B) { reportAll(b, experiments.MigrationCopyCosts) }
-
-// BenchmarkDirtyPageRates regenerates Table 4-1.
-func BenchmarkDirtyPageRates(b *testing.B) { reportAll(b, experiments.DirtyPageRates) }
-
-// BenchmarkPrecopyFreezeTime regenerates E4 (§4.1): ~2 useful pre-copy
-// iterations, 0.5-70 KB residues, 5-210 ms suspensions.
-func BenchmarkPrecopyFreezeTime(b *testing.B) { reportAll(b, experiments.PrecopyEffectiveness) }
-
-// BenchmarkExecutionOverheads regenerates E5 in simulated time (the
-// real-time counterparts are the micro-benchmarks below).
-func BenchmarkExecutionOverheads(b *testing.B) { reportAll(b, experiments.ExecutionOverheads) }
-
-// BenchmarkCommPaths regenerates Figure 2-1's message flow.
-func BenchmarkCommPaths(b *testing.B) { reportAll(b, experiments.CommPaths) }
-
-// BenchmarkCommDuringMigration regenerates E7 (§3.1.3): operations on a
-// migrating program are delayed, never aborted.
-func BenchmarkCommDuringMigration(b *testing.B) { reportAll(b, experiments.CommDuringMigration) }
-
-// BenchmarkVMPagingMigration regenerates Figure 3-1 / §3.2.
-func BenchmarkVMPagingMigration(b *testing.B) { reportAll(b, experiments.VMPaging) }
-
-// BenchmarkStopAndCopy regenerates ablation A1: freeze-then-copy vs
-// pre-copy freeze times across logical-host sizes.
-func BenchmarkStopAndCopy(b *testing.B) { reportAll(b, experiments.AblationFreeze) }
-
-// BenchmarkResidualDependencies regenerates ablation A2: forwarding
-// addresses vs logical-host rebinding.
-func BenchmarkResidualDependencies(b *testing.B) { reportAll(b, experiments.AblationResidual) }
-
-// BenchmarkUsage regenerates A3 (§4.3): fraction of @ * requests honored.
-func BenchmarkUsage(b *testing.B) { reportAll(b, experiments.Usage) }
-
-// BenchmarkSelectionScaling regenerates E8: first-response selection time
-// stays flat from 5 to 25 workstations.
-func BenchmarkSelectionScaling(b *testing.B) { reportAll(b, experiments.SelectionScaling) }
-
-// BenchmarkSelectionPolicies regenerates E9: under skewed load, the
-// least-loaded policy over the cached cluster view tightens the
-// completion-time spread that first-response serialization produces.
-func BenchmarkSelectionPolicies(b *testing.B) { reportAll(b, experiments.SelectionPolicies) }
-
-// BenchmarkMigrationUnderLoss regenerates A4: migrations complete with
-// gracefully degrading freeze times at 0-10% frame loss.
-func BenchmarkMigrationUnderLoss(b *testing.B) { reportAll(b, experiments.MigrationUnderLoss) }
-
-// BenchmarkPrecopyRounds regenerates A5: the diminishing-returns curve of
-// pre-copy iterations behind the paper's "usually 2 were useful".
-func BenchmarkPrecopyRounds(b *testing.B) { reportAll(b, experiments.PrecopyRounds) }
-
-// BenchmarkCopyThroughput regenerates E10: windowed bulk-transfer
-// bandwidth vs window size, loss rate and zero-page fraction, plus the
-// freeze/total non-regression of a pipelined pre-copy migration.
-func BenchmarkCopyThroughput(b *testing.B) { reportAll(b, experiments.CopyThroughput) }
-
-// BenchmarkClusterLoad regenerates E11: open-loop Poisson job streams
-// against a large cluster, turnaround percentiles + placement quality +
-// hot-spot bytes per selection policy. Runs the CI-sized 100-host grid so
-// a bench sweep stays fast; the default 500-host grid runs via vbench.
-func BenchmarkClusterLoad(b *testing.B) {
-	old := experiments.ClusterLoadHosts
-	experiments.ClusterLoadHosts = 100
-	defer func() { experiments.ClusterLoadHosts = old }()
-	reportAll(b, experiments.ClusterLoad)
 }
 
 // ---------------------------------------------------------------------

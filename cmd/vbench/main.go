@@ -40,9 +40,7 @@ func realMain() int {
 		memPro = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	flag.Parse()
-	if *hosts > 0 {
-		experiments.ClusterLoadHosts = *hosts
-	}
+	table := experiments.Table(*hosts)
 	if *cpuPro != "" {
 		f, err := os.Create(*cpuPro)
 		if err != nil {
@@ -70,13 +68,17 @@ func realMain() int {
 	}
 
 	if *list {
-		for _, n := range experiments.Names() {
-			fmt.Println(n)
+		for _, e := range table {
+			fmt.Println(e.ID)
 		}
 		fmt.Println("space")
 		return 0
 	}
 
+	// Experiments, and the independent cells inside them, run side by side
+	// on one cluster per core (GOMAXPROCS=1 is the serial run); results come
+	// back in table order whatever the width.
+	pool := experiments.NewPool()
 	fail := 0
 	var results []*experiments.Result
 	run := func(r *experiments.Result) {
@@ -94,14 +96,14 @@ func realMain() int {
 	case *exp == "space":
 		run(experiments.SpaceCost(*root))
 	case *exp != "":
-		f, ok := experiments.ByName(*exp)
+		e, ok := experiments.Lookup(table, *exp)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "vbench: unknown experiment %q (try -list)\n", *exp)
 			return 2
 		}
-		run(f(*seed))
+		run(e.Run(pool, *seed))
 	default:
-		for _, r := range experiments.All(*seed) {
+		for _, r := range pool.Run(table, *seed) {
 			run(r)
 		}
 		run(experiments.SpaceCost(*root))

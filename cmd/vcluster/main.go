@@ -83,7 +83,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vcluster: -window must be >= 1")
 		os.Exit(2)
 	}
-	params.CopyWindow = *window
 
 	selPol := sched.PolicyByName(*sel)
 	if selPol == nil {
@@ -99,7 +98,7 @@ func main() {
 
 	r := newRepl(core.Options{
 		Workstations: *n, Seed: *seed, LossRate: *loss, Policy: pol, Select: selPol,
-		ReplicateFS: *repFS, ReplicateHome: *repPM,
+		ReplicateFS: *repFS, ReplicateHome: *repPM, CopyWindow: *window,
 	}, os.Stdout)
 	r.loop(os.Stdin)
 }
@@ -496,7 +495,7 @@ func (r *repl) exec(line string) bool {
 		wsends += fst.WindowSends
 		wstalls += fst.WindowStalls
 		r.printf("  bulk-transfer: window=%d sends=%d stalls=%d copy-window-events=%d",
-			params.CopyWindow, wsends, wstalls, tb.Count(trace.EvCopyWindow))
+			r.c.Options().CopyWindow, wsends, wstalls, tb.Count(trace.EvCopyWindow))
 		rf := r.c.RemoteFaultTotals()
 		r.printf("  remote faults: %d (%.1f KB) stalled=%v pull=%.1fK push=%.1fK events=%d aborted=%v",
 			rf.Faults, rf.FaultKB, rf.StallTime, rf.PullKB, rf.PushKB,

@@ -53,6 +53,26 @@ type Options struct {
 	// supervision) with a consensus group of that many program managers.
 	// 0 or 1 keeps the single home PM (the default).
 	ReplicateHome int
+	// CopyWindow is how many bulk-copy transactions every migration in this
+	// cluster keeps in flight (1 = the paper's stop-and-wait copy loop).
+	// Default params.CopyWindow.
+	CopyWindow int
+	// PrecopyMaxRounds, PrecopyStopKB and PrecopyMinShrink are the pre-copy
+	// stopping rule (§3.1.2, precopyDone). Defaults: the params constants
+	// of the same names.
+	PrecopyMaxRounds int
+	PrecopyStopKB    float64
+	PrecopyMinShrink float64
+}
+
+// precopyDone is the pre-copy stopping rule: after a round (counted from
+// 0) that copied copiedKB while the program dirtied dirtyKB, stop and
+// freeze if the residue is small enough, the round budget is spent, or the
+// dirty set is no longer shrinking.
+func (o *Options) precopyDone(round int, copiedKB, dirtyKB float64) bool {
+	return dirtyKB <= o.PrecopyStopKB ||
+		round+1 >= o.PrecopyMaxRounds ||
+		dirtyKB > copiedKB*o.PrecopyMinShrink
 }
 
 // Cluster is a simulated V installation: workstations plus a server
@@ -86,7 +106,7 @@ type Cluster struct {
 	// bursts into the cluster; it is never nil.
 	Fault *fault.Injector
 
-	policy Policy
+	opt    Options          // as booted, defaults filled in
 	images []installedImage // install order preserved for FS restart
 	agents int
 	pagers map[vid.LHID]*PagerStats
@@ -111,6 +131,10 @@ type Node struct {
 	pagerSeq uint16
 }
 
+// Options returns the options the cluster was booted with, defaults
+// filled in.
+func (c *Cluster) Options() Options { return c.opt }
+
 // Name returns the workstation's host name.
 func (n *Node) Name() string { return n.Host.Name }
 
@@ -122,6 +146,18 @@ func NewCluster(opt Options) *Cluster {
 	if opt.Seed == 0 {
 		opt.Seed = 1
 	}
+	if opt.CopyWindow == 0 {
+		opt.CopyWindow = params.CopyWindow
+	}
+	if opt.PrecopyMaxRounds == 0 {
+		opt.PrecopyMaxRounds = params.PrecopyMaxRounds
+	}
+	if opt.PrecopyStopKB == 0 {
+		opt.PrecopyStopKB = params.PrecopyStopKB
+	}
+	if opt.PrecopyMinShrink == 0 {
+		opt.PrecopyMinShrink = params.PrecopyMinShrink
+	}
 	eng := sim.NewEngine(opt.Seed)
 	bus := ethernet.NewBus(eng)
 	if opt.LossRate > 0 {
@@ -129,7 +165,7 @@ func NewCluster(opt Options) *Cluster {
 	}
 	tb := trace.NewBus()
 	bus.SetTraceBus(tb)
-	c := &Cluster{Sim: eng, Bus: bus, Trace: tb, policy: opt.Policy}
+	c := &Cluster{Sim: eng, Bus: bus, Trace: tb, opt: opt}
 	c.Fault = fault.New(eng, bus, tb)
 	tb.RegisterSource("net", func() []trace.Metric {
 		bs := bus.Stats()
@@ -200,7 +236,7 @@ func NewCluster(opt Options) *Cluster {
 		h.IPC.SetLoadSink(cache.Observe)
 		h.EnableLoadAds(beacon)
 		tb.RegisterSource("sched/"+h.Name, n.Selector.Metrics)
-		n.PM.Migrator = &Migrator{Policy: opt.Policy, Cluster: c, FaultHook: c.Fault.OnPhase, Selector: n.Selector}
+		n.PM.Migrator = c.newMigrator(n)
 		n.PM.Selector = n.Selector
 		registerSupMetrics(tb, n)
 		n.Display = display.Start(h)
@@ -381,6 +417,12 @@ func (c *Cluster) fsTarget() vid.PID {
 	return vid.GroupFileServers
 }
 
+// newMigrator builds a workstation's migration engine: the cluster's
+// policy and copy settings, the node's selector, the injector's phase hook.
+func (c *Cluster) newMigrator(n *Node) *Migrator {
+	return &Migrator{Policy: c.opt.Policy, Cluster: c, FaultHook: c.Fault.OnPhase, Selector: n.Selector}
+}
+
 // Restart reboots a crashed workstation: the kernel comes back with a
 // fresh system logical host, then the resident servers (program manager,
 // display) are restarted and re-announce themselves to the name service.
@@ -393,7 +435,7 @@ func (n *Node) Restart() {
 	c := n.cluster
 	n.Host.Restart()
 	n.PM = progmgr.Start(n.Host)
-	n.PM.Migrator = &Migrator{Policy: c.policy, Cluster: c, FaultHook: c.Fault.OnPhase, Selector: n.Selector}
+	n.PM.Migrator = c.newMigrator(n)
 	n.PM.Selector = n.Selector
 	// A home-group member rejoins the group over its surviving durable log
 	// and catches up from the current leader (log replay or snapshot).

@@ -138,11 +138,80 @@ type MigrationReport struct {
 	ResidueAborted   bool
 }
 
-// Encode serializes the report.
-func (r *MigrationReport) Encode() []byte { return vid.GobEncode(r) }
+// roundStatLen is one RoundStat on the wire: page count, KB, duration, rate.
+const roundStatLen = 4 + 8 + 8 + 8
+
+// Encode serializes the report — the segment of a PmMigrateProgram reply —
+// as a fixed layout (DESIGN §10): the scalar fields in declaration order
+// (durations and counters as 64-bit words, floats as their IEEE bits), the
+// policy name, then the counted per-round records.
+func (r *MigrationReport) Encode() []byte {
+	var a vid.Appender
+	a.F64(r.ResidualKB)
+	a.U64(uint64(r.FreezeTime))
+	a.U32(uint32(r.KernelItems))
+	a.U64(uint64(r.KernelTime))
+	a.U64(uint64(r.Total))
+	a.U64(uint64(r.BytesCopied))
+	a.U16(uint16(r.DestHost))
+	a.U32(uint32(r.NewPM))
+	a.U64(uint64(r.WireBytes))
+	a.U32(uint32(r.WindowSize))
+	a.U64(uint64(r.WindowSends))
+	a.U64(uint64(r.WindowStalls))
+	a.F64(r.WindowOccupancy)
+	a.U32(uint32(r.PostSwapFaults))
+	a.U64(uint64(r.PostSwapStall))
+	a.F64(r.PostSwapPullKB)
+	a.F64(r.PostSwapPullKBps)
+	a.F64(r.ResiduePushKB)
+	a.Bool(r.ResidueAborted)
+	a.String(r.Policy)
+	a.Count(len(r.Rounds))
+	for _, rs := range r.Rounds {
+		a.U32(uint32(rs.Pages))
+		a.F64(rs.KB)
+		a.U64(uint64(rs.Dur))
+		a.F64(rs.CopyRateKBps)
+	}
+	return a.B
+}
 
 // DecodeReport parses a MigrationReport.
-func DecodeReport(b []byte) (*MigrationReport, error) { return vid.GobDecode[MigrationReport](b) }
+func DecodeReport(b []byte) (*MigrationReport, error) {
+	rd := vid.NewReader(b)
+	r := &MigrationReport{
+		ResidualKB:       rd.F64(),
+		FreezeTime:       time.Duration(rd.U64()),
+		KernelItems:      int(rd.U32()),
+		KernelTime:       time.Duration(rd.U64()),
+		Total:            time.Duration(rd.U64()),
+		BytesCopied:      int64(rd.U64()),
+		DestHost:         vid.LHID(rd.U16()),
+		NewPM:            vid.PID(rd.U32()),
+		WireBytes:        int64(rd.U64()),
+		WindowSize:       int(rd.U32()),
+		WindowSends:      int64(rd.U64()),
+		WindowStalls:     int64(rd.U64()),
+		WindowOccupancy:  rd.F64(),
+		PostSwapFaults:   int(rd.U32()),
+		PostSwapStall:    time.Duration(rd.U64()),
+		PostSwapPullKB:   rd.F64(),
+		PostSwapPullKBps: rd.F64(),
+		ResiduePushKB:    rd.F64(),
+		ResidueAborted:   rd.Bool(),
+		Policy:           rd.String(),
+	}
+	for i, n := 0, rd.Count(roundStatLen); i < n; i++ {
+		r.Rounds = append(r.Rounds, RoundStat{
+			Pages: int(rd.U32()), KB: rd.F64(), Dur: time.Duration(rd.U64()), CopyRateKBps: rd.F64(),
+		})
+	}
+	if err := rd.Done(); err != nil {
+		return nil, fmt.Errorf("core: report decode: %w", err)
+	}
+	return r, nil
+}
 
 // ErrMigrationFailed wraps a failed migration attempt.
 var ErrMigrationFailed = errors.New("core: migration failed")
@@ -369,7 +438,7 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 	// (never frozen) for the whole attempt; every copy path — pre-copy
 	// rounds, frozen residue, stop-and-copy, the flush policy's page-out —
 	// pipelines through it.
-	win := host.IPC.NewWindow(host.SystemLH().ID(), params.CopyWindow)
+	win := host.IPC.NewWindow(host.SystemLH().ID(), mg.Cluster.opt.CopyWindow)
 	rep.WindowSize = win.Size()
 	defer func() {
 		ws := win.Stats()
@@ -578,10 +647,7 @@ func (mg *Migrator) precopy(ctx *kernel.ProcCtx, host *kernel.Host, lh *kernel.L
 			dirty = append(dirty, spacePages{as, as.SnapshotDirty()})
 		}
 		dirtyKB := kbOf(dirty)
-		stop := dirtyKB <= params.PrecopyStopKB ||
-			round+1 >= params.PrecopyMaxRounds ||
-			dirtyKB > kbOf(pending)*params.PrecopyMinShrink
-		if stop {
+		if mg.Cluster.opt.precopyDone(round, kbOf(pending), dirtyKB) {
 			host.Freeze(lh)
 			mg.freezeStart = ctx.Now()
 			mg.atPhase(lh.ID(), trace.PhaseFreeze, 0, srcMAC, dstMAC)

@@ -68,9 +68,7 @@ func (mg *Migrator) flushOut(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Log
 			dirty = append(dirty, spacePages{as, as.SnapshotDirty()})
 		}
 		dirtyKB := kbOf(dirty)
-		if dirtyKB <= params.PrecopyStopKB ||
-			round+1 >= params.PrecopyMaxRounds ||
-			dirtyKB > kbOf(pending)*params.PrecopyMinShrink {
+		if mg.Cluster.opt.precopyDone(round, kbOf(pending), dirtyKB) {
 			pm.Host().Freeze(lh)
 			mg.freezeStart = ctx.Now()
 			rep.ResidualKB = dirtyKB

@@ -22,6 +22,13 @@ var updateGolden = flag.Bool("update", false, "rewrite golden migration reports"
 // grants a second beside the copy, so every round is ~1 % shorter (round 1
 // 972.3 → 964.8 ms), tex dirties correspondingly fewer pages in it (round 2
 // 88 → 83 KB), and the later rounds, residue and freeze time follow.
+//
+// Regenerated a second time when gob left the wire: the KsSetState segment
+// that crosses inside the freeze window shrank (a one-process LHState 892 →
+// 187 B), so KernelTime is 0.464 ms shorter (35.8684 → 35.4044 ms) and
+// FreezeTime and Total are shorter by exactly that. Sizes only: every round
+// — pages, KB, duration, rate — the residue, the byte counts and the window
+// counters are unchanged.
 type parityReport struct {
 	Policy      string
 	Rounds      []RoundStat

@@ -472,7 +472,7 @@ type residueState struct {
 // races the source's push-out (install-if-absent on both sides keeps
 // that safe) and exits quietly once the residue is done or lost.
 func (rs *residueState) pullLoop(ctx *kernel.ProcCtx) {
-	win := rs.node.Host.IPC.NewWindow(rs.node.Host.SystemLH().ID(), params.CopyWindow)
+	win := rs.node.Host.IPC.NewWindow(rs.node.Host.SystemLH().ID(), rs.node.cluster.opt.CopyWindow)
 	defer win.Close()
 	win.SetOnReply(func(_, reply vid.Message) {
 		rs.installRun(reply.Seg)

@@ -12,12 +12,6 @@ import (
 	"vsystem/internal/workload"
 )
 
-// ClusterLoadHosts sets the E11 grid size. The default exercises the
-// cluster scale the paper could only speculate about ("a larger network
-// of perhaps 100 machines", §5); vbench -hosts overrides it (CI runs the
-// determinism double-check at 100).
-var ClusterLoadHosts = 500
-
 // ClusterLoad (E11) is the compile-farm macro-benchmark: an open-loop
 // Poisson stream of latency-critical and best-effort jobs submitted from
 // ten home workstations into a large cluster via `@ *`, once per
@@ -35,8 +29,9 @@ var ClusterLoadHosts = 500
 // configurations keep: the file server ships every job's image (the
 // per-class hot spot measured here in bytes), and the 10 Mbit/s segment
 // serializes everything.
-func ClusterLoad(seed int64) *Result {
-	hosts := ClusterLoadHosts
+//
+// The three arms are independent clusters and run side by side.
+func ClusterLoad(p *Pool, seed int64, hosts int) *Result {
 	r := newResult("E11", fmt.Sprintf("Open-loop cluster load, %d hosts (§2.1, §5)", hosts))
 
 	arms := []struct {
@@ -47,11 +42,13 @@ func ClusterLoad(seed int64) *Result {
 		{"random-2", sched.RandomK{K: params.SelectRandomK}},
 		{"least-loaded", sched.LeastLoaded{}},
 	}
+	ran := make([]clusterLoadResult, len(arms))
+	p.each(len(arms), func(i int) { ran[i] = runClusterLoadArm(arms[i].policy, seed, hosts) })
 	res := map[string]clusterLoadResult{}
-	for _, arm := range arms {
-		a := runClusterLoadArm(arm.policy, seed, hosts)
+	for i, arm := range arms {
+		a := ran[i]
 		res[arm.label] = a
-		for ci, cl := range a.classes {
+		for _, cl := range a.classes {
 			r.row(fmt.Sprintf("%s p50/p99/p999, %s", cl.name, arm.label), "—",
 				fmt.Sprintf("%.0f / %.0f / %.0f ms", cl.p50, cl.p99, cl.p999),
 				fmt.Sprintf("%d jobs", cl.done))
@@ -59,7 +56,6 @@ func ClusterLoad(seed int64) *Result {
 			r.metric(pfx+"p50_ms", cl.p50)
 			r.metric(pfx+"p99_ms", cl.p99)
 			r.metric(pfx+"p999_ms", cl.p999)
-			_ = ci
 		}
 		r.row("placement excess, "+arm.label, "—",
 			fmt.Sprintf("%.2f ready", a.placeExcess),

@@ -139,9 +139,7 @@ func runCopyCell(seed int64, window, pages int, loss, zeroFrac float64) copyCell
 // migrateCell migrates the tex workload once with the given copy window
 // and returns its report (freeze/total non-regression comparison).
 func migrateCell(seed int64, window int) (*core.MigrationReport, error) {
-	defer func(w int) { params.CopyWindow = w }(params.CopyWindow)
-	params.CopyWindow = window
-	c := bootCluster(core.Options{Workstations: 3, Seed: seed})
+	c := bootCluster(core.Options{Workstations: 3, Seed: seed, CopyWindow: window})
 	defer c.Close()
 	var rep *core.MigrationReport
 	var err error

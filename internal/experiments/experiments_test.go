@@ -1,49 +1,76 @@
 package experiments
 
-import "testing"
+import (
+	"encoding/json"
+	"fmt"
+	"sync"
+	"testing"
+)
+
+// testHosts is E11's grid in the suite: big enough to cover the >127-host
+// LHID-station region (where the 8-bit station layout used to collide with
+// the group-id space) while keeping `go test` fast. The full 500-host
+// default runs via vbench; CI checks determinism at 100 hosts.
+const testHosts = 150
+
+// testPool is shared by every test of the package, so that parallel tests
+// and the cells inside them together keep one cluster per core in flight.
+var testPool = NewPool()
+
+// testTable is the table the suite runs, each entry run at most once per
+// seed: the named tests and the seed sweep both want seed 1, and a run is a
+// function of its seed and nothing else, so whoever asks second waits for
+// the first and gets its result.
+var testTable = func() []Experiment {
+	var ran sync.Map // "id/seed" → func() *Result
+	table := Table(testHosts)
+	for i, e := range table {
+		table[i].Run = func(p *Pool, seed int64) *Result {
+			once, _ := ran.LoadOrStore(fmt.Sprintf("%s/%d", e.ID, seed),
+				sync.OnceValue(func() *Result { return e.Run(p, seed) }))
+			return once.(func() *Result)()
+		}
+	}
+	return table
+}()
 
 // Each experiment runs as a test so the full evaluation is exercised by
 // `go test`; the shape assertions inside the harness are the pass/fail
-// criteria.
-func runExp(t *testing.T, f func(int64) *Result) {
+// criteria. The tests run in parallel: a cluster shares nothing with any
+// other (DESIGN §8).
+func runExp(t *testing.T, id string) {
 	t.Helper()
-	r := f(1)
+	t.Parallel()
+	e, ok := Lookup(testTable, id)
+	if !ok {
+		t.Fatalf("no experiment %q in the table", id)
+	}
+	r := e.Run(testPool, 1)
 	t.Log("\n" + r.Format())
 	if !r.Pass {
 		t.Fatalf("%s failed shape assertions:\n%s", r.ID, r.Format())
 	}
 }
 
-func TestE1RemoteExecCosts(t *testing.T)      { runExp(t, RemoteExecCosts) }
-func TestE2MigrationCopyCosts(t *testing.T)   { runExp(t, MigrationCopyCosts) }
-func TestE3DirtyPageRates(t *testing.T)       { runExp(t, DirtyPageRates) }
-func TestE4PrecopyEffectiveness(t *testing.T) { runExp(t, PrecopyEffectiveness) }
-func TestE5ExecutionOverheads(t *testing.T)   { runExp(t, ExecutionOverheads) }
-func TestF21CommPaths(t *testing.T)           { runExp(t, CommPaths) }
-func TestE7CommDuringMigration(t *testing.T)  { runExp(t, CommDuringMigration) }
-func TestF31VMPaging(t *testing.T)            { runExp(t, VMPaging) }
-func TestA1AblationFreeze(t *testing.T)       { runExp(t, AblationFreeze) }
-func TestA2AblationResidual(t *testing.T)     { runExp(t, AblationResidual) }
-func TestA3Usage(t *testing.T)                { runExp(t, Usage) }
-func TestE8SelectionScaling(t *testing.T)     { runExp(t, SelectionScaling) }
-func TestE9SelectionPolicies(t *testing.T)    { runExp(t, SelectionPolicies) }
-func TestA4MigrationUnderLoss(t *testing.T)   { runExp(t, MigrationUnderLoss) }
-func TestA5PrecopyRounds(t *testing.T)        { runExp(t, PrecopyRounds) }
-func TestF1FaultSweep(t *testing.T)           { runExp(t, FaultSweep) }
-func TestF2GuestCrash(t *testing.T)           { runExp(t, GuestCrash) }
-func TestF3HomeCrash(t *testing.T)            { runExp(t, HomeCrash) }
-
-// E11 runs in the suite on a 150-host grid: big enough to cover the
-// >127-host LHID-station region (where the 8-bit station layout used to
-// collide with the group-id space) while keeping `go test` fast. The full
-// 500-host default runs via vbench; CI double-runs 100 hosts for
-// determinism.
-func TestE11ClusterLoad(t *testing.T) {
-	old := ClusterLoadHosts
-	ClusterLoadHosts = 150
-	defer func() { ClusterLoadHosts = old }()
-	runExp(t, ClusterLoad)
-}
+func TestE1RemoteExecCosts(t *testing.T)      { runExp(t, "remote-exec") }
+func TestE2MigrationCopyCosts(t *testing.T)   { runExp(t, "copy-costs") }
+func TestE3DirtyPageRates(t *testing.T)       { runExp(t, "dirty-rates") }
+func TestE4PrecopyEffectiveness(t *testing.T) { runExp(t, "precopy") }
+func TestE5ExecutionOverheads(t *testing.T)   { runExp(t, "overheads") }
+func TestF21CommPaths(t *testing.T)           { runExp(t, "comm-paths") }
+func TestE7CommDuringMigration(t *testing.T)  { runExp(t, "comm-migration") }
+func TestF31VMPaging(t *testing.T)            { runExp(t, "vmpaging") }
+func TestA1AblationFreeze(t *testing.T)       { runExp(t, "ablation-freeze") }
+func TestA2AblationResidual(t *testing.T)     { runExp(t, "ablation-residual") }
+func TestA3Usage(t *testing.T)                { runExp(t, "usage") }
+func TestE8SelectionScaling(t *testing.T)     { runExp(t, "selection-scale") }
+func TestE9SelectionPolicies(t *testing.T)    { runExp(t, "select-policy") }
+func TestA4MigrationUnderLoss(t *testing.T)   { runExp(t, "migration-loss") }
+func TestA5PrecopyRounds(t *testing.T)        { runExp(t, "precopy-rounds") }
+func TestF1FaultSweep(t *testing.T)           { runExp(t, "fault-sweep") }
+func TestF2GuestCrash(t *testing.T)           { runExp(t, "guest-crash") }
+func TestF3HomeCrash(t *testing.T)            { runExp(t, "home-crash") }
+func TestE11ClusterLoad(t *testing.T)         { runExp(t, "cluster-load") }
 
 func TestE6SpaceCost(t *testing.T) {
 	r := SpaceCost("../..") // repo root relative to this package
@@ -53,13 +80,51 @@ func TestE6SpaceCost(t *testing.T) {
 	}
 }
 
+// TestByNameAndNamesAgree: the table is the one list of experiments, so its
+// ids must be usable as names — present, distinct, each found by Lookup and
+// runnable — and nothing else may be found.
 func TestByNameAndNamesAgree(t *testing.T) {
-	for _, n := range Names() {
-		if _, ok := ByName(n); !ok {
-			t.Errorf("Names() lists %q but ByName misses it", n)
+	table := Table(0)
+	seen := map[string]bool{}
+	for _, e := range table {
+		if e.ID == "" || e.Run == nil {
+			t.Errorf("table entry %+v is incomplete", e)
+		}
+		if seen[e.ID] {
+			t.Errorf("table lists %q twice", e.ID)
+		}
+		seen[e.ID] = true
+		if got, ok := Lookup(table, e.ID); !ok || got.ID != e.ID {
+			t.Errorf("table lists %q but Lookup misses it", e.ID)
 		}
 	}
-	if _, ok := ByName("bogus"); ok {
-		t.Error("ByName found a bogus experiment")
+	if _, ok := Lookup(table, "bogus"); ok {
+		t.Error("Lookup found a bogus experiment")
+	}
+}
+
+// TestParallelEqualsSerial: the pool's width must not reach the output.
+// Four cheap leaf experiments and the cheapest one whose cells fan out, run
+// through a one-slot pool and a four-slot pool, marshal to the same JSON.
+func TestParallelEqualsSerial(t *testing.T) {
+	t.Parallel()
+	var table []Experiment
+	for _, id := range []string{"comm-paths", "copy-costs", "precopy", "vmpaging", "fault-sweep"} {
+		e, ok := Lookup(Table(testHosts), id)
+		if !ok {
+			t.Fatalf("no experiment %q in the table", id)
+		}
+		table = append(table, e)
+	}
+	run := func(workers int) []byte {
+		b, err := json.Marshal(newPool(workers).Run(table, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	serial, wide := run(1), run(4)
+	if string(serial) != string(wide) {
+		t.Fatalf("1 worker and 4 workers disagree:\n%s\n%s", serial, wide)
 	}
 }

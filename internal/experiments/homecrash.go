@@ -45,8 +45,9 @@ type homeCell struct {
 // exactly-once, fail over within params.RsmFailoverBudget, and never let a
 // stale minority leader double-execute the guest (duplicate ticks would
 // betray it instantly). The unreplicated baseline cells show the contrast:
-// the same kills lose the session outright.
-func HomeCrash(seed int64) *Result {
+// the same kills lose the session outright. The cells are independent
+// clusters and run side by side.
+func HomeCrash(p *Pool, seed int64) *Result {
 	r := newResult("F3", "home-service loss: consensus home group failover (§2.3 carried to the home itself)")
 
 	const wantTicks = 300
@@ -150,104 +151,108 @@ func HomeCrash(seed int64) *Result {
 			}},
 	}
 
+	var run []func(r *Result)
 	for _, cell := range cells {
-		c := bootCluster(core.Options{
-			Workstations: 6, Seed: seed, LossRate: cell.loss,
-			ReplicateHome: cell.home, ReplicateFS: cell.fs,
-		})
-		defer c.Close()
-		c.Install(progs.Ticker(wantTicks))
-		if cell.arm != nil {
-			cell.arm(c)
-		}
-		if cell.hostCrash > 0 {
-			c.Sim.After(cell.hostCrash, func() { c.Node(4).Host.Crash() })
-		}
-
-		// Failover clock: first qualifying disruption → next home election.
-		var disruptAt, electAt sim.Time
-		memberMAC := make(map[uint16]bool, cell.home)
-		for i := 0; i < cell.home && i < len(c.Nodes); i++ {
-			memberMAC[uint16(c.Nodes[i].Host.NIC.MAC())] = true
-		}
-		c.Trace.Subscribe(func(ev trace.Event) {
-			switch {
-			case disruptAt == 0 && ev.Kind == cell.disrupt &&
-				(ev.Kind != trace.EvHostCrash || memberMAC[ev.Host]):
-				disruptAt = ev.At
-			case disruptAt != 0 && electAt == 0 && ev.Kind == trace.EvElect &&
-				ev.LH == vid.GroupHomeRSM.LH() && ev.At > disruptAt:
-				electAt = ev.At
+		run = append(run, func(r *Result) {
+			c := bootCluster(core.Options{
+				Workstations: 6, Seed: seed, LossRate: cell.loss,
+				ReplicateHome: cell.home, ReplicateFS: cell.fs,
+			})
+			defer c.Close()
+			c.Install(progs.Ticker(wantTicks))
+			if cell.arm != nil {
+				cell.arm(c)
 			}
-		})
+			if cell.hostCrash > 0 {
+				c.Sim.After(cell.hostCrash, func() { c.Node(4).Host.Crash() })
+			}
 
-		home := c.Node(3)
-		var code uint32
-		var execErr, waitErr error
-		waits := 0
-		home.Agent(func(a *core.Agent) {
-			a.Sleep(2500 * time.Millisecond) // first home election settles
-			job, err := a.Exec(fmt.Sprintf("ticker%d", wantTicks), nil, "ws4")
-			if err != nil {
-				execErr = err
+			// Failover clock: first qualifying disruption → next home election.
+			var disruptAt, electAt sim.Time
+			memberMAC := make(map[uint16]bool, cell.home)
+			for i := 0; i < cell.home && i < len(c.Nodes); i++ {
+				memberMAC[uint16(c.Nodes[i].Host.NIC.MAC())] = true
+			}
+			c.Trace.Subscribe(func(ev trace.Event) {
+				switch {
+				case disruptAt == 0 && ev.Kind == cell.disrupt &&
+					(ev.Kind != trace.EvHostCrash || memberMAC[ev.Host]):
+					disruptAt = ev.At
+				case disruptAt != 0 && electAt == 0 && ev.Kind == trace.EvElect &&
+					ev.LH == vid.GroupHomeRSM.LH() && ev.At > disruptAt:
+					electAt = ev.At
+				}
+			})
+
+			home := c.Node(3)
+			var code uint32
+			var execErr, waitErr error
+			waits := 0
+			home.Agent(func(a *core.Agent) {
+				a.Sleep(2500 * time.Millisecond) // first home election settles
+				job, err := a.Exec(fmt.Sprintf("ticker%d", wantTicks), nil, "ws4")
+				if err != nil {
+					execErr = err
+					return
+				}
+				code, waitErr = a.Wait(job)
+				waits++
+			})
+			c.Run(4 * time.Minute)
+
+			ticks, ordered := gapless(home.Display.Lines())
+			survived := ticks == wantTicks && ordered
+			restarts := c.Trace.Count(trace.EvExecRestart)
+			failover := time.Duration(0)
+			if disruptAt != 0 && electAt != 0 {
+				failover = electAt.Sub(disruptAt)
+			}
+
+			status := fmt.Sprintf("%d/%d ticks, re-executed %dx", ticks, wantTicks, restarts)
+			if cell.disrupt != 0 {
+				status += fmt.Sprintf(", failover %v", failover.Round(time.Millisecond))
+			}
+			want := "exit seen once, output exactly-once"
+			if cell.wantLost {
+				want = "session lost (the single home was the SPOF)"
+			}
+			r.row(cell.label, want, status,
+				fmt.Sprintf("wait=(%d,%v,%d) ordered=%v expires=%d",
+					code, waitErr, waits, ordered, c.Trace.Count(trace.EvLeaseExpire)))
+			r.metric("survived_"+metricKey(cell.label), b2f(survived))
+			r.metric("restarts_"+metricKey(cell.label), float64(restarts))
+			if cell.disrupt != 0 {
+				r.metric("failover_ms_"+metricKey(cell.label), failover.Seconds()*1000)
+			}
+
+			if cell.wantLost {
+				// The baseline must demonstrably lose the session: output
+				// truncated and nobody left to re-execute.
+				r.check(!survived, "%s: unreplicated home survived?! (%d ticks)", cell.label, ticks)
+				r.check(restarts == 0, "%s: restarts=%d with the supervisor dead", cell.label, restarts)
 				return
 			}
-			code, waitErr = a.Wait(job)
-			waits++
+			if execErr != nil {
+				r.check(false, "%s: exec: %v", cell.label, execErr)
+				return
+			}
+			r.check(survived, "%s: output not exactly-once (%d/%d ticks, ordered=%v)",
+				cell.label, ticks, wantTicks, ordered)
+			r.check(waitErr == nil && code == 0 && waits == 1,
+				"%s: wait=(%d,%v) waits=%d", cell.label, code, waitErr, waits)
+			if cell.wantRestart {
+				r.check(restarts >= 1, "%s: no re-execution after host loss", cell.label)
+			}
+			if cell.disrupt != 0 {
+				r.check(disruptAt != 0, "%s: disruption never fired", cell.label)
+				r.check(electAt != 0, "%s: no home re-election after the disruption", cell.label)
+				r.check(failover > 0 && failover <= params.RsmFailoverBudget,
+					"%s: failover %v exceeds budget %v", cell.label, failover, params.RsmFailoverBudget)
+			}
 		})
-		c.Run(4 * time.Minute)
-
-		ticks, ordered := gapless(home.Display.Lines())
-		survived := ticks == wantTicks && ordered
-		restarts := c.Trace.Count(trace.EvExecRestart)
-		failover := time.Duration(0)
-		if disruptAt != 0 && electAt != 0 {
-			failover = electAt.Sub(disruptAt)
-		}
-
-		status := fmt.Sprintf("%d/%d ticks, re-executed %dx", ticks, wantTicks, restarts)
-		if cell.disrupt != 0 {
-			status += fmt.Sprintf(", failover %v", failover.Round(time.Millisecond))
-		}
-		want := "exit seen once, output exactly-once"
-		if cell.wantLost {
-			want = "session lost (the single home was the SPOF)"
-		}
-		r.row(cell.label, want, status,
-			fmt.Sprintf("wait=(%d,%v,%d) ordered=%v expires=%d",
-				code, waitErr, waits, ordered, c.Trace.Count(trace.EvLeaseExpire)))
-		r.metric("survived_"+metricKey(cell.label), b2f(survived))
-		r.metric("restarts_"+metricKey(cell.label), float64(restarts))
-		if cell.disrupt != 0 {
-			r.metric("failover_ms_"+metricKey(cell.label), failover.Seconds()*1000)
-		}
-
-		if cell.wantLost {
-			// The baseline must demonstrably lose the session: output
-			// truncated and nobody left to re-execute.
-			r.check(!survived, "%s: unreplicated home survived?! (%d ticks)", cell.label, ticks)
-			r.check(restarts == 0, "%s: restarts=%d with the supervisor dead", cell.label, restarts)
-			continue
-		}
-		if execErr != nil {
-			r.check(false, "%s: exec: %v", cell.label, execErr)
-			continue
-		}
-		r.check(survived, "%s: output not exactly-once (%d/%d ticks, ordered=%v)",
-			cell.label, ticks, wantTicks, ordered)
-		r.check(waitErr == nil && code == 0 && waits == 1,
-			"%s: wait=(%d,%v) waits=%d", cell.label, code, waitErr, waits)
-		if cell.wantRestart {
-			r.check(restarts >= 1, "%s: no re-execution after host loss", cell.label)
-		}
-		if cell.disrupt != 0 {
-			r.check(disruptAt != 0, "%s: disruption never fired", cell.label)
-			r.check(electAt != 0, "%s: no home re-election after the disruption", cell.label)
-			r.check(failover > 0 && failover <= params.RsmFailoverBudget,
-				"%s: failover %v exceeds budget %v", cell.label, failover, params.RsmFailoverBudget)
-		}
 	}
-	r.note("failover = first qualifying disruption (member crash or partition) to the next home EvElect; budget = params.RsmFailoverBudget = %v", params.RsmFailoverBudget)
+	r.absorb(p.cells(run)...)
+	r.note("failover = first qualifying disruption (member crash or partition) to the next home EvElect; budget (params.RsmFailoverBudget) = %v", params.RsmFailoverBudget)
 	r.note("exactly-once = gapless ordered ticks through the deduplicating home display, across leader failovers, re-executions, and stale-leader partitions")
 	return r
 }

@@ -22,8 +22,12 @@ import (
 // claim pinned here: on a saturating dirty-rate cell under loss, hybrid
 // cuts freeze time at least 5× against pre-copy — while a second sweep
 // holds every policy to exactly-once guest output under injected crashes.
-func MigrationPolicies(seed int64) *Result {
+//
+// Every cell of the three sweeps is its own cluster; they all run side by
+// side and the table is assembled in sweep order afterwards.
+func MigrationPolicies(p *Pool, seed int64) *Result {
 	r := newResult("E12", "copy policies: precopy / flush / postcopy / hybrid (freeze vs residue cost)")
+	var cells []func(r *Result)
 
 	policies := []core.Policy{core.PolicyPrecopy, core.PolicyFlush, core.PolicyPostcopy, core.PolicyHybrid}
 	// Low, middling and saturating dirty rates from the Table 4-1 grid.
@@ -33,43 +37,45 @@ func MigrationPolicies(seed int64) *Result {
 	for _, spec := range specs {
 		for _, loss := range losses {
 			for _, pol := range policies {
-				key := fmt.Sprintf("%s_%s_loss%d", pol, spec, int(loss*100))
-				label := fmt.Sprintf("%-8s %-6s loss %2.0f%%", pol, spec, loss*100)
-				c := bootCluster(core.Options{Workstations: 3, Seed: seed, LossRate: loss, Policy: pol})
-				defer c.Close()
-				var rep *core.MigrationReport
-				var err error
-				c.Node(0).Agent(func(a *core.Agent) {
-					job, e := a.Exec(spec, nil, "ws1")
-					if e != nil {
-						err = e
+				cells = append(cells, func(r *Result) {
+					key := fmt.Sprintf("%s_%s_loss%d", pol, spec, int(loss*100))
+					label := fmt.Sprintf("%-8s %-6s loss %2.0f%%", pol, spec, loss*100)
+					c := bootCluster(core.Options{Workstations: 3, Seed: seed, LossRate: loss, Policy: pol})
+					defer c.Close()
+					var rep *core.MigrationReport
+					var err error
+					c.Node(0).Agent(func(a *core.Agent) {
+						job, e := a.Exec(spec, nil, "ws1")
+						if e != nil {
+							err = e
+							return
+						}
+						a.Sleep(4 * time.Second)
+						rep, err = a.Migrate(job, false)
+					})
+					// Migrate returns once the residue completes (≤ ~10 s of
+					// virtual time); don't simulate the idle tail of the run.
+					c.Run(15 * time.Second)
+					if err != nil || rep == nil {
+						r.check(false, "%s: migrate: %v", label, err)
 						return
 					}
-					a.Sleep(4 * time.Second)
-					rep, err = a.Migrate(job, false)
-				})
-				// Migrate returns once the residue completes (≤ ~10 s of
-				// virtual time); don't simulate the idle tail of the run.
-				c.Run(15 * time.Second)
-				if err != nil || rep == nil {
-					r.check(false, "%s: migrate: %v", label, err)
-					continue
-				}
-				r.check(!rep.ResidueAborted, "%s: residue aborted on a healthy cluster", label)
+					r.check(!rep.ResidueAborted, "%s: residue aborted on a healthy cluster", label)
 
-				frz := rep.FreezeTime.Seconds() * 1000
-				r.row(label,
-					"postcopy/hybrid freeze ≪ precopy",
-					fmt.Sprintf("freeze %6.0f ms, total %5.2f s, wire %4.0f KB",
-						frz, rep.Total.Seconds(), float64(rep.WireBytes)/1024),
-					fmt.Sprintf("%d post-swap faults, %3.0f ms stalled, pull %3.0f KB, push %3.0f KB",
-						rep.PostSwapFaults, rep.PostSwapStall.Seconds()*1000,
-						rep.PostSwapPullKB, rep.ResiduePushKB))
-				r.metric("freeze_ms_"+key, frz)
-				r.metric("total_s_"+key, rep.Total.Seconds())
-				r.metric("wire_kb_"+key, float64(rep.WireBytes)/1024)
-				r.metric("stall_ms_"+key, rep.PostSwapStall.Seconds()*1000)
-				r.metric("faults_"+key, float64(rep.PostSwapFaults))
+					frz := rep.FreezeTime.Seconds() * 1000
+					r.row(label,
+						"postcopy/hybrid freeze ≪ precopy",
+						fmt.Sprintf("freeze %6.0f ms, total %5.2f s, wire %4.0f KB",
+							frz, rep.Total.Seconds(), float64(rep.WireBytes)/1024),
+						fmt.Sprintf("%d post-swap faults, %3.0f ms stalled, pull %3.0f KB, push %3.0f KB",
+							rep.PostSwapFaults, rep.PostSwapStall.Seconds()*1000,
+							rep.PostSwapPullKB, rep.ResiduePushKB))
+					r.metric("freeze_ms_"+key, frz)
+					r.metric("total_s_"+key, rep.Total.Seconds())
+					r.metric("wire_kb_"+key, float64(rep.WireBytes)/1024)
+					r.metric("stall_ms_"+key, rep.PostSwapStall.Seconds()*1000)
+					r.metric("faults_"+key, float64(rep.PostSwapFaults))
+				})
 			}
 		}
 	}
@@ -84,50 +90,49 @@ func MigrationPolicies(seed int64) *Result {
 	// structurally the whole hot set; the comparison takes the median of
 	// three seed-derived trials per policy to damp timeout tails.
 	stress := workload.Spec{Name: "stress", HotKB: 512, HotRateKBps: 3000, DurationMs: 30000}
-	medianFreeze := func(pol core.Policy) float64 {
-		var fs []float64
-		for trial := 0; trial < 3; trial++ {
-			label := fmt.Sprintf("%-8s stress loss  5%% #%d", pol, trial+1)
-			c := bootCluster(core.Options{Workstations: 3, Seed: seed + int64(trial)*1009, LossRate: 0.05, Policy: pol})
-			defer c.Close()
-			c.Install(workload.Image(stress, 64*1024))
-			var rep *core.MigrationReport
-			var err error
-			c.Node(0).Agent(func(a *core.Agent) {
-				job, e := a.Exec("stress", nil, "ws1")
-				if e != nil {
-					err = e
+	const trials = 3
+	stressPolicies := []core.Policy{core.PolicyPrecopy, core.PolicyHybrid}
+	freezes := make([][trials]float64, len(stressPolicies)) // each written by its own cell
+	for pi, pol := range stressPolicies {
+		for trial := 0; trial < trials; trial++ {
+			cells = append(cells, func(r *Result) {
+				label := fmt.Sprintf("%-8s stress loss  5%% #%d", pol, trial+1)
+				c := bootCluster(core.Options{Workstations: 3, Seed: seed + int64(trial)*1009, LossRate: 0.05, Policy: pol})
+				defer c.Close()
+				c.Install(workload.Image(stress, 64*1024))
+				var rep *core.MigrationReport
+				var err error
+				c.Node(0).Agent(func(a *core.Agent) {
+					job, e := a.Exec("stress", nil, "ws1")
+					if e != nil {
+						err = e
+						return
+					}
+					a.Sleep(4 * time.Second)
+					rep, err = a.Migrate(job, false)
+				})
+				c.Run(20 * time.Second)
+				if err != nil || rep == nil {
+					r.check(false, "%s: migrate: %v", label, err)
 					return
 				}
-				a.Sleep(4 * time.Second)
-				rep, err = a.Migrate(job, false)
+				r.check(!rep.ResidueAborted, "%s: residue aborted on a healthy cluster", label)
+				frz := rep.FreezeTime.Seconds() * 1000
+				freezes[pi][trial] = frz
+				r.row(label,
+					"saturating hot set: freeze reflects policy, not luck",
+					fmt.Sprintf("freeze %6.0f ms, total %5.2f s, wire %4.0f KB",
+						frz, rep.Total.Seconds(), float64(rep.WireBytes)/1024),
+					fmt.Sprintf("%d post-swap faults, %3.0f ms stalled, pull %3.0f KB, push %3.0f KB",
+						rep.PostSwapFaults, rep.PostSwapStall.Seconds()*1000,
+						rep.PostSwapPullKB, rep.ResiduePushKB))
+				r.metric(fmt.Sprintf("freeze_ms_%s_stress_loss5_t%d", pol, trial+1), frz)
 			})
-			c.Run(20 * time.Second)
-			if err != nil || rep == nil {
-				r.check(false, "%s: migrate: %v", label, err)
-				fs = append(fs, 0)
-				continue
-			}
-			r.check(!rep.ResidueAborted, "%s: residue aborted on a healthy cluster", label)
-			frz := rep.FreezeTime.Seconds() * 1000
-			fs = append(fs, frz)
-			r.row(label,
-				"saturating hot set: freeze reflects policy, not luck",
-				fmt.Sprintf("freeze %6.0f ms, total %5.2f s, wire %4.0f KB",
-					frz, rep.Total.Seconds(), float64(rep.WireBytes)/1024),
-				fmt.Sprintf("%d post-swap faults, %3.0f ms stalled, pull %3.0f KB, push %3.0f KB",
-					rep.PostSwapFaults, rep.PostSwapStall.Seconds()*1000,
-					rep.PostSwapPullKB, rep.ResiduePushKB))
-			r.metric(fmt.Sprintf("freeze_ms_%s_stress_loss5_t%d", pol, trial+1), frz)
 		}
-		sort.Float64s(fs)
-		return fs[1]
 	}
-	hi := medianFreeze(core.PolicyPrecopy)
-	lo := medianFreeze(core.PolicyHybrid)
-	r.note("stress @ 5%% loss (median of 3): precopy freeze %.0f ms vs hybrid %.0f ms (%.1f×)", hi, lo, hi/lo)
-	r.check(lo > 0 && lo*5 <= hi,
-		"hybrid freeze %.0f ms not ≥5× below precopy %.0f ms on stress @ 5%% loss", lo, hi)
+	// Everything above reports before the headline note, everything below
+	// after it.
+	beforeHeadline := len(cells)
 
 	// Exactly-once sweep: every policy must deliver every guest output
 	// line exactly once, in order — with no fault, with the destination
@@ -136,7 +141,7 @@ func MigrationPolicies(seed int64) *Result {
 	// supervised session re-executes from its file-server image).
 	const wantTicks = 400
 	for _, pol := range policies {
-		cells := []struct {
+		sweep := []struct {
 			label  string
 			victim fault.Victim
 			phase  trace.Phase
@@ -145,53 +150,67 @@ func MigrationPolicies(seed int64) *Result {
 			{"dest crash @ swap", fault.VictimDest, trace.PhaseSwap},
 		}
 		if pol == core.PolicyPostcopy || pol == core.PolicyHybrid {
-			cells = append(cells, struct {
+			sweep = append(sweep, struct {
 				label  string
 				victim fault.Victim
 				phase  trace.Phase
 			}{"source crash @ postswap-pull", fault.VictimSource, trace.PhasePostSwapPull})
 		}
-		for _, cell := range cells {
-			label := fmt.Sprintf("%s, %s", pol, cell.label)
-			c := bootCluster(core.Options{Workstations: 4, Seed: seed, Policy: pol})
-			defer c.Close()
-			c.Install(progs.Ticker(wantTicks))
-			if cell.victim != fault.VictimNone {
-				c.Fault.MigrationFault(cell.phase, 0, cell.victim)
-			}
-			var execErr error
-			c.Node(0).Agent(func(a *core.Agent) {
-				job, e := a.Exec(fmt.Sprintf("ticker%d", wantTicks), nil, "ws1")
-				if e != nil {
-					execErr = e
+		for _, cell := range sweep {
+			cells = append(cells, func(r *Result) {
+				label := fmt.Sprintf("%s, %s", pol, cell.label)
+				c := bootCluster(core.Options{Workstations: 4, Seed: seed, Policy: pol})
+				defer c.Close()
+				c.Install(progs.Ticker(wantTicks))
+				if cell.victim != fault.VictimNone {
+					c.Fault.MigrationFault(cell.phase, 0, cell.victim)
+				}
+				var execErr error
+				c.Node(0).Agent(func(a *core.Agent) {
+					job, e := a.Exec(fmt.Sprintf("ticker%d", wantTicks), nil, "ws1")
+					if e != nil {
+						execErr = e
+						return
+					}
+					a.Sleep(800 * time.Millisecond)
+					// Under a source crash the worker dies mid-call; the
+					// session must still finish, so the error is not checked.
+					a.Migrate(job, false)
+				})
+				// Worst case (source crash → lease expiry → full re-execution)
+				// completes by ~30 s; 45 s leaves margin without simulating an
+				// idle tail.
+				c.Run(45 * time.Second)
+				if execErr != nil {
+					r.check(false, "%s: exec: %v", label, execErr)
 					return
 				}
-				a.Sleep(800 * time.Millisecond)
-				// Under a source crash the worker dies mid-call; the
-				// session must still finish, so the error is not checked.
-				a.Migrate(job, false)
+				ticks, ordered := gapless(c.Node(0).Display.Lines())
+				r.row(label, "output exactly once, in order",
+					fmt.Sprintf("%d/%d ticks, ordered=%v", ticks, wantTicks, ordered),
+					fmt.Sprintf("faults=%d restarts=%d",
+						c.Trace.Count(trace.EvMigFault), c.Trace.Count(trace.EvExecRestart)))
+				r.metric("exactly_once_"+metricKey(label), b2f(ticks == wantTicks && ordered))
+				r.check(ticks == wantTicks && ordered,
+					"%s: output lost or duplicated (%d/%d, ordered=%v)", label, ticks, wantTicks, ordered)
+				if cell.victim != fault.VictimNone {
+					r.check(c.Trace.Count(trace.EvMigFault) == 1,
+						"%s: fault fired %d times", label, c.Trace.Count(trace.EvMigFault))
+				}
 			})
-			// Worst case (source crash → lease expiry → full re-execution)
-			// completes by ~30 s; 45 s leaves margin without simulating an
-			// idle tail.
-			c.Run(45 * time.Second)
-			if execErr != nil {
-				r.check(false, "%s: exec: %v", label, execErr)
-				continue
-			}
-			ticks, ordered := gapless(c.Node(0).Display.Lines())
-			r.row(label, "output exactly once, in order",
-				fmt.Sprintf("%d/%d ticks, ordered=%v", ticks, wantTicks, ordered),
-				fmt.Sprintf("faults=%d restarts=%d",
-					c.Trace.Count(trace.EvMigFault), c.Trace.Count(trace.EvExecRestart)))
-			r.metric("exactly_once_"+metricKey(label), b2f(ticks == wantTicks && ordered))
-			r.check(ticks == wantTicks && ordered,
-				"%s: output lost or duplicated (%d/%d, ordered=%v)", label, ticks, wantTicks, ordered)
-			if cell.victim != fault.VictimNone {
-				r.check(c.Trace.Count(trace.EvMigFault) == 1,
-					"%s: fault fired %d times", label, c.Trace.Count(trace.EvMigFault))
-			}
 		}
 	}
+
+	ran := p.cells(cells)
+	r.absorb(ran[:beforeHeadline]...)
+	median := func(fs [trials]float64) float64 {
+		sort.Float64s(fs[:])
+		return fs[trials/2]
+	}
+	hi, lo := median(freezes[0]), median(freezes[1])
+	r.note("stress @ 5%% loss (median of 3): precopy freeze %.0f ms vs hybrid %.0f ms (%.1f×)", hi, lo, hi/lo)
+	r.check(lo > 0 && lo*5 <= hi,
+		"hybrid freeze %.0f ms not ≥5× below precopy %.0f ms on stress @ 5%% loss", lo, hi)
+	r.absorb(ran[beforeHeadline:]...)
 	return r
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"vsystem/internal/core"
-	"vsystem/internal/params"
 )
 
 // PrecopyRounds ablates the pre-copy stopping policy — the design choice
@@ -17,20 +16,14 @@ import (
 func PrecopyRounds(seed int64) *Result {
 	r := newResult("A5", "ablation: how many pre-copy iterations are useful (§3.1.2, §4.1)")
 
-	defer func(rounds int, stop, shrink float64) {
-		params.PrecopyMaxRounds = rounds
-		params.PrecopyStopKB = stop
-		params.PrecopyMinShrink = shrink
-	}(params.PrecopyMaxRounds, params.PrecopyStopKB, params.PrecopyMinShrink)
-
-	// Disable the auxiliary stop conditions so the cap is the only policy.
-	params.PrecopyStopKB = 1
-	params.PrecopyMinShrink = 1.0
-
 	var freezes []float64
 	for _, cap := range []int{1, 2, 3, 4, 6} {
-		params.PrecopyMaxRounds = cap
-		c := bootCluster(core.Options{Workstations: 3, Seed: seed})
+		// The auxiliary stop conditions are disabled so the cap is the only
+		// policy.
+		c := bootCluster(core.Options{
+			Workstations: 3, Seed: seed,
+			PrecopyMaxRounds: cap, PrecopyStopKB: 1, PrecopyMinShrink: 1.0,
+		})
 		defer c.Close()
 		var rep *core.MigrationReport
 		var err error

@@ -8,7 +8,6 @@ package image
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -33,30 +32,59 @@ type Image struct {
 	Pad uint32
 }
 
-// Size returns the stored file size in bytes.
-func (im *Image) Size() int { return len(im.Encode()) }
+// Stored form (DESIGN §10): a magic word, SpaceSize, Pad, the code and
+// data lengths, the name and the kind behind 16-bit lengths, the code and
+// data bytes — the header — and then exactly Pad bytes of padding.
+const (
+	magic    = 0x474D4956 // "VIMG"
+	fixedLen = 5*4 + 2 + 2
+)
+
+// headerLen is the stored size without the padding.
+func (im *Image) headerLen() int {
+	return fixedLen + len(im.Name) + len(im.Kind) + len(im.Code) + len(im.Data)
+}
+
+// Size returns the stored file size in bytes: len(Encode()), by arithmetic.
+func (im *Image) Size() int { return im.headerLen() + int(im.Pad) }
 
 // Encode serializes the image for storage on the file server.
 func (im *Image) Encode() []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(im); err != nil {
-		panic("image: encode: " + err.Error())
-	}
-	b := buf.Bytes()
-	if im.Pad > 0 {
-		b = append(b, make([]byte, im.Pad)...)
-	}
-	return b
+	a := vid.Appender{B: make([]byte, 0, im.Size())}
+	a.U32(magic)
+	a.U32(im.SpaceSize)
+	a.U32(im.Pad)
+	a.U32(uint32(len(im.Code)))
+	a.U32(uint32(len(im.Data)))
+	a.String(im.Name)
+	a.String(im.Kind)
+	a.B = append(a.B, im.Code...)
+	a.B = append(a.B, im.Data...)
+	return a.B[:im.Size()] // the padding: zeroes, already there
 }
 
-// Decode parses a stored image. Trailing padding is ignored by gob's
-// stream decoder.
+// Decode parses a stored image. The file must be exactly its header plus
+// the padding the header declares: a truncated file, a file with anything
+// appended, or one that does not start with the magic word is an error.
 func Decode(b []byte) (*Image, error) {
-	var im Image
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&im); err != nil {
+	r := vid.NewReader(b)
+	if r.U32() != magic {
+		return nil, fmt.Errorf("image: decode: not an image file")
+	}
+	im := &Image{SpaceSize: r.U32(), Pad: r.U32()}
+	codeLen, dataLen := r.U32(), r.U32()
+	im.Name, im.Kind = r.String(), r.String()
+	// Widened, never summed in 32 bits: a huge length word cannot wrap.
+	if r.Err() == nil && uint64(codeLen)+uint64(dataLen)+uint64(im.Pad) != uint64(r.Len()) {
+		return nil, fmt.Errorf("image: decode: %d bytes after the names, header declares %d code + %d data + %d pad",
+			r.Len(), codeLen, dataLen, im.Pad)
+	}
+	im.Code = append([]byte(nil), r.Take(int(codeLen))...)
+	im.Data = append([]byte(nil), r.Take(int(dataLen))...)
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("image: decode: %w", err)
 	}
-	return &im, nil
+	return im, nil
 }
 
 // EnvBlock is the execution environment the program manager initializes a

@@ -1,12 +1,78 @@
 package image
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	"vsystem/internal/vid"
+	"vsystem/internal/vid/wiretest"
 )
+
+var imageForm = wiretest.Form[Image]{Encode: (*Image).Encode, Decode: Decode}
+
+func populatedImage() *Image {
+	return &Image{
+		Name: "cc68", Kind: "vvm", Code: []byte{1, 2, 3, 4}, Data: []byte("initialized"),
+		SpaceSize: 256 * 1024, Pad: 300,
+	}
+}
+
+// TestImageWireForm: the stored file is exactly its header plus its
+// padding. Cut short anywhere — inside the padding too — or with anything
+// appended, it is not an image; neither is a file whose length words
+// promise more than is there.
+func TestImageWireForm(t *testing.T) {
+	im := populatedImage()
+	seg := imageForm.RoundTrip(t, im)
+	if len(seg) != im.headerLen()+int(im.Pad) {
+		t.Fatalf("stored %d bytes, want header %d + pad %d", len(seg), im.headerLen(), im.Pad)
+	}
+	imageForm.Malformed(t, seg)
+	imageForm.Malformed(t, imageForm.RoundTrip(t, &Image{}))
+
+	for name, off := range map[string]int{"pad": 8, "code length": 12, "data length": 16} {
+		bad := bytes.Clone(seg)
+		binary.LittleEndian.PutUint32(bad[off:], 0xFFFFFFFF)
+		if _, err := Decode(bad); err == nil {
+			t.Errorf("decoded a file whose %s word says 4 GB", name)
+		}
+	}
+	bad := bytes.Clone(seg)
+	bad[0] ^= 1
+	if _, err := Decode(bad); err == nil {
+		t.Error("decoded a file with the wrong magic word")
+	}
+}
+
+func TestSizeIsArithmetic(t *testing.T) {
+	for _, im := range []*Image{populatedImage(), {}, {Name: "p", Pad: 100 * 1024}} {
+		if im.Size() != len(im.Encode()) {
+			t.Errorf("%q: Size() = %d, len(Encode()) = %d", im.Name, im.Size(), len(im.Encode()))
+		}
+	}
+}
+
+// FuzzDecode: the padding's bytes are the one part of the file Decode does
+// not read, so an accepted file is compared with its re-encoding up to the
+// padding, and by length beyond it.
+func FuzzDecode(f *testing.F) {
+	f.Add(populatedImage().Encode())
+	f.Add((&Image{}).Encode())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		im, err := Decode(b)
+		if err != nil {
+			return
+		}
+		again := im.Encode()
+		if len(again) != len(b) || !bytes.Equal(again[:im.headerLen()], b[:im.headerLen()]) {
+			t.Fatalf("accepted a file that is not its image's encoding:\n got %x\nwant %x", again, b)
+		}
+	})
+}
 
 func TestImageRoundTrip(t *testing.T) {
 	im := &Image{

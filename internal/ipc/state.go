@@ -1,8 +1,9 @@
 package ipc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"vsystem/internal/params"
 	"vsystem/internal/vid"
@@ -21,13 +22,18 @@ import (
 // per-sender duplicate-detection table and the reply cache (so
 // non-idempotent operations are not re-executed when old clients
 // retransmit to the new host).
+//
+// Open, Last and Cache are slices sorted by the peer's PID, never maps:
+// the state crosses the wire inside the freeze window and RestorePort arms
+// one sweep timer per cache entry, so neither the bytes nor the order of
+// those timers may depend on map iteration.
 type PortState struct {
 	PID   vid.PID
 	TxSeq uint32
 	Send  *SendState
 	Open  []CurState
-	Last  map[vid.PID]uint32
-	Cache map[vid.PID]CachedReplyState
+	Last  []LastState
+	Cache []CachedReplyState
 }
 
 // SendState is an in-progress (or completed-but-unconsumed) send
@@ -51,8 +57,16 @@ type CurState struct {
 	Msg  vid.Message
 }
 
-// CachedReplyState is one reply-cache entry.
+// LastState is one duplicate-detection entry: the newest transaction seen
+// from Src.
+type LastState struct {
+	Src  vid.PID
+	TxID uint32
+}
+
+// CachedReplyState is one reply-cache entry: the reply last sent to Src.
 type CachedReplyState struct {
+	Src  vid.PID
 	TxID uint32
 	Msg  vid.Message
 }
@@ -61,17 +75,12 @@ type CachedReplyState struct {
 // frozen logical host (no concurrent activity); queued requests are
 // dropped per §3.1.3.
 func (p *Port) Snapshot() *PortState {
-	st := &PortState{
-		PID:   p.pid,
-		TxSeq: p.txSeq,
-		Last:  make(map[vid.PID]uint32, len(p.lastFrom)),
-		Cache: make(map[vid.PID]CachedReplyState, len(p.replyCache)),
-	}
+	st := &PortState{PID: p.pid, TxSeq: p.txSeq}
 	for k, v := range p.lastFrom {
-		st.Last[k] = v
+		st.Last = append(st.Last, LastState{Src: k, TxID: v})
 	}
 	for k, v := range p.replyCache {
-		st.Cache[k] = CachedReplyState{TxID: v.txid, Msg: v.msg}
+		st.Cache = append(st.Cache, CachedReplyState{Src: k, TxID: v.txid, Msg: v.msg})
 	}
 	if s := p.send; s != nil {
 		st.Send = &SendState{
@@ -82,25 +91,10 @@ func (p *Port) Snapshot() *PortState {
 	for _, r := range p.open {
 		st.Open = append(st.Open, CurState{Src: r.Src, TxID: r.txid, Msg: r.Msg})
 	}
-	sort.Slice(st.Open, func(i, j int) bool { return st.Open[i].Src < st.Open[j].Src })
+	slices.SortFunc(st.Open, func(a, b CurState) int { return cmp.Compare(a.Src, b.Src) })
+	slices.SortFunc(st.Last, func(a, b LastState) int { return cmp.Compare(a.Src, b.Src) })
+	slices.SortFunc(st.Cache, func(a, b CachedReplyState) int { return cmp.Compare(a.Src, b.Src) })
 	return st
-}
-
-// ItemBytes estimates the serialized size of the state (for transfer-cost
-// accounting).
-func (st *PortState) ItemBytes() int {
-	n := 64
-	if st.Send != nil {
-		n += 32 + len(st.Send.Msg.Seg)
-	}
-	for _, c := range st.Open {
-		n += 32 + len(c.Msg.Seg)
-	}
-	n += 8 * len(st.Last)
-	for _, c := range st.Cache {
-		n += 32 + len(c.Msg.Seg)
-	}
-	return n
 }
 
 // RestorePort recreates a port from migrated state. If active is true and a
@@ -115,13 +109,13 @@ func (e *Engine) RestorePort(st *PortState, active bool) *Port {
 	}
 	p := e.NewPort(st.PID)
 	p.txSeq = st.TxSeq
-	for k, v := range st.Last {
-		p.lastFrom[k] = v
+	for _, l := range st.Last {
+		p.lastFrom[l.Src] = l.TxID
 	}
-	for k, v := range st.Cache {
+	for _, v := range st.Cache {
 		c := &cachedReply{txid: v.TxID, msg: v.Msg, expires: e.sim.Now().Add(params.ReplyCacheTTL)}
-		p.replyCache[k] = c
-		p.scheduleCacheSweep(k, c)
+		p.replyCache[v.Src] = c
+		p.scheduleCacheSweep(v.Src, c)
 	}
 	if st.Send != nil {
 		p.send = &sendTxn{
@@ -149,4 +143,83 @@ func (p *Port) Activate() {
 	s.timer.Stop()
 	p.retransmit()
 	p.armTimer()
+}
+
+// Wire form of a PortState (inside kernel.LHState, DESIGN §10): PID and
+// TxSeq words, a flag byte and the send transaction if there is one, then
+// the three counted lists in key order. A message is vid.MessageLen bytes
+// plus its segment.
+const (
+	curStateMin  = 8 + vid.MessageLen
+	lastStateLen = 8
+)
+
+// AppendTo appends the state's wire form.
+func (st *PortState) AppendTo(a *vid.Appender) {
+	a.U32(uint32(st.PID))
+	a.U32(st.TxSeq)
+	a.Bool(st.Send != nil)
+	if s := st.Send; s != nil {
+		a.U32(s.TxID)
+		a.U32(uint32(s.Dst))
+		a.Bool(s.Group)
+		a.Bool(s.Done)
+		a.U16(s.Code)
+		a.Message(&s.Msg)
+		a.Message(&s.Reply)
+	}
+	a.Count(len(st.Open))
+	for i := range st.Open {
+		c := &st.Open[i]
+		a.U32(uint32(c.Src))
+		a.U32(c.TxID)
+		a.Message(&c.Msg)
+	}
+	a.Count(len(st.Last))
+	for _, l := range st.Last {
+		a.U32(uint32(l.Src))
+		a.U32(l.TxID)
+	}
+	a.Count(len(st.Cache))
+	for i := range st.Cache {
+		c := &st.Cache[i]
+		a.U32(uint32(c.Src))
+		a.U32(c.TxID)
+		a.Message(&c.Msg)
+	}
+}
+
+// ReadPortState takes one AppendTo form off r. A list whose keys are not
+// strictly ascending is malformed: equal states have one encoding.
+func ReadPortState(r *vid.Reader) *PortState {
+	st := &PortState{PID: vid.PID(r.U32()), TxSeq: r.U32()}
+	if r.Bool() {
+		s := &SendState{TxID: r.U32(), Dst: vid.PID(r.U32())}
+		s.Group, s.Done, s.Code = r.Bool(), r.Bool(), r.U16()
+		s.Msg, s.Reply = r.Message(), r.Message()
+		st.Send = s
+	}
+	var prev vid.PID
+	ascending := func(i int, src vid.PID) {
+		if i > 0 && src <= prev {
+			r.Fail(vid.ErrMalformed)
+		}
+		prev = src
+	}
+	for i, n := 0, r.Count(curStateMin); i < n && r.Err() == nil; i++ {
+		c := CurState{Src: vid.PID(r.U32()), TxID: r.U32(), Msg: r.Message()}
+		ascending(i, c.Src)
+		st.Open = append(st.Open, c)
+	}
+	for i, n := 0, r.Count(lastStateLen); i < n && r.Err() == nil; i++ {
+		l := LastState{Src: vid.PID(r.U32()), TxID: r.U32()}
+		ascending(i, l.Src)
+		st.Last = append(st.Last, l)
+	}
+	for i, n := 0, r.Count(curStateMin); i < n && r.Err() == nil; i++ {
+		c := CachedReplyState{Src: vid.PID(r.U32()), TxID: r.U32(), Msg: r.Message()}
+		ascending(i, c.Src)
+		st.Cache = append(st.Cache, c)
+	}
+	return st
 }

@@ -1,9 +1,7 @@
 package kernel
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"slices"
 
@@ -45,22 +43,71 @@ type LHState struct {
 // "9 milliseconds for each process and address space" cost.
 func (st *LHState) Items() int { return len(st.Procs) + len(st.Spaces) }
 
+// Wire form of an LHState — the segment of KsSetState, crossing inside the
+// §3.1.3 freeze window (DESIGN §10): LHID, a guest flag byte, NextIdx,
+// NextSp, the name; the counted space descriptors (id, size); the counted
+// processes, each index, priority byte, space id, body kind, the 32
+// register words, a flag byte and the port state if it has one.
+const (
+	spaceDescLen = 8
+	procStateMin = 2 + 1 + 4 + 2 + 4*len(Regs{}.W) + 1
+)
+
 // Encode serializes the state for transfer.
 func (st *LHState) Encode() []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		panic("kernel: LHState encode: " + err.Error())
+	var a vid.Appender
+	a.U16(uint16(st.LHID))
+	a.Bool(st.Guest)
+	a.U16(st.NextIdx)
+	a.U32(st.NextSp)
+	a.String(st.Name)
+	a.Count(len(st.Spaces))
+	for _, sd := range st.Spaces {
+		a.U32(sd.ID)
+		a.U32(sd.Size)
 	}
-	return buf.Bytes()
+	a.Count(len(st.Procs))
+	for i := range st.Procs {
+		ps := &st.Procs[i]
+		if ps.Prio < 0 || ps.Prio > 255 {
+			panic(fmt.Sprintf("kernel: LHState encode: priority %d", ps.Prio))
+		}
+		a.U16(ps.Index)
+		a.U8(uint8(ps.Prio))
+		a.U32(ps.SpaceID)
+		a.String(ps.BodyKind)
+		for _, w := range ps.Regs.W {
+			a.U32(w)
+		}
+		a.Bool(ps.Port != nil)
+		if ps.Port != nil {
+			ps.Port.AppendTo(&a)
+		}
+	}
+	return a.B
 }
 
 // DecodeLHState parses an encoded LHState.
 func DecodeLHState(b []byte) (*LHState, error) {
-	var st LHState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
+	r := vid.NewReader(b)
+	st := &LHState{LHID: vid.LHID(r.U16()), Guest: r.Bool(), NextIdx: r.U16(), NextSp: r.U32(), Name: r.String()}
+	for i, n := 0, r.Count(spaceDescLen); i < n; i++ {
+		st.Spaces = append(st.Spaces, SpaceDesc{ID: r.U32(), Size: r.U32()})
+	}
+	for i, n := 0, r.Count(procStateMin); i < n && r.Err() == nil; i++ {
+		ps := ProcState{Index: r.U16(), Prio: int(r.U8()), SpaceID: r.U32(), BodyKind: r.String()}
+		for j := range ps.Regs.W {
+			ps.Regs.W[j] = r.U32()
+		}
+		if r.Bool() {
+			ps.Port = ipc.ReadPortState(&r)
+		}
+		st.Procs = append(st.Procs, ps)
+	}
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("kernel: LHState decode: %w", err)
 	}
-	return &st, nil
+	return st, nil
 }
 
 // SnapshotKernelState captures a frozen logical host's kernel state. The

@@ -180,53 +180,6 @@ func AppendMarshal(dst []byte, p *Packet) []byte {
 	return b
 }
 
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.err = ErrTruncated
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u16() uint16 {
-	if r.err != nil || r.off+2 > len(r.b) {
-		r.err = ErrTruncated
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.err = ErrTruncated
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-// bytes returns the next n bytes of the input itself, not a copy.
-func (r *reader) bytes(n int) []byte {
-	if r.err != nil || r.off+n > len(r.b) {
-		r.err = ErrTruncated
-		return nil
-	}
-	v := r.b[r.off : r.off+n : r.off+n]
-	r.off += n
-	return v
-}
-
 // Unmarshal decodes a packet. The result's Data, if any, aliases b.
 func Unmarshal(b []byte) (*Packet, error) {
 	p := new(Packet)
@@ -239,57 +192,60 @@ func Unmarshal(b []byte) (*Packet, error) {
 // UnmarshalInto decodes a packet into *p, overwriting all of it; on error
 // *p holds nothing usable. p.Data, if any, aliases b.
 func UnmarshalInto(p *Packet, b []byte) error {
-	r := reader{b: b}
+	r := vid.NewReader(b)
 	*p = Packet{}
-	p.Kind = Kind(r.u8())
+	p.Kind = Kind(r.U8())
 	if p.Kind == KInvalid || p.Kind >= kindMax {
 		return ErrBadKind
 	}
-	p.TxID = r.u32()
-	p.Src = vid.PID(r.u32())
-	p.Dst = vid.PID(r.u32())
-	p.LH = vid.LHID(r.u16())
+	p.TxID = r.U32()
+	p.Src = vid.PID(r.U32())
+	p.Dst = vid.PID(r.U32())
+	p.LH = vid.LHID(r.U16())
 	switch p.Kind {
 	case KRequest, KReply:
-		p.Msg.Op = r.u16()
-		p.Msg.Code = r.u16()
+		p.Msg.Op = r.U16()
+		p.Msg.Code = r.U16()
 		for i := range p.Msg.W {
-			p.Msg.W[i] = r.u32()
+			p.Msg.W[i] = r.U32()
 		}
-		p.SegLen = r.u32()
-		p.FragCount = r.u16()
-		n := int(r.u16())
+		p.SegLen = r.U32()
+		p.FragCount = r.U16()
+		n := int(r.U16())
 		if n > 0 {
-			p.Msg.Seg = append([]byte(nil), r.bytes(n)...)
+			p.Msg.Seg = append([]byte(nil), r.Take(n)...)
 		}
 		if p.Kind == KReply {
-			p.HasAd = r.u8() != 0
+			p.HasAd = r.U8() != 0
 			if p.HasAd {
 				for i := range p.Ad {
-					p.Ad[i] = r.u32()
+					p.Ad[i] = r.U32()
 				}
 			}
 		}
 	case KLoadAd:
 		p.HasAd = true
 		for i := range p.Ad {
-			p.Ad[i] = r.u32()
+			p.Ad[i] = r.U32()
 		}
 	case KFrag:
-		p.OfKind = Kind(r.u8())
-		p.FragIdx = r.u16()
-		p.FragCount = r.u16()
-		n := int(r.u16())
-		p.Data = r.bytes(n)
+		p.OfKind = Kind(r.U8())
+		p.FragIdx = r.U16()
+		p.FragCount = r.U16()
+		n := int(r.U16())
+		p.Data = r.Take(n)
 	case KFragNack:
-		p.OfKind = Kind(r.u8())
-		n := int(r.u16())
+		p.OfKind = Kind(r.U8())
+		n := r.Count(2)
 		p.Missing = make([]uint16, n)
 		for i := 0; i < n; i++ {
-			p.Missing[i] = r.u16()
+			p.Missing[i] = r.U16()
 		}
 	}
-	return r.err
+	if r.Err() != nil {
+		return ErrTruncated
+	}
+	return nil
 }
 
 // NumFrags returns how many KFrag frames a segment of n bytes needs, or 0

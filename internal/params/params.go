@@ -175,9 +175,10 @@ const (
 // ------------------------------------------------------------- migration
 
 // The pre-copy stopping policy is the paper's key design choice (§3.1.2).
-// These are variables (not constants) so the ablation experiments can
-// sweep them; production code treats them as configuration.
-var (
+// The first four are the defaults of the core.Options fields of the same
+// names: a cluster is booted with its own values, which is how the ablation
+// experiments sweep them; nothing here is ever written.
+const (
 	// PrecopyMaxRounds bounds pre-copy iterations: an initial full copy
 	// plus up to two passes over modified pages. The paper found "usually
 	// 2 pre-copy iterations were useful"; further passes shave little off
@@ -196,7 +197,8 @@ var (
 	// engine keeps in flight during address-space copies (and the flush
 	// policy's page-out). 1 degenerates to the paper's stop-and-wait copy
 	// loop; ~4 is enough to hide the reply-latency gap between runs and
-	// keep the destination kernel server busy. Swept by E10.
+	// keep the destination kernel server busy. Swept by E10. The
+	// replication layer's catch-up stream always uses this value.
 	CopyWindow = 4
 
 	// HybridSampleInterval is how long the hybrid policy tracks dirty bits

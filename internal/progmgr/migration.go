@@ -36,9 +36,6 @@ type InitReq struct {
 	Stdout vid.PID
 }
 
-// EncodeInitReq serializes an InitReq.
-func EncodeInitReq(r *InitReq) []byte { return vid.GobEncode(r) }
-
 // Migrator is the pluggable migration engine (implemented by the core
 // package). It runs on the source host's migration worker task and moves
 // lh to another host, returning a report.
@@ -198,7 +195,7 @@ func (pm *PM) reexecElsewhere(ctx *kernel.ProcCtx, lhid vid.LHID, pi *progInfo) 
 // logical host under a different id, create its address spaces, freeze it,
 // and remember the identity it will assume.
 func (pm *PM) initMigration(ctx *kernel.ProcCtx, m vid.Message) vid.Message {
-	req, err := vid.GobDecode[InitReq](m.Seg)
+	req, err := DecodeInitReq(m.Seg)
 	if err != nil {
 		return vid.ErrMsg(vid.CodeBadRequest)
 	}

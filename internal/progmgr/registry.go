@@ -159,14 +159,11 @@ func (r *registry) notify() {
 // LeaderOnly: every home-group operation needs the fenced leader.
 func (r *registry) LeaderOnly(uint16) bool { return true }
 
-func (r *registry) Encode(c hgCmd) []byte { return vid.GobEncode(&c) }
+func (r *registry) Encode(c hgCmd) []byte { return encodeCmd(&c) }
 
 func (r *registry) Decode(b []byte) (hgCmd, bool) {
-	c, err := vid.GobDecode[hgCmd](b)
-	if err != nil {
-		return hgCmd{}, false
-	}
-	return *c, true
+	c, err := decodeCmd(b)
+	return c, err == nil
 }
 
 // Apply performs one mutation. Transitions that no longer make sense —
@@ -267,11 +264,11 @@ func (r *registry) Snapshot() []byte {
 	for _, f := range slices.Sorted(maps.Keys(r.alias)) {
 		snap.Aliases = append(snap.Aliases, homeAliasRec{From: f, To: r.alias[f]})
 	}
-	return vid.GobEncode(&snap)
+	return encodeSnap(&snap)
 }
 
 func (r *registry) Restore(b []byte) {
-	snap, err := vid.GobDecode[homeSnap](b)
+	snap, err := decodeSnap(b)
 	if err != nil {
 		return
 	}

@@ -115,9 +115,6 @@ type SessionInfo struct {
 	MaxRestarts int
 }
 
-// EncodeSessionInfo serializes a SessionInfo for PmSupervise.
-func EncodeSessionInfo(si *SessionInfo) []byte { return vid.GobEncode(si) }
-
 // Supervise registers a remote job for lease supervision. Called by the
 // originating agent (same host) right after the program starts, so it
 // names a new job: LHIDs recycle, and a record already under this one is
@@ -168,7 +165,7 @@ func (pm *PM) supervise(ctx *kernel.ProcCtx, req *ipc.Req) {
 	if !pm.svc.Admit(ctx, req) {
 		return
 	}
-	si, err := vid.GobDecode[SessionInfo](req.Msg.Seg)
+	si, err := DecodeSessionInfo(req.Msg.Seg)
 	if err != nil {
 		ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 		return

@@ -14,9 +14,7 @@
 package workload
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -49,6 +47,34 @@ type Spec struct {
 	OutputEveryMs uint32
 }
 
+// Encode serializes the spec — the parameter blob a workload image carries
+// as its code — as a fixed layout (DESIGN §10): the four rates and sizes as
+// IEEE bits, the two periods, the name.
+func (s *Spec) Encode() []byte {
+	var a vid.Appender
+	a.F64(s.HotKB)
+	a.F64(s.HotRateKBps)
+	a.F64(s.StreamKBps)
+	a.F64(s.StreamKB)
+	a.U32(s.DurationMs)
+	a.U32(s.OutputEveryMs)
+	a.String(s.Name)
+	return a.B
+}
+
+// DecodeSpec parses a parameter blob.
+func DecodeSpec(b []byte) (*Spec, error) {
+	r := vid.NewReader(b)
+	s := &Spec{
+		HotKB: r.F64(), HotRateKBps: r.F64(), StreamKBps: r.F64(), StreamKB: r.F64(),
+		DurationMs: r.U32(), OutputEveryMs: r.U32(), Name: r.String(),
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("workload: spec decode: %w", err)
+	}
+	return s, nil
+}
+
 // tickMs is the CPU slice between page-touch bursts.
 const tickMs = 10
 
@@ -60,11 +86,7 @@ func init() {
 // blob is carried as the image's code (loaded at vvm.CodeBase); pad sets
 // the stored file size (program-load experiments).
 func Image(spec Spec, pad uint32) *image.Image {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&spec); err != nil {
-		panic(err)
-	}
-	blob := buf.Bytes()
+	blob := spec.Encode()
 	code := make([]byte, 4+len(blob))
 	binary.LittleEndian.PutUint32(code, uint32(len(blob)))
 	copy(code[4:], blob)
@@ -196,11 +218,7 @@ func readSpec(as *mem.AddressSpace) (*Spec, error) {
 	if err := as.ReadAt(vvm.CodeBase+4, blob); err != nil {
 		return nil, err
 	}
-	var spec Spec
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&spec); err != nil {
-		return nil, err
-	}
-	return &spec, nil
+	return DecodeSpec(blob)
 }
 
 func pagesOf(kb float64) int {
