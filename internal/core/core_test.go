@@ -33,7 +33,8 @@ func boot(t *testing.T, opt Options) *Cluster {
 
 // TestCloseLeavesNoGoroutines: a cluster that ran work — servers parked
 // on their ports, a guest mid-run, agents finished — gives every task's
-// goroutine back when closed.
+// goroutine back when closed. Not parallel: it counts the process's
+// goroutines, and the parallel tests wait for it parked in t.Parallel.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	c := NewCluster(Options{Workstations: 4, Seed: 1})
@@ -67,6 +68,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 }
 
 func TestLocalExecution(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 2, Seed: 1})
 	var code uint32
 	var err error
@@ -92,6 +94,7 @@ func TestLocalExecution(t *testing.T) {
 }
 
 func TestRemoteExecutionOnNamedHost(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 3, Seed: 2})
 	var err error
 	var job *Job
@@ -121,6 +124,7 @@ func TestRemoteExecutionOnNamedHost(t *testing.T) {
 }
 
 func TestExecAtStarPicksIdleOtherHost(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 4, Seed: 3})
 	var job *Job
 	var err error
@@ -141,6 +145,7 @@ func TestExecAtStarPicksIdleOtherHost(t *testing.T) {
 }
 
 func TestExecUnknownProgram(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 2, Seed: 4})
 	var err error
 	done := false
@@ -158,6 +163,7 @@ func TestExecUnknownProgram(t *testing.T) {
 }
 
 func TestExecUnknownHost(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 2, Seed: 5})
 	var err error
 	done := false
@@ -172,6 +178,7 @@ func TestExecUnknownHost(t *testing.T) {
 }
 
 func TestSelectionSkipsBusyHosts(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 3, Seed: 6})
 	// Occupy ws2 with a local long-running program.
 	var busyErr error
@@ -225,6 +232,7 @@ func migrationLines(t *testing.T, migrations int, policy Policy, seed int64) []s
 }
 
 func TestMigrationPreservesOutput(t *testing.T) {
+	t.Parallel()
 	plain := migrationLines(t, 0, PolicyPrecopy, 7)
 	migrated := migrationLines(t, 2, PolicyPrecopy, 7)
 	if len(plain) != 200 {
@@ -241,6 +249,7 @@ func TestMigrationPreservesOutput(t *testing.T) {
 }
 
 func TestMigrationTransparencyAcrossPolicies(t *testing.T) {
+	t.Parallel()
 	for _, pol := range []Policy{PolicyPrecopy, PolicyStopCopy, PolicyFlush} {
 		got := migrationLines(t, 1, pol, 8)
 		if len(got) != 200 {
@@ -256,6 +265,7 @@ func TestMigrationTransparencyAcrossPolicies(t *testing.T) {
 // property: a memory-intensive program computes the same checksum whether
 // or not it was migrated mid-run (real data moved, not just control).
 func TestMemWalkerChecksumUnchangedByMigration(t *testing.T) {
+	t.Parallel()
 	run := func(migrate bool) (uint32, error) {
 		c := boot(t, Options{Workstations: 3, Seed: 9})
 		var code uint32
@@ -295,6 +305,7 @@ func TestMemWalkerChecksumUnchangedByMigration(t *testing.T) {
 }
 
 func TestWaitFollowsMigratedProgram(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 3, Seed: 10})
 	var code uint32
 	var err error
@@ -328,6 +339,7 @@ func TestWaitFollowsMigratedProgram(t *testing.T) {
 }
 
 func TestMigrateNoHostRefusedAndKill(t *testing.T) {
+	t.Parallel()
 	// Two workstations: the only other host is busy, so migration finds
 	// no taker.
 	c := boot(t, Options{Workstations: 2, Seed: 11})
@@ -364,6 +376,7 @@ func TestMigrateNoHostRefusedAndKill(t *testing.T) {
 }
 
 func TestOwnerReturnsMigrateAll(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 4, Seed: 12})
 	var execErr error
 	var jobs []*Job
@@ -409,6 +422,7 @@ func TestOwnerReturnsMigrateAll(t *testing.T) {
 }
 
 func TestPrecopyFreezeTimeFarBelowStopCopy(t *testing.T) {
+	t.Parallel()
 	freeze := func(policy Policy) time.Duration {
 		c := boot(t, Options{Workstations: 3, Seed: 13, Policy: policy})
 		var rep *MigrationReport
@@ -441,6 +455,7 @@ func TestPrecopyFreezeTimeFarBelowStopCopy(t *testing.T) {
 }
 
 func TestFlushPolicyDemandFaults(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 3, Seed: 14, Policy: PolicyFlush})
 	var rep *MigrationReport
 	var err error
@@ -476,6 +491,7 @@ func TestFlushPolicyDemandFaults(t *testing.T) {
 }
 
 func TestForwardingLeavesResidualDependency(t *testing.T) {
+	t.Parallel()
 	// The prober runs on ws2, a host that receives no traffic from the
 	// program itself, so its logical-host cache can only be refreshed by
 	// the rebinding machinery (locate broadcasts) — which the forwarding
@@ -545,6 +561,7 @@ func pingMsg(lh vid.LHID) vid.Message {
 }
 
 func TestPSListing(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 2, Seed: 16})
 	var listing string
 	var err error
@@ -566,6 +583,7 @@ func TestPSListing(t *testing.T) {
 }
 
 func TestDeterministicClusterReplay(t *testing.T) {
+	t.Parallel()
 	run := func() (int64, string) {
 		c := boot(t, Options{Workstations: 3, Seed: 99, LossRate: 0.02})
 		c.Node(0).Agent(func(a *Agent) {
@@ -594,6 +612,7 @@ func TestDeterministicClusterReplay(t *testing.T) {
 // host through the kernel server; after migrateprog both processes run on
 // the new host.
 func TestSubProgramsMigrateWithLogicalHost(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 3, Seed: 17})
 	var err error
 	var job *Job
@@ -672,6 +691,7 @@ func TestSubProgramsMigrateWithLogicalHost(t *testing.T) {
 // suspend stops progress wherever the program runs, resume continues it,
 // and migrating a suspended program is refused.
 func TestSuspendedProgramStopsAndResumes(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 3, Seed: 18})
 	var err error
 	var atSuspend, during, after uint32
@@ -720,6 +740,7 @@ func TestSuspendedProgramStopsAndResumes(t *testing.T) {
 // bindings; programs get a name cache in their environment block that
 // migrates with them.
 func TestNameServiceResolution(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 3, Seed: 19})
 	var err error
 	var resolved vid.PID
@@ -771,6 +792,7 @@ func TestNameServiceResolution(t *testing.T) {
 // we simply give up." The target workstation crashes mid-migration; the
 // migrate call fails, and the program continues unharmed on the source.
 func TestMigrationTargetCrashRollsBack(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 3, Seed: 23})
 	// Keep ws0 busy with a local program so ws2 is the only candidate.
 	c.Node(0).Agent(func(a *Agent) {

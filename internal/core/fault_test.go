@@ -17,6 +17,7 @@ import (
 // the source, loses no output, and the migrator retries to an alternate
 // host and succeeds.
 func TestDestCrashDuringPrecopySourceSurvives(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 4, Seed: 31})
 	c.Install(progs.Ticker(400))
 	c.Fault.MigrationFault(trace.PhasePrecopy, 0, fault.VictimDest)
@@ -108,6 +109,7 @@ func TestDestCrashDuringPrecopySourceSurvives(t *testing.T) {
 // watchdog must finish the hand-over: the new copy is authoritative,
 // resumes, and completes the workload with no lost output.
 func TestSourceCrashAfterSwapDestAdopts(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 4, Seed: 33})
 	c.Install(progs.Ticker(400))
 	c.Fault.MigrationFault(trace.PhaseRebind, 0, fault.VictimSource)
@@ -179,6 +181,7 @@ func TestSourceCrashAfterSwapDestAdopts(t *testing.T) {
 // unilaterally. Exactly one copy survives, with no lost or duplicated
 // output.
 func TestRebindPartitionNoSplitBrain(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 4, Seed: 35})
 	c.Install(progs.Ticker(400))
 
@@ -319,6 +322,7 @@ func faultScheduleEvents(t *testing.T, seed int64) []string {
 // schedule must produce a byte-identical trace event sequence — faults
 // draw from the engine's seeded randomness and virtual clock only.
 func TestFaultScheduleDeterministic(t *testing.T) {
+	t.Parallel()
 	a := faultScheduleEvents(t, 5)
 	b := faultScheduleEvents(t, 5)
 	if len(a) != len(b) {

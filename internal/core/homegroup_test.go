@@ -20,6 +20,7 @@ import (
 // the program. Ticker output must stay gapless and duplicate-free: the
 // exactly-once invariant across both failovers.
 func TestHomeLeaderCrashSessionSurvives(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 6, Seed: 1, ReplicateHome: 3})
 	c.Install(progs.Ticker(300))
 
@@ -85,6 +86,7 @@ func TestHomeLeaderCrashSessionSurvives(t *testing.T) {
 // on the successor within the WaitMaxMoves redirect budget — the waiter is
 // re-pointed at the group, lands on the new leader, and gets the exit.
 func TestWaitSurvivesHomeFailoverMidWait(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 6, Seed: 2, ReplicateHome: 3})
 	c.Install(progs.Ticker(300))
 
@@ -132,6 +134,7 @@ func TestWaitSurvivesHomeFailoverMidWait(t *testing.T) {
 // after which the session is genuinely supervised: killing the hosting
 // workstation must still trigger a leader-driven re-execution.
 func TestMemberAgentPartitionedFromGroupQueuesSupervision(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 6, Seed: 1, ReplicateHome: 3})
 	c.Install(progs.Ticker(300))
 
@@ -187,6 +190,7 @@ func TestMemberAgentPartitionedFromGroupQueuesSupervision(t *testing.T) {
 // its registry and nobody re-executes the program. This is what the
 // consensus group buys.
 func TestUnreplicatedHomeDiesWithSupervisor(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 6, Seed: 1})
 	c.Install(progs.Ticker(300))
 
@@ -213,6 +217,7 @@ func TestUnreplicatedHomeDiesWithSupervisor(t *testing.T) {
 // whatever code the agent believed) and survive in its snapshots. The
 // leader's next renewal records the real exit for every replica.
 func TestMemberNoteExitedOutsideLeadershipIsRefused(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 6, Seed: 1, ReplicateHome: 3})
 	c.Install(progs.Ticker(60))
 	c.Run(3 * time.Second)

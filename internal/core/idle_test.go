@@ -34,6 +34,7 @@ func workerDispatches(c *Cluster) uint64 {
 // beacon-and-heartbeat floor. (With the 10 ms poll it was 800 dispatches
 // per host-second from the workers alone.)
 func TestIdleClusterWorkersStayParked(t *testing.T) {
+	t.Parallel()
 	for _, sel := range []sched.Policy{sched.FirstResponse{}, sched.RandomK{K: 2}} {
 		c := boot(t, Options{Workstations: 4, Seed: 1, Select: sel})
 		c.Run(2 * time.Second) // registrations, first beacons
@@ -60,6 +61,7 @@ func TestIdleClusterWorkersStayParked(t *testing.T) {
 // within the teardown charge plus the cost of sending it: the reaper is
 // woken by the exit itself. (A 10 ms poll added 0–10 ms on top.)
 func TestExitAnsweredOffTheGrid(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 2, Seed: 3})
 	var exitAt, replyAt time.Duration
 	pmPID := c.Node(1).PM.PID()
@@ -103,6 +105,7 @@ func TestExitAnsweredOffTheGrid(t *testing.T) {
 // the select span of a requested migration opens within a millisecond of
 // the request reaching the manager, wherever in a 10 ms period that falls.
 func TestMigrateRequestStartsAtOnce(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 3, Seed: 5})
 	c.Install(progs.Ticker(100))
 	var arrived, selectAt time.Duration
@@ -152,6 +155,7 @@ func TestMigrateRequestStartsAtOnce(t *testing.T) {
 // stale, plain renewals being leader-local — and keep renewing; the
 // agent's wait then completes when the program does.
 func TestPromotedHomeLeaderRenewsUnprompted(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 6, Seed: 4, ReplicateHome: 3})
 	c.Install(progs.Ticker(300))
 

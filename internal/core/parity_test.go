@@ -117,9 +117,11 @@ func checkGolden(t *testing.T, name string, rep *MigrationReport) {
 // pre-refactor inline loops' reports byte for byte — same rounds, same
 // byte counts, same virtual-time durations.
 func TestPrecopyReportParity(t *testing.T) {
+	t.Parallel()
 	checkGolden(t, "report_precopy.json", parityScenario(t, PolicyPrecopy))
 }
 
 func TestFlushReportParity(t *testing.T) {
+	t.Parallel()
 	checkGolden(t, "report_flush.json", parityScenario(t, PolicyFlush))
 }

@@ -16,6 +16,7 @@ import (
 // follow on demand, yet the user observes exactly the same output stream
 // as an unmigrated run — every tick once, in order.
 func TestPostcopyMigrationExactlyOnce(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 4, Seed: 41, Policy: PolicyPostcopy})
 	c.Install(progs.Ticker(400))
 
@@ -62,6 +63,7 @@ func TestPostcopyMigrationExactlyOnce(t *testing.T) {
 // demand faults — parked processes, receptacle pulls, stall accounting —
 // while the push-out races it for the rest.
 func TestPostcopyDemandPullsUnderLoad(t *testing.T) {
+	t.Parallel()
 	rep := parityScenario(t, PolicyPostcopy)
 	if rep.PostSwapFaults <= 0 {
 		t.Fatalf("PostSwapFaults = %d, want > 0", rep.PostSwapFaults)
@@ -84,6 +86,7 @@ func TestPostcopyDemandPullsUnderLoad(t *testing.T) {
 // frozen. The factor is pinned properly (≥5× under loss) by experiment
 // E12; here we pin the direction and the mechanism.
 func TestHybridFreezeBelowPrecopy(t *testing.T) {
+	t.Parallel()
 	pre := parityScenario(t, PolicyPrecopy)
 	hyb := parityScenario(t, PolicyHybrid)
 
@@ -110,6 +113,7 @@ func TestHybridFreezeBelowPrecopy(t *testing.T) {
 // pages — and supervision then re-executes the session from its
 // file-server image with exactly-once output.
 func TestPostcopySourceCrashMidResidueAborts(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 4, Seed: 43, Policy: PolicyPostcopy})
 	c.Install(progs.Ticker(400))
 	c.Fault.MigrationFault(trace.PhasePostSwapPull, 0, fault.VictimSource)
@@ -197,6 +201,7 @@ func assertRemoteFaultParity(t *testing.T, c *Cluster) {
 // id whose previous user still holds its port open used to panic inside
 // NewPort. The allocator must skip live ids and keep going.
 func TestPagerPIDWrapSkipsLivePorts(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 2, Seed: 45})
 	n := c.Node(0)
 

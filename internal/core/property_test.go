@@ -16,6 +16,7 @@ import (
 // at any times, under any policy, with or without packet loss, a program
 // produces exactly the same output as an unmigrated run.
 func TestQuickMigrationTransparency(t *testing.T) {
+	t.Parallel()
 	type schedule struct {
 		policy Policy
 		times  []time.Duration
@@ -86,6 +87,7 @@ func TestQuickMigrationTransparency(t *testing.T) {
 // dropped and primes500 has exited before the retransmission (Exec used
 // to report host-down there: 5 seeds of the first 60).
 func TestClusterSurvivesLossStress(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{77, 10, 18, 26} {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { lossStress(t, seed) })
 	}
@@ -159,6 +161,7 @@ func lossStress(t *testing.T, seed int64) {
 // cluster: each idle host takes it in turn, and it still completes with
 // correct output.
 func TestMigrationChainAcrossAllHosts(t *testing.T) {
+	t.Parallel()
 	c := NewCluster(Options{Workstations: 5, Seed: 5})
 	c.PoisonFreed()
 	c.Install(progs.Ticker(200))

@@ -29,6 +29,7 @@ func nsLeaderIdx(c *Cluster) int {
 // killed: the stat/read loop re-resolves through the group and a surviving
 // replica serves the image.
 func TestReplicatedImageLoadSurvivesFSLeaderCrash(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 2, Seed: 1, ReplicateFS: 3})
 	c.Sim.At(c.Sim.Now().Add(3*time.Second), func() {
 		idx := fsLeaderIdx(c)
@@ -67,6 +68,7 @@ func TestReplicatedImageLoadSurvivesFSLeaderCrash(t *testing.T) {
 // Name lookups must survive the name-server leader's death: the bounded
 // Lookup retry lands on whichever replica regained authority.
 func TestLookupSurvivesNameServerCrash(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 2, Seed: 1, ReplicateFS: 3})
 	c.Sim.At(c.Sim.Now().Add(3*time.Second), func() {
 		idx := nsLeaderIdx(c)
@@ -95,6 +97,7 @@ func TestLookupSurvivesNameServerCrash(t *testing.T) {
 // Without replication the same crash loses the service: the non-replicated
 // baseline demonstrates what the consensus layer buys.
 func TestUnreplicatedLookupDiesWithServer(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 2, Seed: 1})
 	c.Sim.At(c.Sim.Now().Add(3*time.Second), func() { c.FSHost.Crash() })
 	var err error

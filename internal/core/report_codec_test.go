@@ -50,6 +50,7 @@ func FuzzDecodeReport(f *testing.F) {
 // TestWireSizesPinned: a segment's length is virtual wire time, so a layout
 // change must show up as a diff here (and in DESIGN §10's table).
 func TestWireSizesPinned(t *testing.T) {
+	t.Parallel()
 	for _, c := range []struct {
 		form string
 		got  int

@@ -12,6 +12,7 @@ import (
 // rebind form a well-formed, non-overlapping chain in virtual time, and
 // the enclosing freeze window's duration equals the reported FreezeTime.
 func TestMigrationSpanSequence(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 3, Seed: 17})
 	var rep *MigrationReport
 	var err error

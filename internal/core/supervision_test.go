@@ -22,6 +22,7 @@ import (
 // Wait returns the normal exit. Trace events and the supervisors' own
 // counters must agree.
 func TestGuestCrashAutoReexec(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 4, Seed: 51})
 	c.Install(progs.Ticker(120))
 	c.Fault.CrashAfter(1500*time.Millisecond, c.Node(1).Host.NIC.MAC())
@@ -79,6 +80,7 @@ func TestGuestCrashAutoReexec(t *testing.T) {
 // waiter unblocks with an abort instead of hanging, and the user gets a
 // notification line.
 func TestRestartsExhaustedFailsSession(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 2, Seed: 52})
 	c.Install(progs.Ticker(400))
 	c.Fault.CrashAfter(time.Second, c.Node(1).Host.NIC.MAC())
@@ -121,6 +123,7 @@ func TestRestartsExhaustedFailsSession(t *testing.T) {
 // the CodeMoved chain must give up after WaitMaxMoves instead of bouncing
 // forever.
 func TestWaitBounceCapped(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 2, Seed: 53})
 	ghost := vid.LHID(0x02F0)
 	c.Node(0).PM.RecordMoved(ghost, c.Node(1).PM.PID(), ghost)
@@ -143,6 +146,7 @@ func TestWaitBounceCapped(t *testing.T) {
 // cannot get through either. The home manager's retrying reaper must
 // destroy the stranded environment once the partition heals.
 func TestExecStartFailureReapsLeak(t *testing.T) {
+	t.Parallel()
 	c := boot(t, Options{Workstations: 3, Seed: 54})
 	c.Install(progs.Ticker(400))
 	homeMAC := uint16(c.Node(0).Host.NIC.MAC())

@@ -38,6 +38,7 @@ func windowReport(t *testing.T, seed int64, loss float64) (*MigrationReport, *Cl
 // window activity, per-round copy rates, and wire bytes no larger than
 // the logical bytes moved (zero-page elision only shrinks the wire).
 func TestMigrationWindowAccounting(t *testing.T) {
+	t.Parallel()
 	rep, c := windowReport(t, 11, 0)
 	if rep.WindowSize != params.CopyWindow {
 		t.Fatalf("window size %d, want %d", rep.WindowSize, params.CopyWindow)
@@ -79,6 +80,7 @@ func TestMigrationWindowAccounting(t *testing.T) {
 // frame loss on the copy path (retransmissions must not double-count
 // window issues).
 func TestMigrationWindowParityUnderLoss(t *testing.T) {
+	t.Parallel()
 	rep, c := windowReport(t, 12, 0.03)
 	var sends, stalls int64
 	for _, n := range c.Nodes {

@@ -100,7 +100,11 @@ type Bus struct {
 	arrived func()
 	// bufs recycles the payloads of unicast frames. The bus only lends and
 	// takes back: it never decides that a frame is finished with.
-	bufs    *freelist.Bytes
+	bufs *freelist.Bytes
+	// pages recycles the page frames of the cluster's address spaces. They
+	// never cross the wire; the list hangs here because the segment is the
+	// one thing every kernel of a cluster is built on.
+	pages   *freelist.Bytes
 	loss    LossFunc
 	cut     CutFunc
 	corrupt CorruptFunc
@@ -121,6 +125,7 @@ func NewBus(eng *sim.Engine) *Bus {
 		eng:      eng,
 		stations: make(map[MAC]*NIC),
 		bufs:     freelist.New(params.FrameMTU, frameBufsKept),
+		pages:    freelist.New(params.PageSize, pageFramesKept),
 	}
 	b.arrived = b.arrive
 	return b
@@ -131,10 +136,24 @@ func NewBus(eng *sim.Engine) *Bus {
 // with room to spare (96 KB at most).
 const frameBufsKept = 64
 
-// PoisonFreed makes the segment overwrite every frame payload handed back
-// to it, so that a test reading one after Recycle fails instead of passing
-// by luck.
-func (b *Bus) PoisonFreed() { b.bufs.PoisonFreed() }
+// pageFramesKept bounds the cluster's free list of page frames: 1 MB,
+// whatever the number of hosts. A quarter of it already serves a cluster
+// that only executes programs; past it, one that migrates them around the
+// clock stops gaining.
+const pageFramesKept = 1024
+
+// PageFrames returns the cluster's free list of page frames, which the
+// kernels attached to the segment make their address spaces on.
+func (b *Bus) PageFrames() *freelist.Bytes { return b.pages }
+
+// PoisonFreed makes the segment overwrite every frame payload and every
+// page frame handed back to it, so that a test reading one after Recycle —
+// or through a page view whose space is gone — fails instead of passing by
+// luck.
+func (b *Bus) PoisonFreed() {
+	b.bufs.PoisonFreed()
+	b.pages.PoisonFreed()
+}
 
 // SetLoss installs a loss model. RandomLoss(p, eng) is the common choice.
 func (b *Bus) SetLoss(f LossFunc) { b.loss = f }

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"vsystem/internal/vid"
@@ -63,10 +64,17 @@ func (im *Image) Encode() []byte {
 	return a.B[:im.Size()] // the padding: zeroes, already there
 }
 
-// Decode parses a stored image. The file must be exactly its header plus
-// the padding the header declares: a truncated file, a file with anything
-// appended, or one that does not start with the magic word is an error.
-func Decode(b []byte) (*Image, error) {
+// Decode parses a stored image held whole in b. The file must be exactly
+// its header plus the padding the header declares: a truncated file, a file
+// with anything appended, or one that does not start with the magic word is
+// an error.
+func Decode(b []byte) (*Image, error) { return DecodeHeader(b, len(b)) }
+
+// DecodeHeader parses a stored image of size bytes from its leading bytes b:
+// the header, which is all of the file that says anything, and as much of
+// the padding behind it as the caller kept (Decode keeps all of it; the
+// program manager, none). The refusals are the same whatever was kept.
+func DecodeHeader(b []byte, size int) (*Image, error) {
 	r := vid.NewReader(b)
 	if r.U32() != magic {
 		return nil, fmt.Errorf("image: decode: not an image file")
@@ -75,9 +83,10 @@ func Decode(b []byte) (*Image, error) {
 	codeLen, dataLen := r.U32(), r.U32()
 	im.Name, im.Kind = r.String(), r.String()
 	// Widened, never summed in 32 bits: a huge length word cannot wrap.
-	if r.Err() == nil && uint64(codeLen)+uint64(dataLen)+uint64(im.Pad) != uint64(r.Len()) {
+	after := int64(size) - int64(len(b)-r.Len())
+	if r.Err() == nil && (len(b) > size || int64(codeLen)+int64(dataLen)+int64(im.Pad) != after) {
 		return nil, fmt.Errorf("image: decode: %d bytes after the names, header declares %d code + %d data + %d pad",
-			r.Len(), codeLen, dataLen, im.Pad)
+			after, codeLen, dataLen, im.Pad)
 	}
 	im.Code = append([]byte(nil), r.Take(int(codeLen))...)
 	im.Data = append([]byte(nil), r.Take(int(dataLen))...)
@@ -85,6 +94,22 @@ func Decode(b []byte) (*Image, error) {
 		return nil, fmt.Errorf("image: decode: %w", err)
 	}
 	return im, nil
+}
+
+// HeaderLen reports how many leading bytes of a stored image DecodeHeader
+// needs — everything before the padding — going by the file's first bytes
+// b. If b ends before the names do, it says all of them: whoever loads the
+// file then keeps it whole and the decoder sees what Decode would have.
+func HeaderLen(b []byte) uint64 {
+	r := vid.NewReader(b)
+	r.Take(3 * 4) // magic, SpaceSize, Pad
+	codeLen, dataLen := r.U32(), r.U32()
+	r.Take(int(r.U16())) // the name
+	r.Take(int(r.U16())) // the kind
+	if r.Err() != nil {
+		return math.MaxUint64
+	}
+	return uint64(len(b)-r.Len()) + uint64(codeLen) + uint64(dataLen)
 }
 
 // EnvBlock is the execution environment the program manager initializes a

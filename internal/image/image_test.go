@@ -13,6 +13,17 @@ import (
 
 var imageForm = wiretest.Form[Image]{Encode: (*Image).Encode, Decode: Decode}
 
+// headerForm decodes a stored file the way the program manager loads one:
+// the first 32 KB read says how long the header is, only that much of the
+// file is kept, and the decoder is told how many bytes arrived.
+var headerForm = wiretest.Form[Image]{Encode: (*Image).Encode, Decode: decodeAsLoaded}
+
+func decodeAsLoaded(b []byte) (*Image, error) {
+	first := b[:min(len(b), vid.SegMax)]
+	keep := min(HeaderLen(first), uint64(len(b)))
+	return DecodeHeader(b[:keep:keep], len(b))
+}
+
 func populatedImage() *Image {
 	return &Image{
 		Name: "cc68", Kind: "vvm", Code: []byte{1, 2, 3, 4}, Data: []byte("initialized"),
@@ -30,20 +41,57 @@ func TestImageWireForm(t *testing.T) {
 	if len(seg) != im.headerLen()+int(im.Pad) {
 		t.Fatalf("stored %d bytes, want header %d + pad %d", len(seg), im.headerLen(), im.Pad)
 	}
-	imageForm.Malformed(t, seg)
-	imageForm.Malformed(t, imageForm.RoundTrip(t, &Image{}))
+	if HeaderLen(seg) != uint64(im.headerLen()) || HeaderLen(seg[:fixedLen+len(im.Name)+len(im.Kind)]) != uint64(im.headerLen()) {
+		t.Fatalf("HeaderLen = %d, want %d from the whole file and from its names alone", HeaderLen(seg), im.headerLen())
+	}
+	if n := HeaderLen(seg[:fixedLen+len(im.Name)+len(im.Kind)-1]); n < uint64(len(seg)) {
+		t.Fatalf("HeaderLen of a prefix that ends inside the names = %d: whoever asks must keep everything", n)
+	}
+	for name, form := range map[string]wiretest.Form[Image]{"whole file": imageForm, "header only": headerForm} {
+		form.RoundTrip(t, im)
+		form.Malformed(t, seg)
+		form.Malformed(t, form.RoundTrip(t, &Image{}))
 
-	for name, off := range map[string]int{"pad": 8, "code length": 12, "data length": 16} {
+		for word, off := range map[string]int{"pad": 8, "code length": 12, "data length": 16} {
+			bad := bytes.Clone(seg)
+			binary.LittleEndian.PutUint32(bad[off:], 0xFFFFFFFF)
+			if _, err := form.Decode(bad); err == nil {
+				t.Errorf("%s: decoded a file whose %s word says 4 GB", name, word)
+			}
+		}
 		bad := bytes.Clone(seg)
-		binary.LittleEndian.PutUint32(bad[off:], 0xFFFFFFFF)
-		if _, err := Decode(bad); err == nil {
-			t.Errorf("decoded a file whose %s word says 4 GB", name)
+		bad[0] ^= 1
+		if _, err := form.Decode(bad); err == nil {
+			t.Errorf("%s: decoded a file with the wrong magic word", name)
 		}
 	}
-	bad := bytes.Clone(seg)
-	bad[0] ^= 1
-	if _, err := Decode(bad); err == nil {
-		t.Error("decoded a file with the wrong magic word")
+}
+
+// TestStoredSizeMustBeHeaderPlusPad: the header alone is enough to decode
+// from, but only together with the size the file really has — one byte
+// more or less than header + Pad, in the count or in the Pad word, and it
+// is not this image's file.
+func TestStoredSizeMustBeHeaderPlusPad(t *testing.T) {
+	im := populatedImage()
+	seg := im.Encode()
+	hdr := seg[:im.headerLen()]
+	if got, err := DecodeHeader(hdr, len(seg)); err != nil || !reflect.DeepEqual(got, im) {
+		t.Fatalf("header with the true size: %+v, %v", got, err)
+	}
+	for _, size := range []int{len(seg) - 1, len(seg) + 1, len(hdr) - 1, 0, -1} {
+		if _, err := DecodeHeader(hdr, size); err == nil {
+			t.Errorf("decoded a %d-byte header + %d pad as a file of %d bytes", len(hdr), im.Pad, size)
+		}
+	}
+	for _, d := range []uint32{im.Pad - 1, im.Pad + 1} {
+		bad := bytes.Clone(hdr)
+		binary.LittleEndian.PutUint32(bad[8:], d)
+		if _, err := DecodeHeader(bad, len(seg)); err == nil {
+			t.Errorf("decoded a %d-byte file whose header declares pad %d, not %d", len(seg), d, im.Pad)
+		}
+	}
+	if _, err := DecodeHeader(hdr[:len(hdr)-1], len(seg)); err == nil {
+		t.Error("decoded from a header one byte short of its data")
 	}
 }
 
@@ -64,6 +112,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		im, err := Decode(b)
+		if loaded, lerr := decodeAsLoaded(b); (err == nil) != (lerr == nil) || !reflect.DeepEqual(im, loaded) {
+			t.Fatalf("the two entry points disagree:\nwhole file:  %+v, %v\nheader only: %+v, %v", im, err, loaded, lerr)
+		}
 		if err != nil {
 			return
 		}

@@ -110,13 +110,17 @@ type Engine struct {
 	jobs     sim.Queue[job]
 	// Two scratch packets, so that the per-frame paths allocate no Packet.
 	// Each is filled and finished with — traced (subscribers do not keep
-	// Event.Pkt), marshalled or handed to the load sink — by one task at a
-	// time: rxAd by netd alone, txFrag between two points where the
-	// sending task can block.
-	rxAd   packet.Packet // the beacon netd is receiving
-	txFrag packet.Packet // the fragment about to be transmitted
-	reasm  map[reasmKey]*reasmBuf
-	txBuf  map[reasmKey]*fragSource
+	// Event.Pkt), marshalled, delivered by value or handed to the load sink
+	// — by one task at a time: rx by netd alone, from decoding a frame until
+	// recvFrame returns (netd blocks in between, and nothing else receives);
+	// tx between two points where the sending task can block. Whatever
+	// outlives that is a copy: a message is taken out of rx by value, a
+	// fragment's bytes go to their slot, and a packet relayed through a
+	// forwarding address is copied to be queued.
+	rx    packet.Packet // the frame netd is receiving, of any kind
+	tx    packet.Packet // the packet or fragment about to be transmitted
+	reasm map[reasmKey]*reasmBuf
+	txBuf map[reasmKey]*fragSource
 	// segs recycles segment-sized buffers: the reassembly buffers handleFrag
 	// fills, which come back from the consumers that copy a delivered
 	// segment out (Port.ReleaseSeg, Port.ReleaseReply), and the buffers a
@@ -421,9 +425,13 @@ func (e *Engine) emitLocal(p *packet.Packet) {
 }
 
 // sendNow marshals and transmits a (non-fragmented) packet, charging CPU.
+// It keeps no reference to *p, which may live on the caller's stack: the
+// packet goes through the transmit scratch, filled only once the charge —
+// where the task blocks and another may transmit — is behind it.
 func (e *Engine) sendNow(t *sim.Task, p *packet.Packet, dst ethernet.MAC) {
 	e.cpu.Use(t, params.SmallPktSendCPU, params.PrioKernel)
-	e.transmitFrame(t, p, dst, false)
+	e.tx = *p
+	e.transmitFrame(t, &e.tx, dst, false)
 }
 
 // transmitFrame marshals p and puts it on the wire. If wait is true the
@@ -498,7 +506,7 @@ func (e *Engine) dropFragSource(key reasmKey) {
 // sendFrag transmits fragment i of the segment of the logical packet key
 // names, waiting out its wire time.
 func (e *Engine) sendFrag(t *sim.Task, key reasmKey, seg []byte, i int, dst ethernet.MAC) {
-	e.txFrag = packet.Packet{
+	e.tx = packet.Packet{
 		Kind:      packet.KFrag,
 		TxID:      key.txid,
 		Src:       key.src,
@@ -508,7 +516,7 @@ func (e *Engine) sendFrag(t *sim.Task, key reasmKey, seg []byte, i int, dst ethe
 		FragCount: uint16(packet.NumFrags(len(seg))),
 		Data:      packet.FragOf(seg, i),
 	}
-	e.transmitFrame(t, &e.txFrag, dst, true)
+	e.transmitFrame(t, &e.tx, dst, true)
 }
 
 // resendFrags services a FragNack: retransmit the missing fragments and the
@@ -540,16 +548,9 @@ func (e *Engine) resendFrags(t *sim.Task, key reasmKey, missing []uint16) {
 
 // recvFrame processes one arriving frame on netd.
 func (e *Engine) recvFrame(t *sim.Task, f ethernet.Frame) {
-	var p *packet.Packet
-	var err error
-	if len(f.Payload) > 0 && packet.Kind(f.Payload[0]) == packet.KLoadAd {
-		// A beacon is consumed in place — nothing below keeps the packet —
-		// and a hundred stations hear each one.
-		p = &e.rxAd
-		err = packet.UnmarshalInto(p, f.Payload)
-	} else {
-		p, err = packet.Unmarshal(f.Payload)
-	}
+	// Every kind is decoded in place: nothing below keeps the packet.
+	p := &e.rx
+	err := packet.UnmarshalInto(p, f.Payload)
 	switch {
 	case len(f.Payload) >= 512:
 		e.cpu.Use(t, params.BulkRecvCPU, params.PrioKernel)
@@ -752,10 +753,13 @@ func (b *reasmBuf) join() (joined []byte, alias bool) {
 func (e *Engine) deliverRequest(t *sim.Task, p *packet.Packet, from ethernet.MAC) {
 	dst := p.Dst
 	if dst.IsGroup() {
+		// Each member gets the packet as it arrived, readdressed: whatever
+		// delivering it to one member changed is put back for the next.
+		arrived := *p
 		for _, member := range e.res.GroupMembers(dst) {
-			cp := *p
-			cp.Dst = member
-			e.deliverRequest(t, &cp, from)
+			*p = arrived
+			p.Dst = member
+			e.deliverRequest(t, p, from)
 		}
 		return
 	}
@@ -766,7 +770,8 @@ func (e *Engine) deliverRequest(t *sim.Task, p *packet.Packet, from ethernet.MAC
 			// logical host moved to (§5). A residual dependency: the
 			// relay fails if this host is rebooted.
 			e.stats.Forwarded++
-			e.emit(p, fwd)
+			relayed := *p // the queue outlives the packet netd decoded into
+			e.emit(&relayed, fwd)
 			return
 		}
 		e.stats.DroppedStale++
@@ -824,7 +829,8 @@ func (e *Engine) deliverReply(t *sim.Task, p *packet.Packet, from ethernet.MAC) 
 	if !e.res.LHResident(lh) {
 		if fwd, ok := e.forward[lh]; ok {
 			e.stats.Forwarded++
-			e.emit(p, fwd)
+			relayed := *p
+			e.emit(&relayed, fwd)
 			return
 		}
 		e.stats.DroppedStale++

@@ -324,13 +324,15 @@ func (p *Port) transmitOn(t *sim.Task, retrans bool) {
 }
 
 func (p *Port) transmit(t *sim.Task, s *sendTxn, retrans bool) {
-	pkt := &packet.Packet{Kind: packet.KRequest, TxID: s.txid, Src: p.pid, Dst: s.dst, Msg: s.msg}
+	// The packet is a value: what goes on the wire is marshalled from the
+	// engine's transmit scratch, and only a local delivery, which is queued,
+	// needs a packet of its own.
+	pkt := packet.Packet{Kind: packet.KRequest, TxID: s.txid, Src: p.pid, Dst: s.dst, Msg: s.msg}
 	if s.group {
 		// Wire multicast (member stations' receive filters accept it)
 		// plus fan-out to local members.
-		p.eng.cpu.Use(t, params.SmallPktSendCPU, params.PrioKernel)
-		p.eng.transmitFrame(t, pkt, ethernet.Multicast(uint16(s.dst.LH())), false)
-		local := *pkt
+		p.eng.sendNow(t, &pkt, ethernet.Multicast(uint16(s.dst.LH())))
+		local := pkt
 		s.buf = nil // local members receive the segment itself, not a copy
 		p.eng.emitLocal(&local)
 		return
@@ -345,7 +347,7 @@ func (p *Port) transmit(t *sim.Task, s *sendTxn, retrans bool) {
 		return // locate broadcast in flight; retry on next tick
 	}
 	if local {
-		cp := *pkt
+		cp := pkt
 		s.buf = nil // the receiver gets the segment itself, not a copy
 		p.eng.emitLocal(&cp)
 		return
@@ -359,10 +361,10 @@ func (p *Port) transmit(t *sim.Task, s *sendTxn, retrans bool) {
 		return
 	}
 	if packet.NumFrags(len(s.msg.Seg)) > 0 {
-		p.eng.sendFragged(t, pkt, mac, s)
+		p.eng.sendFragged(t, &pkt, mac, s)
 		return
 	}
-	p.eng.sendNow(t, pkt, mac)
+	p.eng.sendNow(t, &pkt, mac)
 }
 
 // AwaitReply blocks until the outstanding send completes, returning the
@@ -588,7 +590,7 @@ func (p *Port) Reply(t *sim.Task, r *Req, msg vid.Message) {
 
 // emitReply routes and transmits a reply.
 func (p *Port) emitReply(t *sim.Task, dst vid.PID, txid uint32, msg vid.Message, lastFrom ethernet.MAC) {
-	pkt := &packet.Packet{Kind: packet.KReply, TxID: txid, Src: p.pid, Dst: dst, Msg: msg}
+	pkt := packet.Packet{Kind: packet.KReply, TxID: txid, Src: p.pid, Dst: dst, Msg: msg}
 	mac, local, ok := p.eng.route(dst)
 	if !ok {
 		// Sender location unknown (it migrated and our cache was
@@ -598,15 +600,15 @@ func (p *Port) emitReply(t *sim.Task, dst vid.PID, txid uint32, msg vid.Message,
 		local = mac == p.eng.nic.MAC()
 	}
 	if local {
-		cp := *pkt
+		cp := pkt
 		p.eng.emitLocal(&cp)
 		return
 	}
 	if packet.NumFrags(len(msg.Seg)) > 0 {
-		p.eng.sendFragged(t, pkt, mac, nil)
+		p.eng.sendFragged(t, &pkt, mac, nil)
 		return
 	}
-	p.eng.sendNow(t, pkt, mac)
+	p.eng.sendNow(t, &pkt, mac)
 }
 
 // OpenRequest returns the open (received, unreplied) request from the given

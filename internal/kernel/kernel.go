@@ -16,6 +16,7 @@ import (
 
 	"vsystem/internal/cpu"
 	"vsystem/internal/ethernet"
+	"vsystem/internal/freelist"
 	"vsystem/internal/ipc"
 	"vsystem/internal/mem"
 	"vsystem/internal/params"
@@ -43,6 +44,7 @@ type Host struct {
 	wellKnown map[uint16]vid.PID
 	systemLH  *LogicalHost
 	memFree   uint32
+	frames    *freelist.Bytes // the cluster's page frames (ethernet.Bus.PageFrames)
 
 	// MigrationOverhead enables the per-operation frozen check (the
 	// paper's measured 13 µs, §4.1). Disabling it models a kernel built
@@ -91,6 +93,7 @@ func NewHost(eng *sim.Engine, bus *ethernet.Bus, index int, name string) *Host {
 		groups:            make(map[vid.PID][]vid.PID),
 		wellKnown:         make(map[uint16]vid.PID),
 		memFree:           params.WorkstationMemory - systemReserve,
+		frames:            bus.PageFrames(),
 		MigrationOverhead: true,
 	}
 	h.IPC = ipc.New(eng, h.NIC, h.CPU, (*hostResolver)(h))
@@ -471,7 +474,7 @@ func (lh *LogicalHost) CreateSpace(size uint32) (*mem.AddressSpace, error) {
 		return nil, vid.CodeError(vid.CodeNoMemory)
 	}
 	lh.nextSp++
-	as := mem.NewAddressSpace(lh.nextSp, size)
+	as := mem.NewAddressSpaceOn(lh.host.frames, lh.nextSp, size)
 	lh.spaces[as.ID] = as
 	if !lh.system {
 		lh.host.memFree -= size
@@ -578,7 +581,10 @@ func (h *Host) RetireLHID(id vid.LHID) { h.retiredLH[id] = true }
 
 // DestroyLH deletes a logical host: processes die, ports close (queued
 // messages are discarded; senders re-send to the new copy, §3.1.3), and
-// memory is released.
+// memory is released — the modelled reservation and the page frames
+// themselves, which the cluster's next new page will be made of. (A crash
+// destroys nothing in an orderly way: what its logical hosts held is the
+// collector's.)
 func (h *Host) DestroyLH(lh *LogicalHost) {
 	if lh.system {
 		panic("kernel: destroying system logical host")
@@ -593,6 +599,9 @@ func (h *Host) DestroyLH(lh *LogicalHost) {
 		}
 	}
 	lh.procs = make(map[uint16]*Process)
+	for _, as := range lh.spaces {
+		as.Release()
+	}
 	h.memFree += lh.memUsed
 	lh.memUsed = 0
 	delete(h.lhs, lh.id)

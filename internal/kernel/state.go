@@ -155,7 +155,7 @@ func (lh *LogicalHost) InstallSpace(id, size uint32) (*mem.AddressSpace, error) 
 	if !lh.system && size > lh.host.memFree {
 		return nil, vid.CodeError(vid.CodeNoMemory)
 	}
-	as := mem.NewAddressSpace(id, size)
+	as := mem.NewAddressSpaceOn(lh.host.frames, id, size)
 	lh.spaces[id] = as
 	if id > lh.nextSp {
 		lh.nextSp = id

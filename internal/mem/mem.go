@@ -9,8 +9,9 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"vsystem/internal/freelist"
 	"vsystem/internal/params"
 )
 
@@ -27,10 +28,19 @@ type AddressSpace struct {
 	ID    uint32 // space identifier within its logical host
 	limit uint32 // size in bytes; accesses beyond limit fault
 	pages map[PageNo]*page
+	// frames is where a page's PageSize bytes come from and where Drop and
+	// Release hand them back: the list of the cluster the space lives in,
+	// or a list of its own.
+	frames *freelist.Bytes
 	// fault, when set, supplies the contents of a non-present page on
 	// first access (demand paging from a file server, §3.2). It may
 	// block the calling task. A nil return means a zero page.
 	fault FaultFunc
+	// inFault counts the tasks inside the fault handler. One of them may
+	// hold views of other pages while it is blocked there (a gather loop),
+	// and one killed there never leaves: while it is not zero, no frame is
+	// handed back.
+	inFault int
 }
 
 // FaultFunc resolves a missing page's contents.
@@ -48,12 +58,23 @@ type page struct {
 }
 
 // NewAddressSpace creates a space of the given size in bytes (rounded up to
-// a whole number of pages).
+// a whole number of pages) whose page frames come from a list of its own,
+// which can never hold more than the space has pages.
 func NewAddressSpace(id uint32, size uint32) *AddressSpace {
+	pages := (uint64(size) + PageSize - 1) / PageSize
+	return NewAddressSpaceOn(freelist.New(PageSize, int(pages)), id, size)
+}
+
+// NewAddressSpaceOn is NewAddressSpace for a space that shares its page
+// frames with the other spaces of its cluster: what one of them drops or
+// releases, the next one to allocate a page gets. The list hands out
+// buffers of PageSize bytes; it belongs to one cluster (ethernet.Bus keeps
+// it), never to the package — clusters run side by side.
+func NewAddressSpaceOn(frames *freelist.Bytes, id uint32, size uint32) *AddressSpace {
 	if size%PageSize != 0 {
 		size += PageSize - size%PageSize
 	}
-	return &AddressSpace{ID: id, limit: size, pages: make(map[PageNo]*page)}
+	return &AddressSpace{ID: id, limit: size, pages: make(map[PageNo]*page), frames: frames}
 }
 
 // Size returns the space's limit in bytes.
@@ -82,7 +103,9 @@ func (as *AddressSpace) check(addr uint32, n int) error {
 func (as *AddressSpace) getPage(pn PageNo, alloc bool) *page {
 	p := as.pages[pn]
 	if p == nil && as.fault != nil {
-		data := as.fault(pn)
+		as.inFault++
+		data := as.fault(pn) // a task killed in here unwinds past the next line
+		as.inFault--
 		// The handler blocks the faulting task; a racing installer (the
 		// post-copy source's background push-out) may have materialized the
 		// page meanwhile. First writer wins: prefer the installed page and
@@ -90,18 +113,30 @@ func (as *AddressSpace) getPage(pn PageNo, alloc bool) *page {
 		if p = as.pages[pn]; p != nil {
 			return p
 		}
-		p = &page{data: make([]byte, PageSize)}
-		if data != nil {
-			copy(p.data, data)
-		}
-		as.pages[pn] = p
-		return p
+		return as.newPage(pn, data)
 	}
 	if p == nil && alloc {
-		p = &page{data: make([]byte, PageSize)}
-		as.pages[pn] = p
+		p = as.newPage(pn, nil)
 	}
 	return p
+}
+
+// newPage materializes page pn holding data, zero from where data ends. The
+// frame may have been another page before, of this space or of one long
+// destroyed: every byte of it is written here.
+func (as *AddressSpace) newPage(pn PageNo, data []byte) *page {
+	p := &page{data: as.frames.Get()[:PageSize]}
+	clear(p.data[copy(p.data, data):])
+	as.pages[pn] = p
+	return p
+}
+
+// free hands a page's frame back, unless a task inside the fault handler
+// may still be looking at it.
+func (as *AddressSpace) free(p *page) {
+	if as.inFault == 0 {
+		as.frames.Put(p.data)
+	}
 }
 
 // ReadAt copies len(b) bytes starting at addr into b. Unallocated pages
@@ -186,7 +221,7 @@ func (as *AddressSpace) DirtyPages() []PageNo {
 			out = append(out, pn)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -224,7 +259,7 @@ func (as *AddressSpace) AllPages() []PageNo {
 	for pn := range as.pages {
 		out = append(out, pn)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -248,8 +283,9 @@ func ZeroPage() []byte { return zeroPage }
 
 // PageView returns the page's live contents without copying (the shared
 // zero page if unallocated). The view is read-only and valid only until
-// the space is next written; the bulk-transfer encoder snapshots it into
-// the wire segment immediately.
+// the space is next written, dropped from or released — after which the
+// frame may be another space's page; the bulk-transfer encoder snapshots
+// it into the wire segment immediately, before its task can block.
 func (as *AddressSpace) PageView(pn PageNo) []byte {
 	if p := as.getPage(pn, false); p != nil {
 		return p.data
@@ -308,17 +344,30 @@ func (as *AddressSpace) InstallPageIfAbsent(pn PageNo, data []byte) (bool, error
 	if _, present := as.pages[pn]; present || IsZeroPage(data) {
 		return false, nil
 	}
-	p := &page{data: make([]byte, PageSize)}
-	copy(p.data, data)
-	as.pages[pn] = p
+	as.newPage(pn, data)
 	return true, nil
 }
 
 // Drop discards a page, reverting it to the not-present state (a
-// subsequent access faults it back in, or reads zeros). The hybrid
-// migration policy uses this to invalidate stale pre-copied pages on the
-// destination at freeze time.
-func (as *AddressSpace) Drop(pn PageNo) { delete(as.pages, pn) }
+// subsequent access faults it back in, or reads zeros), and hands its
+// frame back. The hybrid migration policy uses this to invalidate stale
+// pre-copied pages on the destination at freeze time.
+func (as *AddressSpace) Drop(pn PageNo) {
+	if p := as.pages[pn]; p != nil {
+		delete(as.pages, pn)
+		as.free(p)
+	}
+}
+
+// Release empties the space and hands every page frame back: the end of
+// its logical host. A space someone still holds afterwards reads as zeros
+// and may be written again; a PageView taken before is dead.
+func (as *AddressSpace) Release() {
+	for _, p := range as.pages {
+		as.free(p)
+	}
+	clear(as.pages)
+}
 
 // MarkPageDirty sets an allocated page's dirty bit (a no-op for absent
 // pages). The post-copy source marks its frozen residue dirty at swap

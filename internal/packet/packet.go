@@ -9,11 +9,18 @@
 // transfers for the 32 Kbyte units V routinely moved (§3.1).
 //
 // Buffer ownership: AppendMarshal copies everything it is given into the
-// buffer it is handed. Unmarshal copies an inline Msg.Seg out of its input, because a
-// message outlives the frame and its holders write into it; a KFrag's Data
-// is a slice of the input, because a fragment is only ever copied onward
-// into its reassembly buffer. A frame payload is therefore never written
-// once transmitted (a corrupted delivery mangles a copy).
+// buffer it is handed. UnmarshalInto copies an inline Msg.Seg out of its
+// input, because a message outlives the frame and its holders write into
+// it; a KFrag's Data is a slice of the input, because a fragment is only
+// ever copied onward into its reassembly buffer. A frame payload is
+// therefore never written once transmitted (a corrupted delivery mangles a
+// copy).
+//
+// The Packet itself is the caller's: the ipc engine decodes every frame
+// into one Packet it owns and transmits through another (UnmarshalInto
+// overwrites all of *p, AppendMarshal keeps no reference to it), so the
+// protocol paths allocate none. Unmarshal, which makes a new one each time,
+// is for tests and tools.
 package packet
 
 import (

@@ -474,14 +474,14 @@ func (pm *PM) createProgram(ctx *kernel.ProcCtx, m vid.Message) vid.Message {
 	guest := m.W[1] != 0
 	stdout := vid.PID(m.W[0])
 
-	imgBytes, fsPID, err := pm.loadFile(ctx, progName)
+	hdr, size, fsPID, err := pm.loadFile(ctx, progName)
 	if err != nil {
 		if ce, ok := err.(vid.CodeError); ok {
 			return vid.ErrMsg(uint16(ce))
 		}
 		return vid.ErrMsg(vid.CodeNotFound)
 	}
-	img, err := image.Decode(imgBytes)
+	img, err := image.DecodeHeader(hdr, size)
 	if err != nil {
 		return vid.ErrMsg(vid.CodeBadRequest)
 	}
@@ -537,12 +537,19 @@ func (pm *PM) createProgram(ctx *kernel.ProcCtx, m vid.Message) vid.Message {
 	return vid.Message{Op: PmCreateProgram, W: [6]uint32{uint32(p.PID()), uint32(lh.ID())}}
 }
 
-// loadFile fetches a file from a network file server in 32 KB reads.
+// loadFile fetches an image file from a network file server in 32 KB
+// reads. Every read is issued and waited for — the load takes the virtual
+// time the protocol takes — but only the file's header is kept, as far as
+// the first read's length words declare it: the padding behind it says
+// nothing, and each reply's buffer goes back to the engine as soon as the
+// header's share is copied out of it. It returns the kept bytes and how
+// many arrived in all, which is what image.DecodeHeader wants.
+//
 // Reads pin the replica that answered the stat; if that server dies or
 // loses authority mid-load, the loop re-resolves once through the
 // file-server group and resumes the same chunk — an image load survives a
 // file-server crash instead of aborting the execution request.
-func (pm *PM) loadFile(ctx *kernel.ProcCtx, name string) ([]byte, vid.PID, error) {
+func (pm *PM) loadFile(ctx *kernel.ProcCtx, name string) ([]byte, int, vid.PID, error) {
 	fs := pm.fsPID
 	st, err := ctx.Send(orGroup(fs), vid.Message{
 		Op: fsOpStat, W: [6]uint32{0, 0, 0, 0, 0, unicastFlag(fs)}, Seg: []byte(name),
@@ -561,14 +568,15 @@ func (pm *PM) loadFile(ctx *kernel.ProcCtx, name string) ([]byte, vid.PID, error
 			ctx.Sleep(500 * time.Millisecond)
 		}
 		if err != nil || !st.OK() {
-			return nil, vid.Nil, fsError(st, err)
+			return nil, 0, vid.Nil, fsError(st, err)
 		}
 	}
 	if pid := vid.PID(st.W[5]); pid != vid.Nil {
 		pm.fsPID = pid
 	}
 	size := int(st.W[0])
-	out := make([]byte, 0, size)
+	var hdr []byte // the file's leading bytes; its capacity is how many are header
+	got := 0       // bytes received, kept or not
 	for off := 0; off < size; off += vid.SegMax {
 		n := size - off
 		if n > vid.SegMax {
@@ -585,20 +593,27 @@ func (pm *PM) loadFile(ctx *kernel.ProcCtx, name string) ([]byte, vid.PID, error
 			pm.fsPID = vid.Nil
 			st, err2 := ctx.Send(vid.GroupFileServers, vid.Message{Op: fsOpStat, Seg: []byte(name)})
 			if err2 != nil || !st.OK() {
-				return nil, vid.Nil, fsError(r, err)
+				return nil, 0, vid.Nil, fsError(r, err)
 			}
 			if pid := vid.PID(st.W[5]); pid != vid.Nil {
 				pm.fsPID = pid
 			}
 			read.W[5] = unicastFlag(pm.fsPID)
 			if r, err = ctx.Send(orGroup(pm.fsPID), read); err != nil || !r.OK() {
-				return nil, vid.Nil, fsError(r, err)
+				return nil, 0, vid.Nil, fsError(r, err)
 			}
 		}
-		out = append(out, r.Seg...)
+		if off == 0 {
+			// Sized by what the file says of itself, and never past what
+			// the server says it stores: neither word alone is trusted
+			// with an allocation.
+			hdr = make([]byte, 0, min(image.HeaderLen(r.Seg), uint64(size)))
+		}
+		hdr = append(hdr, r.Seg[:min(len(r.Seg), cap(hdr)-len(hdr))]...) // never past the header
+		got += len(r.Seg)
 		ctx.ReleaseReply()
 	}
-	return out, pm.fsPID, nil
+	return hdr, got, pm.fsPID, nil
 }
 
 // fsError keeps the transport's verdict on a failed file-server RPC. A

@@ -113,7 +113,9 @@ func (c *Cache) negative(lh vid.LHID) bool {
 // cache could answer at all.
 func (c *Cache) Candidates(minMem uint32, exclude map[vid.LHID]bool) []Load {
 	now := c.now()
-	var out []Load
+	// Sized once, and new every time: the selector holds the result across
+	// blocking probes while another agent of the node selects.
+	out := make([]Load, 0, len(c.ents))
 	for lh, e := range c.ents {
 		if now.Sub(e.at) > c.ttl {
 			delete(c.ents, lh)
@@ -133,12 +135,12 @@ func (c *Cache) Candidates(minMem uint32, exclude map[vid.LHID]bool) []Load {
 		l.Ready += c.bumps(lh)
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Better(out[j]) })
-	if len(out) > 0 {
-		c.hits++
-	} else {
+	if len(out) == 0 {
 		c.misses++
+		return nil
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Better(out[j]) })
+	c.hits++
 	return out
 }
 
