@@ -144,6 +144,9 @@ func (r *repl) printEvent(ev trace.Event) {
 	case ev.Pkt != nil:
 		r.printf("trace %12v host%d %-13v %v %v→%v",
 			ev.At, ev.Host, ev.Kind, ev.Pkt.Kind, ev.Pkt.Src, ev.Pkt.Dst)
+	case ev.Kind == trace.EvSelectProbe:
+		r.printf("trace %12v host%d %-13v lh=%v answered=%d ready=%d",
+			ev.At, ev.Host, ev.Kind, ev.LH, ev.Prio, ev.Size)
 	case ev.LH != 0:
 		r.printf("trace %12v host%d %-13v lh=%v", ev.At, ev.Host, ev.Kind, ev.LH)
 	default:

@@ -1,10 +1,12 @@
 package ipc
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"vsystem/internal/ethernet"
+	"vsystem/internal/packet"
 	"vsystem/internal/params"
 	"vsystem/internal/sim"
 	"vsystem/internal/trace"
@@ -42,10 +44,10 @@ func TestGatherCollectsAllReplies(t *testing.T) {
 	var err error
 	var elapsed time.Duration
 	r.sim.Spawn("client", func(tk *sim.Task) {
-		start := tk.Now()
 		client.StartGather(tk, group, vid.Message{Op: testOp}, 200*time.Millisecond)
+		sent := tk.Now()
 		rs, err = client.AwaitGather(tk)
-		elapsed = tk.Now().Sub(start)
+		elapsed = tk.Now().Sub(sent)
 	})
 	r.sim.RunFor(5 * time.Second)
 	if err != nil {
@@ -66,9 +68,10 @@ func TestGatherCollectsAllReplies(t *testing.T) {
 		}
 		seen[gr.Src] = true
 	}
-	// The window must run to completion even after all members answered.
-	if elapsed < 200*time.Millisecond {
-		t.Fatalf("gather closed after %v, before its 200 ms window", elapsed)
+	// The window must run to completion even after all members answered —
+	// and end there, to the instant.
+	if elapsed != 200*time.Millisecond {
+		t.Fatalf("gather closed %v after the query went out, want its 200 ms window", elapsed)
 	}
 }
 
@@ -88,9 +91,12 @@ func TestGatherDedupsDuplicateReplies(t *testing.T) {
 
 	var rs []GatherReply
 	var err error
+	var elapsed time.Duration
 	r.sim.Spawn("client", func(tk *sim.Task) {
 		client.StartGather(tk, group, vid.Message{Op: testOp, W: [6]uint32{41}}, 200*time.Millisecond)
+		sent := tk.Now()
 		rs, err = client.AwaitGather(tk)
+		elapsed = tk.Now().Sub(sent)
 	})
 	// Well inside the window, after the genuine reply has arrived.
 	r.sim.After(100*time.Millisecond, func() {
@@ -106,6 +112,11 @@ func TestGatherDedupsDuplicateReplies(t *testing.T) {
 	if rs[0].Msg.W[0] != 42 {
 		t.Fatalf("kept reply W0 = %d, want the first arrival (42)", rs[0].Msg.W[0])
 	}
+	// A group of one is still a group: its only member's answer does not
+	// end the gather.
+	if elapsed != 200*time.Millisecond {
+		t.Fatalf("gather closed %v after the query went out, want its 200 ms window", elapsed)
+	}
 }
 
 // TestGatherEmptyWindowTimesOut checks that a gather with no responders
@@ -120,24 +131,25 @@ func TestGatherEmptyWindowTimesOut(t *testing.T) {
 	var err error
 	var elapsed time.Duration
 	r.sim.Spawn("client", func(tk *sim.Task) {
-		start := tk.Now()
 		client.StartGather(tk, vid.GroupProgramManagers, vid.Message{Op: testOp}, window)
+		sent := tk.Now()
 		rs, err = client.AwaitGather(tk)
-		elapsed = tk.Now().Sub(start)
+		elapsed = tk.Now().Sub(sent)
 	})
 	r.sim.RunFor(5 * time.Second)
 	if err == nil {
 		t.Fatalf("empty gather succeeded with %d replies", len(rs))
 	}
-	if elapsed < window || elapsed > window+time.Second {
-		t.Fatalf("empty gather closed after %v, want ≈%v", elapsed, window)
+	if elapsed != window {
+		t.Fatalf("empty gather closed %v after the query went out, want %v", elapsed, window)
 	}
 }
 
 // TestGatherUnicastProbe uses gather mode against a single process — the
-// scheduling layer's bounded probe: one reply, and the caller regains
-// control when the window closes instead of riding the full retransmission
-// schedule of a plain Send to a dead host.
+// scheduling layer's bounded probe. One destination is one possible
+// responder, so its reply ends the gather; the window is what silence
+// costs, instead of the full retransmission schedule of a plain Send to a
+// dead host.
 func TestGatherUnicastProbe(t *testing.T) {
 	r := newRig(t, 2, 34)
 	lhA, lhB := vid.LHID(10), vid.LHID(20)
@@ -145,19 +157,69 @@ func TestGatherUnicastProbe(t *testing.T) {
 	r.place(lhB, 1)
 	client := r.hosts[0].eng.NewPort(vid.NewPID(lhA, 16))
 	server := r.hosts[1].eng.NewPort(vid.NewPID(lhB, 16))
-	echoServer(r.sim, server)
-	var rs []GatherReply
-	var err error
+	mute := r.hosts[1].eng.NewPort(vid.NewPID(lhB, 17)) // receives, never replies
+	// Echo, after as many milliseconds as the request's W1 asks for.
+	r.sim.Spawn("echo", func(tk *sim.Task) {
+		for {
+			req := server.Receive(tk)
+			tk.Sleep(time.Duration(req.Msg.W[1]) * time.Millisecond)
+			m := req.Msg
+			m.W[0]++
+			server.Reply(tk, req, m)
+		}
+	})
+	const window = 100 * time.Millisecond
+	type result struct {
+		rs      []GatherReply
+		err     error
+		elapsed time.Duration // from the moment the request was out
+	}
+	gather := func(tk *sim.Task, dst vid.PID, m vid.Message) result {
+		m.Op = testOp
+		client.StartGather(tk, dst, m, window)
+		sent := tk.Now()
+		rs, err := client.AwaitGather(tk)
+		return result{rs, err, tk.Now().Sub(sent)}
+	}
+	var first, second, silent, absent result
 	r.sim.Spawn("client", func(tk *sim.Task) {
-		client.StartGather(tk, server.PID(), vid.Message{Op: testOp, W: [6]uint32{41}}, 100*time.Millisecond)
-		rs, err = client.AwaitGather(tk)
+		first = gather(tk, server.PID(), vid.Message{W: [6]uint32{41}})
+		// Straight after, from the same port, with the first reply arriving
+		// once more (as the responder's reply cache would resend it) while
+		// the second request is still being served.
+		stale := packet.AppendMarshal(nil, &packet.Packet{
+			Kind: packet.KReply, TxID: client.txSeq, Src: server.PID(), Dst: client.PID(),
+			Msg: first.rs[0].Msg,
+		})
+		r.sim.After(2*time.Millisecond, func() {
+			r.hosts[1].nic.StartSend(ethernet.Frame{Dst: 1, Payload: stale}, nil)
+		})
+		second = gather(tk, server.PID(), vid.Message{W: [6]uint32{50, 20}})
+		silent = gather(tk, mute.PID(), vid.Message{})
+		absent = gather(tk, vid.NewPID(lhB, 99), vid.Message{})
 	})
 	r.sim.RunFor(5 * time.Second)
-	if err != nil {
-		t.Fatalf("AwaitGather: %v", err)
+
+	if first.err != nil || len(first.rs) != 1 || first.rs[0].Msg.W[0] != 42 {
+		t.Fatalf("unicast gather = %v, %v; want one echo reply", first.rs, first.err)
 	}
-	if len(rs) != 1 || rs[0].Msg.W[0] != 42 {
-		t.Fatalf("unicast gather = %v, want one echo reply", rs)
+	if first.elapsed > 10*time.Millisecond {
+		t.Errorf("answered unicast gather took %v of its %v window, want the round trip", first.elapsed, window)
+	}
+	if second.err != nil || len(second.rs) != 1 || second.rs[0].Msg.W[0] != 51 {
+		t.Errorf("second gather = %v, %v; want its own reply (51), not the first one's duplicate", second.rs, second.err)
+	}
+	if second.elapsed < 20*time.Millisecond || second.elapsed > 30*time.Millisecond {
+		t.Errorf("second gather took %v, want its server's 20 ms and the round trip", second.elapsed)
+	}
+	if !errors.Is(silent.err, vid.CodeError(vid.CodeTimeout)) || silent.elapsed != window {
+		t.Errorf("silent destination: %v after %v, want a timeout at exactly %v", silent.err, silent.elapsed, window)
+	}
+	if len(mute.rq) != 1 {
+		t.Errorf("the silent destination holds %d requests, want the probe", len(mute.rq))
+	}
+	if !errors.Is(absent.err, vid.CodeError(vid.CodeNoProcess)) || absent.elapsed > 10*time.Millisecond {
+		t.Errorf("no such process: %v after %v, want no-process at once", absent.err, absent.elapsed)
 	}
 }
 

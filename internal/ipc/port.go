@@ -70,7 +70,7 @@ type sendTxn struct {
 	// the window instead of completing on the first one.
 	gather  bool
 	replies []GatherReply
-	seen    map[vid.PID]bool // responders already recorded (dedup)
+	seen    map[vid.PID]bool // group gather: responders already recorded (dedup)
 	wtimer  sim.Timer        // window expiry
 }
 
@@ -189,9 +189,13 @@ func (p *Port) startSend(t *sim.Task, dst vid.PID, msg vid.Message, buf []byte) 
 // first reply the transaction collects every distinct responder's reply
 // until the window elapses. This is the generalized group-send path the
 // scheduling layer uses to build a cluster-load view from one multicast
-// (§2.1); it also bounds a unicast probe of a possibly dead host, where a
-// plain Send would ride out its full abort timeout. The first-reply fast
-// path (StartSend/AwaitReply) is untouched.
+// (§2.1). The first-reply fast path (StartSend/AwaitReply) is untouched.
+//
+// A gather to a single process has one possible responder, so its reply
+// ends the gather; there the window bounds silence only — a dead or
+// partitioned destination costs one window and reports CodeTimeout, where
+// a plain Send would ride out its full abort timeout. Which of the two it
+// is is read from dst; a group gather always runs its whole window.
 //
 // Replies must fit a single frame (selection answers are word-only);
 // fragmented replies from concurrent responders would interleave in one
@@ -206,7 +210,10 @@ func (p *Port) StartGather(t *sim.Task, dst vid.PID, msg vid.Message, window tim
 	p.txSeq++
 	s := &sendTxn{
 		txid: p.txSeq, dst: dst, msg: msg, lastAlive: t.Now(),
-		group: dst.IsGroup(), gather: true, seen: make(map[vid.PID]bool),
+		group: dst.IsGroup(), gather: true,
+	}
+	if s.group {
+		s.seen = make(map[vid.PID]bool)
 	}
 	p.send, p.replyBuf = s, nil
 	p.transmitOn(t, false)
@@ -214,13 +221,15 @@ func (p *Port) StartGather(t *sim.Task, dst vid.PID, msg vid.Message, window tim
 	s.wtimer = p.eng.sim.After(window, func() { p.endGather(s) })
 }
 
-// endGather closes a gathering send when its window elapses.
+// endGather closes a gathering send: its window has elapsed, or its one
+// possible responder has answered.
 func (p *Port) endGather(s *sendTxn) {
 	if p.send != s || s.done || p.closed {
 		return
 	}
 	s.done = true
 	s.timer.Stop()
+	s.wtimer.Stop()
 	if len(s.replies) == 0 {
 		s.code = vid.CodeTimeout
 	}
@@ -228,19 +237,26 @@ func (p *Port) endGather(s *sendTxn) {
 }
 
 // addGatherReply records one responder's reply, ignoring duplicates (a
-// retransmitted query answered from the responder's reply cache).
+// retransmitted query answered from the responder's reply cache). A gather
+// to one process is over with it: nobody else can answer, and a duplicate
+// that arrives later falls on the stale-txid check like any late reply.
 func (p *Port) addGatherReply(src vid.PID, msg vid.Message) {
 	s := p.send
 	if s == nil || s.done || !s.gather || s.seen[src] {
 		return
 	}
-	s.seen[src] = true
 	s.replies = append(s.replies, GatherReply{Src: src, Msg: msg})
+	if !s.group {
+		p.endGather(s)
+		return
+	}
+	s.seen[src] = true
 }
 
-// AwaitGather blocks until the gather window closes (or the transaction
-// fails outright, e.g. no-process on a unicast probe), returning the
-// collected replies in arrival order. An empty gather reports timeout.
+// AwaitGather blocks until the gather closes — its window elapses, its one
+// destination answers, or the transaction fails outright (no-process on a
+// unicast probe) — returning the collected replies in arrival order. An
+// empty gather reports timeout.
 func (p *Port) AwaitGather(t *sim.Task) ([]GatherReply, error) {
 	s := p.send
 	if s == nil || !s.gather {

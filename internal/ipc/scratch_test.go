@@ -21,7 +21,9 @@ import (
 
 // TestReceivedRequestAndReplyAllocateNoPacket: a word-only request that
 // arrives and is queued costs its host one allocation, the Req the server
-// will receive; a word-only reply that completes a send costs none.
+// will receive; a word-only reply that completes a send costs none, and one
+// that completes a gather to a single process costs the slice it is
+// returned in — there is nobody to tell apart, so no map of responders.
 func TestReceivedRequestAndReplyAllocateNoPacket(t *testing.T) {
 	r, client, server := bulkRig(t, 1)
 	t.Cleanup(r.sim.Shutdown)
@@ -61,6 +63,30 @@ func TestReceivedRequestAndReplyAllocateNoPacket(t *testing.T) {
 	answer()
 	if n := testing.AllocsPerRun(100, answer); n != 0 {
 		t.Fatalf("%v allocations per reply received, want 0", n)
+	}
+
+	client.send = nil
+	r.sim.Spawn("prober", func(tk *sim.Task) {
+		client.StartGather(tk, server.PID(), vid.Message{Op: testOp}, time.Millisecond)
+	})
+	r.sim.Run() // nobody serves it: the window closes it
+	if probe := client.send; probe == nil || !probe.done || probe.seen != nil {
+		t.Fatalf("a gather to one process keeps a map of responders: %+v", probe)
+	}
+	probed := func() {
+		rep.TxID++
+		*txn = sendTxn{txid: rep.TxID, dst: server.PID(), gather: true}
+		client.send = txn
+		payload = packet.AppendMarshal(payload[:0], &rep)
+		r.hosts[1].nic.StartSend(ethernet.Frame{Dst: 1, Payload: payload}, nil)
+		r.sim.Run()
+		if !txn.done || len(txn.replies) != 1 || txn.replies[0].Msg.W != rep.Msg.W || txn.seen != nil {
+			t.Fatalf("reply %d did not end the gather with itself: %+v", rep.TxID, txn)
+		}
+	}
+	probed()
+	if n := testing.AllocsPerRun(100, probed); n != 1 {
+		t.Fatalf("%v allocations per probe answer received, want 1 (the replies)", n)
 	}
 }
 

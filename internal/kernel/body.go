@@ -150,9 +150,10 @@ func (c *ProcCtx) StartSend(dst vid.PID, msg vid.Message) {
 // SendGather performs a bounded gathering transaction: the message is
 // sent (typically to a group) and *all* distinct replies arriving within
 // the window are collected, rather than the first one completing the
-// send. Resident servers use it for load-aware host selection; like any
-// group send it is not preserved across migration, so migratable bodies
-// should prefer Send.
+// send. Sent to a single process it returns with that process's reply —
+// the window then bounds only how long silence is waited out. Resident
+// servers use it for load-aware host selection; like any group send it is
+// not preserved across migration, so migratable bodies should prefer Send.
 func (c *ProcCtx) SendGather(dst vid.PID, msg vid.Message, window time.Duration) ([]ipc.GatherReply, error) {
 	c.proc.port.StartGather(c.task, dst, msg, window)
 	c.gate()

@@ -261,9 +261,10 @@ const (
 	// ≈23 ms; the window adds slack for queueing and reply serialization).
 	SelectGatherWindow = 80 * time.Millisecond
 
-	// SelectProbeWindow bounds a direct (unicast) willingness probe of a
-	// cached candidate; silence past the window negatively caches the
-	// candidate instead of riding out a full send abort.
+	// SelectProbeWindow bounds the *silence* of a direct (unicast) probe of
+	// a cached candidate: an answer ends the probe when it arrives (≈25 ms),
+	// and silence past the window negatively caches the candidate instead
+	// of riding out a full send abort.
 	SelectProbeWindow = 150 * time.Millisecond
 
 	// SelectRandomK is the default sample size of the RandomK policy

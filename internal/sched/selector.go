@@ -102,22 +102,36 @@ func (s *Selector) Select(tx Sender, minMem uint32, exclude ...vid.LHID) (Load, 
 	}
 
 	// Warm path: the cache proposes candidates; probe the policy's choice
-	// directly. A refusal or silence negatively caches the candidate and
-	// moves to the next; after two failed probes fall through to the
+	// directly and rank on what it answers, which is fresher than anything
+	// cached. An idle answer commits at once. A busy one (Ready > 0) is
+	// kept while the policy picks once more from the rest, and the better of
+	// the answers in hand wins. A refusal or silence negatively caches the
+	// candidate; after two probes with no answer fall through to the
 	// multicast rather than serially probing a cold cluster.
 	cands := s.Cache.Candidates(minMem, ex)
 	for _, c := range cands {
 		s.candidate(tx, c, true)
 	}
+	var best Load
+	answered := false
 	for probes := 0; len(cands) > 0 && probes < 2; probes++ {
 		pick := s.Policy.Pick(cands, s.rng)
-		if l, ok := s.probe(tx, pick, w); ok {
-			s.stats.WarmPicks++
-			s.choose(tx, l, true)
-			return l, nil
+		l, ok := s.probe(tx, pick, w)
+		switch {
+		case !ok:
+			s.Cache.Negative(pick.SystemLH)
+		case !answered || l.Better(best):
+			best, answered = l, true
 		}
-		s.Cache.Negative(pick.SystemLH)
+		if answered && best.Ready == 0 {
+			break
+		}
 		cands = dropLH(cands, pick.SystemLH)
+	}
+	if answered {
+		s.stats.WarmPicks++
+		s.choose(tx, best, true)
+		return best, nil
 	}
 
 	// Cold path: gather every answer within the window and let the
@@ -173,10 +187,10 @@ func (s *Selector) selectFirst(tx Sender, w [6]uint32) (Load, error) {
 	return Load{}, ErrNoHost
 }
 
-// probe asks one cached candidate directly whether it will take the work.
-// The probe is a bounded gather rather than a plain Send so that a dead
-// or partitioned candidate costs one probe window, not a full
-// retransmission abort.
+// probe asks one cached candidate directly for its load. It is a gather to
+// one process rather than a plain Send: the answer ends it, and a dead or
+// partitioned candidate costs one probe window, not a full retransmission
+// abort.
 func (s *Selector) probe(tx Sender, cand Load, w [6]uint32) (Load, bool) {
 	if cand.PM == 0 {
 		return Load{}, false
@@ -185,13 +199,19 @@ func (s *Selector) probe(tx Sender, cand Load, w [6]uint32) (Load, bool) {
 	wq := w
 	wq[5] = QueryUnicast | QueryRelaxed
 	rs, err := tx.SendGather(cand.PM, vid.Message{Op: s.op, W: wq}, params.SelectProbeWindow)
-	if err != nil || len(rs) == 0 || !rs[0].Msg.OK() {
+	ok := err == nil && len(rs) > 0 && rs[0].Msg.OK()
+	var l Load
+	if ok {
+		l = LoadFromWords(rs[0].Msg.W)
+		s.Cache.ObserveLoad(l)
+	} else {
 		s.stats.ProbeFailures++
-		return Load{}, false
 	}
-	l := LoadFromWords(rs[0].Msg.W)
-	s.Cache.ObserveLoad(l)
-	return l, true
+	s.bus.Publish(trace.Event{
+		At: tx.Now(), Host: s.host, Kind: trace.EvSelectProbe,
+		LH: cand.SystemLH, Size: l.Ready, Prio: boolInt(ok),
+	})
+	return l, ok
 }
 
 // choose commits the selection: a placement bump bridges the window until

@@ -103,6 +103,11 @@ const (
 	// EvSelectChoice: selection committed to a host (LH the chosen system
 	// logical host, Prio 1 if chosen warm — without a multicast).
 	EvSelectChoice
+	// EvSelectProbe: a directed probe of one cached candidate ended (Host
+	// the prober, LH the candidate's system logical host, Prio 1 if it
+	// answered — Size then carries the Ready it reported — and 0 if it
+	// refused or stayed silent for the whole probe window).
+	EvSelectProbe
 	// EvHostSuspect: the failure detector on Host started suspecting the
 	// station Peer after SuspectAfterRetries unanswered retransmissions
 	// (Size carries the detection latency — silence since last evidence of
@@ -161,8 +166,9 @@ var kindNames = [numKinds]string{
 	"frame-cut", "frame-corrupt", "host-crash", "host-restart",
 	"partition", "heal", "mig-fault", "bind-hit", "bind-miss",
 	"bind-invalidate", "select-query", "select-candidate", "select-choice",
-	"host-suspect", "host-clear", "lease-expire", "exec-restart",
-	"copy-window", "remote-fault", "elect", "commit", "failover",
+	"select-probe", "host-suspect", "host-clear", "lease-expire",
+	"exec-restart", "copy-window", "remote-fault", "elect", "commit",
+	"failover",
 }
 
 func (k Kind) String() string {
