@@ -374,9 +374,8 @@ func (r *repl) exec(line string) bool {
 				rep.WindowSize, rep.WindowSends, rep.WindowStalls, rep.WindowOccupancy,
 				float64(rep.WireBytes)/1024)
 			if rep.PostSwapFaults > 0 || rep.PostSwapPullKB > 0 || rep.ResiduePushKB > 0 {
-				r.printf("  post-swap: %d fault(s), %v stalled, pull %.1f KB (%.0f KB/s), push %.1f KB",
-					rep.PostSwapFaults, rep.PostSwapStall, rep.PostSwapPullKB,
-					rep.PostSwapPullKBps, rep.ResiduePushKB)
+				r.printf("  post-swap: %d fault(s), %v stalled, demand %.1f KB, push %.1f KB",
+					rep.PostSwapFaults, rep.PostSwapStall, rep.PostSwapPullKB, rep.ResiduePushKB)
 			}
 			if rep.ResidueAborted {
 				r.printf("  post-swap residue ABORTED (guest left to supervision)")
@@ -500,7 +499,7 @@ func (r *repl) exec(line string) bool {
 		r.printf("  bulk-transfer: window=%d sends=%d stalls=%d copy-window-events=%d",
 			r.c.Options().CopyWindow, wsends, wstalls, tb.Count(trace.EvCopyWindow))
 		rf := r.c.RemoteFaultTotals()
-		r.printf("  remote faults: %d (%.1f KB) stalled=%v pull=%.1fK push=%.1fK events=%d aborted=%v",
+		r.printf("  remote faults: %d (%.1f KB) stalled=%v demand=%.1fK push=%.1fK events=%d aborted=%v",
 			rf.Faults, rf.FaultKB, rf.StallTime, rf.PullKB, rf.PushKB,
 			tb.Count(trace.EvRemoteFault), rf.Aborted)
 		es := r.c.Sim.Stats()

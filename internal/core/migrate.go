@@ -40,8 +40,7 @@ const (
 	// PolicyPostcopy inverts the residue cost: freeze immediately, move
 	// kernel state only, swap the identity, and let the destination
 	// demand-fault every page from a frozen source receptacle while the
-	// guest already runs (with a background pull and a source push-out
-	// racing the faults).
+	// guest already runs (with the source's push-out racing the faults).
 	PolicyPostcopy
 	// PolicyHybrid is post-copy with hot-working-set pre-copy: a short
 	// recent-dirty sample picks the hot pages, which are copied before
@@ -112,10 +111,12 @@ type MigrationReport struct {
 	DestHost    vid.LHID // target's system logical host
 	NewPM       vid.PID
 
-	// Bulk-transfer engine accounting: bytes actually put on the wire
-	// after zero-page elision (vs BytesCopied, the logical space moved),
-	// and the copy window's size, issue count, full-window stalls and mean
-	// occupancy at issue time.
+	// Bulk-transfer engine accounting: segment bytes actually put on the
+	// wire after zero-page elision (vs BytesCopied, the logical space
+	// moved) — what the copy window sent plus, post-copy, the page runs the
+	// destination's demand fetches were answered with — and the copy
+	// window's size, issue count, full-window stalls and mean occupancy at
+	// issue time.
 	WireBytes       int64
 	WindowSize      int
 	WindowSends     int64
@@ -125,17 +126,16 @@ type MigrationReport struct {
 	// Post-copy residue accounting (postcopy/hybrid policies; zero
 	// otherwise): demand faults taken at the destination after the
 	// identity swap, the total time faulting processes were parked, the
-	// KB the destination pulled from the source receptacle (demand plus
-	// background) and the resulting pull bandwidth, the KB the source's
-	// push-out delivered, and whether the residue was lost (destination
-	// died after the commit point — the migration stands, the guest is
-	// gone).
-	PostSwapFaults   int
-	PostSwapStall    time.Duration
-	PostSwapPullKB   float64
-	PostSwapPullKBps float64
-	ResiduePushKB    float64
-	ResidueAborted   bool
+	// KB those faults demand-fetched from the source receptacle (faulted
+	// page plus read-ahead, counting pages the fetch installed first), the
+	// KB the source's push-out delivered, and whether the residue was lost
+	// (destination died after the commit point — the migration stands, the
+	// guest is gone).
+	PostSwapFaults int
+	PostSwapStall  time.Duration
+	PostSwapPullKB float64
+	ResiduePushKB  float64
+	ResidueAborted bool
 }
 
 // roundStatLen is one RoundStat on the wire: page count, KB, duration, rate.
@@ -163,7 +163,6 @@ func (r *MigrationReport) Encode() []byte {
 	a.U32(uint32(r.PostSwapFaults))
 	a.U64(uint64(r.PostSwapStall))
 	a.F64(r.PostSwapPullKB)
-	a.F64(r.PostSwapPullKBps)
 	a.F64(r.ResiduePushKB)
 	a.Bool(r.ResidueAborted)
 	a.String(r.Policy)
@@ -181,26 +180,25 @@ func (r *MigrationReport) Encode() []byte {
 func DecodeReport(b []byte) (*MigrationReport, error) {
 	rd := vid.NewReader(b)
 	r := &MigrationReport{
-		ResidualKB:       rd.F64(),
-		FreezeTime:       time.Duration(rd.U64()),
-		KernelItems:      int(rd.U32()),
-		KernelTime:       time.Duration(rd.U64()),
-		Total:            time.Duration(rd.U64()),
-		BytesCopied:      int64(rd.U64()),
-		DestHost:         vid.LHID(rd.U16()),
-		NewPM:            vid.PID(rd.U32()),
-		WireBytes:        int64(rd.U64()),
-		WindowSize:       int(rd.U32()),
-		WindowSends:      int64(rd.U64()),
-		WindowStalls:     int64(rd.U64()),
-		WindowOccupancy:  rd.F64(),
-		PostSwapFaults:   int(rd.U32()),
-		PostSwapStall:    time.Duration(rd.U64()),
-		PostSwapPullKB:   rd.F64(),
-		PostSwapPullKBps: rd.F64(),
-		ResiduePushKB:    rd.F64(),
-		ResidueAborted:   rd.Bool(),
-		Policy:           rd.String(),
+		ResidualKB:      rd.F64(),
+		FreezeTime:      time.Duration(rd.U64()),
+		KernelItems:     int(rd.U32()),
+		KernelTime:      time.Duration(rd.U64()),
+		Total:           time.Duration(rd.U64()),
+		BytesCopied:     int64(rd.U64()),
+		DestHost:        vid.LHID(rd.U16()),
+		NewPM:           vid.PID(rd.U32()),
+		WireBytes:       int64(rd.U64()),
+		WindowSize:      int(rd.U32()),
+		WindowSends:     int64(rd.U64()),
+		WindowStalls:    int64(rd.U64()),
+		WindowOccupancy: rd.F64(),
+		PostSwapFaults:  int(rd.U32()),
+		PostSwapStall:   time.Duration(rd.U64()),
+		PostSwapPullKB:  rd.F64(),
+		ResiduePushKB:   rd.F64(),
+		ResidueAborted:  rd.Bool(),
+		Policy:          rd.String(),
 	}
 	for i, n := 0, rd.Count(roundStatLen); i < n; i++ {
 		r.Rounds = append(r.Rounds, RoundStat{

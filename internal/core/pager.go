@@ -28,10 +28,15 @@ type PagerStats struct {
 
 	// Post-copy residue accounting.
 	StallTime time.Duration // total time faulting processes were parked
-	PullKB    float64       // KB the destination pulled (demand + background)
+	PullKB    float64       // KB a demand fetch installed first (faulted page + read-ahead)
 	PushKB    float64       // KB the source push-out delivered
 	Aborted   bool          // the residue was lost; the guest was destroyed
 	AbortErr  error         // typed *PhaseError (trace.PhasePostSwapPull) when Aborted
+
+	// FetchWireBytes is the KsFetchPage reply segments demandFetch
+	// received, whether or not their pages were still absent on arrival:
+	// the demand path's share of MigrationReport.WireBytes.
+	FetchWireBytes int64
 }
 
 // flushOut is the source side of the §3.2 variant: instead of copying the
@@ -261,6 +266,7 @@ func (rs *residueState) demandFetch(t *sim.Task, as *mem.AddressSpace, pn mem.Pa
 		Seg: kernel.EncodeFetchReq(as.ID, pages),
 	})
 	if err == nil && m.OK() {
+		rs.stats.FetchWireBytes += int64(len(m.Seg))
 		if spaceID, rp, rd, derr := kernel.DecodePageRun(m.Seg); derr == nil && spaceID == as.ID {
 			served := false
 			for i, p := range rp {
@@ -363,6 +369,7 @@ func (c *Cluster) RemoteFaultTotals() PagerStats {
 		tot.StallTime += st.StallTime
 		tot.PullKB += st.PullKB
 		tot.PushKB += st.PushKB
+		tot.FetchWireBytes += st.FetchWireBytes
 		if st.Aborted {
 			tot.Aborted = true
 		}

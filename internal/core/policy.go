@@ -292,13 +292,6 @@ func (p postcopyPolicy) BeforeUnfreeze(at *copyAttempt) {
 
 	mg.Cluster.registerPager(at.finalID, rs.stats)
 	mg.installRemotePager(rs)
-
-	// Background pull: a destination-side worker sweeps the spaces for
-	// not-yet-present pages and pulls them through a pipelined window,
-	// racing the source's push-out and the guest's own demand faults.
-	node.Host.SpawnServer("pm-pull", 16*1024, func(ctx *kernel.ProcCtx) {
-		rs.pullLoop(ctx)
-	})
 }
 
 func (p postcopyPolicy) AfterCommit(at *copyAttempt) {
@@ -309,10 +302,11 @@ func (p postcopyPolicy) AfterCommit(at *copyAttempt) {
 	pullStart := ctx.Now()
 	mg.atPhase(at.finalID, trace.PhasePostSwapPull, 0, at.srcMAC, at.dstMAC)
 
-	// Push the remainder out of the receptacle, racing the destination's
-	// pulls: pages whose delivery marker a fetch already cleared are
-	// skipped, and the destination installs pushes only if-absent, so the
-	// same page is never double-applied.
+	// Push the remainder out of the receptacle — the residue's only bulk
+	// mover — racing the guest's demand fetches: pages whose delivery marker
+	// a fetch already cleared are skipped, so a page crosses the wire once,
+	// and the destination installs pushes only if-absent, so the same page
+	// is never double-applied.
 	err := mg.pushResidue(ctx, at.finalID, at.targetKS, at.win, rs, rep)
 	if err == nil {
 		err = at.win.Drain(ctx.Task())
@@ -342,8 +336,7 @@ func (p postcopyPolicy) AfterCommit(at *copyAttempt) {
 	rep.PostSwapFaults = st.Faults
 	rep.PostSwapStall = st.StallTime
 	rep.PostSwapPullKB = st.PullKB
-	dur := ctx.Now().Sub(pullStart)
-	rep.PostSwapPullKBps = rateKBps(st.PullKB, dur)
+	rep.WireBytes += st.FetchWireBytes
 	mg.span(trace.Span{
 		LH: at.finalID, Phase: trace.PhasePostSwapPull,
 		KB: rep.ResiduePushKB + st.PullKB, Start: pullStart, End: ctx.Now(),
@@ -387,7 +380,7 @@ func (mg *Migrator) invalidateRuns(ctx *kernel.ProcCtx, tempLH vid.LHID, targetK
 
 // pushResidue streams the receptacle's still-undelivered pages to the
 // destination as WriteModeIfAbsent runs. Each batch re-filters by the
-// delivery markers at issue time, so pages the destination pulled while
+// delivery markers at issue time, so pages a demand fetch served while
 // earlier batches were in flight are not sent twice.
 func (mg *Migrator) pushResidue(ctx *kernel.ProcCtx, finalID vid.LHID, targetKS vid.PID,
 	win *ipc.Window, rs *residueState, rep *MigrationReport) error {
@@ -445,10 +438,9 @@ func pageDelivered(as *mem.AddressSpace, pn mem.PageNo) bool {
 
 // residueState is the shared state of one post-copy residue: the frozen
 // source receptacle, the destination copy, and the transfer bookkeeping
-// that the source push-out, the destination's background puller and the
-// demand-fault path coordinate through. The simulation is single-
-// threaded, so cross-host field access needs no locking and stays
-// deterministic.
+// that the source push-out and the destination's demand-fault path
+// coordinate through. The simulation is single-threaded, so cross-host
+// field access needs no locking and stays deterministic.
 type residueState struct {
 	mg      *Migrator
 	srcHost *kernel.Host
@@ -466,91 +458,17 @@ type residueState struct {
 	aborted bool // residue lost (source or destination died mid-residue)
 }
 
-// pullLoop is the destination-side background puller: sweep every space
-// for not-yet-present pages and fetch them in FetchRunPages batches
-// through a pipelined window, installing runs as replies arrive. It
-// races the source's push-out (install-if-absent on both sides keeps
-// that safe) and exits quietly once the residue is done or lost.
-func (rs *residueState) pullLoop(ctx *kernel.ProcCtx) {
-	win := rs.node.Host.IPC.NewWindow(rs.node.Host.SystemLH().ID(), rs.node.cluster.opt.CopyWindow)
-	defer win.Close()
-	win.SetOnReply(func(_, reply vid.Message) {
-		rs.installRun(reply.Seg)
-	})
-	for _, as := range rs.destLH.Spaces() {
-		as := as
-		var batch []mem.PageNo
-		flush := func() bool {
-			if len(batch) == 0 {
-				return true
-			}
-			err := win.Send(ctx.Task(), rs.srcKS, vid.Message{
-				Op:  kernel.KsFetchPage,
-				W:   [6]uint32{uint32(rs.id)},
-				Seg: kernel.EncodeFetchReq(as.ID, batch),
-			})
-			batch = batch[:0]
-			return err == nil
-		}
-		limit := mem.PageNo(as.Size() / mem.PageSize)
-		for pn := mem.PageNo(0); pn < limit; pn++ {
-			if rs.done || rs.aborted {
-				return
-			}
-			if as.Present(pn) {
-				continue
-			}
-			batch = append(batch, pn)
-			if len(batch) == params.FetchRunPages {
-				if !flush() {
-					return // sticky error: push-out finished first, or the source is gone
-				}
-			}
-		}
-		if !flush() {
-			return
-		}
-	}
-	win.Drain(ctx.Task())
-}
-
-// installRun installs a fetched page run into the destination copy,
-// if-absent (demand faults, pushes or the guest itself may have won the
-// race for individual pages). Runs still arriving after the residue is
-// done are installed too — they no-op page by page — but an aborted
-// residue drops them: the guest is being destroyed.
-func (rs *residueState) installRun(seg []byte) {
-	if rs.aborted {
-		return
-	}
-	spaceID, pages, data, err := kernel.DecodePageRun(seg)
-	if err != nil {
-		return
-	}
-	for _, as := range rs.destLH.Spaces() {
-		if as.ID != spaceID {
-			continue
-		}
-		for i, pn := range pages {
-			if installed, _ := as.InstallPageIfAbsent(pn, data[i]); installed {
-				rs.stats.PullKB += float64(mem.PageSize) / 1024
-			}
-		}
-		return
-	}
-}
-
 // awaitDrained blocks until every deferred page is present at the
 // destination. The push-out skips pages whose delivery marker a fetch
 // already cleared, but "served by the receptacle" is not "installed at
-// the destination": the reply may still be in flight to the background
-// puller or to a parked faulting process. Tearing the receptacle down on
-// cleared markers alone loses exactly those pages — the guest's next
-// reference finds the receptacle gone and the fallback chain aborts a
-// healthy guest — so completion is judged by destination presence, never
-// by source-side markers. Returns nil once the residue is fully resident
-// (or the guest itself is gone, which moots it); errors when the residue
-// aborted meanwhile or the destination stops making progress.
+// the destination": the reply may still be in flight to a parked
+// faulting process. Tearing the receptacle down on cleared markers alone
+// loses exactly those pages — the guest's next reference finds the
+// receptacle gone and the fallback chain aborts a healthy guest — so
+// completion is judged by destination presence, never by source-side
+// markers. Returns nil once the residue is fully resident (or the guest
+// itself is gone, which moots it); errors when the residue aborted
+// meanwhile or the destination stops making progress.
 func (rs *residueState) awaitDrained(ctx *kernel.ProcCtx) error {
 	deadline := ctx.Now().Add(params.ResidueDrainTimeout)
 	for {

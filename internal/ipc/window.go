@@ -44,11 +44,11 @@ type Window struct {
 
 // SetOnReply installs a completion hook, invoked during reaping for every
 // transaction that completed with an OK reply, with the original request
-// and its reply. The post-copy background puller uses it to install
-// fetched page runs as they arrive. The hook runs on whatever task is
-// driving the window and must not block (install pages, bump counters —
-// never send), and must not keep a slice of either segment: both buffers
-// are reused once it returns.
+// and its reply. rsm's catch-up uses it to advance a follower's match
+// index as appends are acknowledged. The hook runs on whatever task is
+// driving the window and must not block (bump counters — never send),
+// and must not keep a slice of either segment: both buffers are reused
+// once it returns.
 func (w *Window) SetOnReply(fn func(req, reply vid.Message)) { w.onReply = fn }
 
 // WindowStats summarizes a window's activity.

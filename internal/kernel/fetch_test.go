@@ -47,7 +47,7 @@ func TestFetchPageServesRunIdempotently(t *testing.T) {
 	}
 	var first, dup vid.Message
 	var err1, err2 error
-	a.SpawnServer("puller", 4096, func(ctx *ProcCtx) {
+	a.SpawnServer("fetcher", 4096, func(ctx *ProcCtx) {
 		first, err1 = fetch(ctx)
 		dup, err2 = fetch(ctx)
 	})
@@ -94,7 +94,7 @@ func TestFetchPageElidesAbsentPages(t *testing.T) {
 	}
 	var m vid.Message
 	var sendErr error
-	a.SpawnServer("puller", 4096, func(ctx *ProcCtx) {
+	a.SpawnServer("fetcher", 4096, func(ctx *ProcCtx) {
 		m, sendErr = ctx.Send(KernelServerPID(b.SystemLH().ID()), vid.Message{
 			Op:  KsFetchPage,
 			W:   [6]uint32{uint32(lh.ID())},

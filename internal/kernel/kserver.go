@@ -58,13 +58,14 @@ const (
 	KsQueryLoad
 	// KsFetchPage: W0=lh, Seg=fetch request (EncodeFetchReq: space id plus
 	// an explicit page list) → Seg=page run. The post-copy remote-fault
-	// path: the destination pulls not-yet-transferred pages from the
-	// frozen source receptacle. Serving a page clears its dirty bit on the
-	// receptacle — the source's not-yet-delivered marker, which its
-	// background push-out consults — and refreshes the receptacle's
-	// activity timestamp so the inactivity reaper holds off. Requests are
-	// idempotent: duplicates and out-of-order arrivals re-serve the same
-	// (frozen, hence stable) contents.
+	// path: a faulting destination fetches the page it needs (plus
+	// read-ahead) from the frozen source receptacle. Serving a page clears
+	// its dirty bit on the receptacle — the source's not-yet-delivered
+	// marker, which its push-out consults, so a served page is not also
+	// pushed — and refreshes the receptacle's activity timestamp so the
+	// inactivity reaper holds off. Requests are idempotent: duplicates and
+	// out-of-order arrivals re-serve the same (frozen, hence stable)
+	// contents.
 	KsFetchPage
 )
 
@@ -74,7 +75,7 @@ const (
 	// destination placeholder is frozen and the source copy authoritative.
 	WriteModeCopy uint32 = iota
 	// WriteModeIfAbsent installs only pages the destination does not
-	// already hold: the post-swap residue push-out, racing demand pulls
+	// already hold: the post-swap residue push-out, racing demand fetches
 	// and the running guest's own writes (first writer wins, never
 	// double-apply).
 	WriteModeIfAbsent

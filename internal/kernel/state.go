@@ -291,7 +291,7 @@ func DecodePageRun(seg []byte) (spaceID uint32, pages []mem.PageNo, data [][]byt
 
 // EncodeFetchReq packs a KsFetchPage request: one space id plus an
 // explicit page list. Unlike KsReadPages' (first, count) range, the list
-// is scattered — by the time the destination pulls, the hot pages in a
+// is scattered — by the time the destination faults, the hot pages in a
 // range have usually arrived through pre-copy or push-out and only the
 // gaps need fetching. The reply is a page run, so the list is bounded by
 // MaxRunPages.

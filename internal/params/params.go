@@ -208,10 +208,9 @@ const (
 	// pre-copy round.
 	HybridSampleInterval = 400 * time.Millisecond
 
-	// FetchRunPages is how many pages a post-copy destination pulls per
-	// KsFetchPage request: the faulted page plus read-ahead, and the batch
-	// size of the background pull. Max kernel.MaxRunPages (the reply must
-	// encode as one page run).
+	// FetchRunPages is how many pages a post-copy destination demand-fetches
+	// per KsFetchPage request: the faulted page plus read-ahead. Max
+	// kernel.MaxRunPages (the reply must encode as one page run).
 	FetchRunPages = 8
 
 	// ResidueDrainTimeout bounds how long a post-copy source waits for the
