@@ -500,7 +500,7 @@ func (r *repl) exec(line string) bool {
 			r.c.Options().CopyWindow, wsends, wstalls, tb.Count(trace.EvCopyWindow))
 		rf := r.c.RemoteFaultTotals()
 		r.printf("  remote faults: %d (%.1f KB) stalled=%v demand=%.1fK push=%.1fK events=%d aborted=%v",
-			rf.Faults, rf.FaultKB, rf.StallTime, rf.PullKB, rf.PushKB,
+			rf.Faults, rf.FaultKB(), rf.StallTime, rf.PullKB, rf.PushKB,
 			tb.Count(trace.EvRemoteFault), rf.Aborted)
 		es := r.c.Sim.Stats()
 		r.printf("  engine: fired=%d task-dispatches=%d timers-stopped=%d pending=%d max-pending=%d",

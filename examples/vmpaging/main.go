@@ -45,7 +45,7 @@ func main() {
 	fmt.Printf("  rounds %d, residual %.1f KB, frozen %v, %0.f KB flushed\n",
 		len(fl.Rounds), fl.ResidualKB, fl.FreezeTime, float64(fl.BytesCopied)/1024)
 	fmt.Printf("  demand faults on the new host: %d (%.0f KB moved twice)\n",
-		pg.Faults, pg.FaultKB)
+		pg.Faults, pg.FaultKB())
 
 	fmt.Println("\nshape: both freeze only for the residue; the flush variant")
 	fmt.Println("frees the source without talking to the new host, at the cost")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -101,6 +102,105 @@ func TestDestCrashDuringPrecopySourceSurvives(t *testing.T) {
 		t.Fatalf("retry reused the crashed destination %#x", destMAC)
 	}
 	assertGapless(t, c.Node(0).Display.Lines(), 400)
+}
+
+// TestFlushDestCrashAtPrecopyRetries: the §3.2 flush runs pre-copy's round
+// loop, so the fault injector reaches it at the same phase points. The
+// destination dies as flush round 0 starts; the flush itself goes to the
+// file server and completes, the swap then fails against the dead
+// destination, and the migrator retries to the other candidate while the
+// original — unfrozen on the failure — loses no output.
+func TestFlushDestCrashAtPrecopyRetries(t *testing.T) {
+	t.Parallel()
+	c := boot(t, Options{Workstations: 4, Seed: 31, Policy: PolicyFlush})
+	c.Install(progs.Ticker(400))
+	c.Fault.MigrationFault(trace.PhasePrecopy, 0, fault.VictimDest)
+	var crashedMAC uint16
+	c.Trace.Subscribe(func(ev trace.Event) {
+		if ev.Kind == trace.EvMigFault {
+			crashedMAC = ev.Host
+		}
+	})
+
+	// Keep ws0 busy so it never answers selection: candidates are ws2/ws3.
+	var busyErr, execErr, migErr, waitErr error
+	c.Node(0).Agent(func(a *Agent) {
+		_, busyErr = a.Exec("tex", nil, "")
+	})
+	var rep *MigrationReport
+	c.Node(0).Agent(func(a *Agent) {
+		var job *Job
+		if job, execErr = a.Exec("ticker400", nil, "ws1"); execErr != nil {
+			return
+		}
+		a.Sleep(800 * time.Millisecond)
+		if rep, migErr = a.Migrate(job, false); migErr != nil {
+			return
+		}
+		_, waitErr = a.Wait(job)
+	})
+	c.Run(5 * time.Minute)
+
+	if busyErr != nil || execErr != nil || migErr != nil || waitErr != nil {
+		t.Fatalf("busy=%v exec=%v mig=%v wait=%v", busyErr, execErr, migErr, waitErr)
+	}
+	if got := c.Trace.Count(trace.EvMigFault); got != 1 {
+		t.Fatalf("EvMigFault count = %d, want 1", got)
+	}
+	if mig := c.Node(1).PM.Migrator.(*Migrator); mig.Retries != 1 {
+		t.Fatalf("Retries = %d, want 1", mig.Retries)
+	}
+	if rep.Policy != PolicyFlush.String() || rep.DestHost.Station() == crashedMAC {
+		t.Fatalf("report policy %q dest %v: want a flush to a host other than the crashed %#x",
+			rep.Policy, rep.DestHost, crashedMAC)
+	}
+	assertGapless(t, c.Node(0).Display.Lines(), 400)
+}
+
+// TestFlushResidueFailureNamesItsPhase cuts the source off from the file
+// server the instant tex freezes for its flush residue, so the residue
+// cannot be written. The error Migrate returns must name the residue —
+// the phase the flush died in — and tex must still be running, unfrozen,
+// on the source.
+func TestFlushResidueFailureNamesItsPhase(t *testing.T) {
+	t.Parallel()
+	c := boot(t, Options{Workstations: 3, Seed: 7, Policy: PolicyFlush})
+	src, fs := c.Node(1).Host.NIC.MAC(), c.FSHost.NIC.MAC()
+	cut := false
+	c.Trace.Subscribe(func(ev trace.Event) {
+		if ev.Kind == trace.EvFreeze && !cut && ev.Host == uint16(src) {
+			cut = true
+			c.Fault.Partition([]ethernet.MAC{src}, []ethernet.MAC{fs})
+		}
+	})
+	var execErr, migErr error
+	stayed := false
+	c.Node(1).Agent(func(a *Agent) {
+		var job *Job
+		if job, execErr = a.Exec("tex", nil, ""); execErr != nil {
+			return
+		}
+		a.Sleep(4 * time.Second)
+		_, migErr = a.Migrate(job, false)
+		c.Fault.Heal()
+		n, lh := c.FindProgram(job.LHID)
+		stayed = n == c.Node(1) && lh != nil && !lh.Frozen()
+	})
+	c.Run(60 * time.Second)
+
+	if execErr != nil || !cut {
+		t.Fatalf("exec=%v froze=%v", execErr, cut)
+	}
+	var pe *PhaseError
+	if !errors.As(migErr, &pe) || !errors.Is(migErr, ErrMigrationFailed) {
+		t.Fatalf("Migrate = %v, want a *PhaseError", migErr)
+	}
+	if pe.Phase != trace.PhaseResidue {
+		t.Fatalf("Migrate failed at %v, want %v", pe.Phase, trace.PhaseResidue)
+	}
+	if !stayed {
+		t.Fatal("tex is not running unfrozen on the source after the failed flush")
+	}
 }
 
 // TestSourceCrashAfterSwapDestAdopts covers the other half of §3.1.3: the

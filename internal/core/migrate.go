@@ -7,13 +7,11 @@ import (
 
 	"vsystem/internal/ethernet"
 	"vsystem/internal/fault"
-	"vsystem/internal/ipc"
 	"vsystem/internal/kernel"
 	"vsystem/internal/mem"
 	"vsystem/internal/params"
 	"vsystem/internal/progmgr"
 	"vsystem/internal/sched"
-	"vsystem/internal/sim"
 	"vsystem/internal/trace"
 	"vsystem/internal/vid"
 )
@@ -292,13 +290,10 @@ type Migrator struct {
 	// destination after a typed phase failure.
 	Retries int
 
-	// freezeStart records when the in-flight migration froze the logical
-	// host (migrations are serialized by the program manager's worker).
-	freezeStart sim.Time
-
-	// scratch is the page-run staging slice, sized once and reused across
-	// every batch of a migration (the encoder snapshots page contents into
-	// the wire segment, so reuse across in-flight sends is safe).
+	// scratch is sendRuns' page-view staging slice, sized once and reused
+	// across every batch of every migration (the encoder snapshots page
+	// contents into the wire segment, so reuse across in-flight sends is
+	// safe; migrations are serialized by the program manager's worker).
 	scratch [][]byte
 }
 
@@ -460,7 +455,7 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 	// these phases precede the identity swap, so their failures are
 	// retry-safe.
 	at := &copyAttempt{
-		mg: mg, ctx: ctx, pm: pm, host: host, lh: lh,
+		mg: mg, ctx: ctx, host: host, lh: lh,
 		sel: sel, finalID: finalID, tempLH: tempLH, targetKS: targetKS,
 		win: win, rep: rep, srcMAC: srcMAC, dstMAC: dstMAC,
 	}
@@ -553,11 +548,11 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 		// Live destination refused: it no longer holds the copy.
 		return fail(trace.PhaseRebind, 0, true, m.Err())
 	}
-	rep.FreezeTime = ctx.Now().Sub(mg.freezeStart)
+	rep.FreezeTime = ctx.Now().Sub(at.freezeStart)
 	mg.span(trace.Span{LH: finalID, Phase: trace.PhaseRebind, Start: rbStart, End: ctx.Now()})
 	// The freeze window encloses residue, swap and rebind; its duration is
 	// by construction the report's FreezeTime.
-	mg.span(trace.Span{LH: finalID, Phase: trace.PhaseFreeze, Start: mg.freezeStart, End: ctx.Now()})
+	mg.span(trace.Span{LH: finalID, Phase: trace.PhaseFreeze, Start: at.freezeStart, End: ctx.Now()})
 	if mg.Policy == PolicyForwarding {
 		// Demos/MP comparator: leave a forwarding address on this host.
 		host.IPC.SetForward(finalID, targetMAC(sel))
@@ -606,65 +601,6 @@ func kbOf(sp []spacePages) float64 {
 	return float64(n) * mem.PageSize / 1024
 }
 
-// precopy implements §3.1.2: an initial copy of the complete address
-// spaces followed by repeated copies of the pages modified during the
-// previous copy, until the dirty residue is small or stops shrinking; the
-// logical host is then frozen and the residue copied. On failure it
-// returns the phase and round the copy died in.
-func (mg *Migrator) precopy(ctx *kernel.ProcCtx, host *kernel.Host, lh *kernel.LogicalHost,
-	tempLH vid.LHID, targetKS vid.PID, win *ipc.Window, rep *MigrationReport, srcMAC, dstMAC ethernet.MAC) (trace.Phase, int, error) {
-
-	// Round 0 copies everything; dirty tracking starts now. Building the
-	// page list and clearing dirty bits is atomic (no blocking between).
-	var pending []spacePages
-	for _, as := range lh.Spaces() {
-		as.ClearDirty()
-		pending = append(pending, spacePages{as, as.AllPages()})
-	}
-
-	for round := 0; ; round++ {
-		roundStart := ctx.Now()
-		mg.atPhase(lh.ID(), trace.PhasePrecopy, round, srcMAC, dstMAC)
-		if _, err := mg.copyRuns(ctx, tempLH, targetKS, win, pending, rep); err != nil {
-			return trace.PhasePrecopy, round, err
-		}
-		dur := ctx.Now().Sub(roundStart)
-		rep.Rounds = append(rep.Rounds, RoundStat{
-			Pages: pageCount(pending), KB: kbOf(pending), Dur: dur,
-			CopyRateKBps: rateKBps(kbOf(pending), dur),
-		})
-		mg.span(trace.Span{
-			LH: lh.ID(), Phase: trace.PhasePrecopy, Round: round,
-			KB: kbOf(pending), Start: roundStart, End: ctx.Now(),
-		})
-
-		// Pages dirtied during this round (snapshot clears the bits; the
-		// freeze decision below happens atomically with the snapshot).
-		var dirty []spacePages
-		for _, as := range lh.Spaces() {
-			dirty = append(dirty, spacePages{as, as.SnapshotDirty()})
-		}
-		dirtyKB := kbOf(dirty)
-		if mg.Cluster.opt.precopyDone(round, kbOf(pending), dirtyKB) {
-			host.Freeze(lh)
-			mg.freezeStart = ctx.Now()
-			mg.atPhase(lh.ID(), trace.PhaseFreeze, 0, srcMAC, dstMAC)
-			rep.ResidualKB = dirtyKB
-			mg.atPhase(lh.ID(), trace.PhaseResidue, 0, srcMAC, dstMAC)
-			_, err := mg.copyRuns(ctx, tempLH, targetKS, win, dirty, rep)
-			if err != nil {
-				return trace.PhaseResidue, 0, err
-			}
-			mg.span(trace.Span{
-				LH: lh.ID(), Phase: trace.PhaseResidue, KB: dirtyKB,
-				Start: mg.freezeStart, End: ctx.Now(),
-			})
-			return 0, 0, nil
-		}
-		pending = dirty
-	}
-}
-
 func pageCount(sp []spacePages) int {
 	n := 0
 	for _, s := range sp {
@@ -673,46 +609,174 @@ func pageCount(sp []spacePages) int {
 	return n
 }
 
-// copyRuns transfers the given pages to the new copy in MaxRunPages
-// batches through the target's kernel server, keeping up to the window's
-// slot count of KsWritePages transactions in flight. The destination
-// applies runs in whatever order they arrive — each run is self-
-// describing (space, pages, data) and InstallPage is idempotent — so the
-// pipeline never waits for ordering; copyRuns drains the window before
-// returning, making each call a round barrier.
-func (mg *Migrator) copyRuns(ctx *kernel.ProcCtx, tempLH vid.LHID, targetKS vid.PID,
-	win *ipc.Window, sp []spacePages, rep *MigrationReport) (float64, error) {
+// allPages lists every page of the migrating logical host and restarts
+// dirty tracking; nothing blocks between the two.
+func (at *copyAttempt) allPages() []spacePages {
+	var sp []spacePages
+	for _, as := range at.lh.Spaces() {
+		as.ClearDirty()
+		sp = append(sp, spacePages{as, as.AllPages()})
+	}
+	return sp
+}
 
+// dirtyPages lists the pages dirtied since the last snapshot and clears
+// their bits.
+func (at *copyAttempt) dirtyPages() []spacePages {
+	var sp []spacePages
+	for _, as := range at.lh.Spaces() {
+		sp = append(sp, spacePages{as, as.SnapshotDirty()})
+	}
+	return sp
+}
+
+// iterate is §3.1.2's loop with send as its sink: round 0 sends every
+// page while the program runs, each later round the pages dirtied during
+// the one before, until the dirty residue is small or stops shrinking; the
+// logical host is then frozen and the residue sent. Pre-copy's sink is the
+// destination placeholder, §3.2's the file server's paging store. On
+// failure it returns the phase and round the send died in.
+func (at *copyAttempt) iterate(send func([]spacePages) error) (trace.Phase, int, error) {
+	pending := at.allPages()
+	for round := 0; ; round++ {
+		if err := at.round(round, pending, send); err != nil {
+			return trace.PhasePrecopy, round, err
+		}
+		// The freeze decision happens atomically with the snapshot.
+		dirty := at.dirtyPages()
+		if !at.mg.Cluster.opt.precopyDone(round, kbOf(pending), kbOf(dirty)) {
+			pending = dirty
+			continue
+		}
+		at.freeze()
+		at.rep.ResidualKB = kbOf(dirty)
+		if err := at.sendResidue(dirty, send); err != nil {
+			return trace.PhaseResidue, 0, err
+		}
+		return 0, 0, nil
+	}
+}
+
+// round sends one round of pages while the program still runs, and
+// records it as a RoundStat and a pre-copy span.
+func (at *copyAttempt) round(n int, sp []spacePages, send func([]spacePages) error) error {
+	start := at.ctx.Now()
+	at.atPhase(trace.PhasePrecopy, n)
+	if err := send(sp); err != nil {
+		return err
+	}
+	kb, dur := kbOf(sp), at.ctx.Now().Sub(start)
+	at.rep.Rounds = append(at.rep.Rounds, RoundStat{
+		Pages: pageCount(sp), KB: kb, Dur: dur, CopyRateKBps: rateKBps(kb, dur),
+	})
+	at.mg.span(trace.Span{
+		LH: at.finalID, Phase: trace.PhasePrecopy, Round: n, KB: kb, Start: start, End: at.ctx.Now(),
+	})
+	return nil
+}
+
+// freeze stops the logical host: the freeze window FreezeTime measures
+// opens here.
+func (at *copyAttempt) freeze() {
+	at.host.Freeze(at.lh)
+	at.freezeStart = at.ctx.Now()
+	at.atPhase(trace.PhaseFreeze, 0)
+}
+
+// sendResidue sends what the destination still lacks once frozen and
+// publishes the residue span, which starts at the freeze.
+func (at *copyAttempt) sendResidue(sp []spacePages, send func([]spacePages) error) error {
+	at.atPhase(trace.PhaseResidue, 0)
+	if err := send(sp); err != nil {
+		return err
+	}
+	at.mg.span(trace.Span{
+		LH: at.finalID, Phase: trace.PhaseResidue, KB: kbOf(sp), Start: at.freezeStart, End: at.ctx.Now(),
+	})
+	return nil
+}
+
+// atPhase reports one of the attempt's phase boundaries to the fault hook.
+func (at *copyAttempt) atPhase(ph trace.Phase, round int) {
+	at.mg.atPhase(at.finalID, ph, round, at.srcMAC, at.dstMAC)
+}
+
+// writeTo is the pre-swap sink: KsWritePages runs in the given mode to the
+// destination placeholder.
+func (at *copyAttempt) writeTo(mode uint32) func([]spacePages) error {
+	return func(sp []spacePages) error {
+		_, err := at.sendRuns(at.targetKS, vid.Message{
+			Op: kernel.KsWritePages, W: [6]uint32{uint32(at.tempLH), mode},
+		}, "", sp, nil)
+		return err
+	}
+}
+
+// sendRuns carries every page run a migration sends. The pages go to dst
+// in batches of at most kernel.MaxRunPages, each batch the message out
+// with the run as its segment — behind key and a NUL when key is set (a
+// page-out run's prefix) — keeping up to the window's slot count in
+// flight. take, when set, filters each batch as it is built and may claim
+// what it takes; it runs before the pages are read, and the views are
+// encoded at once, before anything can block. A WriteModeInvalidate run
+// carries page numbers only (every body the elided zero page) and moves
+// no address space. The receiver applies runs in whatever order they
+// arrive — each is self-describing and installing is idempotent — so
+// nothing waits for ordering; sendRuns drains the window before it
+// returns, so every call is a barrier. It returns the KB of address space
+// sent, up to a failure.
+func (at *copyAttempt) sendRuns(dst vid.PID, out vid.Message, key string, sp []spacePages,
+	take func(*mem.AddressSpace, mem.PageNo) bool) (float64, error) {
+
+	mg, win := at.mg, at.win
 	if mg.scratch == nil {
 		mg.scratch = make([][]byte, kernel.MaxRunPages)
+	}
+	inval := out.Op == kernel.KsWritePages && out.W[1] == kernel.WriteModeInvalidate
+	var taken []mem.PageNo
+	if take != nil {
+		taken = make([]mem.PageNo, 0, kernel.MaxRunPages)
 	}
 	var kb float64
 	for _, s := range sp {
 		for off := 0; off < len(s.pages); off += kernel.MaxRunPages {
-			end := off + kernel.MaxRunPages
-			if end > len(s.pages) {
-				end = len(s.pages)
+			batch := s.pages[off:min(off+kernel.MaxRunPages, len(s.pages))]
+			if take != nil {
+				taken = taken[:0]
+				for _, pn := range batch {
+					if take(s.as, pn) {
+						taken = append(taken, pn)
+					}
+				}
+				if len(taken) == 0 {
+					continue
+				}
+				batch = taken
 			}
-			batch := s.pages[off:end]
 			data := mg.scratch[:len(batch)]
 			for i, pn := range batch {
-				data[i] = s.as.PageView(pn)
+				if inval {
+					data[i] = mem.ZeroPage()
+				} else {
+					data[i] = s.as.PageView(pn)
+				}
 			}
-			seg := kernel.AppendPageRun(win.SegBuf(), s.as.ID, batch, data)
-			err := win.Send(ctx.Task(), targetKS, vid.Message{
-				Op:  kernel.KsWritePages,
-				W:   [6]uint32{uint32(tempLH)},
-				Seg: seg,
-			})
-			if err != nil {
+			seg := win.SegBuf()
+			if key != "" {
+				seg = append(append(seg, key...), 0)
+			}
+			out.Seg = kernel.AppendPageRun(seg, s.as.ID, batch, data)
+			if err := win.Send(at.ctx.Task(), dst, out); err != nil {
 				return kb, err
 			}
-			kb += float64(len(batch)) * mem.PageSize / 1024
-			rep.BytesCopied += int64(len(batch)) * mem.PageSize
-			rep.WireBytes += int64(len(seg))
+			at.rep.WireBytes += int64(len(out.Seg))
+			if !inval {
+				kb += float64(len(batch)) * mem.PageSize / 1024
+				at.rep.BytesCopied += int64(len(batch)) * mem.PageSize
+			}
 		}
 	}
-	return kb, win.Drain(ctx.Task())
+	return kb, win.Drain(at.ctx.Task())
 }
 
 // rateKBps is KB per second of d, 0 for an instantaneous round.

@@ -5,11 +5,9 @@ import (
 	"time"
 
 	"vsystem/internal/fileserver"
-	"vsystem/internal/ipc"
 	"vsystem/internal/kernel"
 	"vsystem/internal/mem"
 	"vsystem/internal/params"
-	"vsystem/internal/progmgr"
 	"vsystem/internal/sim"
 	"vsystem/internal/trace"
 	"vsystem/internal/vid"
@@ -23,8 +21,7 @@ import (
 // counted here publishes one trace.EvRemoteFault; tests hold the two to
 // parity.
 type PagerStats struct {
-	Faults  int
-	FaultKB float64
+	Faults int
 
 	// Post-copy residue accounting.
 	StallTime time.Duration // total time faulting processes were parked
@@ -39,102 +36,25 @@ type PagerStats struct {
 	FetchWireBytes int64
 }
 
-// flushOut is the source side of the §3.2 variant: instead of copying the
-// address spaces to the new host, modified pages are flushed to the
-// network file server (iteratively, like pre-copy), the logical host is
-// frozen, and the residue flushed. The new host faults pages in from the
-// file server on demand.
-func (mg *Migrator) flushOut(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.LogicalHost,
-	win *ipc.Window, rep *MigrationReport) error {
+// FaultKB is the address space the faults asked for: one page each.
+func (s *PagerStats) FaultKB() float64 { return float64(s.Faults) * mem.PageSize / 1024 }
 
-	prefix := fmt.Sprintf("pg/%04x", uint16(lh.ID()))
-
-	var pending []spacePages
-	for _, as := range lh.Spaces() {
-		as.ClearDirty()
-		pending = append(pending, spacePages{as, as.AllPages()})
-	}
-	for round := 0; ; round++ {
-		roundStart := ctx.Now()
-		if err := mg.flushPages(ctx, prefix, win, pending, rep); err != nil {
-			return err
-		}
-		dur := ctx.Now().Sub(roundStart)
-		rep.Rounds = append(rep.Rounds, RoundStat{
-			Pages: pageCount(pending), KB: kbOf(pending), Dur: dur,
-			CopyRateKBps: rateKBps(kbOf(pending), dur),
-		})
-		mg.span(trace.Span{
-			LH: lh.ID(), Phase: trace.PhasePrecopy, Round: round,
-			KB: kbOf(pending), Start: roundStart, End: ctx.Now(),
-		})
-		var dirty []spacePages
-		for _, as := range lh.Spaces() {
-			dirty = append(dirty, spacePages{as, as.SnapshotDirty()})
-		}
-		dirtyKB := kbOf(dirty)
-		if mg.Cluster.opt.precopyDone(round, kbOf(pending), dirtyKB) {
-			pm.Host().Freeze(lh)
-			mg.freezeStart = ctx.Now()
-			rep.ResidualKB = dirtyKB
-			if err := mg.flushPages(ctx, prefix, win, dirty, rep); err != nil {
-				return err
-			}
-			mg.span(trace.Span{
-				LH: lh.ID(), Phase: trace.PhaseResidue, KB: dirtyKB,
-				Start: mg.freezeStart, End: ctx.Now(),
-			})
-			return nil
-		}
-		pending = dirty
-	}
+// pageOut is the §3.2 sink iterate flushes into: page runs to the file
+// server's paging store under the logical host's key prefix (V moved up to
+// 32 KB as a unit, §3.1; a paging server would batch writes the same
+// way). The write target is re-resolved per call so a round started after
+// a file-server failover still reaches the new leader.
+func (at *copyAttempt) pageOut(sp []spacePages) error {
+	fs := at.mg.fileServerPID()
+	_, err := at.sendRuns(fs, vid.Message{
+		Op: fileserver.OpPageOutRun, W: [6]uint32{5: fsW5(fs)},
+	}, pagePrefix(at.finalID), sp, nil)
+	return err
 }
 
-// flushPages writes pages to the file server's paging store in page-run
-// batches (V moved up to 32 KB as a unit, §3.1; a paging server would
-// batch writes the same way), pipelined through the same bulk-transfer
-// window as the direct copy paths. The write target is re-resolved per
-// call so a flush round started before a file-server failover still
-// reaches the new leader.
-func (mg *Migrator) flushPages(ctx *kernel.ProcCtx, prefix string,
-	win *ipc.Window, sp []spacePages, rep *MigrationReport) error {
-
-	fs := mg.fileServerPID()
-	if mg.scratch == nil {
-		mg.scratch = make([][]byte, kernel.MaxRunPages)
-	}
-	for _, s := range sp {
-		for off := 0; off < len(s.pages); off += kernel.MaxRunPages {
-			end := off + kernel.MaxRunPages
-			if end > len(s.pages) {
-				end = len(s.pages)
-			}
-			batch := s.pages[off:end]
-			data := mg.scratch[:len(batch)]
-			for i, pn := range batch {
-				data[i] = s.as.PageView(pn)
-			}
-			seg := append(append(win.SegBuf(), prefix...), 0)
-			seg = kernel.AppendPageRun(seg, s.as.ID, batch, data)
-			out := vid.Message{
-				Op: fileserver.OpPageOutRun, W: [6]uint32{0, 0, 0, 0, 0, fsW5(fs)}, Seg: seg,
-			}
-			if err := win.Send(ctx.Task(), fs, out); err != nil {
-				return ErrMigrationFailed
-			}
-			rep.BytesCopied += int64(len(batch)) * mem.PageSize
-			rep.WireBytes += int64(len(seg))
-		}
-	}
-	if err := win.Drain(ctx.Task()); err != nil {
-		return ErrMigrationFailed
-	}
-	return nil
-}
-
-func pageKey(prefix string, space uint32, pn mem.PageNo) string {
-	return fmt.Sprintf("%s/%d/%d", prefix, space, pn)
-}
+// pagePrefix is a logical host's key prefix in the paging store; a page is
+// stored under "prefix/space/pageno".
+func pagePrefix(id vid.LHID) string { return fmt.Sprintf("pg/%04x", uint16(id)) }
 
 // fileServerPID resolves the cluster's file server (in V this binding
 // comes from the program's name cache; the simulation resolves it through
@@ -152,24 +72,31 @@ func fsW5(dst vid.PID) uint32 {
 	return fileserver.FsUnicast
 }
 
-// installPager configures demand paging on the new copy's (empty) address
-// spaces: the first access to a missing page pulls it from the file
-// server, blocking the faulting process for the fetch. Installed between
-// the identity change and the unfreeze.
-func (mg *Migrator) installPager(lhid vid.LHID, destSys vid.LHID) {
-	node := mg.Cluster.NodeByLH(destSys)
-	if node == nil {
-		return
+// destCopy finds the new copy at the destination: nil when the
+// simulation cannot reach it.
+func (at *copyAttempt) destCopy() (*Node, *kernel.LogicalHost) {
+	if node := at.mg.Cluster.NodeByLH(at.sel.SystemLH); node != nil {
+		if lh, ok := node.Host.LookupLH(at.finalID); ok {
+			return node, lh
+		}
 	}
-	lh, ok := node.Host.LookupLH(lhid)
-	if !ok {
-		return
-	}
-	prefix := fmt.Sprintf("pg/%04x", uint16(lhid))
-	stats := &PagerStats{}
-	mg.Cluster.registerPager(lhid, stats)
+	return nil, nil
+}
+
+// demandPage is the fault handler both pagers share, installed on every
+// space of the new copy lh at node between the identity swap and the
+// unfreeze, with stats registered for the harness. A faulting reference
+// is counted and traced — one EvRemoteFault per counted fault, the parity
+// the tests hold — parks its process while fetch brings the page, and is
+// charged the stall. fetch returns the page's bytes, or nil for whatever
+// the faulting access then finds: a page fetch installed itself, or a
+// zero (hole) page.
+func (at *copyAttempt) demandPage(node *Node, lh *kernel.LogicalHost, stats *PagerStats,
+	fetch func(t *sim.Task, as *mem.AddressSpace, pn mem.PageNo) []byte) {
+
+	id, c := lh.ID(), at.mg.Cluster
+	c.registerPager(id, stats)
 	for _, as := range lh.Spaces() {
-		as := as
 		as.SetFault(func(pn mem.PageNo) []byte {
 			t := node.Host.Eng.Current()
 			if t == nil {
@@ -177,80 +104,25 @@ func (mg *Migrator) installPager(lhid vid.LHID, destSys vid.LHID) {
 			}
 			start := node.Host.Eng.Now()
 			stats.Faults++
-			stats.FaultKB += float64(mem.PageSize) / 1024
-			mg.publishRemoteFault(node, lhid, pn, start)
-			port := node.Host.IPC.NewPort(node.pagerPID())
-			defer port.Close()
-			// Resolve the serving replica per fault — the leader at install
-			// time may be dead by the time this page is referenced.
-			dst := mg.fileServerPID()
-			pageIn := vid.Message{
-				Op: fileserver.OpPageIn, W: [6]uint32{0, 0, 0, 0, 0, fsW5(dst)},
-				Seg: []byte(pageKey(prefix, as.ID, pn)),
-			}
-			m, err := port.Send(t, dst, pageIn)
-			if (err != nil || (!m.OK() && m.Code != vid.CodeNotFound)) && !dst.IsGroup() {
-				// Pinned leader gone: one bounded retry through the group.
-				// (Not-found is a definitive answer — a hole page — and is
-				// not retried.)
-				pageIn.W[5] = 0
-				m, err = port.Send(t, vid.GroupFileServers, pageIn)
-			}
+			c.Trace.Publish(trace.Event{
+				At: start, Host: uint16(node.Host.NIC.MAC()),
+				Kind: trace.EvRemoteFault, LH: id, Size: int(pn),
+			})
+			data := fetch(t, as, pn)
 			stats.StallTime += node.Host.Eng.Now().Sub(start)
-			if err != nil || !m.OK() {
-				return nil // never flushed: a zero (hole) page
-			}
-			return m.Seg
-		})
-	}
-}
-
-// publishRemoteFault emits the EvRemoteFault event every counted demand
-// fault must pair with (stats/trace parity).
-func (mg *Migrator) publishRemoteFault(node *Node, lhid vid.LHID, pn mem.PageNo, at sim.Time) {
-	var bus *trace.Bus
-	if mg.Cluster != nil {
-		bus = mg.Cluster.Trace
-	}
-	bus.Publish(trace.Event{
-		At: at, Host: uint16(node.Host.NIC.MAC()),
-		Kind: trace.EvRemoteFault, LH: lhid, Size: int(pn),
-	})
-}
-
-// installRemotePager configures the post-copy remote-fault path on the
-// migrated copy: a faulting reference parks the process and pulls a
-// FetchRunPages page run from the source receptacle (the faulted page
-// plus read-ahead over still-absent neighbors). When the receptacle
-// cannot serve — the source crashed mid-residue — the path falls back to
-// the file server's flush image for the page, and failing that aborts
-// the guest cleanly rather than let it run on memory holes. Installed
-// between the identity swap and the unfreeze.
-func (mg *Migrator) installRemotePager(rs *residueState) {
-	node := rs.node
-	for _, as := range rs.destLH.Spaces() {
-		as := as
-		as.SetFault(func(pn mem.PageNo) []byte {
-			t := node.Host.Eng.Current()
-			if t == nil {
-				return nil // non-task access (diagnostics): treat as zero
-			}
-			start := node.Host.Eng.Now()
-			rs.stats.Faults++
-			rs.stats.FaultKB += float64(mem.PageSize) / 1024
-			mg.publishRemoteFault(node, rs.destLH.ID(), pn, start)
-			data := rs.demandFetch(t, as, pn)
-			rs.stats.StallTime += node.Host.Eng.Now().Sub(start)
 			return data
 		})
 	}
 }
 
-// demandFetch resolves one demand fault against the source receptacle,
-// with the file server and the racing push-out as fallbacks.
-func (rs *residueState) demandFetch(t *sim.Task, as *mem.AddressSpace, pn mem.PageNo) []byte {
-	// The faulted page plus read-ahead over still-absent neighbors, one
-	// fetch-request's worth.
+// demandFetch is post-copy's fetch: it resolves one demand fault against
+// the source receptacle — a FetchRunPages run of the faulted page plus
+// read-ahead over still-absent neighbors — with the racing push-out and
+// the file server's flush image as fallbacks. When nothing can serve the
+// page (the source crashed mid-residue) it aborts the guest cleanly
+// rather than let it run on memory holes.
+func (at *copyAttempt) demandFetch(t *sim.Task, as *mem.AddressSpace, pn mem.PageNo) []byte {
+	rs := at.residue
 	pages := []mem.PageNo{pn}
 	limit := mem.PageNo(as.Size() / mem.PageSize)
 	for p := pn + 1; p < limit && len(pages) < params.FetchRunPages; p++ {
@@ -297,7 +169,7 @@ func (rs *residueState) demandFetch(t *sim.Task, as *mem.AddressSpace, pn mem.Pa
 	}
 	// Fall back to the file server's flush image (populated if this
 	// logical host was ever flush-migrated under the same key prefix).
-	if b := rs.fetchFromFS(t, as, pn); b != nil {
+	if b := at.pageIn(t, rs.node, as, pn); b != nil {
 		return b
 	}
 	// Nothing can complete this guest's memory: abort cleanly.
@@ -305,22 +177,25 @@ func (rs *residueState) demandFetch(t *sim.Task, as *mem.AddressSpace, pn mem.Pa
 	return nil
 }
 
-// fetchFromFS tries the file server's paging store for one page. The
-// flush-image fallback is exactly the path that must survive a file-server
-// crash: a dead pinned leader gets one bounded retry through the group.
-func (rs *residueState) fetchFromFS(t *sim.Task, as *mem.AddressSpace, pn mem.PageNo) []byte {
-	prefix := fmt.Sprintf("pg/%04x", uint16(rs.destLH.ID()))
-	port := rs.node.Host.IPC.NewPort(rs.node.pagerPID())
+// pageIn reads one page of the migrated copy's flush image from the file
+// server's paging store, for a task at node: flush's whole fetch, and
+// post-copy's fallback when the receptacle cannot serve. It returns nil
+// when there is none (never flushed: a hole page) or no server answers.
+// The serving replica is resolved per fault — the leader at install time
+// may be dead by now — and a dead pinned leader gets one bounded retry
+// through the group; not-found is a definitive answer and is not retried.
+func (at *copyAttempt) pageIn(t *sim.Task, node *Node, as *mem.AddressSpace, pn mem.PageNo) []byte {
+	port := node.Host.IPC.NewPort(node.pagerPID())
 	defer port.Close()
-	dst := rs.mg.fileServerPID()
-	pageIn := vid.Message{
-		Op: fileserver.OpPageIn, W: [6]uint32{0, 0, 0, 0, 0, fsW5(dst)},
-		Seg: []byte(pageKey(prefix, as.ID, pn)),
+	dst := at.mg.fileServerPID()
+	req := vid.Message{
+		Op: fileserver.OpPageIn, W: [6]uint32{5: fsW5(dst)},
+		Seg: []byte(fmt.Sprintf("%s/%d/%d", pagePrefix(at.finalID), as.ID, pn)),
 	}
-	m, err := port.Send(t, dst, pageIn)
+	m, err := port.Send(t, dst, req)
 	if (err != nil || (!m.OK() && m.Code != vid.CodeNotFound)) && !dst.IsGroup() {
-		pageIn.W[5] = 0
-		m, err = port.Send(t, vid.GroupFileServers, pageIn)
+		req.W[5] = 0
+		m, err = port.Send(t, vid.GroupFileServers, req)
 	}
 	if err != nil || !m.OK() {
 		return nil
@@ -365,7 +240,6 @@ func (c *Cluster) RemoteFaultTotals() PagerStats {
 	var tot PagerStats
 	for _, st := range c.pagers {
 		tot.Faults += st.Faults
-		tot.FaultKB += st.FaultKB
 		tot.StallTime += st.StallTime
 		tot.PullKB += st.PullKB
 		tot.PushKB += st.PushKB

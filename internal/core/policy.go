@@ -8,7 +8,6 @@ import (
 	"vsystem/internal/kernel"
 	"vsystem/internal/mem"
 	"vsystem/internal/params"
-	"vsystem/internal/progmgr"
 	"vsystem/internal/sim"
 	"vsystem/internal/trace"
 	"vsystem/internal/vid"
@@ -21,18 +20,18 @@ import (
 type copyAttempt struct {
 	mg   *Migrator
 	ctx  *kernel.ProcCtx
-	pm   *progmgr.PM
 	host *kernel.Host
 	lh   *kernel.LogicalHost
 
-	sel      HostSel
-	finalID  vid.LHID // the migrating identity; lh.ID() until a post-copy rename
-	tempLH   vid.LHID // destination placeholder id (pre-swap)
-	targetKS vid.PID  // destination kernel server, via its system LH
-	win      *ipc.Window
-	rep      *MigrationReport
-	srcMAC   ethernet.MAC
-	dstMAC   ethernet.MAC
+	sel         HostSel
+	finalID     vid.LHID // the migrating identity; lh.ID() until a post-copy rename
+	tempLH      vid.LHID // destination placeholder id (pre-swap)
+	targetKS    vid.PID  // destination kernel server, via its system LH
+	win         *ipc.Window
+	rep         *MigrationReport
+	srcMAC      ethernet.MAC
+	dstMAC      ethernet.MAC
+	freezeStart sim.Time // when PreSwap froze the logical host
 
 	// residue is set by the post-copy policies between swap and unfreeze:
 	// the source copy stays behind as a page-serving receptacle and the
@@ -87,8 +86,7 @@ func (p Policy) copyPolicy() CopyPolicy {
 type precopyPolicy struct{}
 
 func (precopyPolicy) PreSwap(at *copyAttempt) (trace.Phase, int, error) {
-	return at.mg.precopy(at.ctx, at.host, at.lh, at.tempLH, at.targetKS,
-		at.win, at.rep, at.srcMAC, at.dstMAC)
+	return at.iterate(at.writeTo(kernel.WriteModeCopy))
 }
 func (precopyPolicy) BeforeUnfreeze(*copyAttempt) {}
 func (precopyPolicy) AfterCommit(*copyAttempt)    {}
@@ -98,46 +96,38 @@ func (precopyPolicy) AfterCommit(*copyAttempt)    {}
 type stopCopyPolicy struct{}
 
 func (stopCopyPolicy) PreSwap(at *copyAttempt) (trace.Phase, int, error) {
-	mg, ctx, lh := at.mg, at.ctx, at.lh
-	at.host.Freeze(lh)
-	mg.freezeStart = ctx.Now()
-	mg.atPhase(lh.ID(), trace.PhaseFreeze, 0, at.srcMAC, at.dstMAC)
-	var all []spacePages
-	for _, as := range lh.Spaces() {
-		as.ClearDirty()
-		all = append(all, spacePages{as, as.AllPages()})
-	}
-	mg.atPhase(lh.ID(), trace.PhaseResidue, 0, at.srcMAC, at.dstMAC)
-	kb, err := mg.copyRuns(ctx, at.tempLH, at.targetKS, at.win, all, at.rep)
-	if err != nil {
+	at.freeze()
+	all := at.allPages()
+	if err := at.sendResidue(all, at.writeTo(kernel.WriteModeCopy)); err != nil {
 		return trace.PhaseResidue, 0, err
 	}
+	kb, dur := kbOf(all), at.ctx.Now().Sub(at.freezeStart)
 	at.rep.ResidualKB = kb
-	dur := ctx.Now().Sub(mg.freezeStart)
 	at.rep.Rounds = append(at.rep.Rounds, RoundStat{
-		Pages: int(kb), KB: kb, Dur: dur, CopyRateKBps: rateKBps(kb, dur),
+		Pages: pageCount(all), KB: kb, Dur: dur, CopyRateKBps: rateKBps(kb, dur),
 	})
-	mg.span(trace.Span{LH: lh.ID(), Phase: trace.PhaseResidue, KB: kb, Start: mg.freezeStart, End: ctx.Now()})
 	return 0, 0, nil
 }
 func (stopCopyPolicy) BeforeUnfreeze(*copyAttempt) {}
 func (stopCopyPolicy) AfterCommit(*copyAttempt)    {}
 
-// flushPolicy is §3.2: flush modified pages to the network file server
-// (iteratively, like pre-copy), move kernel state only, and demand-fault
-// pages in from the file server on the new host.
+// flushPolicy is §3.2: pre-copy's loop with the network file server as its
+// sink — modified pages are flushed iteratively, then the residue while
+// frozen — kernel state only to the new host, which demand-faults pages in
+// from the file server.
 type flushPolicy struct{}
 
 func (flushPolicy) PreSwap(at *copyAttempt) (trace.Phase, int, error) {
-	if err := at.mg.flushOut(at.ctx, at.pm, at.lh, at.win, at.rep); err != nil {
-		return trace.PhasePrecopy, 0, err
-	}
-	return 0, 0, nil
+	return at.iterate(at.pageOut)
 }
 
 func (flushPolicy) BeforeUnfreeze(at *copyAttempt) {
 	// Configure file-server demand paging on the new copy before it runs.
-	at.mg.installPager(at.finalID, at.sel.SystemLH)
+	if node, lh := at.destCopy(); lh != nil {
+		at.demandPage(node, lh, &PagerStats{}, func(t *sim.Task, as *mem.AddressSpace, pn mem.PageNo) []byte {
+			return at.pageIn(t, node, as, pn)
+		})
+	}
 }
 func (flushPolicy) AfterCommit(*copyAttempt) {}
 
@@ -153,7 +143,7 @@ type postcopyPolicy struct {
 }
 
 func (p postcopyPolicy) PreSwap(at *copyAttempt) (trace.Phase, int, error) {
-	mg, ctx, lh := at.mg, at.ctx, at.lh
+	lh := at.lh
 
 	// sent holds, per space, the pages the destination will hold a valid
 	// copy of at swap time; everything else is post-swap residue.
@@ -165,27 +155,13 @@ func (p postcopyPolicy) PreSwap(at *copyAttempt) (trace.Phase, int, error) {
 		for _, as := range lh.Spaces() {
 			as.ClearDirty()
 		}
-		ctx.Sleep(params.HybridSampleInterval)
-		var hot []spacePages
-		for _, as := range lh.Spaces() {
-			hot = append(hot, spacePages{as, as.SnapshotDirty()})
-		}
+		at.ctx.Sleep(params.HybridSampleInterval)
 		// Copy the hot set while the program still runs (one pre-copy
 		// round over the hot pages only).
-		roundStart := ctx.Now()
-		mg.atPhase(lh.ID(), trace.PhasePrecopy, 0, at.srcMAC, at.dstMAC)
-		if _, err := mg.copyRuns(ctx, at.tempLH, at.targetKS, at.win, hot, at.rep); err != nil {
+		hot := at.dirtyPages()
+		if err := at.round(0, hot, at.writeTo(kernel.WriteModeCopy)); err != nil {
 			return trace.PhasePrecopy, 0, err
 		}
-		dur := ctx.Now().Sub(roundStart)
-		at.rep.Rounds = append(at.rep.Rounds, RoundStat{
-			Pages: pageCount(hot), KB: kbOf(hot), Dur: dur,
-			CopyRateKBps: rateKBps(kbOf(hot), dur),
-		})
-		mg.span(trace.Span{
-			LH: lh.ID(), Phase: trace.PhasePrecopy, Round: 0,
-			KB: kbOf(hot), Start: roundStart, End: ctx.Now(),
-		})
 		for _, s := range hot {
 			m := make(map[mem.PageNo]bool, len(s.pages))
 			for _, pn := range s.pages {
@@ -194,9 +170,7 @@ func (p postcopyPolicy) PreSwap(at *copyAttempt) (trace.Phase, int, error) {
 			sent[s.as] = m
 		}
 
-		at.host.Freeze(lh)
-		mg.freezeStart = ctx.Now()
-		mg.atPhase(lh.ID(), trace.PhaseFreeze, 0, at.srcMAC, at.dstMAC)
+		at.freeze()
 
 		// Hot pages re-dirtied during the copy are stale at the
 		// destination. Copying them now would put the whole hot set back
@@ -205,27 +179,18 @@ func (p postcopyPolicy) PreSwap(at *copyAttempt) (trace.Phase, int, error) {
 		// run (page numbers only: ~4 bytes per page on the wire) telling
 		// the destination to drop them; they travel post-swap like the
 		// rest of the residue.
-		mg.atPhase(lh.ID(), trace.PhaseResidue, 0, at.srcMAC, at.dstMAC)
-		var stale []spacePages
-		for _, as := range lh.Spaces() {
-			redirtied := as.SnapshotDirty()
-			for _, pn := range redirtied {
-				delete(sent[as], pn)
+		stale := at.dirtyPages()
+		for _, s := range stale {
+			for _, pn := range s.pages {
+				delete(sent[s.as], pn)
 			}
-			stale = append(stale, spacePages{as, redirtied})
 		}
-		if err := mg.invalidateRuns(ctx, at.tempLH, at.targetKS, at.win, stale, at.rep); err != nil {
+		if err := at.sendResidue(stale, at.writeTo(kernel.WriteModeInvalidate)); err != nil {
 			return trace.PhaseResidue, 0, err
 		}
-		mg.span(trace.Span{
-			LH: lh.ID(), Phase: trace.PhaseResidue, KB: kbOf(stale),
-			Start: mg.freezeStart, End: ctx.Now(),
-		})
 	} else {
 		// Pure post-copy: freeze right away, defer every page.
-		at.host.Freeze(lh)
-		mg.freezeStart = ctx.Now()
-		mg.atPhase(lh.ID(), trace.PhaseFreeze, 0, at.srcMAC, at.dstMAC)
+		at.freeze()
 	}
 
 	// Everything not validly at the destination is post-swap residue.
@@ -246,7 +211,6 @@ func (p postcopyPolicy) PreSwap(at *copyAttempt) (trace.Phase, int, error) {
 		remaining = append(remaining, spacePages{as, left})
 	}
 	at.residue = &residueState{
-		mg:        mg,
 		srcHost:   at.host,
 		srcLH:     lh,
 		srcKS:     kernel.KernelServerPID(at.host.SystemLH().ID()),
@@ -258,15 +222,7 @@ func (p postcopyPolicy) PreSwap(at *copyAttempt) (trace.Phase, int, error) {
 
 func (p postcopyPolicy) BeforeUnfreeze(at *copyAttempt) {
 	rs := at.residue
-	mg := at.mg
-
-	node := mg.Cluster.NodeByLH(at.sel.SystemLH)
-	var destLH *kernel.LogicalHost
-	if node != nil {
-		if lh, ok := node.Host.LookupLH(at.finalID); ok {
-			destLH = lh
-		}
-	}
+	node, destLH := at.destCopy()
 
 	// Rename the source copy to a fresh private id. Local senders to the
 	// original id then miss and rebind to the destination, and the
@@ -281,7 +237,9 @@ func (p postcopyPolicy) BeforeUnfreeze(at *copyAttempt) {
 		// every local LH slot in use): drain the residue synchronously
 		// while both sides are still frozen, degenerating to stop-and-
 		// copy for the remainder, and tear down classically.
-		kb, _ := mg.copyRuns(at.ctx, at.finalID, at.targetKS, at.win, rs.remaining, at.rep)
+		kb, _ := at.sendRuns(at.targetKS, vid.Message{
+			Op: kernel.KsWritePages, W: [6]uint32{uint32(at.finalID), kernel.WriteModeCopy},
+		}, "", rs.remaining, nil)
 		at.rep.ResidualKB += kb
 		at.residue = nil
 		return
@@ -289,9 +247,7 @@ func (p postcopyPolicy) BeforeUnfreeze(at *copyAttempt) {
 	rs.node = node
 	rs.destLH = destLH
 	rs.id = at.lh.ID() // the receptacle's fresh private id
-
-	mg.Cluster.registerPager(at.finalID, rs.stats)
-	mg.installRemotePager(rs)
+	at.demandPage(node, destLH, rs.stats, at.demandFetch)
 }
 
 func (p postcopyPolicy) AfterCommit(at *copyAttempt) {
@@ -300,17 +256,17 @@ func (p postcopyPolicy) AfterCommit(at *copyAttempt) {
 	}
 	rs, mg, ctx, rep := at.residue, at.mg, at.ctx, at.rep
 	pullStart := ctx.Now()
-	mg.atPhase(at.finalID, trace.PhasePostSwapPull, 0, at.srcMAC, at.dstMAC)
+	at.atPhase(trace.PhasePostSwapPull, 0)
 
 	// Push the remainder out of the receptacle — the residue's only bulk
 	// mover — racing the guest's demand fetches: pages whose delivery marker
 	// a fetch already cleared are skipped, so a page crosses the wire once,
 	// and the destination installs pushes only if-absent, so the same page
 	// is never double-applied.
-	err := mg.pushResidue(ctx, at.finalID, at.targetKS, at.win, rs, rep)
-	if err == nil {
-		err = at.win.Drain(ctx.Task())
-	}
+	kb, err := at.sendRuns(at.targetKS, vid.Message{
+		Op: kernel.KsWritePages, W: [6]uint32{uint32(at.finalID), kernel.WriteModeIfAbsent},
+	}, "", rs.remaining, claimUndelivered)
+	rep.ResiduePushKB, rs.stats.PushKB = kb, kb
 	if err == nil {
 		err = rs.awaitDrained(ctx)
 	}
@@ -343,97 +299,15 @@ func (p postcopyPolicy) AfterCommit(at *copyAttempt) {
 	})
 }
 
-// invalidateRuns sends WriteModeInvalidate page runs for the given pages.
-// Bodies are passed as the shared zero page so every one is elided: an
-// invalidation run is a header plus 4 bytes per page.
-func (mg *Migrator) invalidateRuns(ctx *kernel.ProcCtx, tempLH vid.LHID, targetKS vid.PID,
-	win *ipc.Window, sp []spacePages, rep *MigrationReport) error {
-
-	if mg.scratch == nil {
-		mg.scratch = make([][]byte, kernel.MaxRunPages)
+// claimUndelivered is the push-out's take: a residue page goes unless its
+// delivery marker is already clear (a KsFetchPage served it), and taking
+// it clears the marker.
+func claimUndelivered(as *mem.AddressSpace, pn mem.PageNo) bool {
+	if !as.PageDirty(pn) {
+		return false
 	}
-	for _, s := range sp {
-		for off := 0; off < len(s.pages); off += kernel.MaxRunPages {
-			end := off + kernel.MaxRunPages
-			if end > len(s.pages) {
-				end = len(s.pages)
-			}
-			batch := s.pages[off:end]
-			data := mg.scratch[:len(batch)]
-			for i := range batch {
-				data[i] = mem.ZeroPage()
-			}
-			seg := kernel.AppendPageRun(win.SegBuf(), s.as.ID, batch, data)
-			err := win.Send(ctx.Task(), targetKS, vid.Message{
-				Op:  kernel.KsWritePages,
-				W:   [6]uint32{uint32(tempLH), kernel.WriteModeInvalidate},
-				Seg: seg,
-			})
-			if err != nil {
-				return err
-			}
-			rep.WireBytes += int64(len(seg))
-		}
-	}
-	return win.Drain(ctx.Task())
-}
-
-// pushResidue streams the receptacle's still-undelivered pages to the
-// destination as WriteModeIfAbsent runs. Each batch re-filters by the
-// delivery markers at issue time, so pages a demand fetch served while
-// earlier batches were in flight are not sent twice.
-func (mg *Migrator) pushResidue(ctx *kernel.ProcCtx, finalID vid.LHID, targetKS vid.PID,
-	win *ipc.Window, rs *residueState, rep *MigrationReport) error {
-
-	if mg.scratch == nil {
-		mg.scratch = make([][]byte, kernel.MaxRunPages)
-	}
-	for _, s := range rs.remaining {
-		for off := 0; off < len(s.pages); off += kernel.MaxRunPages {
-			end := off + kernel.MaxRunPages
-			if end > len(s.pages) {
-				end = len(s.pages)
-			}
-			var batch []mem.PageNo
-			for _, pn := range s.pages[off:end] {
-				if pageDelivered(s.as, pn) {
-					continue
-				}
-				batch = append(batch, pn)
-			}
-			if len(batch) == 0 {
-				continue
-			}
-			data := mg.scratch[:len(batch)]
-			for i, pn := range batch {
-				data[i] = s.as.PageView(pn)
-			}
-			seg := kernel.AppendPageRun(win.SegBuf(), s.as.ID, batch, data)
-			err := win.Send(ctx.Task(), targetKS, vid.Message{
-				Op:  kernel.KsWritePages,
-				W:   [6]uint32{uint32(finalID), kernel.WriteModeIfAbsent},
-				Seg: seg,
-			})
-			if err != nil {
-				return err
-			}
-			for _, pn := range batch {
-				s.as.ClearDirtyPage(pn)
-			}
-			kb := float64(len(batch)) * mem.PageSize / 1024
-			rep.ResiduePushKB += kb
-			rep.BytesCopied += int64(len(batch)) * mem.PageSize
-			rep.WireBytes += int64(len(seg))
-			rs.stats.PushKB += kb
-		}
-	}
-	return nil
-}
-
-// pageDelivered reports whether a residue page's delivery marker has been
-// cleared (a KsFetchPage served it, or an earlier push batch sent it).
-func pageDelivered(as *mem.AddressSpace, pn mem.PageNo) bool {
-	return !as.PageDirty(pn)
+	as.ClearDirtyPage(pn)
+	return true
 }
 
 // residueState is the shared state of one post-copy residue: the frozen
@@ -442,7 +316,6 @@ func pageDelivered(as *mem.AddressSpace, pn mem.PageNo) bool {
 // coordinate through. The simulation is single-threaded, so cross-host
 // field access needs no locking and stays deterministic.
 type residueState struct {
-	mg      *Migrator
 	srcHost *kernel.Host
 	srcLH   *kernel.LogicalHost // the receptacle (renamed post-swap)
 	srcKS   vid.PID             // source kernel server, via its system LH
@@ -466,7 +339,10 @@ type residueState struct {
 // loses exactly those pages — the guest's next reference finds the
 // receptacle gone and the fallback chain aborts a healthy guest — so
 // completion is judged by destination presence, never by source-side
-// markers. Returns nil once the residue is fully resident (or the guest
+// markers. A page that is all zero in the frozen receptacle counts as
+// drained while absent: no install makes it present (zero pages are
+// skipped), and once finish clears the fault path an absent page reads as
+// zeros. Returns nil once the residue is fully resident (or the guest
 // itself is gone, which moots it); errors when the residue aborted
 // meanwhile or the destination stops making progress.
 func (rs *residueState) awaitDrained(ctx *kernel.ProcCtx) error {
@@ -487,7 +363,7 @@ func (rs *residueState) awaitDrained(ctx *kernel.ProcCtx) error {
 				continue
 			}
 			for _, pn := range s.pages {
-				if !das.Present(pn) {
+				if !das.Present(pn) && !mem.IsZeroPage(s.as.PageView(pn)) {
 					missing = true
 					break scan
 				}

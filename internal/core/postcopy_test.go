@@ -312,20 +312,22 @@ func TestPostcopyResidueCrossesWireOnce(t *testing.T) {
 	}
 }
 
-// blockedGuest is a program that dirties kb KB of heap, one word a page,
-// then sends one request to the given server and exits with the send's
-// transport status once it is answered: a guest that executes nothing —
-// so references nothing — for as long as the server holds its request.
-func blockedGuest(kb uint32, server vid.PID) *image.Image {
+// blockedGuest is a program that writes the word fill into kb fresh KB of
+// heap, one word a page, then sends one request to the given server and
+// exits with the send's transport status once it is answered: a guest
+// that executes nothing — so references nothing — for as long as the
+// server holds its request. A zero fill leaves kb allocated all-zero pages.
+func blockedGuest(kb, fill uint32, server vid.PID) *image.Image {
 	code, err := vvm.Assemble(fmt.Sprintf(`
         LDI r0, 0
         LD r12, r0, 0x14   ; heap base: the message block lives here
-        LDI r1, 4096       ; dirty heap+4096 .. heap+4096+kb KB
+        LDI r1, 4096       ; write heap+4096 .. heap+4096+kb KB
         LDI r2, %d
+        LDI r4, %d
 fill:   BGE r1, r2, ask
         MOV r3, r12
         ADD r3, r1
-        ST r1, r3, 0       ; the (non-zero) offset: no all-zero page
+        ST r4, r3, 0       ; the first write allocates the page
         ADDI r1, 1024
         JMP fill
 ask:    LDI r1, %d
@@ -336,7 +338,7 @@ ask:    LDI r1, %d
         SEND r0
         LD r0, r12, 52     ; transport error, 0 when answered
         HALT r0
-`, 4096+kb*1024, uint32(server)))
+`, 4096+kb*1024, fill, uint32(server)))
 	if err != nil {
 		panic(err)
 	}
@@ -346,13 +348,21 @@ ask:    LDI r1, %d
 	}
 }
 
-// TestPostcopyPushAloneCompletesResidue migrates a guest that is blocked
-// in a Send across the whole residue window, so it never faults: the
-// source's push-out, the residue's only bulk mover, must by itself make
-// every deferred page resident, and the receptacle goes once it has.
-func TestPostcopyPushAloneCompletesResidue(t *testing.T) {
-	t.Parallel()
-	c := boot(t, Options{Workstations: 3, Seed: 47, Policy: PolicyPostcopy})
+// blockedMigration is what a test sees of a blockedGuest migrated under
+// post-copy while its Send is held: the report, the deferred pages still
+// absent at the destination and the logical hosts left on the source as
+// Migrate returned, and the guest's exit code once released.
+type blockedMigration struct {
+	rep         *MigrationReport
+	w           *residueWindow
+	absent      int
+	receptacles int
+	code        uint32
+}
+
+func migrateBlocked(t *testing.T, seed int64, kb, fill uint32) blockedMigration {
+	t.Helper()
+	c := boot(t, Options{Workstations: 3, Seed: seed, Policy: PolicyPostcopy})
 	release := false
 	holder := c.FSHost.SpawnServer("holder", 4096, func(ctx *kernel.ProcCtx) {
 		req := ctx.Receive()
@@ -361,20 +371,17 @@ func TestPostcopyPushAloneCompletesResidue(t *testing.T) {
 		}
 		ctx.Reply(req, vid.Message{Op: 1})
 	})
-	c.Install(blockedGuest(96, holder.PID()))
-	w := watchResidue(c, c.Node(1))
+	c.Install(blockedGuest(kb, fill, holder.PID()))
+	bm := blockedMigration{w: watchResidue(c, c.Node(1))}
 
-	var rep *MigrationReport
-	var code uint32
 	var err error
-	var absent, receptacles int
 	c.Node(0).Agent(func(a *Agent) {
 		var job *Job
 		if job, err = a.Exec("blocked", nil, "ws1"); err != nil {
 			return
 		}
 		a.Sleep(time.Second) // long past the fill loop: the guest is in its Send
-		if rep, err = a.Migrate(job, false); err != nil {
+		if bm.rep, err = a.Migrate(job, false); err != nil {
 			return
 		}
 		_, lh := c.FindProgram(job.LHID)
@@ -383,41 +390,68 @@ func TestPostcopyPushAloneCompletesResidue(t *testing.T) {
 			return
 		}
 		for _, as := range lh.Spaces() {
-			for _, pn := range w.deferred[as.ID] {
+			for _, pn := range bm.w.deferred[as.ID] {
 				if !as.Present(pn) {
-					absent++
+					bm.absent++
 				}
 			}
 		}
 		for _, lh := range c.Node(1).Host.LHs() {
 			if !lh.System() {
-				receptacles++
+				bm.receptacles++
 			}
 		}
 		release = true
-		code, err = a.Wait(job)
+		bm.code, err = a.Wait(job)
 	})
 	c.Run(time.Minute)
 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code != 0 {
-		t.Fatalf("guest exited %d: its Send did not survive the migration", code)
+	if bm.code != 0 {
+		t.Fatalf("guest exited %d: its Send did not survive the migration", bm.code)
 	}
-	if rep.PostSwapFaults != 0 || rep.PostSwapPullKB != 0 {
-		t.Fatalf("%d faults, %.0f KB fetched on behalf of a guest that never ran", rep.PostSwapFaults, rep.PostSwapPullKB)
+	if bm.rep.PostSwapFaults != 0 || bm.rep.PostSwapPullKB != 0 {
+		t.Fatalf("%d faults, %.0f KB fetched on behalf of a guest that never ran", bm.rep.PostSwapFaults, bm.rep.PostSwapPullKB)
 	}
-	if rep.ResidueAborted {
+	if bm.rep.ResidueAborted {
 		t.Fatal("residue aborted on a healthy cluster")
 	}
-	if w.residueKB() < 96 || rep.ResiduePushKB != w.residueKB() {
-		t.Fatalf("pushed %.0f KB of a %.0f KB residue (≥ 96 KB dirtied)", rep.ResiduePushKB, w.residueKB())
+	if bm.receptacles != 0 {
+		t.Fatalf("%d logical hosts left on the source: receptacle not destroyed", bm.receptacles)
 	}
-	if absent != 0 {
-		t.Fatalf("%d deferred pages not resident at the destination when Migrate returned", absent)
+	return bm
+}
+
+// TestPostcopyPushAloneCompletesResidue migrates a guest that is blocked
+// in a Send across the whole residue window, so it never faults: the
+// source's push-out, the residue's only bulk mover, must by itself make
+// every deferred page resident, and the receptacle goes once it has.
+func TestPostcopyPushAloneCompletesResidue(t *testing.T) {
+	t.Parallel()
+	bm := migrateBlocked(t, 47, 96, 1)
+	if bm.w.residueKB() < 96 || bm.rep.ResiduePushKB != bm.w.residueKB() {
+		t.Fatalf("pushed %.0f KB of a %.0f KB residue (≥ 96 KB dirtied)", bm.rep.ResiduePushKB, bm.w.residueKB())
 	}
-	if receptacles != 0 {
-		t.Fatalf("%d logical hosts left on the source: receptacle not destroyed", receptacles)
+	if bm.absent != 0 {
+		t.Fatalf("%d deferred pages not resident at the destination when Migrate returned", bm.absent)
+	}
+}
+
+// TestPostcopyZeroPagesDrain: a residue holding allocated all-zero pages
+// drains at once. No install makes such a page present at the destination
+// — the push elides it and InstallPageIfAbsent skips zeros — so the drain
+// counts it by its contents in the frozen receptacle; waiting for its
+// presence instead would sit out ResidueDrainTimeout and report a healthy
+// guest's residue aborted.
+func TestPostcopyZeroPagesDrain(t *testing.T) {
+	t.Parallel()
+	bm := migrateBlocked(t, 47, 8, 0)
+	if bm.absent != 8 {
+		t.Fatalf("%d deferred pages absent at the destination, want the 8 zero ones", bm.absent)
+	}
+	if bm.rep.Total >= time.Second {
+		t.Fatalf("migration took %v: the drain waited on zero pages", bm.rep.Total)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // copyCell is one measurement of the bulk-transfer engine: a pusher
 // process streams a synthetic address space into a sink logical host on
 // another workstation through a copy window, exactly the mechanism the
-// migrator's copyRuns uses.
+// migrator's sendRuns uses.
 type copyCell struct {
 	kbps      float64       // effective copy bandwidth: logical KB / elapsed
 	dur       time.Duration // push duration

@@ -282,16 +282,16 @@ func VMPaging(seed int64) *Result {
 
 	r.row("freeze time: pre-copy", "5-210 ms", fmt.Sprintf("%.0f ms", pre.FreezeTime.Seconds()*1000), "")
 	r.row("freeze time: flush variant", "similar (residual only)", fmt.Sprintf("%.0f ms", fl.FreezeTime.Seconds()*1000), "")
-	r.row("pages copied twice (flushed then faulted)", "small", fmt.Sprintf("%.0f KB (%d faults)", pager.FaultKB, pager.Faults),
+	r.row("pages copied twice (flushed then faulted)", "small", fmt.Sprintf("%.0f KB (%d faults)", pager.FaultKB(), pager.Faults),
 		"dirty on old host, then referenced on new host")
 	r.row("bytes placed on the network by the source", "comparable", fmt.Sprintf("precopy %.0f KB vs flush %.0f KB",
 		float64(pre.BytesCopied)/1024, float64(fl.BytesCopied)/1024), "")
 	r.metric("precopy_freeze_ms", pre.FreezeTime.Seconds()*1000)
 	r.metric("flush_freeze_ms", fl.FreezeTime.Seconds()*1000)
-	r.metric("fault_KB", pager.FaultKB)
+	r.metric("fault_KB", pager.FaultKB())
 	r.check(pager.Faults > 0, "no demand faults observed")
 	r.check(fl.FreezeTime < 700*time.Millisecond, "flush freeze %.0fms not small", fl.FreezeTime.Seconds()*1000)
-	r.check(pager.FaultKB <= float64(fl.BytesCopied)/1024, "faulted more than flushed")
+	r.check(pager.FaultKB() <= float64(fl.BytesCopied)/1024, "faulted more than flushed")
 	return r
 }
 
