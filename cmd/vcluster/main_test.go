@@ -43,6 +43,34 @@ quit
 	}
 }
 
+// TestScriptedMigrateEveryPolicy pins `vcluster -policy`: each of its
+// spellings parses, and a migration under it reports the policy's name.
+func TestScriptedMigrateEveryPolicy(t *testing.T) {
+	for spelling, name := range map[string]string{
+		"precopy":       "precopy",
+		"stopcopy":      "stop-and-copy",
+		"stop-and-copy": "stop-and-copy",
+		"flush":         "vm-flush",
+		"vm-flush":      "vm-flush",
+		"forwarding":    "forwarding",
+		"postcopy":      "postcopy",
+		"hybrid":        "hybrid",
+	} {
+		pol, err := core.ParsePolicy(spelling)
+		if err != nil {
+			t.Fatalf("-policy %s: %v", spelling, err)
+		}
+		out := script(t, core.Options{Workstations: 3, Seed: 8, Policy: pol}, `
+run tex @ ws1
+advance 3s
+migrate j1
+`)
+		if w := "tex migrated (" + name + ")"; !strings.Contains(out, w) {
+			t.Fatalf("-policy %s: output missing %q:\n%s", spelling, w, out)
+		}
+	}
+}
+
 func TestScriptedErrors(t *testing.T) {
 	out := script(t, core.Options{Workstations: 2, Seed: 2}, `
 run nosuchprogram

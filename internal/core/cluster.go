@@ -165,7 +165,7 @@ func NewCluster(opt Options) *Cluster {
 	}
 	tb := trace.NewBus()
 	bus.SetTraceBus(tb)
-	c := &Cluster{Sim: eng, Bus: bus, Trace: tb, opt: opt}
+	c := &Cluster{Sim: eng, Bus: bus, Trace: tb, opt: opt, pagers: make(map[vid.LHID]*PagerStats)}
 	c.Fault = fault.New(eng, bus, tb)
 	tb.RegisterSource("net", func() []trace.Metric {
 		bs := bus.Stats()

@@ -8,6 +8,7 @@ import (
 	"vsystem/internal/kernel"
 	"vsystem/internal/params"
 	"vsystem/internal/progmgr"
+	"vsystem/internal/sched"
 	"vsystem/internal/trace"
 	"vsystem/internal/vid"
 )
@@ -26,10 +27,10 @@ func (s HostSel) MAC() uint16 { return s.SystemLH.Station() }
 // ErrNoHost means no workstation answered a selection query.
 var ErrNoHost = errors.New("core: no host available")
 
-// SelectVia routes a host-selection query through the node's scheduling
-// selector (policy + cached load view) and adapts the result.
-func (n *Node) SelectVia(ctx *kernel.ProcCtx, minMem uint32, exclude ...vid.LHID) (HostSel, error) {
-	l, err := n.Selector.Select(ctx, minMem, exclude...)
+// selectVia routes a host-selection query through a workstation's
+// scheduling selector (policy + cached load view) and adapts the result.
+func selectVia(s *sched.Selector, ctx *kernel.ProcCtx, minMem uint32, exclude ...vid.LHID) (HostSel, error) {
+	l, err := s.Select(ctx, minMem, exclude...)
 	if err != nil {
 		return HostSel{}, ErrNoHost
 	}
@@ -96,36 +97,18 @@ func (a *Agent) ExecR(prog string, args []string, where string, maxRestarts int)
 	case "*":
 		// "some other lightly loaded machine" (§4.3): exclude the home
 		// workstation.
-		sel, err = a.node.SelectVia(ctx, ExecMinMem, a.node.Host.SystemLH().ID())
+		sel, err = selectVia(a.node.Selector, ctx, ExecMinMem, a.node.Host.SystemLH().ID())
 	default:
 		sel, err = FindHost(ctx, where)
 	}
 	if err != nil {
 		return nil, err
 	}
-	guest := uint32(0)
-	if sel.SystemLH != a.node.Host.SystemLH().ID() {
-		guest = 1
-	}
-	seg := []byte(strings.Join(append([]string{prog}, args...), "\x00"))
-	m, err := ctx.Send(sel.PM, vid.Message{
-		Op:  progmgr.PmCreateProgram,
-		W:   [6]uint32{uint32(a.node.Display.PID()), guest},
-		Seg: seg,
-	})
+	job, err := a.CreateProgram(sel, prog, args)
 	if err != nil {
 		return nil, err
 	}
-	if !m.OK() {
-		return nil, m.Err()
-	}
-	job := &Job{
-		Name: prog,
-		PID:  vid.PID(m.W[0]),
-		LHID: vid.LHID(m.W[1]),
-		PM:   sel.PM,
-		Host: whereName(a, sel),
-	}
+	job.Host = whereName(a, sel)
 	// Start the program: the creator's go-ahead to the initial process,
 	// via the kernel server reachable through the program's logical host.
 	sm, err := ctx.Send(kernel.KernelServerPID(job.LHID), vid.Message{
@@ -146,7 +129,7 @@ func (a *Agent) ExecR(prog string, args []string, where string, maxRestarts int)
 		}
 		return nil, sm.Err()
 	}
-	if guest == 1 && maxRestarts > 0 {
+	if sel.SystemLH != a.node.Host.SystemLH().ID() && maxRestarts > 0 {
 		a.superviseSession(&progmgr.SessionInfo{
 			LHID: job.LHID, PID: job.PID, Name: prog, Args: args,
 			Stdout: a.node.Display.PID(), MinMem: ExecMinMem,
@@ -389,7 +372,7 @@ func MinMemFor(spaceSize uint32) uint32 {
 // Select performs one decentralized host-selection query (experiments),
 // through the node's configured selection policy.
 func (a *Agent) Select(minMem uint32) (HostSel, error) {
-	return a.node.SelectVia(a.ctx, minMem, a.node.Host.SystemLH().ID())
+	return selectVia(a.node.Selector, a.ctx, minMem, a.node.Host.SystemLH().ID())
 }
 
 // CreateProgram sets up an execution environment on the selected host

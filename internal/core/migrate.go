@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"vsystem/internal/ethernet"
@@ -16,72 +17,84 @@ import (
 	"vsystem/internal/vid"
 )
 
-// Policy selects the migration mechanism.
-type Policy int
+// Policy is a migration mechanism: one choice on each of four axes, which
+// the copy steps of migrate() read (policy.go). The zero value is §3.1's
+// pre-copy, and the six named values below are the only configurations.
+type Policy struct {
+	live       livePhase // what is copied while the program still runs
+	fileServer bool      // sink: the file server's paging store, not the destination placeholder
+	receptacle bool      // residue: left in a frozen source receptacle, not sent while frozen
+	forward    bool      // rebind: a forwarding address on the old host, not a broadcast binding
+}
+
+// livePhase is what a migration copies before it freezes the program.
+type livePhase uint8
 
 const (
+	liveRounds livePhase = iota // pre-copy rounds until precopyDone
+	liveHot                     // one round over the recently dirtied (hot) pages
+	liveNone                    // nothing: freeze at once
+)
+
+var (
 	// PolicyPrecopy is the paper's design (§3.1): iteratively copy the
 	// address spaces while the program runs, freeze only for the residue.
-	PolicyPrecopy Policy = iota
+	PolicyPrecopy = Policy{}
 	// PolicyStopCopy is the naive comparator the paper argues against:
 	// freeze first, then copy everything ("frozen for over 6 seconds" for
 	// a 2 MB host, §3.1).
-	PolicyStopCopy
+	PolicyStopCopy = Policy{live: liveNone}
 	// PolicyFlush is the §3.2 virtual-memory variant: flush pages to the
 	// network file server, move kernel state only, and demand-fault pages
 	// in on the new host.
-	PolicyFlush
+	PolicyFlush = Policy{fileServer: true}
 	// PolicyForwarding is PolicyPrecopy but with Demos/MP-style
 	// forwarding addresses instead of rebinding (§5): the old host keeps
 	// a forwarding entry and no new binding is broadcast.
-	PolicyForwarding
+	PolicyForwarding = Policy{forward: true}
 	// PolicyPostcopy inverts the residue cost: freeze immediately, move
 	// kernel state only, swap the identity, and let the destination
 	// demand-fault every page from a frozen source receptacle while the
 	// guest already runs (with the source's push-out racing the faults).
-	PolicyPostcopy
+	PolicyPostcopy = Policy{live: liveNone, receptacle: true}
 	// PolicyHybrid is post-copy with hot-working-set pre-copy: a short
 	// recent-dirty sample picks the hot pages, which are copied before
 	// the freeze; re-dirtied ones are invalidated (not re-copied) during
 	// the freeze, and everything else moves post-swap.
-	PolicyHybrid
+	PolicyHybrid = Policy{live: liveHot, receptacle: true}
 )
 
+// policyNames names every Policy value: String prints the first name (the
+// report's Policy field carries it), and ParsePolicy accepts them all.
+var policyNames = []struct {
+	names []string
+	p     Policy
+}{
+	{[]string{"precopy"}, PolicyPrecopy},
+	{[]string{"stop-and-copy", "stopcopy"}, PolicyStopCopy},
+	{[]string{"vm-flush", "flush"}, PolicyFlush},
+	{[]string{"forwarding"}, PolicyForwarding},
+	{[]string{"postcopy"}, PolicyPostcopy},
+	{[]string{"hybrid"}, PolicyHybrid},
+}
+
 func (p Policy) String() string {
-	switch p {
-	case PolicyPrecopy:
-		return "precopy"
-	case PolicyStopCopy:
-		return "stop-and-copy"
-	case PolicyFlush:
-		return "vm-flush"
-	case PolicyForwarding:
-		return "forwarding"
-	case PolicyPostcopy:
-		return "postcopy"
-	case PolicyHybrid:
-		return "hybrid"
+	for _, e := range policyNames {
+		if e.p == p {
+			return e.names[0]
+		}
 	}
 	return "?"
 }
 
-// ParsePolicy maps a command-line policy name to its enum value.
+// ParsePolicy maps a command-line policy name to its value.
 func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "precopy":
-		return PolicyPrecopy, nil
-	case "stopcopy", "stop-and-copy":
-		return PolicyStopCopy, nil
-	case "flush", "vm-flush":
-		return PolicyFlush, nil
-	case "forwarding":
-		return PolicyForwarding, nil
-	case "postcopy":
-		return PolicyPostcopy, nil
-	case "hybrid":
-		return PolicyHybrid, nil
+	for _, e := range policyNames {
+		if slices.Contains(e.names, s) {
+			return e.p, nil
+		}
 	}
-	return 0, fmt.Errorf("unknown policy %q (precopy|stopcopy|flush|forwarding|postcopy|hybrid)", s)
+	return Policy{}, fmt.Errorf("unknown policy %q (precopy|stopcopy|flush|forwarding|postcopy|hybrid)", s)
 }
 
 // RoundStat describes one pre-copy (or flush) round.
@@ -299,16 +312,6 @@ type Migrator struct {
 
 var _ progmgr.Migrator = (*Migrator)(nil)
 
-// selectDest picks a migration destination through the scheduling
-// selector.
-func (mg *Migrator) selectDest(ctx *kernel.ProcCtx, minMem uint32, exclude ...vid.LHID) (HostSel, error) {
-	l, err := mg.Selector.Select(ctx, minMem, exclude...)
-	if err != nil {
-		return HostSel{}, ErrNoHost
-	}
-	return HostSel{PM: l.PM, SystemLH: l.SystemLH, MemFree: l.MemFree}, nil
-}
-
 // span publishes a completed migration phase to the cluster's trace bus.
 func (mg *Migrator) span(s trace.Span) {
 	if mg.Cluster != nil {
@@ -378,18 +381,14 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 	host := pm.Host()
 	start := ctx.Now()
 	rep := &MigrationReport{Policy: mg.Policy.String()}
-	cp := mg.Policy.copyPolicy()
-	if cp == nil {
-		return nil, fmt.Errorf("%w: unknown policy %v", ErrMigrationFailed, mg.Policy)
-	}
-	// The migrating identity. lh.ID() matches it until a post-copy
-	// BeforeUnfreeze renames the source copy into a residue receptacle,
-	// so every post-swap step uses this instead.
+	// The migrating identity. lh.ID() matches it until beforeUnfreeze
+	// renames the source copy into a residue receptacle, so every
+	// post-swap step uses this instead.
 	finalID := lh.ID()
 
 	// 1. Locate a new host, excluding ourselves and destinations that
 	// already failed this migration.
-	sel, err := mg.selectDest(ctx, lh.MemUsed()+64*1024,
+	sel, err := selectVia(mg.Selector, ctx, lh.MemUsed()+64*1024,
 		append([]vid.LHID{host.SystemLH().ID()}, excludes...)...)
 	if err != nil {
 		return nil, &PhaseError{Phase: trace.PhaseSelect, Err: err}
@@ -459,7 +458,7 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 		sel: sel, finalID: finalID, tempLH: tempLH, targetKS: targetKS,
 		win: win, rep: rep, srcMAC: srcMAC, dstMAC: dstMAC,
 	}
-	if ph, round, err := cp.PreSwap(at); err != nil {
+	if ph, round, err := at.preSwap(); err != nil {
 		return fail(ph, round, true, err)
 	}
 
@@ -511,15 +510,13 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 	rep.KernelTime = ctx.Now().Sub(kStart)
 	mg.span(trace.Span{LH: finalID, Phase: trace.PhaseSwap, Start: kStart, End: ctx.Now()})
 	mg.atPhase(finalID, trace.PhaseRebind, 0, srcMAC, dstMAC)
-	// Demand-paging setup (flush's file-server pager, post-copy's
-	// receptacle and remote-fault path) before the new copy can run.
-	cp.BeforeUnfreeze(at)
+	at.beforeUnfreeze()
 
-	// 5. Unfreeze the new copy (broadcasting the binding unless running
-	// the forwarding comparator), delete the old copy, notify the new
-	// manager.
+	// 5. Unfreeze the new copy (broadcasting the binding unless the
+	// policy rebinds by forwarding address), delete the old copy, notify
+	// the new manager.
 	broadcast := uint32(1)
-	if mg.Policy == PolicyForwarding {
+	if mg.Policy.forward {
 		broadcast = 0
 	}
 	rbStart := ctx.Now()
@@ -553,7 +550,7 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 	// The freeze window encloses residue, swap and rebind; its duration is
 	// by construction the report's FreezeTime.
 	mg.span(trace.Span{LH: finalID, Phase: trace.PhaseFreeze, Start: at.freezeStart, End: ctx.Now()})
-	if mg.Policy == PolicyForwarding {
+	if mg.Policy.forward {
 		// Demos/MP comparator: leave a forwarding address on this host.
 		host.IPC.SetForward(finalID, targetMAC(sel))
 	}
@@ -563,12 +560,12 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 	// The identity now lives at the destination: the local slot must not
 	// be recycled into a colliding logical host. (A post-copy source copy
 	// survives under a fresh private id as the page-serving receptacle;
-	// AfterCommit destroys it once the residue drains.)
+	// afterCommit destroys it once the residue drains.)
 	host.RetireLHID(finalID)
 	ctx.Send(rep.NewPM, vid.Message{
 		Op: progmgr.PmAssumeMigration, W: [6]uint32{uint32(finalID)},
 	})
-	cp.AfterCommit(at)
+	at.afterCommit()
 	rep.Total = ctx.Now().Sub(start)
 	return rep, nil
 }
@@ -593,13 +590,7 @@ type spacePages struct {
 	pages []mem.PageNo
 }
 
-func kbOf(sp []spacePages) float64 {
-	n := 0
-	for _, s := range sp {
-		n += len(s.pages)
-	}
-	return float64(n) * mem.PageSize / 1024
-}
+func kbOf(sp []spacePages) float64 { return float64(pageCount(sp)) * mem.PageSize / 1024 }
 
 func pageCount(sp []spacePages) int {
 	n := 0

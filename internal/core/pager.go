@@ -95,7 +95,7 @@ func (at *copyAttempt) demandPage(node *Node, lh *kernel.LogicalHost, stats *Pag
 	fetch func(t *sim.Task, as *mem.AddressSpace, pn mem.PageNo) []byte) {
 
 	id, c := lh.ID(), at.mg.Cluster
-	c.registerPager(id, stats)
+	c.pagers[id] = stats // for the experiment harness
 	for _, as := range lh.Spaces() {
 		as.SetFault(func(pn mem.PageNo) []byte {
 			t := node.Host.Eng.Current()
@@ -219,14 +219,6 @@ func (n *Node) pagerPID() vid.PID {
 		}
 	}
 	panic("core: pager port ids exhausted")
-}
-
-// registerPager records a pager's stats for the experiment harness.
-func (c *Cluster) registerPager(lhid vid.LHID, st *PagerStats) {
-	if c.pagers == nil {
-		c.pagers = make(map[vid.LHID]*PagerStats)
-	}
-	c.pagers[lhid] = st
 }
 
 // PagerStatsFor returns demand-paging stats for a flush- or post-copy-

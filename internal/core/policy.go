@@ -14,9 +14,10 @@ import (
 )
 
 // copyAttempt bundles the per-attempt state of one migration: everything
-// the copy policies need to move address-space state between the frozen
+// the copy steps need to move address-space state between the frozen
 // source copy and the destination placeholder. migrate() builds one per
-// attempt and threads it through the policy hooks.
+// attempt and calls its three steps — preSwap, beforeUnfreeze and
+// afterCommit — which interpret the migrator's Policy.
 type copyAttempt struct {
 	mg   *Migrator
 	ctx  *kernel.ProcCtx
@@ -31,74 +32,37 @@ type copyAttempt struct {
 	rep         *MigrationReport
 	srcMAC      ethernet.MAC
 	dstMAC      ethernet.MAC
-	freezeStart sim.Time // when PreSwap froze the logical host
+	freezeStart sim.Time // when preSwap froze the logical host
 
-	// residue is set by the post-copy policies between swap and unfreeze:
-	// the source copy stays behind as a page-serving receptacle and the
-	// teardown path changes accordingly.
+	// residue is set by a receptacle policy's preSwap: the source copy
+	// stays behind as a page-serving receptacle and the teardown path
+	// changes accordingly.
 	residue *residueState
 }
 
-// CopyPolicy is the pluggable copy machinery of one migration attempt.
-// migrate() owns the invariant structure — destination selection, the
-// kernel-state swap, the identity change, unfreeze/rebind, teardown — and
-// delegates all address-space movement to the policy:
-//
-//   - PreSwap moves (or flushes, or deliberately defers) the address-space
-//     state, ending with the logical host frozen. Everything here precedes
-//     the identity swap, so failures are retry-safe; the returned phase
-//     and round label the failure point for the typed PhaseError.
-//   - BeforeUnfreeze runs after the identity swap has committed but before
-//     the new copy is unfrozen: demand-paging setup (flush's file-server
-//     pager, post-copy's receptacle and remote-fault path) must be in
-//     place before the guest can run.
-//   - AfterCommit runs once the migration is committed, the new copy
-//     unfrozen and the source identity retired. It must not fail the
-//     migration — the identity has moved — so residue-transfer problems
-//     are recorded in the report, never returned.
-type CopyPolicy interface {
-	PreSwap(at *copyAttempt) (trace.Phase, int, error)
-	BeforeUnfreeze(at *copyAttempt)
-	AfterCommit(at *copyAttempt)
-}
-
-// copyPolicy maps the policy enum to its implementation (nil for unknown
-// values).
-func (p Policy) copyPolicy() CopyPolicy {
-	switch p {
-	case PolicyPrecopy, PolicyForwarding:
-		return precopyPolicy{}
-	case PolicyStopCopy:
-		return stopCopyPolicy{}
-	case PolicyFlush:
-		return flushPolicy{}
-	case PolicyPostcopy:
-		return postcopyPolicy{}
-	case PolicyHybrid:
-		return postcopyPolicy{hybrid: true}
+// preSwap moves (or flushes, or deliberately defers) the address-space
+// state, ending with the logical host frozen. The sink picks where pages
+// go; the live phase and residue pick the loop. Everything here precedes
+// the identity swap, so failures are retry-safe; the returned phase and
+// round label the failure point for the typed PhaseError.
+func (at *copyAttempt) preSwap() (trace.Phase, int, error) {
+	p := at.mg.Policy
+	send := at.writeTo(kernel.WriteModeCopy)
+	if p.fileServer {
+		send = at.pageOut
 	}
-	return nil
-}
-
-// precopyPolicy is §3.1.2: iterative pre-copy rounds while the program
-// runs, then freeze and copy the dirty residue. PolicyForwarding shares
-// it (the policies differ only in rebinding, which migrate() owns).
-type precopyPolicy struct{}
-
-func (precopyPolicy) PreSwap(at *copyAttempt) (trace.Phase, int, error) {
-	return at.iterate(at.writeTo(kernel.WriteModeCopy))
-}
-func (precopyPolicy) BeforeUnfreeze(*copyAttempt) {}
-func (precopyPolicy) AfterCommit(*copyAttempt)    {}
-
-// stopCopyPolicy is the naive comparator: freeze first, copy everything
-// while frozen.
-type stopCopyPolicy struct{}
-
-func (stopCopyPolicy) PreSwap(at *copyAttempt) (trace.Phase, int, error) {
+	switch {
+	case p.receptacle:
+		return at.deferResidue(p.live == liveHot, send)
+	case p.live == liveRounds:
+		return at.iterate(send)
+	}
+	// No live phase and a frozen residue: stop-and-copy, the naive
+	// comparator. Freeze first and copy everything while frozen; that copy
+	// is its one round (E2 reads Rounds[0]).
 	at.freeze()
 	all := at.allPages()
-	if err := at.sendResidue(all, at.writeTo(kernel.WriteModeCopy)); err != nil {
+	if err := at.sendResidue(all, send); err != nil {
 		return trace.PhaseResidue, 0, err
 	}
 	kb, dur := kbOf(all), at.ctx.Now().Sub(at.freezeStart)
@@ -108,48 +72,21 @@ func (stopCopyPolicy) PreSwap(at *copyAttempt) (trace.Phase, int, error) {
 	})
 	return 0, 0, nil
 }
-func (stopCopyPolicy) BeforeUnfreeze(*copyAttempt) {}
-func (stopCopyPolicy) AfterCommit(*copyAttempt)    {}
 
-// flushPolicy is §3.2: pre-copy's loop with the network file server as its
-// sink — modified pages are flushed iteratively, then the residue while
-// frozen — kernel state only to the new host, which demand-faults pages in
-// from the file server.
-type flushPolicy struct{}
-
-func (flushPolicy) PreSwap(at *copyAttempt) (trace.Phase, int, error) {
-	return at.iterate(at.pageOut)
-}
-
-func (flushPolicy) BeforeUnfreeze(at *copyAttempt) {
-	// Configure file-server demand paging on the new copy before it runs.
-	if node, lh := at.destCopy(); lh != nil {
-		at.demandPage(node, lh, &PagerStats{}, func(t *sim.Task, as *mem.AddressSpace, pn mem.PageNo) []byte {
-			return at.pageIn(t, node, as, pn)
-		})
-	}
-}
-func (flushPolicy) AfterCommit(*copyAttempt) {}
-
-// postcopyPolicy inverts the residue cost: freeze almost immediately, move
-// kernel state (plus, for hybrid, the hot working set), swap the identity
-// and let the destination demand-fault the rest from a frozen source
-// receptacle while the guest already runs. The hybrid flavor pre-copies
-// the recently-dirty ("hot") page set before freezing so the post-swap
-// fault storm mostly misses, and pays only an invalidation run — a few
-// bytes per page — for hot pages re-dirtied during that copy.
-type postcopyPolicy struct {
-	hybrid bool
-}
-
-func (p postcopyPolicy) PreSwap(at *copyAttempt) (trace.Phase, int, error) {
+// deferResidue inverts the residue cost: freeze almost immediately (for
+// hybrid, after one round over the hot working set), and leave every page
+// the destination lacks in the frozen source copy, which beforeUnfreeze
+// turns into a receptacle the destination demand-faults from while the
+// guest already runs. Hybrid pays only an invalidation run — a few bytes
+// per page — for hot pages re-dirtied during its round.
+func (at *copyAttempt) deferResidue(hybrid bool, send func([]spacePages) error) (trace.Phase, int, error) {
 	lh := at.lh
 
 	// sent holds, per space, the pages the destination will hold a valid
 	// copy of at swap time; everything else is post-swap residue.
 	sent := make(map[*mem.AddressSpace]map[mem.PageNo]bool)
 
-	if p.hybrid {
+	if hybrid {
 		// Track dirty bits over a short sample window while the program
 		// runs: the recent-dirty set approximates the hot working set.
 		for _, as := range lh.Spaces() {
@@ -159,7 +96,7 @@ func (p postcopyPolicy) PreSwap(at *copyAttempt) (trace.Phase, int, error) {
 		// Copy the hot set while the program still runs (one pre-copy
 		// round over the hot pages only).
 		hot := at.dirtyPages()
-		if err := at.round(0, hot, at.writeTo(kernel.WriteModeCopy)); err != nil {
+		if err := at.round(0, hot, send); err != nil {
 			return trace.PhasePrecopy, 0, err
 		}
 		for _, s := range hot {
@@ -220,9 +157,22 @@ func (p postcopyPolicy) PreSwap(at *copyAttempt) (trace.Phase, int, error) {
 	return 0, 0, nil
 }
 
-func (p postcopyPolicy) BeforeUnfreeze(at *copyAttempt) {
-	rs := at.residue
+// beforeUnfreeze runs after the identity swap has committed but before
+// the new copy is unfrozen: the demand paging its missing pages need must
+// be in place before the guest can run — the remote-fault path into a
+// receptacle residue, or, after a flush to the file server, page-in from
+// the paging store.
+func (at *copyAttempt) beforeUnfreeze() {
 	node, destLH := at.destCopy()
+	if p := at.mg.Policy; !p.receptacle {
+		if p.fileServer && destLH != nil {
+			at.demandPage(node, destLH, &PagerStats{}, func(t *sim.Task, as *mem.AddressSpace, pn mem.PageNo) []byte {
+				return at.pageIn(t, node, as, pn)
+			})
+		}
+		return
+	}
+	rs := at.residue
 
 	// Rename the source copy to a fresh private id. Local senders to the
 	// original id then miss and rebind to the destination, and the
@@ -250,9 +200,13 @@ func (p postcopyPolicy) BeforeUnfreeze(at *copyAttempt) {
 	at.demandPage(node, destLH, rs.stats, at.demandFetch)
 }
 
-func (p postcopyPolicy) AfterCommit(at *copyAttempt) {
+// afterCommit runs once the migration is committed, the new copy unfrozen
+// and the source identity retired; only a receptacle residue has work
+// left. It must not fail the migration — the identity has moved — so
+// residue-transfer problems are recorded in the report, never returned.
+func (at *copyAttempt) afterCommit() {
 	if at.residue == nil {
-		return // BeforeUnfreeze drained the residue synchronously
+		return // no receptacle, or beforeUnfreeze drained it synchronously
 	}
 	rs, mg, ctx, rep := at.residue, at.mg, at.ctx, at.rep
 	pullStart := ctx.Now()

@@ -34,6 +34,7 @@ func SpaceCost(root string) *Result {
 			files: []string{
 				"internal/core/migrate.go",
 				"internal/core/pager.go",
+				"internal/core/policy.go",
 			},
 		},
 	}
