@@ -74,10 +74,10 @@ func TestExecLeavesNoImageOrPages(t *testing.T) {
 		t.Fatal("a destroyed program returned no page frame")
 	}
 
-	// Fewer than the 32 logical-host slots of a workstation: the 32nd
-	// program would get the first one's PID, and the display server still
-	// remembers that one's last transaction (ROADMAP item 1, lead 1).
-	const n = 24
+	// Twice the 32 logical-host slots of a workstation: from the 33rd on,
+	// each program has an earlier one's PID, under the slot's next
+	// generation.
+	const n = 64
 	big := allocsOfAtLeast(mem.PageSize)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -94,10 +94,10 @@ func TestExecLeavesNoImageOrPages(t *testing.T) {
 	}
 	perExec := (after.TotalAlloc - before.TotalAlloc) / n
 	t.Logf("%d bytes allocated per execution, %d allocations of a page's size or more in %d executions", perExec, big, n)
-	// Measured 16.1 KB (two workstations and a file server, go1.24), pinned
-	// with a quarter of headroom; one reassembled read would add 32 KB, the
+	// Measured 15.3 KB (two workstations and a file server, go1.24), pinned
+	// with a third of headroom; one reassembled read would add 32 KB, the
 	// image 64 KB. The few large allocations that do happen are tables
-	// growing (6 in 24 executions when measured), not one per execution.
+	// growing (9 in 64 executions when measured), not one per execution.
 	if perExec > 20<<10 {
 		t.Errorf("%d bytes allocated per execution, budget 20 KB", perExec)
 	}

@@ -123,6 +123,46 @@ func TestRemoteExecutionOnNamedHost(t *testing.T) {
 	}
 }
 
+// TestExecPastLHIDRecycling runs 40 programs in turn on one workstation,
+// each printing one line to the home display. A workstation has
+// vid.LHSlotCount (32) logical-host ids, so the 33rd program has the first
+// one's PID, and the display server still remembers the first one's last
+// transaction id. Each line must reach the display: a transaction taken
+// for a retransmission of the earlier program's is answered from the reply
+// cache without being shown, or "reply pending" for ever.
+func TestExecPastLHIDRecycling(t *testing.T) {
+	t.Parallel()
+	c := boot(t, Options{Workstations: 2, Seed: 5})
+	c.Install(workload.Image(workload.Spec{Name: "once", DurationMs: 10}, 0))
+	const n = 40
+	done := 0
+	var err error
+	c.Node(0).Agent(func(a *Agent) {
+		for ; done < n; done++ {
+			var job *Job
+			if job, err = a.Exec("once", nil, "ws1"); err != nil {
+				return
+			}
+			if _, err = a.Wait(job); err != nil {
+				return
+			}
+		}
+	})
+	c.Run(2 * time.Minute)
+	if done != n || err != nil {
+		t.Fatalf("%d of %d programs done, error %v", done, n, err)
+	}
+	lines := c.Node(0).Display.Lines()
+	if len(lines) != n {
+		t.Fatalf("home display shows %d lines, want %d", len(lines), n)
+	}
+	for i, l := range lines {
+		if l != "once: done after 10 ms" {
+			t.Fatalf("line %d = %q", i+1, l)
+		}
+	}
+}
+
 func TestExecAtStarPicksIdleOtherHost(t *testing.T) {
 	t.Parallel()
 	c := boot(t, Options{Workstations: 4, Seed: 3})

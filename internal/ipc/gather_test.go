@@ -44,7 +44,7 @@ func TestGatherCollectsAllReplies(t *testing.T) {
 	var err error
 	var elapsed time.Duration
 	r.sim.Spawn("client", func(tk *sim.Task) {
-		client.StartGather(tk, group, vid.Message{Op: testOp}, 200*time.Millisecond)
+		client.StartGather(tk, group, vid.Message{Op: testOp}, 200*time.Millisecond, nil)
 		sent := tk.Now()
 		rs, err = client.AwaitGather(tk)
 		elapsed = tk.Now().Sub(sent)
@@ -93,7 +93,7 @@ func TestGatherDedupsDuplicateReplies(t *testing.T) {
 	var err error
 	var elapsed time.Duration
 	r.sim.Spawn("client", func(tk *sim.Task) {
-		client.StartGather(tk, group, vid.Message{Op: testOp, W: [6]uint32{41}}, 200*time.Millisecond)
+		client.StartGather(tk, group, vid.Message{Op: testOp, W: [6]uint32{41}}, 200*time.Millisecond, nil)
 		sent := tk.Now()
 		rs, err = client.AwaitGather(tk)
 		elapsed = tk.Now().Sub(sent)
@@ -131,7 +131,7 @@ func TestGatherEmptyWindowTimesOut(t *testing.T) {
 	var err error
 	var elapsed time.Duration
 	r.sim.Spawn("client", func(tk *sim.Task) {
-		client.StartGather(tk, vid.GroupProgramManagers, vid.Message{Op: testOp}, window)
+		client.StartGather(tk, vid.GroupProgramManagers, vid.Message{Op: testOp}, window, nil)
 		sent := tk.Now()
 		rs, err = client.AwaitGather(tk)
 		elapsed = tk.Now().Sub(sent)
@@ -176,7 +176,7 @@ func TestGatherUnicastProbe(t *testing.T) {
 	}
 	gather := func(tk *sim.Task, dst vid.PID, m vid.Message) result {
 		m.Op = testOp
-		client.StartGather(tk, dst, m, window)
+		client.StartGather(tk, dst, m, window, nil)
 		sent := tk.Now()
 		rs, err := client.AwaitGather(tk)
 		return result{rs, err, tk.Now().Sub(sent)}
@@ -318,5 +318,85 @@ func TestBindingCacheLRUEviction(t *testing.T) {
 	}
 	if _, ok := e.CacheLookup(vid.LHID(2000)); !ok {
 		t.Error("newest entry missing after insert")
+	}
+}
+
+// TestGatherClosesOnRule: a group gather with a close rule ends at the
+// reply after which the rule holds, at that instant and with the replies
+// so far; one whose rule never holds collects every reply and closes at
+// its window, to the instant, as a gather without a rule does.
+func TestGatherClosesOnRule(t *testing.T) {
+	r := newRig(t, 4, 37)
+	group := vid.GroupProgramManagers
+	lhA := vid.LHID(10)
+	r.place(lhA, 0)
+	client := r.hosts[0].eng.NewPort(vid.NewPID(lhA, 16))
+	delays := []time.Duration{30 * time.Millisecond, 5 * time.Millisecond, 60 * time.Millisecond}
+	for i := 1; i < 4; i++ {
+		lh := vid.LHID(20 + i)
+		r.place(lh, i)
+		p := r.hosts[i].eng.NewPort(vid.NewPID(lh, 16))
+		r.hosts[i].join(group, p.PID())
+		d := delays[i-1]
+		id := uint32(i)
+		r.sim.Spawn("member", func(tk *sim.Task) {
+			for {
+				req := p.Receive(tk)
+				tk.Sleep(d)
+				m := req.Msg
+				m.W[0] = id
+				p.Reply(tk, req, m)
+			}
+		})
+	}
+	const window = 200 * time.Millisecond
+	type result struct {
+		rs      []GatherReply
+		err     error
+		sentAt  sim.Time
+		elapsed time.Duration // from the moment the request was out
+		held    time.Duration // when the rule last answered true, likewise
+		calls   []int         // how many replies the rule saw, call by call
+	}
+	gather := func(tk *sim.Task, need int) *result {
+		res := &result{}
+		client.StartGather(tk, group, vid.Message{Op: testOp}, window, func(rs []GatherReply) bool {
+			res.calls = append(res.calls, len(rs))
+			if len(rs) < need {
+				return false
+			}
+			res.held = r.sim.Now().Sub(res.sentAt)
+			return true
+		})
+		res.sentAt = tk.Now()
+		res.rs, res.err = client.AwaitGather(tk)
+		res.elapsed = tk.Now().Sub(res.sentAt)
+		return res
+	}
+	var two, never *result
+	r.sim.Spawn("client", func(tk *sim.Task) {
+		two = gather(tk, 2)
+		tk.Sleep(time.Second) // the third member's late answer to the first query falls stale
+		never = gather(tk, 4)
+	})
+	r.sim.RunFor(5 * time.Second)
+
+	if two.err != nil || len(two.rs) != 2 || two.rs[0].Msg.W[0] != 2 || two.rs[1].Msg.W[0] != 1 {
+		t.Fatalf("gather closing at two replies = %v, %v; want members 2 then 1", two.rs, two.err)
+	}
+	if two.elapsed != two.held {
+		t.Errorf("gather closed %v after the query went out, the rule held at %v: want the same instant", two.elapsed, two.held)
+	}
+	if two.elapsed < 30*time.Millisecond || two.elapsed >= window {
+		t.Errorf("gather closed after %v, want the second member's 30 ms and a round trip", two.elapsed)
+	}
+	if len(two.calls) != 2 || two.calls[0] != 1 || two.calls[1] != 2 {
+		t.Errorf("rule saw %v replies call by call, want [1 2]", two.calls)
+	}
+	if never.err != nil || len(never.rs) != 3 {
+		t.Fatalf("gather whose rule never holds = %v, %v; want every member's reply", never.rs, never.err)
+	}
+	if never.elapsed != window {
+		t.Errorf("gather whose rule never holds closed %v after the query went out, want its %v window", never.elapsed, window)
 	}
 }

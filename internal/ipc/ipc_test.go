@@ -7,6 +7,7 @@ import (
 
 	"vsystem/internal/cpu"
 	"vsystem/internal/ethernet"
+	"vsystem/internal/params"
 	"vsystem/internal/sim"
 	"vsystem/internal/vid"
 )
@@ -636,5 +637,67 @@ func TestDeterministicReplay(t *testing.T) {
 	f2, t2 := run()
 	if f1 != f2 || t1 != t2 {
 		t.Fatalf("replay diverged: frames %d/%d, finish %v/%v", f1, f2, t1, t2)
+	}
+}
+
+// TestRecycledPIDIsHeard: a server that served a PID's old incarnation
+// hears the new incarnation's first transaction. The old one numbered its
+// transactions 1…3, so the server remembers 3; the new one, under the next
+// generation, starts above it. At generation 0 again its transaction 1
+// would be dropped as stale, and its third taken for a retransmission of
+// the old one's last and answered "reply pending" for ever. The new
+// incarnation then migrates, and its numbering goes on from where it was.
+func TestRecycledPIDIsHeard(t *testing.T) {
+	r := newRig(t, 3, 17)
+	lhA, lhB := vid.LHID(10), vid.LHID(20)
+	r.place(lhA, 0)
+	r.place(lhB, 1)
+	pid := vid.NewPID(lhA, 16)
+	server := r.hosts[1].eng.NewPort(vid.NewPID(lhB, 16))
+	echoServer(r.sim, server)
+
+	var errs []error
+	var rtts []time.Duration
+	send := func(tk *sim.Task, p *Port) {
+		start := tk.Now()
+		_, err := p.Send(tk, server.PID(), vid.Message{Op: testOp})
+		errs = append(errs, err)
+		rtts = append(rtts, tk.Now().Sub(start))
+	}
+	r.sim.Spawn("client", func(tk *sim.Task) {
+		old := r.hosts[0].eng.NewPort(pid)
+		for i := 0; i < 3; i++ {
+			send(tk, old)
+		}
+		old.Close()
+		heir := r.hosts[0].eng.NewPortGen(pid, 1)
+		send(tk, heir)
+
+		st := heir.Snapshot()
+		heir.Close()
+		r.hosts[0].resident[lhA] = false
+		r.hosts[2].resident[lhA] = true
+		moved := r.hosts[2].eng.RestorePort(st, true)
+		r.hosts[2].eng.BroadcastBinding(lhA)
+		send(tk, moved)
+	})
+	r.sim.RunFor(30 * time.Second)
+	if len(errs) != 5 {
+		t.Fatalf("%d of 5 transactions returned", len(errs))
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("transaction %d: %v", i+1, err)
+		}
+	}
+	// The heir's first transaction and the migrated port's are answered as
+	// soon as any: no retransmission interval is spent on them.
+	for _, i := range []int{3, 4} {
+		if rtts[i] >= params.RetransmitInterval {
+			t.Errorf("transaction %d took %v, want one round trip (the first took %v)", i+1, rtts[i], rtts[0])
+		}
+	}
+	if st := r.hosts[1].eng.Stats(); st.DroppedStale != 0 || st.ReplyPendings != 0 {
+		t.Errorf("server dropped %d requests as stale and sent %d reply-pendings, want none", st.DroppedStale, st.ReplyPendings)
 	}
 }

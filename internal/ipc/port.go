@@ -70,8 +70,9 @@ type sendTxn struct {
 	// the window instead of completing on the first one.
 	gather  bool
 	replies []GatherReply
-	seen    map[vid.PID]bool // group gather: responders already recorded (dedup)
-	wtimer  sim.Timer        // window expiry
+	seen    map[vid.PID]bool         // group gather: responders already recorded (dedup)
+	enough  func([]GatherReply) bool // group gather: closes it early once true; nil never
+	wtimer  sim.Timer                // window expiry
 }
 
 // GatherReply is one responder's answer to a gathering send.
@@ -102,10 +103,6 @@ type cachedReply struct {
 	expires sim.Time
 }
 
-// NewPort registers a port for the given PID. The PID's index must be a
-// concrete process index (well-known indices are aliases resolved by the
-// kernel, not real ports) unless the port is a host server registered by
-// the kernel itself.
 // HasPort reports whether a port is currently registered under the PID.
 // Allocators of private port-id ranges (the pager's 0xF000 block) use it
 // to skip ids whose previous incarnation still has a transaction parked.
@@ -114,13 +111,33 @@ func (e *Engine) HasPort(pid vid.PID) bool {
 	return ok
 }
 
-func (e *Engine) NewPort(pid vid.PID) *Port {
+// txGenBits is how many low bits of a transaction id count a port's own
+// transactions; the bits above hold its PID's generation (NewPortGen).
+const txGenBits = 20
+
+// NewPort registers a port for the given PID. The PID's index must be a
+// concrete process index (well-known indices are aliases resolved by the
+// kernel, not real ports) unless the port is a host server registered by
+// the kernel itself. It is NewPortGen at generation 0.
+func (e *Engine) NewPort(pid vid.PID) *Port { return e.NewPortGen(pid, 0) }
+
+// NewPortGen registers a port for the gen-th incarnation of pid: its
+// transactions are numbered from gen<<txGenBits. A server remembers the
+// last transaction id it saw from each PID for as long as it lives, and
+// takes a lower or equal one for a retransmission; so an id recycled by
+// its allocator (a workstation's logical-host slots) must come back under
+// a higher generation, or the new owner's first transactions are dropped
+// as stale, answered from the old owner's reply cache, or "reply pending"
+// for ever. An incarnation numbers up to 2^txGenBits transactions, and a
+// generation must not pass 2^(32-txGenBits) — 4096 re-mints of one id.
+func (e *Engine) NewPortGen(pid vid.PID, gen uint32) *Port {
 	if _, dup := e.ports[pid]; dup {
 		panic(fmt.Sprintf("ipc: duplicate port %v", pid))
 	}
 	p := &Port{
 		eng:        e,
 		pid:        pid,
+		txSeq:      gen << txGenBits,
 		open:       make(map[vid.PID]*Req),
 		lastFrom:   make(map[vid.PID]uint32),
 		replyCache: make(map[vid.PID]*cachedReply),
@@ -195,12 +212,16 @@ func (p *Port) startSend(t *sim.Task, dst vid.PID, msg vid.Message, buf []byte) 
 // ends the gather; there the window bounds silence only — a dead or
 // partitioned destination costs one window and reports CodeTimeout, where
 // a plain Send would ride out its full abort timeout. Which of the two it
-// is is read from dst; a group gather always runs its whole window.
+// is is read from dst. A group gather closes at the first reply after
+// which enough, called with every reply so far in arrival order, reports
+// true — a vote closes at its majority — and otherwise at its window, to
+// the instant. With a nil enough it always runs its whole window, as a
+// load query must: it cannot know how many members there are to hear.
 //
 // Replies must fit a single frame (selection answers are word-only);
 // fragmented replies from concurrent responders would interleave in one
 // reassembly window.
-func (p *Port) StartGather(t *sim.Task, dst vid.PID, msg vid.Message, window time.Duration) {
+func (p *Port) StartGather(t *sim.Task, dst vid.PID, msg vid.Message, window time.Duration, enough func([]GatherReply) bool) {
 	if p.send != nil {
 		panic(fmt.Sprintf("ipc: %v StartGather with send outstanding", p.pid))
 	}
@@ -214,6 +235,7 @@ func (p *Port) StartGather(t *sim.Task, dst vid.PID, msg vid.Message, window tim
 	}
 	if s.group {
 		s.seen = make(map[vid.PID]bool)
+		s.enough = enough
 	}
 	p.send, p.replyBuf = s, nil
 	p.transmitOn(t, false)
@@ -221,8 +243,8 @@ func (p *Port) StartGather(t *sim.Task, dst vid.PID, msg vid.Message, window tim
 	s.wtimer = p.eng.sim.After(window, func() { p.endGather(s) })
 }
 
-// endGather closes a gathering send: its window has elapsed, or its one
-// possible responder has answered.
+// endGather closes a gathering send: its window has elapsed, its one
+// possible responder has answered, or its replies are enough.
 func (p *Port) endGather(s *sendTxn) {
 	if p.send != s || s.done || p.closed {
 		return
@@ -239,14 +261,15 @@ func (p *Port) endGather(s *sendTxn) {
 // addGatherReply records one responder's reply, ignoring duplicates (a
 // retransmitted query answered from the responder's reply cache). A gather
 // to one process is over with it: nobody else can answer, and a duplicate
-// that arrives later falls on the stale-txid check like any late reply.
+// that arrives later falls on the stale-txid check like any late reply. A
+// group gather is over with it when its close rule says so.
 func (p *Port) addGatherReply(src vid.PID, msg vid.Message) {
 	s := p.send
 	if s == nil || s.done || !s.gather || s.seen[src] {
 		return
 	}
 	s.replies = append(s.replies, GatherReply{Src: src, Msg: msg})
-	if !s.group {
+	if !s.group || (s.enough != nil && s.enough(s.replies)) {
 		p.endGather(s)
 		return
 	}
@@ -254,9 +277,9 @@ func (p *Port) addGatherReply(src vid.PID, msg vid.Message) {
 }
 
 // AwaitGather blocks until the gather closes — its window elapses, its one
-// destination answers, or the transaction fails outright (no-process on a
-// unicast probe) — returning the collected replies in arrival order. An
-// empty gather reports timeout.
+// destination answers, its close rule is met, or the transaction fails
+// outright (no-process on a unicast probe) — returning the collected
+// replies in arrival order. An empty gather reports timeout.
 func (p *Port) AwaitGather(t *sim.Task) ([]GatherReply, error) {
 	s := p.send
 	if s == nil || !s.gather {
@@ -456,6 +479,17 @@ func (p *Port) failSend(txid uint32, code uint16) {
 	p.replyWait.WakeAll()
 	if p.winq != nil {
 		p.winq.WakeAll()
+	}
+}
+
+// AbortTo ends the port's outstanding transaction with CodeAborted if it is
+// addressed to dst: its owner has learnt from elsewhere that dst is dead
+// (a restarted peer announced its new PID), and a dead PID is otherwise
+// learnt only by riding out the whole abort timeout — V lets stale
+// identities die silently.
+func (p *Port) AbortTo(dst vid.PID) {
+	if s := p.send; s != nil && s.dst == dst {
+		p.failSend(s.txid, vid.CodeAborted)
 	}
 }
 

@@ -67,7 +67,7 @@ func TestReceivedRequestAndReplyAllocateNoPacket(t *testing.T) {
 
 	client.send = nil
 	r.sim.Spawn("prober", func(tk *sim.Task) {
-		client.StartGather(tk, server.PID(), vid.Message{Op: testOp}, time.Millisecond)
+		client.StartGather(tk, server.PID(), vid.Message{Op: testOp}, time.Millisecond, nil)
 	})
 	r.sim.Run() // nobody serves it: the window closes it
 	if probe := client.send; probe == nil || !probe.done || probe.seen != nil {

@@ -151,11 +151,13 @@ func (c *ProcCtx) StartSend(dst vid.PID, msg vid.Message) {
 // sent (typically to a group) and *all* distinct replies arriving within
 // the window are collected, rather than the first one completing the
 // send. Sent to a single process it returns with that process's reply —
-// the window then bounds only how long silence is waited out. Resident
-// servers use it for load-aware host selection; like any group send it is
-// not preserved across migration, so migratable bodies should prefer Send.
-func (c *ProcCtx) SendGather(dst vid.PID, msg vid.Message, window time.Duration) ([]ipc.GatherReply, error) {
-	c.proc.port.StartGather(c.task, dst, msg, window)
+// the window then bounds only how long silence is waited out. Sent to a
+// group it returns early once enough (nil: never) holds for the replies
+// so far (ipc.Port.StartGather). Resident servers use it for load-aware
+// host selection and replica votes; like any group send it is not
+// preserved across migration, so migratable bodies should prefer Send.
+func (c *ProcCtx) SendGather(dst vid.PID, msg vid.Message, window time.Duration, enough func([]ipc.GatherReply) bool) ([]ipc.GatherReply, error) {
+	c.proc.port.StartGather(c.task, dst, msg, window, enough)
 	c.gate()
 	rs, err := c.proc.port.AwaitGather(c.task)
 	c.gate()

@@ -39,7 +39,8 @@ type Host struct {
 
 	lhs       map[vid.LHID]*LogicalHost
 	nextLH    uint16
-	retiredLH map[vid.LHID]bool // ids migrated away; never re-mint locally
+	slotGen   [vid.LHSlotCount]uint32 // times each slot has been minted
+	retiredLH map[vid.LHID]bool       // ids migrated away; never re-mint locally
 	groups    map[vid.PID][]vid.PID
 	wellKnown map[uint16]vid.PID
 	systemLH  *LogicalHost
@@ -332,8 +333,9 @@ type LogicalHost struct {
 	id     vid.LHID
 	host   *Host
 	name   string
-	guest  bool // remotely executed: processes run at guest priority
-	system bool // hosts the kernel server and resident servers; never migrates
+	guest  bool   // remotely executed: processes run at guest priority
+	system bool   // hosts the kernel server and resident servers; never migrates
+	gen    uint32 // how many logical hosts held this id's slot here before
 
 	frozen   bool
 	frozenAt sim.Time
@@ -358,9 +360,14 @@ type LogicalHost struct {
 // host is destroyed — a long run executes an unbounded number of guest
 // programs per host — but ids migrated away stay retired (see RetireLHID):
 // the identity lives on at the destination and must never be re-minted
-// here.
+// here. A recycled slot comes back under its next generation, which its
+// processes' ports number their transactions from (ipc.NewPortGen): the
+// 33rd program on a host has the first one's PIDs, and the servers the
+// first one talked to still remember its transaction ids. The generations
+// outlive a crash, as nextLH does, so a rebooted host's servers are heard
+// too.
 func (h *Host) newLH(name string, guest, system bool) *LogicalHost {
-	id, ok := h.allocLHID()
+	id, gen, ok := h.allocLHID()
 	if !ok {
 		panic("kernel: logical-host ids exhausted")
 	}
@@ -370,6 +377,7 @@ func (h *Host) newLH(name string, guest, system bool) *LogicalHost {
 		name:      name,
 		guest:     guest,
 		system:    system,
+		gen:       gen,
 		procs:     make(map[uint16]*Process),
 		spaces:    make(map[uint32]*mem.AddressSpace),
 		nextIdx:   vid.IdxFirstProcess,
@@ -379,17 +387,21 @@ func (h *Host) newLH(name string, guest, system bool) *LogicalHost {
 	return lh
 }
 
-// allocLHID picks a free, unretired id from this host's slot range.
-func (h *Host) allocLHID() (vid.LHID, bool) {
+// allocLHID picks a free, unretired id from this host's slot range, and
+// returns the generation it is minted at.
+func (h *Host) allocLHID() (vid.LHID, uint32, bool) {
 	station := uint16(h.HostIndex + 1)
 	for i := 0; i < vid.LHSlotCount; i++ {
 		h.nextLH++
-		cand := vid.NewHostLH(station, h.nextLH%vid.LHSlotCount)
+		slot := h.nextLH % vid.LHSlotCount
+		cand := vid.NewHostLH(station, slot)
 		if _, live := h.lhs[cand]; !live && !h.retiredLH[cand] {
-			return cand, true
+			gen := h.slotGen[slot]
+			h.slotGen[slot]++
+			return cand, gen, true
 		}
 	}
-	return 0, false
+	return 0, 0, false
 }
 
 // DetachResidue relabels a (frozen) logical host to a fresh id from this
@@ -401,7 +413,7 @@ func (h *Host) allocLHID() (vid.LHID, bool) {
 // the identity "not resident" here. Fails when every slot is in use, in
 // which case the caller must drain the residue synchronously instead.
 func (h *Host) DetachResidue(lh *LogicalHost) (vid.LHID, error) {
-	id, ok := h.allocLHID()
+	id, _, ok := h.allocLHID()
 	if !ok {
 		return 0, vid.CodeError(vid.CodeNoMemory)
 	}
@@ -672,7 +684,7 @@ func (lh *LogicalHost) NewProcess(spaceID uint32, bodyKind string, regs Regs) *P
 		regs:     regs,
 		spaceID:  spaceID,
 	}
-	p.port = lh.host.IPC.NewPort(p.PID())
+	p.port = lh.host.IPC.NewPortGen(p.PID(), lh.gen)
 	lh.procs[idx] = p
 	return p
 }

@@ -7,8 +7,10 @@ import (
 
 	"vsystem/internal/ethernet"
 	"vsystem/internal/kernel"
+	"vsystem/internal/packet"
 	"vsystem/internal/rsm"
 	"vsystem/internal/sim"
+	"vsystem/internal/trace"
 	"vsystem/internal/vid"
 )
 
@@ -85,12 +87,18 @@ func TestSoloAndReplicatedReachSameTable(t *testing.T) {
 // A leader deposed while a registration is waiting in its log must stay
 // silent, not answer CodeTimeout: the request was group-addressed, and the
 // first reply the registrar sees has to be the new leader's OK. Staged by
-// cutting the leader off from its followers, sending the registration
-// while a follower is campaigning (so only the stale leader admits it),
-// and healing the moment the follower wins — the old leader then hears the
+// cutting the leader off from its followers, sending the registration the
+// moment a follower puts its first vote request on the wire (so only the
+// stale leader admits it: the follower is fenced only once its pre-vote,
+// its vote and its term-start barrier have each taken a round trip), and
+// healing once the follower is fenced in — the old leader then hears the
 // higher term with the registrar's send still open.
 func TestDeposedLeaderStaysSilentMidRegister(t *testing.T) {
 	r := newRepRig(3, 1)
+	tb := trace.NewBus()
+	for _, h := range append([]*kernel.Host{r.client}, r.hosts...) {
+		h.AttachTrace(tb)
+	}
 	r.eng.RunFor(3 * time.Second)
 	old := r.leader(-1)
 	if old < 0 {
@@ -113,15 +121,12 @@ func TestDeposedLeaderStaysSilentMidRegister(t *testing.T) {
 			r.eng.RunFor(5 * time.Millisecond)
 		}
 	}
-	campaigning := func() bool {
-		for i, s := range r.reps {
-			if i != old && s.Replica().Role() == "candidate" {
-				return true
-			}
+	var campaigns sim.WaitQ
+	tb.Subscribe(func(ev trace.Event) {
+		if ev.Kind == trace.EvPktTx && ev.Pkt.Kind == packet.KRequest && ev.Pkt.Msg.Op == rsm.OpVote {
+			campaigns.WakeAll()
 		}
-		return false
-	}
-	step("a follower campaigns", campaigning)
+	})
 
 	type answer struct {
 		m   vid.Message
@@ -129,6 +134,7 @@ func TestDeposedLeaderStaysSilentMidRegister(t *testing.T) {
 	}
 	var answers []answer
 	r.client.SpawnServer("registrar", 4096, func(ctx *kernel.ProcCtx) {
+		campaigns.Wait(ctx.Task())
 		for attempt := 0; attempt < 10; attempt++ {
 			m, err := ctx.Send(vid.GroupNameServers, vid.Message{
 				Op: NsRegister, W: [6]uint32{0x00010012}, Seg: []byte("display.ws0"),

@@ -75,8 +75,8 @@ type Config struct {
 	SvcPID vid.PID // co-located service process, advertised as redirect hint
 	// OnLeading, when set, is called each time IsLeader may have changed:
 	// when this replica's term-start barrier applies, and when it steps
-	// down from the leader role. It runs inside the consensus process and
-	// must not block.
+	// down from the leader role. It runs inside one of the replica's
+	// processes and must not block.
 	OnLeading func()
 }
 
@@ -155,7 +155,9 @@ type Replica struct {
 	sm   StateMachine
 	st   *Store
 
-	proc *kernel.Process
+	proc     *kernel.Process   // consensus process: receives every request
+	candProc *kernel.Process   // campaign process: runs the election rounds
+	repProc  []*kernel.Process // replication worker per peer (nil at ID)
 
 	role     role
 	leaderID int // last known leader, -1
@@ -169,7 +171,9 @@ type Replica struct {
 
 	electionDeadline  sim.Time
 	lastLeaderContact sim.Time
-	rounds            uint32 // campaign attempts, restaggers retry timeouts
+	rounds            uint32    // campaign attempts, restaggers retry timeouts
+	campaigning       bool      // a campaign round's gather is open
+	electWake         sim.WaitQ // campaign process: deadline moved earlier, or leadership lost
 
 	// leader volatile state
 	nextIndex  []uint32
@@ -187,9 +191,9 @@ type Replica struct {
 }
 
 // New attaches a replica to a host: restores the state machine from the
-// durable store, spawns the consensus process plus one replication worker
-// per peer, and joins the set's replication group. The same Store must be
-// re-passed on every restart of this replica slot.
+// durable store, spawns the consensus process, the campaign process and
+// one replication worker per peer, and joins the set's replication group.
+// The same Store must be re-passed on every restart of this replica slot.
 func New(h *kernel.Host, cfg Config, sm StateMachine, store *Store) *Replica {
 	if cfg.N < 1 || cfg.ID < 0 || cfg.ID >= cfg.N {
 		panic(fmt.Sprintf("rsm: bad replica config id=%d n=%d", cfg.ID, cfg.N))
@@ -202,6 +206,7 @@ func New(h *kernel.Host, cfg Config, sm StateMachine, store *Store) *Replica {
 		leaderID: -1,
 		peerPID:  make([]vid.PID, cfg.N),
 		svcPID:   make([]vid.PID, cfg.N),
+		repProc:  make([]*kernel.Process, cfg.N),
 		pending:  make(map[uint32]struct{}),
 		results:  make(map[uint32][]byte),
 	}
@@ -211,14 +216,16 @@ func New(h *kernel.Host, cfg Config, sm StateMachine, store *Store) *Replica {
 	}
 	r.commit = store.SnapIndex
 	r.applied = store.SnapIndex
+	r.resetElectionTimer(h.Eng.Now())
 	r.proc = h.SpawnServer(fmt.Sprintf("rsm-%s-%d", cfg.Name, cfg.ID), 64*1024, r.run)
 	h.JoinGroup(cfg.Group, r.proc.PID())
+	r.candProc = h.SpawnServer(fmt.Sprintf("rsm-%s-%d-cand", cfg.Name, cfg.ID), 16*1024, r.elect)
 	for p := 0; p < cfg.N; p++ {
 		if p == cfg.ID {
 			continue
 		}
 		peer := p
-		h.SpawnServer(fmt.Sprintf("rsm-%s-%d-rep%d", cfg.Name, cfg.ID, peer),
+		r.repProc[peer] = h.SpawnServer(fmt.Sprintf("rsm-%s-%d-rep%d", cfg.Name, cfg.ID, peer),
 			16*1024, func(ctx *kernel.ProcCtx) { r.replicate(ctx, peer) })
 	}
 	return r
@@ -322,25 +329,14 @@ func (r *Replica) appendLocal(cmd []byte) uint32 {
 
 // ----------------------------------------------------------------- main loop
 
+// run is the consensus process. It answers every request and sends none —
+// the campaign process (elect) and the replication workers (replicate) do
+// the sending — so nothing it does waits on a peer, and a vote is answered
+// even while this replica's own gather is open.
 func (r *Replica) run(ctx *kernel.ProcCtx) {
-	r.resetElectionTimer(ctx.Now())
-	r.hello(ctx)
 	for {
-		var req *ipc.Req
-		if r.role == leader {
-			req = ctx.ReceiveTimeout(params.RsmHeartbeatInterval)
-		} else {
-			d := r.electionDeadline.Sub(ctx.Now())
-			if d <= 0 {
-				r.campaign(ctx)
-				continue
-			}
-			req = ctx.ReceiveTimeout(d)
-		}
-		if req == nil {
-			continue
-		}
-		if req.Src == ctx.PID() {
+		req := ctx.Receive()
+		if req.Src == ctx.PID() || req.Src == r.candProc.PID() {
 			// own group-delivered request (vote/hello multicast loopback)
 			r.proc.Port().Drop(req)
 			continue
@@ -377,7 +373,11 @@ func (r *Replica) electionTimeout() time.Duration {
 }
 
 func (r *Replica) resetElectionTimer(now sim.Time) {
-	r.electionDeadline = now.Add(r.electionTimeout())
+	next := now.Add(r.electionTimeout())
+	if next < r.electionDeadline {
+		r.electWake.WakeAll() // the campaign process sleeps until the old one
+	}
+	r.electionDeadline = next
 }
 
 // stepDown adopts a higher term and reverts to follower.
@@ -394,9 +394,10 @@ func (r *Replica) stepDown(term uint32, now sim.Time) {
 	r.barrier = 0
 	r.resetElectionTimer(now)
 	if wasLeader {
-		// fail Submit waiters promptly and park the workers
+		// fail Submit waiters promptly, park the workers, rearm the campaign
 		r.applyWake.WakeAll()
 		r.repWake.WakeAll()
+		r.electWake.WakeAll()
 		r.notifyLeading()
 	}
 }
@@ -411,7 +412,8 @@ func (r *Replica) learnPeer(id int, pid, svc vid.PID) {
 	if id < 0 || id >= r.cfg.N || id == r.cfg.ID {
 		return
 	}
-	changed := pid != vid.Nil && r.peerPID[id] != pid
+	old := r.peerPID[id]
+	changed := pid != vid.Nil && old != pid
 	if pid != vid.Nil {
 		r.peerPID[id] = pid
 	}
@@ -419,6 +421,12 @@ func (r *Replica) learnPeer(id int, pid, svc vid.PID) {
 		r.svcPID[id] = svc
 	}
 	if changed {
+		if old != vid.Nil {
+			// The peer restarted and its old PID is dead: end the worker's
+			// transaction to it now, where it would ride out the whole
+			// abort timeout before reading the new one.
+			r.repProc[id].Port().AbortTo(old)
+		}
 		r.repWake.WakeAll()
 	}
 }
@@ -444,7 +452,7 @@ func (r *Replica) hello(ctx *kernel.ProcCtx) {
 		Op: OpHello,
 		W: [6]uint32{uint32(r.cfg.ID), uint32(r.proc.PID()),
 			uint32(r.cfg.SvcPID)},
-	}, params.RsmGatherWindow)
+	}, params.RsmGatherWindow, nil)
 	if err != nil {
 		return
 	}
@@ -485,14 +493,42 @@ func (r *Replica) leaderPIDHint() vid.PID {
 
 // ----------------------------------------------------------------- election
 
+// elect is the campaign process. It says hello, then sleeps until the
+// election deadline and runs a campaign round whenever it passes. The
+// rounds run here, not in the consensus process, so that a campaigning
+// replica still answers its peers' votes: two survivors whose timers fire
+// a few ms apart then settle in one round instead of each waiting out the
+// other's gather.
+func (r *Replica) elect(ctx *kernel.ProcCtx) {
+	r.hello(ctx)
+	for {
+		if r.role == leader {
+			r.electWake.Wait(ctx.Task())
+			continue
+		}
+		if d := r.electionDeadline.Sub(ctx.Now()); d > 0 {
+			r.electWake.WaitTimeout(ctx.Task(), d)
+			continue
+		}
+		r.campaign(ctx)
+	}
+}
+
 // campaign runs a pre-vote round and, if a majority would elect us, a real
 // election. Pre-vote (Ongaro §9.6) keeps a rejoining or partitioned replica
 // from inflating the cluster term and deposing a healthy leader: the probe
 // carries term+1 but nobody's persistent state moves until a majority has
-// confirmed it would grant.
+// confirmed it would grant. Each gather closes at its majority, or at a
+// reply carrying a later term; the window bounds only the silence of a
+// dead member.
 func (r *Replica) campaign(ctx *kernel.ProcCtx) {
 	r.rounds++
-	if !r.preVote(ctx) {
+	r.campaigning = true
+	defer func() { r.campaigning = false }()
+	deadline := r.electionDeadline
+	if !r.preVote(ctx) || r.electionDeadline != deadline {
+		// Lost, or the consensus process reset the timer while we polled:
+		// a leader spoke, or we voted for another candidate.
 		r.resetElectionTimer(ctx.Now())
 		return
 	}
@@ -501,35 +537,14 @@ func (r *Replica) campaign(ctx *kernel.ProcCtx) {
 	r.role = candidate
 	r.resetElectionTimer(ctx.Now())
 	term := r.st.Term
-	seg := EncodeVoteReq(VoteReq{
-		Term:      term,
-		Cand:      uint32(r.cfg.ID),
-		CandPID:   uint32(r.proc.PID()),
-		SvcPID:    uint32(r.cfg.SvcPID),
-		LastIndex: r.lastIndex(),
-		LastTerm:  r.lastTerm(),
-	})
-	reps, err := ctx.SendGather(r.cfg.Group,
-		vid.Message{Op: OpVote, Seg: seg}, params.RsmGatherWindow)
+	reps := r.poll(ctx, VoteReq{Term: term}, term)
 	if r.role != candidate || r.st.Term != term {
 		return // a leader emerged while we gathered
 	}
-	granted := 1 // own vote
-	if err == nil {
-		for _, g := range reps {
-			vr, derr := DecodeVoteReply(g.Msg.Seg)
-			if derr != nil || !g.Msg.OK() {
-				continue
-			}
-			r.learnPeer(int(vr.Voter), vid.PID(vr.VoterPID), vid.PID(vr.SvcPID))
-			if vr.Term > r.st.Term {
-				r.stepDown(vr.Term, ctx.Now())
-				return
-			}
-			if vr.Term == term && vr.Granted && int(vr.Voter) != r.cfg.ID {
-				granted++
-			}
-		}
+	granted, later := r.tally(reps, term)
+	if later > 0 {
+		r.stepDown(later, ctx.Now())
+		return
 	}
 	if granted*2 <= r.cfg.N {
 		return // no majority this round; the next timeout re-campaigns
@@ -540,36 +555,58 @@ func (r *Replica) campaign(ctx *kernel.ProcCtx) {
 // preVote polls the group at term+1 without mutating anyone's state.
 // Returns true when a majority would grant a real vote.
 func (r *Replica) preVote(ctx *kernel.ProcCtx) bool {
-	seg := EncodeVoteReq(VoteReq{
-		Term:      r.st.Term + 1,
-		Pre:       true,
-		Cand:      uint32(r.cfg.ID),
-		CandPID:   uint32(r.proc.PID()),
-		SvcPID:    uint32(r.cfg.SvcPID),
-		LastIndex: r.lastIndex(),
-		LastTerm:  r.lastTerm(),
-	})
-	reps, err := ctx.SendGather(r.cfg.Group,
-		vid.Message{Op: OpVote, Seg: seg}, params.RsmGatherWindow)
-	granted := 1 // own vote
-	if err == nil {
-		for _, g := range reps {
-			vr, derr := DecodeVoteReply(g.Msg.Seg)
-			if derr != nil || !g.Msg.OK() {
-				continue
-			}
-			r.learnPeer(int(vr.Voter), vid.PID(vr.VoterPID), vid.PID(vr.SvcPID))
-			if vr.Term > r.st.Term {
-				// the cluster has moved on — adopt its term, stay follower
-				r.stepDown(vr.Term, ctx.Now())
-				return false
-			}
-			if vr.Granted && int(vr.Voter) != r.cfg.ID {
-				granted++
-			}
-		}
+	term := r.st.Term
+	granted, later := r.tally(r.poll(ctx, VoteReq{Term: term + 1, Pre: true}, term), term)
+	if later > 0 {
+		// the cluster has moved on — adopt its term, stay follower
+		r.stepDown(later, ctx.Now())
+		return false
 	}
 	return granted*2 > r.cfg.N
+}
+
+// poll multicasts a vote request (the candidate fields filled in here) and
+// gathers the answers until a majority grants, a reply carries a term past
+// base, or the window ends. It learns every responder's PIDs. An empty
+// gather's timeout is no answer, which tally counts as no votes.
+func (r *Replica) poll(ctx *kernel.ProcCtx, q VoteReq, base uint32) []ipc.GatherReply {
+	q.Cand = uint32(r.cfg.ID)
+	q.CandPID = uint32(r.proc.PID())
+	q.SvcPID = uint32(r.cfg.SvcPID)
+	q.LastIndex = r.lastIndex()
+	q.LastTerm = r.lastTerm()
+	reps, _ := ctx.SendGather(r.cfg.Group, vid.Message{Op: OpVote, Seg: EncodeVoteReq(q)},
+		params.RsmGatherWindow, func(reps []ipc.GatherReply) bool {
+			granted, later := r.tally(reps, base)
+			return later > 0 || granted*2 > r.cfg.N
+		})
+	for _, g := range reps {
+		if vr, derr := DecodeVoteReply(g.Msg.Seg); derr == nil && g.Msg.OK() {
+			r.learnPeer(int(vr.Voter), vid.PID(vr.VoterPID), vid.PID(vr.SvcPID))
+		}
+	}
+	return reps
+}
+
+// tally counts the votes in a gather's replies, our own included, and
+// returns the highest term past base that a reply carries (0: none). A
+// voter answers with its own term, which is at most base when it grants:
+// the candidate's term for a vote, the one before it for a pre-vote.
+func (r *Replica) tally(reps []ipc.GatherReply, base uint32) (granted int, later uint32) {
+	granted = 1
+	for _, g := range reps {
+		vr, err := DecodeVoteReply(g.Msg.Seg)
+		if err != nil || !g.Msg.OK() {
+			continue
+		}
+		switch {
+		case vr.Term > base:
+			later = max(later, vr.Term)
+		case vr.Granted && int(vr.Voter) != r.cfg.ID:
+			granted++
+		}
+	}
+	return granted, later
 }
 
 func (r *Replica) becomeLeader(ctx *kernel.ProcCtx) {
@@ -611,9 +648,17 @@ func (r *Replica) handleVote(ctx *kernel.ProcCtx, req *ipc.Req) {
 		// sticky window, denies — this is what fences rejoin disruption.
 		liveLeader := r.role == leader || (r.leaderID >= 0 &&
 			ctx.Now().Sub(r.lastLeaderContact) < params.RsmStickyLeader)
+		// Two replicas polling at once would each grant the other, both
+		// stand at the same term and split the vote: a campaigning replica
+		// outranks a higher-id candidate, unless that one's log is strictly
+		// fresher — a stale low-id rejoiner must not hold off a fresh
+		// survivor that it would itself refuse.
+		fresher := vr.LastTerm > r.lastTerm() ||
+			(vr.LastTerm == r.lastTerm() && vr.LastIndex > r.lastIndex())
+		outranked := r.campaigning && int(vr.Cand) > r.cfg.ID && !fresher
 		ctx.Reply(req, vid.Message{Op: OpVote, Seg: EncodeVoteReply(VoteReply{
 			Term:     r.st.Term,
-			Granted:  vr.Term >= r.st.Term && upToDate && !liveLeader,
+			Granted:  vr.Term >= r.st.Term && upToDate && !liveLeader && !outranked,
 			Voter:    uint32(r.cfg.ID),
 			VoterPID: uint32(r.proc.PID()),
 			SvcPID:   uint32(r.cfg.SvcPID),
@@ -899,9 +944,9 @@ func (r *Replica) replicate(ctx *kernel.ProcCtx, peer int) {
 		default:
 			r.sendAppend(ctx, peer, pid, term)
 		}
-		if r.role == leader && r.st.Term == term &&
-			r.peerPID[peer] != vid.Nil && r.nextIndex[peer] <= r.lastIndex() {
-			continue // backlog remains: keep streaming
+		if r.role == leader && r.st.Term == term && r.peerPID[peer] != vid.Nil &&
+			(r.peerPID[peer] != pid || r.nextIndex[peer] <= r.lastIndex()) {
+			continue // the peer restarted, or backlog remains: keep streaming
 		}
 		r.repWake.WaitTimeout(ctx.Task(), params.RsmHeartbeatInterval)
 	}

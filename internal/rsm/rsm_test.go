@@ -9,6 +9,7 @@ import (
 
 	"vsystem/internal/ethernet"
 	"vsystem/internal/kernel"
+	"vsystem/internal/packet"
 	"vsystem/internal/params"
 	"vsystem/internal/rsm"
 	"vsystem/internal/sim"
@@ -263,11 +264,7 @@ func TestRejoinCatchesUpFromLog(t *testing.T) {
 	h.submitter(2*time.Second, []string{"a=1", "b=2"}, &errs)
 	h.eng.At(h.eng.Now().Add(1*time.Second), func() { h.hosts[2].Crash() })
 	h.eng.At(h.eng.Now().Add(4*time.Second), func() { h.restart(2) })
-	// Catch-up latency includes one full send abort: the leader's in-flight
-	// append to the dead incarnation's PID rides out its ~5s abort (stale
-	// identities die silently in V) before the worker picks up the PID the
-	// rejoiner's hello announced. Run past it.
-	h.eng.RunFor(14 * time.Second)
+	h.eng.RunFor(6 * time.Second)
 	if len(errs) > 0 {
 		t.Fatalf("submit errors: %v", errs)
 	}
@@ -277,6 +274,81 @@ func TestRejoinCatchesUpFromLog(t *testing.T) {
 	}
 	if got, want := h.sms[2].render(), h.sms[lead].render(); got != want {
 		t.Errorf("rejoined replica state %q != leader %q", got, want)
+	}
+}
+
+// TestRejoinerHearsLeaderAtOnce: when a member restarts, the leader's
+// replication worker is usually part-way through an append to the dead
+// incarnation's PID, which nothing answers (stale identities die silently
+// in V). The member's hello announces its new PID, and the first append to
+// that PID must leave within one heartbeat of it — not after the old
+// transaction has ridden out its ~5 s abort.
+func TestRejoinerHearsLeaderAtOnce(t *testing.T) {
+	h := boot(t, 3, 1)
+	h.eng.RunFor(3 * time.Second)
+	lead := h.leaderIdx()
+	if lead < 0 {
+		t.Fatal("no leader")
+	}
+	member := (lead + 1) % 3
+	h.hosts[member].Crash()
+	h.eng.RunFor(3 * time.Second)
+
+	var hello, firstAppend sim.Time
+	h.tb.Subscribe(func(ev trace.Event) {
+		p := ev.Pkt
+		if ev.Kind != trace.EvPktTx || p.Kind != packet.KRequest {
+			return
+		}
+		switch {
+		case p.Msg.Op == rsm.OpHello && vid.PID(p.Msg.W[1]) == h.reps[member].PID() && hello == 0:
+			hello = ev.At
+		case p.Msg.Op == rsm.OpAppend && p.Dst == h.reps[member].PID() && firstAppend == 0:
+			firstAppend = ev.At
+		}
+	})
+	h.restart(member)
+	h.eng.RunFor(6 * time.Second)
+	if hello == 0 || firstAppend == 0 {
+		t.Fatalf("hello at %v, first append to the new PID at %v: want both", hello, firstAppend)
+	}
+	if d := firstAppend.Sub(hello); d < 0 || d > params.RsmHeartbeatInterval {
+		t.Errorf("first append to the rejoined member's new PID left %v after its hello, want within %v",
+			d, params.RsmHeartbeatInterval)
+	}
+}
+
+// TestLeaderKillElectsAtFirstTimeout: with the leader dead, the first
+// survivor whose election timer fires is elected within 20 ms of it — a
+// pre-vote, a vote and nothing else, each closing at its majority. (With
+// gathers that sit out their 250 ms windows it took two of them.)
+func TestLeaderKillElectsAtFirstTimeout(t *testing.T) {
+	h := boot(t, 3, 1)
+	h.eng.RunFor(3 * time.Second)
+	lead := h.leaderIdx()
+	if lead < 0 {
+		t.Fatal("no leader")
+	}
+	var poll, elect sim.Time
+	elected := -1
+	h.tb.Subscribe(func(ev trace.Event) {
+		switch {
+		case ev.Kind == trace.EvPktTx && ev.Pkt.Kind == packet.KRequest && ev.Pkt.Msg.Op == rsm.OpVote && poll == 0:
+			poll = ev.At
+		case ev.Kind == trace.EvElect && elect == 0:
+			elect, elected = ev.At, ev.Size
+		}
+	})
+	h.hosts[lead].Crash()
+	h.eng.RunFor(params.RsmFailoverBudget)
+	if poll == 0 || elect == 0 {
+		t.Fatalf("first vote request at %v, election at %v: want both", poll, elect)
+	}
+	if elected == lead {
+		t.Fatalf("the crashed replica %d was elected", lead)
+	}
+	if d := elect.Sub(poll); d > 20*time.Millisecond {
+		t.Errorf("elected %v after the first survivor's timer fired, want within 20 ms", d)
 	}
 }
 

@@ -7,11 +7,13 @@ package rsm
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
 	"vsystem/internal/ethernet"
 	"vsystem/internal/kernel"
+	"vsystem/internal/params"
 	"vsystem/internal/sim"
 	"vsystem/internal/vid"
 )
@@ -114,5 +116,94 @@ func TestStepDownSameTermKeepsVote(t *testing.T) {
 	r.stepDown(4, eng.Now())
 	if r.st.Term != 4 || r.st.VotedFor != -1 {
 		t.Errorf("higher-term stepDown: term=%d votedFor=%d, want 4/-1", r.st.Term, r.st.VotedFor)
+	}
+}
+
+// wbSet boots a three-replica set, runs it until it has a fenced leader,
+// crashes that leader and returns the two survivors, lower id first.
+func wbSet(t *testing.T) (eng *sim.Engine, lo, hi *Replica) {
+	t.Helper()
+	eng = sim.NewEngine(1)
+	bus := ethernet.NewBus(eng)
+	var hosts []*kernel.Host
+	var reps []*Replica
+	for i := 0; i < 3; i++ {
+		hosts = append(hosts, kernel.NewHost(eng, bus, i, fmt.Sprintf("r%d", i)))
+		reps = append(reps, New(hosts[i], Config{Name: "kv", Group: vid.GroupHomeRSM, ID: i, N: 3}, &wbSM{}, NewStore()))
+	}
+	eng.RunFor(3 * time.Second)
+	var live []*Replica
+	for i, r := range reps {
+		if r.IsLeader() {
+			hosts[i].Crash()
+		} else {
+			live = append(live, r)
+		}
+	}
+	if len(live) != 2 {
+		t.Fatalf("%d survivors, want 2", len(live))
+	}
+	return eng, live[0], live[1]
+}
+
+// fireAt moves a replica's election deadline to at (past the sticky-leader
+// window, so its peers grant pre-votes) and wakes its campaign process.
+func (r *Replica) fireAt(at sim.Time) {
+	r.electionDeadline = at
+	r.electWake.WakeAll()
+}
+
+// TestCloseTimersElectInOneRound: two survivors whose election timers fire
+// together or 2 ms apart, either one first, elect one leader in one round,
+// at the next term and within 20 ms of the first timer. 2 ms apart, the
+// one that campaigns second answers the first's requests while its own
+// gather is open; together, neither has heard the other, and the lower id
+// outranks the higher, so that they do not both stand and split the vote.
+func TestCloseTimersElectInOneRound(t *testing.T) {
+	for _, skew := range []time.Duration{-2 * time.Millisecond, 0, 2 * time.Millisecond} {
+		eng, lo, hi := wbSet(t)
+		term := lo.st.Term
+		at := eng.Now().Add(params.RsmStickyLeader + 100*time.Millisecond)
+		lo.fireAt(at)
+		hi.fireAt(at.Add(skew))
+		eng.RunFor(at.Sub(eng.Now()) + min(skew, 0) + 20*time.Millisecond)
+		leaders, elections := 0, int64(0)
+		for _, r := range []*Replica{lo, hi} {
+			if r.role == leader {
+				leaders++
+			}
+			elections += r.stats.Elections
+			if r.st.Term != term+1 {
+				t.Errorf("higher id %v later: replica %d at term %d, want %d", skew, r.cfg.ID, r.st.Term, term+1)
+			}
+		}
+		if leaders != 1 || elections != 1 {
+			t.Errorf("higher id %v later: %d leaders from %d elections 20 ms after the first timer, want 1 and 1",
+				skew, leaders, elections)
+		}
+	}
+}
+
+// TestFresherCandidateWinsTie: a stale low-id replica and a fresh high-id
+// one campaign at the same instant. The low id outranks the high one only
+// when the high one's log is no fresher; here it is fresher, and the low
+// one's log disqualifies it, so the high one must win — in one round.
+// Without the freshness clause each denies the other whenever they
+// campaign together.
+func TestFresherCandidateWinsTie(t *testing.T) {
+	eng, stale, fresh := wbSet(t)
+	term := fresh.st.Term
+	// One entry the dead leader got to the high-id survivor only.
+	fresh.st.Log = append(fresh.st.Log, Entry{Term: term})
+	at := eng.Now().Add(params.RsmStickyLeader + 100*time.Millisecond)
+	stale.fireAt(at)
+	fresh.fireAt(at)
+	eng.RunFor(at.Sub(eng.Now()) + 20*time.Millisecond)
+	if fresh.role != leader || fresh.st.Term != term+1 || fresh.stats.Elections != 1 {
+		t.Fatalf("fresh replica %d: %v at term %d after %d elections, want leader at %d after 1",
+			fresh.cfg.ID, fresh.role, fresh.st.Term, fresh.stats.Elections, term+1)
+	}
+	if stale.role == leader || stale.stats.Elections != 0 {
+		t.Errorf("stale replica %d: %v after %d elections", stale.cfg.ID, stale.role, stale.stats.Elections)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // kernel — it sits beside it, like progmgr).
 type Sender interface {
 	Send(dst vid.PID, msg vid.Message) (vid.Message, error)
-	SendGather(dst vid.PID, msg vid.Message, window time.Duration) ([]ipc.GatherReply, error)
+	SendGather(dst vid.PID, msg vid.Message, window time.Duration, enough func([]ipc.GatherReply) bool) ([]ipc.GatherReply, error)
 	Now() sim.Time
 }
 
@@ -140,7 +140,7 @@ func (s *Selector) Select(tx Sender, minMem uint32, exclude ...vid.LHID) (Load, 
 	wq[5] = QueryRelaxed | s.ReplyPermille<<16
 	for attempt := 0; attempt < 2; attempt++ {
 		s.stats.Multicasts++
-		rs, err := tx.SendGather(s.group, vid.Message{Op: s.op, W: wq}, params.SelectGatherWindow)
+		rs, err := tx.SendGather(s.group, vid.Message{Op: s.op, W: wq}, params.SelectGatherWindow, nil)
 		if err != nil {
 			continue
 		}
@@ -198,7 +198,7 @@ func (s *Selector) probe(tx Sender, cand Load, w [6]uint32) (Load, bool) {
 	s.stats.Probes++
 	wq := w
 	wq[5] = QueryUnicast | QueryRelaxed
-	rs, err := tx.SendGather(cand.PM, vid.Message{Op: s.op, W: wq}, params.SelectProbeWindow)
+	rs, err := tx.SendGather(cand.PM, vid.Message{Op: s.op, W: wq}, params.SelectProbeWindow, nil)
 	ok := err == nil && len(rs) > 0 && rs[0].Msg.OK()
 	var l Load
 	if ok {

@@ -64,7 +64,7 @@ func (s *scriptSender) Send(dst vid.PID, msg vid.Message) (vid.Message, error) {
 	return vid.Message{}, vid.CodeError(vid.CodeTimeout)
 }
 
-func (s *scriptSender) SendGather(dst vid.PID, msg vid.Message, window time.Duration) ([]ipc.GatherReply, error) {
+func (s *scriptSender) SendGather(dst vid.PID, msg vid.Message, window time.Duration, enough func([]ipc.GatherReply) bool) ([]ipc.GatherReply, error) {
 	s.log = append(s.log, sent{dst: dst, flags: msg.W[5], gather: true, window: window})
 	if dst == testGroup {
 		s.clk.advance(window)
