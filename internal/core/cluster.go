@@ -166,7 +166,7 @@ func NewCluster(opt Options) *Cluster {
 	tb := trace.NewBus()
 	bus.SetTraceBus(tb)
 	c := &Cluster{Sim: eng, Bus: bus, Trace: tb, opt: opt, pagers: make(map[vid.LHID]*PagerStats)}
-	c.Fault = fault.New(eng, bus, tb)
+	c.Fault = fault.New(eng, bus, tb, c.roleMAC)
 	tb.RegisterSource("net", func() []trace.Metric {
 		bs := bus.Stats()
 		return []trace.Metric{
@@ -502,6 +502,30 @@ func (c *Cluster) HomeLeaderIdx() int {
 		}
 	}
 	return -1
+}
+
+// roleMAC resolves a fault-schedule role to the station that holds it now
+// (0 when none does, e.g. while its group is electing).
+func (c *Cluster) roleMAC(w fault.Who) ethernet.MAC {
+	switch w {
+	case fault.HomeLeader:
+		if i := c.HomeLeaderIdx(); i >= 0 {
+			return c.Nodes[i].Host.NIC.MAC()
+		}
+	case fault.HomeFollower:
+		for i := range c.homeStores {
+			if i != c.HomeLeaderIdx() {
+				return c.Nodes[i].Host.NIC.MAC()
+			}
+		}
+	case fault.FSLeader:
+		for i, fs := range c.FSReps {
+			if !c.FSHosts[i].Crashed() && fs.Replica() != nil && fs.Replica().IsLeader() {
+				return c.FSHosts[i].NIC.MAC()
+			}
+		}
+	}
+	return 0
 }
 
 // Run advances the cluster by d of virtual time.

@@ -3,13 +3,17 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"vsystem/internal/ethernet"
 	"vsystem/internal/fault"
 	"vsystem/internal/progs"
+	"vsystem/internal/sim"
 	"vsystem/internal/trace"
+	"vsystem/internal/vid"
 )
 
 // TestDestCrashDuringPrecopySourceSurvives is the §3.1.3 guarantee under
@@ -21,7 +25,7 @@ func TestDestCrashDuringPrecopySourceSurvives(t *testing.T) {
 	t.Parallel()
 	c := boot(t, Options{Workstations: 4, Seed: 31})
 	c.Install(progs.Ticker(400))
-	c.Fault.MigrationFault(trace.PhasePrecopy, 0, fault.VictimDest)
+	c.Fault.Arm(fault.Schedule{{When: fault.AtPhase(trace.PhasePrecopy, 0), Do: fault.Crash, Who: fault.MigrationDest}})
 
 	var job *Job
 	var crashedMAC uint16
@@ -114,7 +118,7 @@ func TestFlushDestCrashAtPrecopyRetries(t *testing.T) {
 	t.Parallel()
 	c := boot(t, Options{Workstations: 4, Seed: 31, Policy: PolicyFlush})
 	c.Install(progs.Ticker(400))
-	c.Fault.MigrationFault(trace.PhasePrecopy, 0, fault.VictimDest)
+	c.Fault.Arm(fault.Schedule{{When: fault.AtPhase(trace.PhasePrecopy, 0), Do: fault.Crash, Who: fault.MigrationDest}})
 	var crashedMAC uint16
 	c.Trace.Subscribe(func(ev trace.Event) {
 		if ev.Kind == trace.EvMigFault {
@@ -165,14 +169,9 @@ func TestFlushDestCrashAtPrecopyRetries(t *testing.T) {
 func TestFlushResidueFailureNamesItsPhase(t *testing.T) {
 	t.Parallel()
 	c := boot(t, Options{Workstations: 3, Seed: 7, Policy: PolicyFlush})
-	src, fs := c.Node(1).Host.NIC.MAC(), c.FSHost.NIC.MAC()
-	cut := false
-	c.Trace.Subscribe(func(ev trace.Event) {
-		if ev.Kind == trace.EvFreeze && !cut && ev.Host == uint16(src) {
-			cut = true
-			c.Fault.Partition([]ethernet.MAC{src}, []ethernet.MAC{fs})
-		}
-	})
+	// Station 3 is the file server, registered after the three workstations.
+	c.Fault.Arm(fault.Schedule{{When: fault.On(fault.Match{Kind: trace.EvFreeze, Host: fault.Host(1)}),
+		Do: fault.Partition, Who: fault.Host(1), Peer: fault.Host(3)}})
 	var execErr, migErr error
 	stayed := false
 	c.Node(1).Agent(func(a *Agent) {
@@ -188,7 +187,7 @@ func TestFlushResidueFailureNamesItsPhase(t *testing.T) {
 	})
 	c.Run(60 * time.Second)
 
-	if execErr != nil || !cut {
+	if cut := c.Trace.Count(trace.EvPartition) == 1; execErr != nil || !cut {
 		t.Fatalf("exec=%v froze=%v", execErr, cut)
 	}
 	var pe *PhaseError
@@ -212,7 +211,7 @@ func TestSourceCrashAfterSwapDestAdopts(t *testing.T) {
 	t.Parallel()
 	c := boot(t, Options{Workstations: 4, Seed: 33})
 	c.Install(progs.Ticker(400))
-	c.Fault.MigrationFault(trace.PhaseRebind, 0, fault.VictimSource)
+	c.Fault.Arm(fault.Schedule{{When: fault.AtPhase(trace.PhaseRebind, 0), Do: fault.Crash, Who: fault.MigrationSource}})
 
 	var job *Job
 	var adoptedOK, adoptedChecked bool
@@ -286,18 +285,14 @@ func TestRebindPartitionNoSplitBrain(t *testing.T) {
 	c.Install(progs.Ticker(400))
 
 	mig := c.Node(1).PM.Migrator.(*Migrator)
-	base := mig.FaultHook
-	cut := false
-	mig.FaultHook = func(pp fault.PhasePoint) {
-		if base != nil {
-			base(pp)
+	c.Fault.Arm(fault.Schedule{{When: fault.AtPhase(trace.PhaseRebind, 0),
+		Do: fault.Partition, Who: fault.MigrationSource, Peer: fault.MigrationDest}})
+	// The heal is armed as the cut lands: 6 s after it.
+	c.Trace.Subscribe(func(ev trace.Event) {
+		if ev.Kind == trace.EvPartition {
+			c.Fault.Arm(fault.Schedule{{When: fault.After(6 * time.Second), Do: fault.Heal}})
 		}
-		if pp.Phase == trace.PhaseRebind && !cut {
-			cut = true
-			c.Fault.Partition([]ethernet.MAC{pp.Src}, []ethernet.MAC{pp.Dst})
-			c.Fault.HealAfter(6 * time.Second)
-		}
-	}
+	})
 
 	// Keep ws0 busy so it never answers selection: candidates are ws2/ws3.
 	var busyErr error
@@ -324,8 +319,8 @@ func TestRebindPartitionNoSplitBrain(t *testing.T) {
 	if busyErr != nil || execErr != nil {
 		t.Fatalf("busy=%v exec=%v", busyErr, execErr)
 	}
-	if !cut {
-		t.Fatal("fault hook never saw the rebind boundary")
+	if c.Trace.Count(trace.EvPartition) != 1 || c.Trace.Count(trace.EvHeal) != 1 {
+		t.Fatal("the partition step never saw the rebind boundary, or the heal never came")
 	}
 	if migErr != nil {
 		t.Fatalf("Migrate = %v; the swap had committed, so the source must report success", migErr)
@@ -372,10 +367,21 @@ func assertGapless(t *testing.T, lines []string, want int) {
 	}
 }
 
-// faultScheduleEvents boots a cluster, applies a fixed fault schedule —
-// migration fault with retry, host crash + restart, partition + heal, a
-// loss burst and a corruption burst — runs a migrating workload through
-// it, and returns every trace event formatted as a string.
+// faultSchedule is a fixed fault schedule: a migration fault with retry,
+// the crashed destination rebooted as its death is published, a partition
+// and its heal, a loss burst and a corruption burst.
+var faultSchedule = fault.Schedule{
+	{When: fault.AtPhase(trace.PhasePrecopy, 0), Do: fault.Crash, Who: fault.MigrationDest},
+	{When: fault.On(fault.Match{Kind: trace.EvHostCrash}), Do: fault.Restart, Who: fault.MigrationDest},
+	{When: fault.After(3 * time.Second), Do: fault.Partition, Who: fault.Host(2), Peer: fault.Host(3)},
+	{When: fault.After(4 * time.Second), Do: fault.Heal},
+	{When: fault.After(2 * time.Second), Do: fault.LossBurst, For: 500 * time.Millisecond, P: 0.02},
+	{When: fault.After(2500 * time.Millisecond), Do: fault.CorruptBurst, For: 500 * time.Millisecond, P: 0.02},
+}
+
+// faultScheduleEvents boots a cluster, arms faultSchedule, runs a migrating
+// workload through it, and returns every trace event formatted as a
+// string.
 func faultScheduleEvents(t *testing.T, seed int64) []string {
 	t.Helper()
 	c := boot(t, Options{Workstations: 4, Seed: seed})
@@ -384,18 +390,7 @@ func faultScheduleEvents(t *testing.T, seed int64) []string {
 		out = append(out, fmt.Sprintf("%v h%d %v lh=%v prio=%d size=%d peer=%d",
 			ev.At, ev.Host, ev.Kind, ev.LH, ev.Prio, ev.Size, ev.Peer))
 	})
-	c.Fault.MigrationFault(trace.PhasePrecopy, 0, fault.VictimDest)
-	// Reboot whichever host the migration fault kills, 8 s after it dies.
-	c.Trace.Subscribe(func(ev trace.Event) {
-		if ev.Kind == trace.EvHostCrash {
-			c.Fault.RestartAfter(8*time.Second, ethernet.MAC(ev.Host))
-		}
-	})
-	ws2, ws3 := c.Node(2).Host.NIC.MAC(), c.Node(3).Host.NIC.MAC()
-	c.Fault.PartitionAfter(3*time.Second, []ethernet.MAC{ws2}, []ethernet.MAC{ws3})
-	c.Fault.HealAfter(4 * time.Second)
-	c.Fault.LossBurstAfter(2*time.Second, 500*time.Millisecond, 0.02)
-	c.Fault.CorruptBurstAfter(2500*time.Millisecond, 500*time.Millisecond, 0.02)
+	c.Fault.Arm(faultSchedule)
 
 	var busyErr error
 	c.Node(0).Agent(func(a *Agent) {
@@ -435,5 +430,101 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 	}
 	if len(a) == 0 {
 		t.Fatal("no events recorded")
+	}
+	// Every step of the schedule fired.
+	for _, k := range []trace.Kind{trace.EvMigFault, trace.EvHostCrash, trace.EvHostRestart, trace.EvPartition, trace.EvHeal} {
+		if !slices.ContainsFunc(a, func(ev string) bool { return strings.Contains(ev, " "+k.String()+" lh=") }) {
+			t.Errorf("no %v event: the schedule did not fire it", k)
+		}
+	}
+}
+
+// TestScheduleRolesResolveAtFireTime: a schedule armed at boot, before any
+// group has a leader, names its targets by role, and each resolves as its
+// step fires — the home leader to HomeLeaderIdx's station, the home
+// follower to the first member that does not lead, the FS leader to the
+// file-service replica that leads.
+func TestScheduleRolesResolveAtFireTime(t *testing.T) {
+	t.Parallel()
+	c := boot(t, Options{Workstations: 4, Seed: 3, ReplicateHome: 3, ReplicateFS: 3})
+	// Who holds each role at 3 s, read by an event scheduled before the
+	// steps at the same instant, so it runs just before them.
+	var lead, follower, fsLead ethernet.MAC
+	c.Sim.After(3*time.Second, func() {
+		i := c.HomeLeaderIdx()
+		if i < 0 {
+			return
+		}
+		lead, follower = c.Nodes[i].Host.NIC.MAC(), c.Nodes[0].Host.NIC.MAC()
+		if i == 0 {
+			follower = c.Nodes[1].Host.NIC.MAC()
+		}
+		for j, fs := range c.FSReps {
+			if fs.Replica().IsLeader() {
+				fsLead = c.FSHosts[j].NIC.MAC()
+			}
+		}
+	})
+	c.Fault.Arm(fault.Schedule{
+		{When: fault.After(3 * time.Second), Do: fault.Partition, Who: fault.HomeFollower},
+		{When: fault.After(3 * time.Second), Do: fault.Crash, Who: fault.FSLeader},
+		{When: fault.After(3 * time.Second), Do: fault.Crash, Who: fault.HomeLeader},
+	})
+	var cut ethernet.MAC
+	var crashed []ethernet.MAC
+	c.Trace.Subscribe(func(ev trace.Event) {
+		switch ev.Kind {
+		case trace.EvPartition:
+			cut = ethernet.MAC(ev.Host)
+		case trace.EvHostCrash:
+			crashed = append(crashed, ethernet.MAC(ev.Host))
+		}
+	})
+	c.Run(4 * time.Second)
+
+	if lead == 0 || fsLead == 0 {
+		t.Fatalf("no leader at 3s: home %v, fs %v", lead, fsLead)
+	}
+	if cut != follower {
+		t.Errorf("partition cut off %v, want the first non-leader member %v", cut, follower)
+	}
+	if want := []ethernet.MAC{fsLead, lead}; !slices.Equal(crashed, want) {
+		t.Errorf("crashed %v, want the FS leader then the home leader %v", crashed, want)
+	}
+}
+
+// TestHomeLeaderKillMidElectionLandsOnTheElected: a home-leader kill timed
+// while the group is electing — its leader was killed just before — finds
+// no leader, asks again every 200 ms, and lands on the member the election
+// chooses.
+func TestHomeLeaderKillMidElectionLandsOnTheElected(t *testing.T) {
+	t.Parallel()
+	c := boot(t, Options{Workstations: 4, Seed: 3, ReplicateHome: 3})
+	c.Fault.Arm(fault.Schedule{
+		{When: fault.After(3 * time.Second), Do: fault.Crash, Who: fault.HomeLeader},
+		{When: fault.After(3100 * time.Millisecond), Do: fault.Crash, Who: fault.HomeLeader},
+	})
+	var crashed []trace.Event
+	var elect trace.Event // the first home election after the first kill
+	c.Trace.Subscribe(func(ev trace.Event) {
+		switch {
+		case ev.Kind == trace.EvHostCrash:
+			crashed = append(crashed, ev)
+		case ev.Kind == trace.EvElect && ev.LH == vid.GroupHomeRSM.LH() && len(crashed) == 1 && elect.At == 0:
+			elect = ev
+		}
+	})
+	c.Run(10 * time.Second)
+
+	if len(crashed) != 2 || elect.At == 0 {
+		t.Fatalf("crashes %d, election after the first %v: want 2 crashes and an election", len(crashed), elect.At)
+	}
+	second := crashed[1]
+	if second.Host != elect.Host || second.Host == crashed[0].Host {
+		t.Fatalf("second kill hit %#x; the election chose %#x (first kill %#x)", second.Host, elect.Host, crashed[0].Host)
+	}
+	waited := second.At.Sub(sim.Time(3100 * time.Millisecond))
+	if second.At < elect.At || waited <= 0 || waited%(200*time.Millisecond) != 0 {
+		t.Fatalf("second kill at %v, election at %v: want the first 200 ms retry after it", second.At, elect.At)
 	}
 }

@@ -122,7 +122,7 @@ func TestPostcopySourceCrashMidResidueAborts(t *testing.T) {
 	t.Parallel()
 	c := boot(t, Options{Workstations: 4, Seed: 43, Policy: PolicyPostcopy})
 	c.Install(progs.Ticker(400))
-	c.Fault.MigrationFault(trace.PhasePostSwapPull, 0, fault.VictimSource)
+	c.Fault.Arm(fault.Schedule{{When: fault.AtPhase(trace.PhasePostSwapPull, 0), Do: fault.Crash, Who: fault.MigrationSource}})
 
 	var job *Job
 	var origLH vid.LHID

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"vsystem/internal/ethernet"
+	"vsystem/internal/fault"
 	"vsystem/internal/kernel"
 	"vsystem/internal/packet"
 	"vsystem/internal/progs"
@@ -25,7 +26,7 @@ func TestGuestCrashAutoReexec(t *testing.T) {
 	t.Parallel()
 	c := boot(t, Options{Workstations: 4, Seed: 51})
 	c.Install(progs.Ticker(120))
-	c.Fault.CrashAfter(1500*time.Millisecond, c.Node(1).Host.NIC.MAC())
+	c.Fault.Arm(fault.Schedule{{When: fault.After(1500 * time.Millisecond), Do: fault.Crash, Who: fault.Host(1)}})
 
 	var job *Job
 	var code uint32
@@ -83,7 +84,7 @@ func TestRestartsExhaustedFailsSession(t *testing.T) {
 	t.Parallel()
 	c := boot(t, Options{Workstations: 2, Seed: 52})
 	c.Install(progs.Ticker(400))
-	c.Fault.CrashAfter(time.Second, c.Node(1).Host.NIC.MAC())
+	c.Fault.Arm(fault.Schedule{{When: fault.After(time.Second), Do: fault.Crash, Who: fault.Host(1)}})
 
 	var execErr, waitErr error
 	c.Node(0).Agent(func(a *Agent) {
@@ -163,7 +164,7 @@ func TestExecStartFailureReapsLeak(t *testing.T) {
 				[]ethernet.MAC{c.Node(1).Host.NIC.MAC()})
 		}
 	})
-	c.Sim.After(4*time.Second, func() { c.Fault.Heal() })
+	c.Fault.Arm(fault.Schedule{{When: fault.After(4 * time.Second), Do: fault.Heal}})
 
 	var execErr error
 	c.Node(0).Agent(func(a *Agent) {

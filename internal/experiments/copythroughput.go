@@ -141,22 +141,12 @@ func runCopyCell(seed int64, window, pages int, loss, zeroFrac float64) copyCell
 func migrateCell(seed int64, window int) (*core.MigrationReport, error) {
 	c := bootCluster(core.Options{Workstations: 3, Seed: seed, CopyWindow: window})
 	defer c.Close()
-	var rep *core.MigrationReport
-	var err error
-	c.Node(0).Agent(func(a *core.Agent) {
-		job, e := a.Exec("tex", nil, "ws1")
-		if e != nil {
-			err = e
-			return
-		}
-		a.Sleep(3 * time.Second)
-		rep, err = a.Migrate(job, true)
-	})
+	m := migrateAfter(c.Node(0), "tex", "ws1", 3*time.Second)
 	c.Run(time.Minute)
-	if err != nil {
+	if err := m.failed(); err != nil {
 		return nil, err
 	}
-	return rep, nil
+	return m.rep, nil
 }
 
 // CopyThroughput regenerates E10: the windowed bulk-transfer engine's

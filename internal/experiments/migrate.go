@@ -77,22 +77,13 @@ func MigrationCopyCosts(seed int64) *Result {
 		defer c.Close()
 		big := workload.Spec{Name: "memhog", HotKB: 900, HotRateKBps: 50, StreamKBps: 0, StreamKB: 64, DurationMs: 0}
 		c.Install(workload.Image(big, 0))
-		var rep *core.MigrationReport
-		var err error
-		c.Node(0).Agent(func(a *core.Agent) {
-			job, e := a.Exec("memhog", nil, "ws1")
-			if e != nil {
-				err = e
-				return
-			}
-			a.Sleep(4 * time.Second) // allocate the full image
-			rep, err = a.Migrate(job, false)
-		})
+		m := migrateAfter(c.Node(0), "memhog", "ws1", 4*time.Second) // allocate the full image
 		c.Run(time.Minute)
-		if err != nil {
+		if err := m.failed(); err != nil {
 			r.check(false, "copy-rate run: %v", err)
 			return r
 		}
+		rep := m.rep
 		kb := rep.Rounds[0].KB
 		secPerMB := rep.Rounds[0].Dur.Seconds() / (kb / 1024)
 		r.row("address-space copy rate", "3 s/MB", fmt.Sprintf("%.2f s/MB", secPerMB),
@@ -192,22 +183,13 @@ func PrecopyEffectiveness(seed int64) *Result {
 	for i, s := range specs {
 		c := bootCluster(core.Options{Workstations: 4, Seed: seed + int64(i)})
 		defer c.Close()
-		var rep *core.MigrationReport
-		var err error
-		c.Node(0).Agent(func(a *core.Agent) {
-			job, e := a.Exec(s.Name, nil, "ws1")
-			if e != nil {
-				err = e
-				return
-			}
-			a.Sleep(5 * time.Second)
-			rep, err = a.Migrate(job, false)
-		})
+		m := migrateAfter(c.Node(0), s.Name, "ws1", 5*time.Second)
 		c.Run(time.Minute)
-		if err != nil {
+		if err := m.failed(); err != nil {
 			r.check(false, "%s: %v", s.Name, err)
 			continue
 		}
+		rep := m.rep
 		frz := rep.FreezeTime.Seconds() * 1000
 		r.row(fmt.Sprintf("%-13s", s.Name),
 			"2 iters, 0.5-70 KB, 5-210 ms",
@@ -247,26 +229,12 @@ func VMPaging(seed int64) *Result {
 	run := func(policy core.Policy) (*core.MigrationReport, *core.PagerStats, error) {
 		c := bootCluster(core.Options{Workstations: 3, Seed: seed, Policy: policy})
 		defer c.Close()
-		var rep *core.MigrationReport
-		var err error
-		var job *core.Job
-		c.Node(0).Agent(func(a *core.Agent) {
-			job, err = a.Exec("tex", nil, "ws1")
-			if err != nil {
-				return
-			}
-			a.Sleep(4 * time.Second)
-			rep, err = a.Migrate(job, false)
-			if err != nil {
-				return
-			}
-			a.Sleep(8 * time.Second) // let demand faults happen
-		})
-		c.Run(time.Minute)
-		if err != nil {
+		m := migrateAfter(c.Node(0), "tex", "ws1", 4*time.Second)
+		c.Run(time.Minute) // the tail lets demand faults happen
+		if err := m.failed(); err != nil {
 			return nil, nil, err
 		}
-		return rep, c.PagerStatsFor(job.LHID), nil
+		return m.rep, c.PagerStatsFor(m.job.LHID), nil
 	}
 
 	pre, _, err := run(core.PolicyPrecopy)
@@ -312,23 +280,13 @@ func AblationFreeze(seed int64) *Result {
 				HotKB: float64(kb), HotRateKBps: 40, StreamKBps: 0, StreamKB: 16,
 			}
 			c.Install(workload.Image(spec, 0))
-			var rep *core.MigrationReport
-			var err error
-			c.Node(0).Agent(func(a *core.Agent) {
-				job, e := a.Exec(spec.Name, nil, "ws1")
-				if e != nil {
-					err = e
-					return
-				}
-				a.Sleep(5 * time.Second)
-				rep, err = a.Migrate(job, false)
-			})
+			m := migrateAfter(c.Node(0), spec.Name, "ws1", 5*time.Second)
 			c.Run(time.Minute)
-			if err != nil {
+			if err := m.failed(); err != nil {
 				r.check(false, "%dKB/%v: %v", kb, policy, err)
 				return r
 			}
-			frz[pi] = rep.FreezeTime
+			frz[pi] = m.rep.FreezeTime
 		}
 		paperStop := fmt.Sprintf("≈%.1f s", float64(kb)/1024*3)
 		r.row(fmt.Sprintf("%4d KB logical host: stop-and-copy freeze", kb), paperStop,

@@ -7,7 +7,6 @@ import (
 
 	"vsystem/internal/core"
 	"vsystem/internal/fault"
-	"vsystem/internal/progs"
 	"vsystem/internal/trace"
 	"vsystem/internal/workload"
 )
@@ -42,21 +41,12 @@ func MigrationPolicies(p *Pool, seed int64) *Result {
 					label := fmt.Sprintf("%-8s %-6s loss %2.0f%%", pol, spec, loss*100)
 					c := bootCluster(core.Options{Workstations: 3, Seed: seed, LossRate: loss, Policy: pol})
 					defer c.Close()
-					var rep *core.MigrationReport
-					var err error
-					c.Node(0).Agent(func(a *core.Agent) {
-						job, e := a.Exec(spec, nil, "ws1")
-						if e != nil {
-							err = e
-							return
-						}
-						a.Sleep(4 * time.Second)
-						rep, err = a.Migrate(job, false)
-					})
+					m := migrateAfter(c.Node(0), spec, "ws1", 4*time.Second)
 					// Migrate returns once the residue completes (≤ ~10 s of
 					// virtual time); don't simulate the idle tail of the run.
 					c.Run(15 * time.Second)
-					if err != nil || rep == nil {
+					rep := m.rep
+					if err := m.failed(); err != nil || rep == nil {
 						r.check(false, "%s: migrate: %v", label, err)
 						return
 					}
@@ -111,19 +101,10 @@ func MigrationPolicies(p *Pool, seed int64) *Result {
 				c := bootCluster(core.Options{Workstations: 3, Seed: seed + int64(trial)*1009, LossRate: 0.05, Policy: pol})
 				defer c.Close()
 				c.Install(workload.Image(stress, 64*1024))
-				var rep *core.MigrationReport
-				var err error
-				c.Node(0).Agent(func(a *core.Agent) {
-					job, e := a.Exec("stress", nil, "ws1")
-					if e != nil {
-						err = e
-						return
-					}
-					a.Sleep(4 * time.Second)
-					rep, err = a.Migrate(job, false)
-				})
+				m := migrateAfter(c.Node(0), "stress", "ws1", 4*time.Second)
 				c.Run(20 * time.Second)
-				if err != nil || rep == nil {
+				rep := m.rep
+				if err := m.failed(); err != nil || rep == nil {
 					r.check(false, "%s: migrate: %v", label, err)
 					return
 				}
@@ -151,66 +132,45 @@ func MigrationPolicies(p *Pool, seed int64) *Result {
 	// policies, with the source killed mid-residue (clean abort; the
 	// supervised session re-executes from its file-server image).
 	const wantTicks = 400
+	// Worst case (source crash → lease expiry → full re-execution)
+	// completes by ~30 s; 45 s leaves margin without simulating an idle
+	// tail. Under a source crash the worker dies mid-call; the session
+	// must still finish, so Migrate's error is not checked.
+	s := session{workstations: 4, ticks: wantTicks, where: "ws1", migrateAfter: 800 * time.Millisecond, run: 45 * time.Second}
+	var rows []faultRow
 	for _, pol := range policies {
-		sweep := []struct {
-			label  string
-			victim fault.Victim
-			phase  trace.Phase
-		}{
-			{"no fault", fault.VictimNone, 0},
-			{"dest crash @ swap", fault.VictimDest, trace.PhaseSwap},
+		sweep := []faultRow{
+			{label: "no fault"},
+			{label: "dest crash @ swap", sched: crashAt(trace.PhaseSwap, fault.MigrationDest)},
+			{label: "source crash @ postswap-pull", sched: crashAt(trace.PhasePostSwapPull, fault.MigrationSource)},
 		}
-		if pol == core.PolicyPostcopy || pol == core.PolicyHybrid {
-			sweep = append(sweep, struct {
-				label  string
-				victim fault.Victim
-				phase  trace.Phase
-			}{"source crash @ postswap-pull", fault.VictimSource, trace.PhasePostSwapPull})
+		if pol != core.PolicyPostcopy && pol != core.PolicyHybrid {
+			sweep = sweep[:2]
 		}
-		for _, cell := range sweep {
-			cells = append(cells, func(r *Result) {
-				label := fmt.Sprintf("%s, %s", pol, cell.label)
-				c := bootCluster(core.Options{Workstations: 4, Seed: seed, Policy: pol})
-				defer c.Close()
-				c.Install(progs.Ticker(wantTicks))
-				if cell.victim != fault.VictimNone {
-					c.Fault.MigrationFault(cell.phase, 0, cell.victim)
-				}
-				var execErr error
-				c.Node(0).Agent(func(a *core.Agent) {
-					job, e := a.Exec(fmt.Sprintf("ticker%d", wantTicks), nil, "ws1")
-					if e != nil {
-						execErr = e
-						return
-					}
-					a.Sleep(800 * time.Millisecond)
-					// Under a source crash the worker dies mid-call; the
-					// session must still finish, so the error is not checked.
-					a.Migrate(job, false)
-				})
-				// Worst case (source crash → lease expiry → full re-execution)
-				// completes by ~30 s; 45 s leaves margin without simulating an
-				// idle tail.
-				c.Run(45 * time.Second)
-				if execErr != nil {
-					r.check(false, "%s: exec: %v", label, execErr)
-					return
-				}
-				ticks, ordered := gapless(c.Node(0).Display.Lines())
-				r.row(label, "output exactly once, in order",
-					fmt.Sprintf("%d/%d ticks, ordered=%v", ticks, wantTicks, ordered),
-					fmt.Sprintf("faults=%d restarts=%d",
-						c.Trace.Count(trace.EvMigFault), c.Trace.Count(trace.EvExecRestart)))
-				r.metric("exactly_once_"+metricKey(label), b2f(ticks == wantTicks && ordered))
-				r.check(ticks == wantTicks && ordered,
-					"%s: output lost or duplicated (%d/%d, ordered=%v)", label, ticks, wantTicks, ordered)
-				if cell.victim != fault.VictimNone {
-					r.check(c.Trace.Count(trace.EvMigFault) == 1,
-						"%s: fault fired %d times", label, c.Trace.Count(trace.EvMigFault))
-				}
-			})
+		for _, row := range sweep {
+			row.label, row.opt.Policy = fmt.Sprintf("%s, %s", pol, row.label), pol
+			rows = append(rows, row)
 		}
 	}
+	cells = append(cells, rowCells(rows, func(r *Result, row faultRow) {
+		c, o := s.play(seed, row, nil)
+		defer c.Close()
+		if o.execErr != nil {
+			r.check(false, "%s: exec: %v", row.label, o.execErr)
+			return
+		}
+		r.row(row.label, "output exactly once, in order",
+			fmt.Sprintf("%d/%d ticks, ordered=%v", o.ticks, wantTicks, o.ordered),
+			fmt.Sprintf("faults=%d restarts=%d",
+				c.Trace.Count(trace.EvMigFault), c.Trace.Count(trace.EvExecRestart)))
+		r.metric("exactly_once_"+metricKey(row.label), b2f(o.exactlyOnce(wantTicks)))
+		r.check(o.exactlyOnce(wantTicks),
+			"%s: output lost or duplicated (%d/%d, ordered=%v)", row.label, o.ticks, wantTicks, o.ordered)
+		if row.sched != (fault.Schedule{}) {
+			r.check(c.Trace.Count(trace.EvMigFault) == 1,
+				"%s: fault fired %d times", row.label, c.Trace.Count(trace.EvMigFault))
+		}
+	})...)
 
 	ran := p.cells(cells)
 	r.absorb(ran[:beforeHeadline]...)

@@ -25,22 +25,13 @@ func PrecopyRounds(seed int64) *Result {
 			PrecopyMaxRounds: cap, PrecopyStopKB: 1, PrecopyMinShrink: 1.0,
 		})
 		defer c.Close()
-		var rep *core.MigrationReport
-		var err error
-		c.Node(0).Agent(func(a *core.Agent) {
-			job, e := a.Exec("tex", nil, "ws1")
-			if e != nil {
-				err = e
-				return
-			}
-			a.Sleep(4 * time.Second)
-			rep, err = a.Migrate(job, false)
-		})
+		m := migrateAfter(c.Node(0), "tex", "ws1", 4*time.Second)
 		c.Run(time.Minute)
-		if err != nil {
+		if err := m.failed(); err != nil {
 			r.check(false, "cap=%d: %v", cap, err)
 			return r
 		}
+		rep := m.rep
 		frz := rep.FreezeTime.Seconds() * 1000
 		freezes = append(freezes, frz)
 		r.row(fmt.Sprintf("%d iteration(s)", cap),

@@ -83,8 +83,9 @@ const (
 	EvPartition
 	// EvHeal: the fault injector removed all active partitions.
 	EvHeal
-	// EvMigFault: the fault injector killed a migration participant at an
-	// armed phase (Prio carries the phase, Size the pre-copy round).
+	// EvMigFault: the fault injector fired a step armed at a migration
+	// phase, usually killing a participant (Host is the step's target, Prio
+	// carries the phase, Size the pre-copy round).
 	EvMigFault
 	// EvBindHit: the IPC binding cache resolved a logical host (§3.1.4).
 	EvBindHit
