@@ -128,7 +128,7 @@ type Node struct {
 	// events, not destroyed).
 	Selector *sched.Selector
 	cluster  *Cluster
-	pagerSeq uint16
+	pagerSeq uint32
 }
 
 // Options returns the options the cluster was booted with, defaults

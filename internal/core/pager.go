@@ -130,7 +130,7 @@ func (at *copyAttempt) demandFetch(t *sim.Task, as *mem.AddressSpace, pn mem.Pag
 			pages = append(pages, p)
 		}
 	}
-	port := rs.node.Host.IPC.NewPort(rs.node.pagerPID())
+	port := rs.node.Host.IPC.NewPortGen(rs.node.pagerPID())
 	defer port.Close()
 	m, err := port.Send(t, rs.srcKS, vid.Message{
 		Op:  kernel.KsFetchPage,
@@ -185,7 +185,7 @@ func (at *copyAttempt) demandFetch(t *sim.Task, as *mem.AddressSpace, pn mem.Pag
 // may be dead by now — and a dead pinned leader gets one bounded retry
 // through the group; not-found is a definitive answer and is not retried.
 func (at *copyAttempt) pageIn(t *sim.Task, node *Node, as *mem.AddressSpace, pn mem.PageNo) []byte {
-	port := node.Host.IPC.NewPort(node.pagerPID())
+	port := node.Host.IPC.NewPortGen(node.pagerPID())
 	defer port.Close()
 	dst := at.mg.fileServerPID()
 	req := vid.Message{
@@ -203,19 +203,21 @@ func (at *copyAttempt) pageIn(t *sim.Task, node *Node, as *mem.AddressSpace, pn 
 	return m.Seg
 }
 
-// pagerPID allocates a unique port id for one page-fault transaction.
-// Ids come from the system logical host's private 0xF000 index block.
-// The bare sequence wraps after 4096 allocations, and a long-lived
-// cluster could recycle an id while an old fault transaction is still
-// parked on its port — NewPort panics on the collision — so ids with a
-// live port are skipped.
-func (n *Node) pagerPID() vid.PID {
+// pagerPID allocates a unique port id for one page-fault transaction, and
+// the generation to register it under (ipc.NewPortGen). Ids come from the
+// system logical host's private 0xF000 index block. The bare sequence
+// wraps after 4096 allocations, and each wrap is a new generation: a server
+// that served an id before the wrap still remembers its transactions. A
+// long-lived cluster could recycle an id while an old fault transaction is
+// still parked on its port — NewPortGen panics on the collision — so ids
+// with a live port are skipped.
+func (n *Node) pagerPID() (vid.PID, uint32) {
 	sys := n.Host.SystemLH().ID()
 	for i := 0; i < 0x1000; i++ {
 		n.pagerSeq++
-		pid := vid.NewPID(sys, 0xF000+n.pagerSeq%0x1000)
+		pid := vid.NewPID(sys, uint16(0xF000+n.pagerSeq%0x1000))
 		if !n.Host.IPC.HasPort(pid) {
-			return pid
+			return pid, n.pagerSeq / 0x1000
 		}
 	}
 	panic("core: pager port ids exhausted")

@@ -190,13 +190,15 @@ type fragSpan struct {
 }
 
 // fragSource is a fragmented segment kept for NACK repair: until its
-// transaction completes (a request) or for ReplyCacheTTL (a reply).
+// transaction completes (a request) or for ReplyCacheTTL (a reply). Repair
+// goes to the station the NACK came from, which is not always the one the
+// segment first went to: its receiver may have migrated meanwhile.
 type fragSource struct {
 	seg     []byte
-	dst     ethernet.MAC
 	summary *packet.Packet
 	txn     *sendTxn  // the send transaction seg belongs to; nil for a reply
 	timer   sim.Timer // drops the entry after ReplyCacheTTL
+	sending bool      // the first transmission is still under way
 }
 
 // segBufsKept bounds an engine's free list of segment buffers: a window's
@@ -476,7 +478,7 @@ func (e *Engine) sendFragged(t *sim.Task, p *packet.Packet, dst ethernet.MAC, tx
 	summary.SegLen = uint32(len(seg))
 	summary.FragCount = uint16(n)
 	e.dropFragSource(key)
-	fs := &fragSource{seg: seg, dst: dst, summary: &summary, txn: txn}
+	fs := &fragSource{seg: seg, summary: &summary, txn: txn, sending: true}
 	e.txBuf[key] = fs
 	for i := 0; i < n; i++ {
 		e.cpu.Use(t, params.BulkSendCPU, params.PrioKernel)
@@ -484,6 +486,7 @@ func (e *Engine) sendFragged(t *sim.Task, p *packet.Packet, dst ethernet.MAC, tx
 	}
 	e.cpu.Use(t, params.SmallPktSendCPU, params.PrioKernel)
 	e.transmitFrame(t, &summary, dst, false)
+	fs.sending = false
 	if e.txBuf[key] == fs {
 		// Bound how long the repair buffer is retained.
 		fs.timer = e.sim.After(params.ReplyCacheTTL, func() {
@@ -519,9 +522,9 @@ func (e *Engine) sendFrag(t *sim.Task, key reasmKey, seg []byte, i int, dst ethe
 	e.transmitFrame(t, &e.tx, dst, true)
 }
 
-// resendFrags services a FragNack: retransmit the missing fragments and the
-// summary. Runs on netd.
-func (e *Engine) resendFrags(t *sim.Task, key reasmKey, missing []uint16) {
+// resendFrags services a FragNack from station to: retransmit the missing
+// fragments and the summary there. Runs on netd.
+func (e *Engine) resendFrags(t *sim.Task, key reasmKey, missing []uint16, to ethernet.MAC) {
 	src := e.txBuf[key]
 	if src == nil {
 		return
@@ -540,10 +543,10 @@ func (e *Engine) resendFrags(t *sim.Task, key reasmKey, missing []uint16) {
 		e.cpu.Use(t, params.BulkSendCPU, params.PrioKernel)
 		e.stats.Retransmits++
 		e.publish(trace.EvPktRetx, src.summary)
-		e.sendFrag(t, key, src.seg, int(idx), src.dst)
+		e.sendFrag(t, key, src.seg, int(idx), to)
 	}
 	e.cpu.Use(t, params.SmallPktSendCPU, params.PrioKernel)
-	e.transmitFrame(t, src.summary, src.dst, false)
+	e.transmitFrame(t, src.summary, to, false)
 }
 
 // recvFrame processes one arriving frame on netd.
@@ -627,7 +630,7 @@ func (e *Engine) dispatch(t *sim.Task, p *packet.Packet, from ethernet.MAC) {
 		// Advertisement already consumed by the sink above.
 	case packet.KFragNack:
 		// p.Src is the original packet's source (us); p.Dst the nacker.
-		e.resendFrags(t, reasmKey{src: p.Src, dst: p.Dst, txid: p.TxID, kind: p.OfKind}, p.Missing)
+		e.resendFrags(t, reasmKey{src: p.Src, dst: p.Dst, txid: p.TxID, kind: p.OfKind}, p.Missing, from)
 	}
 }
 
@@ -805,13 +808,10 @@ func (e *Engine) deliverRequest(t *sim.Task, p *packet.Packet, from ethernet.MAC
 		return
 	}
 	// Reassemble large segments only for requests we will actually accept
-	// as new; duplicates are answered from the reply cache first.
+	// as new; a duplicate is answered by what its reply's state allows.
 	switch port.classify(p.Src, p.TxID) {
-	case reqDuplicateReplied:
-		e.stats.RepliesFromCache++
-		port.resendCachedReply(p.Src, from)
-	case reqDuplicatePending:
-		e.replyPending(p, from)
+	case reqDuplicate:
+		port.answerDuplicate(p, from)
 	case reqStale:
 		e.stats.DroppedStale++
 	case reqNew:

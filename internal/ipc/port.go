@@ -394,7 +394,6 @@ func (p *Port) transmit(t *sim.Task, s *sendTxn, retrans bool) {
 	s.mac = mac
 	key := reasmKey{src: p.pid, dst: s.dst, txid: s.txid, kind: packet.KRequest}
 	if fs := p.eng.txBuf[key]; fs != nil && retrans {
-		fs.dst = mac
 		p.eng.cpu.Use(t, params.SmallPktSendCPU, params.PrioKernel)
 		p.eng.transmitFrame(t, fs.summary, mac, false)
 		return
@@ -511,8 +510,7 @@ type reqClass int
 
 const (
 	reqNew reqClass = iota
-	reqDuplicatePending
-	reqDuplicateReplied
+	reqDuplicate
 	reqStale
 )
 
@@ -520,14 +518,11 @@ const (
 // port has already seen from the sender.
 func (p *Port) classify(src vid.PID, txid uint32) reqClass {
 	last, seen := p.lastFrom[src]
-	if !seen || txid > last {
+	switch {
+	case !seen || txid > last:
 		return reqNew
-	}
-	if txid == last {
-		if c := p.replyCache[src]; c != nil && c.txid == txid {
-			return reqDuplicateReplied
-		}
-		return reqDuplicatePending
+	case txid == last:
+		return reqDuplicate
 	}
 	return reqStale
 }
@@ -554,17 +549,42 @@ func (p *Port) ReleaseSeg(r *Req) {
 	}
 }
 
-// resendCachedReply answers a duplicate request from the reply cache. The
-// retention timeout is reset: a retransmitting sender (for example one
-// frozen mid-migration, §3.1.3) keeps the reply alive until it can accept
-// it.
-func (p *Port) resendCachedReply(src vid.PID, from ethernet.MAC) {
+// answerDuplicate answers a retransmission of the last request its sender
+// made — arriving at station from — with what the state of its reply
+// allows, so that a reply crosses the wire once however often the request
+// is retransmitted (§3.1.3):
+//
+//   - not replied yet (queued or being served): reply-pending;
+//   - a fragmented reply still on its first transmission: reply-pending;
+//   - a fragmented reply sent, its repair buffer still held: the summary
+//     alone, to from — the sender NACKs what it lacks, and the repair
+//     follows the NACK;
+//   - otherwise — a one-frame reply, an expired repair buffer, a port
+//     restored by migration (its state carries the reply cache, not the
+//     repair buffer), or a sender now on this host: the whole reply again.
+//
+// Answering from the reply cache renews its retention: a retransmitting
+// sender (for example one frozen mid-migration) keeps the reply alive
+// until it can accept it.
+func (p *Port) answerDuplicate(req *packet.Packet, from ethernet.MAC) {
+	src := req.Src
 	c := p.replyCache[src]
-	if c == nil {
+	if c == nil || c.txid != req.TxID {
+		p.eng.replyPending(req, from)
 		return
 	}
+	fs := p.eng.txBuf[reasmKey{src: p.pid, dst: src, txid: c.txid, kind: packet.KReply}]
+	if fs != nil && fs.sending {
+		p.eng.replyPending(req, from)
+		return
+	}
+	p.eng.stats.RepliesFromCache++
 	c.expires = p.eng.sim.Now().Add(params.ReplyCacheTTL)
 	p.scheduleCacheSweep(src, c)
+	if fs != nil && from != p.eng.nic.MAC() {
+		p.eng.emit(fs.summary, from)
+		return
+	}
 	p.eng.jobs.Push(job{fn: func(t *sim.Task) {
 		p.emitReply(t, src, c.txid, c.msg, from)
 	}})

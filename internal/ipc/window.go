@@ -76,10 +76,12 @@ func (e *Engine) NewWindow(lh vid.LHID, size int) *Window {
 		// Window worker PIDs live in a private high index range (below the
 		// pager's 0xF000 block, far above real process indices); the
 		// sequence advances per port so a fresh window never collides with
-		// late replies addressed to a predecessor's transactions.
+		// late replies addressed to a predecessor's transactions. Each
+		// wrap of the range is a new generation of its ids: a server that
+		// served the id before the wrap still remembers its transactions.
 		pid := vid.NewPID(lh, uint16(0xE000+e.winSeq%0x0FF0))
+		p := e.NewPortGen(pid, e.winSeq/0x0FF0)
 		e.winSeq++
-		p := e.NewPort(pid)
 		p.winq = &w.wait
 		w.ports = append(w.ports, p)
 	}

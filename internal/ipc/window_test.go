@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"vsystem/internal/ethernet"
+	"vsystem/internal/params"
 	"vsystem/internal/sim"
 	"vsystem/internal/trace"
 	"vsystem/internal/vid"
@@ -70,6 +71,67 @@ func runWindowPush(t *testing.T, seed int64, size, n int, loss float64, bus *tra
 		t.Fatal("push did not complete")
 	}
 	return elapsed, ws, r.hosts[0].eng.Stats()
+}
+
+// TestWindowIDWrapIsHeard: window sub-port ids come from a private block of
+// 0x0FF0 and wrap. A server that served the block's first id still
+// remembers that transaction when the id comes round again, so the id must
+// come back under the next generation: at generation 0 its first
+// transaction would be taken for a retransmission of the old one, answered
+// from the reply cache while that lives and reply-pending for ever after.
+func TestWindowIDWrapIsHeard(t *testing.T) {
+	r, _, server := bulkRig(t, 21)
+	t.Cleanup(r.sim.Shutdown)
+	served := uint32(0)
+	r.sim.Spawn("server", func(tk *sim.Task) {
+		for {
+			req := server.Receive(tk)
+			served++
+			server.Reply(tk, req, vid.Message{W: [6]uint32{served}})
+		}
+	})
+	eng := r.hosts[0].eng
+	var replies []uint32
+	var errs []error
+	send := func(tk *sim.Task, w *Window) {
+		w.SetOnReply(func(_, reply vid.Message) { replies = append(replies, reply.W[0]) })
+		err := w.Send(tk, server.PID(), vid.Message{Op: testOp})
+		if err == nil {
+			err = w.Drain(tk)
+		}
+		errs = append(errs, err)
+		w.Close()
+	}
+	var firstPID, lastPID vid.PID
+	r.sim.Spawn("client", func(tk *sim.Task) {
+		first := eng.NewWindow(10, 1)
+		firstPID = first.ports[0].PID()
+		send(tk, first)
+		for i := 1; i < 0x0FF0; i++ {
+			eng.NewWindow(10, 1).Close()
+		}
+		// Past the reply cache's lifetime: all the server keeps of the old
+		// id is the number of its last transaction.
+		tk.Sleep(params.ReplyCacheTTL + time.Second)
+		last := eng.NewWindow(10, 1)
+		lastPID = last.ports[0].PID()
+		send(tk, last)
+	})
+	r.sim.RunFor(time.Minute)
+	if lastPID != firstPID {
+		t.Fatalf("window %#x got id %v, want the wrapped %v", 0x0FF0, lastPID, firstPID)
+	}
+	if len(errs) != 2 {
+		t.Fatalf("%d of 2 sends completed: the wrapped id's first Send hangs", len(errs))
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("send %d: %v", i+1, err)
+		}
+	}
+	if len(replies) != 2 || replies[1] != 2 {
+		t.Fatalf("replies %v, want [1 2]: the wrapped id was answered for its predecessor", replies)
+	}
 }
 
 // TestWindowPipelinesRequests: an open window must overlap the
