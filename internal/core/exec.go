@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"strings"
 	"time"
 
 	"vsystem/internal/kernel"
@@ -104,52 +103,19 @@ func (a *Agent) ExecR(prog string, args []string, where string, maxRestarts int)
 	if err != nil {
 		return nil, err
 	}
-	job, err := a.CreateProgram(sel, prog, args)
+	guest := sel.SystemLH != a.node.Host.SystemLH().ID()
+	pid, lhid, err := a.node.PM.Launch(ctx, sel.PM, guest, prog, args, a.node.Display.PID(), 0)
 	if err != nil {
 		return nil, err
 	}
-	job.Host = whereName(a, sel)
-	// Start the program: the creator's go-ahead to the initial process,
-	// via the kernel server reachable through the program's logical host.
-	sm, err := ctx.Send(kernel.KernelServerPID(job.LHID), vid.Message{
-		Op: kernel.KsStartProcess,
-		W:  [6]uint32{uint32(job.PID)},
-	})
-	if err != nil && a.ranToExit(ctx, job) {
-		err = nil // the go-ahead arrived; only its reply was lost
-	}
-	if err != nil || !sm.OK() {
-		// The environment was created but the program never started: reap
-		// it so the failed Exec does not leak an address space on the
-		// remote manager. If the manager is unreachable too, hand the job
-		// to the home manager's retrying reaper.
-		a.node.PM.DestroyRemote(ctx, sel.PM, job.LHID)
-		if err != nil {
-			return nil, err
-		}
-		return nil, sm.Err()
-	}
-	if sel.SystemLH != a.node.Host.SystemLH().ID() && maxRestarts > 0 {
+	if guest && maxRestarts > 0 {
 		a.superviseSession(&progmgr.SessionInfo{
-			LHID: job.LHID, PID: job.PID, Name: prog, Args: args,
+			LHID: lhid, PID: pid, Name: prog, Args: args,
 			Stdout: a.node.Display.PID(), MinMem: ExecMinMem,
 			HostPM: sel.PM, HostLH: sel.SystemLH, MaxRestarts: maxRestarts,
 		})
 	}
-	return job, nil
-}
-
-// ranToExit reports whether job's manager has it down as exited. A start
-// whose reply frame is lost is normally answered again from the kernel
-// server's reply cache, but a program shorter than one retransmission
-// interval has exited by then, its logical host — the address the
-// go-ahead was sent to — is gone, and the retransmissions meet silence
-// that reads as host-down. The manager remembers exits, so ask it (with
-// the lease heartbeat, which never blocks) before calling the start
-// failed.
-func (a *Agent) ranToExit(ctx *kernel.ProcCtx, job *Job) bool {
-	m, err := ctx.Send(job.PM, vid.Message{Op: progmgr.PmRenewLease, W: [6]uint32{uint32(job.LHID)}})
-	return err == nil && m.OK() && m.W[1] == 2
+	return &Job{Name: prog, PID: pid, LHID: lhid, PM: sel.PM, Host: whereName(a, sel)}, nil
 }
 
 // superviseSession registers a remote job with the home supervisor: the
@@ -379,22 +345,12 @@ func (a *Agent) Select(minMem uint32) (HostSel, error) {
 // without starting the program (the experiment harness uses this to
 // separate environment setup/teardown cost from execution).
 func (a *Agent) CreateProgram(sel HostSel, prog string, args []string) (*Job, error) {
-	guest := uint32(0)
-	if sel.SystemLH != a.node.Host.SystemLH().ID() {
-		guest = 1
-	}
-	m, err := a.ctx.Send(sel.PM, vid.Message{
-		Op:  progmgr.PmCreateProgram,
-		W:   [6]uint32{uint32(a.node.Display.PID()), guest},
-		Seg: []byte(strings.Join(append([]string{prog}, args...), "\x00")),
-	})
+	guest := sel.SystemLH != a.node.Host.SystemLH().ID()
+	pid, lhid, err := progmgr.Create(a.ctx, sel.PM, guest, prog, args, a.node.Display.PID())
 	if err != nil {
 		return nil, err
 	}
-	if !m.OK() {
-		return nil, m.Err()
-	}
-	return &Job{Name: prog, PID: vid.PID(m.W[0]), LHID: vid.LHID(m.W[1]), PM: sel.PM}, nil
+	return &Job{Name: prog, PID: pid, LHID: lhid, PM: sel.PM}, nil
 }
 
 // DestroyProgram tears a program down through its manager.

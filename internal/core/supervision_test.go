@@ -119,6 +119,60 @@ func TestRestartsExhaustedFailsSession(t *testing.T) {
 	}
 }
 
+// TestReexecLostStartReplyIsNotAFailedAttempt: a program re-executed by
+// its supervisor runs shorter than one retransmission interval, and the
+// reply to its start is lost. By the time the start is retransmitted the
+// program has exited and its logical host is gone, so the start errors.
+// The program did run: the session must end done after one restart, with
+// the output shown once, not be re-executed again or given up on.
+func TestReexecLostStartReplyIsNotAFailedAttempt(t *testing.T) {
+	t.Parallel()
+	c := boot(t, Options{Workstations: 4, Seed: 55})
+	crashed, dropped := false, false
+	c.Bus.SetLoss(func(f ethernet.Frame) bool {
+		if !crashed || dropped {
+			return false
+		}
+		p, err := packet.Unmarshal(f.Payload)
+		if err == nil && p.Kind == packet.KReply && p.Msg.Op == kernel.KsStartProcess {
+			dropped = true
+		}
+		return dropped
+	})
+
+	var code uint32
+	var execErr, waitErr error
+	c.Node(0).Agent(func(a *Agent) {
+		var job *Job
+		job, execErr = a.ExecR("hello", nil, "*", 1)
+		if execErr != nil {
+			return
+		}
+		n, _ := c.FindProgram(job.LHID)
+		if n == nil {
+			execErr = errors.New("program ended before its host could be crashed")
+			return
+		}
+		crashed = true
+		c.Fault.Crash(n.Host.NIC.MAC())
+		code, waitErr = a.Wait(job)
+	})
+	c.Run(60 * time.Second)
+
+	if execErr != nil || waitErr != nil || code != 0 {
+		t.Fatalf("exec=%v wait=(%d,%v)", execErr, code, waitErr)
+	}
+	if !dropped {
+		t.Fatal("the re-execution's start reply was never dropped; trigger premise broken")
+	}
+	if v := c.Node(0).PM.Sessions(); len(v) != 1 || v[0].State != "done" || v[0].Restarts != 1 {
+		t.Fatalf("sessions = %+v, want one done after one restart", v)
+	}
+	if got := c.Node(0).Display.Lines(); len(got) != 1 || got[0] != "hello from the VVM" {
+		t.Fatalf("display = %q, want the line once", got)
+	}
+}
+
 // TestWaitBounceCapped is the forwarding-loop regression test: two
 // managers each claim the program moved to the other. A waiter following
 // the CodeMoved chain must give up after WaitMaxMoves instead of bouncing

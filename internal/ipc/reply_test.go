@@ -146,10 +146,10 @@ func TestDropReplyFragmentsRepairedSelectively(t *testing.T) {
 	// Three of the reply's fragments are lost: the client NACKs exactly the
 	// gaps, and only those are sent again.
 	r, client, server := bulkRig(t, 43)
-	lost := map[uint16]bool{}
+	dropped := map[uint16]bool{}
 	log := logWire(r, func(p *packet.Packet) bool {
-		if p.Kind == packet.KFrag && len(lost) < 3 && !lost[p.FragIdx] {
-			lost[p.FragIdx] = true
+		if p.Kind == packet.KFrag && len(dropped) < 3 && !dropped[p.FragIdx] {
+			dropped[p.FragIdx] = true
 			return true
 		}
 		return false
@@ -165,8 +165,8 @@ func TestDropReplyFragmentsRepairedSelectively(t *testing.T) {
 		t.Fatalf("%d distinct fragments sent, want %d", len(sent), packet.NumFrags(replyLen))
 	}
 	for idx, n := range sent {
-		if want := map[bool]int{false: 1, true: 2}[lost[idx]]; n != want {
-			t.Errorf("fragment %d sent %d times, want %d (lost: %v)", idx, n, want, lost[idx])
+		if want := map[bool]int{false: 1, true: 2}[dropped[idx]]; n != want {
+			t.Errorf("fragment %d sent %d times, want %d (dropped: %v)", idx, n, want, dropped[idx])
 		}
 	}
 	if n := frames(*log, packet.KFragNack, 1, 2); n != 1 {

@@ -287,7 +287,7 @@ func (r *hostResolver) DeferWhenFrozen(dst vid.PID, op uint16) bool {
 		return true
 	}
 	switch op {
-	case KsPing, KsQueryLH, KsQueryProcess, KsQueryLoad, KsReadPages, KsFetchPage:
+	case KsPing, KsQueryLH, KsQueryProcess, KsReadPages, KsFetchPage:
 		return false
 	}
 	return true

@@ -15,47 +15,35 @@ import (
 // migration control traffic therefore addresses the target's kernel server
 // through the target's system logical host.
 const (
-	KsPing uint16 = 0x10 + iota
+	KsPing uint16 = 0x10
 	// KsCreateLH: Seg=name, W0=guest → W0=new LHID.
-	KsCreateLH
+	KsCreateLH uint16 = 0x11
 	// KsCreateSpace: W0=lh, W1=size → W0=space id.
-	KsCreateSpace
-	// KsInstallSpace: W0=lh, W1=space id, W2=size (fixed-id, migration).
-	KsInstallSpace
+	KsCreateSpace uint16 = 0x12
 	// KsCreateProcess: W0=lh, W1=space id, Seg=body kind NUL regs blob →
 	// W0=new pid. Lets a program create sub-processes in its own logical
 	// host (§3: "a program may create sub-programs, all of which
 	// typically execute within a single logical host").
-	KsCreateProcess
+	KsCreateProcess uint16 = 0x14
 	// KsStartProcess: W0=pid — the creator's "reply to the initial
 	// process" that starts a newly created program (§2.1).
-	KsStartProcess
+	KsStartProcess uint16 = 0x15
 	// KsWritePages: W0=lh, Seg=page run → OK.
-	KsWritePages
+	KsWritePages uint16 = 0x16
 	// KsReadPages: W0=lh, W1=space, W2=first page, W3=count → Seg=run.
-	KsReadPages
-	// KsFreezeLH: W0=lh.
-	KsFreezeLH
+	KsReadPages uint16 = 0x17
 	// KsUnfreezeLH: W0=lh, W1=1 to broadcast the new binding.
-	KsUnfreezeLH
-	// KsGetState: W0=lh → Seg = encoded LHState (lh must be frozen).
-	KsGetState
+	KsUnfreezeLH uint16 = 0x19
 	// KsSetState: W0=placeholder lh, Seg = encoded LHState.
-	KsSetState
+	KsSetState uint16 = 0x1B
 	// KsChangeLHID: W0=placeholder lh, W1=final LHID.
-	KsChangeLHID
-	// KsDestroyLH: W0=lh.
-	KsDestroyLH
+	KsChangeLHID uint16 = 0x1C
 	// KsQueryLH: W0=lh → W0=#procs, W1=#spaces, W2=mem used, W3=frozen.
-	KsQueryLH
+	KsQueryLH uint16 = 0x1E
 	// KsQueryProcess: W0=pid → Seg=register blob, W0=state (0 running,
 	// 1 stopped, 2 dead). The V debugger's read-registers primitive:
 	// works identically on local and remote processes (§6).
-	KsQueryProcess
-	// KsQueryLoad: → W = the host's load advertisement (LoadWords): a
-	// direct, always-fresh read of the figures the scheduling layer
-	// otherwise learns from piggybacked advertisements and beacons.
-	KsQueryLoad
+	KsQueryProcess uint16 = 0x1F
 	// KsFetchPage: W0=lh, Seg=fetch request (EncodeFetchReq: space id plus
 	// an explicit page list) → Seg=page run. The post-copy remote-fault
 	// path: a faulting destination fetches the page it needs (plus
@@ -66,7 +54,7 @@ const (
 	// inactivity reaper holds off. Requests are idempotent: duplicates and
 	// out-of-order arrivals re-serve the same (frozen, hence stable)
 	// contents.
-	KsFetchPage
+	KsFetchPage uint16 = 0x21
 )
 
 // Write modes for KsWritePages (W1).
@@ -131,17 +119,6 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 			return vid.ErrMsg(vid.CodeNoMemory)
 		}
 		return vid.Message{Op: m.Op, W: [6]uint32{as.ID}}
-
-	case KsInstallSpace:
-		lh, ok := h.lhs[vid.LHID(m.W[0])]
-		if !ok {
-			return vid.ErrMsg(vid.CodeNotFound)
-		}
-		if _, err := lh.InstallSpace(m.W[1], m.W[2]); err != nil {
-			return vid.ErrMsg(vid.CodeNoMemory)
-		}
-		lh.lastWrite = h.Eng.Now()
-		return vid.Message{Op: m.Op}
 
 	case KsCreateProcess:
 		lh, ok := h.lhs[vid.LHID(m.W[0])]
@@ -252,14 +229,6 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		}
 		return vid.Message{Op: m.Op, Seg: AppendPageRun(nil, as.ID, pages, data)}
 
-	case KsFreezeLH:
-		lh, ok := h.lhs[vid.LHID(m.W[0])]
-		if !ok {
-			return vid.ErrMsg(vid.CodeNotFound)
-		}
-		h.Freeze(lh)
-		return vid.Message{Op: m.Op}
-
 	case KsUnfreezeLH:
 		lh, ok := h.lhs[vid.LHID(m.W[0])]
 		if !ok {
@@ -267,18 +236,6 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		}
 		h.Unfreeze(lh, m.W[1] != 0)
 		return vid.Message{Op: m.Op}
-
-	case KsGetState:
-		lh, ok := h.lhs[vid.LHID(m.W[0])]
-		if !ok {
-			return vid.ErrMsg(vid.CodeNotFound)
-		}
-		if !lh.frozen {
-			return vid.ErrMsg(vid.CodeRefused)
-		}
-		st := h.SnapshotKernelState(lh)
-		ctx.Compute(params.KernelStateBaseCPU/2 + time.Duration(st.Items())*params.KernelStatePerItemCPU/2)
-		return vid.Message{Op: m.Op, Seg: st.Encode()}
 
 	case KsSetState:
 		lh, ok := h.lhs[vid.LHID(m.W[0])]
@@ -306,14 +263,6 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		}
 		return vid.Message{Op: m.Op}
 
-	case KsDestroyLH:
-		lh, ok := h.lhs[vid.LHID(m.W[0])]
-		if !ok {
-			return vid.ErrMsg(vid.CodeNotFound)
-		}
-		h.DestroyLH(lh)
-		return vid.Message{Op: m.Op}
-
 	case KsQueryProcess:
 		pid := vid.PID(m.W[0])
 		lh, ok := h.lhs[pid.LH()]
@@ -332,9 +281,6 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 			state = 2
 		}
 		return vid.Message{Op: m.Op, W: [6]uint32{state}, Seg: EncodeRegs(&p.regs)}
-
-	case KsQueryLoad:
-		return vid.Message{Op: m.Op, W: h.LoadWords()}
 
 	case KsQueryLH:
 		lh, ok := h.lhs[vid.LHID(m.W[0])]

@@ -400,10 +400,6 @@ const (
 // loss triggers spurious elections.
 
 const (
-	// RsmReplicas is the default replica-set size of a consensus-backed
-	// home service (PM group, file server, name server).
-	RsmReplicas = 3
-
 	// RsmHeartbeatInterval is the leader's empty-append period per
 	// follower; it doubles as the replication workers' retry pacing.
 	RsmHeartbeatInterval = 150 * time.Millisecond

@@ -66,13 +66,6 @@ type migrateJob struct {
 	kill bool
 }
 
-// MigrateAway is the programmatic equivalent of PmMigrateProgram for
-// callers on the same host (the owner-returns scenario): it queues the
-// migration and returns immediately.
-func (pm *PM) MigrateAway(lhid vid.LHID, kill bool) {
-	pm.migrateQ.put(&migrateJob{lhid: lhid, kill: kill})
-}
-
 func (pm *PM) migrateLoop(ctx *kernel.ProcCtx) {
 	for {
 		job := pm.migrateQ.take(ctx)
@@ -101,11 +94,7 @@ func (pm *PM) doMigrate(ctx *kernel.ProcCtx, job *migrateJob) vid.Message {
 		if job.kill {
 			// migrateprog -n: destroy the program when no host accepts it.
 			pm.host.DestroyLH(pi.lh)
-			delete(pm.progs, job.lhid)
-			pm.exited[job.lhid] = 0xDEAD
-			for _, w := range pi.waiters {
-				pm.replyAsPM(ctx, w, vid.Message{Op: PmWaitProgram, W: [6]uint32{0xDEAD}})
-			}
+			pm.retire(ctx.Task(), job.lhid, pi, fate{kind: fateExited, code: 0xDEAD})
 			return vid.Message{Op: PmMigrateProgram, W: [6]uint32{1}}
 		}
 		if job.req == nil && pm.reexecElsewhere(ctx, job.lhid, pi) {
@@ -130,32 +119,18 @@ func (pm *PM) doMigrate(ctx *kernel.ProcCtx, job *migrateJob) vid.Message {
 		}
 		return reply
 	}
-	// The program now belongs to the new host's manager: release local
-	// bookkeeping, leave a forwarding record, and redirect waiters.
-	delete(pm.progs, job.lhid)
-	pm.RecordMoved(job.lhid, newPM, job.lhid)
-	for _, w := range pi.waiters {
-		pm.replyAsPM(ctx, w, vid.Message{Op: PmWaitProgram, Code: CodeMoved, W: [6]uint32{0, uint32(newPM)}})
-	}
+	// The program now belongs to the new host's manager: waiters and lease
+	// renewals are redirected there.
+	pm.retire(ctx.Task(), job.lhid, pi, fate{kind: fateMoved, pm: newPM, lh: job.lhid})
 	return vid.Message{Op: PmMigrateProgram, Seg: report}
 }
 
 // RecordMoved notes that a program this manager used to run is now with
-// another manager (migration or eviction re-execution); late waiters and
-// lease renewals are redirected there with CodeMoved.
+// another manager, as a migration does; late waiters and lease renewals
+// are redirected there with CodeMoved. Tests use it to stage a forwarding
+// loop.
 func (pm *PM) RecordMoved(lhid vid.LHID, newPM vid.PID, newLH vid.LHID) {
-	pm.moved[lhid] = movedTo{pm: newPM, lh: newLH}
-}
-
-// movedReply builds the CodeMoved redirect for a waiter or lease renewal
-// that asked about lhid: W1 = the responsible manager, W2 = the program's
-// LHID there (0 when unchanged).
-func movedReply(op uint16, lhid vid.LHID, mv movedTo) vid.Message {
-	w2 := uint32(0)
-	if mv.lh != 0 && mv.lh != lhid {
-		w2 = uint32(mv.lh)
-	}
-	return vid.Message{Op: op, Code: CodeMoved, W: [6]uint32{0, uint32(mv.pm), w2}}
+	pm.fates[lhid] = fate{kind: fateMoved, pm: newPM, lh: newLH}
 }
 
 // reexecElsewhere re-executes an evicted guest from its file-server image
@@ -168,26 +143,21 @@ func (pm *PM) reexecElsewhere(ctx *kernel.ProcCtx, lhid vid.LHID, pi *progInfo) 
 	if pm.Selector == nil || pi.name == "" {
 		return false
 	}
-	minMem := pi.lh.MemUsed()
-	if minMem < 256*1024 {
-		minMem = 256 * 1024
+	l, err := pm.Selector.Select(ctx, max(pi.lh.MemUsed(), 256*1024), pm.host.SystemLH().ID())
+	if err != nil {
+		return false
 	}
-	l, _, newLH, ok := pm.startElsewhere(ctx, pi.name, pi.args, pi.stdout, lhid,
-		minMem, pm.host.SystemLH().ID())
-	if !ok {
+	_, newLH, err := pm.Launch(ctx, l.PM, true, pi.name, pi.args, pi.stdout, lhid)
+	if err != nil {
 		return false
 	}
 	pm.host.DestroyLH(pi.lh)
-	delete(pm.progs, lhid)
-	pm.RecordMoved(lhid, l.PM, newLH)
 	pm.sup.ExecRestarts++
 	pm.host.Trace().Publish(trace.Event{
 		At: ctx.Now(), Host: uint16(pm.host.NIC.MAC()), Kind: trace.EvExecRestart,
 		LH: newLH, Peer: l.SystemLH.Station(),
 	})
-	for _, w := range pi.waiters {
-		pm.replyAsPM(ctx, w, movedReply(PmWaitProgram, lhid, movedTo{pm: l.PM, lh: newLH}))
-	}
+	pm.retire(ctx.Task(), lhid, pi, fate{kind: fateMoved, pm: l.PM, lh: newLH})
 	return true
 }
 

@@ -45,7 +45,8 @@ const (
 	// NUL-joined with arguments → W0=initial process PID, W1=LHID.
 	PmCreateProgram
 	// PmWaitProgram: W0=LHID → replies when the program exits
-	// (W0=exit code) or migrates away (code=CodeMoved, W1=new PM pid).
+	// (W0=exit code) or is not here: CodeMoved (W1=new PM pid, W2 as for
+	// PmRenewLease), CodeAborted when it was lost, else CodeNotFound.
 	PmWaitProgram
 	// PmMigrateProgram: W0=LHID (0 = all guest programs), W1=1 to
 	// destroy if no host found (-n) → Seg = gob MigrationReport.
@@ -99,12 +100,47 @@ type progInfo struct {
 	waiters  []*ipc.Req
 }
 
-// movedTo records where a program this manager used to run went, so late
-// waiters and lease renewals can be redirected instead of answered
-// not-found.
-type movedTo struct {
-	pm vid.PID
-	lh vid.LHID // LHID after the move (== old id for migration)
+// fate is what became of a program this manager no longer runs, kept so
+// that late waiters and lease renewals get an answer. A later fate under a
+// recycled LHID replaces an earlier one.
+type fate struct {
+	kind fateKind
+	code uint32   // exited: the exit code (0xDEAD: destroyed)
+	pm   vid.PID  // moved: the manager now responsible
+	lh   vid.LHID // moved: the program's LHID there
+}
+
+type fateKind uint8
+
+const (
+	fateUnknown fateKind = iota // nothing recorded
+	fateExited
+	fateMoved
+	fateLost // torn down administratively (post-copy residue loss)
+)
+
+// reply is the one answer to a PmWaitProgram or PmRenewLease (op) about
+// lhid from a manager that does not run the program, in the words the ops'
+// comments give; a renewal reads lost as not-found.
+func (f fate) reply(op uint16, lhid vid.LHID) vid.Message {
+	switch f.kind {
+	case fateExited:
+		if op == PmRenewLease {
+			return vid.Message{Op: op, W: [6]uint32{0, 2, f.code}}
+		}
+		return vid.Message{Op: op, W: [6]uint32{f.code}}
+	case fateMoved:
+		w2 := uint32(0)
+		if f.lh != lhid {
+			w2 = uint32(f.lh)
+		}
+		return vid.Message{Op: op, Code: CodeMoved, W: [6]uint32{0, uint32(f.pm), w2}}
+	case fateLost:
+		if op == PmWaitProgram {
+			return vid.ErrMsg(vid.CodeAborted)
+		}
+	}
+	return vid.ErrMsg(vid.CodeNotFound)
 }
 
 // PM is one workstation's program manager.
@@ -123,10 +159,8 @@ type PM struct {
 	// same instant and the reply implosion jams the shared segment.
 	SelectDally time.Duration
 
-	progs  map[vid.LHID]*progInfo
-	exited map[vid.LHID]uint32  // recently exited: exit codes for late waiters
-	moved  map[vid.LHID]movedTo // migrated or re-executed away
-	lost   map[vid.LHID]bool    // aborted guests (post-copy residue loss)
+	progs map[vid.LHID]*progInfo
+	fates map[vid.LHID]fate // programs that left progs through retire
 
 	// The manager's four workers are servers in the paper's sense: each
 	// blocks until it has something to do. The first three take jobs from
@@ -155,12 +189,10 @@ type PM struct {
 // Start spawns the program manager on a host.
 func Start(h *kernel.Host) *PM {
 	pm := &PM{
-		host:   h,
-		progs:  make(map[vid.LHID]*progInfo),
-		exited: make(map[vid.LHID]uint32),
-		moved:  make(map[vid.LHID]movedTo),
-		lost:   make(map[vid.LHID]bool),
-		reg:    newRegistry(),
+		host:  h,
+		progs: make(map[vid.LHID]*progInfo),
+		fates: make(map[vid.LHID]fate),
+		reg:   newRegistry(),
 	}
 	pm.reg.changed = pm.kickLease
 	pm.proc = h.SpawnServer("progmgr", 64*1024, pm.run)
@@ -205,18 +237,6 @@ func (pm *PM) ProgMeta(lhid vid.LHID) (args []string, stdout vid.PID) {
 	return nil, vid.Nil
 }
 
-// Programs returns the LHIDs of programs this manager tracks (excluding
-// incoming receptacles).
-func (pm *PM) Programs() []vid.LHID {
-	var out []vid.LHID
-	for id, pi := range pm.progs {
-		if !pi.incoming {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // onLHEmpty runs in the exiting process's context; queue the teardown for
 // the reaper task.
 func (pm *PM) onLHEmpty(lh *kernel.LogicalHost) {
@@ -246,51 +266,56 @@ func (q *inbox[T]) take(ctx *kernel.ProcCtx) T {
 	return v
 }
 
-// replyAsPM answers a request that arrived on the program manager's own
-// service port from a worker process's context. Workers must NOT reply on
-// their own ports (ctx.Reply): the reply would leave the PM port's open
-// entry and reply cache untouched, so if the one reply packet is lost the
-// waiter's retransmissions keep hitting the PM port, are answered with
+// answer tells the PmWaitProgram waiters held for lhid what became of the
+// program, on task t but from the program manager's own service port, the
+// one the requests arrived on. A worker must NOT reply on its own port
+// (ctx.Reply): the reply would leave the PM port's open entry and reply
+// cache untouched, so if the one reply packet is lost the waiter's
+// retransmissions keep hitting the PM port, are answered with
 // reply-pending forever, and the transaction never completes.
-func (pm *PM) replyAsPM(ctx *kernel.ProcCtx, r *ipc.Req, msg vid.Message) {
-	pm.proc.Port().Reply(ctx.Task(), r, msg)
+func (pm *PM) answer(t *sim.Task, waiters []*ipc.Req, lhid vid.LHID, f fate) {
+	for _, w := range waiters {
+		pm.proc.Port().Reply(t, w, f.reply(PmWaitProgram, lhid))
+	}
+}
+
+// retire is the one way a program leaves this manager: it drops pi (nil
+// when the manager never tracked the logical host) from progs, records
+// what became of the program, and answers its waiters. It destroys
+// nothing; the caller decides whether the logical host goes before or
+// after the waiters hear.
+func (pm *PM) retire(t *sim.Task, lhid vid.LHID, pi *progInfo, f fate) {
+	pm.fates[lhid] = f
+	if pi != nil {
+		delete(pm.progs, lhid)
+		pm.answer(t, pi.waiters, lhid, f)
+	}
 }
 
 func (pm *PM) reap(ctx *kernel.ProcCtx) {
 	for {
 		lh := pm.exits.take(ctx)
-		pi := pm.progs[lh.ID()]
-		code := lh.ExitCode()
+		pi, f := pm.progs[lh.ID()], fate{kind: fateExited, code: lh.ExitCode()}
 		ctx.Compute(params.EnvDestroyCPU)
 		pm.host.DestroyLH(lh)
-		pm.exited[lh.ID()] = code
-		if pi != nil {
-			delete(pm.progs, lh.ID())
-			for _, w := range pi.waiters {
-				pm.replyAsPM(ctx, w, vid.Message{Op: PmWaitProgram, W: [6]uint32{code}})
-			}
-		}
+		pm.retire(ctx.Task(), lh.ID(), pi, f)
 	}
 }
 
 // AbortGuest destroys a hosted guest whose memory can no longer be
 // completed — a post-copy residue loss: the source receptacle died before
-// the destination held every page. Unlike a normal exit the program is
-// recorded nowhere afterwards — not in exited, not in moved — so the
-// owning session's next lease renewal sees not-found, expires the lease,
-// and re-executes the program from its file-server image. Pending waiters
-// are bounced with CodeAborted; the session layer re-answers them after
-// recovery. Called from the faulting process's context (t).
+// the destination held every page. Its fate is lost, which a lease renewal
+// reads as not-found: the owning session's lease expires, and the program
+// is re-executed from its file-server image. Pending waiters are bounced
+// with CodeAborted; the session layer re-answers them after recovery.
+// Called from the faulting process's context (t), so the waiters hear
+// before the logical host goes.
 func (pm *PM) AbortGuest(t *sim.Task, lhid vid.LHID) {
 	pi := pm.progs[lhid]
 	if pi == nil {
 		return
 	}
-	delete(pm.progs, lhid)
-	pm.lost[lhid] = true
-	for _, w := range pi.waiters {
-		pm.proc.Port().Reply(t, w, vid.ErrMsg(vid.CodeAborted))
-	}
+	pm.retire(t, lhid, pi, fate{kind: fateLost})
 	pm.host.DestroyLH(pi.lh)
 }
 
@@ -328,40 +353,21 @@ func (pm *PM) run(ctx *kernel.ProcCtx) {
 				pi.waiters = append(pi.waiters, req)
 				continue // deferred reply
 			}
-			if code, ok := pm.exited[lhid]; ok {
-				ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{code}})
-				continue
-			}
-			if mv, ok := pm.moved[lhid]; ok {
-				ctx.Reply(req, movedReply(m.Op, lhid, mv))
-				continue
-			}
-			if s := pm.reg.lookup(lhid); s != nil {
-				// This manager supervises the job: redirect the waiter to
-				// the hosting manager, or — while the session is broken —
-				// hold the waiter until recovery resolves it, so a waiter
-				// cannot bounce between managers during a fail-over.
-				switch s.State {
-				case sessionActive:
-					ctx.Reply(req, movedReply(m.Op, lhid, movedTo{pm: s.HostPM, lh: s.Cur}))
-				case sessionDone:
-					ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{s.ExitCode}})
-				case sessionFailed:
-					ctx.Reply(req, vid.Message{Op: m.Op, Code: vid.CodeAborted})
-				default: // broken: deferred until recovery resolves
+			f := pm.fates[lhid]
+			if s := pm.reg.lookup(lhid); s != nil && (f.kind == fateUnknown || f.kind == fateLost) {
+				// This manager supervises the job, and that outranks a lost
+				// guest: the session's state is the program's fate. While
+				// the session is broken the waiter is held until recovery
+				// resolves it, so it cannot bounce between managers during
+				// a fail-over.
+				if s.State == sessionBroken {
 					s.waiters = append(s.waiters, req)
 					pm.kickLease() // a follower hands the waiter to the group at once
+					continue
 				}
-				continue
+				f = s.fate()
 			}
-			if pm.lost[lhid] {
-				// Torn down administratively (post-copy residue loss): the
-				// waiter re-asks its home supervisor, which resolves the
-				// session once the lease breaks.
-				ctx.Reply(req, vid.ErrMsg(vid.CodeAborted))
-				continue
-			}
-			ctx.Reply(req, vid.ErrMsg(vid.CodeNotFound))
+			ctx.Reply(req, f.reply(m.Op, lhid))
 
 		case PmRenewLease:
 			lhid := vid.LHID(m.W[0])
@@ -371,15 +377,7 @@ func (pm *PM) run(ctx *kernel.ProcCtx) {
 				ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{0, 1}})
 				continue
 			}
-			if mv, ok := pm.moved[lhid]; ok {
-				ctx.Reply(req, movedReply(m.Op, lhid, mv))
-				continue
-			}
-			if code, ok := pm.exited[lhid]; ok {
-				ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{0, 2, code}})
-				continue
-			}
-			ctx.Reply(req, vid.ErrMsg(vid.CodeNotFound))
+			ctx.Reply(req, pm.fates[lhid].reply(m.Op, lhid))
 
 		case PmSupervise:
 			pm.supervise(ctx, req)
@@ -450,11 +448,7 @@ func (pm *PM) run(ctx *kernel.ProcCtx) {
 			}
 			ctx.Compute(params.EnvDestroyCPU)
 			pm.host.DestroyLH(pi.lh)
-			delete(pm.progs, lhid)
-			pm.exited[lhid] = 0xDEAD
-			for _, w := range pi.waiters {
-				ctx.Reply(w, vid.Message{Op: PmWaitProgram, W: [6]uint32{0xDEAD}})
-			}
+			pm.retire(ctx.Task(), lhid, pi, fate{kind: fateExited, code: 0xDEAD})
 			ctx.Reply(req, vid.Message{Op: m.Op})
 
 		default:

@@ -1,6 +1,7 @@
 package progmgr
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"vsystem/internal/mem"
 	"vsystem/internal/packet"
 	"vsystem/internal/params"
+	"vsystem/internal/sched"
 	"vsystem/internal/sim"
 	"vsystem/internal/trace"
 	"vsystem/internal/vid"
@@ -194,18 +196,213 @@ func TestInitMigrationChecksMemory(t *testing.T) {
 	}
 }
 
-func TestWaitForUnknownProgram(t *testing.T) {
-	r := newRig(t, 2, 7)
-	var code uint16 = 0xFFFF
-	r.agent(0, func(ctx *kernel.ProcCtx) {
-		m, err := ctx.Send(r.pms[1].PID(), vid.Message{Op: PmWaitProgram, W: [6]uint32{0x7777}})
-		if err == nil {
-			code = m.Code
+// stubMigrator stands in for core's migration engine: it reports the
+// program moved to manager to, or fails with err.
+type stubMigrator struct {
+	to  vid.PID
+	err error
+}
+
+func (m stubMigrator) Migrate(ctx *kernel.ProcCtx, pm *PM, lh *kernel.LogicalHost) ([]byte, vid.PID, error) {
+	if m.err != nil {
+		return nil, vid.Nil, m.err
+	}
+	pm.Host().DestroyLH(lh)
+	return nil, m.to, nil
+}
+
+// TestFateTable asks a manager PmWaitProgram and PmRenewLease about one
+// program in each state the manager can know it in, and pins every answer
+// (DESIGN §6 has the table). A held waiter is one the manager keeps until
+// the program's fate is known.
+func TestFateTable(t *testing.T) {
+	type answer struct {
+		held bool
+		code uint16
+		w    [3]uint32
+	}
+	held := answer{held: true}
+	ok := func(w ...uint32) answer {
+		var a answer
+		copy(a.w[:], w)
+		return a
+	}
+	moved := func(pm vid.PID, lh vid.LHID) answer {
+		return answer{code: CodeMoved, w: [3]uint32{0, uint32(pm), uint32(lh)}}
+	}
+	refused := func(code uint16) answer { return answer{code: code} }
+
+	// fx is what a row's setup leaves: the manager to ask, the LHID to ask
+	// about, and the LHID a re-execution gave the program.
+	type fx struct {
+		ask   int
+		lh    vid.LHID
+		newLH vid.LHID
+	}
+	create := func(ctx *kernel.ProcCtx, r *rig, i int, prog string, start bool) (vid.PID, vid.LHID) {
+		m, err := ctx.Send(r.pms[i].PID(), vid.Message{
+			Op: PmCreateProgram, W: [6]uint32{0, 1}, Seg: []byte(prog),
+		})
+		if err != nil || !m.OK() {
+			t.Errorf("create: %v %v", m, err)
 		}
-	})
-	r.eng.RunFor(time.Minute)
-	if code != vid.CodeNotFound {
-		t.Fatalf("code = %d", code)
+		pid, lhid := vid.PID(m.W[0]), vid.LHID(m.W[1])
+		if start {
+			if sm, err := ctx.Send(kernel.KernelServerPID(lhid), vid.Message{
+				Op: kernel.KsStartProcess, W: [6]uint32{uint32(pid)},
+			}); err != nil || !sm.OK() {
+				t.Errorf("start: %v %v", sm, err)
+			}
+		}
+		return pid, lhid
+	}
+	// supervised leaves a long program running on ws1 under ws0's
+	// supervision, and asks ws0.
+	supervised := func(ctx *kernel.ProcCtx, r *rig) fx {
+		pid, lhid := create(ctx, r, 1, "long", true)
+		r.pms[0].Supervise(ctx, SessionInfo{LHID: lhid, PID: pid, Name: "long",
+			HostPM: r.pms[1].PID(), HostLH: r.ws[1].SystemLH().ID()})
+		return fx{ask: 0, lh: lhid}
+	}
+
+	rows := []struct {
+		name  string
+		setup func(ctx *kernel.ProcCtx, r *rig) fx
+		want  func(r *rig, f fx) (wait, renew answer)
+	}{
+		{"running", func(ctx *kernel.ProcCtx, r *rig) fx {
+			_, lhid := create(ctx, r, 1, "long", true)
+			return fx{ask: 1, lh: lhid}
+		}, func(*rig, fx) (answer, answer) { return held, ok(0, 1) }},
+
+		{"incoming receptacle", func(ctx *kernel.ProcCtx, r *rig) fx {
+			req := &InitReq{Name: "incoming", Guest: true, FinalLH: 0x0177,
+				Spaces: []kernel.SpaceDesc{{ID: 1, Size: 32 * 1024}}}
+			if m, err := ctx.Send(r.pms[1].PID(), vid.Message{Op: PmInitMigration, Seg: EncodeInitReq(req)}); err != nil || !m.OK() {
+				t.Errorf("init migration: %v %v", m, err)
+			}
+			return fx{ask: 1, lh: 0x0177}
+		}, func(*rig, fx) (answer, answer) { return refused(vid.CodeNotFound), ok(0, 1) }},
+
+		{"exited", func(ctx *kernel.ProcCtx, r *rig) fx {
+			_, lhid := create(ctx, r, 1, "job", true)
+			ctx.Sleep(5 * time.Second)
+			return fx{ask: 1, lh: lhid}
+		}, func(*rig, fx) (answer, answer) { return ok(0), ok(0, 2, 0) }},
+
+		{"destroyed", func(ctx *kernel.ProcCtx, r *rig) fx {
+			_, lhid := create(ctx, r, 1, "long", true)
+			if m, err := ctx.Send(r.pms[1].PID(), vid.Message{Op: PmDestroyProgram, W: [6]uint32{uint32(lhid)}}); err != nil || !m.OK() {
+				t.Errorf("destroy: %v %v", m, err)
+			}
+			return fx{ask: 1, lh: lhid}
+		}, func(*rig, fx) (answer, answer) { return ok(0xDEAD), ok(0, 2, 0xDEAD) }},
+
+		{"migrated", func(ctx *kernel.ProcCtx, r *rig) fx {
+			r.pms[1].Migrator = stubMigrator{to: r.pms[0].PID()}
+			_, lhid := create(ctx, r, 1, "long", false)
+			if m, err := ctx.Send(r.pms[1].PID(), vid.Message{Op: PmMigrateProgram, W: [6]uint32{uint32(lhid)}}); err != nil || !m.OK() {
+				t.Errorf("migrate: %v %v", m, err)
+			}
+			return fx{ask: 1, lh: lhid}
+		}, func(r *rig, _ fx) (answer, answer) {
+			return moved(r.pms[0].PID(), 0), moved(r.pms[0].PID(), 0)
+		}},
+
+		{"re-executed", func(ctx *kernel.ProcCtx, r *rig) fx {
+			// An eviction that cannot migrate re-executes the program on the
+			// one other workstation.
+			r.pms[1].Migrator = stubMigrator{err: vid.CodeError(vid.CodeRefused)}
+			r.pms[1].Selector = sched.NewSelector(sched.FirstResponse{}, sched.NewCache(r.eng.Now),
+				vid.GroupProgramManagers, PmSelectHost, uint16(r.ws[1].NIC.MAC()), nil, rand.New(rand.NewSource(1)))
+			_, lhid := create(ctx, r, 1, "long", true)
+			if m, err := ctx.Send(r.pms[1].PID(), vid.Message{Op: PmMigrateProgram}); err != nil || !m.OK() {
+				t.Errorf("evict: %v %v", m, err)
+			}
+			ctx.Sleep(time.Second)
+			f := fx{ask: 1, lh: lhid}
+			for _, lh := range r.ws[0].LHs() {
+				if !lh.System() {
+					f.newLH = lh.ID()
+				}
+			}
+			return f
+		}, func(r *rig, f fx) (answer, answer) {
+			return moved(r.pms[0].PID(), f.newLH), moved(r.pms[0].PID(), f.newLH)
+		}},
+
+		{"lost", func(ctx *kernel.ProcCtx, r *rig) fx {
+			_, lhid := create(ctx, r, 1, "long", true)
+			r.pms[1].AbortGuest(ctx.Task(), lhid)
+			return fx{ask: 1, lh: lhid}
+		}, func(*rig, fx) (answer, answer) { return refused(vid.CodeAborted), refused(vid.CodeNotFound) }},
+
+		{"supervised active", supervised, func(r *rig, _ fx) (answer, answer) {
+			return moved(r.pms[1].PID(), 0), refused(vid.CodeNotFound)
+		}},
+
+		{"supervised broken", func(ctx *kernel.ProcCtx, r *rig) fx {
+			f := supervised(ctx, r)
+			r.pms[0].reg.Apply(hgCmd{Kind: hgBreak, Orig: f.lh, At: int64(ctx.Now().Add(time.Hour))})
+			return f
+		}, func(*rig, fx) (answer, answer) { return held, refused(vid.CodeNotFound) }},
+
+		{"supervised done", func(ctx *kernel.ProcCtx, r *rig) fx {
+			f := supervised(ctx, r)
+			r.pms[0].NoteExited(ctx, f.lh, 7)
+			return f
+		}, func(*rig, fx) (answer, answer) { return ok(7), refused(vid.CodeNotFound) }},
+
+		{"supervised failed", func(ctx *kernel.ProcCtx, r *rig) fx {
+			f := supervised(ctx, r)
+			r.pms[0].reg.Apply(hgCmd{Kind: hgFailed, Orig: f.lh})
+			return f
+		}, func(*rig, fx) (answer, answer) { return refused(vid.CodeAborted), refused(vid.CodeNotFound) }},
+
+		{"supervised answers before lost", func(ctx *kernel.ProcCtx, r *rig) fx {
+			pid, lhid := create(ctx, r, 0, "long", true)
+			r.pms[0].AbortGuest(ctx.Task(), lhid)
+			r.pms[0].Supervise(ctx, SessionInfo{LHID: lhid, PID: pid, Name: "long",
+				HostPM: r.pms[1].PID(), HostLH: r.ws[1].SystemLH().ID()})
+			return fx{ask: 0, lh: lhid}
+		}, func(r *rig, _ fx) (answer, answer) {
+			return moved(r.pms[1].PID(), 0), refused(vid.CodeNotFound)
+		}},
+
+		{"unknown", func(*kernel.ProcCtx, *rig) fx {
+			return fx{ask: 1, lh: 0x7777}
+		}, func(*rig, fx) (answer, answer) { return refused(vid.CodeNotFound), refused(vid.CodeNotFound) }},
+	}
+
+	got := func(m vid.Message) answer { return answer{code: m.Code, w: [3]uint32{m.W[0], m.W[1], m.W[2]}} }
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			r := newRig(t, 2, 7)
+			img := workload.Image(workload.Spec{Name: "long", HotKB: 8, HotRateKBps: 40, DurationMs: 60000}, 0)
+			r.fs.Put("long", img.Encode())
+			var f fx
+			wait, renew := held, held
+			r.agent(0, func(ctx *kernel.ProcCtx) {
+				f = row.setup(ctx, r)
+				ask := r.pms[f.ask].PID()
+				if m, err := ctx.Send(ask, vid.Message{Op: PmRenewLease, W: [6]uint32{uint32(f.lh)}}); err == nil {
+					renew = got(m)
+				}
+				r.agent(0, func(ctx *kernel.ProcCtx) {
+					if m, err := ctx.Send(ask, vid.Message{Op: PmWaitProgram, W: [6]uint32{uint32(f.lh)}}); err == nil {
+						wait = got(m)
+					}
+				})
+			})
+			r.eng.RunFor(10 * time.Second)
+			wantWait, wantRenew := row.want(r, f)
+			if wait != wantWait {
+				t.Errorf("PmWaitProgram answered %+v, want %+v", wait, wantWait)
+			}
+			if renew != wantRenew {
+				t.Errorf("PmRenewLease answered %+v, want %+v", renew, wantRenew)
+			}
+		})
 	}
 }
 

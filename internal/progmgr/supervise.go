@@ -9,7 +9,6 @@ import (
 	"vsystem/internal/kernel"
 	"vsystem/internal/params"
 	"vsystem/internal/rsm"
-	"vsystem/internal/sched"
 	"vsystem/internal/sim"
 	"vsystem/internal/trace"
 	"vsystem/internal/vid"
@@ -342,8 +341,7 @@ func (pm *PM) leasePass(ctx *kernel.ProcCtx) {
 		switch s.State {
 		case sessionActive, sessionBroken:
 			if !leading {
-				pm.flushWaiters(ctx, s, movedReply(PmWaitProgram, s.Orig,
-					movedTo{pm: vid.GroupHomePMs, lh: s.Cur}))
+				pm.flushWaiters(ctx, s, fate{kind: fateMoved, pm: vid.GroupHomePMs, lh: s.Cur})
 				continue
 			}
 		}
@@ -356,20 +354,31 @@ func (pm *PM) leasePass(ctx *kernel.ProcCtx) {
 			if ctx.Now() >= s.NextRetry {
 				pm.recover(ctx, s)
 			}
-		case sessionDone:
-			pm.flushWaiters(ctx, s, vid.Message{Op: PmWaitProgram, W: [6]uint32{s.ExitCode}})
-		case sessionFailed:
-			pm.flushWaiters(ctx, s, vid.Message{Op: PmWaitProgram, Code: vid.CodeAborted})
+		default:
+			pm.flushWaiters(ctx, s, s.fate())
 		}
 	}
 }
 
-func (pm *PM) flushWaiters(ctx *kernel.ProcCtx, s *session, m vid.Message) {
+// fate is what a resolved session's state says of its program: active is
+// moved to the hosting manager, done is exited, and failed is answered as
+// lost is. A broken session has no fate yet.
+func (s *session) fate() fate {
+	switch s.State {
+	case sessionActive:
+		return fate{kind: fateMoved, pm: s.HostPM, lh: s.Cur}
+	case sessionDone:
+		return fate{kind: fateExited, code: s.ExitCode}
+	case sessionFailed:
+		return fate{kind: fateLost}
+	}
+	return fate{}
+}
+
+func (pm *PM) flushWaiters(ctx *kernel.ProcCtx, s *session, f fate) {
 	ws := s.waiters
 	s.waiters = nil
-	for _, w := range ws {
-		pm.replyAsPM(ctx, w, m)
-	}
+	pm.answer(ctx.Task(), ws, s.Orig, f)
 }
 
 // renew is one lease heartbeat with the hosting manager.
@@ -442,7 +451,7 @@ func (pm *PM) recover(ctx *kernel.ProcCtx, s *session) {
 		}) != nil {
 			return
 		}
-		pm.flushWaiters(ctx, s, movedReply(PmWaitProgram, s.Orig, movedTo{pm: s.HostPM, lh: s.Cur}))
+		pm.flushWaiters(ctx, s, s.fate())
 		return
 	}
 	// 2. Nobody runs it: re-execute, with bounded attempts.
@@ -472,9 +481,12 @@ func (pm *PM) recover(ctx *kernel.ProcCtx, s *session) {
 // reexecSession runs one recovery attempt on a host that is neither the
 // lost one nor our own, and records the new incarnation.
 func (pm *PM) reexecSession(ctx *kernel.ProcCtx, s *session) bool {
-	l, newPID, newLH, ok := pm.startElsewhere(ctx, s.Name, s.Args, s.Stdout, s.Cur,
-		s.MinMem, s.HostLH, pm.host.SystemLH().ID())
-	if !ok {
+	l, err := pm.Selector.Select(ctx, s.MinMem, s.HostLH, pm.host.SystemLH().ID())
+	if err != nil {
+		return false
+	}
+	newPID, newLH, err := pm.Launch(ctx, l.PM, true, s.Name, s.Args, s.Stdout, s.Cur)
+	if err != nil {
 		return false
 	}
 	if pm.commit(ctx, hgCmd{
@@ -494,43 +506,78 @@ func (pm *PM) reexecSession(ctx *kernel.ProcCtx, s *session) bool {
 		At: ctx.Now(), Host: uint16(pm.host.NIC.MAC()), Kind: trace.EvExecRestart,
 		LH: newLH, Peer: l.SystemLH.Station(), Prio: s.Incarnation,
 	})
-	pm.flushWaiters(ctx, s, movedReply(PmWaitProgram, s.Orig, movedTo{pm: s.HostPM, lh: s.Cur}))
+	pm.flushWaiters(ctx, s, s.fate())
 	return true
 }
 
-// startElsewhere re-executes a program from its file-server image: select
-// a host (none of exclude), create the program there as a guest,
-// pre-announce to the output sink that the new copy supersedes logical
-// host old, and start it. The new copy replays output from the start; the
-// display suppresses what the previous incarnation already delivered
-// (at-most-once per logical line), so the notice must land before the
-// start. A copy that was created but would not start is destroyed.
-func (pm *PM) startElsewhere(ctx *kernel.ProcCtx, name string, args []string, stdout vid.PID,
-	old vid.LHID, minMem uint32, exclude ...vid.LHID) (l sched.Load, newPID vid.PID, newLH vid.LHID, ok bool) {
+// Launch is the one way a program is started (§2.1). The manager target
+// creates its environment (a guest one when guest is set) with output to
+// stdout, and the creator — ctx, on this manager's workstation — starts
+// it by "replying to its initial process" through the kernel server of the
+// new logical host. A re-execution names the logical host it supersedes:
+// the new copy replays output from the start, and the display suppresses
+// what the earlier incarnation already delivered, so the adoption notice
+// must land before the start. An environment that was created but never
+// started is destroyed, or left to this manager's retrying reaper.
+func (pm *PM) Launch(ctx *kernel.ProcCtx, target vid.PID, guest bool, name string, args []string,
+	stdout vid.PID, supersedes vid.LHID) (vid.PID, vid.LHID, error) {
 
-	l, err := pm.Selector.Select(ctx, minMem, exclude...)
+	pid, lhid, err := Create(ctx, target, guest, name, args, stdout)
 	if err != nil {
-		return l, 0, 0, false
+		return vid.Nil, 0, err
 	}
-	seg := []byte(strings.Join(append([]string{name}, args...), "\x00"))
-	cm, err := ctx.Send(l.PM, vid.Message{
-		Op: PmCreateProgram, W: [6]uint32{uint32(stdout), 1}, Seg: seg,
+	if supersedes != 0 && stdout != vid.Nil {
+		ctx.Send(stdout, vid.Message{Op: supOpAdopt, W: [6]uint32{uint32(supersedes), uint32(lhid)}})
+	}
+	m, err := ctx.Send(kernel.KernelServerPID(lhid), vid.Message{
+		Op: kernel.KsStartProcess, W: [6]uint32{uint32(pid)},
 	})
-	if err != nil || !cm.OK() {
-		return l, 0, 0, false
+	if err == nil {
+		err = m.Err()
+	} else if ranToExit(ctx, target, lhid) {
+		err = nil // the go-ahead arrived; only its reply was lost
 	}
-	newPID, newLH = vid.PID(cm.W[0]), vid.LHID(cm.W[1])
-	if stdout != vid.Nil {
-		ctx.Send(stdout, vid.Message{Op: supOpAdopt, W: [6]uint32{uint32(old), uint32(newLH)}})
+	if err != nil {
+		pm.DestroyRemote(ctx, target, lhid)
+		return vid.Nil, 0, err
 	}
-	sm, err := ctx.Send(kernel.KernelServerPID(newLH), vid.Message{
-		Op: kernel.KsStartProcess, W: [6]uint32{uint32(newPID)},
+	return pid, lhid, nil
+}
+
+// Create asks the manager target to set up a program's execution
+// environment without starting it, and returns its initial process and
+// logical host.
+func Create(ctx *kernel.ProcCtx, target vid.PID, guest bool, name string, args []string,
+	stdout vid.PID) (vid.PID, vid.LHID, error) {
+
+	w1 := uint32(0)
+	if guest {
+		w1 = 1
+	}
+	m, err := ctx.Send(target, vid.Message{
+		Op: PmCreateProgram, W: [6]uint32{uint32(stdout), w1},
+		Seg: []byte(strings.Join(append([]string{name}, args...), "\x00")),
 	})
-	if err != nil || !sm.OK() {
-		pm.DestroyRemote(ctx, l.PM, newLH)
-		return l, 0, 0, false
+	if err == nil {
+		err = m.Err()
 	}
-	return l, newPID, newLH, true
+	if err != nil {
+		return vid.Nil, 0, err
+	}
+	return vid.PID(m.W[0]), vid.LHID(m.W[1]), nil
+}
+
+// ranToExit reports whether the manager target has lhid down as exited. A
+// start whose reply frame is lost is normally answered again from the
+// kernel server's reply cache, but a program shorter than one
+// retransmission interval has exited by then, its logical host — the
+// address the go-ahead was sent to — is gone, and the retransmissions meet
+// silence that reads as host-down. The manager remembers exits, so ask it
+// (with the lease heartbeat, which never blocks) before calling the start
+// failed.
+func ranToExit(ctx *kernel.ProcCtx, target vid.PID, lhid vid.LHID) bool {
+	m, err := ctx.Send(target, vid.Message{Op: PmRenewLease, W: [6]uint32{uint32(lhid)}})
+	return err == nil && m.OK() && m.W[1] == 2
 }
 
 // DestroyRemote tears down a program created on another manager, leaving
@@ -549,7 +596,7 @@ func (pm *PM) failSession(ctx *kernel.ProcCtx, s *session) {
 	if pm.commit(ctx, hgCmd{Kind: hgFailed, Orig: s.Orig}) != nil {
 		return // deposed; the next leader decides the session's fate
 	}
-	pm.flushWaiters(ctx, s, vid.Message{Op: PmWaitProgram, Code: vid.CodeAborted})
+	pm.flushWaiters(ctx, s, s.fate())
 	if s.Stdout != vid.Nil {
 		ctx.Send(s.Stdout, vid.Message{Op: vvm.OpWriteLine, Seg: []byte(
 			fmt.Sprintf("[progmgr %s] %s: host lost, restarts exhausted; giving up", pm.host.Name, s.Name)),
