@@ -236,7 +236,7 @@ func BenchmarkBeaconRx100(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sender.BroadcastLoad()
+		sender.BroadcastLoad(vid.NewPID(1, 16))
 		eng.Run()
 	}
 	if heard != 100*b.N {

@@ -11,6 +11,9 @@
 //	vbench -json            # emit machine-readable paper-vs-measured rows
 //	vbench -hosts 100       # shrink the cluster-load grid (CI determinism)
 //	vbench -cpuprofile p    # write a pprof CPU profile of the run
+//	vbench -diff old.json new.json [-allow E11,E12]
+//	                        # print what moved between two -json artifacts;
+//	                        # exit 1 if an element not named by -allow moved
 package main
 
 import (
@@ -20,6 +23,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"vsystem/internal/experiments"
 )
@@ -38,8 +42,27 @@ func realMain() int {
 		hosts  = flag.Int("hosts", 0, "override the cluster-load host grid (0 = default)")
 		cpuPro = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memPro = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+		diff   = flag.Bool("diff", false, "compare two -json artifacts given as arguments: old new")
+		allow  = flag.String("allow", "", "with -diff, comma-separated element ids expected to move")
 	)
 	flag.Parse()
+	if *diff {
+		// Flags may follow the two files: parse what comes after each.
+		var files []string
+		for args := flag.Args(); len(args) > 0; args = flag.Args() {
+			files = append(files, args[0])
+			flag.CommandLine.Parse(args[1:])
+		}
+		if len(files) != 2 {
+			fmt.Fprintln(os.Stderr, "vbench: -diff takes two artifacts: old.json new.json")
+			return 2
+		}
+		var ids []string
+		if *allow != "" {
+			ids = strings.Split(*allow, ",")
+		}
+		return runDiff(os.Stdout, files[0], files[1], ids)
+	}
 	table := experiments.Table(*hosts)
 	if *cpuPro != "" {
 		f, err := os.Create(*cpuPro)

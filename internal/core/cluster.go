@@ -191,10 +191,12 @@ func NewCluster(opt Options) *Cluster {
 	}
 	// Size the binding caches to the cluster: every host may hold a live
 	// reply-path binding per peer (boot registration, select-reply bursts),
-	// and the file server always does. Left at the params default, a
-	// >64-host cluster livelocks at boot — evicted reply bindings turn into
-	// locate broadcasts faster than the retransmitting herd lets them
-	// resolve.
+	// the file server always does, and under a load-aware policy every host
+	// also holds one system-LH binding per beaconing station; 2n+8 covers
+	// both with the programs' own logical hosts besides. Left at the params
+	// default, a >64-host cluster livelocks at boot — evicted reply bindings
+	// turn into locate broadcasts faster than the retransmitting herd lets
+	// them resolve.
 	bindCap := 2*opt.Workstations + 8
 	// Multicast select replies are dallied on large clusters: hundreds of
 	// hosts finishing the probe evaluation at the same instant would

@@ -10,8 +10,9 @@
 //     how a migrated process recovers a reply that was discarded while its
 //     logical host was frozen;
 //   - a per-host cache of logical-host → physical-host bindings, refreshed
-//     by broadcast locate requests, incoming traffic, and new-binding
-//     notices — the reference-rebinding mechanism of §3.1.4;
+//     by broadcast locate requests, incoming traffic (load beacons
+//     included), new-binding notices and replies that name the logical
+//     host they just created — the reference-rebinding mechanism of §3.1.4;
 //   - process-group sends (broadcast on the wire, fanned out to local
 //     members), used for decentralized host selection (§2.1);
 //   - fragmentation of large segments into 1 KB frames with selective
@@ -307,8 +308,10 @@ func (e *Engine) CacheLen() int { return len(e.cache) }
 // need, each miss costs a locate broadcast, and under a full-cluster burst
 // (boot registration, a select multicast's replies) the herd of 200 ms
 // retransmissions regenerates the misses faster than locates resolve them —
-// a livelock, not a slowdown. Clusters therefore size the cache to the
-// machine count; values below the params default are ignored.
+// a livelock, not a slowdown. A host that hears load beacons also holds one
+// binding per beaconing station (the beacon's Src). Clusters therefore size
+// the cache to the machine count; values below the params default are
+// ignored.
 func (e *Engine) SetBindingCacheCap(n int) {
 	if n > e.cacheCap {
 		e.cacheCap = n
@@ -361,13 +364,15 @@ func (e *Engine) SetLoadFunc(fn func() [6]uint32) { e.loadFn = fn }
 // other hosts (the scheduling layer's candidate cache).
 func (e *Engine) SetLoadSink(fn func([6]uint32)) { e.loadSink = fn }
 
-// BroadcastLoad emits one load-advertisement beacon frame. A no-op until
-// SetLoadFunc is wired or while the host is down.
-func (e *Engine) BroadcastLoad() {
+// BroadcastLoad emits one load-advertisement beacon frame from src, the
+// process that answers for the advertising host (vid.Nil for none): its
+// receivers learn src's logical host's binding as from any incoming
+// traffic. A no-op until SetLoadFunc is wired or while the host is down.
+func (e *Engine) BroadcastLoad(src vid.PID) {
 	if e.loadFn == nil || e.down {
 		return
 	}
-	e.emit(&packet.Packet{Kind: packet.KLoadAd, Ad: e.loadFn(), HasAd: true}, ethernet.Broadcast)
+	e.emit(&packet.Packet{Kind: packet.KLoadAd, Src: src, Ad: e.loadFn(), HasAd: true}, ethernet.Broadcast)
 }
 
 // BroadcastBinding announces that a logical host now resides on this host —
@@ -823,13 +828,20 @@ func (e *Engine) deliverRequest(t *sim.Task, p *packet.Packet, from ethernet.MAC
 	}
 }
 
-// deliverReply handles an arriving KReply.
+// deliverReply handles an arriving KReply. A reply that names a logical
+// host (Port.ReplyNaming) comes from the station that host lives on, so the
+// binding is learnt as from a locate response; a relayed one no longer does,
+// and the relay strips the name.
 func (e *Engine) deliverReply(t *sim.Task, p *packet.Packet, from ethernet.MAC) {
+	if p.LH != 0 && from != e.nic.MAC() && !e.res.LHResident(p.LH) {
+		e.cacheInsert(p.LH, from)
+	}
 	lh := p.Dst.LH()
 	if !e.res.LHResident(lh) {
 		if fwd, ok := e.forward[lh]; ok {
 			e.stats.Forwarded++
 			relayed := *p
+			relayed.LH = 0
 			e.emit(&relayed, fwd)
 			return
 		}

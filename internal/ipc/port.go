@@ -100,6 +100,7 @@ func (r *Req) TxID() uint32 { return r.txid }
 type cachedReply struct {
 	txid    uint32
 	msg     vid.Message
+	lh      vid.LHID // the logical host the reply names (ReplyNaming), 0 for none
 	expires sim.Time
 }
 
@@ -586,7 +587,7 @@ func (p *Port) answerDuplicate(req *packet.Packet, from ethernet.MAC) {
 		return
 	}
 	p.eng.jobs.Push(job{fn: func(t *sim.Task) {
-		p.emitReply(t, src, c.txid, c.msg, from)
+		p.emitReply(t, src, c.txid, c.msg, c.lh, from)
 	}})
 }
 
@@ -646,21 +647,28 @@ func (p *Port) Serving() bool { return len(p.open) > 0 }
 // Reply completes a received request. The reply is cached so duplicate
 // retransmissions (including from a sender recovering after migration) can
 // be answered without re-executing the operation.
-func (p *Port) Reply(t *sim.Task, r *Req, msg vid.Message) {
+func (p *Port) Reply(t *sim.Task, r *Req, msg vid.Message) { p.ReplyNaming(t, r, msg, 0) }
+
+// ReplyNaming is Reply for a server that has just made logical host lh
+// resident on this station (a program manager answering a create): the
+// reply's header names lh, and its receiver learns the binding from it as
+// from a locate response, so the next message it sends lh needs no locate.
+// A cached copy names lh too.
+func (p *Port) ReplyNaming(t *sim.Task, r *Req, msg vid.Message, lh vid.LHID) {
 	if p.open[r.Src] == r {
 		delete(p.open, r.Src)
 	}
 	if last := p.lastFrom[r.Src]; last == r.txid {
-		c := &cachedReply{txid: r.txid, msg: msg, expires: t.Now().Add(params.ReplyCacheTTL)}
+		c := &cachedReply{txid: r.txid, msg: msg, lh: lh, expires: t.Now().Add(params.ReplyCacheTTL)}
 		p.replyCache[r.Src] = c
 		p.scheduleCacheSweep(r.Src, c)
 	}
-	p.emitReply(t, r.Src, r.txid, msg, r.from)
+	p.emitReply(t, r.Src, r.txid, msg, lh, r.from)
 }
 
-// emitReply routes and transmits a reply.
-func (p *Port) emitReply(t *sim.Task, dst vid.PID, txid uint32, msg vid.Message, lastFrom ethernet.MAC) {
-	pkt := packet.Packet{Kind: packet.KReply, TxID: txid, Src: p.pid, Dst: dst, Msg: msg}
+// emitReply routes and transmits a reply naming lh (0 for none).
+func (p *Port) emitReply(t *sim.Task, dst vid.PID, txid uint32, msg vid.Message, lh vid.LHID, lastFrom ethernet.MAC) {
+	pkt := packet.Packet{Kind: packet.KReply, TxID: txid, Src: p.pid, Dst: dst, LH: lh, Msg: msg}
 	mac, local, ok := p.eng.route(dst)
 	if !ok {
 		// Sender location unknown (it migrated and our cache was

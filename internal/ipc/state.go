@@ -65,6 +65,8 @@ type LastState struct {
 }
 
 // CachedReplyState is one reply-cache entry: the reply last sent to Src.
+// The logical host a reply names (Port.ReplyNaming) is not carried: only a
+// program manager names one, and it never migrates.
 type CachedReplyState struct {
 	Src  vid.PID
 	TxID uint32

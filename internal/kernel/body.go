@@ -210,9 +210,14 @@ func (c *ProcCtx) OpenRequest(src vid.PID) *ipc.Req { return c.proc.port.OpenReq
 func (c *ProcCtx) OpenRequests() []*ipc.Req { return c.proc.port.OpenRequests() }
 
 // Reply answers a received request.
-func (c *ProcCtx) Reply(r *ipc.Req, msg vid.Message) {
+func (c *ProcCtx) Reply(r *ipc.Req, msg vid.Message) { c.ReplyNaming(r, msg, 0) }
+
+// ReplyNaming answers a received request with a reply that names logical
+// host lh, just made resident here, so that the requester learns where it
+// is (ipc.Port.ReplyNaming).
+func (c *ProcCtx) ReplyNaming(r *ipc.Req, msg vid.Message, lh vid.LHID) {
 	c.gate()
-	c.proc.port.Reply(c.task, r, msg)
+	c.proc.port.ReplyNaming(c.task, r, msg, lh)
 }
 
 // JoinGroup adds this process to a global process group on its current

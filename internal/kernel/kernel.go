@@ -163,17 +163,13 @@ func (h *Host) Residents() int {
 // per-mille, and the program manager's PID (0 when the host runs no
 // program manager, e.g. the file server).
 func (h *Host) LoadWords() [6]uint32 {
-	var pm uint32
-	if pid, ok := h.wellKnown[vid.IdxProgramManager]; ok {
-		pm = uint32(pid)
-	}
 	return [6]uint32{
 		uint32(h.systemLH.id),
 		h.memFree,
 		uint32(h.ReadyDepth()),
 		uint32(h.Residents()),
 		uint32(h.CPU.Utilization() * 1000),
-		pm,
+		uint32(h.wellKnown[vid.IdxProgramManager]),
 	}
 }
 
@@ -181,8 +177,11 @@ func (h *Host) LoadWords() [6]uint32 {
 // frame is stamped with the current LoadWords (piggybacked dissemination,
 // no extra frames), and — when beacon > 0 — a KLoadAd broadcast is also
 // sent every beacon interval, staggered by host index so the beacons do
-// not collide. Idempotent; the beacon survives crash/restart (a crashed
-// host skips its ticks and the IPC engine drops broadcasts while down).
+// not collide. A beacon comes from the host's program manager — the
+// process a selector probes next — so every station that hears it knows
+// where the system logical host is. Idempotent; the beacon survives
+// crash/restart (a crashed host skips its ticks and the IPC engine drops
+// broadcasts while down).
 func (h *Host) EnableLoadAds(beacon time.Duration) {
 	h.IPC.SetLoadFunc(h.LoadWords)
 	if beacon <= 0 || h.beaconOn {
@@ -192,7 +191,7 @@ func (h *Host) EnableLoadAds(beacon time.Duration) {
 	var tick func()
 	tick = func() {
 		if !h.crashed {
-			h.IPC.BroadcastLoad()
+			h.IPC.BroadcastLoad(h.wellKnown[vid.IdxProgramManager])
 		}
 		h.Eng.After(beacon, tick)
 	}

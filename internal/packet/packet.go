@@ -94,9 +94,12 @@ type Packet struct {
 	// TxID identifies the transaction (per sending process, monotonic).
 	TxID uint32
 	// Src and Dst are process identifiers; for locate/binding packets
-	// they are unused.
+	// they are unused, and a KLoadAd's Src is the advertising host's
+	// program manager.
 	Src, Dst vid.PID
-	// LH is the subject of locate and binding packets.
+	// LH is the subject of locate and binding packets. On a KReply it is
+	// the logical host the replier just made resident on its station (a
+	// program manager's create reply), 0 on every other.
 	LH vid.LHID
 	// Msg is the fixed-part message for KRequest/KReply.
 	Msg vid.Message

@@ -278,7 +278,8 @@ const (
 	// a server host needs a live reply-path binding per client, or a
 	// full-cluster burst turns every evicted binding into a locate
 	// broadcast that the retransmitting herd regenerates faster than it
-	// resolves.
+	// resolves; and a host hearing load beacons holds one system-LH
+	// binding per beaconing station besides (core sizes it 2n+8).
 	BindingCacheCap = 64
 
 	// SelectDallyPerHost scales the multicast select-response dally window

@@ -339,7 +339,10 @@ func (pm *PM) run(ctx *kernel.ProcCtx) {
 			pm.selectHost(ctx, req)
 
 		case PmCreateProgram:
-			ctx.Reply(req, pm.createProgram(ctx, m))
+			// The reply names the new logical host, so the creator's start,
+			// addressed through it, goes straight to this station.
+			reply := pm.createProgram(ctx, m)
+			ctx.ReplyNaming(req, reply, vid.LHID(reply.W[1]))
 
 		case PmWaitProgram:
 			if m.W[5]&PmWaitHome != 0 && !pm.svc.Admit(ctx, req) {
