@@ -6,7 +6,6 @@ import (
 
 	"vsystem/internal/kernel"
 	"vsystem/internal/packet"
-	"vsystem/internal/params"
 	"vsystem/internal/progmgr"
 	"vsystem/internal/progs"
 	"vsystem/internal/sched"
@@ -58,8 +57,9 @@ func TestIdleClusterWorkersStayParked(t *testing.T) {
 
 // TestExitAnsweredOffTheGrid runs a program whose exit falls at an instant
 // that is no multiple of 10 ms and checks that Wait's reply is on its way
-// within the teardown charge plus the cost of sending it: the reaper is
-// woken by the exit itself. (A 10 ms poll added 0–10 ms on top.)
+// within a millisecond: the reaper is woken by the exit itself, and it
+// answers before it pays for the teardown. (A 10 ms poll added 0–10 ms,
+// and answering after the teardown added EnvDestroyCPU.)
 func TestExitAnsweredOffTheGrid(t *testing.T) {
 	t.Parallel()
 	c := boot(t, Options{Workstations: 2, Seed: 3})
@@ -94,10 +94,95 @@ func TestExitAnsweredOffTheGrid(t *testing.T) {
 	if exitAt%(10*time.Millisecond) == 0 {
 		t.Fatalf("exit at %v landed on the 10 ms grid; the scenario no longer tests anything", exitAt)
 	}
-	// Woken by the exit: two frozen checks, the teardown, the reply's
-	// transmit charge.
-	if lag, max := replyAt-exitAt, params.EnvDestroyCPU+time.Millisecond; lag > max {
-		t.Fatalf("wait reply left %v after the exit, want ≤ %v (EnvDestroyCPU + 1 ms)", lag, max)
+	// Woken by the exit: two frozen checks and the reply's transmit charge.
+	if lag := replyAt - exitAt; lag > time.Millisecond {
+		t.Fatalf("wait reply left %v after the exit, want ≤ 1ms", lag)
+	}
+}
+
+// TestExitRequestsInTeardownAnsweredFromTheFate asks the hosting manager
+// about a program in the EnvDestroyCPU window between the answer to its
+// exit and the destruction of its logical host. A lease renewal and a
+// second wait that arrive there are answered from the program's fate —
+// exited, with its code — and neither is held for the teardown. An ExecR
+// to the same workstation right after Wait returns gets a new logical
+// host beside the one still being torn down.
+func TestExitRequestsInTeardownAnsweredFromTheFate(t *testing.T) {
+	t.Parallel()
+	c := boot(t, Options{Workstations: 2, Seed: 3})
+	ws1 := c.Node(1).Host
+	pmPID := c.Node(1).PM.PID()
+	mac := uint16(ws1.NIC.MAC())
+	var old vid.LHID
+	resident := func() bool { _, ok := ws1.LookupLH(old); return ok }
+	// For each op: did its request arrive at ws1, and its reply leave,
+	// while the exited program's logical host was still resident?
+	type window struct {
+		name              string
+		replies           int // the first wait reply answers the exit itself
+		arrived, answered bool
+	}
+	renewW, waitW := &window{name: "PmRenewLease", replies: 1}, &window{name: "PmWaitProgram"}
+	ops := map[uint16]*window{progmgr.PmRenewLease: renewW, progmgr.PmWaitProgram: waitW}
+	c.Trace.Subscribe(func(ev trace.Event) {
+		p := ev.Pkt
+		if old == 0 || p == nil || ev.Host != mac || ops[p.Msg.Op] == nil {
+			return
+		}
+		w := ops[p.Msg.Op]
+		switch {
+		case ev.Kind == trace.EvPktRx && p.Kind == packet.KRequest && vid.LHID(p.Msg.W[0]) == old:
+			w.arrived = resident()
+		case ev.Kind == trace.EvPktTx && p.Kind == packet.KReply && p.Src == pmPID:
+			if w.replies++; w.replies == 2 {
+				w.answered = resident()
+			}
+		}
+	})
+
+	var code uint32
+	var renew, wait vid.Message
+	var next *Job
+	var err error
+	c.Node(0).Agent(func(a *Agent) {
+		var job *Job
+		if job, err = a.ExecR("primes500", nil, "ws1", 0); err != nil {
+			return
+		}
+		old = job.LHID
+		if code, err = a.Wait(job); err != nil {
+			return
+		}
+		if renew, err = a.ctx.Send(job.PM, vid.Message{Op: progmgr.PmRenewLease, W: [6]uint32{uint32(old)}}); err != nil {
+			return
+		}
+		if wait, err = a.ctx.Send(job.PM, vid.Message{Op: progmgr.PmWaitProgram, W: [6]uint32{uint32(old)}}); err != nil {
+			return
+		}
+		next, err = a.ExecR("primes500", nil, "ws1", 0)
+	})
+	c.Run(time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 95 {
+		t.Fatalf("primes500 exited %d, want 95 (the primes below 500)", code)
+	}
+	for _, w := range []*window{renewW, waitW} {
+		if !w.arrived {
+			t.Errorf("%s did not arrive while the logical host was being torn down; the scenario tests nothing", w.name)
+		} else if !w.answered {
+			t.Errorf("%s was answered after the logical host was destroyed, want during the teardown", w.name)
+		}
+	}
+	if !renew.OK() || renew.W[1] != 2 || renew.W[2] != code {
+		t.Errorf("PmRenewLease answered code %d W=%v, want W1=2 W2=%d (exited)", renew.Code, renew.W, code)
+	}
+	if !wait.OK() || wait.W[0] != code {
+		t.Errorf("PmWaitProgram answered code %d W=%v, want W0=%d", wait.Code, wait.W, code)
+	}
+	if next == nil || next.LHID == old {
+		t.Fatalf("ExecR after Wait: job %+v, want a logical host other than %v", next, old)
 	}
 }
 

@@ -283,7 +283,9 @@ func (pm *PM) answer(t *sim.Task, waiters []*ipc.Req, lhid vid.LHID, f fate) {
 // when the manager never tracked the logical host) from progs, records
 // what became of the program, and answers its waiters. It destroys
 // nothing; the caller decides whether the logical host goes before or
-// after the waiters hear.
+// after the waiters hear. An exit (reap) and a lost guest (AbortGuest)
+// answer first; a destroy, migrateprog -n and eviction destroy first,
+// because their reply is the word that the logical host is gone.
 func (pm *PM) retire(t *sim.Task, lhid vid.LHID, pi *progInfo, f fate) {
 	pm.fates[lhid] = f
 	if pi != nil {
@@ -292,13 +294,17 @@ func (pm *PM) retire(t *sim.Task, lhid vid.LHID, pi *progInfo, f fate) {
 	}
 }
 
+// reap is the pm-reaper worker. A program's exit is answered at the
+// instant it happens: the fate is recorded and the waiters hear before the
+// teardown is paid, and a wait or lease renewal that arrives during the
+// teardown is answered from the fate. The logical host then stays resident,
+// holding its memory, until EnvDestroyCPU has been charged.
 func (pm *PM) reap(ctx *kernel.ProcCtx) {
 	for {
 		lh := pm.exits.take(ctx)
-		pi, f := pm.progs[lh.ID()], fate{kind: fateExited, code: lh.ExitCode()}
+		pm.retire(ctx.Task(), lh.ID(), pm.progs[lh.ID()], fate{kind: fateExited, code: lh.ExitCode()})
 		ctx.Compute(params.EnvDestroyCPU)
 		pm.host.DestroyLH(lh)
-		pm.retire(ctx.Task(), lh.ID(), pi, f)
 	}
 }
 

@@ -89,6 +89,69 @@ func TestCreateStartWait(t *testing.T) {
 	}
 }
 
+// TestExitTeardownPaidAfterTheAnswer: the reaper answers an exit first and
+// pays for the teardown after. The logical host stays resident, holding
+// its memory, for EnvDestroyCPU after the wait reply leaves; then it is
+// destroyed and the workstation's free memory is what it was before the
+// program was created.
+func TestExitTeardownPaidAfterTheAnswer(t *testing.T) {
+	r := newRig(t, 2, 22)
+	tb := trace.NewBus()
+	for _, h := range r.ws {
+		h.AttachTrace(tb)
+	}
+	ws1 := r.ws[1]
+	free0 := ws1.MemFree()
+	var lhid vid.LHID
+	resident := func() bool { _, ok := ws1.LookupLH(lhid); return ok }
+	var answered, atAnswer, beforePaid, afterPaid bool
+	var freeAtAnswer, freeAfter uint32
+	tb.Subscribe(func(ev trace.Event) {
+		if p := ev.Pkt; ev.Kind == trace.EvPktTx && !answered && p.Kind == packet.KReply &&
+			p.Src == r.pms[1].PID() && p.Msg.Op == PmWaitProgram {
+			answered, atAnswer, freeAtAnswer = true, resident(), ws1.MemFree()
+			r.eng.After(params.EnvDestroyCPU-time.Microsecond, func() { beforePaid = resident() })
+			r.eng.After(params.EnvDestroyCPU+2*time.Millisecond, func() {
+				afterPaid, freeAfter = resident(), ws1.MemFree()
+			})
+		}
+	})
+	r.agent(0, func(ctx *kernel.ProcCtx) {
+		m, err := ctx.Send(r.pms[1].PID(), vid.Message{
+			Op: PmCreateProgram, W: [6]uint32{0, 1}, Seg: []byte("job"),
+		})
+		if err != nil || !m.OK() {
+			t.Errorf("create: %v %v", m, err)
+			return
+		}
+		lhid = vid.LHID(m.W[1])
+		if sm, err := ctx.Send(kernel.KernelServerPID(lhid), vid.Message{
+			Op: kernel.KsStartProcess, W: [6]uint32{m.W[0]},
+		}); err != nil || !sm.OK() {
+			t.Errorf("start: %v %v", sm, err)
+			return
+		}
+		ctx.Send(r.pms[1].PID(), vid.Message{Op: PmWaitProgram, W: [6]uint32{uint32(lhid)}})
+	})
+	r.eng.RunFor(time.Minute)
+	if !answered {
+		t.Fatal("the exit was never answered")
+	}
+	if !atAnswer || freeAtAnswer >= free0 {
+		t.Fatalf("at the answer: resident=%v, free %d of %d bytes; want the logical host resident and its memory held",
+			atAnswer, freeAtAnswer, free0)
+	}
+	if !beforePaid {
+		t.Fatalf("logical host destroyed less than EnvDestroyCPU (%v) after the answer: the teardown was not paid", params.EnvDestroyCPU)
+	}
+	if afterPaid {
+		t.Fatal("logical host still resident EnvDestroyCPU + 2ms after the answer")
+	}
+	if freeAfter != free0 {
+		t.Fatalf("free memory %d bytes after the teardown, want %d as before the program", freeAfter, free0)
+	}
+}
+
 func TestCreateUnknownImage(t *testing.T) {
 	r := newRig(t, 2, 2)
 	var code uint16 = 0xFFFF
