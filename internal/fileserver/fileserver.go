@@ -9,7 +9,6 @@
 package fileserver
 
 import (
-	"encoding/binary"
 	"sort"
 	"time"
 
@@ -143,12 +142,14 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 				s.svc.Refuse(ctx, req, err)
 				continue
 			}
-			if len(res) < 4 {
+			r := vid.NewReader(res) // the file's new size
+			size := r.U32()
+			if r.Done() != nil {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 				continue
 			}
 			ctx.Compute(blockCost(len(payload)))
-			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{binary.LittleEndian.Uint32(res)}})
+			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{size}})
 
 		case OpRemove:
 			if _, err := s.svc.Commit(ctx, cmd{op: OpRemove, name: m.SegString()}); err != nil {

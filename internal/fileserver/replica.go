@@ -1,7 +1,6 @@
 package fileserver
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"vsystem/internal/kernel"
@@ -84,7 +83,9 @@ func (st *store) Apply(c cmd) []byte {
 		}
 		copy(f[c.off:], c.data)
 		st.files[c.name] = f
-		return binary.LittleEndian.AppendUint32(nil, uint32(len(f)))
+		var a vid.Appender
+		a.U32(uint32(len(f)))
+		return a.B
 	case OpRemove:
 		delete(st.files, c.name)
 	case OpPageOut:
@@ -102,31 +103,42 @@ func (st *store) Apply(c cmd) []byte {
 // in the wire request's own form (name, or name NUL payload), so a replica
 // replays exactly what the leader admitted.
 func (st *store) Encode(c cmd) []byte {
-	b := binary.LittleEndian.AppendUint16(nil, c.op)
-	b = binary.LittleEndian.AppendUint32(b, c.off)
-	b = append(b, c.name...)
+	var a vid.Appender
+	a.U16(c.op)
+	a.U32(c.off)
+	a.B = append(a.B, c.name...)
 	switch c.op {
 	case OpWrite, OpPageOut:
-		b = append(append(b, 0), c.data...)
+		a.U8(0)
+		a.B = append(a.B, c.data...)
 	case OpPageOutRun:
-		b = kernel.AppendPageRun(append(b, 0), c.space, c.pages, c.run)
+		a.U8(0)
+		a.B = kernel.AppendPageRun(a.B, c.space, c.pages, c.run)
 	}
-	return b
+	return a.B
 }
 
+// Decode parses a command; an op that is not one of the four mutations is
+// malformed.
 func (st *store) Decode(b []byte) (c cmd, ok bool) {
-	if len(b) < 6 {
+	r := vid.NewReader(b)
+	c.op, c.off = r.U16(), r.U32()
+	seg := r.Rest()
+	if r.Err() != nil {
 		return c, false
 	}
-	c.op, c.off = binary.LittleEndian.Uint16(b), binary.LittleEndian.Uint32(b[2:])
-	if c.op == OpRemove {
-		c.name = string(b[6:])
-		return c, true
-	}
-	if c.name, c.data, ok = splitNameData(b[6:]); ok && c.op == OpPageOutRun {
-		var err error
-		c.space, c.pages, c.run, err = kernel.DecodePageRun(c.data)
-		ok = err == nil
+	switch c.op {
+	case OpRemove:
+		c.name, ok = string(seg), true
+	case OpWrite, OpPageOut:
+		c.name, c.data, ok = splitNameData(seg)
+	case OpPageOutRun:
+		var run []byte
+		if c.name, run, ok = splitNameData(seg); ok {
+			var err error
+			c.space, c.pages, c.run, err = kernel.DecodePageRun(run)
+			ok = err == nil
+		}
 	}
 	return c, ok
 }
@@ -136,13 +148,15 @@ func (st *store) Snapshot() []byte {
 	return rsm.AppendSortedMap(rsm.AppendSortedMap(nil, st.files), st.pages)
 }
 
+// Restore installs a snapshot: the files map, then the pages map, and
+// nothing after them.
 func (st *store) Restore(snap []byte) {
 	files, rest, ok := rsm.DecodeSortedMap(snap)
 	if !ok {
 		return
 	}
-	pages, _, ok := rsm.DecodeSortedMap(rest)
-	if !ok {
+	pages, rest, ok := rsm.DecodeSortedMap(rest)
+	if !ok || len(rest) > 0 {
 		return
 	}
 	st.files, st.pages = files, pages

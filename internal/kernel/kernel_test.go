@@ -348,28 +348,6 @@ func TestLHStateEncodeDecode(t *testing.T) {
 	}
 }
 
-func TestPageRunEncodeDecode(t *testing.T) {
-	pages := []mem.PageNo{3, 7, 100}
-	data := make([][]byte, 3)
-	for i := range data {
-		data[i] = make([]byte, mem.PageSize)
-		data[i][0] = byte(i + 1)
-	}
-	spaceID, gp, gd, err := DecodePageRun(AppendPageRun(nil, 9, pages, data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spaceID != 9 || len(gp) != 3 || gp[2] != 100 || gd[1][0] != 2 {
-		t.Fatal("page run round trip mismatch")
-	}
-	if _, _, _, err := DecodePageRun([]byte{1, 2}); err == nil {
-		t.Fatal("short run decoded")
-	}
-	if _, _, _, err := DecodePageRun(AppendPageRun(nil, 1, pages, data)[:50]); err == nil {
-		t.Fatal("truncated run decoded")
-	}
-}
-
 func TestCreateAndQueryProcessOps(t *testing.T) {
 	c := newCluster(2, 9)
 	a, b := c.hosts[0], c.hosts[1]
@@ -415,23 +393,6 @@ func TestCreateAndQueryProcessOps(t *testing.T) {
 	}
 	if regsBack.W[RegUser] != 7 {
 		t.Fatalf("regs not preserved: %v", regsBack.W[RegUser])
-	}
-}
-
-func TestRegsCodecRoundTrip(t *testing.T) {
-	var r Regs
-	for i := range r.W {
-		r.W[i] = uint32(i * 0x01010101)
-	}
-	got, err := DecodeRegs(EncodeRegs(&r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != r {
-		t.Fatal("regs round trip mismatch")
-	}
-	if _, err := DecodeRegs([]byte{1, 2, 3}); err == nil {
-		t.Fatal("short regs decoded")
 	}
 }
 

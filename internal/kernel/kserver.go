@@ -314,23 +314,24 @@ func decodeCreateProc(seg []byte) (string, Regs, error) {
 	return "", Regs{}, vid.CodeError(vid.CodeBadRequest)
 }
 
-// EncodeRegs serializes a register blob (little-endian words).
+// EncodeRegs serializes a register blob: the words in order.
 func EncodeRegs(r *Regs) []byte {
-	out := make([]byte, 0, 4*len(r.W))
+	a := vid.Appender{B: make([]byte, 0, 4*len(r.W))}
 	for _, w := range r.W {
-		out = append(out, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
+		a.U32(w)
 	}
-	return out
+	return a.B
 }
 
 // DecodeRegs parses a register blob.
 func DecodeRegs(b []byte) (Regs, error) {
-	var r Regs
-	if len(b) != 4*len(r.W) {
-		return r, vid.CodeError(vid.CodeBadRequest)
+	var regs Regs
+	r := vid.NewReader(b)
+	for i := range regs.W {
+		regs.W[i] = r.U32()
 	}
-	for i := range r.W {
-		r.W[i] = uint32(b[4*i]) | uint32(b[4*i+1])<<8 | uint32(b[4*i+2])<<16 | uint32(b[4*i+3])<<24
+	if r.Done() != nil {
+		return Regs{}, vid.CodeError(vid.CodeBadRequest)
 	}
-	return r, nil
+	return regs, nil
 }

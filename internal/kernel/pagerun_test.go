@@ -2,12 +2,12 @@ package kernel
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 	"time"
 
 	"vsystem/internal/mem"
 	"vsystem/internal/vid"
+	"vsystem/internal/vid/wiretest"
 )
 
 // runPages builds a batch of n pages starting at first, where zero[i]
@@ -72,26 +72,95 @@ func TestPageRunAllZeroCollapses(t *testing.T) {
 	}
 }
 
+// pageRun is a page run as a value, for the shared wire-form checks.
+type pageRun struct {
+	Space uint32
+	Pages []mem.PageNo
+	Data  [][]byte
+}
+
+var pageRunForm = wiretest.Form[pageRun]{
+	Encode: func(r *pageRun) []byte { return AppendPageRun(nil, r.Space, r.Pages, r.Data) },
+	Decode: func(seg []byte) (*pageRun, error) {
+		space, pages, data, err := DecodePageRun(seg)
+		return &pageRun{space, pages, data}, err
+	},
+}
+
+func TestPageRunEncodeDecode(t *testing.T) {
+	scattered := &pageRun{Space: 9, Pages: []mem.PageNo{3, 7, 100}, Data: make([][]byte, 3)}
+	for i := range scattered.Data {
+		scattered.Data[i] = make([]byte, mem.PageSize)
+		scattered.Data[i][0] = byte(i + 1)
+	}
+	pageRunForm.Malformed(t, pageRunForm.RoundTrip(t, scattered)) // every truncation; a trailing byte
+	pageRunForm.Malformed(t, pageRunForm.RoundTrip(t, &pageRun{Space: 1, Pages: []mem.PageNo{}, Data: [][]byte{}}))
+}
+
 func TestDecodePageRunRejectsMalformed(t *testing.T) {
 	pages, data := runPages(0, 4, func(i int) bool { return i%2 == 0 })
-	good := AppendPageRun(nil, 3, pages, data)
-	cases := map[string][]byte{
-		"empty":            nil,
-		"short header":     good[:6],
-		"truncated index":  good[:8+2*4],
-		"truncated body":   good[:len(good)-1],
-		"count over max":   binary.LittleEndian.AppendUint32([]byte{1, 0, 0, 0}, MaxRunPages+1),
-		"count negative":   binary.LittleEndian.AppendUint32([]byte{1, 0, 0, 0}, 0x80000000),
-		"count beyond seg": binary.LittleEndian.AppendUint32([]byte{1, 0, 0, 0}, 5),
+	mixed := pageRunForm.RoundTrip(t, &pageRun{3, pages, data})
+	pageRunForm.Malformed(t, mixed)
+
+	count := func(n uint32) []byte {
+		var a vid.Appender
+		a.U32(1)
+		a.U32(n)
+		return a.B
 	}
-	for name, seg := range cases {
+	for name, seg := range map[string][]byte{
+		"count over max":   count(MaxRunPages + 1),
+		"count negative":   count(0x80000000),
+		"count beyond seg": append(count(5), mixed[8:]...),
+	} {
 		if _, _, _, err := DecodePageRun(seg); err == nil {
 			t.Errorf("%s: decode accepted malformed run", name)
 		}
 	}
-	if _, _, _, err := DecodePageRun(good); err != nil {
-		t.Fatalf("good run rejected: %v", err)
-	}
+}
+
+// FuzzDecodePageRun hammers the destination kernel server's run parser
+// with arbitrary segments: it must either reject them with an error or
+// decode a self-consistent run — never panic, never return data of the
+// wrong shape. Valid decodes must re-encode to an equivalent run, not the
+// same bytes: the decoder takes an unflagged all-zero body as it comes,
+// and the encoder elides it.
+func FuzzDecodePageRun(f *testing.F) {
+	pages, data := runPages(0, 5, func(i int) bool { return i%2 == 0 })
+	f.Add(AppendPageRun(nil, 3, pages, data))
+	allZero, zdata := runPages(2, 3, func(int) bool { return true })
+	f.Add(AppendPageRun(nil, 9, allZero, zdata))
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0})
+
+	f.Fuzz(func(t *testing.T, seg []byte) {
+		space, pages, data, err := DecodePageRun(seg)
+		if err != nil {
+			return
+		}
+		if len(pages) != len(data) || len(pages) > MaxRunPages {
+			t.Fatalf("decoded %d pages, %d data entries", len(pages), len(data))
+		}
+		for i, d := range data {
+			if len(d) != mem.PageSize {
+				t.Fatalf("page %d decoded to %d bytes", pages[i], len(d))
+			}
+		}
+		reseg := AppendPageRun(nil, space, pages, data)
+		s2, p2, d2, err := DecodePageRun(reseg)
+		if err != nil {
+			t.Fatalf("re-encoded run rejected: %v", err)
+		}
+		if s2 != space || len(p2) != len(pages) {
+			t.Fatalf("round trip changed shape: space %d→%d, %d→%d pages", space, s2, len(pages), len(p2))
+		}
+		for i := range pages {
+			if p2[i] != pages[i] || !bytes.Equal(d2[i], data[i]) {
+				t.Fatalf("round trip changed page %d", pages[i])
+			}
+		}
+	})
 }
 
 // TestWritePagesOutOfOrderAndDuplicate is the correctness audit behind the

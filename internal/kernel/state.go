@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -235,54 +234,49 @@ func AppendPageRun(dst []byte, spaceID uint32, pages []mem.PageNo, data [][]byte
 			bodies++
 		}
 	}
-	buf := slices.Grow(dst, 8+4*len(pages)+bodies*mem.PageSize)
-	buf = binary.LittleEndian.AppendUint32(buf, spaceID)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pages)))
+	a := vid.Appender{B: slices.Grow(dst, 8+4*len(pages)+bodies*mem.PageSize)}
+	a.U32(spaceID)
+	a.U32(uint32(len(pages)))
 	for i, pn := range pages {
 		w := uint32(pn)
 		if zero&(1<<i) != 0 {
 			w |= ZeroPageFlag
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, w)
+		a.U32(w)
 	}
 	for i, d := range data {
 		if zero&(1<<i) == 0 {
-			buf = append(buf, d...)
+			a.B = append(a.B, d...)
 		}
 	}
-	return buf
+	return a.B
 }
 
-// DecodePageRun unpacks a page run. Elided (all-zero) pages decode to the
-// shared zero page; both consumers of the data copy before storing.
+// DecodePageRun unpacks a page run: the space id, the page count, the page
+// words, then a body for each page whose word is unflagged. Elided
+// (all-zero) pages decode to the shared zero page; both consumers of the
+// data copy before storing. A body is taken as it comes — an unflagged
+// all-zero body is a valid page, not a malformation.
 func DecodePageRun(seg []byte) (spaceID uint32, pages []mem.PageNo, data [][]byte, err error) {
-	if len(seg) < 8 {
-		return 0, nil, nil, fmt.Errorf("kernel: short page run")
+	r := vid.NewReader(seg)
+	spaceID = r.U32()
+	if n := r.U32(); n <= MaxRunPages {
+		pages, data = make([]mem.PageNo, n), make([][]byte, n)
+	} else {
+		r.Fail(vid.ErrMalformed)
 	}
-	spaceID = binary.LittleEndian.Uint32(seg)
-	n := int(binary.LittleEndian.Uint32(seg[4:]))
-	if n < 0 || n > MaxRunPages || len(seg) < 8+n*4 {
-		return 0, nil, nil, fmt.Errorf("kernel: malformed page run (%d pages, %d bytes)", n, len(seg))
+	for i := range pages {
+		pages[i] = mem.PageNo(r.U32())
 	}
-	bodies := 0
-	for i := 0; i < n; i++ {
-		if binary.LittleEndian.Uint32(seg[8+4*i:])&ZeroPageFlag == 0 {
-			bodies++
-		}
-	}
-	if need := 8 + n*4 + bodies*mem.PageSize; len(seg) < need {
-		return 0, nil, nil, fmt.Errorf("kernel: truncated page run (%d pages, %d bodies, %d bytes)", n, bodies, len(seg))
-	}
-	off := 8 + n*4
-	for i := 0; i < n; i++ {
-		w := binary.LittleEndian.Uint32(seg[8+4*i:])
-		pages = append(pages, mem.PageNo(w&^ZeroPageFlag))
-		if w&ZeroPageFlag != 0 {
-			data = append(data, mem.ZeroPage())
+	for i, pn := range pages {
+		if uint32(pn)&ZeroPageFlag != 0 {
+			pages[i], data[i] = pn&^mem.PageNo(ZeroPageFlag), mem.ZeroPage()
 		} else {
-			data = append(data, seg[off:off+mem.PageSize])
-			off += mem.PageSize
+			data[i] = r.Take(mem.PageSize)
 		}
+	}
+	if err := r.Done(); err != nil {
+		return 0, nil, nil, fmt.Errorf("kernel: page run: %w", err)
 	}
 	return spaceID, pages, data, nil
 }
@@ -296,33 +290,35 @@ func DecodePageRun(seg []byte) (spaceID uint32, pages []mem.PageNo, data [][]byt
 // gaps need fetching. The reply is a page run, so the list is bounded by
 // MaxRunPages.
 func EncodeFetchReq(spaceID uint32, pages []mem.PageNo) []byte {
-	buf := make([]byte, 0, 8+4*len(pages))
-	buf = binary.LittleEndian.AppendUint32(buf, spaceID)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pages)))
+	a := vid.Appender{B: make([]byte, 0, 8+4*len(pages))}
+	a.U32(spaceID)
+	a.U32(uint32(len(pages)))
 	for _, pn := range pages {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(pn))
+		a.U32(uint32(pn))
 	}
-	return buf
+	return a.B
 }
 
 // DecodeFetchReq unpacks a fetch request. Page-number words must fit the
 // real page-number space (no ZeroPageFlag bit: elision is a reply-side
 // concept) and the list must be non-empty and reply-sized.
 func DecodeFetchReq(seg []byte) (spaceID uint32, pages []mem.PageNo, err error) {
-	if len(seg) < 8 {
-		return 0, nil, fmt.Errorf("kernel: short fetch request")
+	r := vid.NewReader(seg)
+	spaceID = r.U32()
+	if n := r.U32(); n >= 1 && n <= MaxRunPages {
+		pages = make([]mem.PageNo, n)
+	} else {
+		r.Fail(vid.ErrMalformed)
 	}
-	spaceID = binary.LittleEndian.Uint32(seg)
-	n := int(binary.LittleEndian.Uint32(seg[4:]))
-	if n < 1 || n > MaxRunPages || len(seg) != 8+n*4 {
-		return 0, nil, fmt.Errorf("kernel: malformed fetch request (%d pages, %d bytes)", n, len(seg))
-	}
-	for i := 0; i < n; i++ {
-		w := binary.LittleEndian.Uint32(seg[8+4*i:])
-		if w&ZeroPageFlag != 0 {
-			return 0, nil, fmt.Errorf("kernel: fetch request page %#x out of range", w)
+	for i := range pages {
+		if w := r.U32(); w&ZeroPageFlag == 0 {
+			pages[i] = mem.PageNo(w)
+		} else {
+			r.Fail(vid.ErrMalformed)
 		}
-		pages = append(pages, mem.PageNo(w))
+	}
+	if err := r.Done(); err != nil {
+		return 0, nil, fmt.Errorf("kernel: fetch request: %w", err)
 	}
 	return spaceID, pages, nil
 }

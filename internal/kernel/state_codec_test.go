@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vsystem/internal/ipc"
+	"vsystem/internal/mem"
 	"vsystem/internal/packet"
 	"vsystem/internal/vid"
 	"vsystem/internal/vid/wiretest"
@@ -12,6 +13,25 @@ import (
 var lhStateForm = wiretest.Form[LHState]{
 	Encode: (*LHState).Encode,
 	Decode: DecodeLHState,
+}
+
+// fetchReq is a fetch request as a value, for the shared wire-form checks.
+type fetchReq struct {
+	Space uint32
+	Pages []mem.PageNo
+}
+
+var fetchReqForm = wiretest.Form[fetchReq]{
+	Encode: func(f *fetchReq) []byte { return EncodeFetchReq(f.Space, f.Pages) },
+	Decode: func(seg []byte) (*fetchReq, error) {
+		space, pages, err := DecodeFetchReq(seg)
+		return &fetchReq{space, pages}, err
+	},
+}
+
+var regsForm = wiretest.Form[Regs]{
+	Encode: EncodeRegs,
+	Decode: func(b []byte) (*Regs, error) { r, err := DecodeRegs(b); return &r, err },
 }
 
 // populatedLHState is a two-space, two-process guest, one process blocked
@@ -54,6 +74,56 @@ func TestLHStateRefusesBadFlags(t *testing.T) {
 	}
 }
 
+// fullFetch asks for a whole run's worth of scattered pages.
+func fullFetch() []mem.PageNo {
+	full := make([]mem.PageNo, MaxRunPages)
+	for i := range full {
+		full[i] = mem.PageNo(i * 7)
+	}
+	return full
+}
+
+func TestFetchReqWireForm(t *testing.T) {
+	full := fullFetch()
+	for _, f := range []fetchReq{{3, []mem.PageNo{0, 1, 2}}, {0, []mem.PageNo{511}}, {9, full}} {
+		fetchReqForm.Malformed(t, fetchReqForm.RoundTrip(t, &f))
+	}
+	for name, seg := range map[string][]byte{
+		"an empty list":       EncodeFetchReq(1, nil),
+		"a list over max":     EncodeFetchReq(1, append(full, 1)),
+		"a flagged page word": EncodeFetchReq(1, []mem.PageNo{mem.PageNo(ZeroPageFlag | 5)}),
+	} {
+		if _, _, err := DecodeFetchReq(seg); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+}
+
+func TestRegsWireForm(t *testing.T) {
+	var r Regs
+	for i := range r.W {
+		r.W[i] = uint32(i * 0x01010101)
+	}
+	regsForm.Malformed(t, regsForm.RoundTrip(t, &r))
+	regsForm.Malformed(t, regsForm.RoundTrip(t, &Regs{}))
+}
+
+// FuzzDecodeFetchReq hammers the receptacle's fetch-request parser with
+// arbitrary segments: it must reject them or decode a bounded, in-range
+// page list that re-encodes to the same segment.
+func FuzzDecodeFetchReq(f *testing.F) {
+	f.Add(EncodeFetchReq(3, []mem.PageNo{0, 1, 2}))
+	f.Add(EncodeFetchReq(0, []mem.PageNo{511}))
+	f.Add(EncodeFetchReq(9, fullFetch()))
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0})                      // empty list
+	f.Add([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})          // absurd count
+	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0x80})       // ZeroPageFlag set
+	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0})          // truncated list
+	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, 5, 0, 0, 0, 6, 0, 0}) // trailing junk
+	fetchReqForm.Fuzz(f)
+}
+
 func FuzzDecodeLHState(f *testing.F) {
 	f.Add(populatedLHState().Encode())
 	f.Add((&LHState{}).Encode())
@@ -75,6 +145,8 @@ func TestWireSizesPinned(t *testing.T) {
 			Port: &ipc.PortState{PID: vid.NewPID(0x0045, 16), TxSeq: 3},
 		}},
 	}
+	mixedPages, mixedData := runPages(4, 9, func(i int) bool { return i%3 == 0 })
+	zeroPages, zeroData := runPages(0, MaxRunPages, func(int) bool { return true })
 	for _, c := range []struct {
 		form string
 		got  int
@@ -83,6 +155,10 @@ func TestWireSizesPinned(t *testing.T) {
 		{"LHState, one-process paper guest", len(guest.Encode()), 187},
 		{"LHState, two processes, one mid-send", len(populatedLHState().Encode()), 505},
 		{"LHState, zero", len((&LHState{}).Encode()), 15},
+		{"page run, 9 pages, 6 of them non-zero", len(AppendPageRun(nil, 7, mixedPages, mixedData)), 8 + 9*4 + 6*1024},
+		{"page run, 30 all-zero pages", len(AppendPageRun(nil, 1, zeroPages, zeroData)), 8 + 30*4},
+		{"fetch request, 3 pages", len(EncodeFetchReq(3, []mem.PageNo{0, 1, 2})), 8 + 3*4},
+		{"register blob", len(EncodeRegs(&Regs{})), 128},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: %d bytes, pinned at %d", c.form, c.got, c.want)

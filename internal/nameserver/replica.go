@@ -1,8 +1,6 @@
 package nameserver
 
 import (
-	"encoding/binary"
-
 	"vsystem/internal/kernel"
 	"vsystem/internal/rsm"
 	"vsystem/internal/vid"
@@ -55,17 +53,17 @@ func (t *table) Apply(c cmd) []byte {
 
 // Encode renders a command as [op uint16][pid uint32][name...].
 func (t *table) Encode(c cmd) []byte {
-	b := binary.LittleEndian.AppendUint16(nil, c.op)
-	b = binary.LittleEndian.AppendUint32(b, uint32(c.pid))
-	return append(b, c.name...)
+	var a vid.Appender
+	a.U16(c.op)
+	a.U32(uint32(c.pid))
+	a.B = append(a.B, c.name...)
+	return a.B
 }
 
 func (t *table) Decode(b []byte) (cmd, bool) {
-	if len(b) < 6 {
-		return cmd{}, false
-	}
-	return cmd{op: binary.LittleEndian.Uint16(b),
-		pid: vid.PID(binary.LittleEndian.Uint32(b[2:])), name: string(b[6:])}, true
+	r := vid.NewReader(b)
+	c := cmd{op: r.U16(), pid: vid.PID(r.U32()), name: string(r.Rest())}
+	return c, r.Err() == nil
 }
 
 // Snapshot renders the table in rsm's sorted-map form, each PID as a
@@ -73,22 +71,24 @@ func (t *table) Decode(b []byte) (cmd, bool) {
 func (t *table) Snapshot() []byte {
 	m := make(map[string][]byte, len(t.names))
 	for name, pid := range t.names {
-		m[name] = binary.LittleEndian.AppendUint32(nil, uint32(pid))
+		var a vid.Appender
+		a.U32(uint32(pid))
+		m[name] = a.B
 	}
 	return rsm.AppendSortedMap(nil, m)
 }
 
 func (t *table) Restore(snap []byte) {
-	m, _, ok := rsm.DecodeSortedMap(snap)
-	if !ok {
+	m, rest, ok := rsm.DecodeSortedMap(snap)
+	if !ok || len(rest) > 0 {
 		return
 	}
 	names := make(map[string]vid.PID, len(m))
 	for name, v := range m {
-		if len(v) != 4 {
+		r := vid.NewReader(v)
+		if names[name] = vid.PID(r.U32()); r.Done() != nil {
 			return
 		}
-		names[name] = vid.PID(binary.LittleEndian.Uint32(v))
 	}
 	t.names = names
 }

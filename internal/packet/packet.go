@@ -24,7 +24,6 @@
 package packet
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -139,55 +138,51 @@ func Marshal(p *Packet) []byte { return AppendMarshal(nil, p) }
 // extended buffer, growing it at most once if the encoding does not fit.
 func AppendMarshal(dst []byte, p *Packet) []byte {
 	// Conservative size: header + fixed message + variable parts.
-	b := slices.Grow(dst, headerLen+40+len(p.Msg.Seg)+len(p.Data)+2*len(p.Missing)+16)
-	b = append(b, byte(p.Kind))
-	b = binary.LittleEndian.AppendUint32(b, p.TxID)
-	b = binary.LittleEndian.AppendUint32(b, uint32(p.Src))
-	b = binary.LittleEndian.AppendUint32(b, uint32(p.Dst))
-	b = binary.LittleEndian.AppendUint16(b, uint16(p.LH))
+	a := vid.Appender{B: slices.Grow(dst, headerLen+40+len(p.Msg.Seg)+len(p.Data)+2*len(p.Missing)+16)}
+	a.U8(uint8(p.Kind))
+	a.U32(p.TxID)
+	a.U32(uint32(p.Src))
+	a.U32(uint32(p.Dst))
+	a.U16(uint16(p.LH))
 	switch p.Kind {
 	case KRequest, KReply:
-		b = binary.LittleEndian.AppendUint16(b, p.Msg.Op)
-		b = binary.LittleEndian.AppendUint16(b, p.Msg.Code)
+		a.U16(p.Msg.Op)
+		a.U16(p.Msg.Code)
 		for _, w := range p.Msg.W {
-			b = binary.LittleEndian.AppendUint32(b, w)
+			a.U32(w)
 		}
-		b = binary.LittleEndian.AppendUint32(b, p.SegLen)
-		b = binary.LittleEndian.AppendUint16(b, p.FragCount)
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(p.Msg.Seg)))
-		b = append(b, p.Msg.Seg...)
+		a.U32(p.SegLen)
+		a.U16(p.FragCount)
+		a.Bytes(p.Msg.Seg)
 		if p.Kind == KReply {
+			a.Bool(p.HasAd)
 			if p.HasAd {
-				b = append(b, 1)
 				for _, w := range p.Ad {
-					b = binary.LittleEndian.AppendUint32(b, w)
+					a.U32(w)
 				}
-			} else {
-				b = append(b, 0)
 			}
 		}
 	case KLoadAd:
 		for _, w := range p.Ad {
-			b = binary.LittleEndian.AppendUint32(b, w)
+			a.U32(w)
 		}
 	case KFrag:
-		b = append(b, byte(p.OfKind))
-		b = binary.LittleEndian.AppendUint16(b, p.FragIdx)
-		b = binary.LittleEndian.AppendUint16(b, p.FragCount)
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(p.Data)))
-		b = append(b, p.Data...)
+		a.U8(uint8(p.OfKind))
+		a.U16(p.FragIdx)
+		a.U16(p.FragCount)
+		a.Bytes(p.Data)
 	case KFragNack:
-		b = append(b, byte(p.OfKind))
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(p.Missing)))
+		a.U8(uint8(p.OfKind))
+		a.Count(len(p.Missing))
 		for _, m := range p.Missing {
-			b = binary.LittleEndian.AppendUint16(b, m)
+			a.U16(m)
 		}
 	case KReplyPending, KNoProc, KLocateReq, KLocateResp, KBinding:
 		// Header-only kinds.
 	default:
 		panic(fmt.Sprintf("packet: marshal of %v", p.Kind))
 	}
-	return b
+	return a.B
 }
 
 // Unmarshal decodes a packet. The result's Data, if any, aliases b.
@@ -226,7 +221,7 @@ func UnmarshalInto(p *Packet, b []byte) error {
 			p.Msg.Seg = append([]byte(nil), r.Take(n)...)
 		}
 		if p.Kind == KReply {
-			p.HasAd = r.U8() != 0
+			p.HasAd = r.Bool()
 			if p.HasAd {
 				for i := range p.Ad {
 					p.Ad[i] = r.U32()
@@ -252,7 +247,7 @@ func UnmarshalInto(p *Packet, b []byte) error {
 			p.Missing[i] = r.U16()
 		}
 	}
-	if r.Err() != nil {
+	if r.Done() != nil {
 		return ErrTruncated
 	}
 	return nil

@@ -8,7 +8,43 @@ import (
 	"testing/quick"
 
 	"vsystem/internal/vid"
+	"vsystem/internal/vid/wiretest"
 )
+
+var packetForm = wiretest.Form[Packet]{Encode: Marshal, Decode: Unmarshal}
+
+// TestPacketWireForm: every kind round-trips, and a frame cut short,
+// carrying a byte too many or declaring a length its bytes cannot hold
+// does not decode.
+func TestPacketWireForm(t *testing.T) {
+	src, dst := vid.NewPID(1, 16), vid.NewPID(2, 1)
+	const msgSeg = headerLen + 2 + 2 + 6*4 + 4 + 2 // the inline segment's length word
+	for _, c := range []struct {
+		p      Packet
+		counts []wiretest.Count
+	}{
+		{Packet{Kind: KRequest, TxID: 42, Src: src, Dst: dst, Msg: vid.Message{Op: 7, W: [6]uint32{1, 2, 3, 4, 5, 6}, Seg: []byte("payload")}},
+			[]wiretest.Count{{Off: msgSeg, N: 7}}},
+		{Packet{Kind: KRequest, TxID: 43, Src: src, Dst: dst, SegLen: 5000, FragCount: 5}, nil},
+		{Packet{Kind: KReply, TxID: 42, Src: dst, Dst: src, LH: 9, Msg: vid.Message{Code: vid.CodeRefused}}, nil},
+		{Packet{Kind: KReply, TxID: 44, Src: dst, Dst: src, Msg: vid.Message{Seg: []byte("ok")}, HasAd: true, Ad: [6]uint32{1, 2, 3, 4, 5, 6}},
+			[]wiretest.Count{{Off: msgSeg, N: 2}}},
+		{Packet{Kind: KLoadAd, Src: src, HasAd: true, Ad: [6]uint32{7, 0, 3}}, nil},
+		{Packet{Kind: KFrag, TxID: 3, Src: src, Dst: dst, OfKind: KReply, FragIdx: 4, FragCount: 9, Data: []byte("chunk")},
+			[]wiretest.Count{{Off: headerLen + 1 + 2 + 2, N: 5}}},
+		{Packet{Kind: KFragNack, TxID: 8, Src: src, Dst: dst, OfKind: KReply, Missing: []uint16{0, 3, 31}},
+			[]wiretest.Count{{Off: headerLen + 1, N: 3}}},
+		{Packet{Kind: KReplyPending, TxID: 9, Src: src, Dst: dst}, nil},
+		{Packet{Kind: KBinding, LH: 5}, nil},
+	} {
+		packetForm.Malformed(t, packetForm.RoundTrip(t, &c.p), c.counts...)
+	}
+	seg := Marshal(&Packet{Kind: KReply})
+	seg[len(seg)-1] = 2 // the load-ad flag
+	if _, err := Unmarshal(seg); err == nil {
+		t.Fatal("load-ad flag 2 decoded")
+	}
+}
 
 func TestRoundTripRequest(t *testing.T) {
 	p := &Packet{
@@ -80,6 +116,28 @@ func TestRoundTripFragNack(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, p) {
 		t.Fatal("nack round trip mismatch")
+	}
+}
+
+// TestWireSizesPinned: a frame's length is virtual wire time, so a layout
+// change must show up as a diff here (and in DESIGN §10's table).
+func TestWireSizesPinned(t *testing.T) {
+	for _, c := range []struct {
+		form string
+		p    Packet
+		want int
+	}{
+		{"header-only kinds", Packet{Kind: KReplyPending}, headerLen},
+		{"request, empty segment", Packet{Kind: KRequest}, 51},
+		{"reply, no load ad", Packet{Kind: KReply}, 52},
+		{"reply with a load ad", Packet{Kind: KReply, HasAd: true}, 76},
+		{"load beacon", Packet{Kind: KLoadAd}, 39},
+		{"full fragment", Packet{Kind: KFrag, Data: make([]byte, FragChunk)}, 22 + FragChunk},
+		{"NACK of 3 fragments", Packet{Kind: KFragNack, Missing: []uint16{0, 3, 31}}, 18 + 3*2},
+	} {
+		if got := len(Marshal(&c.p)); got != c.want {
+			t.Errorf("%s: %d bytes, pinned at %d", c.form, got, c.want)
+		}
 	}
 }
 

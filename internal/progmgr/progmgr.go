@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"vsystem/internal/fileserver"
 	"vsystem/internal/image"
 	"vsystem/internal/ipc"
 	"vsystem/internal/kernel"
@@ -555,7 +556,7 @@ func (pm *PM) createProgram(ctx *kernel.ProcCtx, m vid.Message) vid.Message {
 func (pm *PM) loadFile(ctx *kernel.ProcCtx, name string) ([]byte, int, vid.PID, error) {
 	fs := pm.fsPID
 	st, err := ctx.Send(orGroup(fs), vid.Message{
-		Op: fsOpStat, W: [6]uint32{0, 0, 0, 0, 0, unicastFlag(fs)}, Seg: []byte(name),
+		Op: fileserver.OpStat, W: [6]uint32{0, 0, 0, 0, 0, unicastFlag(fs)}, Seg: []byte(name),
 	})
 	if err != nil || !st.OK() {
 		// Retry through the group in case a cached server died. A replicated
@@ -564,7 +565,7 @@ func (pm *PM) loadFile(ctx *kernel.ProcCtx, name string) ([]byte, int, vid.PID, 
 		// definitive reply (e.g. no such file) is never retried.
 		pm.fsPID = vid.Nil
 		for attempt := 0; ; attempt++ {
-			st, err = ctx.Send(vid.GroupFileServers, vid.Message{Op: fsOpStat, Seg: []byte(name)})
+			st, err = ctx.Send(vid.GroupFileServers, vid.Message{Op: fileserver.OpStat, Seg: []byte(name)})
 			if err == nil || attempt == 2 {
 				break
 			}
@@ -586,7 +587,7 @@ func (pm *PM) loadFile(ctx *kernel.ProcCtx, name string) ([]byte, int, vid.PID, 
 			n = vid.SegMax
 		}
 		read := vid.Message{
-			Op: fsOpRead, W: [6]uint32{uint32(off), uint32(n), 0, 0, 0, fsUnicast},
+			Op: fileserver.OpRead, W: [6]uint32{uint32(off), uint32(n), 0, 0, 0, fileserver.FsUnicast},
 			Seg: []byte(name),
 		}
 		r, err := ctx.Send(pm.fsPID, read)
@@ -594,7 +595,7 @@ func (pm *PM) loadFile(ctx *kernel.ProcCtx, name string) ([]byte, int, vid.PID, 
 			// Pinned server gone mid-read: re-stat through the group to find
 			// a live authoritative replica, then retry this chunk once.
 			pm.fsPID = vid.Nil
-			st, err2 := ctx.Send(vid.GroupFileServers, vid.Message{Op: fsOpStat, Seg: []byte(name)})
+			st, err2 := ctx.Send(vid.GroupFileServers, vid.Message{Op: fileserver.OpStat, Seg: []byte(name)})
 			if err2 != nil || !st.OK() {
 				return nil, 0, vid.Nil, fsError(r, err)
 			}
@@ -642,24 +643,11 @@ func orGroup(pid vid.PID) vid.PID {
 	return pid
 }
 
-// File-server op codes, duplicated here to avoid importing fileserver
-// (which imports kernel; no cycle actually — but keep the wire contract
-// explicit).
-const (
-	fsOpStat uint16 = 0x50
-	fsOpRead uint16 = 0x51
-
-	// fsUnicast in a request's W5 tells a replicated file server the sender
-	// addressed it directly, so a non-authoritative replica must answer
-	// CodeNotLeader instead of staying silent (fileserver.FsUnicast).
-	fsUnicast uint32 = 1
-)
-
 // unicastFlag returns the W5 unicast marker when pid names one server (as
 // opposed to the file-server group).
 func unicastFlag(pid vid.PID) uint32 {
 	if pid == vid.Nil {
 		return 0
 	}
-	return fsUnicast
+	return fileserver.FsUnicast
 }

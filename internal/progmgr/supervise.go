@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"vsystem/internal/display"
 	"vsystem/internal/ipc"
 	"vsystem/internal/kernel"
 	"vsystem/internal/params"
@@ -527,7 +528,7 @@ func (pm *PM) Launch(ctx *kernel.ProcCtx, target vid.PID, guest bool, name strin
 		return vid.Nil, 0, err
 	}
 	if supersedes != 0 && stdout != vid.Nil {
-		ctx.Send(stdout, vid.Message{Op: supOpAdopt, W: [6]uint32{uint32(supersedes), uint32(lhid)}})
+		ctx.Send(stdout, vid.Message{Op: display.OpAdopt, W: [6]uint32{uint32(supersedes), uint32(lhid)}})
 	}
 	m, err := ctx.Send(kernel.KernelServerPID(lhid), vid.Message{
 		Op: kernel.KsStartProcess, W: [6]uint32{uint32(pid)},
@@ -627,8 +628,3 @@ func (pm *PM) drainReapQ(ctx *kernel.ProcCtx) {
 		}
 	}
 }
-
-// supOpAdopt duplicates display.OpAdopt — the output-stream adoption
-// notice (W0 = superseded LHID, W1 = successor LHID) — to keep the wire
-// contract explicit without importing the display server.
-const supOpAdopt uint16 = 0x72

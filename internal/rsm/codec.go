@@ -1,21 +1,16 @@
 package rsm
 
 import (
-	"encoding/binary"
-	"errors"
 	"maps"
 	"slices"
 
 	"vsystem/internal/vid"
 )
 
-// Wire codecs for the replication protocol. Hand-rolled little-endian
-// fixed-header formats (like the kernel's page-run and fetch-request
-// codecs): deterministic byte-for-byte, bounds-checked on decode, and
-// fuzzed with committed corpora. A malformed segment must decode to an
-// error — the replica answers CodeBadRequest — and never panic.
-
-var errBadWire = errors.New("rsm: malformed wire segment")
+// Wire codecs for the replication protocol: fixed little-endian layouts
+// over vid.Appender / vid.Reader (DESIGN §10), their counts and lengths
+// 32-bit words. A malformed segment must decode to an error — the replica
+// answers CodeBadRequest — and never panic.
 
 // maxEntries bounds the entry count a decoder will accept; an encoded
 // append can never legitimately carry more (the batch cap is far lower).
@@ -23,6 +18,16 @@ const maxEntries = 4096
 
 // maxSnapTotal bounds the declared total size of a snapshot transfer.
 const maxSnapTotal = 64 * 1024 * 1024
+
+// done returns v, or the zero value and the reader's first failure — a
+// trailing byte included.
+func done[T any](r *vid.Reader, v T) (T, error) {
+	if err := r.Done(); err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
+}
 
 // VoteReq is a candidate's request for a vote. Pre marks a pre-vote probe:
 // the candidate has not incremented its term and the voter must answer
@@ -37,39 +42,25 @@ type VoteReq struct {
 	LastTerm  uint32
 }
 
-const voteReqLen = 25
-
-// EncodeVoteReq serializes a vote request.
+// EncodeVoteReq serializes a vote request: six words, then the pre-vote
+// flag.
 func EncodeVoteReq(v VoteReq) []byte {
-	b := make([]byte, voteReqLen)
-	le := binary.LittleEndian
-	le.PutUint32(b[0:], v.Term)
-	le.PutUint32(b[4:], v.Cand)
-	le.PutUint32(b[8:], v.CandPID)
-	le.PutUint32(b[12:], v.SvcPID)
-	le.PutUint32(b[16:], v.LastIndex)
-	le.PutUint32(b[20:], v.LastTerm)
-	if v.Pre {
-		b[24] = 1
-	}
-	return b
+	a := vid.Appender{B: make([]byte, 0, 6*4+1)}
+	a.U32(v.Term)
+	a.U32(v.Cand)
+	a.U32(v.CandPID)
+	a.U32(v.SvcPID)
+	a.U32(v.LastIndex)
+	a.U32(v.LastTerm)
+	a.Bool(v.Pre)
+	return a.B
 }
 
 // DecodeVoteReq parses a vote request.
 func DecodeVoteReq(b []byte) (VoteReq, error) {
-	if len(b) != voteReqLen || b[24] > 1 {
-		return VoteReq{}, errBadWire
-	}
-	le := binary.LittleEndian
-	return VoteReq{
-		Term:      le.Uint32(b[0:]),
-		Pre:       b[24] == 1,
-		Cand:      le.Uint32(b[4:]),
-		CandPID:   le.Uint32(b[8:]),
-		SvcPID:    le.Uint32(b[12:]),
-		LastIndex: le.Uint32(b[16:]),
-		LastTerm:  le.Uint32(b[20:]),
-	}, nil
+	r := vid.NewReader(b)
+	return done(&r, VoteReq{Term: r.U32(), Cand: r.U32(), CandPID: r.U32(), SvcPID: r.U32(),
+		LastIndex: r.U32(), LastTerm: r.U32(), Pre: r.Bool()})
 }
 
 // VoteReply is a replica's answer to a vote request.
@@ -81,35 +72,22 @@ type VoteReply struct {
 	SvcPID   uint32
 }
 
-const voteReplyLen = 17
-
-// EncodeVoteReply serializes a vote reply.
+// EncodeVoteReply serializes a vote reply: the term, the granted flag, then
+// three words.
 func EncodeVoteReply(v VoteReply) []byte {
-	b := make([]byte, voteReplyLen)
-	le := binary.LittleEndian
-	le.PutUint32(b[0:], v.Term)
-	if v.Granted {
-		b[4] = 1
-	}
-	le.PutUint32(b[5:], v.Voter)
-	le.PutUint32(b[9:], v.VoterPID)
-	le.PutUint32(b[13:], v.SvcPID)
-	return b
+	a := vid.Appender{B: make([]byte, 0, 4+1+3*4)}
+	a.U32(v.Term)
+	a.Bool(v.Granted)
+	a.U32(v.Voter)
+	a.U32(v.VoterPID)
+	a.U32(v.SvcPID)
+	return a.B
 }
 
 // DecodeVoteReply parses a vote reply.
 func DecodeVoteReply(b []byte) (VoteReply, error) {
-	if len(b) != voteReplyLen || b[4] > 1 {
-		return VoteReply{}, errBadWire
-	}
-	le := binary.LittleEndian
-	return VoteReply{
-		Term:     le.Uint32(b[0:]),
-		Granted:  b[4] == 1,
-		Voter:    le.Uint32(b[5:]),
-		VoterPID: le.Uint32(b[9:]),
-		SvcPID:   le.Uint32(b[13:]),
-	}, nil
+	r := vid.NewReader(b)
+	return done(&r, VoteReply{Term: r.U32(), Granted: r.Bool(), Voter: r.U32(), VoterPID: r.U32(), SvcPID: r.U32()})
 }
 
 // Entry is one replicated log entry. An empty Cmd is the no-op barrier a
@@ -132,70 +110,51 @@ type AppendReq struct {
 	Entries   []Entry
 }
 
-const appendHdrLen = 32
-
-// EncodeAppendReq serializes an append request.
+// EncodeAppendReq serializes an append request: seven words and the entry
+// count, then each entry's term, command length and command.
 func EncodeAppendReq(a AppendReq) []byte {
-	n := appendHdrLen
+	n := 8 * 4
 	for _, e := range a.Entries {
 		n += 8 + len(e.Cmd)
 	}
-	b := make([]byte, n)
-	le := binary.LittleEndian
-	le.PutUint32(b[0:], a.Term)
-	le.PutUint32(b[4:], a.Leader)
-	le.PutUint32(b[8:], a.LeaderPID)
-	le.PutUint32(b[12:], a.SvcPID)
-	le.PutUint32(b[16:], a.PrevIndex)
-	le.PutUint32(b[20:], a.PrevTerm)
-	le.PutUint32(b[24:], a.Commit)
-	le.PutUint32(b[28:], uint32(len(a.Entries)))
-	off := appendHdrLen
+	w := vid.Appender{B: make([]byte, 0, n)}
+	w.U32(a.Term)
+	w.U32(a.Leader)
+	w.U32(a.LeaderPID)
+	w.U32(a.SvcPID)
+	w.U32(a.PrevIndex)
+	w.U32(a.PrevTerm)
+	w.U32(a.Commit)
+	w.U32(uint32(len(a.Entries)))
 	for _, e := range a.Entries {
-		le.PutUint32(b[off:], e.Term)
-		le.PutUint32(b[off+4:], uint32(len(e.Cmd)))
-		copy(b[off+8:], e.Cmd)
-		off += 8 + len(e.Cmd)
+		w.U32(e.Term)
+		w.U32(uint32(len(e.Cmd)))
+		w.B = append(w.B, e.Cmd...)
 	}
-	return b
+	return w.B
 }
 
-// DecodeAppendReq parses an append request.
+// DecodeAppendReq parses an append request. Each command is a slice of b.
 func DecodeAppendReq(b []byte) (AppendReq, error) {
-	if len(b) < appendHdrLen {
-		return AppendReq{}, errBadWire
+	r := vid.NewReader(b)
+	a := AppendReq{Term: r.U32(), Leader: r.U32(), LeaderPID: r.U32(), SvcPID: r.U32(),
+		PrevIndex: r.U32(), PrevTerm: r.U32(), Commit: r.U32()}
+	n := r.U32()
+	if n > maxEntries || uint64(n) > uint64(r.Len()/8) { // an entry is at least its two words
+		r.Fail(vid.ErrMalformed)
+	} else if n > 0 {
+		a.Entries = make([]Entry, n)
 	}
-	le := binary.LittleEndian
-	a := AppendReq{
-		Term:      le.Uint32(b[0:]),
-		Leader:    le.Uint32(b[4:]),
-		LeaderPID: le.Uint32(b[8:]),
-		SvcPID:    le.Uint32(b[12:]),
-		PrevIndex: le.Uint32(b[16:]),
-		PrevTerm:  le.Uint32(b[20:]),
-		Commit:    le.Uint32(b[24:]),
-	}
-	count := le.Uint32(b[28:])
-	if count > maxEntries {
-		return AppendReq{}, errBadWire
-	}
-	off := appendHdrLen
-	for i := uint32(0); i < count; i++ {
-		if off+8 > len(b) {
-			return AppendReq{}, errBadWire
+	for i := 0; i < len(a.Entries) && r.Err() == nil; i++ {
+		e := &a.Entries[i]
+		e.Term = r.U32()
+		if n := r.U32(); n > vid.SegMax {
+			r.Fail(vid.ErrMalformed)
+		} else {
+			e.Cmd = r.Take(int(n))
 		}
-		term := le.Uint32(b[off:])
-		n := int(le.Uint32(b[off+4:]))
-		if n > vid.SegMax || off+8+n > len(b) {
-			return AppendReq{}, errBadWire
-		}
-		a.Entries = append(a.Entries, Entry{Term: term, Cmd: b[off+8 : off+8+n : off+8+n]})
-		off += 8 + n
 	}
-	if off != len(b) {
-		return AppendReq{}, errBadWire
-	}
-	return a, nil
+	return done(&r, a)
 }
 
 // SnapChunk is one piece of a snapshot transfer to a lagging replica. The
@@ -213,96 +172,72 @@ type SnapChunk struct {
 	Data      []byte
 }
 
-const snapHdrLen = 32
-
-// EncodeSnapChunk serializes a snapshot chunk.
+// EncodeSnapChunk serializes a snapshot chunk: eight words, then the data
+// to the end of the segment.
 func EncodeSnapChunk(c SnapChunk) []byte {
-	b := make([]byte, snapHdrLen+len(c.Data))
-	le := binary.LittleEndian
-	le.PutUint32(b[0:], c.Term)
-	le.PutUint32(b[4:], c.Leader)
-	le.PutUint32(b[8:], c.LeaderPID)
-	le.PutUint32(b[12:], c.SvcPID)
-	le.PutUint32(b[16:], c.LastIndex)
-	le.PutUint32(b[20:], c.LastTerm)
-	le.PutUint32(b[24:], c.Offset)
-	le.PutUint32(b[28:], c.Total)
-	copy(b[snapHdrLen:], c.Data)
-	return b
+	a := vid.Appender{B: make([]byte, 0, 8*4+len(c.Data))}
+	a.U32(c.Term)
+	a.U32(c.Leader)
+	a.U32(c.LeaderPID)
+	a.U32(c.SvcPID)
+	a.U32(c.LastIndex)
+	a.U32(c.LastTerm)
+	a.U32(c.Offset)
+	a.U32(c.Total)
+	a.B = append(a.B, c.Data...)
+	return a.B
 }
 
-// DecodeSnapChunk parses a snapshot chunk.
+// DecodeSnapChunk parses a snapshot chunk. Data is a slice of b.
 func DecodeSnapChunk(b []byte) (SnapChunk, error) {
-	if len(b) < snapHdrLen {
-		return SnapChunk{}, errBadWire
+	r := vid.NewReader(b)
+	c := SnapChunk{Term: r.U32(), Leader: r.U32(), LeaderPID: r.U32(), SvcPID: r.U32(),
+		LastIndex: r.U32(), LastTerm: r.U32(), Offset: r.U32(), Total: r.U32(), Data: r.Rest()}
+	if c.Total > maxSnapTotal || uint64(c.Offset)+uint64(len(c.Data)) > uint64(c.Total) {
+		r.Fail(vid.ErrMalformed)
 	}
-	le := binary.LittleEndian
-	c := SnapChunk{
-		Term:      le.Uint32(b[0:]),
-		Leader:    le.Uint32(b[4:]),
-		LeaderPID: le.Uint32(b[8:]),
-		SvcPID:    le.Uint32(b[12:]),
-		LastIndex: le.Uint32(b[16:]),
-		LastTerm:  le.Uint32(b[20:]),
-		Offset:    le.Uint32(b[24:]),
-		Total:     le.Uint32(b[28:]),
-		Data:      b[snapHdrLen:len(b):len(b)],
-	}
-	if c.Total > maxSnapTotal ||
-		uint64(c.Offset)+uint64(len(c.Data)) > uint64(c.Total) {
-		return SnapChunk{}, errBadWire
-	}
-	return c, nil
+	return done(&r, c)
 }
 
 // AppendSortedMap appends m's snapshot form to b: a count, then each entry
-// as length-prefixed key and value, keys in sorted order — byte-identical
+// as length-prefixed key and value, keys in ascending order — byte-identical
 // for equal maps, which a map-order-dependent encoding would not be.
 func AppendSortedMap(b []byte, m map[string][]byte) []byte {
-	le := binary.LittleEndian
-	b = le.AppendUint32(b, uint32(len(m)))
+	a := vid.Appender{B: b}
+	a.U32(uint32(len(m)))
 	for _, k := range slices.Sorted(maps.Keys(m)) {
-		b = le.AppendUint32(b, uint32(len(k)))
-		b = append(b, k...)
-		b = le.AppendUint32(b, uint32(len(m[k])))
-		b = append(b, m[k]...)
+		a.U32(uint32(len(k)))
+		a.B = append(a.B, k...)
+		a.U32(uint32(len(m[k])))
+		a.B = append(a.B, m[k]...)
 	}
-	return b
+	return a.B
 }
 
 // DecodeSortedMap parses one AppendSortedMap form off the front of b and
-// returns the bytes after it. Snapshots arrive over the wire in install
-// chunks, so every length is checked against what is actually left before
-// it is used (widened, never summed: a huge length word cannot wrap);
-// on any malformation it returns ok=false and no map.
+// returns the bytes after it. Keys must be strictly ascending, as
+// AppendSortedMap writes them, so one map has one form. Snapshots arrive
+// over the wire in install chunks, so nothing is sized by a count before
+// the count is checked against the bytes left; on any malformation it
+// returns ok=false and no map.
 func DecodeSortedMap(b []byte) (m map[string][]byte, rest []byte, ok bool) {
-	field := func() ([]byte, bool) {
-		if len(b) < 4 {
-			return nil, false
-		}
-		n := binary.LittleEndian.Uint32(b)
-		if b = b[4:]; uint64(n) > uint64(len(b)) {
-			return nil, false
-		}
-		f := b[:n]
-		b = b[n:]
-		return f, true
-	}
-	if len(b) < 4 {
-		return nil, nil, false
-	}
-	n := binary.LittleEndian.Uint32(b)
-	if b = b[4:]; uint64(n) > uint64(len(b)/8) { // an entry is at least its two length words
+	r := vid.NewReader(b)
+	n := r.U32()
+	if r.Err() != nil || uint64(n) > uint64(r.Len()/8) { // an entry is at least its two length words
 		return nil, nil, false
 	}
 	m = make(map[string][]byte, n)
-	for i := uint32(0); i < n; i++ {
-		k, ok1 := field()
-		v, ok2 := field()
-		if !ok1 || !ok2 {
-			return nil, nil, false
+	prev := ""
+	for i := 0; i < int(n) && r.Err() == nil; i++ {
+		k := string(r.Take(int(r.U32())))
+		if i > 0 && k <= prev {
+			r.Fail(vid.ErrMalformed)
 		}
-		m[string(k)] = append([]byte(nil), v...)
+		m[k] = append([]byte(nil), r.Take(int(r.U32()))...)
+		prev = k
 	}
-	return m, b, true
+	if rest = r.Rest(); r.Err() != nil {
+		return nil, nil, false
+	}
+	return m, rest, true
 }

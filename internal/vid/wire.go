@@ -9,10 +9,11 @@ import (
 // The wire pair every structured segment is built on: an Appender that
 // writes little-endian fields onto a byte slice and a Reader that takes
 // them off again. Every form that crosses the wire or enters a replicated
-// log — packet headers, kernel state, program-manager requests, registry
-// commands, migration reports, image files — is a fixed layout over these
-// two, so equal values always encode to equal bytes and a segment's length
-// (which is virtual wire time) depends on nothing but the value.
+// log — packet headers, kernel state, page runs, program-manager requests,
+// replication messages, registry and server log commands and snapshots,
+// migration reports, image files — is a fixed layout over these two, so
+// equal values always encode to equal bytes and a segment's length (which
+// is virtual wire time) depends on nothing but the value.
 //
 // Encoding cannot fail: a value too large for its length word is a
 // programming error and panics. Decoding never panics: the Reader's error
@@ -105,7 +106,8 @@ type Reader struct {
 	err error
 }
 
-// NewReader reads from b. Bytes and Rest return slices of b itself.
+// NewReader reads from b. Take and Rest return slices of b itself; Bytes
+// returns a copy.
 func NewReader(b []byte) Reader { return Reader{b: b} }
 
 // Err returns the first failure, or nil.
@@ -196,6 +198,10 @@ func (r *Reader) Take(n int) []byte {
 	r.off += n
 	return v
 }
+
+// Rest returns every byte that is left, a slice of the input capped at its
+// end, and leaves nothing to read.
+func (r *Reader) Rest() []byte { return r.Take(r.Len()) }
 
 // Count reads a 16-bit element count and checks it against the bytes
 // left: elements of at least min bytes each must still fit, so a decoder

@@ -128,8 +128,8 @@ func TestReaderCountAgainstBytesLeft(t *testing.T) {
 	}
 }
 
-// Take hands out the input itself, capped, so an append cannot run into
-// the bytes that follow.
+// Take and Rest hand out the input itself, capped, so an append cannot run
+// into the bytes that follow.
 func TestReaderTakeAliasesCapped(t *testing.T) {
 	seg := []byte{1, 2, 3, 4}
 	r := NewReader(seg)
@@ -137,8 +137,14 @@ func TestReaderTakeAliasesCapped(t *testing.T) {
 	if &p[0] != &seg[0] || cap(p) != 2 {
 		t.Fatalf("Take: aliases=%v cap=%d", &p[0] == &seg[0], cap(p))
 	}
+	if q := r.Rest(); &q[0] != &seg[2] || len(q) != 2 || cap(q) != 2 || r.Len() != 0 {
+		t.Fatalf("Rest: aliases=%v len=%d cap=%d left=%d", &q[0] == &seg[2], len(q), cap(q), r.Len())
+	}
 	if q := r.Take(3); q != nil || r.Err() != ErrTruncated {
 		t.Fatalf("Take past the end: %v, err %v", q, r.Err())
+	}
+	if q := r.Rest(); q != nil {
+		t.Fatalf("Rest after a failure: %v", q)
 	}
 }
 
