@@ -25,7 +25,8 @@ package ipc
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"vsystem/internal/cpu"
@@ -241,9 +242,6 @@ func New(se *sim.Engine, nic *ethernet.NIC, c *cpu.CPU, res Resolver) *Engine {
 // callback this is reversible, which is what makes restart possible.
 func (e *Engine) SetDown(down bool) { e.down = down }
 
-// Down reports whether the engine is powered off.
-func (e *Engine) Down() bool { return e.down }
-
 // Reset clears all soft protocol state — binding cache, reassembly and
 // repair buffers, forwarding addresses, and any protocol work still queued
 // for netd from before the crash — and powers the engine back on. Called
@@ -266,12 +264,6 @@ func (e *Engine) Reset() {
 // instead of passing by luck.
 func (e *Engine) PoisonFreed() { e.segs.PoisonFreed() }
 
-// Sim returns the simulation engine.
-func (e *Engine) Sim() *sim.Engine { return e.sim }
-
-// CPU returns the host CPU this engine charges.
-func (e *Engine) CPU() *cpu.CPU { return e.cpu }
-
 // MAC returns the host's station address.
 func (e *Engine) MAC() ethernet.MAC { return e.nic.MAC() }
 
@@ -284,10 +276,11 @@ func (e *Engine) Stats() Stats { return e.stats }
 // published as a trace event.
 func (e *Engine) SetTraceBus(b *trace.Bus) { e.trace = b }
 
-// publish emits a packet-level trace event stamped with the current
-// virtual time and this host's station address.
-func (e *Engine) publish(kind trace.Kind, p *packet.Packet) {
-	e.trace.Publish(trace.Event{At: e.sim.Now(), Host: uint16(e.nic.MAC()), Kind: kind, Pkt: p})
+// publish emits a trace event stamped with the current virtual time and
+// this host's station address.
+func (e *Engine) publish(ev trace.Event) {
+	ev.At, ev.Host = e.sim.Now(), uint16(e.nic.MAC())
+	e.trace.Publish(ev)
 }
 
 // CacheLookup exposes the logical-host cache (for tests and experiments).
@@ -350,9 +343,7 @@ func (e *Engine) InvalidateCache(lh vid.LHID) {
 	}
 	delete(e.cache, lh)
 	e.stats.BindingInvalidations++
-	e.trace.Publish(trace.Event{
-		At: e.sim.Now(), Host: uint16(e.nic.MAC()), Kind: trace.EvBindInvalidate, LH: lh,
-	})
+	e.publish(trace.Event{Kind: trace.EvBindInvalidate, LH: lh})
 }
 
 // SetLoadFunc installs the kernel's load-advertisement source. When set,
@@ -379,15 +370,9 @@ func (e *Engine) BroadcastLoad(src vid.PID) {
 // the §3.1.4 optimization performed when a migrated logical host is
 // unfrozen.
 func (e *Engine) BroadcastBinding(lh vid.LHID) {
-	e.trace.Publish(trace.Event{
-		At: e.sim.Now(), Host: uint16(e.nic.MAC()), Kind: trace.EvRebind, LH: lh,
-	})
+	e.publish(trace.Event{Kind: trace.EvRebind, LH: lh})
 	e.emit(&packet.Packet{Kind: packet.KBinding, LH: lh}, ethernet.Broadcast)
 }
-
-// Defer runs fn on the network daemon task (kernel context). Used by the
-// kernel for work that must charge CPU but has no process task.
-func (e *Engine) Defer(fn func(*sim.Task)) { e.jobs.Push(job{fn: fn}) }
 
 // netd is the kernel network daemon: it serializes this host's protocol
 // processing, charging CPU per packet.
@@ -413,7 +398,7 @@ func (e *Engine) netd(t *sim.Task) {
 			}
 			e.cpu.Use(t, cost, params.PrioKernel)
 			e.stats.LocalDeliveries++
-			e.publish(trace.EvPktLocal, j.local)
+			e.publish(trace.Event{Kind: trace.EvPktLocal, Pkt: j.local})
 			e.dispatch(t, j.local, e.nic.MAC())
 		case j.fn != nil:
 			j.fn(t)
@@ -422,14 +407,10 @@ func (e *Engine) netd(t *sim.Task) {
 }
 
 // emit queues a packet for transmission by netd.
-func (e *Engine) emit(p *packet.Packet, dst ethernet.MAC) {
-	e.jobs.Push(job{out: p, dst: dst})
-}
+func (e *Engine) emit(p *packet.Packet, dst ethernet.MAC) { e.jobs.Push(job{out: p, dst: dst}) }
 
 // emitLocal queues a packet for intra-host delivery.
-func (e *Engine) emitLocal(p *packet.Packet) {
-	e.jobs.Push(job{local: p})
-}
+func (e *Engine) emitLocal(p *packet.Packet) { e.jobs.Push(job{local: p}) }
 
 // sendNow marshals and transmits a (non-fragmented) packet, charging CPU.
 // It keeps no reference to *p, which may live on the caller's stack: the
@@ -455,7 +436,7 @@ func (e *Engine) transmitFrame(t *sim.Task, p *packet.Packet, dst ethernet.MAC, 
 	}
 	e.stats.TxPackets++
 	e.stats.TxByKind[p.Kind]++
-	e.publish(trace.EvPktTx, p)
+	e.publish(trace.Event{Kind: trace.EvPktTx, Pkt: p})
 	f := ethernet.Frame{Dst: dst, Lent: dst != ethernet.Broadcast && !dst.IsMulticast()}
 	if f.Lent {
 		f.Payload = e.nic.FrameBuf()
@@ -547,7 +528,7 @@ func (e *Engine) resendFrags(t *sim.Task, key reasmKey, missing []uint16, to eth
 		}
 		e.cpu.Use(t, params.BulkSendCPU, params.PrioKernel)
 		e.stats.Retransmits++
-		e.publish(trace.EvPktRetx, src.summary)
+		e.publish(trace.Event{Kind: trace.EvPktRetx, Pkt: src.summary})
 		e.sendFrag(t, key, src.seg, int(idx), to)
 	}
 	e.cpu.Use(t, params.SmallPktSendCPU, params.PrioKernel)
@@ -574,22 +555,19 @@ func (e *Engine) recvFrame(t *sim.Task, f ethernet.Frame) {
 	if err != nil {
 		// Corrupt frame: count and trace the drop, then discard.
 		e.stats.RxCorrupt++
-		e.trace.Publish(trace.Event{
-			At: t.Now(), Host: uint16(e.nic.MAC()), Kind: trace.EvPktDrop,
-			Size: len(f.Payload), Peer: uint16(f.Src),
-		})
+		e.publish(trace.Event{Kind: trace.EvPktDrop, Size: len(f.Payload), Peer: uint16(f.Src)})
 		return
 	}
 	e.stats.RxPackets++
 	e.stats.RxByKind[p.Kind]++
-	e.publish(trace.EvPktRx, p)
+	e.publish(trace.Event{Kind: trace.EvPktRx, Pkt: p})
 	e.dispatch(t, p, f.Src)
 }
 
 // dispatch routes a decoded packet (from the wire or delivered locally).
 func (e *Engine) dispatch(t *sim.Task, p *packet.Packet, from ethernet.MAC) {
 	// Any packet from a station is evidence of life: it vetoes suspicion
-	// formation (noteSilence) and retracts a standing suspicion.
+	// formation (clientTxn.step) and retracts a standing suspicion.
 	if from != e.nic.MAC() {
 		e.heard[from] = e.sim.Now()
 		e.clearSuspicion(from)
@@ -611,11 +589,11 @@ func (e *Engine) dispatch(t *sim.Task, p *packet.Packet, from ethernet.MAC) {
 		e.deliverReply(t, p, from)
 	case packet.KReplyPending:
 		if port := e.ports[p.Dst]; port != nil {
-			port.notePending(p.TxID)
+			port.post(clientEv{kind: evPending, txid: p.TxID, now: e.sim.Now()})
 		}
 	case packet.KNoProc:
 		if port := e.ports[p.Dst]; port != nil {
-			port.failSend(p.TxID, vid.CodeNoProcess)
+			port.post(clientEv{kind: evNoProc, txid: p.TxID})
 		}
 	case packet.KLocateReq:
 		// A host answers for every resident logical host, frozen or not:
@@ -625,27 +603,16 @@ func (e *Engine) dispatch(t *sim.Task, p *packet.Packet, from ethernet.MAC) {
 		if e.res.LHResident(p.LH) {
 			e.emit(&packet.Packet{Kind: packet.KLocateResp, LH: p.LH}, from)
 		}
-	case packet.KLocateResp:
+	case packet.KLocateResp, packet.KBinding:
+		// A transaction addressed to the logical host retransmits now that
+		// its binding is known, instead of waiting out its interval.
 		e.cacheInsert(p.LH, from)
-		e.retryWaiters(p.LH)
-	case packet.KBinding:
-		e.cacheInsert(p.LH, from)
-		e.retryWaiters(p.LH)
-	case packet.KLoadAd:
-		// Advertisement already consumed by the sink above.
+		for _, port := range e.portList {
+			port.post(clientEv{kind: evBound, lh: p.LH})
+		}
 	case packet.KFragNack:
 		// p.Src is the original packet's source (us); p.Dst the nacker.
 		e.resendFrags(t, reasmKey{src: p.Src, dst: p.Dst, txid: p.TxID, kind: p.OfKind}, p.Missing, from)
-	}
-}
-
-// retryWaiters prompts any transaction addressed to lh to retransmit now
-// that a binding is known, instead of waiting out its retransmit interval.
-func (e *Engine) retryWaiters(lh vid.LHID) {
-	for _, port := range e.portList {
-		if s := port.send; s != nil && !s.done && s.dst.LH() == lh {
-			port.retransmit()
-		}
 	}
 }
 
@@ -797,7 +764,7 @@ func (e *Engine) deliverRequest(t *sim.Task, p *packet.Packet, from ethernet.MAC
 	if dst.IsWellKnown() {
 		concrete, ok := e.res.WellKnown(lh, dst.Index())
 		if !ok {
-			e.noProc(p, from)
+			e.answer(packet.KNoProc, p, from)
 			return
 		}
 		if e.GroupIndirection {
@@ -809,23 +776,10 @@ func (e *Engine) deliverRequest(t *sim.Task, p *packet.Packet, from ethernet.MAC
 	}
 	port := e.ports[dst]
 	if port == nil {
-		e.noProc(p, from)
+		e.answer(packet.KNoProc, p, from)
 		return
 	}
-	// Reassemble large segments only for requests we will actually accept
-	// as new; a duplicate is answered by what its reply's state allows.
-	switch port.classify(p.Src, p.TxID) {
-	case reqDuplicate:
-		port.answerDuplicate(p, from)
-	case reqStale:
-		e.stats.DroppedStale++
-	case reqNew:
-		lent, ok := e.completeSeg(p, from)
-		if !ok {
-			return
-		}
-		port.acceptRequest(p.Src, p.TxID, p.Msg, from, lent)
-	}
+	port.request(p, from)
 }
 
 // deliverReply handles an arriving KReply. A reply that names a logical
@@ -856,37 +810,27 @@ func (e *Engine) deliverReply(t *sim.Task, p *packet.Packet, from ethernet.MAC) 
 		return
 	}
 	port := e.ports[p.Dst]
-	if port == nil || port.send == nil || port.send.done || port.send.txid != p.TxID {
+	if port == nil || port.send == nil || !port.send.awaits(p.TxID) {
 		return // duplicate or stale reply
 	}
 	lent, ok := e.completeSeg(p, from)
 	if !ok {
 		return
 	}
-	if port.send.gather {
-		// Gathering send: accumulate this responder's reply (deduplicated
-		// by source) and keep collecting until the window closes.
-		port.addGatherReply(p.Src, p.Msg)
-		return
-	}
-	port.completeSend(p.Msg, lent)
+	port.answered(p.Src, p.Msg, lent)
 }
 
 // replyPending emits a reply-pending packet for the given request.
 func (e *Engine) replyPending(p *packet.Packet, from ethernet.MAC) {
 	e.stats.ReplyPendings++
-	e.publish(trace.EvReplyPending, p)
-	out := &packet.Packet{Kind: packet.KReplyPending, TxID: p.TxID, Src: p.Dst, Dst: p.Src}
-	if from == e.nic.MAC() {
-		e.emitLocal(out)
-	} else {
-		e.emit(out, from)
-	}
+	e.publish(trace.Event{Kind: trace.EvReplyPending, Pkt: p})
+	e.answer(packet.KReplyPending, p, from)
 }
 
-// noProc tells the sender the destination does not exist.
-func (e *Engine) noProc(p *packet.Packet, from ethernet.MAC) {
-	out := &packet.Packet{Kind: packet.KNoProc, TxID: p.TxID, Src: p.Dst, Dst: p.Src}
+// answer sends the sender of request p, at station from, a packet of the
+// kind given: reply-pending, or no-process (the destination does not exist).
+func (e *Engine) answer(kind packet.Kind, p *packet.Packet, from ethernet.MAC) {
+	out := &packet.Packet{Kind: kind, TxID: p.TxID, Src: p.Dst, Dst: p.Src}
 	if from == e.nic.MAC() {
 		e.emitLocal(out)
 	} else {
@@ -911,33 +855,24 @@ func (e *Engine) route(dst vid.PID) (mac ethernet.MAC, local, ok bool) {
 		e.cacheSeq++
 		be.used = e.cacheSeq
 		e.stats.BindingHits++
-		e.trace.Publish(trace.Event{
-			At: e.sim.Now(), Host: uint16(e.nic.MAC()), Kind: trace.EvBindHit, LH: lh,
-		})
+		e.publish(trace.Event{Kind: trace.EvBindHit, LH: lh})
 		return be.mac, false, true
 	}
 	e.stats.BindingMisses++
-	e.trace.Publish(trace.Event{
-		At: e.sim.Now(), Host: uint16(e.nic.MAC()), Kind: trace.EvBindMiss, LH: lh,
-	})
+	e.publish(trace.Event{Kind: trace.EvBindMiss, LH: lh})
 	e.stats.Locates++
-	e.trace.Publish(trace.Event{
-		At: e.sim.Now(), Host: uint16(e.nic.MAC()), Kind: trace.EvLocate, LH: lh,
-	})
+	e.publish(trace.Event{Kind: trace.EvLocate, LH: lh})
 	e.emit(&packet.Packet{Kind: packet.KLocateReq, LH: lh}, ethernet.Broadcast)
 	return 0, false, false
 }
 
 // ------------------------------------------------------- failure detector
 //
-// The engine keeps a per-station suspicion table fed by the evidence the
-// retransmission machinery already produces: SuspectAfterRetries consecutive
-// unanswered retransmissions of any single transaction condemn the whole
-// station, failing every in-flight transaction to it fast (CodeHostDown)
-// instead of letting each ride out its own ~5 s abort. Reply-pending packets
-// reset a transaction's silence, and *any* packet from the station — replies,
-// requests, locate responses, a rebooted host's announcements — clears the
-// suspicion (§3.1.3's "evidence of life", generalized host-wide).
+// The engine keeps a per-station suspicion table. SuspectAfterRetries
+// unanswered retransmissions of one transaction condemn its whole station
+// (clientTxn.step), failing every transaction to it fast (CodeHostDown)
+// instead of letting each ride out its own ~5 s abort. *Any* packet from the
+// station clears the suspicion (§3.1.3's "evidence of life", host-wide).
 
 // Suspected reports whether the station is currently suspected dead.
 func (e *Engine) Suspected(mac ethernet.MAC) bool {
@@ -947,42 +882,7 @@ func (e *Engine) Suspected(mac ethernet.MAC) bool {
 
 // Suspects returns the currently suspected stations in ascending order.
 func (e *Engine) Suspects() []ethernet.MAC {
-	out := make([]ethernet.MAC, 0, len(e.suspects))
-	for mac := range e.suspects {
-		out = append(out, mac)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// noteSilence is called by a send transaction's retransmission tick after
-// another interval passed with no evidence of life. It returns true when the
-// transaction was failed (the station is — or just became — suspected).
-func (e *Engine) noteSilence(p *Port, s *sendTxn) bool {
-	if _, bad := e.suspects[s.mac]; bad {
-		// Already suspected: the transaction's initial transmission doubled
-		// as a liveness probe; one interval of silence is enough.
-		p.failSend(s.txid, vid.CodeHostDown)
-		return true
-	}
-	if s.silent < params.SuspectAfterRetries {
-		return false
-	}
-	// One starved transaction is not enough: the whole *station* must have
-	// been silent for the suspicion window. Traffic it sent to anyone on
-	// this host — replies to other processes, duplicate-reply traffic for a
-	// frozen logical host, locate responses — vetoes the verdict, which
-	// also keeps a lossy (but live) link from condemning a healthy peer.
-	window := time.Duration(params.SuspectAfterRetries) * params.RetransmitInterval
-	lastAlive := s.lastAlive
-	if heard, ok := e.heard[s.mac]; ok && heard > lastAlive {
-		lastAlive = heard
-	}
-	if e.sim.Now().Sub(lastAlive) < window {
-		return false
-	}
-	e.suspectStation(s.mac, lastAlive)
-	return true
+	return slices.Sorted(maps.Keys(e.suspects))
 }
 
 // suspectStation condemns a station and fails every in-flight transaction
@@ -996,14 +896,9 @@ func (e *Engine) suspectStation(mac ethernet.MAC, lastAlive sim.Time) {
 	now := e.sim.Now()
 	e.suspects[mac] = now
 	e.stats.HostSuspects++
-	e.trace.Publish(trace.Event{
-		At: now, Host: uint16(e.nic.MAC()), Kind: trace.EvHostSuspect,
-		Peer: uint16(mac), Size: int(now.Sub(lastAlive) / time.Microsecond),
-	})
+	e.publish(trace.Event{Kind: trace.EvHostSuspect, Peer: uint16(mac), Size: int(now.Sub(lastAlive) / time.Microsecond)})
 	for _, port := range e.portList {
-		if s := port.send; s != nil && !s.done && !s.gather && s.mac == mac {
-			port.failSend(s.txid, vid.CodeHostDown)
-		}
+		port.post(clientEv{kind: evSuspect, mac: mac})
 	}
 }
 
@@ -1014,10 +909,7 @@ func (e *Engine) clearSuspicion(mac ethernet.MAC) {
 	}
 	delete(e.suspects, mac)
 	e.stats.HostClears++
-	e.trace.Publish(trace.Event{
-		At: e.sim.Now(), Host: uint16(e.nic.MAC()), Kind: trace.EvHostClear,
-		Peer: uint16(mac),
-	})
+	e.publish(trace.Event{Kind: trace.EvHostClear, Peer: uint16(mac)})
 }
 
 // SetForward installs a forwarding address for a migrated-away logical

@@ -100,7 +100,7 @@ func TestGatherDedupsDuplicateReplies(t *testing.T) {
 	})
 	// Well inside the window, after the genuine reply has arrived.
 	r.sim.After(100*time.Millisecond, func() {
-		client.addGatherReply(server.PID(), vid.Message{Op: testOp, W: [6]uint32{99}})
+		client.answered(server.PID(), vid.Message{Op: testOp, W: [6]uint32{99}}, nil)
 	})
 	r.sim.RunFor(5 * time.Second)
 	if err != nil {

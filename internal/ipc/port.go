@@ -2,7 +2,8 @@ package ipc
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"vsystem/internal/ethernet"
@@ -32,24 +33,17 @@ type Port struct {
 	winq      *sim.WaitQ // owning bulk-transfer window's harvest queue, if any
 
 	rq      []*Req
-	open    map[vid.PID]*Req // received, not yet replied; one per sender
 	reqWait sim.WaitQ
-
-	lastFrom   map[vid.PID]uint32
-	replyCache map[vid.PID]*cachedReply
-	closed     bool
+	peers   map[vid.PID]peer // what the port knows of each sender
+	closed  bool
 }
 
+// sendTxn is a send transaction: its decision state and the engine's part.
 type sendTxn struct {
-	txid   uint32
-	dst    vid.PID
-	msg    vid.Message
-	group  bool
-	done   bool
-	reply  vid.Message
-	code   uint16 // failure code when done && code != OK
-	silent int    // retransmissions since last evidence of life
-	timer  sim.Timer
+	clientTxn
+	msg   vid.Message
+	reply vid.Message
+	timer sim.Timer
 
 	// buf is the buffer msg.Seg was built in when it is the engine's to
 	// reuse once the transaction is over (Window.SegBuf), else nil.
@@ -60,15 +54,7 @@ type sendTxn struct {
 	buf     []byte
 	reading int
 
-	// Failure-detector evidence: the station the request was last
-	// transmitted to (0 until a unicast route resolved) and the last
-	// moment the transaction had evidence the destination was alive.
-	mac       ethernet.MAC
-	lastAlive sim.Time
-
-	// Gather mode (StartGather): collect every reply that arrives within
-	// the window instead of completing on the first one.
-	gather  bool
+	// Gather mode (StartGather): every reply that arrives within the window.
 	replies []GatherReply
 	seen    map[vid.PID]bool         // group gather: responders already recorded (dedup)
 	enough  func([]GatherReply) bool // group gather: closes it early once true; nil never
@@ -97,20 +83,10 @@ type Req struct {
 // choices from it (e.g. a response-dally slot).
 func (r *Req) TxID() uint32 { return r.txid }
 
-type cachedReply struct {
-	txid    uint32
-	msg     vid.Message
-	lh      vid.LHID // the logical host the reply names (ReplyNaming), 0 for none
-	expires sim.Time
-}
-
 // HasPort reports whether a port is currently registered under the PID.
 // Allocators of private port-id ranges (the pager's 0xF000 block) use it
 // to skip ids whose previous incarnation still has a transaction parked.
-func (e *Engine) HasPort(pid vid.PID) bool {
-	_, ok := e.ports[pid]
-	return ok
-}
+func (e *Engine) HasPort(pid vid.PID) bool { return e.ports[pid] != nil }
 
 // txGenBits is how many low bits of a transaction id count a port's own
 // transactions; the bits above hold its PID's generation (NewPortGen).
@@ -135,14 +111,7 @@ func (e *Engine) NewPortGen(pid vid.PID, gen uint32) *Port {
 	if _, dup := e.ports[pid]; dup {
 		panic(fmt.Sprintf("ipc: duplicate port %v", pid))
 	}
-	p := &Port{
-		eng:        e,
-		pid:        pid,
-		txSeq:      gen << txGenBits,
-		open:       make(map[vid.PID]*Req),
-		lastFrom:   make(map[vid.PID]uint32),
-		replyCache: make(map[vid.PID]*cachedReply),
-	}
+	p := &Port{eng: e, pid: pid, txSeq: gen << txGenBits, peers: make(map[vid.PID]peer)}
 	e.ports[pid] = p
 	e.portList = append(e.portList, p)
 	return p
@@ -162,12 +131,7 @@ func (p *Port) Close() {
 		p.send.wtimer.Stop()
 	}
 	delete(p.eng.ports, p.pid)
-	for i, q := range p.eng.portList {
-		if q == p {
-			p.eng.portList = append(p.eng.portList[:i], p.eng.portList[i+1:]...)
-			break
-		}
-	}
+	p.eng.portList = slices.DeleteFunc(p.eng.portList, func(q *Port) bool { return q == p })
 }
 
 // PID returns the port's process identifier.
@@ -178,36 +142,39 @@ func (p *Port) PID() vid.PID { return p.pid }
 // StartSend begins a message transaction to dst without waiting for the
 // reply. The calling task is charged for any bulk fragmentation. A port
 // has at most one outstanding send.
-func (p *Port) StartSend(t *sim.Task, dst vid.PID, msg vid.Message) {
-	p.startSend(t, dst, msg, nil)
-}
+func (p *Port) StartSend(t *sim.Task, dst vid.PID, msg vid.Message) { p.startSend(t, dst, msg, nil) }
 
 // startSend is StartSend for a message whose segment was built in buf, a
 // buffer from the engine's free list that goes back there when the
 // transaction is over (nil: the segment is the caller's own).
 func (p *Port) startSend(t *sim.Task, dst vid.PID, msg vid.Message, buf []byte) {
-	if p.send != nil {
-		panic(fmt.Sprintf("ipc: %v StartSend with send outstanding", p.pid))
-	}
 	if dst.IsGroup() && len(msg.Seg) > packet.InlineSegMax {
 		panic("ipc: group send with fragmented segment")
 	}
 	if len(msg.Seg) > vid.SegMax {
 		panic(fmt.Sprintf("ipc: segment %d exceeds SegMax", len(msg.Seg)))
 	}
+	p.begin(t, &sendTxn{clientTxn: clientTxn{dst: dst}, msg: msg, buf: buf})
+}
+
+// begin numbers s, makes it the port's send transaction and transmits its
+// request.
+func (p *Port) begin(t *sim.Task, s *sendTxn) {
+	if p.send != nil {
+		panic(fmt.Sprintf("ipc: %v send started with send outstanding", p.pid))
+	}
 	p.txSeq++
-	s := &sendTxn{txid: p.txSeq, dst: dst, msg: msg, group: dst.IsGroup(), lastAlive: t.Now(), buf: buf}
+	s.txid, s.group, s.lastAlive = p.txSeq, s.dst.IsGroup(), t.Now()
 	p.send, p.replyBuf = s, nil
-	p.transmitOn(t, false)
+	p.transmit(t, false)
 	p.armTimer()
 }
 
 // StartGather begins a gathering send: the request is transmitted (and
 // retransmitted) exactly like StartSend, but instead of completing on the
 // first reply the transaction collects every distinct responder's reply
-// until the window elapses. This is the generalized group-send path the
-// scheduling layer uses to build a cluster-load view from one multicast
-// (§2.1). The first-reply fast path (StartSend/AwaitReply) is untouched.
+// until the window elapses: the group send the scheduling layer builds a
+// cluster-load view from (§2.1).
 //
 // A gather to a single process has one possible responder, so its reply
 // ends the gather; there the window bounds silence only — a dead or
@@ -223,58 +190,19 @@ func (p *Port) startSend(t *sim.Task, dst vid.PID, msg vid.Message, buf []byte) 
 // fragmented replies from concurrent responders would interleave in one
 // reassembly window.
 func (p *Port) StartGather(t *sim.Task, dst vid.PID, msg vid.Message, window time.Duration, enough func([]GatherReply) bool) {
-	if p.send != nil {
-		panic(fmt.Sprintf("ipc: %v StartGather with send outstanding", p.pid))
-	}
 	if len(msg.Seg) > packet.InlineSegMax {
 		panic("ipc: gather send with fragmented segment")
 	}
-	p.txSeq++
-	s := &sendTxn{
-		txid: p.txSeq, dst: dst, msg: msg, lastAlive: t.Now(),
-		group: dst.IsGroup(), gather: true,
+	s := &sendTxn{clientTxn: clientTxn{dst: dst, gather: true}, msg: msg}
+	if dst.IsGroup() {
+		s.seen, s.enough = make(map[vid.PID]bool), enough
 	}
-	if s.group {
-		s.seen = make(map[vid.PID]bool)
-		s.enough = enough
-	}
-	p.send, p.replyBuf = s, nil
-	p.transmitOn(t, false)
-	p.armTimer()
-	s.wtimer = p.eng.sim.After(window, func() { p.endGather(s) })
-}
-
-// endGather closes a gathering send: its window has elapsed, its one
-// possible responder has answered, or its replies are enough.
-func (p *Port) endGather(s *sendTxn) {
-	if p.send != s || s.done || p.closed {
-		return
-	}
-	s.done = true
-	s.timer.Stop()
-	s.wtimer.Stop()
-	if len(s.replies) == 0 {
-		s.code = vid.CodeTimeout
-	}
-	p.replyWait.WakeAll()
-}
-
-// addGatherReply records one responder's reply, ignoring duplicates (a
-// retransmitted query answered from the responder's reply cache). A gather
-// to one process is over with it: nobody else can answer, and a duplicate
-// that arrives later falls on the stale-txid check like any late reply. A
-// group gather is over with it when its close rule says so.
-func (p *Port) addGatherReply(src vid.PID, msg vid.Message) {
-	s := p.send
-	if s == nil || s.done || !s.gather || s.seen[src] {
-		return
-	}
-	s.replies = append(s.replies, GatherReply{Src: src, Msg: msg})
-	if !s.group || (s.enough != nil && s.enough(s.replies)) {
-		p.endGather(s)
-		return
-	}
-	s.seen[src] = true
+	p.begin(t, s)
+	s.wtimer = p.eng.sim.After(window, func() {
+		if p.send == s && !p.closed {
+			p.post(clientEv{kind: evWindow, got: len(s.replies) > 0})
+		}
+	})
 }
 
 // AwaitGather blocks until the gather closes — its window elapses, its one
@@ -282,14 +210,10 @@ func (p *Port) addGatherReply(src vid.PID, msg vid.Message) {
 // outright (no-process on a unicast probe) — returning the collected
 // replies in arrival order. An empty gather reports timeout.
 func (p *Port) AwaitGather(t *sim.Task) ([]GatherReply, error) {
-	s := p.send
-	if s == nil || !s.gather {
+	if s := p.send; s == nil || !s.gather {
 		panic(fmt.Sprintf("ipc: %v AwaitGather without gathering send", p.pid))
 	}
-	for !s.done {
-		p.replyWait.Wait(t)
-	}
-	p.send = nil
+	s := p.await(t)
 	if len(s.replies) == 0 && s.code != vid.CodeOK {
 		return nil, vid.CodeError(s.code)
 	}
@@ -299,82 +223,89 @@ func (p *Port) AwaitGather(t *sim.Task) ([]GatherReply, error) {
 // armTimer schedules the retransmission/abort timer for the current send.
 func (p *Port) armTimer() {
 	s := p.send
-	s.timer = p.eng.sim.After(params.RetransmitInterval, func() { p.tick(s) })
+	s.timer = p.eng.sim.After(params.RetransmitInterval, func() {
+		if p.send != s || p.closed {
+			return
+		}
+		e := p.eng
+		_, suspected := e.suspects[s.mac]
+		p.post(clientEv{kind: evTick, now: e.sim.Now(), suspected: suspected, heard: e.heard[s.mac], noRebind: e.NoRebind})
+	})
 }
 
-// tick is one retransmission interval elapsing with no completion.
-func (p *Port) tick(s *sendTxn) {
-	if p.send != s || s.done || p.closed {
+// post steps the port's send transaction, if any, by ev and carries out
+// what the step decides.
+func (p *Port) post(ev clientEv) {
+	s := p.send
+	if s == nil {
 		return
 	}
-	s.silent++
-	if !s.group && !s.gather && s.mac != 0 && p.eng.noteSilence(p, s) {
-		// The destination's station is suspected dead: the transaction was
-		// failed fast with CodeHostDown instead of riding out the abort.
-		return
-	}
-	limit := params.AbortAfterRetries
-	if s.group {
-		limit = params.GroupAbortAfterRetries
-	}
-	if s.silent > limit && !s.gather {
-		// Gathering sends never abort on silence: the window timer owns
-		// their termination (an empty gather reports timeout there).
-		p.failSend(s.txid, vid.CodeTimeout)
-		return
-	}
-	if s.silent >= params.LocateAfterRetries && !s.group && !s.dst.IsGroup() && !p.eng.NoRebind {
-		// §3.1.4: after a small number of unanswered retransmissions the
-		// cache entry for the logical host is invalidated and the
-		// reference is re-derived by broadcast.
+	var act clientAct
+	s.clientTxn, act = s.step(ev)
+	switch act {
+	case actFinish:
+		s.timer.Stop()
+		s.wtimer.Stop()
+		// Answered or not, the request will not be repaired again.
+		p.eng.dropFragSource(reasmKey{src: p.pid, dst: s.dst, txid: s.txid, kind: packet.KRequest})
+		p.replyWait.WakeAll()
+		if p.winq != nil {
+			p.winq.WakeAll()
+		}
+	case actSuspect:
+		p.eng.suspectStation(s.mac, s.lastAlive)
+	case actRelocate:
 		p.eng.InvalidateCache(s.dst.LH())
+		fallthrough
+	case actRetry:
+		p.retransmit()
+		p.armTimer()
+	case actResend:
+		p.retransmit()
 	}
-	p.retransmit()
-	p.armTimer()
 }
 
 // retransmit re-sends the current request via the network daemon. Both the
-// timer path (tick) and the binding-prompted path (Engine.retryWaiters) go
+// timer path (a tick) and the binding-prompted path (a learnt binding) go
 // through here, so the resend is counted exactly once, when it actually
 // executes.
 func (p *Port) retransmit() {
 	s := p.send
-	if s == nil || s.done {
-		return
-	}
 	p.eng.jobs.Push(job{fn: func(t *sim.Task) {
 		if p.send == s && !s.done && !p.closed {
 			p.eng.stats.Retransmits++
-			p.eng.publish(trace.EvPktRetx, &packet.Packet{
+			p.eng.publish(trace.Event{Kind: trace.EvPktRetx, Pkt: &packet.Packet{
 				Kind: packet.KRequest, TxID: s.txid, Src: p.pid, Dst: s.dst,
-			})
-			p.transmitOn(t, true)
+			}})
+			p.transmit(t, true)
 		}
 	}})
 }
 
-// transmitOn routes and transmits the current request. retrans indicates a
+// transmit routes and transmits the current request. retrans indicates a
 // retransmission, for which a fragmented segment resends only its summary
 // (the receiver NACKs any missing fragments).
-func (p *Port) transmitOn(t *sim.Task, retrans bool) {
+func (p *Port) transmit(t *sim.Task, retrans bool) {
 	s := p.send
 	s.reading++
-	p.transmit(t, s, retrans)
-	s.reading--
-}
-
-func (p *Port) transmit(t *sim.Task, s *sendTxn, retrans bool) {
+	defer func() { s.reading-- }()
 	// The packet is a value: what goes on the wire is marshalled from the
 	// engine's transmit scratch, and only a local delivery, which is queued,
 	// needs a packet of its own.
 	pkt := packet.Packet{Kind: packet.KRequest, TxID: s.txid, Src: p.pid, Dst: s.dst, Msg: s.msg}
-	if s.group {
-		// Wire multicast (member stations' receive filters accept it)
-		// plus fan-out to local members.
-		p.eng.sendNow(t, &pkt, ethernet.Multicast(uint16(s.dst.LH())))
-		local := pkt
-		s.buf = nil // local members receive the segment itself, not a copy
-		p.eng.emitLocal(&local)
+	mac, local, ok := p.eng.route(s.dst)
+	if !ok {
+		return // locate broadcast in flight; retry on next tick
+	}
+	if local || s.group {
+		if s.group {
+			// Wire multicast (member stations' receive filters accept it)
+			// plus fan-out to local members.
+			p.eng.sendNow(t, &pkt, mac)
+		}
+		cp := pkt
+		s.buf = nil // the receivers get the segment itself, not a copy
+		p.eng.emitLocal(&cp)
 		return
 	}
 	// s.mac keeps the last station actually transmitted to. It survives a
@@ -382,16 +313,6 @@ func (p *Port) transmit(t *sim.Task, s *sendTxn, retrans bool) {
 	// invalidated, and continued silence must still condemn the station we
 	// were talking to. A transaction that never resolved a route keeps
 	// mac == 0 and can only abort by timeout ("unlocated" is not "dead").
-	mac, local, ok := p.eng.route(s.dst)
-	if !ok {
-		return // locate broadcast in flight; retry on next tick
-	}
-	if local {
-		cp := pkt
-		s.buf = nil // the receiver gets the segment itself, not a copy
-		p.eng.emitLocal(&cp)
-		return
-	}
 	s.mac = mac
 	key := reasmKey{src: p.pid, dst: s.dst, txid: s.txid, kind: packet.KRequest}
 	if fs := p.eng.txBuf[key]; fs != nil && retrans {
@@ -410,18 +331,24 @@ func (p *Port) transmit(t *sim.Task, s *sendTxn, retrans bool) {
 // reply message. On failure the error is a vid.CodeError (timeout,
 // no-process, aborted).
 func (p *Port) AwaitReply(t *sim.Task) (vid.Message, error) {
-	s := p.send
-	if s == nil {
+	if p.send == nil {
 		panic(fmt.Sprintf("ipc: %v AwaitReply without send", p.pid))
 	}
-	for !s.done {
-		p.replyWait.Wait(t)
-	}
-	p.send = nil
+	s := p.await(t)
 	if s.code != vid.CodeOK {
 		return vid.Message{}, vid.CodeError(s.code)
 	}
 	return s.reply, nil
+}
+
+// await blocks until the send transaction is over, and ends it.
+func (p *Port) await(t *sim.Task) *sendTxn {
+	s := p.send
+	for !s.done {
+		p.replyWait.Wait(t)
+	}
+	p.send = nil
+	return s
 }
 
 // ReleaseReply tells the port that the caller is finished with the segment
@@ -446,40 +373,26 @@ func (p *Port) Send(t *sim.Task, dst vid.PID, msg vid.Message) (vid.Message, err
 	return p.AwaitReply(t)
 }
 
-// completeSend records the reply — whose segment is a slice of the
-// reassembly buffer lent, if that is not nil — and wakes the sender.
-func (p *Port) completeSend(msg vid.Message, lent []byte) {
+// answered takes a reply the send transaction awaits, its segment a slice of
+// the reassembly buffer lent if that is not nil. A gather keeps each
+// responder's first reply (a retransmitted query is answered again from its
+// reply cache) and asks its close rule whether they are enough.
+func (p *Port) answered(src vid.PID, msg vid.Message, lent []byte) {
 	s := p.send
-	if s == nil || s.done {
+	ev := clientEv{kind: evReply, txid: s.txid}
+	switch {
+	case !s.gather:
+		s.reply, p.replyBuf = msg, lent
+	case s.seen[src]:
 		return
+	default:
+		s.replies = append(s.replies, GatherReply{Src: src, Msg: msg})
+		if s.seen != nil {
+			s.seen[src] = true
+		}
+		ev.enough = s.enough != nil && s.enough(s.replies)
 	}
-	s.done = true
-	s.reply, p.replyBuf = msg, lent
-	s.timer.Stop()
-	s.wtimer.Stop()
-	// The reply means the receiver had every fragment: no repair to come.
-	p.eng.dropFragSource(reasmKey{src: p.pid, dst: s.dst, txid: s.txid, kind: packet.KRequest})
-	p.replyWait.WakeAll()
-	if p.winq != nil {
-		p.winq.WakeAll()
-	}
-}
-
-// failSend aborts the matching transaction with the given code.
-func (p *Port) failSend(txid uint32, code uint16) {
-	s := p.send
-	if s == nil || s.done || s.txid != txid {
-		return
-	}
-	s.done = true
-	s.code = code
-	s.timer.Stop()
-	s.wtimer.Stop()
-	p.eng.dropFragSource(reasmKey{src: p.pid, dst: s.dst, txid: s.txid, kind: packet.KRequest})
-	p.replyWait.WakeAll()
-	if p.winq != nil {
-		p.winq.WakeAll()
-	}
+	p.post(ev)
 }
 
 // AbortTo ends the port's outstanding transaction with CodeAborted if it is
@@ -487,53 +400,49 @@ func (p *Port) failSend(txid uint32, code uint16) {
 // (a restarted peer announced its new PID), and a dead PID is otherwise
 // learnt only by riding out the whole abort timeout — V lets stale
 // identities die silently.
-func (p *Port) AbortTo(dst vid.PID) {
-	if s := p.send; s != nil && s.dst == dst {
-		p.failSend(s.txid, vid.CodeAborted)
-	}
-}
-
-// notePending resets the abort countdown: the destination is alive but not
-// ready (busy, queued, or frozen). Group transactions ignore reply-pending:
-// a member that received the query but declined to answer must not keep
-// the sender waiting past its group timeout. Gathering sends ignore it too
-// — their window is fixed regardless of responder liveness.
-func (p *Port) notePending(txid uint32) {
-	if s := p.send; s != nil && !s.done && s.txid == txid && !s.group && !s.gather {
-		s.silent = 0
-		s.lastAlive = p.eng.sim.Now()
-	}
-}
+func (p *Port) AbortTo(dst vid.PID) { p.post(clientEv{kind: evAbort, dst: dst}) }
 
 // -------------------------------------------------------------- receiving
 
-type reqClass int
-
-const (
-	reqNew reqClass = iota
-	reqDuplicate
-	reqStale
-)
-
-// classify decides how to treat an arriving request relative to what this
-// port has already seen from the sender.
-func (p *Port) classify(src vid.PID, txid uint32) reqClass {
-	last, seen := p.lastFrom[src]
-	switch {
-	case !seen || txid > last:
-		return reqNew
-	case txid == last:
-		return reqDuplicate
-	}
-	return reqStale
+// serve steps what the port knows of src by ev and keeps the result.
+func (p *Port) serve(src vid.PID, ev serverEv) serverAct {
+	pr, act := p.peers[src].step(ev)
+	p.peers[src] = pr
+	return act
 }
 
-// acceptRequest queues a new request — whose segment is a slice of the
-// reassembly buffer lent, if that is not nil — and wakes a receiver.
-func (p *Port) acceptRequest(src vid.PID, txid uint32, msg vid.Message, from ethernet.MAC, lent []byte) {
-	p.lastFrom[src] = txid
-	p.rq = append(p.rq, &Req{Src: src, txid: txid, Msg: msg, from: from, buf: lent})
-	p.reqWait.WakeOne()
+// request takes an arriving request, from station from, as what the port
+// knows of its sender decides (peer.step).
+func (p *Port) request(req *packet.Packet, from ethernet.MAC) {
+	e := p.eng
+	fs := e.txBuf[reasmKey{src: p.pid, dst: req.Src, txid: req.TxID, kind: packet.KReply}]
+	pr, act := p.peers[req.Src].step(serverEv{
+		kind: evRequest, now: e.sim.Now(), txid: req.TxID, local: from == e.nic.MAC(),
+		held: fs != nil, sending: fs != nil && fs.sending,
+	})
+	switch act {
+	case srvStale:
+		e.stats.DroppedStale++
+	case srvPending:
+		e.replyPending(req, from)
+	case srvAccept:
+		// Only a request accepted as new is reassembled, and one whose
+		// segment is not whole has not arrived: the peer stays as it was.
+		lent, ok := e.completeSeg(req, from)
+		if !ok {
+			return
+		}
+		p.rq = append(p.rq, &Req{Src: req.Src, txid: req.TxID, Msg: req.Msg, from: from, buf: lent})
+		p.reqWait.WakeOne()
+	case srvSummary:
+		e.stats.RepliesFromCache++
+		e.emit(fs.summary, from)
+	case srvWhole:
+		e.stats.RepliesFromCache++
+		src, c := req.Src, pr.cache
+		e.jobs.Push(job{fn: func(t *sim.Task) { p.emitReply(t, src, c.txid, c.msg, c.lh, from) }})
+	}
+	p.peers[req.Src] = pr
 }
 
 // ReleaseSeg tells the port that the server is finished with the segment
@@ -550,60 +459,13 @@ func (p *Port) ReleaseSeg(r *Req) {
 	}
 }
 
-// answerDuplicate answers a retransmission of the last request its sender
-// made — arriving at station from — with what the state of its reply
-// allows, so that a reply crosses the wire once however often the request
-// is retransmitted (§3.1.3):
-//
-//   - not replied yet (queued or being served): reply-pending;
-//   - a fragmented reply still on its first transmission: reply-pending;
-//   - a fragmented reply sent, its repair buffer still held: the summary
-//     alone, to from — the sender NACKs what it lacks, and the repair
-//     follows the NACK;
-//   - otherwise — a one-frame reply, an expired repair buffer, a port
-//     restored by migration (its state carries the reply cache, not the
-//     repair buffer), or a sender now on this host: the whole reply again.
-//
-// Answering from the reply cache renews its retention: a retransmitting
-// sender (for example one frozen mid-migration) keeps the reply alive
-// until it can accept it.
-func (p *Port) answerDuplicate(req *packet.Packet, from ethernet.MAC) {
-	src := req.Src
-	c := p.replyCache[src]
-	if c == nil || c.txid != req.TxID {
-		p.eng.replyPending(req, from)
-		return
-	}
-	fs := p.eng.txBuf[reasmKey{src: p.pid, dst: src, txid: c.txid, kind: packet.KReply}]
-	if fs != nil && fs.sending {
-		p.eng.replyPending(req, from)
-		return
-	}
-	p.eng.stats.RepliesFromCache++
-	c.expires = p.eng.sim.Now().Add(params.ReplyCacheTTL)
-	p.scheduleCacheSweep(src, c)
-	if fs != nil && from != p.eng.nic.MAC() {
-		p.eng.emit(fs.summary, from)
-		return
-	}
-	p.eng.jobs.Push(job{fn: func(t *sim.Task) {
-		p.emitReply(t, src, c.txid, c.msg, c.lh, from)
-	}})
-}
-
-// scheduleCacheSweep arranges removal of a cache entry at its (renewable)
-// expiry.
-func (p *Port) scheduleCacheSweep(src vid.PID, c *cachedReply) {
-	now := p.eng.sim.Now()
-	p.eng.sim.After(c.expires.Sub(now), func() {
-		if p.replyCache[src] != c {
-			return
+// armSweep drops the cached reply c to src at the peer's deadline: one timer
+// per entry, re-armed when answers from c have moved the deadline.
+func (p *Port) armSweep(src vid.PID, c *cachedReply) {
+	p.eng.sim.After(p.peers[src].deadline.Sub(p.eng.sim.Now()), func() {
+		if p.serve(src, serverEv{kind: evSwept, now: p.eng.sim.Now(), cache: c}) == srvSweep {
+			p.armSweep(src, c)
 		}
-		if p.eng.sim.Now() >= c.expires {
-			delete(p.replyCache, src)
-			return
-		}
-		p.scheduleCacheSweep(src, c)
 	})
 }
 
@@ -634,15 +496,9 @@ func (p *Port) ReceiveTimeout(t *sim.Task, d time.Duration) *Req {
 func (p *Port) take() *Req {
 	r := p.rq[0]
 	p.rq = p.rq[1:]
-	p.open[r.Src] = r
+	p.serve(r.Src, serverEv{kind: evReceived, req: r})
 	return r
 }
-
-// Pending reports the number of queued (unreceived) requests.
-func (p *Port) Pending() int { return len(p.rq) }
-
-// Serving reports whether any received request awaits its Reply.
-func (p *Port) Serving() bool { return len(p.open) > 0 }
 
 // Reply completes a received request. The reply is cached so duplicate
 // retransmissions (including from a sender recovering after migration) can
@@ -655,13 +511,9 @@ func (p *Port) Reply(t *sim.Task, r *Req, msg vid.Message) { p.ReplyNaming(t, r,
 // from a locate response, so the next message it sends lh needs no locate.
 // A cached copy names lh too.
 func (p *Port) ReplyNaming(t *sim.Task, r *Req, msg vid.Message, lh vid.LHID) {
-	if p.open[r.Src] == r {
-		delete(p.open, r.Src)
-	}
-	if last := p.lastFrom[r.Src]; last == r.txid {
-		c := &cachedReply{txid: r.txid, msg: msg, lh: lh, expires: t.Now().Add(params.ReplyCacheTTL)}
-		p.replyCache[r.Src] = c
-		p.scheduleCacheSweep(r.Src, c)
+	c := &cachedReply{txid: r.txid, msg: msg, lh: lh}
+	if p.serve(r.Src, serverEv{kind: evReplied, now: t.Now(), req: r, cache: c}) == srvSweep {
+		p.armSweep(r.Src, c)
 	}
 	p.emitReply(t, r.Src, r.txid, msg, lh, r.from)
 }
@@ -691,27 +543,24 @@ func (p *Port) emitReply(t *sim.Task, dst vid.PID, txid uint32, msg vid.Message,
 
 // OpenRequest returns the open (received, unreplied) request from the given
 // sender, if any. Used after a port restore to re-derive request handles.
-func (p *Port) OpenRequest(src vid.PID) *Req { return p.open[src] }
+func (p *Port) OpenRequest(src vid.PID) *Req { return p.peers[src].open }
 
 // Drop abandons a received request without replying — a group member
 // declining to answer a group query (host selection expects only willing
 // hosts to respond, §2.1). The sender completes via another member's reply
 // or aborts on its group timeout; duplicates of the dropped request are
 // answered with reply-pending.
-func (p *Port) Drop(r *Req) {
-	if p.open[r.Src] == r {
-		delete(p.open, r.Src)
-	}
-}
+func (p *Port) Drop(r *Req) { p.serve(r.Src, serverEv{kind: evDropped, req: r}) }
 
 // OpenRequests returns all open (received, unreplied) requests, ordered by
 // sender for determinism. A restored server body uses this to finish
 // requests that were mid-service when its logical host migrated.
 func (p *Port) OpenRequests() []*Req {
-	out := make([]*Req, 0, len(p.open))
-	for _, r := range p.open {
-		out = append(out, r)
+	var out []*Req
+	for _, src := range slices.Sorted(maps.Keys(p.peers)) {
+		if r := p.peers[src].open; r != nil {
+			out = append(out, r)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Src < out[j].Src })
 	return out
 }

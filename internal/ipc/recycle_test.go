@@ -139,7 +139,7 @@ func TestTransmissionInProgressKeepsItsSegment(t *testing.T) {
 			t.Errorf("fragment %d of the failed transaction went out with other bytes", p.FragIdx)
 		}
 		if frags == 5 {
-			slot.failSend(1, vid.CodeTimeout)
+			slot.AbortTo(server.PID())
 		}
 	})
 	var first, second error

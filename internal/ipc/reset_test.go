@@ -17,10 +17,10 @@ func TestResetDropsQueuedJobs(t *testing.T) {
 	e := r.hosts[0].eng
 
 	var preCrash, postRestart bool
-	e.Defer(func(*sim.Task) { preCrash = true })
+	e.jobs.Push(job{fn: func(*sim.Task) { preCrash = true }})
 	e.SetDown(true) // crash before netd pops the job
 	e.Reset()       // reboot: fresh kernel, powered back on
-	e.Defer(func(*sim.Task) { postRestart = true })
+	e.jobs.Push(job{fn: func(*sim.Task) { postRestart = true }})
 
 	r.sim.RunFor(time.Second)
 	if preCrash {

@@ -51,7 +51,7 @@ func TestReceivedRequestAndReplyAllocateNoPacket(t *testing.T) {
 		Msg: vid.Message{Op: testOp, W: [6]uint32{6, 5, 4, 3, 2, 1}}}
 	answer := func() {
 		rep.TxID++
-		*txn = sendTxn{txid: rep.TxID, dst: server.PID()}
+		*txn = sendTxn{clientTxn: clientTxn{txid: rep.TxID, dst: server.PID()}}
 		client.send = txn
 		payload = packet.AppendMarshal(payload[:0], &rep)
 		r.hosts[1].nic.StartSend(ethernet.Frame{Dst: 1, Payload: payload}, nil)
@@ -75,7 +75,7 @@ func TestReceivedRequestAndReplyAllocateNoPacket(t *testing.T) {
 	}
 	probed := func() {
 		rep.TxID++
-		*txn = sendTxn{txid: rep.TxID, dst: server.PID(), gather: true}
+		*txn = sendTxn{clientTxn: clientTxn{txid: rep.TxID, dst: server.PID(), gather: true}}
 		client.send = txn
 		payload = packet.AppendMarshal(payload[:0], &rep)
 		r.hosts[1].nic.StartSend(ethernet.Frame{Dst: 1, Payload: payload}, nil)

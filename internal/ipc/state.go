@@ -1,8 +1,8 @@
 package ipc
 
 import (
-	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 
 	"vsystem/internal/params"
@@ -78,11 +78,17 @@ type CachedReplyState struct {
 // dropped per §3.1.3.
 func (p *Port) Snapshot() *PortState {
 	st := &PortState{PID: p.pid, TxSeq: p.txSeq}
-	for k, v := range p.lastFrom {
-		st.Last = append(st.Last, LastState{Src: k, TxID: v})
-	}
-	for k, v := range p.replyCache {
-		st.Cache = append(st.Cache, CachedReplyState{Src: k, TxID: v.txid, Msg: v.msg})
+	for _, src := range slices.Sorted(maps.Keys(p.peers)) {
+		pr := p.peers[src]
+		if pr.seen {
+			st.Last = append(st.Last, LastState{Src: src, TxID: pr.last})
+		}
+		if c := pr.cache; c != nil {
+			st.Cache = append(st.Cache, CachedReplyState{Src: src, TxID: c.txid, Msg: c.msg})
+		}
+		if r := pr.open; r != nil {
+			st.Open = append(st.Open, CurState{Src: r.Src, TxID: r.txid, Msg: r.Msg})
+		}
 	}
 	if s := p.send; s != nil {
 		st.Send = &SendState{
@@ -90,12 +96,6 @@ func (p *Port) Snapshot() *PortState {
 			Done: s.done, Code: s.code, Reply: s.reply,
 		}
 	}
-	for _, r := range p.open {
-		st.Open = append(st.Open, CurState{Src: r.Src, TxID: r.txid, Msg: r.Msg})
-	}
-	slices.SortFunc(st.Open, func(a, b CurState) int { return cmp.Compare(a.Src, b.Src) })
-	slices.SortFunc(st.Last, func(a, b LastState) int { return cmp.Compare(a.Src, b.Src) })
-	slices.SortFunc(st.Cache, func(a, b CachedReplyState) int { return cmp.Compare(a.Src, b.Src) })
 	return st
 }
 
@@ -112,24 +112,23 @@ func (e *Engine) RestorePort(st *PortState, active bool) *Port {
 	p := e.NewPort(st.PID)
 	p.txSeq = st.TxSeq
 	for _, l := range st.Last {
-		p.lastFrom[l.Src] = l.TxID
+		p.peers[l.Src] = peer{seen: true, last: l.TxID}
 	}
 	for _, v := range st.Cache {
-		c := &cachedReply{txid: v.TxID, msg: v.Msg, expires: e.sim.Now().Add(params.ReplyCacheTTL)}
-		p.replyCache[v.Src] = c
-		p.scheduleCacheSweep(v.Src, c)
+		c, pr := &cachedReply{txid: v.TxID, msg: v.Msg}, p.peers[v.Src]
+		pr.cache, pr.deadline = c, e.sim.Now().Add(params.ReplyCacheTTL)
+		p.peers[v.Src] = pr
+		p.armSweep(v.Src, c)
 	}
-	if st.Send != nil {
-		p.send = &sendTxn{
-			txid: st.Send.TxID, dst: st.Send.Dst, msg: st.Send.Msg, group: st.Send.Group,
-			done: st.Send.Done, code: st.Send.Code, reply: st.Send.Reply,
-		}
+	if s := st.Send; s != nil {
+		c := clientTxn{txid: s.TxID, dst: s.Dst, group: s.Group, done: s.Done, code: s.Code}
+		p.send = &sendTxn{clientTxn: c, msg: s.Msg, reply: s.Reply}
 		if active {
 			p.Activate()
 		}
 	}
 	for _, c := range st.Open {
-		p.open[c.Src] = &Req{Src: c.Src, txid: c.TxID, Msg: c.Msg, from: e.nic.MAC()}
+		p.serve(c.Src, serverEv{kind: evReceived, req: &Req{Src: c.Src, txid: c.TxID, Msg: c.Msg, from: e.nic.MAC()}})
 	}
 	return p
 }

@@ -24,7 +24,7 @@ func (r *rig) attachTrace() *trace.Bus {
 // TestBindingPromptedResendCounted is the regression test for the
 // retransmit undercount: a send to an unknown binding transmits nothing
 // (the locate broadcast goes out instead), and the arriving KLocateResp
-// prompts the resend through Engine.retryWaiters — a path that used to
+// prompts the resend through a learnt binding — a path that used to
 // bypass the Retransmits counter, which only the timer path incremented.
 // Every executed resend must be counted, whichever path prompted it.
 func TestBindingPromptedResendCounted(t *testing.T) {

@@ -169,10 +169,7 @@ func (w *Window) Send(t *sim.Task, dst vid.PID, msg vid.Message) error {
 	w.sends++
 	w.occupSum += int64(w.inflight)
 	w.eng.stats.WindowSends++
-	w.eng.trace.Publish(trace.Event{
-		At: w.eng.sim.Now(), Host: uint16(w.eng.nic.MAC()),
-		Kind: trace.EvCopyWindow, LH: dst.LH(), Size: w.inflight,
-	})
+	w.eng.publish(trace.Event{Kind: trace.EvCopyWindow, LH: dst.LH(), Size: w.inflight})
 	return nil
 }
 
