@@ -124,8 +124,8 @@ type Node struct {
 	Display *display.Server
 	// Selector runs host selection for this workstation: the configured
 	// policy over the node's cached cluster-load view. It survives
-	// crash/restart cycles (the cache is invalidated through fault
-	// events, not destroyed).
+	// crash/restart cycles: stale entries age out, and a dead candidate
+	// drops out when it fails a probe.
 	Selector *sched.Selector
 	cluster  *Cluster
 	pagerSeq uint32
@@ -245,34 +245,6 @@ func NewCluster(opt Options) *Cluster {
 		c.Nodes = append(c.Nodes, n)
 		c.Fault.RegisterHost(h.NIC.MAC(), h.Crash, n.Restart)
 	}
-	// Selection caches and session supervisors react to injected faults
-	// and detector verdicts: a crash drops (and negatively caches) the
-	// dead host's entries everywhere and breaks every session it hosted;
-	// a suspicion does the same, but only on the host whose detector
-	// formed it — suspicion is local evidence, not cluster-wide truth;
-	// partitions and heals flush every cache — any cached view may be
-	// stale on either side of the cut. Subscribers only flip state, never
-	// send: recovery runs on the pm-lease workers.
-	tb.Subscribe(func(ev trace.Event) {
-		switch ev.Kind {
-		case trace.EvHostCrash:
-			for _, n := range c.Nodes {
-				n.Selector.Cache.DropHost(ev.Host)
-				n.PM.NoteHostDown(ev.Host)
-			}
-		case trace.EvHostSuspect:
-			for _, n := range c.Nodes {
-				if uint16(n.Host.NIC.MAC()) == ev.Host {
-					n.Selector.Cache.DropHost(ev.Peer)
-					n.PM.NoteHostSuspect(ev.Peer)
-				}
-			}
-		case trace.EvPartition, trace.EvHeal:
-			for _, n := range c.Nodes {
-				n.Selector.Cache.Flush()
-			}
-		}
-	})
 	// Home PM group: the first ReplicateHome workstations' program managers
 	// form a consensus group replicating the session-supervision registry,
 	// so losing the member that happens to lead supervision does not lose

@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -10,7 +13,10 @@ import (
 	"vsystem/internal/fault"
 	"vsystem/internal/kernel"
 	"vsystem/internal/packet"
+	"vsystem/internal/params"
 	"vsystem/internal/progs"
+	"vsystem/internal/sched"
+	"vsystem/internal/sim"
 	"vsystem/internal/trace"
 	"vsystem/internal/vid"
 )
@@ -72,6 +78,101 @@ func TestGuestCrashAutoReexec(t *testing.T) {
 	}
 	if got := c.Trace.Count(trace.EvExecRestart); got != restarts {
 		t.Errorf("trace exec-restart events = %d, SupStats.ExecRestarts = %d", got, restarts)
+	}
+}
+
+// TestCrashIsLearntFromTheRenewal: nobody is told that a workstation
+// died. The home supervisor learns it the way the paper's kernels do —
+// its next lease renewal goes unanswered until the failure detector fails
+// it — and every other node learns it only when it next asks. So just
+// after the crash the session is still active and a bystander's selector
+// still offers the dead host; the break is a lease expiry, and the
+// session is re-executed within one lease interval plus the detector's
+// silence of the crash, give or take a second for the recovery round (a
+// locate query only a live host answers, then the placement). The agent
+// waits only after that, so the renewal is the home's one conversation
+// with the dead host.
+func TestCrashIsLearntFromTheRenewal(t *testing.T) {
+	t.Parallel()
+	const crashAt = 1500 * time.Millisecond
+	c := boot(t, Options{Workstations: 4, Seed: 51, Select: sched.LeastLoaded{}})
+	c.Install(progs.Ticker(120))
+	c.Fault.Arm(fault.Schedule{{When: fault.After(crashAt), Do: fault.Crash, Who: fault.Host(1)}})
+	dead := c.Node(1).Host.SystemLH().ID()
+
+	var stateAfter string
+	var offeredAfter bool
+	c.Sim.After(crashAt+time.Millisecond, func() {
+		if v := c.Node(0).PM.Sessions(); len(v) == 1 {
+			stateAfter = v[0].State
+		}
+		for _, l := range c.Node(2).Selector.Cache.Candidates(0, nil) {
+			offeredAfter = offeredAfter || l.SystemLH == dead
+		}
+	})
+	var restartAt sim.Time
+	c.Trace.Subscribe(func(ev trace.Event) {
+		if ev.Kind == trace.EvExecRestart && restartAt == 0 {
+			restartAt = ev.At
+		}
+	})
+
+	var code uint32
+	var execErr, waitErr error
+	c.Node(0).Agent(func(a *Agent) {
+		var job *Job
+		if job, execErr = a.Exec("ticker120", nil, "ws1"); execErr == nil {
+			a.Sleep(5 * time.Second)
+			code, waitErr = a.Wait(job)
+		}
+	})
+	c.Run(60 * time.Second)
+
+	if execErr != nil || waitErr != nil || code != 0 {
+		t.Fatalf("exec=%v wait=(%d,%v)", execErr, code, waitErr)
+	}
+	assertGapless(t, c.Node(0).Display.Lines(), 120)
+	if stateAfter != "active" {
+		t.Errorf("1 ms after the crash the session is %q, want active: only a failed renewal may break it", stateAfter)
+	}
+	if !offeredAfter {
+		t.Error("1 ms after the crash a bystander's selector no longer offers the dead host: no message told it")
+	}
+	if n := c.Node(0).PM.SupStats().LeaseExpires; n != 1 {
+		t.Errorf("home LeaseExpires = %d, want 1: the crash is learnt from the renewal", n)
+	}
+	if restartAt == 0 {
+		t.Fatal("the session was never re-executed")
+	}
+	bound := params.LeaseInterval + params.SuspectAfterRetries*params.RetransmitInterval + time.Second
+	if lag := restartAt.Sub(sim.Time(crashAt)); lag > bound {
+		t.Errorf("re-executed %v after the crash, want within %v", lag, bound)
+	}
+}
+
+// TestSystemNeverSubscribes: the trace bus only observes. No package of
+// the simulated system may listen on it — a subscriber there would learn
+// of a fault through a channel a real cluster does not have.
+func TestSystemNeverSubscribes(t *testing.T) {
+	t.Parallel()
+	sub := regexp.MustCompile(`\.Subscribe(Spans)?\(`)
+	for _, pkg := range []string{"core", "progmgr", "sched", "kernel", "ipc", "rsm"} {
+		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no sources (%v)", pkg, err)
+		}
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sub.Match(src) {
+				t.Errorf("%s subscribes to the trace bus", f)
+			}
+		}
 	}
 }
 

@@ -53,11 +53,11 @@ func HomeCrash(p *Pool, seed int64) *Result {
 			sched: fault.Schedule{at(6*time.Second, fault.Crash, fault.HomeLeader)}},
 		{label: "leader kill (6s) + host crash (9s)", opt: home, expect: failedOver | reexecuted,
 			sched: fault.Schedule{at(6*time.Second, fault.Crash, fault.HomeLeader), hostCrash(9 * time.Second)}},
-		// Crash-driven breaks ride the host-down note, not lease expiry —
-		// kill the leader the instant it learns the hosting workstation
-		// died, before it can commit a restart intent.
-		{label: "host crash, leader kill @ break note", opt: home, expect: failedOver | reexecuted,
-			sched: fault.Schedule{on(fault.Match{Kind: trace.EvHostCrash, Host: fault.Host(4)}), hostCrash(6 * time.Second)}},
+		// The leader learns the hosting workstation died from a failed
+		// renewal: kill it the instant the break is committed, before it
+		// can commit a restart intent.
+		{label: "host crash, leader kill @ lease expiry", opt: home, expect: failedOver | reexecuted,
+			sched: fault.Schedule{on(fault.Match{Kind: trace.EvLeaseExpire}), hostCrash(6 * time.Second)}},
 		{label: "host crash, leader kill @ re-exec commit", opt: home, expect: failedOver | reexecuted,
 			sched: fault.Schedule{on(fault.Match{Kind: trace.EvExecRestart}), hostCrash(6 * time.Second)}},
 		// The stale leader is cut off alone: the majority side elects a

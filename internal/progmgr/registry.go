@@ -103,9 +103,8 @@ type hgCmd struct {
 type registry struct {
 	sessions map[vid.LHID]*session // by original LHID
 	alias    map[vid.LHID]vid.LHID // later incarnations' LHIDs → original
-	// changed, when set, is called after every mutation — Apply, Restore, a
-	// hostDown that broke a session — so that whoever acts on session
-	// deadlines can look again.
+	// changed, when set, is called after every mutation — Apply or
+	// Restore — so that whoever acts on session deadlines can look again.
 	changed func()
 }
 
@@ -131,23 +130,6 @@ func (r *registry) ids() []vid.LHID {
 	}
 	slices.Sort(ids)
 	return ids
-}
-
-// hostDown breaks every active session hosted on station mac. This is the
-// one mutation that bypasses commands: the cluster's crash notice reaches
-// every replica's registry directly and identically (DESIGN §10).
-func (r *registry) hostDown(mac uint16, now sim.Time) {
-	broke := false
-	for _, s := range r.sessions {
-		if s.State == sessionActive && s.HostLH.Station() == mac {
-			s.State = sessionBroken
-			s.NextRetry = now
-			broke = true
-		}
-	}
-	if broke {
-		r.notify()
-	}
 }
 
 func (r *registry) notify() {

@@ -215,30 +215,6 @@ func TestRegistryRestoreRejectsGarbage(t *testing.T) {
 	}
 }
 
-// hostDown — the crash notice every replica receives directly — breaks
-// exactly the active sessions on that station.
-func TestRegistryHostDown(t *testing.T) {
-	for _, from := range []sessionState{sessionActive, sessionBroken, sessionDone, sessionFailed} {
-		r := newRegistry()
-		for _, c := range setup(from) {
-			r.Apply(c)
-		}
-		r.hostDown(tSess.HostLH.Station()+1, 500)
-		if got := r.sessions[tOrig].State; got != from {
-			t.Fatalf("from %v: another station's crash moved the session to %v", from, got)
-		}
-		r.hostDown(tSess.HostLH.Station(), 500)
-		s := r.sessions[tOrig]
-		if from == sessionActive {
-			if s.State != sessionBroken || s.NextRetry != 500 {
-				t.Fatalf("active session not broken: %v retry %v", s.State, s.NextRetry)
-			}
-		} else if s.State != from || s.NextRetry == 500 {
-			t.Fatalf("from %v: host crash moved the session to %v", from, s.State)
-		}
-	}
-}
-
 // A PmSupervise for an LHID already in the registry is a retry (the agent
 // re-asks after a lost reply, a member re-proposes a parked record): it is
 // answered OK and changes nothing, so it cannot reset a session that has
@@ -256,7 +232,10 @@ func TestSuperviseRetryNeverReplaces(t *testing.T) {
 			t.Errorf("supervise: %v %v", m, err)
 			return
 		}
-		pm.NoteHostDown(si.HostLH.Station())
+		if err := pm.commit(ctx, hgCmd{Kind: hgBreak, Orig: si.LHID, At: int64(ctx.Now())}); err != nil {
+			t.Errorf("break: %v", err)
+			return
+		}
 		if m, err := ctx.Send(pm.PID(), ask); err != nil || !m.OK() {
 			t.Errorf("retried supervise: %v %v", m, err)
 			return

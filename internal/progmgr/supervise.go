@@ -91,8 +91,9 @@ func (pm *PM) commit(ctx *kernel.ProcCtx, c hgCmd) error {
 type SupStats struct {
 	// LeaseRenews counts successful PmRenewLease round trips.
 	LeaseRenews int64
-	// LeaseExpires counts sessions broken by a failed or refused renewal
-	// (detector-prompted breaks are not expiries and are not counted).
+	// LeaseExpires counts sessions broken by a failed or refused renewal —
+	// every break, a hosting workstation's death included: the renewal is
+	// how the leader learns of it.
 	LeaseExpires int64
 	// ExecRestarts counts programs re-executed from their image — session
 	// recoveries plus eviction re-executions.
@@ -200,16 +201,6 @@ func (pm *PM) noteExited(ctx *kernel.ProcCtx, req *ipc.Req) {
 	}
 	ctx.Reply(req, vid.Message{Op: PmNoteExited})
 }
-
-// NoteHostDown breaks every active session hosted on the crashed station;
-// the lease worker recovers them immediately instead of waiting out the
-// next renewal.
-func (pm *PM) NoteHostDown(mac uint16) { pm.reg.hostDown(mac, pm.host.Eng.Now()) }
-
-// NoteHostSuspect reacts to this host's failure detector suspecting a
-// station. Recovery starts with a locate query, so a false suspicion
-// costs a group round trip, never a double execution.
-func (pm *PM) NoteHostSuspect(mac uint16) { pm.NoteHostDown(mac) }
 
 // SessionView is one supervised session, for operator tooling.
 type SessionView struct {
@@ -417,8 +408,9 @@ func (pm *PM) renew(ctx *kernel.ProcCtx, s *session) {
 }
 
 // expireLease breaks a session on lease loss, with the trace event and
-// counter (detector-prompted breaks go through NoteHostDown instead and
-// publish nothing — the detector already did).
+// counter. It is the only way a session breaks: a hosting workstation's
+// death reaches the leader as a renewal its detector fails with
+// CodeHostDown.
 func (pm *PM) expireLease(ctx *kernel.ProcCtx, s *session) {
 	if pm.commit(ctx, hgCmd{Kind: hgBreak, Orig: s.Orig, At: int64(ctx.Now())}) != nil {
 		return // deposed; the next leader re-detects the loss itself

@@ -201,9 +201,9 @@ func TestFollowerHandsHeldWaiterToGroupAtOnce(t *testing.T) {
 			return
 		}
 		ctx.Sleep(300 * time.Millisecond) // the record reaches every member
-		// Only this follower hears (wrongly) that the host died: the leader
-		// goes on renewing, leader-locally, and commits nothing.
-		follower.NoteHostDown(uint16(r.ws[3].NIC.MAC()))
+		// Only this follower applies a break: the leader goes on renewing,
+		// leader-locally, and commits nothing.
+		follower.reg.Apply(hgCmd{Kind: hgBreak, Orig: lhid, At: int64(ctx.Now())})
 		ctx.Sleep(200 * time.Millisecond)
 		asked = ctx.Now()
 		reply, err = ctx.Send(follower.PID(), vid.Message{Op: PmWaitProgram, W: [6]uint32{uint32(lhid)}})

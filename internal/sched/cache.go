@@ -28,7 +28,7 @@ type Cache struct {
 	ttl, negTTL, hold time.Duration
 
 	// CacheStats counters (monotonic).
-	hits, misses, negSkips, invalidations int64
+	hits, misses, negSkips int64
 }
 
 type cacheEnt struct {
@@ -144,44 +144,18 @@ func (c *Cache) Candidates(minMem uint32, exclude map[vid.LHID]bool) []Load {
 	return out
 }
 
-// DropHost removes every cached entry belonging to the station and
-// negatively caches its system logical hosts — the reaction to a host
-// crash event (the host may return under a fresh identity; until its new
-// advertisements arrive it must not be selected from stale state).
-func (c *Cache) DropHost(mac uint16) {
-	for lh := range c.ents {
-		if lh.Station() == mac {
-			delete(c.ents, lh)
-			c.Negative(lh)
-			c.invalidations++
-		}
-	}
-}
-
-// Flush discards all positive entries (partition/heal events: any cached
-// view may be stale on either side of the cut).
-func (c *Cache) Flush() {
-	n := len(c.ents)
-	c.ents = make(map[vid.LHID]*cacheEnt)
-	c.bump = make(map[vid.LHID][]sim.Time)
-	c.invalidations += int64(n)
-}
-
 // Len returns the number of cached advertisements (including stale ones
 // not yet aged out by a Candidates sweep).
 func (c *Cache) Len() int { return len(c.ents) }
 
 // CacheStats is a snapshot of the cache's counters.
 type CacheStats struct {
-	Hits, Misses, NegSkips, Invalidations int64
+	Hits, Misses, NegSkips int64
 }
 
 // Stats snapshots the counters.
 func (c *Cache) Stats() CacheStats {
-	return CacheStats{
-		Hits: c.hits, Misses: c.misses,
-		NegSkips: c.negSkips, Invalidations: c.invalidations,
-	}
+	return CacheStats{Hits: c.hits, Misses: c.misses, NegSkips: c.negSkips}
 }
 
 // Entry is one cached advertisement, aged, for inspection (the vcluster

@@ -144,32 +144,6 @@ func TestCacheIgnoresUnselectableAds(t *testing.T) {
 	}
 }
 
-func TestCacheDropHostAndFlush(t *testing.T) {
-	clk := &testClock{}
-	c := NewCache(clk.fn())
-	a, b := ld(1, 0, 512), ld(2, 0, 512)
-	c.ObserveLoad(a)
-	c.ObserveLoad(b)
-	c.DropHost(1)
-	got := c.Candidates(0, nil)
-	if len(got) != 1 || got[0].MAC() != 2 {
-		t.Fatalf("crashed host still offered: %v", got)
-	}
-	// The crashed host is negatively cached: a stale re-observation (e.g.
-	// an in-flight advertisement) must not resurrect it immediately.
-	c.ObserveLoad(a)
-	if got := c.Candidates(0, nil); len(got) != 1 {
-		t.Fatalf("dropped host resurrected by stale ad: %v", got)
-	}
-	c.Flush()
-	if c.Len() != 0 {
-		t.Fatalf("Flush left %d entries", c.Len())
-	}
-	if inv := c.Stats().Invalidations; inv != 3 {
-		t.Fatalf("invalidations = %d, want 3 (1 drop + 2 flushed)", inv)
-	}
-}
-
 func TestFirstResponsePolicy(t *testing.T) {
 	p := FirstResponse{}
 	if p.LoadAware() {
@@ -262,19 +236,10 @@ func (c *refCache) Candidates(minMem uint32, exclude map[vid.LHID]bool) []Load {
 	return out
 }
 
-func (c *refCache) DropHost(mac uint16) {
-	for lh := range c.ents {
-		if lh.Station() == mac {
-			delete(c.ents, lh)
-			c.Negative(lh)
-		}
-	}
-}
-
 // TestCacheInPlaceMatchesReference interleaves 10 000 advertisements from
-// 40 hosts with selections, refusals, placements, crashes and flushes, the
-// clock moving throughout, and requires every Candidates answer — content
-// and order — to equal the reference's.
+// 40 hosts with selections, refusals and placements, the clock moving
+// throughout, and requires every Candidates answer — content and order —
+// to equal the reference's.
 func TestCacheInPlaceMatchesReference(t *testing.T) {
 	clk := &testClock{}
 	c := NewCache(clk.fn())
@@ -305,14 +270,6 @@ func TestCacheInPlaceMatchesReference(t *testing.T) {
 			lh := vid.NewHostLH(host(), 1)
 			c.NotePlaced(lh)
 			ref.NotePlaced(lh)
-		case r < 17:
-			mac := host()
-			c.DropHost(mac)
-			ref.DropHost(mac)
-		case r == 17 && rng.Intn(10) == 0:
-			c.Flush()
-			ref.ents = make(map[vid.LHID]cacheEnt)
-			ref.Cache.Flush()
 		case r < 20:
 			clk.advance(params.SchedCacheTTL / 2) // let some entries age out
 		}

@@ -243,7 +243,6 @@ func (s *Selector) Metrics() []trace.Metric {
 		{Name: "cache_hits", Value: float64(cs.Hits)},
 		{Name: "cache_misses", Value: float64(cs.Misses)},
 		{Name: "neg_skips", Value: float64(cs.NegSkips)},
-		{Name: "invalidations", Value: float64(cs.Invalidations)},
 	}
 }
 

@@ -23,7 +23,10 @@
 // nil *Bus is a valid no-op target, and a live Bus without subscribers
 // only bumps a per-kind counter. Subscribers run synchronously in
 // subscription order on the simulation goroutine, so traces are exactly
-// reproducible for a fixed seed.
+// reproducible for a fixed seed. The bus only observes: no part of the
+// simulated system subscribes, so nothing learns through it what a real
+// workstation could not; its subscribers are the harness — experiments,
+// tools, benchmarks and the fault injector.
 package trace
 
 import (
