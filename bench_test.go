@@ -215,28 +215,28 @@ func (bareResolver) WellKnown(vid.LHID, uint16) (vid.PID, bool) { return vid.Nil
 func (bareResolver) GroupMembers(vid.PID) []vid.PID             { return nil }
 func (bareResolver) DeferWhenFrozen(vid.PID, uint16) bool       { return true }
 
-// BenchmarkBeaconRx100 measures one broadcast load beacon heard by 100
+// BenchmarkBeaconRx100 measures one load beacon heard by 100 listening
 // stations: the frame's delivery, each station's netd wake-up, its
 // interrupt-level CPU charge, decode and hand-off to the load sink — the
-// dominant per-second cost of an idle 100-host cluster.
+// per-second cost of a 100-host cluster whose every station selects.
 func BenchmarkBeaconRx100(b *testing.B) {
 	eng := sim.NewEngine(1)
 	defer eng.Shutdown()
 	bus := ethernet.NewBus(eng)
-	mk := func(mac ethernet.MAC) *ipc.Engine {
-		return ipc.New(eng, bus.Attach(mac), cpu.New(eng), bareResolver{})
-	}
-	sender := mk(1)
+	sender := ipc.New(eng, bus.Attach(1), cpu.New(eng), bareResolver{})
 	sender.SetLoadFunc(func() [6]uint32 { return [6]uint32{1, 2, 3, 4, 5, 6} })
 	heard := 0
+	listeners := ethernet.Multicast(uint16(vid.GroupLoadListeners.LH()))
 	for i := 0; i < 100; i++ {
-		mk(ethernet.MAC(i + 2)).SetLoadSink(func([6]uint32) { heard++ })
+		nic := bus.Attach(ethernet.MAC(i + 2))
+		nic.JoinMulticast(listeners)
+		ipc.New(eng, nic, cpu.New(eng), bareResolver{}).SetLoadSink(func([6]uint32) { heard++ })
 	}
 	eng.Run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sender.BroadcastLoad(vid.NewPID(1, 16))
+		sender.AdvertiseLoad(vid.NewPID(1, 16))
 		eng.Run()
 	}
 	if heard != 100*b.N {

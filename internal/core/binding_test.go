@@ -50,8 +50,9 @@ func TestExecBroadcastsNoLocate(t *testing.T) {
 }
 
 // TestProbeOfBeaconingHostBroadcastsNoLocate: under random-2 past the
-// beacon warm-up, a workstation's warm-path probe goes to a host it has
-// never sent a request to, and broadcasts no locate for it.
+// beacon warm-up, a workstation listening for beacons sends its warm-path
+// probe to a host it has never sent a request to, and broadcasts no
+// locate for it.
 func TestProbeOfBeaconingHostBroadcastsNoLocate(t *testing.T) {
 	t.Parallel()
 	c := boot(t, Options{Workstations: 8, Seed: 2, Select: sched.RandomK{K: 2}})
@@ -77,6 +78,7 @@ func TestProbeOfBeaconingHostBroadcastsNoLocate(t *testing.T) {
 	})
 	var err error
 	c.Node(0).Agent(func(a *Agent) {
+		c.Node(0).Host.ListenForLoad()
 		a.Sleep(3 * time.Second) // every host has beaconed
 		_, err = a.Select(ExecMinMem)
 	})

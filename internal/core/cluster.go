@@ -182,21 +182,23 @@ func NewCluster(opt Options) *Cluster {
 		selPolicy = sched.FirstResponse{}
 	}
 	// Load dissemination: every kernel stamps its replies with a load
-	// advertisement (piggybacking costs no extra frames); the broadcast
-	// beacon runs only for load-aware policies, so the paper-baseline
-	// first-response configuration puts nothing extra on the wire.
+	// advertisement (piggybacking costs no extra frames); the beacon runs
+	// only for load-aware policies, so the paper-baseline first-response
+	// configuration puts nothing extra on the wire. A beacon goes to the
+	// load listeners, which a station joins at its first load-aware
+	// selection: a station that never selects never takes one.
 	beacon := time.Duration(0)
 	if selPolicy.LoadAware() {
 		beacon = params.LoadBeaconInterval
 	}
 	// Size the binding caches to the cluster: every host may hold a live
 	// reply-path binding per peer (boot registration, select-reply bursts),
-	// the file server always does, and under a load-aware policy every host
-	// also holds one system-LH binding per beaconing station; 2n+8 covers
-	// both with the programs' own logical hosts besides. Left at the params
-	// default, a >64-host cluster livelocks at boot — evicted reply bindings
-	// turn into locate broadcasts faster than the retransmitting herd lets
-	// them resolve.
+	// the file server always does, and under a load-aware policy every
+	// listening host also holds one system-LH binding per beaconing
+	// station; 2n+8 covers both with the programs' own logical hosts
+	// besides. Left at the params default, a >64-host cluster livelocks at
+	// boot — evicted reply bindings turn into locate broadcasts faster than
+	// the retransmitting herd lets them resolve.
 	bindCap := 2*opt.Workstations + 8
 	// Multicast select replies are dallied on large clusters: hundreds of
 	// hosts finishing the probe evaluation at the same instant would
@@ -236,6 +238,9 @@ func NewCluster(opt Options) *Cluster {
 			rand.New(rand.NewSource(opt.Seed+int64(i+1)*7919)))
 		n.Selector.ReplyPermille = replyPermille
 		h.IPC.SetLoadSink(cache.Observe)
+		if selPolicy.LoadAware() {
+			n.Selector.Listen = h.ListenForLoad
+		}
 		h.EnableLoadAds(beacon)
 		tb.RegisterSource("sched/"+h.Name, n.Selector.Metrics)
 		n.PM.Migrator = c.newMigrator(n)

@@ -85,8 +85,9 @@ func TestGuestCrashAutoReexec(t *testing.T) {
 // died. The home supervisor learns it the way the paper's kernels do —
 // its next lease renewal goes unanswered until the failure detector fails
 // it — and every other node learns it only when it next asks. So just
-// after the crash the session is still active and a bystander's selector
-// still offers the dead host; the break is a lease expiry, and the
+// after the crash the session is still active and a bystander's selector,
+// listening for beacons since it selected once before the crash, still
+// offers the dead host; the break is a lease expiry, and the
 // session is re-executed within one lease interval plus the detector's
 // silence of the crash, give or take a second for the recovery round (a
 // locate query only a live host answers, then the placement). The agent
@@ -117,6 +118,8 @@ func TestCrashIsLearntFromTheRenewal(t *testing.T) {
 		}
 	})
 
+	var selectErr error
+	c.Node(2).Agent(func(a *Agent) { _, selectErr = a.Select(ExecMinMem) })
 	var code uint32
 	var execErr, waitErr error
 	c.Node(0).Agent(func(a *Agent) {
@@ -128,6 +131,9 @@ func TestCrashIsLearntFromTheRenewal(t *testing.T) {
 	})
 	c.Run(60 * time.Second)
 
+	if selectErr != nil {
+		t.Fatalf("the bystander's selection: %v", selectErr)
+	}
 	if execErr != nil || waitErr != nil || code != 0 {
 		t.Fatalf("exec=%v wait=(%d,%v)", execErr, code, waitErr)
 	}

@@ -9,7 +9,9 @@
 package ethernet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"vsystem/internal/freelist"
@@ -89,9 +91,14 @@ type Stats struct {
 
 // Bus is the shared segment.
 type Bus struct {
-	eng       *sim.Engine
-	stations  map[MAC]*NIC
-	order     []*NIC // attach order, for deterministic broadcast delivery
+	eng      *sim.Engine
+	stations map[MAC]*NIC
+	order    []*NIC // attach order, for deterministic broadcast delivery
+	// members lists each multicast address's subscribed stations in attach
+	// order: a group frame visits its members, not the whole segment. A
+	// join or leave replaces the list, so a delivery loop never sees it
+	// change under it.
+	members   map[MAC][]*NIC
 	busyUntil sim.Time
 	// flight holds the frames on the wire, oldest first. busyUntil only
 	// moves forward, so frames leave the wire in the order they entered it
@@ -124,6 +131,7 @@ func NewBus(eng *sim.Engine) *Bus {
 	b := &Bus{
 		eng:      eng,
 		stations: make(map[MAC]*NIC),
+		members:  make(map[MAC][]*NIC),
 		bufs:     freelist.New(params.FrameMTU, frameBufsKept),
 		pages:    freelist.New(params.PageSize, pageFramesKept),
 	}
@@ -194,7 +202,7 @@ func (b *Bus) Attach(mac MAC) *NIC {
 	if _, dup := b.stations[mac]; dup {
 		panic(fmt.Sprintf("ethernet: duplicate station %v", mac))
 	}
-	n := &NIC{bus: b, mac: mac}
+	n := &NIC{bus: b, mac: mac, seq: len(b.order)}
 	b.stations[mac] = n
 	b.order = append(b.order, n)
 	return n
@@ -280,8 +288,8 @@ func (b *Bus) arrive() {
 		// receive interrupt. The frame still occupies the shared medium
 		// like any other.
 		b.stats.Broadcasts++
-		for _, n := range b.order {
-			if n.mac != f.Src && n.recv != nil && n.multi[f.Dst] && !b.severed(f.Src, n.mac, len(f.Payload)) {
+		for _, n := range b.members[f.Dst] {
+			if n.mac != f.Src && n.recv != nil && !b.severed(f.Src, n.mac, len(f.Payload)) {
 				n.deliver(f)
 			}
 		}
@@ -308,10 +316,10 @@ func (b *Bus) severed(src, dst MAC, size int) bool {
 
 // NIC is one station's interface.
 type NIC struct {
-	bus   *Bus
-	mac   MAC
-	recv  func(Frame)
-	multi map[MAC]bool // subscribed multicast addresses (hardware filter)
+	bus  *Bus
+	mac  MAC
+	seq  int // attach order on the bus
+	recv func(Frame)
 
 	txFrames int64
 	rxFrames int64
@@ -330,14 +338,24 @@ func (n *NIC) JoinMulticast(m MAC) {
 	if !m.IsMulticast() {
 		panic(fmt.Sprintf("ethernet: JoinMulticast(%v): not a multicast address", m))
 	}
-	if n.multi == nil {
-		n.multi = make(map[MAC]bool)
+	ms := n.bus.members[m]
+	if i, in := n.member(ms); !in {
+		n.bus.members[m] = slices.Insert(slices.Clip(ms), i, n)
 	}
-	n.multi[m] = true
 }
 
 // LeaveMulticast removes the address from the receive filter.
-func (n *NIC) LeaveMulticast(m MAC) { delete(n.multi, m) }
+func (n *NIC) LeaveMulticast(m MAC) {
+	ms := n.bus.members[m]
+	if i, in := n.member(ms); in {
+		n.bus.members[m] = slices.Delete(slices.Clone(ms), i, i+1)
+	}
+}
+
+// member finds the NIC's place in a member list.
+func (n *NIC) member(ms []*NIC) (int, bool) {
+	return slices.BinarySearchFunc(ms, n.seq, func(x *NIC, seq int) int { return cmp.Compare(x.seq, seq) })
+}
 
 // Engine returns the simulation engine the NIC runs on.
 func (n *NIC) Engine() *sim.Engine { return n.bus.eng }

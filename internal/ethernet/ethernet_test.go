@@ -1,6 +1,7 @@
 package ethernet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -54,6 +55,46 @@ func TestFrameSerialization(t *testing.T) {
 	}
 	if arrivals[1] != sim.Time(2*wire) {
 		t.Fatalf("second arrival %v, want %v (serialized)", arrivals[1], 2*wire)
+	}
+}
+
+// TestMulticastReachesMembersInAttachOrder: a group frame reaches the
+// stations that joined its address — once each however often they joined,
+// in attach order whatever order they joined in, never the sender — and
+// no station that left. A station leaving inside a delivery does not
+// disturb the frame being delivered.
+func TestMulticastReachesMembersInAttachOrder(t *testing.T) {
+	e := sim.NewEngine(1)
+	bus := NewBus(e)
+	g := Multicast(9)
+	nics := make([]*NIC, 6)
+	var got []MAC
+	for i := range nics {
+		nics[i] = bus.Attach(MAC(i + 1))
+		n := nics[i]
+		n.SetRecv(func(Frame) {
+			got = append(got, n.MAC())
+			if n.MAC() == 2 {
+				n.LeaveMulticast(g)
+			}
+		})
+	}
+	for _, i := range []int{4, 1, 0, 2, 4, 5} {
+		nics[i].JoinMulticast(g)
+	}
+	nics[5].LeaveMulticast(g)
+	nics[3].LeaveMulticast(g) // never joined
+	send := func() []MAC {
+		got = nil
+		nics[0].StartSend(Frame{Dst: g, Payload: []byte("q")}, nil)
+		e.Run()
+		return got
+	}
+	if want := []MAC{2, 3, 5}; !slices.Equal(send(), want) {
+		t.Fatalf("first frame reached %v, want %v", got, want)
+	}
+	if want := []MAC{3, 5}; !slices.Equal(send(), want) {
+		t.Fatalf("second frame reached %v, want %v", got, want)
 	}
 }
 

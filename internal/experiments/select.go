@@ -119,7 +119,7 @@ func runSelectionArm(policy sched.Policy, seed int64) selectionArmResult {
 	// Placer: sequential `@ *` placements with the command-interpreter's
 	// natural reaction to "no host": wait and retry.
 	c.Node(0).Agent(func(a *core.Agent) {
-		a.Sleep(3 * time.Second) // hogs running, beacons (if any) seen
+		a.Sleep(3 * time.Second) // hogs running; the first pick is cold: no beacon heard yet
 		for i := 0; i < jobs; i++ {
 			tryStart[i] = a.Now()
 			for {

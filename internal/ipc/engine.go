@@ -11,7 +11,7 @@
 //     logical host was frozen;
 //   - a per-host cache of logical-host → physical-host bindings, refreshed
 //     by broadcast locate requests, incoming traffic (load beacons
-//     included), new-binding notices and replies that name the logical
+//     included, on stations that listen for them), new-binding notices and replies that name the logical
 //     host they just created — the reference-rebinding mechanism of §3.1.4;
 //   - process-group sends (broadcast on the wire, fanned out to local
 //     members), used for decentralized host selection (§2.1);
@@ -301,8 +301,8 @@ func (e *Engine) CacheLen() int { return len(e.cache) }
 // need, each miss costs a locate broadcast, and under a full-cluster burst
 // (boot registration, a select multicast's replies) the herd of 200 ms
 // retransmissions regenerates the misses faster than locates resolve them —
-// a livelock, not a slowdown. A host that hears load beacons also holds one
-// binding per beaconing station (the beacon's Src). Clusters therefore size
+// a livelock, not a slowdown. A host that listens for load beacons also
+// holds one binding per beaconing station (the beacon's Src). Clusters therefore size
 // the cache to the machine count; values below the params default are
 // ignored.
 func (e *Engine) SetBindingCacheCap(n int) {
@@ -355,15 +355,17 @@ func (e *Engine) SetLoadFunc(fn func() [6]uint32) { e.loadFn = fn }
 // other hosts (the scheduling layer's candidate cache).
 func (e *Engine) SetLoadSink(fn func([6]uint32)) { e.loadSink = fn }
 
-// BroadcastLoad emits one load-advertisement beacon frame from src, the
-// process that answers for the advertising host (vid.Nil for none): its
-// receivers learn src's logical host's binding as from any incoming
-// traffic. A no-op until SetLoadFunc is wired or while the host is down.
-func (e *Engine) BroadcastLoad(src vid.PID) {
+// AdvertiseLoad emits one load-advertisement beacon frame from src, the
+// process that answers for the advertising host (vid.Nil for none), to
+// vid.GroupLoadListeners: only stations that joined it take the frame, and
+// they learn src's logical host's binding as from any incoming traffic. A
+// no-op until SetLoadFunc is wired or while the host is down.
+func (e *Engine) AdvertiseLoad(src vid.PID) {
 	if e.loadFn == nil || e.down {
 		return
 	}
-	e.emit(&packet.Packet{Kind: packet.KLoadAd, Src: src, Ad: e.loadFn(), HasAd: true}, ethernet.Broadcast)
+	e.emit(&packet.Packet{Kind: packet.KLoadAd, Src: src, Ad: e.loadFn(), HasAd: true},
+		ethernet.Multicast(uint16(vid.GroupLoadListeners.LH())))
 }
 
 // BroadcastBinding announces that a logical host now resides on this host —
@@ -546,8 +548,8 @@ func (e *Engine) recvFrame(t *sim.Task, f ethernet.Frame) {
 	case err == nil && p.Kind == packet.KLoadAd:
 		// Beacons take the interrupt-level fast path: a fixed-format
 		// datagram consumed in place (no reply, no reassembly, no
-		// process delivery), so broadcast load dissemination does not
-		// tax every kernel at full packet-dispatch cost.
+		// process delivery), so load dissemination does not tax every
+		// listening kernel at full packet-dispatch cost.
 		e.cpu.Use(t, params.LoadAdRecvCPU, params.PrioKernel)
 	default:
 		e.cpu.Use(t, params.SmallPktRecvCPU, params.PrioKernel)

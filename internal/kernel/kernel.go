@@ -175,13 +175,13 @@ func (h *Host) LoadWords() [6]uint32 {
 
 // EnableLoadAds makes the kernel export its load: every outgoing reply
 // frame is stamped with the current LoadWords (piggybacked dissemination,
-// no extra frames), and — when beacon > 0 — a KLoadAd broadcast is also
-// sent every beacon interval, staggered by host index so the beacons do
-// not collide. A beacon comes from the host's program manager — the
-// process a selector probes next — so every station that hears it knows
-// where the system logical host is. Idempotent; the beacon survives
-// crash/restart (a crashed host skips its ticks and the IPC engine drops
-// broadcasts while down).
+// no extra frames), and — when beacon > 0 — a KLoadAd is also sent to
+// vid.GroupLoadListeners every beacon interval, staggered by host index so
+// the beacons do not collide. Only listening stations (ListenForLoad) take
+// it. A beacon comes from the host's program manager — the process a
+// selector probes next — so every listener knows where the system logical
+// host is. Idempotent; the beacon survives crash/restart (a crashed host
+// skips its ticks and the IPC engine drops beacons while down).
 func (h *Host) EnableLoadAds(beacon time.Duration) {
 	h.IPC.SetLoadFunc(h.LoadWords)
 	if beacon <= 0 || h.beaconOn {
@@ -191,7 +191,7 @@ func (h *Host) EnableLoadAds(beacon time.Duration) {
 	var tick func()
 	tick = func() {
 		if !h.crashed {
-			h.IPC.BroadcastLoad(h.wellKnown[vid.IdxProgramManager])
+			h.IPC.AdvertiseLoad(h.wellKnown[vid.IdxProgramManager])
 		}
 		h.Eng.After(beacon, tick)
 	}
@@ -307,6 +307,17 @@ func (h *Host) JoinGroup(g vid.PID, pid vid.PID) {
 		h.NIC.JoinMulticast(ethernet.Multicast(uint16(g.LH())))
 	}
 	h.groups[g] = append(h.groups[g], pid)
+}
+
+// ListenForLoad has the station join vid.GroupLoadListeners, so the
+// other stations' load beacons reach its load sink. The kernel server
+// stands as the member: a beacon is consumed by the kernel and delivered
+// to no process. Idempotent; a crash leaves the group as it leaves every
+// group, and the next call joins again.
+func (h *Host) ListenForLoad() {
+	if len(h.groups[vid.GroupLoadListeners]) == 0 {
+		h.JoinGroup(vid.GroupLoadListeners, h.wellKnown[vid.IdxKernelServer])
+	}
 }
 
 // LeaveGroup removes a local port from a group; the last member out

@@ -61,8 +61,9 @@ const (
 	// KFragNack asks the original sender to retransmit the listed
 	// missing fragments (selective repair).
 	KFragNack
-	// KLoadAd broadcasts a host's compact load advertisement (the
-	// scheduling layer's periodic beacon); the Ad words carry the load.
+	// KLoadAd carries a host's compact load advertisement to the load
+	// listeners (the scheduling layer's periodic beacon); the Ad words
+	// carry the load.
 	KLoadAd
 	kindMax
 )

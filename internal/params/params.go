@@ -78,8 +78,9 @@ const (
 	// a fixed-format datagram folded into the load cache at interrupt
 	// level — no reply, no reassembly, no process delivery. Charging the
 	// full SmallPktRecvCPU here makes the 1 Hz beacon a 35% CPU tax on
-	// every kernel of a 500-host cluster (N beacons/s × 700 µs); the
-	// fast path keeps cluster-wide dissemination affordable.
+	// every listening kernel of a 500-host cluster (N beacons/s × 700 µs);
+	// the fast path keeps dissemination affordable. Only stations that
+	// select under a load-aware policy listen (vid.GroupLoadListeners).
 	LoadAdRecvCPU = 100 * time.Microsecond
 
 	// BulkSendCPU is kernel CPU per full-size (1 KB payload) data frame.
@@ -229,7 +230,7 @@ const SelectTimeout = 500 * time.Millisecond
 //
 // The decentralized scheduling layer (internal/sched) keeps a TTL'd cache
 // of per-host load advertisements so that warm-cache selection can skip
-// the multicast query entirely.
+// the multicast query entirely (all but a station's first selection).
 
 const (
 	// SchedCacheTTL is how long a cached load advertisement is considered
@@ -249,10 +250,10 @@ const (
 	// same momentarily least-loaded host).
 	SchedPlacementHold = 1 * time.Second
 
-	// LoadBeaconInterval is the period of the broadcast load-advertisement
-	// beacon. Beacons run only when a load-aware selection policy is
-	// configured; the paper-baseline first-response policy generates no
-	// extra traffic.
+	// LoadBeaconInterval is the period of the load-advertisement beacon,
+	// sent to the stations that listen for it. Beacons run only when a
+	// load-aware selection policy is configured; the paper-baseline
+	// first-response policy generates no extra traffic.
 	LoadBeaconInterval = 1 * time.Second
 
 	// SelectGatherWindow is how long a gathering selection query collects
@@ -278,7 +279,7 @@ const (
 	// a server host needs a live reply-path binding per client, or a
 	// full-cluster burst turns every evicted binding into a locate
 	// broadcast that the retransmitting herd regenerates faster than it
-	// resolves; and a host hearing load beacons holds one system-LH
+	// resolves; and a host listening for load beacons holds one system-LH
 	// binding per beaconing station besides (core sizes it 2n+8).
 	BindingCacheCap = 64
 

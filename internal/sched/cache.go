@@ -10,7 +10,7 @@ import (
 )
 
 // Cache is a workstation's view of cluster load: every advertisement the
-// host has seen (piggybacked on replies, broadcast by beacons, or carried
+// host has seen (piggybacked on replies, advertised by beacons, or carried
 // in selection replies), aged by a TTL. It also keeps a negative cache of
 // hosts that recently refused or failed a probe, and short-lived
 // placement bumps that inflate a chosen host's apparent load until its
@@ -55,7 +55,7 @@ func NewCache(now func() sim.Time) *Cache {
 func (c *Cache) Observe(w [6]uint32) { c.ObserveLoad(LoadFromWords(w)) }
 
 // ObserveLoad ingests a decoded advertisement, replacing any older entry
-// for the same host. Every beacon from every host lands here, so a known
+// for the same host. Every beacon a listener hears lands here, so a known
 // host's entry is overwritten where it is rather than reinserted.
 func (c *Cache) ObserveLoad(l Load) {
 	if l.SystemLH == 0 || l.PM == 0 {

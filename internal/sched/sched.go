@@ -6,13 +6,16 @@
 // generally the least loaded host" (§2.1). That heuristic is one *policy*
 // over a distributed load-query mechanism. This package separates the
 // two: kernels export a compact load advertisement (piggybacked on reply
-// traffic and, for load-aware policies, a periodic broadcast beacon);
-// each workstation maintains a TTL'd cache of the advertisements it has
-// seen; and a Policy chooses among candidates — the paper's
-// first-response baseline, power-of-K-choices random sampling, or
+// traffic and, for load-aware policies, a periodic beacon to the stations
+// listening for it); each workstation maintains a TTL'd cache of the
+// advertisements it has seen; and a Policy chooses among candidates — the
+// paper's first-response baseline, power-of-K-choices random sampling, or
 // least-loaded. With a warm cache, selection needs no multicast at all:
 // the selector directly probes its preferred candidate and falls back to
-// the gathering multicast only when the cache cannot answer.
+// the gathering multicast only when the cache cannot answer. A station
+// starts listening for beacons at its first load-aware selection, so that
+// one has only what replies have piggybacked: a probe among those ads, or
+// the multicast gather.
 //
 // The §4.2 observation that motivated the paper's simple policy — the
 // first responder is usually the least loaded because the selection-probe
@@ -49,7 +52,7 @@ var ErrNoHost = errors.New("sched: no host available")
 
 // Load is one host's decoded load advertisement: the six words a kernel's
 // LoadWords exports, a program manager's selection reply carries, and a
-// KLoadAd beacon broadcasts.
+// KLoadAd beacon advertises.
 type Load struct {
 	SystemLH     vid.LHID // the host's system logical host (identity)
 	MemFree      uint32   // bytes available for programs

@@ -50,6 +50,13 @@ type Selector struct {
 	// (the paper's protocol, kept exact on small clusters).
 	ReplyPermille uint32
 
+	// Listen, when set, has the station join the load-beacon listeners
+	// (vid.GroupLoadListeners). Every load-aware selection calls it, so the
+	// station hears beacons from its first such selection on, and again
+	// from the first after a crash cleared its groups: it must be
+	// idempotent.
+	Listen func()
+
 	group vid.PID
 	op    uint16
 	host  uint16 // station MAC, for trace events
@@ -99,6 +106,9 @@ func (s *Selector) Select(tx Sender, minMem uint32, exclude ...vid.LHID) (Load, 
 
 	if !s.Policy.LoadAware() {
 		return s.selectFirst(tx, w)
+	}
+	if s.Listen != nil {
+		s.Listen()
 	}
 
 	// Warm path: the cache proposes candidates; probe the policy's choice

@@ -111,6 +111,10 @@ var (
 	// GroupProgramManagers is the well-known group every program manager
 	// belongs to; remote-execution host selection queries it (§2.1).
 	GroupProgramManagers = NewPID(GroupBit|1, 1)
+	// GroupLoadListeners is the group load beacons are sent to: a station
+	// joins it at its first load-aware selection, so a station that never
+	// selects never takes a beacon's receive interrupt.
+	GroupLoadListeners = NewPID(GroupBit|8, 1)
 	// GroupFileServers is the group of network file servers.
 	GroupFileServers = NewPID(GroupBit|2, 1)
 	// GroupNameServers is the group answering symbolic-name queries.
