@@ -160,8 +160,10 @@ func CopyThroughput(seed int64) *Result {
 	r := newResult("E10", "copy-throughput: windowed bulk transfer × loss × zero pages")
 
 	// --- Sweep A: window size under 5% frame loss, sparse (all-zero)
-	// space. Stop-and-wait eats a 200 ms retransmission stall per lost
-	// frame; an open window keeps copying around the stalled transaction.
+	// space. Stop-and-wait eats a 200 ms retransmission stall per frame
+	// lost mid-stream — a full window is not probed, only the push's tail
+	// once it drains (ipc's tail probe) — while an open window keeps
+	// copying around the stalled transaction.
 	const sweepPages = 1500
 	windows := []int{1, 2, 4, 8}
 	cells := map[int]copyCell{}

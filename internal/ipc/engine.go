@@ -5,7 +5,8 @@
 //
 //   - retransmission with abort timeouts, and reply-pending packets that
 //     suspend rather than abort operations on busy or frozen destinations
-//     (§3.1.3);
+//     (§3.1.3), with one early tail probe, at the operation's measured
+//     round trip, for a request nothing else in flight covers;
 //   - reply caches, so a replier can satisfy duplicate requests — which is
 //     how a migrated process recovers a reply that was discarded while its
 //     logical host was frozen;
@@ -68,6 +69,7 @@ type Stats struct {
 	TxByKind         [16]int64
 	RxByKind         [16]int64
 	Retransmits      int64
+	Probes           int64 // tail probes, counted in Retransmits too
 	RepliesFromCache int64
 	ReplyPendings    int64
 	Locates          int64
@@ -132,6 +134,7 @@ type Engine struct {
 	forward  map[vid.LHID]ethernet.MAC
 	suspects map[ethernet.MAC]sim.Time // station → when suspicion began
 	heard    map[ethernet.MAC]sim.Time // station → last packet received from it
+	rtts     map[uint16]rtt            // op code → its round-trip estimate (tail probe)
 	winSeq   uint32                    // bulk-transfer window port allocation sequence
 	stats    Stats
 	trace    *trace.Bus       // nil until wired; nil bus is a no-op target
@@ -149,6 +152,10 @@ type Engine struct {
 	// (the paper's measured 100 µs, §4.1). Disabled for the ablation.
 	GroupIndirection bool
 }
+
+// rtt is RFC 6298's round-trip estimate of one operation. Op spaces are
+// partitioned by service, so an op code names one service's operation.
+type rtt struct{ srtt, rttvar time.Duration }
 
 type job struct {
 	// Exactly one of out, rx, local and fn is set.
@@ -223,6 +230,7 @@ func New(se *sim.Engine, nic *ethernet.NIC, c *cpu.CPU, res Resolver) *Engine {
 		forward:          make(map[vid.LHID]ethernet.MAC),
 		suspects:         make(map[ethernet.MAC]sim.Time),
 		heard:            make(map[ethernet.MAC]sim.Time),
+		rtts:             make(map[uint16]rtt),
 		segs:             freelist.New(vid.SegMax, segBufsKept),
 		GroupIndirection: true,
 	}
@@ -243,11 +251,12 @@ func New(se *sim.Engine, nic *ethernet.NIC, c *cpu.CPU, res Resolver) *Engine {
 func (e *Engine) SetDown(down bool) { e.down = down }
 
 // Reset clears all soft protocol state — binding cache, reassembly and
-// repair buffers, forwarding addresses, and any protocol work still queued
-// for netd from before the crash — and powers the engine back on. Called
-// when a crashed host reboots: a fresh kernel remembers nothing, and
-// pre-crash jobs must not execute on it (netd discards them only lazily,
-// so a quick crash/restart could otherwise leave them live).
+// repair buffers, forwarding addresses, round-trip estimates, and any
+// protocol work still queued for netd from before the crash — and powers
+// the engine back on. Called when a crashed host reboots: a fresh kernel
+// remembers nothing, and pre-crash jobs must not execute on it (netd
+// discards them only lazily, so a quick crash/restart could otherwise
+// leave them live).
 func (e *Engine) Reset() {
 	e.down = false
 	e.jobs.Clear()
@@ -257,6 +266,7 @@ func (e *Engine) Reset() {
 	e.forward = make(map[vid.LHID]ethernet.MAC)
 	e.suspects = make(map[ethernet.MAC]sim.Time)
 	e.heard = make(map[ethernet.MAC]sim.Time)
+	e.rtts = make(map[uint16]rtt)
 }
 
 // PoisonFreed makes the engine overwrite every segment buffer handed back
@@ -627,8 +637,14 @@ const maxFrags = (vid.SegMax + packet.FragChunk - 1) / packet.FragChunk
 // fragment of the longest segment.
 const _ = uint(vid.SegMax - maxFrags*packet.FragChunk)
 
-// handleFrag stores a fragment for reassembly.
+// handleFrag stores a fragment for reassembly. A fragment of a reply is
+// evidence that its request arrived: it cancels the request's tail probe.
 func (e *Engine) handleFrag(p *packet.Packet) {
+	if p.OfKind == packet.KReply {
+		if port := e.ports[p.Dst]; port != nil {
+			port.post(clientEv{kind: evFrag, txid: p.TxID})
+		}
+	}
 	key := reasmKey{src: p.Src, dst: p.Dst, txid: p.TxID, kind: p.OfKind}
 	buf := e.reasm[key]
 	if buf == nil {
@@ -866,6 +882,33 @@ func (e *Engine) route(dst vid.PID) (mac ethernet.MAC, local, ok bool) {
 	e.publish(trace.Event{Kind: trace.EvLocate, LH: lh})
 	e.emit(&packet.Packet{Kind: packet.KLocateReq, LH: lh}, ethernet.Broadcast)
 	return 0, false, false
+}
+
+// ------------------------------------------------------------- tail probe
+//
+// A request whose reply nothing else would prompt — a lone send, or a
+// window's tail once it drains — is sent once more after its operation's
+// probe timeout if it has heard nothing (RFC 8985 §7), so that one lost
+// frame costs about two round trips instead of a retransmission interval.
+
+// sampleRTT folds a round trip r of operation op into its estimate with
+// RFC 6298's gains of 1/8 and 1/4; the first sample sets srtt = r and
+// rttvar = r/2. A sample of a retransmitted request may be too long — V
+// answers a transaction once — which can only delay a probe.
+func (e *Engine) sampleRTT(op uint16, r time.Duration) {
+	est, ok := e.rtts[op]
+	if !ok {
+		e.rtts[op] = rtt{srtt: r, rttvar: r / 2}
+		return
+	}
+	e.rtts[op] = rtt{srtt: (7*est.srtt + r) / 8, rttvar: (3*est.rttvar + (est.srtt - r).Abs()) / 4}
+}
+
+// pto is operation op's probe timeout, max(2·srtt, srtt + 4·rttvar); false
+// before its first sample.
+func (e *Engine) pto(op uint16) (time.Duration, bool) {
+	est, ok := e.rtts[op]
+	return max(2*est.srtt, est.srtt+4*est.rttvar), ok
 }
 
 // ------------------------------------------------------- failure detector

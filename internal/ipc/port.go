@@ -43,7 +43,15 @@ type sendTxn struct {
 	clientTxn
 	msg   vid.Message
 	reply vid.Message
+
+	// One timer serves the transaction: it fires at the end of each
+	// retransmission interval, and in the first also at the tail probe when
+	// that comes due sooner (armProbe). fire is its callback, made once.
+	// sent is when the first transmission ended; the first interval ends
+	// RetransmitInterval later.
 	timer sim.Timer
+	fire  func()
+	sent  sim.Time
 
 	// buf is the buffer msg.Seg was built in when it is the engine's to
 	// reuse once the transaction is over (Window.SegBuf), else nil.
@@ -167,7 +175,13 @@ func (p *Port) begin(t *sim.Task, s *sendTxn) {
 	s.txid, s.group, s.lastAlive = p.txSeq, s.dst.IsGroup(), t.Now()
 	p.send, p.replyBuf = s, nil
 	p.transmit(t, false)
+	s.sent = t.Now()
 	p.armTimer()
+	if p.winq == nil {
+		// A lone send: nothing else in flight would cover its tail. A
+		// window's transactions cover each other until it drains.
+		p.armProbe()
+	}
 }
 
 // StartGather begins a gathering send: the request is transmitted (and
@@ -223,14 +237,41 @@ func (p *Port) AwaitGather(t *sim.Task) ([]GatherReply, error) {
 // armTimer schedules the retransmission/abort timer for the current send.
 func (p *Port) armTimer() {
 	s := p.send
-	s.timer = p.eng.sim.After(params.RetransmitInterval, func() {
-		if p.send != s || p.closed {
-			return
-		}
-		e := p.eng
-		_, suspected := e.suspects[s.mac]
-		p.post(clientEv{kind: evTick, now: e.sim.Now(), suspected: suspected, heard: e.heard[s.mac], noRebind: e.NoRebind})
-	})
+	if s.fire == nil {
+		s.fire = func() { p.expire(s) }
+	}
+	s.timer = p.eng.sim.After(params.RetransmitInterval, s.fire)
+}
+
+// armProbe moves the current send's timer up to its tail probe: its
+// operation's probe timeout after its first transmission, if the probe can
+// still be sent and comes due before the interval ends.
+func (p *Port) armProbe() {
+	s, e := p.send, p.eng
+	if !s.probeable() {
+		return
+	}
+	pto, ok := e.pto(s.msg.Op)
+	if at := max(s.sent.Add(pto), e.sim.Now()); ok && at < s.sent.Add(params.RetransmitInterval) {
+		s.timer.Stop()
+		s.timer = e.sim.At(at, s.fire)
+	}
+}
+
+// expire is the timer of send s: its tail probe, after which the timer is
+// set again for the end of the first interval, or a tick.
+func (p *Port) expire(s *sendTxn) {
+	if p.send != s || p.closed {
+		return
+	}
+	e := p.eng
+	if first := s.sent.Add(params.RetransmitInterval); e.sim.Now() < first {
+		p.post(clientEv{kind: evProbe})
+		s.timer = e.sim.At(first, s.fire)
+		return
+	}
+	_, suspected := e.suspects[s.mac]
+	p.post(clientEv{kind: evTick, now: e.sim.Now(), suspected: suspected, heard: e.heard[s.mac], noRebind: e.NoRebind})
 }
 
 // post steps the port's send transaction, if any, by ev and carries out
@@ -258,22 +299,25 @@ func (p *Port) post(ev clientEv) {
 		p.eng.InvalidateCache(s.dst.LH())
 		fallthrough
 	case actRetry:
-		p.retransmit()
+		p.retransmit(false)
 		p.armTimer()
 	case actResend:
-		p.retransmit()
+		p.retransmit(ev.kind == evProbe)
 	}
 }
 
-// retransmit re-sends the current request via the network daemon. Both the
-// timer path (a tick) and the binding-prompted path (a learnt binding) go
-// through here, so the resend is counted exactly once, when it actually
-// executes.
-func (p *Port) retransmit() {
+// retransmit re-sends the current request via the network daemon. The
+// timer path (a tick or the tail probe) and the binding-prompted path (a
+// learnt binding) all go through here, so the resend is counted exactly
+// once, when it actually executes; probe says it is the tail probe.
+func (p *Port) retransmit(probe bool) {
 	s := p.send
 	p.eng.jobs.Push(job{fn: func(t *sim.Task) {
 		if p.send == s && !s.done && !p.closed {
 			p.eng.stats.Retransmits++
+			if probe {
+				p.eng.stats.Probes++
+			}
 			p.eng.publish(trace.Event{Kind: trace.EvPktRetx, Pkt: &packet.Packet{
 				Kind: packet.KRequest, TxID: s.txid, Src: p.pid, Dst: s.dst,
 			}})
@@ -383,6 +427,10 @@ func (p *Port) answered(src vid.PID, msg vid.Message, lent []byte) {
 	switch {
 	case !s.gather:
 		s.reply, p.replyBuf = msg, lent
+		if !s.group && s.mac != 0 {
+			// A round trip over the wire: local deliveries are not probed.
+			p.eng.sampleRTT(s.msg.Op, p.eng.sim.Now().Sub(s.sent))
+		}
 	case s.seen[src]:
 		return
 	default:

@@ -121,7 +121,7 @@ func (e *Engine) RestorePort(st *PortState, active bool) *Port {
 		p.armSweep(v.Src, c)
 	}
 	if s := st.Send; s != nil {
-		c := clientTxn{txid: s.TxID, dst: s.Dst, group: s.Group, done: s.Done, code: s.Code}
+		c := clientTxn{txid: s.TxID, dst: s.Dst, group: s.Group, done: s.Done, code: s.Code, probed: true}
 		p.send = &sendTxn{clientTxn: c, msg: s.Msg, reply: s.Reply}
 		if active {
 			p.Activate()
@@ -135,14 +135,15 @@ func (e *Engine) RestorePort(st *PortState, active bool) *Port {
 
 // Activate starts (or restarts) the retransmission machinery of a restored
 // port: if a send transaction is outstanding it is retransmitted at once
-// and its timer re-armed. Idempotent.
+// and its timer re-armed; its round trip is counted from here. Idempotent.
 func (p *Port) Activate() {
 	s := p.send
 	if s == nil || s.done || p.closed {
 		return
 	}
 	s.timer.Stop()
-	p.retransmit()
+	s.sent = p.eng.sim.Now()
+	p.retransmit(false)
 	p.armTimer()
 }
 

@@ -26,6 +26,11 @@ type clientTxn struct {
 	code   uint16 // failure code when done && code != OK
 	silent int    // retransmissions since last evidence of life
 
+	// probed: the tail probe is spent, or made moot by a retransmission or
+	// by evidence that the request arrived (reply-pending, a fragment of
+	// the reply). A transaction sends at most one.
+	probed bool
+
 	// Failure-detector evidence: the station transmit last sent the request
 	// to (0 until a unicast route resolved) and the last moment there was
 	// evidence the destination was alive.
@@ -44,6 +49,8 @@ const (
 	evSuspect                     // the station mac is suspected dead
 	evAbort                       // dst is known dead (AbortTo)
 	evWindow                      // the gather window elapsed
+	evProbe                       // the tail probe came due
+	evFrag                        // a fragment of txid's reply
 )
 
 // clientEv is one event of a send transaction.
@@ -79,6 +86,11 @@ const (
 // awaits reports whether the transaction is waiting for a reply to txid.
 func (c clientTxn) awaits(txid uint32) bool { return !c.done && c.txid == txid }
 
+// probeable reports whether the tail probe may still be sent: only a
+// unicast request that went to a station and has heard nothing is probed
+// (RFC 8985 §7).
+func (c clientTxn) probeable() bool { return !c.probed && !c.group && !c.gather && c.mac != 0 }
+
 // step is the client side: what ev does to the transaction.
 func (c clientTxn) step(ev clientEv) (clientTxn, clientAct) {
 	if c.done {
@@ -87,6 +99,7 @@ func (c clientTxn) step(ev clientEv) (clientTxn, clientAct) {
 	switch ev.kind {
 	case evTick:
 		c.silent++
+		c.probed = true
 		if !c.group && !c.gather && c.mac != 0 {
 			if ev.suspected {
 				// The first transmission was a liveness probe: one interval
@@ -117,7 +130,7 @@ func (c clientTxn) step(ev clientEv) (clientTxn, clientAct) {
 		// must not hold the sender past its group timeout, and a window is
 		// fixed whoever is alive.
 		if c.txid == ev.txid && !c.group && !c.gather {
-			c.silent, c.lastAlive = 0, ev.now
+			c.silent, c.lastAlive, c.probed = 0, ev.now, true
 		}
 	case evReply:
 		if c.txid == ev.txid && (!c.group || !c.gather || ev.enough) {
@@ -129,6 +142,7 @@ func (c clientTxn) step(ev clientEv) (clientTxn, clientAct) {
 		}
 	case evBound:
 		if c.dst.LH() == ev.lh {
+			c.probed = true
 			return c, actResend
 		}
 	case evSuspect:
@@ -144,6 +158,17 @@ func (c clientTxn) step(ev clientEv) (clientTxn, clientAct) {
 			return c.finish(vid.CodeOK)
 		}
 		return c.finish(vid.CodeTimeout)
+	case evProbe:
+		// The probe does not count as silence, so the interval and the
+		// failure detector run as without it.
+		if c.probeable() {
+			c.probed = true
+			return c, actResend
+		}
+	case evFrag:
+		if c.txid == ev.txid {
+			c.probed = true
+		}
 	}
 	return c, actNone
 }

@@ -48,7 +48,9 @@ func TestCacheSweepOncePerEntry(t *testing.T) {
 // through every event the engine posts to it there, and pins each result
 // (DESIGN §5 has the table). A pair a row does not list leaves the
 // transaction as it was and asks nothing of the engine; a gather window
-// ends gathers only.
+// ends gathers only. The tail probe resends once a unicast request that
+// went to a station and has heard nothing; a tick, a learnt binding, a
+// reply-pending or a fragment of the reply spends it.
 func TestClientTxnTable(t *testing.T) {
 	const txid = 7
 	now := sim.Time(10 * time.Second)
@@ -79,15 +81,20 @@ func TestClientTxnTable(t *testing.T) {
 		{"abort, other", clientEv{kind: evAbort, dst: vid.NewPID(21, 16)}},
 		{"window, got", clientEv{kind: evWindow, got: true}},
 		{"window, empty", clientEv{kind: evWindow}},
+		{"tail probe", clientEv{kind: evProbe}},
+		{"reply fragment", clientEv{kind: evFrag, txid: txid}},
+		{"reply fragment, other", clientEv{kind: evFrag, txid: txid - 1}},
 	}
 
 	type out struct {
 		act  clientAct
 		next clientTxn
 	}
-	silent := func(c clientTxn, n int) clientTxn { c.silent = n; return c }
+	probed := func(c clientTxn) clientTxn { c.probed = true; return c }
+	silent := func(c clientTxn, n int) clientTxn { c.silent = n; return probed(c) }
 	over := func(c clientTxn, code uint16) clientTxn { c.done, c.code = true, code; return c }
-	alive := func(c clientTxn) clientTxn { c.silent, c.lastAlive = 0, now; return c }
+	alive := func(c clientTxn) clientTxn { c.silent, c.lastAlive = 0, now; return probed(c) }
+	// A tick retransmits, and spends the tail probe.
 	ticks := func(c clientTxn, act clientAct) map[string]out {
 		m := map[string]out{}
 		for _, e := range events[:5] {
@@ -97,29 +104,35 @@ func TestClientTxnTable(t *testing.T) {
 	}
 	// unicast adds what every unicast send does: reply-pending is evidence
 	// of life, and a reply, a no-process, a learnt binding, an abort and
-	// (once located) a suspicion of its station end or prompt it.
+	// (once located) a suspicion of its station end or prompt it; once
+	// located, it is probed if nothing spent the probe.
 	unicast := func(c clientTxn, m map[string]out) map[string]out {
+		m["reply fragment"] = out{actNone, probed(c)}
 		m["reply-pending"] = out{actNone, alive(c)}
 		m["reply"] = out{actFinish, over(c, vid.CodeOK)}
 		m["reply, enough"] = out{actFinish, over(c, vid.CodeOK)}
 		m["no-process"] = out{actFinish, over(c, vid.CodeNoProcess)}
-		m["bound"] = out{actResend, c}
+		m["bound"] = out{actResend, probed(c)}
 		m["abort"] = out{actFinish, over(c, vid.CodeAborted)}
 		if c.mac != 0 {
 			m["suspect"] = out{actFinish, over(c, vid.CodeHostDown)}
+			if !c.probed {
+				m["tail probe"] = out{actResend, probed(c)}
+			}
 		}
 		return m
 	}
 
 	unlocated := clientTxn{txid: txid, dst: uni, lastAlive: ago(200)}
 	sent := clientTxn{txid: txid, dst: uni, mac: 2, lastAlive: ago(200)}
-	relocating := clientTxn{txid: txid, dst: uni, mac: 2, silent: 2, lastAlive: ago(600)}
-	suspecting := clientTxn{txid: txid, dst: uni, mac: 2, silent: 4, lastAlive: ago(1500)}
-	aborting := clientTxn{txid: txid, dst: uni, silent: params.AbortAfterRetries, lastAlive: ago(5200)}
+	spent := probed(sent)
+	relocating := clientTxn{txid: txid, dst: uni, mac: 2, silent: 2, probed: true, lastAlive: ago(600)}
+	suspecting := clientTxn{txid: txid, dst: uni, mac: 2, silent: 4, probed: true, lastAlive: ago(1500)}
+	aborting := clientTxn{txid: txid, dst: uni, silent: params.AbortAfterRetries, probed: true, lastAlive: ago(5200)}
 	group := clientTxn{txid: txid, dst: grp, group: true, lastAlive: ago(200)}
-	groupAborting := clientTxn{txid: txid, dst: grp, group: true, silent: params.GroupAbortAfterRetries, lastAlive: ago(800)}
-	probe := clientTxn{txid: txid, dst: uni, gather: true, mac: 2, silent: 2, lastAlive: ago(600)}
-	gather := clientTxn{txid: txid, dst: grp, group: true, gather: true, silent: 3, lastAlive: ago(800)}
+	groupAborting := clientTxn{txid: txid, dst: grp, group: true, silent: params.GroupAbortAfterRetries, probed: true, lastAlive: ago(800)}
+	probe := clientTxn{txid: txid, dst: uni, gather: true, mac: 2, silent: 2, probed: true, lastAlive: ago(600)}
+	gather := clientTxn{txid: txid, dst: grp, group: true, gather: true, silent: 3, probed: true, lastAlive: ago(800)}
 
 	rows := []struct {
 		name string
@@ -130,6 +143,11 @@ func TestClientTxnTable(t *testing.T) {
 		{"sent", sent, unicast(sent, func() map[string]out {
 			m := ticks(sent, actRetry)
 			m["tick, station suspected"] = out{actFinish, over(silent(sent, 1), vid.CodeHostDown)}
+			return m
+		}())},
+		{"sent, probe spent", spent, unicast(spent, func() map[string]out {
+			m := ticks(spent, actRetry)
+			m["tick, station suspected"] = out{actFinish, over(silent(spent, 1), vid.CodeHostDown)}
 			return m
 		}())},
 		{"one tick from relocating", relocating, unicast(relocating, func() map[string]out {
@@ -156,6 +174,7 @@ func TestClientTxnTable(t *testing.T) {
 		}())},
 		{"group", group, func() map[string]out {
 			m := ticks(group, actRetry)
+			m["reply fragment"] = out{actNone, probed(group)}
 			m["reply"] = out{actFinish, over(group, vid.CodeOK)}
 			m["reply, enough"] = out{actFinish, over(group, vid.CodeOK)}
 			m["no-process"] = out{actFinish, over(group, vid.CodeNoProcess)}
@@ -211,7 +230,7 @@ func TestClientTxnTable(t *testing.T) {
 			pairs++
 		}
 	}
-	if pairs != 7*18+2*20+18 {
+	if pairs != 8*21+2*23+21 {
 		t.Errorf("stepped %d pairs", pairs)
 	}
 }

@@ -174,8 +174,16 @@ func (w *Window) Send(t *sim.Task, dst vid.PID, msg vid.Message) error {
 }
 
 // Drain blocks until every in-flight transaction has completed, returning
-// the sticky error if any transaction failed.
+// the sticky error if any transaction failed. Nothing issued after them
+// covers those transactions any more, so each gets its tail probe
+// (Port.armProbe), counted from its own first transmission; a full window
+// mid-stream gets none, as its other slots cover the stall.
 func (w *Window) Drain(t *sim.Task) error {
+	for _, p := range w.ports {
+		if s := p.send; s != nil && !s.done {
+			p.armProbe()
+		}
+	}
 	for {
 		w.reap(t)
 		if w.inflight == 0 {

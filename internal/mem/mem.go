@@ -8,6 +8,7 @@
 package mem
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -293,16 +294,9 @@ func (as *AddressSpace) PageView(pn PageNo) []byte {
 	return zeroPage
 }
 
-// IsZeroPage reports whether a page-sized buffer is all zero — the test
-// behind zero-page elision on the copy wire format.
-func IsZeroPage(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
+// IsZeroPage reports whether b, at most a page long, is all zero — the
+// test behind zero-page elision on the copy wire format.
+func IsZeroPage(b []byte) bool { return bytes.Equal(b, zeroPage[:len(b)]) }
 
 // InstallPage overwrites a whole page without setting its dirty bit: this
 // is the receive side of a migration copy, where the new copy must start

@@ -232,3 +232,40 @@ func TestQuickDirtySnapshotExact(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestIsZeroPage(t *testing.T) {
+	page := func(n, at int) []byte {
+		b := make([]byte, n)
+		if at >= 0 {
+			b[at] = 1
+		}
+		return b
+	}
+	for _, c := range []struct {
+		b    []byte
+		zero bool
+	}{
+		{nil, true},
+		{page(PageSize, -1), true},
+		{page(PageSize, 0), false},
+		{page(PageSize, PageSize-1), false},
+		{page(100, -1), true},
+		{page(100, 99), false},
+	} {
+		if got := IsZeroPage(c.b); got != c.zero {
+			t.Errorf("IsZeroPage(%d bytes) = %v, want %v", len(c.b), got, c.zero)
+		}
+	}
+}
+
+// BenchmarkIsZeroPage scans a whole zero page, the longest case: every
+// page a copy encodes is tested.
+func BenchmarkIsZeroPage(b *testing.B) {
+	p := make([]byte, PageSize)
+	b.SetBytes(PageSize)
+	for i := 0; i < b.N; i++ {
+		if !IsZeroPage(p) {
+			b.Fatal("not zero")
+		}
+	}
+}

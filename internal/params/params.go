@@ -105,7 +105,12 @@ const (
 
 const (
 	// RetransmitInterval is the gap between retransmissions of an
-	// unanswered request.
+	// unanswered request. A request nothing else in flight covers (a lone
+	// send, or a copy window's tail once it drains) is first probed once,
+	// max(2·srtt, srtt + 4·rttvar) of its operation's round trip after it
+	// was sent (ipc's tail probe, RFC 8985 §7), when that comes sooner;
+	// the probe is no tick, and the intervals, relocation, abort and the
+	// failure detector count from the first transmission as before.
 	RetransmitInterval = 200 * time.Millisecond
 
 	// LocateAfterRetries: after this many unanswered retransmissions the
