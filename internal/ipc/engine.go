@@ -885,11 +885,6 @@ func (e *Engine) route(dst vid.PID) (mac ethernet.MAC, local, ok bool) {
 }
 
 // ------------------------------------------------------------- tail probe
-//
-// A request whose reply nothing else would prompt — a lone send, or a
-// window's tail once it drains — is sent once more after its operation's
-// probe timeout if it has heard nothing (RFC 8985 §7), so that one lost
-// frame costs about two round trips instead of a retransmission interval.
 
 // sampleRTT folds a round trip r of operation op into its estimate with
 // RFC 6298's gains of 1/8 and 1/4; the first sample sets srtt = r and
@@ -904,11 +899,10 @@ func (e *Engine) sampleRTT(op uint16, r time.Duration) {
 	e.rtts[op] = rtt{srtt: (7*est.srtt + r) / 8, rttvar: (3*est.rttvar + (est.srtt - r).Abs()) / 4}
 }
 
-// pto is operation op's probe timeout, max(2·srtt, srtt + 4·rttvar); false
-// before its first sample.
-func (e *Engine) pto(op uint16) (time.Duration, bool) {
-	est, ok := e.rtts[op]
-	return max(2*est.srtt, est.srtt+4*est.rttvar), ok
+// pto is op's probe timeout, max(2·srtt, srtt + 4·rttvar), or 0 before its first sample.
+func (e *Engine) pto(op uint16) time.Duration {
+	est := e.rtts[op]
+	return max(2*est.srtt, est.srtt+4*est.rttvar)
 }
 
 // ------------------------------------------------------- failure detector

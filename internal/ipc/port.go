@@ -44,14 +44,10 @@ type sendTxn struct {
 	msg   vid.Message
 	reply vid.Message
 
-	// One timer serves the transaction: it fires at the end of each
-	// retransmission interval, and in the first also at the tail probe when
-	// that comes due sooner (armProbe). fire is its callback, made once.
-	// sent is when the first transmission ended; the first interval ends
-	// RetransmitInterval later.
+	// One timer serves the transaction, set for its deadline (arm); fire is
+	// its callback, made once.
 	timer sim.Timer
 	fire  func()
-	sent  sim.Time
 
 	// buf is the buffer msg.Seg was built in when it is the engine's to
 	// reuse once the transaction is over (Window.SegBuf), else nil.
@@ -66,7 +62,9 @@ type sendTxn struct {
 	replies []GatherReply
 	seen    map[vid.PID]bool         // group gather: responders already recorded (dedup)
 	enough  func([]GatherReply) bool // group gather: closes it early once true; nil never
-	wtimer  sim.Timer                // window expiry
+	// The window's expiry, a timer of its own: as a deadline of the value it
+	// would be set at a tick, not at StartGather, reordering same-instant events.
+	wtimer sim.Timer
 }
 
 // GatherReply is one responder's answer to a gathering send.
@@ -175,13 +173,12 @@ func (p *Port) begin(t *sim.Task, s *sendTxn) {
 	s.txid, s.group, s.lastAlive = p.txSeq, s.dst.IsGroup(), t.Now()
 	p.send, p.replyBuf = s, nil
 	p.transmit(t, false)
-	s.sent = t.Now()
-	p.armTimer()
+	ev := clientEv{kind: evSent, now: t.Now()}
 	if p.winq == nil {
-		// A lone send: nothing else in flight would cover its tail. A
-		// window's transactions cover each other until it drains.
-		p.armProbe()
+		// A lone send: a window's sends cover each other until it drains.
+		ev.pto = p.eng.pto(s.msg.Op)
 	}
+	p.post(ev)
 }
 
 // StartGather begins a gathering send: the request is transmitted (and
@@ -234,53 +231,36 @@ func (p *Port) AwaitGather(t *sim.Task) ([]GatherReply, error) {
 	return s.replies, nil
 }
 
-// armTimer schedules the retransmission/abort timer for the current send.
-func (p *Port) armTimer() {
-	s := p.send
+// arm sets the timer of send s for its deadline when restart says it is
+// spent (it fired, or an interval restarted) or the deadline moved earlier
+// than was. A deadline that moved later (a probe spent before it came due)
+// is not chased: the timer fires as a no-op and is set again then.
+func (p *Port) arm(s *sendTxn, was sim.Time, restart bool) {
+	if s.due == 0 || !restart && was != 0 && was <= s.due {
+		return
+	}
 	if s.fire == nil {
 		s.fire = func() { p.expire(s) }
 	}
-	s.timer = p.eng.sim.After(params.RetransmitInterval, s.fire)
+	s.timer.Stop()
+	s.timer = p.eng.sim.At(s.due, s.fire)
 }
 
-// armProbe moves the current send's timer up to its tail probe: its
-// operation's probe timeout after its first transmission, if the probe can
-// still be sent and comes due before the interval ends.
-func (p *Port) armProbe() {
-	s, e := p.send, p.eng
-	if !s.probeable() {
-		return
-	}
-	pto, ok := e.pto(s.msg.Op)
-	if at := max(s.sent.Add(pto), e.sim.Now()); ok && at < s.sent.Add(params.RetransmitInterval) {
-		s.timer.Stop()
-		s.timer = e.sim.At(at, s.fire)
-	}
-}
-
-// expire is the timer of send s: its tail probe, after which the timer is
-// set again for the end of the first interval, or a tick.
+// expire is the timer of send s; the step tells a tick from the tail probe.
 func (p *Port) expire(s *sendTxn) {
-	if p.send != s || p.closed {
-		return
+	if e := p.eng; p.send == s && !p.closed {
+		p.post(clientEv{kind: evTimer, now: e.sim.Now(), suspected: e.Suspected(s.mac), heard: e.heard[s.mac], noRebind: e.NoRebind})
 	}
-	e := p.eng
-	if first := s.sent.Add(params.RetransmitInterval); e.sim.Now() < first {
-		p.post(clientEv{kind: evProbe})
-		s.timer = e.sim.At(first, s.fire)
-		return
-	}
-	_, suspected := e.suspects[s.mac]
-	p.post(clientEv{kind: evTick, now: e.sim.Now(), suspected: suspected, heard: e.heard[s.mac], noRebind: e.NoRebind})
 }
 
-// post steps the port's send transaction, if any, by ev and carries out
-// what the step decides.
+// post steps the port's send transaction, if any, by ev, carries out what
+// the step decides, and then sets the timer for the deadline it leaves.
 func (p *Port) post(ev clientEv) {
 	s := p.send
 	if s == nil {
 		return
 	}
+	was, restart := s.due, ev.kind == evTimer
 	var act clientAct
 	s.clientTxn, act = s.step(ev)
 	switch act {
@@ -300,16 +280,15 @@ func (p *Port) post(ev clientEv) {
 		fallthrough
 	case actRetry:
 		p.retransmit(false)
-		p.armTimer()
-	case actResend:
-		p.retransmit(ev.kind == evProbe)
+		restart = true
+	case actResend, actProbe:
+		p.retransmit(act == actProbe)
 	}
+	p.arm(s, was, restart)
 }
 
-// retransmit re-sends the current request via the network daemon. The
-// timer path (a tick or the tail probe) and the binding-prompted path (a
-// learnt binding) all go through here, so the resend is counted exactly
-// once, when it actually executes; probe says it is the tail probe.
+// retransmit re-sends the current request via the network daemon, which
+// counts it once it executes; probe says it is the tail probe.
 func (p *Port) retransmit(probe bool) {
 	s := p.send
 	p.eng.jobs.Push(job{fn: func(t *sim.Task) {

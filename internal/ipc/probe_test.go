@@ -1,6 +1,7 @@
 package ipc
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -159,7 +160,7 @@ func TestHeldRequestGetsOneProbe(t *testing.T) {
 		warmUp(tk, t, client, server, 8)
 		held = true
 		client.StartSend(tk, server.PID(), vid.Message{Op: testOp})
-		sent = client.send.sent
+		sent = client.send.clientTxn.sent // the value holds its schedule
 		_, err = client.AwaitReply(tk)
 	})
 	r.sim.RunFor(5 * time.Second)
@@ -182,5 +183,58 @@ func TestHeldRequestGetsOneProbe(t *testing.T) {
 		if want := sent.Add(time.Duration(k+1) * params.RetransmitInterval); at != want {
 			t.Errorf("retransmission %d at %v, want the tick at %v", k+1, at, want)
 		}
+	}
+}
+
+// TestActivateRestartsTheInterval: a send restored quiesced (RestorePort,
+// active=false) transmits nothing until Activate, which retransmits it at
+// once and then ticks every interval from there, with no tail probe. A
+// second Activate restarts the interval: one timer stays set, not two.
+func TestActivateRestartsTheInterval(t *testing.T) {
+	r, client, server := probeRig(t)
+	echoServer(r.sim, server)
+	held := server.eng.NewPort(vid.NewPID(server.PID().LH(), 17)) // never receives
+	tb := trace.NewBus()
+	client.eng.SetTraceBus(tb)
+	var retx []sim.Time
+	tb.Subscribe(func(ev trace.Event) {
+		if ev.Kind == trace.EvPktRetx {
+			retx = append(retx, ev.At)
+		}
+	})
+	r.sim.Spawn("client", func(tk *sim.Task) { warmUp(tk, t, client, server, 8) })
+	r.sim.RunFor(time.Second)
+	warm := client.eng.Stats()
+
+	p := client.eng.RestorePort(&PortState{
+		PID: vid.NewPID(client.PID().LH(), 17), TxSeq: 1,
+		Send: &SendState{TxID: 1, Dst: held.PID(), Msg: vid.Message{Op: testOp}},
+	}, false)
+	if !p.send.probed {
+		t.Error("the restored send may still be probed")
+	}
+	r.sim.RunFor(time.Second)
+	if st := client.eng.Stats(); len(retx) != 0 || st.TxPackets != warm.TxPackets {
+		t.Fatalf("quiesced: %d retransmissions, %d packets", len(retx), st.TxPackets-warm.TxPackets)
+	}
+
+	first := r.sim.Now()
+	p.Activate()
+	r.sim.RunFor(300 * time.Millisecond)
+	second, pending := r.sim.Now(), r.sim.Pending()
+	p.Activate()
+	r.sim.RunFor(900 * time.Millisecond)
+	if n := r.sim.Pending(); n != pending {
+		t.Errorf("%d events pending after the second Activate, %d before it", n, pending)
+	}
+	want := []sim.Time{first, first.Add(params.RetransmitInterval)}
+	for k := range 5 {
+		want = append(want, second.Add(time.Duration(k)*params.RetransmitInterval))
+	}
+	if !slices.Equal(retx, want) {
+		t.Errorf("retransmissions at %v, want %v", retx, want)
+	}
+	if st := client.eng.Stats(); st.Probes != warm.Probes {
+		t.Errorf("%d tail probes after restore", st.Probes-warm.Probes)
 	}
 }

@@ -99,12 +99,11 @@ func (p *Port) Snapshot() *PortState {
 	return st
 }
 
-// RestorePort recreates a port from migrated state. If active is true and a
-// send transaction was outstanding, its retransmission timer is re-armed
-// immediately. During a migration the new copy is restored *quiesced*
-// (active=false): while both copies exist, only the original host acts for
-// the process ("continues to retransmit to its replier periodically",
-// §3.1.3); the new copy's timers start at Activate, called on unfreeze.
+// RestorePort recreates a port from migrated state, activating an
+// outstanding send at once if active. During a migration the new copy is
+// restored *quiesced* (active=false): while both copies exist, only the
+// original host acts for the process ("continues to retransmit to its
+// replier periodically", §3.1.3); the new copy starts at Activate, on unfreeze.
 func (e *Engine) RestorePort(st *PortState, active bool) *Port {
 	if _, dup := e.ports[st.PID]; dup {
 		panic(fmt.Sprintf("ipc: restore of existing port %v", st.PID))
@@ -133,18 +132,12 @@ func (e *Engine) RestorePort(st *PortState, active bool) *Port {
 	return p
 }
 
-// Activate starts (or restarts) the retransmission machinery of a restored
-// port: if a send transaction is outstanding it is retransmitted at once
-// and its timer re-armed; its round trip is counted from here. Idempotent.
+// Activate (re)starts a restored port's outstanding send: it is retransmitted
+// at once, and its interval and round trip start from here.
 func (p *Port) Activate() {
-	s := p.send
-	if s == nil || s.done || p.closed {
-		return
+	if !p.closed {
+		p.post(clientEv{kind: evActivate, now: p.eng.sim.Now()})
 	}
-	s.timer.Stop()
-	s.sent = p.eng.sim.Now()
-	p.retransmit(false)
-	p.armTimer()
 }
 
 // Wire form of a PortState (inside kernel.LHState, DESIGN §10): PID and

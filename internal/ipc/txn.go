@@ -13,8 +13,9 @@ import (
 // caches, rebinding) are two pure steps over comparable values: clientTxn,
 // the sender's side of one transaction, and peer, what a server knows of one
 // sender. A step returns the next value and a fixed-size action, which the
-// engine carries out; timers, buffers and the wire stay the engine's, and
-// what a step needs of them comes in the event. DESIGN §5 has the tables.
+// engine carries out, setting its one timer for the client value's deadline;
+// timers, buffers and the wire stay the engine's, and what a step needs of
+// them comes in the event. DESIGN §5 has the tables.
 
 // clientTxn is the decision state of a send transaction.
 type clientTxn struct {
@@ -23,34 +24,40 @@ type clientTxn struct {
 	group  bool // dst is a process group
 	gather bool // StartGather: collect replies until the window closes
 	done   bool
-	code   uint16 // failure code when done && code != OK
-	silent int    // retransmissions since last evidence of life
-
 	// probed: the tail probe is spent, or made moot by a retransmission or
 	// by evidence that the request arrived (reply-pending, a fragment of
-	// the reply). A transaction sends at most one.
+	// the reply), so a transaction sends at most one.
 	probed bool
+	code   uint16 // failure code when done && code != OK
 
 	// Failure-detector evidence: the station transmit last sent the request
-	// to (0 until a unicast route resolved) and the last moment there was
-	// evidence the destination was alive.
+	// to (0 until a unicast route resolved), the retransmissions since the
+	// last evidence the destination was alive, and that evidence's moment.
 	mac       ethernet.MAC
+	silent    int
 	lastAlive sim.Time
+
+	// The schedule: when the first transmission ended (activation restarts
+	// it) and the deadline, which is the tail probe while one is due, else
+	// the interval's end; 0 before the send starts and once it is over.
+	sent, due sim.Time
 }
 
 type clientEvKind uint8
 
 const (
-	evTick    clientEvKind = iota // a retransmission interval elapsed
-	evPending                     // a reply-pending for txid
-	evReply                       // a whole reply for txid
-	evNoProc                      // a no-process for txid
-	evBound                       // a binding for lh was learnt
-	evSuspect                     // the station mac is suspected dead
-	evAbort                       // dst is known dead (AbortTo)
-	evWindow                      // the gather window elapsed
-	evProbe                       // the tail probe came due
-	evFrag                        // a fragment of txid's reply
+	evSent     clientEvKind = iota // the first transmission ended
+	evDrain                        // the owning window drains (Window.Drain)
+	evActivate                     // a restored port resumes (Port.Activate)
+	evTimer                        // the transaction timer fired
+	evPending                      // a reply-pending for txid
+	evReply                        // a whole reply for txid
+	evNoProc                       // a no-process for txid
+	evBound                        // a binding for lh was learnt
+	evSuspect                      // the station mac is suspected dead
+	evAbort                        // dst is known dead (AbortTo)
+	evWindow                       // the gather window elapsed
+	evFrag                         // a fragment of txid's reply
 )
 
 // clientEv is one event of a send transaction.
@@ -63,8 +70,9 @@ type clientEv struct {
 	lh     vid.LHID
 	mac    ethernet.MAC
 	dst    vid.PID
+	pto    time.Duration // evSent, evDrain: the op's probe timeout (Engine.pto), 0 for none
 
-	// evTick: whether the transaction's station is suspected already, the
+	// evTimer: whether the transaction's station is suspected already, the
 	// last frame heard from it, and Engine.NoRebind.
 	suspected bool
 	heard     sim.Time
@@ -77,7 +85,8 @@ type clientAct uint8
 const (
 	actNone     clientAct = iota
 	actResend             // transmit the request again
-	actRetry              // transmit it again and start the next interval
+	actProbe              // transmit it again as the tail probe
+	actRetry              // transmit it again; a new interval sets the timer afresh
 	actRelocate           // drop dst's binding (§3.1.4), then as actRetry
 	actSuspect            // condemn mac, failing every transaction to it
 	actFinish             // over: stop both timers, drop the repair buffer, wake
@@ -86,10 +95,21 @@ const (
 // awaits reports whether the transaction is waiting for a reply to txid.
 func (c clientTxn) awaits(txid uint32) bool { return !c.done && c.txid == txid }
 
-// probeable reports whether the tail probe may still be sent: only a
-// unicast request that went to a station and has heard nothing is probed
-// (RFC 8985 §7).
-func (c clientTxn) probeable() bool { return !c.probed && !c.group && !c.gather && c.mac != 0 }
+// end is the current interval's end; until the probe is spent it is the first.
+func (c clientTxn) end() sim.Time {
+	if c.probed {
+		return c.due
+	}
+	return c.sent.Add(params.RetransmitInterval)
+}
+
+// spend spends the tail probe: a started send's deadline is the interval's end.
+func (c *clientTxn) spend() {
+	if c.due != 0 {
+		c.due = c.end()
+	}
+	c.probed = true
+}
 
 // step is the client side: what ev does to the transaction.
 func (c clientTxn) step(ev clientEv) (clientTxn, clientAct) {
@@ -97,9 +117,29 @@ func (c clientTxn) step(ev clientEv) (clientTxn, clientAct) {
 		return c, actNone
 	}
 	switch ev.kind {
-	case evTick:
-		c.silent++
-		c.probed = true
+	case evSent:
+		c.sent, c.due = ev.now, ev.now.Add(params.RetransmitInterval)
+		fallthrough
+	case evDrain:
+		// Only a located unicast request that has heard nothing is probed (RFC
+		// 8985 §7), from its first transmission, in its first interval.
+		at := max(c.sent.Add(ev.pto), ev.now)
+		if ev.pto > 0 && !c.probed && !c.group && !c.gather && c.mac != 0 && at < c.end() {
+			c.due = at
+		}
+	case evActivate:
+		// A restored copy's round trip and interval start here.
+		c.sent, c.due = ev.now, ev.now.Add(params.RetransmitInterval)
+		return c, actRetry
+	case evTimer:
+		if ev.now < c.due {
+			return c, actNone // set for a probe spent since
+		}
+		if ev.now < c.end() {
+			c.spend() // no silence: the interval and the detector run as without it
+			return c, actProbe
+		}
+		c.silent, c.probed, c.due = c.silent+1, true, ev.now.Add(params.RetransmitInterval)
 		if !c.group && !c.gather && c.mac != 0 {
 			if ev.suspected {
 				// The first transmission was a liveness probe: one interval
@@ -130,7 +170,8 @@ func (c clientTxn) step(ev clientEv) (clientTxn, clientAct) {
 		// must not hold the sender past its group timeout, and a window is
 		// fixed whoever is alive.
 		if c.txid == ev.txid && !c.group && !c.gather {
-			c.silent, c.lastAlive, c.probed = 0, ev.now, true
+			c.silent, c.lastAlive = 0, ev.now
+			c.spend()
 		}
 	case evReply:
 		if c.txid == ev.txid && (!c.group || !c.gather || ev.enough) {
@@ -142,7 +183,7 @@ func (c clientTxn) step(ev clientEv) (clientTxn, clientAct) {
 		}
 	case evBound:
 		if c.dst.LH() == ev.lh {
-			c.probed = true
+			c.spend()
 			return c, actResend
 		}
 	case evSuspect:
@@ -158,23 +199,16 @@ func (c clientTxn) step(ev clientEv) (clientTxn, clientAct) {
 			return c.finish(vid.CodeOK)
 		}
 		return c.finish(vid.CodeTimeout)
-	case evProbe:
-		// The probe does not count as silence, so the interval and the
-		// failure detector run as without it.
-		if c.probeable() {
-			c.probed = true
-			return c, actResend
-		}
 	case evFrag:
 		if c.txid == ev.txid {
-			c.probed = true
+			c.spend()
 		}
 	}
 	return c, actNone
 }
 
 func (c clientTxn) finish(code uint16) (clientTxn, clientAct) {
-	c.done, c.code = true, code
+	c.done, c.code, c.due = true, code, 0
 	return c, actFinish
 }
 

@@ -45,27 +45,40 @@ func TestCacheSweepOncePerEntry(t *testing.T) {
 }
 
 // TestClientTxnTable steps a send transaction in each state it can be in
-// through every event the engine posts to it there, and pins each result
-// (DESIGN §5 has the table). A pair a row does not list leaves the
-// transaction as it was and asks nothing of the engine; a gather window
-// ends gathers only. The tail probe resends once a unicast request that
-// went to a station and has heard nothing; a tick, a learnt binding, a
-// reply-pending or a fragment of the reply spends it.
+// through every event the engine posts to it there, and pins each result:
+// the action, the next value and the deadline that value leaves for the
+// port's one timer (DESIGN §5 has the table). A pair a row does not list
+// leaves the transaction as it was and asks nothing of the engine; a row
+// names the events the engine never posts in its state. The interval of a
+// started row ends now; the tail probe of a lone send is due 50 ms into its
+// first interval, and a tick, a learnt binding, a reply-pending or a
+// fragment of the reply spends it.
 func TestClientTxnTable(t *testing.T) {
 	const txid = 7
+	const pto = 50 * time.Millisecond
 	now := sim.Time(10 * time.Second)
 	ago := func(ms int) sim.Time { return now.Add(-time.Duration(ms) * time.Millisecond) }
+	next := now.Add(params.RetransmitInterval) // the end of an interval that starts now
 	uni, grp := vid.NewPID(20, 16), vid.GroupProgramManagers
 
 	events := []struct {
 		name string
 		ev   clientEv
 	}{
-		{"tick", clientEv{kind: evTick, now: now}},
-		{"tick, station suspected", clientEv{kind: evTick, now: now, suspected: true}},
-		{"tick, station heard 0.4 s ago", clientEv{kind: evTick, now: now, heard: ago(400)}},
-		{"tick, station heard 1.2 s ago", clientEv{kind: evTick, now: now, heard: ago(1200)}},
-		{"tick, no rebind", clientEv{kind: evTick, now: now, noRebind: true}},
+		{"sent", clientEv{kind: evSent, now: now, pto: pto}},
+		{"sent, no PTO", clientEv{kind: evSent, now: now}},
+		{"sent, PTO past the interval", clientEv{kind: evSent, now: now, pto: params.RetransmitInterval}},
+		{"drain", clientEv{kind: evDrain, now: ago(180), pto: pto}},
+		{"drain, past the PTO", clientEv{kind: evDrain, now: ago(100), pto: pto}},
+		{"drain, no PTO", clientEv{kind: evDrain, now: ago(180)}},
+		{"activate", clientEv{kind: evActivate, now: now}},
+		{"timer, early", clientEv{kind: evTimer, now: ago(180)}},
+		{"timer, probe due", clientEv{kind: evTimer, now: ago(150)}},
+		{"tick", clientEv{kind: evTimer, now: now}},
+		{"tick, station suspected", clientEv{kind: evTimer, now: now, suspected: true}},
+		{"tick, station heard 0.4 s ago", clientEv{kind: evTimer, now: now, heard: ago(400)}},
+		{"tick, station heard 1.2 s ago", clientEv{kind: evTimer, now: now, heard: ago(1200)}},
+		{"tick, no rebind", clientEv{kind: evTimer, now: now, noRebind: true}},
 		{"reply-pending", clientEv{kind: evPending, now: now, txid: txid}},
 		{"reply-pending, other", clientEv{kind: evPending, now: now, txid: txid - 1}},
 		{"reply", clientEv{kind: evReply, txid: txid}},
@@ -81,156 +94,235 @@ func TestClientTxnTable(t *testing.T) {
 		{"abort, other", clientEv{kind: evAbort, dst: vid.NewPID(21, 16)}},
 		{"window, got", clientEv{kind: evWindow, got: true}},
 		{"window, empty", clientEv{kind: evWindow}},
-		{"tail probe", clientEv{kind: evProbe}},
 		{"reply fragment", clientEv{kind: evFrag, txid: txid}},
 		{"reply fragment, other", clientEv{kind: evFrag, txid: txid - 1}},
 	}
+	names := func(from, to string) []string {
+		var ns []string
+		for i, in := 0, false; i < len(events); i++ {
+			in = in || events[i].name == from
+			if in {
+				ns = append(ns, events[i].name)
+			}
+			if events[i].name == to {
+				break
+			}
+		}
+		return ns
+	}
+	starts, drains := names("sent", "sent, PTO past the interval"), names("drain", "drain, no PTO")
+	timers := names("timer, early", "tick, no rebind")
 
 	type out struct {
 		act  clientAct
 		next clientTxn
+		at   sim.Time // next's deadline
 	}
-	probed := func(c clientTxn) clientTxn { c.probed = true; return c }
-	silent := func(c clientTxn, n int) clientTxn { c.silent = n; return probed(c) }
-	over := func(c clientTxn, code uint16) clientTxn { c.done, c.code = true, code; return c }
-	alive := func(c clientTxn) clientTxn { c.silent, c.lastAlive = 0, now; return probed(c) }
-	// A tick retransmits, and spends the tail probe.
-	ticks := func(c clientTxn, act clientAct) map[string]out {
-		m := map[string]out{}
-		for _, e := range events[:5] {
-			m[e.name] = out{act, silent(c, c.silent+1)}
+	// Spending the tail probe in a started send's first interval moves its
+	// deadline to that interval's end, whether or not the probe was due.
+	spent := func(c clientTxn) clientTxn {
+		if !c.probed && c.due != 0 {
+			c.due = c.sent.Add(params.RetransmitInterval)
 		}
+		c.probed = true
+		return c
+	}
+	over := func(c clientTxn, code uint16) out {
+		c.done, c.code, c.due = true, code, 0
+		return out{actFinish, c, 0}
+	}
+	// A tick counts a silent interval, spends the tail probe and starts the
+	// next interval; activation starts it without counting.
+	ticked := func(c clientTxn) clientTxn { c.silent, c.probed, c.due = c.silent+1, true, next; return c }
+	activated := func(c clientTxn) out { c.sent, c.due = now, next; return out{actRetry, c, next} }
+	ticks := func(c clientTxn, act clientAct) map[string]out {
+		m := map[string]out{"activate": activated(c)}
+		for _, name := range names("tick", "tick, no rebind") {
+			m[name] = out{act, ticked(c), next}
+		}
+		return m
+	}
+	timeouts := func(c clientTxn, m map[string]out) map[string]out {
+		for _, name := range names("tick", "tick, no rebind") {
+			m[name] = over(ticked(c), vid.CodeTimeout)
+		}
+		return m
+	}
+	// Every send is ended by its reply, a no-process or a whole gather
+	// reply, and a fragment of its reply spends its probe.
+	answers := func(c clientTxn, m map[string]out) map[string]out {
+		m["reply fragment"] = out{actNone, spent(c), spent(c).due}
+		m["reply"] = over(c, vid.CodeOK)
+		m["reply, enough"] = over(c, vid.CodeOK)
+		m["no-process"] = over(c, vid.CodeNoProcess)
 		return m
 	}
 	// unicast adds what every unicast send does: reply-pending is evidence
-	// of life, and a reply, a no-process, a learnt binding, an abort and
-	// (once located) a suspicion of its station end or prompt it; once
-	// located, it is probed if nothing spent the probe.
+	// of life, and a learnt binding, an abort and (once located) a
+	// suspicion of its station prompt or end it; a probe due is sent.
 	unicast := func(c clientTxn, m map[string]out) map[string]out {
-		m["reply fragment"] = out{actNone, probed(c)}
-		m["reply-pending"] = out{actNone, alive(c)}
-		m["reply"] = out{actFinish, over(c, vid.CodeOK)}
-		m["reply, enough"] = out{actFinish, over(c, vid.CodeOK)}
-		m["no-process"] = out{actFinish, over(c, vid.CodeNoProcess)}
-		m["bound"] = out{actResend, probed(c)}
-		m["abort"] = out{actFinish, over(c, vid.CodeAborted)}
+		m = answers(c, m)
+		alive := spent(c)
+		alive.silent, alive.lastAlive = 0, now
+		m["reply-pending"] = out{actNone, alive, alive.due}
+		m["bound"] = out{actResend, spent(c), spent(c).due}
+		m["abort"] = over(c, vid.CodeAborted)
 		if c.mac != 0 {
-			m["suspect"] = out{actFinish, over(c, vid.CodeHostDown)}
-			if !c.probed {
-				m["tail probe"] = out{actResend, probed(c)}
-			}
+			m["suspect"] = over(c, vid.CodeHostDown)
+		}
+		if !c.probed && c.due != 0 && c.due != c.sent.Add(params.RetransmitInterval) {
+			m["timer, probe due"] = out{actProbe, spent(c), spent(c).due}
+		}
+		return m
+	}
+	// started is a new send once its first transmission has ended; a lone
+	// one that went to a station is probed after its PTO.
+	started := func(c clientTxn, m map[string]out) map[string]out {
+		m["activate"] = activated(c)
+		c.sent, c.due = now, next
+		m["sent, no PTO"] = out{actNone, c, next}
+		m["sent, PTO past the interval"] = out{actNone, c, next}
+		m["sent"] = out{actNone, c, next}
+		if !c.probed && !c.group && !c.gather && c.mac != 0 {
+			c.due = now.Add(pto)
+			m["sent"] = out{actNone, c, c.due}
+		}
+		return m
+	}
+	// drained is a window's send, told its window drains: probed from its
+	// first transmission, or at once when that is past.
+	drained := func(c clientTxn, m map[string]out) map[string]out {
+		for name, at := range map[string]sim.Time{"drain": ago(150), "drain, past the PTO": ago(100)} {
+			p := c
+			p.due = at
+			m[name] = out{actNone, p, at}
 		}
 		return m
 	}
 
-	unlocated := clientTxn{txid: txid, dst: uni, lastAlive: ago(200)}
-	sent := clientTxn{txid: txid, dst: uni, mac: 2, lastAlive: ago(200)}
-	spent := probed(sent)
-	relocating := clientTxn{txid: txid, dst: uni, mac: 2, silent: 2, probed: true, lastAlive: ago(600)}
-	suspecting := clientTxn{txid: txid, dst: uni, mac: 2, silent: 4, probed: true, lastAlive: ago(1500)}
-	aborting := clientTxn{txid: txid, dst: uni, silent: params.AbortAfterRetries, probed: true, lastAlive: ago(5200)}
-	group := clientTxn{txid: txid, dst: grp, group: true, lastAlive: ago(200)}
-	groupAborting := clientTxn{txid: txid, dst: grp, group: true, silent: params.GroupAbortAfterRetries, probed: true, lastAlive: ago(800)}
-	probe := clientTxn{txid: txid, dst: uni, gather: true, mac: 2, silent: 2, probed: true, lastAlive: ago(600)}
-	gather := clientTxn{txid: txid, dst: grp, group: true, gather: true, silent: 3, probed: true, lastAlive: ago(800)}
+	fresh := clientTxn{txid: txid, dst: uni, mac: 2, lastAlive: now}
+	freshUnlocated := clientTxn{txid: txid, dst: uni, lastAlive: now}
+	freshGroup := clientTxn{txid: txid, dst: grp, group: true, lastAlive: now}
+	freshProbe := clientTxn{txid: txid, dst: uni, gather: true, mac: 2, lastAlive: now}
+	first := func(c clientTxn) clientTxn { c.sent, c.due, c.lastAlive = ago(200), now, ago(200); return c }
+	unlocated := first(freshUnlocated)
+	sent := first(fresh)
+	probeDue := sent
+	probeDue.due = ago(150)
+	spentSent := spent(sent)
+	relocating := clientTxn{txid: txid, dst: uni, mac: 2, silent: 2, probed: true, sent: ago(600), due: now, lastAlive: ago(600)}
+	suspecting := clientTxn{txid: txid, dst: uni, mac: 2, silent: 4, probed: true, sent: ago(1000), due: now, lastAlive: ago(1500)}
+	aborting := clientTxn{txid: txid, dst: uni, silent: params.AbortAfterRetries, probed: true, sent: ago(5200), due: now, lastAlive: ago(5200)}
+	group := first(freshGroup)
+	groupAborting := clientTxn{txid: txid, dst: grp, group: true, silent: params.GroupAbortAfterRetries, probed: true, sent: ago(800), due: now, lastAlive: ago(800)}
+	probe := clientTxn{txid: txid, dst: uni, gather: true, mac: 2, silent: 2, probed: true, sent: ago(600), due: now, lastAlive: ago(600)}
+	gather := clientTxn{txid: txid, dst: grp, group: true, gather: true, silent: 3, probed: true, sent: ago(800), due: now, lastAlive: ago(800)}
+	restored := clientTxn{txid: txid, dst: uni, probed: true}
+
+	// A new send's timer is not yet set, nor is a restored one's before
+	// activation; only a window's sends drain, and a gather is never one.
+	notStarted := append(append([]string{}, timers...), drains...)
+	gathers := append(append([]string{}, starts...), drains...)
 
 	rows := []struct {
-		name string
-		c    clientTxn
-		want map[string]out
+		name  string
+		c     clientTxn
+		at    sim.Time // its deadline
+		want  map[string]out
+		never []string
 	}{
-		{"unlocated", unlocated, unicast(unlocated, ticks(unlocated, actRetry))},
-		{"sent", sent, unicast(sent, func() map[string]out {
+		{"new", fresh, 0, started(fresh, unicast(fresh, map[string]out{})), notStarted},
+		{"new, unlocated", freshUnlocated, 0, started(freshUnlocated, unicast(freshUnlocated, map[string]out{})), notStarted},
+		{"new, group", freshGroup, 0, started(freshGroup, answers(freshGroup, map[string]out{})), notStarted},
+		{"new, probe", freshProbe, 0, started(freshProbe, func() map[string]out {
+			m := answers(freshProbe, map[string]out{})
+			m["bound"] = out{actResend, spent(freshProbe), 0}
+			m["abort"] = over(freshProbe, vid.CodeAborted)
+			m["window, got"] = over(freshProbe, vid.CodeOK)
+			m["window, empty"] = over(freshProbe, vid.CodeTimeout)
+			return m
+		}()), notStarted},
+		{"unlocated", unlocated, now, unicast(unlocated, ticks(unlocated, actRetry)), starts},
+		{"sent", sent, now, drained(sent, unicast(sent, func() map[string]out {
 			m := ticks(sent, actRetry)
-			m["tick, station suspected"] = out{actFinish, over(silent(sent, 1), vid.CodeHostDown)}
+			m["tick, station suspected"] = over(ticked(sent), vid.CodeHostDown)
 			return m
-		}())},
-		{"sent, probe spent", spent, unicast(spent, func() map[string]out {
-			m := ticks(spent, actRetry)
-			m["tick, station suspected"] = out{actFinish, over(silent(spent, 1), vid.CodeHostDown)}
+		}())), starts},
+		// A lone send: it is never drained.
+		{"probe due", probeDue, ago(150), unicast(probeDue, func() map[string]out {
+			m := ticks(probeDue, actRetry)
+			m["tick, station suspected"] = over(ticked(probeDue), vid.CodeHostDown)
 			return m
-		}())},
-		{"one tick from relocating", relocating, unicast(relocating, func() map[string]out {
+		}()), append(append([]string{}, starts...), drains...)},
+		{"sent, probe spent", spentSent, now, unicast(spentSent, func() map[string]out {
+			m := ticks(spentSent, actRetry)
+			m["tick, station suspected"] = over(ticked(spentSent), vid.CodeHostDown)
+			return m
+		}()), starts},
+		{"one tick from relocating", relocating, now, unicast(relocating, func() map[string]out {
 			m := ticks(relocating, actRelocate)
-			m["tick, station suspected"] = out{actFinish, over(silent(relocating, 3), vid.CodeHostDown)}
-			m["tick, no rebind"] = out{actRetry, silent(relocating, 3)}
+			m["tick, station suspected"] = over(ticked(relocating), vid.CodeHostDown)
+			m["tick, no rebind"] = out{actRetry, ticked(relocating), next}
 			return m
-		}())},
-		{"one tick from suspicion", suspecting, unicast(suspecting, func() map[string]out {
+		}()), starts},
+		{"one tick from suspicion", suspecting, now, unicast(suspecting, func() map[string]out {
 			m := ticks(suspecting, actSuspect)
-			m["tick, station suspected"] = out{actFinish, over(silent(suspecting, 5), vid.CodeHostDown)}
-			m["tick, station heard 0.4 s ago"] = out{actRelocate, silent(suspecting, 5)}
-			heard := silent(suspecting, 5)
+			m["tick, station suspected"] = over(ticked(suspecting), vid.CodeHostDown)
+			m["tick, station heard 0.4 s ago"] = out{actRelocate, ticked(suspecting), next}
+			heard := ticked(suspecting)
 			heard.lastAlive = ago(1200)
-			m["tick, station heard 1.2 s ago"] = out{actSuspect, heard}
+			m["tick, station heard 1.2 s ago"] = out{actSuspect, heard, next}
 			return m
-		}())},
-		{"one tick from abort", aborting, unicast(aborting, func() map[string]out {
-			m := ticks(aborting, actFinish)
-			for k, o := range m {
-				m[k] = out{actFinish, over(o.next, vid.CodeTimeout)}
-			}
-			return m
-		}())},
-		{"group", group, func() map[string]out {
-			m := ticks(group, actRetry)
-			m["reply fragment"] = out{actNone, probed(group)}
-			m["reply"] = out{actFinish, over(group, vid.CodeOK)}
-			m["reply, enough"] = out{actFinish, over(group, vid.CodeOK)}
-			m["no-process"] = out{actFinish, over(group, vid.CodeNoProcess)}
-			return m
-		}()},
-		{"group, one tick from abort", groupAborting, func() map[string]out {
-			m := ticks(groupAborting, actFinish)
-			for k, o := range m {
-				m[k] = out{actFinish, over(o.next, vid.CodeTimeout)}
-			}
-			m["reply"] = out{actFinish, over(groupAborting, vid.CodeOK)}
-			m["reply, enough"] = out{actFinish, over(groupAborting, vid.CodeOK)}
-			m["no-process"] = out{actFinish, over(groupAborting, vid.CodeNoProcess)}
-			return m
-		}()},
-		{"probe", probe, func() map[string]out {
+		}()), starts},
+		{"one tick from abort", aborting, now, unicast(aborting, timeouts(aborting, ticks(aborting, actNone))), starts},
+		{"group", group, now, answers(group, ticks(group, actRetry)), starts},
+		{"group, one tick from abort", groupAborting, now, answers(groupAborting, timeouts(groupAborting, ticks(groupAborting, actNone))), starts},
+		{"probe", probe, now, answers(probe, func() map[string]out {
 			m := ticks(probe, actRelocate)
-			m["tick, no rebind"] = out{actRetry, silent(probe, 3)}
-			m["reply"] = out{actFinish, over(probe, vid.CodeOK)}
-			m["reply, enough"] = out{actFinish, over(probe, vid.CodeOK)}
-			m["no-process"] = out{actFinish, over(probe, vid.CodeNoProcess)}
-			m["bound"] = out{actResend, probe}
-			m["abort"] = out{actFinish, over(probe, vid.CodeAborted)}
-			m["window, got"] = out{actFinish, over(probe, vid.CodeOK)}
-			m["window, empty"] = out{actFinish, over(probe, vid.CodeTimeout)}
+			m["tick, no rebind"] = out{actRetry, ticked(probe), next}
+			m["bound"] = out{actResend, probe, now}
+			m["abort"] = over(probe, vid.CodeAborted)
+			m["window, got"] = over(probe, vid.CodeOK)
+			m["window, empty"] = over(probe, vid.CodeTimeout)
 			return m
-		}()},
-		{"group gather", gather, func() map[string]out {
+		}()), gathers},
+		{"group gather", gather, now, func() map[string]out {
 			m := ticks(gather, actRetry)
-			m["reply, enough"] = out{actFinish, over(gather, vid.CodeOK)}
-			m["no-process"] = out{actFinish, over(gather, vid.CodeNoProcess)}
-			m["window, got"] = out{actFinish, over(gather, vid.CodeOK)}
-			m["window, empty"] = out{actFinish, over(gather, vid.CodeTimeout)}
+			m["reply, enough"] = over(gather, vid.CodeOK)
+			m["no-process"] = over(gather, vid.CodeNoProcess)
+			m["window, got"] = over(gather, vid.CodeOK)
+			m["window, empty"] = over(gather, vid.CodeTimeout)
 			return m
-		}()},
-		{"done", over(sent, vid.CodeOK), map[string]out{}},
+		}(), gathers},
+		// Restored quiesced (RestorePort): heard from, but silent until
+		// activated.
+		{"restored", restored, 0, unicast(restored, map[string]out{"activate": activated(restored)}),
+			append(append([]string{}, starts...), notStarted...)},
+		{"done", over(sent, vid.CodeOK).next, 0, map[string]out{}, nil},
 	}
 
 	pairs := 0
 	for _, row := range rows {
+		if got := row.c.due; got != row.at {
+			t.Errorf("%s: deadline %v, want %v", row.name, got, row.at)
+		}
 		for _, e := range events {
-			if e.ev.kind == evWindow && !row.c.gather {
+			if e.ev.kind == evWindow && !row.c.gather || slices.Contains(row.never, e.name) {
 				continue
 			}
 			want, ok := row.want[e.name]
 			if !ok {
-				want = out{actNone, row.c}
+				want = out{actNone, row.c, row.at}
 			}
 			next, act := row.c.step(e.ev)
-			if act != want.act || next != want.next {
-				t.Errorf("%s + %s = %+v, %d; want %+v, %d", row.name, e.name, next, act, want.next, want.act)
+			if act != want.act || next != want.next || next.due != want.at {
+				t.Errorf("%s + %s = %+v, %d, deadline %v; want %+v, %d, deadline %v",
+					row.name, e.name, next, act, next.due, want.next, want.act, want.at)
 			}
 			pairs++
 		}
 	}
-	if pairs != 8*21+2*23+21 {
+	if pairs != 3*19+21+8*26+23+2*25+16+29 {
 		t.Errorf("stepped %d pairs", pairs)
 	}
 }
