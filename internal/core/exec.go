@@ -133,7 +133,9 @@ func (a *Agent) superviseSession(si *progmgr.SessionInfo) {
 				return
 			}
 			// Group silence usually means an election in progress (boot, or
-			// a member just died); give it a beat and re-ask.
+			// a member just died). A member fenced as leader while the send
+			// is out serves its next copy, so silence here means no leader
+			// was fenced within the send's timeout; give it a beat and re-ask.
 			a.Sleep(300 * time.Millisecond)
 		}
 		if a.node.PM.HomeReplica() != nil {

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"vsystem/internal/ethernet"
 	"vsystem/internal/params"
+	"vsystem/internal/progmgr"
 	"vsystem/internal/progs"
 	"vsystem/internal/sim"
 	"vsystem/internal/trace"
@@ -273,5 +275,66 @@ func TestMemberNoteExitedOutsideLeadershipIsRefused(t *testing.T) {
 		if len(ss) != 1 || ss[0].State != "done" || ss[0].ExitCode != 0 {
 			t.Errorf("member %d registry = %+v, want one session done with code 0", i, ss)
 		}
+	}
+}
+
+// TestExecMidFailoverServedByTheNewLeader: a supervised exec whose
+// PmSupervise goes out while the home group has no leader is served by the
+// member the election fences, at the first copy it hears as leader. That
+// member dropped the earlier copies as a follower, and a dropped request's
+// retransmission is a new request, so the exec does not wait out the group
+// send's timeout and the agent's back-off.
+func TestExecMidFailoverServedByTheNewLeader(t *testing.T) {
+	t.Parallel()
+	c := boot(t, Options{Workstations: 6, Seed: 1, ReplicateHome: 3})
+	var crash, fenced sim.Time
+	var elected uint16
+	c.Sim.At(sim.Time(4*time.Second), func() {
+		idx := c.HomeLeaderIdx()
+		if idx < 0 {
+			t.Error("no home leader by 4s")
+			return
+		}
+		crash = c.Sim.Now()
+		c.Nodes[idx].Host.Crash()
+	})
+	// Fenced: the elected member commits its term's barrier.
+	c.Trace.Subscribe(func(ev trace.Event) {
+		if crash == 0 || fenced != 0 || ev.LH != vid.GroupHomeRSM.LH() {
+			return
+		}
+		switch {
+		case ev.Kind == trace.EvElect && elected == 0:
+			elected = ev.Host
+		case ev.Kind == trace.EvCommit && ev.Host == elected && elected != 0:
+			fenced = ev.At
+		}
+	})
+	var start, returned sim.Time
+	var job *Job
+	var err error
+	// The exec starts 550 ms after the crash, and its PmSupervise about
+	// 40 ms later: the send's four copies span the election timeout's range.
+	c.Node(3).Agent(func(a *Agent) {
+		a.Sleep(sim.Time(4550 * time.Millisecond).Sub(a.Now()))
+		start = a.Now()
+		job, err = a.ExecR("hello", nil, "ws4", params.ExecMaxRestarts)
+		returned = a.Now()
+	})
+	c.Run(10 * time.Second)
+
+	if err != nil || returned == 0 {
+		t.Fatalf("exec mid-failover: %v (returned at %v)", err, returned)
+	}
+	if fenced == 0 || fenced < start {
+		t.Fatalf("exec started at %v; the new leader was fenced at %v: want the exec to meet a leaderless group", start, fenced)
+	}
+	if late := returned.Sub(fenced); late > params.RetransmitInterval {
+		t.Errorf("exec returned %v after the new leader was fenced (crash %v, exec %v); want within %v",
+			late, crash, start, params.RetransmitInterval)
+	}
+	lead := c.HomeLeaderIdx()
+	if lead < 0 || !slices.ContainsFunc(c.Nodes[lead].PM.Sessions(), func(s progmgr.SessionView) bool { return s.LHID == job.LHID }) {
+		t.Errorf("the home leader (ws%d) does not supervise %v", lead, job.LHID)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"vsystem/internal/core"
 	"vsystem/internal/fault"
 	"vsystem/internal/progs"
+	"vsystem/internal/sim"
 	"vsystem/internal/trace"
 )
 
@@ -29,6 +30,7 @@ const (
 	reexecuted                    // supervision re-executed the session
 	rebooted                      // the crashed host came back
 	failedOver                    // a home member died or was cut off; the group re-elected
+	execMeets                     // the disruption came before the session's exec returned
 	lost                          // the unreplicated home loses the session
 )
 
@@ -54,10 +56,12 @@ type outcome struct {
 	// ticks and ordered describe the ticker lines on the home display.
 	ticks   int
 	ordered bool
-	// code, waitErr and waits are a waiting session's exit.
-	code    uint32
-	waitErr error
-	waits   int
+	// code, waitErr and waits are a waiting session's exit, and execAt and
+	// execDone when its Exec was called and returned.
+	code             uint32
+	waitErr          error
+	waits            int
+	execAt, execDone sim.Time
 }
 
 // play boots the row's cluster at the seed, arms its schedule, lets watch
@@ -82,7 +86,10 @@ func (s session) play(seed int64, row faultRow, watch func(*core.Cluster)) (*cor
 			if s.settle > 0 {
 				a.Sleep(s.settle)
 			}
-			if m.job, m.execErr = a.Exec(prog, nil, s.where); m.execErr == nil {
+			o.execAt = a.Now()
+			m.job, m.execErr = a.Exec(prog, nil, s.where)
+			o.execDone = a.Now()
+			if m.execErr == nil {
 				o.code, o.waitErr = a.Wait(m.job)
 				o.waits++
 			}

@@ -43,11 +43,13 @@ func HomeCrash(p *Pool, seed int64) *Result {
 
 	rows := []faultRow{
 		{label: "no fault (baseline)", opt: home},
-		{label: "leader kill @ idle (2s)", opt: home, expect: failedOver,
+		// The exec starts mid-election: its PmSupervise meets a group
+		// with no leader, and the member the election fences serves it.
+		{label: "leader kill @ idle (2s)", opt: home, expect: failedOver | execMeets,
 			sched: fault.Schedule{at(2*time.Second, fault.Crash, fault.HomeLeader)}},
 		// The first home-group commit past the agent's boot sleep is the
 		// session's hgSupervise (or its immediate barrier).
-		{label: "leader kill @ supervise commit", opt: home, expect: failedOver,
+		{label: "leader kill @ supervise commit", opt: home, expect: failedOver | execMeets,
 			sched: fault.Schedule{on(fault.Match{Kind: trace.EvCommit, LH: vid.GroupHomeRSM.LH(), NotBefore: 2400 * time.Millisecond})}},
 		{label: "leader kill @ steady lease (6s)", opt: home, expect: failedOver,
 			sched: fault.Schedule{at(6*time.Second, fault.Crash, fault.HomeLeader)}},
@@ -119,6 +121,10 @@ func HomeCrash(p *Pool, seed int64) *Result {
 		if clocked {
 			status += fmt.Sprintf(", failover %v", failover.Round(time.Millisecond))
 		}
+		exec := o.execDone.Sub(o.execAt)
+		if row.expect&execMeets != 0 {
+			status += fmt.Sprintf(", exec %v", exec.Round(time.Millisecond))
+		}
 		want := "exit seen once, output exactly-once"
 		if row.expect&lost != 0 {
 			want = "session lost (the single home was the SPOF)"
@@ -130,6 +136,9 @@ func HomeCrash(p *Pool, seed int64) *Result {
 		r.metric("restarts_"+metricKey(row.label), float64(restarts))
 		if clocked {
 			r.metric("failover_ms_"+metricKey(row.label), failover.Seconds()*1000)
+		}
+		if row.expect&execMeets != 0 {
+			r.metric("exec_ms_"+metricKey(row.label), exec.Seconds()*1000)
 		}
 
 		if row.expect&lost != 0 {
@@ -149,6 +158,10 @@ func HomeCrash(p *Pool, seed int64) *Result {
 			"%s: wait=(%d,%v) waits=%d", row.label, o.code, o.waitErr, o.waits)
 		if row.expect&reexecuted != 0 {
 			r.check(restarts >= 1, "%s: no re-execution after host loss", row.label)
+		}
+		if row.expect&execMeets != 0 {
+			r.check(disruptAt != 0 && disruptAt < o.execDone, "%s: the disruption (%v) missed the exec (returned %v)",
+				row.label, disruptAt, o.execDone)
 		}
 		if clocked {
 			r.check(disruptAt != 0, "%s: disruption never fired", row.label)

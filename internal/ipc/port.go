@@ -77,17 +77,22 @@ type GatherReply struct {
 // (for example the program manager holding a wait-for-program-exit request)
 // hold several Reqs open at once, one per sender.
 type Req struct {
-	Src  vid.PID
-	Msg  vid.Message
-	txid uint32
-	from ethernet.MAC
-	buf  []byte // the reassembly buffer Msg.Seg is a slice of, if any
+	Src   vid.PID
+	Msg   vid.Message
+	txid  uint32
+	from  ethernet.MAC
+	again bool
+	buf   []byte // the reassembly buffer Msg.Seg is a slice of, if any
 }
 
 // TxID exposes the request's transaction id — stable across the sender's
 // retransmissions, so servers can derive per-transaction deterministic
 // choices from it (e.g. a response-dally slot).
 func (r *Req) TxID() uint32 { return r.txid }
+
+// Again reports whether the port dropped an earlier copy of the request
+// (Drop): this is the sender's retransmission, received as new.
+func (r *Req) Again() bool { return r.again }
 
 // HasPort reports whether a port is currently registered under the PID.
 // Allocators of private port-id ranges (the pager's 0xF000 block) use it
@@ -452,14 +457,14 @@ func (p *Port) request(req *packet.Packet, from ethernet.MAC) {
 		e.stats.DroppedStale++
 	case srvPending:
 		e.replyPending(req, from)
-	case srvAccept:
+	case srvAccept, srvAgain:
 		// Only a request accepted as new is reassembled, and one whose
 		// segment is not whole has not arrived: the peer stays as it was.
 		lent, ok := e.completeSeg(req, from)
 		if !ok {
 			return
 		}
-		p.rq = append(p.rq, &Req{Src: req.Src, txid: req.TxID, Msg: req.Msg, from: from, buf: lent})
+		p.rq = append(p.rq, &Req{Src: req.Src, txid: req.TxID, Msg: req.Msg, from: from, buf: lent, again: act == srvAgain})
 		p.reqWait.WakeOne()
 	case srvSummary:
 		e.stats.RepliesFromCache++
@@ -575,8 +580,9 @@ func (p *Port) OpenRequest(src vid.PID) *Req { return p.peers[src].open }
 // Drop abandons a received request without replying — a group member
 // declining to answer a group query (host selection expects only willing
 // hosts to respond, §2.1). The sender completes via another member's reply
-// or aborts on its group timeout; duplicates of the dropped request are
-// answered with reply-pending.
+// or aborts on its group timeout. The sender's next copy of the dropped
+// request is received as new (Req.Again), so a member that can serve it by
+// then answers it.
 func (p *Port) Drop(r *Req) { p.serve(r.Src, serverEv{kind: evDropped, req: r}) }
 
 // OpenRequests returns all open (received, unreplied) requests, ordered by

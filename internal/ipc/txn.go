@@ -213,10 +213,12 @@ func (c clientTxn) finish(code uint16) (clientTxn, clientAct) {
 }
 
 // peer is what a server port knows of one sender: the newest transaction
-// seen from it (if seen), its request being served, and the reply last sent
-// it, kept to answer its retransmissions until deadline.
+// seen from it (if seen) and whether the server dropped that request
+// unanswered, its request being served, and the reply last sent it, kept to
+// answer its retransmissions until deadline.
 type peer struct {
 	seen     bool
+	dropped  bool
 	last     uint32
 	open     *Req
 	cache    *cachedReply
@@ -260,6 +262,7 @@ type serverAct uint8
 const (
 	srvNone    serverAct = iota
 	srvAccept            // a new request: reassemble and queue it
+	srvAgain             // a copy of the request the server dropped: as srvAccept
 	srvStale             // older than the newest: drop it
 	srvPending           // a duplicate with no reply to give yet: reply-pending
 	srvSummary           // a duplicate: the reply's summary alone; the sender NACKs its gaps
@@ -271,19 +274,25 @@ const (
 // A retransmission of the newest request gets what the state of its reply
 // allows, so a reply crosses the wire once however often the request comes.
 // An answer from the cache renews it: a retransmitting sender (one frozen
-// mid-migration) keeps its reply alive until it can accept it.
+// mid-migration) keeps its reply alive until it can accept it. A request the
+// server dropped unanswered has no reply to come, so its retransmission is
+// received as new, and the server decides again whether it can serve it
+// (§2.1: "only those who can serve reply").
 func (pr peer) step(ev serverEv) (peer, serverAct) {
 	switch ev.kind {
 	case evRequest:
 		switch {
 		case !pr.seen || ev.txid > pr.last:
-			pr.seen, pr.last = true, ev.txid
+			pr.seen, pr.last, pr.dropped = true, ev.txid, false
 			return pr, srvAccept
 		case ev.txid < pr.last:
 			return pr, srvStale
+		case pr.dropped:
+			pr.dropped = false
+			return pr, srvAgain
 		case pr.cache == nil || pr.cache.txid != ev.txid || ev.sending:
-			// Queued, served or dropped, or its fragmented reply is on its
-			// first transmission.
+			// Queued or served, or its fragmented reply is on its first
+			// transmission.
 			return pr, srvPending
 		}
 		pr.deadline = ev.now.Add(params.ReplyCacheTTL)
@@ -303,7 +312,10 @@ func (pr peer) step(ev serverEv) (peer, serverAct) {
 		}
 	case evDropped:
 		if pr.open == ev.req {
-			pr.open = nil
+			// Only the newest: an older one's sender has moved on. An open
+			// request has no reply cached, so a replied request's
+			// retransmission still gets its reply.
+			pr.open, pr.dropped = nil, pr.last == ev.req.txid
 		}
 	case evSwept:
 		if pr.cache != ev.cache {

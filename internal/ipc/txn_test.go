@@ -370,6 +370,8 @@ func TestServerTxnTable(t *testing.T) {
 	replied := peer{seen: true, last: 7, cache: c7, deadline: deadline}
 	superseded := peer{seen: true, last: 8, cache: c7, deadline: deadline}
 	servedSuperseded := peer{seen: true, last: 8, open: req7}
+	dropped := peer{seen: true, last: 7, dropped: true}
+	droppedCached := peer{seen: true, last: 7, dropped: true, cache: c6, deadline: deadline}
 	with := func(pr peer, f func(*peer)) peer { f(&pr); return pr }
 	renew := func(pr peer) peer { pr.deadline = renewed; return pr }
 	cached := func(pr peer) peer { pr.open, pr.cache, pr.deadline = nil, fresh, renewed; return pr }
@@ -388,9 +390,8 @@ func TestServerTxnTable(t *testing.T) {
 			"request 7, repair held, local": {srvAccept, queued},
 			"request 6":                     {srvAccept, peer{seen: true, last: 6}},
 		}, nil},
-		// Queued, or dropped after it was received: a retransmission gets
-		// reply-pending, as the repair buffer of an earlier reply does not
-		// make it one.
+		// Queued: a retransmission gets reply-pending, as the repair buffer
+		// of an earlier reply does not make it one.
 		{"queued", queued, map[string]out{
 			"request 8":                     {srvAccept, peer{seen: true, last: 8}},
 			"request 7":                     {srvPending, queued},
@@ -408,8 +409,30 @@ func TestServerTxnTable(t *testing.T) {
 			"request 7, repair held, local": {srvPending, served},
 			"request 6":                     {srvStale, served},
 			"replied 7":                     {srvSweep, cached(served)},
-			"dropped 7":                     {srvNone, queued},
+			"dropped 7":                     {srvNone, dropped},
 		}, []string{"received 7"}},
+		// Dropped after it was received: no reply is to come, so a
+		// retransmission is accepted as new, marked as a copy (Req.Again),
+		// and the server decides again.
+		{"dropped", dropped, map[string]out{
+			"request 8":                     {srvAccept, peer{seen: true, last: 8}},
+			"request 7":                     {srvAgain, queued},
+			"request 7, reply going out":    {srvAgain, queued},
+			"request 7, repair held":        {srvAgain, queued},
+			"request 7, repair held, local": {srvAgain, queued},
+			"request 6":                     {srvStale, dropped},
+		}, []string{"received 7", "replied 7"}},
+		// Dropped while the reply to an earlier request is still cached: the
+		// cache neither answers the retransmission nor is forgotten by it.
+		{"dropped, earlier cached", droppedCached, map[string]out{
+			"request 8":                     {srvAccept, with(droppedCached, func(p *peer) { p.last, p.dropped = 8, false })},
+			"request 7":                     {srvAgain, with(droppedCached, func(p *peer) { p.dropped = false })},
+			"request 7, reply going out":    {srvAgain, with(droppedCached, func(p *peer) { p.dropped = false })},
+			"request 7, repair held":        {srvAgain, with(droppedCached, func(p *peer) { p.dropped = false })},
+			"request 7, repair held, local": {srvAgain, with(droppedCached, func(p *peer) { p.dropped = false })},
+			"request 6":                     {srvStale, droppedCached},
+			"swept, stale":                  {srvNone, dropped},
+		}, []string{"received 7", "replied 7"}},
 		{"replied", replied, map[string]out{
 			"request 8":                     {srvAccept, with(replied, func(p *peer) { p.last = 8 })},
 			"request 7":                     {srvWhole, renew(replied)},
@@ -462,15 +485,16 @@ func TestServerTxnTable(t *testing.T) {
 			pairs++
 		}
 	}
-	if pairs != 6+5*14-7 {
+	if pairs != 6+7*14-11 {
 		t.Errorf("stepped %d pairs", pairs)
 	}
 }
 
 // TestDroppedRequestHeldUntilAborted drives the port ends of three rows: a
 // receive that times out with nothing queued, a request dropped after it
-// was received — whose retransmissions get reply-pending, so its sender is
-// held rather than timed out — and an abort that ends the held send.
+// was received — whose retransmission is queued again, and no one receives
+// it, so every later copy gets reply-pending and its sender is held rather
+// than timed out — and an abort that ends the held send.
 func TestDroppedRequestHeldUntilAborted(t *testing.T) {
 	r, client, server := bulkRig(t, 3)
 	t.Cleanup(r.sim.Shutdown)
@@ -502,5 +526,73 @@ func TestDroppedRequestHeldUntilAborted(t *testing.T) {
 	}
 	if st := server.eng.Stats(); st.ReplyPendings < 30 || st.RepliesFromCache != 0 {
 		t.Errorf("retransmissions of the dropped request got %d reply-pendings and %d cached replies", st.ReplyPendings, st.RepliesFromCache)
+	}
+}
+
+// TestDroppedGroupRequestServedOnRetransmission: a group member that drops
+// a request because it cannot serve it yet hears the request's next copy as
+// new, and serves it once it can (§2.1: "only those who can serve reply").
+// A member that never can drops every copy. No copy gets reply-pending, which
+// a group sender would ignore anyway.
+func TestDroppedGroupRequestServedOnRetransmission(t *testing.T) {
+	r := newRig(t, 3, 5)
+	group := vid.NewPID(vid.GroupBit|9, 1)
+	lhA := vid.LHID(10)
+	r.place(lhA, 0)
+	client := r.hosts[0].eng.NewPort(vid.NewPID(lhA, 16))
+	const ableAt = 300 * time.Millisecond
+	var members []*Port
+	var drops [2]int
+	var again []bool // Req.Again of each copy member 1 received
+	for i := 1; i <= 2; i++ {
+		lh := vid.LHID(20 + i)
+		r.place(lh, i)
+		p := r.hosts[i].eng.NewPort(vid.NewPID(lh, 16))
+		r.hosts[i].join(group, p.PID())
+		members = append(members, p)
+		r.sim.Spawn("member", func(tk *sim.Task) {
+			for {
+				req := p.Receive(tk)
+				if i == 1 {
+					again = append(again, req.Again())
+				}
+				if i == 2 || tk.Now() < sim.Time(ableAt) {
+					drops[i-1]++
+					p.Drop(req)
+					continue
+				}
+				m := req.Msg
+				m.W[0] = uint32(i)
+				p.Reply(tk, req, m)
+			}
+		})
+	}
+	var got vid.Message
+	var err error
+	var took time.Duration
+	r.sim.Spawn("client", func(tk *sim.Task) {
+		start := tk.Now()
+		got, err = client.Send(tk, group, vid.Message{Op: testOp})
+		took = tk.Now().Sub(start)
+	})
+	r.sim.RunFor(5 * time.Second)
+	if err != nil || got.W[0] != 1 {
+		t.Fatalf("send = %v, W0 %d; want the reply of member 1", err, got.W[0])
+	}
+	// Member 1 can serve from 300 ms: the copy sent at 400 ms is the first
+	// it can answer.
+	if took > ableAt+params.RetransmitInterval {
+		t.Errorf("send took %v; want the first copy after %v answered", took, ableAt)
+	}
+	if drops != [2]int{2, 3} {
+		t.Errorf("members dropped %v copies; want member 1 the two before %v, member 2 all three", drops, ableAt)
+	}
+	if !slices.Equal(again, []bool{false, true, true}) {
+		t.Errorf("member 1's copies were marked again %v; want every copy after the first", again)
+	}
+	for i, p := range members {
+		if st := p.eng.Stats(); st.ReplyPendings != 0 {
+			t.Errorf("member %d sent %d reply-pendings", i+1, st.ReplyPendings)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package nameserver
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -92,7 +93,8 @@ func TestSoloAndReplicatedReachSameTable(t *testing.T) {
 // stale leader admits it: the follower is fenced only once its pre-vote,
 // its vote and its term-start barrier have each taken a round trip), and
 // healing once the follower is fenced in — the old leader then hears the
-// higher term with the registrar's send still open.
+// higher term with the registrar's send still open, and the successor
+// answers that send's next copy.
 func TestDeposedLeaderStaysSilentMidRegister(t *testing.T) {
 	r := newRepRig(3, 1)
 	tb := trace.NewBus()
@@ -122,9 +124,15 @@ func TestDeposedLeaderStaysSilentMidRegister(t *testing.T) {
 		}
 	}
 	var campaigns sim.WaitQ
+	var registrar vid.PID
+	var repliers []uint16 // the station of every reply the registrar was sent
 	tb.Subscribe(func(ev trace.Event) {
-		if ev.Kind == trace.EvPktTx && ev.Pkt.Kind == packet.KRequest && ev.Pkt.Msg.Op == rsm.OpVote {
+		switch {
+		case ev.Kind != trace.EvPktTx:
+		case ev.Pkt.Kind == packet.KRequest && ev.Pkt.Msg.Op == rsm.OpVote:
 			campaigns.WakeAll()
+		case ev.Pkt.Kind == packet.KReply && ev.Pkt.Dst == registrar:
+			repliers = append(repliers, ev.Host)
 		}
 	})
 
@@ -134,6 +142,7 @@ func TestDeposedLeaderStaysSilentMidRegister(t *testing.T) {
 	}
 	var answers []answer
 	r.client.SpawnServer("registrar", 4096, func(ctx *kernel.ProcCtx) {
+		registrar = ctx.PID()
 		campaigns.Wait(ctx.Task())
 		for attempt := 0; attempt < 10; attempt++ {
 			m, err := ctx.Send(vid.GroupNameServers, vid.Message{
@@ -154,14 +163,20 @@ func TestDeposedLeaderStaysSilentMidRegister(t *testing.T) {
 		t.Fatal("staging failed: the old leader was deposed before it admitted the request")
 	}
 	step("a new leader is fenced in", func() bool { return r.leader(old) >= 0 })
+	successor := uint16(r.hosts[r.leader(old)].NIC.MAC())
 	r.bus.SetCut(nil)
 	r.eng.RunFor(10 * time.Second)
 
 	if r.reps[old].Replica().Role() == "leader" {
 		t.Fatal("staging failed: the old leader was never deposed")
 	}
-	if len(answers) < 2 {
-		t.Fatalf("staging failed: registrar needed %d attempt(s); its first send should have met silence", len(answers))
+	// The successor dropped the first copies as a follower, and answers
+	// the first send's retransmission once fenced.
+	if len(answers) != 1 {
+		t.Fatalf("registrar needed %d attempts; the successor should have answered its first send", len(answers))
+	}
+	if len(repliers) == 0 || slices.ContainsFunc(repliers, func(h uint16) bool { return h != successor }) {
+		t.Fatalf("the registrar was answered from stations %#x; want the successor %#x alone", repliers, successor)
 	}
 	for i, a := range answers {
 		if a.err == nil && !a.m.OK() {

@@ -193,6 +193,32 @@ func TestSelectHostRespondsWhenIdle(t *testing.T) {
 	}
 }
 
+// TestBusyHostEvaluatesAQueryOnce: a busy host refuses a first-response
+// query after evaluating it, and refuses the query's next copy without
+// evaluating it again; once its CPU is idle it evaluates the copy after
+// that and answers it.
+func TestBusyHostEvaluatesAQueryOnce(t *testing.T) {
+	r := newRig(t, 2, 4)
+	const idleAt = 350 * time.Millisecond // between the copies sent at 200 and 400 ms
+	r.eng.Spawn("owner", func(tk *sim.Task) { r.ws[1].CPU.Use(tk, idleAt, params.PrioLocal) })
+	var got vid.Message
+	var err error
+	r.agent(0, func(ctx *kernel.ProcCtx) {
+		got, err = ctx.Send(vid.GroupProgramManagers, vid.Message{
+			Op: PmSelectHost,
+			W:  [6]uint32{64 * 1024, uint32(r.ws[0].SystemLH().ID())},
+		})
+	})
+	r.eng.RunFor(time.Second)
+	if err != nil || vid.LHID(got.W[0]) != r.ws[1].SystemLH().ID() {
+		t.Fatalf("select = %v, %v; want ws1 once its owner's program is done", err, vid.LHID(got.W[0]))
+	}
+	// Three copies reached ws1: the first and the third were evaluated.
+	if busy := r.ws[1].CPU.Busy(params.PrioSystem); busy < 2*params.SelectProbeCPU || busy >= 3*params.SelectProbeCPU {
+		t.Errorf("ws1's manager computed %v; want two evaluations of %v", busy, params.SelectProbeCPU)
+	}
+}
+
 func TestSelectHostSilentWhenNoMemory(t *testing.T) {
 	r := newRig(t, 2, 4)
 	var err error

@@ -43,10 +43,18 @@ func (pm *PM) selectHost(ctx *kernel.ProcCtx, req *ipc.Req) {
 		refuse()
 		return
 	}
+	willing := func() bool {
+		return pm.host.MemFree() >= m.W[0] && (flags&sched.QueryRelaxed != 0 || pm.host.CPU.Idle())
+	}
+	// A copy of a query this manager refused is evaluated again only once
+	// the answer can have changed, so a busy host pays the evaluation once
+	// per query, not once per retransmission, and an idle one answers.
+	if req.Again() && !willing() {
+		refuse()
+		return
+	}
 	ctx.Compute(params.SelectProbeCPU)
-	willing := pm.host.MemFree() >= m.W[0] &&
-		(flags&sched.QueryRelaxed != 0 || pm.host.CPU.Idle())
-	if !willing {
+	if !willing() {
 		refuse()
 		return
 	}

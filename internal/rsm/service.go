@@ -103,7 +103,9 @@ func (s *Service[C]) Admit(ctx *kernel.ProcCtx, req *ipc.Req) bool {
 // decline disposes of a request this replica may not answer: a unicast
 // request gets CodeNotLeader with the leader's service PID in W4, a
 // group-addressed one is dropped in silence so that the reply of a replica
-// that can serve is the first the client sees.
+// that can serve is the first the client sees. The client's next copy of a
+// dropped request comes back through Admit, so a replica fenced as leader
+// since then serves it.
 func (s *Service[C]) decline(ctx *kernel.ProcCtx, req *ipc.Req) {
 	if req.Msg.W[5]&s.unicast != 0 {
 		ctx.Reply(req, vid.Message{Op: req.Msg.Op, Code: vid.CodeNotLeader,
