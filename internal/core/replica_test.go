@@ -3,6 +3,11 @@ package core
 import (
 	"testing"
 	"time"
+
+	"vsystem/internal/fileserver"
+	"vsystem/internal/packet"
+	"vsystem/internal/trace"
+	"vsystem/internal/vid"
 )
 
 // fsLeaderIdx finds the replica index currently leading the file-server
@@ -61,6 +66,75 @@ func TestReplicatedImageLoadSurvivesFSLeaderCrash(t *testing.T) {
 		t.Fatalf("exit = %d", code)
 	}
 	if lines := c.Node(0).Display.Lines(); len(lines) != 1 || lines[0] != "hello from the VVM" {
+		t.Fatalf("display = %q", lines)
+	}
+}
+
+// A manager's second load reads first from the replica its first load
+// pinned. When that replica's machine has crashed in between, the read
+// fails, the load falls back to the group stat, pins a survivor and the
+// program runs.
+func TestPinnedImageLoadFailsOverWhenItsReplicaCrashes(t *testing.T) {
+	t.Parallel()
+	c := boot(t, Options{Workstations: 2, Seed: 1, ReplicateFS: 3})
+	pm := c.Node(0).PM.PID()
+	type req struct {
+		op  uint16
+		dst vid.PID
+	}
+	var sent []req // node 0's manager's file-server requests, retransmissions dropped
+	lastTx := uint32(0)
+	c.Trace.Subscribe(func(ev trace.Event) {
+		if p := ev.Pkt; ev.Kind == trace.EvPktTx && p.Kind == packet.KRequest && p.Src == pm &&
+			(p.Msg.Op == fileserver.OpStat || p.Msg.Op == fileserver.OpRead) && p.TxID != lastTx {
+			sent, lastTx = append(sent, req{p.Msg.Op, p.Dst}), p.TxID
+		}
+	})
+	var pinned vid.PID
+	var err error
+	failed := 0 // which exec failed, 1 or 2
+	done := false
+	c.Node(0).Agent(func(a *Agent) {
+		a.Sleep(4 * time.Second) // a leader is elected by 3s
+		for i := 0; i < 2; i++ {
+			if i == 1 {
+				// Crash the replica the first load pinned: its last read's.
+				pinned = sent[len(sent)-1].dst
+				for k, fs := range c.FSReps {
+					if fs.PID() == pinned {
+						c.FSHosts[k].Crash()
+					}
+				}
+				sent = sent[:0]
+				a.Sleep(time.Second)
+			}
+			var job *Job
+			var code uint32
+			if job, err = a.Exec("hello", nil, ""); err == nil {
+				code, err = a.Wait(job)
+			}
+			if err == nil && code != 0 {
+				t.Errorf("exec %d: exit = %d", i+1, code)
+			}
+			if err != nil {
+				failed = i + 1
+				break
+			}
+		}
+		done = true
+	})
+	c.Run(60 * time.Second)
+	if !done {
+		t.Fatal("agent never finished")
+	}
+	if err != nil {
+		t.Fatalf("exec %d of 2 (the second after the pinned replica crashed): %v", failed, err)
+	}
+	if len(sent) < 3 || sent[0] != (req{fileserver.OpRead, pinned}) ||
+		sent[1] != (req{fileserver.OpStat, vid.GroupFileServers}) || sent[2].op != fileserver.OpRead || sent[2].dst == pinned {
+		t.Fatalf("second load sent %v; want a read to the crashed replica %v, a group stat, then a read from a survivor", sent, pinned)
+	}
+	if lines := c.Node(0).Display.Lines(); len(lines) != 2 || lines[0] != "hello from the VVM" || lines[1] != lines[0] {
 		t.Fatalf("display = %q", lines)
 	}
 }

@@ -23,7 +23,9 @@ import (
 const (
 	// OpStat: Seg=name → W0=size (bytes).
 	OpStat uint16 = 0x50 + iota
-	// OpRead: Seg=name, W0=offset, W1=length (≤ SegMax) → Seg=data.
+	// OpRead: Seg=name, W0=offset, W1=length (≤ SegMax) → Seg=data,
+	// W0=bytes read, W1=size (bytes); a read at or past EOF reads nothing
+	// and still tells the size, so a client's first read is its stat.
 	OpRead
 	// OpWrite: Seg=name bytes NUL data bytes, W0=offset → W0=new size.
 	OpWrite
@@ -129,7 +131,7 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 				n = len(data) - off
 			}
 			ctx.Compute(blockCost(n))
-			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{uint32(n)}, Seg: data[off : off+n]})
+			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{uint32(n), uint32(len(data))}, Seg: data[off : off+n]})
 
 		case OpWrite:
 			name, payload, ok := splitNameData(m.Seg)

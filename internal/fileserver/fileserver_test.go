@@ -66,6 +66,38 @@ func TestStatAndRead(t *testing.T) {
 	}
 }
 
+// TestReadReplyCarriesSize: a read reply's W0 is the bytes read and its W1
+// the file's size, whatever the read covered — so a client's first read is
+// its stat. A read at or past EOF reads nothing and still tells the size.
+func TestReadReplyCarriesSize(t *testing.T) {
+	r := newRig(9)
+	size := vid.SegMax + 1000
+	data := bytes.Repeat([]byte{0x5A}, size)
+	r.fs.Put("prog", data)
+	for _, tc := range []struct {
+		name string
+		off  int
+		want int // bytes read
+	}{
+		{"whole segment", 0, vid.SegMax},
+		{"short last segment", vid.SegMax, 1000},
+		{"at EOF", size, 0},
+		{"past EOF", size + vid.SegMax, 0},
+	} {
+		rd := r.call(t, vid.Message{Op: OpRead, W: [6]uint32{uint32(tc.off), vid.SegMax}, Seg: []byte("prog")})
+		if !rd.OK() || int(rd.W[0]) != tc.want || len(rd.Seg) != tc.want || int(rd.W[1]) != size {
+			t.Errorf("%s: code %d, W0 %d, %d bytes, W1 %d; want %d bytes and W1 %d",
+				tc.name, rd.Code, rd.W[0], len(rd.Seg), rd.W[1], tc.want, size)
+		}
+		if tc.want > 0 && !bytes.Equal(rd.Seg, data[tc.off:tc.off+tc.want]) {
+			t.Errorf("%s: wrong bytes", tc.name)
+		}
+	}
+	if rd := r.call(t, vid.Message{Op: OpRead, W: [6]uint32{0, vid.SegMax}, Seg: []byte("nope")}); rd.Code != vid.CodeNotFound {
+		t.Errorf("read of a missing file: code %d, want not-found", rd.Code)
+	}
+}
+
 func TestStatMissing(t *testing.T) {
 	r := newRig(2)
 	st := r.call(t, vid.Message{Op: OpStat, Seg: []byte("nope")})

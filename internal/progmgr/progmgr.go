@@ -549,64 +549,58 @@ func (pm *PM) createProgram(ctx *kernel.ProcCtx, m vid.Message) vid.Message {
 // header's share is copied out of it. It returns the kept bytes and how
 // many arrived in all, which is what image.DecodeHeader wants.
 //
-// Reads pin the replica that answered the stat; if that server dies or
-// loses authority mid-load, the loop re-resolves once through the
-// file-server group and resumes the same chunk — an image load survives a
-// file-server crash instead of aborting the execution request.
+// A pinned manager's first read is its stat: it reads a whole segment at
+// offset 0 from the server it pinned, and the reply's W1 is the file's
+// size. The stat finds a server — on a manager's first load, and when the
+// pinned read fails or is declined (an unsynced replica answers
+// CodeNotLeader) — through the file-server group, and the answering
+// replica is pinned. If the pinned server dies or loses authority
+// mid-load, the loop re-resolves once through the group and resumes the
+// same chunk — an image load survives a file-server crash instead of
+// aborting the execution request.
 func (pm *PM) loadFile(ctx *kernel.ProcCtx, name string) ([]byte, int, vid.PID, error) {
-	fs := pm.fsPID
-	st, err := ctx.Send(orGroup(fs), vid.Message{
-		Op: fileserver.OpStat, W: [6]uint32{0, 0, 0, 0, 0, unicastFlag(fs)}, Seg: []byte(name),
-	})
-	if err != nil || !st.OK() {
+	var r vid.Message // the pinned first read's reply, or the stat's
+	var err error
+	held := false // r is the read at offset 0, for the loop to take even from an empty file
+	if pm.fsPID != vid.Nil {
+		r, err = ctx.Send(pm.fsPID, readReq(name, 0, vid.SegMax))
+		held = err == nil && r.OK()
+	} else {
+		r, err = ctx.Send(vid.GroupFileServers, vid.Message{Op: fileserver.OpStat, Seg: []byte(name)})
+	}
+	if !held && (err != nil || !r.OK()) {
 		// Retry through the group in case a cached server died. A replicated
 		// store can also be leaderless mid-election (every replica silent),
 		// so silence and transport errors get a few spaced attempts; a
 		// definitive reply (e.g. no such file) is never retried.
 		pm.fsPID = vid.Nil
 		for attempt := 0; ; attempt++ {
-			st, err = ctx.Send(vid.GroupFileServers, vid.Message{Op: fileserver.OpStat, Seg: []byte(name)})
+			r, err = ctx.Send(vid.GroupFileServers, vid.Message{Op: fileserver.OpStat, Seg: []byte(name)})
 			if err == nil || attempt == 2 {
 				break
 			}
 			ctx.Sleep(500 * time.Millisecond)
 		}
-		if err != nil || !st.OK() {
-			return nil, 0, vid.Nil, fsError(st, err)
+		if err != nil || !r.OK() {
+			return nil, 0, vid.Nil, fsError(r, err)
 		}
 	}
-	if pid := vid.PID(st.W[5]); pid != vid.Nil {
-		pm.fsPID = pid
+	size := int(r.W[1]) // a read's; a stat's is its W0, and its W5 the server to pin
+	if !held {
+		if pid := vid.PID(r.W[5]); pid != vid.Nil {
+			pm.fsPID = pid
+		}
+		size = int(r.W[0])
 	}
-	size := int(st.W[0])
 	var hdr []byte // the file's leading bytes; its capacity is how many are header
 	got := 0       // bytes received, kept or not
-	for off := 0; off < size; off += vid.SegMax {
-		n := size - off
-		if n > vid.SegMax {
-			n = vid.SegMax
-		}
-		read := vid.Message{
-			Op: fileserver.OpRead, W: [6]uint32{uint32(off), uint32(n), 0, 0, 0, fileserver.FsUnicast},
-			Seg: []byte(name),
-		}
-		r, err := ctx.Send(pm.fsPID, read)
-		if err != nil || !r.OK() {
-			// Pinned server gone mid-read: re-stat through the group to find
-			// a live authoritative replica, then retry this chunk once.
-			pm.fsPID = vid.Nil
-			st, err2 := ctx.Send(vid.GroupFileServers, vid.Message{Op: fileserver.OpStat, Seg: []byte(name)})
-			if err2 != nil || !st.OK() {
-				return nil, 0, vid.Nil, fsError(r, err)
-			}
-			if pid := vid.PID(st.W[5]); pid != vid.Nil {
-				pm.fsPID = pid
-			}
-			read.W[5] = unicastFlag(pm.fsPID)
-			if r, err = ctx.Send(orGroup(pm.fsPID), read); err != nil || !r.OK() {
-				return nil, 0, vid.Nil, fsError(r, err)
+	for off := 0; off < size || held; off += vid.SegMax {
+		if !held {
+			if r, err = pm.readChunk(ctx, name, off, min(size-off, vid.SegMax)); err != nil {
+				return nil, 0, vid.Nil, err
 			}
 		}
+		held = false
 		if off == 0 {
 			// Sized by what the file says of itself, and never past what
 			// the server says it stores: neither word alone is trusted
@@ -618,6 +612,38 @@ func (pm *PM) loadFile(ctx *kernel.ProcCtx, name string) ([]byte, int, vid.PID, 
 		ctx.ReleaseReply()
 	}
 	return hdr, got, pm.fsPID, nil
+}
+
+// readChunk reads n bytes at off from the pinned server. If that server
+// is gone or declines, it re-stats through the file-server group to find
+// a live authoritative replica, pins it, and retries the chunk once.
+func (pm *PM) readChunk(ctx *kernel.ProcCtx, name string, off, n int) (vid.Message, error) {
+	read := readReq(name, off, n)
+	r, err := ctx.Send(pm.fsPID, read)
+	if err == nil && r.OK() {
+		return r, nil
+	}
+	pm.fsPID = vid.Nil
+	st, err2 := ctx.Send(vid.GroupFileServers, vid.Message{Op: fileserver.OpStat, Seg: []byte(name)})
+	if err2 != nil || !st.OK() {
+		return r, fsError(r, err)
+	}
+	if pid := vid.PID(st.W[5]); pid != vid.Nil {
+		pm.fsPID = pid
+	}
+	read.W[5] = unicastFlag(pm.fsPID)
+	if r, err = ctx.Send(orGroup(pm.fsPID), read); err != nil || !r.OK() {
+		return r, fsError(r, err)
+	}
+	return r, nil
+}
+
+// readReq is an OpRead of n bytes at off, addressed to one pinned server.
+func readReq(name string, off, n int) vid.Message {
+	return vid.Message{
+		Op: fileserver.OpRead, W: [6]uint32{uint32(off), uint32(n), 0, 0, 0, fileserver.FsUnicast},
+		Seg: []byte(name),
+	}
 }
 
 // fsError keeps the transport's verdict on a failed file-server RPC. A

@@ -24,6 +24,7 @@ type rig struct {
 	ws  []*kernel.Host
 	pms []*PM
 	fs  *fileserver.Server
+	fsh *kernel.Host
 }
 
 func newRig(t *testing.T, n int, seed int64) *rig {
@@ -36,8 +37,8 @@ func newRig(t *testing.T, n int, seed int64) *rig {
 		r.ws = append(r.ws, h)
 		r.pms = append(r.pms, Start(h))
 	}
-	fsh := kernel.NewHost(eng, bus, n, "fserv")
-	r.fs = fileserver.Start(fsh)
+	r.fsh = kernel.NewHost(eng, bus, n, "fserv")
+	r.fs = fileserver.Start(r.fsh)
 	img := workload.Image(workload.Spec{Name: "job", HotKB: 8, HotRateKBps: 40, DurationMs: 2000}, 0)
 	r.fs.Put("job", img.Encode())
 	return r
@@ -164,6 +165,72 @@ func TestCreateUnknownImage(t *testing.T) {
 	r.eng.RunFor(time.Minute)
 	if code != vid.CodeNotFound {
 		t.Fatalf("code = %d, want not-found", code)
+	}
+}
+
+// TestPinnedLoadSendsNoStat: a manager's first load stats through the
+// file-server group to find a server; after that its first read is its
+// stat. The file server receives one request for an image of one segment
+// or less and two for an image of exactly two segments — no stat.
+func TestPinnedLoadSendsNoStat(t *testing.T) {
+	r := newRig(t, 2, 3)
+	small := workload.Image(workload.Spec{Name: "small", HotKB: 8, HotRateKBps: 40, DurationMs: 2000}, 0)
+	big := workload.Image(workload.Spec{Name: "big", HotKB: 8, HotRateKBps: 40, DurationMs: 2000}, 0)
+	big.Pad = uint32(2*vid.SegMax - big.Size())
+	r.fs.Put("small", small.Encode())
+	r.fs.Put("big", big.Encode())
+	if small.Size() > vid.SegMax || big.Size() != 2*vid.SegMax {
+		t.Fatalf("images of %d and %d bytes, want ≤ %d and %d", small.Size(), big.Size(), vid.SegMax, 2*vid.SegMax)
+	}
+
+	// Requests are counted once: a lone send's tail probe is another copy
+	// of the same transaction.
+	type load struct{ stats, groupStats, reads int }
+	var cur load
+	seen := map[[2]uint32]bool{}
+	tb := trace.NewBus()
+	r.fsh.AttachTrace(tb)
+	tb.Subscribe(func(ev trace.Event) {
+		p := ev.Pkt
+		if ev.Kind != trace.EvPktRx || p.Kind != packet.KRequest || seen[[2]uint32{uint32(p.Src), p.TxID}] {
+			return
+		}
+		seen[[2]uint32{uint32(p.Src), p.TxID}] = true
+		switch p.Msg.Op {
+		case fileserver.OpStat:
+			cur.stats++
+			if p.Dst == vid.GroupFileServers {
+				cur.groupStats++
+			}
+		case fileserver.OpRead:
+			cur.reads++
+		}
+	})
+	var loads []load
+	r.agent(0, func(ctx *kernel.ProcCtx) {
+		for _, name := range []string{"small", "small", "big"} {
+			cur = load{}
+			m, err := ctx.Send(r.pms[1].PID(), vid.Message{Op: PmCreateProgram, Seg: []byte(name)})
+			if err != nil || !m.OK() {
+				t.Errorf("create %s: %v %v", name, m, err)
+				return
+			}
+			loads = append(loads, cur)
+		}
+	})
+	r.eng.RunFor(time.Minute)
+	want := []load{
+		{stats: 1, groupStats: 1, reads: 1}, // first load: the group stat finds a server
+		{reads: 1},                          // pinned, one segment: the read is the stat
+		{reads: 2},                          // pinned, two segments
+	}
+	if len(loads) != len(want) {
+		t.Fatalf("%d loads finished, want %d", len(loads), len(want))
+	}
+	for i, w := range want {
+		if loads[i] != w {
+			t.Errorf("load %d: file server received %+v, want %+v", i+1, loads[i], w)
+		}
 	}
 }
 
