@@ -71,7 +71,7 @@ func main() {
 		n      = flag.Int("n", 4, "number of workstations")
 		seed   = flag.Int64("seed", 1, "simulation seed")
 		loss   = flag.Float64("loss", 0, "Ethernet frame loss probability")
-		policy = flag.String("policy", "precopy", "migration policy: precopy|stopcopy|flush|forwarding|postcopy|hybrid")
+		policy = flag.String("policy", "precopy", "migration policy: precopy|stopcopy|flush|postcopy|hybrid")
 		sel    = flag.String("select", "first", "host-selection policy: first|random|least")
 		window = flag.Int("window", params.CopyWindow, "bulk-transfer copy window (1 = stop-and-wait)")
 		repFS  = flag.Int("replicate-fs", 0, "file/name-server replicas (0 or 1 = single server machine)")

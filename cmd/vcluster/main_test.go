@@ -52,7 +52,6 @@ func TestScriptedMigrateEveryPolicy(t *testing.T) {
 		"stop-and-copy": "stop-and-copy",
 		"flush":         "vm-flush",
 		"vm-flush":      "vm-flush",
-		"forwarding":    "forwarding",
 		"postcopy":      "postcopy",
 		"hybrid":        "hybrid",
 	} {

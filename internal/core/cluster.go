@@ -3,7 +3,7 @@
 // @ *`), decentralized host selection through the program-manager group,
 // and preemptable migration of logical hosts with pre-copying — plus the
 // comparator policies used by the evaluation (stop-and-copy, the §3.2
-// flush-to-file-server variant, and Demos/MP-style forwarding addresses).
+// flush-to-file-server variant, post-copy and a hot-set hybrid).
 package core
 
 import (

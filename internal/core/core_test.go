@@ -530,76 +530,6 @@ func TestFlushPolicyDemandFaults(t *testing.T) {
 	}
 }
 
-func TestForwardingLeavesResidualDependency(t *testing.T) {
-	t.Parallel()
-	// The prober runs on ws2, a host that receives no traffic from the
-	// program itself, so its logical-host cache can only be refreshed by
-	// the rebinding machinery (locate broadcasts) — which the forwarding
-	// comparator lacks.
-	probe := func(policy Policy, noRebind bool) error {
-		c := boot(t, Options{Workstations: 4, Seed: 15, Policy: policy})
-		if noRebind {
-			for _, n := range c.Nodes {
-				n.Host.IPC.NoRebind = true
-			}
-			c.FSHost.IPC.NoRebind = true
-		}
-		var err error
-		var job *Job
-		ready, migrated := false, false
-		c.Node(0).Agent(func(a *Agent) {
-			var e error
-			job, e = a.Exec("tex", nil, "ws1")
-			if e != nil {
-				err = e
-				return
-			}
-			ready = true
-			a.Sleep(3 * time.Second)
-			if _, e := a.Migrate(job, false); e != nil {
-				err = e
-				return
-			}
-			// Old host (ws1) reboots.
-			c.Node(1).Host.Crash()
-			migrated = true
-		})
-		// The prober runs on the server machine: never a migration
-		// destination, and it receives no traffic from the program.
-		c.FSHost.SpawnServer("prober", 8192, func(ctx *kernel.ProcCtx) {
-			for !ready {
-				ctx.Sleep(200 * time.Millisecond)
-			}
-			// Prime the prober's cache with the ws1 binding.
-			if _, e := ctx.Send(kernelServer(job.LHID), pingMsg(job.LHID)); e != nil {
-				err = e
-				return
-			}
-			for !migrated {
-				ctx.Sleep(200 * time.Millisecond)
-			}
-			ctx.Sleep(time.Second)
-			// A stale reference: with rebinding this recovers via locate;
-			// with forwarding only, the reference dies with ws1.
-			_, err = ctx.Send(kernelServer(job.LHID), pingMsg(job.LHID))
-		})
-		c.Run(3 * time.Minute)
-		return err
-	}
-	if err := probe(PolicyPrecopy, false); err != nil {
-		t.Fatalf("rebinding failed to survive source reboot: %v", err)
-	}
-	if err := probe(PolicyForwarding, true); err == nil {
-		t.Fatal("forwarding-address reference survived source reboot (expected failure)")
-	}
-}
-
-func kernelServer(lh vid.LHID) vid.PID { return vid.NewPID(lh, vid.IdxKernelServer) }
-
-func pingMsg(lh vid.LHID) vid.Message {
-	return vid.Message{Op: 0x10 /* KsPing */, W: [6]uint32{uint32(lh)}}
-}
-
 func TestPSListing(t *testing.T) {
 	t.Parallel()
 	c := boot(t, Options{Workstations: 2, Seed: 16})

@@ -17,14 +17,13 @@ import (
 	"vsystem/internal/vid"
 )
 
-// Policy is a migration mechanism: one choice on each of four axes, which
+// Policy is a migration mechanism: one choice on each of three axes, which
 // the copy steps of migrate() read (policy.go). The zero value is §3.1's
-// pre-copy, and the six named values below are the only configurations.
+// pre-copy, and the five named values below are the only configurations.
 type Policy struct {
 	live       livePhase // what is copied while the program still runs
 	fileServer bool      // sink: the file server's paging store, not the destination placeholder
 	receptacle bool      // residue: left in a frozen source receptacle, not sent while frozen
-	forward    bool      // rebind: a forwarding address on the old host, not a broadcast binding
 }
 
 // livePhase is what a migration copies before it freezes the program.
@@ -48,10 +47,6 @@ var (
 	// network file server, move kernel state only, and demand-fault pages
 	// in on the new host.
 	PolicyFlush = Policy{fileServer: true}
-	// PolicyForwarding is PolicyPrecopy but with Demos/MP-style
-	// forwarding addresses instead of rebinding (§5): the old host keeps
-	// a forwarding entry and no new binding is broadcast.
-	PolicyForwarding = Policy{forward: true}
 	// PolicyPostcopy inverts the residue cost: freeze immediately, move
 	// kernel state only, swap the identity, and let the destination
 	// demand-fault every page from a frozen source receptacle while the
@@ -73,7 +68,6 @@ var policyNames = []struct {
 	{[]string{"precopy"}, PolicyPrecopy},
 	{[]string{"stop-and-copy", "stopcopy"}, PolicyStopCopy},
 	{[]string{"vm-flush", "flush"}, PolicyFlush},
-	{[]string{"forwarding"}, PolicyForwarding},
 	{[]string{"postcopy"}, PolicyPostcopy},
 	{[]string{"hybrid"}, PolicyHybrid},
 }
@@ -94,7 +88,7 @@ func ParsePolicy(s string) (Policy, error) {
 			return e.p, nil
 		}
 	}
-	return Policy{}, fmt.Errorf("unknown policy %q (precopy|stopcopy|flush|forwarding|postcopy|hybrid)", s)
+	return Policy{}, fmt.Errorf("unknown policy %q (precopy|stopcopy|flush|postcopy|hybrid)", s)
 }
 
 // RoundStat describes one pre-copy (or flush) round.
@@ -512,16 +506,11 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 	mg.atPhase(finalID, trace.PhaseRebind, 0, srcMAC, dstMAC)
 	at.beforeUnfreeze()
 
-	// 5. Unfreeze the new copy (broadcasting the binding unless the
-	// policy rebinds by forwarding address), delete the old copy, notify
-	// the new manager.
-	broadcast := uint32(1)
-	if mg.Policy.forward {
-		broadcast = 0
-	}
+	// 5. Unfreeze the new copy (broadcasting the binding), delete the old
+	// copy, notify the new manager.
 	rbStart := ctx.Now()
 	m, err = ctx.Send(targetKS, vid.Message{
-		Op: kernel.KsUnfreezeLH, W: [6]uint32{uint32(finalID), broadcast},
+		Op: kernel.KsUnfreezeLH, W: [6]uint32{uint32(finalID)},
 	})
 	switch {
 	case err != nil:
@@ -550,10 +539,6 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 	// The freeze window encloses residue, swap and rebind; its duration is
 	// by construction the report's FreezeTime.
 	mg.span(trace.Span{LH: finalID, Phase: trace.PhaseFreeze, Start: at.freezeStart, End: ctx.Now()})
-	if mg.Policy.forward {
-		// Demos/MP comparator: leave a forwarding address on this host.
-		host.IPC.SetForward(finalID, targetMAC(sel))
-	}
 	if at.residue == nil {
 		host.DestroyLH(lh)
 	}

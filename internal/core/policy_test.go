@@ -2,9 +2,9 @@ package core
 
 import "testing"
 
-// TestPolicyTable pins the policy names: the eight spellings vcluster
+// TestPolicyTable pins the policy names: the seven spellings vcluster
 // accepts and the value each means, the name a report carries for each
-// value, that the six values are distinct, that the zero value is
+// value, that the five values are distinct, that the zero value is
 // pre-copy, and the error text for an unknown name.
 func TestPolicyTable(t *testing.T) {
 	t.Parallel()
@@ -14,7 +14,6 @@ func TestPolicyTable(t *testing.T) {
 		"stop-and-copy": PolicyStopCopy,
 		"flush":         PolicyFlush,
 		"vm-flush":      PolicyFlush,
-		"forwarding":    PolicyForwarding,
 		"postcopy":      PolicyPostcopy,
 		"hybrid":        PolicyHybrid,
 	}
@@ -32,15 +31,14 @@ func TestPolicyTable(t *testing.T) {
 	}
 
 	reported := map[Policy]string{
-		PolicyPrecopy:    "precopy",
-		PolicyStopCopy:   "stop-and-copy",
-		PolicyFlush:      "vm-flush",
-		PolicyForwarding: "forwarding",
-		PolicyPostcopy:   "postcopy",
-		PolicyHybrid:     "hybrid",
+		PolicyPrecopy:  "precopy",
+		PolicyStopCopy: "stop-and-copy",
+		PolicyFlush:    "vm-flush",
+		PolicyPostcopy: "postcopy",
+		PolicyHybrid:   "hybrid",
 	}
-	if len(reported) != 6 || len(policyNames) != 6 {
-		t.Fatalf("%d distinct named values, %d table rows; want 6 of each", len(reported), len(policyNames))
+	if len(reported) != 5 || len(policyNames) != 5 {
+		t.Fatalf("%d distinct named values, %d table rows; want 5 of each", len(reported), len(policyNames))
 	}
 	names := map[string]bool{}
 	for _, e := range policyNames {
@@ -59,7 +57,7 @@ func TestPolicyTable(t *testing.T) {
 	if (Policy{}) != PolicyPrecopy {
 		t.Error("the zero Policy is not pre-copy, so Options{} no longer defaults to it")
 	}
-	const want = `unknown policy "copy" (precopy|stopcopy|flush|forwarding|postcopy|hybrid)`
+	const want = `unknown policy "copy" (precopy|stopcopy|flush|postcopy|hybrid)`
 	if _, err := ParsePolicy("copy"); err == nil || err.Error() != want {
 		t.Errorf("ParsePolicy(\"copy\") error = %v, want %s", err, want)
 	}

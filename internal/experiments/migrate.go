@@ -300,24 +300,22 @@ func AblationFreeze(seed int64) *Result {
 	return r
 }
 
-// AblationResidual regenerates the §5 Demos/MP comparison: forwarding
-// addresses leave a residual dependency on the source host (relay load
-// while it lives, reference failure when it reboots), while logical-host
-// rebinding survives the source's loss.
+// AblationResidual regenerates the §5 Demos/MP comparison. After a plain
+// pre-copy migration, the forwarding arm leaves a forwarder process on the
+// source host and hands the prober its PID: Demos/MP's link, bound to the
+// machine the program left. Every stale reference then costs the source a
+// relay while it lives and fails when it reboots. The rebinding arm hands
+// the prober the logical host's own PID, which survives the source's loss.
 func AblationResidual(seed int64) *Result {
 	r := newResult("A2", "ablation: forwarding addresses (Demos/MP) vs logical-host rebinding (§5)")
+	const stale = 5
 
-	run := func(policy core.Policy, noRebind bool) (forwarded int64, postCrashOK bool) {
-		c := bootCluster(core.Options{Workstations: 4, Seed: seed, Policy: policy})
+	run := func(forward bool) (relayed, answered int, postCrashOK bool) {
+		c := bootCluster(core.Options{Workstations: 4, Seed: seed})
 		defer c.Close()
-		if noRebind {
-			for _, n := range c.Nodes {
-				n.Host.IPC.NoRebind = true
-			}
-			c.FSHost.IPC.NoRebind = true
-		}
-		migrated, crashed := false, false
 		var job *core.Job
+		var link vid.PID // what the prober holds once the program has moved
+		migrated, crashed := false, false
 		c.Node(0).Agent(func(a *core.Agent) {
 			var e error
 			job, e = a.Exec("tex", nil, "ws1")
@@ -328,12 +326,26 @@ func AblationResidual(seed int64) *Result {
 			if _, e := a.Migrate(job, false); e != nil {
 				return
 			}
+			ks := vid.NewPID(job.LHID, vid.IdxKernelServer)
+			link = ks
+			if forward {
+				link = c.Node(1).Host.SpawnServer("forwarder", 8192, func(ctx *kernel.ProcCtx) {
+					for {
+						req := ctx.Receive()
+						m, err := ctx.Send(ks, req.Msg)
+						if ce, failed := err.(vid.CodeError); failed {
+							m = vid.ErrMsg(uint16(ce))
+						}
+						relayed++
+						ctx.Reply(req, m)
+					}
+				}).PID()
+			}
 			migrated = true
 			a.Sleep(3 * time.Second)
 			c.Node(1).Host.Crash()
 			crashed = true
 		})
-		ok := false
 		// The prober runs on the server machine: it is never a migration
 		// destination and receives no traffic from the program, so its
 		// binding cache can only be fixed by the rebinding machinery.
@@ -342,39 +354,42 @@ func AblationResidual(seed int64) *Result {
 			for job == nil {
 				ctx.Sleep(200 * time.Millisecond)
 			}
-			ks := vid.NewPID(job.LHID, vid.IdxKernelServer)
 			// Prime the binding cache while the program is on ws1.
-			ctx.Send(ks, vid.Message{Op: kernel.KsPing})
+			ctx.Send(vid.NewPID(job.LHID, vid.IdxKernelServer), vid.Message{Op: kernel.KsPing})
 			for !migrated {
 				ctx.Sleep(200 * time.Millisecond)
 			}
-			// Stale references keep flowing through the old host.
-			for i := 0; i < 5; i++ {
-				ctx.Send(ks, vid.Message{Op: kernel.KsPing})
+			// Stale references: through the forwarder, or rebound.
+			for i := 0; i < stale; i++ {
+				if _, err := ctx.Send(link, vid.Message{Op: kernel.KsPing}); err == nil {
+					answered++
+				}
 				ctx.Sleep(100 * time.Millisecond)
 			}
 			for !crashed {
 				ctx.Sleep(200 * time.Millisecond)
 			}
 			ctx.Sleep(time.Second)
-			_, err := ctx.Send(ks, vid.Message{Op: kernel.KsPing})
-			ok = err == nil
+			_, err := ctx.Send(link, vid.Message{Op: kernel.KsPing})
+			postCrashOK = err == nil
 		})
 		c.Run(3 * time.Minute)
-		return c.Node(1).Host.IPC.Stats().Forwarded, ok
+		return relayed, answered, postCrashOK
 	}
 
-	fwdLoad, fwdOK := run(core.PolicyForwarding, true)
-	rbLoad, rbOK := run(core.PolicyPrecopy, false)
+	fwdLoad, fwdAns, fwdOK := run(true)
+	rbLoad, rbAns, rbOK := run(false)
 
 	r.row("relay load on source after migration", "Demos/MP: every stale reference",
-		fmt.Sprintf("forwarding: %d pkts, rebinding: %d pkts", fwdLoad, rbLoad), "")
+		fmt.Sprintf("forwarding: %d msgs, rebinding: %d msgs", fwdLoad, rbLoad), "")
+	r.row("stale references answered before reboot", "both",
+		fmt.Sprintf("forwarding: %d/%d, rebinding: %d/%d", fwdAns, stale, rbAns, stale), "")
 	r.row("stale reference after source reboot", "Demos/MP fails; V rebinds",
 		fmt.Sprintf("forwarding ok=%v, rebinding ok=%v", fwdOK, rbOK), "")
-	r.metric("forwarded_pkts", float64(fwdLoad))
+	r.metric("forwarded_msgs", float64(fwdLoad))
 	r.metric("rebind_survives", b2f(rbOK))
 	r.metric("forwarding_survives", b2f(fwdOK))
-	r.check(fwdLoad > 0, "no forwarded packets under forwarding policy")
+	r.check(fwdAns == stale && rbAns == stale, "stale references answered: forwarding %d/%d, rebinding %d/%d", fwdAns, stale, rbAns, stale)
 	r.check(!fwdOK, "forwarding survived source reboot")
 	r.check(rbOK, "rebinding did not survive source reboot")
 	r.check(rbLoad < fwdLoad, "rebinding relayed as much as forwarding")

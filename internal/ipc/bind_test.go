@@ -81,45 +81,3 @@ func TestCachedReplyNamesItsLogicalHost(t *testing.T) {
 		t.Fatalf("binding after a cache-answered duplicate = %v,%v, want station 2", mac, hit)
 	}
 }
-
-// TestRelayedReplyBindsNothing: a reply relayed through a forwarding
-// address reaches the client from the relay's station, which is not where
-// the named logical host lives. The relay, which heard it from the
-// server's station, learns the binding; the client learns nothing.
-func TestRelayedReplyBindsNothing(t *testing.T) {
-	r := newRig(t, 3, 43)
-	t.Cleanup(r.sim.Shutdown)
-	const lhClient, lhServer, fresh = vid.LHID(10), vid.LHID(30), vid.LHID(31)
-	r.place(lhClient, 0)
-	r.place(lhServer, 2)
-	r.place(fresh, 2)
-	client := r.hosts[0].eng.NewPort(vid.NewPID(lhClient, 16))
-	server := r.hosts[2].eng.NewPort(vid.NewPID(lhServer, 16))
-	namingServer(r.sim, server, fresh)
-	relay := r.hosts[1].eng
-	relay.SetForward(lhServer, 3)
-	relay.SetForward(lhClient, 1)
-	for _, end := range []*Engine{r.hosts[0].eng, r.hosts[2].eng} {
-		end.NoRebind = true
-	}
-	r.hosts[0].eng.cacheInsert(lhServer, 2)
-	r.hosts[2].eng.cacheInsert(lhClient, 2)
-
-	var err error
-	r.sim.Spawn("client", func(tk *sim.Task) {
-		_, err = client.Send(tk, server.PID(), vid.Message{Op: testOp})
-	})
-	r.sim.RunFor(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if relay.Stats().Forwarded < 2 {
-		t.Fatalf("relay forwarded %d packets, want the request and the reply", relay.Stats().Forwarded)
-	}
-	if mac, hit := r.hosts[0].eng.CacheLookup(fresh); hit {
-		t.Fatalf("a relayed reply bound the named logical host to station %v", mac)
-	}
-	if mac, hit := relay.CacheLookup(fresh); !hit || mac != 3 {
-		t.Fatalf("relay's binding of the named logical host = %v,%v, want station 3", mac, hit)
-	}
-}

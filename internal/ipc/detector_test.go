@@ -30,10 +30,6 @@ func TestDetectorFastFailAndClear(t *testing.T) {
 	server := r.hosts[1].eng.NewPort(vid.NewPID(lhB, 16))
 	echoServer(r.sim, server)
 	victim := ethernet.MAC(2) // host 1's station address (newRig attaches i+1)
-	// Pin the binding: without it the silence-driven cache invalidation
-	// leaves later sends unrouted (mac == 0), and an unlocated transaction
-	// can only abort by timeout — "unlocated" is not "dead".
-	r.hosts[0].eng.NoRebind = true
 
 	// Warm up the binding so later sends transmit immediately, and leave
 	// fresh "evidence of life" that the detector must wait out.
@@ -87,7 +83,11 @@ func TestDetectorFastFailAndClear(t *testing.T) {
 	}
 
 	// With the suspicion standing, a new send is a single liveness probe:
-	// one silent retransmission interval and it fails.
+	// one silent retransmission interval and it fails. The sends above
+	// relocated and so dropped the victim's binding; pin it again, for an
+	// unrouted transaction (mac == 0) can only abort by timeout —
+	// "unlocated" is not "dead" (ROADMAP item 3's gap).
+	r.hosts[0].eng.cacheInsert(lhB, victim)
 	var errProbe error
 	var elapsedProbe time.Duration
 	r.sim.Spawn("probe", func(tk *sim.Task) {

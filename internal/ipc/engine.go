@@ -73,7 +73,6 @@ type Stats struct {
 	RepliesFromCache int64
 	ReplyPendings    int64
 	Locates          int64
-	Forwarded        int64
 	DroppedFrozen    int64
 	DroppedStale     int64
 	LocalDeliveries  int64
@@ -118,9 +117,8 @@ type Engine struct {
 	// — by one task at a time: rx by netd alone, from decoding a frame until
 	// recvFrame returns (netd blocks in between, and nothing else receives);
 	// tx between two points where the sending task can block. Whatever
-	// outlives that is a copy: a message is taken out of rx by value, a
-	// fragment's bytes go to their slot, and a packet relayed through a
-	// forwarding address is copied to be queued.
+	// outlives that is a copy: a message is taken out of rx by value, and a
+	// fragment's bytes go to their slot.
 	rx    packet.Packet // the frame netd is receiving, of any kind
 	tx    packet.Packet // the packet or fragment about to be transmitted
 	reasm map[reasmKey]*reasmBuf
@@ -131,7 +129,6 @@ type Engine struct {
 	// bulk-transfer window lends its sender to encode into (Window.SegBuf),
 	// which come back when their transaction is reaped.
 	segs     *freelist.Bytes
-	forward  map[vid.LHID]ethernet.MAC
 	suspects map[ethernet.MAC]sim.Time // station → when suspicion began
 	heard    map[ethernet.MAC]sim.Time // station → last packet received from it
 	rtts     map[uint16]rtt            // op code → its round-trip estimate (tail probe)
@@ -141,11 +138,6 @@ type Engine struct {
 	down     bool             // crashed host: frames drop, queued work is discarded
 	loadFn   func() [6]uint32 // kernel's load advertisement, stamped on replies
 	loadSink func([6]uint32)  // consumer of received load advertisements
-
-	// NoRebind disables the logical-host rebinding machinery (cache
-	// invalidation after unanswered retransmissions): the Demos/MP
-	// comparator, which relies on forwarding addresses instead (§5).
-	NoRebind bool
 
 	// GroupIndirection models the local-group-id lookup for well-known
 	// indices; when enabled each such delivery charges GroupIndirectCPU
@@ -227,7 +219,6 @@ func New(se *sim.Engine, nic *ethernet.NIC, c *cpu.CPU, res Resolver) *Engine {
 		cacheCap:         params.BindingCacheCap,
 		reasm:            make(map[reasmKey]*reasmBuf),
 		txBuf:            make(map[reasmKey]*fragSource),
-		forward:          make(map[vid.LHID]ethernet.MAC),
 		suspects:         make(map[ethernet.MAC]sim.Time),
 		heard:            make(map[ethernet.MAC]sim.Time),
 		rtts:             make(map[uint16]rtt),
@@ -251,19 +242,17 @@ func New(se *sim.Engine, nic *ethernet.NIC, c *cpu.CPU, res Resolver) *Engine {
 func (e *Engine) SetDown(down bool) { e.down = down }
 
 // Reset clears all soft protocol state — binding cache, reassembly and
-// repair buffers, forwarding addresses, round-trip estimates, and any
-// protocol work still queued for netd from before the crash — and powers
-// the engine back on. Called when a crashed host reboots: a fresh kernel
-// remembers nothing, and pre-crash jobs must not execute on it (netd
-// discards them only lazily, so a quick crash/restart could otherwise
-// leave them live).
+// repair buffers, round-trip estimates, and any protocol work still queued
+// for netd from before the crash — and powers the engine back on. Called
+// when a crashed host reboots: a fresh kernel remembers nothing, and
+// pre-crash jobs must not execute on it (netd discards them only lazily,
+// so a quick crash/restart could otherwise leave them live).
 func (e *Engine) Reset() {
 	e.down = false
 	e.jobs.Clear()
 	e.cache = make(map[vid.LHID]*bindEntry)
 	e.reasm = make(map[reasmKey]*reasmBuf)
 	e.txBuf = make(map[reasmKey]*fragSource)
-	e.forward = make(map[vid.LHID]ethernet.MAC)
 	e.suspects = make(map[ethernet.MAC]sim.Time)
 	e.heard = make(map[ethernet.MAC]sim.Time)
 	e.rtts = make(map[uint16]rtt)
@@ -758,15 +747,6 @@ func (e *Engine) deliverRequest(t *sim.Task, p *packet.Packet, from ethernet.MAC
 	}
 	lh := dst.LH()
 	if !e.res.LHResident(lh) {
-		if fwd, ok := e.forward[lh]; ok {
-			// Demos/MP-style forwarding address: relay to the host the
-			// logical host moved to (§5). A residual dependency: the
-			// relay fails if this host is rebooted.
-			e.stats.Forwarded++
-			relayed := *p // the queue outlives the packet netd decoded into
-			e.emit(&relayed, fwd)
-			return
-		}
 		e.stats.DroppedStale++
 		return // stale routing; the sender will locate and retry
 	}
@@ -802,21 +782,13 @@ func (e *Engine) deliverRequest(t *sim.Task, p *packet.Packet, from ethernet.MAC
 
 // deliverReply handles an arriving KReply. A reply that names a logical
 // host (Port.ReplyNaming) comes from the station that host lives on, so the
-// binding is learnt as from a locate response; a relayed one no longer does,
-// and the relay strips the name.
+// binding is learnt as from a locate response.
 func (e *Engine) deliverReply(t *sim.Task, p *packet.Packet, from ethernet.MAC) {
 	if p.LH != 0 && from != e.nic.MAC() && !e.res.LHResident(p.LH) {
 		e.cacheInsert(p.LH, from)
 	}
 	lh := p.Dst.LH()
 	if !e.res.LHResident(lh) {
-		if fwd, ok := e.forward[lh]; ok {
-			e.stats.Forwarded++
-			relayed := *p
-			relayed.LH = 0
-			e.emit(&relayed, fwd)
-			return
-		}
 		e.stats.DroppedStale++
 		return
 	}
@@ -949,14 +921,4 @@ func (e *Engine) clearSuspicion(mac ethernet.MAC) {
 	delete(e.suspects, mac)
 	e.stats.HostClears++
 	e.publish(trace.Event{Kind: trace.EvHostClear, Peer: uint16(mac)})
-}
-
-// SetForward installs a forwarding address for a migrated-away logical
-// host (the Demos/MP comparator). Pass the zero MAC to clear.
-func (e *Engine) SetForward(lh vid.LHID, mac ethernet.MAC) {
-	if mac == 0 {
-		delete(e.forward, lh)
-		return
-	}
-	e.forward[lh] = mac
 }

@@ -254,7 +254,7 @@ func (p *Port) arm(s *sendTxn, was sim.Time, restart bool) {
 // expire is the timer of send s; the step tells a tick from the tail probe.
 func (p *Port) expire(s *sendTxn) {
 	if e := p.eng; p.send == s && !p.closed {
-		p.post(clientEv{kind: evTimer, now: e.sim.Now(), suspected: e.Suspected(s.mac), heard: e.heard[s.mac], noRebind: e.NoRebind})
+		p.post(clientEv{kind: evTimer, now: e.sim.Now(), suspected: e.Suspected(s.mac), heard: e.heard[s.mac]})
 	}
 }
 

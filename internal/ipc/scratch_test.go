@@ -1,8 +1,6 @@
 package ipc
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
@@ -15,9 +13,8 @@ import (
 // Every frame netd receives is decoded into the engine's one receive
 // packet, and a request or reply a port transmits is a value on its stack
 // that goes out through the one transmit packet. These tests hold the
-// engine to that — no Packet allocated per frame, per member, per
-// transmission — and to the other half of the bargain: what outlives the
-// scratch (a relayed packet, here) is a copy.
+// engine to that: no Packet allocated per frame, per member, per
+// transmission.
 
 // TestReceivedRequestAndReplyAllocateNoPacket: a word-only request that
 // arrives and is queued costs its host one allocation, the Req the server
@@ -125,88 +122,5 @@ func TestGroupFanOutAllocatesNoPacket(t *testing.T) {
 	ask()
 	if n := testing.AllocsPerRun(100, ask); n != 3 {
 		t.Fatalf("%v allocations per query delivered to 3 members, want 3 (a Req each)", n)
-	}
-}
-
-// TestForwardedPacketsSurviveTheScratch: host 2 holds forwarding addresses
-// (ablation A2's path) both ways between a client on host 1 and a server on
-// host 3, and is meanwhile sprayed with other requests, so that between
-// decoding a packet to relay and transmitting it netd decodes several more
-// into the same scratch. Every request and every reply must arrive as sent:
-// what waits in the queue is a copy.
-func TestForwardedPacketsSurviveTheScratch(t *testing.T) {
-	r := newRig(t, 4, 5)
-	t.Cleanup(r.sim.Shutdown)
-	const lhClient, lhServer = vid.LHID(10), vid.LHID(30)
-	r.place(lhClient, 0)
-	r.place(lhServer, 2)
-	client := r.hosts[0].eng.NewPort(vid.NewPID(lhClient, 16))
-	server := r.hosts[2].eng.NewPort(vid.NewPID(lhServer, 16))
-	relay := r.hosts[1].eng
-	relay.SetForward(lhServer, 3)
-	relay.SetForward(lhClient, 1)
-	// Both ends believe the other lives on host 2 and never learn better:
-	// every frame they get from each other comes from there, and, as in the
-	// ablation, silence does not make them ask around.
-	for _, end := range []*Engine{r.hosts[0].eng, r.hosts[2].eng} {
-		end.NoRebind = true
-	}
-	r.hosts[0].eng.cacheInsert(lhServer, 2)
-	r.hosts[2].eng.cacheInsert(lhClient, 2)
-
-	body := func(k uint32, reply bool) vid.Message {
-		m := vid.Message{Op: testOp, W: [6]uint32{k, k * 3, k * 5, k * 7, k * 11, k * 13}}
-		if reply {
-			m.W[0] = ^k
-		}
-		m.Seg = patterned(nil, 200+int(k)%700, int(k))
-		return m
-	}
-	same := func(a, b vid.Message) bool { return a.Op == b.Op && a.W == b.W && bytes.Equal(a.Seg, b.Seg) }
-
-	var serveErr, sendErr error
-	r.sim.Spawn("server", func(tk *sim.Task) {
-		for {
-			req := server.Receive(tk)
-			if k := req.Msg.W[0]; !same(req.Msg, body(k, false)) && serveErr == nil {
-				serveErr = fmt.Errorf("request %d arrived as %v", k, req.Msg.W)
-			}
-			server.Reply(tk, req, body(req.Msg.W[0], true))
-		}
-	})
-	const n = 40
-	done := 0
-	r.sim.Spawn("client", func(tk *sim.Task) {
-		for k := uint32(1); k <= n && sendErr == nil; k++ {
-			got, err := client.Send(tk, server.PID(), body(k, false))
-			if err != nil {
-				sendErr = err
-			} else if !same(got, body(k, true)) {
-				sendErr = fmt.Errorf("reply %d arrived as %v", k, got.W)
-			}
-			done++
-		}
-	})
-	// The spray: a request for a logical host nobody has, from host 4 into
-	// host 2, every millisecond — host 2's netd spends 0.7 ms on each, so
-	// its queue always holds one when a relayed packet joins it.
-	noise := packet.AppendMarshal(nil, &packet.Packet{
-		Kind: packet.KRequest, TxID: 99, Src: vid.NewPID(40, 16), Dst: vid.NewPID(50, 16),
-		Msg: vid.Message{Op: 0xBAD, W: [6]uint32{0xBAD, 0xBAD, 0xBAD, 0xBAD, 0xBAD, 0xBAD}, Seg: bytes.Repeat([]byte{0xBD}, 900)},
-	})
-	var spray func()
-	spray = func() {
-		if done < n {
-			r.hosts[3].nic.StartSend(ethernet.Frame{Dst: 2, Payload: noise}, nil)
-			r.sim.After(time.Millisecond, spray)
-		}
-	}
-	spray()
-	r.sim.RunFor(time.Minute)
-	if serveErr != nil || sendErr != nil || done != n {
-		t.Fatalf("%d of %d transactions; server saw: %v; client saw: %v", done, n, serveErr, sendErr)
-	}
-	if st := relay.Stats(); st.Forwarded < 2*n || st.DroppedStale == 0 {
-		t.Fatalf("relay forwarded %d packets (want ≥ %d) and dropped %d of the spray", st.Forwarded, 2*n, st.DroppedStale)
 	}
 }

@@ -72,11 +72,10 @@ type clientEv struct {
 	dst    vid.PID
 	pto    time.Duration // evSent, evDrain: the op's probe timeout (Engine.pto), 0 for none
 
-	// evTimer: whether the transaction's station is suspected already, the
-	// last frame heard from it, and Engine.NoRebind.
+	// evTimer: whether the transaction's station is suspected already, and
+	// the last frame heard from it.
 	suspected bool
 	heard     sim.Time
-	noRebind  bool
 }
 
 // clientAct is what a client step asks of the engine.
@@ -161,7 +160,7 @@ func (c clientTxn) step(ev clientEv) (clientTxn, clientAct) {
 		switch {
 		case c.silent > limit && !c.gather: // a gather's window ends it
 			return c.finish(vid.CodeTimeout)
-		case c.silent >= params.LocateAfterRetries && !c.group && !ev.noRebind:
+		case c.silent >= params.LocateAfterRetries && !c.group:
 			return c, actRelocate
 		}
 		return c, actRetry

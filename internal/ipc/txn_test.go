@@ -78,7 +78,6 @@ func TestClientTxnTable(t *testing.T) {
 		{"tick, station suspected", clientEv{kind: evTimer, now: now, suspected: true}},
 		{"tick, station heard 0.4 s ago", clientEv{kind: evTimer, now: now, heard: ago(400)}},
 		{"tick, station heard 1.2 s ago", clientEv{kind: evTimer, now: now, heard: ago(1200)}},
-		{"tick, no rebind", clientEv{kind: evTimer, now: now, noRebind: true}},
 		{"reply-pending", clientEv{kind: evPending, now: now, txid: txid}},
 		{"reply-pending, other", clientEv{kind: evPending, now: now, txid: txid - 1}},
 		{"reply", clientEv{kind: evReply, txid: txid}},
@@ -111,7 +110,7 @@ func TestClientTxnTable(t *testing.T) {
 		return ns
 	}
 	starts, drains := names("sent", "sent, PTO past the interval"), names("drain", "drain, no PTO")
-	timers := names("timer, early", "tick, no rebind")
+	timers := names("timer, early", "tick, station heard 1.2 s ago")
 
 	type out struct {
 		act  clientAct
@@ -137,13 +136,13 @@ func TestClientTxnTable(t *testing.T) {
 	activated := func(c clientTxn) out { c.sent, c.due = now, next; return out{actRetry, c, next} }
 	ticks := func(c clientTxn, act clientAct) map[string]out {
 		m := map[string]out{"activate": activated(c)}
-		for _, name := range names("tick", "tick, no rebind") {
+		for _, name := range names("tick", "tick, station heard 1.2 s ago") {
 			m[name] = out{act, ticked(c), next}
 		}
 		return m
 	}
 	timeouts := func(c clientTxn, m map[string]out) map[string]out {
-		for _, name := range names("tick", "tick, no rebind") {
+		for _, name := range names("tick", "tick, station heard 1.2 s ago") {
 			m[name] = over(ticked(c), vid.CodeTimeout)
 		}
 		return m
@@ -262,7 +261,6 @@ func TestClientTxnTable(t *testing.T) {
 		{"one tick from relocating", relocating, now, unicast(relocating, func() map[string]out {
 			m := ticks(relocating, actRelocate)
 			m["tick, station suspected"] = over(ticked(relocating), vid.CodeHostDown)
-			m["tick, no rebind"] = out{actRetry, ticked(relocating), next}
 			return m
 		}()), starts},
 		{"one tick from suspicion", suspecting, now, unicast(suspecting, func() map[string]out {
@@ -279,7 +277,6 @@ func TestClientTxnTable(t *testing.T) {
 		{"group, one tick from abort", groupAborting, now, answers(groupAborting, timeouts(groupAborting, ticks(groupAborting, actNone))), starts},
 		{"probe", probe, now, answers(probe, func() map[string]out {
 			m := ticks(probe, actRelocate)
-			m["tick, no rebind"] = out{actRetry, ticked(probe), next}
 			m["bound"] = out{actResend, probe, now}
 			m["abort"] = over(probe, vid.CodeAborted)
 			m["window, got"] = over(probe, vid.CodeOK)
@@ -322,7 +319,7 @@ func TestClientTxnTable(t *testing.T) {
 			pairs++
 		}
 	}
-	if pairs != 3*19+21+8*26+23+2*25+16+29 {
+	if pairs != 3*19+21+8*25+22+2*24+16+28 {
 		t.Errorf("stepped %d pairs", pairs)
 	}
 }

@@ -32,7 +32,7 @@ const (
 	KsWritePages uint16 = 0x16
 	// KsReadPages: W0=lh, W1=space, W2=first page, W3=count → Seg=run.
 	KsReadPages uint16 = 0x17
-	// KsUnfreezeLH: W0=lh, W1=1 to broadcast the new binding.
+	// KsUnfreezeLH: W0=lh; the new binding is broadcast.
 	KsUnfreezeLH uint16 = 0x19
 	// KsSetState: W0=placeholder lh, Seg = encoded LHState.
 	KsSetState uint16 = 0x1B
@@ -234,7 +234,7 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
 		}
-		h.Unfreeze(lh, m.W[1] != 0)
+		h.Unfreeze(lh, true)
 		return vid.Message{Op: m.Op}
 
 	case KsSetState:
