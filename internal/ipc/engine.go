@@ -92,8 +92,9 @@ type Stats struct {
 	HostSuspects int64
 	HostClears   int64
 
-	// Bulk-transfer window activity: transactions issued through copy
-	// windows (always equal to the EvCopyWindow trace count for this host)
+	// Bulk-transfer window activity: transactions issued through windows
+	// (migration copies, and every rsm heartbeat, append batch and snapshot
+	// chunk; always equal to the EvCopyWindow trace count for this host)
 	// and issue-time stalls with every window slot in flight.
 	WindowSends  int64
 	WindowStalls int64
@@ -256,6 +257,14 @@ func (e *Engine) Reset() {
 	e.suspects = make(map[ethernet.MAC]sim.Time)
 	e.heard = make(map[ethernet.MAC]sim.Time)
 	e.rtts = make(map[uint16]rtt)
+}
+
+// ClosePorts closes every port on the engine: at a crash, those of the
+// bulk windows, which no process owns, die with the processes' own.
+func (e *Engine) ClosePorts() {
+	for _, p := range slices.Clone(e.portList) {
+		p.Close()
+	}
 }
 
 // PoisonFreed makes the engine overwrite every segment buffer handed back

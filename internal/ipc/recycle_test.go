@@ -148,7 +148,6 @@ func TestTransmissionInProgressKeepsItsSegment(t *testing.T) {
 		// the fragments go out from netd, prompted by the answer.
 		first = win.Send(tk, server.PID(), vid.Message{Op: testOp, W: [6]uint32{1}, Seg: patterned(win.SegBuf(), segLen, 1)})
 		first = win.Drain(tk)
-		win.err = nil
 		// Reaped; were the buffer back it would be poisoned by now, and this
 		// would be encoded over it.
 		second = win.Send(tk, server.PID(), vid.Message{Op: testOp, W: [6]uint32{2}, Seg: patterned(win.SegBuf(), segLen, 2)})

@@ -17,7 +17,9 @@ import (
 // across whichever is free. Completions are harvested in any order — a
 // transaction stalled behind a retransmission never blocks the rest of
 // the pipeline — and errors are sticky: the first transport failure or
-// error reply is remembered and returned from the next Send or Drain.
+// error reply is remembered and returned from every Send up to the next
+// Drain, which returns it and clears it, so a window outlives a failed
+// stream.
 //
 // Window size 1 degenerates to the stop-and-wait copy loop the paper
 // describes, which is exactly how the E10 baseline is measured.
@@ -44,11 +46,10 @@ type Window struct {
 
 // SetOnReply installs a completion hook, invoked during reaping for every
 // transaction that completed with an OK reply, with the original request
-// and its reply. rsm's catch-up uses it to advance a follower's match
-// index as appends are acknowledged. The hook runs on whatever task is
-// driving the window and must not block (bump counters — never send),
-// and must not keep a slice of either segment: both buffers are reused
-// once it returns.
+// and its reply. rsm's replication feed reads every follower reply
+// through it. The hook runs on whatever task is driving the window and
+// must not block (bump counters — never send), and must not keep a slice
+// of either segment: both buffers are reused once it returns.
 func (w *Window) SetOnReply(fn func(req, reply vid.Message)) { w.onReply = fn }
 
 // WindowStats summarizes a window's activity.
@@ -174,9 +175,10 @@ func (w *Window) Send(t *sim.Task, dst vid.PID, msg vid.Message) error {
 }
 
 // Drain blocks until every in-flight transaction has completed, returning
-// the sticky error if any transaction failed. Nothing issued after them
-// covers those transactions any more, so each takes its tail probe (evDrain);
-// a full window mid-stream gets none, as its other slots cover the stall.
+// the first error since the previous Drain and clearing it, so the next
+// Send starts a clean stream. Nothing issued after them covers those
+// transactions any more, so each takes its tail probe (evDrain); a full
+// window mid-stream gets none, as its other slots cover the stall.
 func (w *Window) Drain(t *sim.Task) error {
 	for _, p := range w.ports {
 		if s := p.send; s != nil {
@@ -186,9 +188,20 @@ func (w *Window) Drain(t *sim.Task) error {
 	for {
 		w.reap(t)
 		if w.inflight == 0 {
-			return w.err
+			err := w.err
+			w.err = nil
+			return err
 		}
 		w.wait.Wait(t)
+	}
+}
+
+// AbortTo ends every in-flight transaction addressed to dst with
+// CodeAborted, as Port.AbortTo does for one port's: the owner has learnt
+// that dst is dead.
+func (w *Window) AbortTo(dst vid.PID) {
+	for _, p := range w.ports {
+		p.AbortTo(dst)
 	}
 }
 

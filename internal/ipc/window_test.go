@@ -194,12 +194,16 @@ func TestWindowStallsWhenFull(t *testing.T) {
 
 // TestWindowStickyError: a transaction that fails (no such destination →
 // abort) must surface from a later Send or from Drain, and the window must
-// not hang.
+// not hang. Drain clears the error: the same window then carries a send to
+// a live destination.
 func TestWindowStickyError(t *testing.T) {
 	r := newRig(t, 2, 4)
-	lhA := vid.LHID(10)
+	lhA, lhB := vid.LHID(10), vid.LHID(20)
 	r.place(lhA, 0)
-	var err error
+	r.place(lhB, 1)
+	server := r.hosts[1].eng.NewPort(vid.NewPID(lhB, 16))
+	echoServer(r.sim, server)
+	var err, again error
 	done := false
 	r.sim.Spawn("pusher", func(tk *sim.Task) {
 		win := r.hosts[0].eng.NewWindow(lhA, 2)
@@ -209,6 +213,9 @@ func TestWindowStickyError(t *testing.T) {
 		if err = win.Send(tk, vid.NewPID(vid.LHID(99), 16), vid.Message{Op: testOp}); err == nil {
 			err = win.Drain(tk)
 		}
+		if again = win.Send(tk, server.PID(), vid.Message{Op: testOp}); again == nil {
+			again = win.Drain(tk)
+		}
 		done = true
 	})
 	r.sim.RunFor(2 * time.Minute)
@@ -217,5 +224,45 @@ func TestWindowStickyError(t *testing.T) {
 	}
 	if err == nil {
 		t.Fatal("expected an error from a send to a nonexistent destination")
+	}
+	if again != nil {
+		t.Fatalf("after Drain returned the error, a send to a live server failed: %v", again)
+	}
+}
+
+// TestWindowAbortTo: AbortTo ends at once the window's transaction to a
+// destination its owner knows is dead — here a server that never receives,
+// whose kernel would hold the sender with reply-pending for ever — and
+// leaves the transaction in the other slot, to a live server, to finish.
+func TestWindowAbortTo(t *testing.T) {
+	r := newRig(t, 2, 6)
+	lhA, lhB := vid.LHID(10), vid.LHID(20)
+	r.place(lhA, 0)
+	r.place(lhB, 1)
+	silent := r.hosts[1].eng.NewPort(vid.NewPID(lhB, 16))
+	live := r.hosts[1].eng.NewPort(vid.NewPID(lhB, 17))
+	slowEchoServer(r.sim, live, 2*time.Second)
+	win := r.hosts[0].eng.NewWindow(lhA, 2)
+	var answered int
+	win.SetOnReply(func(req, reply vid.Message) { answered++ })
+	var err error
+	var took time.Duration
+	r.sim.Spawn("pusher", func(tk *sim.Task) {
+		start := tk.Now()
+		if err = win.Send(tk, silent.PID(), vid.Message{Op: testOp}); err == nil {
+			if err = win.Send(tk, live.PID(), vid.Message{Op: testOp}); err == nil {
+				err = win.Drain(tk)
+			}
+		}
+		took = tk.Now().Sub(start)
+	})
+	const abortAt = time.Second
+	r.sim.After(abortAt, func() { win.AbortTo(silent.PID()) })
+	r.sim.RunFor(time.Minute)
+	if code, ok := err.(vid.CodeError); !ok || uint16(code) != vid.CodeAborted {
+		t.Fatalf("Drain returned %v, want the aborted transaction's CodeAborted", err)
+	}
+	if answered != 1 || took < 2*time.Second || took > 3*time.Second {
+		t.Errorf("%d replies, drained after %v: want the live server's one reply, at about 2 s", answered, took)
 	}
 }

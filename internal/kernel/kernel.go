@@ -213,11 +213,9 @@ func (h *Host) Crash() {
 				p.task.Kill()
 			}
 			p.dead = true
-			if p.port != nil {
-				p.port.Close()
-			}
 		}
 	}
+	h.IPC.ClosePorts()
 	h.lhs = make(map[vid.LHID]*LogicalHost)
 	for g := range h.groups {
 		h.NIC.LeaveMulticast(ethernet.Multicast(uint16(g.LH())))

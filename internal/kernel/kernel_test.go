@@ -6,7 +6,9 @@ import (
 
 	"vsystem/internal/ethernet"
 	"vsystem/internal/mem"
+	"vsystem/internal/packet"
 	"vsystem/internal/sim"
+	"vsystem/internal/trace"
 	"vsystem/internal/vid"
 )
 
@@ -459,5 +461,44 @@ func TestModifyingOpsDeferredByFreeze(t *testing.T) {
 	}
 	if doneAt < sim.Time(3*time.Second) {
 		t.Fatalf("modifying op completed at %v, before unfreeze", doneAt)
+	}
+}
+
+// TestCrashClosesWindowPorts: a bulk window's ports belong to no process,
+// yet they die with the host. A window held open across a crash — here by
+// a server that never receives, whose kernel answers its retransmissions
+// with reply-pending for ever — must send nothing from the rebooted host.
+func TestCrashClosesWindowPorts(t *testing.T) {
+	c := newCluster(2, 3)
+	a, b := c.hosts[0], c.hosts[1]
+	tb := trace.NewBus()
+	a.AttachTrace(tb)
+	silent := b.SpawnServer("silent", 4096, func(ctx *ProcCtx) { ctx.Sleep(time.Hour) })
+	crashed := false
+	before, after := 0, 0
+	tb.Subscribe(func(ev trace.Event) {
+		if p := ev.Pkt; ev.Kind == trace.EvPktTx && p.Kind == packet.KRequest && p.Dst == silent.PID() {
+			if crashed {
+				after++
+			} else {
+				before++
+			}
+		}
+	})
+	a.SpawnServer("pusher", 4096, func(ctx *ProcCtx) {
+		w := a.IPC.NewWindow(a.SystemLH().ID(), 1)
+		w.Send(ctx.Task(), silent.PID(), vid.Message{Op: KsPing})
+	})
+	c.sim.RunFor(2 * time.Second)
+	if before < 2 {
+		t.Fatalf("the window sent %d frames before the crash, want it retransmitting", before)
+	}
+	crashed = true
+	a.Crash()
+	c.sim.RunFor(100 * time.Millisecond) // short of the transaction's abort
+	a.Restart()
+	c.sim.RunFor(20 * time.Second)
+	if after != 0 {
+		t.Fatalf("the window sent %d frames after its host crashed", after)
 	}
 }

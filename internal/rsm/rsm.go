@@ -5,12 +5,13 @@
 //
 // The protocol is Raft-shaped: a replica set of N (typically 3) elects a
 // leader with randomized election timeouts, the leader replicates a command
-// log to its followers with append-entries piggybacking on the ipc bulk
-// machinery (steady-state appends are single transactions; catch-up streams
-// batches through an ipc.Window; snapshots ship as pipelined chunks), and a
-// command is applied to the deterministic state machine exactly when it
-// commits on a majority. Rejoining replicas catch up from the log or, past
-// a compaction point, from a snapshot.
+// log to its followers, and a command is applied to the deterministic state
+// machine exactly when it commits on a majority. Each follower has one feed
+// from the leader, an ipc.Window that carries its heartbeats, appends,
+// catch-up batches and snapshot chunks alike — at size 1 the paper's
+// stop-and-wait copy loop — and one rule reads every reply. Rejoining
+// replicas catch up from the log or, past a compaction point, from a
+// snapshot.
 //
 // Determinism: every timeout is drawn from the simulated clock, and the
 // "randomized" election timeout is a hash of (station, replica id, term) —
@@ -47,7 +48,8 @@ const (
 	// OpAppend: Seg=AppendReq → W0=term, W1=ok, W2=match index (ok) or
 	// retry-from hint (reject).
 	OpAppend
-	// OpSnap: Seg=SnapChunk → W0=term, W1=ok.
+	// OpSnap: Seg=SnapChunk → W0=term, W1=ok, W2=the snapshot's last index
+	// from the chunk that completes the install (its match), 0 otherwise.
 	OpSnap
 	// OpHello: a (re)joining replica announcing itself — W0=id, W1=its
 	// replica-process PID, W2=its service PID → same words for the
@@ -155,9 +157,9 @@ type Replica struct {
 	sm   StateMachine
 	st   *Store
 
-	proc     *kernel.Process   // consensus process: receives every request
-	candProc *kernel.Process   // campaign process: runs the election rounds
-	repProc  []*kernel.Process // replication worker per peer (nil at ID)
+	proc     *kernel.Process // consensus process: receives every request
+	candProc *kernel.Process // campaign process: runs the election rounds
+	feeds    []*feed         // replication feed per peer (nil at ID)
 
 	role     role
 	leaderID int // last known leader, -1
@@ -206,7 +208,7 @@ func New(h *kernel.Host, cfg Config, sm StateMachine, store *Store) *Replica {
 		leaderID: -1,
 		peerPID:  make([]vid.PID, cfg.N),
 		svcPID:   make([]vid.PID, cfg.N),
-		repProc:  make([]*kernel.Process, cfg.N),
+		feeds:    make([]*feed, cfg.N),
 		pending:  make(map[uint32]struct{}),
 		results:  make(map[uint32][]byte),
 	}
@@ -225,7 +227,9 @@ func New(h *kernel.Host, cfg Config, sm StateMachine, store *Store) *Replica {
 			continue
 		}
 		peer := p
-		r.repProc[peer] = h.SpawnServer(fmt.Sprintf("rsm-%s-%d-rep%d", cfg.Name, cfg.ID, peer),
+		r.feeds[peer] = &feed{win: h.IPC.NewWindow(h.SystemLH().ID(), params.CopyWindow)}
+		r.feeds[peer].win.SetOnReply(func(_, rep vid.Message) { r.heard(peer, rep) })
+		h.SpawnServer(fmt.Sprintf("rsm-%s-%d-rep%d", cfg.Name, cfg.ID, peer),
 			16*1024, func(ctx *kernel.ProcCtx) { r.replicate(ctx, peer) })
 	}
 	return r
@@ -422,10 +426,10 @@ func (r *Replica) learnPeer(id int, pid, svc vid.PID) {
 	}
 	if changed {
 		if old != vid.Nil {
-			// The peer restarted and its old PID is dead: end the worker's
-			// transaction to it now, where it would ride out the whole
-			// abort timeout before reading the new one.
-			r.repProc[id].Port().AbortTo(old)
+			// The peer restarted and its old PID is dead: end the feed's
+			// transactions to it now, where they would ride out the whole
+			// abort timeout before the worker reads the new one.
+			r.feeds[id].win.AbortTo(old)
 		}
 		r.repWake.WakeAll()
 	}
@@ -686,23 +690,34 @@ func (r *Replica) handleVote(ctx *kernel.ProcCtx, req *ipc.Req) {
 
 // -------------------------------------------------------- follower append/snap
 
+// leaderContact is the preamble of every message a leader's feed carries.
+// A message from a stale term is refused with this replica's own term
+// (false). Otherwise the replica steps down to the leader's term, records
+// the leader and resets its election timer.
+func (r *Replica) leaderContact(ctx *kernel.ProcCtx, req *ipc.Req, term, leader, leaderPID, svcPID uint32) bool {
+	if term < r.st.Term {
+		ctx.Reply(req, vid.Message{Op: req.Msg.Op, W: [6]uint32{r.st.Term}})
+		return false
+	}
+	if term > r.st.Term || r.role != follower {
+		r.stepDown(term, ctx.Now())
+	}
+	r.leaderID = int(leader)
+	r.learnPeer(int(leader), vid.PID(leaderPID), vid.PID(svcPID))
+	r.resetElectionTimer(ctx.Now())
+	r.lastLeaderContact = ctx.Now()
+	return true
+}
+
 func (r *Replica) handleAppend(ctx *kernel.ProcCtx, req *ipc.Req) {
 	a, err := DecodeAppendReq(req.Msg.Seg)
 	if err != nil {
 		ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 		return
 	}
-	if a.Term < r.st.Term {
-		ctx.Reply(req, vid.Message{Op: OpAppend, W: [6]uint32{r.st.Term, 0, 0}})
+	if !r.leaderContact(ctx, req, a.Term, a.Leader, a.LeaderPID, a.SvcPID) {
 		return
 	}
-	if a.Term > r.st.Term || r.role != follower {
-		r.stepDown(a.Term, ctx.Now())
-	}
-	r.leaderID = int(a.Leader)
-	r.learnPeer(int(a.Leader), vid.PID(a.LeaderPID), vid.PID(a.SvcPID))
-	r.resetElectionTimer(ctx.Now())
-	r.lastLeaderContact = ctx.Now()
 	r.leaderCommit = a.Commit
 
 	// log consistency check
@@ -745,18 +760,9 @@ func (r *Replica) handleSnap(ctx *kernel.ProcCtx, req *ipc.Req) {
 		ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 		return
 	}
-	if c.Term < r.st.Term {
-		ctx.Reply(req, vid.Message{Op: OpSnap, W: [6]uint32{r.st.Term, 0}})
+	if !r.leaderContact(ctx, req, c.Term, c.Leader, c.LeaderPID, c.SvcPID) {
 		return
 	}
-	if c.Term > r.st.Term || r.role != follower {
-		r.stepDown(c.Term, ctx.Now())
-	}
-	r.leaderID = int(c.Leader)
-	r.learnPeer(int(c.Leader), vid.PID(c.LeaderPID), vid.PID(c.SvcPID))
-	r.resetElectionTimer(ctx.Now())
-	r.lastLeaderContact = ctx.Now()
-
 	if c.LastIndex <= r.applied {
 		// stale transfer: already at or past this snapshot
 		r.snap = nil
@@ -777,10 +783,12 @@ func (r *Replica) handleSnap(ctx *kernel.ProcCtx, req *ipc.Req) {
 		copy(s.buf[c.Offset:], c.Data)
 		s.have += uint32(len(c.Data))
 	}
+	var match uint32
 	if s.have >= s.total {
 		r.installSnapshot(s)
+		match = s.lastIndex
 	}
-	ctx.Reply(req, vid.Message{Op: OpSnap, W: [6]uint32{r.st.Term, 1}})
+	ctx.Reply(req, vid.Message{Op: OpSnap, W: [6]uint32{r.st.Term, 1, match}})
 }
 
 func (r *Replica) installSnapshot(s *snapIn) {
@@ -921,9 +929,18 @@ func (r *Replica) Submit(ctx *kernel.ProcCtx, cmd []byte) ([]byte, error) {
 
 // -------------------------------------------------------- leader replication
 
-// replicate is the per-peer worker loop: heartbeats and steady-state
-// appends as single transactions, windowed pipelines for catch-up streaming
-// and snapshot transfer.
+// feed is the leader's one line to a follower: a window of CopyWindow
+// slots that carries heartbeats, appends and snapshot chunks alike for the
+// replication worker's whole life, and what the pass in flight has heard.
+type feed struct {
+	win     *ipc.Window
+	term    uint32 // the pass's term
+	later   uint32 // the highest term a reply carried past it
+	refused bool   // a reply refused a batch; nextIndex holds its hint
+}
+
+// replicate is the per-peer worker loop: a pass through the peer's feed
+// whenever there is work, else every heartbeat interval.
 func (r *Replica) replicate(ctx *kernel.ProcCtx, peer int) {
 	for {
 		if r.role != leader {
@@ -936,14 +953,7 @@ func (r *Replica) replicate(ctx *kernel.ProcCtx, peer int) {
 			continue
 		}
 		term := r.st.Term
-		switch {
-		case r.nextIndex[peer] <= r.st.SnapIndex:
-			r.sendSnapshot(ctx, peer, pid, term)
-		case r.lastIndex()+1-r.nextIndex[peer] > uint32(params.RsmBatchEntries):
-			r.catchUp(ctx, peer, pid, term)
-		default:
-			r.sendAppend(ctx, peer, pid, term)
-		}
+		r.ship(ctx, peer, pid)
 		if r.role == leader && r.st.Term == term && r.peerPID[peer] != vid.Nil &&
 			(r.peerPID[peer] != pid || r.nextIndex[peer] <= r.lastIndex()) {
 			continue // the peer restarted, or backlog remains: keep streaming
@@ -952,7 +962,83 @@ func (r *Replica) replicate(ctx *kernel.ProcCtx, peer int) {
 	}
 }
 
-func (r *Replica) buildAppend(peer int, max int) (vid.Message, uint32) {
+// ship is one pass through peer's feed. While the peer needs entries the
+// log has compacted away it sends the snapshot's chunks; otherwise it
+// sends append batches to the end of the log — at least one, so an empty
+// batch is the heartbeat. nextIndex advances as each batch is sent, and
+// heard reads every reply. A transport failure rolls nextIndex back to the
+// entry after the peer's match, but never behind where the pass began.
+func (r *Replica) ship(ctx *kernel.ProcCtx, peer int, pid vid.PID) {
+	f := r.feeds[peer]
+	t := ctx.Task()
+	f.term, f.later, f.refused = r.st.Term, 0, false
+	begin := r.nextIndex[peer]
+	live := func() bool { return f.later == 0 && !f.refused && r.role == leader && r.st.Term == f.term }
+	if begin <= r.st.SnapIndex {
+		c := SnapChunk{
+			Term: f.term, Leader: uint32(r.cfg.ID),
+			LeaderPID: uint32(r.proc.PID()), SvcPID: uint32(r.cfg.SvcPID),
+			LastIndex: r.st.SnapIndex, LastTerm: r.st.SnapTerm, Total: uint32(len(r.st.SnapData)),
+		}
+		data := r.st.SnapData // a compaction mid-pass replaces r.st.SnapData
+		for c.Offset = 0; live(); c.Offset += uint32(params.RsmSnapChunkBytes) {
+			c.Data = data[c.Offset:min(c.Offset+uint32(params.RsmSnapChunkBytes), c.Total)]
+			if f.win.Send(t, pid, vid.Message{Op: OpSnap, Seg: EncodeSnapChunk(c)}) != nil {
+				break
+			}
+			if c.Offset+uint32(len(c.Data)) == c.Total {
+				r.stats.SnapSends++
+				r.nextIndex[peer] = c.LastIndex + 1
+				break
+			}
+		}
+	} else {
+		for live() && r.nextIndex[peer] > r.st.SnapIndex {
+			msg, n := r.buildAppend(peer)
+			if f.win.Send(t, pid, msg) != nil || f.refused {
+				break
+			}
+			r.nextIndex[peer] += n
+			if r.nextIndex[peer] > r.lastIndex() {
+				break
+			}
+		}
+	}
+	err := f.win.Drain(t)
+	if f.later > r.st.Term {
+		r.stepDown(f.later, ctx.Now())
+		return
+	}
+	if r.role != leader || r.st.Term != f.term {
+		return
+	}
+	if err != nil && !f.refused {
+		r.nextIndex[peer] = max(r.matchIndex[peer]+1, begin)
+	}
+	r.advanceCommit(t)
+}
+
+// heard is the reply rule for every message a feed carries. W0 is the
+// follower's term: a later one steps the leader down once the pass has
+// drained. W1 says accepted or refused, and W2 carries the match (an
+// append, or the snapshot chunk that completed the install; 0 from every
+// other chunk) or the index to retry from. Replies that land after the
+// pass's term ended are dropped.
+func (r *Replica) heard(peer int, rep vid.Message) {
+	f := r.feeds[peer]
+	switch {
+	case r.role != leader || r.st.Term != f.term:
+	case rep.W[0] > f.term:
+		f.later = max(f.later, rep.W[0])
+	case rep.W[1] == 0:
+		r.nextIndex[peer] = min(r.nextIndex[peer], rep.W[2])
+		f.refused = true
+	default:
+		r.matchIndex[peer] = max(r.matchIndex[peer], rep.W[2])
+	}
+}
+
+func (r *Replica) buildAppend(peer int) (vid.Message, uint32) {
 	prev := r.nextIndex[peer] - 1
 	a := AppendReq{
 		Term:      r.st.Term,
@@ -964,7 +1050,7 @@ func (r *Replica) buildAppend(peer int, max int) (vid.Message, uint32) {
 		Commit:    r.commit,
 	}
 	bytes := 0
-	for idx := prev + 1; idx <= r.lastIndex() && len(a.Entries) < max; idx++ {
+	for idx := prev + 1; idx <= r.lastIndex() && len(a.Entries) < params.RsmBatchEntries; idx++ {
 		e := r.entryAt(idx)
 		if bytes > 0 && bytes+len(e.Cmd) > params.RsmBatchBytes {
 			break
@@ -973,149 +1059,4 @@ func (r *Replica) buildAppend(peer int, max int) (vid.Message, uint32) {
 		a.Entries = append(a.Entries, e)
 	}
 	return vid.Message{Op: OpAppend, Seg: EncodeAppendReq(a)}, uint32(len(a.Entries))
-}
-
-func (r *Replica) sendAppend(ctx *kernel.ProcCtx, peer int, pid vid.PID, term uint32) {
-	msg, n := r.buildAppend(peer, params.RsmBatchEntries)
-	sentNext := r.nextIndex[peer]
-	m, err := ctx.Send(pid, msg)
-	if err != nil || r.role != leader || r.st.Term != term {
-		return // peer unreachable or we were deposed; pace and retry
-	}
-	r.handleAppendReply(ctx.Task(), peer, sentNext, n, m)
-}
-
-func (r *Replica) handleAppendReply(t *sim.Task, peer int, sentNext, n uint32, m vid.Message) {
-	if !m.OK() {
-		return
-	}
-	if m.W[0] > r.st.Term {
-		r.stepDown(m.W[0], t.Now())
-		return
-	}
-	if m.W[1] == 1 {
-		match := sentNext - 1 + n
-		if match > r.matchIndex[peer] {
-			r.matchIndex[peer] = match
-		}
-		if match+1 > r.nextIndex[peer] {
-			r.nextIndex[peer] = match + 1
-		}
-		r.advanceCommit(t)
-		return
-	}
-	// rejected: back up to the follower's hint (never past its snapshot)
-	hint := m.W[2]
-	next := r.nextIndex[peer] - 1
-	if hint > 0 && hint < next {
-		next = hint
-	}
-	if next < 1 {
-		next = 1
-	}
-	r.nextIndex[peer] = next
-}
-
-// catchUp streams a large backlog through an ipc.Window: up to CopyWindow
-// append batches in flight, nextIndex advanced optimistically and rolled
-// back to the acknowledged match on any failure.
-func (r *Replica) catchUp(ctx *kernel.ProcCtx, peer int, pid vid.PID, term uint32) {
-	win := r.host.IPC.NewWindow(r.host.SystemLH().ID(), params.CopyWindow)
-	ok := true
-	var replyTerm uint32 // max term seen in replies; >term means we are deposed
-	win.SetOnReply(func(req, rep vid.Message) {
-		if rep.OK() && rep.W[0] > replyTerm {
-			replyTerm = rep.W[0]
-		}
-		if !rep.OK() || rep.W[0] > term || rep.W[1] != 1 {
-			ok = false
-			return
-		}
-		a, err := DecodeAppendReq(req.Seg)
-		if err != nil {
-			ok = false
-			return
-		}
-		match := a.PrevIndex + uint32(len(a.Entries))
-		if match > r.matchIndex[peer] {
-			r.matchIndex[peer] = match
-		}
-	})
-	for ok && r.role == leader && r.st.Term == term &&
-		r.nextIndex[peer] > r.st.SnapIndex && r.nextIndex[peer] <= r.lastIndex() {
-		msg, n := r.buildAppend(peer, params.RsmBatchEntries)
-		if err := win.Send(ctx.Task(), pid, msg); err != nil {
-			ok = false
-			break
-		}
-		r.nextIndex[peer] += n
-	}
-	err := win.Drain(ctx.Task())
-	win.Close()
-	if replyTerm > r.st.Term {
-		// A follower rejected us with a higher term: step down now instead
-		// of re-streaming until a plain append notices the new leader.
-		r.stepDown(replyTerm, ctx.Now())
-		return
-	}
-	if (!ok || err != nil) && r.role == leader {
-		r.nextIndex[peer] = r.matchIndex[peer] + 1 // roll back; stop-and-wait repairs
-	}
-	if r.role == leader && r.st.Term == term {
-		r.advanceCommit(ctx.Task())
-	}
-}
-
-// sendSnapshot ships the compaction snapshot as pipelined chunks through an
-// ipc.Window; on success the peer resumes appends from SnapIndex+1.
-func (r *Replica) sendSnapshot(ctx *kernel.ProcCtx, peer int, pid vid.PID, term uint32) {
-	data := r.st.SnapData
-	snapIdx, snapTerm := r.st.SnapIndex, r.st.SnapTerm
-	total := uint32(len(data))
-	win := r.host.IPC.NewWindow(r.host.SystemLH().ID(), params.CopyWindow)
-	ok := true
-	var replyTerm uint32 // max term seen in replies; >term means we are deposed
-	win.SetOnReply(func(_, rep vid.Message) {
-		if rep.OK() && rep.W[0] > replyTerm {
-			replyTerm = rep.W[0]
-		}
-		if !rep.OK() || rep.W[0] > term || rep.W[1] != 1 {
-			ok = false
-		}
-	})
-	for off := uint32(0); ok && (off < total || total == 0); off += uint32(params.RsmSnapChunkBytes) {
-		end := off + uint32(params.RsmSnapChunkBytes)
-		if end > total {
-			end = total
-		}
-		c := SnapChunk{
-			Term: term, Leader: uint32(r.cfg.ID),
-			LeaderPID: uint32(r.proc.PID()), SvcPID: uint32(r.cfg.SvcPID),
-			LastIndex: snapIdx, LastTerm: snapTerm,
-			Offset: off, Total: total, Data: data[off:end],
-		}
-		if err := win.Send(ctx.Task(), pid, vid.Message{Op: OpSnap, Seg: EncodeSnapChunk(c)}); err != nil {
-			ok = false
-		}
-		if total == 0 {
-			break // empty snapshot: the one header chunk carries it all
-		}
-	}
-	err := win.Drain(ctx.Task())
-	win.Close()
-	if replyTerm > r.st.Term {
-		// A follower rejected the transfer with a higher term: step down now
-		// instead of re-streaming the snapshot at the deposed term.
-		r.stepDown(replyTerm, ctx.Now())
-		return
-	}
-	if !ok || err != nil || r.role != leader || r.st.Term != term {
-		return
-	}
-	r.stats.SnapSends++
-	if snapIdx > r.matchIndex[peer] {
-		r.matchIndex[peer] = snapIdx
-	}
-	r.nextIndex[peer] = snapIdx + 1
-	r.advanceCommit(ctx.Task())
 }

@@ -73,6 +73,18 @@ type harness struct {
 
 func boot(t *testing.T, n int, seed int64) *harness {
 	t.Helper()
+	stores := make([]*rsm.Store, n)
+	for i := range stores {
+		stores[i] = rsm.NewStore()
+	}
+	return bootStores(t, seed, stores)
+}
+
+// bootStores is boot with each replica's durable state given: the replicas
+// come up as if rebooting onto those disks.
+func bootStores(t *testing.T, seed int64, stores []*rsm.Store) *harness {
+	t.Helper()
+	n := len(stores)
 	eng := sim.NewEngine(seed)
 	bus := ethernet.NewBus(eng)
 	tb := trace.NewBus()
@@ -82,7 +94,7 @@ func boot(t *testing.T, n int, seed int64) *harness {
 		host := kernel.NewHost(eng, bus, i, fmt.Sprintf("r%d", i))
 		host.AttachTrace(tb)
 		h.hosts = append(h.hosts, host)
-		h.stores = append(h.stores, rsm.NewStore())
+		h.stores = append(h.stores, stores[i])
 		h.sms = append(h.sms, newKV())
 		h.reps = append(h.reps, rsm.New(host, rsm.Config{
 			Name: "kv", Group: vid.GroupHomeRSM, ID: i, N: n,

@@ -128,8 +128,9 @@ const (
 	// image on a new host (LH the new logical host, Peer the new hosting
 	// station, Prio the incarnation number).
 	EvExecRestart
-	// EvCopyWindow: the bulk-transfer engine issued a pipelined copy
-	// transaction (Host the issuing station, Size the number of
+	// EvCopyWindow: the bulk-transfer engine issued a transaction — a
+	// migration's copy, or an rsm heartbeat, append batch or snapshot
+	// chunk (Host the issuing station, Size the number of
 	// transactions in flight after the issue — the window occupancy, Peer
 	// the destination). The per-engine Stats.WindowSends counter must
 	// always equal the count of these events; tests hold the two to parity.
