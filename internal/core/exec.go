@@ -49,12 +49,16 @@ func FindHost(ctx *kernel.ProcCtx, name string) (HostSel, error) {
 	return HostSel{PM: vid.PID(m.W[5]), SystemLH: vid.LHID(m.W[0])}, nil
 }
 
-// Job is a handle to an executing program.
+// Job is a handle to an executing program. A supervised job's wait and
+// exit have one authority, its home: the home group, or the agent's own
+// manager when it supervised the job alone. An unsupervised job (Home
+// Nil) is waited for at its hosting manager, following it as it moves.
 type Job struct {
 	Name string
 	PID  vid.PID  // initial process
 	LHID vid.LHID // the program's logical host (stable across migration)
 	PM   vid.PID  // program manager currently responsible
+	Home vid.PID  // the supervisor; Nil when unsupervised
 	Host string   // where it started (diagnostic)
 }
 
@@ -104,25 +108,34 @@ func (a *Agent) ExecR(prog string, args []string, where string, maxRestarts int)
 		return nil, err
 	}
 	guest := sel.SystemLH != a.node.Host.SystemLH().ID()
-	pid, lhid, err := a.node.PM.Launch(ctx, sel.PM, guest, prog, args, a.node.Display.PID(), 0)
+	home := vid.Nil // unsupervised: nobody is told of the exit
+	if guest && maxRestarts > 0 {
+		home = a.node.PM.PID()
+		if a.node.cluster.homeEnabled() {
+			home = vid.GroupHomePMs
+		}
+	}
+	pid, lhid, err := a.node.PM.Launch(ctx, sel.PM, guest, prog, args, a.node.Display.PID(), home, 0)
 	if err != nil {
 		return nil, err
 	}
-	if guest && maxRestarts > 0 {
-		a.superviseSession(&progmgr.SessionInfo{
+	job := &Job{Name: prog, PID: pid, LHID: lhid, PM: sel.PM, Host: whereName(a, sel)}
+	if home != vid.Nil {
+		job.Home = a.superviseSession(&progmgr.SessionInfo{
 			LHID: lhid, PID: pid, Name: prog, Args: args,
 			Stdout: a.node.Display.PID(), MinMem: ExecMinMem,
 			HostPM: sel.PM, HostLH: sel.SystemLH, MaxRestarts: maxRestarts,
 		})
 	}
-	return &Job{Name: prog, PID: pid, LHID: lhid, PM: sel.PM, Host: whereName(a, sel)}, nil
+	return job, nil
 }
 
-// superviseSession registers a remote job with the home supervisor: the
-// replicated home group when the cluster runs one (the record lands in the
-// consensus registry and survives any single member's death), else this
+// superviseSession registers a remote job with the home supervisor and
+// returns it: the replicated home group when the cluster runs one (the
+// record lands in the consensus registry and survives any single member's
+// death; a record this member parks counts as the group's), else this
 // workstation's own manager.
-func (a *Agent) superviseSession(si *progmgr.SessionInfo) {
+func (a *Agent) superviseSession(si *progmgr.SessionInfo) vid.PID {
 	if a.node.cluster.homeEnabled() {
 		seg := progmgr.EncodeSessionInfo(si)
 		for attempt := 0; attempt < 4; attempt++ {
@@ -130,7 +143,7 @@ func (a *Agent) superviseSession(si *progmgr.SessionInfo) {
 				Op: progmgr.PmSupervise, Seg: seg,
 			})
 			if err == nil && m.OK() {
-				return
+				return vid.GroupHomePMs
 			}
 			// Group silence usually means an election in progress (boot, or
 			// a member just died). A member fenced as leader while the send
@@ -145,39 +158,14 @@ func (a *Agent) superviseSession(si *progmgr.SessionInfo) {
 			// lost. Park it instead; the lease worker re-proposes it through
 			// the group once a leader is reachable.
 			a.node.PM.QueueHomeSupervise(*si)
-			return
+			return vid.GroupHomePMs
 		}
 		// Group unreachable (mid-election or partitioned away) and this
 		// manager is not a member: plain local supervision is safe here and
 		// keeps the job watched by *someone*.
 	}
 	a.node.PM.Supervise(a.ctx, *si)
-}
-
-// homeWaitTarget is where a Wait retreats when the hosting manager cannot
-// answer: the home group when replicated, else the home workstation's own
-// manager.
-func (a *Agent) homeWaitTarget() vid.PID {
-	if a.node.cluster.homeEnabled() {
-		return vid.GroupHomePMs
-	}
 	return a.node.PM.PID()
-}
-
-// noteExited tells the home supervisor the session is over (stops the
-// lease heartbeat; a no-op for unsupervised jobs).
-func (a *Agent) noteExited(lhid vid.LHID, code uint32) {
-	if a.node.cluster.homeEnabled() {
-		if m, err := a.ctx.Send(vid.GroupHomePMs, vid.Message{
-			Op: progmgr.PmNoteExited, W: [6]uint32{uint32(lhid), code},
-		}); err == nil && m.OK() {
-			return
-		}
-		// Group unreachable: harmless — the leader's next renewal sees the
-		// exit code from the hosting manager and commits it then. (On a
-		// member that does not lead, the call below is a refused commit.)
-	}
-	a.node.PM.NoteExited(a.ctx, lhid, code)
 }
 
 func whereName(a *Agent, sel HostSel) string {
@@ -189,79 +177,61 @@ func whereName(a *Agent, sel HostSel) string {
 
 // ErrTooManyMoves means a Wait followed more CodeMoved redirects than
 // WaitMaxMoves allows — a forwarding loop between managers rather than a
-// legitimately mobile program.
+// legitimately mobile program — or heard nothing from the home group that
+// many times in a row.
 var ErrTooManyMoves = errors.New("core: wait followed too many moves")
 
-// Wait blocks until the job exits, following the program across
-// migrations and supervised re-executions (a manager that no longer runs
-// the program answers CodeMoved with the new manager's pid and, when the
-// program was re-executed under a fresh identity, its new LHID). If the
-// current manager is unreachable, Wait falls back to the home manager,
-// which supervises the session. The redirect chain is capped at
-// params.WaitMaxMoves so a buggy or split-brain manager pair cannot
-// bounce a waiter forever.
+// Wait blocks until the job exits. A supervised job is waited for at its
+// home, which holds the waiter (§3.1.3's reply-pending) through the loss
+// and re-execution of its host until the session is done or failed; a
+// home-group member deposed meanwhile hands it back to the group with
+// CodeMoved. An unsupervised job is waited for at its manager, following
+// the program across migrations (a manager that no longer runs it answers
+// CodeMoved with the new manager's pid and, for a program re-executed
+// under a fresh identity, its new LHID). The redirect chain, and a streak
+// of home-group silences or not-founds, are capped at params.WaitMaxMoves
+// so a buggy or split-brain manager pair cannot bounce a waiter forever.
 func (a *Agent) Wait(job *Job) (uint32, error) {
-	moves := 0
-	for {
-		w := [6]uint32{uint32(job.LHID)}
-		if job.PM == vid.GroupHomePMs {
-			// Home-group wait: the flag makes every member but the current
-			// leader stay silent, so the group send has one authority.
-			w[5] = progmgr.PmWaitHome
-		}
-		m, err := a.ctx.Send(job.PM, vid.Message{
-			Op: progmgr.PmWaitProgram,
-			W:  w,
-		})
-		if err != nil {
-			if home := a.homeWaitTarget(); job.PM != home {
-				job.PM = home
-				if moves++; moves > params.WaitMaxMoves {
-					return 0, ErrTooManyMoves
-				}
-				continue
-			}
-			if job.PM == vid.GroupHomePMs {
-				// Group silence is mid-election, not absence: wait out a
-				// lease interval and re-ask. The moves cap bounds the
-				// patience if the group really is gone.
-				if moves++; moves > params.WaitMaxMoves {
-					return 0, ErrTooManyMoves
-				}
-				a.Sleep(params.LeaseInterval)
-				continue
-			}
-			return 0, err
-		}
-		if m.Code == progmgr.CodeMoved {
-			job.PM = vid.PID(m.W[1])
-			if nl := vid.LHID(m.W[2]); nl != 0 {
-				job.LHID = nl
-			}
-			if moves++; moves > params.WaitMaxMoves {
-				return 0, ErrTooManyMoves
-			}
-			continue
-		}
-		if !m.OK() {
-			// A hosting manager that tore its guest down administratively
-			// (post-copy residue loss) answers aborted. The session's fate
-			// is the home supervisor's call: once the broken lease expires
-			// it re-executes the program (or fails the session), so re-ask
-			// at home after a lease interval rather than surface the abort.
-			if home := a.homeWaitTarget(); m.Code == vid.CodeAborted && job.PM != home {
-				job.PM = home
-				if moves++; moves > params.WaitMaxMoves {
-					return 0, ErrTooManyMoves
-				}
-				a.Sleep(params.LeaseInterval)
-				continue
-			}
-			return 0, m.Err()
-		}
-		a.noteExited(job.LHID, m.W[0])
-		return m.W[0], nil
+	to, lhid, w5 := job.PM, job.LHID, uint32(0)
+	if job.Home != vid.Nil {
+		// The flag makes every home-group member but the current leader
+		// stay silent, so the group send has one authority.
+		to, w5 = job.Home, progmgr.PmWaitHome
 	}
+	// A silent group send ends GroupAbortAfterRetries+1 intervals after it
+	// starts; one that lasted an interval longer was held.
+	held := (params.GroupAbortAfterRetries + 2) * params.RetransmitInterval
+	for moves := 0; moves <= params.WaitMaxMoves; moves++ {
+		sent := a.Now()
+		m, err := a.ctx.Send(to, vid.Message{
+			Op: progmgr.PmWaitProgram,
+			W:  [6]uint32{uint32(lhid), 0, 0, 0, 0, w5},
+		})
+		switch {
+		case err != nil && !to.IsGroup():
+			return 0, err
+		case err != nil || m.Code == vid.CodeNotFound && to.IsGroup():
+			// Silence is an election; not-found, a record this member
+			// parked and has not yet re-proposed.
+			if a.Now().Sub(sent) >= held {
+				moves = 0 // held until its leader died: a new streak
+			}
+			a.Sleep(params.LeaseInterval)
+		case m.Code == progmgr.CodeMoved:
+			to = vid.PID(m.W[1])
+			if nl := vid.LHID(m.W[2]); nl != 0 {
+				lhid = nl
+			}
+			if job.Home == vid.Nil {
+				job.PM, job.LHID = to, lhid
+			}
+		case !m.OK():
+			return 0, m.Err()
+		default:
+			return m.W[0], nil
+		}
+	}
+	return 0, ErrTooManyMoves
 }
 
 // Migrate asks the job's current program manager to move it elsewhere
@@ -348,7 +318,7 @@ func (a *Agent) Select(minMem uint32) (HostSel, error) {
 // separate environment setup/teardown cost from execution).
 func (a *Agent) CreateProgram(sel HostSel, prog string, args []string) (*Job, error) {
 	guest := sel.SystemLH != a.node.Host.SystemLH().ID()
-	pid, lhid, err := progmgr.Create(a.ctx, sel.PM, guest, prog, args, a.node.Display.PID())
+	pid, lhid, err := progmgr.Create(a.ctx, sel.PM, guest, prog, args, a.node.Display.PID(), vid.Nil)
 	if err != nil {
 		return nil, err
 	}

@@ -187,6 +187,46 @@ func TestMemberAgentPartitionedFromGroupQueuesSupervision(t *testing.T) {
 	}
 }
 
+// TestWaitBeforeParkedRecordLands: a member's agent cut off from the group
+// parks its session record, and the partition heals as Exec returns. The
+// wait reaches the leader before the record the lease worker re-proposes,
+// so the leader does not know the session yet; the agent asks again after
+// a lease interval instead of taking the not-found as the job's end.
+func TestWaitBeforeParkedRecordLands(t *testing.T) {
+	t.Parallel()
+	c := boot(t, Options{Workstations: 6, Seed: 1, ReplicateHome: 3})
+	mac0, mac1, mac2 := c.Node(0).Host.NIC.MAC(), c.Node(1).Host.NIC.MAC(), c.Node(2).Host.NIC.MAC()
+	var code uint32
+	var err error
+	var parked bool
+	done := false
+	c.Node(0).Agent(func(a *Agent) {
+		a.Sleep(2500 * time.Millisecond) // the group's first election
+		c.Bus.SetCut(func(src, dst ethernet.MAC) bool {
+			return (src == mac0 && (dst == mac1 || dst == mac2)) ||
+				(dst == mac0 && (src == mac1 || src == mac2))
+		})
+		var job *Job
+		if job, err = a.Exec("hello", nil, "ws4"); err != nil {
+			return
+		}
+		c.Bus.SetCut(nil)
+		for _, n := range c.Nodes[:3] {
+			parked = parked || !slices.ContainsFunc(n.PM.Sessions(), func(s progmgr.SessionView) bool { return s.LHID == job.LHID })
+		}
+		code, err = a.Wait(job)
+		done = true
+	})
+	c.Run(time.Minute)
+
+	if !parked {
+		t.Fatal("the session record reached the registry before the wait: the scenario tests nothing")
+	}
+	if !done || err != nil || code != 0 {
+		t.Fatalf("wait = (%d, %v), done %v; want the exit", code, err, done)
+	}
+}
+
 // Baseline: without a home group the same leader-and-host double kill
 // loses the session — the home manager (the only supervisor) dies with
 // its registry and nobody re-executes the program. This is what the
@@ -212,9 +252,9 @@ func TestUnreplicatedHomeDiesWithSupervisor(t *testing.T) {
 	}
 }
 
-// A home-group member's agent that cannot reach the group falls back to
-// its own manager's NoteExited. On a member that does not lead, that must
-// be a refused commit — not a write to the replicated registry outside the
+// A home-group member's own NoteExited, called while it is cut off from
+// the group. On a member that does not lead, that must be a refused
+// commit — not a write to the replicated registry outside the
 // log, which would mark the session done on this one replica only (with
 // whatever code the agent believed) and survive in its snapshots. The
 // leader's next renewal records the real exit for every replica.
@@ -250,10 +290,10 @@ func TestMemberNoteExitedOutsideLeadershipIsRefused(t *testing.T) {
 			return
 		}
 		a.Sleep(time.Second)
-		// Partitioned from the other members, the agent believes — wrongly —
+		// Partitioned from the other members, the member is told — wrongly —
 		// that the job exited with code 7.
 		c.Bus.SetCut(cutOff)
-		a.noteExited(job.LHID, 7)
+		member.PM.NoteExited(a.ctx, job.LHID, 7)
 		stateAfterFallback = member.PM.Sessions()[0].State
 		c.Bus.SetCut(nil)
 		code, err = a.Wait(job)

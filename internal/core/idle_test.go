@@ -6,6 +6,7 @@ import (
 
 	"vsystem/internal/kernel"
 	"vsystem/internal/packet"
+	"vsystem/internal/params"
 	"vsystem/internal/progmgr"
 	"vsystem/internal/progs"
 	"vsystem/internal/sched"
@@ -56,47 +57,58 @@ func TestIdleClusterWorkersStayParked(t *testing.T) {
 }
 
 // TestExitAnsweredOffTheGrid runs a program whose exit falls at an instant
-// that is no multiple of 10 ms and checks that Wait's reply is on its way
-// within a millisecond: the reaper is woken by the exit itself, and it
-// answers before it pays for the teardown. (A 10 ms poll added 0–10 ms,
-// and answering after the teardown added EnvDestroyCPU.)
+// that is no multiple of 10 ms and checks that the hosting manager's word
+// of it is on its way within a millisecond: the reply to Wait for an
+// unsupervised job, and the note to the home for a supervised one. The
+// reaper is woken by the exit itself, and it answers, and hands the note to
+// the lease worker, before it pays for the teardown. (A 10 ms poll added
+// 0–10 ms, and answering after the teardown added EnvDestroyCPU.)
 func TestExitAnsweredOffTheGrid(t *testing.T) {
 	t.Parallel()
-	c := boot(t, Options{Workstations: 2, Seed: 3})
-	var exitAt, replyAt time.Duration
-	pmPID := c.Node(1).PM.PID()
-	c.Trace.Subscribe(func(ev trace.Event) {
-		if p := ev.Pkt; ev.Kind == trace.EvPktTx && replyAt == 0 && p.Kind == packet.KReply &&
-			p.Src == pmPID && p.Msg.Op == progmgr.PmWaitProgram {
-			replyAt = ev.At.Duration()
+	for _, tc := range []struct {
+		restarts int
+		kind     packet.Kind
+		op       uint16
+	}{
+		{0, packet.KReply, progmgr.PmWaitProgram},
+		{params.ExecMaxRestarts, packet.KRequest, progmgr.PmNoteExited},
+	} {
+		c := boot(t, Options{Workstations: 2, Seed: 3})
+		var exitAt, sentAt time.Duration
+		mac := uint16(c.Node(1).Host.NIC.MAC())
+		c.Trace.Subscribe(func(ev trace.Event) {
+			if p := ev.Pkt; ev.Kind == trace.EvPktTx && sentAt == 0 && ev.Host == mac &&
+				p.Kind == tc.kind && p.Msg.Op == tc.op {
+				sentAt = ev.At.Duration()
+			}
+		})
+		queueExit := c.Node(1).Host.OnLHEmpty
+		c.Node(1).Host.OnLHEmpty = func(lh *kernel.LogicalHost) {
+			exitAt = c.Sim.Now().Duration()
+			queueExit(lh)
 		}
-	})
-	queueExit := c.Node(1).Host.OnLHEmpty
-	c.Node(1).Host.OnLHEmpty = func(lh *kernel.LogicalHost) {
-		exitAt = c.Sim.Now().Duration()
-		queueExit(lh)
-	}
 
-	var err error
-	c.Node(0).Agent(func(a *Agent) {
-		var job *Job
-		if job, err = a.Exec("primes500", nil, "ws1"); err == nil {
-			_, err = a.Wait(job)
+		var err error
+		c.Node(0).Agent(func(a *Agent) {
+			var job *Job
+			if job, err = a.ExecR("primes500", nil, "ws1", tc.restarts); err == nil {
+				_, err = a.Wait(job)
+			}
+		})
+		c.Run(time.Minute)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	c.Run(time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exitAt == 0 || replyAt == 0 {
-		t.Fatalf("exit at %v, wait reply at %v: not observed", exitAt, replyAt)
-	}
-	if exitAt%(10*time.Millisecond) == 0 {
-		t.Fatalf("exit at %v landed on the 10 ms grid; the scenario no longer tests anything", exitAt)
-	}
-	// Woken by the exit: two frozen checks and the reply's transmit charge.
-	if lag := replyAt - exitAt; lag > time.Millisecond {
-		t.Fatalf("wait reply left %v after the exit, want ≤ 1ms", lag)
+		if exitAt == 0 || sentAt == 0 {
+			t.Fatalf("restarts %d: exit at %v, op %#x sent at %v: not observed", tc.restarts, exitAt, tc.op, sentAt)
+		}
+		if exitAt%(10*time.Millisecond) == 0 {
+			t.Fatalf("restarts %d: exit at %v landed on the 10 ms grid; the scenario no longer tests anything", tc.restarts, exitAt)
+		}
+		// Woken by the exit: two frozen checks and the transmit charge.
+		if lag := sentAt - exitAt; lag > time.Millisecond {
+			t.Errorf("restarts %d: op %#x left %v after the exit, want ≤ 1ms", tc.restarts, tc.op, lag)
+		}
 	}
 }
 

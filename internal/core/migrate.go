@@ -395,7 +395,7 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 	for _, as := range lh.Spaces() {
 		descs = append(descs, kernel.SpaceDesc{ID: as.ID, Size: as.Size()})
 	}
-	progArgs, progStdout := pm.ProgMeta(lh.ID())
+	progArgs, progStdout, progHome := pm.ProgMeta(lh.ID())
 	initRep, err := ctx.Send(sel.PM, vid.Message{
 		Op: progmgr.PmInitMigration,
 		Seg: progmgr.EncodeInitReq(&progmgr.InitReq{
@@ -406,6 +406,7 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 			Spaces:  descs,
 			Args:    progArgs,
 			Stdout:  progStdout,
+			Home:    progHome,
 		}),
 	})
 	if err != nil || !initRep.OK() {

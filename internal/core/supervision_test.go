@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -14,6 +15,7 @@ import (
 	"vsystem/internal/kernel"
 	"vsystem/internal/packet"
 	"vsystem/internal/params"
+	"vsystem/internal/progmgr"
 	"vsystem/internal/progs"
 	"vsystem/internal/sched"
 	"vsystem/internal/sim"
@@ -78,6 +80,59 @@ func TestGuestCrashAutoReexec(t *testing.T) {
 	}
 	if got := c.Trace.Count(trace.EvExecRestart); got != restarts {
 		t.Errorf("trace exec-restart events = %d, SupStats.ExecRestarts = %d", got, restarts)
+	}
+}
+
+// TestSupervisedWaitIsOneTransaction: a supervised wait has one place, its
+// home. While the hosting workstation crashes and the session re-executes
+// the program, the home holds the waiter, and the agent sends one
+// PmWaitProgram transaction in all, however many copies of it go out. Both
+// homes: this workstation's own manager, and a replicated home group.
+func TestSupervisedWaitIsOneTransaction(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		opts        Options
+		agent, host int
+		crashAt     time.Duration
+	}{
+		{Options{Workstations: 4, Seed: 51}, 0, 1, 1500 * time.Millisecond},
+		{Options{Workstations: 6, Seed: 1, ReplicateHome: 3}, 3, 4, 6 * time.Second},
+	} {
+		c := boot(t, tc.opts)
+		c.Install(progs.Ticker(120))
+		c.Fault.Arm(fault.Schedule{{When: fault.After(tc.crashAt), Do: fault.Crash, Who: fault.Host(tc.host)}})
+		var agent vid.PID
+		waits := map[uint32]bool{} // the agent's PmWaitProgram transactions
+		c.Trace.Subscribe(func(ev trace.Event) {
+			if p := ev.Pkt; (ev.Kind == trace.EvPktTx || ev.Kind == trace.EvPktLocal) &&
+				p.Kind == packet.KRequest && p.Src == agent && p.Msg.Op == progmgr.PmWaitProgram {
+				waits[p.TxID] = true
+			}
+		})
+		var code uint32
+		var err error
+		c.Node(tc.agent).Agent(func(a *Agent) {
+			agent = a.ctx.PID()
+			if tc.opts.ReplicateHome > 0 {
+				a.Sleep(2500 * time.Millisecond) // the group's first election
+			}
+			var job *Job
+			if job, err = a.Exec("ticker120", nil, fmt.Sprintf("ws%d", tc.host)); err == nil {
+				code, err = a.Wait(job)
+			}
+		})
+		c.Run(2 * time.Minute)
+
+		if err != nil || code != 0 {
+			t.Fatalf("home %d: wait = (%d, %v)", tc.opts.ReplicateHome, code, err)
+		}
+		assertGapless(t, c.Node(tc.agent).Display.Lines(), 120)
+		if got := c.Trace.Count(trace.EvExecRestart); got < 1 {
+			t.Errorf("home %d: EvExecRestart = %d, want ≥ 1", tc.opts.ReplicateHome, got)
+		}
+		if len(waits) != 1 {
+			t.Errorf("home %d: the agent sent %d PmWaitProgram transactions, want 1", tc.opts.ReplicateHome, len(waits))
+		}
 	}
 }
 

@@ -587,6 +587,45 @@ func TestServingRequestMigratesWithPort(t *testing.T) {
 	}
 }
 
+// TestQueuedRequestSurvivesTheMove: a request still queued when its server's
+// logical host freezes is discarded with the old copy (§3.1.3), and the
+// sender's retransmission reaches the restored port as a new request, which
+// the server there receives and answers — it is not held with reply-pending
+// for a request the new copy never saw.
+func TestQueuedRequestSurvivesTheMove(t *testing.T) {
+	r := newRig(t, 3, 17)
+	lhA, lhB := vid.LHID(10), vid.LHID(20)
+	r.place(lhA, 0) // client
+	r.place(lhB, 1) // server: never receives on host 1
+	client := r.hosts[0].eng.NewPort(vid.NewPID(lhA, 16))
+	server := r.hosts[1].eng.NewPort(vid.NewPID(lhB, 16))
+	r.sim.After(500*time.Millisecond, func() {
+		r.hosts[1].frozen[lhB] = true
+		st := server.Snapshot()
+		server.Close()
+		r.hosts[1].resident[lhB] = false
+		r.hosts[1].frozen[lhB] = false
+		r.hosts[2].resident[lhB] = true
+		echoServer(r.sim, r.hosts[2].eng.RestorePort(st, true))
+		r.hosts[2].eng.BroadcastBinding(lhB)
+	})
+	var got vid.Message
+	var err error
+	var took time.Duration
+	r.sim.Spawn("client", func(tk *sim.Task) {
+		start := tk.Now()
+		got, err = client.Send(tk, server.PID(), vid.Message{Op: testOp, W: [6]uint32{41}})
+		took = tk.Now().Sub(start)
+	})
+	r.sim.RunFor(20 * time.Second)
+	if err != nil || got.W[0] != 42 {
+		t.Fatalf("send = W0 %d, %v (after %v); want the restored echo server's 42", got.W[0], err, took)
+	}
+	if took > time.Second {
+		t.Errorf("send took %v; want the first copy after the move answered", took)
+	}
+}
+
 func TestLocalDelivery(t *testing.T) {
 	r := newRig(t, 1, 17)
 	lhA, lhB := vid.LHID(10), vid.LHID(11)

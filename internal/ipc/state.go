@@ -15,7 +15,8 @@ import (
 //
 // The snapshot deliberately excludes the queue of delivered-but-unreceived
 // requests: the paper discards those on deletion of the old copy and relies
-// on sender retransmission. It includes the in-progress send transaction
+// on sender retransmission, so their senders come back as dropped ones
+// (LastState.Dropped), whose next copy is received as new. It includes the in-progress send transaction
 // (so the process keeps retransmitting from its new host and can still
 // collect the reply from the replier's cache), the request currently being
 // served (so its eventual Reply carries the right transaction id), the
@@ -58,10 +59,11 @@ type CurState struct {
 }
 
 // LastState is one duplicate-detection entry: the newest transaction seen
-// from Src.
+// from Src, and whether it has no reply to come (dropped, or queued).
 type LastState struct {
-	Src  vid.PID
-	TxID uint32
+	Src     vid.PID
+	TxID    uint32
+	Dropped bool
 }
 
 // CachedReplyState is one reply-cache entry: the reply last sent to Src.
@@ -81,7 +83,8 @@ func (p *Port) Snapshot() *PortState {
 	for _, src := range slices.Sorted(maps.Keys(p.peers)) {
 		pr := p.peers[src]
 		if pr.seen {
-			st.Last = append(st.Last, LastState{Src: src, TxID: pr.last})
+			queued := slices.ContainsFunc(p.rq, func(r *Req) bool { return r.Src == src && r.txid == pr.last })
+			st.Last = append(st.Last, LastState{Src: src, TxID: pr.last, Dropped: pr.dropped || queued})
 		}
 		if c := pr.cache; c != nil {
 			st.Cache = append(st.Cache, CachedReplyState{Src: src, TxID: c.txid, Msg: c.msg})
@@ -111,7 +114,7 @@ func (e *Engine) RestorePort(st *PortState, active bool) *Port {
 	p := e.NewPort(st.PID)
 	p.txSeq = st.TxSeq
 	for _, l := range st.Last {
-		p.peers[l.Src] = peer{seen: true, last: l.TxID}
+		p.peers[l.Src] = peer{seen: true, last: l.TxID, dropped: l.Dropped}
 	}
 	for _, v := range st.Cache {
 		c, pr := &cachedReply{txid: v.TxID, msg: v.Msg}, p.peers[v.Src]
@@ -146,7 +149,7 @@ func (p *Port) Activate() {
 // plus its segment.
 const (
 	curStateMin  = 8 + vid.MessageLen
-	lastStateLen = 8
+	lastStateLen = 9
 )
 
 // AppendTo appends the state's wire form.
@@ -174,6 +177,7 @@ func (st *PortState) AppendTo(a *vid.Appender) {
 	for _, l := range st.Last {
 		a.U32(uint32(l.Src))
 		a.U32(l.TxID)
+		a.Bool(l.Dropped)
 	}
 	a.Count(len(st.Cache))
 	for i := range st.Cache {
@@ -207,7 +211,7 @@ func ReadPortState(r *vid.Reader) *PortState {
 		st.Open = append(st.Open, c)
 	}
 	for i, n := 0, r.Count(lastStateLen); i < n && r.Err() == nil; i++ {
-		l := LastState{Src: vid.PID(r.U32()), TxID: r.U32()}
+		l := LastState{Src: vid.PID(r.U32()), TxID: r.U32(), Dropped: r.Bool()}
 		ascending(i, l.Src)
 		st.Last = append(st.Last, l)
 	}

@@ -47,7 +47,7 @@ func populatedPortState() *PortState {
 		},
 		Last: []LastState{
 			{Src: vid.NewPID(0x0203, 16), TxID: 9},
-			{Src: vid.NewPID(0x0303, 16), TxID: 1},
+			{Src: vid.NewPID(0x0303, 16), TxID: 1, Dropped: true},
 			{Src: vid.NewPID(0x0403, 16), TxID: 77},
 		},
 		Cache: []CachedReplyState{
@@ -62,7 +62,7 @@ func TestPortStateWireForm(t *testing.T) {
 	// flag and the send transaction come Open, then Last, then Cache.
 	send := 8 + 1 + 4 + 4 + 1 + 1 + 2 + (vid.MessageLen + len("request")) + vid.MessageLen
 	open := send + 2 + (8 + vid.MessageLen + len("open")) + (8 + vid.MessageLen)
-	last := open + 2 + 3*8
+	last := open + 2 + 3*9
 	portStateForm.Malformed(t, seg,
 		wiretest.Count{Off: send, N: 2}, wiretest.Count{Off: open, N: 3}, wiretest.Count{Off: last, N: 1})
 

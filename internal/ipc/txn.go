@@ -165,10 +165,10 @@ func (c clientTxn) step(ev clientEv) (clientTxn, clientAct) {
 		}
 		return c, actRetry
 	case evPending:
-		// A group or a gather ignores it: a member that declined to answer
-		// must not hold the sender past its group timeout, and a window is
-		// fixed whoever is alive.
-		if c.txid == ev.txid && !c.group && !c.gather {
+		// A group send hears it as a unicast one does: a member holds the
+		// request (§3.1.3), and one that declined dropped it and sends none.
+		// A gather ignores it: its window is fixed whoever is alive.
+		if c.txid == ev.txid && !c.gather {
 			c.silent, c.lastAlive = 0, ev.now
 			c.spend()
 		}

@@ -156,14 +156,20 @@ func TestClientTxnTable(t *testing.T) {
 		m["no-process"] = over(c, vid.CodeNoProcess)
 		return m
 	}
-	// unicast adds what every unicast send does: reply-pending is evidence
-	// of life, and a learnt binding, an abort and (once located) a
-	// suspicion of its station prompt or end it; a probe due is sent.
-	unicast := func(c clientTxn, m map[string]out) map[string]out {
-		m = answers(c, m)
+	// held adds what every send but a gather hears in reply-pending: a
+	// server holds the request, so it is evidence of life, and it spends
+	// the tail probe.
+	held := func(c clientTxn, m map[string]out) map[string]out {
 		alive := spent(c)
 		alive.silent, alive.lastAlive = 0, now
 		m["reply-pending"] = out{actNone, alive, alive.due}
+		return m
+	}
+	// unicast adds what every unicast send does: a learnt binding, an abort
+	// and (once located) a suspicion of its station prompt or end it; a
+	// probe due is sent.
+	unicast := func(c clientTxn, m map[string]out) map[string]out {
+		m = held(c, answers(c, m))
 		m["bound"] = out{actResend, spent(c), spent(c).due}
 		m["abort"] = over(c, vid.CodeAborted)
 		if c.mac != 0 {
@@ -232,7 +238,7 @@ func TestClientTxnTable(t *testing.T) {
 	}{
 		{"new", fresh, 0, started(fresh, unicast(fresh, map[string]out{})), notStarted},
 		{"new, unlocated", freshUnlocated, 0, started(freshUnlocated, unicast(freshUnlocated, map[string]out{})), notStarted},
-		{"new, group", freshGroup, 0, started(freshGroup, answers(freshGroup, map[string]out{})), notStarted},
+		{"new, group", freshGroup, 0, started(freshGroup, held(freshGroup, answers(freshGroup, map[string]out{}))), notStarted},
 		{"new, probe", freshProbe, 0, started(freshProbe, func() map[string]out {
 			m := answers(freshProbe, map[string]out{})
 			m["bound"] = out{actResend, spent(freshProbe), 0}
@@ -273,8 +279,8 @@ func TestClientTxnTable(t *testing.T) {
 			return m
 		}()), starts},
 		{"one tick from abort", aborting, now, unicast(aborting, timeouts(aborting, ticks(aborting, actNone))), starts},
-		{"group", group, now, answers(group, ticks(group, actRetry)), starts},
-		{"group, one tick from abort", groupAborting, now, answers(groupAborting, timeouts(groupAborting, ticks(groupAborting, actNone))), starts},
+		{"group", group, now, held(group, answers(group, ticks(group, actRetry))), starts},
+		{"group, one tick from abort", groupAborting, now, held(groupAborting, answers(groupAborting, timeouts(groupAborting, ticks(groupAborting, actNone)))), starts},
 		{"probe", probe, now, answers(probe, func() map[string]out {
 			m := ticks(probe, actRelocate)
 			m["bound"] = out{actResend, probe, now}
@@ -523,6 +529,52 @@ func TestDroppedRequestHeldUntilAborted(t *testing.T) {
 	}
 	if st := server.eng.Stats(); st.ReplyPendings < 30 || st.RepliesFromCache != 0 {
 		t.Errorf("retransmissions of the dropped request got %d reply-pendings and %d cached replies", st.ReplyPendings, st.RepliesFromCache)
+	}
+}
+
+// TestDroppedGroupRequestTimesOut: a group send whose members drop every
+// copy hears no reply-pending, so it still ends at its group timeout,
+// GroupAbortAfterRetries silent intervals after the first.
+func TestDroppedGroupRequestTimesOut(t *testing.T) {
+	r := newRig(t, 3, 5)
+	group := vid.NewPID(vid.GroupBit|9, 1)
+	lhA := vid.LHID(10)
+	r.place(lhA, 0)
+	client := r.hosts[0].eng.NewPort(vid.NewPID(lhA, 16))
+	drops := 0
+	for i := 1; i <= 2; i++ {
+		lh := vid.LHID(20 + i)
+		r.place(lh, i)
+		p := r.hosts[i].eng.NewPort(vid.NewPID(lh, 16))
+		r.hosts[i].join(group, p.PID())
+		r.sim.Spawn("member", func(tk *sim.Task) {
+			for {
+				req := p.Receive(tk)
+				drops++
+				p.Drop(req)
+			}
+		})
+	}
+	var err error
+	var took time.Duration
+	r.sim.Spawn("client", func(tk *sim.Task) {
+		start := tk.Now()
+		_, err = client.Send(tk, group, vid.Message{Op: testOp})
+		took = tk.Now().Sub(start)
+	})
+	r.sim.RunFor(5 * time.Second)
+	if code, ok := err.(vid.CodeError); !ok || uint16(code) != vid.CodeTimeout {
+		t.Fatalf("send = %v; want a timeout", err)
+	}
+	timeout := (params.GroupAbortAfterRetries + 1) * params.RetransmitInterval
+	if took < timeout || took > timeout+params.RetransmitInterval/2 {
+		t.Errorf("send took %v; want the group timeout, %v", took, timeout)
+	}
+	if copies := 2 * (params.GroupAbortAfterRetries + 1); drops != copies {
+		t.Errorf("members dropped %d copies, want %d", drops, copies)
+	}
+	if st := r.hosts[1].eng.Stats(); st.ReplyPendings != 0 {
+		t.Errorf("a member sent %d reply-pendings", st.ReplyPendings)
 	}
 }
 

@@ -153,7 +153,7 @@ func TestWireSizesPinned(t *testing.T) {
 		want int
 	}{
 		{"LHState, one-process paper guest", len(guest.Encode()), 187},
-		{"LHState, two processes, one mid-send", len(populatedLHState().Encode()), 505},
+		{"LHState, two processes, one mid-send", len(populatedLHState().Encode()), 507},
 		{"LHState, zero", len((&LHState{}).Encode()), 15},
 		{"page run, 9 pages, 6 of them non-zero", len(AppendPageRun(nil, 7, mixedPages, mixedData)), 8 + 9*4 + 6*1024},
 		{"page run, 30 all-zero pages", len(AppendPageRun(nil, 1, zeroPages, zeroData)), 8 + 30*4},

@@ -16,13 +16,14 @@ import (
 // ------------------------------------------------------------ InitReq
 
 // EncodeInitReq serializes an InitReq: FinalLH, SrcLH, the guest flag,
-// Stdout, the name, the counted space descriptors, the argument list.
+// Stdout, Home, the name, the counted space descriptors, the argument list.
 func EncodeInitReq(q *InitReq) []byte {
 	var a vid.Appender
 	a.U16(uint16(q.FinalLH))
 	a.U16(uint16(q.SrcLH))
 	a.Bool(q.Guest)
 	a.U32(uint32(q.Stdout))
+	a.U32(uint32(q.Home))
 	a.String(q.Name)
 	a.Count(len(q.Spaces))
 	for _, sd := range q.Spaces {
@@ -38,7 +39,7 @@ func DecodeInitReq(b []byte) (*InitReq, error) {
 	r := vid.NewReader(b)
 	q := &InitReq{
 		FinalLH: vid.LHID(r.U16()), SrcLH: vid.LHID(r.U16()), Guest: r.Bool(),
-		Stdout: vid.PID(r.U32()), Name: r.String(),
+		Stdout: vid.PID(r.U32()), Home: vid.PID(r.U32()), Name: r.String(),
 	}
 	for i, n := 0, r.Count(8); i < n; i++ {
 		q.Spaces = append(q.Spaces, kernel.SpaceDesc{ID: r.U32(), Size: r.U32()})

@@ -30,7 +30,7 @@ func populatedInitReq() *InitReq {
 	return &InitReq{
 		Name: "tex", Guest: true, FinalLH: 0x0105, SrcLH: 0x0100,
 		Spaces: []kernel.SpaceDesc{{ID: 1, Size: 708 * 1024}, {ID: 2, Size: 64 * 1024}},
-		Args:   []string{"-draft", "paper.tex"}, Stdout: vid.NewPID(0x0300, 17),
+		Args:   []string{"-draft", "paper.tex"}, Stdout: vid.NewPID(0x0300, 17), Home: vid.GroupHomePMs,
 	}
 }
 
@@ -59,7 +59,7 @@ func populatedSnap() *homeSnap {
 func TestInitReqWireForm(t *testing.T) {
 	q := populatedInitReq()
 	seg := initReqForm.RoundTrip(t, q)
-	spaces := 2 + 2 + 1 + 4 + 2 + len(q.Name)
+	spaces := 2 + 2 + 1 + 4 + 4 + 2 + len(q.Name)
 	args := spaces + 2 + 2*8
 	initReqForm.Malformed(t, seg,
 		wiretest.Count{Off: spaces, N: 2}, wiretest.Count{Off: args, N: 2})
@@ -165,8 +165,8 @@ func TestWireSizesPinned(t *testing.T) {
 		got  int
 		want int
 	}{
-		{"InitReq, two spaces, two arguments", len(EncodeInitReq(populatedInitReq())), 53},
-		{"InitReq, zero", len(EncodeInitReq(&InitReq{})), 15},
+		{"InitReq, two spaces, two arguments", len(EncodeInitReq(populatedInitReq())), 57},
+		{"InitReq, zero", len(EncodeInitReq(&InitReq{})), 19},
 		{"SessionInfo, one argument", len(EncodeSessionInfo(populatedSessionInfo())), 41},
 		{"hgCmd, lease renewal", len(encodeCmd(renew)), 36},
 		{"hgCmd, supervise with its SessionInfo", len(encodeCmd(&hgCmd{Kind: hgSupervise, Sess: populatedSessionInfo()})), 77},

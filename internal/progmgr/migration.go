@@ -34,6 +34,8 @@ type InitReq struct {
 	// evicted and no host will accept a migration.
 	Args   []string
 	Stdout vid.PID
+	// Home is told of the program's exit (PmCreateProgram W2).
+	Home vid.PID
 }
 
 // Migrator is the pluggable migration engine (implemented by the core
@@ -147,7 +149,7 @@ func (pm *PM) reexecElsewhere(ctx *kernel.ProcCtx, lhid vid.LHID, pi *progInfo) 
 	if err != nil {
 		return false
 	}
-	_, newLH, err := pm.Launch(ctx, l.PM, true, pi.name, pi.args, pi.stdout, lhid)
+	_, newLH, err := pm.Launch(ctx, l.PM, true, pi.name, pi.args, pi.stdout, pi.home, lhid)
 	if err != nil {
 		return false
 	}
@@ -186,7 +188,7 @@ func (pm *PM) initMigration(ctx *kernel.ProcCtx, m vid.Message) vid.Message {
 	}
 	pm.host.Freeze(lh)
 	pm.progs[req.FinalLH] = &progInfo{
-		lh: lh, name: req.Name, args: req.Args, stdout: req.Stdout,
+		lh: lh, name: req.Name, args: req.Args, stdout: req.Stdout, home: req.Home,
 		guest: req.Guest, incoming: true, srcLH: req.SrcLH,
 	}
 	// A receptacle whose source dies mid-copy never assumes its final

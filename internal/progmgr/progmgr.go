@@ -42,12 +42,15 @@ const (
 	// unless QueryUnicast asks for an explicit refusal; QueryRelaxed
 	// drops the idleness requirement (memory still applies).
 	PmSelectHost
-	// PmCreateProgram: W0=stdout PID, W1=guest flag, Seg=program name
-	// NUL-joined with arguments → W0=initial process PID, W1=LHID.
+	// PmCreateProgram: W0=stdout PID, W1=guest flag, W2=home (sent
+	// PmNoteExited at the exit; Nil: none), Seg=program name NUL-joined
+	// with arguments → W0=initial process PID, W1=LHID.
 	PmCreateProgram
-	// PmWaitProgram: W0=LHID → replies when the program exits
-	// (W0=exit code) or is not here: CodeMoved (W1=new PM pid, W2 as for
-	// PmRenewLease), CodeAborted when it was lost, else CodeNotFound.
+	// PmWaitProgram: W0=LHID, W5=PmWaitHome at a supervised program's
+	// home, which holds it until the session resolves → replies when the
+	// program exits (W0=exit code) or is not here: CodeMoved (W1=new PM
+	// pid, W2 as for PmRenewLease), CodeAborted when it was lost, else
+	// CodeNotFound.
 	PmWaitProgram
 	// PmMigrateProgram: W0=LHID (0 = all guest programs), W1=1 to
 	// destroy if no host found (-n) → Seg = gob MigrationReport.
@@ -98,6 +101,7 @@ type progInfo struct {
 	guest    bool
 	incoming bool     // migration receptacle, not yet assumed
 	srcLH    vid.LHID // migration source's system LH (incoming only)
+	home     vid.PID  // told of the exit (PmCreateProgram W2); Nil: nobody
 	waiters  []*ipc.Req
 }
 
@@ -228,14 +232,14 @@ func (pm *PM) PID() vid.PID { return pm.proc.PID() }
 // Host returns the managed workstation.
 func (pm *PM) Host() *kernel.Host { return pm.host }
 
-// ProgMeta returns a tracked program's invocation metadata (arguments and
-// output sink) so the migration engine can forward it to the receiving
-// manager.
-func (pm *PM) ProgMeta(lhid vid.LHID) (args []string, stdout vid.PID) {
+// ProgMeta returns a tracked program's invocation metadata (arguments,
+// output sink and home) so the migration engine can forward it to the
+// receiving manager.
+func (pm *PM) ProgMeta(lhid vid.LHID) (args []string, stdout, home vid.PID) {
 	if pi := pm.progs[lhid]; pi != nil {
-		return pi.args, pi.stdout
+		return pi.args, pi.stdout, pi.home
 	}
-	return nil, vid.Nil
+	return nil, vid.Nil, vid.Nil
 }
 
 // onLHEmpty runs in the exiting process's context; queue the teardown for
@@ -282,16 +286,20 @@ func (pm *PM) answer(t *sim.Task, waiters []*ipc.Req, lhid vid.LHID, f fate) {
 
 // retire is the one way a program leaves this manager: it drops pi (nil
 // when the manager never tracked the logical host) from progs, records
-// what became of the program, and answers its waiters. It destroys
-// nothing; the caller decides whether the logical host goes before or
-// after the waiters hear. An exit (reap) and a lost guest (AbortGuest)
-// answer first; a destroy, migrateprog -n and eviction destroy first,
-// because their reply is the word that the logical host is gone.
+// what became of the program, and answers its waiters; an exit is also
+// noted to its home. It destroys nothing; the caller decides whether the
+// logical host goes before or after the waiters hear. An exit (reap) and
+// a lost guest (AbortGuest) answer first; a destroy, migrateprog -n and
+// eviction destroy first, because their reply is the word that the
+// logical host is gone.
 func (pm *PM) retire(t *sim.Task, lhid vid.LHID, pi *progInfo, f fate) {
 	pm.fates[lhid] = f
 	if pi != nil {
 		delete(pm.progs, lhid)
 		pm.answer(t, pi.waiters, lhid, f)
+		if f.kind == fateExited && pi.home != vid.Nil {
+			pm.queueSend(pi.home, vid.Message{Op: PmNoteExited, W: [6]uint32{uint32(lhid), f.code}})
+		}
 	}
 }
 
@@ -313,8 +321,9 @@ func (pm *PM) reap(ctx *kernel.ProcCtx) {
 // completed — a post-copy residue loss: the source receptacle died before
 // the destination held every page. Its fate is lost, which a lease renewal
 // reads as not-found: the owning session's lease expires, and the program
-// is re-executed from its file-server image. Pending waiters are bounced
-// with CodeAborted; the session layer re-answers them after recovery.
+// is re-executed from its file-server image. A supervised program's
+// waiter is held at its home, which answers it once the session resolves;
+// a waiter held here (an unsupervised job's) hears CodeAborted.
 // Called from the faulting process's context (t), so the waiters hear
 // before the logical host goes.
 func (pm *PM) AbortGuest(t *sim.Task, lhid vid.LHID) {
@@ -352,25 +361,30 @@ func (pm *PM) run(ctx *kernel.ProcCtx) {
 			ctx.ReplyNaming(req, reply, vid.LHID(reply.W[1]))
 
 		case PmWaitProgram:
-			if m.W[5]&PmWaitHome != 0 && !pm.svc.Admit(ctx, req) {
+			home := m.W[5]&PmWaitHome != 0
+			if home && !pm.svc.Admit(ctx, req) {
 				// Home-group wait: only the current leader answers or holds
 				// the waiter; every other member stays silent so the agent's
 				// group send lands on exactly one authority.
 				continue
 			}
 			lhid := vid.LHID(m.W[0])
-			if pi := pm.progs[lhid]; pi != nil && !pi.incoming {
+			if pi := pm.progs[lhid]; pi != nil && !pi.incoming && !home {
 				pi.waiters = append(pi.waiters, req)
 				continue // deferred reply
 			}
 			f := pm.fates[lhid]
-			if s := pm.reg.lookup(lhid); s != nil && (f.kind == fateUnknown || f.kind == fateLost) {
-				// This manager supervises the job, and that outranks a lost
-				// guest: the session's state is the program's fate. While
-				// the session is broken the waiter is held until recovery
-				// resolves it, so it cannot bounce between managers during
-				// a fail-over.
-				if s.State == sessionBroken {
+			if s := pm.reg.lookup(lhid); s != nil && (home || f.kind == fateUnknown || f.kind == fateLost) {
+				// This manager supervises the job: the session's state is
+				// the program's fate, and until it resolves the waiter is
+				// held, whatever becomes of the hosting workstation. An
+				// active session renews at once, to learn an exit whose
+				// note was lost or came before the session was registered.
+				switch s.State {
+				case sessionActive:
+					s.LastRenew = 0
+					fallthrough
+				case sessionBroken:
 					s.waiters = append(s.waiters, req)
 					pm.kickLease() // a follower hands the waiter to the group at once
 					continue
@@ -476,7 +490,7 @@ func (pm *PM) createProgram(ctx *kernel.ProcCtx, m vid.Message) vid.Message {
 	progName := parts[0]
 	args := parts[1:]
 	guest := m.W[1] != 0
-	stdout := vid.PID(m.W[0])
+	stdout, home := vid.PID(m.W[0]), vid.PID(m.W[2])
 
 	hdr, size, fsPID, err := pm.loadFile(ctx, progName)
 	if err != nil {
@@ -537,7 +551,7 @@ func (pm *PM) createProgram(ctx *kernel.ProcCtx, m vid.Message) vid.Message {
 	as.ClearDirty()
 
 	p := lh.NewProcess(as.ID, img.Kind, kernel.Regs{})
-	pm.progs[lh.ID()] = &progInfo{lh: lh, name: progName, args: args, stdout: stdout, guest: guest}
+	pm.progs[lh.ID()] = &progInfo{lh: lh, name: progName, args: args, stdout: stdout, guest: guest, home: home}
 	return vid.Message{Op: PmCreateProgram, W: [6]uint32{uint32(p.PID()), uint32(lh.ID())}}
 }
 

@@ -493,8 +493,9 @@ func TestFateTable(t *testing.T) {
 			return fx{ask: 1, lh: lhid}
 		}, func(*rig, fx) (answer, answer) { return refused(vid.CodeAborted), refused(vid.CodeNotFound) }},
 
-		{"supervised active", supervised, func(r *rig, _ fx) (answer, answer) {
-			return moved(r.pms[1].PID(), 0), refused(vid.CodeNotFound)
+		// The supervisor holds a waiter until the session resolves.
+		{"supervised active", supervised, func(*rig, fx) (answer, answer) {
+			return held, refused(vid.CodeNotFound)
 		}},
 
 		{"supervised broken", func(ctx *kernel.ProcCtx, r *rig) fx {
@@ -515,15 +516,16 @@ func TestFateTable(t *testing.T) {
 			return f
 		}, func(*rig, fx) (answer, answer) { return refused(vid.CodeAborted), refused(vid.CodeNotFound) }},
 
+		// The session outranks the lost guest. Its waiter asks for a renewal
+		// at once, ws1 knows nothing of the program, and the session, with
+		// no selector to re-execute it, fails.
 		{"supervised answers before lost", func(ctx *kernel.ProcCtx, r *rig) fx {
 			pid, lhid := create(ctx, r, 0, "long", true)
 			r.pms[0].AbortGuest(ctx.Task(), lhid)
 			r.pms[0].Supervise(ctx, SessionInfo{LHID: lhid, PID: pid, Name: "long",
 				HostPM: r.pms[1].PID(), HostLH: r.ws[1].SystemLH().ID()})
 			return fx{ask: 0, lh: lhid}
-		}, func(r *rig, _ fx) (answer, answer) {
-			return moved(r.pms[1].PID(), 0), refused(vid.CodeNotFound)
-		}},
+		}, func(*rig, fx) (answer, answer) { return refused(vid.CodeAborted), refused(vid.CodeNotFound) }},
 
 		{"unknown", func(*kernel.ProcCtx, *rig) fx {
 			return fx{ask: 1, lh: 0x7777}

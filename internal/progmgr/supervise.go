@@ -49,8 +49,9 @@ const (
 	// home group. Only the group leader answers (commits, then OK);
 	// followers stay silent, so agents address the group.
 	PmSupervise uint16 = 0x3D
-	// PmNoteExited: W0 = original LHID, W1 = exit code — the agent's Wait
-	// saw the exit; stop lease traffic. Leader-only, like PmSupervise.
+	// PmNoteExited: W0 = LHID, W1 = exit code — the hosting manager's
+	// lease worker reports a supervised program's exit to its home, which
+	// ends the session. Leader-only, like PmSupervise.
 	PmNoteExited uint16 = 0x3E
 )
 
@@ -178,12 +179,12 @@ func (pm *PM) supervise(ctx *kernel.ProcCtx, req *ipc.Req) {
 	ctx.Reply(req, vid.Message{Op: PmSupervise})
 }
 
-// NoteExited marks a supervised session finished (the agent's Wait saw
-// the exit), stopping further lease traffic. On a home-group member that
-// does not lead, the commit is refused and nothing is recorded: the
+// NoteExited marks a supervised session finished, stopping further lease
+// traffic, if lhid is its current incarnation. On a home-group member
+// that does not lead, the commit is refused and nothing is recorded: the
 // leader's next renewal learns the exit code from the hosting manager.
 func (pm *PM) NoteExited(ctx *kernel.ProcCtx, lhid vid.LHID, code uint32) error {
-	if s := pm.reg.lookup(lhid); s != nil && s.State != sessionDone && s.State != sessionFailed {
+	if s := pm.reg.lookup(lhid); s != nil && s.Cur == lhid && s.State != sessionDone && s.State != sessionFailed {
 		return pm.commit(ctx, hgCmd{Kind: hgDone, Orig: s.Orig, Code: code})
 	}
 	return nil
@@ -233,12 +234,13 @@ func (pm *PM) Sessions() []SessionView {
 	return out
 }
 
-// reapJob is one remote program to destroy with retry — created but never
-// started (the start failed or was partitioned away), or left behind by a
-// failed recovery attempt.
+// reapJob is one message the lease worker sends with retry: an exit note,
+// or the destruction of a remote program created but never started (the
+// start failed or was partitioned away) or left behind by a failed
+// recovery attempt.
 type reapJob struct {
 	pm       vid.PID
-	lhid     vid.LHID
+	msg      vid.Message
 	attempts int
 	next     sim.Time
 }
@@ -247,7 +249,13 @@ type reapJob struct {
 // once its manager is reachable again, so a failed Exec cannot leak the
 // execution environment it created.
 func (pm *PM) ReapRemote(target vid.PID, lhid vid.LHID) {
-	pm.reapQ = append(pm.reapQ, &reapJob{pm: target, lhid: lhid, next: pm.host.Eng.Now()})
+	pm.queueSend(target, vid.Message{Op: PmDestroyProgram, W: [6]uint32{uint32(lhid)}})
+}
+
+// queueSend has the lease worker send msg to target now, and again while
+// target cannot be reached; the reaper must not block on a send.
+func (pm *PM) queueSend(target vid.PID, msg vid.Message) {
+	pm.reapQ = append(pm.reapQ, &reapJob{pm: target, msg: msg, next: pm.host.Eng.Now()})
 	pm.kickLease()
 }
 
@@ -352,13 +360,11 @@ func (pm *PM) leasePass(ctx *kernel.ProcCtx) {
 	}
 }
 
-// fate is what a resolved session's state says of its program: active is
-// moved to the hosting manager, done is exited, and failed is answered as
-// lost is. A broken session has no fate yet.
+// fate is what a resolved session's state says of its program: done is
+// exited, and failed is answered as lost is. An active or broken session
+// has no fate yet.
 func (s *session) fate() fate {
 	switch s.State {
-	case sessionActive:
-		return fate{kind: fateMoved, pm: s.HostPM, lh: s.Cur}
 	case sessionDone:
 		return fate{kind: fateExited, code: s.ExitCode}
 	case sessionFailed:
@@ -438,13 +444,10 @@ func (pm *PM) recover(ctx *kernel.ProcCtx, s *session) {
 	if err == nil && m.OK() {
 		// Still running — the host was falsely suspected, or the program
 		// moved and the forwarding record died with its manager.
-		if pm.commit(ctx, hgCmd{
+		pm.commit(ctx, hgCmd{
 			Kind: hgRenewed, Orig: s.Orig, At: int64(ctx.Now()),
 			HostPM: m.W[5], HostLH: m.W[0],
-		}) != nil {
-			return
-		}
-		pm.flushWaiters(ctx, s, s.fate())
+		})
 		return
 	}
 	// 2. Nobody runs it: re-execute, with bounded attempts.
@@ -478,7 +481,11 @@ func (pm *PM) reexecSession(ctx *kernel.ProcCtx, s *session) bool {
 	if err != nil {
 		return false
 	}
-	newPID, newLH, err := pm.Launch(ctx, l.PM, true, s.Name, s.Args, s.Stdout, s.Cur)
+	home := pm.PID()
+	if pm.HomeReplica() != nil {
+		home = vid.GroupHomePMs
+	}
+	newPID, newLH, err := pm.Launch(ctx, l.PM, true, s.Name, s.Args, s.Stdout, home, s.Cur)
 	if err != nil {
 		return false
 	}
@@ -499,23 +506,23 @@ func (pm *PM) reexecSession(ctx *kernel.ProcCtx, s *session) bool {
 		At: ctx.Now(), Host: uint16(pm.host.NIC.MAC()), Kind: trace.EvExecRestart,
 		LH: newLH, Peer: l.SystemLH.Station(), Prio: s.Incarnation,
 	})
-	pm.flushWaiters(ctx, s, s.fate())
 	return true
 }
 
 // Launch is the one way a program is started (§2.1). The manager target
 // creates its environment (a guest one when guest is set) with output to
-// stdout, and the creator — ctx, on this manager's workstation — starts
-// it by "replying to its initial process" through the kernel server of the
-// new logical host. A re-execution names the logical host it supersedes:
-// the new copy replays output from the start, and the display suppresses
-// what the earlier incarnation already delivered, so the adoption notice
-// must land before the start. An environment that was created but never
-// started is destroyed, or left to this manager's retrying reaper.
+// stdout and its exit noted to home, and the creator — ctx, on this
+// manager's workstation — starts it by "replying to its initial process"
+// through the kernel server of the new logical host. A re-execution names
+// the logical host it supersedes: the new copy replays output from the
+// start, and the display suppresses what the earlier incarnation already
+// delivered, so the adoption notice must land before the start. An
+// environment that was created but never started is destroyed, or left to
+// this manager's retrying reaper.
 func (pm *PM) Launch(ctx *kernel.ProcCtx, target vid.PID, guest bool, name string, args []string,
-	stdout vid.PID, supersedes vid.LHID) (vid.PID, vid.LHID, error) {
+	stdout, home vid.PID, supersedes vid.LHID) (vid.PID, vid.LHID, error) {
 
-	pid, lhid, err := Create(ctx, target, guest, name, args, stdout)
+	pid, lhid, err := Create(ctx, target, guest, name, args, stdout, home)
 	if err != nil {
 		return vid.Nil, 0, err
 	}
@@ -538,17 +545,17 @@ func (pm *PM) Launch(ctx *kernel.ProcCtx, target vid.PID, guest bool, name strin
 }
 
 // Create asks the manager target to set up a program's execution
-// environment without starting it, and returns its initial process and
-// logical host.
+// environment, whose exit it reports to home, without starting it, and
+// returns its initial process and logical host.
 func Create(ctx *kernel.ProcCtx, target vid.PID, guest bool, name string, args []string,
-	stdout vid.PID) (vid.PID, vid.LHID, error) {
+	stdout, home vid.PID) (vid.PID, vid.LHID, error) {
 
 	w1 := uint32(0)
 	if guest {
 		w1 = 1
 	}
 	m, err := ctx.Send(target, vid.Message{
-		Op: PmCreateProgram, W: [6]uint32{uint32(stdout), w1},
+		Op: PmCreateProgram, W: [6]uint32{uint32(stdout), w1, uint32(home)},
 		Seg: []byte(strings.Join(append([]string{name}, args...), "\x00")),
 	})
 	if err == nil {
@@ -597,8 +604,8 @@ func (pm *PM) failSession(ctx *kernel.ProcCtx, s *session) {
 	}
 }
 
-// drainReapQ retries every remote destruction that is due. A job that
-// fails again goes to the back with a later time, so the loop ends.
+// drainReapQ sends every queued message that is due. A job that fails
+// again goes to the back with a later time, so the loop ends.
 func (pm *PM) drainReapQ(ctx *kernel.ProcCtx) {
 	for i := 0; i < len(pm.reapQ); {
 		j := pm.reapQ[i]
@@ -607,11 +614,9 @@ func (pm *PM) drainReapQ(ctx *kernel.ProcCtx) {
 			continue
 		}
 		pm.reapQ = append(pm.reapQ[:i], pm.reapQ[i+1:]...)
-		if _, err := ctx.Send(j.pm, vid.Message{
-			Op: PmDestroyProgram, W: [6]uint32{uint32(j.lhid)},
-		}); err != nil {
+		if _, err := ctx.Send(j.pm, j.msg); err != nil {
 			// Unreachable (or still down): try again later, boundedly. Any
-			// definitive reply — OK or not-found — settles the job.
+			// definitive reply — OK, not-found or refused — settles the job.
 			j.attempts++
 			if j.attempts < reapMaxAttempts {
 				j.next = ctx.Now().Add(reapRetry)
