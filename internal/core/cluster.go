@@ -191,15 +191,6 @@ func NewCluster(opt Options) *Cluster {
 	if selPolicy.LoadAware() {
 		beacon = params.LoadBeaconInterval
 	}
-	// Size the binding caches to the cluster: every host may hold a live
-	// reply-path binding per peer (boot registration, select-reply bursts),
-	// the file server always does, and under a load-aware policy every
-	// listening host also holds one system-LH binding per beaconing
-	// station; 2n+8 covers both with the programs' own logical hosts
-	// besides. Left at the params default, a >64-host cluster livelocks at
-	// boot — evicted reply bindings turn into locate broadcasts faster than
-	// the retransmitting herd lets them resolve.
-	bindCap := 2*opt.Workstations + 8
 	// Multicast select replies are dallied on large clusters: hundreds of
 	// hosts finishing the probe evaluation at the same instant would
 	// otherwise transmit simultaneously and jam the segment (reply
@@ -225,7 +216,6 @@ func NewCluster(opt Options) *Cluster {
 	}
 	for i := 0; i < opt.Workstations; i++ {
 		h := kernel.NewHost(eng, bus, i, fmt.Sprintf("ws%d", i))
-		h.IPC.SetBindingCacheCap(bindCap)
 		h.AttachTrace(tb)
 		registerHostMetrics(tb, h)
 		n := &Node{Host: h, cluster: c}
@@ -277,7 +267,6 @@ func NewCluster(opt Options) *Cluster {
 			name = fmt.Sprintf("fserv%d", j)
 		}
 		h := kernel.NewHost(eng, bus, opt.Workstations+j, name)
-		h.IPC.SetBindingCacheCap(bindCap)
 		h.AttachTrace(tb)
 		h.EnableLoadAds(0)
 		registerHostMetrics(tb, h)

@@ -7,7 +7,9 @@ import (
 
 	"vsystem/internal/ethernet"
 	"vsystem/internal/packet"
+	"vsystem/internal/params"
 	"vsystem/internal/sim"
+	"vsystem/internal/trace"
 	"vsystem/internal/vid"
 )
 
@@ -162,27 +164,62 @@ func TestDropReplyServedFromCache(t *testing.T) {
 	}
 }
 
+// TestDropLocateResponsesRetried: lost locate answers cost a retransmission
+// interval each, and senders waiting on the same logical host share one
+// locate per interval: when its answer is lost, every one of them still
+// finishes within an interval of the next locate, whose answer resends them
+// all.
 func TestDropLocateResponsesRetried(t *testing.T) {
-	r, client, server := bulkRig(t, 35)
-	echoServer(r.sim, server)
-	dropped := dropKinds(r.bus, 2, packet.KLocateResp)
-	var err error
-	var elapsed time.Duration
-	r.sim.Spawn("client", func(tk *sim.Task) {
-		t0 := tk.Now()
-		_, err = client.Send(tk, server.PID(), vid.Message{Op: testOp})
-		elapsed = tk.Now().Sub(t0)
-	})
-	r.sim.RunFor(time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *dropped != 2 {
-		t.Fatalf("dropped %d locate responses", *dropped)
-	}
-	// Two lost locates cost two retransmission intervals.
-	if elapsed < 2*200*time.Millisecond {
-		t.Fatalf("completed in %v despite two lost locates", elapsed)
+	for _, tc := range []struct {
+		name           string
+		senders, drops int
+	}{
+		{"one sender, two answers lost", 1, 2},
+		{"two senders, one answer lost", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, _, server := bulkRig(t, 35)
+			t.Cleanup(r.sim.Shutdown)
+			echoServer(r.sim, server)
+			dropped := dropKinds(r.bus, tc.drops, packet.KLocateResp)
+			tb := trace.NewBus()
+			r.hosts[0].eng.SetTraceBus(tb)
+			var lastLocate sim.Time
+			tb.Subscribe(func(ev trace.Event) {
+				if ev.Kind == trace.EvLocate {
+					lastLocate = ev.At
+				}
+			})
+			errs := make([]error, tc.senders)
+			done := make([]sim.Time, tc.senders)
+			for i := range tc.senders {
+				client := r.hosts[0].eng.NewPort(vid.NewPID(10, uint16(17+i)))
+				r.sim.Spawn("client", func(tk *sim.Task) {
+					_, errs[i] = client.Send(tk, server.PID(), vid.Message{Op: testOp})
+					done[i] = tk.Now()
+				})
+			}
+			r.sim.RunFor(time.Minute)
+			if *dropped != tc.drops {
+				t.Fatalf("dropped %d locate responses, want %d", *dropped, tc.drops)
+			}
+			if n := r.hosts[0].eng.Stats().Locates; n != int64(tc.drops+1) {
+				t.Errorf("%d locates broadcast, want one per interval: %d", n, tc.drops+1)
+			}
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("sender %d: %v", i, err)
+				}
+				// Each lost locate costs a retransmission interval.
+				if at := done[i].Duration(); at < time.Duration(tc.drops)*params.RetransmitInterval {
+					t.Errorf("sender %d finished at %v despite %d lost locates", i, at, tc.drops)
+				}
+				if d := done[i].Sub(lastLocate); d > params.RetransmitInterval {
+					t.Errorf("sender %d finished %v after the answered locate, want within %v",
+						i, d, params.RetransmitInterval)
+				}
+			}
+		})
 	}
 }
 

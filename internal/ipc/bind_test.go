@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"vsystem/internal/packet"
+	"vsystem/internal/params"
 	"vsystem/internal/sim"
 	"vsystem/internal/vid"
 )
@@ -79,5 +80,64 @@ func TestCachedReplyNamesItsLogicalHost(t *testing.T) {
 	}
 	if mac, hit := r.hosts[0].eng.CacheLookup(fresh); !hit || mac != 2 {
 		t.Fatalf("binding after a cache-answered duplicate = %v,%v, want station 2", mac, hit)
+	}
+}
+
+// TestWindowToUnboundHostLocatesOnce: a window of params.CopyWindow opens
+// on a logical host nobody has bound. Its first miss broadcasts the one
+// locate, the other slots wait for that locate's answer, and the answer
+// sends each of them (a retransmission each, the only one): every request
+// crosses the wire once.
+func TestWindowToUnboundHostLocatesOnce(t *testing.T) {
+	r := newRig(t, 3, 44)
+	t.Cleanup(r.sim.Shutdown)
+	lhA, lhB := vid.LHID(10), vid.LHID(20)
+	r.place(lhA, 0)
+	r.place(lhB, 1)
+	server := r.hosts[1].eng.NewPort(vid.NewPID(lhB, 16))
+	served := 0
+	r.sim.Spawn("server", func(tk *sim.Task) {
+		for {
+			req := server.Receive(tk)
+			served++
+			tk.Sleep(2 * time.Millisecond)
+			server.Reply(tk, req, req.Msg)
+		}
+	})
+
+	const n = 8
+	var err error
+	var elapsed time.Duration
+	r.sim.Spawn("pusher", func(tk *sim.Task) {
+		win := r.hosts[0].eng.NewWindow(lhA, params.CopyWindow)
+		defer win.Close()
+		t0 := tk.Now()
+		for i := 0; i < n && err == nil; i++ {
+			err = win.Send(tk, server.PID(), vid.Message{Op: testOp, W: [6]uint32{uint32(i)}})
+		}
+		if err == nil {
+			err = win.Drain(tk)
+		}
+		elapsed = tk.Now().Sub(t0)
+	})
+	r.sim.RunFor(time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := r.hosts[0].eng.Stats()
+	if st.Locates != 1 {
+		t.Errorf("%d locates broadcast for one logical host, want 1", st.Locates)
+	}
+	if st.Retransmits > n {
+		t.Errorf("%d retransmissions for %d requests, want at most one each", st.Retransmits, n)
+	}
+	if got := st.TxByKind[packet.KRequest]; got != n {
+		t.Errorf("%d request frames for %d requests, want %d", got, n, n)
+	}
+	if served != n {
+		t.Errorf("server took %d requests, want %d", served, n)
+	}
+	if elapsed >= params.RetransmitInterval {
+		t.Errorf("window drained in %v, want under one retransmission interval", elapsed)
 	}
 }

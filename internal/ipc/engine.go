@@ -79,12 +79,12 @@ type Stats struct {
 
 	// Binding-cache activity (§3.1.4). Hits and misses count route
 	// lookups; invalidations count explicit discards (retransmission
-	// overrun, experiments); evictions count LRU displacement at
-	// params.BindingCacheCap.
+	// overrun, experiments). A binding is never evicted, and a miss
+	// broadcasts a locate (Locates) at most once per logical host per
+	// RetransmitInterval.
 	BindingHits          int64
 	BindingMisses        int64
 	BindingInvalidations int64
-	BindingEvictions     int64
 
 	// Failure-detector activity: stations this engine started suspecting
 	// (params.SuspectAfterRetries unanswered retransmissions of a single
@@ -108,9 +108,7 @@ type Engine struct {
 	res      Resolver
 	ports    map[vid.PID]*Port
 	portList []*Port // registration order, for deterministic iteration
-	cache    map[vid.LHID]*bindEntry
-	cacheSeq uint64 // recency clock for LRU eviction
-	cacheCap int    // binding-cache capacity (params.BindingCacheCap default)
+	cache    map[vid.LHID]binding
 	jobs     sim.Queue[job]
 	// Two scratch packets, so that the per-frame paths allocate no Packet.
 	// Each is filled and finished with — traced (subscribers do not keep
@@ -160,11 +158,12 @@ type job struct {
 	fn    func(*sim.Task) // arbitrary deferred kernel work
 }
 
-// bindEntry is one logical-host→station binding with its LRU recency
-// stamp (unique per touch, so eviction has a single deterministic victim).
-type bindEntry struct {
-	mac  ethernet.MAC
-	used uint64
+// binding is what the engine knows of one logical host: the station it
+// lives on (0 when unbound; stations are numbered from 1) and until when a
+// miss broadcasts no further locate, one having been sent.
+type binding struct {
+	mac   ethernet.MAC
+	quiet sim.Time
 }
 
 type reasmKey struct {
@@ -216,8 +215,7 @@ func New(se *sim.Engine, nic *ethernet.NIC, c *cpu.CPU, res Resolver) *Engine {
 		cpu:              c,
 		res:              res,
 		ports:            make(map[vid.PID]*Port),
-		cache:            make(map[vid.LHID]*bindEntry),
-		cacheCap:         params.BindingCacheCap,
+		cache:            make(map[vid.LHID]binding),
 		reasm:            make(map[reasmKey]*reasmBuf),
 		txBuf:            make(map[reasmKey]*fragSource),
 		suspects:         make(map[ethernet.MAC]sim.Time),
@@ -251,7 +249,7 @@ func (e *Engine) SetDown(down bool) { e.down = down }
 func (e *Engine) Reset() {
 	e.down = false
 	e.jobs.Clear()
-	e.cache = make(map[vid.LHID]*bindEntry)
+	e.cache = make(map[vid.LHID]binding)
 	e.reasm = make(map[reasmKey]*reasmBuf)
 	e.txBuf = make(map[reasmKey]*fragSource)
 	e.suspects = make(map[ethernet.MAC]sim.Time)
@@ -292,64 +290,31 @@ func (e *Engine) publish(ev trace.Event) {
 }
 
 // CacheLookup exposes the logical-host cache (for tests and experiments).
-// It does not touch recency or the hit/miss counters.
+// It does not touch the hit/miss counters.
 func (e *Engine) CacheLookup(lh vid.LHID) (ethernet.MAC, bool) {
-	if be, ok := e.cache[lh]; ok {
-		return be.mac, true
-	}
-	return 0, false
+	mac := e.cache[lh].mac
+	return mac, mac != 0
 }
 
-// CacheLen reports how many bindings are cached.
-func (e *Engine) CacheLen() int { return len(e.cache) }
-
-// SetBindingCacheCap resizes the binding cache. A server host answering N
-// clients needs at least N reply-path bindings live at once: with fewer,
-// every reply past the capacity evicts a binding another reply is about to
-// need, each miss costs a locate broadcast, and under a full-cluster burst
-// (boot registration, a select multicast's replies) the herd of 200 ms
-// retransmissions regenerates the misses faster than locates resolve them —
-// a livelock, not a slowdown. A host that listens for load beacons also
-// holds one binding per beaconing station (the beacon's Src). Clusters therefore size
-// the cache to the machine count; values below the params default are
-// ignored.
-func (e *Engine) SetBindingCacheCap(n int) {
-	if n > e.cacheCap {
-		e.cacheCap = n
-	}
-}
-
-// cacheInsert records (or refreshes) a binding, evicting the least
-// recently used entry when the cache is at capacity.
+// cacheInsert records (or refreshes) a binding. Every frame received
+// refreshes its sender's, so an unchanged one is not written again.
 func (e *Engine) cacheInsert(lh vid.LHID, mac ethernet.MAC) {
-	e.cacheSeq++
-	if be := e.cache[lh]; be != nil {
-		be.mac = mac
-		be.used = e.cacheSeq
-		return
+	if b := e.cache[lh]; b.mac != mac {
+		b.mac = mac
+		e.cache[lh] = b
 	}
-	if len(e.cache) >= e.cacheCap {
-		var victim vid.LHID
-		oldest := uint64(1<<64 - 1)
-		for l, be := range e.cache {
-			if be.used < oldest {
-				oldest, victim = be.used, l
-			}
-		}
-		delete(e.cache, victim)
-		e.stats.BindingEvictions++
-	}
-	e.cache[lh] = &bindEntry{mac: mac, used: e.cacheSeq}
 }
 
 // InvalidateCache drops a binding — after unanswered retransmissions
 // (§3.1.4) or from experiments forcing a locate. Counted and traced only
 // when a binding was actually present.
 func (e *Engine) InvalidateCache(lh vid.LHID) {
-	if _, ok := e.cache[lh]; !ok {
+	b := e.cache[lh]
+	if b.mac == 0 {
 		return
 	}
-	delete(e.cache, lh)
+	b.mac = 0
+	e.cache[lh] = b
 	e.stats.BindingInvalidations++
 	e.publish(trace.Event{Kind: trace.EvBindInvalidate, LH: lh})
 }
@@ -837,8 +802,10 @@ func (e *Engine) answer(kind packet.Kind, p *packet.Packet, from ethernet.MAC) {
 	}
 }
 
-// route decides where a destination PID currently lives. ok=false means a
-// locate was broadcast and the caller should rely on retransmission.
+// route decides where a destination PID currently lives. ok=false means
+// the logical host is unbound and the caller should rely on retransmission:
+// a locate is broadcast unless one went out less than a RetransmitInterval
+// ago, whose answer (evBound) resends every transaction waiting on lh.
 func (e *Engine) route(dst vid.PID) (mac ethernet.MAC, local, ok bool) {
 	lh := dst.LH()
 	if dst.IsGroup() {
@@ -850,15 +817,20 @@ func (e *Engine) route(dst vid.PID) (mac ethernet.MAC, local, ok bool) {
 	if e.res.LHResident(lh) {
 		return e.nic.MAC(), true, true
 	}
-	if be, hit := e.cache[lh]; hit {
-		e.cacheSeq++
-		be.used = e.cacheSeq
+	b := e.cache[lh]
+	if b.mac != 0 {
 		e.stats.BindingHits++
 		e.publish(trace.Event{Kind: trace.EvBindHit, LH: lh})
-		return be.mac, false, true
+		return b.mac, false, true
 	}
 	e.stats.BindingMisses++
 	e.publish(trace.Event{Kind: trace.EvBindMiss, LH: lh})
+	now := e.sim.Now()
+	if now < b.quiet {
+		return 0, false, false
+	}
+	b.quiet = now.Add(params.RetransmitInterval)
+	e.cache[lh] = b
 	e.stats.Locates++
 	e.publish(trace.Event{Kind: trace.EvLocate, LH: lh})
 	e.emit(&packet.Packet{Kind: packet.KLocateReq, LH: lh}, ethernet.Broadcast)

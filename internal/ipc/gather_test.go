@@ -7,7 +7,6 @@ import (
 
 	"vsystem/internal/ethernet"
 	"vsystem/internal/packet"
-	"vsystem/internal/params"
 	"vsystem/internal/sim"
 	"vsystem/internal/trace"
 	"vsystem/internal/vid"
@@ -286,38 +285,6 @@ func TestBindingCacheTraceMatchesStats(t *testing.T) {
 	r.hosts[0].eng.InvalidateCache(vid.LHID(777))
 	if tb.Count(trace.EvBindInvalidate) != before {
 		t.Error("invalidating an uncached binding published a trace event")
-	}
-}
-
-// TestBindingCacheLRUEviction fills the cache past its capacity and checks
-// the bound holds, evictions are counted, and recency decides the victim.
-func TestBindingCacheLRUEviction(t *testing.T) {
-	r := newRig(t, 1, 36)
-	e := r.hosts[0].eng
-	cap := params.BindingCacheCap
-	for i := 0; i < cap; i++ {
-		e.cacheInsert(vid.LHID(1000+i), ethernet.MAC(7))
-	}
-	if e.CacheLen() != cap {
-		t.Fatalf("cache holds %d bindings, want %d", e.CacheLen(), cap)
-	}
-	// Refresh the oldest entry; the next insert must evict the runner-up.
-	e.cacheInsert(vid.LHID(1000), ethernet.MAC(8))
-	e.cacheInsert(vid.LHID(2000), ethernet.MAC(9))
-	if e.CacheLen() != cap {
-		t.Fatalf("cache grew to %d bindings, capacity is %d", e.CacheLen(), cap)
-	}
-	if st := e.Stats(); st.BindingEvictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.BindingEvictions)
-	}
-	if mac, ok := e.CacheLookup(vid.LHID(1000)); !ok || mac != 8 {
-		t.Error("refreshed entry was evicted (LRU recency not honored)")
-	}
-	if _, ok := e.CacheLookup(vid.LHID(1001)); ok {
-		t.Error("least recently used entry survived past capacity")
-	}
-	if _, ok := e.CacheLookup(vid.LHID(2000)); !ok {
-		t.Error("newest entry missing after insert")
 	}
 }
 

@@ -277,17 +277,6 @@ const (
 	// loaded of them).
 	SelectRandomK = 2
 
-	// BindingCacheCap bounds the per-host logical-host→station binding
-	// cache (§3.1.4); beyond it the least recently used binding is evicted
-	// and must be re-located on next use. Clusters raise the per-engine
-	// capacity to their machine count (ipc.Engine.SetBindingCacheCap):
-	// a server host needs a live reply-path binding per client, or a
-	// full-cluster burst turns every evicted binding into a locate
-	// broadcast that the retransmitting herd regenerates faster than it
-	// resolves; and a host listening for load beacons holds one system-LH
-	// binding per beaconing station besides (core sizes it 2n+8).
-	BindingCacheCap = 64
-
 	// SelectDallyPerHost scales the multicast select-response dally window
 	// with cluster size: hosts answering a multicast query delay their
 	// reply by a deterministic slot in [0, hosts × SelectDallyPerHost),

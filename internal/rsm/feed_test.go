@@ -333,3 +333,59 @@ func TestFeedReplyRule(t *testing.T) {
 		})
 	}
 }
+
+// TestRejoinerCatchUpCrossesOnce: a follower cut off while the leader
+// commits 41 entries is unbound at the leader by the time the cut heals,
+// since the retransmissions to it dropped its binding. The catch-up opens
+// with a window of appends to that unbound logical host: one locate
+// answers for all of them, so each missing entry crosses the wire once.
+func TestRejoinerCatchUpCrossesOnce(t *testing.T) {
+	h := boot(t, 3, 1)
+	h.eng.RunFor(3 * time.Second)
+	lead := h.leaderIdx()
+	if lead < 0 {
+		t.Fatal("no leader")
+	}
+	f := (lead + 1) % 3
+	h.bus.SetCut(h.isolate([]int{f}, []int{lead, (lead + 2) % 3}))
+	missed := h.reps[f].AppliedIndex() + 1
+	const n = 41
+	h.hosts[lead].SpawnServer("submit", 4096, func(ctx *kernel.ProcCtx) {
+		for k := range n {
+			if _, err := h.reps[lead].Submit(ctx, []byte(fmt.Sprintf("m%02d=1", k))); err != nil {
+				t.Errorf("submit %d: %v", k, err)
+			}
+		}
+	})
+	h.eng.RunFor(3 * time.Second)
+	if _, bound := h.hosts[lead].IPC.CacheLookup(h.reps[f].PID().LH()); bound {
+		t.Fatal("the leader still binds the cut-off follower; the catch-up would need no locate")
+	}
+	crossed := make(map[uint32]int) // entry index → appends that carried it to f
+	h.tb.Subscribe(func(ev trace.Event) {
+		p := ev.Pkt
+		if ev.Kind != trace.EvPktTx || p.Kind != packet.KRequest || p.Dst != h.reps[f].PID() || p.Msg.Op != rsm.OpAppend {
+			return
+		}
+		a, err := rsm.DecodeAppendReq(p.Msg.Seg)
+		if err != nil {
+			t.Fatalf("append to the rejoiner: %v", err)
+		}
+		for i := range a.Entries {
+			crossed[a.PrevIndex+1+uint32(i)]++
+		}
+	})
+	h.bus.SetCut(nil)
+	h.eng.RunFor(3 * time.Second)
+	h.converged(t)
+	last := h.reps[lead].CommitIndex()
+	if last < missed+n-1 {
+		t.Fatalf("leader committed through %d, want at least %d", last, missed+n-1)
+	}
+	for idx := missed; idx <= last; idx++ {
+		if crossed[idx] != 1 {
+			t.Fatalf("entry %d crossed the wire %d times after the heal, want once (entries %d–%d were missing)",
+				idx, crossed[idx], missed, last)
+		}
+	}
+}

@@ -92,7 +92,9 @@ const (
 	EvMigFault
 	// EvBindHit: the IPC binding cache resolved a logical host (§3.1.4).
 	EvBindHit
-	// EvBindMiss: the binding cache had no entry; a locate follows.
+	// EvBindMiss: the binding cache had no entry; a locate follows unless
+	// one for the same logical host went out less than a
+	// RetransmitInterval ago.
 	EvBindMiss
 	// EvBindInvalidate: a binding was discarded (retransmission overrun or
 	// an explicit rebind).
