@@ -1,6 +1,16 @@
 // Package cpu models a workstation processor with preemptive priority
 // scheduling at quantum granularity.
 //
+// A request with nothing queued at its priority or above runs its whole
+// remaining demand as one slice: while it stays alone, the pick at each
+// quantum boundary could only choose it again, so those boundaries are a
+// sim.Lattice, not events. One becomes an event where it could matter — an
+// arrival at the running priority or above, a Kick or a Touch cuts the
+// slice at the next boundary, and the engine turns a boundary into an
+// event when other events are due at its instant or RunUntil stops on it —
+// so grant order, completion instants and every statistic are those of a
+// scheduler that ends a slice at every boundary.
+//
 // Priority levels come from params: kernel work preempts system servers,
 // which preempt locally invoked programs, which preempt guest (remotely
 // executed) programs — the paper's "priority scheduling for locally invoked
@@ -43,16 +53,20 @@ type CPU struct {
 	eng      *sim.Engine
 	quantum  time.Duration
 	ready    [params.NumPrios][]*request
-	cur      *request      // the request running its slice, if any
-	slice    time.Duration // cur's slice length
-	granting bool          // a deferred grant event is pending
+	cur      *request    // the request running its slice, if any
+	start    sim.Time    // when cur's slice was granted
+	until    sim.Time    // when it ends
+	end      sim.Timer   // its slice-end event
+	seq      uint64      // the sequence number a long slice's ends are keyed by
+	lat      sim.Lattice // a long slice's quantum boundaries
+	granting bool        // a deferred grant event is pending
 	busy     [params.NumPrios]time.Duration
 	total    time.Duration
 	started  sim.Time
 	dispatch func(prio int, slice time.Duration)
 
-	// The two events a CPU schedules, bound once: there is one running
-	// request, so neither needs a closure of its own.
+	// The two events a CPU schedules and its lattice's Hit, bound once:
+	// there is one running request, so none needs a closure of its own.
 	kicked, sliceEnded func()
 	// free holds requests whose Use returned, for the next Use.
 	free []*request
@@ -61,13 +75,14 @@ type CPU struct {
 // New creates an idle CPU on the engine.
 func New(eng *sim.Engine) *CPU {
 	c := &CPU{eng: eng, quantum: params.CPUQuantum, started: eng.Now()}
-	c.kicked, c.sliceEnded = c.deferredGrant, c.endSlice
+	c.kicked, c.sliceEnded, c.lat.Hit = c.deferredGrant, c.endSlice, c.endAt
 	return c
 }
 
 // SetDispatchHook installs a scheduler-dispatch observer (nil to disable),
-// called once per granted slice with the winning priority and slice
-// length. The kernel uses it to publish dispatch trace events.
+// called once per grant with the winning priority and the slice's length,
+// which spans many quanta when the request runs alone. The kernel uses it
+// to publish dispatch trace events.
 func (c *CPU) SetDispatchHook(fn func(prio int, slice time.Duration)) { c.dispatch = fn }
 
 // Use consumes d of CPU at the given priority, blocking the task until the
@@ -79,7 +94,8 @@ func (c *CPU) Use(t *sim.Task, d time.Duration, prio int) {
 
 // UseGated is Use with a runnability gate: while gate() is false the
 // request is present but unschedulable (a frozen process). Callers must
-// Kick the CPU when a gate may have opened.
+// Kick the CPU when a gate may have opened, and Touch it when one may have
+// closed.
 func (c *CPU) UseGated(t *sim.Task, d time.Duration, prio int, gate Gate) {
 	if d <= 0 {
 		return
@@ -96,7 +112,11 @@ func (c *CPU) UseGated(t *sim.Task, d time.Duration, prio int, gate Gate) {
 	// Field by field: r.done keeps its (empty) waiter array.
 	r.task, r.prio, r.remaining, r.gate, r.finished = t, prio, d, gate, false
 	c.ready[prio] = append(c.ready[prio], r)
-	c.Kick()
+	if c.cur == nil {
+		c.grantSoon()
+	} else if prio <= c.cur.prio {
+		c.cutSlice() // it competes at the next boundary
+	}
 	for !r.finished {
 		r.done.Wait(t)
 	}
@@ -106,23 +126,49 @@ func (c *CPU) UseGated(t *sim.Task, d time.Duration, prio int, gate Gate) {
 	c.free = append(c.free, r)
 }
 
-// Kick re-evaluates scheduling; call after a gate may have opened.
-//
-// The grant is deferred by one (zero-delay) event rather than performed
+// Kick re-evaluates scheduling; call after a gate may have opened. An
+// idle CPU grants in a deferred event; a running slice ends at its next
+// quantum boundary, where the pick is made again.
+func (c *CPU) Kick() {
+	if c.cur != nil {
+		c.cutSlice()
+		return
+	}
+	c.deferGrant()
+}
+
+// Touch tells the CPU that the running request's gate may have closed or
+// its task been killed: its slice ends at the next quantum boundary, where
+// the request is parked or dropped. Call it when a gate closes or a task
+// that may be using the CPU is killed. Unlike Kick, it never grants.
+func (c *CPU) Touch() { c.cutSlice() }
+
+// deferGrant schedules a grant as a zero-delay event rather than making it
 // inline: when a process's CPU burst completes and it immediately issues
 // its next burst at the same instant (the normal compute/syscall/compute
 // pattern), the continuation competes in that grant instead of losing the
 // CPU to a lower-priority process for a quantum — matching a real kernel,
 // where the running process keeps the processor.
-func (c *CPU) Kick() {
-	if c.cur != nil || c.granting {
+func (c *CPU) deferGrant() {
+	if c.granting {
 		return
 	}
 	c.granting = true
 	c.eng.After(0, c.kicked)
 }
 
-// deferredGrant is Kick's event: grant now, unless a slice started since.
+// grantSoon grants inline when no event is due now — the deferred grant
+// would be the next event to run — and defers it otherwise.
+func (c *CPU) grantSoon() {
+	if c.eng.Due() {
+		c.deferGrant()
+		return
+	}
+	c.grant()
+}
+
+// deferredGrant is deferGrant's event: grant now, unless a slice started
+// since.
 func (c *CPU) deferredGrant() {
 	c.granting = false
 	if c.cur == nil {
@@ -130,32 +176,85 @@ func (c *CPU) deferredGrant() {
 	}
 }
 
-// grant picks the best runnable request and runs one slice of it.
+// grant picks the best runnable request and runs a slice of it: one
+// quantum, or all it still needs when less; all it needs, however long,
+// when nothing is queued at its priority or above.
 func (c *CPU) grant() {
 	r := c.pick()
 	if r == nil {
 		return
 	}
-	c.cur = r
-	slice := c.quantum
-	if r.remaining < slice {
-		slice = r.remaining
+	c.cur, c.start = r, c.eng.Now()
+	slice := r.remaining
+	long := slice > c.quantum && c.alone(r.prio)
+	if !long {
+		slice = min(slice, c.quantum)
 	}
 	if c.dispatch != nil {
 		c.dispatch(r.prio, slice)
 	}
-	c.slice = slice
-	c.eng.After(slice, c.sliceEnded)
+	c.until = c.start.Add(slice)
+	if !long {
+		c.end = c.eng.After(slice, c.sliceEnded)
+		return
+	}
+	// The seq the first quantum's slice-end event would have taken keys
+	// every boundary after it: lone slices granted at one instant keep
+	// their grant order at every boundary they share.
+	c.seq = c.eng.Reserve()
+	c.end = c.eng.AtKey(c.until, c.boundaryBefore(c.until), c.seq, c.sliceEnded)
+	c.eng.AddLattice(&c.lat, c.start, c.until, c.quantum)
+}
+
+// alone reports whether nothing, runnable or not, is queued at prio or
+// above: the pick at every boundary would then choose the running request.
+func (c *CPU) alone(prio int) bool {
+	for p := 0; p <= prio; p++ {
+		if len(c.ready[p]) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// boundaryBefore is the running slice's last quantum boundary before t, or
+// its grant instant: the instant the slice-end event at t would have been
+// scheduled at, had every quantum been a slice.
+func (c *CPU) boundaryBefore(t sim.Time) sim.Time {
+	return c.start.Add((t.Sub(c.start) - 1) / c.quantum * c.quantum)
+}
+
+// cutSlice ends the running slice at its first quantum boundary after now,
+// if that comes before the slice's end.
+func (c *CPU) cutSlice() {
+	if c.cur == nil {
+		return
+	}
+	next := c.boundaryBefore(c.eng.Now() + 1).Add(c.quantum)
+	if next < c.until {
+		c.endAt(next)
+	}
+}
+
+// endAt ends the running slice at boundary t, in the slice-end event's
+// place there. It is the lattice's Hit.
+func (c *CPU) endAt(t sim.Time) {
+	c.eng.RemoveLattice(&c.lat)
+	c.end.Stop()
+	c.until = t
+	c.end = c.eng.AtKey(t, c.boundaryBefore(t), c.seq, c.sliceEnded)
 }
 
 // endSlice accounts the slice the running request just used and requeues,
 // completes or drops the request.
 func (c *CPU) endSlice() {
-	r, slice := c.cur, c.slice
+	r := c.cur
+	slice := c.eng.Now().Sub(c.start)
 	c.busy[r.prio] += slice
 	c.total += slice
 	r.remaining -= slice
 	c.cur = nil
+	c.eng.RemoveLattice(&c.lat)
 	if r.remaining <= 0 {
 		r.finished = true
 		r.done.WakeOne()
@@ -168,7 +267,7 @@ func (c *CPU) endSlice() {
 		// priority so it resumes first when unfrozen.
 		c.ready[r.prio] = append([]*request{r}, c.ready[r.prio]...)
 	}
-	c.Kick()
+	c.grantSoon()
 }
 
 // pick removes and returns the first runnable request of the highest
@@ -216,11 +315,28 @@ func (c *CPU) QueueLen(prio int) int {
 	return n
 }
 
-// Busy reports cumulative busy time at the given priority.
-func (c *CPU) Busy(prio int) time.Duration { return c.busy[prio] }
+// ran reports the part of the running slice behind quantum boundaries
+// already past, which the busy counters do not hold until the slice ends.
+func (c *CPU) ran() time.Duration {
+	if c.cur == nil {
+		return 0
+	}
+	return c.boundaryBefore(c.eng.Now()).Sub(c.start)
+}
 
-// TotalBusy reports cumulative busy time across all priorities.
-func (c *CPU) TotalBusy() time.Duration { return c.total }
+// Busy reports cumulative busy time at the given priority: ended slices,
+// and the running one up to its last quantum boundary before now, as a
+// slice end at every boundary would have counted it.
+func (c *CPU) Busy(prio int) time.Duration {
+	if c.cur != nil && c.cur.prio == prio {
+		return c.busy[prio] + c.ran()
+	}
+	return c.busy[prio]
+}
+
+// TotalBusy reports cumulative busy time across all priorities, counted as
+// Busy is.
+func (c *CPU) TotalBusy() time.Duration { return c.total + c.ran() }
 
 // Utilization reports the busy fraction since the CPU was created.
 func (c *CPU) Utilization() float64 {
@@ -228,7 +344,7 @@ func (c *CPU) Utilization() float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return float64(c.total) / float64(elapsed)
+	return float64(c.TotalBusy()) / float64(elapsed)
 }
 
 // Idle reports whether nothing is running or runnable at program

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -263,6 +265,74 @@ func TestUseAllocatesNothing(t *testing.T) {
 		t.Fatalf("%v allocations per 10 ms of back-to-back Use, want 0", n)
 	}
 	e.Shutdown()
+}
+
+// TestLoneSlicesKeepGrantOrder pins the tie between lone slices granted at
+// one instant on CPUs of one engine: where something is due at a boundary
+// they share, and at their ends, they come in grant order, as their
+// per-quantum slice-end events would — which is why a long grant reserves
+// the sequence number its first slice end would have had. (Keyed by one
+// number, three slices are enough to come out of the heap in another
+// order.)
+func TestLoneSlicesKeepGrantOrder(t *testing.T) {
+	e := sim.NewEngine(1)
+	var log []string
+	for _, name := range []string{"a", "b", "c"} {
+		c := New(e)
+		c.SetDispatchHook(func(int, time.Duration) { log = append(log, fmt.Sprint(e.Now(), " grant ", name)) })
+		e.Spawn(name, func(tk *sim.Task) {
+			c.Use(tk, 5*time.Millisecond, params.PrioLocal)
+			log = append(log, fmt.Sprint(e.Now(), " done ", name))
+		})
+	}
+	e.At(sim.Time(2*time.Millisecond), func() {}) // due on a shared boundary
+	e.Run()
+	want := []string{"0s grant a", "0s grant b", "0s grant c", "2ms grant a", "2ms grant b", "2ms grant c",
+		"5ms done a", "5ms done b", "5ms done c"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("log %q, want %q", log, want)
+	}
+}
+
+// TestLongSliceAllocatesNothing: a request granted its whole demand as one
+// slice allocates nothing either — its end event comes off the engine's
+// free list and its lattice is the CPU's own — alone, and when a
+// same-priority arrival cuts it at a quantum boundary.
+func TestLongSliceAllocatesNothing(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		tasks func(e *sim.Engine, c *CPU)
+	}{
+		{"lone 25 ms Use", func(e *sim.Engine, c *CPU) {
+			e.Spawn("user", func(tk *sim.Task) {
+				for {
+					c.Use(tk, 25*time.Millisecond, params.PrioLocal)
+				}
+			})
+		}},
+		{"cut by a same-priority arrival", func(e *sim.Engine, c *CPU) {
+			e.Spawn("user", func(tk *sim.Task) {
+				for {
+					c.Use(tk, 25*time.Millisecond, params.PrioLocal)
+				}
+			})
+			e.Spawn("arrival", func(tk *sim.Task) {
+				for {
+					tk.Sleep(3500 * time.Microsecond)
+					c.Use(tk, 300*time.Microsecond, params.PrioLocal)
+				}
+			})
+		}},
+	} {
+		e := sim.NewEngine(1)
+		c := New(e)
+		row.tasks(e, c)
+		e.RunFor(time.Second)
+		if n := testing.AllocsPerRun(100, func() { e.RunFor(10 * time.Millisecond) }); n != 0 {
+			t.Errorf("%s: %v allocations per 10 ms, want 0", row.name, n)
+		}
+		e.Shutdown()
+	}
 }
 
 // TestPickReleasesRequests: removing a request from the middle of a ready

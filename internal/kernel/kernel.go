@@ -215,6 +215,7 @@ func (h *Host) Crash() {
 			p.dead = true
 		}
 	}
+	h.CPU.Touch()
 	h.IPC.ClosePorts()
 	h.lhs = make(map[vid.LHID]*LogicalHost)
 	for g := range h.groups {
@@ -541,6 +542,7 @@ func (h *Host) Freeze(lh *LogicalHost) {
 		return
 	}
 	lh.frozen = true
+	h.CPU.Touch()
 	lh.frozenAt = h.Eng.Now()
 	h.freezes++
 	h.trace.Publish(trace.Event{
@@ -618,6 +620,7 @@ func (h *Host) DestroyLH(lh *LogicalHost) {
 			p.port.Close()
 		}
 	}
+	h.CPU.Touch()
 	lh.procs = make(map[uint16]*Process)
 	for _, as := range lh.spaces {
 		as.Release()

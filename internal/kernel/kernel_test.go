@@ -30,6 +30,13 @@ func init() {
 			ctx.Exit(0)
 		})
 	})
+	// A burner: 50 ms of CPU in one call.
+	RegisterBody("testburn", func() Body {
+		return BodyFunc(func(ctx *ProcCtx) {
+			ctx.Compute(50 * time.Millisecond)
+			ctx.Exit(0)
+		})
+	})
 }
 
 type cluster struct {
@@ -144,6 +151,37 @@ func TestFreezeStopsExecution(t *testing.T) {
 	}
 	if final <= during {
 		t.Fatalf("no progress after unfreeze: %d → %d", during, final)
+	}
+}
+
+// TestStoppingALogicalHostEndsItsSlice: a process computing alone runs its
+// whole demand as one CPU slice, which Freeze, DestroyLH and Crash must end
+// at the next quantum boundary (CPU.Touch), as a scheduler that ends a
+// slice at every boundary would; without it the slice runs on to its end.
+func TestStoppingALogicalHostEndsItsSlice(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		stop func(h *Host, lh *LogicalHost)
+	}{
+		{"freeze", func(h *Host, lh *LogicalHost) { h.Freeze(lh) }},
+		{"destroy", func(h *Host, lh *LogicalHost) { h.DestroyLH(lh) }},
+		{"crash", func(h *Host, _ *LogicalHost) { h.Crash() }},
+	} {
+		c := newCluster(1, 5)
+		h := c.hosts[0]
+		lh := h.CreateLH("prog", false)
+		as, _ := lh.CreateSpace(16 * 1024)
+		h.Start(lh.NewProcess(as.ID, "testburn", Regs{}))
+		var before time.Duration
+		c.sim.After(10500*time.Microsecond, func() {
+			before = h.CPU.TotalBusy()
+			row.stop(h, lh)
+		})
+		c.sim.RunFor(20 * time.Millisecond)
+		if ran := h.CPU.TotalBusy() - before; ran > time.Millisecond {
+			t.Errorf("%s: the CPU ran %v more after the stop, want at most one quantum", row.name, ran)
+		}
+		c.sim.Shutdown()
 	}
 }
 

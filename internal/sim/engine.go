@@ -1,12 +1,14 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine maintains a virtual clock, an event heap, and a FIFO of the
-// events scheduled for the current instant. All simulated
-// activity — network frames, CPU slices, protocol timers, server logic —
-// runs as events on one goroutine, or as coroutine Tasks that the engine
-// resumes one at a time. Because at most one task is runnable at any
-// instant and ties are broken by sequence number, a simulation with a fixed
-// seed is exactly reproducible.
+// The engine maintains a virtual clock, an event heap, a FIFO of the
+// events scheduled for the current instant, and an index of lattices:
+// evenly spaced instants at which an owner would have had events it left
+// unscheduled, which the clock passes unless something else is due there
+// (Lattice). All simulated activity — network frames, CPU slices, protocol
+// timers, server logic — runs as events on one goroutine, or as coroutine
+// Tasks that the engine resumes one at a time. Because at most one task is
+// runnable at any instant and ties are broken by sequence number, a
+// simulation with a fixed seed is exactly reproducible.
 //
 // Time is modeled in virtual nanoseconds (Time); durations use the standard
 // time.Duration so that literals like 3*time.Millisecond read naturally.
@@ -40,12 +42,14 @@ func (t Time) String() string { return time.Duration(t).String() }
 // and gen is bumped so stale Timer handles cannot touch the recycled slot.
 type event struct {
 	at     Time
+	born   Time   // the instant it was scheduled at, or stands in for (AtKey)
 	seq    uint64 // FIFO tie-break for events at the same instant
 	fn     func()
 	task   *Task // when non-nil, resume this task instead of calling fn
 	reason WakeReason
 	gen    uint32
-	index  int // heap index, or notPending / inNowQ
+	keyed  bool // placed by AtKey
+	index  int  // heap index, or notPending / inNowQ
 }
 
 // Values of event.index for an event that is not in the heap.
@@ -87,20 +91,28 @@ func (t Timer) Stop() bool {
 	return true
 }
 
-// eventHeap is a 4-ary min-heap of events ordered by (at, seq), written
-// directly over the slice: the comparison is inline, a sift moves the hole
-// rather than swapping, and every placement records event.index so Stop
-// can remove from the middle. (at, seq) is a total order, so the pop
-// sequence does not depend on the heap's shape.
+// eventHeap is a 4-ary min-heap of events ordered by (at, born, seq,
+// keyed), written directly over the slice: the comparison is inline, a sift
+// moves the hole rather than swapping, and every placement records
+// event.index so Stop can remove from the middle. The order is total (no
+// two keyed events share a key), so the pop sequence does not depend on the
+// heap's shape.
 type eventHeap []*event
 
 // before is the heap order: earlier instant first, scheduling order within
-// an instant.
+// an instant. Sequence numbers rise with the clock, so for events At
+// scheduled, (born, seq) is just seq; born places a keyed event among them.
 func before(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.seq < b.seq
+	if a.born != b.born {
+		return a.born < b.born
+	}
+	if a.seq != b.seq {
+		return a.seq < b.seq
+	}
+	return !a.keyed && b.keyed
 }
 
 func (h *eventHeap) push(ev *event) {
@@ -203,6 +215,7 @@ type Engine struct {
 	rng        *rand.Rand
 	running    *Task   // task currently executing, nil when in plain events
 	live       []*Task // spawned and not finished, each at index Task.live
+	lattices   latticeIndex
 	stats      Stats
 }
 
@@ -259,7 +272,7 @@ func (e *Engine) schedule(t Time, ev *event) {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
 	e.seq++
-	ev.at, ev.seq = t, e.seq
+	ev.at, ev.born, ev.seq, ev.keyed = t, e.now, e.seq, false
 	if t == e.now {
 		ev.index = inNowQ
 		e.nowq.push(ev)
@@ -304,6 +317,38 @@ func (e *Engine) At(t Time, fn func()) Timer {
 	return Timer{eng: e, ev: ev, gen: ev.gen}
 }
 
+// Reserve takes the sequence number the next scheduled event would have
+// had, without scheduling one, for a later AtKey.
+func (e *Engine) Reserve() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// AtKey schedules fn at instant t in the place of an event that was never
+// scheduled: one At would have made at instant born, born <= t, with the
+// sequence number seq that Reserve returned. Among events due at t it runs
+// after those scheduled before that one would have been, and before those
+// scheduled after it. No two pending keyed events may share (t, born, seq).
+func (e *Engine) AtKey(t, born Time, seq uint64, fn func()) Timer {
+	if t < e.now || born > t {
+		panic(fmt.Sprintf("sim: keyed event at %v born %v, now %v", t, born, e.now))
+	}
+	ev := e.alloc()
+	ev.fn = fn
+	ev.at, ev.born, ev.seq, ev.keyed = t, born, seq, true
+	// Never nowq: born may precede the events queued there.
+	e.events.push(ev)
+	if n := e.Pending(); n > e.stats.MaxPending {
+		e.stats.MaxPending = n
+	}
+	return Timer{eng: e, ev: ev, gen: ev.gen}
+}
+
+// Due reports whether an event is pending at the current instant.
+func (e *Engine) Due() bool {
+	return e.nowq.len() > e.nowStopped || len(e.events) > 0 && e.events[0].at == e.now
+}
+
 // After schedules fn to run d from now.
 func (e *Engine) After(d time.Duration, fn func()) Timer {
 	if d < 0 {
@@ -329,6 +374,9 @@ func (e *Engine) Step() bool {
 	ev := e.next()
 	if ev == nil {
 		return false
+	}
+	if ev.at > e.now && e.enter(ev.at) {
+		ev = e.next()
 	}
 	e.fire(ev)
 	return true
@@ -364,7 +412,19 @@ func (e *Engine) Run() {
 // RunUntil processes events with timestamps <= t and then sets the clock to
 // t. Events scheduled later remain pending.
 func (e *Engine) RunUntil(t Time) {
-	for ev := e.next(); ev != nil && ev.at <= t; ev = e.next() {
+	for {
+		ev := e.next()
+		if ev == nil || ev.at > t {
+			// Stopping on a lattice instant runs its event, as stopping on
+			// an instant with events due would.
+			if e.now < t && e.enter(t) {
+				continue
+			}
+			break
+		}
+		if ev.at > e.now && e.enter(ev.at) {
+			ev = e.next()
+		}
 		e.fire(ev)
 	}
 	if e.now < t {

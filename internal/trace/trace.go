@@ -68,7 +68,9 @@ const (
 	EvFreeze
 	// EvUnfreeze: kernel unfroze a logical host.
 	EvUnfreeze
-	// EvDispatch: the CPU scheduler granted a slice.
+	// EvDispatch: the CPU scheduler granted a slice — at most a quantum,
+	// or, to a request with nothing queued at its priority or above, all
+	// it still needs, however many quanta.
 	EvDispatch
 	// EvFrameCut: a network partition suppressed delivery of a frame to
 	// one receiver (the frame still occupied the medium).
