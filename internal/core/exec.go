@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"time"
 
 	"vsystem/internal/kernel"
 	"vsystem/internal/params"
@@ -51,7 +50,7 @@ func FindHost(ctx *kernel.ProcCtx, name string) (HostSel, error) {
 
 // Job is a handle to an executing program. A supervised job's wait and
 // exit have one authority, its home: the home group, or the agent's own
-// manager when it supervised the job alone. An unsupervised job (Home
+// manager when the cluster runs none. An unsupervised job (Home
 // Nil) is waited for at its hosting manager, following it as it moves.
 type Job struct {
 	Name string
@@ -130,42 +129,24 @@ func (a *Agent) ExecR(prog string, args []string, where string, maxRestarts int)
 	return job, nil
 }
 
-// superviseSession registers a remote job with the home supervisor and
-// returns it: the replicated home group when the cluster runs one (the
-// record lands in the consensus registry and survives any single member's
-// death; a record this member parks counts as the group's), else this
-// workstation's own manager.
+// superviseSession registers a remote job with its home and returns it:
+// the replicated home group when the cluster runs one, else this
+// workstation's own manager. The group's record lands in the consensus
+// registry and survives any single member's death; the agent re-asks until
+// a leader commits it. A failed group send has already ridden out the
+// group's silence, and a member fenced as leader meanwhile serves the next
+// copy, so the re-ask goes at once; a duplicate registers nothing.
 func (a *Agent) superviseSession(si *progmgr.SessionInfo) vid.PID {
-	if a.node.cluster.homeEnabled() {
-		seg := progmgr.EncodeSessionInfo(si)
-		for attempt := 0; attempt < 4; attempt++ {
-			m, err := a.ctx.Send(vid.GroupHomePMs, vid.Message{
-				Op: progmgr.PmSupervise, Seg: seg,
-			})
-			if err == nil && m.OK() {
-				return vid.GroupHomePMs
-			}
-			// Group silence usually means an election in progress (boot, or
-			// a member just died). A member fenced as leader while the send
-			// is out serves its next copy, so silence here means no leader
-			// was fenced within the send's timeout; give it a beat and re-ask.
-			a.Sleep(300 * time.Millisecond)
-		}
-		if a.node.PM.HomeReplica() != nil {
-			// This workstation is itself a group member: a direct local
-			// Supervise would be a commit through the group log, refused
-			// unless this member happens to lead, and the record would be
-			// lost. Park it instead; the lease worker re-proposes it through
-			// the group once a leader is reachable.
-			a.node.PM.QueueHomeSupervise(*si)
+	if !a.node.cluster.homeEnabled() {
+		a.node.PM.Supervise(a.ctx, *si)
+		return a.node.PM.PID()
+	}
+	ask := vid.Message{Op: progmgr.PmSupervise, Seg: progmgr.EncodeSessionInfo(si)}
+	for {
+		if m, err := a.ctx.Send(vid.GroupHomePMs, ask); err == nil && m.OK() {
 			return vid.GroupHomePMs
 		}
-		// Group unreachable (mid-election or partitioned away) and this
-		// manager is not a member: plain local supervision is safe here and
-		// keeps the job watched by *someone*.
 	}
-	a.node.PM.Supervise(a.ctx, *si)
-	return a.node.PM.PID()
 }
 
 func whereName(a *Agent, sel HostSel) string {
@@ -189,8 +170,8 @@ var ErrTooManyMoves = errors.New("core: wait followed too many moves")
 // the program across migrations (a manager that no longer runs it answers
 // CodeMoved with the new manager's pid and, for a program re-executed
 // under a fresh identity, its new LHID). The redirect chain, and a streak
-// of home-group silences or not-founds, are capped at params.WaitMaxMoves
-// so a buggy or split-brain manager pair cannot bounce a waiter forever.
+// of home-group silences, are capped at params.WaitMaxMoves so a buggy or
+// split-brain manager pair cannot bounce a waiter forever.
 func (a *Agent) Wait(job *Job) (uint32, error) {
 	to, lhid, w5 := job.PM, job.LHID, uint32(0)
 	if job.Home != vid.Nil {
@@ -210,9 +191,8 @@ func (a *Agent) Wait(job *Job) (uint32, error) {
 		switch {
 		case err != nil && !to.IsGroup():
 			return 0, err
-		case err != nil || m.Code == vid.CodeNotFound && to.IsGroup():
-			// Silence is an election; not-found, a record this member
-			// parked and has not yet re-proposed.
+		case err != nil:
+			// Silence from the home group is an election.
 			if a.Now().Sub(sent) >= held {
 				moves = 0 // held until its leader died: a new streak
 			}
@@ -296,15 +276,6 @@ func (a *Agent) PS(n *Node) (string, error) {
 		return "", err
 	}
 	return m.SegString(), nil
-}
-
-// MinMemFor computes the selection memory requirement for a program of
-// the given space size.
-func MinMemFor(spaceSize uint32) uint32 {
-	if spaceSize < params.PageSize {
-		return params.PageSize
-	}
-	return spaceSize
 }
 
 // Select performs one decentralized host-selection query (experiments),

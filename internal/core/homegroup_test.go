@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"vsystem/internal/ethernet"
+	"vsystem/internal/fault"
+	"vsystem/internal/packet"
 	"vsystem/internal/params"
 	"vsystem/internal/progmgr"
 	"vsystem/internal/progs"
@@ -131,11 +133,12 @@ func TestWaitSurvivesHomeFailoverMidWait(t *testing.T) {
 // mid-registration) must NOT fall back to a direct local Supervise: that
 // would write the session into the replicated registry outside the log —
 // present on one follower only, never lease-renewed (only the fenced
-// leader acts), and baked into that replica's snapshots. Instead the
-// record is queued and re-proposed through the group once it is reachable,
-// after which the session is genuinely supervised: killing the hosting
-// workstation must still trigger a leader-driven re-execution.
-func TestMemberAgentPartitionedFromGroupQueuesSupervision(t *testing.T) {
+// leader acts), and baked into that replica's snapshots. Instead the agent
+// re-asks the group until the partition heals and a leader commits the
+// record: Exec returns only then, with the session in the leader's
+// registry, and killing the hosting workstation must still trigger a
+// leader-driven re-execution.
+func TestMemberAgentPartitionedFromGroupReasksUntilHeal(t *testing.T) {
 	t.Parallel()
 	c := boot(t, Options{Workstations: 6, Seed: 1, ReplicateHome: 3})
 	c.Install(progs.Ticker(300))
@@ -151,9 +154,9 @@ func TestMemberAgentPartitionedFromGroupQueuesSupervision(t *testing.T) {
 		return (src == mac0 && (dst == mac1 || dst == mac2)) ||
 			(dst == mac0 && (src == mac1 || src == mac2))
 	})
-	// Heal after the agent has exhausted its group retries and queued the
-	// record; the member's lease worker then re-proposes it to the leader.
-	c.Sim.At(c.Sim.Now().Add(8*time.Second), func() { c.Bus.SetCut(nil) })
+	// Heal while the agent is still re-asking the group.
+	healAt := c.Sim.Now().Add(8 * time.Second)
+	c.Sim.At(healAt, func() { c.Bus.SetCut(nil) })
 	// Kill the hosting workstation after the heal (but before the ticker
 	// can finish): only a session that made it into the replicated
 	// registry gets re-executed.
@@ -161,11 +164,16 @@ func TestMemberAgentPartitionedFromGroupQueuesSupervision(t *testing.T) {
 
 	var code uint32
 	var err error
-	done := false
+	var returned sim.Time
+	registered, done := false, false
 	c.Node(0).Agent(func(a *Agent) {
 		a.Sleep(1 * time.Second)
 		var job *Job
 		if job, err = a.Exec("ticker300", nil, "ws4"); err == nil {
+			returned = a.Now()
+			if idx := c.HomeLeaderIdx(); idx >= 0 {
+				registered = slices.ContainsFunc(c.Nodes[idx].PM.Sessions(), func(s progmgr.SessionView) bool { return s.LHID == job.LHID })
+			}
 			code, err = a.Wait(job)
 		}
 		done = true
@@ -176,54 +184,76 @@ func TestMemberAgentPartitionedFromGroupQueuesSupervision(t *testing.T) {
 		t.Fatal("agent never finished")
 	}
 	if err != nil {
-		t.Fatalf("wait across queued supervision + host crash: %v", err)
+		t.Fatalf("wait across a partitioned registration + host crash: %v", err)
+	}
+	if returned < healAt {
+		t.Fatalf("exec returned at %v, before the heal at %v", returned, healAt)
+	}
+	if !registered {
+		t.Fatal("exec returned before the home leader's registry held the session")
 	}
 	if code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
 	assertGapless(t, c.Node(0).Display.Lines(), 300)
 	if got := c.Trace.Count(trace.EvExecRestart); got < 1 {
-		t.Fatalf("EvExecRestart = %d, want ≥1 (queued record must reach the leader)", got)
+		t.Fatalf("EvExecRestart = %d, want ≥1 (the record must reach the leader)", got)
 	}
 }
 
-// TestWaitBeforeParkedRecordLands: a member's agent cut off from the group
-// parks its session record, and the partition heals as Exec returns. The
-// wait reaches the leader before the record the lease worker re-proposes,
-// so the leader does not know the session yet; the agent asks again after
-// a lease interval instead of taking the not-found as the job's end.
-func TestWaitBeforeParkedRecordLands(t *testing.T) {
+// TestSuperviseReaskedAtOnceAfterLeaderKill kills the home leader on the
+// session's supervise commit, as F3's row does. The agent's first
+// PmSupervise dies with the leader; its re-ask leaves as that send aborts,
+// so the copies keep the retransmission pace with no slot skipped, and
+// the member the election fences serves the first copy it hears: Exec
+// returns within one retransmission interval of the election.
+func TestSuperviseReaskedAtOnceAfterLeaderKill(t *testing.T) {
 	t.Parallel()
 	c := boot(t, Options{Workstations: 6, Seed: 1, ReplicateHome: 3})
-	mac0, mac1, mac2 := c.Node(0).Host.NIC.MAC(), c.Node(1).Host.NIC.MAC(), c.Node(2).Host.NIC.MAC()
-	var code uint32
-	var err error
-	var parked bool
-	done := false
-	c.Node(0).Agent(func(a *Agent) {
-		a.Sleep(2500 * time.Millisecond) // the group's first election
-		c.Bus.SetCut(func(src, dst ethernet.MAC) bool {
-			return (src == mac0 && (dst == mac1 || dst == mac2)) ||
-				(dst == mac0 && (src == mac1 || src == mac2))
-		})
-		var job *Job
-		if job, err = a.Exec("hello", nil, "ws4"); err != nil {
-			return
+	c.Install(progs.Ticker(300))
+	home := vid.GroupHomeRSM.LH()
+	c.Fault.Arm(fault.Schedule{{
+		When: fault.On(fault.Match{Kind: trace.EvCommit, LH: home, NotBefore: 2400 * time.Millisecond}),
+		Do:   fault.Crash, Who: fault.HomeLeader,
+	}})
+	agent := uint16(c.Node(3).Host.NIC.MAC())
+	var crash, elect sim.Time
+	var copies []sim.Time
+	c.Trace.Subscribe(func(ev trace.Event) {
+		switch {
+		case ev.Kind == trace.EvPktTx && ev.Host == agent && ev.Pkt.Kind == packet.KRequest && ev.Pkt.Msg.Op == progmgr.PmSupervise:
+			copies = append(copies, ev.At)
+		case crash == 0 && ev.Kind == trace.EvHostCrash:
+			crash = ev.At
+		case crash != 0 && elect == 0 && ev.Kind == trace.EvElect && ev.LH == home:
+			elect = ev.At
 		}
-		c.Bus.SetCut(nil)
-		for _, n := range c.Nodes[:3] {
-			parked = parked || !slices.ContainsFunc(n.PM.Sessions(), func(s progmgr.SessionView) bool { return s.LHID == job.LHID })
-		}
-		code, err = a.Wait(job)
-		done = true
 	})
-	c.Run(time.Minute)
+	var returned sim.Time
+	var err error
+	c.Node(3).Agent(func(a *Agent) {
+		a.Sleep(2500 * time.Millisecond) // the group's first election
+		_, err = a.Exec("ticker300", nil, "ws4")
+		returned = a.Now()
+	})
+	c.Run(10 * time.Second)
 
-	if !parked {
-		t.Fatal("the session record reached the registry before the wait: the scenario tests nothing")
+	if err != nil || returned == 0 {
+		t.Fatalf("exec: %v, returned at %v", err, returned)
 	}
-	if !done || err != nil || code != 0 {
-		t.Fatalf("wait = (%d, %v), done %v; want the exit", code, err, done)
+	if crash == 0 || crash > returned || elect == 0 {
+		t.Fatalf("leader crash at %v, election at %v, exec returned at %v: the kill missed the exec", crash, elect, returned)
+	}
+	if len(copies) <= params.GroupAbortAfterRetries+1 {
+		t.Fatalf("%d PmSupervise copies: the first send was served, nothing was re-asked", len(copies))
+	}
+	for i := 1; i < len(copies); i++ {
+		if gap := copies[i].Sub(copies[i-1]); gap >= 2*params.RetransmitInterval {
+			t.Errorf("PmSupervise copies %d and %d are %v apart, want under %v", i-1, i, gap, 2*params.RetransmitInterval)
+		}
+	}
+	if lag := returned.Sub(elect); lag > params.RetransmitInterval {
+		t.Fatalf("exec returned %v after the election, want at most %v", lag, params.RetransmitInterval)
 	}
 }
 

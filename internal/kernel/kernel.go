@@ -319,21 +319,6 @@ func (h *Host) ListenForLoad() {
 	}
 }
 
-// LeaveGroup removes a local port from a group; the last member out
-// deprograms the multicast filter.
-func (h *Host) LeaveGroup(g vid.PID, pid vid.PID) {
-	ms := h.groups[g]
-	for i, m := range ms {
-		if m == pid {
-			h.groups[g] = append(ms[:i], ms[i+1:]...)
-			if len(h.groups[g]) == 0 {
-				h.NIC.LeaveMulticast(ethernet.Multicast(uint16(g.LH())))
-			}
-			return
-		}
-	}
-}
-
 // ---------------------------------------------------------- logical hosts
 
 // LogicalHost groups address spaces and processes into the unit of

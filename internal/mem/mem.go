@@ -50,9 +50,6 @@ type FaultFunc func(pn PageNo) []byte
 // SetFault installs (or clears) the demand-paging handler.
 func (as *AddressSpace) SetFault(f FaultFunc) { as.fault = f }
 
-// Faulting reports whether a demand-paging handler is installed.
-func (as *AddressSpace) Faulting() bool { return as.fault != nil }
-
 type page struct {
 	data  []byte
 	dirty bool

@@ -183,10 +183,8 @@ type PM struct {
 	reapQ     []*reapJob          // remote programs to destroy, with retry
 	sup       SupStats
 	lease     *kernel.Process
-	leaseWake sim.WaitQ     // the lease worker parks here
-	leaseKick bool          // set by kickLease, cleared as a pass begins
-	homePend  []SessionInfo // Supervise records awaiting group resubmission
-	homeRetry sim.Time      // when a failed homePend drain is next tried
+	leaseWake sim.WaitQ // the lease worker parks here
+	leaseKick bool      // set by kickLease, cleared as a pass begins
 
 	fsPID vid.PID // cached file-server pid
 }

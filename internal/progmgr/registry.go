@@ -154,8 +154,8 @@ func (r *registry) Decode(b []byte) (hgCmd, bool) {
 func (r *registry) Apply(c hgCmd) []byte {
 	defer r.notify()
 	if c.Kind == hgSupervise {
-		// A registration is retried by its agent and re-proposed by a
-		// member that parked it: only the first copy registers.
+		// A registration is retried by its agent until a leader commits
+		// it: only the first copy registers.
 		if si := c.Sess; si != nil && r.sessions[si.LHID] == nil {
 			r.sessions[si.LHID] = &session{homeSessRec: homeSessRec{
 				Orig: si.LHID, Cur: si.LHID, PID: si.PID,

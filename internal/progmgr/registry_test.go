@@ -216,9 +216,8 @@ func TestRegistryRestoreRejectsGarbage(t *testing.T) {
 }
 
 // A PmSupervise for an LHID already in the registry is a retry (the agent
-// re-asks after a lost reply, a member re-proposes a parked record): it is
-// answered OK and changes nothing, so it cannot reset a session that has
-// moved on. The agent's own Supervise call is never a retry — LHIDs
+// re-asks after a lost reply): it is answered OK and changes nothing, so
+// it cannot reset a session that has moved on. The agent's own Supervise call is never a retry — LHIDs
 // recycle, so it names a new job — and replaces the record.
 func TestSuperviseRetryNeverReplaces(t *testing.T) {
 	r := newRig(t, 2, 1)

@@ -122,43 +122,13 @@ type SessionInfo struct {
 // names a new job: LHIDs recycle, and a record already under this one is
 // an earlier job's and is dropped first. (A PmSupervise, by contrast, may
 // be a retry and never replaces a record.) With a home group the agent
-// sends PmSupervise instead so the record lands in the replicated
-// registry, and a group member that cannot reach the group parks the
-// record with QueueHomeSupervise.
+// sends PmSupervise instead, until a leader commits the record to the
+// replicated registry.
 func (pm *PM) Supervise(ctx *kernel.ProcCtx, si SessionInfo) {
 	if pm.reg.sessions[si.LHID] != nil {
 		pm.commit(ctx, hgCmd{Kind: hgForget, Orig: si.LHID})
 	}
 	pm.commit(ctx, hgCmd{Kind: hgSupervise, Sess: &si, At: int64(ctx.Now())})
-}
-
-// QueueHomeSupervise parks a Supervise record for later resubmission
-// through the group log. A group member whose agent cannot reach the group
-// (mid-election, partitioned) must use this rather than Supervise: there
-// the commit is refused unless this member happens to lead, and the record
-// would be lost.
-func (pm *PM) QueueHomeSupervise(si SessionInfo) {
-	pm.homePend = append(pm.homePend, si)
-	pm.kickLease()
-}
-
-// drainHomePend re-proposes parked Supervise records once the group is
-// reachable again. Sent group-addressed (not committed directly) so it
-// works from any member: whoever leads now commits the record, and Apply
-// ignores it if the agent's own retry got through first.
-func (pm *PM) drainHomePend(ctx *kernel.ProcCtx) {
-	for len(pm.homePend) > 0 {
-		m, err := ctx.Send(vid.GroupHomePMs, vid.Message{
-			Op: PmSupervise, Seg: EncodeSessionInfo(&pm.homePend[0]),
-		})
-		if err != nil || !m.OK() {
-			// Still no leader: keep the queue and pace the next attempt. (An
-			// election this member wins kicks the worker sooner.)
-			pm.homeRetry = ctx.Now().Add(homePendRetry)
-			return
-		}
-		pm.homePend = pm.homePend[1:]
-	}
 }
 
 // supervise serves PmSupervise: the leader commits the record and answers;
@@ -266,14 +236,9 @@ const reapRetry = 2 * time.Second
 // programs died with it anyway).
 const reapMaxAttempts = 10
 
-// homePendRetry paces re-proposals of parked Supervise records while the
-// home group has no leader. Each failed attempt has itself ridden out a
-// group send, so this only keeps a refused one from spinning.
-const homePendRetry = 100 * time.Millisecond
-
 // kickLease tells the lease worker that something it acts on may have
-// changed: the registry, a session's waiters, the reap or homePend queue,
-// or whether this manager leads. Callable from any context.
+// changed: the registry, a session's waiters, the reap queue, or whether
+// this manager leads. Callable from any context.
 func (pm *PM) kickLease() {
 	pm.leaseKick = true
 	pm.leaseWake.WakeAll()
@@ -289,9 +254,6 @@ func (pm *PM) leaseDeadline() (at sim.Time, ok bool) {
 	}
 	for _, j := range pm.reapQ {
 		due(j.next)
-	}
-	if len(pm.homePend) > 0 {
-		due(pm.homeRetry)
 	}
 	if pm.svc.Leading() {
 		for _, s := range pm.reg.sessions {
@@ -327,7 +289,6 @@ func (pm *PM) leaseLoop(ctx *kernel.ProcCtx) {
 // sorted LHID order — map iteration order must not reach the wire.
 func (pm *PM) leasePass(ctx *kernel.ProcCtx) {
 	pm.drainReapQ(ctx)
-	pm.drainHomePend(ctx)
 	// With a home group only the fenced leader acts on live sessions; a
 	// follower (or deposed leader) instead points any waiters it holds
 	// back at the group, where the current leader will hold or answer

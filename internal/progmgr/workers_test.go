@@ -61,10 +61,6 @@ func TestLeaseDeadlineTable(t *testing.T) {
 	if at, ok := pm.leaseDeadline(); !ok || at != 300 {
 		t.Fatalf("reap queue: deadline %v %v, want the earlier job's", at, ok)
 	}
-	pm.homePend, pm.homeRetry = []SessionInfo{si}, 120
-	if at, ok := pm.leaseDeadline(); !ok || at != 120 {
-		t.Fatalf("parked record: deadline %v %v, want homeRetry", at, ok)
-	}
 }
 
 // TestLeaseRenewedAtExactlyItsDeadline supervises one long job and checks
@@ -221,34 +217,5 @@ func TestFollowerHandsHeldWaiterToGroupAtOnce(t *testing.T) {
 	}
 	if lag := answered.Sub(asked); lag > 10*time.Millisecond {
 		t.Fatalf("waiter redirected after %v, want one round trip", lag)
-	}
-}
-
-// TestParkedSuperviseReproposedAfterElection parks a Supervise record on a
-// group member while the group has no leader and nothing else going on.
-// Once the other members come up and one is elected, the record must reach
-// the registry on the strength of the worker's own retry pace (or, if this
-// member wins, of the leadership notice): nobody sends it anything.
-func TestParkedSuperviseReproposedAfterElection(t *testing.T) {
-	r := newRig(t, 3, 13)
-	r.pms[0].EnableHomeGroup(0, 3, rsm.NewStore()) // alone: no majority, no leader
-	si := tSess
-	r.eng.After(time.Second, func() { r.pms[0].QueueHomeSupervise(si) })
-	r.eng.After(4*time.Second, func() {
-		r.pms[1].EnableHomeGroup(1, 3, rsm.NewStore())
-		r.pms[2].EnableHomeGroup(2, 3, rsm.NewStore())
-	})
-	r.eng.RunFor(4 * time.Second)
-	if len(r.pms[0].homePend) != 1 {
-		t.Fatalf("%d records parked while leaderless, want 1", len(r.pms[0].homePend))
-	}
-	r.eng.RunFor(params.RsmFailoverBudget + 2*time.Second)
-	if n := len(r.pms[0].homePend); n != 0 {
-		t.Fatalf("%d records still parked after the group elected a leader", n)
-	}
-	for i, pm := range r.pms {
-		if s := pm.reg.lookup(si.LHID); s == nil {
-			t.Errorf("member %d's registry lacks the re-proposed session", i)
-		}
 	}
 }
