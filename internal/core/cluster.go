@@ -357,34 +357,6 @@ func (c *Cluster) fsRegistryPID() vid.PID {
 	return c.FS.PID()
 }
 
-// fsTarget resolves the file-server write target: the single server when
-// unreplicated, the current leader as known by a live replica when one is
-// known, else the file-server group (the leader answers, followers stay
-// silent).
-func (c *Cluster) fsTarget() vid.PID {
-	if len(c.FSReps) <= 1 {
-		return c.FS.PID()
-	}
-	for i, fs := range c.FSReps {
-		if c.FSHosts[i].Crashed() {
-			continue
-		}
-		want := fs.LeaderSvc()
-		if want == vid.Nil {
-			continue
-		}
-		// Only trust a hint that names a replica incarnation still alive —
-		// a crashed or superseded leader PID would cost the client a failed
-		// send before its group retry.
-		for k, r := range c.FSReps {
-			if !c.FSHosts[k].Crashed() && r.PID() == want {
-				return want
-			}
-		}
-	}
-	return vid.GroupFileServers
-}
-
 // newMigrator builds a workstation's migration engine: the cluster's
 // policy and copy settings, the node's selector, the injector's phase hook.
 func (c *Cluster) newMigrator(n *Node) *Migrator {

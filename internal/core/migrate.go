@@ -449,7 +449,7 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 	// these phases precede the identity swap, so their failures are
 	// retry-safe.
 	at := &copyAttempt{
-		mg: mg, ctx: ctx, host: host, lh: lh,
+		mg: mg, ctx: ctx, host: host, lh: lh, fs: pm.FS(),
 		sel: sel, finalID: finalID, tempLH: tempLH, targetKS: targetKS,
 		win: win, rep: rep, srcMAC: srcMAC, dstMAC: dstMAC,
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"vsystem/internal/fileserver"
+	"vsystem/internal/ipc"
 	"vsystem/internal/kernel"
 	"vsystem/internal/mem"
 	"vsystem/internal/params"
@@ -42,35 +44,28 @@ func (s *PagerStats) FaultKB() float64 { return float64(s.Faults) * mem.PageSize
 // pageOut is the §3.2 sink iterate flushes into: page runs to the file
 // server's paging store under the logical host's key prefix (V moved up to
 // 32 KB as a unit, §3.1; a paging server would batch writes the same
-// way). The write target is re-resolved per call so a round started after
-// a file-server failover still reaches the new leader.
+// way), through the source manager's file-service client. The window needs
+// one server: a manager with no pin finds one with a group stat of the
+// program's image first, and a decline naming the leader, or a silent
+// server, sends the whole batch again to the server the client turns to —
+// page stores are keyed, so a page written twice is written once.
 func (at *copyAttempt) pageOut(sp []spacePages) error {
-	fs := at.mg.fileServerPID()
-	_, err := at.sendRuns(fs, vid.Message{
-		Op: fileserver.OpPageOutRun, W: [6]uint32{5: fsW5(fs)},
-	}, pagePrefix(at.finalID), sp, nil)
-	return err
+	out := vid.Message{Op: fileserver.OpPageOutRun, W: [6]uint32{5: fileserver.FsUnicast}}
+	m, err := at.fs.Do(at.ctx, at.lh.Name(), func(dst vid.PID) (vid.Message, error) {
+		at.win.Drain(at.ctx.Task()) // a resend starts on an empty window, the failure forgotten
+		_, err := at.sendRuns(dst, out, pagePrefix(at.finalID), sp, nil)
+		var re *ipc.ReplyError
+		if errors.As(err, &re) {
+			return re.Reply, nil
+		}
+		return vid.Message{}, err
+	})
+	return sendErr(err, m)
 }
 
 // pagePrefix is a logical host's key prefix in the paging store; a page is
 // stored under "prefix/space/pageno".
 func pagePrefix(id vid.LHID) string { return fmt.Sprintf("pg/%04x", uint16(id)) }
-
-// fileServerPID resolves the cluster's file server (in V this binding
-// comes from the program's name cache; the simulation resolves it through
-// the cluster facade). With a replicated file service it names the current
-// write leader when one is known, else the file-server group.
-func (mg *Migrator) fileServerPID() vid.PID { return mg.Cluster.fsTarget() }
-
-// fsW5 marks a request unicast-addressed (fileserver.FsUnicast) so a
-// replica that lost authority answers CodeNotLeader promptly instead of
-// leaving the sender to ride out a full send abort in silence.
-func fsW5(dst vid.PID) uint32 {
-	if dst.IsGroup() {
-		return 0
-	}
-	return fileserver.FsUnicast
-}
 
 // destCopy finds the new copy at the destination: nil when the
 // simulation cannot reach it.
@@ -178,30 +173,35 @@ func (at *copyAttempt) demandFetch(t *sim.Task, as *mem.AddressSpace, pn mem.Pag
 }
 
 // pageIn reads one page of the migrated copy's flush image from the file
-// server's paging store, for a task at node: flush's whole fetch, and
-// post-copy's fallback when the receptacle cannot serve. It returns nil
-// when there is none (never flushed: a hole page) or no server answers.
-// The serving replica is resolved per fault — the leader at install time
-// may be dead by now — and a dead pinned leader gets one bounded retry
-// through the group; not-found is a definitive answer and is not retried.
+// server's paging store, for a task at node, through node's manager's
+// file-service client (its pinned server, else the group): flush's whole
+// fetch, and post-copy's fallback when the receptacle cannot serve. It
+// returns nil when there is none (never flushed: a hole page) or no server
+// answers.
 func (at *copyAttempt) pageIn(t *sim.Task, node *Node, as *mem.AddressSpace, pn mem.PageNo) []byte {
 	port := node.Host.IPC.NewPortGen(node.pagerPID())
 	defer port.Close()
-	dst := at.mg.fileServerPID()
-	req := vid.Message{
-		Op: fileserver.OpPageIn, W: [6]uint32{5: fsW5(dst)},
+	m, err := node.PM.FS().Send(taskConn{t, port}, vid.Message{
+		Op:  fileserver.OpPageIn,
 		Seg: []byte(fmt.Sprintf("%s/%d/%d", pagePrefix(at.finalID), as.ID, pn)),
-	}
-	m, err := port.Send(t, dst, req)
-	if (err != nil || (!m.OK() && m.Code != vid.CodeNotFound)) && !dst.IsGroup() {
-		req.W[5] = 0
-		m, err = port.Send(t, vid.GroupFileServers, req)
-	}
+	})
 	if err != nil || !m.OK() {
 		return nil
 	}
 	return m.Seg
 }
+
+// taskConn is a task sending through a port of its own, as a fault
+// handler does: the file-service client's Conn outside a process.
+type taskConn struct {
+	t    *sim.Task
+	port *ipc.Port
+}
+
+func (c taskConn) Send(dst vid.PID, m vid.Message) (vid.Message, error) {
+	return c.port.Send(c.t, dst, m)
+}
+func (c taskConn) Sleep(d time.Duration) { c.t.Sleep(d) }
 
 // pagerPID allocates a unique port id for one page-fault transaction, and
 // the generation to register it under (ipc.NewPortGen). Ids come from the

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"vsystem/internal/ethernet"
+	"vsystem/internal/fileserver"
 	"vsystem/internal/ipc"
 	"vsystem/internal/kernel"
 	"vsystem/internal/mem"
@@ -23,6 +24,7 @@ type copyAttempt struct {
 	ctx  *kernel.ProcCtx
 	host *kernel.Host
 	lh   *kernel.LogicalHost
+	fs   *fileserver.Client // the source manager's: the flush policy's page-out
 
 	sel         HostSel
 	finalID     vid.LHID // the migrating identity; lh.ID() until a post-copy rename

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"vsystem/internal/fileserver"
 	"vsystem/internal/packet"
+	"vsystem/internal/progs"
 	"vsystem/internal/trace"
 	"vsystem/internal/vid"
 )
@@ -136,6 +139,62 @@ func TestPinnedImageLoadFailsOverWhenItsReplicaCrashes(t *testing.T) {
 	}
 	if lines := c.Node(0).Display.Lines(); len(lines) != 2 || lines[0] != "hello from the VVM" || lines[1] != lines[0] {
 		t.Fatalf("display = %q", lines)
+	}
+}
+
+// TestFlushAfterFSLeaderReplaced: a flush migration in a cluster whose
+// replicated file service lost its leader, and elected another, between
+// the guest's load and the move. The source manager's pinned replica may
+// be the dead leader or a follower that declines page-out, and the
+// destination's manager has no pin; page-out and page-in reach the new
+// leader through the managers' file-service clients all the same. The
+// guest — memwalk, whose exit code is a checksum of its memory — exits
+// with the code and display lines of an unmigrated twin.
+func TestFlushAfterFSLeaderReplaced(t *testing.T) {
+	t.Parallel()
+	run := func(migrate bool) (code uint32, lines []string, rep *MigrationReport, faults int) {
+		c := boot(t, Options{Workstations: 3, Seed: 5, Policy: PolicyFlush, ReplicateFS: 3})
+		img := progs.MemWalker(64, 900)
+		c.Install(img)
+		var err error
+		done := false
+		c.Node(0).Agent(func(a *Agent) {
+			defer func() { done = true }()
+			a.Sleep(4 * time.Second) // a leader is elected by 3 s
+			var job *Job
+			if job, err = a.Exec(img.Name, nil, "ws1"); err != nil {
+				return
+			}
+			old := fsLeaderIdx(c)
+			c.FSHosts[old].Crash()
+			a.Sleep(3 * time.Second)
+			if now := fsLeaderIdx(c); now < 0 || now == old {
+				err = fmt.Errorf("file-server leader %d after killing %d", now, old)
+				return
+			}
+			if migrate {
+				if rep, err = a.Migrate(job, false); err != nil {
+					return
+				}
+				if st := c.PagerStatsFor(job.LHID); st != nil {
+					faults = st.Faults
+				}
+			}
+			code, err = a.Wait(job)
+		})
+		c.Run(2 * time.Minute)
+		if !done || err != nil {
+			t.Fatalf("migrate=%v: finished=%v, %v", migrate, done, err)
+		}
+		return code, c.Node(0).Display.Lines(), rep, faults
+	}
+	wantCode, wantLines, _, _ := run(false)
+	code, lines, rep, faults := run(true)
+	if rep.Policy != PolicyFlush.String() || faults == 0 {
+		t.Fatalf("report policy %q, %d page-in faults: want a flush that paged in", rep.Policy, faults)
+	}
+	if code != wantCode || !reflect.DeepEqual(lines, wantLines) {
+		t.Fatalf("migrated guest exited %d with %q; the unmigrated twin %d with %q", code, lines, wantCode, wantLines)
 	}
 }
 

@@ -163,10 +163,3 @@ func bootCluster(opt core.Options) *core.Cluster {
 }
 
 func ms(d float64) string { return fmt.Sprintf("%.1f ms", d) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

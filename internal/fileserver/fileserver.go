@@ -21,7 +21,8 @@ import (
 
 // Operations.
 const (
-	// OpStat: Seg=name → W0=size (bytes).
+	// OpStat: Seg=name → W0=size (bytes), W4=leader as the replica knows
+	// it, W5=the answering server.
 	OpStat uint16 = 0x50 + iota
 	// OpRead: Seg=name, W0=offset, W1=length (≤ SegMax) → Seg=data,
 	// W0=bytes read, W1=size (bytes); a read at or past EOF reads nothing
@@ -33,7 +34,7 @@ const (
 	OpRemove
 	// OpPageOut: paging backend — Seg=key NUL data.
 	OpPageOut
-	// OpPageIn: Seg=key → Seg=data.
+	// OpPageIn: Seg=key → Seg=data, W5=the answering server.
 	OpPageIn
 	// OpList: → Seg=NUL-separated names (tools).
 	OpList
@@ -106,10 +107,11 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 				continue
 			}
 			ctx.Compute(params.FileServerBlockCPU)
-			// W5 identifies the answering server, so clients that found it
-			// through the file-server group can address it directly
-			// afterwards; W4 carries the write leader as this replica knows
-			// it, so read-pinned clients learn where mutations go.
+			// W5 identifies the answering server, as a page-in reply's
+			// does: a Client that found it through the group pins it. W4
+			// is the leader as this replica knows it; no client reads it —
+			// a pinned follower's decline names the leader when a
+			// leader-only request needs it.
 			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{
 				uint32(len(data)), 0, 0, 0, uint32(s.svc.LeaderSvc()), uint32(s.proc.PID()),
 			}})
@@ -211,7 +213,7 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 				continue
 			}
 			ctx.Compute(blockCost(len(data)))
-			ctx.Reply(req, vid.Message{Op: m.Op, Seg: data})
+			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{5: uint32(s.proc.PID())}, Seg: data})
 
 		case OpList:
 			names := make([]string, 0, len(s.st.files))

@@ -21,11 +21,11 @@ import (
 // would reload from disk, and keeping them out of the log keeps snapshots
 // from being the only thing that can restock a rejoining replica.
 
-// FsUnicast marks a request addressed to one pinned replica (set in W5).
-// A replica that cannot serve answers a unicast request with
-// CodeNotLeader + the leader's service PID in W4; a group-addressed
-// request (no flag) it drops in silence, leaving the answer to a replica
-// that can.
+// FsUnicast marks a request addressed to one server (set in W5); Client
+// sets it on every request it sends to one server. A replica that cannot serve
+// answers a unicast request with CodeNotLeader + the leader's service PID
+// in W4, which the client re-pins to; a group-addressed request (no flag)
+// it drops in silence, leaving the answer to a replica that can.
 const FsUnicast uint32 = 1
 
 // StartReplica spawns file-server replica id of n on a host, joining both
@@ -40,10 +40,6 @@ func StartReplica(h *kernel.Host, id, n int, store *rsm.Store) *Server {
 
 // Replica returns the server's consensus replica (nil when unreplicated).
 func (s *Server) Replica() *rsm.Replica { return s.svc.Replica() }
-
-// LeaderSvc returns the service PID of the current file-server leader as
-// this replica knows it (vid.Nil when unknown or unreplicated).
-func (s *Server) LeaderSvc() vid.PID { return s.svc.LeaderSvc() }
 
 // cmd is one admitted store mutation, already parsed and validated by the
 // request loop.

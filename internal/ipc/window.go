@@ -17,9 +17,9 @@ import (
 // across whichever is free. Completions are harvested in any order — a
 // transaction stalled behind a retransmission never blocks the rest of
 // the pipeline — and errors are sticky: the first transport failure or
-// error reply is remembered and returned from every Send up to the next
-// Drain, which returns it and clears it, so a window outlives a failed
-// stream.
+// error reply (a *ReplyError) is remembered and returned from every Send
+// up to the next Drain, which returns it and clears it, so a window
+// outlives a failed stream.
 //
 // Window size 1 degenerates to the stop-and-wait copy loop the paper
 // describes, which is exactly how the E10 baseline is measured.
@@ -43,6 +43,17 @@ type Window struct {
 
 	onReply func(req, reply vid.Message)
 }
+
+// ReplyError is a window's sticky error when a transaction was answered
+// with an error code: the reply's fixed part, whose words may carry what a
+// protocol puts there (a declining file-server replica names its leader in
+// W4). errors.Is matches it against the reply's vid.CodeError.
+type ReplyError struct{ Reply vid.Message }
+
+func (e *ReplyError) Error() string { return e.Reply.Err().Error() }
+
+// Unwrap returns the reply's vid.CodeError.
+func (e *ReplyError) Unwrap() error { return e.Reply.Err() }
 
 // SetOnReply installs a completion hook, invoked during reaping for every
 // transaction that completed with an OK reply, with the original request
@@ -117,7 +128,7 @@ func (w *Window) reap(t *sim.Task) {
 		reply, err := p.AwaitReply(t) // completed: returns without blocking
 		w.inflight--
 		if err == nil && !reply.OK() {
-			err = reply.Err()
+			err = &ReplyError{Reply: vid.Message{Op: reply.Op, Code: reply.Code, W: reply.W}}
 		}
 		if err != nil && w.err == nil {
 			w.err = err

@@ -655,9 +655,6 @@ func (p *Process) Regs() *Regs { return &p.regs }
 // Dead reports whether the process has exited or been destroyed.
 func (p *Process) Dead() bool { return p.dead }
 
-// Started reports whether the process's body has been spawned.
-func (p *Process) Started() bool { return p.started }
-
 // NewProcess creates a process in the logical host, not yet started: as in
 // the paper's program-creation protocol, the newly created process awaits
 // its creator's go-ahead (§2.1). The process's priority is derived from

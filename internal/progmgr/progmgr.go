@@ -186,7 +186,7 @@ type PM struct {
 	leaseWake sim.WaitQ // the lease worker parks here
 	leaseKick bool      // set by kickLease, cleared as a pass begins
 
-	fsPID vid.PID // cached file-server pid
+	fs fileserver.Client // the manager's one way to the file service
 }
 
 // Start spawns the program manager on a host.
@@ -229,6 +229,10 @@ func (pm *PM) PID() vid.PID { return pm.proc.PID() }
 
 // Host returns the managed workstation.
 func (pm *PM) Host() *kernel.Host { return pm.host }
+
+// FS returns the manager's file-service client: the migrator's page-out
+// from this host and page-in to it go through it too.
+func (pm *PM) FS() *fileserver.Client { return &pm.fs }
 
 // ProgMeta returns a tracked program's invocation metadata (arguments,
 // output sink and home) so the migration engine can forward it to the
@@ -558,134 +562,42 @@ func (pm *PM) createProgram(ctx *kernel.ProcCtx, m vid.Message) vid.Message {
 // time the protocol takes — but only the file's header is kept, as far as
 // the first read's length words declare it: the padding behind it says
 // nothing, and each reply's buffer goes back to the engine as soon as the
-// header's share is copied out of it. It returns the kept bytes and how
-// many arrived in all, which is what image.DecodeHeader wants.
+// header's share is copied out of it. It returns the kept bytes, how many
+// arrived in all, which is what image.DecodeHeader wants, and the server
+// that served them.
 //
-// A pinned manager's first read is its stat: it reads a whole segment at
-// offset 0 from the server it pinned, and the reply's W1 is the file's
-// size. The stat finds a server — on a manager's first load, and when the
-// pinned read fails or is declined (an unsynced replica answers
-// CodeNotLeader) — through the file-server group, and the answering
-// replica is pinned. If the pinned server dies or loses authority
-// mid-load, the loop re-resolves once through the group and resumes the
-// same chunk — an image load survives a file-server crash instead of
-// aborting the execution request.
+// Every read goes through the manager's file-service client. The first
+// read, a whole segment at offset 0, is also the stat: its reply's W1 is
+// the file's size. A manager with no pinned server, or whose server went
+// silent or declined without naming a leader, finds one with a group stat
+// first, so an image load survives a file-server crash instead of
+// aborting the execution request. A failure keeps its cause: a congested
+// or dead server's CodeTimeout or CodeHostDown is transient, and only the
+// server's own answer says an image does not exist.
 func (pm *PM) loadFile(ctx *kernel.ProcCtx, name string) ([]byte, int, vid.PID, error) {
-	var r vid.Message // the pinned first read's reply, or the stat's
-	var err error
-	held := false // r is the read at offset 0, for the loop to take even from an empty file
-	if pm.fsPID != vid.Nil {
-		r, err = ctx.Send(pm.fsPID, readReq(name, 0, vid.SegMax))
-		held = err == nil && r.OK()
-	} else {
-		r, err = ctx.Send(vid.GroupFileServers, vid.Message{Op: fileserver.OpStat, Seg: []byte(name)})
-	}
-	if !held && (err != nil || !r.OK()) {
-		// Retry through the group in case a cached server died. A replicated
-		// store can also be leaderless mid-election (every replica silent),
-		// so silence and transport errors get a few spaced attempts; a
-		// definitive reply (e.g. no such file) is never retried.
-		pm.fsPID = vid.Nil
-		for attempt := 0; ; attempt++ {
-			r, err = ctx.Send(vid.GroupFileServers, vid.Message{Op: fileserver.OpStat, Seg: []byte(name)})
-			if err == nil || attempt == 2 {
-				break
-			}
-			ctx.Sleep(500 * time.Millisecond)
-		}
-		if err != nil || !r.OK() {
-			return nil, 0, vid.Nil, fsError(r, err)
-		}
-	}
-	size := int(r.W[1]) // a read's; a stat's is its W0, and its W5 the server to pin
-	if !held {
-		if pid := vid.PID(r.W[5]); pid != vid.Nil {
-			pm.fsPID = pid
-		}
-		size = int(r.W[0])
-	}
 	var hdr []byte // the file's leading bytes; its capacity is how many are header
-	got := 0       // bytes received, kept or not
-	for off := 0; off < size || held; off += vid.SegMax {
-		if !held {
-			if r, err = pm.readChunk(ctx, name, off, min(size-off, vid.SegMax)); err != nil {
-				return nil, 0, vid.Nil, err
-			}
+	got, size := 0, 0
+	for off := 0; off == 0 || off < size; off += vid.SegMax {
+		read := vid.Message{
+			Op: fileserver.OpRead, W: [6]uint32{uint32(off), vid.SegMax, 0, 0, 0, fileserver.FsUnicast}, Seg: []byte(name),
 		}
-		held = false
+		r, err := pm.fs.Do(ctx, name, func(dst vid.PID) (vid.Message, error) { return ctx.Send(dst, read) })
+		if err == nil {
+			err = r.Err()
+		}
+		if err != nil {
+			return nil, 0, vid.Nil, err
+		}
 		if off == 0 {
 			// Sized by what the file says of itself, and never past what
 			// the server says it stores: neither word alone is trusted
 			// with an allocation.
+			size = int(r.W[1])
 			hdr = make([]byte, 0, min(image.HeaderLen(r.Seg), uint64(size)))
 		}
 		hdr = append(hdr, r.Seg[:min(len(r.Seg), cap(hdr)-len(hdr))]...) // never past the header
 		got += len(r.Seg)
 		ctx.ReleaseReply()
 	}
-	return hdr, got, pm.fsPID, nil
-}
-
-// readChunk reads n bytes at off from the pinned server. If that server
-// is gone or declines, it re-stats through the file-server group to find
-// a live authoritative replica, pins it, and retries the chunk once.
-func (pm *PM) readChunk(ctx *kernel.ProcCtx, name string, off, n int) (vid.Message, error) {
-	read := readReq(name, off, n)
-	r, err := ctx.Send(pm.fsPID, read)
-	if err == nil && r.OK() {
-		return r, nil
-	}
-	pm.fsPID = vid.Nil
-	st, err2 := ctx.Send(vid.GroupFileServers, vid.Message{Op: fileserver.OpStat, Seg: []byte(name)})
-	if err2 != nil || !st.OK() {
-		return r, fsError(r, err)
-	}
-	if pid := vid.PID(st.W[5]); pid != vid.Nil {
-		pm.fsPID = pid
-	}
-	read.W[5] = unicastFlag(pm.fsPID)
-	if r, err = ctx.Send(orGroup(pm.fsPID), read); err != nil || !r.OK() {
-		return r, fsError(r, err)
-	}
-	return r, nil
-}
-
-// readReq is an OpRead of n bytes at off, addressed to one pinned server.
-func readReq(name string, off, n int) vid.Message {
-	return vid.Message{
-		Op: fileserver.OpRead, W: [6]uint32{uint32(off), uint32(n), 0, 0, 0, fileserver.FsUnicast},
-		Seg: []byte(name),
-	}
-}
-
-// fsError keeps the transport's verdict on a failed file-server RPC. A
-// congested or dead server yields CodeTimeout/CodeHostDown — transient
-// conditions the exec layer may retry; only the server's own answer is
-// allowed to say an image does not exist. Collapsing every failure to
-// not-found (the old behavior) made a saturated file server
-// indistinguishable from a typo in the program name.
-func fsError(m vid.Message, err error) error {
-	if err != nil {
-		return err
-	}
-	if m.Code == vid.CodeOK {
-		return vid.CodeError(vid.CodeNotFound)
-	}
-	return vid.CodeError(m.Code)
-}
-
-func orGroup(pid vid.PID) vid.PID {
-	if pid == vid.Nil {
-		return vid.GroupFileServers
-	}
-	return pid
-}
-
-// unicastFlag returns the W5 unicast marker when pid names one server (as
-// opposed to the file-server group).
-func unicastFlag(pid vid.PID) uint32 {
-	if pid == vid.Nil {
-		return 0
-	}
-	return fileserver.FsUnicast
+	return hdr, got, pm.fs.Pinned(), nil
 }

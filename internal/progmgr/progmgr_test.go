@@ -2,6 +2,7 @@ package progmgr
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -21,6 +22,7 @@ import (
 
 type rig struct {
 	eng *sim.Engine
+	bus *ethernet.Bus
 	ws  []*kernel.Host
 	pms []*PM
 	fs  *fileserver.Server
@@ -31,7 +33,7 @@ func newRig(t *testing.T, n int, seed int64) *rig {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	bus := ethernet.NewBus(eng)
-	r := &rig{eng: eng}
+	r := &rig{eng: eng, bus: bus}
 	for i := 0; i < n; i++ {
 		h := kernel.NewHost(eng, bus, i, "ws"+string(rune('0'+i)))
 		r.ws = append(r.ws, h)
@@ -231,6 +233,69 @@ func TestPinnedLoadSendsNoStat(t *testing.T) {
 		if loads[i] != w {
 			t.Errorf("load %d: file server received %+v, want %+v", i+1, loads[i], w)
 		}
+	}
+}
+
+// TestDeclineHintRepinsWithoutAStat: a manager pinned to a follower that
+// declines its read with CodeNotLeader and the leader in W4 re-pins to that
+// leader and sends it the read at once — one unicast, no second group
+// stat. The follower here is a stand-in that wins the group stat (it
+// answers without computing) and declines every read.
+func TestDeclineHintRepinsWithoutAStat(t *testing.T) {
+	r := newRig(t, 2, 5)
+	img, _ := r.fs.Get("job")
+	fh := kernel.NewHost(r.eng, r.bus, 3, "follower")
+	var follower vid.PID
+	follower = fh.SpawnServer("follower", 8192, func(ctx *kernel.ProcCtx) {
+		for {
+			req := ctx.Receive()
+			switch req.Msg.Op {
+			case fileserver.OpStat:
+				ctx.Reply(req, vid.Message{Op: req.Msg.Op, W: [6]uint32{0: uint32(len(img)), 5: uint32(follower)}})
+			default:
+				ctx.Reply(req, vid.Message{Op: req.Msg.Op, Code: vid.CodeNotLeader,
+					W: [6]uint32{4: uint32(r.fs.PID())}})
+			}
+		}
+	}).PID()
+	fh.JoinGroup(vid.GroupFileServers, follower)
+
+	type req struct {
+		op       uint16
+		dst      vid.PID
+		unicast  bool
+		declined bool // sent after the follower declined
+	}
+	var sent []req // the manager's file-server requests, each once
+	declined := false
+	seen := map[[2]uint32]bool{}
+	tb := trace.NewBus()
+	r.ws[1].AttachTrace(tb)
+	fh.AttachTrace(tb)
+	tb.Subscribe(func(ev trace.Event) {
+		p := ev.Pkt
+		switch {
+		case ev.Kind == trace.EvPktTx && p.Kind == packet.KRequest && p.Src == r.pms[1].PID() &&
+			!seen[[2]uint32{uint32(p.Src), p.TxID}]:
+			seen[[2]uint32{uint32(p.Src), p.TxID}] = true
+			sent = append(sent, req{p.Msg.Op, p.Dst, p.Msg.W[5]&fileserver.FsUnicast != 0, declined})
+		case ev.Kind == trace.EvPktTx && p.Kind == packet.KReply && p.Src == follower && p.Msg.Code == vid.CodeNotLeader:
+			declined = true
+		}
+	})
+	r.agent(0, func(ctx *kernel.ProcCtx) {
+		if m, err := ctx.Send(r.pms[1].PID(), vid.Message{Op: PmCreateProgram, Seg: []byte("job")}); err != nil || !m.OK() {
+			t.Errorf("create: %v %v", m, err)
+		}
+	})
+	r.eng.RunFor(time.Minute)
+	want := []req{
+		{op: fileserver.OpStat, dst: vid.GroupFileServers},
+		{op: fileserver.OpRead, dst: follower, unicast: true},
+		{op: fileserver.OpRead, dst: r.fs.PID(), unicast: true, declined: true},
+	}
+	if !reflect.DeepEqual(sent, want) {
+		t.Fatalf("manager sent %+v, want %+v", sent, want)
 	}
 }
 

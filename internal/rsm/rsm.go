@@ -748,7 +748,7 @@ func (r *Replica) handleAppend(ctx *kernel.ProcCtx, req *ipc.Req) {
 		r.st.Log = append(r.st.Log, e)
 	}
 	match := a.PrevIndex + uint32(len(a.Entries))
-	if c := min32(a.Commit, r.lastIndex()); c > r.commit {
+	if c := min(a.Commit, r.lastIndex()); c > r.commit {
 		r.noteCommit(ctx.Task(), c)
 	}
 	ctx.Reply(req, vid.Message{Op: OpAppend, W: [6]uint32{r.st.Term, 1, match}})
@@ -807,13 +807,6 @@ func (r *Replica) installSnapshot(s *snapIn) {
 }
 
 // ------------------------------------------------------------ commit + apply
-
-func min32(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // noteCommit advances the commit index and applies; every replica counts
 // and publishes its own advances (EvCommit parity).

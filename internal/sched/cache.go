@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"vsystem/internal/params"
@@ -139,7 +140,7 @@ func (c *Cache) Candidates(minMem uint32, exclude map[vid.LHID]bool) []Load {
 		c.misses++
 		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Better(out[j]) })
+	slices.SortFunc(out, byBetter)
 	c.hits++
 	return out
 }
@@ -179,8 +180,6 @@ func (c *Cache) Entries() []Entry {
 			Neg:   c.negative(lh),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Load.SystemLH < out[j].Load.SystemLH
-	})
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Load.SystemLH, b.Load.SystemLH) })
 	return out
 }

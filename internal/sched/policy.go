@@ -79,16 +79,9 @@ func (LeastLoaded) Name() string { return "least" }
 // LoadAware implements Policy.
 func (LeastLoaded) LoadAware() bool { return true }
 
-// Pick implements Policy.
-func (LeastLoaded) Pick(cands []Load, _ *rand.Rand) Load {
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.Better(best) {
-			best = c
-		}
-	}
-	return best
-}
+// Pick implements Policy: candidates arrive sorted by Better, a total
+// order, so the first is the best.
+func (LeastLoaded) Pick(cands []Load, _ *rand.Rand) Load { return cands[0] }
 
 // PolicyByName maps a command-line name to a policy (nil if unknown):
 // "first", "random", "least".

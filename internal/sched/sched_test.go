@@ -3,6 +3,7 @@ package sched
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -155,9 +156,13 @@ func TestFirstResponsePolicy(t *testing.T) {
 	}
 }
 
+// TestLeastLoadedPolicy: candidates reach a policy sorted by Better, as
+// Cache.Candidates and the cold path sort them, and least-loaded takes
+// the first of them.
 func TestLeastLoadedPolicy(t *testing.T) {
 	p := LeastLoaded{}
 	cands := []Load{ld(3, 5, 128), ld(2, 1, 512), ld(1, 0, 1024)}
+	slices.SortFunc(cands, byBetter)
 	if got := p.Pick(cands, nil); got.MAC() != 1 {
 		t.Fatalf("least-loaded picked %v, want the idle host", got)
 	}

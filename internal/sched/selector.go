@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"vsystem/internal/ipc"
@@ -168,7 +169,7 @@ func (s *Selector) Select(tx Sender, minMem uint32, exclude ...vid.LHID) (Load, 
 			s.candidate(tx, l, false)
 		}
 		if len(got) > 0 {
-			sortLoads(got)
+			slices.SortFunc(got, byBetter)
 			l := s.Policy.Pick(got, s.rng)
 			s.choose(tx, l, false)
 			return l, nil
@@ -271,14 +272,4 @@ func dropLH(ls []Load, lh vid.LHID) []Load {
 		}
 	}
 	return out
-}
-
-func sortLoads(ls []Load) {
-	// Insertion sort: candidate sets are tiny and this keeps the package
-	// free of a sort dependency in the hot path.
-	for i := 1; i < len(ls); i++ {
-		for j := i; j > 0 && ls[j].Better(ls[j-1]); j-- {
-			ls[j], ls[j-1] = ls[j-1], ls[j]
-		}
-	}
 }
