@@ -113,6 +113,40 @@ func (r hostResolverT) WellKnown(lh vid.LHID, idx uint16) (vid.PID, bool) {
 	return vid.Nil, false
 }
 
+// BenchmarkIPCRoundTrip measures one remote Send/Receive/Reply between
+// processes on two bare hosts, the setup of bench's ipc.roundtrip_us, and
+// what it allocates: once the first exchange has resolved the binding, a
+// round trip allocates nothing.
+func BenchmarkIPCRoundTrip(b *testing.B) {
+	eng := sim.NewEngine(1)
+	defer eng.Shutdown()
+	bus := ethernet.NewBus(eng)
+	h0 := kernel.NewHost(eng, bus, 0, "a")
+	h1 := kernel.NewHost(eng, bus, 1, "b")
+	srv := h1.SpawnServer("echo", 16*1024, func(ctx *kernel.ProcCtx) {
+		for {
+			req := ctx.Receive()
+			ctx.Reply(req, req.Msg)
+		}
+	})
+	done := 0
+	h0.SpawnServer("client", 16*1024, func(ctx *kernel.ProcCtx) {
+		for i := uint32(0); ; i++ {
+			if _, err := ctx.Send(srv.PID(), vid.Message{Op: 1, W: [6]uint32{i}}); err != nil {
+				b.Errorf("round trip %d: %v", i, err)
+				return
+			}
+			done++
+		}
+	})
+	for done < 2 && eng.Step() { // the first resolves the binding
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for want := done + b.N; done < want && eng.Step(); {
+	}
+}
+
 // BenchmarkPacketMarshal measures wire-format encoding of a request.
 func BenchmarkPacketMarshal(b *testing.B) {
 	p := &packet.Packet{

@@ -744,6 +744,7 @@ func (at *copyAttempt) sendRuns(dst vid.PID, out vid.Message, key string, sp []s
 			}
 			out.Seg = kernel.AppendPageRun(seg, s.as.ID, batch, data)
 			if err := win.Send(at.ctx.Task(), dst, out); err != nil {
+				win.Drain(at.ctx.Task()) // the window's next user starts empty, the failure forgotten
 				return kb, err
 			}
 			at.rep.WireBytes += int64(len(out.Seg))

@@ -52,7 +52,6 @@ func (s *PagerStats) FaultKB() float64 { return float64(s.Faults) * mem.PageSize
 func (at *copyAttempt) pageOut(sp []spacePages) error {
 	out := vid.Message{Op: fileserver.OpPageOutRun, W: [6]uint32{5: fileserver.FsUnicast}}
 	m, err := at.fs.Do(at.ctx, at.lh.Name(), func(dst vid.PID) (vid.Message, error) {
-		at.win.Drain(at.ctx.Task()) // a resend starts on an empty window, the failure forgotten
 		_, err := at.sendRuns(dst, out, pagePrefix(at.finalID), sp, nil)
 		var re *ipc.ReplyError
 		if errors.As(err, &re) {

@@ -162,7 +162,7 @@ func TestCrashIsLearntFromTheRenewal(t *testing.T) {
 		if v := c.Node(0).PM.Sessions(); len(v) == 1 {
 			stateAfter = v[0].State
 		}
-		for _, l := range c.Node(2).Selector.Cache.Candidates(0, nil) {
+		for _, l := range c.Node(2).Selector.Cache.Candidates(nil, 0, nil) {
 			offeredAfter = offeredAfter || l.SystemLH == dead
 		}
 	})

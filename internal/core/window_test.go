@@ -4,8 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"vsystem/internal/kernel"
+	"vsystem/internal/mem"
 	"vsystem/internal/params"
 	"vsystem/internal/trace"
+	"vsystem/internal/vid"
 )
 
 // windowReport migrates memhog once under the given loss rate and returns
@@ -97,5 +100,42 @@ func TestMigrationWindowParityUnderLoss(t *testing.T) {
 	}
 	if rep.WindowStalls != stalls {
 		t.Fatalf("report stalls %d != cluster stalls %d", rep.WindowStalls, stalls)
+	}
+}
+
+// TestWindowReusedAfterFailedSendRuns: a sendRuns whose runs are refused
+// returns the refusal and leaves the window empty and without it, so the
+// window's next user (a page-out's resend, the next phase's copy) is not
+// handed an error that is not its own.
+func TestWindowReusedAfterFailedSendRuns(t *testing.T) {
+	t.Parallel()
+	c := boot(t, Options{Workstations: 2, Seed: 1})
+	src, dst := c.Node(0).Host, c.Node(1).Host
+	ks := vid.NewPID(dst.SystemLH().ID(), vid.IdxKernelServer)
+	as := mem.NewAddressSpace(1, 8*kernel.MaxRunPages*mem.PageSize)
+	var pages []mem.PageNo
+	for pn := mem.PageNo(0); pn < 8*kernel.MaxRunPages; pn++ {
+		as.WriteWord(uint32(pn)*mem.PageSize, uint32(pn)+1)
+		pages = append(pages, pn)
+	}
+	var runErr, pingErr, drainErr error
+	done := false
+	src.SpawnServer("copier", 4096, func(ctx *kernel.ProcCtx) {
+		win := src.IPC.NewWindow(src.SystemLH().ID(), 4)
+		defer win.Close()
+		at := &copyAttempt{mg: c.Node(0).PM.Migrator.(*Migrator), ctx: ctx, win: win, rep: &MigrationReport{}}
+		// No logical host 0x7ff0 lives there: every run is refused.
+		_, runErr = at.sendRuns(ks, vid.Message{Op: kernel.KsWritePages, W: [6]uint32{0x7ff0, kernel.WriteModeCopy}},
+			"", []spacePages{{as: as, pages: pages}}, nil)
+		pingErr = win.Send(ctx.Task(), ks, vid.Message{Op: kernel.KsPing})
+		drainErr = win.Drain(ctx.Task())
+		done = true
+	})
+	c.Run(30 * time.Second)
+	if !done || runErr == nil {
+		t.Fatalf("done %v, sendRuns to a missing logical host returned %v", done, runErr)
+	}
+	if pingErr != nil || drainErr != nil {
+		t.Fatalf("the window's next send = %v, its drain = %v: the failed runs' error outlived sendRuns", pingErr, drainErr)
 	}
 }

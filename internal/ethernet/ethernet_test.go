@@ -347,3 +347,65 @@ func TestOnlySingleReceiverFramesRecycle(t *testing.T) {
 		t.Fatalf("sent % x, delivered % x, %d buffers back", sent, got[0].Payload, bus.bufs.Len())
 	}
 }
+
+// TestBlockingSendAllocatesNothing: a task that sends with Send, blocking
+// until each frame has left the wire, allocates nothing per frame.
+func TestBlockingSendAllocatesNothing(t *testing.T) {
+	e := sim.NewEngine(1)
+	defer e.Shutdown()
+	bus := NewBus(e)
+	a, b := bus.Attach(1), bus.Attach(2)
+	got := 0
+	b.SetRecv(func(f Frame) { got++ })
+	pay := make([]byte, 64)
+	var kick sim.WaitQ
+	sent := 0
+	e.Spawn("sender", func(tk *sim.Task) {
+		for {
+			kick.Wait(tk)
+			a.Send(tk, Frame{Dst: 2, Payload: pay})
+			a.Send(tk, Frame{Dst: 2, Payload: pay})
+			sent += 2
+		}
+	})
+	e.Run()
+	send := func() {
+		kick.WakeOne()
+		e.Run()
+	}
+	send()
+	if n := testing.AllocsPerRun(100, send); n != 0 {
+		t.Fatalf("%v allocations per two frames sent blocking, want 0", n)
+	}
+	if sent != 204 || got != 204 { // AllocsPerRun runs it once more than asked
+		t.Fatalf("sent %d, received %d, want 204", sent, got)
+	}
+}
+
+// TestBlockingSendersWakeAtTheirOwnFrames: tasks blocked in Send on one
+// station each wake when their own frame has left the wire — a sender
+// killed while it waits takes its wake-up with it, rather than passing it to
+// the next.
+func TestBlockingSendersWakeAtTheirOwnFrames(t *testing.T) {
+	e := sim.NewEngine(1)
+	defer e.Shutdown()
+	bus := NewBus(e)
+	a, b := bus.Attach(1), bus.Attach(2)
+	b.SetRecv(func(Frame) {})
+	sizes := []int{100, 400, 900}
+	woke := make([]sim.Time, len(sizes))
+	var tasks []*sim.Task
+	for i, n := range sizes {
+		tasks = append(tasks, e.Spawn("sender", func(tk *sim.Task) {
+			a.Send(tk, Frame{Dst: 2, Payload: make([]byte, n)})
+			woke[i] = tk.Now()
+		}))
+	}
+	e.After(time.Microsecond, tasks[1].Kill)
+	e.Run()
+	first := sim.Time(0).Add(params.WireTime(100))
+	third := first.Add(params.WireTime(400) + params.WireTime(900))
+	if woke[0] != first || woke[1] != 0 || woke[2] != third {
+		t.Fatalf("senders woke at %v, want [%v 0s %v]", woke, first, third)
+	}
+}

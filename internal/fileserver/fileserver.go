@@ -21,8 +21,7 @@ import (
 
 // Operations.
 const (
-	// OpStat: Seg=name → W0=size (bytes), W4=leader as the replica knows
-	// it, W5=the answering server.
+	// OpStat: Seg=name → W0=size (bytes), W5=the answering server.
 	OpStat uint16 = 0x50 + iota
 	// OpRead: Seg=name, W0=offset, W1=length (≤ SegMax) → Seg=data,
 	// W0=bytes read, W1=size (bytes); a read at or past EOF reads nothing
@@ -108,13 +107,10 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 			}
 			ctx.Compute(params.FileServerBlockCPU)
 			// W5 identifies the answering server, as a page-in reply's
-			// does: a Client that found it through the group pins it. W4
-			// is the leader as this replica knows it; no client reads it —
-			// a pinned follower's decline names the leader when a
+			// does: a Client that found it through the group pins it. A
+			// pinned follower's decline names the leader when a
 			// leader-only request needs it.
-			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{
-				uint32(len(data)), 0, 0, 0, uint32(s.svc.LeaderSvc()), uint32(s.proc.PID()),
-			}})
+			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{0: uint32(len(data)), 5: uint32(s.proc.PID())}})
 
 		case OpRead:
 			data, ok := s.st.files[m.SegString()]
@@ -168,11 +164,14 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 				continue
 			}
-			if _, err := s.svc.Commit(ctx, cmd{op: OpPageOut, name: key, data: payload}); err != nil {
+			_, err := s.svc.Commit(ctx, cmd{op: OpPageOut, name: key, data: payload})
+			n := len(payload)
+			ctx.ReleaseSeg(req) // the store and the log keep copies
+			if err != nil {
 				s.svc.Refuse(ctx, req, err)
 				continue
 			}
-			ctx.Compute(blockCost(len(payload)))
+			ctx.Compute(blockCost(n))
 			ctx.Reply(req, vid.Message{Op: m.Op})
 
 		case OpPageOutRun:
@@ -195,13 +194,14 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 				_, err = s.svc.Commit(ctx, cmd{op: OpPageOutRun, name: prefix,
 					space: spaceID, pages: pages[off:end], run: data[off:end]})
 			}
-			if err != nil {
-				s.svc.Refuse(ctx, req, err)
-				continue
-			}
 			n := 0
 			for _, d := range data {
 				n += len(d)
+			}
+			ctx.ReleaseSeg(req) // the store and the log keep copies
+			if err != nil {
+				s.svc.Refuse(ctx, req, err)
+				continue
 			}
 			ctx.Compute(blockCost(n))
 			ctx.Reply(req, vid.Message{Op: m.Op})

@@ -38,21 +38,22 @@ func TestSoloAndReplicatedReachSameStore(t *testing.T) {
 		client.SpawnServer("driver", 4096, func(ctx *kernel.ProcCtx) {
 			ctx.Sleep(settle)
 			// The group carries only single-frame requests (the page run is
-			// 30 KB): a stat of the boot image names the write leader (W4; W5
-			// is the answering server when there is no leader to name), and
-			// the mutations go there marked unicast.
+			// 30 KB): a stat of the boot image names the answering server
+			// (W5), and the mutations go there marked unicast — to the
+			// write leader once a follower's decline has named it (W4).
 			st, err := ctx.Send(vid.GroupFileServers, vid.Message{Op: OpStat, Seg: []byte("boot")})
 			if err != nil || !st.OK() {
 				t.Errorf("stat: %v %v", st, err)
 				return
 			}
-			target := vid.PID(st.W[4])
-			if target == vid.Nil {
-				target = vid.PID(st.W[5])
-			}
+			target := vid.PID(st.W[5])
 			for _, op := range ops {
 				op.W[5] = FsUnicast
 				m, err := ctx.Send(target, op)
+				if hint := vid.PID(m.W[4]); err == nil && m.Code == vid.CodeNotLeader && hint != vid.Nil {
+					target = hint
+					m, err = ctx.Send(target, op)
+				}
 				if err != nil || !m.OK() {
 					t.Errorf("op %#x: %v %v", op.Op, m, err)
 				}

@@ -149,12 +149,15 @@ type Engine struct {
 type rtt struct{ srtt, rttvar time.Duration }
 
 type job struct {
-	// Exactly one of out, rx, local and fn is set.
+	// Exactly one of out, rx, local, retx and fn is set.
 	out   *packet.Packet  // transmit to station dst
 	dst   ethernet.MAC    // with out
 	rx    bool            // frame arrived
+	probe bool            // with retx: the tail probe
+	txid  uint32          // with retx
 	frame ethernet.Frame  // with rx
 	local *packet.Packet  // intra-host delivery
+	retx  *Port           // retransmit the port's transaction txid (Port.resend)
 	fn    func(*sim.Task) // arbitrary deferred kernel work
 }
 
@@ -375,6 +378,8 @@ func (e *Engine) netd(t *sim.Task) {
 			e.stats.LocalDeliveries++
 			e.publish(trace.Event{Kind: trace.EvPktLocal, Pkt: j.local})
 			e.dispatch(t, j.local, e.nic.MAC())
+		case j.retx != nil:
+			j.retx.resend(t, j.txid, j.probe)
 		case j.fn != nil:
 			j.fn(t)
 		}

@@ -124,3 +124,40 @@ func TestGroupFanOutAllocatesNoPacket(t *testing.T) {
 		t.Fatalf("%v allocations per query delivered to 3 members, want 3 (a Req each)", n)
 	}
 }
+
+// TestRemoteRoundTripAllocatesNothing: once a client and a server on two
+// stations have exchanged one transaction, each further Send, Receive and
+// Reply between them — the request and the reply on the wire, the send
+// timer, the reply cache and its sweep — allocates nothing. The port reuses
+// its finished transaction and the Reqs its server has answered, binds its
+// timer callbacks once, and holds the cached reply by value.
+func TestRemoteRoundTripAllocatesNothing(t *testing.T) {
+	r, client, server := bulkRig(t, 1)
+	t.Cleanup(r.sim.Shutdown)
+	echoServer(r.sim, server)
+	var kick sim.WaitQ
+	done := 0
+	r.sim.Spawn("client", func(tk *sim.Task) {
+		for i := uint32(0); ; i++ {
+			kick.Wait(tk)
+			m, err := client.Send(tk, server.PID(), vid.Message{Op: testOp, W: [6]uint32{i}})
+			if err != nil || m.W[0] != i+1 {
+				t.Errorf("round trip %d: %v, %v", i, m, err)
+			}
+			done++
+		}
+	})
+	roundTrip := func() {
+		kick.WakeOne()
+		r.sim.Run() // through the reply cache's sweep
+	}
+	r.sim.Run()
+	roundTrip() // the first resolves the binding and makes what is reused
+	roundTrip()
+	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
+		t.Fatalf("%v allocations per round trip, want 0", n)
+	}
+	if done != 103 { // AllocsPerRun runs it once more than asked
+		t.Fatalf("%d round trips completed, want 103", done)
+	}
+}

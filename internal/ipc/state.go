@@ -86,8 +86,8 @@ func (p *Port) Snapshot() *PortState {
 			queued := slices.ContainsFunc(p.rq, func(r *Req) bool { return r.Src == src && r.txid == pr.last })
 			st.Last = append(st.Last, LastState{Src: src, TxID: pr.last, Dropped: pr.dropped || queued})
 		}
-		if c := pr.cache; c != nil {
-			st.Cache = append(st.Cache, CachedReplyState{Src: src, TxID: c.txid, Msg: c.msg})
+		if pr.cache != 0 {
+			st.Cache = append(st.Cache, CachedReplyState{Src: src, TxID: pr.cache, Msg: p.replies[src].msg})
 		}
 		if r := pr.open; r != nil {
 			st.Open = append(st.Open, CurState{Src: r.Src, TxID: r.txid, Msg: r.Msg})
@@ -117,10 +117,10 @@ func (e *Engine) RestorePort(st *PortState, active bool) *Port {
 		p.peers[l.Src] = peer{seen: true, last: l.TxID, dropped: l.Dropped}
 	}
 	for _, v := range st.Cache {
-		c, pr := &cachedReply{txid: v.TxID, msg: v.Msg}, p.peers[v.Src]
-		pr.cache, pr.deadline = c, e.sim.Now().Add(params.ReplyCacheTTL)
+		pr := p.peers[v.Src]
+		pr.cache, pr.deadline = v.TxID, e.sim.Now().Add(params.ReplyCacheTTL)
 		p.peers[v.Src] = pr
-		p.armSweep(v.Src, c)
+		p.cacheReply(v.Src, v.TxID, cachedReply{msg: v.Msg})
 	}
 	if s := st.Send; s != nil {
 		c := clientTxn{txid: s.TxID, dst: s.Dst, group: s.Group, done: s.Done, code: s.Code, probed: true}

@@ -213,22 +213,17 @@ func (c clientTxn) finish(code uint16) (clientTxn, clientAct) {
 
 // peer is what a server port knows of one sender: the newest transaction
 // seen from it (if seen) and whether the server dropped that request
-// unanswered, its request being served, and the reply last sent it, kept to
-// answer its retransmissions until deadline.
+// unanswered, its request being served, and the transaction whose reply is
+// cached (0 for none; the port holds the reply itself, Port.replies), kept
+// to answer its retransmissions until deadline. A request is replied to
+// once, so its txid names the cache entry.
 type peer struct {
 	seen     bool
 	dropped  bool
 	last     uint32
 	open     *Req
-	cache    *cachedReply
+	cache    uint32
 	deadline sim.Time
-}
-
-// cachedReply is the reply last sent a sender.
-type cachedReply struct {
-	txid uint32
-	msg  vid.Message
-	lh   vid.LHID // the logical host the reply names (ReplyNaming), 0 for none
 }
 
 type serverEvKind uint8
@@ -236,9 +231,9 @@ type serverEvKind uint8
 const (
 	evRequest  serverEvKind = iota // a request txid arrived
 	evReceived                     // the server took req (Receive)
-	evReplied                      // the server replied to req with cache
+	evReplied                      // the server replied to req
 	evDropped                      // the server dropped req
-	evSwept                        // the sweep of cache came due
+	evSwept                        // the sweep of the reply to txid came due
 )
 
 // serverEv is one event of a server's peer.
@@ -248,7 +243,6 @@ type serverEv struct {
 	txid  uint32
 	local bool // evRequest: it came from this station
 	req   *Req
-	cache *cachedReply
 
 	// evRequest: the repair buffer of txid's reply is held (a fragmented
 	// reply), and its first transmission is under way.
@@ -289,7 +283,7 @@ func (pr peer) step(ev serverEv) (peer, serverAct) {
 		case pr.dropped:
 			pr.dropped = false
 			return pr, srvAgain
-		case pr.cache == nil || pr.cache.txid != ev.txid || ev.sending:
+		case pr.cache == 0 || pr.cache != ev.txid || ev.sending:
 			// Queued or served, or its fragmented reply is on its first
 			// transmission.
 			return pr, srvPending
@@ -306,7 +300,7 @@ func (pr peer) step(ev serverEv) (peer, serverAct) {
 			pr.open = nil
 		}
 		if pr.last == ev.req.txid {
-			pr.cache, pr.deadline = ev.cache, ev.now.Add(params.ReplyCacheTTL)
+			pr.cache, pr.deadline = ev.req.txid, ev.now.Add(params.ReplyCacheTTL)
 			return pr, srvSweep
 		}
 	case evDropped:
@@ -317,13 +311,13 @@ func (pr peer) step(ev serverEv) (peer, serverAct) {
 			pr.open, pr.dropped = nil, pr.last == ev.req.txid
 		}
 	case evSwept:
-		if pr.cache != ev.cache {
+		if pr.cache != ev.txid {
 			break
 		}
 		if ev.now < pr.deadline {
 			return pr, srvSweep
 		}
-		pr.cache, pr.deadline = nil, 0
+		pr.cache, pr.deadline = 0, 0
 	}
 	return pr, srvNone
 }

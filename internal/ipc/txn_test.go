@@ -37,7 +37,7 @@ func TestCacheSweepOncePerEntry(t *testing.T) {
 		if fired := r.sim.Stats().Fired - before; fired > 2 {
 			t.Errorf("k=%d: the reply cache's sweep fired %d times after the last answer, want at most 2", k, fired)
 		}
-		if c := server.peers[client.PID()].cache; c != nil {
+		if _, held := server.replies[client.PID()]; server.peers[client.PID()].cache != 0 || held {
 			t.Errorf("k=%d: the cached reply outlived its deadline", k)
 		}
 		r.sim.Shutdown()
@@ -342,7 +342,7 @@ func TestServerTxnTable(t *testing.T) {
 	deadline, renewed := now.Add(time.Second), now.Add(params.ReplyCacheTTL)
 	src := vid.NewPID(10, 16)
 	req7, req6, lost := &Req{Src: src, txid: 7}, &Req{Src: src, txid: 6}, &Req{Src: src, txid: 7}
-	c7, c6, fresh := &cachedReply{txid: 7}, &cachedReply{txid: 6}, &cachedReply{txid: 7}
+	const c7, c6 = 7, 6 // a cache entry is named by the txid it answers
 
 	events := []struct {
 		name string
@@ -355,13 +355,13 @@ func TestServerTxnTable(t *testing.T) {
 		{"request 7, repair held, local", serverEv{kind: evRequest, now: now, txid: 7, held: true, local: true}},
 		{"request 6", serverEv{kind: evRequest, now: now, txid: 6}},
 		{"received 7", serverEv{kind: evReceived, req: req7}},
-		{"replied 7", serverEv{kind: evReplied, now: now, req: req7, cache: fresh}},
-		{"replied 6", serverEv{kind: evReplied, now: now, req: req6, cache: c6}},
+		{"replied 7", serverEv{kind: evReplied, now: now, req: req7}},
+		{"replied 6", serverEv{kind: evReplied, now: now, req: req6}},
 		{"dropped 7", serverEv{kind: evDropped, req: req7}},
 		{"dropped, other", serverEv{kind: evDropped, req: lost}},
-		{"swept, early", serverEv{kind: evSwept, now: now, cache: c7}},
-		{"swept, due", serverEv{kind: evSwept, now: deadline, cache: c7}},
-		{"swept, stale", serverEv{kind: evSwept, now: deadline, cache: c6}},
+		{"swept, early", serverEv{kind: evSwept, now: now, txid: c7}},
+		{"swept, due", serverEv{kind: evSwept, now: deadline, txid: c7}},
+		{"swept, stale", serverEv{kind: evSwept, now: deadline, txid: c6}},
 	}
 
 	type out struct {
@@ -377,7 +377,7 @@ func TestServerTxnTable(t *testing.T) {
 	droppedCached := peer{seen: true, last: 7, dropped: true, cache: c6, deadline: deadline}
 	with := func(pr peer, f func(*peer)) peer { f(&pr); return pr }
 	renew := func(pr peer) peer { pr.deadline = renewed; return pr }
-	cached := func(pr peer) peer { pr.open, pr.cache, pr.deadline = nil, fresh, renewed; return pr }
+	cached := func(pr peer) peer { pr.open, pr.cache, pr.deadline = nil, c7, renewed; return pr }
 
 	rows := []struct {
 		name  string

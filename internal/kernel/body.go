@@ -117,8 +117,7 @@ func (c *ProcCtx) Space() *mem.AddressSpace {
 // scheduler at quantum granularity and stopping while frozen.
 func (c *ProcCtx) Compute(d time.Duration) {
 	c.gate()
-	lh := c.proc.lh
-	c.host.CPU.UseGated(c.task, d, c.proc.prio, func() bool { return !lh.frozen })
+	c.host.CPU.UseGated(c.task, d, c.proc.prio, c.proc.lh.running)
 }
 
 // Steps consumes CPU for n virtual machine instructions.

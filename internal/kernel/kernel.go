@@ -334,7 +334,8 @@ type LogicalHost struct {
 	frozen   bool
 	frozenAt sim.Time
 	unfreeze sim.WaitQ
-	exitCode uint32 // exit code of the last process to exit
+	running  cpu.Gate // !frozen, bound once: the gate of its processes' CPU charges
+	exitCode uint32   // exit code of the last process to exit
 
 	// lastWrite is the virtual time of the last externally driven state
 	// write (page runs, installed spaces, kernel state) — the activity
@@ -377,6 +378,7 @@ func (h *Host) newLH(name string, guest, system bool) *LogicalHost {
 		nextIdx:   vid.IdxFirstProcess,
 		lastWrite: h.Eng.Now(),
 	}
+	lh.running = func() bool { return !lh.frozen }
 	h.lhs[id] = lh
 	return lh
 }

@@ -9,6 +9,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -29,6 +30,12 @@ type AddressSpace struct {
 	ID    uint32 // space identifier within its logical host
 	limit uint32 // size in bytes; accesses beyond limit fault
 	pages map[PageNo]*page
+	// last is the present page getPage found last, and lastPN its number:
+	// a run of accesses to one page (an interpreter fetching its code)
+	// looks it up once. Drop and Release clear it before its frame can go
+	// back to the list; an absent page is never held.
+	last   *page
+	lastPN PageNo
 	// frames is where a page's PageSize bytes come from and where Drop and
 	// Release hand them back: the list of the cluster the space lives in,
 	// or a list of its own.
@@ -99,8 +106,17 @@ func (as *AddressSpace) check(addr uint32, n int) error {
 }
 
 func (as *AddressSpace) getPage(pn PageNo, alloc bool) *page {
+	if p := as.last; p != nil && as.lastPN == pn {
+		return p
+	}
+	return as.lookup(pn, alloc)
+}
+
+// lookup is getPage past the held page, kept apart so that getPage inlines.
+func (as *AddressSpace) lookup(pn PageNo, alloc bool) *page {
 	p := as.pages[pn]
-	if p == nil && as.fault != nil {
+	switch {
+	case p == nil && as.fault != nil:
 		as.inFault++
 		data := as.fault(pn) // a task killed in here unwinds past the next line
 		as.inFault--
@@ -108,14 +124,15 @@ func (as *AddressSpace) getPage(pn PageNo, alloc bool) *page {
 		// post-copy source's background push-out) may have materialized the
 		// page meanwhile. First writer wins: prefer the installed page and
 		// drop the fetched copy, never overwrite.
-		if p = as.pages[pn]; p != nil {
-			return p
+		if p = as.pages[pn]; p == nil {
+			p = as.newPage(pn, data)
 		}
-		return as.newPage(pn, data)
-	}
-	if p == nil && alloc {
+	case p == nil && alloc:
 		p = as.newPage(pn, nil)
+	case p == nil:
+		return nil
 	}
+	as.last, as.lastPN = p, pn
 	return p
 }
 
@@ -184,10 +201,31 @@ func (as *AddressSpace) WriteAt(addr uint32, b []byte) error {
 	return nil
 }
 
-// Word helpers for the VVM (little-endian 32-bit).
+// Byte and word helpers for the VVM (little-endian 32-bit).
 
-// ReadWord reads the 32-bit word at addr.
+// ReadByteAt reads the byte at addr.
+func (as *AddressSpace) ReadByteAt(addr uint32) (byte, error) {
+	if err := as.check(addr, 1); err != nil {
+		return 0, err
+	}
+	if p := as.getPage(PageNo(addr/PageSize), false); p != nil {
+		return p.data[addr%PageSize], nil
+	}
+	return 0, nil
+}
+
+// ReadWord reads the 32-bit word at addr: from its page directly when it
+// lies in one.
 func (as *AddressSpace) ReadWord(addr uint32) (uint32, error) {
+	if off := addr % PageSize; off <= PageSize-4 {
+		if err := as.check(addr, 4); err != nil {
+			return 0, err
+		}
+		if p := as.getPage(PageNo(addr/PageSize), false); p != nil {
+			return binary.LittleEndian.Uint32(p.data[off:]), nil
+		}
+		return 0, nil
+	}
 	var b [4]byte
 	if err := as.ReadAt(addr, b[:]); err != nil {
 		return 0, err
@@ -345,6 +383,9 @@ func (as *AddressSpace) InstallPageIfAbsent(pn PageNo, data []byte) (bool, error
 // pre-copied pages on the destination at freeze time.
 func (as *AddressSpace) Drop(pn PageNo) {
 	if p := as.pages[pn]; p != nil {
+		if p == as.last {
+			as.last = nil
+		}
 		delete(as.pages, pn)
 		as.free(p)
 	}
@@ -354,6 +395,7 @@ func (as *AddressSpace) Drop(pn PageNo) {
 // its logical host. A space someone still holds afterwards reads as zeros
 // and may be written again; a PageView taken before is dead.
 func (as *AddressSpace) Release() {
+	as.last = nil
 	for _, p := range as.pages {
 		as.free(p)
 	}

@@ -783,6 +783,8 @@ func (r *Replica) handleSnap(ctx *kernel.ProcCtx, req *ipc.Req) {
 		copy(s.buf[c.Offset:], c.Data)
 		s.have += uint32(len(c.Data))
 	}
+	ctx.ReleaseSeg(req) // the chunk is copied out
+
 	var match uint32
 	if s.have >= s.total {
 		r.installSnapshot(s)

@@ -76,24 +76,24 @@ func (c *Cache) Negative(lh vid.LHID) {
 }
 
 // NotePlaced records that work was just placed on the host, inflating its
-// apparent ready depth by one for the placement-hold window.
+// apparent ready depth by one for the placement-hold window. Expired bumps
+// are dropped in place.
 func (c *Cache) NotePlaced(lh vid.LHID) {
-	c.bump[lh] = append(c.activeBumpsAt(lh), c.now().Add(c.hold))
-}
-
-func (c *Cache) activeBumpsAt(lh vid.LHID) []sim.Time {
 	now := c.now()
-	var live []sim.Time
-	for _, exp := range c.bump[lh] {
-		if exp > now {
-			live = append(live, exp)
-		}
-	}
-	return live
+	live := slices.DeleteFunc(c.bump[lh], func(exp sim.Time) bool { return exp <= now })
+	c.bump[lh] = append(live, now.Add(c.hold))
 }
 
 // bumps returns the number of active placement bumps for the host.
-func (c *Cache) bumps(lh vid.LHID) int { return len(c.activeBumpsAt(lh)) }
+func (c *Cache) bumps(lh vid.LHID) int {
+	now, n := c.now(), 0
+	for _, exp := range c.bump[lh] {
+		if exp > now {
+			n++
+		}
+	}
+	return n
+}
 
 // negative reports whether the host is negatively cached right now.
 func (c *Cache) negative(lh vid.LHID) bool {
@@ -109,20 +109,18 @@ func (c *Cache) negative(lh vid.LHID) bool {
 }
 
 // Candidates returns the fresh, non-negative, memory-sufficient cached
-// hosts (minus the excluded set), each with its placement bumps folded
-// into Ready, sorted by Better. The hit/miss counters track whether the
-// cache could answer at all.
-func (c *Cache) Candidates(minMem uint32, exclude map[vid.LHID]bool) []Load {
+// hosts (minus the excluded ones), each with its placement bumps folded
+// into Ready, sorted by Better, in buf's array when it is large enough. The
+// hit/miss counters track whether the cache could answer at all.
+func (c *Cache) Candidates(buf []Load, minMem uint32, exclude []vid.LHID) []Load {
 	now := c.now()
-	// Sized once, and new every time: the selector holds the result across
-	// blocking probes while another agent of the node selects.
-	out := make([]Load, 0, len(c.ents))
+	out := slices.Grow(buf[:0], len(c.ents))
 	for lh, e := range c.ents {
 		if now.Sub(e.at) > c.ttl {
 			delete(c.ents, lh)
 			continue
 		}
-		if exclude[lh] {
+		if slices.Contains(exclude, lh) {
 			continue
 		}
 		if c.negative(lh) {
@@ -138,7 +136,7 @@ func (c *Cache) Candidates(minMem uint32, exclude map[vid.LHID]bool) []Load {
 	}
 	if len(out) == 0 {
 		c.misses++
-		return nil
+		return out
 	}
 	slices.SortFunc(out, byBetter)
 	c.hits++

@@ -51,18 +51,29 @@ func (p RandomK) Name() string { return "random" }
 // LoadAware implements Policy.
 func (RandomK) LoadAware() bool { return true }
 
-// Pick implements Policy.
+// Pick implements Policy. The sample is the first K of
+// rng.Perm(len(cands)), drawn with Perm's own Intn calls, so the stream
+// moves as Perm moves it; but only those K places are kept, since Perm never
+// moves a value back from a later place to an earlier one.
 func (p RandomK) Pick(cands []Load, rng *rand.Rand) Load {
-	k := p.K
-	if k < 1 {
-		k = 1
+	k := min(max(p.K, 1), len(cands))
+	var small [8]int
+	perm := small[:]
+	if k > len(small) {
+		perm = make([]int, k)
 	}
-	if k > len(cands) {
-		k = len(cands)
+	for i := range cands {
+		j := rng.Intn(i + 1)
+		if i < k {
+			perm[i] = perm[j]
+		}
+		if j < k {
+			perm[j] = i
+		}
 	}
-	best := -1
-	for _, i := range rng.Perm(len(cands))[:k] {
-		if best < 0 || cands[i].Better(cands[best]) {
+	best := perm[0]
+	for _, i := range perm[1:k] {
+		if cands[i].Better(cands[best]) {
 			best = i
 		}
 	}

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -64,11 +63,11 @@ func TestCacheTTLExpiry(t *testing.T) {
 	clk := &testClock{}
 	c := NewCache(clk.fn())
 	c.ObserveLoad(ld(1, 0, 512))
-	if got := c.Candidates(0, nil); len(got) != 1 {
+	if got := c.Candidates(nil, 0, nil); len(got) != 1 {
 		t.Fatalf("fresh entry not offered: %v", got)
 	}
 	clk.advance(params.SchedCacheTTL + time.Millisecond)
-	if got := c.Candidates(0, nil); len(got) != 0 {
+	if got := c.Candidates(nil, 0, nil); len(got) != 0 {
 		t.Fatalf("stale entry offered after TTL: %v", got)
 	}
 	if c.Len() != 0 {
@@ -86,7 +85,7 @@ func TestCacheNegativeExpires(t *testing.T) {
 	c.ObserveLoad(ld(1, 0, 512))
 	c.ObserveLoad(ld(2, 0, 512))
 	c.Negative(ld(1, 0, 512).SystemLH)
-	got := c.Candidates(0, nil)
+	got := c.Candidates(nil, 0, nil)
 	if len(got) != 1 || got[0].MAC() != 2 {
 		t.Fatalf("negative host still offered: %v", got)
 	}
@@ -98,7 +97,7 @@ func TestCacheNegativeExpires(t *testing.T) {
 	clk.advance(params.SchedNegTTL + time.Millisecond)
 	c.ObserveLoad(ld(1, 0, 512))
 	c.ObserveLoad(ld(2, 0, 512))
-	if got := c.Candidates(0, nil); len(got) != 2 {
+	if got := c.Candidates(nil, 0, nil); len(got) != 2 {
 		t.Fatalf("negative entry did not expire: %v", got)
 	}
 }
@@ -113,12 +112,12 @@ func TestCachePlacementBumps(t *testing.T) {
 	// sorts first even though both advertised idle.
 	c.NotePlaced(a.SystemLH)
 	c.NotePlaced(a.SystemLH)
-	got := c.Candidates(0, nil)
+	got := c.Candidates(nil, 0, nil)
 	if len(got) != 2 || got[0].MAC() != 2 || got[1].Ready != 2 {
 		t.Fatalf("bumps not folded into ordering: %v", got)
 	}
 	clk.advance(params.SchedPlacementHold + time.Millisecond)
-	if got := c.Candidates(0, nil); got[0].MAC() != 1 || got[0].Ready != 0 {
+	if got := c.Candidates(nil, 0, nil); got[0].MAC() != 1 || got[0].Ready != 0 {
 		t.Fatalf("placement bumps did not expire: %v", got)
 	}
 }
@@ -130,7 +129,7 @@ func TestCacheFiltersMemAndExcluded(t *testing.T) {
 	for _, l := range []Load{small, big, home} {
 		c.ObserveLoad(l)
 	}
-	got := c.Candidates(256*1024, map[vid.LHID]bool{home.SystemLH: true})
+	got := c.Candidates(nil, 256*1024, []vid.LHID{home.SystemLH})
 	if len(got) != 1 || got[0].MAC() != 2 {
 		t.Fatalf("mem/exclude filter: %v", got)
 	}
@@ -188,6 +187,32 @@ func TestRandomKPolicyDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// TestRandomKSamplesAsPerm: Pick's sample is the first K of
+// rng.Perm(len(cands)), and it leaves the stream where Perm leaves it, for
+// every K and candidate count up to 12.
+func TestRandomKSamplesAsPerm(t *testing.T) {
+	var cands []Load
+	for n := 1; n <= 12; n++ {
+		cands = append(cands, ld(uint16(n), (n*7)%5, 512))
+		for k := 0; k <= n+1; k++ {
+			for seed := int64(1); seed <= 20; seed++ {
+				got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				pick := RandomK{K: k}.Pick(cands, got)
+				sample := want.Perm(n)[:min(max(k, 1), n)]
+				best := sample[0]
+				for _, i := range sample[1:] {
+					if cands[i].Better(cands[best]) {
+						best = i
+					}
+				}
+				if pick != cands[best] || got.Int63() != want.Int63() {
+					t.Fatalf("n=%d k=%d seed %d: picked %v, Perm's sample picks %v (or the streams part)", n, k, seed, pick, cands[best])
+				}
+			}
+		}
+	}
+}
+
 func TestPolicyByName(t *testing.T) {
 	if _, ok := PolicyByName("").(FirstResponse); !ok {
 		t.Error("empty name must default to first-response")
@@ -222,7 +247,7 @@ func (c *refCache) ObserveLoad(l Load) {
 	c.ents[l.SystemLH] = cacheEnt{load: l, at: c.now()}
 }
 
-func (c *refCache) Candidates(minMem uint32, exclude map[vid.LHID]bool) []Load {
+func (c *refCache) Candidates(minMem uint32, exclude []vid.LHID) []Load {
 	now := c.now()
 	var out []Load
 	for lh, e := range c.ents {
@@ -230,7 +255,7 @@ func (c *refCache) Candidates(minMem uint32, exclude map[vid.LHID]bool) []Load {
 			delete(c.ents, lh)
 			continue
 		}
-		if exclude[lh] || c.negative(lh) || e.load.MemFree < minMem {
+		if slices.Contains(exclude, lh) || c.negative(lh) || e.load.MemFree < minMem {
 			continue
 		}
 		l := e.load
@@ -260,10 +285,10 @@ func TestCacheInPlaceMatchesReference(t *testing.T) {
 		ref.ObserveLoad(l)
 		switch r := rng.Intn(100); {
 		case r < 10:
-			exclude := map[vid.LHID]bool{vid.NewHostLH(host(), 1): true}
+			exclude := []vid.LHID{vid.NewHostLH(host(), 1)}
 			minMem := uint32(rng.Intn(3)*96) * 1024
-			got, want := c.Candidates(minMem, exclude), ref.Candidates(minMem, exclude)
-			if !reflect.DeepEqual(got, want) {
+			got, want := c.Candidates(nil, minMem, exclude), ref.Candidates(minMem, exclude)
+			if !slices.Equal(got, want) {
 				t.Fatalf("step %d: Candidates differ:\n got %v\nwant %v", i, got, want)
 			}
 			asked++

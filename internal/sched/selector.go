@@ -63,6 +63,9 @@ type Selector struct {
 	host  uint16 // station MAC, for trace events
 	bus   *trace.Bus
 	rng   *rand.Rand
+	// bufs holds the candidate buffers no Select is using. A warm Select
+	// holds one across its probes, while the node's other agents select.
+	bufs [][]Load
 
 	stats Stats
 }
@@ -97,12 +100,8 @@ func (s *Selector) Select(tx Sender, minMem uint32, exclude ...vid.LHID) (Load, 
 
 	var w [6]uint32
 	w[0] = minMem
-	ex := make(map[vid.LHID]bool, len(exclude))
-	for i, lh := range exclude {
-		if i < 4 {
-			w[i+1] = uint32(lh)
-		}
-		ex[lh] = true
+	for i, lh := range exclude[:min(len(exclude), 4)] {
+		w[i+1] = uint32(lh)
 	}
 
 	if !s.Policy.LoadAware() {
@@ -119,7 +118,11 @@ func (s *Selector) Select(tx Sender, minMem uint32, exclude ...vid.LHID) (Load, 
 	// the answers in hand wins. A refusal or silence negatively caches the
 	// candidate; after two probes with no answer fall through to the
 	// multicast rather than serially probing a cold cluster.
-	cands := s.Cache.Candidates(minMem, ex)
+	var buf []Load
+	if n := len(s.bufs); n > 0 {
+		buf, s.bufs = s.bufs[n-1], s.bufs[:n-1]
+	}
+	cands := s.Cache.Candidates(buf, minMem, exclude)
 	for _, c := range cands {
 		s.candidate(tx, c, true)
 	}
@@ -138,6 +141,9 @@ func (s *Selector) Select(tx Sender, minMem uint32, exclude ...vid.LHID) (Load, 
 			break
 		}
 		cands = dropLH(cands, pick.SystemLH)
+	}
+	if cap(cands) > 0 {
+		s.bufs = append(s.bufs, cands)
 	}
 	if answered {
 		s.stats.WarmPicks++
@@ -162,7 +168,7 @@ func (s *Selector) Select(tx Sender, minMem uint32, exclude ...vid.LHID) (Load, 
 			}
 			l := LoadFromWords(r.Msg.W)
 			s.Cache.ObserveLoad(l)
-			if ex[l.SystemLH] {
+			if slices.Contains(exclude, l.SystemLH) {
 				continue
 			}
 			got = append(got, l)

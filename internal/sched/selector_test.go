@@ -326,3 +326,55 @@ func TestFirstResponseSendsTheSameTwoMulticasts(t *testing.T) {
 		t.Fatalf("silent cluster: %v after %d sends, want ErrNoHost after 2", err, len(tx.log))
 	}
 }
+
+// idleSender answers every probe at once with an idle load, from a reply
+// made once: a Sender that allocates nothing itself.
+type idleSender struct {
+	clk   *testClock
+	reply []ipc.GatherReply
+}
+
+func (s *idleSender) Now() sim.Time { return s.clk.now }
+
+func (s *idleSender) Send(vid.PID, vid.Message) (vid.Message, error) {
+	return vid.Message{}, vid.CodeError(vid.CodeTimeout)
+}
+
+func (s *idleSender) SendGather(dst vid.PID, _ vid.Message, _ time.Duration, _ func([]ipc.GatherReply) bool) ([]ipc.GatherReply, error) {
+	s.clk.advance(25 * time.Millisecond)
+	l := LoadFromWords(s.reply[0].Msg.W)
+	l.PM = dst
+	s.reply[0].Msg.W = l.Words()
+	return s.reply, nil
+}
+
+// TestWarmSelectAllocatesNothing: a warm selection over a 100-entry view —
+// the candidates, random-2's sample, the probe, the placement bump —
+// allocates nothing once the selector has a candidate buffer.
+func TestWarmSelectAllocatesNothing(t *testing.T) {
+	clk := &testClock{}
+	cache := NewCache(clk.fn())
+	sel := NewSelector(RandomK{K: 2}, cache, testGroup, testOp, 9, trace.NewBus(), rand.New(rand.NewSource(1)))
+	view := make([]Load, 100)
+	for i := range view {
+		view[i] = ld(uint16(i+1), i%3, 512)
+	}
+	tx := &idleSender{clk: clk, reply: []ipc.GatherReply{{Msg: answer(ld(1, 0, 512))}}}
+	selects := 0
+	warm := func() {
+		for _, l := range view {
+			cache.ObserveLoad(l) // the beacons keep the whole view fresh
+		}
+		if _, err := sel.Select(tx, 256*1024, vid.NewHostLH(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+		selects++
+	}
+	warm()
+	if n := testing.AllocsPerRun(100, warm); n != 0 {
+		t.Fatalf("%v allocations per warm selection, want 0", n)
+	}
+	if st := sel.Stats(); st.WarmPicks != int64(selects) || st.Multicasts != 0 {
+		t.Fatalf("%+v after %d selections: not every one was warm", st, selects)
+	}
+}

@@ -15,8 +15,6 @@
 package vvm
 
 import (
-	"encoding/binary"
-
 	"vsystem/internal/kernel"
 	"vsystem/internal/vid"
 )
@@ -129,11 +127,11 @@ func (m *machine) Run(ctx *kernel.ProcCtx) {
 	}
 
 	rd8 := func(addr uint32) byte {
-		var b [1]byte
-		if err := as.ReadAt(addr, b[:]); err != nil {
+		b, err := as.ReadByteAt(addr)
+		if err != nil {
 			fault("read fault %#x", addr)
 		}
-		return b[0]
+		return b
 	}
 	rd32 := func(addr uint32) uint32 {
 		v, err := as.ReadWord(addr)
@@ -205,12 +203,12 @@ func (m *machine) Run(ctx *kernel.ProcCtx) {
 		// Operand helpers advance pc as they decode.
 		reg := func() byte { b := rd8(pc); pc++; return b }
 		imm := func() uint32 {
-			var b [4]byte
-			if err := as.ReadAt(pc, b[:]); err != nil {
+			v, err := as.ReadWord(pc)
+			if err != nil {
 				fault("fetch fault %#x", pc)
 			}
 			pc += 4
-			return binary.LittleEndian.Uint32(b[:])
+			return v
 		}
 		cost := 1
 
