@@ -238,3 +238,53 @@ func TestReplyRepairFollowsMigratedClient(t *testing.T) {
 		}
 	}
 }
+
+// TestSecondAnswerToHandedBackReqPanics: Reply and Drop hand a Req back to
+// its port, which fills it with the next request to arrive. A second
+// answer to it before that happens panics; after it, the same Req carries
+// the new request, which is why a server holding Reqs in a list takes each
+// out before answering it.
+func TestSecondAnswerToHandedBackReqPanics(t *testing.T) {
+	for _, second := range []string{"Reply", "Drop"} {
+		t.Run(second, func(t *testing.T) {
+			r, client, server := bulkRig(t, 1)
+			t.Cleanup(r.sim.Shutdown)
+			var first, next *Req
+			var nextW uint32
+			var panicked any
+			r.sim.Spawn("server", func(tk *sim.Task) {
+				first = server.Receive(tk)
+				server.Reply(tk, first, first.Msg)
+				func() {
+					defer func() { panicked = recover() }()
+					if second == "Reply" {
+						server.Reply(tk, first, first.Msg)
+					} else {
+						server.Drop(first)
+					}
+				}()
+				next = server.Receive(tk)
+				nextW = next.Msg.W[0]
+				server.Reply(tk, next, next.Msg)
+			})
+			var errs []error
+			r.sim.Spawn("client", func(tk *sim.Task) {
+				for i := uint32(0); i < 2; i++ {
+					if _, err := client.Send(tk, server.PID(), vid.Message{Op: testOp, W: [6]uint32{i}}); err != nil {
+						errs = append(errs, err)
+					}
+				}
+			})
+			r.sim.RunFor(5 * time.Second)
+			if panicked == nil {
+				t.Fatalf("a second %s to an answered request did not panic", second)
+			}
+			if len(errs) != 0 {
+				t.Fatalf("sends failed: %v", errs)
+			}
+			if next != first || nextW != 1 {
+				t.Fatalf("the next request came in another Req (%p, was %p) or is not the second send (W0 %d)", next, first, nextW)
+			}
+		})
+	}
+}

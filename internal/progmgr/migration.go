@@ -93,18 +93,25 @@ func (pm *PM) doMigrate(ctx *kernel.ProcCtx, job *migrateJob) vid.Message {
 	}
 	report, newPM, err := pm.Migrator.Migrate(ctx, pm, pi.lh)
 	if err != nil {
+		// The program runs between attempts and may have exited or been
+		// destroyed meanwhile. Then whoever removed it has retired it and
+		// answered its waiters, and it is off this host already: nothing
+		// is left to destroy, re-execute or suspend.
+		gone := pm.progs[job.lhid] != pi
 		if job.kill {
 			// migrateprog -n: destroy the program when no host accepts it.
-			pm.host.DestroyLH(pi.lh)
-			pm.retire(ctx.Task(), job.lhid, pi, fate{kind: fateExited, code: 0xDEAD})
+			if !gone {
+				pm.host.DestroyLH(pi.lh)
+				pm.retire(ctx.Task(), job.lhid, pi, fate{kind: fateExited, code: 0xDEAD})
+			}
 			return vid.Message{Op: PmMigrateProgram, W: [6]uint32{1}}
 		}
-		if job.req == nil && pm.reexecElsewhere(ctx, job.lhid, pi) {
-			// Eviction (owner-returns) that could not migrate: the guest
-			// was re-executed from its image on another host instead.
-			return vid.Message{Op: PmMigrateProgram, W: [6]uint32{2}}
-		}
-		if job.req == nil {
+		if job.req == nil && !gone {
+			if pm.reexecElsewhere(ctx, job.lhid, pi) {
+				// Eviction (owner-returns) that could not migrate: the guest
+				// was re-executed from its image on another host instead.
+				return vid.Message{Op: PmMigrateProgram, W: [6]uint32{2}}
+			}
 			// Last resort for an eviction: suspend the guest and tell its
 			// owner, rather than leaving it consuming the workstation.
 			pm.host.Freeze(pi.lh)

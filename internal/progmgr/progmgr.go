@@ -53,7 +53,9 @@ const (
 	// CodeNotFound.
 	PmWaitProgram
 	// PmMigrateProgram: W0=LHID (0 = all guest programs), W1=1 to
-	// destroy if no host found (-n) → Seg = gob MigrationReport.
+	// destroy if no host found (-n) → Seg = gob MigrationReport; with -n
+	// and no host, W0=1: the program is gone from this host (destroyed,
+	// or it exited while the migration was tried).
 	PmMigrateProgram
 	// PmInitMigration: Seg = gob InitReq → W0=placeholder LHID,
 	// W1=target system LH, W5=PM pid.
@@ -275,7 +277,8 @@ func (q *inbox[T]) take(ctx *kernel.ProcCtx) T {
 
 // answer tells the PmWaitProgram waiters held for lhid what became of the
 // program, on task t but from the program manager's own service port, the
-// one the requests arrived on. A worker must NOT reply on its own port
+// one the requests arrived on. The port reuses a Req once it is answered,
+// so the caller takes the waiters out of the list it held them in first. A worker must NOT reply on its own port
 // (ctx.Reply): the reply would leave the PM port's open entry and reply
 // cache untouched, so if the one reply packet is lost the waiter's
 // retransmissions keep hitting the PM port, are answered with
@@ -288,7 +291,7 @@ func (pm *PM) answer(t *sim.Task, waiters []*ipc.Req, lhid vid.LHID, f fate) {
 
 // retire is the one way a program leaves this manager: it drops pi (nil
 // when the manager never tracked the logical host) from progs, records
-// what became of the program, and answers its waiters; an exit is also
+// what became of the program, and answers its waiters once; an exit is also
 // noted to its home. It destroys nothing; the caller decides whether the
 // logical host goes before or after the waiters hear. An exit (reap) and
 // a lost guest (AbortGuest) answer first; a destroy, migrateprog -n and
@@ -298,7 +301,9 @@ func (pm *PM) retire(t *sim.Task, lhid vid.LHID, pi *progInfo, f fate) {
 	pm.fates[lhid] = f
 	if pi != nil {
 		delete(pm.progs, lhid)
-		pm.answer(t, pi.waiters, lhid, f)
+		ws := pi.waiters
+		pi.waiters = nil
+		pm.answer(t, ws, lhid, f)
 		if f.kind == fateExited && pi.home != vid.Nil {
 			pm.queueSend(pi.home, vid.Message{Op: PmNoteExited, W: [6]uint32{uint32(lhid), f.code}})
 		}

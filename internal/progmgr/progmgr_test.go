@@ -420,16 +420,73 @@ func TestInitMigrationChecksMemory(t *testing.T) {
 // stubMigrator stands in for core's migration engine: it reports the
 // program moved to manager to, or fails with err.
 type stubMigrator struct {
-	to  vid.PID
-	err error
+	to      vid.PID
+	err     error
+	backoff time.Duration // how long a failing Migrate runs, as between attempts
 }
 
 func (m stubMigrator) Migrate(ctx *kernel.ProcCtx, pm *PM, lh *kernel.LogicalHost) ([]byte, vid.PID, error) {
 	if m.err != nil {
+		ctx.Sleep(m.backoff)
 		return nil, vid.Nil, m.err
 	}
 	pm.Host().DestroyLH(lh)
 	return nil, m.to, nil
+}
+
+// TestMigrateKillAfterGuestExited: migrateprog -n asks to move a program
+// that exits while the migration backs off between attempts. The reaper
+// retires it and answers its held waiter; the failed migration then finds
+// it gone and neither destroys nor retires it again, and answers that the
+// program is off this host. The waiter hears one reply, the exit's own
+// code, and a later wait hears that code too.
+func TestMigrateKillAfterGuestExited(t *testing.T) {
+	r := newRig(t, 2, 11)
+	t.Cleanup(r.eng.Shutdown)
+	r.pms[1].Migrator = stubMigrator{err: vid.CodeError(vid.CodeRefused), backoff: 5 * time.Second}
+	tb := trace.NewBus()
+	r.ws[1].AttachTrace(tb)
+	var waiter vid.PID
+	waitReplies := 0
+	tb.Subscribe(func(ev trace.Event) {
+		if p := ev.Pkt; ev.Kind == trace.EvPktTx && p.Kind == packet.KReply && waiter != vid.Nil && p.Dst == waiter {
+			waitReplies++
+		}
+	})
+	var lhid vid.LHID
+	var waited, migrated, later vid.Message
+	r.agent(0, func(ctx *kernel.ProcCtx) {
+		m, err := ctx.Send(r.pms[1].PID(), vid.Message{Op: PmCreateProgram, W: [6]uint32{0, 1}, Seg: []byte("job")})
+		if err != nil || !m.OK() {
+			t.Errorf("create: %v %v", m, err)
+			return
+		}
+		pid := vid.PID(m.W[0])
+		lhid = vid.LHID(m.W[1])
+		if sm, err := ctx.Send(kernel.KernelServerPID(lhid), vid.Message{
+			Op: kernel.KsStartProcess, W: [6]uint32{uint32(pid)},
+		}); err != nil || !sm.OK() {
+			t.Errorf("start: %v %v", sm, err)
+			return
+		}
+		r.agent(0, func(w *kernel.ProcCtx) {
+			waiter = w.PID()
+			waited, _ = w.Send(r.pms[1].PID(), vid.Message{Op: PmWaitProgram, W: [6]uint32{uint32(lhid)}})
+		})
+		ctx.Sleep(100 * time.Millisecond)
+		migrated, _ = ctx.Send(r.pms[1].PID(), vid.Message{Op: PmMigrateProgram, W: [6]uint32{uint32(lhid), 1}})
+		later, _ = ctx.Send(r.pms[1].PID(), vid.Message{Op: PmWaitProgram, W: [6]uint32{uint32(lhid)}})
+	})
+	r.eng.RunFor(20 * time.Second)
+	if waitReplies != 1 || !waited.OK() || waited.W[0] != 0 {
+		t.Errorf("held waiter heard %d replies, the last %v; want one, exit code 0", waitReplies, waited)
+	}
+	if !migrated.OK() || migrated.W[0] != 1 {
+		t.Errorf("migrateprog -n of an exited program answered %v, want W0=1 (gone)", migrated)
+	}
+	if !later.OK() || later.W[0] != 0 {
+		t.Errorf("a later wait answered %v, want exit code 0", later)
+	}
 }
 
 // TestFateTable asks a manager PmWaitProgram and PmRenewLease about one
