@@ -129,6 +129,7 @@ type Node struct {
 	Selector *sched.Selector
 	cluster  *Cluster
 	pagerSeq uint32
+	fetched  kernel.PageRun // the demand-fetched run being installed (demandFetch)
 }
 
 // Options returns the options the cluster was booted with, defaults

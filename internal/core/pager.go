@@ -82,11 +82,10 @@ func (at *copyAttempt) destCopy() (*Node, *kernel.LogicalHost) {
 // unfreeze, with stats registered for the harness. A faulting reference
 // is counted and traced — one EvRemoteFault per counted fault, the parity
 // the tests hold — parks its process while fetch brings the page, and is
-// charged the stall. fetch returns the page's bytes, or nil for whatever
-// the faulting access then finds: a page fetch installed itself, or a
-// zero (hole) page.
+// charged the stall. fetch installs the page if it can; the faulting
+// access then finds what fetch left: the page, or a zero (hole) page.
 func (at *copyAttempt) demandPage(node *Node, lh *kernel.LogicalHost, stats *PagerStats,
-	fetch func(t *sim.Task, as *mem.AddressSpace, pn mem.PageNo) []byte) {
+	fetch func(t *sim.Task, as *mem.AddressSpace, pn mem.PageNo)) {
 
 	id, c := lh.ID(), at.mg.Cluster
 	c.pagers[id] = stats // for the experiment harness
@@ -102,9 +101,9 @@ func (at *copyAttempt) demandPage(node *Node, lh *kernel.LogicalHost, stats *Pag
 				At: start, Host: uint16(node.Host.NIC.MAC()),
 				Kind: trace.EvRemoteFault, LH: id, Size: int(pn),
 			})
-			data := fetch(t, as, pn)
+			fetch(t, as, pn)
 			stats.StallTime += node.Host.Eng.Now().Sub(start)
-			return data
+			return nil
 		})
 	}
 }
@@ -115,7 +114,7 @@ func (at *copyAttempt) demandPage(node *Node, lh *kernel.LogicalHost, stats *Pag
 // the file server's flush image as fallbacks. When nothing can serve the
 // page (the source crashed mid-residue) it aborts the guest cleanly
 // rather than let it run on memory holes.
-func (at *copyAttempt) demandFetch(t *sim.Task, as *mem.AddressSpace, pn mem.PageNo) []byte {
+func (at *copyAttempt) demandFetch(t *sim.Task, as *mem.AddressSpace, pn mem.PageNo) {
 	rs := at.residue
 	pages := []mem.PageNo{pn}
 	limit := mem.PageNo(as.Size() / mem.PageSize)
@@ -133,10 +132,12 @@ func (at *copyAttempt) demandFetch(t *sim.Task, as *mem.AddressSpace, pn mem.Pag
 	})
 	if err == nil && m.OK() {
 		rs.stats.FetchWireBytes += int64(len(m.Seg))
-		if spaceID, rp, rd, derr := kernel.DecodePageRun(m.Seg); derr == nil && spaceID == as.ID {
+		// Decoded and installed without blocking: the node's other faulting
+		// tasks find the run free.
+		if run := &rs.node.fetched; run.Decode(m.Seg) == nil && run.Space == as.ID {
 			served := false
-			for i, p := range rp {
-				installed, _ := as.InstallPageIfAbsent(p, rd[i])
+			for i, p := range run.Pages {
+				installed, _ := as.InstallPageIfAbsent(p, run.Data[i])
 				if p == pn {
 					// Installed here, by copy, rather than handed to the
 					// faulting getPage: it finds the page present — or, the
@@ -150,34 +151,35 @@ func (at *copyAttempt) demandFetch(t *sim.Task, as *mem.AddressSpace, pn mem.Pag
 			port.ReleaseReply() // every page is copied out of the run
 			if served {
 				rs.stats.PullKB += float64(mem.PageSize) / 1024
-				return nil
+				return
 			}
 		}
 	}
 	// The receptacle could not serve. The racing push-out may have
 	// delivered the page meanwhile — the faulting getPage re-checks
-	// presence after this handler returns, so a nil here is safe when the
-	// page is present.
+	// presence after this handler returns.
 	if as.Present(pn) {
-		return nil
+		return
 	}
 	// Fall back to the file server's flush image (populated if this
 	// logical host was ever flush-migrated under the same key prefix).
-	if b := at.pageIn(t, rs.node, as, pn); b != nil {
-		return b
+	if at.pageIn(t, rs.node, as, pn) {
+		return
 	}
 	// Nothing can complete this guest's memory: abort cleanly.
 	rs.abortGuest(t, sendErr(err, m))
-	return nil
 }
 
 // pageIn reads one page of the migrated copy's flush image from the file
 // server's paging store, for a task at node, through node's manager's
 // file-service client (its pinned server, else the group): flush's whole
 // fetch, and post-copy's fallback when the receptacle cannot serve. It
-// returns nil when there is none (never flushed: a hole page) or no server
-// answers.
-func (at *copyAttempt) pageIn(t *sim.Task, node *Node, as *mem.AddressSpace, pn mem.PageNo) []byte {
+// installs the page in as by copy, as demandFetch does, so that the
+// reply's buffer goes back at once; the faulting access then finds it
+// present, or — the page being all zero — absent, and allocates it zeroed,
+// just as it would have made it from the bytes. It reports false when
+// there is none (never flushed: a hole page) or no server answers.
+func (at *copyAttempt) pageIn(t *sim.Task, node *Node, as *mem.AddressSpace, pn mem.PageNo) bool {
 	port := node.Host.IPC.NewPortGen(node.pagerPID())
 	defer port.Close()
 	m, err := node.PM.FS().Send(taskConn{t, port}, vid.Message{
@@ -185,9 +187,11 @@ func (at *copyAttempt) pageIn(t *sim.Task, node *Node, as *mem.AddressSpace, pn 
 		Seg: []byte(fmt.Sprintf("%s/%d/%d", pagePrefix(at.finalID), as.ID, pn)),
 	})
 	if err != nil || !m.OK() {
-		return nil
+		return false
 	}
-	return m.Seg
+	as.InstallPageIfAbsent(pn, m.Seg)
+	port.ReleaseReply()
+	return true
 }
 
 // taskConn is a task sending through a port of its own, as a fault

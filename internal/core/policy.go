@@ -168,8 +168,8 @@ func (at *copyAttempt) beforeUnfreeze() {
 	node, destLH := at.destCopy()
 	if p := at.mg.Policy; !p.receptacle {
 		if p.fileServer && destLH != nil {
-			at.demandPage(node, destLH, &PagerStats{}, func(t *sim.Task, as *mem.AddressSpace, pn mem.PageNo) []byte {
-				return at.pageIn(t, node, as, pn)
+			at.demandPage(node, destLH, &PagerStats{}, func(t *sim.Task, as *mem.AddressSpace, pn mem.PageNo) {
+				at.pageIn(t, node, as, pn)
 			})
 		}
 		return

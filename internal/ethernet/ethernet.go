@@ -18,6 +18,7 @@ import (
 	"vsystem/internal/params"
 	"vsystem/internal/sim"
 	"vsystem/internal/trace"
+	"vsystem/internal/vid"
 )
 
 // MAC is a station address on the segment.
@@ -108,10 +109,12 @@ type Bus struct {
 	// bufs recycles the payloads of unicast frames. The bus only lends and
 	// takes back: it never decides that a frame is finished with.
 	bufs *freelist.Bytes
-	// pages recycles the page frames of the cluster's address spaces. They
-	// never cross the wire; the list hangs here because the segment is the
-	// one thing every kernel of a cluster is built on.
+	// pages recycles the page frames of the cluster's address spaces, and
+	// segs the message segment buffers of its IPC engines. Neither crosses
+	// the wire; the lists hang here because the segment is the one thing
+	// every kernel of a cluster is built on.
 	pages   *freelist.Bytes
+	segs    *freelist.Bytes
 	loss    LossFunc
 	cut     CutFunc
 	corrupt CorruptFunc
@@ -134,6 +137,7 @@ func NewBus(eng *sim.Engine) *Bus {
 		members:  make(map[MAC][]*NIC),
 		bufs:     freelist.New(params.FrameMTU, frameBufsKept),
 		pages:    freelist.New(params.PageSize, pageFramesKept),
+		segs:     freelist.New(vid.SegMax, segBufsKept),
 	}
 	b.arrived = b.arrive
 	return b
@@ -141,8 +145,10 @@ func NewBus(eng *sim.Engine) *Bus {
 
 // frameBufsKept bounds the segment's free list of frame payloads: the
 // frames on the wire and in receivers' input queues during a bulk copy,
-// with room to spare (96 KB at most).
-const frameBufsKept = 64
+// and the short reply segments built in them that reply caches hold — a
+// file server's page-in copies, for ReplyCacheTTL each — with room to
+// spare (192 KB at most).
+const frameBufsKept = 128
 
 // pageFramesKept bounds the cluster's free list of page frames: 1 MB,
 // whatever the number of hosts. A quarter of it already serves a cluster
@@ -150,17 +156,31 @@ const frameBufsKept = 64
 // clock stops gaining.
 const pageFramesKept = 1024
 
+// segBufsKept bounds the cluster's free list of message segment buffers
+// (2 MB, what eight hosts kept with a list each): the windows of the
+// copies under way, the reassembly buffers their receivers hold, and the
+// long reply segments reply caches keep. One list per cluster serves a
+// hundred hosts that each load an image now and then from a few buffers,
+// where a list per host made one for every host.
+const segBufsKept = 64
+
 // PageFrames returns the cluster's free list of page frames, which the
 // kernels attached to the segment make their address spaces on.
 func (b *Bus) PageFrames() *freelist.Bytes { return b.pages }
 
-// PoisonFreed makes the segment overwrite every frame payload and every
-// page frame handed back to it, so that a test reading one after Recycle —
-// or through a page view whose space is gone — fails instead of passing by
-// luck.
+// SegBufs returns the cluster's free list of message segment buffers
+// (capacity vid.SegMax), which the IPC engines of the kernels attached to
+// the segment share.
+func (b *Bus) SegBufs() *freelist.Bytes { return b.segs }
+
+// PoisonFreed makes the segment overwrite every frame payload, page frame
+// and segment buffer handed back to it, so that a test reading one after
+// Recycle — or through a page view whose space is gone — fails instead of
+// passing by luck.
 func (b *Bus) PoisonFreed() {
 	b.bufs.PoisonFreed()
 	b.pages.PoisonFreed()
+	b.segs.PoisonFreed()
 }
 
 // SetLoss installs a loss model. RandomLoss(p, eng) is the common choice.
@@ -383,6 +403,10 @@ func (n *NIC) deliver(f Frame) {
 // segment's free list, for building the payload of a frame addressed to
 // one station; send it with Lent set.
 func (n *NIC) FrameBuf() []byte { return n.bus.bufs.Get() }
+
+// SegBufs returns the cluster's free list of message segment buffers
+// (Bus.SegBufs).
+func (n *NIC) SegBufs() *freelist.Bytes { return n.bus.segs }
 
 // Recycle hands a received frame's payload back to the segment's free list
 // if it came from there (Frame.Lent). The caller must be the frame's last

@@ -50,6 +50,7 @@ type Server struct {
 	proc *kernel.Process
 	st   *store
 	svc  *rsm.Service[cmd]
+	out  kernel.PageRun // the page-out run being committed
 }
 
 // boot spawns the server process over an empty store.
@@ -180,11 +181,12 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 				continue
 			}
-			spaceID, pages, data, err := kernel.DecodePageRun(blob)
+			err := s.out.Decode(blob)
 			if err != nil {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 				continue
 			}
+			spaceID, pages, data := s.out.Space, s.out.Pages, s.out.Data
 			// A full 30-page run exceeds the log's command budget: commit it
 			// as ordered sub-runs that each fit one append entry. Page stores
 			// are keyed, so a replayed sub-run is idempotent.
@@ -213,7 +215,11 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 				continue
 			}
 			ctx.Compute(blockCost(len(data)))
-			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{5: uint32(s.proc.PID())}, Seg: data})
+			// A copy in a lent buffer: the store overwrites its page in
+			// place at the next page-out, and the reply cache and the
+			// receiver may still hold the reply then.
+			seg := append(ctx.ReplyBuf(len(data)), data...)
+			ctx.Reply(req, vid.Message{Op: m.Op, W: [6]uint32{5: uint32(s.proc.PID())}, Seg: seg})
 
 		case OpList:
 			names := make([]string, 0, len(s.st.files))

@@ -2,6 +2,7 @@ package fileserver
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -21,6 +22,7 @@ type rig struct {
 func newRig(seed int64) *rig {
 	eng := sim.NewEngine(seed)
 	bus := ethernet.NewBus(eng)
+	bus.PoisonFreed() // a page kept as a slice of a released buffer reads as garbage
 	client := kernel.NewHost(eng, bus, 0, "ws0")
 	server := kernel.NewHost(eng, bus, 1, "fserv")
 	return &rig{eng: eng, fs: Start(server), client: client}
@@ -161,6 +163,41 @@ func TestPageOutRun(t *testing.T) {
 	in := r.call(t, vid.Message{Op: OpPageIn, Seg: []byte("pfx/3/9")})
 	if !in.OK() || in.Seg[0] != 2 {
 		t.Fatal("run page not stored under per-page key")
+	}
+}
+
+// TestRepeatedPageOutKeepsOneCopy: a guest flushed again and again — the
+// same page-run keys, new bytes each time — leaves the paging store one
+// copy of each page, overwritten in place: as many keys as pages, each
+// holding the latest bytes in the array it got first.
+func TestRepeatedPageOutKeepsOneCopy(t *testing.T) {
+	r := newRig(8)
+	pages := []mem.PageNo{0, 1, 2, 9}
+	first := map[string]*byte{}
+	for round := 1; round <= 4; round++ {
+		data := make([][]byte, len(pages))
+		for i := range data {
+			data[i] = bytes.Repeat([]byte{byte(16*round + i)}, mem.PageSize)
+		}
+		seg := append([]byte("pg/0007\x00"), kernel.AppendPageRun(nil, 2, pages, data)...)
+		if rep := r.call(t, vid.Message{Op: OpPageOutRun, Seg: seg}); !rep.OK() {
+			t.Fatalf("flush %d: %v", round, rep)
+		}
+		if len(r.fs.st.pages) != len(pages) {
+			t.Fatalf("flush %d: the store holds %d pages, want %d", round, len(r.fs.st.pages), len(pages))
+		}
+		for i, pn := range pages {
+			key := fmt.Sprintf("pg/0007/2/%d", pn)
+			got := r.fs.st.pages[key]
+			if !bytes.Equal(got, data[i]) {
+				t.Fatalf("flush %d: page %s holds other bytes than flushed", round, key)
+			}
+			if round == 1 {
+				first[key] = &got[0]
+			} else if &got[0] != first[key] {
+				t.Fatalf("flush %d: page %s stored in a new copy, not over the one held", round, key)
+			}
+		}
 	}
 }
 

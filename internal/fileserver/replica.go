@@ -1,7 +1,7 @@
 package fileserver
 
 import (
-	"fmt"
+	"strconv"
 
 	"vsystem/internal/kernel"
 	"vsystem/internal/mem"
@@ -54,9 +54,15 @@ type cmd struct {
 	run   [][]byte
 }
 
+// store is the file server's state. Every page in pages is the store's
+// alone — a page-in replies with a copy (Server.run), a snapshot is a copy,
+// and a restore copies out of its snapshot (rsm.DecodeSortedMap) — so a
+// page-out overwrites a page it already holds in place.
 type store struct {
 	files map[string][]byte
 	pages map[string][]byte
+	key   []byte         // a page-run key being built
+	run   kernel.PageRun // a logged page-out run being decoded
 }
 
 // LeaderOnly: writes and page-ins need the fenced leader (freshness); other
@@ -85,14 +91,27 @@ func (st *store) Apply(c cmd) []byte {
 	case OpRemove:
 		delete(st.files, c.name)
 	case OpPageOut:
-		st.pages[c.name] = append([]byte(nil), c.data...)
+		st.putPage(append(st.key[:0], c.name...), c.data)
 	case OpPageOutRun:
 		for i, pn := range c.pages {
-			key := fmt.Sprintf("%s/%d/%d", c.name, c.space, pn)
-			st.pages[key] = append([]byte(nil), c.run[i]...)
+			k := append(st.key[:0], c.name...)
+			k = strconv.AppendUint(append(k, '/'), uint64(c.space), 10)
+			k = strconv.AppendUint(append(k, '/'), uint64(pn), 10)
+			st.putPage(k, c.run[i])
+			st.key = k
 		}
 	}
 	return nil
+}
+
+// putPage stores a copy of data as the page under key: over the page it
+// holds there if the two are the same length, else in a new one.
+func (st *store) putPage(key, data []byte) {
+	if old, ok := st.pages[string(key)]; ok && len(old) == len(data) {
+		copy(old, data)
+		return
+	}
+	st.pages[string(key)] = append([]byte(nil), data...)
 }
 
 // Encode renders a command as [op uint16][off uint32][segment], the segment
@@ -131,9 +150,8 @@ func (st *store) Decode(b []byte) (c cmd, ok bool) {
 	case OpPageOutRun:
 		var run []byte
 		if c.name, run, ok = splitNameData(seg); ok {
-			var err error
-			c.space, c.pages, c.run, err = kernel.DecodePageRun(run)
-			ok = err == nil
+			ok = st.run.Decode(run) == nil
+			c.space, c.pages, c.run = st.run.Space, st.run.Pages, st.run.Data
 		}
 	}
 	return c, ok

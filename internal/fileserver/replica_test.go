@@ -100,3 +100,33 @@ func TestSoloAndReplicatedReachSameStore(t *testing.T) {
 		t.Error("snapshot does not survive restore")
 	}
 }
+
+// TestPageOverwriteLeavesSnapshotsAlone: a page-out overwrites a page the
+// store holds in place, so no snapshot shares a page's bytes — neither one
+// the store took, nor the one a replica's store was restored from.
+func TestPageOverwriteLeavesSnapshotsAlone(t *testing.T) {
+	old, next := bytes.Repeat([]byte{1}, mem.PageSize), bytes.Repeat([]byte{2}, mem.PageSize)
+	const key = "pg/0001/1/5"
+	out := func(st *store, data []byte) *byte {
+		st.Apply(cmd{op: OpPageOutRun, name: "pg/0001", space: 1, pages: []mem.PageNo{5}, run: [][]byte{data}})
+		return &st.pages[key][0]
+	}
+	leader := &store{files: map[string][]byte{}, pages: map[string][]byte{}}
+	held := out(leader, old)
+	snap := leader.Snapshot()
+	kept := bytes.Clone(snap)
+	follower := &store{}
+	follower.Restore(snap)
+	restored := &follower.pages[key][0]
+	if out(leader, next) != held || out(follower, next) != restored {
+		t.Fatal("a page-out of a page held stored a new copy: nothing was overwritten in place")
+	}
+	if !bytes.Equal(snap, kept) {
+		t.Fatal("overwriting pages in place changed the snapshot they were taken in or restored from")
+	}
+	again := &store{}
+	again.Restore(snap)
+	if !bytes.Equal(again.pages[key], old) || !bytes.Equal(follower.pages[key], next) {
+		t.Fatal("the snapshot no longer restores the page it was taken of")
+	}
+}

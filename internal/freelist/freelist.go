@@ -1,7 +1,6 @@
 // Package freelist keeps byte buffers of one capacity for reuse by the
-// simulator's bulk copy path: frame payloads and address-space page frames
-// (one list of each per ethernet.Bus, so per cluster) and message segments
-// (one list per ipc.Engine).
+// simulator's bulk copy path: frame payloads, address-space page frames and
+// message segments, one list of each per ethernet.Bus, so per cluster.
 //
 // A list belongs to one cluster and is used from its engine's goroutine
 // only — never a sync.Pool, never package-level — so clusters on separate

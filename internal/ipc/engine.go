@@ -113,30 +113,44 @@ type Engine struct {
 	// Two scratch packets, so that the per-frame paths allocate no Packet.
 	// Each is filled and finished with — traced (subscribers do not keep
 	// Event.Pkt), marshalled, delivered by value or handed to the load sink
-	// — by one task at a time: rx by netd alone, from decoding a frame until
-	// recvFrame returns (netd blocks in between, and nothing else receives);
-	// tx between two points where the sending task can block. Whatever
-	// outlives that is a copy: a message is taken out of rx by value, and a
+	// — by one task at a time: rx by netd alone, from decoding a frame (or
+	// filling in a header-only packet delivered on this station) until it
+	// is dispatched (netd blocks in between, and nothing else receives); tx
+	// between two points where the sending task can block. Whatever outlives
+	// that is a copy or lent: a message is taken out of rx by value, its
+	// inline segment copied or lent with the frame (takeInline), and a
 	// fragment's bytes go to their slot.
-	rx    packet.Packet // the frame netd is receiving, of any kind
-	tx    packet.Packet // the packet or fragment about to be transmitted
-	reasm map[reasmKey]*reasmBuf
-	txBuf map[reasmKey]*fragSource
-	// segs recycles segment-sized buffers: the reassembly buffers handleFrag
-	// fills, which come back from the consumers that copy a delivered
-	// segment out (Port.ReleaseSeg, Port.ReleaseReply), and the buffers a
-	// bulk-transfer window lends its sender to encode into (Window.SegBuf),
-	// which come back when their transaction is reaped.
-	segs     *freelist.Bytes
-	suspects map[ethernet.MAC]sim.Time // station → when suspicion began
-	heard    map[ethernet.MAC]sim.Time // station → last packet received from it
-	rtts     map[uint16]rtt            // op code → its round-trip estimate (tail probe)
-	winSeq   uint32                    // bulk-transfer window port allocation sequence
-	stats    Stats
-	trace    *trace.Bus       // nil until wired; nil bus is a no-op target
-	down     bool             // crashed host: frames drop, queued work is discarded
-	loadFn   func() [6]uint32 // kernel's load advertisement, stamped on replies
-	loadSink func([6]uint32)  // consumer of received load advertisements
+	rx packet.Packet // the packet netd is dispatching, of any kind
+	tx packet.Packet // the packet or fragment about to be transmitted
+	// rxLend is the payload of the frame netd is receiving while the frame
+	// is Lent and no receiver has taken it: netd recycles it once the frame
+	// is dealt with.
+	rxLend []byte
+	reasm  map[reasmKey]*reasmBuf
+	txBuf  map[reasmKey]*fragSource
+	// segs recycles segment-sized buffers, one list per cluster
+	// (ethernet.Bus.SegBufs): the reassembly buffers handleFrag fills, which
+	// come back from the consumers that copy a delivered segment out
+	// (Port.ReleaseSeg, Port.ReleaseReply), the buffers a bulk-transfer
+	// window lends its sender to encode into (Window.SegBuf), which come
+	// back when their transaction is reaped, and the buffers a server builds
+	// a long reply in (Port.ReplyBuf), which come back once nothing reads the
+	// reply. Shorter lent buffers are frame payloads (putSeg).
+	segs *freelist.Bytes
+	// Records reused once finished with: reassemblies, repair buffers and
+	// lent reply segments.
+	spareReasm []*reasmBuf
+	spareFS    []*fragSource
+	spareLent  []*replySeg
+	suspects   map[ethernet.MAC]sim.Time // station → when suspicion began
+	heard      map[ethernet.MAC]sim.Time // station → last packet received from it
+	rtts       map[uint16]rtt            // op code → its round-trip estimate (tail probe)
+	winSeq     uint32                    // bulk-transfer window port allocation sequence
+	stats      Stats
+	trace      *trace.Bus       // nil until wired; nil bus is a no-op target
+	down       bool             // crashed host: frames drop, queued work is discarded
+	loadFn     func() [6]uint32 // kernel's load advertisement, stamped on replies
+	loadSink   func([6]uint32)  // consumer of received load advertisements
 
 	// GroupIndirection models the local-group-id lookup for well-known
 	// indices; when enabled each such delivery charges GroupIndirectCPU
@@ -149,9 +163,11 @@ type Engine struct {
 type rtt struct{ srtt, rttvar time.Duration }
 
 type job struct {
-	// Exactly one of out, rx, local, retx and fn is set.
-	out   *packet.Packet  // transmit to station dst
-	dst   ethernet.MAC    // with out
+	// Exactly one of out, hdr, sum, rx, local, retx and fn is set.
+	out   *packet.Packet  // transmit to station dst (a fragment NACK)
+	hdr   header          // a header-only packet (kind set): to station dst, delivered here if dst is this station
+	sum   *fragSource     // transmit its summary to station dst (held for the job)
+	dst   ethernet.MAC    // with out, hdr and sum
 	rx    bool            // frame arrived
 	probe bool            // with retx: the tail probe
 	txid  uint32          // with retx
@@ -159,6 +175,22 @@ type job struct {
 	local *packet.Packet  // intra-host delivery
 	retx  *Port           // retransmit the port's transaction txid (Port.resend)
 	fn    func(*sim.Task) // arbitrary deferred kernel work
+}
+
+// header is a packet of a header-only kind — reply-pending, no-process, a
+// locate or its answer, a binding notice — or a load beacon, carried in its
+// job by value, so that sending one allocates nothing.
+type header struct {
+	kind     packet.Kind
+	txid     uint32
+	src, dst vid.PID
+	lh       vid.LHID
+	ad       [6]uint32 // a beacon's load
+}
+
+// packet expands the header into a packet.
+func (h *header) packet() packet.Packet {
+	return packet.Packet{Kind: h.kind, TxID: h.txid, Src: h.src, Dst: h.dst, LH: h.lh, Ad: h.ad, HasAd: h.kind == packet.KLoadAd}
 }
 
 // binding is what the engine knows of one logical host: the station it
@@ -179,12 +211,15 @@ type reasmKey struct {
 // once, into the slot its index names, so that when every fragment is a
 // full chunk (all but the last, from any sender in the tree) seg is the
 // segment, whatever order they came in. One that does not fit its slot is
-// kept past the slots, and completeSeg joins the pieces.
+// kept past the slots, and completeSeg joins the pieces. The engine reuses
+// the record once the segment is complete or given up on.
 type reasmBuf struct {
-	seg   []byte     // len(frags) slots of FragChunk, then any misfits; from Engine.segs
-	frags []fragSpan // where each fragment's bytes are
-	got   int
-	timer sim.Timer // gives up on the segment after FragReassemblyTTL
+	key    reasmKey
+	seg    []byte     // len(frags) slots of FragChunk, then any misfits; from Engine.segs
+	frags  []fragSpan // where each fragment's bytes are
+	got    int
+	timer  sim.Timer // gives up on the segment after FragReassemblyTTL
+	expire func()    // the timer's callback, bound once
 }
 
 // fragSpan locates one received fragment's bytes in reasmBuf.seg.
@@ -197,18 +232,40 @@ type fragSpan struct {
 // transaction completes (a request) or for ReplyCacheTTL (a reply). Repair
 // goes to the station the NACK came from, which is not always the one the
 // segment first went to: its receiver may have migrated meanwhile.
+//
+// The engine reuses the record once nothing holds it (refs): the repair
+// table while the entry is in it, and every task part-way through reading
+// its segment or summary — the first transmission, a repair, a summary
+// queued for netd, a retransmitted summary.
 type fragSource struct {
+	key     reasmKey
 	seg     []byte
-	summary *packet.Packet
+	summary packet.Packet
 	txn     *sendTxn  // the send transaction seg belongs to; nil for a reply
+	lent    *replySeg // seg's lent buffer, if a reply's built in one (Port.ReplyBuf)
 	timer   sim.Timer // drops the entry after ReplyCacheTTL
+	expire  func()    // the timer's callback, bound once
 	sending bool      // the first transmission is still under way
+	refs    int
 }
 
-// segBufsKept bounds an engine's free list of segment buffers: a window's
-// worth in flight plus the one being encoded or consumed, for a host that
-// is source and destination of a copy at once, rounded (256 KB at most).
-const segBufsKept = 8
+// replySeg is a reply segment built in a buffer the engine lent its server
+// (Port.ReplyBuf). Whatever reads the segment once the reply is sent holds
+// it — the reply cache, the repair buffer, a resend from the cache under
+// way, the reply itself until it has gone — and the last to let go hands
+// the buffer back (Engine.letGo).
+type replySeg struct {
+	buf  []byte
+	refs int
+}
+
+// hold adds a holder to a lent segment, if there is one, and returns it.
+func (rs *replySeg) hold() *replySeg {
+	if rs != nil {
+		rs.refs++
+	}
+	return rs
+}
 
 // New creates the engine for one host and starts its network daemon.
 func New(se *sim.Engine, nic *ethernet.NIC, c *cpu.CPU, res Resolver) *Engine {
@@ -224,7 +281,7 @@ func New(se *sim.Engine, nic *ethernet.NIC, c *cpu.CPU, res Resolver) *Engine {
 		suspects:         make(map[ethernet.MAC]sim.Time),
 		heard:            make(map[ethernet.MAC]sim.Time),
 		rtts:             make(map[uint16]rtt),
-		segs:             freelist.New(vid.SegMax, segBufsKept),
+		segs:             nic.SegBufs(),
 		GroupIndirection: true,
 	}
 	nic.SetRecv(func(f ethernet.Frame) {
@@ -270,8 +327,53 @@ func (e *Engine) ClosePorts() {
 
 // PoisonFreed makes the engine overwrite every segment buffer handed back
 // to its free list, so that a test reading one after its release fails
-// instead of passing by luck.
+// instead of passing by luck. The list is the cluster's: this poisons the
+// other engines' returns too.
 func (e *Engine) PoisonFreed() { e.segs.PoisonFreed() }
+
+// putSeg hands a lent buffer back to the list it came from: a frame
+// payload's (an inline segment lent with its frame, a short reply built in
+// Port.ReplyBuf) or the segments'.
+func (e *Engine) putSeg(b []byte) {
+	if cap(b) < vid.SegMax {
+		e.nic.Recycle(ethernet.Frame{Payload: b, Lent: true})
+		return
+	}
+	e.segs.Put(b)
+}
+
+// getSeg lends an empty buffer for a segment of n bytes: a frame payload's
+// for one carried inline, else one of vid.SegMax.
+func (e *Engine) getSeg(n int) []byte {
+	if n <= packet.InlineSegMax {
+		return e.nic.FrameBuf()
+	}
+	return e.segs.Get()
+}
+
+// lendReply makes a holder record for a reply segment built in buf.
+func (e *Engine) lendReply(buf []byte) *replySeg {
+	rs := pop(&e.spareLent)
+	if rs == nil {
+		rs = new(replySeg)
+	}
+	rs.buf, rs.refs = buf, 1
+	return rs
+}
+
+// letGo drops one holder of a lent reply segment (nil: none); the last
+// hands the buffer back.
+func (e *Engine) letGo(rs *replySeg) {
+	if rs == nil {
+		return
+	}
+	if rs.refs--; rs.refs > 0 {
+		return
+	}
+	e.putSeg(rs.buf)
+	rs.buf = nil
+	e.spareLent = append(e.spareLent, rs)
+}
 
 // MAC returns the host's station address.
 func (e *Engine) MAC() ethernet.MAC { return e.nic.MAC() }
@@ -340,8 +442,8 @@ func (e *Engine) AdvertiseLoad(src vid.PID) {
 	if e.loadFn == nil || e.down {
 		return
 	}
-	e.emit(&packet.Packet{Kind: packet.KLoadAd, Src: src, Ad: e.loadFn(), HasAd: true},
-		ethernet.Multicast(uint16(vid.GroupLoadListeners.LH())))
+	e.jobs.Push(job{hdr: header{kind: packet.KLoadAd, src: src, ad: e.loadFn()},
+		dst: ethernet.Multicast(uint16(vid.GroupLoadListeners.LH()))})
 }
 
 // BroadcastBinding announces that a logical host now resides on this host —
@@ -349,7 +451,7 @@ func (e *Engine) AdvertiseLoad(src vid.PID) {
 // unfrozen.
 func (e *Engine) BroadcastBinding(lh vid.LHID) {
 	e.publish(trace.Event{Kind: trace.EvRebind, LH: lh})
-	e.emit(&packet.Packet{Kind: packet.KBinding, LH: lh}, ethernet.Broadcast)
+	e.jobs.Push(job{hdr: header{kind: packet.KBinding, lh: lh}, dst: ethernet.Broadcast})
 }
 
 // netd is the kernel network daemon: it serializes this host's protocol
@@ -363,21 +465,34 @@ func (e *Engine) netd(t *sim.Task) {
 		switch {
 		case j.out != nil:
 			e.sendNow(t, j.out, j.dst)
+		case j.hdr.kind != packet.KInvalid && j.dst == e.nic.MAC():
+			e.cpu.Use(t, params.LocalDeliverCPU, params.PrioKernel)
+			e.rx = j.hdr.packet()
+			e.deliverLocal(t, &e.rx)
+		case j.hdr.kind != packet.KInvalid:
+			e.cpu.Use(t, params.SmallPktSendCPU, params.PrioKernel)
+			e.tx = j.hdr.packet()
+			e.transmitFrame(t, &e.tx, j.dst, false)
+		case j.sum != nil:
+			e.sendNow(t, &j.sum.summary, j.dst)
+			e.release(j.sum)
 		case j.rx:
 			e.recvFrame(t, j.frame)
-			// netd is a unicast frame's last holder, and recvFrame has
-			// copied out of the payload everything that outlives it: an
-			// inline segment in Unmarshal, a fragment into its slot.
-			e.nic.Recycle(j.frame)
+			// netd is a unicast frame's last holder, unless a receiver took
+			// its payload with an inline segment (takeInline), and
+			// recvFrame has copied out of it everything else that outlives
+			// it: a fragment into its slot.
+			if e.rxLend != nil {
+				e.nic.Recycle(j.frame)
+				e.rxLend = nil
+			}
 		case j.local != nil:
 			cost := params.LocalDeliverCPU
 			if n := len(j.local.Msg.Seg); n > 0 {
 				cost += time.Duration((n+1023)/1024) * params.LocalCopyPerKB
 			}
 			e.cpu.Use(t, cost, params.PrioKernel)
-			e.stats.LocalDeliveries++
-			e.publish(trace.Event{Kind: trace.EvPktLocal, Pkt: j.local})
-			e.dispatch(t, j.local, e.nic.MAC())
+			e.deliverLocal(t, j.local)
 		case j.retx != nil:
 			j.retx.resend(t, j.txid, j.probe)
 		case j.fn != nil:
@@ -386,8 +501,13 @@ func (e *Engine) netd(t *sim.Task) {
 	}
 }
 
-// emit queues a packet for transmission by netd.
-func (e *Engine) emit(p *packet.Packet, dst ethernet.MAC) { e.jobs.Push(job{out: p, dst: dst}) }
+// deliverLocal dispatches a packet sent on this station to itself, its CPU
+// charged.
+func (e *Engine) deliverLocal(t *sim.Task, p *packet.Packet) {
+	e.stats.LocalDeliveries++
+	e.publish(trace.Event{Kind: trace.EvPktLocal, Pkt: p})
+	e.dispatch(t, p, e.nic.MAC())
+}
 
 // emitLocal queues a packet for intra-host delivery.
 func (e *Engine) emitLocal(p *packet.Packet) { e.jobs.Push(job{local: p}) }
@@ -434,33 +554,41 @@ func (e *Engine) transmitFrame(t *sim.Task, p *packet.Packet, dst ethernet.MAC, 
 // BulkSendCPU and waiting out each frame's wire time (this serialization is
 // what yields the paper's ≈3 s/Mbyte inter-host copy rate), then the
 // summary packet. The fragment source is retained for NACK repair; txn is
-// the send transaction the segment belongs to, nil for a reply.
-func (e *Engine) sendFragged(t *sim.Task, p *packet.Packet, dst ethernet.MAC, txn *sendTxn) {
+// the send transaction the segment belongs to, nil for a reply, and lent
+// the reply segment's lent buffer, if any.
+func (e *Engine) sendFragged(t *sim.Task, p *packet.Packet, dst ethernet.MAC, txn *sendTxn, lent *replySeg) {
 	seg := p.Msg.Seg
 	n := packet.NumFrags(len(seg))
 	key := reasmKey{src: p.Src, dst: p.Dst, txid: p.TxID, kind: p.Kind}
-	summary := *p
-	summary.Msg.Seg = nil
-	summary.SegLen = uint32(len(seg))
-	summary.FragCount = uint16(n)
 	e.dropFragSource(key)
-	fs := &fragSource{seg: seg, summary: &summary, txn: txn, sending: true}
+	fs := pop(&e.spareFS)
+	if fs == nil {
+		fs = new(fragSource)
+		f := fs
+		f.expire = func() {
+			if e.txBuf[f.key] == f {
+				e.dropFragSource(f.key)
+			}
+		}
+	}
+	fs.key, fs.seg, fs.summary, fs.txn, fs.lent, fs.sending = key, seg, *p, txn, lent.hold(), true
+	fs.summary.Msg.Seg = nil
+	fs.summary.SegLen = uint32(len(seg))
+	fs.summary.FragCount = uint16(n)
+	fs.refs = 2 // the repair table's and this transmission's
 	e.txBuf[key] = fs
 	for i := 0; i < n; i++ {
 		e.cpu.Use(t, params.BulkSendCPU, params.PrioKernel)
 		e.sendFrag(t, key, seg, i, dst)
 	}
 	e.cpu.Use(t, params.SmallPktSendCPU, params.PrioKernel)
-	e.transmitFrame(t, &summary, dst, false)
+	e.transmitFrame(t, &fs.summary, dst, false)
 	fs.sending = false
 	if e.txBuf[key] == fs {
 		// Bound how long the repair buffer is retained.
-		fs.timer = e.sim.After(params.ReplyCacheTTL, func() {
-			if e.txBuf[key] == fs {
-				delete(e.txBuf, key)
-			}
-		})
+		fs.timer = e.sim.After(params.ReplyCacheTTL, fs.expire)
 	}
+	e.release(fs)
 }
 
 // dropFragSource forgets the repair buffer kept under key, if any, and its
@@ -469,7 +597,19 @@ func (e *Engine) dropFragSource(key reasmKey) {
 	if fs := e.txBuf[key]; fs != nil {
 		fs.timer.Stop()
 		delete(e.txBuf, key)
+		e.release(fs)
 	}
+}
+
+// release drops one holder of a repair buffer; the last lets go of its
+// lent segment, if any, and keeps the record for the next.
+func (e *Engine) release(fs *fragSource) {
+	if fs.refs--; fs.refs > 0 {
+		return
+	}
+	e.letGo(fs.lent)
+	fs.seg, fs.summary, fs.txn, fs.lent, fs.timer = nil, packet.Packet{}, nil, nil, sim.Timer{}
+	e.spareFS = append(e.spareFS, fs)
 }
 
 // sendFrag transmits fragment i of the segment of the logical packet key
@@ -495,6 +635,8 @@ func (e *Engine) resendFrags(t *sim.Task, key reasmKey, missing []uint16, to eth
 	if src == nil {
 		return
 	}
+	src.refs++ // netd blocks between fragments, and the entry can be dropped under it
+	defer e.release(src)
 	if src.txn != nil {
 		// netd blocks between fragments, and the transaction can end under
 		// it: its segment buffer must not be reused before this returns.
@@ -508,17 +650,21 @@ func (e *Engine) resendFrags(t *sim.Task, key reasmKey, missing []uint16, to eth
 		}
 		e.cpu.Use(t, params.BulkSendCPU, params.PrioKernel)
 		e.stats.Retransmits++
-		e.publish(trace.Event{Kind: trace.EvPktRetx, Pkt: src.summary})
+		e.publish(trace.Event{Kind: trace.EvPktRetx, Pkt: &src.summary})
 		e.sendFrag(t, key, src.seg, int(idx), to)
 	}
 	e.cpu.Use(t, params.SmallPktSendCPU, params.PrioKernel)
-	e.transmitFrame(t, src.summary, to, false)
+	e.transmitFrame(t, &src.summary, to, false)
 }
 
 // recvFrame processes one arriving frame on netd.
 func (e *Engine) recvFrame(t *sim.Task, f ethernet.Frame) {
 	// Every kind is decoded in place: nothing below keeps the packet.
 	p := &e.rx
+	e.rxLend = nil
+	if f.Lent {
+		e.rxLend = f.Payload
+	}
 	err := packet.UnmarshalInto(p, f.Payload)
 	switch {
 	case len(f.Payload) >= 512:
@@ -581,7 +727,7 @@ func (e *Engine) dispatch(t *sim.Task, p *packet.Packet, from ethernet.MAC) {
 		// keeps deferring operations with reply-pending packets) until the
 		// old copy is deleted (§3.1.3).
 		if e.res.LHResident(p.LH) {
-			e.emit(&packet.Packet{Kind: packet.KLocateResp, LH: p.LH}, from)
+			e.jobs.Push(job{hdr: header{kind: packet.KLocateResp, lh: p.LH}, dst: from})
 		}
 	case packet.KLocateResp, packet.KBinding:
 		// A transaction addressed to the logical host retransmits now that
@@ -620,16 +766,25 @@ func (e *Engine) handleFrag(p *packet.Packet) {
 			return
 		}
 		n := int(p.FragCount)
+		if buf = pop(&e.spareReasm); buf == nil {
+			buf = new(reasmBuf)
+			b := buf
+			b.expire = func() {
+				if e.reasm[b.key] == b {
+					delete(e.reasm, b.key)
+					e.segs.Put(b.seg) // never delivered: nothing else refers to it
+					b.seg = nil
+					e.spareReasm = append(e.spareReasm, b)
+				}
+			}
+		}
 		// Whatever the buffer's last user left in it is never read: join
 		// exposes only bytes a fragment was copied over.
-		buf = &reasmBuf{seg: e.segs.Get()[:n*packet.FragChunk], frags: make([]fragSpan, n)}
+		buf.key, buf.seg, buf.got = key, e.segs.Get()[:n*packet.FragChunk], 0
+		buf.frags = slices.Grow(buf.frags[:0], n)[:n]
+		clear(buf.frags)
 		e.reasm[key] = buf
-		buf.timer = e.sim.After(params.FragReassemblyTTL, func() {
-			if e.reasm[key] == buf {
-				delete(e.reasm, key)
-				e.segs.Put(buf.seg) // never delivered: nothing else refers to it
-			}
-		})
+		buf.timer = e.sim.After(params.FragReassemblyTTL, buf.expire)
 	}
 	i := int(p.FragIdx)
 	if i >= len(buf.frags) || buf.frags[i].have {
@@ -647,13 +802,14 @@ func (e *Engine) handleFrag(p *packet.Packet) {
 }
 
 // completeSeg attempts to attach a fragmented segment to its summary
-// packet. It reports false (after NACKing the gaps) if fragments are
-// missing. lent is the reassembly buffer when p.Msg.Seg is now a slice of
-// it: whoever the message is delivered to may hand it back to e.segs once
-// nothing refers to the segment any more.
+// packet, and makes an inline one outlive its frame (takeInline). It
+// reports false (after NACKing the gaps) if fragments are missing. lent is
+// the reassembly buffer, or the frame's payload, when p.Msg.Seg is now a
+// slice of it: whoever the message is delivered to may hand it back
+// (putSeg) once nothing refers to the segment any more.
 func (e *Engine) completeSeg(p *packet.Packet, from ethernet.MAC) (lent []byte, ok bool) {
 	if p.FragCount == 0 {
-		return nil, true
+		return e.takeInline(p), true
 	}
 	if p.FragCount > maxFrags {
 		return nil, false
@@ -667,14 +823,14 @@ func (e *Engine) completeSeg(p *packet.Packet, from ethernet.MAC) (lent []byte, 
 				missing = append(missing, uint16(i))
 			}
 		}
-		e.emit(&packet.Packet{
+		e.jobs.Push(job{out: &packet.Packet{
 			Kind:    packet.KFragNack,
 			TxID:    p.TxID,
 			Src:     p.Src,
 			Dst:     p.Dst,
 			OfKind:  p.Kind,
 			Missing: missing,
-		}, from)
+		}, dst: from})
 		return nil, false
 	}
 	seg, alias := buf.join()
@@ -685,11 +841,37 @@ func (e *Engine) completeSeg(p *packet.Packet, from ethernet.MAC) (lent []byte, 
 	p.FragCount = 0
 	delete(e.reasm, key)
 	buf.timer.Stop()
+	lent = buf.seg
 	if !alias {
 		e.segs.Put(buf.seg)
-		return nil, true
+		lent = nil
 	}
-	return buf.seg, true
+	buf.seg = nil
+	e.spareReasm = append(e.spareReasm, buf)
+	return lent, true
+}
+
+// lendInlineMin is the shortest inline segment lent to its receiver in its
+// frame's payload instead of copied out. A receiver that never hands the
+// payload back then makes the frame list allocate one, under three times
+// what the copy would have.
+const lendInlineMin = packet.InlineSegMax/2 + 1
+
+// takeInline makes an inline segment of a packet netd is receiving outlive
+// the frame, whose payload it is a slice of: a long one is lent in the
+// payload, if the frame is Lent (returned), and a short one copied out. A
+// packet delivered on this station carries its sender's segment itself.
+func (e *Engine) takeInline(p *packet.Packet) []byte {
+	if p != &e.rx || len(p.Msg.Seg) == 0 {
+		return nil
+	}
+	if e.rxLend != nil && len(p.Msg.Seg) >= lendInlineMin {
+		buf := e.rxLend
+		e.rxLend = nil
+		return buf
+	}
+	p.Msg.Seg = slices.Clone(p.Msg.Seg)
+	return nil
 }
 
 // join returns the received fragments' bytes in index order: seg itself
@@ -796,15 +978,11 @@ func (e *Engine) replyPending(p *packet.Packet, from ethernet.MAC) {
 	e.answer(packet.KReplyPending, p, from)
 }
 
-// answer sends the sender of request p, at station from, a packet of the
-// kind given: reply-pending, or no-process (the destination does not exist).
+// answer sends the sender of request p, at station from (this one for a
+// local sender), a packet of the kind given: reply-pending, or no-process
+// (the destination does not exist).
 func (e *Engine) answer(kind packet.Kind, p *packet.Packet, from ethernet.MAC) {
-	out := &packet.Packet{Kind: kind, TxID: p.TxID, Src: p.Dst, Dst: p.Src}
-	if from == e.nic.MAC() {
-		e.emitLocal(out)
-	} else {
-		e.emit(out, from)
-	}
+	e.jobs.Push(job{hdr: header{kind: kind, txid: p.TxID, src: p.Dst, dst: p.Src}, dst: from})
 }
 
 // route decides where a destination PID currently lives. ok=false means
@@ -838,7 +1016,7 @@ func (e *Engine) route(dst vid.PID) (mac ethernet.MAC, local, ok bool) {
 	e.cache[lh] = b
 	e.stats.Locates++
 	e.publish(trace.Event{Kind: trace.EvLocate, LH: lh})
-	e.emit(&packet.Packet{Kind: packet.KLocateReq, LH: lh}, ethernet.Broadcast)
+	e.jobs.Push(job{hdr: header{kind: packet.KLocateReq, lh: lh}, dst: ethernet.Broadcast})
 	return 0, false, false
 }
 

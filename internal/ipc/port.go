@@ -29,7 +29,8 @@ type Port struct {
 	txSeq     uint32
 	send      *sendTxn
 	spare     *sendTxn // the last finished transaction, for the next send to reuse
-	replyBuf  []byte   // reassembly buffer the last reply's segment is a slice of, if any
+	replyBuf  []byte   // lent buffer the last reply's segment is a slice of, if any
+	outBuf    []byte   // lent by ReplyBuf for the next reply's segment
 	replyWait sim.WaitQ
 	winq      *sim.WaitQ // owning bulk-transfer window's harvest queue, if any
 
@@ -55,7 +56,8 @@ type Port struct {
 // cachedReply is the reply last sent a sender.
 type cachedReply struct {
 	msg vid.Message
-	lh  vid.LHID // the logical host the reply names (ReplyNaming), 0 for none
+	lh  vid.LHID  // the logical host the reply names (ReplyNaming), 0 for none
+	seg *replySeg // msg.Seg's lent buffer, held while cached (ReplyBuf)
 }
 
 // sendTxn is a send transaction: its decision state and the engine's part.
@@ -119,7 +121,7 @@ type Req struct {
 	txid  uint32
 	from  ethernet.MAC
 	again bool
-	buf   []byte // the reassembly buffer Msg.Seg is a slice of, if any
+	buf   []byte // the lent buffer Msg.Seg is a slice of, if any (completeSeg)
 }
 
 // TxID exposes the request's transaction id — stable across the sender's
@@ -411,12 +413,14 @@ func (p *Port) transmit(t *sim.Task, retrans bool) {
 	s.mac = mac
 	key := reasmKey{src: p.pid, dst: s.dst, txid: s.txid, kind: packet.KRequest}
 	if fs := p.eng.txBuf[key]; fs != nil && retrans {
+		fs.refs++ // the transaction can end, and drop it, while the task is charged
 		p.eng.cpu.Use(t, params.SmallPktSendCPU, params.PrioKernel)
-		p.eng.transmitFrame(t, fs.summary, mac, false)
+		p.eng.transmitFrame(t, &fs.summary, mac, false)
+		p.eng.release(fs)
 		return
 	}
 	if packet.NumFrags(len(s.msg.Seg)) > 0 {
-		p.eng.sendFragged(t, &pkt, mac, s)
+		p.eng.sendFragged(t, &pkt, mac, s, nil)
 		return
 	}
 	p.eng.sendNow(t, &pkt, mac)
@@ -448,13 +452,14 @@ func (p *Port) await(t *sim.Task) *sendTxn {
 
 // ReleaseReply tells the port that the caller is finished with the segment
 // of the reply its last AwaitReply (or Send) returned: it has copied out
-// what it wants and kept no slice of it. If the segment was reassembled
-// from fragments its buffer goes back to the engine for the next one.
-// Never calling it is always safe — the segment then stays the caller's,
-// and falls to the collector when dropped.
+// what it wants and kept no slice of it. If the segment lies in a buffer
+// the engine lent — reassembled from fragments, or a long inline one in its
+// frame — the buffer goes back for the next one. Never calling it is
+// always safe — the segment then stays the caller's, and falls to the
+// collector when dropped.
 func (p *Port) ReleaseReply() {
 	if p.replyBuf != nil {
-		p.eng.segs.Put(p.replyBuf)
+		p.eng.putSeg(p.replyBuf)
 		p.replyBuf = nil
 	}
 }
@@ -509,6 +514,7 @@ func (p *Port) serve(src vid.PID, ev serverEv) serverAct {
 	was := p.peers[src]
 	pr, act := was.step(ev)
 	if was.cache != 0 && pr.cache == 0 {
+		p.eng.letGo(p.replies[src].seg)
 		delete(p.replies, src)
 	}
 	p.peers[src] = pr
@@ -542,11 +548,16 @@ func (p *Port) request(req *packet.Packet, from ethernet.MAC) {
 		p.reqWait.WakeOne()
 	case srvSummary:
 		e.stats.RepliesFromCache++
-		e.emit(fs.summary, from)
+		fs.refs++
+		e.jobs.Push(job{sum: fs, dst: from})
 	case srvWhole:
 		e.stats.RepliesFromCache++
 		src, txid, c := req.Src, pr.cache, p.replies[req.Src]
-		e.jobs.Push(job{fn: func(t *sim.Task) { p.emitReply(t, src, txid, c.msg, c.lh, from) }})
+		c.seg.hold()
+		e.jobs.Push(job{fn: func(t *sim.Task) {
+			p.emitReply(t, src, txid, c.msg, c.lh, from, c.seg)
+			e.letGo(c.seg)
+		}})
 	}
 	p.peers[req.Src] = pr
 }
@@ -587,24 +598,73 @@ func (p *Port) mustBeOpen(r *Req) {
 
 // ReleaseSeg tells the port that the server is finished with the segment
 // of a request it received: it has copied out what it wants and kept no
-// slice of it. r.Msg.Seg is gone afterwards; if it was reassembled from
-// fragments its buffer goes back to the engine for the next one. Never
-// calling it is always safe — the segment then stays the server's, and
-// falls to the collector when dropped.
+// slice of it. r.Msg.Seg is gone afterwards; if it lies in a buffer the
+// engine lent — reassembled from fragments, or a long inline one in its
+// frame — the buffer goes back for the next one. Never calling it is
+// always safe — the segment then stays the server's, and falls to the
+// collector when dropped.
 func (p *Port) ReleaseSeg(r *Req) {
 	r.Msg.Seg = nil
 	if r.buf != nil {
-		p.eng.segs.Put(r.buf)
+		p.eng.putSeg(r.buf)
 		r.buf = nil
 	}
 }
 
-// cacheReply holds c as the reply to txid the peer src caches, and arms
-// its sweep.
+// KeepSeg returns the segment of a request the server received as the
+// server's own to keep: r.Msg.Seg itself, unless it lies in a buffer the
+// engine lent, which is then copied out and handed back (ReleaseSeg).
+func (p *Port) KeepSeg(r *Req) []byte {
+	if r.buf == nil {
+		return r.Msg.Seg
+	}
+	seg := slices.Clone(r.Msg.Seg)
+	p.ReleaseSeg(r)
+	r.Msg.Seg = seg
+	return seg
+}
+
+// ReplyBuf returns an empty buffer the engine lends, of capacity at least
+// n, to build the segment of the port's next reply in (Reply, ReplyNaming,
+// from the same task before it blocks). A reply whose segment lies in it
+// takes it: the buffer goes back once nothing reads the reply any more —
+// the reply cache has swept it (ReplyCacheTTL after its last answer), the
+// repair buffer of a fragmented one has expired, and no resend from the
+// cache is under way. A local receiver gets a copy, as it keeps what it is
+// given. The server must not touch the segment after the reply; a buffer
+// the reply does not take goes back with it.
+func (p *Port) ReplyBuf(n int) []byte {
+	if cap(p.outBuf) < n {
+		if p.outBuf != nil {
+			p.eng.putSeg(p.outBuf)
+		}
+		p.outBuf = p.eng.getSeg(n)
+	}
+	return p.outBuf[:0]
+}
+
+// takeOutBuf hands the reply segment seg the buffer ReplyBuf lent, if seg
+// lies in it (the reply's first holder), or else back to the engine.
+func (p *Port) takeOutBuf(seg []byte) *replySeg {
+	b := p.outBuf
+	if b == nil {
+		return nil
+	}
+	p.outBuf = nil
+	if cap(seg) == 0 || &seg[:cap(seg)][cap(seg)-1] != &b[:cap(b)][cap(b)-1] {
+		p.eng.putSeg(b)
+		return nil
+	}
+	return p.eng.lendReply(b)
+}
+
+// cacheReply holds c as the reply to txid the peer src caches, in place of
+// any it cached before, and arms its sweep.
 func (p *Port) cacheReply(src vid.PID, txid uint32, c cachedReply) {
 	if p.replies == nil {
 		p.replies = make(map[vid.PID]cachedReply)
 	}
+	p.eng.letGo(p.replies[src].seg)
 	p.replies[src] = c
 	p.armSweep(src, txid)
 }
@@ -684,15 +744,18 @@ func (p *Port) Reply(t *sim.Task, r *Req, msg vid.Message) { p.ReplyNaming(t, r,
 func (p *Port) ReplyNaming(t *sim.Task, r *Req, msg vid.Message, lh vid.LHID) {
 	p.mustBeOpen(r)
 	src, txid, from := r.Src, r.txid, r.from
+	lent := p.takeOutBuf(msg.Seg)
 	if p.serve(src, serverEv{kind: evReplied, now: t.Now(), req: r}) == srvSweep {
-		p.cacheReply(src, txid, cachedReply{msg: msg, lh: lh})
+		p.cacheReply(src, txid, cachedReply{msg: msg, lh: lh, seg: lent.hold()})
 	}
 	p.handBack(r)
-	p.emitReply(t, src, txid, msg, lh, from)
+	p.emitReply(t, src, txid, msg, lh, from, lent)
+	p.eng.letGo(lent)
 }
 
-// emitReply routes and transmits a reply naming lh (0 for none).
-func (p *Port) emitReply(t *sim.Task, dst vid.PID, txid uint32, msg vid.Message, lh vid.LHID, lastFrom ethernet.MAC) {
+// emitReply routes and transmits a reply naming lh (0 for none), its
+// segment in the lent buffer lent if that is not nil.
+func (p *Port) emitReply(t *sim.Task, dst vid.PID, txid uint32, msg vid.Message, lh vid.LHID, lastFrom ethernet.MAC, lent *replySeg) {
 	pkt := packet.Packet{Kind: packet.KReply, TxID: txid, Src: p.pid, Dst: dst, LH: lh, Msg: msg}
 	mac, local, ok := p.eng.route(dst)
 	if !ok {
@@ -704,11 +767,14 @@ func (p *Port) emitReply(t *sim.Task, dst vid.PID, txid uint32, msg vid.Message,
 	}
 	if local {
 		cp := pkt
+		if lent != nil {
+			cp.Msg.Seg = slices.Clone(msg.Seg)
+		}
 		p.eng.emitLocal(&cp)
 		return
 	}
 	if packet.NumFrags(len(msg.Seg)) > 0 {
-		p.eng.sendFragged(t, &pkt, mac, nil)
+		p.eng.sendFragged(t, &pkt, mac, nil, lent)
 		return
 	}
 	p.eng.sendNow(t, &pkt, mac)

@@ -161,3 +161,58 @@ func TestRemoteRoundTripAllocatesNothing(t *testing.T) {
 		t.Fatalf("%d round trips completed, want 103", done)
 	}
 }
+
+// TestHeaderPacketsAllocateNoPacket: a load beacon sent, and a no-process
+// answer to a request for a port that does not exist, travel in netd's job
+// by value: neither allocates a packet. The beacon's multicast payload, which
+// its receivers share, is left to the collector, as every such frame's is.
+func TestHeaderPacketsAllocateNoPacket(t *testing.T) {
+	r := newRig(t, 2, 1)
+	t.Cleanup(r.sim.Shutdown)
+	r.place(10, 0)
+	r.place(20, 1)
+	r.hosts[0].eng.SetLoadFunc(func() [6]uint32 { return [6]uint32{1, 2} })
+	beacon := func() {
+		r.hosts[0].eng.AdvertiseLoad(vid.NewPID(10, 1))
+		r.sim.Run()
+	}
+	beacon()
+	ad := packet.Packet{Kind: packet.KLoadAd, HasAd: true}
+	var sink []byte
+	marshal := testing.AllocsPerRun(100, func() { sink = packet.AppendMarshal(nil, &ad) })
+	if n := testing.AllocsPerRun(100, beacon); n != marshal || len(sink) == 0 {
+		t.Fatalf("%v allocations per beacon sent, want %v (its payload)", n, marshal)
+	}
+
+	var payload []byte
+	req := packet.Packet{Kind: packet.KRequest, Src: vid.NewPID(10, 16), Dst: vid.NewPID(20, 99),
+		Msg: vid.Message{Op: testOp}}
+	noProc := func() {
+		req.TxID++
+		payload = packet.AppendMarshal(payload[:0], &req)
+		r.hosts[0].nic.StartSend(ethernet.Frame{Dst: 2, Payload: payload}, nil)
+		r.sim.Run()
+	}
+	noProc()
+	sent := r.hosts[1].eng.Stats().TxByKind[packet.KNoProc]
+	if n := testing.AllocsPerRun(100, noProc); n != 0 {
+		t.Fatalf("%v allocations per no-process answer, want 0", n)
+	}
+	if got := r.hosts[1].eng.Stats().TxByKind[packet.KNoProc] - sent; got != 101 {
+		t.Fatalf("%d no-process answers sent, want 101", got)
+	}
+}
+
+// TestEnginesShareTheSegmentList: the engines of one cluster lend segment
+// buffers from the segment's one list, so a buffer one host hands back is
+// the next another host takes.
+func TestEnginesShareTheSegmentList(t *testing.T) {
+	r := newRig(t, 2, 1)
+	t.Cleanup(r.sim.Shutdown)
+	a, b := r.hosts[0].eng, r.hosts[1].eng
+	buf := a.getSeg(vid.SegMax)
+	a.putSeg(buf)
+	if got := b.getSeg(vid.SegMax); &got[:1][0] != &buf[:1][0] {
+		t.Fatal("a segment buffer handed back on one host is not the next another host takes")
+	}
+}

@@ -87,7 +87,11 @@ func (p *Port) Snapshot() *PortState {
 			st.Last = append(st.Last, LastState{Src: src, TxID: pr.last, Dropped: pr.dropped || queued})
 		}
 		if pr.cache != 0 {
-			st.Cache = append(st.Cache, CachedReplyState{Src: src, TxID: pr.cache, Msg: p.replies[src].msg})
+			c := p.replies[src]
+			if c.seg != nil { // lent: it goes back when this copy's cache lets go
+				c.msg.Seg = slices.Clone(c.msg.Seg)
+			}
+			st.Cache = append(st.Cache, CachedReplyState{Src: src, TxID: pr.cache, Msg: c.msg})
 		}
 		if r := pr.open; r != nil {
 			st.Open = append(st.Open, CurState{Src: r.Src, TxID: r.txid, Msg: r.Msg})

@@ -184,6 +184,14 @@ func (c *ProcCtx) ReleaseReply() { c.proc.port.ReleaseReply() }
 // (ipc.Port.ReleaseSeg). Optional, always.
 func (c *ProcCtx) ReleaseSeg(r *ipc.Req) { c.proc.port.ReleaseSeg(r) }
 
+// KeepSeg returns the segment of a received request as the process's own
+// to keep (ipc.Port.KeepSeg).
+func (c *ProcCtx) KeepSeg(r *ipc.Req) []byte { return c.proc.port.KeepSeg(r) }
+
+// ReplyBuf lends a buffer to build the next reply's segment in
+// (ipc.Port.ReplyBuf).
+func (c *ProcCtx) ReplyBuf(n int) []byte { return c.proc.port.ReplyBuf(n) }
+
 // Receive blocks for an incoming request.
 func (c *ProcCtx) Receive() *ipc.Req {
 	c.gate()

@@ -46,6 +46,7 @@ type Host struct {
 	systemLH  *LogicalHost
 	memFree   uint32
 	frames    *freelist.Bytes // the cluster's page frames (ethernet.Bus.PageFrames)
+	ks        PageRun         // the kernel server's: the run it decodes or serves
 
 	// MigrationOverhead enables the per-operation frozen check (the
 	// paper's measured 13 µs, §4.1). Disabling it models a kernel built

@@ -91,11 +91,10 @@ func (h *Host) kernelServerLoop(ctx *ProcCtx) {
 		req := ctx.Receive()
 		ctx.Compute(params.KernelOpCPU)
 		reply := h.handleKs(ctx, req.Msg)
-		if req.Msg.Op == KsWritePages {
-			// Every write mode copies the pages out of the run or drops
-			// them, and an error keeps nothing: the run's buffer is free.
-			ctx.ReleaseSeg(req)
-		}
+		// Every operation copies out of the request's segment what it keeps
+		// (a write installs or drops the pages, a state install decodes the
+		// state), and an error keeps nothing: a lent buffer is free.
+		ctx.ReleaseSeg(req)
 		ctx.Reply(req, reply)
 	}
 }
@@ -153,11 +152,12 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
 		}
-		spaceID, pages, data, err := DecodePageRun(m.Seg)
-		if err != nil {
+		run := &h.ks
+		if err := run.Decode(m.Seg); err != nil {
 			return vid.ErrMsg(vid.CodeBadRequest)
 		}
-		as, ok := lh.spaces[spaceID]
+		pages, data := run.Pages, run.Data
+		as, ok := lh.spaces[run.Space]
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
 		}
@@ -189,7 +189,8 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
 		}
-		spaceID, pages, err := DecodeFetchReq(m.Seg)
+		h.ks.room()
+		spaceID, pages, err := decodeFetchReq(m.Seg, h.ks.Pages)
 		if err != nil {
 			return vid.ErrMsg(vid.CodeBadRequest)
 		}
@@ -197,16 +198,15 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
 		}
-		data := make([][]byte, len(pages))
-		for i, pn := range pages {
-			data[i] = as.PageView(pn)
+		data := h.pageViews(as, pages)
+		for _, pn := range pages {
 			// Delivered: the source's push-out skips pages whose marker is
 			// already clear. A duplicate fetch just re-serves the page — the
 			// receptacle is frozen, so the contents cannot have changed.
 			as.ClearDirtyPage(pn)
 		}
 		lh.lastWrite = h.Eng.Now()
-		return vid.Message{Op: m.Op, Seg: AppendPageRun(nil, as.ID, pages, data)}
+		return vid.Message{Op: m.Op, Seg: h.pageRunReply(ctx, as.ID, pages, data)}
 
 	case KsReadPages:
 		lh, ok := h.lhs[vid.LHID(m.W[0])]
@@ -221,13 +221,12 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		if count > MaxRunPages {
 			return vid.ErrMsg(vid.CodeBadRequest)
 		}
-		pages := make([]mem.PageNo, count)
-		data := make([][]byte, count)
+		h.ks.room()
+		pages := h.ks.Pages[:count]
 		for i := range pages {
 			pages[i] = mem.PageNo(first) + mem.PageNo(i)
-			data[i] = as.PageView(pages[i]) // the encoder copies it at once
 		}
-		return vid.Message{Op: m.Op, Seg: AppendPageRun(nil, as.ID, pages, data)}
+		return vid.Message{Op: m.Op, Seg: h.pageRunReply(ctx, as.ID, pages, h.pageViews(as, pages))}
 
 	case KsUnfreezeLH:
 		lh, ok := h.lhs[vid.LHID(m.W[0])]
@@ -296,6 +295,31 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		}}
 	}
 	return vid.ErrMsg(vid.CodeBadRequest)
+}
+
+// pageViews returns views of the pages of as, in the kernel server's
+// scratch (valid until its next request), which has room for them.
+func (h *Host) pageViews(as *mem.AddressSpace, pages []mem.PageNo) [][]byte {
+	data := h.ks.Data[:len(pages)]
+	for i, pn := range pages {
+		data[i] = as.PageView(pn) // the encoder copies it at once
+	}
+	return data
+}
+
+// pageRunReply encodes a run for the reply the kernel server is about to
+// send, in a buffer its port lends for it (ipc.Port.ReplyBuf): the reply
+// hands the buffer back once nothing reads it.
+func (h *Host) pageRunReply(ctx *ProcCtx, spaceID uint32, pages []mem.PageNo, data [][]byte) []byte {
+	n := 8 + 4*len(pages)
+	for _, d := range data {
+		if !mem.IsZeroPage(d) { // a zero page goes without its body
+			n += mem.PageSize
+		}
+	}
+	seg := AppendPageRun(ctx.ReplyBuf(n), spaceID, pages, data)
+	clear(data) // no view of a page outlives the request
+	return seg
 }
 
 // EncodeCreateProc builds the KsCreateProcess segment.

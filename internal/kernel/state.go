@@ -258,27 +258,55 @@ func AppendPageRun(dst []byte, spaceID uint32, pages []mem.PageNo, data [][]byte
 // data copy before storing. A body is taken as it comes — an unflagged
 // all-zero body is a valid page, not a malformation.
 func DecodePageRun(seg []byte) (spaceID uint32, pages []mem.PageNo, data [][]byte, err error) {
+	var run PageRun
+	if err := run.Decode(seg); err != nil {
+		return 0, nil, nil, err
+	}
+	return run.Space, run.Pages, run.Data, nil
+}
+
+// PageRun is a decoded page run (DecodePageRun) whose arrays a decoder that
+// runs again and again reuses: each Decode overwrites the last one's.
+type PageRun struct {
+	Space uint32
+	Pages []mem.PageNo
+	Data  [][]byte // slices of the segment, or the shared zero page
+}
+
+// room gives the run's arrays room for MaxRunPages pages.
+func (run *PageRun) room() {
+	if cap(run.Pages) < MaxRunPages || cap(run.Data) < MaxRunPages {
+		run.Pages, run.Data = make([]mem.PageNo, 0, MaxRunPages), make([][]byte, 0, MaxRunPages)
+	}
+}
+
+// Decode unpacks seg into the run, as DecodePageRun does.
+func (run *PageRun) Decode(seg []byte) error {
 	r := vid.NewReader(seg)
-	spaceID = r.U32()
-	if n := r.U32(); n <= MaxRunPages {
-		pages, data = make([]mem.PageNo, n), make([][]byte, n)
-	} else {
+	run.Space = r.U32()
+	n := r.U32()
+	if n > MaxRunPages {
 		r.Fail(vid.ErrMalformed)
+		n = 0
 	}
-	for i := range pages {
-		pages[i] = mem.PageNo(r.U32())
+	run.room()
+	run.Pages, run.Data = run.Pages[:n], run.Data[:n]
+	for i := range run.Pages {
+		run.Pages[i] = mem.PageNo(r.U32())
 	}
-	for i, pn := range pages {
+	for i, pn := range run.Pages {
 		if uint32(pn)&ZeroPageFlag != 0 {
-			pages[i], data[i] = pn&^mem.PageNo(ZeroPageFlag), mem.ZeroPage()
+			run.Pages[i], run.Data[i] = pn&^mem.PageNo(ZeroPageFlag), mem.ZeroPage()
 		} else {
-			data[i] = r.Take(mem.PageSize)
+			run.Data[i] = r.Take(mem.PageSize)
 		}
 	}
 	if err := r.Done(); err != nil {
-		return 0, nil, nil, fmt.Errorf("kernel: page run: %w", err)
+		clear(run.Data) // nothing of a malformed segment stays reachable
+		run.Space, run.Pages, run.Data = 0, run.Pages[:0], run.Data[:0]
+		return fmt.Errorf("kernel: page run: %w", err)
 	}
-	return spaceID, pages, data, nil
+	return nil
 }
 
 // ----------------------------------------------------- fetch requests
@@ -303,10 +331,15 @@ func EncodeFetchReq(spaceID uint32, pages []mem.PageNo) []byte {
 // real page-number space (no ZeroPageFlag bit: elision is a reply-side
 // concept) and the list must be non-empty and reply-sized.
 func DecodeFetchReq(seg []byte) (spaceID uint32, pages []mem.PageNo, err error) {
+	return decodeFetchReq(seg, nil)
+}
+
+// decodeFetchReq is DecodeFetchReq into buf's array if it has room.
+func decodeFetchReq(seg []byte, buf []mem.PageNo) (spaceID uint32, pages []mem.PageNo, err error) {
 	r := vid.NewReader(seg)
 	spaceID = r.U32()
 	if n := r.U32(); n >= 1 && n <= MaxRunPages {
-		pages = make([]mem.PageNo, n)
+		pages = slices.Grow(buf[:0], int(n))[:n]
 	} else {
 		r.Fail(vid.ErrMalformed)
 	}

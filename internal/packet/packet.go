@@ -9,12 +9,12 @@
 // transfers for the 32 Kbyte units V routinely moved (§3.1).
 //
 // Buffer ownership: AppendMarshal copies everything it is given into the
-// buffer it is handed. UnmarshalInto copies an inline Msg.Seg out of its
-// input, because a message outlives the frame and its holders write into
-// it; a KFrag's Data is a slice of the input, because a fragment is only
-// ever copied onward into its reassembly buffer. A frame payload is
-// therefore never written once transmitted (a corrupted delivery mangles a
-// copy).
+// buffer it is handed. UnmarshalInto copies nothing: an inline Msg.Seg and
+// a KFrag's Data are slices of its input. The ipc engine copies a fragment
+// onward into its reassembly buffer, and an inline segment, which outlives
+// the frame, out of it or — a long one — keeps the frame's payload and
+// lends it to the receiver. A frame payload is never written once
+// transmitted (a corrupted delivery mangles a copy).
 //
 // The Packet itself is the caller's: the ipc engine decodes every frame
 // into one Packet it owns and transmits through another (UnmarshalInto
@@ -186,7 +186,7 @@ func AppendMarshal(dst []byte, p *Packet) []byte {
 	return a.B
 }
 
-// Unmarshal decodes a packet. The result's Data, if any, aliases b.
+// Unmarshal decodes a packet. The result's Msg.Seg and Data, if any, alias b.
 func Unmarshal(b []byte) (*Packet, error) {
 	p := new(Packet)
 	if err := UnmarshalInto(p, b); err != nil {
@@ -196,7 +196,7 @@ func Unmarshal(b []byte) (*Packet, error) {
 }
 
 // UnmarshalInto decodes a packet into *p, overwriting all of it; on error
-// *p holds nothing usable. p.Data, if any, aliases b.
+// *p holds nothing usable. p.Msg.Seg and p.Data, if any, alias b.
 func UnmarshalInto(p *Packet, b []byte) error {
 	r := vid.NewReader(b)
 	*p = Packet{}
@@ -217,9 +217,8 @@ func UnmarshalInto(p *Packet, b []byte) error {
 		}
 		p.SegLen = r.U32()
 		p.FragCount = r.U16()
-		n := int(r.U16())
-		if n > 0 {
-			p.Msg.Seg = append([]byte(nil), r.Take(n)...)
+		if n := int(r.U16()); n > 0 {
+			p.Msg.Seg = r.Take(n)
 		}
 		if p.Kind == KReply {
 			p.HasAd = r.Bool()

@@ -226,8 +226,8 @@ func TestQuickFuzzNoPanic(t *testing.T) {
 }
 
 // TestUnmarshalAliasing is the buffer-ownership contract of the package
-// comment: a fragment's Data is the input's bytes, an inline segment is a
-// copy of them.
+// comment: a fragment's Data and an inline segment are the input's bytes,
+// clipped to their length.
 func TestUnmarshalAliasing(t *testing.T) {
 	frag := AppendMarshal(nil, &Packet{
 		Kind: KFrag, TxID: 3, Src: vid.NewPID(1, 16), Dst: vid.NewPID(2, 1),
@@ -258,8 +258,11 @@ func TestUnmarshalAliasing(t *testing.T) {
 	for i := range req {
 		req[i] = 0xCD
 	}
-	if !bytes.Equal(p.Msg.Seg, bytes.Repeat([]byte{0x11}, 300)) {
-		t.Fatal("inline Msg.Seg changed with the input: it must be a copy")
+	if !bytes.Equal(p.Msg.Seg, bytes.Repeat([]byte{0xCD}, 300)) {
+		t.Fatal("inline Msg.Seg did not follow the input: it is a copy, not an alias")
+	}
+	if cap(p.Msg.Seg) != len(p.Msg.Seg) {
+		t.Fatalf("inline Msg.Seg has cap %d beyond its len %d: an append would write into the frame", cap(p.Msg.Seg), len(p.Msg.Seg))
 	}
 }
 

@@ -710,7 +710,9 @@ func (r *Replica) leaderContact(ctx *kernel.ProcCtx, req *ipc.Req, term, leader,
 }
 
 func (r *Replica) handleAppend(ctx *kernel.ProcCtx, req *ipc.Req) {
-	a, err := DecodeAppendReq(req.Msg.Seg)
+	// The log keeps the entries' commands, slices of the segment: a copy
+	// of it, if it lies in a buffer the engine lent (KeepSeg).
+	a, err := DecodeAppendReq(ctx.KeepSeg(req))
 	if err != nil {
 		ctx.Reply(req, vid.ErrMsg(vid.CodeBadRequest))
 		return

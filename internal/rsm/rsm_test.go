@@ -476,3 +476,33 @@ func TestOnLeadingFiresWhenFencedAndWhenDeposed(t *testing.T) {
 		t.Fatalf("after the heal: notes %v, want a third from replica %d, no longer leading", notes, first)
 	}
 }
+
+// TestFollowerLogSurvivesBufferReuse: an append request too long for one
+// frame is reassembled in a buffer the engine lends; a follower copies the
+// entries' commands out of it and hands it back, so the buffers the next
+// appends reuse — poisoned on their return here — leave its log intact.
+func TestFollowerLogSurvivesBufferReuse(t *testing.T) {
+	h := boot(t, 3, 5)
+	h.bus.PoisonFreed()
+	var cmds []string
+	for i := 0; i < 8; i++ {
+		cmds = append(cmds, fmt.Sprintf("k%d=%s", i, strings.Repeat(string(rune('a'+i)), 3*packet.FragChunk)))
+	}
+	var errs []error
+	h.submitter(2*time.Second, cmds, &errs)
+	h.eng.RunFor(8 * time.Second)
+	if len(errs) > 0 {
+		t.Fatalf("submit errors: %v", errs)
+	}
+	for i, st := range h.stores {
+		var log []string
+		for _, e := range st.Log {
+			if len(e.Cmd) > 0 {
+				log = append(log, string(e.Cmd))
+			}
+		}
+		if got, want := strings.Join(log, "\n"), strings.Join(cmds, "\n"); got != want {
+			t.Errorf("replica %d's log holds other commands than were submitted (%d of %d entries)", i, len(log), len(cmds))
+		}
+	}
+}
