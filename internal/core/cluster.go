@@ -129,6 +129,7 @@ type Node struct {
 	Selector *sched.Selector
 	cluster  *Cluster
 	pagerSeq uint32
+	calls    []*pagerCall   // finished pager calls, for the next faults
 	fetched  kernel.PageRun // the demand-fetched run being installed (demandFetch)
 }
 

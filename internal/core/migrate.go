@@ -302,6 +302,10 @@ type Migrator struct {
 	// contents into the wire segment, so reuse across in-flight sends is
 	// safe; migrations are serialized by the program manager's worker).
 	scratch [][]byte
+	// pages and lists hold the page lists pageLists makes, each call's in
+	// place of the last's, for every round of every migration.
+	pages []mem.PageNo
+	lists []spacePages
 }
 
 var _ progmgr.Migrator = (*Migrator)(nil)
@@ -588,22 +592,28 @@ func pageCount(sp []spacePages) int {
 
 // allPages lists every page of the migrating logical host and restarts
 // dirty tracking; nothing blocks between the two.
-func (at *copyAttempt) allPages() []spacePages {
-	var sp []spacePages
-	for _, as := range at.lh.Spaces() {
-		as.ClearDirty()
-		sp = append(sp, spacePages{as, as.AllPages()})
-	}
-	return sp
-}
+func (at *copyAttempt) allPages() []spacePages { return at.pageLists(true) }
 
 // dirtyPages lists the pages dirtied since the last snapshot and clears
 // their bits.
-func (at *copyAttempt) dirtyPages() []spacePages {
-	var sp []spacePages
+func (at *copyAttempt) dirtyPages() []spacePages { return at.pageLists(false) }
+
+// pageLists is allPages (all) or dirtyPages. The lists lie in the
+// migrator's buffers: the next call overwrites them.
+func (at *copyAttempt) pageLists(all bool) []spacePages {
+	mg := at.mg
+	sp, buf := mg.lists[:0], mg.pages[:0]
 	for _, as := range at.lh.Spaces() {
-		sp = append(sp, spacePages{as, as.SnapshotDirty()})
+		n := len(buf)
+		if all {
+			as.ClearDirty()
+			buf = as.AppendAllPages(buf)
+		} else {
+			buf = as.AppendSnapshotDirty(buf)
+		}
+		sp = append(sp, spacePages{as, buf[n:len(buf):len(buf)]})
 	}
+	mg.lists, mg.pages = sp, buf
 	return sp
 }
 
@@ -619,9 +629,11 @@ func (at *copyAttempt) iterate(send func([]spacePages) error) (trace.Phase, int,
 		if err := at.round(round, pending, send); err != nil {
 			return trace.PhasePrecopy, round, err
 		}
-		// The freeze decision happens atomically with the snapshot.
+		// The freeze decision happens atomically with the snapshot, which
+		// overwrites pending.
+		sent := kbOf(pending)
 		dirty := at.dirtyPages()
-		if !at.mg.Cluster.opt.precopyDone(round, kbOf(pending), kbOf(dirty)) {
+		if !at.mg.Cluster.opt.precopyDone(round, sent, kbOf(dirty)) {
 			pending = dirty
 			continue
 		}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 	"time"
 
 	"vsystem/internal/fileserver"
@@ -51,8 +51,9 @@ func (s *PagerStats) FaultKB() float64 { return float64(s.Faults) * mem.PageSize
 // page stores are keyed, so a page written twice is written once.
 func (at *copyAttempt) pageOut(sp []spacePages) error {
 	out := vid.Message{Op: fileserver.OpPageOutRun, W: [6]uint32{5: fileserver.FsUnicast}}
+	key := string(appendPagePrefix(nil, at.finalID))
 	m, err := at.fs.Do(at.ctx, at.lh.Name(), func(dst vid.PID) (vid.Message, error) {
-		_, err := at.sendRuns(dst, out, pagePrefix(at.finalID), sp, nil)
+		_, err := at.sendRuns(dst, out, key, sp, nil)
 		var re *ipc.ReplyError
 		if errors.As(err, &re) {
 			return re.Reply, nil
@@ -62,9 +63,13 @@ func (at *copyAttempt) pageOut(sp []spacePages) error {
 	return sendErr(err, m)
 }
 
-// pagePrefix is a logical host's key prefix in the paging store; a page is
-// stored under "prefix/space/pageno".
-func pagePrefix(id vid.LHID) string { return fmt.Sprintf("pg/%04x", uint16(id)) }
+// appendPagePrefix appends a logical host's key prefix in the paging store,
+// "pg/" and the id in four hex digits; a page is stored under
+// "prefix/space/pageno".
+func appendPagePrefix(dst []byte, id vid.LHID) []byte {
+	const hex = "0123456789abcdef"
+	return append(dst, 'p', 'g', '/', hex[id>>12&15], hex[id>>8&15], hex[id>>4&15], hex[id&15])
+}
 
 // destCopy finds the new copy at the destination: nil when the
 // simulation cannot reach it.
@@ -116,20 +121,17 @@ func (at *copyAttempt) demandPage(node *Node, lh *kernel.LogicalHost, stats *Pag
 // rather than let it run on memory holes.
 func (at *copyAttempt) demandFetch(t *sim.Task, as *mem.AddressSpace, pn mem.PageNo) {
 	rs := at.residue
-	pages := []mem.PageNo{pn}
+	c := rs.node.call(t)
+	defer rs.node.hangUp(c)
+	c.pages = append(c.pages[:0], pn)
 	limit := mem.PageNo(as.Size() / mem.PageSize)
-	for p := pn + 1; p < limit && len(pages) < params.FetchRunPages; p++ {
+	for p := pn + 1; p < limit && len(c.pages) < params.FetchRunPages; p++ {
 		if !as.Present(p) {
-			pages = append(pages, p)
+			c.pages = append(c.pages, p)
 		}
 	}
-	port := rs.node.Host.IPC.NewPortGen(rs.node.pagerPID())
-	defer port.Close()
-	m, err := port.Send(t, rs.srcKS, vid.Message{
-		Op:  kernel.KsFetchPage,
-		W:   [6]uint32{uint32(rs.id)},
-		Seg: kernel.EncodeFetchReq(as.ID, pages),
-	})
+	c.seg = kernel.AppendFetchReq(c.seg[:0], as.ID, c.pages)
+	m, err := c.Send(rs.srcKS, vid.Message{Op: kernel.KsFetchPage, W: [6]uint32{uint32(rs.id)}, Seg: c.seg})
 	if err == nil && m.OK() {
 		rs.stats.FetchWireBytes += int64(len(m.Seg))
 		// Decoded and installed without blocking: the node's other faulting
@@ -148,7 +150,7 @@ func (at *copyAttempt) demandFetch(t *sim.Task, as *mem.AddressSpace, pn mem.Pag
 					rs.stats.PullKB += float64(mem.PageSize) / 1024
 				}
 			}
-			port.ReleaseReply() // every page is copied out of the run
+			c.port.ReleaseReply() // every page is copied out of the run
 			if served {
 				rs.stats.PullKB += float64(mem.PageSize) / 1024
 				return
@@ -180,31 +182,58 @@ func (at *copyAttempt) demandFetch(t *sim.Task, as *mem.AddressSpace, pn mem.Pag
 // just as it would have made it from the bytes. It reports false when
 // there is none (never flushed: a hole page) or no server answers.
 func (at *copyAttempt) pageIn(t *sim.Task, node *Node, as *mem.AddressSpace, pn mem.PageNo) bool {
-	port := node.Host.IPC.NewPortGen(node.pagerPID())
-	defer port.Close()
-	m, err := node.PM.FS().Send(taskConn{t, port}, vid.Message{
-		Op:  fileserver.OpPageIn,
-		Seg: []byte(fmt.Sprintf("%s/%d/%d", pagePrefix(at.finalID), as.ID, pn)),
-	})
+	c := node.call(t)
+	defer node.hangUp(c)
+	c.seg = strconv.AppendUint(append(appendPagePrefix(c.seg[:0], at.finalID), '/'), uint64(as.ID), 10)
+	c.seg = strconv.AppendUint(append(c.seg, '/'), uint64(pn), 10)
+	m, err := node.PM.FS().Send(c, vid.Message{Op: fileserver.OpPageIn, Seg: c.seg})
 	if err != nil || !m.OK() {
 		return false
 	}
 	as.InstallPageIfAbsent(pn, m.Seg)
-	port.ReleaseReply()
+	c.port.ReleaseReply()
 	return true
 }
 
-// taskConn is a task sending through a port of its own, as a fault
-// handler does: the file-service client's Conn outside a process.
-type taskConn struct {
-	t    *sim.Task
-	port *ipc.Port
+// pagerCall is one fault's exchange with the server that holds its page:
+// the faulting task, the port of its own it sends through, and the buffers
+// its request is built in — the file-service client's Conn outside a
+// process. A node keeps the calls its faults have finished with for the
+// next: as many as ever ran at once.
+type pagerCall struct {
+	t     *sim.Task
+	port  *ipc.Port
+	pages []mem.PageNo
+	seg   []byte
 }
 
-func (c taskConn) Send(dst vid.PID, m vid.Message) (vid.Message, error) {
+func (c *pagerCall) Send(dst vid.PID, m vid.Message) (vid.Message, error) {
 	return c.port.Send(c.t, dst, m)
 }
-func (c taskConn) Sleep(d time.Duration) { c.t.Sleep(d) }
+func (c *pagerCall) Sleep(d time.Duration) { c.t.Sleep(d) }
+
+// call opens a pager port for a fault t takes.
+func (n *Node) call(t *sim.Task) *pagerCall {
+	var c *pagerCall
+	if k := len(n.calls); k > 0 {
+		c, n.calls = n.calls[k-1], n.calls[:k-1]
+	} else {
+		c = new(pagerCall)
+	}
+	c.t, c.port = t, n.Host.IPC.NewPortGen(n.pagerPID())
+	return c
+}
+
+// hangUp closes a call's port and keeps the call for the node's next
+// fault, unless its task is being killed: its request may still be queued
+// for a server on this station, reading the segment.
+func (n *Node) hangUp(c *pagerCall) {
+	c.port.Close()
+	if !c.t.Killed() {
+		c.t, c.port = nil, nil
+		n.calls = append(n.calls, c)
+	}
+}
 
 // pagerPID allocates a unique port id for one page-fault transaction, and
 // the generation to register it under (ipc.NewPortGen). Ids come from the

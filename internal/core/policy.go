@@ -118,7 +118,7 @@ func (at *copyAttempt) deferResidue(hybrid bool, send func([]spacePages) error) 
 		// run (page numbers only: ~4 bytes per page on the wire) telling
 		// the destination to drop them; they travel post-swap like the
 		// rest of the residue.
-		stale := at.dirtyPages()
+		stale := at.dirtyPages() // in place of hot
 		for _, s := range stale {
 			for _, pn := range s.pages {
 				delete(sent[s.as], pn)
@@ -139,7 +139,8 @@ func (at *copyAttempt) deferResidue(hybrid bool, send func([]spacePages) error) 
 	var remaining []spacePages
 	for _, as := range lh.Spaces() {
 		var left []mem.PageNo
-		for _, pn := range as.AllPages() {
+		at.mg.pages = as.AppendAllPages(at.mg.pages[:0])
+		for _, pn := range at.mg.pages {
 			if !sent[as][pn] {
 				left = append(left, pn)
 			}

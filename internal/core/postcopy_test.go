@@ -261,7 +261,7 @@ func watchResidue(c *Cluster, src *Node) *residueWindow {
 			atSwap = c.Bus.Stats().Bytes
 			if lh, ok := src.Host.LookupLH(s.LH); ok {
 				for _, as := range lh.Spaces() {
-					for _, pn := range as.AllPages() {
+					for _, pn := range as.AppendAllPages(nil) {
 						if as.PageDirty(pn) {
 							w.deferred[as.ID] = append(w.deferred[as.ID], pn)
 						}

@@ -210,6 +210,7 @@ func (s *Server) run(ctx *kernel.ProcCtx) {
 
 		case OpPageIn:
 			data, ok := s.st.pages[m.SegString()]
+			ctx.ReleaseSeg(req) // the key is read
 			if !ok {
 				ctx.Reply(req, vid.ErrMsg(vid.CodeNotFound))
 				continue

@@ -137,11 +137,12 @@ type Engine struct {
 	// a long reply in (Port.ReplyBuf), which come back once nothing reads the
 	// reply. Shorter lent buffers are frame payloads (putSeg).
 	segs *freelist.Bytes
-	// Records reused once finished with: reassemblies, repair buffers and
-	// lent reply segments.
+	// Records reused once finished with: reassemblies, repair buffers, lent
+	// reply segments and ports.
 	spareReasm []*reasmBuf
 	spareFS    []*fragSource
 	spareLent  []*replySeg
+	sparePorts []*Port                   // closed ports nothing else reaches (Port.Close)
 	suspects   map[ethernet.MAC]sim.Time // station → when suspicion began
 	heard      map[ethernet.MAC]sim.Time // station → last packet received from it
 	rtts       map[uint16]rtt            // op code → its round-trip estimate (tail probe)
@@ -318,10 +319,12 @@ func (e *Engine) Reset() {
 }
 
 // ClosePorts closes every port on the engine: at a crash, those of the
-// bulk windows, which no process owns, die with the processes' own.
+// bulk windows, which no process owns, die with the processes' own. None
+// is kept for reuse: the tasks of the dead processes unwind afterwards,
+// and one may close its port again.
 func (e *Engine) ClosePorts() {
 	for _, p := range slices.Clone(e.portList) {
-		p.Close()
+		p.unregister()
 	}
 }
 
@@ -806,10 +809,12 @@ func (e *Engine) handleFrag(p *packet.Packet) {
 // reports false (after NACKing the gaps) if fragments are missing. lent is
 // the reassembly buffer, or the frame's payload, when p.Msg.Seg is now a
 // slice of it: whoever the message is delivered to may hand it back
-// (putSeg) once nothing refers to the segment any more.
-func (e *Engine) completeSeg(p *packet.Packet, from ethernet.MAC) (lent []byte, ok bool) {
+// (putSeg) once nothing refers to the segment any more. short is where a
+// request's Req keeps a buffer for a short segment (takeInline), nil for a
+// reply.
+func (e *Engine) completeSeg(p *packet.Packet, from ethernet.MAC, short *[]byte) (lent []byte, ok bool) {
 	if p.FragCount == 0 {
-		return e.takeInline(p), true
+		return e.takeInline(p, short), true
 	}
 	if p.FragCount > maxFrags {
 		return nil, false
@@ -860,8 +865,12 @@ const lendInlineMin = packet.InlineSegMax/2 + 1
 // takeInline makes an inline segment of a packet netd is receiving outlive
 // the frame, whose payload it is a slice of: a long one is lent in the
 // payload, if the frame is Lent (returned), and a short one copied out. A
-// packet delivered on this station carries its sender's segment itself.
-func (e *Engine) takeInline(p *packet.Packet) []byte {
+// short request segment is copied into *short, the buffer its Req kept
+// from the last one a server released, if it has room, and lent too
+// (returned): a server that releases it (ReleaseSeg) gives it back to the
+// Req. A packet delivered on this station carries its sender's segment
+// itself.
+func (e *Engine) takeInline(p *packet.Packet, short *[]byte) []byte {
 	if p != &e.rx || len(p.Msg.Seg) == 0 {
 		return nil
 	}
@@ -870,8 +879,13 @@ func (e *Engine) takeInline(p *packet.Packet) []byte {
 		e.rxLend = nil
 		return buf
 	}
-	p.Msg.Seg = slices.Clone(p.Msg.Seg)
-	return nil
+	if short == nil || len(p.Msg.Seg) >= lendInlineMin {
+		p.Msg.Seg = slices.Clone(p.Msg.Seg)
+		return nil
+	}
+	b := append((*short)[:0], p.Msg.Seg...)
+	*short, p.Msg.Seg = nil, b
+	return b
 }
 
 // join returns the received fragments' bytes in index order: seg itself
@@ -964,7 +978,7 @@ func (e *Engine) deliverReply(t *sim.Task, p *packet.Packet, from ethernet.MAC) 
 	if port == nil || port.send == nil || !port.send.awaits(p.TxID) {
 		return // duplicate or stale reply
 	}
-	lent, ok := e.completeSeg(p, from)
+	lent, ok := e.completeSeg(p, from, nil)
 	if !ok {
 		return
 	}

@@ -50,7 +50,13 @@ type Port struct {
 	// every sender it has heard for good, so the reply is kept apart from
 	// peers, whose values stay small.
 	replies map[vid.PID]cachedReply
-	closed  bool
+	// holds counts what of the port's own may still reach it from the
+	// engine: retransmission jobs and resends from the reply cache queued
+	// on netd, and sweeps pending. A closed port is reused only at zero
+	// (reusable); a job a crash discards never comes back, and keeps it
+	// from reuse.
+	holds  int
+	closed bool
 }
 
 // cachedReply is the reply last sent a sender.
@@ -122,6 +128,7 @@ type Req struct {
 	from  ethernet.MAC
 	again bool
 	buf   []byte // the lent buffer Msg.Seg is a slice of, if any (completeSeg)
+	short []byte // a short segment's buffer a server released, for the next (takeInline)
 }
 
 // TxID exposes the request's transaction id — stable across the sender's
@@ -157,24 +164,51 @@ func (e *Engine) NewPort(pid vid.PID) *Port { return e.NewPortGen(pid, 0) }
 // as stale, answered from the old owner's reply cache, or "reply pending"
 // for ever. An incarnation numbers up to 2^txGenBits transactions, and a
 // generation must not pass 2^(32-txGenBits) — 4096 re-mints of one id.
+//
+// The port is made in the record of one closed before, if the engine kept
+// one (Close), with that port's spare transaction, free lists and bound
+// callbacks: what is reused is storage, never identity.
 func (e *Engine) NewPortGen(pid vid.PID, gen uint32) *Port {
 	if _, dup := e.ports[pid]; dup {
 		panic(fmt.Sprintf("ipc: duplicate port %v", pid))
 	}
-	p := &Port{eng: e, pid: pid, txSeq: gen << txGenBits, peers: make(map[vid.PID]peer)}
+	p := pop(&e.sparePorts)
+	if p == nil {
+		p = &Port{eng: e, peers: make(map[vid.PID]peer)}
+	}
+	p.pid, p.txSeq, p.closed = pid, gen<<txGenBits, false
 	e.ports[pid] = p
 	e.portList = append(e.portList, p)
 	return p
 }
 
+// keepPorts is the most closed port records an engine keeps for reuse: a
+// logical host's processes and a copy window's workers close a few at a
+// time.
+const keepPorts = 32
+
 // Close unregisters the port and stops its timers. Any queued requests are
 // discarded; senders recover by retransmission (§3.1.3: "all queued
 // messages are discarded and the remote senders are prompted to
-// retransmit").
+// retransmit"). The engine keeps the record for a port yet to be made if
+// nothing can reach it any more (reusable): close a port once, and touch
+// it no more — it may be another port's afterwards.
 func (p *Port) Close() {
 	if p.closed {
 		return
 	}
+	p.unregister()
+	if e := p.eng; p.reusable() && len(e.sparePorts) < keepPorts {
+		clear(p.peers)
+		p.replyBuf, p.outBuf, p.winq = nil, nil, nil
+		p.fireTx, p.shutTx = 0, 0
+		e.sparePorts = append(e.sparePorts, p)
+	}
+}
+
+// unregister closes the port: it stops its timers and leaves the engine's
+// tables.
+func (p *Port) unregister() {
 	p.closed = true
 	if p.send != nil {
 		p.send.timer.Stop()
@@ -182,6 +216,25 @@ func (p *Port) Close() {
 	}
 	delete(p.eng.ports, p.pid)
 	p.eng.portList = slices.DeleteFunc(p.eng.portList, func(q *Port) bool { return q == p })
+}
+
+// reusable reports whether nothing but its owner can reach a closed port
+// any more: no transaction is under way (a task may await it), no task
+// reads its last one's segment, no request is queued, held open or
+// awaited, no reply is cached, and nothing of its own is queued on netd or
+// pending (holds). A record that fails any of these is left to the
+// collector: forgetting one is always safe, reusing one early is the bug.
+func (p *Port) reusable() bool {
+	if p.send != nil || p.spare != nil && p.spare.reading > 0 || len(p.rq) > 0 ||
+		p.reqWait.Len() > 0 || len(p.replies) > 0 || p.holds > 0 {
+		return false
+	}
+	for _, pr := range p.peers {
+		if pr.open != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // PID returns the port's process identifier.
@@ -358,12 +411,14 @@ func (p *Port) post(ev clientEv) {
 // retransmit re-sends the current request via the network daemon, which
 // counts it once it executes (resend); probe says it is the tail probe.
 func (p *Port) retransmit(probe bool) {
+	p.holds++
 	p.eng.jobs.Push(job{retx: p, txid: p.send.txid, probe: probe})
 }
 
 // resend is a retransmission job on netd: it re-sends transaction txid if
 // that is still the port's, and unfinished.
 func (p *Port) resend(t *sim.Task, txid uint32, probe bool) {
+	p.holds--
 	s, e := p.send, p.eng
 	if s == nil || s.txid != txid || s.done || p.closed {
 		return
@@ -538,12 +593,13 @@ func (p *Port) request(req *packet.Packet, from ethernet.MAC) {
 	case srvAccept, srvAgain:
 		// Only a request accepted as new is reassembled, and one whose
 		// segment is not whole has not arrived: the peer stays as it was.
-		lent, ok := e.completeSeg(req, from)
+		r := p.newReq()
+		lent, ok := e.completeSeg(req, from, &r.short)
 		if !ok {
+			p.idle = append(p.idle, r)
 			return
 		}
-		r := p.newReq()
-		*r = Req{Src: req.Src, txid: req.TxID, Msg: req.Msg, from: from, buf: lent, again: act == srvAgain}
+		*r = Req{Src: req.Src, txid: req.TxID, Msg: req.Msg, from: from, buf: lent, short: r.short, again: act == srvAgain}
 		p.rq = append(p.rq, r)
 		p.reqWait.WakeOne()
 	case srvSummary:
@@ -554,9 +610,11 @@ func (p *Port) request(req *packet.Packet, from ethernet.MAC) {
 		e.stats.RepliesFromCache++
 		src, txid, c := req.Src, pr.cache, p.replies[req.Src]
 		c.seg.hold()
+		p.holds++
 		e.jobs.Push(job{fn: func(t *sim.Task) {
 			p.emitReply(t, src, txid, c.msg, c.lh, from, c.seg)
 			e.letGo(c.seg)
+			p.holds--
 		}})
 	}
 	p.peers[req.Src] = pr
@@ -584,7 +642,7 @@ func (p *Port) newReq() *Req {
 // handBack takes a Req the server has replied to or dropped, and clears it.
 // Its segment stays the server's unless it was released (ReleaseSeg).
 func (p *Port) handBack(r *Req) {
-	*r = Req{}
+	*r = Req{short: r.short}
 	p.idle = append(p.idle, r)
 }
 
@@ -605,17 +663,22 @@ func (p *Port) mustBeOpen(r *Req) {
 // collector when dropped.
 func (p *Port) ReleaseSeg(r *Req) {
 	r.Msg.Seg = nil
-	if r.buf != nil {
+	switch {
+	case cap(r.buf) >= lendInlineMin:
 		p.eng.putSeg(r.buf)
-		r.buf = nil
+	case r.buf != nil:
+		r.short = r.buf // a short segment's copy: the Req's next one goes in it
 	}
+	r.buf = nil
 }
 
 // KeepSeg returns the segment of a request the server received as the
-// server's own to keep: r.Msg.Seg itself, unless it lies in a buffer the
-// engine lent, which is then copied out and handed back (ReleaseSeg).
+// server's own to keep: r.Msg.Seg itself — a short one was copied out of
+// its frame — unless it lies in a buffer the engine lent, which is then
+// copied out and handed back (ReleaseSeg).
 func (p *Port) KeepSeg(r *Req) []byte {
-	if r.buf == nil {
+	if cap(r.buf) < lendInlineMin {
+		r.buf = nil
 		return r.Msg.Seg
 	}
 	seg := slices.Clone(r.Msg.Seg)
@@ -679,6 +742,7 @@ func (p *Port) armSweep(src vid.PID, txid uint32) {
 		sw.fire = sw.due
 	}
 	sw.src, sw.txid = src, txid
+	p.holds++
 	sw.arm()
 }
 
@@ -695,6 +759,7 @@ func (sw *sweep) due() {
 		sw.arm()
 		return
 	}
+	p.holds--
 	p.sweeps = append(p.sweeps, sw)
 }
 

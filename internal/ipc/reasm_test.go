@@ -89,7 +89,7 @@ func (rp *reasmPair) summary(count int, segLen uint32) bool {
 		}
 	}
 	p := mk()
-	lent, ok := rp.eng.completeSeg(p, 2)
+	lent, ok := rp.eng.completeSeg(p, 2, nil)
 	// The consumer hands the buffer back once it has read the segment: the
 	// next reassembly on this (poisoning) engine starts from garbage.
 	defer rp.eng.segs.Put(lent)
@@ -314,7 +314,7 @@ func TestReassemblyRejectsImpossibleCounts(t *testing.T) {
 		}
 		sum := &packet.Packet{Kind: packet.KRequest, TxID: 5, Src: reasmSrc, Dst: reasmDst,
 			FragCount: uint16(count), SegLen: 1 << 30}
-		if _, ok := rp.eng.completeSeg(sum, 2); ok {
+		if _, ok := rp.eng.completeSeg(sum, 2, nil); ok {
 			t.Fatalf("a summary of %d fragments completed", count)
 		}
 		if rp.eng.jobs.Len() != 0 {

@@ -42,7 +42,7 @@ func TestFetchPageServesRunIdempotently(t *testing.T) {
 		return ctx.Send(KernelServerPID(b.SystemLH().ID()), vid.Message{
 			Op:  KsFetchPage,
 			W:   [6]uint32{uint32(lh.ID())},
-			Seg: EncodeFetchReq(as.ID, pages),
+			Seg: AppendFetchReq(nil, as.ID, pages),
 		})
 	}
 	var first, dup vid.Message
@@ -98,7 +98,7 @@ func TestFetchPageElidesAbsentPages(t *testing.T) {
 		m, sendErr = ctx.Send(KernelServerPID(b.SystemLH().ID()), vid.Message{
 			Op:  KsFetchPage,
 			W:   [6]uint32{uint32(lh.ID())},
-			Seg: EncodeFetchReq(as.ID, []mem.PageNo{5, 6}),
+			Seg: AppendFetchReq(nil, as.ID, []mem.PageNo{5, 6}),
 		})
 	})
 	c.sim.RunFor(10 * time.Second)
@@ -142,15 +142,15 @@ func TestFetchPageRejectsMalformedRequests(t *testing.T) {
 		code uint16
 	}{
 		{"unknown lh", vid.Message{Op: KsFetchPage, W: [6]uint32{0xBEEF},
-			Seg: EncodeFetchReq(as.ID, []mem.PageNo{0})}, vid.CodeNotFound},
+			Seg: AppendFetchReq(nil, as.ID, []mem.PageNo{0})}, vid.CodeNotFound},
 		{"unknown space", vid.Message{Op: KsFetchPage, W: [6]uint32{uint32(lh.ID())},
-			Seg: EncodeFetchReq(as.ID+99, []mem.PageNo{0})}, vid.CodeNotFound},
+			Seg: AppendFetchReq(nil, as.ID+99, []mem.PageNo{0})}, vid.CodeNotFound},
 		{"short segment", vid.Message{Op: KsFetchPage, W: [6]uint32{uint32(lh.ID())},
 			Seg: []byte{1, 2, 3}}, vid.CodeBadRequest},
 		{"empty page list", vid.Message{Op: KsFetchPage, W: [6]uint32{uint32(lh.ID())},
-			Seg: EncodeFetchReq(as.ID, nil)}, vid.CodeBadRequest},
+			Seg: AppendFetchReq(nil, as.ID, nil)}, vid.CodeBadRequest},
 		{"oversized run", vid.Message{Op: KsFetchPage, W: [6]uint32{uint32(lh.ID())},
-			Seg: EncodeFetchReq(as.ID, oversize)}, vid.CodeBadRequest},
+			Seg: AppendFetchReq(nil, as.ID, oversize)}, vid.CodeBadRequest},
 		{"bad write mode", vid.Message{Op: KsWritePages, W: [6]uint32{uint32(lh.ID()), 99},
 			Seg: AppendPageRun(nil, as.ID, []mem.PageNo{0}, [][]byte{mem.ZeroPage()})}, vid.CodeBadRequest},
 	}

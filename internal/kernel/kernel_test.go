@@ -286,7 +286,7 @@ func TestKernelLevelMigration(t *testing.T) {
 				// Copy all pages (state is frozen, one round suffices).
 				for _, src := range lh.Spaces() {
 					dst, _ := nlh.Space(src.ID)
-					for _, pn := range src.AllPages() {
+					for _, pn := range src.AppendAllPages(nil) {
 						dst.InstallPage(pn, src.Page(pn))
 					}
 				}

@@ -44,7 +44,7 @@ const (
 	// 1 stopped, 2 dead). The V debugger's read-registers primitive:
 	// works identically on local and remote processes (§6).
 	KsQueryProcess uint16 = 0x1F
-	// KsFetchPage: W0=lh, Seg=fetch request (EncodeFetchReq: space id plus
+	// KsFetchPage: W0=lh, Seg=fetch request (AppendFetchReq: space id plus
 	// an explicit page list) → Seg=page run. The post-copy remote-fault
 	// path: a faulting destination fetches the page it needs (plus
 	// read-ahead) from the frozen source receptacle. Serving a page clears

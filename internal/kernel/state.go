@@ -311,14 +311,14 @@ func (run *PageRun) Decode(seg []byte) error {
 
 // ----------------------------------------------------- fetch requests
 
-// EncodeFetchReq packs a KsFetchPage request: one space id plus an
-// explicit page list. Unlike KsReadPages' (first, count) range, the list
-// is scattered — by the time the destination faults, the hot pages in a
-// range have usually arrived through pre-copy or push-out and only the
+// AppendFetchReq appends a KsFetchPage request to dst: one space id plus
+// an explicit page list. Unlike KsReadPages' (first, count) range, the
+// list is scattered — by the time the destination faults, the hot pages in
+// a range have usually arrived through pre-copy or push-out and only the
 // gaps need fetching. The reply is a page run, so the list is bounded by
 // MaxRunPages.
-func EncodeFetchReq(spaceID uint32, pages []mem.PageNo) []byte {
-	a := vid.Appender{B: make([]byte, 0, 8+4*len(pages))}
+func AppendFetchReq(dst []byte, spaceID uint32, pages []mem.PageNo) []byte {
+	a := vid.Appender{B: dst}
 	a.U32(spaceID)
 	a.U32(uint32(len(pages)))
 	for _, pn := range pages {

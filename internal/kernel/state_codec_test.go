@@ -22,7 +22,7 @@ type fetchReq struct {
 }
 
 var fetchReqForm = wiretest.Form[fetchReq]{
-	Encode: func(f *fetchReq) []byte { return EncodeFetchReq(f.Space, f.Pages) },
+	Encode: func(f *fetchReq) []byte { return AppendFetchReq(nil, f.Space, f.Pages) },
 	Decode: func(seg []byte) (*fetchReq, error) {
 		space, pages, err := DecodeFetchReq(seg)
 		return &fetchReq{space, pages}, err
@@ -89,9 +89,9 @@ func TestFetchReqWireForm(t *testing.T) {
 		fetchReqForm.Malformed(t, fetchReqForm.RoundTrip(t, &f))
 	}
 	for name, seg := range map[string][]byte{
-		"an empty list":       EncodeFetchReq(1, nil),
-		"a list over max":     EncodeFetchReq(1, append(full, 1)),
-		"a flagged page word": EncodeFetchReq(1, []mem.PageNo{mem.PageNo(ZeroPageFlag | 5)}),
+		"an empty list":       AppendFetchReq(nil, 1, nil),
+		"a list over max":     AppendFetchReq(nil, 1, append(full, 1)),
+		"a flagged page word": AppendFetchReq(nil, 1, []mem.PageNo{mem.PageNo(ZeroPageFlag | 5)}),
 	} {
 		if _, _, err := DecodeFetchReq(seg); err == nil {
 			t.Errorf("%s: decoded", name)
@@ -112,9 +112,9 @@ func TestRegsWireForm(t *testing.T) {
 // arbitrary segments: it must reject them or decode a bounded, in-range
 // page list that re-encodes to the same segment.
 func FuzzDecodeFetchReq(f *testing.F) {
-	f.Add(EncodeFetchReq(3, []mem.PageNo{0, 1, 2}))
-	f.Add(EncodeFetchReq(0, []mem.PageNo{511}))
-	f.Add(EncodeFetchReq(9, fullFetch()))
+	f.Add(AppendFetchReq(nil, 3, []mem.PageNo{0, 1, 2}))
+	f.Add(AppendFetchReq(nil, 0, []mem.PageNo{511}))
+	f.Add(AppendFetchReq(nil, 9, fullFetch()))
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0})                      // empty list
 	f.Add([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})          // absurd count
@@ -157,7 +157,7 @@ func TestWireSizesPinned(t *testing.T) {
 		{"LHState, zero", len((&LHState{}).Encode()), 15},
 		{"page run, 9 pages, 6 of them non-zero", len(AppendPageRun(nil, 7, mixedPages, mixedData)), 8 + 9*4 + 6*1024},
 		{"page run, 30 all-zero pages", len(AppendPageRun(nil, 1, zeroPages, zeroData)), 8 + 30*4},
-		{"fetch request, 3 pages", len(EncodeFetchReq(3, []mem.PageNo{0, 1, 2})), 8 + 3*4},
+		{"fetch request, 3 pages", len(AppendFetchReq(nil, 3, []mem.PageNo{0, 1, 2})), 8 + 3*4},
 		{"register blob", len(EncodeRegs(&Regs{})), 128},
 	} {
 		if c.got != c.want {

@@ -76,7 +76,7 @@ func TestReleaseThenReadAtReadsZeros(t *testing.T) {
 	if err := as.ReadAt(90, got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, make([]byte, 64)) || as.Allocated() != 0 || len(as.AllPages()) != 0 {
+	if !bytes.Equal(got, make([]byte, 64)) || as.Allocated() != 0 || len(as.AppendAllPages(nil)) != 0 {
 		t.Fatalf("released space reads % x, %d bytes allocated", got[:16], as.Allocated())
 	}
 	if err := as.WriteAt(100, []byte("again")); err != nil {

@@ -11,7 +11,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"vsystem/internal/freelist"
 	"vsystem/internal/params"
@@ -26,15 +26,21 @@ type PageNo uint32
 // AddressSpace is a sparse paged memory. Pages are allocated on first
 // write; reads of unallocated memory return zeros. The space tracks a dirty
 // bit per allocated page.
+//
+// Its page table is a directory of chunks, one per chunkPages pages of
+// address space, each made on the first touch of its range: a lookup is two
+// indexes, and a walk in page order (AppendAllPages, AppendSnapshotDirty)
+// reads the chunks in turn, their dirty words a bit per page.
 type AddressSpace struct {
-	ID    uint32 // space identifier within its logical host
-	limit uint32 // size in bytes; accesses beyond limit fault
-	pages map[PageNo]*page
+	ID      uint32 // space identifier within its logical host
+	limit   uint32 // size in bytes; accesses beyond limit fault
+	table   []*chunk
+	present int // pages allocated
 	// last is the present page getPage found last, and lastPN its number:
 	// a run of accesses to one page (an interpreter fetching its code)
 	// looks it up once. Drop and Release clear it before its frame can go
 	// back to the list; an absent page is never held.
-	last   *page
+	last   *[PageSize]byte
 	lastPN PageNo
 	// frames is where a page's PageSize bytes come from and where Drop and
 	// Release hand them back: the list of the cluster the space lives in,
@@ -51,16 +57,24 @@ type AddressSpace struct {
 	inFault int
 }
 
+// chunkPages is how many pages a chunk of the page table maps: a dirty
+// word's worth, so that a chunk — 64 frame pointers and the word, 520
+// bytes — stays under a page.
+const chunkPages = 64
+
+// chunk maps chunkPages consecutive pages: each present page's frame (nil
+// for an absent one), and their dirty bits, bit i for page i. A dirty bit
+// is only ever set for a present page.
+type chunk struct {
+	frames [chunkPages]*[PageSize]byte
+	dirty  uint64
+}
+
 // FaultFunc resolves a missing page's contents.
 type FaultFunc func(pn PageNo) []byte
 
 // SetFault installs (or clears) the demand-paging handler.
 func (as *AddressSpace) SetFault(f FaultFunc) { as.fault = f }
-
-type page struct {
-	data  []byte
-	dirty bool
-}
 
 // NewAddressSpace creates a space of the given size in bytes (rounded up to
 // a whole number of pages) whose page frames come from a list of its own,
@@ -79,14 +93,15 @@ func NewAddressSpaceOn(frames *freelist.Bytes, id uint32, size uint32) *AddressS
 	if size%PageSize != 0 {
 		size += PageSize - size%PageSize
 	}
-	return &AddressSpace{ID: id, limit: size, pages: make(map[PageNo]*page), frames: frames}
+	chunks := (uint64(size)/PageSize + chunkPages - 1) / chunkPages
+	return &AddressSpace{ID: id, limit: size, table: make([]*chunk, chunks), frames: frames}
 }
 
 // Size returns the space's limit in bytes.
 func (as *AddressSpace) Size() uint32 { return as.limit }
 
 // Allocated returns the number of bytes in allocated pages.
-func (as *AddressSpace) Allocated() uint32 { return uint32(len(as.pages)) * PageSize }
+func (as *AddressSpace) Allocated() uint32 { return uint32(as.present) * PageSize }
 
 // FaultError reports an access outside the space.
 type FaultError struct {
@@ -105,18 +120,21 @@ func (as *AddressSpace) check(addr uint32, n int) error {
 	return nil
 }
 
-func (as *AddressSpace) getPage(pn PageNo, alloc bool) *page {
-	if p := as.last; p != nil && as.lastPN == pn {
-		return p
+// getPage returns page pn, which must lie within the limit: its frame, or
+// nil for an absent page unless the fault handler or alloc makes it.
+func (as *AddressSpace) getPage(pn PageNo, alloc bool) *[PageSize]byte {
+	if f := as.last; f != nil && as.lastPN == pn {
+		return f
 	}
 	return as.lookup(pn, alloc)
 }
 
 // lookup is getPage past the held page, kept apart so that getPage inlines.
-func (as *AddressSpace) lookup(pn PageNo, alloc bool) *page {
-	p := as.pages[pn]
+func (as *AddressSpace) lookup(pn PageNo, alloc bool) *[PageSize]byte {
+	f := as.frame(pn)
 	switch {
-	case p == nil && as.fault != nil:
+	case f != nil:
+	case as.fault != nil:
 		as.inFault++
 		data := as.fault(pn) // a task killed in here unwinds past the next line
 		as.inFault--
@@ -124,33 +142,56 @@ func (as *AddressSpace) lookup(pn PageNo, alloc bool) *page {
 		// post-copy source's background push-out) may have materialized the
 		// page meanwhile. First writer wins: prefer the installed page and
 		// drop the fetched copy, never overwrite.
-		if p = as.pages[pn]; p == nil {
-			p = as.newPage(pn, data)
+		if f = as.frame(pn); f == nil {
+			f = as.newPage(pn, data)
 		}
-	case p == nil && alloc:
-		p = as.newPage(pn, nil)
-	case p == nil:
+	case alloc:
+		f = as.newPage(pn, nil)
+	default:
 		return nil
 	}
-	as.last, as.lastPN = p, pn
-	return p
+	as.last, as.lastPN = f, pn
+	return f
+}
+
+// slot returns the chunk that maps page pn (nil if none has been made, or
+// pn lies past the limit) and pn's index in it.
+func (as *AddressSpace) slot(pn PageNo) (*chunk, uint) {
+	if ci := int(pn / chunkPages); ci < len(as.table) {
+		return as.table[ci], uint(pn % chunkPages)
+	}
+	return nil, 0
+}
+
+// frame returns page pn's frame, nil when it is absent.
+func (as *AddressSpace) frame(pn PageNo) *[PageSize]byte {
+	if c, i := as.slot(pn); c != nil {
+		return c.frames[i]
+	}
+	return nil
 }
 
 // newPage materializes page pn holding data, zero from where data ends. The
 // frame may have been another page before, of this space or of one long
 // destroyed: every byte of it is written here.
-func (as *AddressSpace) newPage(pn PageNo, data []byte) *page {
-	p := &page{data: as.frames.Get()[:PageSize]}
-	clear(p.data[copy(p.data, data):])
-	as.pages[pn] = p
-	return p
+func (as *AddressSpace) newPage(pn PageNo, data []byte) *[PageSize]byte {
+	c := as.table[pn/chunkPages]
+	if c == nil {
+		c = new(chunk)
+		as.table[pn/chunkPages] = c
+	}
+	f := (*[PageSize]byte)(as.frames.Get()[:PageSize])
+	clear(f[copy(f[:], data):])
+	c.frames[pn%chunkPages] = f
+	as.present++
+	return f
 }
 
-// free hands a page's frame back, unless a task inside the fault handler
-// may still be looking at it.
-func (as *AddressSpace) free(p *page) {
+// free hands a frame back, unless a task inside the fault handler may
+// still be looking at it.
+func (as *AddressSpace) free(f *[PageSize]byte) {
 	if as.inFault == 0 {
-		as.frames.Put(p.data)
+		as.frames.Put(f[:])
 	}
 }
 
@@ -167,12 +208,10 @@ func (as *AddressSpace) ReadAt(addr uint32, b []byte) error {
 		if int(n) > len(b) {
 			n = uint32(len(b))
 		}
-		if p := as.getPage(pn, false); p != nil {
-			copy(b[:n], p.data[off:off+n])
+		if f := as.getPage(pn, false); f != nil {
+			copy(b[:n], f[off:off+n])
 		} else {
-			for i := uint32(0); i < n; i++ {
-				b[i] = 0
-			}
+			clear(b[:n])
 		}
 		b = b[n:]
 		addr += n
@@ -192,9 +231,8 @@ func (as *AddressSpace) WriteAt(addr uint32, b []byte) error {
 		if int(n) > len(b) {
 			n = uint32(len(b))
 		}
-		p := as.getPage(pn, true)
-		copy(p.data[off:off+n], b[:n])
-		p.dirty = true
+		copy(as.getPage(pn, true)[off:off+n], b[:n])
+		as.MarkPageDirty(pn)
 		b = b[n:]
 		addr += n
 	}
@@ -208,8 +246,8 @@ func (as *AddressSpace) ReadByteAt(addr uint32) (byte, error) {
 	if err := as.check(addr, 1); err != nil {
 		return 0, err
 	}
-	if p := as.getPage(PageNo(addr/PageSize), false); p != nil {
-		return p.data[addr%PageSize], nil
+	if f := as.getPage(PageNo(addr/PageSize), false); f != nil {
+		return f[addr%PageSize], nil
 	}
 	return 0, nil
 }
@@ -221,8 +259,8 @@ func (as *AddressSpace) ReadWord(addr uint32) (uint32, error) {
 		if err := as.check(addr, 4); err != nil {
 			return 0, err
 		}
-		if p := as.getPage(PageNo(addr/PageSize), false); p != nil {
-			return binary.LittleEndian.Uint32(p.data[off:]), nil
+		if f := as.getPage(PageNo(addr/PageSize), false); f != nil {
+			return binary.LittleEndian.Uint32(f[off:]), nil
 		}
 		return 0, nil
 	}
@@ -245,28 +283,18 @@ func (as *AddressSpace) Touch(addr uint32) error {
 	if err := as.check(addr, 1); err != nil {
 		return err
 	}
-	as.getPage(PageNo(addr/PageSize), true).dirty = true
+	pn := PageNo(addr / PageSize)
+	as.getPage(pn, true)
+	as.MarkPageDirty(pn)
 	return nil
-}
-
-// DirtyPages returns the sorted list of dirty page numbers.
-func (as *AddressSpace) DirtyPages() []PageNo {
-	var out []PageNo
-	for pn, p := range as.pages {
-		if p.dirty {
-			out = append(out, pn)
-		}
-	}
-	slices.Sort(out)
-	return out
 }
 
 // DirtyCount returns the number of dirty pages.
 func (as *AddressSpace) DirtyCount() int {
 	n := 0
-	for _, p := range as.pages {
-		if p.dirty {
-			n++
+	for _, c := range as.table {
+		if c != nil {
+			n += bits.OnesCount64(c.dirty)
 		}
 	}
 	return n
@@ -274,37 +302,54 @@ func (as *AddressSpace) DirtyCount() int {
 
 // SnapshotDirty returns the sorted dirty page list and clears all dirty
 // bits, beginning a new tracking interval (one pre-copy round).
-func (as *AddressSpace) SnapshotDirty() []PageNo {
-	out := as.DirtyPages()
-	for _, pn := range out {
-		as.pages[pn].dirty = false
+func (as *AddressSpace) SnapshotDirty() []PageNo { return as.AppendSnapshotDirty(nil) }
+
+// AppendSnapshotDirty is SnapshotDirty appending to dst, as the copy loop
+// keeps one buffer for its rounds.
+func (as *AddressSpace) AppendSnapshotDirty(dst []PageNo) []PageNo {
+	for ci, c := range as.table {
+		if c == nil {
+			continue
+		}
+		for w := c.dirty; w != 0; w &= w - 1 {
+			dst = append(dst, PageNo(ci*chunkPages+bits.TrailingZeros64(w)))
+		}
+		c.dirty = 0
 	}
-	return out
+	return dst
 }
 
 // ClearDirty clears all dirty bits without reporting them.
 func (as *AddressSpace) ClearDirty() {
-	for _, p := range as.pages {
-		p.dirty = false
+	for _, c := range as.table {
+		if c != nil {
+			c.dirty = 0
+		}
 	}
 }
 
-// AllPages returns the sorted list of allocated page numbers.
-func (as *AddressSpace) AllPages() []PageNo {
-	out := make([]PageNo, 0, len(as.pages))
-	for pn := range as.pages {
-		out = append(out, pn)
+// AppendAllPages appends the numbers of the allocated pages to dst, in
+// ascending order.
+func (as *AddressSpace) AppendAllPages(dst []PageNo) []PageNo {
+	for ci, c := range as.table {
+		if c == nil {
+			continue
+		}
+		for i, f := range c.frames {
+			if f != nil {
+				dst = append(dst, PageNo(ci*chunkPages+i))
+			}
+		}
 	}
-	slices.Sort(out)
-	return out
+	return dst
 }
 
 // Page returns a copy of the page's contents (zeros if unallocated; a
 // demand-paging handler is consulted for non-present pages).
 func (as *AddressSpace) Page(pn PageNo) []byte {
 	b := make([]byte, PageSize)
-	if p := as.getPage(pn, false); p != nil {
-		copy(b, p.data)
+	if f := as.getPage(pn, false); f != nil {
+		copy(b, f[:])
 	}
 	return b
 }
@@ -323,8 +368,8 @@ func ZeroPage() []byte { return zeroPage }
 // frame may be another space's page; the bulk-transfer encoder snapshots
 // it into the wire segment immediately, before its task can block.
 func (as *AddressSpace) PageView(pn PageNo) []byte {
-	if p := as.getPage(pn, false); p != nil {
-		return p.data
+	if f := as.getPage(pn, false); f != nil {
+		return f[:]
 	}
 	return zeroPage
 }
@@ -343,9 +388,8 @@ func (as *AddressSpace) InstallPage(pn PageNo, data []byte) error {
 	if len(data) != PageSize {
 		return fmt.Errorf("mem: InstallPage with %d bytes", len(data))
 	}
-	p := as.getPage(pn, true)
-	copy(p.data, data)
-	p.dirty = false
+	copy(as.getPage(pn, true)[:], data)
+	as.ClearDirtyPage(pn)
 	return nil
 }
 
@@ -353,8 +397,7 @@ func (as *AddressSpace) InstallPage(pn PageNo, data []byte) error {
 // zeros, so "absent" and "all-zero page" are observably equivalent until
 // a demand-paging handler is installed).
 func (as *AddressSpace) Present(pn PageNo) bool {
-	_, ok := as.pages[pn]
-	return ok
+	return as.frame(pn) != nil
 }
 
 // InstallPageIfAbsent installs a page only when the destination does not
@@ -370,7 +413,7 @@ func (as *AddressSpace) InstallPageIfAbsent(pn PageNo, data []byte) (bool, error
 	if len(data) != PageSize {
 		return false, fmt.Errorf("mem: InstallPageIfAbsent with %d bytes", len(data))
 	}
-	if _, present := as.pages[pn]; present || IsZeroPage(data) {
+	if as.frame(pn) != nil || IsZeroPage(data) {
 		return false, nil
 	}
 	as.newPage(pn, data)
@@ -382,13 +425,18 @@ func (as *AddressSpace) InstallPageIfAbsent(pn PageNo, data []byte) (bool, error
 // frame back. The hybrid migration policy uses this to invalidate stale
 // pre-copied pages on the destination at freeze time.
 func (as *AddressSpace) Drop(pn PageNo) {
-	if p := as.pages[pn]; p != nil {
-		if p == as.last {
-			as.last = nil
-		}
-		delete(as.pages, pn)
-		as.free(p)
+	c, i := as.slot(pn)
+	if c == nil || c.frames[i] == nil {
+		return
 	}
+	f := c.frames[i]
+	if f == as.last {
+		as.last = nil
+	}
+	c.frames[i] = nil
+	c.dirty &^= 1 << i
+	as.present--
+	as.free(f)
 }
 
 // Release empties the space and hands every page frame back: the end of
@@ -396,32 +444,40 @@ func (as *AddressSpace) Drop(pn PageNo) {
 // and may be written again; a PageView taken before is dead.
 func (as *AddressSpace) Release() {
 	as.last = nil
-	for _, p := range as.pages {
-		as.free(p)
+	for ci, c := range as.table {
+		if c == nil {
+			continue
+		}
+		for _, f := range c.frames {
+			if f != nil {
+				as.free(f)
+			}
+		}
+		as.table[ci] = nil
 	}
-	clear(as.pages)
+	as.present = 0
 }
 
 // MarkPageDirty sets an allocated page's dirty bit (a no-op for absent
 // pages). The post-copy source marks its frozen residue dirty at swap
 // time and uses the bits as not-yet-delivered markers.
 func (as *AddressSpace) MarkPageDirty(pn PageNo) {
-	if p := as.pages[pn]; p != nil {
-		p.dirty = true
+	if c, i := as.slot(pn); c != nil && c.frames[i] != nil {
+		c.dirty |= 1 << i
 	}
 }
 
 // ClearDirtyPage clears one page's dirty bit (a no-op for absent pages).
 func (as *AddressSpace) ClearDirtyPage(pn PageNo) {
-	if p := as.pages[pn]; p != nil {
-		p.dirty = false
+	if c, i := as.slot(pn); c != nil {
+		c.dirty &^= 1 << i
 	}
 }
 
 // PageDirty reports one page's dirty bit (false for absent pages).
 func (as *AddressSpace) PageDirty(pn PageNo) bool {
-	p := as.pages[pn]
-	return p != nil && p.dirty
+	c, i := as.slot(pn)
+	return c != nil && c.dirty&(1<<i) != 0
 }
 
 // Equal reports whether two spaces have identical sizes and contents
@@ -431,17 +487,10 @@ func (as *AddressSpace) Equal(other *AddressSpace) bool {
 	if as.limit != other.limit {
 		return false
 	}
-	seen := make(map[PageNo]bool)
-	for pn := range as.pages {
-		seen[pn] = true
-	}
-	for pn := range other.pages {
-		seen[pn] = true
-	}
-	for pn := range seen {
-		a, b := as.Page(pn), other.Page(pn)
-		for i := range a {
-			if a[i] != b[i] {
+	for ci := range as.table {
+		for i := 0; i < chunkPages; i++ {
+			pn := PageNo(ci*chunkPages + i)
+			if (as.frame(pn) != nil || other.frame(pn) != nil) && !bytes.Equal(as.PageView(pn), other.PageView(pn)) {
 				return false
 			}
 		}

@@ -3,31 +3,37 @@ package mem
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // TestAddressSpaceDifferential drives a space on a poisoned frame list and
-// a reference — the present pages as plain arrays in a map — through the
-// same seeded stream of byte, word and segment reads and writes (words and
-// segments crossing page boundaries, addresses past the limit), Drop,
-// Release, InstallPage, InstallPageIfAbsent, and a fault handler switched
-// on and off that supplies a page's contents on its first access. Every
-// read, every error, every page's presence and every fault the handler
-// takes must agree at every step. The space holds the page it looked up
-// last, so the stream keeps returning to a few pages: it drops and
-// releases the held page and reads it again, installs a page the handler
-// would have faulted in, and writes the page it is reading, as a program
-// that modifies its own code does. Two rules ride on the comparison: a
-// page that is absent under a handler is faulted in on every first access,
-// never remembered as absent, and a write needs no invalidation, as it
-// goes to the held page's own frame.
+// a reference — the present pages as plain arrays in a map, with a set of
+// dirty pages — through the same seeded stream of byte, word and segment
+// reads and writes (words and segments crossing page and chunk
+// boundaries, addresses past the limit), Touch, Drop, the drop of every
+// page of a chunk, Release followed by a write, InstallPage,
+// InstallPageIfAbsent, dirty snapshots and page lists, and a fault
+// handler switched on and off that supplies a page's contents on its
+// first access. Every read, every error, every page list, every page's
+// presence and every fault the handler takes must agree at every step.
+// The space spans two chunks and part of a third. It holds the page it
+// looked up last, so the stream keeps returning to a few pages on either
+// side of each chunk boundary: it drops and releases the held page and
+// reads it again, installs a page the handler would have faulted in, and
+// writes the page it is reading, as a program that modifies its own code
+// does. Two rules ride on the comparison: a page that is absent under a
+// handler is faulted in on every first access, never remembered as absent,
+// and a write needs no invalidation, as it goes to the held page's own
+// frame.
 func TestAddressSpaceDifferential(t *testing.T) {
-	const pages = 6
+	const pages = 2*chunkPages + 6
 	const ops = 60_000
 	rng := rand.New(rand.NewSource(20261018))
 	frames := poisonedFrames()
 	as := NewAddressSpaceOn(frames, 1, pages*PageSize)
 	ref := map[PageNo]*[PageSize]byte{}
+	dirty := map[PageNo]bool{}
 	limit := uint32(pages * PageSize)
 
 	// The handler's contents for page pn at its k-th fault.
@@ -90,11 +96,26 @@ func TestAddressSpaceDifferential(t *testing.T) {
 		for i, v := range b {
 			a := addr + uint32(i)
 			refPage(PageNo(a/PageSize), true)[a%PageSize] = v
+			dirty[PageNo(a/PageSize)] = true
 		}
 		return true
 	}
+	refDrop := func(pn PageNo) {
+		delete(ref, pn)
+		delete(dirty, pn)
+	}
+	sorted := func(m map[PageNo]bool) []PageNo {
+		var out []PageNo
+		for pn := range m {
+			out = append(out, pn)
+		}
+		slices.Sort(out)
+		return out
+	}
 
-	// hot is the page the stream keeps returning to.
+	// hot is the page the stream keeps returning to: one of a few on
+	// either side of each chunk boundary.
+	near := []PageNo{0, 1, chunkPages - 1, chunkPages, chunkPages + 1, 2*chunkPages - 1, 2 * chunkPages, pages - 1}
 	hot := PageNo(0)
 	addrIn := func() uint32 {
 		pn := hot
@@ -112,7 +133,7 @@ func TestAddressSpaceDifferential(t *testing.T) {
 
 	for i := 0; i < ops; i++ {
 		if rng.Intn(50) == 0 {
-			hot = PageNo(rng.Intn(pages))
+			hot = near[rng.Intn(len(near))]
 		}
 		switch r := rng.Intn(100); {
 		case r < 25:
@@ -152,13 +173,38 @@ func TestAddressSpaceDifferential(t *testing.T) {
 			if ok := refWrite(addr, b); ok != (err == nil) {
 				t.Fatalf("op %d: WriteAt(%#x, %d): %v, reference ok %v", i, addr, n, err, ok)
 			}
+		case r < 72:
+			addr := addrIn()
+			err := as.Touch(addr)
+			ok := addr < limit
+			if ok != (err == nil) {
+				t.Fatalf("op %d: Touch(%#x): %v, reference ok %v", i, addr, err, ok)
+			}
+			if ok {
+				refPage(PageNo(addr/PageSize), true)
+				dirty[PageNo(addr/PageSize)] = true
+			}
+		case r < 77:
+			as.Drop(hot)
+			refDrop(hot)
 		case r < 78:
-			pn := hot
-			as.Drop(pn)
-			delete(ref, pn)
+			// Every page of hot's chunk: its last present page goes too.
+			first := hot / chunkPages * chunkPages
+			for pn := first; pn < first+chunkPages && pn < pages; pn++ {
+				as.Drop(pn)
+				refDrop(pn)
+			}
 		case r < 80:
 			as.Release()
 			clear(ref)
+			clear(dirty)
+			addr, v := addrIn(), rng.Uint32()
+			err := as.WriteWord(addr, v)
+			var b [4]byte
+			binary.LittleEndian.PutUint32(b[:], v)
+			if ok := refWrite(addr, b[:]); ok != (err == nil) {
+				t.Fatalf("op %d: WriteWord(%#x) after Release: %v, reference ok %v", i, addr, err, ok)
+			}
 		case r < 85:
 			pn, b := hot, make([]byte, PageSize)
 			rng.Read(b)
@@ -166,6 +212,7 @@ func TestAddressSpaceDifferential(t *testing.T) {
 				t.Fatalf("op %d: InstallPage(%d): %v", i, pn, err)
 			}
 			copy(refPage(pn, true)[:], b) // an absent page under the handler faults first
+			delete(dirty, pn)
 		case r < 90:
 			pn, b := hot, make([]byte, PageSize)
 			if rng.Intn(4) > 0 {
@@ -181,6 +228,23 @@ func TestAddressSpaceDifferential(t *testing.T) {
 				copy(p[:], b)
 				ref[pn] = p
 			}
+		case r < 93:
+			present := map[PageNo]bool{}
+			for pn := range ref {
+				present[pn] = true
+			}
+			if got, want := as.AppendAllPages(nil), sorted(present); !slices.Equal(got, want) {
+				t.Fatalf("op %d: AppendAllPages = %v, reference %v", i, got, want)
+			}
+			if got, want := as.DirtyCount(), len(dirty); got != want {
+				t.Fatalf("op %d: DirtyCount = %d, reference %d", i, got, want)
+			}
+			if rng.Intn(2) == 0 {
+				if got, want := as.AppendSnapshotDirty([]PageNo{7}), append([]PageNo{7}, sorted(dirty)...); !slices.Equal(got, want) {
+					t.Fatalf("op %d: AppendSnapshotDirty = %v, reference %v", i, got, want)
+				}
+				clear(dirty)
+			}
 		default:
 			if faulting = !faulting; faulting {
 				as.SetFault(handler)
@@ -192,9 +256,12 @@ func TestAddressSpaceDifferential(t *testing.T) {
 			t.Fatalf("op %d: the handler took %d faults, the reference %d", i, faults, refFaults)
 		}
 		for pn := PageNo(0); pn < pages; pn++ {
-			if as.Present(pn) != (ref[pn] != nil) {
-				t.Fatalf("op %d: page %d present %v, reference %v", i, pn, as.Present(pn), ref[pn] != nil)
+			if as.Present(pn) != (ref[pn] != nil) || as.PageDirty(pn) != dirty[pn] {
+				t.Fatalf("op %d: page %d present %v dirty %v, reference %v %v", i, pn, as.Present(pn), as.PageDirty(pn), ref[pn] != nil, dirty[pn])
 			}
+		}
+		if as.Allocated() != uint32(len(ref))*PageSize {
+			t.Fatalf("op %d: %d bytes allocated, reference %d pages", i, as.Allocated(), len(ref))
 		}
 	}
 	if faults < 500 {

@@ -122,7 +122,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		}
 		// Hash the memory contents.
 		var sum uint32
-		for _, pn := range as.AllPages() {
+		for _, pn := range as.AppendAllPages(nil) {
 			for _, b := range as.Page(pn) {
 				sum = sum*31 + uint32(b)
 			}
