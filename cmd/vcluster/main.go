@@ -503,8 +503,8 @@ func (r *repl) exec(line string) bool {
 			rf.Faults, rf.FaultKB(), rf.StallTime, rf.PullKB, rf.PushKB,
 			tb.Count(trace.EvRemoteFault), rf.Aborted)
 		es := r.c.Sim.Stats()
-		r.printf("  engine: fired=%d task-dispatches=%d timers-stopped=%d pending=%d max-pending=%d",
-			es.Fired, es.Dispatches, es.Stopped, r.c.Sim.Pending(), es.MaxPending)
+		r.printf("  engine: fired=%d task-dispatches=%d merged-wakes=%d skipped-slice-ends=%d timers-stopped=%d pending=%d max-pending=%d",
+			es.Fired, es.Dispatches, es.Merged, es.Skipped, es.Stopped, r.c.Sim.Pending(), es.MaxPending)
 
 	case "trace":
 		if len(f) < 2 || (f[1] != "on" && f[1] != "off") {

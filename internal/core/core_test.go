@@ -36,7 +36,7 @@ func boot(t *testing.T, opt Options) *Cluster {
 // goroutine back when closed. Not parallel: it counts the process's
 // goroutines, and the parallel tests wait for it parked in t.Parallel.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	c := NewCluster(Options{Workstations: 4, Seed: 1})
 	c.Install(progs.Hello())
 	c.Install(workload.PaperImages()[0])
@@ -65,6 +65,24 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	if n := runtime.NumGoroutine(); n != before {
 		t.Fatalf("%d goroutines after Close, %d before the cluster existed", n, before)
 	}
+}
+
+// settledGoroutines counts the process's goroutines once the count has
+// stopped falling — the goroutine of the test that ran before this one
+// may still be exiting — waiting two seconds at most.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still, deadline := 0, time.Now().Add(2*time.Second); still < 5 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m < n {
+			still = 0
+		} else {
+			still++
+		}
+		n = m
+	}
+	return n
 }
 
 func TestLocalExecution(t *testing.T) {

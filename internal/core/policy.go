@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"vsystem/internal/ethernet"
@@ -84,9 +85,13 @@ func (at *copyAttempt) preSwap() (trace.Phase, int, error) {
 func (at *copyAttempt) deferResidue(hybrid bool, send func([]spacePages) error) (trace.Phase, int, error) {
 	lh := at.lh
 
-	// sent holds, per space, the pages the destination will hold a valid
-	// copy of at swap time; everything else is post-swap residue.
-	sent := make(map[*mem.AddressSpace]map[mem.PageNo]bool)
+	// sent lists, per space and in page order, the pages the destination
+	// will hold a valid copy of at swap time; everything else is post-swap
+	// residue. Both are cut from buf, which the attempt keeps: the
+	// residue's lists outlive deferResidue, in the receptacle. Each list is
+	// capped at its end, so appending to buf never writes into one.
+	var sent []spacePages
+	var buf []mem.PageNo
 
 	if hybrid {
 		// Track dirty bits over a short sample window while the program
@@ -101,12 +106,13 @@ func (at *copyAttempt) deferResidue(hybrid bool, send func([]spacePages) error) 
 		if err := at.round(0, hot, send); err != nil {
 			return trace.PhasePrecopy, 0, err
 		}
+		// Copied out of the migrator's buffers, which the next snapshot
+		// overwrites.
+		buf = make([]mem.PageNo, 0, pageCount(hot))
 		for _, s := range hot {
-			m := make(map[mem.PageNo]bool, len(s.pages))
-			for _, pn := range s.pages {
-				m[pn] = true
-			}
-			sent[s.as] = m
+			n := len(buf)
+			buf = append(buf, s.pages...)
+			sent = append(sent, spacePages{s.as, buf[n:len(buf):len(buf)]})
 		}
 
 		at.freeze()
@@ -119,10 +125,8 @@ func (at *copyAttempt) deferResidue(hybrid bool, send func([]spacePages) error) 
 		// the destination to drop them; they travel post-swap like the
 		// rest of the residue.
 		stale := at.dirtyPages() // in place of hot
-		for _, s := range stale {
-			for _, pn := range s.pages {
-				delete(sent[s.as], pn)
-			}
+		for i, s := range sent {
+			sent[i].pages = appendMissing(s.pages[:0], s.pages, pagesOf(stale, s.as))
 		}
 		if err := at.sendResidue(stale, at.writeTo(kernel.WriteModeInvalidate)); err != nil {
 			return trace.PhaseResidue, 0, err
@@ -136,15 +140,17 @@ func (at *copyAttempt) deferResidue(hybrid bool, send func([]spacePages) error) 
 	// Mark it dirty on the frozen source: the dirty bits double as
 	// not-yet-delivered markers — KsFetchPage clears a page's bit when it
 	// serves it, and the push-out skips pages whose bit is already clear.
+	spaces, present := lh.Spaces(), 0
+	for _, as := range spaces {
+		present += int(as.Allocated() / mem.PageSize)
+	}
+	buf = slices.Grow(buf, present) // lists cut already keep the old array
 	var remaining []spacePages
-	for _, as := range lh.Spaces() {
-		var left []mem.PageNo
+	for _, as := range spaces {
 		at.mg.pages = as.AppendAllPages(at.mg.pages[:0])
-		for _, pn := range at.mg.pages {
-			if !sent[as][pn] {
-				left = append(left, pn)
-			}
-		}
+		n := len(buf)
+		buf = appendMissing(buf, at.mg.pages, pagesOf(sent, as))
+		left := buf[n:len(buf):len(buf)]
 		for _, pn := range left {
 			as.MarkPageDirty(pn)
 		}
@@ -158,6 +164,31 @@ func (at *copyAttempt) deferResidue(hybrid bool, send func([]spacePages) error) 
 		stats:     &PagerStats{},
 	}
 	return 0, 0, nil
+}
+
+// appendMissing appends to dst the pages of a that b lacks, both in
+// ascending order. dst may be a[:0].
+func appendMissing(dst, a, b []mem.PageNo) []mem.PageNo {
+	j := 0
+	for _, pn := range a {
+		for j < len(b) && b[j] < pn {
+			j++
+		}
+		if j == len(b) || b[j] != pn {
+			dst = append(dst, pn)
+		}
+	}
+	return dst
+}
+
+// pagesOf returns the list lists holds for as, or nil.
+func pagesOf(lists []spacePages, as *mem.AddressSpace) []mem.PageNo {
+	for _, s := range lists {
+		if s.as == as {
+			return s.pages
+		}
+	}
+	return nil
 }
 
 // beforeUnfreeze runs after the identity swap has committed but before

@@ -11,6 +11,16 @@
 // so grant order, completion instants and every statistic are those of a
 // scheduler that ends a slice at every boundary.
 //
+// A finished request's wake and the deferred grant behind it are one event
+// (sim.WaitQ.WakeOneThen). A request the grant would run whole — nothing
+// queued at its priority or above — whose slice end would be the next
+// event does not wait for it: the task moves the clock to the slice's end
+// itself (sim.Engine.SkipTo) and runs on. That holds for a request made
+// while the grant is pending as the follow-up of the wake that resumed the
+// task, and for one an idle CPU would grant inline; the grant behind the
+// skipped wake is then the follow-up, already or from then on
+// (sim.Engine.Then).
+//
 // Priority levels come from params: kernel work preempts system servers,
 // which preempt locally invoked programs, which preempt guest (remotely
 // executed) programs — the paper's "priority scheduling for locally invoked
@@ -87,7 +97,9 @@ func (c *CPU) SetDispatchHook(fn func(prio int, slice time.Duration)) { c.dispat
 
 // Use consumes d of CPU at the given priority, blocking the task until the
 // time has been granted. Competing requests interleave at quantum
-// granularity; higher priorities preempt at quantum boundaries.
+// granularity; higher priorities preempt at quantum boundaries. When
+// nothing could run before the grant ends, the task does not park: it
+// moves the clock to the end itself (see the package comment).
 func (c *CPU) Use(t *sim.Task, d time.Duration, prio int) {
 	c.UseGated(t, d, prio, nil)
 }
@@ -111,17 +123,45 @@ func (c *CPU) UseGated(t *sim.Task, d time.Duration, prio int, gate Gate) {
 	}
 	// Field by field: r.done keeps its (empty) waiter array.
 	r.task, r.prio, r.remaining, r.gate, r.finished = t, prio, d, gate, false
-	c.ready[prio] = append(c.ready[prio], r)
-	if c.cur == nil {
-		c.grantSoon()
-	} else if prio <= c.cur.prio {
-		c.cutSlice() // it competes at the next boundary
+	if end := c.eng.Now().Add(d); c.cur == nil && (c.granting || !c.eng.Due()) &&
+		c.alone(prio) && r.runnable() && c.eng.CanSkipTo(t, end) {
+		// Granted inline, or by the grant pending as this event's
+		// follow-up (CanSkipTo found nothing else pending; without
+		// granting, Due finds no other follow-up, which would move with
+		// the clock), r would run whole, and its slice end would be the
+		// next event: run the slice here, unless the dispatch hook
+		// scheduled something (a trace subscriber may).
+		long := c.begin(r)
+		if c.eng.SkipTo(t, end) {
+			c.charge(r, d)
+			c.cur = nil
+			c.recycle(r)
+			if !c.granting {
+				// The grant the slice end would have deferred.
+				c.granting = true
+				c.eng.Then(c.kicked)
+			}
+			return
+		}
+		c.endLater(long) // granted: a pending grant finds cur set
+	} else {
+		c.ready[prio] = append(c.ready[prio], r)
+		if c.cur == nil {
+			c.grantSoon()
+		} else if prio <= c.cur.prio {
+			c.cutSlice() // it competes at the next boundary
+		}
 	}
 	for !r.finished {
 		r.done.Wait(t)
 	}
-	// Finished, so neither queued nor running: nothing else refers to r.
-	// A killed owner never gets here; pick discards its request.
+	c.recycle(r)
+}
+
+// recycle keeps r for the next Use. It is finished, so neither queued nor
+// running: nothing else refers to it. A killed owner never gets here; pick
+// discards its request.
+func (c *CPU) recycle(r *request) {
 	r.task, r.gate = nil, nil
 	c.free = append(c.free, r)
 }
@@ -158,8 +198,12 @@ func (c *CPU) deferGrant() {
 }
 
 // grantSoon grants inline when no event is due now — the deferred grant
-// would be the next event to run — and defers it otherwise.
+// would be the next event to run — and defers it otherwise. A grant
+// already pending makes it.
 func (c *CPU) grantSoon() {
+	if c.granting {
+		return
+	}
 	if c.eng.Due() {
 		c.deferGrant()
 		return
@@ -176,17 +220,21 @@ func (c *CPU) deferredGrant() {
 	}
 }
 
-// grant picks the best runnable request and runs a slice of it: one
-// quantum, or all it still needs when less; all it needs, however long,
-// when nothing is queued at its priority or above.
+// grant picks the best runnable request and runs a slice of it.
 func (c *CPU) grant() {
-	r := c.pick()
-	if r == nil {
-		return
+	if r := c.pick(); r != nil {
+		c.endLater(c.begin(r))
 	}
+}
+
+// begin makes r the running request and grants it a slice now: one
+// quantum, or all it still needs when less; all it needs, however long,
+// when nothing is queued at its priority or above. It reports whether the
+// slice is that long one.
+func (c *CPU) begin(r *request) (long bool) {
 	c.cur, c.start = r, c.eng.Now()
 	slice := r.remaining
-	long := slice > c.quantum && c.alone(r.prio)
+	long = slice > c.quantum && c.alone(r.prio)
 	if !long {
 		slice = min(slice, c.quantum)
 	}
@@ -194,8 +242,13 @@ func (c *CPU) grant() {
 		c.dispatch(r.prio, slice)
 	}
 	c.until = c.start.Add(slice)
+	return long
+}
+
+// endLater schedules the end of the slice begin granted.
+func (c *CPU) endLater(long bool) {
 	if !long {
-		c.end = c.eng.After(slice, c.sliceEnded)
+		c.end = c.eng.After(c.until.Sub(c.start), c.sliceEnded)
 		return
 	}
 	// The seq the first quantum's slice-end event would have taken keys
@@ -249,15 +302,16 @@ func (c *CPU) endAt(t sim.Time) {
 // completes or drops the request.
 func (c *CPU) endSlice() {
 	r := c.cur
-	slice := c.eng.Now().Sub(c.start)
-	c.busy[r.prio] += slice
-	c.total += slice
-	r.remaining -= slice
+	c.charge(r, c.eng.Now().Sub(c.start))
 	c.cur = nil
 	c.eng.RemoveLattice(&c.lat)
 	if r.remaining <= 0 {
 		r.finished = true
-		r.done.WakeOne()
+		if r.done.WakeOneThen(c.kicked) {
+			// The deferred grant rides on the wake, the next event.
+			c.granting = true
+			return
+		}
 	} else if r.runnable() {
 		c.ready[r.prio] = append(c.ready[r.prio], r)
 	} else if r.task != nil && (r.task.Killed() || r.task.Done()) {
@@ -268,6 +322,13 @@ func (c *CPU) endSlice() {
 		c.ready[r.prio] = append([]*request{r}, c.ready[r.prio]...)
 	}
 	c.grantSoon()
+}
+
+// charge accounts slice of CPU to r.
+func (c *CPU) charge(r *request, slice time.Duration) {
+	c.busy[r.prio] += slice
+	c.total += slice
+	r.remaining -= slice
 }
 
 // pick removes and returns the first runnable request of the highest

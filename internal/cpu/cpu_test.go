@@ -254,17 +254,60 @@ func TestQueueLenAccounting(t *testing.T) {
 // events are method values bound in New.
 func TestUseAllocatesNothing(t *testing.T) {
 	e := sim.NewEngine(1)
-	c := New(e)
+	c, short := New(e), New(e)
 	e.Spawn("user", func(tk *sim.Task) {
 		for {
 			c.Use(tk, 2500*time.Microsecond, params.PrioKernel) // three slices
+		}
+	})
+	e.Spawn("short", func(tk *sim.Task) {
+		for {
+			short.Use(tk, 300*time.Microsecond, params.PrioLocal) // slice ends skipped
 		}
 	})
 	e.RunFor(time.Second)
 	if n := testing.AllocsPerRun(100, func() { e.RunFor(10 * time.Millisecond) }); n != 0 {
 		t.Fatalf("%v allocations per 10 ms of back-to-back Use, want 0", n)
 	}
+	if e.Stats().Skipped == 0 {
+		t.Fatal("no slice end was skipped")
+	}
 	e.Shutdown()
+}
+
+// TestSkipRecheckedAfterDispatchHook: back-to-back lone uses skip their
+// slice ends, but not one whose dispatch hook schedules an event for the
+// instant (a trace subscriber may): that use is granted once, as the grant
+// it stands for would have granted it — here a long slice, whose boundary
+// with an event due becomes a grant again — and the hook's event runs
+// first.
+func TestSkipRecheckedAfterDispatchHook(t *testing.T) {
+	e := sim.NewEngine(1)
+	c := New(e)
+	var log, grants []string
+	c.SetDispatchHook(func(int, time.Duration) {
+		if grants = append(grants, fmt.Sprint(e.Now())); len(grants) == 3 {
+			e.After(0, func() {
+				log = append(log, fmt.Sprintf("%v hook's event", e.Now()))
+				e.After(time.Millisecond, func() { log = append(log, fmt.Sprintf("%v on a boundary", e.Now())) })
+			})
+		}
+	})
+	e.Spawn("user", func(tk *sim.Task) {
+		for i, d := range []time.Duration{400, 400, 2500, 400} {
+			c.Use(tk, d*time.Microsecond, params.PrioLocal)
+			log = append(log, fmt.Sprintf("%v use %d", e.Now(), i))
+		}
+	})
+	e.RunFor(10 * time.Millisecond)
+	want := []string{"400µs use 0", "800µs use 1", "800µs hook's event", "1.8ms on a boundary", "3.3ms use 2", "3.7ms use 3"}
+	wantGrants := []string{"0s", "400µs", "800µs", "1.8ms", "3.3ms"}
+	if !slices.Equal(log, want) || !slices.Equal(grants, wantGrants) || e.Stats().Skipped != 3 {
+		t.Fatalf("log %q, grants at %q, %d skipped; want %q, %q and 3", log, grants, e.Stats().Skipped, want, wantGrants)
+	}
+	if c.TotalBusy() != 3700*time.Microsecond {
+		t.Fatalf("TotalBusy = %v, want 3.7ms", c.TotalBusy())
+	}
 }
 
 // TestLoneSlicesKeepGrantOrder pins the tie between lone slices granted at

@@ -47,10 +47,15 @@ type diffTask struct {
 }
 
 type diffUse struct {
+	cpu  int // the task's, mostly
 	d    time.Duration
 	prio int
 	gate int           // index into the run's gates, or -1
+	read int           // CPU the task reads once the use is done, or -1
 	gap  time.Duration // sleep before the next use; 0: at once
+	// hook: the dispatch hook schedules an event for the instant at each
+	// run of grants to this use, as a trace subscriber may.
+	hook bool
 }
 
 type diffAct struct {
@@ -106,10 +111,17 @@ func newDiffScript(rng *rand.Rand) diffScript {
 	for i, n := 0, 1+rng.Intn(7); i < n; i++ {
 		tk := diffTask{cpu: rng.Intn(s.cpus), at: instant()}
 		for j, m := 0, 1+rng.Intn(4); j < m; j++ {
-			u := diffUse{d: length(), prio: rng.Intn(params.NumPrios), gate: -1}
-			if rng.Intn(2) == 0 {
-				u.gate = tk.cpu*gatesPerCPU + rng.Intn(gatesPerCPU)
+			u := diffUse{cpu: tk.cpu, d: length(), prio: rng.Intn(params.NumPrios), gate: -1, read: -1}
+			if rng.Intn(6) == 0 {
+				u.cpu = rng.Intn(s.cpus)
 			}
+			if rng.Intn(2) == 0 {
+				u.gate = u.cpu*gatesPerCPU + rng.Intn(gatesPerCPU)
+			}
+			if rng.Intn(3) == 0 {
+				u.read = rng.Intn(s.cpus)
+			}
+			u.hook = rng.Intn(5) == 0
 			if rng.Intn(2) == 0 {
 				u.gap = grid * time.Duration(rng.Intn(8))
 				if rng.Intn(3) == 0 {
@@ -120,8 +132,24 @@ func newDiffScript(rng *rand.Rand) diffScript {
 		}
 		s.tasks = append(s.tasks, tk)
 	}
+	// planned is where a task's use ends if nothing delays it: an instant
+	// where a slice end, run or skipped, meets what else is due there.
+	planned := func() sim.Time {
+		tk := s.tasks[rng.Intn(len(s.tasks))]
+		t := tk.at
+		for j, n := 0, rng.Intn(len(tk.uses)); ; j++ {
+			t = t.Add(tk.uses[j].d)
+			if j == n {
+				return t
+			}
+			t = t.Add(tk.uses[j].gap)
+		}
+	}
 	for i, n := 0, rng.Intn(16); i < n; i++ {
 		a := diffAct{at: instant(), kind: rng.Intn(4), late: rng.Intn(4) == 0}
+		if rng.Intn(3) == 0 {
+			a.at = planned()
+		}
 		switch a.kind {
 		case actClose, actOpen:
 			a.arg = rng.Intn(s.cpus * gatesPerCPU)
@@ -136,17 +164,23 @@ func newDiffScript(rng *rand.Rand) diffScript {
 		s.acts = append(s.acts, a)
 	}
 	for i, n := 0, rng.Intn(6); i < n; i++ {
-		s.stops = append(s.stops, instant())
+		t := instant()
+		if rng.Intn(3) == 0 {
+			t = planned() + sim.Time(rng.Intn(3)) - 1
+		}
+		s.stops = append(s.stops, t)
 	}
 	slices.Sort(s.stops)
 	return s
 }
 
 // diffRun is what one scheduler did with a script: the log of completions
-// and reads in the order they happened, and each CPU's grants.
+// and reads in the order they happened, each CPU's grants, and the
+// engine's counters.
 type diffRun struct {
 	log    []string
 	grants [][]string
+	stats  sim.Stats
 }
 
 func playDiffScript(s diffScript, mk func(*sim.Engine) (scheduler, func() *sim.Task, func(func(int, time.Duration)))) diffRun {
@@ -155,8 +189,12 @@ func playDiffScript(s diffScript, mk func(*sim.Engine) (scheduler, func() *sim.T
 	var run diffRun
 	cpus := make([]scheduler, s.cpus)
 	run.grants = make([][]string, s.cpus)
+	logf := func(format string, args ...any) {
+		run.log = append(run.log, fmt.Sprintf("%v ", e.Now())+fmt.Sprintf(format, args...))
+	}
 	// use[task] is the use a task is in: grants name (task, use).
 	use := map[*sim.Task]string{}
+	hooked := map[string]bool{} // uses whose grants schedule an event
 	for i := range cpus {
 		var cur func() *sim.Task
 		var hook func(func(int, time.Duration))
@@ -166,6 +204,9 @@ func playDiffScript(s diffScript, mk func(*sim.Engine) (scheduler, func() *sim.T
 			// One long slice stands for a run of grants to one request.
 			if n := len(run.grants[i]); n == 0 || run.grants[i][n-1] != g {
 				run.grants[i] = append(run.grants[i], g)
+				if hooked[g] {
+					e.After(0, func() { logf("hooked %s", g) })
+				}
 			}
 		})
 	}
@@ -173,9 +214,6 @@ func playDiffScript(s diffScript, mk func(*sim.Engine) (scheduler, func() *sim.T
 	gates := make([]Gate, len(frozen))
 	for g := range gates {
 		gates[g] = func() bool { return !frozen[g] }
-	}
-	logf := func(format string, args ...any) {
-		run.log = append(run.log, fmt.Sprintf("%v ", e.Now())+fmt.Sprintf(format, args...))
 	}
 	read := func(i int, why string) {
 		c := cpus[i]
@@ -196,8 +234,12 @@ func playDiffScript(s diffScript, mk func(*sim.Engine) (scheduler, func() *sim.T
 						gate = gates[u.gate]
 					}
 					use[t] = fmt.Sprintf("t%d.%d", k, j)
-					cpus[tk.cpu].UseGated(t, u.d, u.prio, gate)
+					hooked[use[t]] = u.hook
+					cpus[u.cpu].UseGated(t, u.d, u.prio, gate)
 					logf("t%d.%d done", k, j)
+					if u.read >= 0 {
+						read(u.read, fmt.Sprintf("t%d.%d", k, j))
+					}
 					if u.gap > 0 {
 						t.Sleep(u.gap)
 					}
@@ -217,7 +259,9 @@ func playDiffScript(s diffScript, mk func(*sim.Engine) (scheduler, func() *sim.T
 		case actKill:
 			if t := tasks[a.arg]; t != nil {
 				t.Kill()
-				cpus[s.tasks[a.arg].cpu].Touch()
+				for _, c := range cpus { // any may be running it
+					c.Touch()
+				}
 			}
 		case actRead:
 			read(a.arg, "read")
@@ -244,10 +288,13 @@ func playDiffScript(s diffScript, mk func(*sim.Engine) (scheduler, func() *sim.T
 			schedule(true)
 		}
 	}
+	// Under RunUntil, not Run, so that the CPU may skip slice ends.
+	e.RunUntil(sim.Time(time.Second))
 	e.Run()
 	for i := range cpus {
 		read(i, "end")
 	}
+	run.stats = e.Stats()
 	return run
 }
 
@@ -259,9 +306,15 @@ func playDiffScript(s diffScript, mk func(*sim.Engine) (scheduler, func() *sim.T
 // up to three CPUs sharing an engine. Completion instants and order, each
 // CPU's grant order and every read must agree.
 //
+// Tasks read a CPU's statistics right after a use, too, so a slice end the
+// clock skipped (sim.Engine.SkipTo) must leave the same reads as the
+// event: the test asserts that slice ends were skipped and wakes merged.
+//
 // It is red when the long grant keys its boundaries by anything but the
 // sequence number Reserve took (seq 0: lone slices granted at one instant
-// tie), and when Touch does nothing (a slice whose gate closed runs on).
+// tie), when Touch does nothing (a slice whose gate closed runs on), and
+// when a skip ignores an event due at or before its end, a lattice instant
+// at its end, or the bound of the RunUntil under way.
 func TestSchedulerDifferential(t *testing.T) {
 	newCPU := func(e *sim.Engine) (scheduler, func() *sim.Task, func(func(int, time.Duration))) {
 		c := New(e)
@@ -273,8 +326,15 @@ func TestSchedulerDifferential(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(20261017))
 	lines := 0
-	for round := 0; round < 1500; round++ {
-		s := newDiffScript(rng)
+	var skipped, merged uint64
+	scripts := skipScripts()
+	for round := 0; round < 1500+len(scripts); round++ {
+		var s diffScript
+		if round < len(scripts) {
+			s = scripts[round]
+		} else {
+			s = newDiffScript(rng)
+		}
 		got, want := playDiffScript(s, newCPU), playDiffScript(s, newRefCPU)
 		for i := range max(len(got.log), len(want.log)) {
 			if i >= len(got.log) || i >= len(want.log) || got.log[i] != want.log[i] {
@@ -289,8 +349,36 @@ func TestSchedulerDifferential(t *testing.T) {
 			}
 		}
 		lines += len(got.log)
+		skipped += got.stats.Skipped
+		merged += got.stats.Merged
 	}
-	t.Logf("%d log lines agree", lines)
+	t.Logf("%d log lines agree; %d slice ends skipped, %d wakes merged", lines, skipped, merged)
+	if skipped < 500 || merged < 1000 {
+		t.Fatalf("%d slice ends skipped, %d wakes merged: the skip path was hardly run", skipped, merged)
+	}
+}
+
+// skipScripts are written out rather than drawn: on cpu0, a task's second
+// use of 500 µs would be a skipped slice end at 1 ms — but for a read due
+// there, a quantum boundary there of cpu1's long slice (granted at 0) that
+// the task reads, or a RunUntil stopping 1 ns before.
+func skipScripts() []diffScript {
+	const us = time.Microsecond
+	uses := func(read int) []diffUse {
+		return []diffUse{
+			{d: 500 * us, prio: params.PrioGuest, gate: -1, read: -1},
+			{d: 500 * us, prio: params.PrioGuest, gate: -1, read: read},
+		}
+	}
+	alone := diffTask{cpu: 0, uses: uses(-1)}
+	long := diffTask{cpu: 1, uses: []diffUse{{cpu: 1, d: 10 * params.CPUQuantum, prio: params.PrioGuest, gate: -1, read: -1}}}
+	ms := sim.Time(time.Millisecond)
+	return []diffScript{
+		{cpus: 1, tasks: []diffTask{alone}},
+		{cpus: 1, tasks: []diffTask{alone}, acts: []diffAct{{at: ms, kind: actRead}}},
+		{cpus: 2, tasks: []diffTask{{cpu: 0, uses: uses(1)}, long}},
+		{cpus: 1, tasks: []diffTask{alone}, stops: []sim.Time{ms - 1}},
+	}
 }
 
 // tail is the log up to and including line i, the last few lines of it.

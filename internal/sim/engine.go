@@ -1,14 +1,17 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine maintains a virtual clock, an event heap, a FIFO of the
-// events scheduled for the current instant, and an index of lattices:
+// The engine maintains a virtual clock, two event heaps (events due soon
+// and events due a horizon or more after they were scheduled), a FIFO of
+// the events scheduled for the current instant, and an index of lattices:
 // evenly spaced instants at which an owner would have had events it left
 // unscheduled, which the clock passes unless something else is due there
 // (Lattice). All simulated activity — network frames, CPU slices, protocol
 // timers, server logic — runs as events on one goroutine, or as coroutine
 // Tasks that the engine resumes one at a time. Because at most one task is
 // runnable at any instant and ties are broken by sequence number, a
-// simulation with a fixed seed is exactly reproducible.
+// simulation with a fixed seed is exactly reproducible. A resumption may
+// carry a follow-up that runs once the task parks (WakeOneThen, Then), and
+// a task may move the clock itself where no event could tell (SkipTo).
 //
 // Time is modeled in virtual nanoseconds (Time); durations use the standard
 // time.Duration so that literals like 3*time.Millisecond read naturally.
@@ -44,11 +47,12 @@ type event struct {
 	at     Time
 	born   Time   // the instant it was scheduled at, or stands in for (AtKey)
 	seq    uint64 // FIFO tie-break for events at the same instant
-	fn     func()
-	task   *Task // when non-nil, resume this task instead of calling fn
+	fn     func() // with task, its follow-up (WakeOneThen), or nil
+	task   *Task  // when non-nil, resume this task instead of calling fn
 	reason WakeReason
 	gen    uint32
 	keyed  bool // placed by AtKey
+	far    bool // in Engine.far, not Engine.near
 	index  int  // heap index, or notPending / inNowQ
 }
 
@@ -85,7 +89,7 @@ func (t Timer) Stop() bool {
 		ev.index = notPending
 		e.nowStopped++
 	} else {
-		e.release(e.events.remove(ev.index))
+		e.release(e.heap(ev).remove(ev.index))
 	}
 	e.stats.Stopped++
 	return true
@@ -197,11 +201,21 @@ func (h eventHeap) down(i int, ev *event) {
 // to the garbage collector.
 const maxFree = 1 << 16
 
+// farHorizon is how far ahead of the clock an event must be scheduled to go
+// on the far heap: protocol timeouts, reply-cache sweeps and sleeping
+// servers, most of them stopped or rescheduled long before they are due,
+// which would otherwise deepen every sift of the busy near heap.
+const farHorizon = Time(20 * time.Millisecond)
+
 // Engine is a discrete-event simulator instance.
 type Engine struct {
-	now    Time
-	seq    uint64
-	events eventHeap
+	now Time
+	seq uint64
+	// near and far hold the pending events not due at the instant they
+	// were scheduled, far those due farHorizon or more after it. The next
+	// event is the earlier of the two tops, so the split does not change
+	// the pop order.
+	near, far eventHeap
 	// nowq holds, in scheduling order, the events that were scheduled for
 	// the instant at which they were scheduled — wake-ups, yields, spawns,
 	// CPU kicks: most of all events — which would otherwise sift to the top
@@ -216,7 +230,15 @@ type Engine struct {
 	running    *Task   // task currently executing, nil when in plain events
 	live       []*Task // spawned and not finished, each at index Task.live
 	lattices   latticeIndex
-	stats      Stats
+	// then is the follow-up of the firing event while its task runs
+	// (WakeOneThen, Then); thens counts the follow-ups not yet run, pending
+	// as events would be.
+	then  func()
+	thens int
+	// limit is the bound of the RunUntil under way: SkipTo never moves the
+	// clock past it. Zero outside RunUntil, where nothing skips.
+	limit Time
+	stats Stats
 }
 
 // Stats are an engine's cumulative counters since creation.
@@ -225,6 +247,8 @@ type Stats struct {
 	Dispatches uint64 // task resumptions: switches into a task and back
 	Stopped    uint64 // timers cancelled while still pending
 	MaxPending int    // most events pending at once
+	Merged     uint64 // follow-ups run in their wake's event (WakeOneThen, Then)
+	Skipped    uint64 // events a task skipped by moving the clock itself (SkipTo)
 }
 
 // Stats returns the engine's cumulative counters.
@@ -265,7 +289,7 @@ func (e *Engine) release(ev *event) {
 	}
 }
 
-// schedule makes ev pending at instant t: on the heap, or in nowq when t is
+// schedule makes ev pending at instant t: on a heap, or in nowq when t is
 // the current instant.
 func (e *Engine) schedule(t Time, ev *event) {
 	if t < e.now {
@@ -277,22 +301,50 @@ func (e *Engine) schedule(t Time, ev *event) {
 		ev.index = inNowQ
 		e.nowq.push(ev)
 	} else {
-		e.events.push(ev)
+		e.push(ev)
 	}
 	if n := e.Pending(); n > e.stats.MaxPending {
 		e.stats.MaxPending = n
 	}
 }
 
+// push places ev, due after now, on the heap its distance picks.
+func (e *Engine) push(ev *event) {
+	ev.far = ev.at-e.now >= farHorizon
+	e.heap(ev).push(ev)
+}
+
+// heap returns the heap ev is on, or would go on.
+func (e *Engine) heap(ev *event) *eventHeap {
+	if ev.far {
+		return &e.far
+	}
+	return &e.near
+}
+
+// top returns the earlier of the two heaps' tops, or nil if both are empty.
+func (e *Engine) top() *event {
+	if len(e.far) == 0 {
+		if len(e.near) == 0 {
+			return nil
+		}
+		return e.near[0]
+	}
+	if len(e.near) == 0 || before(e.far[0], e.near[0]) {
+		return e.far[0]
+	}
+	return e.near[0]
+}
+
 // next returns the earliest pending event by (at, seq) without removing it
-// — the head of nowq or the top of the heap — or nil if none is pending.
-// Stopped events at the head of nowq are dropped on the way.
+// — the head of nowq or a heap's top — or nil if none is pending. Stopped
+// events at the head of nowq are dropped on the way.
 func (e *Engine) next() *event {
 	for e.nowq.len() > 0 {
 		head := e.nowq.live()[0]
 		if head.index == inNowQ {
-			if len(e.events) > 0 && before(e.events[0], head) {
-				return e.events[0]
+			if top := e.top(); top != nil && before(top, head) {
+				return top
 			}
 			return head
 		}
@@ -302,10 +354,7 @@ func (e *Engine) next() *event {
 			e.free = append(e.free, head)
 		}
 	}
-	if len(e.events) > 0 {
-		return e.events[0]
-	}
-	return nil
+	return e.top()
 }
 
 // At schedules fn to run at instant t. Scheduling in the past is an error in
@@ -337,16 +386,21 @@ func (e *Engine) AtKey(t, born Time, seq uint64, fn func()) Timer {
 	ev.fn = fn
 	ev.at, ev.born, ev.seq, ev.keyed = t, born, seq, true
 	// Never nowq: born may precede the events queued there.
-	e.events.push(ev)
+	e.push(ev)
 	if n := e.Pending(); n > e.stats.MaxPending {
 		e.stats.MaxPending = n
 	}
 	return Timer{eng: e, ev: ev, gen: ev.gen}
 }
 
-// Due reports whether an event is pending at the current instant.
+// Due reports whether an event is pending at the current instant, the
+// follow-up of the firing event included.
 func (e *Engine) Due() bool {
-	return e.nowq.len() > e.nowStopped || len(e.events) > 0 && e.events[0].at == e.now
+	if e.then != nil || e.nowq.len() > e.nowStopped {
+		return true
+	}
+	top := e.top()
+	return top != nil && top.at == e.now
 }
 
 // After schedules fn to run d from now.
@@ -388,7 +442,7 @@ func (e *Engine) fire(ev *event) {
 		e.nowq.pop()
 		ev.index = notPending
 	} else {
-		e.events.popMin()
+		e.heap(ev).popMin()
 	}
 	e.now = ev.at
 	fn, task, reason := ev.fn, ev.task, ev.reason
@@ -396,11 +450,73 @@ func (e *Engine) fire(ev *event) {
 	// event back first makes Stop from inside the callback a clean no-op.
 	e.release(ev)
 	e.stats.Fired++
-	if task != nil {
-		task.dispatch(reason)
-	} else {
+	if task == nil {
 		fn()
+	} else {
+		e.resume(task, reason, fn)
 	}
+}
+
+// resume dispatches t and, once it parks or finishes, runs the follow-up
+// of the event that resumed it — then, or one t set with Then — which is
+// pending meanwhile: Due and Pending count it.
+func (e *Engine) resume(t *Task, reason WakeReason, then func()) {
+	e.then = then
+	defer func() {
+		if then := e.then; then != nil {
+			// t panicked: the follow-up still runs, as an event of its own.
+			e.then = nil
+			e.thens--
+			e.After(0, then)
+		}
+	}()
+	t.dispatch(reason)
+	if then = e.then; then != nil {
+		e.then = nil
+		e.thens--
+		e.stats.Merged++
+		then()
+	}
+}
+
+// Then makes fn the follow-up of the event that resumed the running task,
+// as WakeOneThen would have: fn runs in it once the task parks or
+// finishes. The event must have no follow-up already.
+func (e *Engine) Then(fn func()) {
+	if e.running == nil || e.then != nil {
+		panic("sim: Then outside a task, or after another follow-up")
+	}
+	e.then = fn
+	e.thens++
+}
+
+// CanSkipTo reports whether SkipTo(t, at) would move the clock.
+func (e *Engine) CanSkipTo(t *Task, at Time) bool {
+	if e.running != t || t.killed || at <= e.now || at > e.limit || e.nowq.len() > e.nowStopped {
+		return false
+	}
+	if top := e.top(); top != nil && top.at <= at {
+		return false
+	}
+	return !e.lattices.has(at)
+}
+
+// SkipTo moves the clock to at from inside the running task t, in place of
+// t parking until an event due at at resumes it, and reports whether it
+// did. It does only when nothing could tell the two apart: nothing is
+// pending at or before at, no lattice has an instant there, at is within
+// the bound of the RunUntil under way (Step and Run never skip), and t was
+// not killed. The one thing that moves with the clock is the follow-up of
+// the event that resumed t (WakeOneThen, Then): it runs when t parks, at
+// at, so the caller must know it stands for what would run there — for a
+// CPU, the grant behind the skipped slice end's wake.
+func (e *Engine) SkipTo(t *Task, at Time) bool {
+	if !e.CanSkipTo(t, at) {
+		return false
+	}
+	e.now = at
+	e.stats.Skipped++
+	return true
 }
 
 // Run processes events until none is pending.
@@ -412,6 +528,8 @@ func (e *Engine) Run() {
 // RunUntil processes events with timestamps <= t and then sets the clock to
 // t. Events scheduled later remain pending.
 func (e *Engine) RunUntil(t Time) {
+	defer func(outer Time) { e.limit = outer }(e.limit)
+	e.limit = t
 	for {
 		ev := e.next()
 		if ev == nil || ev.at > t {
@@ -437,7 +555,9 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 
 // Pending reports the number of live scheduled events; stopped timers are
 // never counted.
-func (e *Engine) Pending() int { return len(e.events) + e.nowq.len() - e.nowStopped }
+func (e *Engine) Pending() int {
+	return len(e.near) + len(e.far) + e.nowq.len() - e.nowStopped + e.thens
+}
 
 // LiveTasks reports the number of spawned tasks that have not finished.
 func (e *Engine) LiveTasks() int { return len(e.live) }

@@ -8,8 +8,9 @@ import (
 	"time"
 )
 
-// TestHeapDifferential drives the engine's event queues — the heap, the
-// FIFO of events due at the current instant and the lattice index — and a
+// TestHeapDifferential drives the engine's event queues — the near and far
+// heaps, the FIFO of events due at the current instant and the lattice
+// index — and a
 // reference — the pending events in a slice sorted by (at, born, seq,
 // keyed), and the lattices in a list scanned whenever the clock moves —
 // through the same seeded stream of At / After(0) / Reserve / AtKey /
@@ -20,8 +21,10 @@ import (
 // instant are still pending, instants shared by many events, keyed events
 // born before the current instant (which run ahead of those queued for
 // it), keyed events whose (at, born, seq) is a scheduled event's, events
-// and RunUntil limits on lattice instants, and lattices re-added after a
-// hit or a removal. Fire order and instant, the lattices hit at each
+// and RunUntil limits on lattice instants, lattices re-added after a hit
+// or a removal, and events, keyed ones too, on both sides of the far heap's
+// horizon and exactly on it, stopped and run, with RunUntil limits at their
+// instants. Fire order and instant, the lattices hit at each
 // instant the clock enters, every Stop result, the clock after RunUntil
 // and Pending() must agree at every step.
 func TestHeapDifferential(t *testing.T) {
@@ -72,7 +75,24 @@ func TestHeapDifferential(t *testing.T) {
 		reserved []uint64 // taken by Reserve, not yet used by AtKey
 		refNow   Time     // the reference's clock
 		hits     int      // lattices hit
+		farSeen  int      // events placed on the far heap
+		farAtMax int      // its depth at most
 	)
+	// far is an instant on the far heap's horizon, 1 ns either side of it,
+	// or up to 40 ms past it.
+	far := func() Time {
+		at := e.Now() + farHorizon
+		switch rng.Intn(4) {
+		case 0:
+			at--
+		case 1:
+		case 2:
+			at++
+		default:
+			at += Time(rng.Intn(40_000)) * Time(time.Microsecond)
+		}
+		return at
+	}
 
 	// entry is what one callback saw and did, or one lattice hit.
 	type entry struct {
@@ -116,6 +136,9 @@ func TestHeapDifferential(t *testing.T) {
 	}
 	schedule = func(at Time, after0 bool) {
 		id, fn := callback()
+		if at-e.Now() >= farHorizon {
+			farSeen++
+		}
 		seq++
 		if after0 {
 			timers = append(timers, e.After(0, fn))
@@ -134,6 +157,9 @@ func TestHeapDifferential(t *testing.T) {
 			}
 		}
 		id, fn := callback()
+		if at-e.Now() >= farHorizon {
+			farSeen++
+		}
 		timers = append(timers, e.AtKey(at, born, s, fn))
 		ref = append(ref, refEv{at: at, born: born, seq: s, keyed: true, id: id})
 		sorted = false
@@ -255,6 +281,9 @@ func TestHeapDifferential(t *testing.T) {
 				// (born, seq) of a scheduled event due at the same instant.
 				now := e.Now()
 				at := now + Time(rng.Intn(3))*Time(rng.Intn(2000))*Time(time.Microsecond)
+				if rng.Intn(4) == 0 {
+					at = far()
+				}
 				born := now
 				switch rng.Intn(4) {
 				case 0:
@@ -293,6 +322,10 @@ func TestHeapDifferential(t *testing.T) {
 				rl.live = false
 			}
 		case grow && r < 35, !grow && r < 20:
+			if rng.Intn(8) == 0 {
+				schedule(far(), false)
+				break
+			}
 			schedule(e.Now().Add(time.Duration(rng.Intn(2000))*time.Microsecond), false)
 		case grow && r < 45, !grow && r < 25:
 			// The instant of an event already pending: instants shared by
@@ -318,7 +351,7 @@ func TestHeapDifferential(t *testing.T) {
 			// behind it.
 			now := e.Now()
 			until := now.Add(time.Duration(rng.Intn(60)-20) * time.Microsecond)
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0:
 				if len(ref) > 0 {
 					refSort()
@@ -329,6 +362,15 @@ func TestHeapDifferential(t *testing.T) {
 				// while growing, when it would empty the heap.
 				if at, ok := nextInstant(); ok && !grow {
 					until = at
+				}
+			case 3:
+				// On any pending event's instant, far ones included, or on
+				// the horizon: not while growing.
+				if !grow {
+					until = now + farHorizon
+					if len(ref) > 0 && rng.Intn(2) == 0 {
+						until = ref[rng.Intn(len(ref))].at
+					}
 				}
 			}
 			e.RunUntil(until)
@@ -360,12 +402,16 @@ func TestHeapDifferential(t *testing.T) {
 		if e.Pending() != len(ref) {
 			t.Fatalf("op %d: Pending = %d, reference %d", op, e.Pending(), len(ref))
 		}
+		farAtMax = max(farAtMax, len(e.far))
+	}
+	if farSeen < 2000 || farAtMax < 100 {
+		t.Fatalf("%d events placed far, %d on the far heap at most: it was never exercised", farSeen, farAtMax)
 	}
 	if e.Stats().MaxPending < 1000 {
 		t.Fatalf("MaxPending = %d: the heap was never deep", e.Stats().MaxPending)
 	}
-	t.Logf("%d events, %d stopped, %d pending at most, %d lattice hits",
-		e.Stats().Fired, e.Stats().Stopped, e.Stats().MaxPending, hits)
+	t.Logf("%d events, %d stopped, %d pending at most, %d lattice hits, %d placed far, %d far at most",
+		e.Stats().Fired, e.Stats().Stopped, e.Stats().MaxPending, hits, farSeen, farAtMax)
 	// Drain: the tail must come out in reference order too.
 	draining = true
 	for _, rl := range lats {

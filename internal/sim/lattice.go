@@ -73,7 +73,7 @@ func (e *Engine) enter(t Time) bool {
 	hit := false
 	for l := x.buckets[x.bucket(phase)]; l != nil; {
 		next := l.next
-		if l.phase == phase && l.start < t && t < l.end {
+		if l.has(t, phase) {
 			x.unlink(l)
 			x.n--
 			l.Hit(t)
@@ -82,6 +82,25 @@ func (e *Engine) enter(t Time) bool {
 		l = next
 	}
 	return hit
+}
+
+// has reports whether an indexed lattice has an instant at t.
+func (x *latticeIndex) has(t Time) bool {
+	if x.n == 0 {
+		return false
+	}
+	phase := t % x.step
+	for l := x.buckets[x.bucket(phase)]; l != nil; l = l.next {
+		if l.has(t, phase) {
+			return true
+		}
+	}
+	return false
+}
+
+// has reports whether t, whose phase is given, is one of l's instants.
+func (l *Lattice) has(t, phase Time) bool {
+	return l.phase == phase && l.start < t && t < l.end
 }
 
 // bucket hashes a phase (Fibonacci hashing: phases are often multiples of

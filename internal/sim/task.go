@@ -180,7 +180,7 @@ func (q *WaitQ) WaitTimeout(t *Task, d time.Duration) WakeReason {
 	timer := t.eng.After(d, func() {
 		if q.remove(t) {
 			t.waitq = nil
-			t.dispatch(WakeTimeout)
+			t.eng.resume(t, WakeTimeout, nil)
 		}
 	})
 	// Deferred, because a killed task leaves park by panic and must not
@@ -212,6 +212,28 @@ func (q *WaitQ) WakeOne() bool {
 	t := q.waiters.pop()
 	t.waitq = nil
 	t.eng.resumeAfter(0, t, WakeSignal)
+	return true
+}
+
+// WakeOneThen is WakeOne with a follow-up: then runs in the wake's event,
+// once the woken task parks again or finishes, and is pending until then.
+// It stands for an event scheduled right behind the wake: nothing could
+// run between the two, as an event scheduled meanwhile for this instant
+// queues behind them both, so they run as one. (A keyed event due now and
+// born earlier would sort between them; AtKey's one caller, cpu, places
+// keyed events only at later instants.)
+// If no task is waiting, it reports false and then is not scheduled.
+func (q *WaitQ) WakeOneThen(then func()) bool {
+	if q.waiters.len() == 0 {
+		return false
+	}
+	t := q.waiters.pop()
+	t.waitq = nil
+	e := t.eng
+	ev := e.alloc()
+	ev.task, ev.reason, ev.fn = t, WakeSignal, then
+	e.thens++
+	e.schedule(e.now, ev)
 	return true
 }
 
