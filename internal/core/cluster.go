@@ -15,6 +15,7 @@ import (
 	"vsystem/internal/ethernet"
 	"vsystem/internal/fault"
 	"vsystem/internal/fileserver"
+	"vsystem/internal/freelist"
 	"vsystem/internal/image"
 	"vsystem/internal/kernel"
 	"vsystem/internal/nameserver"
@@ -126,11 +127,11 @@ type Node struct {
 	// policy over the node's cached cluster-load view. It survives
 	// crash/restart cycles: stale entries age out, and a dead candidate
 	// drops out when it fails a probe.
-	Selector *sched.Selector
-	cluster  *Cluster
-	pagerSeq uint32
-	calls    []*pagerCall   // finished pager calls, for the next faults
-	fetched  kernel.PageRun // the demand-fetched run being installed (demandFetch)
+	Selector   *sched.Selector
+	cluster    *Cluster
+	pagerSeq   uint32
+	pagerCalls freelist.List[*pagerCall] // finished pager calls, for the next faults
+	fetched    kernel.PageRun            // the demand-fetched run being installed (demandFetch)
 }
 
 // Options returns the options the cluster was booted with, defaults
@@ -220,14 +221,15 @@ func NewCluster(opt Options) *Cluster {
 		h := kernel.NewHost(eng, bus, i, fmt.Sprintf("ws%d", i))
 		h.AttachTrace(tb)
 		registerHostMetrics(tb, h)
-		n := &Node{Host: h, cluster: c}
+		n := &Node{Host: h, cluster: c,
+			pagerCalls: freelist.NewList(8, func() *pagerCall { return new(pagerCall) }, nil, eng.Poison())}
 		n.PM = progmgr.Start(h)
 		n.PM.SelectDally = dally
 		cache := sched.NewCache(eng.Now)
 		n.Selector = sched.NewSelector(selPolicy, cache,
 			vid.GroupProgramManagers, progmgr.PmSelectHost,
 			uint16(h.NIC.MAC()), tb,
-			rand.New(rand.NewSource(opt.Seed+int64(i+1)*7919)))
+			rand.New(rand.NewSource(opt.Seed+int64(i+1)*7919)), eng.Poison())
 		n.Selector.ReplyPermille = replyPermille
 		h.IPC.SetLoadSink(cache.Observe)
 		if selPolicy.LoadAware() {
@@ -478,21 +480,6 @@ func (c *Cluster) Run(d time.Duration) { c.Sim.RunFor(d) }
 // one's parked tasks (a goroutine and its stack apiece) for ever. Counters,
 // stores and the trace bus stay readable; the cluster cannot run again.
 func (c *Cluster) Close() { c.Sim.Shutdown() }
-
-// PoisonFreed makes every free list of the cluster — the segment's frame
-// payloads, each machine's segment buffers — overwrite what is handed back
-// to it, so that a test in which something still reads a recycled buffer
-// fails its digest instead of passing by luck. Behaviour is otherwise
-// unchanged; tests call it right after NewCluster.
-func (c *Cluster) PoisonFreed() {
-	c.Bus.PoisonFreed()
-	for _, n := range c.Nodes {
-		n.Host.IPC.PoisonFreed()
-	}
-	for _, h := range c.FSHosts {
-		h.IPC.PoisonFreed()
-	}
-}
 
 // Node returns the workstation with the given index.
 func (c *Cluster) Node(i int) *Node { return c.Nodes[i] }

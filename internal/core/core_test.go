@@ -19,7 +19,7 @@ func boot(t *testing.T, opt Options) *Cluster {
 	t.Helper()
 	c := NewCluster(opt)
 	t.Cleanup(c.Close)
-	c.PoisonFreed() // every core test: a recycled buffer read late is garbage
+	c.Sim.PoisonFreed() // every core test: a recycled buffer read late is garbage, a recycled record used late panics
 	c.Install(progs.Hello())
 	c.Install(progs.Primes(500))
 	c.Install(progs.Ticker(30))

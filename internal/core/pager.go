@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vsystem/internal/fileserver"
+	"vsystem/internal/freelist"
 	"vsystem/internal/ipc"
 	"vsystem/internal/kernel"
 	"vsystem/internal/mem"
@@ -199,8 +200,9 @@ func (at *copyAttempt) pageIn(t *sim.Task, node *Node, as *mem.AddressSpace, pn 
 // the faulting task, the port of its own it sends through, and the buffers
 // its request is built in — the file-service client's Conn outside a
 // process. A node keeps the calls its faults have finished with for the
-// next: as many as ever ran at once.
+// next (Node.pagerCalls: as many as ran at once, up to 8).
 type pagerCall struct {
+	n     *Node
 	t     *sim.Task
 	port  *ipc.Port
 	pages []mem.PageNo
@@ -208,19 +210,15 @@ type pagerCall struct {
 }
 
 func (c *pagerCall) Send(dst vid.PID, m vid.Message) (vid.Message, error) {
+	freelist.Check(&c.n.pagerCalls, c)
 	return c.port.Send(c.t, dst, m)
 }
 func (c *pagerCall) Sleep(d time.Duration) { c.t.Sleep(d) }
 
 // call opens a pager port for a fault t takes.
 func (n *Node) call(t *sim.Task) *pagerCall {
-	var c *pagerCall
-	if k := len(n.calls); k > 0 {
-		c, n.calls = n.calls[k-1], n.calls[:k-1]
-	} else {
-		c = new(pagerCall)
-	}
-	c.t, c.port = t, n.Host.IPC.NewPortGen(n.pagerPID())
+	c := n.pagerCalls.Get()
+	c.n, c.t, c.port = n, t, n.Host.IPC.NewPortGen(n.pagerPID())
 	return c
 }
 
@@ -231,7 +229,7 @@ func (n *Node) hangUp(c *pagerCall) {
 	c.port.Close()
 	if !c.t.Killed() {
 		c.t, c.port = nil, nil
-		n.calls = append(n.calls, c)
+		n.pagerCalls.Put(c)
 	}
 }
 

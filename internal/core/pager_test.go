@@ -97,3 +97,19 @@ func TestSteadyFaultsAllocateNothing(t *testing.T) {
 		t.Fatalf("%d faults served, want %d: %v", faults, 0x1000/2+23, faultErr)
 	}
 }
+
+// TestDeadPagerCallPanics: on a poisoning list (boot poisons), a pager call
+// handed back while its fault still holds it is dead, and sending through
+// it panics instead of using the port of the node's next fault.
+func TestDeadPagerCallPanics(t *testing.T) {
+	t.Parallel()
+	n := boot(t, Options{Workstations: 1, Seed: 1}).Node(0)
+	call := n.call(nil)
+	n.pagerCalls.Put(call)
+	defer func() {
+		if got := recover(); got != "freelist: a record is used after it was handed back" {
+			t.Fatalf("send through a pager call handed back: recovered %v, want the dead-record panic", got)
+		}
+	}()
+	call.Send(vid.NewPID(1, 1), vid.Message{})
+}

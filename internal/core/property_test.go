@@ -24,7 +24,7 @@ func TestQuickMigrationTransparency(t *testing.T) {
 	}
 	run := func(s schedule, seed int64) string {
 		c := NewCluster(Options{Workstations: 4, Seed: seed, Policy: s.policy, LossRate: s.loss})
-		c.PoisonFreed()
+		c.Sim.PoisonFreed()
 		c.Install(progs.Ticker(120))
 		var failure error
 		c.Node(0).Agent(func(a *Agent) {
@@ -100,7 +100,7 @@ func TestClusterSurvivesLossStress(t *testing.T) {
 
 func lossStress(t *testing.T, seed int64) {
 	c := NewCluster(Options{Workstations: 6, Seed: seed, LossRate: 0.05})
-	c.PoisonFreed()
+	c.Sim.PoisonFreed()
 	c.Install(progs.Ticker(60))
 	c.Install(progs.Primes(500))
 	for _, img := range workload.PaperImages() {
@@ -168,7 +168,7 @@ func lossStress(t *testing.T, seed int64) {
 func TestMigrationChainAcrossAllHosts(t *testing.T) {
 	t.Parallel()
 	c := NewCluster(Options{Workstations: 5, Seed: 5})
-	c.PoisonFreed()
+	c.Sim.PoisonFreed()
 	c.Install(progs.Ticker(200))
 	visited := map[string]bool{}
 	var failure error

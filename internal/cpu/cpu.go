@@ -33,6 +33,7 @@ package cpu
 import (
 	"time"
 
+	"vsystem/internal/freelist"
 	"vsystem/internal/params"
 	"vsystem/internal/sim"
 )
@@ -78,13 +79,15 @@ type CPU struct {
 	// The two events a CPU schedules and its lattice's Hit, bound once:
 	// there is one running request, so none needs a closure of its own.
 	kicked, sliceEnded func()
-	// free holds requests whose Use returned, for the next Use.
-	free []*request
+	// reqs holds requests whose Use returned, for the next Use: one per
+	// task charging the CPU at once, which seldom passes its bound.
+	reqs freelist.List[*request]
 }
 
 // New creates an idle CPU on the engine.
 func New(eng *sim.Engine) *CPU {
-	c := &CPU{eng: eng, quantum: params.CPUQuantum, started: eng.Now()}
+	c := &CPU{eng: eng, quantum: params.CPUQuantum, started: eng.Now(),
+		reqs: freelist.NewList(32, func() *request { return new(request) }, nil, eng.Poison())}
 	c.kicked, c.sliceEnded, c.lat.Hit = c.deferredGrant, c.endSlice, c.endAt
 	return c
 }
@@ -115,12 +118,7 @@ func (c *CPU) UseGated(t *sim.Task, d time.Duration, prio int, gate Gate) {
 	if prio < 0 || prio >= params.NumPrios {
 		panic("cpu: bad priority")
 	}
-	var r *request
-	if n := len(c.free); n > 0 {
-		r, c.free = c.free[n-1], c.free[:n-1]
-	} else {
-		r = new(request)
-	}
+	r := c.reqs.Get()
 	// Field by field: r.done keeps its (empty) waiter array.
 	r.task, r.prio, r.remaining, r.gate, r.finished = t, prio, d, gate, false
 	if end := c.eng.Now().Add(d); c.cur == nil && (c.granting || !c.eng.Due()) &&
@@ -163,7 +161,7 @@ func (c *CPU) UseGated(t *sim.Task, d time.Duration, prio int, gate Gate) {
 // discards its request.
 func (c *CPU) recycle(r *request) {
 	r.task, r.gate = nil, nil
-	c.free = append(c.free, r)
+	c.reqs.Put(r)
 }
 
 // Kick re-evaluates scheduling; call after a gate may have opened. An
@@ -232,6 +230,7 @@ func (c *CPU) grant() {
 // when nothing is queued at its priority or above. It reports whether the
 // slice is that long one.
 func (c *CPU) begin(r *request) (long bool) {
+	freelist.Check(&c.reqs, r)
 	c.cur, c.start = r, c.eng.Now()
 	slice := r.remaining
 	long = slice > c.quantum && c.alone(r.prio)

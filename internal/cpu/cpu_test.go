@@ -391,3 +391,21 @@ func TestPickReleasesRequests(t *testing.T) {
 		t.Fatalf("vacated slot still holds %p", tail)
 	}
 }
+
+// TestDeadRequestPanics: on a poisoning list, a request handed back while
+// the CPU still holds it is dead, and granting it a slice panics instead of
+// charging whichever Use takes the record next.
+func TestDeadRequestPanics(t *testing.T) {
+	e := sim.NewEngine(1)
+	e.PoisonFreed()
+	c := New(e)
+	r := c.reqs.Get()
+	r.prio, r.remaining = params.PrioKernel, time.Millisecond
+	c.reqs.Put(r)
+	defer func() {
+		if got := recover(); got != "freelist: a record is used after it was handed back" {
+			t.Fatalf("grant of a request handed back: recovered %v, want the dead-record panic", got)
+		}
+	}()
+	c.begin(r)
+}

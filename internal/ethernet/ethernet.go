@@ -54,9 +54,10 @@ type Frame struct {
 	// Lent marks a Payload that was built in a buffer from the segment's
 	// free list (NIC.FrameBuf) and has had one holder at a time since: the
 	// sender, the bus, the one station the frame is addressed to. Whoever
-	// holds such a frame last may hand the buffer back with NIC.Recycle.
-	// The bus clears the mark on a frame with several receivers, and on the
-	// copy it delivers in place of a corrupted frame.
+	// holds such a frame last may hand the buffer back with NIC.Recycle;
+	// the bus does for one it drops or delivers to nobody. The bus clears
+	// the mark on a frame with several receivers, and on the copy it
+	// delivers in place of a corrupted frame.
 	Lent bool
 }
 
@@ -106,8 +107,9 @@ type Bus struct {
 	// and each one's delivery event (arrived, bound once) takes the head.
 	flight  sim.Queue[inflight]
 	arrived func()
-	// bufs recycles the payloads of unicast frames. The bus only lends and
-	// takes back: it never decides that a frame is finished with.
+	// bufs recycles the payloads of unicast frames. The bus lends them,
+	// and takes back one it is the last holder of: a frame it drops, or
+	// one the station it is addressed to does not take.
 	bufs *freelist.Bytes
 	// pages recycles the page frames of the cluster's address spaces, and
 	// segs the message segment buffers of its IPC engines. Neither crosses
@@ -135,53 +137,28 @@ func NewBus(eng *sim.Engine) *Bus {
 		eng:      eng,
 		stations: make(map[MAC]*NIC),
 		members:  make(map[MAC][]*NIC),
-		bufs:     freelist.New(params.FrameMTU, frameBufsKept),
-		pages:    freelist.New(params.PageSize, pageFramesKept),
-		segs:     freelist.New(vid.SegMax, segBufsKept),
+		bufs:     freelist.New(params.FrameMTU, frameBufsKept, eng.Poison()),
+		pages:    freelist.New(params.PageSize, pageFramesKept, eng.Poison()),
+		segs:     freelist.New(vid.SegMax, segBufsKept, eng.Poison()),
 	}
 	b.arrived = b.arrive
 	return b
 }
 
-// frameBufsKept bounds the segment's free list of frame payloads: the
-// frames on the wire and in receivers' input queues during a bulk copy,
-// and the short reply segments built in them that reply caches hold — a
-// file server's page-in copies, for ReplyCacheTTL each — with room to
-// spare (192 KB at most).
-const frameBufsKept = 128
+// The bounds of the cluster's lists, whatever its host count, each above
+// the most it held in bench's workloads (DESIGN §8).
+const (
+	frameBufsKept  = 512  // frames in flight and queued, short replies cached: 768 KB
+	pageFramesKept = 1024 // frames of spaces released and not yet remade: 1 MB
+	segBufsKept    = 64   // copies' segments and reassemblies, long replies cached: 2 MB
+)
 
-// pageFramesKept bounds the cluster's free list of page frames: 1 MB,
-// whatever the number of hosts. A quarter of it already serves a cluster
-// that only executes programs; past it, one that migrates them around the
-// clock stops gaining.
-const pageFramesKept = 1024
-
-// segBufsKept bounds the cluster's free list of message segment buffers
-// (2 MB, what eight hosts kept with a list each): the windows of the
-// copies under way, the reassembly buffers their receivers hold, and the
-// long reply segments reply caches keep. One list per cluster serves a
-// hundred hosts that each load an image now and then from a few buffers,
-// where a list per host made one for every host.
-const segBufsKept = 64
+// FrameBufs returns the segment's free list of frame payloads (NIC.FrameBuf).
+func (b *Bus) FrameBufs() *freelist.Bytes { return b.bufs }
 
 // PageFrames returns the cluster's free list of page frames, which the
 // kernels attached to the segment make their address spaces on.
 func (b *Bus) PageFrames() *freelist.Bytes { return b.pages }
-
-// SegBufs returns the cluster's free list of message segment buffers
-// (capacity vid.SegMax), which the IPC engines of the kernels attached to
-// the segment share.
-func (b *Bus) SegBufs() *freelist.Bytes { return b.segs }
-
-// PoisonFreed makes the segment overwrite every frame payload, page frame
-// and segment buffer handed back to it, so that a test reading one after
-// Recycle — or through a page view whose space is gone — fails instead of
-// passing by luck.
-func (b *Bus) PoisonFreed() {
-	b.bufs.PoisonFreed()
-	b.pages.PoisonFreed()
-	b.segs.PoisonFreed()
-}
 
 // SetLoss installs a loss model. RandomLoss(p, eng) is the common choice.
 func (b *Bus) SetLoss(f LossFunc) { b.loss = f }
@@ -287,6 +264,7 @@ func (b *Bus) arrive() {
 			At: end, Host: uint16(f.Src), Kind: trace.EvFrameDrop,
 			Size: len(f.Payload), Peer: uint16(f.Dst),
 		})
+		b.recycle(f)
 		return
 	}
 	if fl.corrupted {
@@ -318,6 +296,16 @@ func (b *Bus) arrive() {
 	}
 	if n := b.stations[f.Dst]; n != nil && n.recv != nil && !b.severed(f.Src, f.Dst, len(f.Payload)) {
 		n.deliver(f)
+		return
+	}
+	b.recycle(f)
+}
+
+// recycle hands a frame's payload back to the free list if it came from
+// there (Frame.Lent).
+func (b *Bus) recycle(f Frame) {
+	if f.Lent {
+		b.bufs.Put(f.Payload)
 	}
 }
 
@@ -405,18 +393,15 @@ func (n *NIC) deliver(f Frame) {
 func (n *NIC) FrameBuf() []byte { return n.bus.bufs.Get() }
 
 // SegBufs returns the cluster's free list of message segment buffers
-// (Bus.SegBufs).
+// (capacity vid.SegMax), which the IPC engines of the kernels attached to
+// the segment share.
 func (n *NIC) SegBufs() *freelist.Bytes { return n.bus.segs }
 
 // Recycle hands a received frame's payload back to the segment's free list
 // if it came from there (Frame.Lent). The caller must be the frame's last
 // holder and must have let go of everything that aliases the payload.
 // Not calling it is always safe: the payload falls to the collector.
-func (n *NIC) Recycle(f Frame) {
-	if f.Lent {
-		n.bus.bufs.Put(f.Payload)
-	}
-}
+func (n *NIC) Recycle(f Frame) { n.bus.recycle(f) }
 
 // StartSend queues the frame for transmission and returns immediately; done
 // (which may be nil) runs when the frame has left the wire.

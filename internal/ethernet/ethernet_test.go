@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"vsystem/internal/freelist"
 	"vsystem/internal/params"
 	"vsystem/internal/sim"
 )
@@ -269,7 +270,7 @@ func TestFramesDeliverInTransmitOrder(t *testing.T) {
 func TestLentFrameRecyclesWithoutAllocating(t *testing.T) {
 	e := sim.NewEngine(1)
 	bus := NewBus(e)
-	bus.PoisonFreed()
+	e.PoisonFreed()
 	a, b := bus.Attach(1), bus.Attach(2)
 	var sum, bufs int
 	var last *byte
@@ -307,7 +308,7 @@ func TestLentFrameRecyclesWithoutAllocating(t *testing.T) {
 func TestOnlySingleReceiverFramesRecycle(t *testing.T) {
 	e := sim.NewEngine(1)
 	bus := NewBus(e)
-	bus.PoisonFreed()
+	e.PoisonFreed()
 	a, b := bus.Attach(1), bus.Attach(2)
 	b.JoinMulticast(Multicast(7))
 	var got []Frame
@@ -407,5 +408,33 @@ func TestBlockingSendersWakeAtTheirOwnFrames(t *testing.T) {
 	third := first.Add(params.WireTime(400) + params.WireTime(900))
 	if woke[0] != first || woke[1] != 0 || woke[2] != third {
 		t.Fatalf("senders woke at %v, want [%v 0s %v]", woke, first, third)
+	}
+}
+
+// TestUndeliveredFrameRecycles: the bus is the last holder of a lent frame
+// it drops, or addresses to a station that is not there or is cut off, and
+// hands its payload back; the next frame is built in it.
+func TestUndeliveredFrameRecycles(t *testing.T) {
+	e := sim.NewEngine(1)
+	e.PoisonFreed()
+	bus := NewBus(e)
+	a, b := bus.Attach(1), bus.Attach(2)
+	b.SetRecv(func(Frame) { t.Fatal("a frame the bus should not deliver arrived") })
+	for _, fate := range []string{"dropped", "no station", "cut off"} {
+		bus.SetLoss(func(Frame) bool { return fate == "dropped" })
+		bus.SetCut(func(_, dst MAC) bool { return fate == "cut off" })
+		dst := MAC(2)
+		if fate == "no station" {
+			dst = 9
+		}
+		sent := append(a.FrameBuf(), 1, 2, 3, 4)
+		a.StartSend(Frame{Dst: dst, Payload: sent, Lent: true}, nil)
+		e.Run()
+		if bus.bufs.Len() != 1 || sent[0] != freelist.Poison {
+			t.Fatalf("%s frame: %d buffers back, payload % x; want it back, poisoned", fate, bus.bufs.Len(), sent)
+		}
+		if next := a.FrameBuf(); &next[:1][0] != &sent[0] {
+			t.Fatalf("%s frame: the next frame is not built in its payload", fate)
+		}
 	}
 }

@@ -139,7 +139,7 @@ func clusterLoadStream(seed int64) workload.OpenLoop {
 }
 
 func runClusterLoadArm(policy sched.Policy, seed int64, hosts int) clusterLoadResult {
-	c := core.NewCluster(core.Options{Workstations: hosts, Seed: seed, Select: policy})
+	c := newCluster(core.Options{Workstations: hosts, Seed: seed, Select: policy})
 	defer c.Close()
 	ol := clusterLoadStream(seed)
 	for _, img := range ol.Images() {

@@ -148,11 +148,14 @@ func Lookup(table []Experiment, id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
+// newCluster makes every cluster an experiment runs; the tests poison them.
+var newCluster = core.NewCluster
+
 // bootCluster creates a cluster with the standard images installed. The
 // caller defers Close, also inside a loop of cells: the clusters then live
 // until the experiment returns, and none outlives it.
 func bootCluster(opt core.Options) *core.Cluster {
-	c := core.NewCluster(opt)
+	c := newCluster(opt)
 	c.Install(progs.Hello())
 	c.Install(progs.Primes(2000))
 	c.Install(progs.Ticker(200))

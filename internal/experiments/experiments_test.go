@@ -3,9 +3,25 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
+
+	"vsystem/internal/core"
 )
+
+// TestMain runs every cluster of the suite poisoned: a recycled buffer
+// read late is garbage in a result, and a recycled record used late
+// panics. Poisoning changes no virtual result, so the shape assertions
+// judge what vbench prints.
+func TestMain(m *testing.M) {
+	newCluster = func(opt core.Options) *core.Cluster {
+		c := core.NewCluster(opt)
+		c.Sim.PoisonFreed()
+		return c
+	}
+	os.Exit(m.Run())
+}
 
 // testHosts is E11's grid in the suite: big enough to cover the >127-host
 // LHID-station region (where the 8-bit station layout used to collide with

@@ -22,7 +22,7 @@ type rig struct {
 func newRig(seed int64) *rig {
 	eng := sim.NewEngine(seed)
 	bus := ethernet.NewBus(eng)
-	bus.PoisonFreed() // a page kept as a slice of a released buffer reads as garbage
+	eng.PoisonFreed() // a page kept as a slice of a released buffer reads as garbage
 	client := kernel.NewHost(eng, bus, 0, "ws0")
 	server := kernel.NewHost(eng, bus, 1, "fserv")
 	return &rig{eng: eng, fs: Start(server), client: client}

@@ -3,7 +3,8 @@ package freelist
 import "testing"
 
 func TestGetPutBoundAndPoison(t *testing.T) {
-	l := New(64, 2)
+	var sw Switch
+	l := New(64, 2, &sw)
 	a := l.Get()
 	if len(a) != 0 || cap(a) != 64 || l.Len() != 0 {
 		t.Fatalf("first Get: len %d cap %d, list %d", len(a), cap(a), l.Len())
@@ -14,7 +15,7 @@ func TestGetPutBoundAndPoison(t *testing.T) {
 		t.Fatal("Get after Put: want the same array, emptied, untouched")
 	}
 
-	l.PoisonFreed()
+	sw = true
 	l.Put(a[1:2]) // any slice of the array gives back all that is left of it
 	if a[0] != 1 || a[1] != Poison || a[2] != Poison || l.Len() != 0 {
 		t.Fatalf("short remainder: % x, list %d; want poisoned from the slice on and dropped", a[:3], l.Len())

@@ -129,7 +129,7 @@ type Engine struct {
 	reasm  map[reasmKey]*reasmBuf
 	txBuf  map[reasmKey]*fragSource
 	// segs recycles segment-sized buffers, one list per cluster
-	// (ethernet.Bus.SegBufs): the reassembly buffers handleFrag fills, which
+	// (ethernet.NIC.SegBufs): the reassembly buffers handleFrag fills, which
 	// come back from the consumers that copy a delivered segment out
 	// (Port.ReleaseSeg, Port.ReleaseReply), the buffers a bulk-transfer
 	// window lends its sender to encode into (Window.SegBuf), which come
@@ -137,21 +137,23 @@ type Engine struct {
 	// a long reply in (Port.ReplyBuf), which come back once nothing reads the
 	// reply. Shorter lent buffers are frame payloads (putSeg).
 	segs *freelist.Bytes
-	// Records reused once finished with: reassemblies, repair buffers, lent
-	// reply segments and ports.
-	spareReasm []*reasmBuf
-	spareFS    []*fragSource
-	spareLent  []*replySeg
-	sparePorts []*Port                   // closed ports nothing else reaches (Port.Close)
-	suspects   map[ethernet.MAC]sim.Time // station → when suspicion began
-	heard      map[ethernet.MAC]sim.Time // station → last packet received from it
-	rtts       map[uint16]rtt            // op code → its round-trip estimate (tail probe)
-	winSeq     uint32                    // bulk-transfer window port allocation sequence
-	stats      Stats
-	trace      *trace.Bus       // nil until wired; nil bus is a no-op target
-	down       bool             // crashed host: frames drop, queued work is discarded
-	loadFn     func() [6]uint32 // kernel's load advertisement, stamped on replies
-	loadSink   func([6]uint32)  // consumer of received load advertisements
+	// Records reused once finished with (DESIGN §8 has a row per list).
+	reasms      freelist.List[*reasmBuf]
+	repairs     freelist.List[*fragSource]
+	lent        freelist.List[*replySeg]
+	closedPorts freelist.List[*Port] // closed ports nothing else reaches (Port.Close)
+	reqs        freelist.List[*Req]
+	sweeps      freelist.List[*sweep]
+	txns        freelist.List[*sendTxn]
+	suspects    map[ethernet.MAC]sim.Time // station → when suspicion began
+	heard       map[ethernet.MAC]sim.Time // station → last packet received from it
+	rtts        map[uint16]rtt            // op code → its round-trip estimate (tail probe)
+	winSeq      uint32                    // bulk-transfer window port allocation sequence
+	stats       Stats
+	trace       *trace.Bus       // nil until wired; nil bus is a no-op target
+	down        bool             // crashed host: frames drop, queued work is discarded
+	loadFn      func() [6]uint32 // kernel's load advertisement, stamped on replies
+	loadSink    func([6]uint32)  // consumer of received load advertisements
 
 	// GroupIndirection models the local-group-id lookup for well-known
 	// indices; when enabled each such delivery charges GroupIndirectCPU
@@ -215,12 +217,24 @@ type reasmKey struct {
 // kept past the slots, and completeSeg joins the pieces. The engine reuses
 // the record once the segment is complete or given up on.
 type reasmBuf struct {
+	eng    *Engine
 	key    reasmKey
 	seg    []byte     // len(frags) slots of FragChunk, then any misfits; from Engine.segs
 	frags  []fragSpan // where each fragment's bytes are
 	got    int
 	timer  sim.Timer // gives up on the segment after FragReassemblyTTL
 	expire func()    // the timer's callback, bound once
+}
+
+// giveUp is the reassembly timer: the segment never completed, so nothing
+// else refers to its buffer.
+func (b *reasmBuf) giveUp() {
+	if e := b.eng; e.reasm[b.key] == b {
+		delete(e.reasm, b.key)
+		e.segs.Put(b.seg)
+		b.seg = nil
+		e.reasms.Put(b)
+	}
 }
 
 // fragSpan locates one received fragment's bytes in reasmBuf.seg.
@@ -239,6 +253,7 @@ type fragSpan struct {
 // its segment or summary — the first transmission, a repair, a summary
 // queued for netd, a retransmitted summary.
 type fragSource struct {
+	eng     *Engine
 	key     reasmKey
 	seg     []byte
 	summary packet.Packet
@@ -248,6 +263,13 @@ type fragSource struct {
 	expire  func()    // the timer's callback, bound once
 	sending bool      // the first transmission is still under way
 	refs    int
+}
+
+// timeout is the repair buffer's timer.
+func (fs *fragSource) timeout() {
+	if e := fs.eng; e.txBuf[fs.key] == fs {
+		e.dropFragSource(fs.key)
+	}
 }
 
 // replySeg is a reply segment built in a buffer the engine lent its server
@@ -285,9 +307,19 @@ func New(se *sim.Engine, nic *ethernet.NIC, c *cpu.CPU, res Resolver) *Engine {
 		segs:             nic.SegBufs(),
 		GroupIndirection: true,
 	}
+	// Each bound is above the most its list held in bench's workloads.
+	sw := se.Poison()
+	e.reasms = freelist.NewList(16, func() *reasmBuf { b := new(reasmBuf); b.expire = b.giveUp; return b }, nil, sw)
+	e.repairs = freelist.NewList(128, func() *fragSource { fs := new(fragSource); fs.expire = fs.timeout; return fs }, nil, sw)
+	e.lent = freelist.NewList(512, func() *replySeg { return new(replySeg) }, nil, sw)
+	e.closedPorts = freelist.NewList(32, func() *Port { return &Port{peers: make(map[vid.PID]peer)} }, reusePort, sw)
+	e.reqs = freelist.NewList(16, func() *Req { return new(Req) }, clearReq, sw)
+	e.sweeps = freelist.NewList(512, func() *sweep { sw := new(sweep); sw.fire = sw.due; return sw }, nil, sw)
+	e.txns = freelist.NewList(16, func() *sendTxn { return new(sendTxn) }, nil, sw)
 	nic.SetRecv(func(f ethernet.Frame) {
 		if e.down {
-			return // powered off: the NIC hears nothing
+			nic.Recycle(f) // powered off: the NIC hears nothing
+			return
 		}
 		e.jobs.Push(job{rx: true, frame: f})
 	})
@@ -328,12 +360,6 @@ func (e *Engine) ClosePorts() {
 	}
 }
 
-// PoisonFreed makes the engine overwrite every segment buffer handed back
-// to its free list, so that a test reading one after its release fails
-// instead of passing by luck. The list is the cluster's: this poisons the
-// other engines' returns too.
-func (e *Engine) PoisonFreed() { e.segs.PoisonFreed() }
-
 // putSeg hands a lent buffer back to the list it came from: a frame
 // payload's (an inline segment lent with its frame, a short reply built in
 // Port.ReplyBuf) or the segments'.
@@ -356,10 +382,7 @@ func (e *Engine) getSeg(n int) []byte {
 
 // lendReply makes a holder record for a reply segment built in buf.
 func (e *Engine) lendReply(buf []byte) *replySeg {
-	rs := pop(&e.spareLent)
-	if rs == nil {
-		rs = new(replySeg)
-	}
+	rs := e.lent.Get()
 	rs.buf, rs.refs = buf, 1
 	return rs
 }
@@ -370,12 +393,13 @@ func (e *Engine) letGo(rs *replySeg) {
 	if rs == nil {
 		return
 	}
+	freelist.Check(&e.lent, rs)
 	if rs.refs--; rs.refs > 0 {
 		return
 	}
 	e.putSeg(rs.buf)
 	rs.buf = nil
-	e.spareLent = append(e.spareLent, rs)
+	e.lent.Put(rs)
 }
 
 // MAC returns the host's station address.
@@ -564,17 +588,8 @@ func (e *Engine) sendFragged(t *sim.Task, p *packet.Packet, dst ethernet.MAC, tx
 	n := packet.NumFrags(len(seg))
 	key := reasmKey{src: p.Src, dst: p.Dst, txid: p.TxID, kind: p.Kind}
 	e.dropFragSource(key)
-	fs := pop(&e.spareFS)
-	if fs == nil {
-		fs = new(fragSource)
-		f := fs
-		f.expire = func() {
-			if e.txBuf[f.key] == f {
-				e.dropFragSource(f.key)
-			}
-		}
-	}
-	fs.key, fs.seg, fs.summary, fs.txn, fs.lent, fs.sending = key, seg, *p, txn, lent.hold(), true
+	fs := e.repairs.Get()
+	fs.eng, fs.key, fs.seg, fs.summary, fs.txn, fs.lent, fs.sending = e, key, seg, *p, txn, lent.hold(), true
 	fs.summary.Msg.Seg = nil
 	fs.summary.SegLen = uint32(len(seg))
 	fs.summary.FragCount = uint16(n)
@@ -607,12 +622,13 @@ func (e *Engine) dropFragSource(key reasmKey) {
 // release drops one holder of a repair buffer; the last lets go of its
 // lent segment, if any, and keeps the record for the next.
 func (e *Engine) release(fs *fragSource) {
+	freelist.Check(&e.repairs, fs)
 	if fs.refs--; fs.refs > 0 {
 		return
 	}
 	e.letGo(fs.lent)
 	fs.seg, fs.summary, fs.txn, fs.lent, fs.timer = nil, packet.Packet{}, nil, nil, sim.Timer{}
-	e.spareFS = append(e.spareFS, fs)
+	e.repairs.Put(fs)
 }
 
 // sendFrag transmits fragment i of the segment of the logical packet key
@@ -769,26 +785,16 @@ func (e *Engine) handleFrag(p *packet.Packet) {
 			return
 		}
 		n := int(p.FragCount)
-		if buf = pop(&e.spareReasm); buf == nil {
-			buf = new(reasmBuf)
-			b := buf
-			b.expire = func() {
-				if e.reasm[b.key] == b {
-					delete(e.reasm, b.key)
-					e.segs.Put(b.seg) // never delivered: nothing else refers to it
-					b.seg = nil
-					e.spareReasm = append(e.spareReasm, b)
-				}
-			}
-		}
+		buf = e.reasms.Get()
 		// Whatever the buffer's last user left in it is never read: join
 		// exposes only bytes a fragment was copied over.
-		buf.key, buf.seg, buf.got = key, e.segs.Get()[:n*packet.FragChunk], 0
+		buf.eng, buf.key, buf.seg, buf.got = e, key, e.segs.Get()[:n*packet.FragChunk], 0
 		buf.frags = slices.Grow(buf.frags[:0], n)[:n]
 		clear(buf.frags)
 		e.reasm[key] = buf
 		buf.timer = e.sim.After(params.FragReassemblyTTL, buf.expire)
 	}
+	freelist.Check(&e.reasms, buf)
 	i := int(p.FragIdx)
 	if i >= len(buf.frags) || buf.frags[i].have {
 		return
@@ -852,7 +858,7 @@ func (e *Engine) completeSeg(p *packet.Packet, from ethernet.MAC, short *[]byte)
 		lent = nil
 	}
 	buf.seg = nil
-	e.spareReasm = append(e.spareReasm, buf)
+	e.reasms.Put(buf)
 	return lent, true
 }
 

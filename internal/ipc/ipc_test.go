@@ -55,8 +55,8 @@ type rig struct {
 func newRig(t *testing.T, n int, seed int64) *rig {
 	t.Helper()
 	se := sim.NewEngine(seed)
+	se.PoisonFreed() // every ipc test: a recycled buffer read late is garbage, a recycled record used late panics
 	bus := ethernet.NewBus(se)
-	bus.PoisonFreed() // every ipc test: a recycled buffer read late is garbage
 	r := &rig{sim: se, bus: bus}
 	for i := 0; i < n; i++ {
 		nic := bus.Attach(ethernet.MAC(i + 1))
@@ -68,7 +68,6 @@ func newRig(t *testing.T, n int, seed int64) *rig {
 			groups:   make(map[vid.PID][]vid.PID),
 		}
 		h.eng = New(se, nic, cpu.New(se), h)
-		h.eng.PoisonFreed()
 		r.hosts = append(r.hosts, h)
 	}
 	return r

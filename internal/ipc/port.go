@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"vsystem/internal/ethernet"
+	"vsystem/internal/freelist"
 	"vsystem/internal/packet"
 	"vsystem/internal/params"
 	"vsystem/internal/sim"
@@ -28,9 +29,8 @@ type Port struct {
 
 	txSeq     uint32
 	send      *sendTxn
-	spare     *sendTxn // the last finished transaction, for the next send to reuse
-	replyBuf  []byte   // lent buffer the last reply's segment is a slice of, if any
-	outBuf    []byte   // lent by ReplyBuf for the next reply's segment
+	replyBuf  []byte // lent buffer the last reply's segment is a slice of, if any
+	outBuf    []byte // lent by ReplyBuf for the next reply's segment
 	replyWait sim.WaitQ
 	winq      *sim.WaitQ // owning bulk-transfer window's harvest queue, if any
 
@@ -41,8 +41,6 @@ type Port struct {
 	fireTx, shutTx uint32
 
 	rq      []*Req
-	idle    []*Req   // requests replied to or dropped, for the next arrivals
-	sweeps  []*sweep // sweeps not pending, for the next cached replies
 	reqWait sim.WaitQ
 	peers   map[vid.PID]peer // what the port knows of each sender
 	// replies holds the reply each peer's cache names, by value, while it
@@ -52,9 +50,8 @@ type Port struct {
 	replies map[vid.PID]cachedReply
 	// holds counts what of the port's own may still reach it from the
 	// engine: retransmission jobs and resends from the reply cache queued
-	// on netd, and sweeps pending. A closed port is reused only at zero
-	// (reusable); a job a crash discards never comes back, and keeps it
-	// from reuse.
+	// on netd, and sweeps pending. A closed port is reused only at zero; a
+	// job a crash discards never comes back, and keeps it from reuse.
 	holds  int
 	closed bool
 }
@@ -67,9 +64,8 @@ type cachedReply struct {
 }
 
 // sendTxn is a send transaction: its decision state and the engine's part.
-// A port reuses its finished transaction for its next send once no task
-// reads the segment (reading == 0); what a finished one's callbacks still
-// reach — timers, netd's retransmission jobs — tells it apart by txid.
+// What a finished one's callbacks still reach — timers, netd's
+// retransmission jobs — tells it apart by txid.
 type sendTxn struct {
 	clientTxn
 	msg   vid.Message
@@ -97,7 +93,7 @@ type sendTxn struct {
 }
 
 // sweep is one pending expiry of a reply cached for src: the reply to txid.
-// Its callback is bound once; the port keeps it for the next cached reply
+// Its callback is bound once; the engine keeps it for the next cached reply
 // once the sweep is over.
 type sweep struct {
 	p    *Port
@@ -115,12 +111,11 @@ type GatherReply struct {
 // Req is a received request awaiting its reply. Servers that defer replies
 // (for example the program manager holding a wait-for-program-exit request)
 // hold several Reqs open at once, one per sender. Reply, ReplyNaming or Drop
-// hands the Req back to the port, which reuses it for a request yet to
-// arrive: a server reads nothing of it afterwards, and replies to it once.
-// A second answer panics while the Req lies unused, but once it carries a
-// new request nothing can tell the two apart, and the answer goes to that
-// request's sender. So a server that holds Reqs in a list takes each out
-// of the list before it answers it.
+// hands the Req back to the engine for a request yet to arrive: a server
+// reads nothing of it afterwards and answers it once, so one that holds
+// Reqs in a list takes each out before it answers it. Under poisoning a
+// second answer panics until the Req is reused; after that it answers the
+// new request's sender.
 type Req struct {
 	Src   vid.PID
 	Msg   vid.Message
@@ -139,6 +134,14 @@ func (r *Req) TxID() uint32 { return r.txid }
 // Again reports whether the port dropped an earlier copy of the request
 // (Drop): this is the sender's retransmission, received as new.
 func (r *Req) Again() bool { return r.again }
+
+// clearReq readies a Req handed back (Reply, ReplyNaming, Drop) for the
+// next request: its segment stays the server's unless it was released
+// (ReleaseSeg), whose short buffer the Req keeps.
+func clearReq(r *Req, _ bool) (*Req, bool) {
+	*r = Req{short: r.short}
+	return r, true
+}
 
 // HasPort reports whether a port is currently registered under the PID.
 // Allocators of private port-id ranges (the pager's 0xF000 block) use it
@@ -165,44 +168,29 @@ func (e *Engine) NewPort(pid vid.PID) *Port { return e.NewPortGen(pid, 0) }
 // for ever. An incarnation numbers up to 2^txGenBits transactions, and a
 // generation must not pass 2^(32-txGenBits) — 4096 re-mints of one id.
 //
-// The port is made in the record of one closed before, if the engine kept
-// one (Close), with that port's spare transaction, free lists and bound
-// callbacks: what is reused is storage, never identity.
+// The port may be made in the record of one closed before (Close): what is
+// reused is storage, never identity.
 func (e *Engine) NewPortGen(pid vid.PID, gen uint32) *Port {
 	if _, dup := e.ports[pid]; dup {
 		panic(fmt.Sprintf("ipc: duplicate port %v", pid))
 	}
-	p := pop(&e.sparePorts)
-	if p == nil {
-		p = &Port{eng: e, peers: make(map[vid.PID]peer)}
-	}
-	p.pid, p.txSeq, p.closed = pid, gen<<txGenBits, false
+	p := e.closedPorts.Get()
+	p.eng, p.pid, p.txSeq, p.closed = e, pid, gen<<txGenBits, false
 	e.ports[pid] = p
 	e.portList = append(e.portList, p)
 	return p
 }
 
-// keepPorts is the most closed port records an engine keeps for reuse: a
-// logical host's processes and a copy window's workers close a few at a
-// time.
-const keepPorts = 32
-
 // Close unregisters the port and stops its timers. Any queued requests are
 // discarded; senders recover by retransmission (§3.1.3: "all queued
 // messages are discarded and the remote senders are prompted to
 // retransmit"). The engine keeps the record for a port yet to be made if
-// nothing can reach it any more (reusable): close a port once, and touch
+// nothing can reach it any more (reusePort): close a port once, and touch
 // it no more — it may be another port's afterwards.
 func (p *Port) Close() {
-	if p.closed {
-		return
-	}
-	p.unregister()
-	if e := p.eng; p.reusable() && len(e.sparePorts) < keepPorts {
-		clear(p.peers)
-		p.replyBuf, p.outBuf, p.winq = nil, nil, nil
-		p.fireTx, p.shutTx = 0, 0
-		e.sparePorts = append(e.sparePorts, p)
+	if !p.closed {
+		p.unregister()
+		p.eng.closedPorts.Put(p)
 	}
 }
 
@@ -218,23 +206,22 @@ func (p *Port) unregister() {
 	p.eng.portList = slices.DeleteFunc(p.eng.portList, func(q *Port) bool { return q == p })
 }
 
-// reusable reports whether nothing but its owner can reach a closed port
-// any more: no transaction is under way (a task may await it), no task
-// reads its last one's segment, no request is queued, held open or
-// awaited, no reply is cached, and nothing of its own is queued on netd or
-// pending (holds). A record that fails any of these is left to the
-// collector: forgetting one is always safe, reusing one early is the bug.
-func (p *Port) reusable() bool {
-	if p.send != nil || p.spare != nil && p.spare.reading > 0 || len(p.rq) > 0 ||
-		p.reqWait.Len() > 0 || len(p.replies) > 0 || p.holds > 0 {
-		return false
+// reusePort readies a closed port's record for the next NewPortGen, unless
+// anything but its owner can still reach it: a transaction under way (a
+// task may await it), a request queued, held open or awaited, a reply
+// cached, or anything of its own queued on netd or pending (holds).
+func reusePort(p *Port, _ bool) (*Port, bool) {
+	if p.send != nil || len(p.rq) > 0 || p.reqWait.Len() > 0 || len(p.replies) > 0 || p.holds > 0 {
+		return p, false
 	}
 	for _, pr := range p.peers {
 		if pr.open != nil {
-			return false
+			return p, false
 		}
 	}
-	return true
+	clear(p.peers)
+	p.replyBuf, p.outBuf, p.winq, p.fireTx, p.shutTx = nil, nil, nil, 0, 0
+	return p, true
 }
 
 // PID returns the port's process identifier.
@@ -262,15 +249,10 @@ func (p *Port) startSend(t *sim.Task, dst vid.PID, msg vid.Message, buf []byte) 
 	p.begin(t, s)
 }
 
-// fresh returns a zeroed send transaction: the port's last finished one if
-// no task still reads its segment, else a new one. A gather's replies are
-// the caller's, so they are never reused.
+// fresh returns a zeroed send transaction. A gather's replies are the
+// caller's, so they are never reused.
 func (p *Port) fresh() *sendTxn {
-	s := p.spare
-	p.spare = nil
-	if s == nil || s.reading > 0 {
-		return new(sendTxn)
-	}
+	s := p.eng.txns.Get()
 	*s = sendTxn{}
 	return s
 }
@@ -278,6 +260,7 @@ func (p *Port) fresh() *sendTxn {
 // begin numbers s, makes it the port's send transaction and transmits its
 // request.
 func (p *Port) begin(t *sim.Task, s *sendTxn) {
+	freelist.Check(&p.eng.closedPorts, p)
 	if p.send != nil {
 		panic(fmt.Sprintf("ipc: %v send started with send outstanding", p.pid))
 	}
@@ -381,6 +364,7 @@ func (p *Port) post(ev clientEv) {
 	if s == nil {
 		return
 	}
+	freelist.Check(&p.eng.txns, s)
 	was, restart := s.due, ev.kind == evTimer
 	var act clientAct
 	s.clientTxn, act = s.step(ev)
@@ -439,6 +423,7 @@ func (p *Port) resend(t *sim.Task, txid uint32, probe bool) {
 // (the receiver NACKs any missing fragments).
 func (p *Port) transmit(t *sim.Task, retrans bool) {
 	s := p.send
+	freelist.Check(&p.eng.txns, s)
 	s.reading++
 	defer func() { s.reading-- }()
 	// The packet is a value: what goes on the wire is marshalled from the
@@ -495,13 +480,18 @@ func (p *Port) AwaitReply(t *sim.Task) (vid.Message, error) {
 	return s.reply, nil
 }
 
-// await blocks until the send transaction is over, and ends it.
+// await blocks until the send transaction is over, and ends it. The engine
+// reuses s for a later send unless a task still reads its segment: the
+// caller reads what it needs of s before it can block.
 func (p *Port) await(t *sim.Task) *sendTxn {
 	s := p.send
 	for !s.done {
 		p.replyWait.Wait(t)
 	}
-	p.send, p.spare = nil, s
+	p.send = nil
+	if s.reading == 0 {
+		p.eng.txns.Put(s)
+	}
 	return s
 }
 
@@ -593,10 +583,10 @@ func (p *Port) request(req *packet.Packet, from ethernet.MAC) {
 	case srvAccept, srvAgain:
 		// Only a request accepted as new is reassembled, and one whose
 		// segment is not whole has not arrived: the peer stays as it was.
-		r := p.newReq()
+		r := e.reqs.Get()
 		lent, ok := e.completeSeg(req, from, &r.short)
 		if !ok {
-			p.idle = append(p.idle, r)
+			e.reqs.Put(r)
 			return
 		}
 		*r = Req{Src: req.Src, txid: req.TxID, Msg: req.Msg, from: from, buf: lent, short: r.short, again: act == srvAgain}
@@ -618,40 +608,6 @@ func (p *Port) request(req *packet.Packet, from ethernet.MAC) {
 		}})
 	}
 	p.peers[req.Src] = pr
-}
-
-// pop takes the last entry of a free list, or nil from an empty one.
-func pop[T any](free *[]*T) *T {
-	n := len(*free)
-	if n == 0 {
-		return nil
-	}
-	v := (*free)[n-1]
-	*free = (*free)[:n-1]
-	return v
-}
-
-// newReq returns a Req to fill: one handed back (Reply, Drop) if any.
-func (p *Port) newReq() *Req {
-	if r := pop(&p.idle); r != nil {
-		return r
-	}
-	return new(Req)
-}
-
-// handBack takes a Req the server has replied to or dropped, and clears it.
-// Its segment stays the server's unless it was released (ReleaseSeg).
-func (p *Port) handBack(r *Req) {
-	*r = Req{short: r.short}
-	p.idle = append(p.idle, r)
-}
-
-// mustBeOpen panics on a Req already handed back: answering one twice
-// would answer whichever request it carries next.
-func (p *Port) mustBeOpen(r *Req) {
-	if r.Src == vid.Nil && r.txid == 0 {
-		panic(fmt.Sprintf("ipc: %v answered a request it had already answered", p.pid))
-	}
 }
 
 // ReleaseSeg tells the port that the server is finished with the segment
@@ -736,12 +692,8 @@ func (p *Port) cacheReply(src vid.PID, txid uint32, c cachedReply) {
 // one timer per entry, re-armed when answers from the cache have moved the
 // deadline.
 func (p *Port) armSweep(src vid.PID, txid uint32) {
-	sw := pop(&p.sweeps)
-	if sw == nil {
-		sw = &sweep{p: p}
-		sw.fire = sw.due
-	}
-	sw.src, sw.txid = src, txid
+	sw := p.eng.sweeps.Get()
+	sw.p, sw.src, sw.txid = p, src, txid
 	p.holds++
 	sw.arm()
 }
@@ -755,17 +707,19 @@ func (sw *sweep) arm() {
 // due is the sweep's timer.
 func (sw *sweep) due() {
 	p := sw.p
+	freelist.Check(&p.eng.sweeps, sw)
 	if p.serve(sw.src, serverEv{kind: evSwept, now: p.eng.sim.Now(), txid: sw.txid}) == srvSweep {
 		sw.arm()
 		return
 	}
 	p.holds--
-	p.sweeps = append(p.sweeps, sw)
+	p.eng.sweeps.Put(sw)
 }
 
 // Receive blocks until a request arrives. The request stays open (further
 // retransmissions from its sender get reply-pending packets) until Reply.
 func (p *Port) Receive(t *sim.Task) *Req {
+	freelist.Check(&p.eng.closedPorts, p)
 	for len(p.rq) == 0 {
 		p.reqWait.Wait(t)
 	}
@@ -774,6 +728,7 @@ func (p *Port) Receive(t *sim.Task) *Req {
 
 // ReceiveTimeout is Receive with a deadline; nil if it expired.
 func (p *Port) ReceiveTimeout(t *sim.Task, d time.Duration) *Req {
+	freelist.Check(&p.eng.closedPorts, p)
 	deadline := t.Now().Add(d)
 	for len(p.rq) == 0 {
 		remain := deadline.Sub(t.Now())
@@ -807,13 +762,13 @@ func (p *Port) Reply(t *sim.Task, r *Req, msg vid.Message) { p.ReplyNaming(t, r,
 // from a locate response, so the next message it sends lh needs no locate.
 // A cached copy names lh too.
 func (p *Port) ReplyNaming(t *sim.Task, r *Req, msg vid.Message, lh vid.LHID) {
-	p.mustBeOpen(r)
+	freelist.Check(&p.eng.reqs, r)
 	src, txid, from := r.Src, r.txid, r.from
 	lent := p.takeOutBuf(msg.Seg)
 	if p.serve(src, serverEv{kind: evReplied, now: t.Now(), req: r}) == srvSweep {
 		p.cacheReply(src, txid, cachedReply{msg: msg, lh: lh, seg: lent.hold()})
 	}
-	p.handBack(r)
+	p.eng.reqs.Put(r)
 	p.emitReply(t, src, txid, msg, lh, from, lent)
 	p.eng.letGo(lent)
 }
@@ -856,9 +811,9 @@ func (p *Port) OpenRequest(src vid.PID) *Req { return p.peers[src].open }
 // request is received as new (Req.Again), so a member that can serve it by
 // then answers it.
 func (p *Port) Drop(r *Req) {
-	p.mustBeOpen(r)
+	freelist.Check(&p.eng.reqs, r)
 	p.serve(r.Src, serverEv{kind: evDropped, req: r})
-	p.handBack(r)
+	p.eng.reqs.Put(r)
 }
 
 // OpenRequests returns all open (received, unreplied) requests, ordered by

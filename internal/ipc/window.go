@@ -124,7 +124,10 @@ func (w *Window) reap(t *sim.Task) {
 		if s == nil || !s.done {
 			continue
 		}
-		req := s.msg
+		req, buf := s.msg, s.buf
+		if s.reading > 0 {
+			buf = nil // a task part-way through transmitting it keeps it
+		}
 		reply, err := p.AwaitReply(t) // completed: returns without blocking
 		w.inflight--
 		if err == nil && !reply.OK() {
@@ -137,11 +140,8 @@ func (w *Window) reap(t *sim.Task) {
 			w.onReply(req, reply)
 		}
 		p.ReleaseReply()
-		if s.buf != nil && s.reading == 0 {
-			// Nothing transmits from the request's segment any more: no
-			// retransmission or repair starts once a transaction is done,
-			// and none is part-way through one.
-			w.eng.segs.Put(s.buf)
+		if buf != nil {
+			w.eng.segs.Put(buf)
 		}
 	}
 }

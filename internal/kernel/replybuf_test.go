@@ -25,7 +25,7 @@ type readPagesRig struct {
 func newReadPagesRig(t *testing.T, seed int64) *readPagesRig {
 	c := newCluster(2, seed)
 	t.Cleanup(c.sim.Shutdown)
-	c.bus.PoisonFreed()
+	c.sim.PoisonFreed()
 	r := &readPagesRig{c: c, a: c.hosts[0], b: c.hosts[1]}
 	r.lh = r.b.CreateLH("debuggee", true)
 	as, err := r.lh.CreateSpace(8 * mem.PageSize)

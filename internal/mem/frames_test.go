@@ -10,9 +10,8 @@ import (
 // poisonedFrames is a cluster's frame list as the core and ipc tests run
 // it: whatever comes back is overwritten at once.
 func poisonedFrames() *freelist.Bytes {
-	l := freelist.New(PageSize, 16)
-	l.PoisonFreed()
-	return l
+	sw := freelist.Switch(true)
+	return freelist.New(PageSize, 16, &sw)
 }
 
 func filled(v byte) []byte { return bytes.Repeat([]byte{v}, PageSize) }

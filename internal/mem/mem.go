@@ -81,7 +81,7 @@ func (as *AddressSpace) SetFault(f FaultFunc) { as.fault = f }
 // which can never hold more than the space has pages.
 func NewAddressSpace(id uint32, size uint32) *AddressSpace {
 	pages := (uint64(size) + PageSize - 1) / PageSize
-	return NewAddressSpaceOn(freelist.New(PageSize, int(pages)), id, size)
+	return NewAddressSpaceOn(freelist.New(PageSize, int(pages), nil), id, size)
 }
 
 // NewAddressSpaceOn is NewAddressSpace for a space that shares its page

@@ -277,7 +277,7 @@ func (q *inbox[T]) take(ctx *kernel.ProcCtx) T {
 
 // answer tells the PmWaitProgram waiters held for lhid what became of the
 // program, on task t but from the program manager's own service port, the
-// one the requests arrived on. The port reuses a Req once it is answered,
+// one the requests arrived on. The engine reuses a Req once it is answered,
 // so the caller takes the waiters out of the list it held them in first. A worker must NOT reply on its own port
 // (ctx.Reply): the reply would leave the PM port's open entry and reply
 // cache untouched, so if the one reply packet is lost the waiter's

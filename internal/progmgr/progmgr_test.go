@@ -592,7 +592,7 @@ func TestFateTable(t *testing.T) {
 			// one other workstation.
 			r.pms[1].Migrator = stubMigrator{err: vid.CodeError(vid.CodeRefused)}
 			r.pms[1].Selector = sched.NewSelector(sched.FirstResponse{}, sched.NewCache(r.eng.Now),
-				vid.GroupProgramManagers, PmSelectHost, uint16(r.ws[1].NIC.MAC()), nil, rand.New(rand.NewSource(1)))
+				vid.GroupProgramManagers, PmSelectHost, uint16(r.ws[1].NIC.MAC()), nil, rand.New(rand.NewSource(1)), r.eng.Poison())
 			_, lhid := create(ctx, r, 1, "long", true)
 			if m, err := ctx.Send(r.pms[1].PID(), vid.Message{Op: PmMigrateProgram}); err != nil || !m.OK() {
 				t.Errorf("evict: %v %v", m, err)

@@ -483,7 +483,7 @@ func TestOnLeadingFiresWhenFencedAndWhenDeposed(t *testing.T) {
 // appends reuse — poisoned on their return here — leave its log intact.
 func TestFollowerLogSurvivesBufferReuse(t *testing.T) {
 	h := boot(t, 3, 5)
-	h.bus.PoisonFreed()
+	h.eng.PoisonFreed()
 	var cmds []string
 	for i := 0; i < 8; i++ {
 		cmds = append(cmds, fmt.Sprintf("k%d=%s", i, strings.Repeat(string(rune('a'+i)), 3*packet.FragChunk)))

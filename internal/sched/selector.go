@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"vsystem/internal/freelist"
 	"vsystem/internal/ipc"
 	"vsystem/internal/params"
 	"vsystem/internal/sim"
@@ -65,7 +66,7 @@ type Selector struct {
 	rng   *rand.Rand
 	// bufs holds the candidate buffers no Select is using. A warm Select
 	// holds one across its probes, while the node's other agents select.
-	bufs [][]Load
+	bufs freelist.List[[]Load]
 
 	stats Stats
 }
@@ -74,12 +75,23 @@ type Selector struct {
 // station MAC. group/op address the selection protocol (the
 // program-manager group and its PmSelectHost operation — passed in so
 // sched does not import progmgr). The rng must be dedicated to this
-// selector and deterministically seeded.
-func NewSelector(p Policy, cache *Cache, group vid.PID, op uint16, host uint16, bus *trace.Bus, rng *rand.Rand) *Selector {
+// selector and deterministically seeded; sw is its cluster's poisoning
+// switch (freelist).
+func NewSelector(p Policy, cache *Cache, group vid.PID, op uint16, host uint16, bus *trace.Bus, rng *rand.Rand, sw *freelist.Switch) *Selector {
 	return &Selector{
 		Policy: p, Cache: cache,
 		group: group, op: op, host: host, bus: bus, rng: rng,
+		bufs: freelist.NewList(8, func() []Load { return nil }, clearLoads, sw),
 	}
+}
+
+// clearLoads readies a candidate buffer for the next Select, zeroing it
+// first when told to poison; one that never grew is not kept.
+func clearLoads(b []Load, poison bool) ([]Load, bool) {
+	if poison {
+		clear(b[:cap(b)])
+	}
+	return b[:0], cap(b) > 0
 }
 
 // Stats snapshots the selector's counters.
@@ -118,11 +130,7 @@ func (s *Selector) Select(tx Sender, minMem uint32, exclude ...vid.LHID) (Load, 
 	// the answers in hand wins. A refusal or silence negatively caches the
 	// candidate; after two probes with no answer fall through to the
 	// multicast rather than serially probing a cold cluster.
-	var buf []Load
-	if n := len(s.bufs); n > 0 {
-		buf, s.bufs = s.bufs[n-1], s.bufs[:n-1]
-	}
-	cands := s.Cache.Candidates(buf, minMem, exclude)
+	cands := s.Cache.Candidates(s.bufs.Get(), minMem, exclude)
 	for _, c := range cands {
 		s.candidate(tx, c, true)
 	}
@@ -142,9 +150,7 @@ func (s *Selector) Select(tx Sender, minMem uint32, exclude ...vid.LHID) (Load, 
 		}
 		cands = dropLH(cands, pick.SystemLH)
 	}
-	if cap(cands) > 0 {
-		s.bufs = append(s.bufs, cands)
-	}
+	s.bufs.Put(cands)
 	if answered {
 		s.stats.WarmPicks++
 		s.choose(tx, best, true)

@@ -108,7 +108,7 @@ func newTestSelector(p Policy, view ...Load) (*Selector, *scriptSender, *trace.B
 		cache.ObserveLoad(l)
 	}
 	bus := trace.NewBus()
-	sel := NewSelector(p, cache, testGroup, testOp, 9, bus, rand.New(rand.NewSource(1)))
+	sel := NewSelector(p, cache, testGroup, testOp, 9, bus, rand.New(rand.NewSource(1)), nil)
 	return sel, &scriptSender{clk: clk, probes: map[vid.PID]vid.Message{}}, bus
 }
 
@@ -354,7 +354,7 @@ func (s *idleSender) SendGather(dst vid.PID, _ vid.Message, _ time.Duration, _ f
 func TestWarmSelectAllocatesNothing(t *testing.T) {
 	clk := &testClock{}
 	cache := NewCache(clk.fn())
-	sel := NewSelector(RandomK{K: 2}, cache, testGroup, testOp, 9, trace.NewBus(), rand.New(rand.NewSource(1)))
+	sel := NewSelector(RandomK{K: 2}, cache, testGroup, testOp, 9, trace.NewBus(), rand.New(rand.NewSource(1)), nil)
 	view := make([]Load, 100)
 	for i := range view {
 		view[i] = ld(uint16(i+1), i%3, 512)

@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"vsystem/internal/freelist"
 )
 
 // Time is an instant of virtual time, in nanoseconds since simulation boot.
@@ -237,8 +239,9 @@ type Engine struct {
 	thens int
 	// limit is the bound of the RunUntil under way: SkipTo never moves the
 	// clock past it. Zero outside RunUntil, where nothing skips.
-	limit Time
-	stats Stats
+	limit  Time
+	stats  Stats
+	poison freelist.Switch // every free list of the engine's cluster reads it
 }
 
 // Stats are an engine's cumulative counters since creation.
@@ -259,6 +262,13 @@ func (e *Engine) Stats() Stats { return e.stats }
 func NewEngine(seed int64) *Engine {
 	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
+
+// PoisonFreed turns poisoning on for every free list of the engine's
+// cluster (freelist). For tests; behaviour is otherwise unchanged.
+func (e *Engine) PoisonFreed() { e.poison = true }
+
+// Poison returns the switch the free lists of the engine's cluster read.
+func (e *Engine) Poison() *freelist.Switch { return &e.poison }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
