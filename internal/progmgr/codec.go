@@ -1,6 +1,8 @@
 package progmgr
 
 import (
+	"slices"
+
 	"vsystem/internal/kernel"
 	"vsystem/internal/sim"
 	"vsystem/internal/vid"
@@ -10,7 +12,7 @@ import (
 // little-endian layouts over vid.Appender / vid.Reader (DESIGN §10 has the
 // table): the PmInitMigration and PmSupervise requests, and the home
 // group's log command and registry snapshot. Equal values encode to equal
-// bytes — the snapshot's lists are sorted and the decoder refuses them
+// bytes — the registry keeps its lists sorted and the decoder refuses them
 // unsorted — and a malformed segment decodes to an error, never a panic.
 
 // ------------------------------------------------------------ InitReq
@@ -134,7 +136,7 @@ func decodeCmd(b []byte) (hgCmd, error) {
 	return c, nil
 }
 
-// ----------------------------------------------------------- homeSnap
+// ----------------------------------------------------------- snapshot
 
 // A session record's fixed part and its two empty length-prefixed tails,
 // and an alias pair: what a snapshot's counts are checked against.
@@ -143,16 +145,22 @@ const (
 	aliasRecLen = 4
 )
 
-// encodeSnap serializes the registry snapshot: the counted session records
-// in Orig order — the two LHIDs, PID, Stdout, MinMem, HostPM, HostLH,
-// Incarnation, Restarts, MaxRestarts, the state byte, ExitCode, LastRenew,
-// NextRetry, the name, the argument list — then the counted alias pairs in
-// From order.
-func encodeSnap(snap *homeSnap) []byte {
-	var a vid.Appender
-	a.Count(len(snap.Sessions))
-	for i := range snap.Sessions {
-		s := &snap.Sessions[i]
+// encodeSnap serializes the registry snapshot into one buffer of its exact
+// size: the counted session records in Orig order — the two LHIDs, PID,
+// Stdout, MinMem, HostPM, HostLH, Incarnation, Restarts, MaxRestarts, the
+// state byte, ExitCode, LastRenew, NextRetry, the name, the argument list
+// — then the counted alias pairs in From order.
+func encodeSnap(reg *registry) []byte {
+	n := 2 + 2 + len(reg.aliases)*aliasRecLen
+	for _, s := range reg.sessions {
+		n += sessRecMin + len(s.Name)
+		for _, arg := range s.Args {
+			n += 2 + len(arg)
+		}
+	}
+	a := vid.Appender{B: make([]byte, 0, n)}
+	a.Count(len(reg.sessions))
+	for _, s := range reg.sessions {
 		a.U16(uint16(s.Orig))
 		a.U16(uint16(s.Cur))
 		a.U32(uint32(s.PID))
@@ -170,19 +178,25 @@ func encodeSnap(snap *homeSnap) []byte {
 		a.String(s.Name)
 		a.Strings(s.Args)
 	}
-	a.Count(len(snap.Aliases))
-	for _, al := range snap.Aliases {
+	a.Count(len(reg.aliases))
+	for _, al := range reg.aliases {
 		a.U16(uint16(al.From))
 		a.U16(uint16(al.To))
 	}
 	return a.B
 }
 
-func decodeSnap(b []byte) (*homeSnap, error) {
+// decodeSnap parses a snapshot straight into a registry's lists, its
+// session records in one block.
+func decodeSnap(b []byte) (*registry, error) {
 	r := vid.NewReader(b)
-	snap := new(homeSnap)
-	for i, n := 0, r.Count(sessRecMin); i < n && r.Err() == nil; i++ {
-		s := homeSessRec{
+	reg := new(registry)
+	n := r.Count(sessRecMin)
+	recs := make([]session, n)
+	reg.sessions = slices.Grow(reg.sessions, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		s := &recs[i]
+		s.homeSessRec = homeSessRec{
 			Orig: vid.LHID(r.U16()), Cur: vid.LHID(r.U16()), PID: vid.PID(r.U32()),
 			Stdout: vid.PID(r.U32()), MinMem: r.U32(), HostPM: vid.PID(r.U32()),
 			HostLH: vid.LHID(r.U16()), Incarnation: int(r.U32()), Restarts: int(r.U32()),
@@ -190,20 +204,20 @@ func decodeSnap(b []byte) (*homeSnap, error) {
 			LastRenew: sim.Time(r.U64()), NextRetry: sim.Time(r.U64()),
 			Name: r.String(), Args: r.Strings(),
 		}
-		if s.State > sessionFailed || i > 0 && s.Orig <= snap.Sessions[i-1].Orig {
+		if s.State > sessionFailed || i > 0 && s.Orig <= reg.sessions[i-1].Orig {
 			r.Fail(vid.ErrMalformed)
 		}
-		snap.Sessions = append(snap.Sessions, s)
+		reg.sessions = append(reg.sessions, s)
 	}
 	for i, n := 0, r.Count(aliasRecLen); i < n; i++ {
 		al := homeAliasRec{From: vid.LHID(r.U16()), To: vid.LHID(r.U16())}
-		if i > 0 && al.From <= snap.Aliases[i-1].From {
+		if i > 0 && al.From <= reg.aliases[i-1].From {
 			r.Fail(vid.ErrMalformed)
 		}
-		snap.Aliases = append(snap.Aliases, al)
+		reg.aliases = append(reg.aliases, al)
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	return snap, nil
+	return reg, nil
 }

@@ -23,7 +23,7 @@ var (
 			return &c, nil
 		},
 	}
-	snapForm = wiretest.Form[homeSnap]{Encode: encodeSnap, Decode: decodeSnap}
+	snapForm = wiretest.Form[registry]{Encode: encodeSnap, Decode: decodeSnap}
 )
 
 func populatedInitReq() *InitReq {
@@ -42,17 +42,17 @@ func populatedSessionInfo() *SessionInfo {
 	}
 }
 
-func populatedSnap() *homeSnap {
-	return &homeSnap{
-		Sessions: []homeSessRec{
-			{Orig: 0x0205, Cur: 0x0306, PID: vid.NewPID(0x0306, 16), Name: "ticker300", Args: []string{"-v"},
+func populatedSnap() *registry {
+	return &registry{
+		sessions: []*session{
+			{homeSessRec: homeSessRec{Orig: 0x0205, Cur: 0x0306, PID: vid.NewPID(0x0306, 16), Name: "ticker300", Args: []string{"-v"},
 				Stdout: vid.NewPID(0x0100, 17), MinMem: 256 * 1024, HostPM: vid.NewPID(0x0300, 2), HostLH: 0x0300,
 				Incarnation: 2, Restarts: 1, MaxRestarts: 2, State: sessionBroken,
-				LastRenew: sim.Time(9 * time.Second), NextRetry: sim.Time(9500 * time.Millisecond)},
-			{Orig: 0x0207, Cur: 0x0207, PID: vid.NewPID(0x0207, 16), Name: "hello",
-				Incarnation: 1, State: sessionDone, ExitCode: 3},
+				LastRenew: sim.Time(9 * time.Second), NextRetry: sim.Time(9500 * time.Millisecond)}},
+			{homeSessRec: homeSessRec{Orig: 0x0207, Cur: 0x0207, PID: vid.NewPID(0x0207, 16), Name: "hello",
+				Incarnation: 1, State: sessionDone, ExitCode: 3}},
 		},
-		Aliases: []homeAliasRec{{From: 0x0306, To: 0x0205}, {From: 0x0407, To: 0x0205}},
+		aliases: []homeAliasRec{{From: 0x0306, To: 0x0205}, {From: 0x0407, To: 0x0205}},
 	}
 }
 
@@ -96,17 +96,21 @@ func TestCmdWireForm(t *testing.T) {
 func TestSnapWireForm(t *testing.T) {
 	snap := populatedSnap()
 	seg := snapForm.RoundTrip(t, snap)
-	aliases := len(seg) - 2 - len(snap.Aliases)*aliasRecLen
+	aliases := len(seg) - 2 - len(snap.aliases)*aliasRecLen
 	snapForm.Malformed(t, seg,
 		wiretest.Count{Off: 0, N: 2}, wiretest.Count{Off: aliases, N: 2})
-	snapForm.Malformed(t, snapForm.RoundTrip(t, &homeSnap{}))
+	snapForm.Malformed(t, snapForm.RoundTrip(t, &registry{}))
+	// The encoder sizes its one buffer exactly: a short guess would grow it.
+	if n := testing.AllocsPerRun(10, func() { encodeSnap(snap) }); n != 1 {
+		t.Errorf("encoding a snapshot allocates %v times, want 1", n)
+	}
 
 	// Equal registries have one snapshot: unsorted or repeated keys and an
 	// unknown state are refused.
-	for name, mangle := range map[string]func(*homeSnap){
-		"sessions swapped": func(s *homeSnap) { s.Sessions[0], s.Sessions[1] = s.Sessions[1], s.Sessions[0] },
-		"aliases repeated": func(s *homeSnap) { s.Aliases[1].From = s.Aliases[0].From },
-		"unknown state":    func(s *homeSnap) { s.Sessions[0].State = sessionFailed + 1 },
+	for name, mangle := range map[string]func(*registry){
+		"sessions swapped": func(s *registry) { s.sessions[0], s.sessions[1] = s.sessions[1], s.sessions[0] },
+		"aliases repeated": func(s *registry) { s.aliases[1].From = s.aliases[0].From },
+		"unknown state":    func(s *registry) { s.sessions[0].State = sessionFailed + 1 },
 	} {
 		s := populatedSnap()
 		mangle(s)
@@ -150,7 +154,7 @@ func FuzzDecodeCmd(f *testing.F) {
 
 func FuzzDecodeSnap(f *testing.F) {
 	f.Add(encodeSnap(populatedSnap()))
-	f.Add(encodeSnap(&homeSnap{}))
+	f.Add(encodeSnap(&registry{}))
 	f.Add([]byte{})
 	snapForm.Fuzz(f)
 }
@@ -170,8 +174,8 @@ func TestWireSizesPinned(t *testing.T) {
 		{"SessionInfo, one argument", len(EncodeSessionInfo(populatedSessionInfo())), 41},
 		{"hgCmd, lease renewal", len(encodeCmd(renew)), 36},
 		{"hgCmd, supervise with its SessionInfo", len(encodeCmd(&hgCmd{Kind: hgSupervise, Sess: populatedSessionInfo()})), 77},
-		{"homeSnap, two sessions, two aliases", len(encodeSnap(populatedSnap())), 148},
-		{"homeSnap, zero", len(encodeSnap(&homeSnap{})), 4},
+		{"registry snapshot, two sessions, two aliases", len(encodeSnap(populatedSnap())), 148},
+		{"registry snapshot, zero", len(encodeSnap(&registry{})), 4},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: %d bytes, pinned at %d", c.form, c.got, c.want)

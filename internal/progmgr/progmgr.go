@@ -185,8 +185,9 @@ type PM struct {
 	reapQ     []*reapJob          // remote programs to destroy, with retry
 	sup       SupStats
 	lease     *kernel.Process
-	leaseWake sim.WaitQ // the lease worker parks here
-	leaseKick bool      // set by kickLease, cleared as a pass begins
+	leaseWake sim.WaitQ  // the lease worker parks here
+	leaseKick bool       // set by kickLease, cleared as a pass begins
+	leaseIDs  []vid.LHID // the sessions a pass visits, reused pass to pass
 
 	fs fileserver.Client // the manager's one way to the file service
 }

@@ -1,7 +1,7 @@
 package progmgr
 
 import (
-	"maps"
+	"cmp"
 	"slices"
 
 	"vsystem/internal/ipc"
@@ -47,10 +47,13 @@ type session struct {
 	waiters []*ipc.Req // held until recovery resolves; not replicated
 }
 
-// homeSessRec is the replicated part of a session and, as is, its snapshot
-// form. All of it changes only in registry methods, except LastRenew, which
-// the acting leader also refreshes on plain lease renewals without a log
-// entry (a promoted follower sees a stale value and simply renews at once).
+// resolved reports whether the session has its fate: done or failed.
+func (s *session) resolved() bool { return s.State == sessionDone || s.State == sessionFailed }
+
+// homeSessRec is the replicated part of a session, as its snapshot record
+// holds it. All of it changes only in registry methods, except LastRenew,
+// which the acting leader also refreshes on plain lease renewals without a
+// log entry (a promoted follower sees a stale value and simply renews at once).
 type homeSessRec struct {
 	Orig        vid.LHID // LHID at first execution — the callers' handle
 	Cur         vid.LHID // current incarnation's LHID
@@ -101,35 +104,58 @@ type hgCmd struct {
 }
 
 type registry struct {
-	sessions map[vid.LHID]*session // by original LHID
-	alias    map[vid.LHID]vid.LHID // later incarnations' LHIDs → original
+	sessions []*session     // sorted by original LHID, as a snapshot lists them
+	aliases  []homeAliasRec // later incarnations' LHIDs → original, sorted by From
 	// changed, when set, is called after every mutation — Apply or
 	// Restore — so that whoever acts on session deadlines can look again.
 	changed func()
 }
 
-func newRegistry() *registry {
-	return &registry{sessions: make(map[vid.LHID]*session), alias: make(map[vid.LHID]vid.LHID)}
+type homeAliasRec struct{ From, To vid.LHID }
+
+func newRegistry() *registry { return &registry{} }
+
+// find returns the index of the session orig, or where it would go.
+func (r *registry) find(orig vid.LHID) (int, bool) {
+	return slices.BinarySearchFunc(r.sessions, orig, func(s *session, id vid.LHID) int { return cmp.Compare(s.Orig, id) })
+}
+
+func (r *registry) findAlias(from vid.LHID) (int, bool) {
+	return slices.BinarySearchFunc(r.aliases, from, func(a homeAliasRec, id vid.LHID) int { return cmp.Compare(a.From, id) })
+}
+
+// session returns the session whose original LHID is orig.
+func (r *registry) session(orig vid.LHID) *session {
+	if i, ok := r.find(orig); ok {
+		return r.sessions[i]
+	}
+	return nil
+}
+
+// sessionAt is session(orig) for a caller that found orig at index i
+// earlier: while the list has not moved, that is where it still is.
+func (r *registry) sessionAt(i int, orig vid.LHID) *session {
+	if i < len(r.sessions) && r.sessions[i].Orig == orig {
+		return r.sessions[i]
+	}
+	return r.session(orig)
 }
 
 // lookup resolves a session by any of its incarnations' LHIDs.
 func (r *registry) lookup(lhid vid.LHID) *session {
-	if orig, ok := r.alias[lhid]; ok {
-		lhid = orig
+	if i, ok := r.findAlias(lhid); ok {
+		lhid = r.aliases[i].To
 	}
-	return r.sessions[lhid]
+	return r.session(lhid)
 }
 
-// ids lists the sessions' original LHIDs in sorted order — map iteration
-// order must reach neither the wire nor a snapshot.
-// The lease worker calls it every pass, so it sizes the slice up front.
-func (r *registry) ids() []vid.LHID {
-	ids := make([]vid.LHID, 0, len(r.sessions))
-	for id := range r.sessions {
-		ids = append(ids, id)
+// alias keeps from resolvable to the session orig.
+func (r *registry) alias(from, orig vid.LHID) {
+	if i, ok := r.findAlias(from); ok {
+		r.aliases[i].To = orig
+	} else {
+		r.aliases = slices.Insert(r.aliases, i, homeAliasRec{from, orig})
 	}
-	slices.Sort(ids)
-	return ids
 }
 
 func (r *registry) notify() {
@@ -155,23 +181,27 @@ func (r *registry) Apply(c hgCmd) []byte {
 	defer r.notify()
 	if c.Kind == hgSupervise {
 		// A registration is retried by its agent until a leader commits
-		// it: only the first copy registers.
-		if si := c.Sess; si != nil && r.sessions[si.LHID] == nil {
-			r.sessions[si.LHID] = &session{homeSessRec: homeSessRec{
+		// it: only the first copy registers. Its LHID, if recycled, stops
+		// resolving to the earlier job it was an alias of.
+		if si := c.Sess; si != nil && r.session(si.LHID) == nil {
+			i, _ := r.find(si.LHID)
+			r.aliases = slices.DeleteFunc(r.aliases, func(a homeAliasRec) bool { return a.From == si.LHID })
+			r.sessions = slices.Insert(r.sessions, i, &session{homeSessRec: homeSessRec{
 				Orig: si.LHID, Cur: si.LHID, PID: si.PID,
 				Name: si.Name, Args: si.Args, Stdout: si.Stdout, MinMem: si.MinMem,
 				HostPM: si.HostPM, HostLH: si.HostLH,
 				Incarnation: 1, MaxRestarts: si.MaxRestarts,
 				State: sessionActive, LastRenew: sim.Time(c.At),
-			}}
+			}})
 		}
 		return nil
 	}
-	s := r.sessions[c.Orig]
-	if s == nil {
+	i, ok := r.find(c.Orig)
+	if !ok {
 		return nil
 	}
-	resolved := s.State == sessionDone || s.State == sessionFailed
+	s := r.sessions[i]
+	resolved := s.resolved()
 	switch c.Kind {
 	case hgRenewed:
 		if resolved {
@@ -182,7 +212,7 @@ func (r *registry) Apply(c hgCmd) []byte {
 			// Repoint at the new incarnation, keeping old LHIDs resolvable
 			// for handles issued earlier.
 			if nl != s.Orig {
-				r.alias[nl] = s.Orig
+				r.alias(nl, s.Orig)
 			}
 			s.Cur, s.PID = nl, vid.NewPID(nl, vid.IdxFirstProcess)
 		}
@@ -207,7 +237,7 @@ func (r *registry) Apply(c hgCmd) []byte {
 		}
 		nl := vid.LHID(c.NewLH)
 		if nl != s.Orig && nl != s.Cur {
-			r.alias[nl] = s.Orig
+			r.alias(nl, s.Orig)
 		}
 		s.Cur, s.PID = nl, vid.PID(c.NewPID)
 		s.HostPM, s.HostLH = vid.PID(c.HostPM), vid.LHID(c.HostLH)
@@ -224,43 +254,18 @@ func (r *registry) Apply(c hgCmd) []byte {
 			s.State = sessionFailed
 		}
 	case hgForget:
-		delete(r.sessions, c.Orig)
+		r.sessions = slices.Delete(r.sessions, i, i+1)
+		r.aliases = slices.DeleteFunc(r.aliases, func(a homeAliasRec) bool { return a.To == c.Orig })
 	}
 	return nil
 }
 
-// homeSnap is the registry's deterministic snapshot form: sessions and
-// aliases as sorted slices (map iteration order must not reach the wire).
-type homeSnap struct {
-	Sessions []homeSessRec
-	Aliases  []homeAliasRec
-}
-
-type homeAliasRec struct{ From, To vid.LHID }
-
-func (r *registry) Snapshot() []byte {
-	var snap homeSnap
-	for _, id := range r.ids() {
-		snap.Sessions = append(snap.Sessions, r.sessions[id].homeSessRec)
-	}
-	for _, f := range slices.Sorted(maps.Keys(r.alias)) {
-		snap.Aliases = append(snap.Aliases, homeAliasRec{From: f, To: r.alias[f]})
-	}
-	return encodeSnap(&snap)
-}
+// Snapshot encodes the registry as is: its lists are already in order.
+func (r *registry) Snapshot() []byte { return encodeSnap(r) }
 
 func (r *registry) Restore(b []byte) {
-	snap, err := decodeSnap(b)
-	if err != nil {
-		return
-	}
-	defer r.notify()
-	r.sessions = make(map[vid.LHID]*session, len(snap.Sessions))
-	r.alias = make(map[vid.LHID]vid.LHID, len(snap.Aliases))
-	for _, rec := range snap.Sessions {
-		r.sessions[rec.Orig] = &session{homeSessRec: rec}
-	}
-	for _, a := range snap.Aliases {
-		r.alias[a.From] = a.To
+	if snap, err := decodeSnap(b); err == nil {
+		r.sessions, r.aliases = snap.sessions, snap.aliases
+		r.notify()
 	}
 }

@@ -1,7 +1,12 @@
 package progmgr
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -150,7 +155,7 @@ func TestRegistryEveryKindFromEveryState(t *testing.T) {
 					svc.Commit(nil, c)
 				}
 				before := string(solo.Snapshot())
-				s := solo.sessions[tOrig]
+				s := solo.session(tOrig)
 				w := want{state: s.State, cur: s.Cur, hostLH: s.HostLH, incarnation: s.Incarnation,
 					restarts: s.Restarts, exitCode: s.ExitCode, lastRenew: s.LastRenew, nextRetry: s.NextRetry}
 				for _, c := range append(tc.pre, tc.cmd) {
@@ -165,7 +170,7 @@ func TestRegistryEveryKindFromEveryState(t *testing.T) {
 				} else {
 					tc.edit(from, &w)
 				}
-				s = solo.sessions[tOrig]
+				s = solo.session(tOrig)
 				got := want{state: s.State, cur: s.Cur, hostLH: s.HostLH, incarnation: s.Incarnation,
 					restarts: s.Restarts, exitCode: s.ExitCode, lastRenew: s.LastRenew, nextRetry: s.NextRetry,
 					aliased: solo.lookup(tNew) == s}
@@ -197,6 +202,167 @@ func TestRegistryEveryKindFromEveryState(t *testing.T) {
 					t.Fatal("solo Commit and snapshot→restore→replay left different registries")
 				}
 			})
+		}
+	}
+}
+
+// TestRecycledLHIDDropsStaleAlias: an LHID that a moved or re-executed job
+// once had is recycled for a new job's first incarnation. A lookup by it —
+// a home PmWaitProgram on the new job — must find the new session, not the
+// earlier job's fate; and a forgotten session leaves no alias behind.
+func TestRecycledLHIDDropsStaleAlias(t *testing.T) {
+	r := newRegistry()
+	for _, c := range []hgCmd{
+		{Kind: hgSupervise, Sess: &tSess, At: 100},
+		{Kind: hgRebind, Orig: tOrig, At: 200, NewLH: uint32(tNew), NewPID: uint32(vid.NewPID(tNew, vid.IdxFirstProcess))},
+		{Kind: hgDone, Orig: tOrig, Code: 9},
+	} {
+		r.Apply(c)
+	}
+	if s := r.lookup(tNew); s == nil || s.Orig != tOrig {
+		t.Fatalf("before recycling, %v resolves to %+v, want the session %v", tNew, s, tOrig)
+	}
+	next := tSess
+	next.LHID, next.PID = tNew, vid.NewPID(tNew, vid.IdxFirstProcess)
+	r.Apply(hgCmd{Kind: hgSupervise, Sess: &next, At: 300})
+	if s := r.lookup(tNew); s == nil || s.Orig != tNew || s.State != sessionActive {
+		t.Fatalf("after recycling, %v resolves to %+v, want the new job's active session", tNew, s)
+	}
+	r.Apply(hgCmd{Kind: hgRebind, Orig: tNew, At: 400, NewLH: 0x0703, NewPID: uint32(vid.NewPID(0x0703, vid.IdxFirstProcess))})
+	r.Apply(hgCmd{Kind: hgForget, Orig: tNew})
+	if s := r.lookup(0x0703); s != nil {
+		t.Fatalf("a forgotten session still resolves by its alias: %+v", s)
+	}
+	if s := r.lookup(tOrig); s == nil || s.State != sessionDone {
+		t.Fatalf("the earlier job is no longer found by its own LHID: %+v", s)
+	}
+}
+
+// refRegistry is the registry as a map plus sorted ids — the form it once
+// had — with the same transitions: the oracle of the differential test.
+type refRegistry struct {
+	sessions map[vid.LHID]*homeSessRec
+	alias    map[vid.LHID]vid.LHID
+}
+
+func (f *refRegistry) apply(c hgCmd) {
+	if c.Kind == hgSupervise {
+		if si := c.Sess; si != nil && f.sessions[si.LHID] == nil {
+			delete(f.alias, si.LHID)
+			f.sessions[si.LHID] = &homeSessRec{Orig: si.LHID, Cur: si.LHID, PID: si.PID,
+				Name: si.Name, Args: si.Args, Stdout: si.Stdout, MinMem: si.MinMem,
+				HostPM: si.HostPM, HostLH: si.HostLH, Incarnation: 1, MaxRestarts: si.MaxRestarts,
+				State: sessionActive, LastRenew: sim.Time(c.At)}
+		}
+		return
+	}
+	s := f.sessions[c.Orig]
+	if s == nil {
+		return
+	}
+	resolved := s.State == sessionDone || s.State == sessionFailed
+	nl := vid.LHID(c.NewLH)
+	switch {
+	case (c.Kind == hgRenewed || c.Kind == hgRebind) && !resolved:
+		if c.Kind == hgRebind || nl != 0 && nl != s.Cur {
+			if nl != s.Orig && nl != s.Cur {
+				f.alias[nl] = s.Orig
+			}
+			s.Cur, s.PID = nl, vid.PID(c.NewPID)
+			if c.Kind == hgRenewed {
+				s.PID = vid.NewPID(nl, vid.IdxFirstProcess)
+			}
+		}
+		if c.Kind == hgRebind {
+			s.Incarnation++
+		}
+		s.HostPM, s.HostLH = vid.PID(c.HostPM), vid.LHID(c.HostLH)
+		s.State, s.LastRenew = sessionActive, sim.Time(c.At)
+	case c.Kind == hgBreak && s.State == sessionActive:
+		s.State, s.NextRetry = sessionBroken, sim.Time(c.At)
+	case c.Kind == hgRetryAt && s.State == sessionBroken:
+		s.NextRetry = sim.Time(c.At)
+	case c.Kind == hgIntent:
+		s.Restarts = max(s.Restarts, c.Attempt)
+	case c.Kind == hgDone && !resolved:
+		s.State, s.ExitCode = sessionDone, c.Code
+	case c.Kind == hgFailed && s.State != sessionDone:
+		s.State = sessionFailed
+	case c.Kind == hgForget:
+		delete(f.sessions, c.Orig)
+		maps.DeleteFunc(f.alias, func(_, to vid.LHID) bool { return to == c.Orig })
+	}
+}
+
+func (f *refRegistry) lookup(lhid vid.LHID) *homeSessRec {
+	if orig, ok := f.alias[lhid]; ok {
+		lhid = orig
+	}
+	return f.sessions[lhid]
+}
+
+// snapshot lists the sessions and aliases by sorted key and encodes them.
+func (f *refRegistry) snapshot() []byte {
+	var r registry
+	for _, id := range slices.Sorted(maps.Keys(f.sessions)) {
+		r.sessions = append(r.sessions, &session{homeSessRec: *f.sessions[id]})
+	}
+	for _, from := range slices.Sorted(maps.Keys(f.alias)) {
+		r.aliases = append(r.aliases, homeAliasRec{from, f.alias[from]})
+	}
+	return encodeSnap(&r)
+}
+
+// TestRegistryMatchesMapReference drives random command sequences, with
+// snapshot round trips among them, through the registry and through the
+// map-based reference: after every step both resolve every LHID to equal
+// records, visit their sessions in the same order and snapshot to the same
+// bytes.
+func TestRegistryMatchesMapReference(t *testing.T) {
+	lhids := []vid.LHID{0x0101, 0x0102, 0x0103, 0x0201, 0x0202, 0x0301, 0x0302}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pick := func() vid.LHID { return lhids[rng.Intn(len(lhids))] }
+		r := newRegistry()
+		ref := &refRegistry{sessions: map[vid.LHID]*homeSessRec{}, alias: map[vid.LHID]vid.LHID{}}
+		for step := 0; step < 400; step++ {
+			c := hgCmd{Kind: hgKind(1 + rng.Intn(int(hgForget))), Orig: pick(), At: int64(step),
+				HostPM: rng.Uint32(), HostLH: uint32(pick()), Code: uint32(rng.Intn(4)), Attempt: rng.Intn(4)}
+			if lh := pick(); rng.Intn(4) > 0 {
+				c.NewLH, c.NewPID = uint32(lh), uint32(vid.NewPID(lh, vid.IdxFirstProcess))
+			}
+			if c.Kind == hgSupervise && rng.Intn(10) > 0 {
+				si := tSess
+				si.LHID, si.PID, si.MaxRestarts = c.Orig, vid.NewPID(c.Orig, vid.IdxFirstProcess), rng.Intn(3)
+				c.Sess = &si
+			}
+			r.Apply(c)
+			ref.apply(c)
+			switch rng.Intn(8) {
+			case 0:
+				r.Restore(r.Snapshot())
+			case 1:
+				restored := newRegistry()
+				restored.Restore(r.Snapshot())
+				r = restored
+			}
+
+			var order []vid.LHID
+			for _, s := range r.sessions {
+				order = append(order, s.Orig)
+			}
+			if want := slices.Sorted(maps.Keys(ref.sessions)); !slices.Equal(order, want) {
+				t.Fatalf("seed %d step %d (%+v): sessions visited as %v, want %v", seed, step, c, order, want)
+			}
+			for _, lh := range lhids {
+				got, want := r.lookup(lh), ref.lookup(lh)
+				if (got == nil) != (want == nil) || got != nil && !reflect.DeepEqual(got.homeSessRec, *want) {
+					t.Fatalf("seed %d step %d (%+v): lookup(%v) = %+v, want %+v", seed, step, c, lh, got, want)
+				}
+			}
+			if !bytes.Equal(r.Snapshot(), ref.snapshot()) {
+				t.Fatalf("seed %d step %d (%+v): snapshots differ", seed, step, c)
+			}
 		}
 	}
 }

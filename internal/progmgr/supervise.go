@@ -125,7 +125,7 @@ type SessionInfo struct {
 // sends PmSupervise instead, until a leader commits the record to the
 // replicated registry.
 func (pm *PM) Supervise(ctx *kernel.ProcCtx, si SessionInfo) {
-	if pm.reg.sessions[si.LHID] != nil {
+	if pm.reg.session(si.LHID) != nil {
 		pm.commit(ctx, hgCmd{Kind: hgForget, Orig: si.LHID})
 	}
 	pm.commit(ctx, hgCmd{Kind: hgSupervise, Sess: &si, At: int64(ctx.Now())})
@@ -154,7 +154,7 @@ func (pm *PM) supervise(ctx *kernel.ProcCtx, req *ipc.Req) {
 // that does not lead, the commit is refused and nothing is recorded: the
 // leader's next renewal learns the exit code from the hosting manager.
 func (pm *PM) NoteExited(ctx *kernel.ProcCtx, lhid vid.LHID, code uint32) error {
-	if s := pm.reg.lookup(lhid); s != nil && s.Cur == lhid && s.State != sessionDone && s.State != sessionFailed {
+	if s := pm.reg.lookup(lhid); s != nil && s.Cur == lhid && !s.resolved() {
 		return pm.commit(ctx, hgCmd{Kind: hgDone, Orig: s.Orig, Code: code})
 	}
 	return nil
@@ -190,10 +190,8 @@ type SessionView struct {
 // Sessions lists the manager's supervised sessions, ordered by original
 // LHID.
 func (pm *PM) Sessions() []SessionView {
-	ids := pm.reg.ids()
-	out := make([]SessionView, 0, len(ids))
-	for _, id := range ids {
-		s := pm.reg.sessions[id]
+	out := make([]SessionView, 0, len(pm.reg.sessions))
+	for _, s := range pm.reg.sessions {
 		out = append(out, SessionView{
 			LHID: s.Orig, CurLH: s.Cur, PID: s.PID, Name: s.Name,
 			HostLH: s.HostLH, Incarnation: s.Incarnation, Restarts: s.Restarts,
@@ -285,8 +283,9 @@ func (pm *PM) leaseLoop(ctx *kernel.ProcCtx) {
 	}
 }
 
-// leasePass does everything that is due now. Sessions are visited in
-// sorted LHID order — map iteration order must not reach the wire.
+// leasePass does everything that is due now. Sessions are visited in LHID
+// order, the registry's; the pass walks a copy of their ids, as a send can
+// block while the registry changes.
 func (pm *PM) leasePass(ctx *kernel.ProcCtx) {
 	pm.drainReapQ(ctx)
 	// With a home group only the fenced leader acts on live sessions; a
@@ -294,29 +293,23 @@ func (pm *PM) leasePass(ctx *kernel.ProcCtx) {
 	// back at the group, where the current leader will hold or answer
 	// them. Exit results are served by every replica.
 	leading := pm.svc.Leading()
-	for _, id := range pm.reg.ids() {
-		s := pm.reg.sessions[id]
-		if s == nil {
-			continue // forgotten while an earlier session's send blocked
-		}
-		switch s.State {
-		case sessionActive, sessionBroken:
-			if !leading {
-				pm.flushWaiters(ctx, s, fate{kind: fateMoved, pm: vid.GroupHomePMs, lh: s.Cur})
-				continue
-			}
-		}
-		switch s.State {
-		case sessionActive:
-			if ctx.Now().Sub(s.LastRenew) >= params.LeaseInterval {
-				pm.renew(ctx, s)
-			}
-		case sessionBroken:
-			if ctx.Now() >= s.NextRetry {
-				pm.recover(ctx, s)
-			}
-		default:
+	pm.leaseIDs = pm.leaseIDs[:0]
+	for _, s := range pm.reg.sessions {
+		pm.leaseIDs = append(pm.leaseIDs, s.Orig)
+	}
+	for i, id := range pm.leaseIDs {
+		switch s := pm.reg.sessionAt(i, id); {
+		case s == nil || len(s.waiters) == 0 && (s.resolved() || !leading):
+			// Forgotten while an earlier session's send blocked, or idle:
+			// nothing to answer, and nothing this manager renews or recovers.
+		case s.resolved():
 			pm.flushWaiters(ctx, s, s.fate())
+		case !leading:
+			pm.flushWaiters(ctx, s, fate{kind: fateMoved, pm: vid.GroupHomePMs, lh: s.Cur})
+		case s.State == sessionActive && ctx.Now().Sub(s.LastRenew) >= params.LeaseInterval:
+			pm.renew(ctx, s)
+		case s.State == sessionBroken && ctx.Now() >= s.NextRetry:
+			pm.recover(ctx, s)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package progmgr
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -119,6 +120,61 @@ func TestLeaseRenewedAtExactlyItsDeadline(t *testing.T) {
 		if late := at.Sub(due[i]); late < 0 || late >= time.Millisecond {
 			t.Errorf("renewal %d left at %v, %v after its deadline %v; want within 1 ms", i, at, late, due[i])
 		}
+	}
+}
+
+// TestSessionsDueTogetherRenewInLHIDOrder registers three sessions out of
+// order, all due at one instant: one pass renews them in LHID order, the
+// order the registry holds them in.
+func TestSessionsDueTogetherRenewInLHIDOrder(t *testing.T) {
+	r := newRig(t, 2, 3)
+	tb := trace.NewBus()
+	for _, h := range r.ws {
+		h.AttachTrace(tb)
+	}
+	var order []vid.LHID
+	tb.Subscribe(func(ev trace.Event) {
+		if ev.Kind == trace.EvPktTx && ev.Pkt.Kind == packet.KRequest && ev.Pkt.Msg.Op == PmRenewLease {
+			if lh := vid.LHID(ev.Pkt.Msg.W[0]); !slices.Contains(order, lh) {
+				order = append(order, lh)
+			}
+		}
+	})
+	for _, lh := range []vid.LHID{0x0503, 0x0501, 0x0502} {
+		si := tSess
+		si.LHID, si.PID = lh, vid.NewPID(lh, vid.IdxFirstProcess)
+		si.HostPM, si.HostLH = r.pms[1].PID(), r.ws[1].SystemLH().ID()
+		r.pms[0].reg.Apply(hgCmd{Kind: hgSupervise, Sess: &si})
+	}
+	r.eng.RunFor(params.LeaseInterval + 100*time.Millisecond)
+	if want := []vid.LHID{0x0501, 0x0502, 0x0503}; !slices.Equal(order, want) {
+		t.Fatalf("sessions due together renewed in the order %v, want %v", order, want)
+	}
+}
+
+// TestIdleLeasePassAllocatesNothing: a pass over 150 resolved sessions —
+// the history a home keeps until their LHIDs recycle — and the deadline the
+// worker then parks until allocate nothing once the pass's id buffer has
+// grown.
+func TestIdleLeasePassAllocatesNothing(t *testing.T) {
+	r := newRig(t, 1, 1)
+	pm := r.pms[0]
+	for i := 0; i < 150; i++ {
+		si := tSess
+		si.LHID = vid.LHID(0x0200 + i)
+		pm.reg.Apply(hgCmd{Kind: hgSupervise, Sess: &si})
+		pm.reg.Apply(hgCmd{Kind: hgDone, Orig: si.LHID})
+	}
+	allocs := -1.0
+	r.agent(0, func(ctx *kernel.ProcCtx) {
+		allocs = testing.AllocsPerRun(50, func() {
+			pm.leasePass(ctx)
+			pm.leaseDeadline()
+		})
+	})
+	r.eng.RunFor(10 * time.Millisecond)
+	if allocs != 0 {
+		t.Fatalf("an idle lease pass allocates %v times, want 0", allocs)
 	}
 }
 

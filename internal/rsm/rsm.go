@@ -30,7 +30,7 @@ package rsm
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"vsystem/internal/ipc"
@@ -180,7 +180,8 @@ type Replica struct {
 	// leader volatile state
 	nextIndex  []uint32
 	matchIndex []uint32
-	barrier    uint32 // index of this term's no-op fence entry
+	match      []uint32 // advanceCommit's sorted copy of matchIndex
+	barrier    uint32   // index of this term's no-op fence entry
 
 	repWake   sim.WaitQ // replication workers: new work / leadership
 	applyWake sim.WaitQ // Submit waiters
@@ -831,9 +832,9 @@ func (r *Replica) advanceCommit(t *sim.Task) {
 	if r.role != leader {
 		return
 	}
-	sorted := append([]uint32(nil), r.matchIndex...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
-	cand := sorted[r.cfg.N/2]
+	r.match = append(r.match[:0], r.matchIndex...)
+	slices.Sort(r.match)
+	cand := r.match[(r.cfg.N-1)/2]
 	if cand > r.commit && r.termAt(cand) == r.st.Term {
 		r.noteCommit(t, cand)
 	}

@@ -207,3 +207,36 @@ func TestFresherCandidateWinsTie(t *testing.T) {
 		t.Errorf("stale replica %d: %v after %d elections", stale.cfg.ID, stale.role, stale.stats.Elections)
 	}
 }
+
+// TestAdvanceCommitTakesTheMajorityMatch: a leader's commit index moves to
+// the highest index a majority of the N match indexes hold, whichever
+// members hold it, and working that out allocates nothing.
+func TestAdvanceCommitTakesTheMajorityMatch(t *testing.T) {
+	eng := sim.NewEngine(1)
+	bus := ethernet.NewBus(eng)
+	host := kernel.NewHost(eng, bus, 0, "r0")
+	r := New(host, Config{Name: "kv", Group: vid.GroupHomeRSM, ID: 0, N: 5}, &wbSM{}, NewStore())
+	r.role, r.st.Term = leader, 1
+	r.nextIndex, r.matchIndex = make([]uint32, r.cfg.N), make([]uint32, r.cfg.N)
+	for i := 0; i < 5; i++ {
+		r.appendLocal([]byte{byte(i)})
+	}
+	for _, c := range []struct {
+		match []uint32
+		want  uint32
+	}{
+		{[]uint32{5, 0, 0, 0, 0}, 0},
+		{[]uint32{5, 1, 4, 2, 3}, 3},
+		{[]uint32{0, 4, 5, 0, 5}, 4},
+		{[]uint32{5, 5, 1, 5, 2}, 5},
+	} {
+		copy(r.matchIndex, c.match)
+		r.advanceCommit(nil)
+		if r.commit != c.want {
+			t.Fatalf("match %v: commit %d, want %d", c.match, r.commit, c.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { r.advanceCommit(nil) }); n != 0 {
+		t.Fatalf("advanceCommit allocates %.0f times a call, want 0", n)
+	}
+}
