@@ -65,7 +65,7 @@ func BenchmarkFrozenCheck(b *testing.B) {
 	eng := sim.NewEngine(1)
 	bus := ethernet.NewBus(eng)
 	h := kernel.NewHost(eng, bus, 0, "bench")
-	lh := h.CreateLH("prog", false)
+	lh, _ := h.CreateLH("prog", false)
 	sum := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -82,7 +82,7 @@ func BenchmarkLocalGroupIndirection(b *testing.B) {
 	eng := sim.NewEngine(1)
 	bus := ethernet.NewBus(eng)
 	h := kernel.NewHost(eng, bus, 0, "bench")
-	lh := h.CreateLH("prog", false)
+	lh, _ := h.CreateLH("prog", false)
 	dst := vid.NewPID(lh.ID(), vid.IdxKernelServer)
 	var res interface {
 		WellKnown(vid.LHID, uint16) (vid.PID, bool)

@@ -15,7 +15,6 @@ import (
 	"vsystem/internal/ethernet"
 	"vsystem/internal/fault"
 	"vsystem/internal/fileserver"
-	"vsystem/internal/freelist"
 	"vsystem/internal/image"
 	"vsystem/internal/kernel"
 	"vsystem/internal/nameserver"
@@ -110,7 +109,6 @@ type Cluster struct {
 	opt    Options          // as booted, defaults filled in
 	images []installedImage // install order preserved for FS restart
 	agents int
-	pagers map[vid.LHID]*PagerStats
 }
 
 type installedImage struct {
@@ -127,11 +125,8 @@ type Node struct {
 	// policy over the node's cached cluster-load view. It survives
 	// crash/restart cycles: stale entries age out, and a dead candidate
 	// drops out when it fails a probe.
-	Selector   *sched.Selector
-	cluster    *Cluster
-	pagerSeq   uint32
-	pagerCalls freelist.List[*pagerCall] // finished pager calls, for the next faults
-	fetched    kernel.PageRun            // the demand-fetched run being installed (demandFetch)
+	Selector *sched.Selector
+	cluster  *Cluster
 }
 
 // Options returns the options the cluster was booted with, defaults
@@ -168,7 +163,7 @@ func NewCluster(opt Options) *Cluster {
 	}
 	tb := trace.NewBus()
 	bus.SetTraceBus(tb)
-	c := &Cluster{Sim: eng, Bus: bus, Trace: tb, opt: opt, pagers: make(map[vid.LHID]*PagerStats)}
+	c := &Cluster{Sim: eng, Bus: bus, Trace: tb, opt: opt}
 	c.Fault = fault.New(eng, bus, tb, c.roleMAC)
 	tb.RegisterSource("net", func() []trace.Metric {
 		bs := bus.Stats()
@@ -221,8 +216,7 @@ func NewCluster(opt Options) *Cluster {
 		h := kernel.NewHost(eng, bus, i, fmt.Sprintf("ws%d", i))
 		h.AttachTrace(tb)
 		registerHostMetrics(tb, h)
-		n := &Node{Host: h, cluster: c,
-			pagerCalls: freelist.NewList(8, func() *pagerCall { return new(pagerCall) }, nil, eng.Poison())}
+		n := &Node{Host: h, cluster: c}
 		n.PM = progmgr.Start(h)
 		n.PM.SelectDally = dally
 		cache := sched.NewCache(eng.Now)

@@ -55,8 +55,8 @@ func TestCopyListsStayUnderTheirBounds(t *testing.T) {
 				}
 			}
 			for _, n := range c.Nodes {
-				if n.pagerCalls.High() >= n.pagerCalls.Bound() {
-					t.Errorf("%s's pager calls: held at most %d of %d", n.Name(), n.pagerCalls.High(), n.pagerCalls.Bound())
+				if l := n.PM.PagerCalls(); l != nil && l.High() >= l.Bound() {
+					t.Errorf("%s's pager calls: held at most %d of %d", n.Name(), l.High(), l.Bound())
 				}
 			}
 		})

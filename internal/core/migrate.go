@@ -72,6 +72,19 @@ var policyNames = []struct {
 	{[]string{"hybrid"}, PolicyHybrid},
 }
 
+// pageSources tells the destination's manager where the copy's missing
+// pages will be (PmInitMigration's W0): post-copy's receptacle, with the
+// paging store behind it, or flush's store.
+func (p Policy) pageSources() uint32 {
+	switch {
+	case p.receptacle:
+		return progmgr.PagesInReceptacle | progmgr.PagesInStore
+	case p.fileServer:
+		return progmgr.PagesInStore
+	}
+	return 0
+}
+
 func (p Policy) String() string {
 	for _, e := range policyNames {
 		if e.p == p {
@@ -219,11 +232,6 @@ func DecodeReport(b []byte) (*MigrationReport, error) {
 // ErrMigrationFailed wraps a failed migration attempt.
 var ErrMigrationFailed = errors.New("core: migration failed")
 
-// ErrResidueLost marks a post-copy residue that could not be completed:
-// the destination aborted it or stopped making progress before every
-// deferred page became resident.
-var ErrResidueLost = errors.New("core: post-copy residue lost")
-
 // PhaseError reports which phase of the §3.1 algorithm a migration attempt
 // failed in. It matches both ErrMigrationFailed and its cause under
 // errors.Is/As, and carries the failed destination so a retry can exclude
@@ -264,15 +272,6 @@ func (e *PhaseError) PhaseTag() (uint32, uint32) {
 	return uint32(e.Phase) + 1, uint32(e.Round)
 }
 
-// sendErr normalizes a Send outcome into a non-nil error: the transport
-// error if the send aborted, otherwise the reply's error code.
-func sendErr(err error, m vid.Message) error {
-	if err != nil {
-		return err
-	}
-	return m.Err()
-}
-
 // Migrator implements progmgr.Migrator: the sending side of migration,
 // running on the source host's migration worker at system priority
 // ("higher priority than all other programs on the originating host",
@@ -306,6 +305,9 @@ type Migrator struct {
 	// place of the last's, for every round of every migration.
 	pages []mem.PageNo
 	lists []spacePages
+	// listed is afterCommit's PmAwaitResidue list, built in place of the
+	// last migration's.
+	listed []byte
 }
 
 var _ progmgr.Migrator = (*Migrator)(nil)
@@ -401,7 +403,7 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 	}
 	progArgs, progStdout, progHome := pm.ProgMeta(lh.ID())
 	initRep, err := ctx.Send(sel.PM, vid.Message{
-		Op: progmgr.PmInitMigration,
+		Op: progmgr.PmInitMigration, W: [6]uint32{mg.Policy.pageSources()},
 		Seg: progmgr.EncodeInitReq(&progmgr.InitReq{
 			Name:    lh.Name(),
 			Guest:   lh.Guest(),
@@ -416,7 +418,7 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 	if err != nil || !initRep.OK() {
 		return nil, &PhaseError{
 			Phase: trace.PhaseSelect, Dest: sel.SystemLH, Retryable: true,
-			Err: sendErr(err, initRep),
+			Err: vid.SendErr(initRep, err),
 		}
 	}
 	tempLH := vid.LHID(initRep.W[0])
@@ -475,7 +477,7 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 	if err != nil || !m.OK() {
 		// The placeholder still holds its temporary identity, so nothing
 		// has moved: retrying elsewhere is safe.
-		return fail(trace.PhaseSwap, 0, true, sendErr(err, m))
+		return fail(trace.PhaseSwap, 0, true, vid.SendErr(m, err))
 	}
 	// Assume the original identity. Until this succeeds the original is
 	// authoritative; once it succeeds the new copy owns the identity and
@@ -509,14 +511,18 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 	rep.KernelTime = ctx.Now().Sub(kStart)
 	mg.span(trace.Span{LH: finalID, Phase: trace.PhaseSwap, Start: kStart, End: ctx.Now()})
 	mg.atPhase(finalID, trace.PhaseRebind, 0, srcMAC, dstMAC)
-	at.beforeUnfreeze()
+	recep := at.beforeUnfreeze()
 
 	// 5. Unfreeze the new copy (broadcasting the binding), delete the old
 	// copy, notify the new manager.
 	rbStart := ctx.Now()
-	m, err = ctx.Send(targetKS, vid.Message{
-		Op: kernel.KsUnfreezeLH, W: [6]uint32{uint32(finalID)},
-	})
+	dst, unfreeze := targetKS, vid.Message{Op: kernel.KsUnfreezeLH, W: [6]uint32{uint32(finalID), uint32(recep)}}
+	if rep.ResidueAborted {
+		// The copy lacks pages nothing can deliver now: rather than
+		// unfreeze it on holes, have its manager abort it as lost.
+		dst, unfreeze = rep.NewPM, vid.Message{Op: progmgr.PmAwaitResidue, W: [6]uint32{uint32(finalID), 0, 1}}
+	}
+	m, err = ctx.Send(dst, unfreeze)
 	switch {
 	case err != nil:
 		// Past the swap the copy is authoritative if it exists; confirm
@@ -544,7 +550,7 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 	// The freeze window encloses residue, swap and rebind; its duration is
 	// by construction the report's FreezeTime.
 	mg.span(trace.Span{LH: finalID, Phase: trace.PhaseFreeze, Start: at.freezeStart, End: ctx.Now()})
-	if at.residue == nil {
+	if lh.ID() == finalID {
 		host.DestroyLH(lh)
 	}
 	// The identity now lives at the destination: the local slot must not
@@ -553,7 +559,7 @@ func (mg *Migrator) migrate(ctx *kernel.ProcCtx, pm *progmgr.PM, lh *kernel.Logi
 	// afterCommit destroys it once the residue drains.)
 	host.RetireLHID(finalID)
 	ctx.Send(rep.NewPM, vid.Message{
-		Op: progmgr.PmAssumeMigration, W: [6]uint32{uint32(finalID)},
+		Op: progmgr.PmAssumeMigration, W: [6]uint32{uint32(finalID), uint32(recep)},
 	})
 	at.afterCommit()
 	rep.Total = ctx.Now().Sub(start)

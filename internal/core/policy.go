@@ -10,6 +10,7 @@ import (
 	"vsystem/internal/kernel"
 	"vsystem/internal/mem"
 	"vsystem/internal/params"
+	"vsystem/internal/progmgr"
 	"vsystem/internal/sim"
 	"vsystem/internal/trace"
 	"vsystem/internal/vid"
@@ -37,10 +38,12 @@ type copyAttempt struct {
 	dstMAC      ethernet.MAC
 	freezeStart sim.Time // when preSwap froze the logical host
 
-	// residue is set by a receptacle policy's preSwap: the source copy
-	// stays behind as a page-serving receptacle and the teardown path
-	// changes accordingly.
-	residue *residueState
+	// residue is set by a receptacle policy's preSwap: the pages the
+	// destination lacks, left in the frozen source copy. Once
+	// beforeUnfreeze has renamed that copy (lh.ID() != finalID), it is the
+	// page-serving receptacle, which afterCommit pushes the residue out of
+	// and destroys.
+	residue []spacePages
 }
 
 // preSwap moves (or flushes, or deliberately defers) the address-space
@@ -145,7 +148,6 @@ func (at *copyAttempt) deferResidue(hybrid bool, send func([]spacePages) error) 
 		present += int(as.Allocated() / mem.PageSize)
 	}
 	buf = slices.Grow(buf, present) // lists cut already keep the old array
-	var remaining []spacePages
 	for _, as := range spaces {
 		at.mg.pages = as.AppendAllPages(at.mg.pages[:0])
 		n := len(buf)
@@ -154,14 +156,7 @@ func (at *copyAttempt) deferResidue(hybrid bool, send func([]spacePages) error) 
 		for _, pn := range left {
 			as.MarkPageDirty(pn)
 		}
-		remaining = append(remaining, spacePages{as, left})
-	}
-	at.residue = &residueState{
-		srcHost:   at.host,
-		srcLH:     lh,
-		srcKS:     kernel.KernelServerPID(at.host.SystemLH().ID()),
-		remaining: remaining,
-		stats:     &PagerStats{},
+		at.residue = append(at.residue, spacePages{as, left})
 	}
 	return 0, 0, nil
 }
@@ -192,57 +187,40 @@ func pagesOf(lists []spacePages, as *mem.AddressSpace) []mem.PageNo {
 }
 
 // beforeUnfreeze runs after the identity swap has committed but before
-// the new copy is unfrozen: the demand paging its missing pages need must
-// be in place before the guest can run — the remote-fault path into a
-// receptacle residue, or, after a flush to the file server, page-in from
-// the paging store.
-func (at *copyAttempt) beforeUnfreeze() {
-	node, destLH := at.destCopy()
-	if p := at.mg.Policy; !p.receptacle {
-		if p.fileServer && destLH != nil {
-			at.demandPage(node, destLH, &PagerStats{}, func(t *sim.Task, as *mem.AddressSpace, pn mem.PageNo) {
-				at.pageIn(t, node, as, pn)
-			})
-		}
-		return
+// the new copy is unfrozen. A receptacle policy renames the source copy to
+// a fresh private id: local senders to the original id then miss and
+// rebind to the destination, whose adoption probe correctly sees the
+// identity as not resident here. It returns that id, which the unfreeze
+// names to the destination's pager (0: no receptacle). When no slot is
+// free for it, the residue goes synchronously instead, and a failure there
+// sets the report's ResidueAborted.
+func (at *copyAttempt) beforeUnfreeze() vid.LHID {
+	if !at.mg.Policy.receptacle {
+		return 0
 	}
-	rs := at.residue
-
-	// Rename the source copy to a fresh private id. Local senders to the
-	// original id then miss and rebind to the destination, and the
-	// destination's adoption probe correctly sees the identity as not
-	// resident here.
-	var renameErr error
-	if destLH != nil {
-		_, renameErr = at.host.DetachResidue(at.lh)
+	if id, err := at.host.DetachResidue(at.lh); err == nil {
+		return id
 	}
-	if destLH == nil || renameErr != nil {
-		// No receptacle possible (destination unreachable in the sim, or
-		// every local LH slot in use): drain the residue synchronously
-		// while both sides are still frozen, degenerating to stop-and-
-		// copy for the remainder, and tear down classically.
-		kb, _ := at.sendRuns(at.targetKS, vid.Message{
-			Op: kernel.KsWritePages, W: [6]uint32{uint32(at.finalID), kernel.WriteModeCopy},
-		}, "", rs.remaining, nil)
-		at.rep.ResidualKB += kb
-		at.residue = nil
-		return
-	}
-	rs.node = node
-	rs.destLH = destLH
-	rs.id = at.lh.ID() // the receptacle's fresh private id
-	at.demandPage(node, destLH, rs.stats, at.demandFetch)
+	// Every local LH slot is in use: drain the residue synchronously while
+	// both sides are still frozen, degenerating to stop-and-copy for the
+	// remainder, and tear down classically.
+	kb, err := at.sendRuns(at.targetKS, vid.Message{
+		Op: kernel.KsWritePages, W: [6]uint32{uint32(at.finalID), kernel.WriteModeCopy},
+	}, "", at.residue, nil)
+	at.rep.ResidualKB += kb
+	at.rep.ResidueAborted = err != nil
+	return 0
 }
 
 // afterCommit runs once the migration is committed, the new copy unfrozen
-// and the source identity retired; only a receptacle residue has work
-// left. It must not fail the migration — the identity has moved — so
-// residue-transfer problems are recorded in the report, never returned.
+// and the source identity retired; only a receptacle has work left. It
+// must not fail the migration — the identity has moved — so residue
+// problems are recorded in the report, never returned.
 func (at *copyAttempt) afterCommit() {
-	if at.residue == nil {
-		return // no receptacle, or beforeUnfreeze drained it synchronously
+	if at.lh.ID() == at.finalID {
+		return // no receptacle
 	}
-	rs, mg, ctx, rep := at.residue, at.mg, at.ctx, at.rep
+	mg, ctx, rep := at.mg, at.ctx, at.rep
 	pullStart := ctx.Now()
 	at.atPhase(trace.PhasePostSwapPull, 0)
 
@@ -250,182 +228,61 @@ func (at *copyAttempt) afterCommit() {
 	// mover — racing the guest's demand fetches: pages whose delivery marker
 	// a fetch already cleared are skipped, so a page crosses the wire once,
 	// and the destination installs pushes only if-absent, so the same page
-	// is never double-applied.
+	// is never double-applied. One request, held until the pages fetches
+	// claimed are resident, then brings back what the faults cost.
+	mg.listed = mg.listed[:0]
 	kb, err := at.sendRuns(at.targetKS, vid.Message{
 		Op: kernel.KsWritePages, W: [6]uint32{uint32(at.finalID), kernel.WriteModeIfAbsent},
-	}, "", rs.remaining, claimUndelivered)
-	rep.ResiduePushKB, rs.stats.PushKB = kb, kb
+	}, "", at.residue, mg.claimUndelivered)
+	rep.ResiduePushKB = kb
 	if err == nil {
-		err = rs.awaitDrained(ctx)
+		var m vid.Message
+		m, err = ctx.Send(rep.NewPM, vid.Message{
+			Op: progmgr.PmAwaitResidue, W: [6]uint32{uint32(at.finalID), uint32(kb * 1024 / mem.PageSize)}, Seg: mg.listed,
+		})
+		if err == nil {
+			rep.PostSwapFaults = int(m.W[0])
+			rep.PostSwapStall = time.Duration(uint64(m.W[2])<<32 | uint64(m.W[1]))
+			rep.PostSwapPullKB = float64(m.W[3]) * mem.PageSize / 1024
+			rep.WireBytes += int64(m.W[4])
+			err = m.Err()
+		}
 	}
-	if err != nil {
-		// The destination died after the commit point. The migration
-		// itself stands — returning an error here would make the program
-		// manager destroy state it no longer owns — so record the failed
-		// residue and let supervision (lease expiry, re-exec from the
-		// file-server image) deal with the lost guest.
-		rep.ResidueAborted = true
-		rs.abort(err)
-	} else {
-		rs.finish()
-	}
+	// A failure means the destination died or lost the guest after the
+	// commit point. The migration itself stands — returning an error here
+	// would make the program manager destroy state it no longer owns — so
+	// record the failed residue and let supervision (lease expiry, re-exec
+	// from the file-server image) deal with the lost guest.
+	rep.ResidueAborted = err != nil
 
 	// The receptacle has served its purpose: every page is at the
-	// destination (or the residue is aborted). Late in-flight fetches
-	// fail harmlessly — the destination re-checks presence and falls
-	// back before giving up.
-	rs.destroyReceptacle()
-
-	st := rs.stats
-	rep.PostSwapFaults = st.Faults
-	rep.PostSwapStall = st.StallTime
-	rep.PostSwapPullKB = st.PullKB
-	rep.WireBytes += st.FetchWireBytes
+	// destination, or the residue is lost. Late in-flight fetches fail
+	// harmlessly — the destination re-checks presence and falls back
+	// before giving up.
+	if cur, ok := at.host.LookupLH(at.lh.ID()); ok && cur == at.lh {
+		at.host.DestroyLH(at.lh)
+	}
 	mg.span(trace.Span{
 		LH: at.finalID, Phase: trace.PhasePostSwapPull,
-		KB: rep.ResiduePushKB + st.PullKB, Start: pullStart, End: ctx.Now(),
+		KB: rep.ResiduePushKB + rep.PostSwapPullKB, Start: pullStart, End: ctx.Now(),
 	})
 }
 
 // claimUndelivered is the push-out's take: a residue page goes unless its
 // delivery marker is already clear (a KsFetchPage served it), and taking
-// it clears the marker.
-func claimUndelivered(as *mem.AddressSpace, pn mem.PageNo) bool {
-	if !as.PageDirty(pn) {
-		return false
+// it clears the marker. A page a fetch served that is not all zero goes on
+// the drain's list instead: it is resident at the destination only once
+// that fetch's reply is installed.
+func (mg *Migrator) claimUndelivered(as *mem.AddressSpace, pn mem.PageNo) bool {
+	if as.PageDirty(pn) {
+		as.ClearDirtyPage(pn)
+		return true
 	}
-	as.ClearDirtyPage(pn)
-	return true
-}
-
-// residueState is the shared state of one post-copy residue: the frozen
-// source receptacle, the destination copy, and the transfer bookkeeping
-// that the source push-out and the destination's demand-fault path
-// coordinate through. The simulation is single-threaded, so cross-host
-// field access needs no locking and stays deterministic.
-type residueState struct {
-	srcHost *kernel.Host
-	srcLH   *kernel.LogicalHost // the receptacle (renamed post-swap)
-	srcKS   vid.PID             // source kernel server, via its system LH
-	id      vid.LHID            // the receptacle's private id
-
-	node   *Node               // destination node
-	destLH *kernel.LogicalHost // the migrated copy at the destination
-
-	remaining []spacePages // source-side: pages deferred past the swap
-	stats     *PagerStats
-
-	done    bool // residue fully transferred; handlers cleared
-	aborted bool // residue lost (source or destination died mid-residue)
-}
-
-// awaitDrained blocks until every deferred page is present at the
-// destination. The push-out skips pages whose delivery marker a fetch
-// already cleared, but "served by the receptacle" is not "installed at
-// the destination": the reply may still be in flight to a parked
-// faulting process. Tearing the receptacle down on cleared markers alone
-// loses exactly those pages — the guest's next reference finds the
-// receptacle gone and the fallback chain aborts a healthy guest — so
-// completion is judged by destination presence, never by source-side
-// markers. A page that is all zero in the frozen receptacle counts as
-// drained while absent: no install makes it present (zero pages are
-// skipped), and once finish clears the fault path an absent page reads as
-// zeros. Returns nil once the residue is fully resident (or the guest
-// itself is gone, which moots it); errors when the residue aborted
-// meanwhile or the destination stops making progress.
-func (rs *residueState) awaitDrained(ctx *kernel.ProcCtx) error {
-	deadline := ctx.Now().Add(params.ResidueDrainTimeout)
-	for {
-		if rs.aborted {
-			return ErrResidueLost
-		}
-		cur, ok := rs.node.Host.LookupLH(rs.destLH.ID())
-		if !ok || cur != rs.destLH {
-			return nil // the guest exited or was destroyed; nothing to complete
-		}
-		missing := false
-	scan:
-		for _, s := range rs.remaining {
-			das := rs.destSpace(s.as.ID)
-			if das == nil {
-				continue
-			}
-			for _, pn := range s.pages {
-				if !das.Present(pn) && !mem.IsZeroPage(s.as.PageView(pn)) {
-					missing = true
-					break scan
-				}
-			}
-		}
-		if !missing {
-			return nil
-		}
-		if ctx.Now() > deadline {
-			return ErrResidueLost
-		}
-		ctx.Sleep(time.Millisecond)
+	if !mem.IsZeroPage(as.PageView(pn)) {
+		a := vid.Appender{B: mg.listed}
+		a.U32(as.ID)
+		a.U32(uint32(pn))
+		mg.listed = a.B
 	}
-}
-
-// destSpace resolves a source space to its destination counterpart (space
-// ids are preserved across migration).
-func (rs *residueState) destSpace(id uint32) *mem.AddressSpace {
-	for _, as := range rs.destLH.Spaces() {
-		if as.ID == id {
-			return as
-		}
-	}
-	return nil
-}
-
-// finish marks the residue complete and retires the remote-fault path:
-// every remaining page is now present at the destination (or provably
-// all-zero), so absent pages can simply allocate locally again.
-func (rs *residueState) finish() {
-	rs.done = true
-	for _, as := range rs.destLH.Spaces() {
-		as.SetFault(nil)
-	}
-}
-
-// abort marks the residue lost. Called from the source side when the
-// push-out cannot reach the destination (the guest there is gone), and
-// from the destination side when a fault can be satisfied neither by the
-// receptacle nor the file server (abortGuest).
-func (rs *residueState) abort(cause error) {
-	if rs.aborted {
-		return
-	}
-	rs.aborted = true
-	rs.stats.Aborted = true
-	if rs.stats.AbortErr == nil {
-		rs.stats.AbortErr = &PhaseError{
-			Phase: trace.PhasePostSwapPull, Dest: rs.node.Host.SystemLH().ID(), Err: cause,
-		}
-	}
-	for _, as := range rs.destLH.Spaces() {
-		as.SetFault(nil)
-	}
-}
-
-// abortGuest is the destination's clean-abort path: a faulting reference
-// could not be satisfied by the receptacle (source crashed mid-residue)
-// or the file-server flush image. The guest's memory is incomplete and
-// can never be completed, so destroy it rather than let it run on holes.
-// The destruction goes through the program manager, which records the
-// guest as lost (not exited): the owning session's lease expires and
-// supervision re-executes it from its file-server image.
-func (rs *residueState) abortGuest(t *sim.Task, cause error) {
-	rs.abort(cause)
-	if cur, ok := rs.node.Host.LookupLH(rs.destLH.ID()); ok && cur == rs.destLH {
-		rs.node.PM.AbortGuest(t, rs.destLH.ID())
-	}
-}
-
-// destroyReceptacle tears down the source-side receptacle once the
-// residue is drained or lost.
-func (rs *residueState) destroyReceptacle() {
-	if cur, ok := rs.srcHost.LookupLH(rs.srcLH.ID()); ok && cur == rs.srcLH {
-		rs.srcHost.DestroyLH(rs.srcLH)
-	}
+	return false
 }

@@ -1,6 +1,16 @@
 package core
 
-import "testing"
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+
+	"vsystem/internal/vid"
+)
 
 // TestPolicyTable pins the policy names: the seven spellings vcluster
 // accepts and the value each means, the name a report carries for each
@@ -60,5 +70,102 @@ func TestPolicyTable(t *testing.T) {
 	const want = `unknown policy "copy" (precopy|stopcopy|flush|postcopy|hybrid)`
 	if _, err := ParsePolicy("copy"); err == nil || err.Error() != want {
 		t.Errorf("ParsePolicy(\"copy\") error = %v, want %s", err, want)
+	}
+}
+
+// TestFlushUnansweredPageInAbortsGuest: a flush-migrated guest whose
+// page-in gets no answer — the file server crashed after the move — must
+// not run on at its new host with the pages it owned before the move read
+// as zeros. The one fault handler aborts it as lost, as post-copy's does
+// when nothing can serve a page; a page the store never held stays a hole.
+func TestFlushUnansweredPageInAbortsGuest(t *testing.T) {
+	t.Parallel()
+	c := boot(t, Options{Workstations: 3, Seed: 14, Policy: PolicyFlush})
+	var job *Job
+	var err error
+	c.Node(0).Agent(func(a *Agent) {
+		if job, err = a.Exec("parser", nil, "ws1"); err != nil {
+			return
+		}
+		a.Sleep(2 * time.Second)
+		if _, err = a.Migrate(job, false); err == nil {
+			c.Fault.Crash(c.FSHost.NIC.MAC())
+		}
+	})
+	c.Run(30 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if node, lh := c.FindProgram(job.LHID); lh != nil {
+		t.Fatalf("guest still runs at %s on pages its page-ins never brought", node.Name())
+	}
+	if st := c.PagerStatsFor(job.LHID); st == nil || !st.Aborted {
+		t.Fatalf("pager stats %+v, want the residue aborted", st)
+	}
+}
+
+// TestSentAwayIdentitiesExhaustExecCleanly: every migration out of a host
+// retires its identity's slot, and nothing gives one back yet, so after 31
+// programs sent away and destroyed elsewhere the host's id range is spent.
+// Its next exec must then fail with an error instead of panicking the
+// cluster, and the other hosts keep serving.
+func TestSentAwayIdentitiesExhaustExecCleanly(t *testing.T) {
+	t.Parallel()
+	c := boot(t, Options{Workstations: 3, Seed: 5})
+	var execErr, err error
+	c.Node(0).Agent(func(a *Agent) {
+		for i := 0; i < vid.LHSlotCount-1 && err == nil; i++ {
+			var job *Job
+			if job, err = a.Exec("ticker200", nil, "ws1"); err != nil {
+				return
+			}
+			if _, err = a.Migrate(job, false); err == nil {
+				err = a.DestroyProgram(job)
+			}
+		}
+		if err != nil {
+			return
+		}
+		_, execErr = a.Exec("ticker200", nil, "ws1")
+		_, err = a.Exec("hello", nil, "ws2")
+	})
+	c.Run(5 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(execErr, vid.CodeError(vid.CodeNoMemory)) {
+		t.Fatalf("exec on a host whose id range is spent: %v, want %v", execErr, vid.CodeError(vid.CodeNoMemory))
+	}
+}
+
+// TestCopyPathReachesNoOtherHost is the source-level guard on migration's
+// copy path: no non-test core file but cluster.go and exec.go (the
+// harness's) looks a node up by its logical host, installs a fault
+// handler or aborts a guest, and none looks up a logical host on any host
+// but the migration's source. The destination is reached by messages.
+func TestCopyPathReachesNoOtherHost(t *testing.T) {
+	t.Parallel()
+	banned := regexp.MustCompile(`\b(NodeByLH|SetFault|AbortGuest)\(`)
+	lookup := regexp.MustCompile(`([\w.]+)\.LookupLH\(`)
+	files, err := filepath.Glob("*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no sources (%v)", err)
+	}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") || f == "cluster.go" || f == "exec.go" {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := banned.Find(src); m != nil {
+			t.Errorf("%s calls %s: the copy path reaches into the destination", f, m[:len(m)-1])
+		}
+		for _, m := range lookup.FindAllSubmatch(src, -1) {
+			if recv := string(m[1]); recv != "host" && recv != "at.host" {
+				t.Errorf("%s looks up a logical host on %s, not the migration's source", f, recv)
+			}
+		}
 	}
 }

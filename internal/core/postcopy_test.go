@@ -202,38 +202,6 @@ func assertRemoteFaultParity(t *testing.T, c *Cluster) {
 	}
 }
 
-// TestPagerPIDWrapSkipsLivePorts regresses the pager port-id wrap: the
-// bare 12-bit sequence recycles after 4096 allocations, and allocating an
-// id whose previous user still holds its port open used to panic inside
-// NewPort. The allocator must skip live ids and keep going, and an id it
-// hands out again after a wrap comes under the next generation.
-func TestPagerPIDWrapSkipsLivePorts(t *testing.T) {
-	t.Parallel()
-	c := boot(t, Options{Workstations: 2, Seed: 45})
-	n := c.Node(0)
-
-	// Hold a port open at the id the wrapped sequence will hit first.
-	held, gen := n.pagerPID()
-	port := n.Host.IPC.NewPortGen(held, gen)
-	defer port.Close()
-
-	// Drive the sequence through a full wrap; every returned id must be
-	// allocatable (NewPortGen panics on collision) and never the held one.
-	gens := map[vid.PID]uint32{held: gen}
-	for i := 0; i < 0x1001; i++ {
-		pid, g := n.pagerPID()
-		if pid == held {
-			t.Fatalf("allocator returned live id %v after %d allocations", pid, i)
-		}
-		if prev, seen := gens[pid]; seen && g <= prev {
-			t.Fatalf("id %v came back at generation %d after %d", pid, g, prev)
-		}
-		gens[pid] = g
-		p := n.Host.IPC.NewPortGen(pid, g)
-		p.Close()
-	}
-}
-
 // residueWindow is what a test sees of one post-copy residue from the
 // trace bus: the pages the source still owed the destination when the
 // swap committed (its delivery markers, per space id), and the bytes the

@@ -35,6 +35,7 @@ func SpaceCost(root string) *Result {
 				"internal/core/migrate.go",
 				"internal/core/pager.go",
 				"internal/core/policy.go",
+				"internal/progmgr/pager.go",
 			},
 		},
 	}

@@ -43,6 +43,15 @@ const (
 	OpPageOutRun
 )
 
+// AppendPagePrefix appends a logical host's key prefix in the paging
+// store, "pg/" and the id in four hex digits: a migration flushes the
+// logical host's pages under it, and the destination pages them in by
+// name, "prefix/space/pageno".
+func AppendPagePrefix(dst []byte, id vid.LHID) []byte {
+	const hex = "0123456789abcdef"
+	return append(dst, 'p', 'g', '/', hex[id>>12&15], hex[id>>8&15], hex[id>>4&15], hex[id&15])
+}
+
 // Server is a network file server process with an in-memory store. Every
 // mutation of the store goes through svc.Commit, whether the server runs
 // alone or as a replica (replica.go has the store's state machine).

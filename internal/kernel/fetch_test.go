@@ -18,7 +18,7 @@ func TestFetchPageServesRunIdempotently(t *testing.T) {
 	c := newCluster(2, 7)
 	a, b := c.hosts[0], c.hosts[1]
 
-	lh := b.CreateLH("receptacle", true)
+	lh, _ := b.CreateLH("receptacle", true)
 	as, err := lh.CreateSpace(64 * 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestFetchPageElidesAbsentPages(t *testing.T) {
 	c := newCluster(2, 9)
 	a, b := c.hosts[0], c.hosts[1]
 
-	lh := b.CreateLH("receptacle", true)
+	lh, _ := b.CreateLH("receptacle", true)
 	as, err := lh.CreateSpace(64 * 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestFetchPageRejectsMalformedRequests(t *testing.T) {
 	c := newCluster(2, 11)
 	a, b := c.hosts[0], c.hosts[1]
 
-	lh := b.CreateLH("receptacle", true)
+	lh, _ := b.CreateLH("receptacle", true)
 	as, err := lh.CreateSpace(64 * 1024)
 	if err != nil {
 		t.Fatal(err)

@@ -64,6 +64,11 @@ type Host struct {
 	// source host dying after the swap leaves the new copy authoritative.
 	OnLHIDChanged func(lh *LogicalHost, old vid.LHID)
 
+	// OnUnfreezeLH is invoked (if set) as KsUnfreezeLH is about to
+	// unfreeze lh, with its residue word; the program manager installs the
+	// migrated copy's demand pager.
+	OnUnfreezeLH func(lh *LogicalHost, residue vid.LHID)
+
 	// Crashed simulates a powered-off workstation: the NIC drops all
 	// traffic and no new work is accepted.
 	crashed bool
@@ -99,7 +104,7 @@ func NewHost(eng *sim.Engine, bus *ethernet.Bus, index int, name string) *Host {
 		MigrationOverhead: true,
 	}
 	h.IPC = ipc.New(eng, h.NIC, h.CPU, (*hostResolver)(h))
-	h.systemLH = h.newLH("system:"+name, false, true)
+	h.systemLH, _ = h.newLH("system:"+name, false, true)
 	h.startKernelServer()
 	return h
 }
@@ -226,6 +231,7 @@ func (h *Host) Crash() {
 	h.wellKnown = make(map[uint16]vid.PID)
 	h.OnLHEmpty = nil
 	h.OnLHIDChanged = nil
+	h.OnUnfreezeLH = nil
 	h.IPC.SetDown(true)
 	h.trace.Publish(trace.Event{
 		At: h.Eng.Now(), Host: uint16(h.NIC.MAC()), Kind: trace.EvHostCrash,
@@ -245,7 +251,7 @@ func (h *Host) Restart() {
 	h.crashed = false
 	h.memFree = params.WorkstationMemory - systemReserve
 	h.IPC.Reset()
-	h.systemLH = h.newLH("system:"+h.Name, false, true)
+	h.systemLH, _ = h.newLH("system:"+h.Name, false, true)
 	h.startKernelServer()
 	h.trace.Publish(trace.Event{
 		At: h.Eng.Now(), Host: uint16(h.NIC.MAC()), Kind: trace.EvHostRestart,
@@ -361,11 +367,15 @@ type LogicalHost struct {
 // 33rd program on a host has the first one's PIDs, and the servers the
 // first one talked to still remember its transaction ids. The generations
 // outlive a crash, as nextLH does, so a rebooted host's servers are heard
-// too.
-func (h *Host) newLH(name string, guest, system bool) *LogicalHost {
+// too. It fails with CodeNoMemory when every slot is live or retired, and
+// panics then for the system logical host, which a host cannot run without.
+func (h *Host) newLH(name string, guest, system bool) (*LogicalHost, error) {
 	id, gen, ok := h.allocLHID()
 	if !ok {
-		panic("kernel: logical-host ids exhausted")
+		if system {
+			panic("kernel: logical-host ids exhausted")
+		}
+		return nil, vid.CodeError(vid.CodeNoMemory)
 	}
 	lh := &LogicalHost{
 		id:        id,
@@ -381,7 +391,7 @@ func (h *Host) newLH(name string, guest, system bool) *LogicalHost {
 	}
 	lh.running = func() bool { return !lh.frozen }
 	h.lhs[id] = lh
-	return lh
+	return lh, nil
 }
 
 // allocLHID picks a free, unretired id from this host's slot range, and
@@ -421,8 +431,9 @@ func (h *Host) DetachResidue(lh *LogicalHost) (vid.LHID, error) {
 }
 
 // CreateLH allocates a logical host for a program. guest marks remotely
-// executed programs (scheduled at guest priority).
-func (h *Host) CreateLH(name string, guest bool) *LogicalHost {
+// executed programs (scheduled at guest priority). It fails with
+// CodeNoMemory when the host's id range is spent.
+func (h *Host) CreateLH(name string, guest bool) (*LogicalHost, error) {
 	return h.newLH(name, guest, false)
 }
 

@@ -79,7 +79,7 @@ func TestBootAndKernelServerPing(t *testing.T) {
 func TestProgramLifecycle(t *testing.T) {
 	c := newCluster(1, 2)
 	h := c.hosts[0]
-	lh := h.CreateLH("counter", false)
+	lh, _ := h.CreateLH("counter", false)
 	as, err := lh.CreateSpace(64 * 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestGuestPriorityYieldsToLocal(t *testing.T) {
 	c := newCluster(1, 3)
 	h := c.hosts[0]
 	mk := func(name string, guest bool, n uint32) *Process {
-		lh := h.CreateLH(name, guest)
+		lh, _ := h.CreateLH(name, guest)
 		as, _ := lh.CreateSpace(16 * 1024)
 		var regs Regs
 		regs.W[RegUser] = n
@@ -130,7 +130,7 @@ func TestGuestPriorityYieldsToLocal(t *testing.T) {
 func TestFreezeStopsExecution(t *testing.T) {
 	c := newCluster(1, 4)
 	h := c.hosts[0]
-	lh := h.CreateLH("prog", false)
+	lh, _ := h.CreateLH("prog", false)
 	as, _ := lh.CreateSpace(16 * 1024)
 	var regs Regs
 	regs.W[RegUser] = 100000
@@ -169,7 +169,7 @@ func TestStoppingALogicalHostEndsItsSlice(t *testing.T) {
 	} {
 		c := newCluster(1, 5)
 		h := c.hosts[0]
-		lh := h.CreateLH("prog", false)
+		lh, _ := h.CreateLH("prog", false)
 		as, _ := lh.CreateSpace(16 * 1024)
 		h.Start(lh.NewProcess(as.ID, "testburn", Regs{}))
 		var before time.Duration
@@ -189,7 +189,7 @@ func TestWritePagesAcrossHosts(t *testing.T) {
 	c := newCluster(2, 5)
 	a, b := c.hosts[0], c.hosts[1]
 	// Set up a destination logical host on B.
-	lh := b.CreateLH("dest", true)
+	lh, _ := b.CreateLH("dest", true)
 	as, err := lh.CreateSpace(64 * 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestKernelLevelMigration(t *testing.T) {
 	runOnce := func(migrate bool) (uint32, *mem.AddressSpace) {
 		c := newCluster(2, 6)
 		a, b := c.hosts[0], c.hosts[1]
-		lh := a.CreateLH("prog", true)
+		lh, _ := a.CreateLH("prog", true)
 		as, _ := lh.CreateSpace(64 * 1024)
 		var regs Regs
 		regs.W[RegUser] = 2000 // 2 s of work
@@ -276,7 +276,7 @@ func TestKernelLevelMigration(t *testing.T) {
 				a.Freeze(lh)
 				st := a.SnapshotKernelState(lh)
 				// New copy on B under a fresh LHID.
-				nlh := b.CreateLH("incoming", true)
+				nlh, _ := b.CreateLH("incoming", true)
 				b.Freeze(nlh)
 				for _, sd := range st.Spaces {
 					if _, err := nlh.InstallSpace(sd.ID, sd.Size); err != nil {
@@ -324,7 +324,7 @@ func TestMemoryAccounting(t *testing.T) {
 	c := newCluster(1, 7)
 	h := c.hosts[0]
 	free0 := h.MemFree()
-	lh := h.CreateLH("prog", false)
+	lh, _ := h.CreateLH("prog", false)
 	_, err := lh.CreateSpace(512 * 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +391,7 @@ func TestLHStateEncodeDecode(t *testing.T) {
 func TestCreateAndQueryProcessOps(t *testing.T) {
 	c := newCluster(2, 9)
 	a, b := c.hosts[0], c.hosts[1]
-	lh := b.CreateLH("prog", true)
+	lh, _ := b.CreateLH("prog", true)
 	as, _ := lh.CreateSpace(64 * 1024)
 	var err error
 	var created vid.PID
@@ -451,7 +451,7 @@ func TestCreateProcSegCodec(t *testing.T) {
 func TestReadOnlyOpsPassFreeze(t *testing.T) {
 	c := newCluster(2, 10)
 	a, b := c.hosts[0], c.hosts[1]
-	lh := b.CreateLH("prog", true)
+	lh, _ := b.CreateLH("prog", true)
 	lh.CreateSpace(16 * 1024)
 	b.Freeze(lh)
 	var pingOK, queryOK bool
@@ -479,7 +479,7 @@ func TestReadOnlyOpsPassFreeze(t *testing.T) {
 func TestModifyingOpsDeferredByFreeze(t *testing.T) {
 	c := newCluster(2, 11)
 	a, b := c.hosts[0], c.hosts[1]
-	lh := b.CreateLH("prog", true)
+	lh, _ := b.CreateLH("prog", true)
 	lh.CreateSpace(16 * 1024)
 	b.Freeze(lh)
 	var doneAt sim.Time

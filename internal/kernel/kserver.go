@@ -16,7 +16,8 @@ import (
 // through the target's system logical host.
 const (
 	KsPing uint16 = 0x10
-	// KsCreateLH: Seg=name, W0=guest → W0=new LHID.
+	// KsCreateLH: Seg=name, W0=guest → W0=new LHID; CodeNoMemory when
+	// the host's id range is spent.
 	KsCreateLH uint16 = 0x11
 	// KsCreateSpace: W0=lh, W1=size → W0=space id.
 	KsCreateSpace uint16 = 0x12
@@ -32,7 +33,9 @@ const (
 	KsWritePages uint16 = 0x16
 	// KsReadPages: W0=lh, W1=space, W2=first page, W3=count → Seg=run.
 	KsReadPages uint16 = 0x17
-	// KsUnfreezeLH: W0=lh; the new binding is broadcast.
+	// KsUnfreezeLH: W0=lh, W1=the migration's residue receptacle at the
+	// source (0: none), handed to OnUnfreezeLH; the new binding is
+	// broadcast.
 	KsUnfreezeLH uint16 = 0x19
 	// KsSetState: W0=placeholder lh, Seg = encoded LHState.
 	KsSetState uint16 = 0x1B
@@ -105,7 +108,10 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		return vid.Message{Op: m.Op}
 
 	case KsCreateLH:
-		lh := h.CreateLH(m.SegString(), m.W[0] != 0)
+		lh, err := h.CreateLH(m.SegString(), m.W[0] != 0)
+		if err != nil {
+			return vid.ErrMsg(vid.CodeNoMemory)
+		}
 		return vid.Message{Op: m.Op, W: [6]uint32{uint32(lh.id)}}
 
 	case KsCreateSpace:
@@ -232,6 +238,9 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		lh, ok := h.lhs[vid.LHID(m.W[0])]
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
+		}
+		if h.OnUnfreezeLH != nil {
+			h.OnUnfreezeLH(lh, vid.LHID(m.W[1]))
 		}
 		h.Unfreeze(lh, true)
 		return vid.Message{Op: m.Op}

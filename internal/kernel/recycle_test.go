@@ -81,7 +81,7 @@ func TestReadPagesServesRange(t *testing.T) {
 	c := newCluster(2, 3)
 	t.Cleanup(c.sim.Shutdown)
 	a, b := c.hosts[0], c.hosts[1]
-	lh := b.CreateLH("debuggee", true)
+	lh, _ := b.CreateLH("debuggee", true)
 	as, err := lh.CreateSpace(64 * 1024)
 	if err != nil {
 		t.Fatal(err)

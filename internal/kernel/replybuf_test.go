@@ -27,7 +27,7 @@ func newReadPagesRig(t *testing.T, seed int64) *readPagesRig {
 	t.Cleanup(c.sim.Shutdown)
 	c.sim.PoisonFreed()
 	r := &readPagesRig{c: c, a: c.hosts[0], b: c.hosts[1]}
-	r.lh = r.b.CreateLH("debuggee", true)
+	r.lh, _ = r.b.CreateLH("debuggee", true)
 	as, err := r.lh.CreateSpace(8 * mem.PageSize)
 	if err != nil {
 		t.Fatal(err)

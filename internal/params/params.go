@@ -219,11 +219,11 @@ const (
 	// kernel.MaxRunPages (the reply must encode as one page run).
 	FetchRunPages = 8
 
-	// ResidueDrainTimeout bounds how long a post-copy source waits for the
-	// last deferred pages to become resident at the destination before
-	// declaring the residue lost. Orders of magnitude above a healthy
-	// drain (milliseconds); it only fires when the destination stops
-	// making progress entirely.
+	// ResidueDrainTimeout bounds how long a post-copy destination holds
+	// the source's drain request for the last deferred pages to become
+	// resident before declaring the residue lost. Orders of magnitude
+	// above a healthy drain (milliseconds); it only fires when the
+	// destination stops making progress entirely.
 	ResidueDrainTimeout = 30 * time.Second
 )
 

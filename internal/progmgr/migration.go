@@ -186,7 +186,10 @@ func (pm *PM) initMigration(ctx *kernel.ProcCtx, m vid.Message) vid.Message {
 		return vid.ErrMsg(vid.CodeNoMemory)
 	}
 	ctx.Compute(params.KernelOpCPU)
-	lh := pm.host.CreateLH(req.Name, req.Guest)
+	lh, err := pm.host.CreateLH(req.Name, req.Guest)
+	if err != nil {
+		return vid.ErrMsg(vid.CodeNoMemory)
+	}
 	for _, sd := range req.Spaces {
 		if _, err := lh.InstallSpace(sd.ID, sd.Size); err != nil {
 			pm.host.DestroyLH(lh)
@@ -196,7 +199,7 @@ func (pm *PM) initMigration(ctx *kernel.ProcCtx, m vid.Message) vid.Message {
 	pm.host.Freeze(lh)
 	pm.progs[req.FinalLH] = &progInfo{
 		lh: lh, name: req.Name, args: req.Args, stdout: req.Stdout, home: req.Home,
-		guest: req.Guest, incoming: true, srcLH: req.SrcLH,
+		guest: req.Guest, incoming: true, srcLH: req.SrcLH, pages: m.W[0],
 	}
 	// A receptacle whose source dies mid-copy never assumes its final
 	// identity; garbage-collect it once the transfer goes idle so it
@@ -335,22 +338,25 @@ func (pm *PM) checkOrphan(ctx *kernel.ProcCtx, job *adoptJob) {
 	pi := pm.progs[job.final]
 	pi.incoming = false
 	if job.lh.Frozen() {
+		pm.startPaging(job.lh, 0, false)
 		pm.host.Unfreeze(job.lh, true)
 	}
 }
 
-// AssumeIncoming finalizes an incoming migration: the placeholder has been
+// assumeIncoming finalizes an incoming migration: the placeholder has been
 // relabeled with the final LHID (by the kernel's ChangeLHID); mark the
 // program as owned. If the copy is still frozen — the source's direct
 // unfreeze was lost but its assume notice got through — finish the
-// unfreeze here, broadcasting the binding.
-func (pm *PM) AssumeIncoming(final vid.LHID) {
+// unfreeze here, broadcasting the binding, with the pager the unfreeze
+// would have installed (recep: the residue receptacle it names).
+func (pm *PM) assumeIncoming(final, recep vid.LHID) {
 	pi := pm.progs[final]
 	if pi == nil {
 		return
 	}
 	pi.incoming = false
 	if pi.lh.ID() == final && pi.lh.Frozen() {
+		pm.startPaging(pi.lh, recep, true)
 		pm.host.Unfreeze(pi.lh, true)
 	}
 }

@@ -57,16 +57,17 @@ const (
 	// and no host, W0=1: the program is gone from this host (destroyed,
 	// or it exited while the migration was tried).
 	PmMigrateProgram
-	// PmInitMigration: Seg = gob InitReq → W0=placeholder LHID,
-	// W1=target system LH, W5=PM pid.
+	// PmInitMigration: W0=page sources (PagesIn*), Seg = InitReq →
+	// W0=placeholder LHID, W1=target system LH, W5=PM pid; CodeNoMemory
+	// when the host cannot hold the copy or its id range is spent.
 	PmInitMigration
 	// PmQueryPrograms: → Seg = listing, one program per line.
 	PmQueryPrograms
 	// PmDestroyProgram: W0=LHID.
 	PmDestroyProgram
-	// PmAssumeMigration: W0=final LHID — the source's notice that the
-	// incoming copy has assumed its identity and now belongs to this
-	// manager.
+	// PmAssumeMigration: W0=final LHID, W1=the residue receptacle at the
+	// source (as KsUnfreezeLH's) — the source's notice that the incoming
+	// copy has assumed its identity and now belongs to this manager.
 	PmAssumeMigration
 	// PmSuspendProgram: W0=LHID — freeze the program (the transparent
 	// suspend of §2: "facilities for terminating, suspending and
@@ -103,6 +104,7 @@ type progInfo struct {
 	guest    bool
 	incoming bool     // migration receptacle, not yet assumed
 	srcLH    vid.LHID // migration source's system LH (incoming only)
+	pages    uint32   // where the migration left pages the copy lacks (incoming only; PagesIn*)
 	home     vid.PID  // told of the exit (PmCreateProgram W2); Nil: nobody
 	waiters  []*ipc.Req
 }
@@ -190,6 +192,7 @@ type PM struct {
 	leaseIDs  []vid.LHID // the sessions a pass visits, reused pass to pass
 
 	fs fileserver.Client // the manager's one way to the file service
+	pg *pager            // demand paging of migrated-in copies; nil until the first (pager.go)
 }
 
 // Start spawns the program manager on a host.
@@ -207,6 +210,7 @@ func Start(h *kernel.Host) *PM {
 	h.JoinGroup(vid.GroupProgramManagers, pm.proc.PID())
 	h.OnLHEmpty = pm.onLHEmpty
 	h.OnLHIDChanged = pm.onLHIDChanged
+	h.OnUnfreezeLH = func(lh *kernel.LogicalHost, recep vid.LHID) { pm.startPaging(lh, recep, true) }
 	pm.reaper = h.SpawnServer("pm-reaper", 4096, pm.reap)
 	pm.worker = h.SpawnServer("pm-migrate", 16*1024, pm.migrateLoop)
 	pm.adopter = h.SpawnServer("pm-adopt", 8*1024, pm.adoptLoop)
@@ -295,7 +299,7 @@ func (pm *PM) answer(t *sim.Task, waiters []*ipc.Req, lhid vid.LHID, f fate) {
 // what became of the program, and answers its waiters once; an exit is also
 // noted to its home. It destroys nothing; the caller decides whether the
 // logical host goes before or after the waiters hear. An exit (reap) and
-// a lost guest (AbortGuest) answer first; a destroy, migrateprog -n and
+// a lost guest (abortGuest) answer first; a destroy, migrateprog -n and
 // eviction destroy first, because their reply is the word that the
 // logical host is gone.
 func (pm *PM) retire(t *sim.Task, lhid vid.LHID, pi *progInfo, f fate) {
@@ -307,6 +311,9 @@ func (pm *PM) retire(t *sim.Task, lhid vid.LHID, pi *progInfo, f fate) {
 		pm.answer(t, ws, lhid, f)
 		if f.kind == fateExited && pi.home != vid.Nil {
 			pm.queueSend(pi.home, vid.Message{Op: PmNoteExited, W: [6]uint32{uint32(lhid), f.code}})
+		}
+		if pm.pg != nil {
+			pm.pg.wake.WakeOne() // a held residue drain may be waiting on this guest
 		}
 	}
 }
@@ -325,16 +332,14 @@ func (pm *PM) reap(ctx *kernel.ProcCtx) {
 	}
 }
 
-// AbortGuest destroys a hosted guest whose memory can no longer be
-// completed — a post-copy residue loss: the source receptacle died before
-// the destination held every page. Its fate is lost, which a lease renewal
-// reads as not-found: the owning session's lease expires, and the program
-// is re-executed from its file-server image. A supervised program's
-// waiter is held at its home, which answers it once the session resolves;
-// a waiter held here (an unsupervised job's) hears CodeAborted.
-// Called from the faulting process's context (t), so the waiters hear
-// before the logical host goes.
-func (pm *PM) AbortGuest(t *sim.Task, lhid vid.LHID) {
+// abortGuest destroys a hosted guest whose memory can no longer be
+// completed — its residue is lost (pager.go). Its fate is lost, which a
+// lease renewal reads as not-found: the owning session's lease expires,
+// and the program is re-executed from its file-server image. A supervised
+// program's waiter is held at its home, which answers it once the session
+// resolves; a waiter held here (an unsupervised job's) hears CodeAborted.
+// The waiters hear, on task t, before the logical host goes.
+func (pm *PM) abortGuest(t *sim.Task, lhid vid.LHID) {
 	pi := pm.progs[lhid]
 	if pi == nil {
 		return
@@ -444,8 +449,11 @@ func (pm *PM) run(ctx *kernel.ProcCtx) {
 			ctx.Reply(req, pm.initMigration(ctx, m))
 
 		case PmAssumeMigration:
-			pm.AssumeIncoming(vid.LHID(m.W[0]))
+			pm.assumeIncoming(vid.LHID(m.W[0]), vid.LHID(m.W[1]))
 			ctx.Reply(req, vid.Message{Op: m.Op})
+
+		case PmAwaitResidue:
+			pm.awaitResidue(ctx, req)
 
 		case PmSuspendProgram, PmResumeProgram:
 			pi := pm.progs[vid.LHID(m.W[0])]
@@ -517,7 +525,10 @@ func (pm *PM) createProgram(ctx *kernel.ProcCtx, m vid.Message) vid.Message {
 	// paper's 40 ms).
 	ctx.Compute(params.EnvSetupCPU)
 
-	lh := pm.host.CreateLH(progName, guest)
+	lh, err := pm.host.CreateLH(progName, guest)
+	if err != nil {
+		return vid.ErrMsg(vid.CodeNoMemory)
+	}
 	as, err := lh.CreateSpace(img.SpaceSize)
 	if err != nil {
 		pm.host.DestroyLH(lh)

@@ -611,7 +611,7 @@ func TestFateTable(t *testing.T) {
 
 		{"lost", func(ctx *kernel.ProcCtx, r *rig) fx {
 			_, lhid := create(ctx, r, 1, "long", true)
-			r.pms[1].AbortGuest(ctx.Task(), lhid)
+			r.pms[1].abortGuest(ctx.Task(), lhid)
 			return fx{ask: 1, lh: lhid}
 		}, func(*rig, fx) (answer, answer) { return refused(vid.CodeAborted), refused(vid.CodeNotFound) }},
 
@@ -643,7 +643,7 @@ func TestFateTable(t *testing.T) {
 		// no selector to re-execute it, fails.
 		{"supervised answers before lost", func(ctx *kernel.ProcCtx, r *rig) fx {
 			pid, lhid := create(ctx, r, 0, "long", true)
-			r.pms[0].AbortGuest(ctx.Task(), lhid)
+			r.pms[0].abortGuest(ctx.Task(), lhid)
 			r.pms[0].Supervise(ctx, SessionInfo{LHID: lhid, PID: pid, Name: "long",
 				HostPM: r.pms[1].PID(), HostLH: r.ws[1].SystemLH().ID()})
 			return fx{ask: 0, lh: lhid}

@@ -93,6 +93,15 @@ func (m Message) Err() error {
 	return CodeError(m.Code)
 }
 
+// SendErr folds a Send's two results into one error: the transport's if
+// the send aborted, else the reply's code (nil for OK).
+func SendErr(m Message, err error) error {
+	if err != nil {
+		return err
+	}
+	return m.Err()
+}
+
 // CodeError is an error wrapping a V reply code.
 type CodeError uint16
 

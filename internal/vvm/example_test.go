@@ -29,7 +29,7 @@ loop:   ADD r0, r1
 	eng := sim.NewEngine(1)
 	bus := ethernet.NewBus(eng)
 	h := kernel.NewHost(eng, bus, 0, "ws0")
-	lh := h.CreateLH("sum", false)
+	lh, _ := h.CreateLH("sum", false)
 	as, _ := lh.CreateSpace(64 * 1024)
 	as.WriteAt(vvm.CodeBase, code)
 	p := lh.NewProcess(as.ID, vvm.BodyKind, kernel.Regs{})

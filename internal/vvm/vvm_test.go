@@ -21,7 +21,7 @@ func runProgram(t *testing.T, src string, budget time.Duration) uint32 {
 	eng := sim.NewEngine(1)
 	bus := ethernet.NewBus(eng)
 	h := kernel.NewHost(eng, bus, 0, "t")
-	lh := h.CreateLH("prog", false)
+	lh, _ := h.CreateLH("prog", false)
 	as, err := lh.CreateSpace(256 * 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ loop:   ADDI r0, 1
 	eng := sim.NewEngine(1)
 	bus := ethernet.NewBus(eng)
 	h := kernel.NewHost(eng, bus, 0, "t")
-	lh := h.CreateLH("prog", false)
+	lh, _ := h.CreateLH("prog", false)
 	as, _ := lh.CreateSpace(64 * 1024)
 	as.WriteAt(CodeBase, code)
 	p := lh.NewProcess(as.ID, BodyKind, kernel.Regs{})

@@ -17,7 +17,7 @@ import (
 // returning the process and its space.
 func start(t *testing.T, eng *sim.Engine, h *kernel.Host, img *image.Image) (*kernel.Process, *mem.AddressSpace) {
 	t.Helper()
-	lh := h.CreateLH(img.Name, false)
+	lh, _ := h.CreateLH(img.Name, false)
 	as, err := lh.CreateSpace(img.SpaceSize)
 	if err != nil {
 		t.Fatal(err)
