@@ -87,7 +87,7 @@ type CPU struct {
 // New creates an idle CPU on the engine.
 func New(eng *sim.Engine) *CPU {
 	c := &CPU{eng: eng, quantum: params.CPUQuantum, started: eng.Now(),
-		reqs: freelist.NewList(32, func() *request { return new(request) }, nil, eng.Poison())}
+		reqs: freelist.NewList(32, func() *request { return new(request) }, eng.Poison())}
 	c.kicked, c.sliceEnded, c.lat.Hit = c.deferredGrant, c.endSlice, c.endAt
 	return c
 }

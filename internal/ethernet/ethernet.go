@@ -93,14 +93,17 @@ type Stats struct {
 
 // Bus is the shared segment.
 type Bus struct {
-	eng      *sim.Engine
-	stations map[MAC]*NIC
+	eng *sim.Engine
+	// stations is indexed by station address, so that a frame finds its
+	// receiver without hashing the address; nil where none is attached.
+	stations []*NIC
 	order    []*NIC // attach order, for deterministic broadcast delivery
-	// members lists each multicast address's subscribed stations in attach
+	// groups lists each multicast address's subscribed stations in attach
 	// order: a group frame visits its members, not the whole segment. A
 	// join or leave replaces the list, so a delivery loop never sees it
-	// change under it.
-	members   map[MAC][]*NIC
+	// change under it. A segment carries a handful of group addresses, so
+	// they are found by a walk.
+	groups    []group
 	busyUntil sim.Time
 	// flight holds the frames on the wire, oldest first. busyUntil only
 	// moves forward, so frames leave the wire in the order they entered it
@@ -124,6 +127,42 @@ type Bus struct {
 	trace   *trace.Bus // nil until wired; nil bus is a no-op target
 }
 
+// group is one multicast address and its subscribed stations.
+type group struct {
+	mac     MAC
+	members []*NIC
+}
+
+// members returns the stations subscribed to a multicast address, in
+// attach order.
+func (b *Bus) members(m MAC) []*NIC {
+	for i := range b.groups {
+		if b.groups[i].mac == m {
+			return b.groups[i].members
+		}
+	}
+	return nil
+}
+
+// setMembers replaces a multicast address's member list.
+func (b *Bus) setMembers(m MAC, ms []*NIC) {
+	for i := range b.groups {
+		if b.groups[i].mac == m {
+			b.groups[i].members = ms
+			return
+		}
+	}
+	b.groups = append(b.groups, group{mac: m, members: ms})
+}
+
+// station returns the NIC attached at an address (nil for none).
+func (b *Bus) station(mac MAC) *NIC {
+	if int(mac) < len(b.stations) {
+		return b.stations[mac]
+	}
+	return nil
+}
+
 // inflight is a transmitted frame awaiting delivery at its transmission
 // end, with the fate decided for it at transmit time.
 type inflight struct {
@@ -134,12 +173,10 @@ type inflight struct {
 // NewBus creates an empty segment on the engine.
 func NewBus(eng *sim.Engine) *Bus {
 	b := &Bus{
-		eng:      eng,
-		stations: make(map[MAC]*NIC),
-		members:  make(map[MAC][]*NIC),
-		bufs:     freelist.New(params.FrameMTU, frameBufsKept, eng.Poison()),
-		pages:    freelist.New(params.PageSize, pageFramesKept, eng.Poison()),
-		segs:     freelist.New(vid.SegMax, segBufsKept, eng.Poison()),
+		eng:   eng,
+		bufs:  freelist.New(params.FrameMTU, frameBufsKept, eng.Poison()),
+		pages: freelist.New(params.PageSize, pageFramesKept, eng.Poison()),
+		segs:  freelist.New(vid.SegMax, segBufsKept, eng.Poison()),
 	}
 	b.arrived = b.arrive
 	return b
@@ -196,11 +233,14 @@ func (b *Bus) Attach(mac MAC) *NIC {
 	if mac == Broadcast {
 		panic("ethernet: cannot attach the broadcast address")
 	}
-	if _, dup := b.stations[mac]; dup {
+	if b.station(mac) != nil {
 		panic(fmt.Sprintf("ethernet: duplicate station %v", mac))
 	}
 	n := &NIC{bus: b, mac: mac, seq: len(b.order)}
 	n.sent = n.wakeSender
+	if int(mac) >= len(b.stations) {
+		b.stations = slices.Grow(b.stations, int(mac)+1-len(b.stations))[:mac+1]
+	}
 	b.stations[mac] = n
 	b.order = append(b.order, n)
 	return n
@@ -287,14 +327,14 @@ func (b *Bus) arrive() {
 		// receive interrupt. The frame still occupies the shared medium
 		// like any other.
 		b.stats.Broadcasts++
-		for _, n := range b.members[f.Dst] {
+		for _, n := range b.members(f.Dst) {
 			if n.mac != f.Src && n.recv != nil && !b.severed(f.Src, n.mac, len(f.Payload)) {
 				n.deliver(f)
 			}
 		}
 		return
 	}
-	if n := b.stations[f.Dst]; n != nil && n.recv != nil && !b.severed(f.Src, f.Dst, len(f.Payload)) {
+	if n := b.station(f.Dst); n != nil && n.recv != nil && !b.severed(f.Src, f.Dst, len(f.Payload)) {
 		n.deliver(f)
 		return
 	}
@@ -355,17 +395,17 @@ func (n *NIC) JoinMulticast(m MAC) {
 	if !m.IsMulticast() {
 		panic(fmt.Sprintf("ethernet: JoinMulticast(%v): not a multicast address", m))
 	}
-	ms := n.bus.members[m]
+	ms := n.bus.members(m)
 	if i, in := n.member(ms); !in {
-		n.bus.members[m] = slices.Insert(slices.Clip(ms), i, n)
+		n.bus.setMembers(m, slices.Insert(slices.Clip(ms), i, n))
 	}
 }
 
 // LeaveMulticast removes the address from the receive filter.
 func (n *NIC) LeaveMulticast(m MAC) {
-	ms := n.bus.members[m]
+	ms := n.bus.members(m)
 	if i, in := n.member(ms); in {
-		n.bus.members[m] = slices.Delete(slices.Clone(ms), i, i+1)
+		n.bus.setMembers(m, slices.Delete(slices.Clone(ms), i, i+1))
 	}
 }
 

@@ -28,72 +28,98 @@ type Switch bool
 // is dead from its Put to its next Get, so handing it out again allocates
 // nothing. With poisoning off it is one predictable branch.
 func Check[T comparable](l *List[T], x T) {
-	if l.sw != nil && bool(*l.sw) && slices.Contains(l.free, x) {
+	if l.poisoning() && slices.Contains(l.free[:l.n], x) {
 		panic("freelist: a record is used after it was handed back")
 	}
 }
 
-// List is a free list of buffers or of records.
+// List is a free list of records, or the list under a ResetList. Get and
+// Put are small enough to be inlined where they are called, so a pair of
+// them costs about what a hand-kept slice does; the one call either makes
+// is Get's fresh, on an empty list.
 type List[T any] struct {
+	// free[:n] are the elements held, the last handed back on top. The
+	// places past n keep what Get handed out until a Put overwrites them:
+	// an element its user drops without a Put stays reachable until then.
 	free  []T
+	n     int
 	keep  int
 	high  int // most elements ever held at once
 	fresh func() T
-	reset func(x T, poison bool) (T, bool)
 	sw    *Switch
 }
 
 // NewList returns an empty list that keeps at most keep elements, makes
 // one with fresh — which binds what a record keeps for life, its callbacks
-// included — when it has none, and poisons as sw says. reset (nil: none)
-// readies an element handed back for its next user, overwriting a buffer
-// first when told to poison, or refuses it.
-func NewList[T any](keep int, fresh func() T, reset func(x T, poison bool) (T, bool), sw *Switch) List[T] {
-	return List[T]{keep: keep, fresh: fresh, reset: reset, sw: sw}
+// included — when it has none, and poisons as sw says.
+func NewList[T any](keep int, fresh func() T, sw *Switch) List[T] {
+	return List[T]{keep: keep, fresh: fresh, sw: sw}
 }
 
 // Get returns the element handed back last, or a new one.
 func (l *List[T]) Get() T {
-	n := len(l.free)
-	if n == 0 {
+	if l.n == 0 {
 		return l.fresh()
 	}
-	x := l.free[n-1]
-	var zero T
-	l.free[n-1], l.free = zero, l.free[:n-1]
-	return x
+	l.n--
+	return l.free[l.n]
 }
 
-// Put hands x back; one that reset refuses, or one more than the list
-// keeps, is left to the collector, poisoned all the same.
+// Put hands x back; one more than the list keeps is left to the collector.
 func (l *List[T]) Put(x T) {
-	ok := true
-	if l.reset != nil {
-		x, ok = l.reset(x, l.poisoning())
+	n := l.n
+	if n >= l.keep {
+		return
 	}
-	if ok && len(l.free) < l.keep {
+	if n < len(l.free) {
+		l.free[n] = x
+	} else {
 		l.free = append(l.free, x)
-		l.high = max(l.high, len(l.free))
 	}
+	l.n = n + 1
+	l.high = max(l.high, n+1)
 }
 
 func (l *List[T]) poisoning() bool { return l.sw != nil && bool(*l.sw) }
 
 // Len, High and Bound report how many elements the list holds, the most
 // it has held at once, and the most it keeps.
-func (l *List[T]) Len() int   { return len(l.free) }
+func (l *List[T]) Len() int   { return l.n }
 func (l *List[T]) High() int  { return l.high }
 func (l *List[T]) Bound() int { return l.keep }
 
+// ResetList is a free list whose elements are readied for their next user
+// as they are handed back: byte buffers, which a poisoning list
+// overwrites, and records that must be emptied first. Its Put is out of
+// line, being a call to reset and then List's Put.
+type ResetList[T any] struct {
+	List[T]
+	reset func(x T, poison bool) (T, bool)
+}
+
+// NewResetList is NewList with reset, which readies an element handed
+// back, overwriting a buffer first when told to poison, or refuses it.
+func NewResetList[T any](keep int, fresh func() T, reset func(x T, poison bool) (T, bool), sw *Switch) ResetList[T] {
+	return ResetList[T]{List: NewList(keep, fresh, sw), reset: reset}
+}
+
+// Put readies x and hands it back; one that reset refuses, or one more
+// than the list keeps, is left to the collector, poisoned all the same.
+func (l *ResetList[T]) Put(x T) {
+	if x, ok := l.reset(x, l.poisoning()); ok {
+		l.List.Put(x)
+	}
+}
+
 // Bytes is a free list of byte buffers of one capacity.
-type Bytes = List[[]byte]
+type Bytes = ResetList[[]byte]
 
 // New returns a list of buffers of capacity size, keeping at most keep.
 // Get returns an empty buffer; its bytes past the length are what its last
 // user, or the poison, left. Put takes any slice of a buffer and keeps the
 // array, unless what is left of it from the slice on is too short.
 func New(size, keep int, sw *Switch) *Bytes {
-	l := NewList(keep, func() []byte { return make([]byte, 0, size) },
+	l := NewResetList(keep, func() []byte { return make([]byte, 0, size) },
 		func(b []byte, poison bool) ([]byte, bool) {
 			for all := b[:cap(b)]; poison && len(all) > 0; {
 				all = all[copy(all, poisonBlock):]

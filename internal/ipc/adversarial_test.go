@@ -36,7 +36,7 @@ func dropKinds(bus *ethernet.Bus, n int, kinds ...packet.Kind) *int {
 }
 
 // bulkRig builds the standard two-host client/server pair.
-func bulkRig(t *testing.T, seed int64) (*rig, *Port, *Port) {
+func bulkRig(t testing.TB, seed int64) (*rig, *Port, *Port) {
 	r := newRig(t, 2, seed)
 	lhA, lhB := vid.LHID(10), vid.LHID(20)
 	r.place(lhA, 0)

@@ -26,7 +26,6 @@ package ipc
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -108,8 +107,11 @@ type Engine struct {
 	res      Resolver
 	ports    map[vid.PID]*Port
 	portList []*Port // registration order, for deterministic iteration
-	cache    map[vid.LHID]binding
-	jobs     sim.Queue[job]
+	// cache is the binding cache. Its keys are logical-host ids widened to
+	// 32 bits, as every received frame looks one up and the runtime hashes
+	// a 16-bit key through its generic path.
+	cache map[uint32]binding
+	jobs  sim.Queue[job]
 	// Two scratch packets, so that the per-frame paths allocate no Packet.
 	// Each is filled and finished with — traced (subscribers do not keep
 	// Event.Pkt), marshalled, delivered by value or handed to the load sink
@@ -141,24 +143,33 @@ type Engine struct {
 	reasms      freelist.List[*reasmBuf]
 	repairs     freelist.List[*fragSource]
 	lent        freelist.List[*replySeg]
-	closedPorts freelist.List[*Port] // closed ports nothing else reaches (Port.Close)
-	reqs        freelist.List[*Req]
+	closedPorts freelist.ResetList[*Port] // closed ports nothing else reaches (Port.Close)
+	reqs        freelist.ResetList[*Req]
 	sweeps      freelist.List[*sweep]
 	txns        freelist.List[*sendTxn]
-	suspects    map[ethernet.MAC]sim.Time // station → when suspicion began
-	heard       map[ethernet.MAC]sim.Time // station → last packet received from it
-	rtts        map[uint16]rtt            // op code → its round-trip estimate (tail probe)
-	winSeq      uint32                    // bulk-transfer window port allocation sequence
-	stats       Stats
-	trace       *trace.Bus       // nil until wired; nil bus is a no-op target
-	down        bool             // crashed host: frames drop, queued work is discarded
-	loadFn      func() [6]uint32 // kernel's load advertisement, stamped on replies
-	loadSink    func([6]uint32)  // consumer of received load advertisements
+	locals      freelist.List[*packet.Packet] // queued intra-host deliveries (emitLocal)
+	// stations is what the failure detector knows of each station, indexed
+	// by its address. It grows to the highest station heard from or
+	// suspected, as frames arrive.
+	stations []station
+	rtts     map[uint32]rtt // op code → its round-trip estimate (tail probe)
+	winSeq   uint32         // bulk-transfer window port allocation sequence
+	stats    Stats
+	trace    *trace.Bus       // nil until wired; nil bus is a no-op target
+	down     bool             // crashed host: frames drop, queued work is discarded
+	loadFn   func() [6]uint32 // kernel's load advertisement, stamped on replies
+	loadSink func([6]uint32)  // consumer of received load advertisements
 
 	// GroupIndirection models the local-group-id lookup for well-known
 	// indices; when enabled each such delivery charges GroupIndirectCPU
 	// (the paper's measured 100 µs, §4.1). Disabled for the ablation.
 	GroupIndirection bool
+}
+
+// station is what the engine knows of one other station's liveness.
+type station struct {
+	heard     sim.Time // when the last packet from it arrived
+	suspected bool     // condemned by the failure detector
 }
 
 // rtt is RFC 6298's round-trip estimate of one operation. Op spaces are
@@ -298,24 +309,23 @@ func New(se *sim.Engine, nic *ethernet.NIC, c *cpu.CPU, res Resolver) *Engine {
 		cpu:              c,
 		res:              res,
 		ports:            make(map[vid.PID]*Port),
-		cache:            make(map[vid.LHID]binding),
+		cache:            make(map[uint32]binding),
 		reasm:            make(map[reasmKey]*reasmBuf),
 		txBuf:            make(map[reasmKey]*fragSource),
-		suspects:         make(map[ethernet.MAC]sim.Time),
-		heard:            make(map[ethernet.MAC]sim.Time),
-		rtts:             make(map[uint16]rtt),
+		rtts:             make(map[uint32]rtt),
 		segs:             nic.SegBufs(),
 		GroupIndirection: true,
 	}
 	// Each bound is above the most its list held in bench's workloads.
 	sw := se.Poison()
-	e.reasms = freelist.NewList(16, func() *reasmBuf { b := new(reasmBuf); b.expire = b.giveUp; return b }, nil, sw)
-	e.repairs = freelist.NewList(128, func() *fragSource { fs := new(fragSource); fs.expire = fs.timeout; return fs }, nil, sw)
-	e.lent = freelist.NewList(512, func() *replySeg { return new(replySeg) }, nil, sw)
-	e.closedPorts = freelist.NewList(32, func() *Port { return &Port{peers: make(map[vid.PID]peer)} }, reusePort, sw)
-	e.reqs = freelist.NewList(16, func() *Req { return new(Req) }, clearReq, sw)
-	e.sweeps = freelist.NewList(512, func() *sweep { sw := new(sweep); sw.fire = sw.due; return sw }, nil, sw)
-	e.txns = freelist.NewList(16, func() *sendTxn { return new(sendTxn) }, nil, sw)
+	e.reasms = freelist.NewList(16, func() *reasmBuf { b := new(reasmBuf); b.expire = b.giveUp; return b }, sw)
+	e.repairs = freelist.NewList(128, func() *fragSource { fs := new(fragSource); fs.expire = fs.timeout; return fs }, sw)
+	e.lent = freelist.NewList(512, func() *replySeg { return new(replySeg) }, sw)
+	e.closedPorts = freelist.NewResetList(32, func() *Port { return &Port{peers: make(map[vid.PID]peer)} }, reusePort, sw)
+	e.reqs = freelist.NewResetList(16, func() *Req { return new(Req) }, clearReq, sw)
+	e.sweeps = freelist.NewList(512, func() *sweep { sw := new(sweep); sw.fire = sw.due; return sw }, sw)
+	e.txns = freelist.NewList(16, func() *sendTxn { return new(sendTxn) }, sw)
+	e.locals = freelist.NewList(16, func() *packet.Packet { return new(packet.Packet) }, sw)
 	nic.SetRecv(func(f ethernet.Frame) {
 		if e.down {
 			nic.Recycle(f) // powered off: the NIC hears nothing
@@ -342,12 +352,11 @@ func (e *Engine) SetDown(down bool) { e.down = down }
 func (e *Engine) Reset() {
 	e.down = false
 	e.jobs.Clear()
-	e.cache = make(map[vid.LHID]binding)
+	e.cache = make(map[uint32]binding)
 	e.reasm = make(map[reasmKey]*reasmBuf)
 	e.txBuf = make(map[reasmKey]*fragSource)
-	e.suspects = make(map[ethernet.MAC]sim.Time)
-	e.heard = make(map[ethernet.MAC]sim.Time)
-	e.rtts = make(map[uint16]rtt)
+	e.stations = nil
+	e.rtts = make(map[uint32]rtt)
 }
 
 // ClosePorts closes every port on the engine: at a crash, those of the
@@ -424,16 +433,16 @@ func (e *Engine) publish(ev trace.Event) {
 // CacheLookup exposes the logical-host cache (for tests and experiments).
 // It does not touch the hit/miss counters.
 func (e *Engine) CacheLookup(lh vid.LHID) (ethernet.MAC, bool) {
-	mac := e.cache[lh].mac
+	mac := e.cache[uint32(lh)].mac
 	return mac, mac != 0
 }
 
 // cacheInsert records (or refreshes) a binding. Every frame received
 // refreshes its sender's, so an unchanged one is not written again.
 func (e *Engine) cacheInsert(lh vid.LHID, mac ethernet.MAC) {
-	if b := e.cache[lh]; b.mac != mac {
+	if b := e.cache[uint32(lh)]; b.mac != mac {
 		b.mac = mac
-		e.cache[lh] = b
+		e.cache[uint32(lh)] = b
 	}
 }
 
@@ -441,12 +450,12 @@ func (e *Engine) cacheInsert(lh vid.LHID, mac ethernet.MAC) {
 // (§3.1.4) or from experiments forcing a locate. Counted and traced only
 // when a binding was actually present.
 func (e *Engine) InvalidateCache(lh vid.LHID) {
-	b := e.cache[lh]
+	b := e.cache[uint32(lh)]
 	if b.mac == 0 {
 		return
 	}
 	b.mac = 0
-	e.cache[lh] = b
+	e.cache[uint32(lh)] = b
 	e.stats.BindingInvalidations++
 	e.publish(trace.Event{Kind: trace.EvBindInvalidate, LH: lh})
 }
@@ -520,6 +529,10 @@ func (e *Engine) netd(t *sim.Task) {
 			}
 			e.cpu.Use(t, cost, params.PrioKernel)
 			e.deliverLocal(t, j.local)
+			// Dispatch keeps nothing of the packet: a message is taken out
+			// by value, and its segment is the sender's, not the packet's.
+			*j.local = packet.Packet{}
+			e.locals.Put(j.local)
 		case j.retx != nil:
 			j.retx.resend(t, j.txid, j.probe)
 		case j.fn != nil:
@@ -536,8 +549,13 @@ func (e *Engine) deliverLocal(t *sim.Task, p *packet.Packet) {
 	e.dispatch(t, p, e.nic.MAC())
 }
 
-// emitLocal queues a packet for intra-host delivery.
-func (e *Engine) emitLocal(p *packet.Packet) { e.jobs.Push(job{local: p}) }
+// emitLocal queues a copy of a packet for intra-host delivery, in a
+// record netd hands back once the packet is dispatched.
+func (e *Engine) emitLocal(p *packet.Packet) {
+	cp := e.locals.Get()
+	*cp = *p
+	e.jobs.Push(job{local: cp})
+}
 
 // sendNow marshals and transmits a (non-fragmented) packet, charging CPU.
 // It keeps no reference to *p, which may live on the caller's stack: the
@@ -714,8 +732,11 @@ func (e *Engine) dispatch(t *sim.Task, p *packet.Packet, from ethernet.MAC) {
 	// Any packet from a station is evidence of life: it vetoes suspicion
 	// formation (clientTxn.step) and retracts a standing suspicion.
 	if from != e.nic.MAC() {
-		e.heard[from] = e.sim.Now()
-		e.clearSuspicion(from)
+		st := e.station(from)
+		st.heard = e.sim.Now()
+		if st.suspected {
+			e.clearSuspicion(st, from)
+		}
 	}
 	// Learn bindings from incoming traffic (§3.1.4: "the cache is also
 	// updated based on incoming requests").
@@ -1020,7 +1041,7 @@ func (e *Engine) route(dst vid.PID) (mac ethernet.MAC, local, ok bool) {
 	if e.res.LHResident(lh) {
 		return e.nic.MAC(), true, true
 	}
-	b := e.cache[lh]
+	b := e.cache[uint32(lh)]
 	if b.mac != 0 {
 		e.stats.BindingHits++
 		e.publish(trace.Event{Kind: trace.EvBindHit, LH: lh})
@@ -1033,7 +1054,7 @@ func (e *Engine) route(dst vid.PID) (mac ethernet.MAC, local, ok bool) {
 		return 0, false, false
 	}
 	b.quiet = now.Add(params.RetransmitInterval)
-	e.cache[lh] = b
+	e.cache[uint32(lh)] = b
 	e.stats.Locates++
 	e.publish(trace.Event{Kind: trace.EvLocate, LH: lh})
 	e.jobs.Push(job{hdr: header{kind: packet.KLocateReq, lh: lh}, dst: ethernet.Broadcast})
@@ -1047,17 +1068,17 @@ func (e *Engine) route(dst vid.PID) (mac ethernet.MAC, local, ok bool) {
 // rttvar = r/2. A sample of a retransmitted request may be too long — V
 // answers a transaction once — which can only delay a probe.
 func (e *Engine) sampleRTT(op uint16, r time.Duration) {
-	est, ok := e.rtts[op]
+	est, ok := e.rtts[uint32(op)]
 	if !ok {
-		e.rtts[op] = rtt{srtt: r, rttvar: r / 2}
+		e.rtts[uint32(op)] = rtt{srtt: r, rttvar: r / 2}
 		return
 	}
-	e.rtts[op] = rtt{srtt: (7*est.srtt + r) / 8, rttvar: (3*est.rttvar + (est.srtt - r).Abs()) / 4}
+	e.rtts[uint32(op)] = rtt{srtt: (7*est.srtt + r) / 8, rttvar: (3*est.rttvar + (est.srtt - r).Abs()) / 4}
 }
 
 // pto is op's probe timeout, max(2·srtt, srtt + 4·rttvar), or 0 before its first sample.
 func (e *Engine) pto(op uint16) time.Duration {
-	est := e.rtts[op]
+	est := e.rtts[uint32(op)]
 	return max(2*est.srtt, est.srtt+4*est.rttvar)
 }
 
@@ -1069,15 +1090,36 @@ func (e *Engine) pto(op uint16) time.Duration {
 // instead of letting each ride out its own ~5 s abort. *Any* packet from the
 // station clears the suspicion (§3.1.3's "evidence of life", host-wide).
 
-// Suspected reports whether the station is currently suspected dead.
-func (e *Engine) Suspected(mac ethernet.MAC) bool {
-	_, bad := e.suspects[mac]
-	return bad
+// station returns the engine's record of a station, growing the table to
+// reach it.
+func (e *Engine) station(mac ethernet.MAC) *station {
+	if int(mac) >= len(e.stations) {
+		e.stations = slices.Grow(e.stations, int(mac)+1-len(e.stations))[:mac+1]
+	}
+	return &e.stations[mac]
 }
+
+// lookStation returns the engine's record of a station without growing the
+// table: the zero record for one never heard from nor suspected.
+func (e *Engine) lookStation(mac ethernet.MAC) station {
+	if int(mac) < len(e.stations) {
+		return e.stations[mac]
+	}
+	return station{}
+}
+
+// Suspected reports whether the station is currently suspected dead.
+func (e *Engine) Suspected(mac ethernet.MAC) bool { return e.lookStation(mac).suspected }
 
 // Suspects returns the currently suspected stations in ascending order.
 func (e *Engine) Suspects() []ethernet.MAC {
-	return slices.Sorted(maps.Keys(e.suspects))
+	var out []ethernet.MAC
+	for mac, st := range e.stations {
+		if st.suspected {
+			out = append(out, ethernet.MAC(mac))
+		}
+	}
+	return out
 }
 
 // suspectStation condemns a station and fails every in-flight transaction
@@ -1085,11 +1127,12 @@ func (e *Engine) Suspects() []ethernet.MAC {
 // (silence since the witnessing transaction's last evidence of life) in
 // microseconds.
 func (e *Engine) suspectStation(mac ethernet.MAC, lastAlive sim.Time) {
-	if _, dup := e.suspects[mac]; dup {
+	st := e.station(mac)
+	if st.suspected {
 		return
 	}
 	now := e.sim.Now()
-	e.suspects[mac] = now
+	st.suspected = true
 	e.stats.HostSuspects++
 	e.publish(trace.Event{Kind: trace.EvHostSuspect, Peer: uint16(mac), Size: int(now.Sub(lastAlive) / time.Microsecond)})
 	for _, port := range e.portList {
@@ -1097,12 +1140,10 @@ func (e *Engine) suspectStation(mac ethernet.MAC, lastAlive sim.Time) {
 	}
 }
 
-// clearSuspicion retracts a standing suspicion on evidence of life.
-func (e *Engine) clearSuspicion(mac ethernet.MAC) {
-	if _, bad := e.suspects[mac]; !bad {
-		return
-	}
-	delete(e.suspects, mac)
+// clearSuspicion retracts st's standing suspicion of mac on evidence of
+// life.
+func (e *Engine) clearSuspicion(st *station, mac ethernet.MAC) {
+	st.suspected = false
 	e.stats.HostClears++
 	e.publish(trace.Event{Kind: trace.EvHostClear, Peer: uint16(mac)})
 }

@@ -52,7 +52,7 @@ type rig struct {
 	hosts []*fakeHost
 }
 
-func newRig(t *testing.T, n int, seed int64) *rig {
+func newRig(t testing.TB, n int, seed int64) *rig {
 	t.Helper()
 	se := sim.NewEngine(seed)
 	se.PoisonFreed() // every ipc test: a recycled buffer read late is garbage, a recycled record used late panics

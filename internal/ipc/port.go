@@ -260,7 +260,7 @@ func (p *Port) fresh() *sendTxn {
 // begin numbers s, makes it the port's send transaction and transmits its
 // request.
 func (p *Port) begin(t *sim.Task, s *sendTxn) {
-	freelist.Check(&p.eng.closedPorts, p)
+	freelist.Check(&p.eng.closedPorts.List, p)
 	if p.send != nil {
 		panic(fmt.Sprintf("ipc: %v send started with send outstanding", p.pid))
 	}
@@ -353,7 +353,8 @@ func (p *Port) arm(s *sendTxn, was sim.Time, restart bool) {
 // expire is the send timer; the step tells a tick from the tail probe.
 func (p *Port) expire() {
 	if s, e := p.send, p.eng; s != nil && s.txid == p.fireTx && !p.closed {
-		p.post(clientEv{kind: evTimer, now: e.sim.Now(), suspected: e.Suspected(s.mac), heard: e.heard[s.mac]})
+		st := e.lookStation(s.mac)
+		p.post(clientEv{kind: evTimer, now: e.sim.Now(), suspected: st.suspected, heard: st.heard})
 	}
 }
 
@@ -440,9 +441,8 @@ func (p *Port) transmit(t *sim.Task, retrans bool) {
 			// plus fan-out to local members.
 			p.eng.sendNow(t, &pkt, mac)
 		}
-		cp := pkt
 		s.buf = nil // the receivers get the segment itself, not a copy
-		p.eng.emitLocal(&cp)
+		p.eng.emitLocal(&pkt)
 		return
 	}
 	// s.mac keeps the last station actually transmitted to. It survives a
@@ -719,7 +719,7 @@ func (sw *sweep) due() {
 // Receive blocks until a request arrives. The request stays open (further
 // retransmissions from its sender get reply-pending packets) until Reply.
 func (p *Port) Receive(t *sim.Task) *Req {
-	freelist.Check(&p.eng.closedPorts, p)
+	freelist.Check(&p.eng.closedPorts.List, p)
 	for len(p.rq) == 0 {
 		p.reqWait.Wait(t)
 	}
@@ -728,7 +728,7 @@ func (p *Port) Receive(t *sim.Task) *Req {
 
 // ReceiveTimeout is Receive with a deadline; nil if it expired.
 func (p *Port) ReceiveTimeout(t *sim.Task, d time.Duration) *Req {
-	freelist.Check(&p.eng.closedPorts, p)
+	freelist.Check(&p.eng.closedPorts.List, p)
 	deadline := t.Now().Add(d)
 	for len(p.rq) == 0 {
 		remain := deadline.Sub(t.Now())
@@ -762,7 +762,7 @@ func (p *Port) Reply(t *sim.Task, r *Req, msg vid.Message) { p.ReplyNaming(t, r,
 // from a locate response, so the next message it sends lh needs no locate.
 // A cached copy names lh too.
 func (p *Port) ReplyNaming(t *sim.Task, r *Req, msg vid.Message, lh vid.LHID) {
-	freelist.Check(&p.eng.reqs, r)
+	freelist.Check(&p.eng.reqs.List, r)
 	src, txid, from := r.Src, r.txid, r.from
 	lent := p.takeOutBuf(msg.Seg)
 	if p.serve(src, serverEv{kind: evReplied, now: t.Now(), req: r}) == srvSweep {
@@ -786,11 +786,10 @@ func (p *Port) emitReply(t *sim.Task, dst vid.PID, txid uint32, msg vid.Message,
 		local = mac == p.eng.nic.MAC()
 	}
 	if local {
-		cp := pkt
 		if lent != nil {
-			cp.Msg.Seg = slices.Clone(msg.Seg)
+			pkt.Msg.Seg = slices.Clone(msg.Seg)
 		}
-		p.eng.emitLocal(&cp)
+		p.eng.emitLocal(&pkt)
 		return
 	}
 	if packet.NumFrags(len(msg.Seg)) > 0 {
@@ -811,7 +810,7 @@ func (p *Port) OpenRequest(src vid.PID) *Req { return p.peers[src].open }
 // request is received as new (Req.Again), so a member that can serve it by
 // then answers it.
 func (p *Port) Drop(r *Req) {
-	freelist.Check(&p.eng.reqs, r)
+	freelist.Check(&p.eng.reqs.List, r)
 	p.serve(r.Src, serverEv{kind: evDropped, req: r})
 	p.eng.reqs.Put(r)
 }

@@ -134,6 +134,27 @@ func TestGroupFanOutAllocatesNoPacket(t *testing.T) {
 func TestRemoteRoundTripAllocatesNothing(t *testing.T) {
 	r, client, server := bulkRig(t, 1)
 	t.Cleanup(r.sim.Shutdown)
+	roundTripsAllocateNothing(t, r, client, server)
+}
+
+// TestLocalRoundTripAllocatesNothing: so does a transaction between two
+// ports of one host, whose request and reply netd delivers from its queue
+// in a packet record it takes back once dispatched.
+func TestLocalRoundTripAllocatesNothing(t *testing.T) {
+	r := newRig(t, 1, 1)
+	t.Cleanup(r.sim.Shutdown)
+	r.place(10, 0)
+	r.place(20, 0)
+	client := r.hosts[0].eng.NewPort(vid.NewPID(10, 16))
+	server := r.hosts[0].eng.NewPort(vid.NewPID(20, 16))
+	roundTripsAllocateNothing(t, r, client, server)
+	if st := r.hosts[0].eng.Stats(); st.TxPackets != 0 {
+		t.Fatalf("%d packets on the wire between two ports of one host", st.TxPackets)
+	}
+}
+
+func roundTripsAllocateNothing(t *testing.T, r *rig, client, server *Port) {
+	t.Helper()
 	echoServer(r.sim, server)
 	var kick sim.WaitQ
 	done := 0
@@ -159,6 +180,32 @@ func TestRemoteRoundTripAllocatesNothing(t *testing.T) {
 	}
 	if done != 103 { // AllocsPerRun runs it once more than asked
 		t.Fatalf("%d round trips completed, want 103", done)
+	}
+}
+
+// BenchmarkReplyFrameDispatch: a word-only reply frame crossing the bus and
+// completing a send — the bus's station lookup, netd's wake-up and CPU
+// charge, the decode, the sender's liveness and binding refreshed, the
+// addressee's residence checked — as TestReceivedRequestAndReplyAllocateNoPacket
+// holds it to no allocation.
+func BenchmarkReplyFrameDispatch(b *testing.B) {
+	r, client, server := bulkRig(b, 1)
+	b.Cleanup(r.sim.Shutdown)
+	txn := new(sendTxn)
+	rep := packet.Packet{Kind: packet.KReply, Src: server.PID(), Dst: client.PID(),
+		Msg: vid.Message{Op: testOp, W: [6]uint32{6, 5, 4, 3, 2, 1}}}
+	var payload []byte
+	b.ReportAllocs()
+	for b.Loop() {
+		rep.TxID++
+		*txn = sendTxn{clientTxn: clientTxn{txid: rep.TxID, dst: server.PID()}}
+		client.send = txn
+		payload = packet.AppendMarshal(payload[:0], &rep)
+		r.hosts[1].nic.StartSend(ethernet.Frame{Dst: 1, Payload: payload}, nil)
+		r.sim.Run()
+		if !txn.done {
+			b.Fatalf("reply %d did not complete the send", rep.TxID)
+		}
 	}
 }
 

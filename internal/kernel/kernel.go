@@ -37,12 +37,16 @@ type Host struct {
 	IPC       *ipc.Engine
 	NIC       *ethernet.NIC
 
-	lhs       map[vid.LHID]*LogicalHost
+	// lhs holds the resident logical hosts. Its keys are the ids widened to
+	// 32 bits: every received frame looks its addressee up, and the runtime
+	// hashes a 16-bit key through its generic path.
+	lhs       map[uint32]*LogicalHost
+	residents int // non-system logical hosts in lhs
 	nextLH    uint16
 	slotGen   [vid.LHSlotCount]uint32 // times each slot has been minted
 	retiredLH map[vid.LHID]bool       // ids migrated away; never re-mint locally
 	groups    map[vid.PID][]vid.PID
-	wellKnown map[uint16]vid.PID
+	wellKnown [vid.IdxFirstProcess]vid.PID // by well-known index; Nil where none is registered
 	systemLH  *LogicalHost
 	memFree   uint32
 	frames    *freelist.Bytes // the cluster's page frames (ethernet.Bus.PageFrames)
@@ -95,10 +99,9 @@ func NewHost(eng *sim.Engine, bus *ethernet.Bus, index int, name string) *Host {
 		HostIndex:         index,
 		CPU:               cpu.New(eng),
 		NIC:               bus.Attach(ethernet.MAC(index + 1)),
-		lhs:               make(map[vid.LHID]*LogicalHost),
+		lhs:               make(map[uint32]*LogicalHost),
 		retiredLH:         make(map[vid.LHID]bool),
 		groups:            make(map[vid.PID][]vid.PID),
-		wellKnown:         make(map[uint16]vid.PID),
 		memFree:           params.WorkstationMemory - systemReserve,
 		frames:            bus.PageFrames(),
 		MigrationOverhead: true,
@@ -153,15 +156,7 @@ func (h *Host) ReadyDepth() int { return h.CPU.QueueLen(params.PrioLocal) }
 
 // Residents reports how many non-system logical hosts (programs) are
 // resident.
-func (h *Host) Residents() int {
-	n := 0
-	for _, lh := range h.lhs {
-		if !lh.system {
-			n++
-		}
-	}
-	return n
-}
+func (h *Host) Residents() int { return h.residents }
 
 // LoadWords packs the host's load advertisement into the six message words
 // the scheduling layer (internal/sched) decodes: system logical host, free
@@ -223,12 +218,13 @@ func (h *Host) Crash() {
 	}
 	h.CPU.Touch()
 	h.IPC.ClosePorts()
-	h.lhs = make(map[vid.LHID]*LogicalHost)
+	h.lhs = make(map[uint32]*LogicalHost)
+	h.residents = 0
 	for g := range h.groups {
 		h.NIC.LeaveMulticast(ethernet.Multicast(uint16(g.LH())))
 	}
 	h.groups = make(map[vid.PID][]vid.PID)
-	h.wellKnown = make(map[uint16]vid.PID)
+	h.wellKnown = [vid.IdxFirstProcess]vid.PID{}
 	h.OnLHEmpty = nil
 	h.OnLHIDChanged = nil
 	h.OnUnfreezeLH = nil
@@ -264,21 +260,21 @@ func (h *Host) Restart() {
 type hostResolver Host
 
 func (r *hostResolver) LHResident(lh vid.LHID) bool {
-	_, ok := r.lhs[lh]
+	_, ok := r.lhs[uint32(lh)]
 	return ok
 }
 
 func (r *hostResolver) Frozen(lh vid.LHID) bool {
-	l, ok := r.lhs[lh]
+	l, ok := r.lhs[uint32(lh)]
 	return ok && l.frozen
 }
 
 func (r *hostResolver) WellKnown(lh vid.LHID, idx uint16) (vid.PID, bool) {
-	if _, ok := r.lhs[lh]; !ok {
+	if _, ok := r.lhs[uint32(lh)]; !ok || int(idx) >= len(r.wellKnown) {
 		return vid.Nil, false
 	}
-	pid, ok := r.wellKnown[idx]
-	return pid, ok
+	pid := r.wellKnown[idx]
+	return pid, pid != vid.Nil
 }
 
 func (r *hostResolver) GroupMembers(g vid.PID) []vid.PID { return r.groups[g] }
@@ -299,7 +295,7 @@ func (r *hostResolver) DeferWhenFrozen(dst vid.PID, op uint16) bool {
 }
 
 // RegisterWellKnown binds a well-known local index (kernel server, program
-// manager) to a concrete local port.
+// manager; below vid.IdxFirstProcess) to a concrete local port.
 func (h *Host) RegisterWellKnown(idx uint16, pid vid.PID) { h.wellKnown[idx] = pid }
 
 // JoinGroup adds a local port to a global process group. The first local
@@ -390,7 +386,10 @@ func (h *Host) newLH(name string, guest, system bool) (*LogicalHost, error) {
 		lastWrite: h.Eng.Now(),
 	}
 	lh.running = func() bool { return !lh.frozen }
-	h.lhs[id] = lh
+	h.lhs[uint32(id)] = lh
+	if !system {
+		h.residents++
+	}
 	return lh, nil
 }
 
@@ -402,7 +401,7 @@ func (h *Host) allocLHID() (vid.LHID, uint32, bool) {
 		h.nextLH++
 		slot := h.nextLH % vid.LHSlotCount
 		cand := vid.NewHostLH(station, slot)
-		if _, live := h.lhs[cand]; !live && !h.retiredLH[cand] {
+		if _, live := h.lhs[uint32(cand)]; !live && !h.retiredLH[cand] {
 			gen := h.slotGen[slot]
 			h.slotGen[slot]++
 			return cand, gen, true
@@ -439,7 +438,7 @@ func (h *Host) CreateLH(name string, guest bool) (*LogicalHost, error) {
 
 // LookupLH finds a resident logical host.
 func (h *Host) LookupLH(id vid.LHID) (*LogicalHost, bool) {
-	lh, ok := h.lhs[id]
+	lh, ok := h.lhs[uint32(id)]
 	return lh, ok
 }
 
@@ -581,13 +580,13 @@ func (h *Host) Unfreeze(lh *LogicalHost, broadcastBinding bool) {
 // processes' PIDs follow automatically because a PID is derived from the
 // logical-host id.
 func (h *Host) ChangeLHID(lh *LogicalHost, final vid.LHID) error {
-	if _, taken := h.lhs[final]; taken {
+	if _, taken := h.lhs[uint32(final)]; taken {
 		return vid.CodeError(vid.CodeRefused)
 	}
 	old := lh.id
-	delete(h.lhs, lh.id)
+	delete(h.lhs, uint32(lh.id))
 	lh.id = final
-	h.lhs[final] = lh
+	h.lhs[uint32(final)] = lh
 	if h.OnLHIDChanged != nil {
 		h.OnLHIDChanged(lh, old)
 	}
@@ -626,7 +625,10 @@ func (h *Host) DestroyLH(lh *LogicalHost) {
 	}
 	h.memFree += lh.memUsed
 	lh.memUsed = 0
-	delete(h.lhs, lh.id)
+	if h.lhs[uint32(lh.id)] == lh { // not if a crash took it first
+		delete(h.lhs, uint32(lh.id))
+		h.residents--
+	}
 }
 
 // ----------------------------------------------------------- processes

@@ -540,3 +540,54 @@ func TestCrashClosesWindowPorts(t *testing.T) {
 		t.Fatalf("the window sent %d frames after its host crashed", after)
 	}
 }
+
+// TestResidentsCountsTheResidentLHs: the resident-program count a load
+// advertisement carries is kept as logical hosts come and go, not walked,
+// and equals a walk over the resident non-system logical hosts after
+// every step: create, destroy (twice), an id change, a detached residue, a
+// crash, a destroy the crash got to first, and a restart.
+func TestResidentsCountsTheResidentLHs(t *testing.T) {
+	c := newCluster(1, 4)
+	h := c.hosts[0]
+	check := func(step string, want int) {
+		t.Helper()
+		n := 0
+		for _, lh := range h.LHs() {
+			if !lh.system {
+				n++
+			}
+		}
+		if h.Residents() != n || n != want || h.LoadWords()[3] != uint32(n) {
+			t.Fatalf("%s: Residents %d, load word %d, %d resident programs; want %d",
+				step, h.Residents(), h.LoadWords()[3], n, want)
+		}
+	}
+	check("boot", 0)
+	a, _ := h.CreateLH("a", false)
+	b, _ := h.CreateLH("b", true)
+	check("two created", 2)
+	h.DestroyLH(a)
+	check("one destroyed", 1)
+	h.DestroyLH(a)
+	check("destroyed again", 1)
+	if err := h.ChangeLHID(b, vid.NewHostLH(9, 4)); err != nil {
+		t.Fatal(err)
+	}
+	check("id changed", 1)
+	if _, err := h.DetachResidue(b); err != nil {
+		t.Fatal(err)
+	}
+	check("residue detached", 1)
+	d, _ := h.CreateLH("d", false)
+	check("one more created", 2)
+	h.Crash()
+	check("crashed", 0)
+	h.DestroyLH(d)
+	check("destroyed after the crash", 0)
+	h.Restart()
+	check("restarted", 0)
+	e, _ := h.CreateLH("e", false)
+	check("created after the restart", 1)
+	h.DestroyLH(e)
+	check("destroyed after the restart", 0)
+}

@@ -115,7 +115,7 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		return vid.Message{Op: m.Op, W: [6]uint32{uint32(lh.id)}}
 
 	case KsCreateSpace:
-		lh, ok := h.lhs[vid.LHID(m.W[0])]
+		lh, ok := h.LookupLH(vid.LHID(m.W[0]))
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
 		}
@@ -126,7 +126,7 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		return vid.Message{Op: m.Op, W: [6]uint32{as.ID}}
 
 	case KsCreateProcess:
-		lh, ok := h.lhs[vid.LHID(m.W[0])]
+		lh, ok := h.LookupLH(vid.LHID(m.W[0]))
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
 		}
@@ -142,7 +142,7 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 
 	case KsStartProcess:
 		pid := vid.PID(m.W[0])
-		lh, ok := h.lhs[pid.LH()]
+		lh, ok := h.LookupLH(pid.LH())
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
 		}
@@ -154,7 +154,7 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		return vid.Message{Op: m.Op}
 
 	case KsWritePages:
-		lh, ok := h.lhs[vid.LHID(m.W[0])]
+		lh, ok := h.LookupLH(vid.LHID(m.W[0]))
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
 		}
@@ -191,7 +191,7 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		return vid.Message{Op: m.Op}
 
 	case KsFetchPage:
-		lh, ok := h.lhs[vid.LHID(m.W[0])]
+		lh, ok := h.LookupLH(vid.LHID(m.W[0]))
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
 		}
@@ -215,7 +215,7 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		return vid.Message{Op: m.Op, Seg: h.pageRunReply(ctx, as.ID, pages, data)}
 
 	case KsReadPages:
-		lh, ok := h.lhs[vid.LHID(m.W[0])]
+		lh, ok := h.LookupLH(vid.LHID(m.W[0]))
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
 		}
@@ -235,7 +235,7 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		return vid.Message{Op: m.Op, Seg: h.pageRunReply(ctx, as.ID, pages, h.pageViews(as, pages))}
 
 	case KsUnfreezeLH:
-		lh, ok := h.lhs[vid.LHID(m.W[0])]
+		lh, ok := h.LookupLH(vid.LHID(m.W[0]))
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
 		}
@@ -246,7 +246,7 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		return vid.Message{Op: m.Op}
 
 	case KsSetState:
-		lh, ok := h.lhs[vid.LHID(m.W[0])]
+		lh, ok := h.LookupLH(vid.LHID(m.W[0]))
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
 		}
@@ -262,7 +262,7 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		return vid.Message{Op: m.Op}
 
 	case KsChangeLHID:
-		lh, ok := h.lhs[vid.LHID(m.W[0])]
+		lh, ok := h.LookupLH(vid.LHID(m.W[0]))
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
 		}
@@ -273,7 +273,7 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 
 	case KsQueryProcess:
 		pid := vid.PID(m.W[0])
-		lh, ok := h.lhs[pid.LH()]
+		lh, ok := h.LookupLH(pid.LH())
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
 		}
@@ -291,7 +291,7 @@ func (h *Host) handleKs(ctx *ProcCtx, m vid.Message) vid.Message {
 		return vid.Message{Op: m.Op, W: [6]uint32{state}, Seg: EncodeRegs(&p.regs)}
 
 	case KsQueryLH:
-		lh, ok := h.lhs[vid.LHID(m.W[0])]
+		lh, ok := h.LookupLH(vid.LHID(m.W[0]))
 		if !ok {
 			return vid.ErrMsg(vid.CodeNotFound)
 		}

@@ -88,7 +88,7 @@ type pageRef struct {
 func (pm *PM) paging() *pager {
 	if pm.pg == nil {
 		pm.pg = &pager{pm: pm, guests: make(map[vid.LHID]*inbound),
-			calls: freelist.NewList(8, func() *pagerCall { return new(pagerCall) }, nil, pm.host.Eng.Poison())}
+			calls: freelist.NewList(8, func() *pagerCall { return new(pagerCall) }, pm.host.Eng.Poison())}
 	}
 	return pm.pg
 }

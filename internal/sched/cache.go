@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"cmp"
 	"slices"
 	"time"
 
@@ -18,13 +17,23 @@ import (
 // own advertisements catch up (otherwise several quick placements would
 // all pick the same momentarily least-loaded host).
 //
-// The cache is driven entirely from the simulation goroutine, so it needs
-// no locking and its iteration results are made deterministic by sorting.
+// The view is one slice ordered by system logical host, so every walk of
+// it is deterministic without a sort. The cache is driven entirely from
+// the simulation goroutine, so it needs no locking.
 type Cache struct {
-	now  func() sim.Time
-	ents map[vid.LHID]*cacheEnt
-	neg  map[vid.LHID]sim.Time   // expiry of the negative entry
-	bump map[vid.LHID][]sim.Time // expiries of active placement bumps
+	now func() sim.Time
+	// ents holds one entry per host the cache knows anything of, in
+	// SystemLH order: its advertisement while it has one, its negative
+	// expiry and its placement bumps. An entry whose advertisement aged out
+	// stays while its negative entry or a bump is live, as either outlives
+	// the advertisement.
+	ents []cacheEnt
+	// first[s] is one more than the place in ents of station s's first
+	// entry (0: none). A station's entries are adjacent, its address being
+	// the high bits of their ids, and a station rarely has more than one:
+	// a rebooted host's old identity until it ages out.
+	first []int32
+	ads   int // entries holding an advertisement
 
 	ttl, negTTL, hold time.Duration
 
@@ -33,20 +42,64 @@ type Cache struct {
 }
 
 type cacheEnt struct {
-	load Load
-	at   sim.Time
+	load  Load // load.SystemLH is the entry's key, set with or without an ad
+	at    sim.Time
+	ad    bool       // load holds an advertisement no sweep has aged out
+	neg   sim.Time   // expiry of the negative entry (none when not after now)
+	bumps []sim.Time // expiries of placement bumps, the expired ones included
 }
 
 // NewCache builds an empty cache reading virtual time from now.
 func NewCache(now func() sim.Time) *Cache {
 	return &Cache{
 		now:    now,
-		ents:   make(map[vid.LHID]*cacheEnt),
-		neg:    make(map[vid.LHID]sim.Time),
-		bump:   make(map[vid.LHID][]sim.Time),
 		ttl:    params.SchedCacheTTL,
 		negTTL: params.SchedNegTTL,
 		hold:   params.SchedPlacementHold,
+	}
+}
+
+// station is the index of an id in first: its station field, with the
+// group bit kept so that no id shares a station with another it is not
+// adjacent to.
+func station(lh vid.LHID) int { return int(lh >> vid.LHSlotBits) }
+
+// find returns the place of lh's entry in ents, or -1.
+func (c *Cache) find(lh vid.LHID) int {
+	s := station(lh)
+	if s >= len(c.first) {
+		return -1
+	}
+	for i := int(c.first[s]) - 1; i >= 0 && i < len(c.ents) && station(c.ents[i].load.SystemLH) == s; i++ {
+		if c.ents[i].load.SystemLH == lh {
+			return i
+		}
+	}
+	return -1
+}
+
+// entry returns lh's entry, adding one without an advertisement when the
+// cache has none.
+func (c *Cache) entry(lh vid.LHID) *cacheEnt {
+	if i := c.find(lh); i >= 0 {
+		return &c.ents[i]
+	}
+	at, _ := slices.BinarySearchFunc(c.ents, lh, func(e cacheEnt, lh vid.LHID) int { return int(e.load.SystemLH) - int(lh) })
+	c.ents = slices.Insert(c.ents, at, cacheEnt{load: Load{SystemLH: lh}})
+	if s := station(lh); s >= len(c.first) {
+		c.first = append(c.first, make([]int32, s+1-len(c.first))...)
+	}
+	c.index(at)
+	return &c.ents[at]
+}
+
+// index brings first up to date for the entries from place at on, after
+// an insertion there or a removal at or before it.
+func (c *Cache) index(at int) {
+	for i := at; i < len(c.ents); i++ {
+		if s := station(c.ents[i].load.SystemLH); i == 0 || station(c.ents[i-1].load.SystemLH) != s {
+			c.first[s] = int32(i + 1)
+		}
 	}
 }
 
@@ -55,39 +108,40 @@ func NewCache(now func() sim.Time) *Cache {
 // never be selected.
 func (c *Cache) Observe(w [6]uint32) { c.ObserveLoad(LoadFromWords(w)) }
 
-// ObserveLoad ingests a decoded advertisement, replacing any older entry
-// for the same host. Every beacon a listener hears lands here, so a known
-// host's entry is overwritten where it is rather than reinserted.
+// ObserveLoad ingests a decoded advertisement, replacing any older one for
+// the same host. Every beacon a listener hears lands here, so a known
+// host's entry is found through its station and overwritten where it is.
 func (c *Cache) ObserveLoad(l Load) {
 	if l.SystemLH == 0 || l.PM == 0 {
 		return
 	}
-	if e := c.ents[l.SystemLH]; e != nil {
-		e.load, e.at = l, c.now()
-		return
+	e := c.entry(l.SystemLH)
+	if !e.ad {
+		e.ad = true
+		c.ads++
 	}
-	c.ents[l.SystemLH] = &cacheEnt{load: l, at: c.now()}
+	e.load, e.at = l, c.now()
 }
 
 // Negative records that the host refused (or failed to answer) a probe;
 // warm-cache selection skips it until the entry expires.
 func (c *Cache) Negative(lh vid.LHID) {
-	c.neg[lh] = c.now().Add(c.negTTL)
+	c.entry(lh).neg = c.now().Add(c.negTTL)
 }
 
 // NotePlaced records that work was just placed on the host, inflating its
 // apparent ready depth by one for the placement-hold window. Expired bumps
 // are dropped in place.
 func (c *Cache) NotePlaced(lh vid.LHID) {
-	now := c.now()
-	live := slices.DeleteFunc(c.bump[lh], func(exp sim.Time) bool { return exp <= now })
-	c.bump[lh] = append(live, now.Add(c.hold))
+	now, e := c.now(), c.entry(lh)
+	live := slices.DeleteFunc(e.bumps, func(exp sim.Time) bool { return exp <= now })
+	e.bumps = append(live, now.Add(c.hold))
 }
 
-// bumps returns the number of active placement bumps for the host.
-func (c *Cache) bumps(lh vid.LHID) int {
-	now, n := c.now(), 0
-	for _, exp := range c.bump[lh] {
+// live returns the number of the entry's placement bumps still in force.
+func (e *cacheEnt) live(now sim.Time) int {
+	n := 0
+	for _, exp := range e.bumps {
 		if exp > now {
 			n++
 		}
@@ -95,35 +149,34 @@ func (c *Cache) bumps(lh vid.LHID) int {
 	return n
 }
 
-// negative reports whether the host is negatively cached right now.
-func (c *Cache) negative(lh vid.LHID) bool {
-	exp, ok := c.neg[lh]
-	if !ok {
-		return false
-	}
-	if exp <= c.now() {
-		delete(c.neg, lh)
-		return false
-	}
-	return true
-}
-
 // Candidates returns the fresh, non-negative, memory-sufficient cached
 // hosts (minus the excluded ones), each with its placement bumps folded
-// into Ready, sorted by Better, in buf's array when it is large enough. The
-// hit/miss counters track whether the cache could answer at all.
+// into Ready, in SystemLH order, in buf's array when it is large enough.
+// It is also the sweep: an advertisement past its TTL goes, and so does an
+// entry left with nothing live. The hit/miss counters track whether the
+// cache could answer at all.
 func (c *Cache) Candidates(buf []Load, minMem uint32, exclude []vid.LHID) []Load {
 	now := c.now()
-	out := slices.Grow(buf[:0], len(c.ents))
-	for lh, e := range c.ents {
-		if now.Sub(e.at) > c.ttl {
-			delete(c.ents, lh)
+	out := slices.Grow(buf[:0], c.ads)
+	kept := 0
+	for i := range c.ents {
+		e := &c.ents[i]
+		if e.ad && now.Sub(e.at) > c.ttl {
+			e.ad = false
+			c.ads--
+		}
+		if !e.ad && e.neg <= now && e.live(now) == 0 {
+			continue // dropped: nothing of it is in force
+		}
+		if kept != i {
+			c.ents[kept] = *e
+			e = &c.ents[kept]
+		}
+		kept++
+		if !e.ad || slices.Contains(exclude, e.load.SystemLH) {
 			continue
 		}
-		if slices.Contains(exclude, lh) {
-			continue
-		}
-		if c.negative(lh) {
+		if e.neg > now {
 			c.negSkips++
 			continue
 		}
@@ -131,21 +184,26 @@ func (c *Cache) Candidates(buf []Load, minMem uint32, exclude []vid.LHID) []Load
 			continue
 		}
 		l := e.load
-		l.Ready += c.bumps(lh)
+		l.Ready += e.live(now)
 		out = append(out, l)
+	}
+	if kept < len(c.ents) {
+		clear(c.ents[kept:])
+		c.ents = c.ents[:kept]
+		clear(c.first)
+		c.index(0)
 	}
 	if len(out) == 0 {
 		c.misses++
 		return out
 	}
-	slices.SortFunc(out, byBetter)
 	c.hits++
 	return out
 }
 
 // Len returns the number of cached advertisements (including stale ones
 // not yet aged out by a Candidates sweep).
-func (c *Cache) Len() int { return len(c.ents) }
+func (c *Cache) Len() int { return c.ads }
 
 // CacheStats is a snapshot of the cache's counters.
 type CacheStats struct {
@@ -166,18 +224,14 @@ type Entry struct {
 	Neg   bool // currently negatively cached
 }
 
-// Entries returns the cache contents sorted by system logical host.
+// Entries returns the cached advertisements in system logical host order.
 func (c *Cache) Entries() []Entry {
 	now := c.now()
-	out := make([]Entry, 0, len(c.ents))
-	for lh, e := range c.ents {
-		out = append(out, Entry{
-			Load:  e.load,
-			Age:   now.Sub(e.at),
-			Bumps: c.bumps(lh),
-			Neg:   c.negative(lh),
-		})
+	out := make([]Entry, 0, c.ads)
+	for i := range c.ents {
+		if e := &c.ents[i]; e.ad {
+			out = append(out, Entry{Load: e.load, Age: now.Sub(e.at), Bumps: e.live(now), Neg: e.neg > now})
+		}
 	}
-	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Load.SystemLH, b.Load.SystemLH) })
 	return out
 }

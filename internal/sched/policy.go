@@ -2,12 +2,14 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 
 	"vsystem/internal/params"
 )
 
 // Policy chooses an execution host among candidates. Implementations must
-// be deterministic given the candidate order and the rng stream.
+// be deterministic given the candidate set and the rng stream, whatever
+// order the candidates come in.
 type Policy interface {
 	// Name identifies the policy in reports and command-line flags.
 	Name() string
@@ -16,7 +18,9 @@ type Policy interface {
 	// taking the first responder to a multicast.
 	LoadAware() bool
 	// Pick chooses among the candidates (never called with an empty
-	// slice). Candidates arrive sorted by Better.
+	// slice), which arrive in no particular order; it may reorder them.
+	// Each policy is defined on the candidates sorted by Better, and finds
+	// the element it would take there without sorting them.
 	Pick(cands []Load, rng *rand.Rand) Load
 }
 
@@ -33,9 +37,9 @@ func (FirstResponse) Name() string { return "first" }
 func (FirstResponse) LoadAware() bool { return false }
 
 // Pick implements Policy; with first-response the mechanism already chose
-// (candidates only materialize on the gather path, where the best-sorted
-// first entry is the natural stand-in for "first responder").
-func (FirstResponse) Pick(cands []Load, _ *rand.Rand) Load { return cands[0] }
+// (candidates only materialize on the gather path, where the best
+// candidate is the natural stand-in for "first responder").
+func (FirstResponse) Pick(cands []Load, _ *rand.Rand) Load { return best(cands) }
 
 // RandomK is power-of-K-choices: sample K distinct candidates uniformly
 // at random and take the least loaded of the sample. It trades a little
@@ -54,7 +58,9 @@ func (RandomK) LoadAware() bool { return true }
 // Pick implements Policy. The sample is the first K of
 // rng.Perm(len(cands)), drawn with Perm's own Intn calls, so the stream
 // moves as Perm moves it; but only those K places are kept, since Perm never
-// moves a value back from a later place to an earlier one.
+// moves a value back from a later place to an earlier one. The places are
+// ranks in the Better order, so the least loaded of the sample is the
+// candidate ranked at the smallest of them.
 func (p RandomK) Pick(cands []Load, rng *rand.Rand) Load {
 	k := min(max(p.K, 1), len(cands))
 	var small [8]int
@@ -71,13 +77,7 @@ func (p RandomK) Pick(cands []Load, rng *rand.Rand) Load {
 			perm[j] = i
 		}
 	}
-	best := perm[0]
-	for _, i := range perm[1:k] {
-		if cands[i].Better(cands[best]) {
-			best = i
-		}
-	}
-	return cands[best]
+	return nth(cands, slices.Min(perm[:k]))
 }
 
 // LeastLoaded always takes the best candidate under the canonical load
@@ -90,9 +90,50 @@ func (LeastLoaded) Name() string { return "least" }
 // LoadAware implements Policy.
 func (LeastLoaded) LoadAware() bool { return true }
 
-// Pick implements Policy: candidates arrive sorted by Better, a total
-// order, so the first is the best.
-func (LeastLoaded) Pick(cands []Load, _ *rand.Rand) Load { return cands[0] }
+// Pick implements Policy: the best under Better, a total order.
+func (LeastLoaded) Pick(cands []Load, _ *rand.Rand) Load { return best(cands) }
+
+// best returns the candidate Better than every other.
+func best(cands []Load) Load {
+	b := cands[0]
+	for _, l := range cands[1:] {
+		if l.Better(b) {
+			b = l
+		}
+	}
+	return b
+}
+
+// nth returns the candidate of rank r under Better (0 is the best): the
+// one at place r once sorted. It partitions cands in place around a middle
+// pivot and keeps the side holding r (quickselect, expected O(n)).
+func nth(cands []Load, r int) Load {
+	if r == 0 {
+		return best(cands)
+	}
+	lo, hi := 0, len(cands)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		cands[mid], cands[hi] = cands[hi], cands[mid]
+		p := lo
+		for i := lo; i < hi; i++ {
+			if cands[i].Better(cands[hi]) {
+				cands[i], cands[p] = cands[p], cands[i]
+				p++
+			}
+		}
+		cands[p], cands[hi] = cands[hi], cands[p]
+		switch {
+		case r < p:
+			hi = p - 1
+		case r > p:
+			lo = p + 1
+		default:
+			return cands[p]
+		}
+	}
+	return cands[r]
+}
 
 // PolicyByName maps a command-line name to a policy (nil if unknown):
 // "first", "random", "least".

@@ -103,17 +103,6 @@ func (l Load) Better(o Load) bool {
 	return l.SystemLH < o.SystemLH
 }
 
-// byBetter is Better as a slices.SortFunc comparison: the better first.
-func byBetter(a, b Load) int {
-	switch {
-	case a.Better(b):
-		return -1
-	case b.Better(a):
-		return 1
-	}
-	return 0
-}
-
 func (l Load) String() string {
 	return fmt.Sprintf("%v ready=%d res=%d free=%dK util=%d‰",
 		l.SystemLH, l.Ready, l.Residents, l.MemFree/1024, l.UtilPermille)

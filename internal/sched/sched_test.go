@@ -109,15 +109,15 @@ func TestCachePlacementBumps(t *testing.T) {
 	c.ObserveLoad(a)
 	c.ObserveLoad(b)
 	// Two placements on host 1 inflate its apparent ready depth, so host 2
-	// sorts first even though both advertised idle.
+	// ranks first even though both advertised idle.
 	c.NotePlaced(a.SystemLH)
 	c.NotePlaced(a.SystemLH)
 	got := c.Candidates(nil, 0, nil)
-	if len(got) != 2 || got[0].MAC() != 2 || got[1].Ready != 2 {
+	if len(got) != 2 || got[0].Ready != 2 || got[1].Ready != 0 || (LeastLoaded{}).Pick(got, nil).MAC() != 2 {
 		t.Fatalf("bumps not folded into ordering: %v", got)
 	}
 	clk.advance(params.SchedPlacementHold + time.Millisecond)
-	if got := c.Candidates(nil, 0, nil); got[0].MAC() != 1 || got[0].Ready != 0 {
+	if got := c.Candidates(nil, 0, nil); got[0].MAC() != 1 || got[0].Ready != 0 || (LeastLoaded{}).Pick(got, nil).MAC() != 1 {
 		t.Fatalf("placement bumps did not expire: %v", got)
 	}
 }
@@ -149,19 +149,20 @@ func TestFirstResponsePolicy(t *testing.T) {
 	if p.LoadAware() {
 		t.Fatal("first-response must not be load-aware (it is the paper baseline)")
 	}
+	// Candidates reach a policy unsorted; first-response takes the one that
+	// would sort first, its stand-in for the first responder.
 	cands := []Load{ld(3, 5, 128), ld(1, 0, 1024)}
-	if got := p.Pick(cands, nil); got.MAC() != 3 {
-		t.Fatalf("first-response picked %v, want the first (fastest) responder", got)
+	if got := p.Pick(cands, nil); got.MAC() != 1 {
+		t.Fatalf("first-response picked %v, want the best-ranked responder", got)
 	}
 }
 
-// TestLeastLoadedPolicy: candidates reach a policy sorted by Better, as
-// Cache.Candidates and the cold path sort them, and least-loaded takes
-// the first of them.
+// TestLeastLoadedPolicy: candidates reach a policy in no particular order
+// (Cache.Candidates hands them over in SystemLH order), and least-loaded
+// takes the one that sorts first under Better.
 func TestLeastLoadedPolicy(t *testing.T) {
 	p := LeastLoaded{}
 	cands := []Load{ld(3, 5, 128), ld(2, 1, 512), ld(1, 0, 1024)}
-	slices.SortFunc(cands, byBetter)
 	if got := p.Pick(cands, nil); got.MAC() != 1 {
 		t.Fatalf("least-loaded picked %v, want the idle host", got)
 	}
@@ -188,27 +189,85 @@ func TestRandomKPolicyDeterministicAndBounded(t *testing.T) {
 }
 
 // TestRandomKSamplesAsPerm: Pick's sample is the first K of
-// rng.Perm(len(cands)), and it leaves the stream where Perm leaves it, for
-// every K and candidate count up to 12.
+// rng.Perm(len(cands)) over the candidates sorted by Better, and it leaves
+// the stream where Perm leaves it, for every K and candidate count up to
+// 12.
 func TestRandomKSamplesAsPerm(t *testing.T) {
 	var cands []Load
 	for n := 1; n <= 12; n++ {
 		cands = append(cands, ld(uint16(n), (n*7)%5, 512))
 		for k := 0; k <= n+1; k++ {
 			for seed := int64(1); seed <= 20; seed++ {
+				sorted := slices.Clone(cands)
+				slices.SortFunc(sorted, byBetter)
 				got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 				pick := RandomK{K: k}.Pick(cands, got)
 				sample := want.Perm(n)[:min(max(k, 1), n)]
 				best := sample[0]
 				for _, i := range sample[1:] {
-					if cands[i].Better(cands[best]) {
+					if sorted[i].Better(sorted[best]) {
 						best = i
 					}
 				}
-				if pick != cands[best] || got.Int63() != want.Int63() {
-					t.Fatalf("n=%d k=%d seed %d: picked %v, Perm's sample picks %v (or the streams part)", n, k, seed, pick, cands[best])
+				if pick != sorted[best] || got.Int63() != want.Int63() {
+					t.Fatalf("n=%d k=%d seed %d: picked %v, Perm's sample picks %v (or the streams part)", n, k, seed, pick, sorted[best])
 				}
 			}
+		}
+	}
+}
+
+// byBetter is Better as a slices.SortFunc comparison: the better first.
+func byBetter(a, b Load) int {
+	switch {
+	case a.Better(b):
+		return -1
+	case b.Better(a):
+		return 1
+	}
+	return 0
+}
+
+// sortedPick is a policy as defined: Pick over the candidates sorted by
+// Better, with RandomK's sample taken as the best of its K places.
+func sortedPick(p Policy, cands []Load, rng *rand.Rand) Load {
+	sorted := slices.Clone(cands)
+	slices.SortFunc(sorted, byBetter)
+	rk, ok := p.(RandomK)
+	if !ok {
+		return sorted[0]
+	}
+	k := min(max(rk.K, 1), len(sorted))
+	sample := rng.Perm(len(sorted))[:k]
+	best := sample[0]
+	for _, i := range sample[1:] {
+		if sorted[i].Better(sorted[best]) {
+			best = i
+		}
+	}
+	return sorted[best]
+}
+
+// TestPickMatchesSortedReference: over 20 000 random views of 1 to 120
+// hosts, in random order and with many equal loads, every policy picks
+// what it picks from the sorted view, and RandomK leaves its stream where
+// the reference's Perm leaves it.
+func TestPickMatchesSortedReference(t *testing.T) {
+	policies := []Policy{RandomK{K: 1}, RandomK{K: 2}, RandomK{K: 3}, RandomK{K: 8}, RandomK{K: 10}, LeastLoaded{}, FirstResponse{}}
+	gen := rand.New(rand.NewSource(67))
+	for i := 0; i < 20_000; i++ {
+		n := 1 + gen.Intn(120)
+		view := make([]Load, n)
+		for j, mac := range gen.Perm(n) {
+			view[j] = ld(uint16(mac+1), gen.Intn(4), uint32(64*(1+gen.Intn(3))))
+			view[j].Residents = gen.Intn(2)
+		}
+		p := policies[i%len(policies)]
+		seed := gen.Int63()
+		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		ref := sortedPick(p, view, want)
+		if pick := p.Pick(view, got); pick != ref || got.Int63() != want.Int63() {
+			t.Fatalf("view %d (%d hosts, %s %+v): picked %v, sorted view picks %v (or the streams part)", i, n, p.Name(), p, pick, ref)
 		}
 	}
 }
@@ -231,61 +290,107 @@ func TestPolicyByName(t *testing.T) {
 	}
 }
 
-// refCache is the cache as it was when ObserveLoad stored entries by value
-// and so rewrote the map slot on every advertisement: the reference the
-// in-place cache is compared against. The negative cache, the placement
-// bumps, the clock and the TTLs are the embedded Cache's own.
+// refCache is the cache as it was kept in three maps, one per kind of
+// entry, with every walk sorted: the reference the one ordered slice is
+// compared against. Its candidates come in SystemLH order.
 type refCache struct {
-	*Cache
-	ents map[vid.LHID]cacheEnt
+	now               func() sim.Time
+	ads               map[vid.LHID]refAd
+	neg               map[vid.LHID]sim.Time
+	bump              map[vid.LHID][]sim.Time
+	ttl, negTTL, hold time.Duration
+	negSkips          int64
+}
+
+type refAd struct {
+	load Load
+	at   sim.Time
+}
+
+func newRefCache(now func() sim.Time) *refCache {
+	return &refCache{
+		now: now, ads: map[vid.LHID]refAd{}, neg: map[vid.LHID]sim.Time{}, bump: map[vid.LHID][]sim.Time{},
+		ttl: params.SchedCacheTTL, negTTL: params.SchedNegTTL, hold: params.SchedPlacementHold,
+	}
 }
 
 func (c *refCache) ObserveLoad(l Load) {
 	if l.SystemLH == 0 || l.PM == 0 {
 		return
 	}
-	c.ents[l.SystemLH] = cacheEnt{load: l, at: c.now()}
+	c.ads[l.SystemLH] = refAd{load: l, at: c.now()}
+}
+
+func (c *refCache) Negative(lh vid.LHID) { c.neg[lh] = c.now().Add(c.negTTL) }
+
+func (c *refCache) NotePlaced(lh vid.LHID) { c.bump[lh] = append(c.bump[lh], c.now().Add(c.hold)) }
+
+func (c *refCache) bumps(lh vid.LHID) int {
+	n := 0
+	for _, exp := range c.bump[lh] {
+		if exp > c.now() {
+			n++
+		}
+	}
+	return n
 }
 
 func (c *refCache) Candidates(minMem uint32, exclude []vid.LHID) []Load {
 	now := c.now()
 	var out []Load
-	for lh, e := range c.ents {
+	for lh, e := range c.ads {
 		if now.Sub(e.at) > c.ttl {
-			delete(c.ents, lh)
+			delete(c.ads, lh)
 			continue
 		}
-		if slices.Contains(exclude, lh) || c.negative(lh) || e.load.MemFree < minMem {
+		if slices.Contains(exclude, lh) {
+			continue
+		}
+		if c.neg[lh] > now {
+			c.negSkips++
+			continue
+		}
+		if e.load.MemFree < minMem {
 			continue
 		}
 		l := e.load
 		l.Ready += c.bumps(lh)
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Better(out[j]) })
+	sort.Slice(out, func(i, j int) bool { return out[i].SystemLH < out[j].SystemLH })
 	return out
 }
 
 // TestCacheInPlaceMatchesReference interleaves 10 000 advertisements from
-// 40 hosts with selections, refusals and placements, the clock moving
-// throughout, and requires every Candidates answer — content and order —
-// to equal the reference's.
+// 40 hosts, some of them rebooted under a second identity, with
+// selections, refusals and placements, the clock moving throughout, and
+// requires every Candidates answer — the candidate set, in SystemLH order,
+// each with its bumps — and the counters to equal the reference's.
 func TestCacheInPlaceMatchesReference(t *testing.T) {
 	clk := &testClock{}
 	c := NewCache(clk.fn())
-	ref := &refCache{Cache: NewCache(clk.fn()), ents: make(map[vid.LHID]cacheEnt)}
+	ref := newRefCache(clk.fn())
 	rng := rand.New(rand.NewSource(7))
 	host := func() uint16 { return uint16(1 + rng.Intn(40)) }
+	// A host with a station divisible by 7 also advertises from slot 3,
+	// as one rebooted under a new system logical host would.
+	ident := func(mac uint16) vid.LHID {
+		if mac%7 == 0 && rng.Intn(2) == 0 {
+			return vid.NewHostLH(mac, 3)
+		}
+		return vid.NewHostLH(mac, 1)
+	}
 	asked := 0
 	for i := 0; i < 10_000; i++ {
 		clk.advance(time.Duration(rng.Intn(int(params.SchedCacheTTL / 200))))
 		l := ld(host(), rng.Intn(4), uint32(64+rng.Intn(4)*64))
+		l.SystemLH = ident(l.MAC())
 		l.Residents = rng.Intn(3)
 		c.ObserveLoad(l)
 		ref.ObserveLoad(l)
 		switch r := rng.Intn(100); {
 		case r < 10:
-			exclude := []vid.LHID{vid.NewHostLH(host(), 1)}
+			exclude := []vid.LHID{ident(host())}
 			minMem := uint32(rng.Intn(3)*96) * 1024
 			got, want := c.Candidates(nil, minMem, exclude), ref.Candidates(minMem, exclude)
 			if !slices.Equal(got, want) {
@@ -293,23 +398,61 @@ func TestCacheInPlaceMatchesReference(t *testing.T) {
 			}
 			asked++
 		case r < 13:
-			lh := vid.NewHostLH(host(), 1)
+			lh := ident(host())
 			c.Negative(lh)
 			ref.Negative(lh)
 		case r < 16:
-			lh := vid.NewHostLH(host(), 1)
+			lh := ident(host())
 			c.NotePlaced(lh)
 			ref.NotePlaced(lh)
 		case r < 20:
 			clk.advance(params.SchedCacheTTL / 2) // let some entries age out
 		}
-		if c.Len() != len(ref.ents) {
+		if c.Len() != len(ref.ads) || c.Stats().NegSkips != ref.negSkips {
 			// Len counts stale entries until a Candidates sweep removes
 			// them, and both sweep at the same calls.
-			t.Fatalf("step %d: %d entries, reference %d", i, c.Len(), len(ref.ents))
+			t.Fatalf("step %d: %d entries and %d negative skips, reference %d and %d",
+				i, c.Len(), c.Stats().NegSkips, len(ref.ads), ref.negSkips)
 		}
 	}
 	if asked < 500 {
 		t.Fatalf("only %d Candidates comparisons", asked)
+	}
+}
+
+// TestNegativeOutlivesItsAdvertisement: a host refused a probe just before
+// its advertisement aged out and was swept. Its negative entry and its
+// placement bump are still in force, so when the host advertises again it
+// is skipped, and once the negative entry expires it comes back with the
+// bump still folded in until the hold ends.
+func TestNegativeOutlivesItsAdvertisement(t *testing.T) {
+	clk := &testClock{}
+	c := NewCache(clk.fn())
+	a, b := ld(1, 0, 512), ld(2, 0, 512)
+	c.ObserveLoad(a)
+	c.ObserveLoad(b)
+	clk.advance(params.SchedCacheTTL - time.Millisecond)
+	c.ObserveLoad(b)
+	c.Negative(a.SystemLH)
+	clk.advance(params.SchedNegTTL - params.SchedPlacementHold/2)
+	c.NotePlaced(a.SystemLH)
+	if got := c.Candidates(nil, 0, nil); len(got) != 1 || got[0].MAC() != 2 || c.Len() != 1 {
+		t.Fatalf("after a's ad aged out: %v, Len %d; want b alone", got, c.Len())
+	}
+	c.ObserveLoad(a)
+	if got := c.Candidates(nil, 0, nil); len(got) != 1 || got[0].MAC() != 2 || c.Stats().NegSkips != 1 {
+		t.Fatalf("a advertised while negative: %v, %+v; want b alone, one skip", got, c.Stats())
+	}
+	clk.advance(params.SchedPlacementHold * 3 / 4)
+	c.ObserveLoad(b)
+	got := c.Candidates(nil, 0, nil)
+	if len(got) != 2 || got[0].MAC() != 1 || got[0].Ready != 1 {
+		t.Fatalf("a's negative entry expired: %v; want a with its bump, then b", got)
+	}
+	clk.advance(params.SchedPlacementHold)
+	c.ObserveLoad(a)
+	c.ObserveLoad(b)
+	if got := c.Candidates(nil, 0, nil); len(got) != 2 || got[0].Ready != 0 {
+		t.Fatalf("a's bump outlived its hold: %v", got)
 	}
 }

@@ -66,7 +66,7 @@ type Selector struct {
 	rng   *rand.Rand
 	// bufs holds the candidate buffers no Select is using. A warm Select
 	// holds one across its probes, while the node's other agents select.
-	bufs freelist.List[[]Load]
+	bufs freelist.ResetList[[]Load]
 
 	stats Stats
 }
@@ -81,7 +81,7 @@ func NewSelector(p Policy, cache *Cache, group vid.PID, op uint16, host uint16, 
 	return &Selector{
 		Policy: p, Cache: cache,
 		group: group, op: op, host: host, bus: bus, rng: rng,
-		bufs: freelist.NewList(8, func() []Load { return nil }, clearLoads, sw),
+		bufs: freelist.NewResetList(8, func() []Load { return nil }, clearLoads, sw),
 	}
 }
 
@@ -181,7 +181,6 @@ func (s *Selector) Select(tx Sender, minMem uint32, exclude ...vid.LHID) (Load, 
 			s.candidate(tx, l, false)
 		}
 		if len(got) > 0 {
-			slices.SortFunc(got, byBetter)
 			l := s.Policy.Pick(got, s.rng)
 			s.choose(tx, l, false)
 			return l, nil

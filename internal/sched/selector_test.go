@@ -348,10 +348,9 @@ func (s *idleSender) SendGather(dst vid.PID, _ vid.Message, _ time.Duration, _ f
 	return s.reply, nil
 }
 
-// TestWarmSelectAllocatesNothing: a warm selection over a 100-entry view —
-// the candidates, random-2's sample, the probe, the placement bump —
-// allocates nothing once the selector has a candidate buffer.
-func TestWarmSelectAllocatesNothing(t *testing.T) {
+// warmRig is a selector under random-2 with a 100-host view, and a round
+// that refreshes the whole view, as beacons do, and selects once.
+func warmRig(fail func(...any)) (*Selector, func()) {
 	clk := &testClock{}
 	cache := NewCache(clk.fn())
 	sel := NewSelector(RandomK{K: 2}, cache, testGroup, testOp, 9, trace.NewBus(), rand.New(rand.NewSource(1)), nil)
@@ -360,21 +359,37 @@ func TestWarmSelectAllocatesNothing(t *testing.T) {
 		view[i] = ld(uint16(i+1), i%3, 512)
 	}
 	tx := &idleSender{clk: clk, reply: []ipc.GatherReply{{Msg: answer(ld(1, 0, 512))}}}
-	selects := 0
-	warm := func() {
+	return sel, func() {
 		for _, l := range view {
-			cache.ObserveLoad(l) // the beacons keep the whole view fresh
+			cache.ObserveLoad(l)
 		}
 		if _, err := sel.Select(tx, 256*1024, vid.NewHostLH(1, 1)); err != nil {
-			t.Fatal(err)
+			fail(err)
 		}
-		selects++
 	}
+}
+
+// BenchmarkWarmSelect: one warm selection over a 100-host view under
+// random-2, with the 100 advertisements that keep the view fresh.
+func BenchmarkWarmSelect(b *testing.B) {
+	_, warm := warmRig(b.Fatal)
+	warm()
+	b.ReportAllocs()
+	for b.Loop() {
+		warm()
+	}
+}
+
+// TestWarmSelectAllocatesNothing: a warm selection over a 100-entry view —
+// the candidates, random-2's sample, the probe, the placement bump —
+// allocates nothing once the selector has a candidate buffer.
+func TestWarmSelectAllocatesNothing(t *testing.T) {
+	sel, warm := warmRig(t.Fatal)
 	warm()
 	if n := testing.AllocsPerRun(100, warm); n != 0 {
 		t.Fatalf("%v allocations per warm selection, want 0", n)
 	}
-	if st := sel.Stats(); st.WarmPicks != int64(selects) || st.Multicasts != 0 {
-		t.Fatalf("%+v after %d selections: not every one was warm", st, selects)
+	if st := sel.Stats(); st.WarmPicks != 102 || st.Multicasts != 0 {
+		t.Fatalf("%+v after 102 selections: not every one was warm", st)
 	}
 }
