@@ -98,12 +98,12 @@ type Bus struct {
 	// receiver without hashing the address; nil where none is attached.
 	stations []*NIC
 	order    []*NIC // attach order, for deterministic broadcast delivery
-	// groups lists each multicast address's subscribed stations in attach
+	// members lists each multicast address's subscribed stations in attach
 	// order: a group frame visits its members, not the whole segment. A
 	// join or leave replaces the list, so a delivery loop never sees it
-	// change under it. A segment carries a handful of group addresses, so
-	// they are found by a walk.
-	groups    []group
+	// change under it. Keyed by the address widened to 32 bits, which the
+	// runtime hashes without its generic path.
+	members   map[uint32][]*NIC
 	busyUntil sim.Time
 	// flight holds the frames on the wire, oldest first. busyUntil only
 	// moves forward, so frames leave the wire in the order they entered it
@@ -127,34 +127,6 @@ type Bus struct {
 	trace   *trace.Bus // nil until wired; nil bus is a no-op target
 }
 
-// group is one multicast address and its subscribed stations.
-type group struct {
-	mac     MAC
-	members []*NIC
-}
-
-// members returns the stations subscribed to a multicast address, in
-// attach order.
-func (b *Bus) members(m MAC) []*NIC {
-	for i := range b.groups {
-		if b.groups[i].mac == m {
-			return b.groups[i].members
-		}
-	}
-	return nil
-}
-
-// setMembers replaces a multicast address's member list.
-func (b *Bus) setMembers(m MAC, ms []*NIC) {
-	for i := range b.groups {
-		if b.groups[i].mac == m {
-			b.groups[i].members = ms
-			return
-		}
-	}
-	b.groups = append(b.groups, group{mac: m, members: ms})
-}
-
 // station returns the NIC attached at an address (nil for none).
 func (b *Bus) station(mac MAC) *NIC {
 	if int(mac) < len(b.stations) {
@@ -173,10 +145,11 @@ type inflight struct {
 // NewBus creates an empty segment on the engine.
 func NewBus(eng *sim.Engine) *Bus {
 	b := &Bus{
-		eng:   eng,
-		bufs:  freelist.New(params.FrameMTU, frameBufsKept, eng.Poison()),
-		pages: freelist.New(params.PageSize, pageFramesKept, eng.Poison()),
-		segs:  freelist.New(vid.SegMax, segBufsKept, eng.Poison()),
+		eng:     eng,
+		members: make(map[uint32][]*NIC),
+		bufs:    freelist.New(params.FrameMTU, frameBufsKept, eng.Poison()),
+		pages:   freelist.New(params.PageSize, pageFramesKept, eng.Poison()),
+		segs:    freelist.New(vid.SegMax, segBufsKept, eng.Poison()),
 	}
 	b.arrived = b.arrive
 	return b
@@ -327,7 +300,7 @@ func (b *Bus) arrive() {
 		// receive interrupt. The frame still occupies the shared medium
 		// like any other.
 		b.stats.Broadcasts++
-		for _, n := range b.members(f.Dst) {
+		for _, n := range b.members[uint32(f.Dst)] {
 			if n.mac != f.Src && n.recv != nil && !b.severed(f.Src, n.mac, len(f.Payload)) {
 				n.deliver(f)
 			}
@@ -395,17 +368,17 @@ func (n *NIC) JoinMulticast(m MAC) {
 	if !m.IsMulticast() {
 		panic(fmt.Sprintf("ethernet: JoinMulticast(%v): not a multicast address", m))
 	}
-	ms := n.bus.members(m)
+	ms := n.bus.members[uint32(m)]
 	if i, in := n.member(ms); !in {
-		n.bus.setMembers(m, slices.Insert(slices.Clip(ms), i, n))
+		n.bus.members[uint32(m)] = slices.Insert(slices.Clip(ms), i, n)
 	}
 }
 
 // LeaveMulticast removes the address from the receive filter.
 func (n *NIC) LeaveMulticast(m MAC) {
-	ms := n.bus.members(m)
+	ms := n.bus.members[uint32(m)]
 	if i, in := n.member(ms); in {
-		n.bus.setMembers(m, slices.Delete(slices.Clone(ms), i, i+1))
+		n.bus.members[uint32(m)] = slices.Delete(slices.Clone(ms), i, i+1)
 	}
 }
 

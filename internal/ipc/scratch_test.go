@@ -196,7 +196,8 @@ func BenchmarkReplyFrameDispatch(b *testing.B) {
 		Msg: vid.Message{Op: testOp, W: [6]uint32{6, 5, 4, 3, 2, 1}}}
 	var payload []byte
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		rep.TxID++
 		*txn = sendTxn{clientTxn: clientTxn{txid: rep.TxID, dst: server.PID()}}
 		client.send = txn

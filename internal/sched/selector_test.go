@@ -375,7 +375,8 @@ func BenchmarkWarmSelect(b *testing.B) {
 	_, warm := warmRig(b.Fatal)
 	warm()
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		warm()
 	}
 }
