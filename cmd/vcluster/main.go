@@ -474,28 +474,44 @@ func (r *repl) exec(line string) bool {
 		}
 
 	case "stats":
-		st := r.c.Snapshot()
+		// Every server machine counts: under -replicate-fs the log
+		// windows run on whichever replica leads.
+		var serverFrames, wsends, wstalls int64
+		for _, h := range r.c.FSHosts {
+			tx, rx := h.NIC.Counters()
+			ist := h.IPC.Stats()
+			serverFrames += tx + rx
+			wsends += ist.WindowSends
+			wstalls += ist.WindowStalls
+		}
+		bs := r.c.Bus.Stats()
 		r.printf("t=%v  frames=%d lost=%d bus-busy=%v  fileserver-frames=%d",
-			st.VirtualTime, st.Frames, st.FramesLost, st.BusBusy, st.ServerFrames)
-		for _, h := range st.Hosts {
+			r.c.Sim.Now(), bs.Frames, bs.Dropped, bs.BusyTime, serverFrames)
+		for _, n := range r.c.Nodes {
+			h := n.Host
+			ist := h.IPC.Stats()
+			wsends += ist.WindowSends
+			wstalls += ist.WindowStalls
+			freezes, frozen := h.FreezeStats()
+			var guests, locals int
+			for _, lh := range h.LHs() {
+				switch {
+				case lh.System():
+				case lh.Guest():
+					guests++
+				default:
+					locals++
+				}
+			}
 			r.printf("  %-5s util=%5.1f%% guests=%d locals=%d memfree=%dK pkts=%d/%d retx=%d locates=%d freezes=%d frozen=%v",
-				h.Name, h.Utilization*100, h.Guests, h.Locals, h.MemFreeKB,
-				h.TxPackets, h.RxPackets, h.Retransmits, h.Locates, h.Freezes, h.FrozenTime)
+				n.Name(), h.CPU.Utilization()*100, guests, locals, h.MemFree()/1024,
+				ist.TxPackets, ist.RxPackets, ist.Retransmits, ist.Locates, freezes, frozen)
 		}
 		tb := r.c.Trace
 		r.printf("  events: tx=%d local=%d retx=%d drop=%d frame-drop=%d reply-pending=%d locate=%d rebind=%d freeze=%d",
 			tb.Count(trace.EvPktTx), tb.Count(trace.EvPktLocal), tb.Count(trace.EvPktRetx),
 			tb.Count(trace.EvPktDrop), tb.Count(trace.EvFrameDrop), tb.Count(trace.EvReplyPending),
 			tb.Count(trace.EvLocate), tb.Count(trace.EvRebind), tb.Count(trace.EvFreeze))
-		var wsends, wstalls int64
-		for _, n := range r.c.Nodes {
-			ist := n.Host.IPC.Stats()
-			wsends += ist.WindowSends
-			wstalls += ist.WindowStalls
-		}
-		fst := r.c.FSHost.IPC.Stats()
-		wsends += fst.WindowSends
-		wstalls += fst.WindowStalls
 		r.printf("  bulk-transfer: window=%d sends=%d stalls=%d copy-window-events=%d",
 			r.c.Options().CopyWindow, wsends, wstalls, tb.Count(trace.EvCopyWindow))
 		rf := r.c.RemoteFaultTotals()

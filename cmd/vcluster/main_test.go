@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -206,5 +207,62 @@ display
 	}
 	if !strings.Contains(out, "ws0| 25") {
 		t.Fatalf("output missing:\n%s", out)
+	}
+}
+
+// TestStatsGolden pins the whole `stats` block byte for byte: every
+// counter it prints comes from one deterministic run, so a change to
+// where `stats` reads its counters must leave this block unchanged.
+func TestStatsGolden(t *testing.T) {
+	out := script(t, core.Options{Workstations: 4, Seed: 1}, `
+run ticker100 @ ws1
+run tex @ ws2
+loss 0.05
+advance 3s
+migrate j2
+advance 2s
+stats
+`)
+	const want = `t=9s  frames=1117 lost=37 bus-busy=655.208ms  fileserver-frames=259
+  ws0   util= 33.2% guests=1 locals=0 memfree=1435K pkts=173/654 retx=14 locates=0 freezes=1 frozen=1.7718382s
+  ws1   util= 31.8% guests=0 locals=0 memfree=1792K pkts=113/114 retx=1 locates=0 freezes=0 frozen=0s
+  ws2   util= 57.2% guests=0 locals=0 memfree=1792K pkts=588/295 retx=35 locates=0 freezes=1 frozen=0s
+  ws3   util=  0.3% guests=0 locals=0 memfree=1792K pkts=3/6 retx=0 locates=0 freezes=0 frozen=0s
+  events: tx=1117 local=19 retx=50 drop=0 frame-drop=37 reply-pending=13 locate=0 rebind=1 freeze=2
+  bulk-transfer: window=4 sends=17 stalls=0 copy-window-events=17
+  remote faults: 0 (0.0 KB) stalled=0s demand=0.0K push=0.0K events=0 aborted=false
+  engine: fired=12316 task-dispatches=5454 merged-wakes=3723 skipped-slice-ends=21272 timers-stopped=696 pending=33 max-pending=144
+`
+	i := strings.LastIndex(out, "\nt=")
+	if i < 0 {
+		t.Fatalf("no stats block:\n%s", out)
+	}
+	if got := out[i+1:]; got != want {
+		t.Fatalf("stats block drifted:\ngot:\n%swant:\n%s", got, want)
+	}
+}
+
+// TestStatsCountsEveryServerMachine checks that `stats` sums the bulk
+// transfer counters over every file-server replica. Under -replicate-fs
+// the consensus leader's log windows run on whichever replica leads, so
+// reading one server machine misses them; summed over all hosts, window
+// sends equal the copy-window events the bus counted (ipc.Stats).
+func TestStatsCountsEveryServerMachine(t *testing.T) {
+	out := script(t, core.Options{Workstations: 4, Seed: 1, ReplicateFS: 3}, `
+run ticker100 @ ws1
+advance 3s
+stats
+`)
+	var window, sends, stalls, events int
+	i := strings.Index(out, "bulk-transfer:")
+	if i < 0 {
+		t.Fatalf("no bulk-transfer line:\n%s", out)
+	}
+	if _, err := fmt.Sscanf(out[i:], "bulk-transfer: window=%d sends=%d stalls=%d copy-window-events=%d",
+		&window, &sends, &stalls, &events); err != nil {
+		t.Fatalf("bulk-transfer line: %v\n%s", err, out)
+	}
+	if events == 0 || sends != events {
+		t.Fatalf("sends=%d, copy-window-events=%d: want equal and nonzero\n%s", sends, events, out)
 	}
 }

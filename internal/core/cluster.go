@@ -165,16 +165,6 @@ func NewCluster(opt Options) *Cluster {
 	bus.SetTraceBus(tb)
 	c := &Cluster{Sim: eng, Bus: bus, Trace: tb, opt: opt}
 	c.Fault = fault.New(eng, bus, tb, c.roleMAC)
-	tb.RegisterSource("net", func() []trace.Metric {
-		bs := bus.Stats()
-		return []trace.Metric{
-			{Name: "frames", Value: float64(bs.Frames)},
-			{Name: "bytes", Value: float64(bs.Bytes)},
-			{Name: "dropped", Value: float64(bs.Dropped)},
-			{Name: "broadcasts", Value: float64(bs.Broadcasts)},
-			{Name: "busy_ms", Value: bs.BusyTime.Seconds() * 1000},
-		}
-	})
 	selPolicy := opt.Select
 	if selPolicy == nil {
 		selPolicy = sched.FirstResponse{}
@@ -215,7 +205,6 @@ func NewCluster(opt Options) *Cluster {
 	for i := 0; i < opt.Workstations; i++ {
 		h := kernel.NewHost(eng, bus, i, fmt.Sprintf("ws%d", i))
 		h.AttachTrace(tb)
-		registerHostMetrics(tb, h)
 		n := &Node{Host: h, cluster: c}
 		n.PM = progmgr.Start(h)
 		n.PM.SelectDally = dally
@@ -230,10 +219,8 @@ func NewCluster(opt Options) *Cluster {
 			n.Selector.Listen = h.ListenForLoad
 		}
 		h.EnableLoadAds(beacon)
-		tb.RegisterSource("sched/"+h.Name, n.Selector.Metrics)
 		n.PM.Migrator = c.newMigrator(n)
 		n.PM.Selector = n.Selector
-		registerSupMetrics(tb, n)
 		n.Display = display.Start(h)
 		c.Nodes = append(c.Nodes, n)
 		c.Fault.RegisterHost(h.NIC.MAC(), h.Crash, n.Restart)
@@ -267,7 +254,6 @@ func NewCluster(opt Options) *Cluster {
 		h := kernel.NewHost(eng, bus, opt.Workstations+j, name)
 		h.AttachTrace(tb)
 		h.EnableLoadAds(0)
-		registerHostMetrics(tb, h)
 		c.FSHosts = append(c.FSHosts, h)
 		if nfs > 1 {
 			c.fsStores = append(c.fsStores, rsm.NewStore())
@@ -294,42 +280,6 @@ func NewCluster(opt Options) *Cluster {
 		nameserver.RegisterSelfAt(n.Host, "progmgr."+n.Name(), n.PM.PID(), d)
 	}
 	return c
-}
-
-// registerHostMetrics exposes one host's counters through the trace bus's
-// metrics registry. Every metric function takes fresh Stats() snapshots —
-// never references into live counters.
-func registerHostMetrics(tb *trace.Bus, h *kernel.Host) {
-	tb.RegisterSource("host/"+h.Name, func() []trace.Metric {
-		st := h.IPC.Stats()
-		freezes, frozen := h.FreezeStats()
-		return []trace.Metric{
-			{Name: "tx_packets", Value: float64(st.TxPackets)},
-			{Name: "rx_packets", Value: float64(st.RxPackets)},
-			{Name: "rx_corrupt", Value: float64(st.RxCorrupt)},
-			{Name: "retransmits", Value: float64(st.Retransmits)},
-			{Name: "locates", Value: float64(st.Locates)},
-			{Name: "reply_pendings", Value: float64(st.ReplyPendings)},
-			{Name: "local_deliveries", Value: float64(st.LocalDeliveries)},
-			{Name: "freezes", Value: float64(freezes)},
-			{Name: "frozen_ms", Value: frozen.Seconds() * 1000},
-			{Name: "cpu_util", Value: h.CPU.Utilization()},
-		}
-	})
-}
-
-// registerSupMetrics exposes a node's session-supervision counters. It
-// closes over the node, not the manager — the manager is replaced on
-// restart.
-func registerSupMetrics(tb *trace.Bus, n *Node) {
-	tb.RegisterSource("sup/"+n.Name(), func() []trace.Metric {
-		st := n.PM.SupStats()
-		return []trace.Metric{
-			{Name: "lease_renews", Value: float64(st.LeaseRenews)},
-			{Name: "lease_expires", Value: float64(st.LeaseExpires)},
-			{Name: "exec_restarts", Value: float64(st.ExecRestarts)},
-		}
-	})
 }
 
 // Install stores a program image on every file-server replica (and
@@ -543,85 +493,8 @@ func (a *Agent) Node() *Node { return a.node }
 // Ctx exposes the underlying process context for advanced scenarios.
 func (a *Agent) Ctx() *kernel.ProcCtx { return a.ctx }
 
-// Println writes a line to the home workstation's display.
-func (a *Agent) Println(s string) {
-	a.ctx.Send(a.node.Display.PID(), vid.Message{Op: display.OpWriteLine, Seg: []byte(s)})
-}
-
 // Sleep suspends the agent.
 func (a *Agent) Sleep(d time.Duration) { a.ctx.Sleep(d) }
 
 // Now returns the virtual time.
 func (a *Agent) Now() sim.Time { return a.ctx.Now() }
-
-// Stats is a cluster-wide metrics snapshot (operator tooling).
-type Stats struct {
-	VirtualTime  sim.Time
-	Frames       int64
-	FramesLost   int64
-	BusBusy      time.Duration
-	Hosts        []HostStats
-	ServerFrames int64 // file-server machine traffic
-}
-
-// HostStats describes one workstation.
-type HostStats struct {
-	Name        string
-	Utilization float64
-	Idle        bool
-	Crashed     bool
-	MemFreeKB   uint32
-	Guests      int
-	Locals      int
-	TxPackets   int64
-	RxPackets   int64
-	Retransmits int64
-	Locates     int64
-	Freezes     int64
-	FrozenTime  time.Duration
-	TxFrames    int64
-	RxFrames    int64
-}
-
-// Snapshot collects cluster-wide metrics.
-func (c *Cluster) Snapshot() Stats {
-	bs := c.Bus.Stats()
-	st := Stats{
-		VirtualTime: c.Sim.Now(),
-		Frames:      bs.Frames,
-		FramesLost:  bs.Dropped,
-		BusBusy:     bs.BusyTime,
-	}
-	for _, n := range c.Nodes {
-		ipcStats := n.Host.IPC.Stats()
-		freezes, frozen := n.Host.FreezeStats()
-		hs := HostStats{
-			Name:        n.Name(),
-			Utilization: n.Host.CPU.Utilization(),
-			Idle:        n.Host.CPU.Idle(),
-			Crashed:     n.Host.Crashed(),
-			MemFreeKB:   n.Host.MemFree() / 1024,
-			TxPackets:   ipcStats.TxPackets,
-			RxPackets:   ipcStats.RxPackets,
-			Retransmits: ipcStats.Retransmits,
-			Locates:     ipcStats.Locates,
-			Freezes:     freezes,
-			FrozenTime:  frozen,
-		}
-		hs.TxFrames, hs.RxFrames = n.Host.NIC.Counters()
-		for _, lh := range n.Host.LHs() {
-			if lh.System() {
-				continue
-			}
-			if lh.Guest() {
-				hs.Guests++
-			} else {
-				hs.Locals++
-			}
-		}
-		st.Hosts = append(st.Hosts, hs)
-	}
-	tx, rx := c.FSHost.NIC.Counters()
-	st.ServerFrames = tx + rx
-	return st
-}

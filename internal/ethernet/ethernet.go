@@ -387,9 +387,6 @@ func (n *NIC) member(ms []*NIC) (int, bool) {
 	return slices.BinarySearchFunc(ms, n.seq, func(x *NIC, seq int) int { return cmp.Compare(x.seq, seq) })
 }
 
-// Engine returns the simulation engine the NIC runs on.
-func (n *NIC) Engine() *sim.Engine { return n.bus.eng }
-
 // SetRecv installs the delivery callback, invoked at frame arrival time on
 // the engine goroutine.
 func (n *NIC) SetRecv(fn func(Frame)) { n.recv = fn }

@@ -253,21 +253,6 @@ func (s *Selector) candidate(tx Sender, l Load, warm bool) {
 	})
 }
 
-// Metrics exposes the selector and cache counters as a trace source.
-func (s *Selector) Metrics() []trace.Metric {
-	cs := s.Cache.Stats()
-	return []trace.Metric{
-		{Name: "queries", Value: float64(s.stats.Queries)},
-		{Name: "warm_picks", Value: float64(s.stats.WarmPicks)},
-		{Name: "multicasts", Value: float64(s.stats.Multicasts)},
-		{Name: "probes", Value: float64(s.stats.Probes)},
-		{Name: "probe_failures", Value: float64(s.stats.ProbeFailures)},
-		{Name: "cache_hits", Value: float64(cs.Hits)},
-		{Name: "cache_misses", Value: float64(cs.Misses)},
-		{Name: "neg_skips", Value: float64(cs.NegSkips)},
-	}
-}
-
 func boolInt(b bool) int {
 	if b {
 		return 1

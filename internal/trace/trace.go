@@ -1,6 +1,7 @@
 // Package trace is the cluster-wide observability layer of the simulated
-// V-System: a deterministic, allocation-light event bus plus a metrics
-// registry that every substrate layer publishes into.
+// V-System: a deterministic, allocation-light event bus that every
+// substrate layer publishes into. A layer's counters are read from its own
+// typed Stats(), not through the bus.
 //
 // The paper's headline results — millisecond freeze times, ≈3 s/Mbyte copy
 // rates, "usually 2 pre-copy iterations were useful" (§3.1.2, §4.1) — are
@@ -262,19 +263,7 @@ func (s Span) String() string {
 		s.LH, s.Phase, s.Round, s.KB, s.Start, s.End, s.Dur())
 }
 
-// Metric is one named sample gathered from a registered source.
-type Metric struct {
-	Scope string
-	Name  string
-	Value float64
-}
-
-type source struct {
-	scope string
-	fn    func() []Metric
-}
-
-// Bus is the cluster's event bus and metrics registry. The zero value is
+// Bus is the cluster's event bus. The zero value is
 // ready to use; a nil *Bus is a valid no-op publish target, so layers can
 // publish unconditionally whether or not tracing is wired up.
 type Bus struct {
@@ -282,7 +271,6 @@ type Bus struct {
 	spanSubs []func(Span)
 	spans    []Span
 	counts   [numKinds]int64
-	sources  []source
 }
 
 // NewBus returns an empty bus.
@@ -347,30 +335,6 @@ func (b *Bus) SpansFor(lh vid.LHID) []Span {
 	for _, s := range b.spans {
 		if s.LH == lh {
 			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// RegisterSource adds a named metrics source. The function must return a
-// fresh snapshot on every call — sources are how layers expose their
-// Stats counters without handing out live struct fields.
-func (b *Bus) RegisterSource(scope string, fn func() []Metric) {
-	b.sources = append(b.sources, source{scope: scope, fn: fn})
-}
-
-// Gather snapshots every registered source, in registration order.
-func (b *Bus) Gather() []Metric {
-	if b == nil {
-		return nil
-	}
-	var out []Metric
-	for _, s := range b.sources {
-		for _, m := range s.fn() {
-			if m.Scope == "" {
-				m.Scope = s.scope
-			}
-			out = append(out, m)
 		}
 	}
 	return out

@@ -15,7 +15,7 @@ func TestNilBusIsANoOpTarget(t *testing.T) {
 	if b.Count(EvPktTx) != 0 {
 		t.Fatal("nil bus counted an event")
 	}
-	if b.Spans() != nil || b.SpansFor(1) != nil || b.Gather() != nil {
+	if b.Spans() != nil || b.SpansFor(1) != nil {
 		t.Fatal("nil bus returned non-nil data")
 	}
 }
@@ -64,26 +64,6 @@ func TestSpansAreCopiedAndFilterable(t *testing.T) {
 	}
 	if d := s1.Dur(); d != time.Millisecond {
 		t.Fatalf("Dur = %v", d)
-	}
-}
-
-func TestGatherSnapshotsSourcesInOrder(t *testing.T) {
-	b := NewBus()
-	n := 0.0
-	b.RegisterSource("a", func() []Metric { return []Metric{{Name: "x", Value: n}} })
-	b.RegisterSource("b", func() []Metric {
-		return []Metric{{Scope: "override", Name: "y", Value: 1}}
-	})
-	n = 7
-	ms := b.Gather()
-	if len(ms) != 2 {
-		t.Fatalf("gathered %d metrics", len(ms))
-	}
-	if ms[0].Scope != "a" || ms[0].Name != "x" || ms[0].Value != 7 {
-		t.Fatalf("metric 0 = %+v (must be a fresh snapshot)", ms[0])
-	}
-	if ms[1].Scope != "override" {
-		t.Fatalf("metric 1 scope = %q, explicit scope must win", ms[1].Scope)
 	}
 }
 
